@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race lint hammerlint staticcheck vulncheck bench-core clean
+.PHONY: all build test race lint hammerlint staticcheck vulncheck bench-core bench-smoke clean
 
 all: build test
 
@@ -48,6 +48,13 @@ vulncheck:
 # Commit the refreshed artifact when a deliberate change moves the numbers.
 bench-core:
 	go run ./cmd/hammerhead-bench -experiment core -duration 10s
+
+# bench-smoke checks the black-box benchmark (bench/, a module of its own, so
+# `go test ./...` at the root does not reach it): BENCHMARK.json matches the
+# runner's spec and a 2-second serve-steady run is correct. `bash bench/run.sh`
+# is the benchmark itself.
+bench-smoke:
+	cd bench && go test ./...
 
 clean:
 	rm -rf bin hammerlint

@@ -210,7 +210,6 @@ func benchPipelineAndApply(cfg benchConfig) (coreBenchRow, coreBenchRow, error) 
 	}
 	engCfg := engine.DefaultConfig()
 	engCfg.VerifySignatures = false
-	engCfg.MinRoundDelay = 50 * time.Millisecond
 	engCfg.LeaderTimeout = 500 * time.Millisecond
 	engCfg.ResyncInterval = 200 * time.Millisecond
 

@@ -299,7 +299,6 @@ func runExecutorReplay(cfg benchConfig) error {
 	}
 	engCfg := engine.DefaultConfig()
 	engCfg.VerifySignatures = false
-	engCfg.MinRoundDelay = 50 * time.Millisecond
 	engCfg.LeaderTimeout = 500 * time.Millisecond
 	engCfg.ResyncInterval = 200 * time.Millisecond
 

@@ -50,8 +50,9 @@ func run(args []string) error {
 	metricsAddr := fs.String("metrics-addr", "", "address for /metrics (empty disables)")
 	baseline := fs.Bool("baseline", false, "use static round-robin instead of HammerHead")
 	epochCommits := fs.Int("epoch-commits", 10, "commits per leader-reputation schedule")
-	minRoundDelay := fs.Duration("min-round-delay", 250*time.Millisecond, "header pacing")
-	leaderTimeout := fs.Duration("leader-timeout", 2*time.Second, "anchor-round leader wait")
+	engCfg := engine.DefaultConfig()
+	minRoundDelay := fs.Duration("min-round-delay", engCfg.MinRoundDelay, "header pacing: the shortest time between a validator's own proposals")
+	leaderTimeout := fs.Duration("leader-timeout", engCfg.LeaderTimeout, "anchor-round leader wait")
 	verifyWorkers := fs.Int("verify-workers", 0, "signature-verification worker pool size (0 = one per CPU)")
 	pipelineDepth := fs.Int("pipeline-depth", engine.DefaultPipelineDepth, "order-stage queue depth; 0 runs the committer inline on the ingest path")
 	mempoolSize := fs.Int("mempool-size", 0, "transaction pool capacity (0 = default 1<<20)")
@@ -101,7 +102,6 @@ func run(args []string) error {
 	}
 	keys := crypto.KeyPair{Scheme: scheme, Private: priv, Public: pubs[self]}
 
-	engCfg := engine.DefaultConfig()
 	engCfg.MinRoundDelay = *minRoundDelay
 	engCfg.LeaderTimeout = *leaderTimeout
 	if *verifyWorkers > 0 {
@@ -119,26 +119,24 @@ func run(args []string) error {
 	}
 
 	reg := metrics.NewRegistry()
-	var nd *node.Node
+	root, err := obs.NewLogger(os.Stdout, *logLevel, *logFormat)
+	if err != nil {
+		return err
+	}
+	logger := obs.WithValidator(obs.Component(root, "validator"), uint64(self))
+	// Peers deliver from the moment the listener is bound; inbound holds them
+	// until the node exists.
+	inbound := node.NewInbound()
 	tr, err := transport.NewTCP(transport.TCPConfig{
 		Self:       self,
 		ListenAddr: authority.Address,
 		PeerAddrs:  file.PeerAddrs(self),
-		Handler: func(from types.ValidatorID, msg *engine.Message) {
-			nd.HandleMessage(from, msg)
-		},
+		Handler:    inbound.Handle,
 	})
 	if err != nil {
 		return fmt.Errorf("binding %s: %w", authority.Address, err)
 	}
-
-	root, err := obs.NewLogger(os.Stdout, *logLevel, *logFormat)
-	if err != nil {
-		_ = tr.Close()
-		return err
-	}
-	logger := obs.WithValidator(obs.Component(root, "validator"), uint64(self))
-	nd, err = node.New(node.Config{
+	nd, err := node.New(node.Config{
 		Committee:          committee,
 		Self:               self,
 		Keys:               keys,
@@ -172,6 +170,7 @@ func run(args []string) error {
 				"txs", sub.TxCount())
 		},
 	}, tr)
+	inbound.Bind(nd)
 	if err != nil {
 		_ = tr.Close()
 		return err
@@ -212,15 +211,15 @@ func serve(nd *node.Node, tr transport.Transport, logger *slog.Logger, reg *metr
 	for {
 		select {
 		case <-ticker.C:
-			st := nd.Engine().Stats()
-			cs := nd.Engine().CommitterStats()
+			c := nd.Counters()
+			cs := c.Committer
 			pv := nd.PreVerifyStats()
 			logger.Info("status",
-				"round", uint64(nd.Engine().Round()),
+				"round", c.Round,
 				"commits", cs.DirectCommits+cs.IndirectCommits,
 				"ordered_vertices", cs.OrderedVertices,
 				"skipped", cs.SkippedAnchors,
-				"timeouts", st.LeaderTimeouts,
+				"timeouts", c.LeaderTimeouts,
 				"pending_tx", nd.Pool().Pending(),
 				"preverified", pv.Checked-pv.Dropped,
 				"dropped", pv.Dropped)
@@ -231,7 +230,7 @@ func serve(nd *node.Node, tr transport.Transport, logger *slog.Logger, reg *metr
 					"state_root", exec.StateRoot(),
 					"queue", exec.QueueDepth(),
 					"checkpoints", exec.Checkpoints(),
-					"snapshots_installed", st.SnapshotInstalls)
+					"snapshots_installed", c.SnapshotInstalls)
 			}
 		case s := <-sig:
 			logger.Info("shutting down", "signal", s.String())

@@ -64,14 +64,12 @@ func run() error {
 	nodes := make([]*node.Node, n)
 	for i := 0; i < n; i++ {
 		id := types.ValidatorID(i)
-		var nd *node.Node
+		inbound := node.NewInbound() // holds peer messages until the node exists
 		tr, err := transport.NewTCP(transport.TCPConfig{
 			Self:       id,
 			ListenAddr: file.Validators[i].Address,
 			PeerAddrs:  file.PeerAddrs(id),
-			Handler: func(from types.ValidatorID, msg *engine.Message) {
-				nd.HandleMessage(from, msg)
-			},
+			Handler:    inbound.Handle,
 		})
 		if err != nil {
 			return fmt.Errorf("binding %s: %w", file.Validators[i].Address, err)
@@ -97,7 +95,8 @@ func run() error {
 		if i == 0 {
 			cfg.Metrics = reg
 		}
-		nd, err = node.New(cfg, tr)
+		nd, err := node.New(cfg, tr)
+		inbound.Bind(nd)
 		if err != nil {
 			return err
 		}

@@ -303,12 +303,22 @@ func (c *Committer) FastForward(round types.Round, commitIndex uint64, floor typ
 // Prune releases DAG rounds and ordered-set entries below floor. Callers
 // must keep floor at or below both the last ordered round and the
 // scheduler's minimum retained round (score scans read the active epoch).
-func (c *Committer) Prune(floor types.Round) {
+// It returns the released vertices that no commit delivered — and, now that
+// the DAG has dropped them, none will: the payload of a vertex nobody
+// referenced in time (its producer ran late) is lost here.
+func (c *Committer) Prune(floor types.Round) (unordered []*dag.Vertex) {
 	if floor > c.lastOrderedRound {
 		floor = c.lastOrderedRound
 	}
 	if floor <= c.orderedFloor {
-		return
+		return nil
+	}
+	for r := c.orderedFloor; r < floor; r++ {
+		for _, v := range c.dag.RoundVertices(r) {
+			if _, done := c.ordered[v.Digest()]; !done {
+				unordered = append(unordered, v)
+			}
+		}
 	}
 	c.dag.Prune(floor)
 	for digest, round := range c.ordered {
@@ -317,4 +327,5 @@ func (c *Committer) Prune(floor types.Round) {
 		}
 	}
 	c.orderedFloor = floor
+	return unordered
 }

@@ -8,10 +8,13 @@ import (
 // Config holds the engine's protocol parameters. Zero value is invalid; use
 // DefaultConfig as a base.
 type Config struct {
-	// MinRoundDelay paces header proposals: a validator does not propose
-	// round r+1 earlier than MinRoundDelay after proposing round r, bounding
-	// the round rate and batching transactions (Narwhal's max_header_delay
-	// counterpart).
+	// MinRoundDelay paces header proposals: a validator proposes round r+1
+	// no earlier than MinRoundDelay after it proposed round r, unless
+	// certificates worth f+1 stake already exist at r+1 (it is late; see
+	// Engine.pacingOpen). A floor on the round time, bounding the round rate
+	// and batching transactions — Narwhal's min_header_delay, not its
+	// max_header_delay: nothing here forces a header out, a round still
+	// waits for its quorum of certificates. 0 disables pacing.
 	MinRoundDelay time.Duration
 	// LeaderTimeout bounds the wait for the anchor certificate when leaving
 	// an anchor round. This is the cost a crashed leader inflicts per anchor
@@ -78,11 +81,12 @@ const DefaultSnapshotChunkBytes = 256 << 10
 // execution.
 const DefaultPipelineDepth = 256
 
-// DefaultConfig returns production-shaped defaults; the experiment harness
-// overrides the pacing knobs per scenario.
+// DefaultConfig returns the defaults every runtime starts from
+// (hammerhead-node's flags included); the simulated experiments override the
+// pacing knobs per scenario.
 func DefaultConfig() Config {
 	return Config{
-		MinRoundDelay:    250 * time.Millisecond,
+		MinRoundDelay:    50 * time.Millisecond,
 		LeaderTimeout:    2 * time.Second,
 		ResyncInterval:   time.Second,
 		MaxBatchTx:       500,
@@ -98,7 +102,7 @@ func DefaultConfig() Config {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.MinRoundDelay < 0 || c.LeaderTimeout <= 0 || c.ResyncInterval <= 0 {
-		return fmt.Errorf("engine: delays must be positive (round=%v leader=%v resync=%v)",
+		return fmt.Errorf("engine: MinRoundDelay must be >= 0, LeaderTimeout and ResyncInterval > 0 (round=%v leader=%v resync=%v)",
 			c.MinRoundDelay, c.LeaderTimeout, c.ResyncInterval)
 	}
 	if c.MaxBatchTx < 1 {

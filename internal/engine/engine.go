@@ -88,6 +88,19 @@ type Stats struct {
 	CheckpointSigs         uint64
 	CheckpointCertsFormed  uint64
 	CheckpointCertsAdopted uint64
+	// Own headers given up before they certified, and the transactions
+	// carried from them into a later own header (a transaction abandoned
+	// twice counts twice).
+	HeadersAbandoned uint64
+	TxCarried        uint64
+	// Own certified vertices dropped below the pruning floor without ever
+	// having been ordered, and the transactions in them: acknowledged writes
+	// that will never commit. Peers reference a vertex only while they are in
+	// the next round; after that only its producer's next vertex does, and
+	// the catch-up jump of a validator more than four rounds behind (or one
+	// slow for longer than GCDepth rounds) cuts that chain (see ROADMAP).
+	OwnVerticesPrunedUnordered uint64
+	OwnTxPrunedUnordered       uint64
 }
 
 type voteKey struct {
@@ -161,12 +174,18 @@ type Engine struct {
 	// the ingest path.
 	stage *orderStage
 
-	round            types.Round
-	curHeader        *Header
-	curHeaderDigest  types.Digest
+	round           types.Round
+	curHeader       *Header
+	curHeaderDigest types.Digest
+	// carried holds the transactions of own headers abandoned before they
+	// certified; the next own headers take them ahead of the mempool's, so a
+	// batch leaves the engine only inside a certificate.
+	carried []types.Transaction
+	// restoredHeader marks curHeader as re-adopted from the WAL rather than
+	// built by this process (see abandonHeader).
+	restoredHeader   bool
 	votes            map[types.ValidatorID]crypto.Signature
 	ownCertFormed    bool
-	lastProposeNanos int64
 	roundDelayOK     bool
 	leaderTimerArmed map[types.Round]bool
 	leaderTimedOut   map[types.Round]bool
@@ -345,7 +364,7 @@ func New(p Params) (*Engine, error) {
 		e.schedRestore = sr
 	}
 	if p.Config.PipelineDepth > 0 {
-		e.stage = newOrderStage(e.committer, e.scheduler, sink, p.Config.PipelineDepth,
+		e.stage = newOrderStage(e.committer, e.scheduler, sink, p.Self, p.Config.PipelineDepth,
 			p.Config.GCEvery, p.Config.GCDepth)
 	}
 	return e, nil
@@ -426,7 +445,6 @@ func (e *Engine) Init(nowNanos int64) *Output {
 	out := &Output{}
 	e.ownCertFormed = true
 	e.roundDelayOK = true
-	e.lastProposeNanos = nowNanos - e.config.MinRoundDelay.Nanoseconds()
 	e.tryAdvance(nowNanos, out)
 	// The progress watchdog runs for the engine's lifetime: a committee can
 	// wedge at one round if certificate broadcasts are lost (nothing later
@@ -446,7 +464,15 @@ func (e *Engine) Round() types.Round { return e.round }
 func (e *Engine) CurrentProposal() *Header { return e.curHeader }
 
 // Stats returns a copy of the engine counters.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats {
+	st := e.stats
+	if e.stage != nil {
+		// Pipelined, the order stage prunes, and counts on its own goroutine.
+		st.OwnVerticesPrunedUnordered = e.stage.ownPrunedVertices.Load()
+		st.OwnTxPrunedUnordered = e.stage.ownPrunedTxs.Load()
+	}
+	return st
+}
 
 // Committer exposes the underlying committer (read-only use: stats, last
 // ordered round). With the pipeline enabled the order stage mutates the
@@ -1106,10 +1132,19 @@ func (e *Engine) resync(out *Output) {
 // ---- round advancement ----
 
 // tryAdvance proposes the next header when the current round is complete:
-// quorum of certificates, our own certificate (or the network has visibly
-// moved past us), the pacing delay elapsed, and — leaving an anchor round —
-// the leader's certificate arrived or timed out (Bullshark's leader-wait,
-// the mechanism that makes crashed leaders expensive for the baseline).
+// quorum of certificates, our own certificate, the pacing gate open, and —
+// leaving an anchor round — the leader's certificate arrived or timed out
+// (Bullshark's leader-wait, the mechanism that makes crashed leaders
+// expensive for the baseline).
+//
+// The own certificate is waited for even when the network has moved past
+// us: the next header is the only vertex that will ever reference it (peers
+// have left that round), so proposing before it forms — or giving up the
+// header that does reference it — cuts our vertices off from every later
+// anchor's history, and their transactions never commit. A validator a few
+// rounds behind therefore catches up one certified round per round trip
+// (pacingOpen lets it); one that cannot certify at all falls further behind
+// and takes the catch-up jump below.
 func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 	for {
 		// Catch-up jump: when the DAG is far ahead of our proposing round
@@ -1120,9 +1155,7 @@ func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 		if frontier := e.dagStore.HighestRound(); frontier > e.round+4 {
 			for r := frontier; r > e.round; r-- {
 				if e.dagStore.HasQuorumAt(r) {
-					e.round = r
-					e.ownCertFormed = true // our slot in skipped rounds is forfeited
-					e.roundDelayOK = true
+					e.resumeAt(r) // our slot in skipped rounds is forfeited
 					break
 				}
 			}
@@ -1130,13 +1163,10 @@ func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 		if !e.dagStore.HasQuorumAt(e.round) {
 			return
 		}
+		if !e.ownCertFormed || !e.pacingOpen() {
+			return
+		}
 		behind := e.dagStore.HighestRound() > e.round
-		if !e.ownCertFormed && !behind {
-			return
-		}
-		if !e.roundDelayOK {
-			return
-		}
 		if e.round.IsAnchorRound() && e.round > 0 && !behind && !e.leaderTimedOut[e.round] {
 			leaderID := e.leaderAt(e.round)
 			if leaderID != e.self && leaderID != types.NoValidator {
@@ -1153,6 +1183,68 @@ func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 	}
 }
 
+// pacingOpen reports whether header pacing lets this validator leave its
+// round. MinRoundDelay since its own last proposal always opens the gate.
+// So do certificates worth f+1 stake at the next round: one of them is an
+// honest validator's, which paced itself into that round, so following it
+// keeps the committee's round rate at the floor — while a validator that fell
+// behind re-aligns within a round trip instead of staying late by the same
+// amount forever (its timer restarts from its own, late, proposal), until
+// its certificates miss every next round's parent set. Stake of f or less
+// ahead moves nobody: a fast or Byzantine minority cannot un-pace the rest.
+func (e *Engine) pacingOpen() bool {
+	return e.roundDelayOK ||
+		e.dagStore.RoundStake(e.round+1) >= e.committee.ValidityThreshold()
+}
+
+// abandonHeader gives up the current own header. If it has not certified it
+// never will — only its origin assembles the certificate, and onVote ignores
+// votes for a header that is no longer current — so its transactions move
+// to the next own header and nothing is ordered twice. A header restored
+// from the WAL is the exception: the process that built it may have
+// certified it, so its batch is not proposed again.
+func (e *Engine) abandonHeader() {
+	h := e.curHeader
+	e.curHeader = nil
+	if h == nil || e.ownCertFormed || e.restoredHeader {
+		return
+	}
+	e.stats.HeadersAbandoned++
+	if h.Batch != nil {
+		e.carried = append(e.carried, h.Batch.Transactions...)
+		e.stats.TxCarried += uint64(h.Batch.Len())
+	}
+}
+
+// resumeAt moves the engine to round with no header of its own outstanding
+// there — the slot is forfeited, or already holds a certificate that
+// survived a crash — so the next proposal is round+1 once the round completes.
+func (e *Engine) resumeAt(round types.Round) {
+	e.abandonHeader()
+	e.round = round
+	e.ownCertFormed = true
+	e.roundDelayOK = true
+}
+
+// nextBatch assembles the next own header's batch: transactions carried over
+// from abandoned headers first, then the mempool's, MaxBatchTx in all.
+func (e *Engine) nextBatch(nowNanos int64) *types.Batch {
+	n := min(len(e.carried), e.config.MaxBatchTx)
+	if n == 0 {
+		return e.batches.NextBatch(nowNanos, e.config.MaxBatchTx)
+	}
+	// Copied: the batch outlives this step inside the header, while carried
+	// keeps being appended to.
+	txs := append(make([]types.Transaction, 0, e.config.MaxBatchTx), e.carried[:n]...)
+	e.carried = e.carried[n:]
+	if room := e.config.MaxBatchTx - n; room > 0 {
+		if b := e.batches.NextBatch(nowNanos, room); b != nil {
+			txs = append(txs, b.Transactions...)
+		}
+	}
+	return &types.Batch{Transactions: txs}
+}
+
 func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 	if round <= e.proposalFloor {
 		// The WAL records a header we already signed at or above this round.
@@ -1163,10 +1255,7 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 		// round itself. Practically unreachable after RestoreProposal (the
 		// engine resumes at or above the floor); kept as the enforcement
 		// backstop.
-		e.round = round
-		e.curHeader = nil
-		e.ownCertFormed = true
-		e.roundDelayOK = true
+		e.resumeAt(round)
 		return
 	}
 	parents := e.dagStore.RoundVertices(round - 1)
@@ -1178,27 +1267,30 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 		Round:        round,
 		Source:       e.self,
 		Edges:        edges,
-		Batch:        e.batches.NextBatch(nowNanos, e.config.MaxBatchTx),
+		Batch:        e.nextBatch(nowNanos),
 		CreatedNanos: nowNanos,
 	}
 	digest := header.Digest()
 	sig, err := e.keys.Sign(digest[:])
 	if err != nil {
-		// Unreachable with well-formed keys; drop the proposal and let the
-		// round delay retry.
+		// Unreachable with well-formed keys; drop the proposal (keeping its
+		// batch) and let the round delay retry.
 		e.stats.InvalidMessages++
+		if header.Batch != nil {
+			e.carried = append(e.carried, header.Batch.Transactions...)
+		}
 		return
 	}
 	header.Signature = sig
 
 	e.round = round
 	e.curHeader = header
+	e.restoredHeader = false
 	e.curHeaderDigest = digest
 	e.votes = make(map[types.ValidatorID]crypto.Signature)
 	e.votes[e.self] = sig // self-vote
 	e.ownCertFormed = false
 	e.roundDelayOK = false
-	e.lastProposeNanos = nowNanos
 	e.votedFor[voteKey{origin: e.self, round: round}] = digest
 	e.stats.HeadersProposed++
 	if e.persistProposal != nil {
@@ -1244,8 +1336,23 @@ func (e *Engine) garbageCollect() {
 		return
 	}
 	floor -= types.Round(e.config.GCDepth)
-	e.committer.Prune(floor)
+	vertices, txs := ownPayload(e.committer.Prune(floor), e.self)
+	e.stats.OwnVerticesPrunedUnordered += vertices
+	e.stats.OwnTxPrunedUnordered += txs
 	e.pruneProtocolState(floor)
+}
+
+// ownPayload counts self's vertices among vs and the transactions in them.
+func ownPayload(vs []*dag.Vertex, self types.ValidatorID) (vertices, txs uint64) {
+	for _, v := range vs {
+		if v.Source == self {
+			vertices++
+			if v.Batch != nil {
+				txs += uint64(v.Batch.Len())
+			}
+		}
+	}
+	return vertices, txs
 }
 
 // pruneProtocolState drops every ingest-owned record below floor: retained

@@ -67,13 +67,19 @@ type orderStage struct {
 	gcDepth     uint64
 	commitsToGC uint64
 	safeFloor   atomic.Uint64
+	// self's vertices, and the transactions in them, that collect released
+	// without their ever having been ordered (Stats.OwnVerticesPrunedUnordered).
+	self              types.ValidatorID
+	ownPrunedVertices atomic.Uint64
+	ownPrunedTxs      atomic.Uint64
 }
 
-func newOrderStage(committer *bullshark.Committer, scheduler leader.Scheduler, sink CommitSink, depth int, gcEvery, gcDepth uint64) *orderStage {
+func newOrderStage(committer *bullshark.Committer, scheduler leader.Scheduler, sink CommitSink, self types.ValidatorID, depth int, gcEvery, gcDepth uint64) *orderStage {
 	s := &orderStage{
 		committer: committer,
 		scheduler: scheduler,
 		sink:      sink,
+		self:      self,
 		in:        make(chan *dag.Vertex, depth),
 		quit:      make(chan struct{}),
 		gcEvery:   gcEvery,
@@ -169,8 +175,11 @@ func (s *orderStage) collect() {
 		return
 	}
 	floor -= types.Round(s.gcDepth)
-	s.committer.Prune(floor)
+	unordered := s.committer.Prune(floor)
 	s.mu.Unlock()
+	vertices, txs := ownPayload(unordered, s.self)
+	s.ownPrunedVertices.Add(vertices)
+	s.ownPrunedTxs.Add(txs)
 	s.safeFloor.Store(uint64(floor))
 }
 

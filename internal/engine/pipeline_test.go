@@ -45,6 +45,13 @@ func buildCertTrace(tb testing.TB, committee *types.Committee, rounds types.Roun
 // commit collector.
 func newTraceEngine(tb testing.TB, committee *types.Committee, mutate func(*Config)) (*Engine, *commitCollector) {
 	tb.Helper()
+	return newTraceEngineWith(tb, committee, nilBatches{}, mutate)
+}
+
+// newTraceEngineWith is newTraceEngine drawing its own headers' batches from
+// the given provider.
+func newTraceEngineWith(tb testing.TB, committee *types.Committee, batches BatchProvider, mutate func(*Config)) (*Engine, *commitCollector) {
+	tb.Helper()
 	kp, err := crypto.NewKeyPair(crypto.Insecure{}, [32]byte{}, 0)
 	if err != nil {
 		tb.Fatal(err)
@@ -60,7 +67,7 @@ func newTraceEngine(tb testing.TB, committee *types.Committee, mutate func(*Conf
 		Committee: committee,
 		Self:      0,
 		Keys:      kp,
-		Batches:   nilBatches{},
+		Batches:   batches,
 		Scheduler: leader.NewRoundRobin(committee, 1),
 		DAG:       dag.New(committee),
 		Commits:   collector,

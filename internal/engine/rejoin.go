@@ -101,8 +101,10 @@ func (e *Engine) RestoreProposal(h *Header) {
 	if err != nil {
 		return // unreachable with well-formed keys; the floor still holds
 	}
+	e.abandonHeader() // a header built during replay was never transmitted
 	e.round = h.Round
 	e.curHeader = h
+	e.restoredHeader = true
 	e.curHeaderDigest = digest
 	e.votes = map[types.ValidatorID]crypto.Signature{e.self: sig}
 	e.ownCertFormed = false
@@ -283,19 +285,13 @@ func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 		// would equivocate the slot. Re-broadcast the certificate so peers
 		// that have not merged it yet can still complete the round.
 		cert, _ := e.certAt(target, e.self)
-		e.round = target
-		e.curHeader = nil
-		e.ownCertFormed = true
-		e.roundDelayOK = true
+		e.resumeAt(target)
 		out.broadcast(&Message{Kind: KindCertificate, Cert: cert})
 	case e.ownPendingAt(target):
 		// Same, but the surviving certificate is still waiting on parent
 		// sync; adopting the round keeps us from proposing a conflicting
 		// header while the causal-sync machinery finishes the insert.
-		e.round = target
-		e.curHeader = nil
-		e.ownCertFormed = true
-		e.roundDelayOK = true
+		e.resumeAt(target)
 	case e.round == target && e.curHeader != nil && e.curHeader.Round == target && !e.ownCertFormed:
 		// Our replay-time proposal already sits at the fresh round — it was
 		// simply never transmitted. Put it on the wire now; re-proposing
@@ -308,10 +304,7 @@ func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 		// fresh strictly above it. The quorum round q is complete — never
 		// wait for its leader certificate, which may only have existed in a
 		// dead process's memory.
-		e.round = q
-		e.curHeader = nil
-		e.ownCertFormed = true
-		e.roundDelayOK = true
+		e.resumeAt(q)
 		e.leaderTimedOut[q] = true
 	}
 	e.tryAdvance(nowNanos, out)

@@ -390,10 +390,7 @@ func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstal
 		// Proposing for long-gone rounds is useless; resume at the
 		// checkpoint round and let the catch-up jump take over once synced
 		// certificates rebuild a quorum frontier.
-		e.round = meta.Round
-		e.curHeader = nil
-		e.ownCertFormed = true
-		e.roundDelayOK = true
+		e.resumeAt(meta.Round)
 	}
 	e.drainPendingAfterInstall(nowNanos, out)
 	e.tryAdvance(nowNanos, out)

@@ -54,8 +54,6 @@ type ClientLoadScenario struct {
 	// Scheme selects the signature scheme ("ed25519" default; tests use
 	// "insecure" for speed).
 	Scheme string
-	// MinRoundDelay overrides header pacing (0 = 50ms — local pacing).
-	MinRoundDelay time.Duration
 	// Replicas boots this many non-voting read replicas alongside the
 	// self-cluster (checkpoint certification is switched on so they can
 	// bootstrap from a certified snapshot). At the end of the run every
@@ -181,16 +179,12 @@ func RunClientLoad(s ClientLoadScenario) (ClientLoadResult, error) {
 			lanes = 16
 		}
 	}
-	minRoundDelay := s.MinRoundDelay
-	if minRoundDelay <= 0 {
-		minRoundDelay = 50 * time.Millisecond
-	}
 
 	var cluster *clientLoadCluster
 	addrs := s.Endpoints
 	if len(addrs) == 0 {
 		var err error
-		cluster, err = newClientLoadCluster(s, lanes, minRoundDelay)
+		cluster, err = newClientLoadCluster(s, lanes)
 		if err != nil {
 			return ClientLoadResult{}, err
 		}
@@ -694,7 +688,7 @@ type clientLoadCluster struct {
 	pubs      []crypto.PublicKey
 }
 
-func newClientLoadCluster(s ClientLoadScenario, lanes int, minRoundDelay time.Duration) (*clientLoadCluster, error) {
+func newClientLoadCluster(s ClientLoadScenario, lanes int) (*clientLoadCluster, error) {
 	committee, err := types.NewEqualStakeCommittee(s.N)
 	if err != nil {
 		return nil, err
@@ -704,7 +698,6 @@ func newClientLoadCluster(s ClientLoadScenario, lanes int, minRoundDelay time.Du
 		return nil, err
 	}
 	engCfg := engine.DefaultConfig()
-	engCfg.MinRoundDelay = minRoundDelay
 	engCfg.LeaderTimeout = time.Second
 	engCfg.PipelineDepth = engine.DefaultPipelineDepth
 

@@ -192,6 +192,14 @@ type Node struct {
 	statusRound     atomic.Uint64
 	statusOrdered   atomic.Uint64
 	statusRejoining atomic.Bool
+	// The rest of Counters: engine counters published by dispatch, committer
+	// counters by the commit sink.
+	statusTimeouts         atomic.Uint64
+	statusSnapshotInstalls atomic.Uint64
+	statusCommitter        atomic.Pointer[bullshark.Stats]
+	// lostVertices is the engine's OwnVerticesPrunedUnordered as of the last
+	// dispatch (loop goroutine only): a rise is logged.
+	lostVertices uint64
 	// schedState mirrors the scheduler's latest exported state (HammerHead
 	// only): commit delivery publishes the immutable ManagerState each commit
 	// carries, and /v1/status plus the hammerhead_schedule_* gauges read it
@@ -222,6 +230,9 @@ type Node struct {
 	epochStartMet   *metrics.Gauge
 	leaderMetric    *metrics.Gauge
 	excludedMetric  *metrics.Gauge
+	abandonedMetric *metrics.Counter
+	carriedMetric   *metrics.Counter
+	lostMetric      *metrics.Counter
 }
 
 // inbound is one transport delivery awaiting pre-verification.
@@ -464,6 +475,9 @@ func New(cfg Config, trans transport.Transport) (*Node, error) {
 		n.epochStartMet = cfg.Metrics.Gauge("hammerhead_schedule_start_round")
 		n.leaderMetric = cfg.Metrics.Gauge("hammerhead_current_leader")
 		n.excludedMetric = cfg.Metrics.Gauge("hammerhead_excluded_validators")
+		n.abandonedMetric = cfg.Metrics.Counter("hammerhead_headers_abandoned_total")
+		n.carriedMetric = cfg.Metrics.Counter("hammerhead_tx_carried_total")
+		n.lostMetric = cfg.Metrics.Counter("hammerhead_own_vertices_pruned_unordered_total")
 		if st := n.schedState.Load(); st != nil {
 			n.publishSchedulerState(st)
 		}
@@ -570,6 +584,29 @@ func (n *Node) statusSnapshot() rpc.StatusResponse {
 	return st
 }
 
+// Counters are the cumulative counters behind an operator's status line.
+type Counters struct {
+	Round            uint64
+	LeaderTimeouts   uint64
+	SnapshotInstalls uint64
+	Committer        bullshark.Stats
+}
+
+// Counters reads the thread-safe mirrors, like statusSnapshot: the engine
+// belongs to the loop goroutine and the committer to whichever goroutine
+// orders, so neither may be asked directly while the node runs.
+func (n *Node) Counters() Counters {
+	c := Counters{
+		Round:            n.statusRound.Load(),
+		LeaderTimeouts:   n.statusTimeouts.Load(),
+		SnapshotInstalls: n.statusSnapshotInstalls.Load(),
+	}
+	if cs := n.statusCommitter.Load(); cs != nil {
+		c.Committer = *cs
+	}
+	return c
+}
+
 // publishSchedulerState stores the latest exported scheduler state for the
 // status mirror and updates the scheduling gauges. Called from commit
 // delivery (single goroutine) and once at construction.
@@ -653,6 +690,8 @@ func (n *Node) persistProposal(h *engine.Header) {
 // mode and from the order stage when the pipeline is enabled — in both
 // cases a single goroutine at a time, in commit order.
 func (n *Node) sinkCommit(sub bullshark.CommittedSubDAG) {
+	cs := n.eng.CommitterStats()
+	n.statusCommitter.Store(&cs)
 	if n.replaying.Load() {
 		// WAL replay re-derives pre-crash commits; their trace entries died
 		// with the process and must not be fabricated from post-restart time.
@@ -1173,8 +1212,19 @@ func (n *Node) dispatch(out *engine.Output, transmit bool) {
 	}
 	n.statusRound.Store(uint64(n.eng.Round()))
 	n.statusRejoining.Store(n.eng.Rejoining())
-	if n.roundMetric != nil {
+	st := n.eng.Stats()
+	n.statusTimeouts.Store(st.LeaderTimeouts)
+	n.statusSnapshotInstalls.Store(st.SnapshotInstalls)
+	if st.OwnVerticesPrunedUnordered > n.lostVertices {
+		n.lostVertices = st.OwnVerticesPrunedUnordered
+		n.logger.Warn("own certified vertices pruned without ever being ordered: their transactions will not commit",
+			"vertices_total", st.OwnVerticesPrunedUnordered, "txs_total", st.OwnTxPrunedUnordered)
+	}
+	if n.cfg.Metrics != nil {
 		n.roundMetric.Set(int64(n.eng.Round()))
+		mirrorCounter(n.abandonedMetric, st.HeadersAbandoned)
+		mirrorCounter(n.carriedMetric, st.TxCarried)
+		mirrorCounter(n.lostMetric, st.OwnVerticesPrunedUnordered)
 	}
 	if n.leaderMetric != nil {
 		anchor := n.eng.Round()
@@ -1189,5 +1239,12 @@ func (n *Node) dispatch(out *engine.Output, transmit bool) {
 	}
 	if n.pipelineMetric != nil {
 		n.pipelineMetric.Set(int64(n.eng.PipelineBacklog()))
+	}
+}
+
+// mirrorCounter raises c to total, an engine counter only dispatch publishes.
+func mirrorCounter(c *metrics.Counter, total uint64) {
+	if have := c.Value(); total > have {
+		c.Add(total - have)
 	}
 }

@@ -2,6 +2,7 @@ package node_test
 
 import (
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -153,6 +154,19 @@ func (tc *testCluster) waitCommits(t *testing.T, min int, timeout time.Duration)
 	}
 }
 
+// assertCountersLive reads every node's status-line counters while the
+// engines run (under -race this is the check that the line is served from
+// mirrors, not from state the engine and order-stage goroutines own).
+func (tc *testCluster) assertCountersLive(t *testing.T) {
+	t.Helper()
+	for i, nd := range tc.nodes {
+		c := nd.Counters()
+		if c.Round == 0 || c.Committer.DirectCommits+c.Committer.IndirectCommits == 0 || c.Committer.OrderedVertices == 0 {
+			t.Fatalf("node v%d counters after commits: %+v", i, c)
+		}
+	}
+}
+
 func TestNodesCommitTransactions(t *testing.T) {
 	tc := newTestCluster(t, 4, nil)
 	tc.start(t)
@@ -162,6 +176,7 @@ func TestNodesCommitTransactions(t *testing.T) {
 		}
 	}
 	tc.waitCommits(t, 3, 15*time.Second)
+	tc.assertCountersLive(t)
 
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -218,6 +233,7 @@ func TestNodesCommitWithPipelinedEngine(t *testing.T) {
 		}
 	}
 	tc.waitCommits(t, 6, 20*time.Second)
+	tc.assertCountersLive(t)
 
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -304,6 +320,16 @@ func TestNodeMetricsExposed(t *testing.T) {
 	}
 	if got := reg.Gauge("hammerhead_round").Value(); got == 0 {
 		t.Fatal("round gauge never set")
+	}
+	page := reg.Render()
+	for _, name := range []string{
+		"hammerhead_headers_abandoned_total",
+		"hammerhead_tx_carried_total",
+		"hammerhead_own_vertices_pruned_unordered_total",
+	} {
+		if !strings.Contains(page, name+" ") {
+			t.Fatalf("/metrics lacks %s:\n%s", name, page)
+		}
 	}
 }
 

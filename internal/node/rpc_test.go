@@ -70,16 +70,14 @@ func (s *tcpNodeSpec) bootTCPNode(t *testing.T, id types.ValidatorID, walPath, r
 			peers[pid] = addr
 		}
 	}
-	var nd *node.Node
+	inbound := node.NewInbound()
 	var tr *transport.TCPTransport
 	var err error
 	for attempt := 0; ; attempt++ {
 		tr, err = transport.NewTCP(transport.TCPConfig{
 			Self: id, ListenAddr: s.addrs[id],
 			PeerAddrs: peers,
-			Handler: func(from types.ValidatorID, msg *engine.Message) {
-				nd.HandleMessage(from, msg)
-			},
+			Handler:   inbound.Handle,
 		})
 		if err == nil {
 			break
@@ -94,7 +92,7 @@ func (s *tcpNodeSpec) bootTCPNode(t *testing.T, id types.ValidatorID, walPath, r
 	cfg.LeaderTimeout = 300 * time.Millisecond
 	cfg.ResyncInterval = 200 * time.Millisecond
 	cfg.VerifySignatures = true
-	nd, err = node.New(node.Config{
+	nd, err := node.New(node.Config{
 		Committee:    s.committee,
 		Self:         id,
 		Keys:         s.keys[id],
@@ -107,6 +105,7 @@ func (s *tcpNodeSpec) bootTCPNode(t *testing.T, id types.ValidatorID, walPath, r
 		RPCAddr:      rpcAddr,
 		OnCommit:     onCommit,
 	}, tr)
+	inbound.Bind(nd)
 	if err != nil {
 		_ = tr.Close()
 		t.Fatal(err)

@@ -28,13 +28,11 @@ func (s *tcpNodeSpec) bootCertNode(t *testing.T, id types.ValidatorID, rpcAddr s
 			peers[pid] = addr
 		}
 	}
-	var nd *node.Node
+	inbound := node.NewInbound()
 	tr, err := transport.NewTCP(transport.TCPConfig{
 		Self: id, ListenAddr: s.addrs[id],
 		PeerAddrs: peers,
-		Handler: func(from types.ValidatorID, msg *engine.Message) {
-			nd.HandleMessage(from, msg)
-		},
+		Handler:   inbound.Handle,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +42,7 @@ func (s *tcpNodeSpec) bootCertNode(t *testing.T, id types.ValidatorID, rpcAddr s
 	cfg.LeaderTimeout = 300 * time.Millisecond
 	cfg.ResyncInterval = 200 * time.Millisecond
 	cfg.VerifySignatures = true
-	nd, err = node.New(node.Config{
+	nd, err := node.New(node.Config{
 		Committee:          s.committee,
 		Self:               id,
 		Keys:               s.keys[id],
@@ -57,6 +55,7 @@ func (s *tcpNodeSpec) bootCertNode(t *testing.T, id types.ValidatorID, rpcAddr s
 		MempoolLanes:       2,
 		RPCAddr:            rpcAddr,
 	}, tr)
+	inbound.Bind(nd)
 	if err != nil {
 		_ = tr.Close()
 		t.Fatal(err)

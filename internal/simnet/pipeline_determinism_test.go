@@ -45,10 +45,11 @@ func hammerheadFactory(epochCommits int) SchedulerFactory {
 }
 
 // replayEngine feeds a recorded certificate-insertion trace into a fresh
-// engine with the given pipeline depth, an executor hanging off the commit
-// sink (applied inline for serial engines, from the order-stage goroutine
-// for pipelined ones), and returns the commit stream plus the executor.
-func replayEngine(t *testing.T, committee *types.Committee, trace []*engine.Certificate, depth int) ([]bullshark.CommittedSubDAG, *execution.Executor) {
+// engine with the given scheduler and pipeline depth, an executor hanging
+// off the commit sink (applied inline for serial engines, from the
+// order-stage goroutine for pipelined ones), and returns the commit stream
+// plus the executor.
+func replayEngine(t *testing.T, committee *types.Committee, newScheduler SchedulerFactory, trace []*engine.Certificate, depth int) ([]bullshark.CommittedSubDAG, *execution.Executor) {
 	t.Helper()
 	kp, err := crypto.NewKeyPair(crypto.Insecure{}, [32]byte{}, 0)
 	if err != nil {
@@ -57,7 +58,7 @@ func replayEngine(t *testing.T, committee *types.Committee, trace []*engine.Cert
 	cfg := fastSimEngineConfig()
 	cfg.PipelineDepth = depth
 	d := dag.New(committee)
-	sched, err := hammerheadFactory(3)(committee, d)
+	sched, err := newScheduler(committee, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +156,8 @@ func TestPipelinedOrderingMatchesSerial(t *testing.T) {
 	if len(live) < 10 || len(trace) < 40 {
 		t.Fatalf("trace too small to be meaningful: %d commits, %d certs", len(live), len(trace))
 	}
-	serial, serialExec := replayEngine(t, committee, trace, 0)
-	pipelined, pipelinedExec := replayEngine(t, committee, trace, 8)
+	serial, serialExec := replayEngine(t, committee, hammerheadFactory(3), trace, 0)
+	pipelined, pipelinedExec := replayEngine(t, committee, hammerheadFactory(3), trace, 8)
 	assertSameCommitStream(t, "serial-vs-live", live, serial)
 	assertSameCommitStream(t, "pipelined-vs-serial", serial, pipelined)
 	// Executor determinism on the same trace: identical commit streams must

@@ -104,10 +104,9 @@ func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error)
 		engineConfig: DefaultEngineConfig(),
 		scheme:       "ed25519",
 	}
-	// Local clusters exchange messages in microseconds; production pacing
-	// would only slow examples down.
-	options.engineConfig.MinRoundDelay = 50 * 1e6 // 50ms
-	options.engineConfig.LeaderTimeout = 1e9      // 1s
+	// Local clusters exchange messages in microseconds; the production
+	// leader timeout would only slow fault examples down.
+	options.engineConfig.LeaderTimeout = 1e9 // 1s
 	// Real runtimes run the two-stage engine pipeline: certificate ingest
 	// returns to message processing while the Bullshark walk orders
 	// asynchronously. WithEngineConfig overrides (0 = serial).
