@@ -51,9 +51,12 @@ bench-core:
 
 # bench-smoke checks the black-box benchmark (bench/, a module of its own, so
 # `go test ./...` at the root does not reach it): BENCHMARK.json matches the
-# runner's spec and a 2-second serve-steady run is correct. `bash bench/run.sh`
-# is the benchmark itself.
+# runner's spec and a 2-second serve-steady run is correct; and bench/probes,
+# which imports hammerhead/internal/* behind a build tag, still vets and
+# builds (the benchmark itself only reports `probes.built 0` when it does
+# not). `bash bench/run.sh` is the benchmark itself.
 bench-smoke:
+	cd bench && go vet -tags benchprobes ./probes && go build -tags benchprobes -o /dev/null ./probes
 	cd bench && go test ./...
 
 clean:

@@ -93,11 +93,18 @@ type Committer struct {
 	exporter leader.StateExporter
 
 	lastOrderedRound types.Round
-	ordered          map[types.Digest]types.Round
-	orderedFloor     types.Round
-	votes            map[types.Round]*anchorVotes
-	commitIndex      uint64
-	stats            Stats
+	// ordered is the set of delivered vertices, one ValidatorSet of sources
+	// per round; its floor is the ordering floor, below which sub-DAG walks
+	// do not descend. installed is the part of the set this committer never
+	// derived: the boundary window of an installed snapshot, which names
+	// vertices by digest only (execution.OrderedRef) and may list some before
+	// the DAG holds them. Nil unless a snapshot was installed, and pruned
+	// away with the rounds it covers.
+	ordered     types.RoundWindow[types.ValidatorSet]
+	installed   map[types.Digest]types.Round
+	votes       map[types.Round]*anchorVotes
+	commitIndex uint64
+	stats       Stats
 }
 
 // New builds a committer over the validator's DAG and scheduler. The
@@ -107,7 +114,6 @@ func New(committee *types.Committee, d *dag.DAG, scheduler leader.Scheduler) *Co
 		committee: committee,
 		dag:       d,
 		scheduler: scheduler,
-		ordered:   make(map[types.Digest]types.Round),
 		votes:     make(map[types.Round]*anchorVotes),
 	}
 	if exp, ok := scheduler.(leader.StateExporter); ok {
@@ -162,13 +168,12 @@ func (c *Committer) ProcessVertex(v *dag.Vertex) []CommittedSubDAG {
 		// leadership: (re)build support from the vertices already present.
 		st = &anchorVotes{leader: leaderID, acc: types.NewStakeAccumulator(c.committee)}
 		c.votes[anchorRound] = st
-		target := anchor.Digest()
 		for _, u := range c.dag.RoundVertices(anchorRound + 1) {
-			if c.dag.HasEdge(u, target) {
+			if c.dag.HasEdge(u, anchor) {
 				st.acc.Add(u.Source)
 			}
 		}
-	} else if c.dag.HasEdge(v, anchor.Digest()) {
+	} else if c.dag.HasEdge(v, anchor) {
 		st.acc.Add(v.Source)
 	}
 	if !st.acc.ReachedValidity() {
@@ -244,12 +249,14 @@ func (c *Committer) backwardWalk(tip *dag.Vertex) []*dag.Vertex {
 
 // orderSubDAG delivers the anchor's not-yet-ordered causal history.
 func (c *Committer) orderSubDAG(anchor *dag.Vertex, direct bool) CommittedSubDAG {
-	vertices := c.dag.CausalHistory(anchor, c.orderedFloor, func(u *dag.Vertex) bool {
-		_, done := c.ordered[u.Digest()]
-		return done
-	})
+	vertices := c.dag.CausalHistory(anchor, c.ordered.Floor(), c.isOrdered)
 	for _, u := range vertices {
-		c.ordered[u.Digest()] = u.Round
+		set := c.ordered.At(u.Round)
+		if set == nil {
+			set = types.NewValidatorSet(c.committee.Size())
+			c.ordered.Set(u.Round, set)
+		}
+		set.Add(u.Source)
 	}
 	// Count anchor rounds skipped since the previous ordered anchor (the
 	// chain starts at round 2, so lastOrderedRound == 0 counts from there).
@@ -277,6 +284,19 @@ func (c *Committer) orderSubDAG(anchor *dag.Vertex, direct bool) CommittedSubDAG
 	}
 }
 
+// isOrdered reports whether u was already delivered, by this committer or
+// inside the snapshot it resumed from.
+func (c *Committer) isOrdered(u *dag.Vertex) bool {
+	if c.ordered.At(u.Round).Has(u.Source) {
+		return true
+	}
+	if len(c.installed) == 0 {
+		return false
+	}
+	_, done := c.installed[u.Digest()]
+	return done
+}
+
 // FastForward jumps the committer past ordering history it never derived —
 // the snapshot state-sync install path. Ordering resumes as if commit
 // commitIndex (anchor at round) had just been delivered: the next anchor
@@ -292,10 +312,10 @@ func (c *Committer) FastForward(round types.Round, commitIndex uint64, floor typ
 	}
 	c.lastOrderedRound = round
 	c.commitIndex = commitIndex
-	c.orderedFloor = floor
-	c.ordered = make(map[types.Digest]types.Round, len(ordered))
+	c.ordered = types.NewRoundWindow[types.ValidatorSet](floor)
+	c.installed = make(map[types.Digest]types.Round, len(ordered))
 	for d, r := range ordered {
-		c.ordered[d] = r
+		c.installed[d] = r
 	}
 	c.votes = make(map[types.Round]*anchorVotes)
 }
@@ -310,22 +330,22 @@ func (c *Committer) Prune(floor types.Round) (unordered []*dag.Vertex) {
 	if floor > c.lastOrderedRound {
 		floor = c.lastOrderedRound
 	}
-	if floor <= c.orderedFloor {
+	if floor <= c.ordered.Floor() {
 		return nil
 	}
-	for r := c.orderedFloor; r < floor; r++ {
+	for r := c.ordered.Floor(); r < floor; r++ {
 		for _, v := range c.dag.RoundVertices(r) {
-			if _, done := c.ordered[v.Digest()]; !done {
+			if !c.isOrdered(v) {
 				unordered = append(unordered, v)
 			}
 		}
 	}
 	c.dag.Prune(floor)
-	for digest, round := range c.ordered {
+	c.ordered.DropBelow(floor)
+	for digest, round := range c.installed {
 		if round < floor {
-			delete(c.ordered, digest)
+			delete(c.installed, digest)
 		}
 	}
-	c.orderedFloor = floor
 	return unordered
 }

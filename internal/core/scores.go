@@ -69,19 +69,21 @@ func (s Scores) Clone() Scores {
 // anchor (paper Observation 2), so these scores are identical everywhere.
 func computeVoteScores(d *dag.DAG, history *leader.History, anchor *dag.Vertex, epochStart types.Round) Scores {
 	scores := make(Scores, d.Committee().Size())
+	// The history arrives round by round, so the leader vertex its voters are
+	// tested against is resolved once per round, not once per voter.
+	var leaderVertex *dag.Vertex
+	var leaderFor types.Round
 	for _, u := range d.CausalHistory(anchor, epochStart, nil) {
 		if u.Round == 0 || u.Round.IsAnchorRound() {
 			continue // only odd-round vertices vote: leaders sit on even rounds
 		}
-		leaderID := history.LeaderAt(u.Round - 1)
-		if leaderID == types.NoValidator {
-			continue
+		if u.Round != leaderFor {
+			leaderFor, leaderVertex = u.Round, nil
+			if leaderID := history.LeaderAt(u.Round - 1); leaderID != types.NoValidator {
+				leaderVertex, _ = d.Get(u.Round-1, leaderID)
+			}
 		}
-		leaderVertex, ok := d.Get(u.Round-1, leaderID)
-		if !ok {
-			continue
-		}
-		if d.HasEdge(u, leaderVertex.Digest()) {
+		if d.HasEdge(u, leaderVertex) {
 			scores[u.Source]++
 		}
 	}

@@ -6,13 +6,41 @@
 // previous round. Edges always point one round back, so every path in the
 // DAG strictly decreases in round — path queries are therefore bounded
 // downward traversals over the causal history of the start vertex.
+//
+// # Storage: slots and bitsets, not digests
+//
+// On the wire, in the WAL and in snapshots a vertex names its parents by
+// digest. Inside the store it does not: the retained rounds sit in a window
+// indexed by round minus the pruned floor (types.RoundWindow), a round is a
+// dense array of slots indexed by validator ID, with the set of occupied
+// slots and their running stake beside it, and each slot keeps its vertex's
+// parents as a bitset (types.ValidatorSet) over the previous round's sources.
+//
+// Insert is the single point where digests are resolved — one pass over the
+// edges, which also makes every check on them (parent present, parent exactly
+// one round back) — and everything after it is index arithmetic: Get is two
+// array steps, RoundStake and HasQuorumAt read the running total, HasEdge
+// tests one bit, and Path and CausalHistory sweep round by round, OR-ing the
+// parent sets of the sources reached so far into the set reached one round
+// down. A sweep visits sources in ascending order within a round, so
+// CausalHistory yields its (round, source) order without sorting, and it
+// needs no visited set: a bit is either already set or not.
+//
+// The parent bitset lives in the DAG's slot, not on the Vertex: a Vertex is
+// an immutable value that tests (and the simulator) share between several
+// DAGs, and each DAG resolves it against its own contents. Vertex.Edges stays
+// the digest list the certificate carried — shared with the header, never
+// copied — because that is what the digest, the wire and the WAL commit to.
+//
+// Traversals take vertices the DAG holds (the occupant of their slot, by
+// digest): Path and HasEdge report false, and CausalHistory nil, for a vertex
+// that was never inserted here or has been pruned.
 package dag
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"hammerhead/internal/types"
@@ -86,12 +114,14 @@ func NewVertex(round types.Round, source types.ValidatorID, edges []types.Digest
 // NewVertexPrecomputed builds a vertex from digests the caller already
 // holds (the certificate pipeline computes them once per header and reuses
 // them at every hop). The caller is responsible for digest consistency;
-// protocol code derives both values from the same header.
+// protocol code derives both values from the same header. The vertex shares
+// edges with the caller, which must not modify the slice afterwards (a signed
+// header never changes).
 func NewVertexPrecomputed(round types.Round, source types.ValidatorID, edges []types.Digest, batch *types.Batch, createdNanos int64, batchDigest, digest types.Digest) *Vertex {
 	return &Vertex{
 		Round:        round,
 		Source:       source,
-		Edges:        append([]types.Digest(nil), edges...),
+		Edges:        edges,
 		BatchDigest:  batchDigest,
 		Batch:        batch,
 		CreatedNanos: createdNanos,
@@ -113,29 +143,78 @@ var (
 	ErrSlotOccupied   = errors.New("dag: a different vertex already occupies this (round, source) slot")
 	ErrBadEdgeRound   = errors.New("dag: edges must reference vertices exactly one round back")
 	ErrPruned         = errors.New("dag: round already pruned")
+	ErrUnknownSource  = errors.New("dag: vertex source is not a committee member")
+	ErrRoundTooFar    = errors.New("dag: round too far above the pruned floor")
 )
+
+// maxRetainedRounds bounds how far above the pruned floor a vertex may sit.
+// Rounds fill contiguously — a vertex needs its parents one round down — so
+// only a parentless vertex can open a round far above the rest, and the
+// window of rounds pays a pointer for every round it skips. A million rounds
+// is half a day of 50 ms rounds with no commit and no pruning, far past the
+// memory a DAG that deep would need for its vertices.
+const maxRetainedRounds = 1 << 20
+
+// MissingParentsError is Insert's failure for a vertex some of whose parents
+// the DAG does not hold yet. It lists all of them, so the caller can buffer
+// the vertex and fetch exactly those; errors.Is(err, ErrMissingParents) holds.
+type MissingParentsError struct {
+	Vertex  *Vertex
+	Missing []types.Digest
+}
+
+func (e *MissingParentsError) Error() string {
+	return fmt.Sprintf("%v: %s misses %d parents, first %s", ErrMissingParents, e.Vertex, len(e.Missing), e.Missing[0])
+}
+
+// Is makes the error match ErrMissingParents.
+func (e *MissingParentsError) Is(target error) bool { return target == ErrMissingParents }
+
+// roundSlots is one round of the DAG: a slot per committee member.
+type roundSlots struct {
+	// vertices[id] is the vertex of validator id, nil while the slot is empty;
+	// tags[id] is the leading 8 bytes of its digest, kept side by side so that
+	// Insert can look for a parent digest among the slots without touching
+	// the vertices.
+	vertices []*Vertex
+	tags     []uint64
+	// parents holds one ValidatorSet per slot, back to back: slot id's
+	// vertex links to the previous round's sources in parentsOf(id). Empty
+	// for a vertex inserted at the pruned floor (its parents are gone).
+	parents []uint64
+	// present is the set of occupied slots and stake their running total.
+	present types.ValidatorSet
+	stake   types.Stake
+}
 
 // DAG is the local store of one validator. It is safe for concurrent use:
 // the engine's ingest stage inserts while the order stage (the Bullshark
 // committer, which may run on its own goroutine when the engine pipeline is
 // enabled) traverses and prunes. Vertices are immutable once inserted, so
-// the lock only guards the index maps — traversals hold the read lock for
+// the lock only guards the indexes — traversals hold the read lock for
 // their duration, and insertion/pruning take the write lock.
 type DAG struct {
 	mu        sync.RWMutex
 	committee *types.Committee
-	byDigest  map[types.Digest]*Vertex
-	byRound   map[types.Round]map[types.ValidatorID]*Vertex
-	highest   types.Round
-	prunedTo  types.Round // all rounds < prunedTo were dropped
+	words     int // length of a ValidatorSet over the committee
+	// byDigest resolves a parent digest to its vertex. Insert is the only
+	// protocol path that reads it; everything else addresses slots.
+	byDigest map[types.Digest]*Vertex
+	// rounds holds the retained rounds, nil where no vertex arrived yet; its
+	// floor is the pruned floor: all rounds below it were dropped.
+	rounds types.RoundWindow[*roundSlots]
+	// resolved is Insert's scratch parent set (it holds the write lock).
+	resolved types.ValidatorSet
+	highest  types.Round
 }
 
 // New creates an empty DAG for the committee.
 func New(committee *types.Committee) *DAG {
 	return &DAG{
 		committee: committee,
+		words:     types.ValidatorSetWords(committee.Size()),
 		byDigest:  make(map[types.Digest]*Vertex),
-		byRound:   make(map[types.Round]map[types.ValidatorID]*Vertex),
+		resolved:  types.NewValidatorSet(committee.Size()),
 	}
 }
 
@@ -149,66 +228,139 @@ func (d *DAG) HighestRound() types.Round {
 	return d.highest
 }
 
+func (rs *roundSlots) parentsOf(id types.ValidatorID, words int) types.ValidatorSet {
+	return rs.parents[int(id)*words : (int(id)+1)*words]
+}
+
+func digestTag(d types.Digest) uint64 { return binary.LittleEndian.Uint64(d[:8]) }
+
+// find returns the slot at or after from whose vertex has the digest, or -1.
+// A nil round (nothing inserted there yet) holds nothing.
+func (rs *roundSlots) find(digest types.Digest, from int) int {
+	if rs == nil {
+		return -1
+	}
+	tag := digestTag(digest)
+	for i := from; i < len(rs.tags); i++ {
+		if rs.tags[i] == tag && rs.vertices[i] != nil && rs.vertices[i].digest == digest {
+			return i
+		}
+	}
+	return -1
+}
+
+// at returns the occupant of the (round, source) slot, nil when empty.
+func (d *DAG) at(round types.Round, source types.ValidatorID) *Vertex {
+	rs := d.rounds.At(round)
+	if rs == nil || int(source) >= len(rs.vertices) {
+		return nil
+	}
+	return rs.vertices[source]
+}
+
+// holds reports whether v is the occupant of its slot.
+func (d *DAG) holds(v *Vertex) bool {
+	got := d.at(v.Round, v.Source)
+	return got == v || (got != nil && got.digest == v.digest)
+}
+
 // Insert adds a vertex. All parents must already be present (callers buffer
-// out-of-order arrivals; see engine's pending set). Inserting the same
-// vertex twice is a no-op; inserting a *different* vertex into an occupied
-// (round, source) slot fails, which in the crash-fault model can only arise
-// from corruption.
+// out-of-order arrivals; see engine's pending set): a vertex with absent
+// parents fails with a *MissingParentsError naming every one of them.
+// Inserting the same vertex twice is a no-op; inserting a *different* vertex
+// into an occupied (round, source) slot fails, which in the crash-fault model
+// can only arise from corruption. Parents below the pruned floor are not
+// checked — they cannot be, and a vertex at the floor links to nothing the
+// DAG will ever traverse.
+//
+// This is the one place parent digests are resolved: one pass over the edges
+// yields each parent's presence, its round, and the bit to set in the slot's
+// parent set.
 func (d *DAG) Insert(v *Vertex) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if v.Round < d.prunedTo {
-		return fmt.Errorf("%w: round %d < pruned floor %d", ErrPruned, v.Round, d.prunedTo)
+	floor := d.rounds.Floor()
+	if v.Round < floor {
+		return fmt.Errorf("%w: round %d < pruned floor %d", ErrPruned, v.Round, floor)
 	}
-	if existing, ok := d.byRound[v.Round][v.Source]; ok {
-		if existing.Digest() == v.Digest() {
-			return nil
+	if v.Round-floor >= maxRetainedRounds {
+		return fmt.Errorf("%w: round %d, floor %d", ErrRoundTooFar, v.Round, floor)
+	}
+	n := d.committee.Size()
+	if int(v.Source) >= n {
+		return fmt.Errorf("%w: round %d source %s", ErrUnknownSource, v.Round, v.Source)
+	}
+	rs := d.rounds.At(v.Round)
+	if rs != nil {
+		if existing := rs.vertices[v.Source]; existing != nil {
+			if existing.digest == v.digest {
+				return nil
+			}
+			return fmt.Errorf("%w: round %d source %s", ErrSlotOccupied, v.Round, v.Source)
 		}
-		return fmt.Errorf("%w: round %d source %s", ErrSlotOccupied, v.Round, v.Source)
 	}
-	if v.Round > 0 && v.Round-1 >= d.prunedTo {
+	d.resolved.Clear()
+	if v.Round > floor {
+		var missing []types.Digest
+		var misplaced *Vertex
+		// A header lists its parents in source order (Engine.propose walks
+		// RoundVertices), so each edge is first looked for among the slots
+		// after the previous edge's: n tag compares per vertex in all. An
+		// edge not found there — out of order, absent, or pointing at
+		// another round — takes the digest index, which tells the three apart.
+		prev, next := d.rounds.At(v.Round-1), 0
 		for _, e := range v.Edges {
-			parent, ok := d.byDigest[e]
-			if !ok {
-				return fmt.Errorf("%w: %s misses parent %s", ErrMissingParents, v, e)
+			if at := prev.find(e, next); at >= 0 {
+				d.resolved.Add(types.ValidatorID(at))
+				next = at + 1
+				continue
 			}
-			if parent.Round != v.Round-1 {
-				return fmt.Errorf("%w: %s references %s at round %d", ErrBadEdgeRound, v, e, parent.Round)
+			parent, ok := d.byDigest[e]
+			switch {
+			case !ok:
+				missing = append(missing, e)
+			case parent.Round != v.Round-1:
+				if misplaced == nil {
+					misplaced = parent
+				}
+			default:
+				d.resolved.Add(parent.Source)
 			}
 		}
+		if len(missing) > 0 {
+			return &MissingParentsError{Vertex: v, Missing: missing}
+		}
+		if misplaced != nil {
+			return fmt.Errorf("%w: %s references %s at round %d", ErrBadEdgeRound, v, misplaced.digest, misplaced.Round)
+		}
 	}
-	round := d.byRound[v.Round]
-	if round == nil {
-		round = make(map[types.ValidatorID]*Vertex, d.committee.Size())
-		d.byRound[v.Round] = round
+	if rs == nil {
+		rs = &roundSlots{
+			vertices: make([]*Vertex, n),
+			tags:     make([]uint64, n),
+			parents:  make([]uint64, n*d.words),
+			present:  types.NewValidatorSet(n),
+		}
+		d.rounds.Set(v.Round, rs)
 	}
-	round[v.Source] = v
-	d.byDigest[v.Digest()] = v
+	rs.vertices[v.Source] = v
+	rs.tags[v.Source] = digestTag(v.digest)
+	copy(rs.parentsOf(v.Source, d.words), d.resolved)
+	rs.present.Add(v.Source)
+	rs.stake += d.committee.Stake(v.Source)
+	d.byDigest[v.digest] = v
 	if v.Round > d.highest {
 		d.highest = v.Round
 	}
 	return nil
 }
 
-// MissingParents returns the digests in edges that are absent from the DAG.
-func (d *DAG) MissingParents(edges []types.Digest) []types.Digest {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var missing []types.Digest
-	for _, e := range edges {
-		if _, ok := d.byDigest[e]; !ok {
-			missing = append(missing, e)
-		}
-	}
-	return missing
-}
-
 // Get returns the vertex produced by source at round, if present.
 func (d *DAG) Get(round types.Round, source types.ValidatorID) (*Vertex, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	v, ok := d.byRound[round][source]
-	return v, ok
+	v := d.at(round, source)
+	return v, v != nil
 }
 
 // ByDigest returns the vertex with the given digest, if present.
@@ -225,15 +377,19 @@ func (d *DAG) ByDigest(digest types.Digest) (*Vertex, bool) {
 func (d *DAG) RoundVertices(round types.Round) []*Vertex {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	m := d.byRound[round]
-	if len(m) == 0 {
+	rs := d.rounds.At(round)
+	if rs == nil {
 		return nil
 	}
-	out := make([]*Vertex, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
+	return rs.appendVertices(make([]*Vertex, 0, rs.present.Len()), rs.present)
+}
+
+// appendVertices appends the vertices of the given occupied slots in
+// ascending source order.
+func (rs *roundSlots) appendVertices(out []*Vertex, sources types.ValidatorSet) []*Vertex {
+	for id := range sources.All() {
+		out = append(out, rs.vertices[id])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
 	return out
 }
 
@@ -241,38 +397,40 @@ func (d *DAG) RoundVertices(round types.Round) []*Vertex {
 func (d *DAG) RoundStake(round types.Round) types.Stake {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.roundStakeLocked(round)
-}
-
-func (d *DAG) roundStakeLocked(round types.Round) types.Stake {
-	var total types.Stake
-	for id := range d.byRound[round] {
-		total += d.committee.Stake(id)
+	if rs := d.rounds.At(round); rs != nil {
+		return rs.stake
 	}
-	return total
+	return 0
 }
 
 // HasQuorumAt reports whether round holds vertices worth a write quorum.
 func (d *DAG) HasQuorumAt(round types.Round) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.roundStakeLocked(round) >= d.committee.QuorumThreshold()
+	return d.RoundStake(round) >= d.committee.QuorumThreshold()
 }
 
-// HasEdge reports whether v directly references target (a one-hop vote).
-func (d *DAG) HasEdge(v *Vertex, target types.Digest) bool {
-	for _, e := range v.Edges {
-		if e == target {
-			return true
-		}
+// HasEdge reports whether v directly references u (a one-hop vote).
+func (d *DAG) HasEdge(v, u *Vertex) bool {
+	if v == nil || u == nil || v.Round != u.Round+1 {
+		return false
 	}
-	return false
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.holds(v) && d.holds(u) &&
+		d.rounds.At(v.Round).parentsOf(v.Source, d.words).Has(u.Source)
+}
+
+// sweepDown ORs into next the parents of the given sources of round rs: the
+// sources reached one round down.
+func (d *DAG) sweepDown(rs *roundSlots, sources, next types.ValidatorSet) {
+	for id := range sources.All() {
+		next.Union(rs.parentsOf(id, d.words))
+	}
 }
 
 // Path reports whether there is a directed path from v down to u
-// (v.Round >= u.Round; equality only when v == u). The traversal explores
-// only rounds in [u.Round, v.Round], so cost is bounded by the causal
-// history between the two vertices.
+// (v.Round >= u.Round; equality only when v == u). The sweep covers only
+// rounds in [u.Round, v.Round], one set of reached sources per round, so the
+// cost is bounded by the causal history between the two vertices.
 func (d *DAG) Path(v, u *Vertex) bool {
 	if v == nil || u == nil {
 		return false
@@ -285,34 +443,32 @@ func (d *DAG) Path(v, u *Vertex) bool {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	target := u.Digest()
-	visited := map[types.Digest]struct{}{v.Digest(): {}}
-	frontier := []*Vertex{v}
-	for len(frontier) > 0 {
-		next := frontier[:0:0]
-		for _, w := range frontier {
-			for _, e := range w.Edges {
-				if e == target {
-					return true
-				}
-				if _, seen := visited[e]; seen {
-					continue
-				}
-				visited[e] = struct{}{}
-				parent, ok := d.byDigest[e]
-				if !ok || parent.Round < u.Round {
-					continue
-				}
-				next = append(next, parent)
-			}
-		}
-		frontier = next
+	if !d.holds(v) || !d.holds(u) {
+		return false
 	}
-	return false
+	// Two sets, swapped per round; on the stack for committees up to 256.
+	var buf [8]uint64
+	sets := buf[:]
+	if 2*d.words > len(buf) {
+		sets = make([]uint64, 2*d.words)
+	}
+	reached, next := types.ValidatorSet(sets[:d.words]), types.ValidatorSet(sets[d.words:2*d.words])
+	reached.Add(v.Source)
+	for r := v.Round; r > u.Round; r-- {
+		// A reached source is an occupied slot and u's round is retained, so
+		// every round of the sweep exists.
+		next.Clear()
+		d.sweepDown(d.rounds.At(r), reached, next)
+		if next.Empty() {
+			return false
+		}
+		reached, next = next, reached
+	}
+	return reached.Has(u.Source)
 }
 
 // CausalHistory returns every vertex reachable from v (v included) with
-// round >= minRound, sorted by (round, source) so all validators iterate
+// round >= minRound, in (round, source) order so all validators iterate
 // identically. The skip predicate, when non-nil, prunes the walk: vertices
 // for which skip returns true are neither visited nor returned (used to
 // exclude already-ordered sub-DAGs).
@@ -324,36 +480,45 @@ func (d *DAG) CausalHistory(v *Vertex, minRound types.Round, skip func(*Vertex) 
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	visited := map[types.Digest]struct{}{v.Digest(): {}}
-	out := []*Vertex{v}
-	frontier := []*Vertex{v}
-	for len(frontier) > 0 {
-		next := frontier[:0:0]
-		for _, w := range frontier {
-			for _, e := range w.Edges {
-				if _, seen := visited[e]; seen {
-					continue
+	if !d.holds(v) {
+		return nil
+	}
+	// reached holds one set per swept round, v's first: it grows with the
+	// rounds the sweep actually descends, which the skip predicate and the
+	// pruned floor bound long before minRound does on a live node.
+	w := d.words
+	reached := make([]uint64, w, 4*w)
+	types.ValidatorSet(reached).Add(v.Source)
+	total := 1
+	for r := v.Round; r > minRound; r-- {
+		below := d.rounds.At(r - 1)
+		if below == nil {
+			break // pruned: the history ends at the floor
+		}
+		for i := 0; i < w; i++ {
+			reached = append(reached, 0)
+		}
+		next := types.ValidatorSet(reached[len(reached)-w:])
+		d.sweepDown(d.rounds.At(r), reached[len(reached)-2*w:len(reached)-w], next)
+		if skip != nil {
+			for id := range next.All() {
+				if skip(below.vertices[id]) {
+					next.Remove(id)
 				}
-				visited[e] = struct{}{}
-				parent, ok := d.byDigest[e]
-				if !ok || parent.Round < minRound {
-					continue
-				}
-				if skip != nil && skip(parent) {
-					continue
-				}
-				out = append(out, parent)
-				next = append(next, parent)
 			}
 		}
-		frontier = next
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
+		n := next.Len()
+		if n == 0 {
+			reached = reached[:len(reached)-w]
+			break
 		}
-		return out[i].Source < out[j].Source
-	})
+		total += n
+	}
+	// Emit bottom-up: ascending rounds, ascending sources within each.
+	out := make([]*Vertex, 0, total)
+	for i := len(reached)/w - 1; i >= 0; i-- {
+		out = d.rounds.At(v.Round-types.Round(i)).appendVertices(out, reached[i*w:(i+1)*w])
+	}
 	return out
 }
 
@@ -364,23 +529,25 @@ func (d *DAG) CausalHistory(v *Vertex, minRound types.Round, skip func(*Vertex) 
 func (d *DAG) Prune(floor types.Round) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if floor <= d.prunedTo {
-		return
-	}
-	for r := d.prunedTo; r < floor; r++ {
-		for _, v := range d.byRound[r] {
-			delete(d.byDigest, v.Digest())
+	for r := d.rounds.Floor(); r < min(floor, d.rounds.End()); r++ {
+		rs := d.rounds.At(r)
+		if rs == nil {
+			continue
 		}
-		delete(d.byRound, r)
+		for _, v := range rs.vertices {
+			if v != nil {
+				delete(d.byDigest, v.digest)
+			}
+		}
 	}
-	d.prunedTo = floor
+	d.rounds.DropBelow(floor)
 }
 
 // PrunedTo returns the lowest retained round.
 func (d *DAG) PrunedTo() types.Round {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.prunedTo
+	return d.rounds.Floor()
 }
 
 // VertexCount returns the number of stored vertices (post-pruning).

@@ -139,10 +139,10 @@ func TestHasEdge(t *testing.T) {
 	b := dagtest.NewBuilder(c)
 	b.AddVertex(1, 0, []types.ValidatorID{0, 1, 2})
 	v := b.Vertex(1, 0)
-	if !b.DAG.HasEdge(v, b.Vertex(0, 1).Digest()) {
+	if !b.DAG.HasEdge(v, b.Vertex(0, 1)) {
 		t.Fatal("edge to referenced parent must exist")
 	}
-	if b.DAG.HasEdge(v, b.Vertex(0, 3).Digest()) {
+	if b.DAG.HasEdge(v, b.Vertex(0, 3)) {
 		t.Fatal("edge to unreferenced parent must not exist")
 	}
 }
@@ -265,5 +265,30 @@ func TestComputeDigestSensitivity(t *testing.T) {
 	}
 	if base == dag.ComputeDigest(4, 1, []types.Digest{e1, e2}, types.HashBytes([]byte("p"))) {
 		t.Fatal("digest must depend on payload digest")
+	}
+}
+
+// TestInsertRejectsFarRounds: a parentless vertex may open a round above the
+// rest of the DAG (tests do it, and a Byzantine certificate could), but the
+// window of rounds costs a pointer per round skipped, so the distance from
+// the pruned floor is bounded — and follows the floor up.
+func TestInsertRejectsFarRounds(t *testing.T) {
+	d := dag.New(newCommittee(t, 4))
+	if err := d.Insert(dag.NewVertex(1000, 0, nil, nil, 0)); err != nil {
+		t.Fatalf("a round well inside the bound: %v", err)
+	}
+	far := dag.NewVertex(1<<20, 1, nil, nil, 0)
+	if err := d.Insert(far); !errors.Is(err, dag.ErrRoundTooFar) {
+		t.Fatalf("err = %v, want ErrRoundTooFar", err)
+	}
+	if got := d.HighestRound(); got != 1000 {
+		t.Fatalf("HighestRound = %d after a refused insert, want 1000", got)
+	}
+	d.Prune(1 << 19)
+	if err := d.Insert(far); err != nil {
+		t.Fatalf("the same round once the floor came up: %v", err)
+	}
+	if got, ok := d.Get(1<<20, 1); !ok || got != far || d.VertexCount() != 1 {
+		t.Fatalf("Get = %v, %v with %d vertices; want the far vertex alone (round 1000 was pruned)", got, ok, d.VertexCount())
 	}
 }

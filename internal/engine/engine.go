@@ -183,8 +183,11 @@ type Engine struct {
 	carried []types.Transaction
 	// restoredHeader marks curHeader as re-adopted from the WAL rather than
 	// built by this process (see abandonHeader).
-	restoredHeader   bool
+	restoredHeader bool
+	// votes are the signatures gathered for curHeader and voteStake the
+	// distinct-voter stake behind them, both reset per own header.
 	votes            map[types.ValidatorID]crypto.Signature
+	voteStake        *types.StakeAccumulator
 	ownCertFormed    bool
 	roundDelayOK     bool
 	leaderTimerArmed map[types.Round]bool
@@ -343,6 +346,7 @@ func New(p Params) (*Engine, error) {
 		installSnapshot:  p.InstallSnapshot,
 		appliedSeq:       p.AppliedSeq,
 		votes:            make(map[types.ValidatorID]crypto.Signature),
+		voteStake:        types.NewStakeAccumulator(p.Committee),
 		leaderTimerArmed: make(map[types.Round]bool),
 		leaderTimedOut:   make(map[types.Round]bool),
 		votedFor:         make(map[voteKey]types.Digest),
@@ -654,12 +658,8 @@ func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
 		return
 	}
 	e.votes[v.Voter] = v.Signature
-
-	acc := types.NewStakeAccumulator(e.committee)
-	for voter := range e.votes {
-		acc.Add(voter)
-	}
-	if !acc.ReachedQuorum() {
+	e.voteStake.Add(v.Voter)
+	if !e.voteStake.ReachedQuorum() {
 		return
 	}
 	cert := &Certificate{Header: *e.curHeader}
@@ -688,7 +688,7 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 		return
 	}
 	digest := c.Digest()
-	if _, have := e.dagStore.ByDigest(digest); have {
+	if e.inDAG(c) {
 		return
 	}
 	if _, pend := e.pendingCerts[digest]; pend {
@@ -700,7 +700,7 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 	}
 	e.stats.CertsReceived++
 
-	if missing := e.missingParents(c); len(missing) > 0 {
+	if missing := e.insertCert(c, nowNanos, out); len(missing) > 0 {
 		e.stats.CertsPended++
 		if len(e.pendingCerts) >= e.config.MaxPendingCerts {
 			e.evictPending()
@@ -727,8 +727,14 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 		}
 		return
 	}
-	e.insertCert(c, nowNanos, out)
 	e.tryAdvance(nowNanos, out)
+}
+
+// inDAG reports whether the DAG already holds the certificate's vertex: its
+// (round, source) slot is occupied by the same digest.
+func (e *Engine) inDAG(c *Certificate) bool {
+	v, ok := e.dagStore.Get(c.Header.Round, c.Header.Source)
+	return ok && v.Digest() == c.Digest()
 }
 
 // syncPeer picks the unicast target for sync traffic: the hint when it is a
@@ -896,45 +902,45 @@ func (e *Engine) validCertificate(c *Certificate) bool {
 	return true
 }
 
-// missingParents lists the certificate's parent digests absent from the DAG.
-// Edges always point exactly one round back, so a certificate whose parent
-// round lies below the DAG's pruned floor is vacuously satisfied — the
-// insertion path after a snapshot install: the first post-checkpoint round
-// re-enters the DAG without its (snapshot-covered) parents, exactly as
-// dag.Insert skips parent validation below the floor.
-func (e *Engine) missingParents(c *Certificate) []types.Digest {
-	if c.Header.Round <= e.dagStore.PrunedTo() {
-		return nil
-	}
-	return e.dagStore.MissingParents(c.Header.Edges)
-}
-
-// insertCert inserts a certificate whose parents are all in the DAG, hands
-// its vertex to the order stage (or runs the committer inline when the
-// pipeline is disabled), and cascades any pending certificates this
-// unblocked. This is stage 1 of the pipeline: with PipelineDepth > 0 it
-// returns to message processing as soon as the vertex is queued, so ingest
-// throughput is no longer bounded by the committer's ordering walk.
-func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) {
+// insertCert inserts a certificate into the DAG, hands its vertex to the
+// order stage (or runs the committer inline when the pipeline is disabled),
+// and cascades any pending certificates this unblocked. When c itself is
+// blocked it returns the parents c misses and leaves the buffering to the
+// caller; a cascaded certificate that is still blocked (it missed several
+// parents) goes back to pending on its own.
+//
+// The DAG's Insert is the only place parents are resolved: it answers
+// "all present?" and inserts in the same pass over the edges. Edges always
+// point exactly one round back, so a certificate whose parent round lies
+// below the DAG's pruned floor is vacuously satisfied there — the insertion
+// path after a snapshot install, where the first post-checkpoint round
+// re-enters the DAG without its (snapshot-covered) parents.
+//
+// This is stage 1 of the pipeline: with PipelineDepth > 0 it returns to
+// message processing as soon as the vertex is queued, so ingest throughput is
+// no longer bounded by the committer's ordering walk.
+func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missing []types.Digest) {
 	queue := []*Certificate{c}
 	for len(queue) > 0 {
 		cert := queue[0]
 		queue = queue[1:]
 		digest := cert.Digest()
-		if _, have := e.dagStore.ByDigest(digest); have {
-			continue
-		}
-		if len(e.missingParents(cert)) > 0 {
-			// Still blocked (multiple missing parents): back to pending.
-			e.addPending(digest, cert)
+		if e.inDAG(cert) {
 			continue
 		}
 		vertex := cert.Header.Vertex()
 		if err := e.dagStore.Insert(vertex); err != nil {
-			// In pipelined mode the order stage's DAG floor can run ahead of
-			// the ingest stage's certFloor; an honest straggler between the
-			// two is merely below retention, not protocol-invalid.
-			if !errors.Is(err, dag.ErrPruned) {
+			var blocked *dag.MissingParentsError
+			switch {
+			case errors.As(err, &blocked):
+				if cert == c {
+					return blocked.Missing
+				}
+				e.addPending(digest, cert)
+			case !errors.Is(err, dag.ErrPruned):
+				// In pipelined mode the order stage's DAG floor can run ahead
+				// of the ingest stage's certFloor; an honest straggler between
+				// the two is merely below retention, not protocol-invalid.
 				e.stats.InvalidMessages++
 			}
 			continue
@@ -987,6 +993,7 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) {
 		}
 		delete(e.pendingByMissing, digest)
 	}
+	return nil
 }
 
 func (e *Engine) onCertRequest(from types.ValidatorID, req *CertRequest, out *Output) {
@@ -1287,8 +1294,9 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 	e.curHeader = header
 	e.restoredHeader = false
 	e.curHeaderDigest = digest
-	e.votes = make(map[types.ValidatorID]crypto.Signature)
-	e.votes[e.self] = sig // self-vote
+	e.votes = map[types.ValidatorID]crypto.Signature{e.self: sig} // self-vote
+	e.voteStake.Reset()
+	e.voteStake.Add(e.self)
 	e.ownCertFormed = false
 	e.roundDelayOK = false
 	e.votedFor[voteKey{origin: e.self, round: round}] = digest
@@ -1307,9 +1315,7 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 	out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(round), Delay: e.config.ResyncInterval})
 
 	// A lone validator committee (n=1) certifies immediately on self-vote.
-	acc := types.NewStakeAccumulator(e.committee)
-	acc.Add(e.self)
-	if acc.ReachedQuorum() && !e.ownCertFormed {
+	if e.voteStake.ReachedQuorum() && !e.ownCertFormed {
 		cert := &Certificate{Header: *header, Votes: []VoteSig{{Voter: e.self, Signature: sig}}}
 		e.ownCertFormed = true
 		e.stats.CertsFormed++

@@ -107,6 +107,8 @@ func (e *Engine) RestoreProposal(h *Header) {
 	e.restoredHeader = true
 	e.curHeaderDigest = digest
 	e.votes = map[types.ValidatorID]crypto.Signature{e.self: sig}
+	e.voteStake.Reset()
+	e.voteStake.Add(e.self)
 	e.ownCertFormed = false
 	e.roundDelayOK = true
 	e.votedFor[voteKey{origin: e.self, round: h.Round}] = digest

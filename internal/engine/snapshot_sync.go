@@ -401,21 +401,21 @@ func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstal
 // insertable: certificates at the boundary round whose parents are now below
 // the pruned floor (vacuously satisfied) — typically the bulk of what a
 // recovering node had pended while the fetch ran — plus anything their
-// insertion cascades. Deterministic order for reproducible simulations.
+// insertion cascades. Every pending certificate is offered to the DAG, whose
+// Insert is what knows; one still missing parents stays pending as it was.
+// Deterministic order for reproducible simulations.
 func (e *Engine) drainPendingAfterInstall(nowNanos int64, out *Output) {
-	var ready []*Certificate
+	pending := make([]*Certificate, 0, len(e.pendingCerts))
 	for _, c := range e.pendingCerts {
-		if len(e.missingParents(c)) == 0 {
-			ready = append(ready, c)
-		}
+		pending = append(pending, c)
 	}
-	sort.Slice(ready, func(i, j int) bool {
-		if ready[i].Header.Round != ready[j].Header.Round {
-			return ready[i].Header.Round < ready[j].Header.Round
+	sort.Slice(pending, func(i, j int) bool {
+		if pending[i].Header.Round != pending[j].Header.Round {
+			return pending[i].Header.Round < pending[j].Header.Round
 		}
-		return ready[i].Header.Source < ready[j].Header.Source
+		return pending[i].Header.Source < pending[j].Header.Source
 	})
-	for _, c := range ready {
+	for _, c := range pending {
 		if _, still := e.pendingCerts[c.Digest()]; !still {
 			continue // an earlier insert cascaded it already
 		}

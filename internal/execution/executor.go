@@ -101,8 +101,11 @@ type Executor struct {
 	stateRoot    types.Digest // guarded by mu
 	// ordered is the boundary window: every ordered vertex with round in
 	// (appliedRound-BoundaryRounds, appliedRound], exported into checkpoints
-	// so installing committers resume with the exact ordered set.
-	ordered   map[types.Digest]types.Round // guarded by mu
+	// so installing committers resume with the exact ordered set. It stays
+	// digest-addressed — a snapshot names vertices the installing node does
+	// not hold yet — but is bucketed by round, so dropping what fell below
+	// the boundary walks the window's rounds, not its vertices.
+	ordered   map[types.Round][]OrderedRef // guarded by mu
 	sinceCkpt uint64                       // guarded by mu
 	ckptCount uint64                       // guarded by mu
 
@@ -175,7 +178,7 @@ func NewExecutor(sm StateMachine, cfg Config) *Executor {
 	x := &Executor{
 		sm:      sm,
 		cfg:     cfg,
-		ordered: make(map[types.Digest]types.Round),
+		ordered: make(map[types.Round][]OrderedRef),
 		served:  make(map[uint64][]byte),
 		q:       make(chan bullshark.CommittedSubDAG, cfg.QueueDepth),
 		done:    make(chan struct{}),
@@ -215,7 +218,7 @@ func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
 				x.sm.Apply(&v.Batch.Transactions[i])
 			}
 		}
-		x.ordered[v.Digest()] = v.Round
+		x.ordered[v.Round] = append(x.ordered[v.Round], OrderedRef{Digest: v.Digest(), Round: v.Round})
 	}
 	cd := commitDigest(&sub)
 	x.stateRoot = types.HashBytes(x.stateRoot[:], cd[:])
@@ -288,9 +291,9 @@ func (x *Executor) pruneOrderedLocked() {
 	if floor == 0 {
 		return
 	}
-	for d, r := range x.ordered {
+	for r := range x.ordered {
 		if r < floor {
-			delete(x.ordered, d)
+			delete(x.ordered, r)
 		}
 	}
 }
@@ -410,9 +413,13 @@ func (x *Executor) checkpointLocked() (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, err
 	}
-	refs := make([]OrderedRef, 0, len(x.ordered))
-	for d, r := range x.ordered {
-		refs = append(refs, OrderedRef{Digest: d, Round: r})
+	window := 0
+	for _, bucket := range x.ordered {
+		window += len(bucket)
+	}
+	refs := make([]OrderedRef, 0, window)
+	for _, bucket := range x.ordered {
+		refs = append(refs, bucket...)
 	}
 	sortOrderedRefs(refs)
 	schedBytes := x.schedStateBytes
@@ -474,9 +481,14 @@ func (x *Executor) Install(snap Snapshot) error {
 	x.appliedSeq = snap.CommitSeq
 	x.appliedRound = snap.Round
 	x.stateRoot = snap.StateRoot
-	x.ordered = make(map[types.Digest]types.Round, len(snap.Ordered))
+	x.ordered = make(map[types.Round][]OrderedRef)
+	seen := make(map[types.Digest]struct{}, len(snap.Ordered))
 	for _, ref := range snap.Ordered {
-		x.ordered[ref.Digest] = ref.Round
+		if _, dup := seen[ref.Digest]; dup {
+			continue // a window lists a vertex once
+		}
+		seen[ref.Digest] = struct{}{}
+		x.ordered[ref.Round] = append(x.ordered[ref.Round], ref)
 	}
 	x.roots = [rootRingSize]rootAt{}
 	x.roots[snap.CommitSeq%rootRingSize] = rootAt{seq: snap.CommitSeq, root: snap.StateRoot}

@@ -56,6 +56,10 @@ type Result struct {
 	MinAppliedSeq      uint64
 	StateRootsAgree    bool
 	StateRootsCompared int
+	// StateRoot is the root the first comparable validator chained at
+	// MinAppliedSeq: a hash over every commit up to there (index, anchor,
+	// ordered vertex digests), so equal roots mean equal commit streams.
+	StateRoot types.Digest
 
 	// Crash-restart results (Scenario.KillAllAt only). Restarts counts
 	// validator restarts performed; TimeToFirstPostCrashCommit is how long
@@ -272,15 +276,14 @@ func collectExecutionResults(cluster *simnet.Cluster, s Scenario, res *Result) {
 	}
 	res.MinAppliedSeq = minSeq
 	res.StateRootsAgree = true
-	var ref types.Digest
 	for _, id := range live {
 		root, ok := cluster.Executor(id).RootAt(minSeq)
 		if !ok {
 			continue // ring expired: lag, not divergence
 		}
 		if res.StateRootsCompared == 0 {
-			ref = root
-		} else if root != ref {
+			res.StateRoot = root
+		} else if root != res.StateRoot {
 			res.StateRootsAgree = false
 		}
 		res.StateRootsCompared++

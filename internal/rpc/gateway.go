@@ -34,6 +34,14 @@ const (
 	// maxTxIDsPerEvent caps the per-commit ID list carried on the stream;
 	// TxCount always reports the true size.
 	maxTxIDsPerEvent = 1 << 14
+	// readHeaderTimeout bounds how long a client may take to send its request
+	// line and headers, and idleTimeout how long a keep-alive connection may
+	// sit between requests: a public listener must not let a client that
+	// connects and then stalls hold a connection (and its goroutine) forever.
+	// Deliberately not ReadTimeout/WriteTimeout, which would also cut
+	// /v1/commits, a response that stays open for as long as the subscriber.
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // Config wires a Gateway to its node. Submit is required; everything else
@@ -165,13 +173,17 @@ func New(cfg Config) (*Gateway, error) {
 	// arbitrary byte strings), silently breaking read-your-writes. handleKV
 	// parses the escaped path itself.
 	kv := g.counted(g.handleKV)
-	g.server = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.EscapedPath(), "/v1/kv/") {
-			kv(w, r)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	})}
+	g.server = &http.Server{
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.EscapedPath(), "/v1/kv/") {
+				kv(w, r)
+				return
+			}
+			mux.ServeHTTP(w, r)
+		}),
+	}
 	return g, nil
 }
 

@@ -49,16 +49,21 @@ func newTestGateway(t *testing.T, mutate func(*Config)) (*Gateway, *mempool.Fair
 	return g, pool, exec, "http://" + g.Addr()
 }
 
-// applyCommit feeds one synthetic commit through executor and gateway, the
-// way the node's commit loop does.
-func applyCommit(g *Gateway, exec *execution.Executor, seq uint64, round types.Round, payloads ...[]byte) {
+// syntheticCommit builds a two-vertex commit carrying the payloads.
+func syntheticCommit(seq uint64, round types.Round, payloads ...[]byte) bullshark.CommittedSubDAG {
 	batch := &types.Batch{}
 	for i, p := range payloads {
 		batch.Transactions = append(batch.Transactions, types.Transaction{ID: seq*100 + uint64(i), Payload: p})
 	}
 	v := dag.NewVertex(round-1, 1, nil, batch, 0)
 	anchor := dag.NewVertex(round, 0, nil, nil, 0)
-	sub := bullshark.CommittedSubDAG{Index: seq, Anchor: anchor, Vertices: []*dag.Vertex{v, anchor}}
+	return bullshark.CommittedSubDAG{Index: seq, Anchor: anchor, Vertices: []*dag.Vertex{v, anchor}}
+}
+
+// applyCommit feeds one synthetic commit through executor and gateway, the
+// way the node's commit loop does.
+func applyCommit(g *Gateway, exec *execution.Executor, seq uint64, round types.Round, payloads ...[]byte) {
+	sub := syntheticCommit(seq, round, payloads...)
 	exec.ApplyCommit(sub)
 	g.ObserveCommit(sub)
 }

@@ -536,21 +536,30 @@ func TestTCPSaturatedPeerDropsNewest(t *testing.T) {
 	defer peer.Close()
 
 	late.waitFor(t, 1, 15*time.Second)
-	// Give the queue time to drain, then check the drop side: deliveries are
-	// bounded by the queue and come from the OLDEST sends (the failed-dial
-	// path may drop a few head frames; none may come from past the bound).
+	// Give the queue time to drain, then check the drop side by counting. The
+	// queue never holds more than SendQueueLen frames, so no more can arrive.
+	// Which frames those are is not fixed by number: each time the send loop
+	// pops a frame for a dial attempt — at once, then once per redial delay —
+	// a slot frees up, and if the burst is still running the frame being sent
+	// at that instant takes it, whatever its number (drop-newest drops what
+	// finds the queue full, and that one did not). So frames from the
+	// overflow half can survive, but only one per dial window the burst
+	// overlapped: a handful, where a broken bound would deliver thousands.
 	time.Sleep(2 * time.Second)
 	late.mu.Lock()
 	defer late.mu.Unlock()
 	if len(late.msgs) > transport.SendQueueLen {
 		t.Fatalf("delivered %d > queue bound %d: overflow was not dropped", len(late.msgs), transport.SendQueueLen)
 	}
+	const dialWindows = 16 // the burst may take 5 s; a window is 0.5 s
+	overflow := 0
 	for _, r := range late.msgs {
-		// Head frames can be consumed by failed dial windows (one per redial
-		// delay); everything delivered must come from the first
-		// SendQueueLen+headDrops sends, never the overflow tail.
-		if r.msg.Vote.Round >= types.Round(transport.SendQueueLen+16) {
-			t.Fatalf("round %d delivered: a frame past the queue bound survived (drop-newest violated)", r.msg.Vote.Round)
+		if r.msg.Vote.Round >= types.Round(transport.SendQueueLen) {
+			overflow++
 		}
+	}
+	if overflow > dialWindows {
+		t.Fatalf("%d of %d delivered frames were sent after the queue filled, want at most one per dial window (%d): drop-newest violated",
+			overflow, len(late.msgs), dialWindows)
 	}
 }

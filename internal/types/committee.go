@@ -129,23 +129,20 @@ func (c *Committee) ValidatorIDs() []ValidatorID {
 // StakeOf sums the stake of the given set of validators, counting each
 // member once even if repeated.
 func (c *Committee) StakeOf(ids []ValidatorID) Stake {
-	seen := make(map[ValidatorID]struct{}, len(ids))
-	var total Stake
+	acc := NewStakeAccumulator(c)
 	for _, id := range ids {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		total += c.Stake(id)
+		acc.Add(id)
 	}
-	return total
+	return acc.Total()
 }
 
 // StakeAccumulator incrementally tracks distinct-validator stake until a
-// threshold is reached. The zero value is not usable; use NewStakeAccumulator.
+// threshold is reached: a ValidatorSet of who was counted plus the running
+// total, so Add is a bit test. The zero value is not usable; use
+// NewStakeAccumulator.
 type StakeAccumulator struct {
 	committee *Committee
-	seen      map[ValidatorID]struct{}
+	seen      ValidatorSet
 	total     Stake
 }
 
@@ -153,25 +150,32 @@ type StakeAccumulator struct {
 func NewStakeAccumulator(c *Committee) *StakeAccumulator {
 	return &StakeAccumulator{
 		committee: c,
-		seen:      make(map[ValidatorID]struct{}),
+		seen:      NewValidatorSet(c.Size()),
 	}
 }
 
 // Add records the validator's stake (idempotently) and returns the new total.
+// An ID outside the committee holds no stake and is not recorded.
 func (a *StakeAccumulator) Add(id ValidatorID) Stake {
-	if _, dup := a.seen[id]; dup {
+	if int(id) >= len(a.committee.authorities) || a.seen.Has(id) {
 		return a.total
 	}
-	a.seen[id] = struct{}{}
-	a.total += a.committee.Stake(id)
+	a.seen.Add(id)
+	a.total += a.committee.authorities[id].Stake
 	return a.total
+}
+
+// Reset empties the accumulator for reuse.
+func (a *StakeAccumulator) Reset() {
+	a.seen.Clear()
+	a.total = 0
 }
 
 // Total returns the accumulated stake.
 func (a *StakeAccumulator) Total() Stake { return a.total }
 
-// Count returns the number of distinct validators recorded.
-func (a *StakeAccumulator) Count() int { return len(a.seen) }
+// Count returns the number of distinct committee members recorded.
+func (a *StakeAccumulator) Count() int { return a.seen.Len() }
 
 // ReachedQuorum reports whether the accumulated stake meets QuorumThreshold.
 func (a *StakeAccumulator) ReachedQuorum() bool {

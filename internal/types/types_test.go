@@ -1,6 +1,8 @@
 package types
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -196,5 +198,148 @@ func TestBatchEncodedSize(t *testing.T) {
 	}
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", b.Len())
+	}
+}
+
+// TestStakeAccumulatorMatchesMapModel drives the bitset accumulator and the
+// map it replaced with the same stream of IDs — weighted stake, duplicates,
+// IDs outside the committee — at committee sizes on both sides of the 64-bit
+// word boundary; every total and threshold must agree after every Add.
+func TestStakeAccumulatorMatchesMapModel(t *testing.T) {
+	for _, n := range []int{1, 4, 50, 64, 65, 130} {
+		rng := rand.New(rand.NewSource(int64(n))) //nolint:gosec // test determinism
+		authorities := make([]Authority, n)
+		for i := range authorities {
+			authorities[i] = Authority{ID: ValidatorID(i), Stake: Stake(1 + rng.Intn(9))}
+		}
+		c, err := NewCommittee(authorities)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := NewStakeAccumulator(c)
+		for pass := 0; pass < 2; pass++ {
+			seen := map[ValidatorID]struct{}{}
+			var total Stake
+			members := 0
+			for i := 0; i < 4*n+8; i++ {
+				id := ValidatorID(rng.Intn(n + n/2 + 2)) // a third fall outside the committee
+				if i%11 == 10 {
+					id = NoValidator
+				}
+				if _, dup := seen[id]; !dup {
+					seen[id] = struct{}{}
+					total += c.Stake(id)
+					if int(id) < n {
+						members++
+					}
+				}
+				if got := acc.Add(id); got != total || acc.Total() != total {
+					t.Fatalf("n=%d: after Add(%s) total = %d (Total %d), model says %d", n, id, got, acc.Total(), total)
+				}
+				if acc.Count() != members {
+					t.Fatalf("n=%d: Count = %d, model holds %d committee members", n, acc.Count(), members)
+				}
+				if acc.ReachedQuorum() != (total >= c.QuorumThreshold()) || acc.ReachedValidity() != (total >= c.ValidityThreshold()) {
+					t.Fatalf("n=%d: thresholds disagree with the model at total %d", n, total)
+				}
+			}
+			acc.Reset()
+			if acc.Total() != 0 || acc.Count() != 0 || acc.ReachedValidity() {
+				t.Fatalf("n=%d: Reset left total %d, count %d", n, acc.Total(), acc.Count())
+			}
+		}
+	}
+}
+
+func TestValidatorSet(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		s := NewValidatorSet(n)
+		if len(s) != ValidatorSetWords(n) || !s.Empty() || s.Len() != 0 {
+			t.Fatalf("n=%d: new set has %d words, %d members", n, len(s), s.Len())
+		}
+		var want []ValidatorID
+		for id := 0; id < n; id += 1 + id/3 {
+			s.Add(ValidatorID(id))
+			s.Add(ValidatorID(id)) // idempotent
+			want = append(want, ValidatorID(id))
+		}
+		if s.Len() != len(want) || s.Empty() {
+			t.Fatalf("n=%d: Len = %d, want %d", n, s.Len(), len(want))
+		}
+		var got []ValidatorID
+		for id := range s.All() {
+			got = append(got, id)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: All = %v, want %v (ascending)", n, got, want)
+		}
+		if s.Has(ValidatorID(n+64)) || s.Has(NoValidator) {
+			t.Fatalf("n=%d: Has beyond the capacity must be false", n)
+		}
+		// Removing the member just yielded is allowed mid-iteration.
+		other := NewValidatorSet(n)
+		other.Union(s)
+		for id := range s.All() {
+			if id%2 == 0 {
+				s.Remove(id)
+			}
+		}
+		for _, id := range want {
+			if s.Has(id) != (id%2 == 1) || !other.Has(id) {
+				t.Fatalf("n=%d: after removing the even members, Has(%s) = %v; the union copy has it: %v", n, id, s.Has(id), other.Has(id))
+			}
+		}
+		other.Clear()
+		if !other.Empty() {
+			t.Fatalf("n=%d: Clear left members", n)
+		}
+	}
+}
+
+// TestRoundWindowMatchesMapModel slides a window the way the DAG and the
+// committer do — fill near the top, sometimes a few rounds ahead, drop from
+// the bottom, now and then past everything held — against a plain map.
+func TestRoundWindowMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(3)) //nolint:gosec // test determinism
+	w := NewRoundWindow[*int](5)
+	model := map[Round]*int{}
+	floor, top := Round(5), Round(5)
+	check := func(step int) {
+		t.Helper()
+		if w.Floor() != floor {
+			t.Fatalf("step %d: Floor = %d, want %d", step, w.Floor(), floor)
+		}
+		for r := Round(0); r <= top+3; r++ {
+			if got := w.At(r); got != model[r] {
+				t.Fatalf("step %d: At(%d) = %v, model holds %v", step, r, got, model[r])
+			}
+		}
+		if end := w.End(); end < floor || (end > floor && w.At(end-1) == nil) {
+			t.Fatalf("step %d: End = %d is not one past the highest round set (floor %d)", step, end, floor)
+		}
+	}
+	check(0)
+	for step := 1; step <= 400; step++ {
+		switch rng.Intn(4) {
+		case 0: // prune, sometimes beyond the top
+			floor += Round(rng.Intn(4))
+			if rng.Intn(10) == 0 {
+				floor = max(floor, top+Round(rng.Intn(3)))
+			}
+			w.DropBelow(floor)
+			w.DropBelow(floor / 2) // moving back is a no-op
+			for r := range model {
+				if r < floor {
+					delete(model, r)
+				}
+			}
+		default: // set somewhere between the floor and a little above the top
+			r := floor + Round(rng.Intn(int(top-min(top, floor))+4))
+			v := new(int)
+			w.Set(r, v)
+			model[r] = v
+			top = max(top, r)
+		}
+		check(step)
 	}
 }
