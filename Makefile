@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race lint hammerlint staticcheck vulncheck bench-core bench-smoke clean
+.PHONY: all build test race lint hammerlint staticcheck vulncheck bench-core bench-smoke sim-mem clean
 
 all: build test
 
@@ -58,6 +58,12 @@ bench-core:
 bench-smoke:
 	cd bench && go vet -tags benchprobes ./probes && go build -tags benchprobes -o /dev/null ./probes
 	cd bench && go test ./...
+
+# sim-mem is CI's "Simulator memory and pinned results" step: the retained
+# heap of a paper-sized fault run (n=50, 16 crashed) stays under its budget,
+# and a small fault run reproduces its pinned commit-stream hash.
+sim-mem:
+	go test -run 'TestFaultRunRetainedHeap|TestFaultRunResultsPinned' ./internal/experiment/
 
 clean:
 	rm -rf bin hammerlint

@@ -147,13 +147,15 @@ var (
 	ErrRoundTooFar    = errors.New("dag: round too far above the pruned floor")
 )
 
-// maxRetainedRounds bounds how far above the pruned floor a vertex may sit.
+// MaxRetainedRounds bounds how far above the pruned floor a vertex may sit.
 // Rounds fill contiguously — a vertex needs its parents one round down — so
 // only a parentless vertex can open a round far above the rest, and the
 // window of rounds pays a pointer for every round it skips. A million rounds
 // is half a day of 50 ms rounds with no commit and no pruning, far past the
-// memory a DAG that deep would need for its vertices.
-const maxRetainedRounds = 1 << 20
+// memory a DAG that deep would need for its vertices. The engine bounds the
+// rounds it votes at with the same constant: its per-round window slides with
+// this one.
+const MaxRetainedRounds = 1 << 20
 
 // MissingParentsError is Insert's failure for a vertex some of whose parents
 // the DAG does not hold yet. It lists all of them, so the caller can buffer
@@ -283,7 +285,7 @@ func (d *DAG) Insert(v *Vertex) error {
 	if v.Round < floor {
 		return fmt.Errorf("%w: round %d < pruned floor %d", ErrPruned, v.Round, floor)
 	}
-	if v.Round-floor >= maxRetainedRounds {
+	if v.Round-floor >= MaxRetainedRounds {
 		return fmt.Errorf("%w: round %d, floor %d", ErrRoundTooFar, v.Round, floor)
 	}
 	n := d.committee.Size()

@@ -103,9 +103,15 @@ type Stats struct {
 	OwnTxPrunedUnordered       uint64
 }
 
-type voteKey struct {
-	origin types.ValidatorID
-	round  types.Round
+// roundSlots is the engine's state for one round, a slot per ValidatorID.
+type roundSlots struct {
+	// votedFor[origin], for the origins in voted, is the full digest of the one
+	// header of (round, origin) this validator signed: a second is equivocation.
+	voted    types.ValidatorSet
+	votedFor []types.Digest
+	// certs[source] is the certificate behind the DAG's vertex of
+	// (round, source), retained to serve syncing peers.
+	certs []*Certificate
 }
 
 // minRetainer is implemented by schedulers (core.Manager) whose score scans
@@ -118,6 +124,20 @@ type minRetainer interface {
 // called from a single goroutine (or the simulator's event loop); time is
 // passed in explicitly so simulated and wall-clock runs share every line of
 // protocol logic.
+//
+// Per-round state — the vote cast at each (round, origin), the certificate
+// retained for each (round, source) — is slot-addressed like the DAG's rounds:
+// one types.RoundWindow of arrays indexed by ValidatorID, whose floor is the
+// pruning floor, so a lookup is two array steps and pruning one DropBelow. It
+// pays a pointer per round it spans and a roundSlots per round voted at;
+// onHeader votes only below floor + dag.MaxRetainedRounds, the DAG's own
+// bound, so that is the most a committee member's headers can make it span.
+// The votes gathered for the current own header are a slot array as well.
+//
+// The causal-sync sets (pendingCerts, pendingByMissing, requested) stay maps:
+// their keys are digests of what this validator does NOT hold — a missing
+// parent has no known (round, source) — they are empty in steady state, and
+// MaxPendingCerts and the floor bound them.
 type Engine struct {
 	config    Config
 	committee *types.Committee
@@ -184,23 +204,19 @@ type Engine struct {
 	// restoredHeader marks curHeader as re-adopted from the WAL rather than
 	// built by this process (see abandonHeader).
 	restoredHeader bool
-	// votes are the signatures gathered for curHeader and voteStake the
-	// distinct-voter stake behind them, both reset per own header.
-	votes            map[types.ValidatorID]crypto.Signature
-	voteStake        *types.StakeAccumulator
-	ownCertFormed    bool
-	roundDelayOK     bool
-	leaderTimerArmed map[types.Round]bool
-	leaderTimedOut   map[types.Round]bool
+	// votes[voter] is voter's signature over curHeader, for the voters
+	// voteStake has counted; both are reset per own header.
+	votes         []crypto.Signature
+	voteStake     *types.StakeAccumulator
+	ownCertFormed bool
+	roundDelayOK  bool
+	// The anchor round whose leader-wait timer is running, and the one whose
+	// wait expired (0: none, round 0 never waits). Read only at e.round.
+	leaderTimerArmed types.Round
+	leaderTimedOut   types.Round
 
-	votedFor  map[voteKey]types.Digest
-	certStore map[types.Digest]*Certificate
-	// certsByRound indexes certStore by round so serving a RoundRequest is
-	// proportional to the response batch, not the whole store; maxCertRound
-	// and certFloor bound the index scan.
-	certsByRound map[types.Round][]*Certificate
-	maxCertRound types.Round
-	certFloor    types.Round
+	// rounds holds each retained round's slots; its floor is the pruning floor.
+	rounds types.RoundWindow[*roundSlots]
 
 	pendingCerts     map[types.Digest]*Certificate
 	pendingByMissing map[types.Digest][]types.Digest
@@ -345,13 +361,8 @@ func New(p Params) (*Engine, error) {
 		snapshots:        p.Snapshots,
 		installSnapshot:  p.InstallSnapshot,
 		appliedSeq:       p.AppliedSeq,
-		votes:            make(map[types.ValidatorID]crypto.Signature),
+		votes:            make([]crypto.Signature, p.Committee.Size()),
 		voteStake:        types.NewStakeAccumulator(p.Committee),
-		leaderTimerArmed: make(map[types.Round]bool),
-		leaderTimedOut:   make(map[types.Round]bool),
-		votedFor:         make(map[voteKey]types.Digest),
-		certStore:        make(map[types.Digest]*Certificate),
-		certsByRound:     make(map[types.Round][]*Certificate),
 		pendingCerts:     make(map[types.Digest]*Certificate),
 		pendingByMissing: make(map[types.Digest][]types.Digest),
 		requested:        make(map[types.Digest]bool),
@@ -543,7 +554,7 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 	switch t.Kind {
 	case TimerLeader:
 		if e.round == types.Round(t.Round) {
-			e.leaderTimedOut[types.Round(t.Round)] = true
+			e.leaderTimedOut = e.round
 			e.stats.LeaderTimeouts++
 			e.tryAdvance(nowNanos, out)
 		}
@@ -595,13 +606,8 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 // ---- header / vote / certificate handling ----
 
 func (e *Engine) onHeader(from types.ValidatorID, h *Header, out *Output) {
-	if h == nil || h.Source != from || h.Round < 1 {
-		e.stats.InvalidMessages++
-		return
-	}
-	if e.config.VerifySignatures && int(h.Source) >= len(e.pubKeys) {
-		// Source outside the key set: indexing pubKeys would panic on this
-		// (malformed or malicious) message.
+	if h == nil || h.Source != from || h.Round < 1 || int(h.Source) >= e.committee.Size() {
+		// The last: a source outside the committee has no slot (and no key).
 		e.stats.InvalidMessages++
 		return
 	}
@@ -611,14 +617,19 @@ func (e *Engine) onHeader(from types.ValidatorID, h *Header, out *Output) {
 		e.stats.InvalidMessages++
 		return
 	}
-	key := voteKey{origin: h.Source, round: h.Round}
-	if prev, voted := e.votedFor[key]; voted && prev != digest {
-		// Conflicting header for an already-voted slot: equivocation.
-		// Crash-fault deployments never hit this; refuse the second vote.
+	rs := e.slots(h.Round)
+	if rs == nil || (rs.voted.Has(h.Source) && rs.votedFor[h.Source] != digest) {
+		// No slots: below the floor the header's certificate could never
+		// insert, far above it the record would outlive every floor for hours
+		// (a laggard within the bound still votes for the live round).
+		// Otherwise a conflicting header for an already-voted slot:
+		// equivocation. Crash-fault deployments never hit this; refuse the
+		// second vote.
 		e.stats.InvalidMessages++
 		return
 	}
-	e.votedFor[key] = digest
+	rs.voted.Add(h.Source)
+	rs.votedFor[h.Source] = digest
 	sig, err := e.keys.Sign(digest[:])
 	if err != nil {
 		e.stats.InvalidMessages++
@@ -641,9 +652,8 @@ func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
 	if v.Round != e.round || v.HeaderDigest != e.curHeaderDigest || e.ownCertFormed {
 		return // stale or already certified
 	}
-	if int(v.Voter) >= len(e.pubKeys) && e.config.VerifySignatures {
-		// Voter outside the committee's key set: indexing pubKeys would
-		// panic on this (malformed or malicious) message.
+	if int(v.Voter) >= len(e.votes) {
+		// Voter outside the committee (malformed or malicious): no slot, no key.
 		e.stats.InvalidMessages++
 		return
 	}
@@ -654,17 +664,22 @@ func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
 		e.stats.InvalidMessages++
 		return
 	}
-	if _, dup := e.votes[v.Voter]; dup {
+	if e.voteStake.Has(v.Voter) {
 		return
 	}
 	e.votes[v.Voter] = v.Signature
 	e.voteStake.Add(v.Voter)
-	if !e.voteStake.ReachedQuorum() {
-		return
+	if e.voteStake.ReachedQuorum() {
+		e.certifyOwn(nowNanos, out)
 	}
-	cert := &Certificate{Header: *e.curHeader}
-	for _, id := range e.committee.ValidatorIDs() {
-		if sig, ok := e.votes[id]; ok {
+}
+
+// certifyOwn assembles the certificate of the current own header from the
+// votes gathered (a quorum, the caller checked), broadcasts and ingests it.
+func (e *Engine) certifyOwn(nowNanos int64, out *Output) {
+	cert := &Certificate{Header: *e.curHeader, Votes: make([]VoteSig, 0, e.voteStake.Count())}
+	for i, sig := range e.votes {
+		if id := types.ValidatorID(i); e.voteStake.Has(id) {
 			cert.Votes = append(cert.Votes, VoteSig{Voter: id, Signature: sig})
 		}
 	}
@@ -681,7 +696,7 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 	if c == nil {
 		return
 	}
-	if c.Header.Round < e.certFloor {
+	if c.Header.Round < e.rounds.Floor() {
 		// Below the GC floor: the DAG already pruned this round, so the
 		// certificate can never insert. Dropping it here keeps stale sync
 		// responses and Byzantine backfill out of the pending maps.
@@ -893,7 +908,7 @@ func (e *Engine) validCertificate(c *Certificate) bool {
 		return false
 	}
 	// Strip the votes that failed (same as the pre-verify path): the
-	// certificate goes into certStore and is served to syncing peers, who
+	// certificate is retained in its slot and served to syncing peers, who
 	// must not re-receive forged votes. The quorum is established; later
 	// re-checks (cascaded pending inserts, duplicate deliveries) can skip
 	// the public-key work.
@@ -945,10 +960,8 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 			}
 			continue
 		}
-		e.certStore[digest] = cert
-		e.certsByRound[cert.Header.Round] = append(e.certsByRound[cert.Header.Round], cert)
-		if cert.Header.Round > e.maxCertRound {
-			e.maxCertRound = cert.Header.Round
+		if rs := e.slots(cert.Header.Round); rs != nil {
+			rs.certs[cert.Header.Source] = cert
 		}
 		e.removePending(digest)
 		delete(e.requested, digest)
@@ -966,9 +979,7 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 			e.insertsSinceGC++
 			if e.insertsSinceGC >= e.config.GCEvery {
 				e.insertsSinceGC = 0
-				if floor := types.Round(e.stage.floor()); floor > e.certFloor {
-					e.pruneProtocolState(floor)
-				}
+				e.pruneProtocolState(types.Round(e.stage.floor()))
 			}
 		} else {
 			commits := e.committer.ProcessVertex(vertex)
@@ -1005,8 +1016,11 @@ func (e *Engine) onCertRequest(from types.ValidatorID, req *CertRequest, out *Ou
 		if len(resp.Certs) >= e.config.MaxSyncBatch {
 			break
 		}
-		if c, ok := e.certStore[d]; ok {
-			resp.Certs = append(resp.Certs, c)
+		// The DAG's digest index names the slot; the certificate is in ours.
+		if v, ok := e.dagStore.ByDigest(d); ok {
+			if c := e.certAt(v.Round, v.Source); c != nil {
+				resp.Certs = append(resp.Certs, c)
+			}
 		}
 	}
 	if len(resp.Certs) > 0 {
@@ -1020,13 +1034,10 @@ func (e *Engine) onCertRequest(from types.ValidatorID, req *CertRequest, out *Ou
 // moved or the resync interval elapsed.
 func (e *Engine) maybeRangeSync(target types.ValidatorID, nowNanos int64, out *Output) {
 	const gapThreshold = 8
-	floor := e.dagStore.HighestRound()
-	if e.certFloor > floor {
-		// Right after a snapshot install the DAG is empty above the new
-		// floor; range sync must pull from the boundary, not the stale
-		// pre-install frontier.
-		floor = e.certFloor
-	}
+	// Right after a snapshot install the DAG is empty above the new floor;
+	// range sync must pull from the boundary, not the stale pre-install
+	// frontier.
+	floor := max(e.dagStore.HighestRound(), e.rounds.Floor())
 	if e.maxPendingRound <= floor+gapThreshold {
 		return
 	}
@@ -1050,12 +1061,7 @@ func (e *Engine) maybeRangeSync(target types.ValidatorID, nowNanos int64, out *O
 	out.unicast(target, &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: floor}})
 }
 
-// onRoundRequest serves the certificate frontier: every retained cert from
-// the requested round on, oldest rounds first so the requester can insert
-// parents-first, capped at MaxSyncBatch. The per-round index makes the cost
-// proportional to the rounds scanned and the response batch — a round
-// request no longer iterates and sorts the entire certificate store, which
-// was an easy DoS lever against long-running validators.
+// onRoundRequest serves the certificate frontier (see certRange).
 func (e *Engine) onRoundRequest(from types.ValidatorID, req *RoundRequest, out *Output) {
 	if req == nil || from == e.self {
 		return
@@ -1066,31 +1072,54 @@ func (e *Engine) onRoundRequest(from types.ValidatorID, req *RoundRequest, out *
 }
 
 // certRange collects every retained certificate from the given round on,
-// oldest rounds first so the requester can insert parents-first, capped at
-// MaxSyncBatch. Shared by round requests and rejoin responses.
+// oldest rounds first so the requester can insert parents-first, in source
+// order within a round, capped at MaxSyncBatch: a walk over the slots, costing
+// the rounds scanned and the batch. Shared by round requests and rejoin
+// responses.
 func (e *Engine) certRange(start types.Round) []*Certificate {
-	if start < e.certFloor {
-		start = e.certFloor // rounds below the GC floor are gone
-	}
 	certs := make([]*Certificate, 0, e.config.MaxSyncBatch)
-	for r := start; r <= e.maxCertRound && len(certs) < e.config.MaxSyncBatch; r++ {
-		roundCerts := e.certsByRound[r]
-		if len(roundCerts) == 0 {
+	// Rounds below the floor are gone; every retained certificate is a DAG
+	// vertex, so none sits above the DAG's highest round.
+	for r, top := max(start, e.rounds.Floor()), e.dagStore.HighestRound(); r <= top; r++ {
+		rs := e.rounds.At(r)
+		if rs == nil {
 			continue
 		}
-		// Source order within a round keeps responses deterministic.
-		sorted := append([]*Certificate(nil), roundCerts...)
-		sort.Slice(sorted, func(i, j int) bool {
-			return sorted[i].Header.Source < sorted[j].Header.Source
-		})
-		for _, c := range sorted {
-			if len(certs) >= e.config.MaxSyncBatch {
-				break
+		for _, c := range rs.certs {
+			if c == nil {
+				continue
+			}
+			if len(certs) == e.config.MaxSyncBatch {
+				return certs
 			}
 			certs = append(certs, c)
 		}
 	}
 	return certs
+}
+
+// certAt returns the retained certificate of (round, source), nil if none.
+func (e *Engine) certAt(round types.Round, source types.ValidatorID) *Certificate {
+	if rs := e.rounds.At(round); rs != nil && int(source) < len(rs.certs) {
+		return rs.certs[source]
+	}
+	return nil
+}
+
+// slots returns round's slot arrays, made on first use, or nil for a round
+// outside the window: below its floor, where all is pruned, or at least
+// dag.MaxRetainedRounds above it, where the DAG takes no vertex either.
+func (e *Engine) slots(round types.Round) *roundSlots {
+	if floor := e.rounds.Floor(); round < floor || round-floor >= dag.MaxRetainedRounds {
+		return nil
+	}
+	rs := e.rounds.At(round)
+	if rs == nil {
+		n := e.committee.Size()
+		rs = &roundSlots{types.NewValidatorSet(n), make([]types.Digest, n), make([]*Certificate, n)}
+		e.rounds.Set(round, rs)
+	}
+	return rs
 }
 
 // resync re-requests every still-missing parent, rotating targets across the
@@ -1174,12 +1203,12 @@ func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 			return
 		}
 		behind := e.dagStore.HighestRound() > e.round
-		if e.round.IsAnchorRound() && e.round > 0 && !behind && !e.leaderTimedOut[e.round] {
+		if e.round.IsAnchorRound() && e.round > 0 && !behind && e.leaderTimedOut != e.round {
 			leaderID := e.leaderAt(e.round)
 			if leaderID != e.self && leaderID != types.NoValidator {
 				if _, haveLeader := e.dagStore.Get(e.round, leaderID); !haveLeader {
-					if !e.leaderTimerArmed[e.round] {
-						e.leaderTimerArmed[e.round] = true
+					if e.leaderTimerArmed != e.round {
+						e.leaderTimerArmed = e.round
 						out.timer(Timer{Kind: TimerLeader, Round: uint64(e.round), Delay: e.config.LeaderTimeout})
 					}
 					return
@@ -1290,16 +1319,9 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 	}
 	header.Signature = sig
 
-	e.round = round
-	e.curHeader = header
+	e.adoptHeader(header, digest, sig)
 	e.restoredHeader = false
-	e.curHeaderDigest = digest
-	e.votes = map[types.ValidatorID]crypto.Signature{e.self: sig} // self-vote
-	e.voteStake.Reset()
-	e.voteStake.Add(e.self)
-	e.ownCertFormed = false
 	e.roundDelayOK = false
-	e.votedFor[voteKey{origin: e.self, round: round}] = digest
 	e.stats.HeadersProposed++
 	if e.persistProposal != nil {
 		// Durability hook: record the signed header before it can reach the
@@ -1315,15 +1337,27 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 	out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(round), Delay: e.config.ResyncInterval})
 
 	// A lone validator committee (n=1) certifies immediately on self-vote.
-	if e.voteStake.ReachedQuorum() && !e.ownCertFormed {
-		cert := &Certificate{Header: *header, Votes: []VoteSig{{Voter: e.self, Signature: sig}}}
-		e.ownCertFormed = true
-		e.stats.CertsFormed++
-		if e.onOwnCert != nil {
-			e.onOwnCert(cert)
-		}
-		out.broadcast(&Message{Kind: KindCertificate, Cert: cert})
-		e.onCertificate(cert, nowNanos, out)
+	if e.voteStake.ReachedQuorum() {
+		e.certifyOwn(nowNanos, out)
+	}
+}
+
+// adoptHeader makes h — just built, or restored from the WAL — the current
+// own header: the engine moves to its round with its own vote the only one
+// gathered, and records that vote like any other it casts.
+func (e *Engine) adoptHeader(h *Header, digest types.Digest, sig crypto.Signature) {
+	e.round = h.Round
+	e.curHeader = h
+	e.curHeaderDigest = digest
+	clear(e.votes)
+	e.voteStake.Reset()
+	e.votes[e.self] = sig
+	e.voteStake.Add(e.self)
+	e.ownCertFormed = false
+	// Outside the window no header of the round can certify here: no record.
+	if rs := e.slots(h.Round); rs != nil {
+		rs.voted.Add(e.self)
+		rs.votedFor[e.self] = digest
 	}
 }
 
@@ -1361,35 +1395,18 @@ func ownPayload(vs []*dag.Vertex, self types.ValidatorID) (vertices, txs uint64)
 	return vertices, txs
 }
 
-// pruneProtocolState drops every ingest-owned record below floor: retained
-// certificates (store + round index), vote and leader-timeout bookkeeping,
-// and — crucially — the causal-sync pending state. Pending certificates
+// pruneProtocolState drops every ingest-owned record below floor: the votes
+// cast and certificates retained there (one slide of the window) and —
+// crucially — the causal-sync pending state. Pending certificates
 // below the floor can never insert (the DAG refuses pruned rounds), so
 // without this prune a Byzantine validator certifying headers with
 // fabricated parent edges (voters never check that edges resolve) would grow
 // pendingCerts/pendingByMissing/requested without bound.
 func (e *Engine) pruneProtocolState(floor types.Round) {
-	if floor <= e.certFloor {
+	if floor <= e.rounds.Floor() {
 		return
 	}
-	for r := e.certFloor; r < floor; r++ {
-		for _, c := range e.certsByRound[r] {
-			delete(e.certStore, c.Digest())
-		}
-		delete(e.certsByRound, r)
-	}
-	e.certFloor = floor
-	for k := range e.votedFor {
-		if k.round < floor {
-			delete(e.votedFor, k)
-		}
-	}
-	for r := range e.leaderTimedOut {
-		if r < floor {
-			delete(e.leaderTimedOut, r)
-			delete(e.leaderTimerArmed, r)
-		}
-	}
+	e.rounds.DropBelow(floor)
 	pruned := false
 	for d, c := range e.pendingCerts {
 		if c.Header.Round < floor {

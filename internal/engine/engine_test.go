@@ -235,6 +235,68 @@ func TestEquivocatingHeaderRefused(t *testing.T) {
 	}
 }
 
+// headerAt wraps a parentless header of source at round, signed with source's
+// key: all a voter checks before it votes.
+func headerAt(t *testing.T, rig *testRig, source types.ValidatorID, round types.Round) *Message {
+	t.Helper()
+	return &Message{Kind: KindHeader, Header: signedHeader(t, rig.engines[source].keys, source, round)}
+}
+
+// expectVote feeds a header to e and requires a vote, or a counted refusal.
+func expectVote(t *testing.T, e *Engine, msg *Message, want bool) {
+	t.Helper()
+	before := e.Stats()
+	out := e.OnMessage(msg.Header.Source, msg, 0)
+	after := e.Stats()
+	voted := len(out.Unicasts) == 1 && out.Unicasts[0].Msg.Kind == KindVote
+	if voted != want || (after.VotesSent != before.VotesSent) != want {
+		t.Fatalf("header at round %d: voted %v, want %v", msg.Header.Round, voted, want)
+	}
+	if !want && (len(out.Unicasts) != 0 || after.InvalidMessages != before.InvalidMessages+1) {
+		t.Fatalf("header at round %d: a refusal sends nothing and counts one invalid message, got %d unicasts, %d counted",
+			msg.Header.Round, len(out.Unicasts), after.InvalidMessages-before.InvalidMessages)
+	}
+}
+
+// TestFarFutureHeaderIsRefused: one committee member sending headers at rounds
+// 10⁹, 10⁹+1, … used to earn a vote, and a vote record no pruning floor would
+// ever reach, for each. Voting stops at the DAG's retained-round bound above
+// the floor — far enough that a laggard still votes for the live round.
+func TestFarFutureHeaderIsRefused(t *testing.T) {
+	rig := newTestRig(t, 4)
+	e1 := rig.engines[1]
+	e1.Init(0)
+	for r := types.Round(1_000_000_000); r < 1_000_000_004; r++ {
+		expectVote(t, e1, headerAt(t, rig, 0, r), false)
+	}
+	expectVote(t, e1, headerAt(t, rig, 0, dag.MaxRetainedRounds), false)
+	if end := e1.rounds.End(); end > 2 {
+		t.Fatalf("refused headers grew the round window to %d", end)
+	}
+	expectVote(t, e1, headerAt(t, rig, 0, dag.MaxRetainedRounds-1), true)
+	// The bound slides with the floor.
+	e1.pruneProtocolState(10)
+	expectVote(t, e1, headerAt(t, rig, 0, dag.MaxRetainedRounds+9), true)
+	expectVote(t, e1, headerAt(t, rig, 0, dag.MaxRetainedRounds+10), false)
+}
+
+// TestHeaderBelowVoteFloorIsRefused: below the pruning floor a header's
+// certificate could never insert (onCertificate drops it), so it earns no
+// vote and leaves no record.
+func TestHeaderBelowVoteFloorIsRefused(t *testing.T) {
+	rig := newTestRig(t, 4)
+	e1 := rig.engines[1]
+	e1.Init(0)
+	expectVote(t, e1, headerAt(t, rig, 0, 9), true)
+	e1.pruneProtocolState(10)
+	expectVote(t, e1, headerAt(t, rig, 0, 9), false)
+	expectVote(t, e1, headerAt(t, rig, 2, 9), false)
+	expectVote(t, e1, headerAt(t, rig, 0, 10), true)
+	if got := e1.rounds.At(9); got != nil {
+		t.Fatalf("a round below the floor holds %+v", got)
+	}
+}
+
 func TestRejectsForgedSignatures(t *testing.T) {
 	rig := newTestRig(t, 4)
 	for i := range rig.engines {

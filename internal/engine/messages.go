@@ -87,6 +87,7 @@ type Header struct {
 	digestOK    bool
 	batchMemo   types.Digest
 	batchMemoOK bool
+	vertexMemo  *dag.Vertex // see Vertex; a copy of the header shares it
 
 	sigVerified bool
 }
@@ -129,10 +130,15 @@ func (h *Header) batchDigest() types.Digest {
 	return h.batchMemo
 }
 
-// Vertex converts the header into the DAG vertex its certificate certifies,
-// reusing the memoized digests.
+// Vertex returns the DAG vertex the header's certificate certifies, built once
+// from the memoized digests: it is immutable and a DAG keeps what it resolved
+// about it in its own slots, so a certificate delivered in-process to n
+// validators is one vertex, not n.
 func (h *Header) Vertex() *dag.Vertex {
-	return dag.NewVertexPrecomputed(h.Round, h.Source, h.Edges, h.Batch, h.CreatedNanos, h.batchDigest(), h.Digest())
+	if h.vertexMemo == nil {
+		h.vertexMemo = dag.NewVertexPrecomputed(h.Round, h.Source, h.Edges, h.Batch, h.CreatedNanos, h.batchDigest(), h.Digest())
+	}
+	return h.vertexMemo
 }
 
 // EncodedSize approximates the wire size in bytes, used by the simulator's

@@ -28,9 +28,9 @@ func preRig(t *testing.T) (*PreVerifier, []crypto.KeyPair, *types.Committee) {
 	return NewPreVerifier(crypto.Ed25519{}, committee, pubs, 4), pairs, committee
 }
 
-func signedHeader(t *testing.T, kp crypto.KeyPair, source types.ValidatorID) *Header {
+func signedHeader(t *testing.T, kp crypto.KeyPair, source types.ValidatorID, round types.Round) *Header {
 	t.Helper()
-	h := &Header{Round: 1, Source: source}
+	h := &Header{Round: round, Source: source}
 	d := h.Digest()
 	sig, err := kp.Sign(d[:])
 	if err != nil {
@@ -43,7 +43,7 @@ func signedHeader(t *testing.T, kp crypto.KeyPair, source types.ValidatorID) *He
 func TestPreVerifierHeaderAndVote(t *testing.T) {
 	pv, pairs, _ := preRig(t)
 
-	h := signedHeader(t, pairs[1], 1)
+	h := signedHeader(t, pairs[1], 1, 1)
 	if !pv.Check(&Message{Kind: KindHeader, Header: h}) {
 		t.Fatal("valid header must pass")
 	}
@@ -51,7 +51,7 @@ func TestPreVerifierHeaderAndVote(t *testing.T) {
 		t.Fatal("passing header must be marked")
 	}
 
-	forged := signedHeader(t, pairs[1], 1)
+	forged := signedHeader(t, pairs[1], 1, 1)
 	forged.Signature[0] ^= 0xFF
 	if pv.Check(&Message{Kind: KindHeader, Header: forged}) {
 		t.Fatal("forged header must be dropped")
@@ -83,7 +83,7 @@ func TestPreVerifierHeaderAndVote(t *testing.T) {
 
 func TestPreVerifierCertificateQuorum(t *testing.T) {
 	pv, pairs, _ := preRig(t)
-	h := signedHeader(t, pairs[1], 1)
+	h := signedHeader(t, pairs[1], 1, 1)
 	d := h.Digest()
 
 	mkCert := func(voters ...types.ValidatorID) *Certificate {
@@ -133,7 +133,7 @@ func TestPreVerifierCertificateQuorum(t *testing.T) {
 
 func TestPreVerifierCertResponseFiltersBadCerts(t *testing.T) {
 	pv, pairs, _ := preRig(t)
-	h := signedHeader(t, pairs[1], 1)
+	h := signedHeader(t, pairs[1], 1, 1)
 	d := h.Digest()
 	var votes []VoteSig
 	for _, id := range []types.ValidatorID{0, 1, 2} {
@@ -231,8 +231,8 @@ func TestEngineStripsForgedVotesFromStoredCerts(t *testing.T) {
 	if _, ok := e0.DAG().Get(1, 2); !ok {
 		t.Fatal("quorate certificate must be inserted despite the forged extra vote")
 	}
-	stored, ok := e0.certStore[d]
-	if !ok {
+	stored := e0.certAt(1, 2)
+	if stored == nil {
 		t.Fatal("certificate missing from the sync store")
 	}
 	if len(stored.Votes) != 3 {

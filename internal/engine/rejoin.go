@@ -3,7 +3,6 @@ package engine
 import (
 	"time"
 
-	"hammerhead/internal/crypto"
 	"hammerhead/internal/types"
 )
 
@@ -86,7 +85,7 @@ func (e *Engine) RestoreProposal(h *Header) {
 	if h.Round > e.proposalFloor {
 		e.proposalFloor = h.Round
 	}
-	if _, certified := e.certAt(h.Round, e.self); certified {
+	if e.certAt(h.Round, e.self) != nil {
 		// The proposal's certificate survived in our own WAL; the adopt path
 		// in completeRejoin (or normal operation) covers the slot.
 		return
@@ -102,16 +101,9 @@ func (e *Engine) RestoreProposal(h *Header) {
 		return // unreachable with well-formed keys; the floor still holds
 	}
 	e.abandonHeader() // a header built during replay was never transmitted
-	e.round = h.Round
-	e.curHeader = h
+	e.adoptHeader(h, digest, sig)
 	e.restoredHeader = true
-	e.curHeaderDigest = digest
-	e.votes = map[types.ValidatorID]crypto.Signature{e.self: sig}
-	e.voteStake.Reset()
-	e.voteStake.Add(e.self)
-	e.ownCertFormed = false
 	e.roundDelayOK = true
-	e.votedFor[voteKey{origin: e.self, round: h.Round}] = digest
 }
 
 // ProposalFloor returns the restored voted-round high-water mark (0 when no
@@ -146,7 +138,7 @@ func (e *Engine) StartRejoin(nowNanos int64) *Output {
 	// to timers discarded with the suppressed replay outputs. Without the
 	// reset a leader-wait "armed" during replay blocks its round forever
 	// (tryAdvance never re-arms), and pending parents are never re-requested.
-	e.leaderTimerArmed = make(map[types.Round]bool)
+	e.leaderTimerArmed = 0
 	e.resyncArmed = false
 	if len(e.pendingByMissing) > 0 {
 		e.resyncArmed = true
@@ -265,6 +257,7 @@ func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 		q--
 	}
 	target := q + 1
+	ownCert := e.certAt(target, e.self)
 
 	switch {
 	case e.round > target:
@@ -280,15 +273,14 @@ func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 			out.broadcast(&Message{Kind: KindHeader, Header: e.curHeader})
 			out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(e.round), Delay: e.config.ResyncInterval})
 		}
-	case hasOwn(e.certAt(target, e.self)):
+	case ownCert != nil:
 		// Our pre-crash proposal for the fresh round certified and the
 		// certificate survived in a WAL: adopt it — proposing again (or
 		// re-broadcasting a replay-time header built for the same round)
 		// would equivocate the slot. Re-broadcast the certificate so peers
 		// that have not merged it yet can still complete the round.
-		cert, _ := e.certAt(target, e.self)
 		e.resumeAt(target)
-		out.broadcast(&Message{Kind: KindCertificate, Cert: cert})
+		out.broadcast(&Message{Kind: KindCertificate, Cert: ownCert})
 	case e.ownPendingAt(target):
 		// Same, but the surviving certificate is still waiting on parent
 		// sync; adopting the round keeps us from proposing a conflicting
@@ -307,22 +299,9 @@ func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 		// wait for its leader certificate, which may only have existed in a
 		// dead process's memory.
 		e.resumeAt(q)
-		e.leaderTimedOut[q] = true
+		e.leaderTimedOut = q
 	}
 	e.tryAdvance(nowNanos, out)
-}
-
-// hasOwn adapts certAt's two-value return for use in a switch condition.
-func hasOwn(_ *Certificate, ok bool) bool { return ok }
-
-// certAt finds the retained certificate produced by source at round, if any.
-func (e *Engine) certAt(round types.Round, source types.ValidatorID) (*Certificate, bool) {
-	for _, c := range e.certsByRound[round] {
-		if c.Header.Source == source {
-			return c, true
-		}
-	}
-	return nil, false
 }
 
 // ownPendingAt reports whether a certificate of our own at the given round

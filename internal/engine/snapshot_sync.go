@@ -125,10 +125,7 @@ func (e *Engine) snapshotSyncEnabled() bool {
 // sync: peers have pruned history deeper than GCDepth below their frontier,
 // so a node missing more than that must install a snapshot.
 func (e *Engine) beyondGCHorizon() bool {
-	floor := e.dagStore.HighestRound()
-	if e.certFloor > floor {
-		floor = e.certFloor
-	}
+	floor := max(e.dagStore.HighestRound(), e.rounds.Floor())
 	return e.maxPendingRound > floor+types.Round(e.config.GCDepth)
 }
 

@@ -3,6 +3,7 @@ package execution
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/dag"
@@ -244,6 +245,9 @@ func TestExecutorAsyncModeMatchesSync(t *testing.T) {
 	for _, c := range commits {
 		sync.ApplyCommit(c)
 	}
+	if sync.q != nil || sync.QueueDepth() != 0 {
+		t.Fatal("an executor that was never started holds an async queue")
+	}
 	async := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000, QueueDepth: 4})
 	async.Start()
 	for _, c := range commits {
@@ -253,6 +257,27 @@ func TestExecutorAsyncModeMatchesSync(t *testing.T) {
 	if async.AppliedSeq() != sync.AppliedSeq() || async.StateRoot() != sync.StateRoot() {
 		t.Fatalf("async (%d, %s) != sync (%d, %s)",
 			async.AppliedSeq(), async.StateRoot(), sync.AppliedSeq(), sync.StateRoot())
+	}
+}
+
+// TestExecutorSubmitBeforeStartIsDroppedAtClose pins what Submit does for a
+// caller that breaks the contract (Start first): it waits, and Close releases
+// it with the commit dropped, exactly as for a submit that races Close.
+func TestExecutorSubmitBeforeStartIsDroppedAtClose(t *testing.T) {
+	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		x.Submit(makeCommit(1, 2, [][]byte{PutOp([]byte("k"), []byte("v"))}))
+	}()
+	x.Close()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit on a never-started executor did not return after Close")
+	}
+	if x.AppliedSeq() != 0 {
+		t.Fatalf("applied seq %d: a never-started executor applied a submitted commit", x.AppliedSeq())
 	}
 }
 

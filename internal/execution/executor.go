@@ -145,7 +145,8 @@ type Executor struct {
 	certified    *checkpoint.Certificate // guarded by mu
 	certifiedKV  *FrozenKV               // guarded by mu
 
-	// Async mode.
+	// Async mode. q is made by Start: synchronous users (the simulator's
+	// executors, replay tools, benchmarks) never pay for its QueueDepth slots.
 	q       chan bullshark.CommittedSubDAG
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -180,7 +181,6 @@ func NewExecutor(sm StateMachine, cfg Config) *Executor {
 		cfg:     cfg,
 		ordered: make(map[types.Round][]OrderedRef),
 		served:  make(map[uint64][]byte),
-		q:       make(chan bullshark.CommittedSubDAG, cfg.QueueDepth),
 		done:    make(chan struct{}),
 	}
 	if cfg.Metrics != nil {
@@ -649,8 +649,9 @@ func (x *Executor) ProvenRead(key []byte) (ProvenKV, bool) {
 
 // ---- asynchronous mode ----
 
-// Start spawns the executor's apply goroutine. Must be called once before
-// Submit.
+// Start makes the commit queue and spawns the executor's apply goroutine.
+// Must be called once, before the first Submit and before any goroutine that
+// submits is started.
 func (x *Executor) Start() {
 	x.mu.Lock()
 	if x.started {
@@ -658,6 +659,7 @@ func (x *Executor) Start() {
 		return
 	}
 	x.started = true
+	x.q = make(chan bullshark.CommittedSubDAG, x.cfg.QueueDepth)
 	x.mu.Unlock()
 	x.wg.Add(1)
 	go x.loop()
@@ -665,7 +667,9 @@ func (x *Executor) Start() {
 
 // Submit enqueues a commit for the apply goroutine. Blocks when the queue is
 // full (backpressure on the commit stream); drops the commit when the
-// executor is closed (the WAL re-derives it on restart).
+// executor is closed (the WAL re-derives it on restart). Start comes first,
+// as it always had to: an executor that was never started has no queue, so
+// Submit blocks until Close and then drops the commit.
 //
 //hammerlint:nonblocking
 func (x *Executor) Submit(sub bullshark.CommittedSubDAG) {
@@ -678,7 +682,7 @@ func (x *Executor) Submit(sub bullshark.CommittedSubDAG) {
 	}
 }
 
-// QueueDepth returns the current async queue occupancy.
+// QueueDepth returns the current async queue occupancy (0 before Start).
 func (x *Executor) QueueDepth() int { return len(x.q) }
 
 func (x *Executor) loop() {

@@ -79,21 +79,6 @@ func Run(s Scenario) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	committee, err := types.NewEqualStakeCommittee(s.N)
-	if err != nil {
-		return Result{}, fmt.Errorf("experiment: %w", err)
-	}
-
-	factory := func(c *types.Committee, d *dag.DAG) (leader.Scheduler, error) {
-		if s.Mechanism == Bullshark {
-			return leader.NewRoundRobin(c, uint64(s.Seed)), nil
-		}
-		cfg := s.CoreConfig()
-		if s.SwapFraction > 0 {
-			cfg.MaxSwapStake = types.Stake(s.SwapFraction * float64(c.TotalStake()))
-		}
-		return core.NewManager(c, d, cfg)
-	}
 
 	// Execution stage model: a FIFO server at the observer with service time
 	// ExecCostPerTx per transaction; latency is submit -> execution done.
@@ -160,52 +145,9 @@ func Run(s Scenario) (Result, error) {
 		}
 	}
 
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
-		Committee:          committee,
-		Engine:             s.EngineConfig(),
-		Latency:            simnet.NewGeo(s.N),
-		NewScheduler:       factory,
-		MempoolShards:      s.MempoolShards,
-		OnCommit:           hook,
-		Execution:          s.Execution,
-		CheckpointInterval: s.CheckpointCommits,
-		Seed:               s.Seed,
-	})
+	cluster, err := newCluster(s, hook)
 	if err != nil {
 		return Result{}, err
-	}
-
-	// Fault injection: the highest-ID validators crash at CrashAt and, for
-	// the reintegration experiment, recover at RecoverAt.
-	for i := 0; i < s.Faults; i++ {
-		id := types.ValidatorID(s.N - 1 - i)
-		cluster.CrashAt(id, s.CrashAt)
-		if s.RecoverAt > 0 {
-			cluster.Recover(id, s.RecoverAt)
-		}
-	}
-	// Byzantine injection: WithholdCount validators (below the crashed set)
-	// suppress their own headers toward the lower half of the committee — too
-	// few reachable voters for a quorum, so their vertices never certify.
-	withheldPeers := make([]types.ValidatorID, (s.N+1)/2)
-	for i := range withheldPeers {
-		withheldPeers[i] = types.ValidatorID(i)
-	}
-	for i := 0; i < s.WithholdCount; i++ {
-		id := types.ValidatorID(s.N - 1 - s.Faults - i)
-		cluster.Withhold(id, withheldPeers, s.WithholdAt)
-	}
-	// Incident injection: SlowCount validators (next-highest live IDs)
-	// degraded.
-	for i := 0; i < s.SlowCount; i++ {
-		id := types.ValidatorID(s.N - 1 - s.Faults - s.WithholdCount - i)
-		cluster.SlowDown(id, s.SlowFactor, s.SlowFrom, s.SlowUntil)
-	}
-	// Correlated crash-restart injection: kill the whole committee mid-run
-	// and restart every validator from its recorded WAL.
-	if s.KillAllAt > 0 {
-		cluster.RecordWALs()
-		cluster.KillRestartAll(s.KillAllAt, s.RestartDowntime)
 	}
 
 	submitted := startLoad(cluster, s)
@@ -246,6 +188,74 @@ func Run(s Scenario) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// newCluster assembles the scenario's simulated deployment — committee,
+// schedulers, network — and schedules its faults. The caller starts the load
+// and the cluster.
+func newCluster(s Scenario, onCommit simnet.CommitHook) (*simnet.Cluster, error) {
+	committee, err := types.NewEqualStakeCommittee(s.N)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
+	factory := func(c *types.Committee, d *dag.DAG) (leader.Scheduler, error) {
+		if s.Mechanism == Bullshark {
+			return leader.NewRoundRobin(c, uint64(s.Seed)), nil
+		}
+		cfg := s.CoreConfig()
+		if s.SwapFraction > 0 {
+			cfg.MaxSwapStake = types.Stake(s.SwapFraction * float64(c.TotalStake()))
+		}
+		return core.NewManager(c, d, cfg)
+	}
+	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
+		Committee:          committee,
+		Engine:             s.EngineConfig(),
+		Latency:            simnet.NewGeo(s.N),
+		NewScheduler:       factory,
+		MempoolShards:      s.MempoolShards,
+		OnCommit:           onCommit,
+		Execution:          s.Execution,
+		CheckpointInterval: s.CheckpointCommits,
+		Seed:               s.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Fault injection: the highest-ID validators crash at CrashAt and, for
+	// the reintegration experiment, recover at RecoverAt.
+	for i := 0; i < s.Faults; i++ {
+		id := types.ValidatorID(s.N - 1 - i)
+		cluster.CrashAt(id, s.CrashAt)
+		if s.RecoverAt > 0 {
+			cluster.Recover(id, s.RecoverAt)
+		}
+	}
+	// Byzantine injection: WithholdCount validators (below the crashed set)
+	// suppress their own headers toward the lower half of the committee — too
+	// few reachable voters for a quorum, so their vertices never certify.
+	withheldPeers := make([]types.ValidatorID, (s.N+1)/2)
+	for i := range withheldPeers {
+		withheldPeers[i] = types.ValidatorID(i)
+	}
+	for i := 0; i < s.WithholdCount; i++ {
+		id := types.ValidatorID(s.N - 1 - s.Faults - i)
+		cluster.Withhold(id, withheldPeers, s.WithholdAt)
+	}
+	// Incident injection: SlowCount validators (next-highest live IDs)
+	// degraded.
+	for i := 0; i < s.SlowCount; i++ {
+		id := types.ValidatorID(s.N - 1 - s.Faults - s.WithholdCount - i)
+		cluster.SlowDown(id, s.SlowFactor, s.SlowFrom, s.SlowUntil)
+	}
+	// Correlated crash-restart injection: kill the whole committee mid-run
+	// and restart every validator from its recorded WAL.
+	if s.KillAllAt > 0 {
+		cluster.RecordWALs()
+		cluster.KillRestartAll(s.KillAllAt, s.RestartDowntime)
+	}
+	return cluster, nil
 }
 
 // collectExecutionResults sums snapshot installs and checks state-root

@@ -939,6 +939,10 @@ func (n *Node) Start() error {
 	}
 	n.started = true
 
+	if n.exec != nil {
+		// First: Start makes the queue the commit loop submits to.
+		n.exec.Start()
+	}
 	n.wg.Add(1)
 	go n.loop()
 	if n.prever != nil {
@@ -949,9 +953,6 @@ func (n *Node) Start() error {
 	}
 	n.commitWg.Add(1)
 	go n.commitLoop()
-	if n.exec != nil {
-		n.exec.Start()
-	}
 	if n.gw != nil {
 		// The gateway accepts submissions from the start: traffic arriving
 		// during recovery simply queues in the mempool lanes until the node

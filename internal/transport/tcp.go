@@ -17,7 +17,12 @@ const (
 	_magic        = uint32(0x48484541) // "HHEA": HammerHead engine announce
 	_maxFrameSize = 64 << 20
 	_dialTimeout  = 3 * time.Second
-	_redialDelay  = 500 * time.Millisecond
+	// A failed dial is retried after _redialMin, doubling per failure up to
+	// _redialMax and starting over once a dial succeeds: a peer that binds a
+	// moment after us (every cold start) is reached within milliseconds of
+	// its bind, while one that is down costs two dials a second, as before.
+	_redialMin = 10 * time.Millisecond
+	_redialMax = 500 * time.Millisecond
 )
 
 // SendQueueLen is each peer's outbound queue bound. A saturated peer (slow,
@@ -177,6 +182,7 @@ func (t *TCPTransport) sendLoop(p *tcpPeer) {
 			_ = conn.Close()
 		}
 	}()
+	redial := _redialMin
 	for {
 		// Wait for the next frame first so idle peers hold no connection
 		// retry churn after Close.
@@ -191,19 +197,16 @@ func (t *TCPTransport) sendLoop(p *tcpPeer) {
 				c, err := t.dialAndHandshake(p.addr)
 				if err != nil {
 					select {
-					case <-time.After(_redialDelay):
-						// Drop this frame after a failed dial window; newer
-						// traffic supersedes it and resync fills gaps.
-						frame = nil
+					case <-time.After(redial):
 					case <-t.done:
 						return
 					}
-					if frame == nil {
-						break
-					}
-					continue
+					redial = min(2*redial, _redialMax)
+					// Drop this frame after a failed dial window; newer
+					// traffic supersedes it and resync fills gaps.
+					break
 				}
-				conn = c
+				conn, redial = c, _redialMin
 			}
 			if _, err := conn.Write(frame); err != nil {
 				_ = conn.Close()

@@ -344,6 +344,67 @@ func TestTCPPeerComesUpLate(t *testing.T) {
 	wg.Wait()
 }
 
+// TestTCPRedialsQuicklyAfterPeerAppears pins the redial backoff. Every cold
+// start has validators dialling peers that have not bound yet; with a fixed
+// half-second redial delay a frame sent just after the peer appeared waited
+// out the rest of the window its predecessor had opened (~350 ms here).
+func TestTCPRedialsQuicklyAfterPeerAppears(t *testing.T) {
+	probe, err := transport.NewTCP(transport.TCPConfig{
+		Self: 1, ListenAddr: "127.0.0.1:0",
+		PeerAddrs: map[types.ValidatorID]string{},
+		Handler:   newCollector().handler,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateAddr := probe.Addr()
+	_ = probe.Close()
+
+	sender, err := transport.NewTCP(transport.TCPConfig{
+		Self: 0, ListenAddr: "127.0.0.1:0",
+		PeerAddrs: map[types.ValidatorID]string{1: lateAddr},
+		Handler:   newCollector().handler,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+
+	start := time.Now()
+	if err := sender.Send(1, voteMsg(0, 0)); err != nil { // nobody listens: dropped
+		t.Fatal(err)
+	}
+	time.Sleep(time.Until(start.Add(100 * time.Millisecond)))
+	arrived := make(chan time.Time, 1)
+	peer, err := transport.NewTCP(transport.TCPConfig{
+		Self: 1, ListenAddr: lateAddr,
+		PeerAddrs: map[types.ValidatorID]string{},
+		Handler: func(_ types.ValidatorID, msg *engine.Message) {
+			if msg.Vote.Round == 1 {
+				arrived <- time.Now()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("late peer failed to bind %s: %v", lateAddr, err)
+	}
+	defer peer.Close()
+
+	time.Sleep(time.Until(start.Add(150 * time.Millisecond)))
+	sent := time.Now()
+	if err := sender.Send(1, voteMsg(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case at := <-arrived:
+		if took := at.Sub(sent); took > 100*time.Millisecond {
+			t.Fatalf("frame sent 50 ms after the peer bound took %v to arrive, want under 100 ms", took)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("frame never arrived")
+	}
+}
+
 func TestTCPAllKindsSurviveGob(t *testing.T) {
 	trs, cols := newTCPMesh(t, 2)
 	h := engine.Header{Round: 1, Source: 0, Edges: []types.Digest{types.HashBytes([]byte("x"))}}
@@ -545,13 +606,15 @@ func TestTCPSaturatedPeerDropsNewest(t *testing.T) {
 	// finds the queue full, and that one did not). So frames from the
 	// overflow half can survive, but only one per dial window the burst
 	// overlapped: a handful, where a broken bound would deliver thousands.
+	// The redial delay backs off — 10 ms doubling to a 500 ms cap — so the
+	// windows open at 0, 10, 30, 70, 150, 310 and 630 ms, then every 500 ms.
 	time.Sleep(2 * time.Second)
 	late.mu.Lock()
 	defer late.mu.Unlock()
 	if len(late.msgs) > transport.SendQueueLen {
 		t.Fatalf("delivered %d > queue bound %d: overflow was not dropped", len(late.msgs), transport.SendQueueLen)
 	}
-	const dialWindows = 16 // the burst may take 5 s; a window is 0.5 s
+	const dialWindows = 16 // the burst may take 5 s: 7 windows by 630 ms, 8 more by 4630 ms, one spare
 	overflow := 0
 	for _, r := range late.msgs {
 		if r.msg.Vote.Round >= types.Round(transport.SendQueueLen) {

@@ -165,6 +165,9 @@ func (a *StakeAccumulator) Add(id ValidatorID) Stake {
 	return a.total
 }
 
+// Has reports whether the validator was recorded.
+func (a *StakeAccumulator) Has(id ValidatorID) bool { return a.seen.Has(id) }
+
 // Reset empties the accumulator for reuse.
 func (a *StakeAccumulator) Reset() {
 	a.seen.Clear()
