@@ -30,7 +30,7 @@ type codecBenchRow struct {
 }
 
 // codecBench is the BENCH_codec.json artifact layout — the next entry in the
-// perf-trajectory series after BENCH_scheduler.json and BENCH_merkle.json.
+// perf-trajectory series after BENCH_scheduler.json.
 type codecBench struct {
 	Experiment string          `json:"experiment"`
 	Rows       []codecBenchRow `json:"rows"`

@@ -16,7 +16,6 @@
 //	hammerhead-bench -experiment snapshot-catchup     # state-sync recovery beyond the GC horizon
 //	hammerhead-bench -experiment crash-restart        # full-committee SIGKILL + WAL restart + rejoin
 //	hammerhead-bench -experiment scheduler            # byzantine leaders: round-robin vs reputation, emits BENCH_scheduler.json
-//	hammerhead-bench -experiment merkle               # incremental root vs full rehash + proof costs, emits BENCH_merkle.json
 //	hammerhead-bench -experiment codec                # gob vs deterministic wire codec, emits BENCH_codec.json
 //	hammerhead-bench -experiment client-load          # REAL cluster + RPC gateway + open-loop HTTP load (wall clock)
 //	hammerhead-bench -experiment core                 # pinned perf trajectory: verify/pipeline/apply/gateway, emits and gates on BENCH_core.json
@@ -109,13 +108,12 @@ func run(cfg benchConfig) error {
 		"snapshot-catchup": runSnapshotCatchUp,
 		"crash-restart":    runCrashRestart,
 		"scheduler":        runScheduler,
-		"merkle":           runMerkle,
 		"codec":            runCodec,
 		"client-load":      runClientLoad,
 		"core":             runCore,
 	}
 	if cfg.experiment == "all" {
-		for _, name := range []string{"fig1", "fig2", "incident", "utilization", "recovery", "ablation-epoch", "ablation-scoring", "executor-replay", "snapshot-catchup", "crash-restart", "scheduler", "merkle", "codec"} {
+		for _, name := range []string{"fig1", "fig2", "incident", "utilization", "recovery", "ablation-epoch", "ablation-scoring", "executor-replay", "snapshot-catchup", "crash-restart", "scheduler", "codec"} {
 			if err := experiments[name](cfg); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

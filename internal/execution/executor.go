@@ -120,8 +120,10 @@ type Executor struct {
 	schedStateBytes []byte                // guarded by mu
 
 	// roots is a ring of recent (seq, root) pairs for cross-validator
-	// convergence checks at a common sequence number.
-	roots [rootRingSize]rootAt // guarded by mu
+	// convergence checks at a common sequence number, indexed by
+	// seq % rootRingSize. It grows to that size with the commits applied: the
+	// simulator runs fifty executors that see a few hundred commits each.
+	roots []rootAt // guarded by mu
 
 	// latest/prev cache the two newest checkpoints in memory so chunked
 	// serving never touches the store per chunk request (the file store
@@ -136,7 +138,9 @@ type Executor struct {
 
 	// frozenLatest/frozenPrev are immutable KV views captured at the two
 	// cached checkpoints (nil when the state machine is not a KVState).
-	// Capturing is O(1) — the Merkle tree path-copies on write. Once a
+	// Capturing shares the trie's nodes (the checkpoint's StateDigest has
+	// just flushed their hashes); the live trie copies a node the first time
+	// it writes one a frozen view can reach. Once a
 	// checkpoint's quorum certificate arrives (AttachCertificate), the
 	// matching frozen view becomes the certified read state ProvenRead
 	// serves proofs from.
@@ -224,7 +228,7 @@ func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
 	x.stateRoot = types.HashBytes(x.stateRoot[:], cd[:])
 	x.appliedSeq = sub.Index
 	x.appliedRound = sub.Anchor.Round
-	x.roots[sub.Index%rootRingSize] = rootAt{seq: sub.Index, root: x.stateRoot}
+	x.recordRootLocked()
 	x.pruneOrderedLocked()
 	if x.appliedMetric != nil {
 		x.appliedMetric.Set(int64(x.appliedRound))
@@ -235,6 +239,15 @@ func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
 		// next interval retries.
 		_, _ = x.checkpointLocked()
 	}
+}
+
+// recordRootLocked files the chained root under the applied sequence.
+func (x *Executor) recordRootLocked() {
+	i := int(x.appliedSeq % rootRingSize)
+	if short := i + 1 - len(x.roots); short > 0 {
+		x.roots = append(x.roots, make([]rootAt, short)...)
+	}
+	x.roots[i] = rootAt{seq: x.appliedSeq, root: x.stateRoot}
 }
 
 // commitDigest is the content address of one commit: sequence, anchor and the
@@ -321,8 +334,10 @@ func (x *Executor) StateRoot() types.Digest {
 	return x.stateRoot
 }
 
-// StateDigest computes the state machine's content digest (checkpoint cost;
-// not a hot-path call).
+// StateDigest computes the state machine's content digest. For the built-in
+// KVState that hashes every trie node written since the last checkpoint or
+// StateDigest call — checkpoint cost, under the executor's lock; not a
+// hot-path call.
 func (x *Executor) StateDigest() types.Digest {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -335,11 +350,11 @@ func (x *Executor) StateDigest() types.Digest {
 func (x *Executor) RootAt(seq uint64) (types.Digest, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	e := x.roots[seq%rootRingSize]
-	if e.seq != seq || seq == 0 {
+	i := int(seq % rootRingSize)
+	if seq == 0 || i >= len(x.roots) || x.roots[i].seq != seq {
 		return types.Digest{}, false
 	}
-	return e.root, true
+	return x.roots[i].root, true
 }
 
 // KVRead is one consistent read against the executor's KV ledger: the value
@@ -361,7 +376,8 @@ type KVRead struct {
 // and the (seq, root) pair always belong to the same applied prefix. ok is
 // false when the executor's state machine is not a KVState (a custom
 // StateMachine has no generic read surface). Safe for concurrent use; the
-// returned value slice is stable (KVState never mutates entries in place).
+// returned value slice is stable (an overwrite gives the entry a new slice;
+// KVState never writes to the bytes of one it handed out).
 func (x *Executor) ReadKV(key []byte) (KVRead, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -490,8 +506,8 @@ func (x *Executor) Install(snap Snapshot) error {
 		seen[ref.Digest] = struct{}{}
 		x.ordered[ref.Round] = append(x.ordered[ref.Round], ref)
 	}
-	x.roots = [rootRingSize]rootAt{}
-	x.roots[snap.CommitSeq%rootRingSize] = rootAt{seq: snap.CommitSeq, root: snap.StateRoot}
+	clear(x.roots)
+	x.recordRootLocked()
 	x.sinceCkpt = 0
 	// Carry the snapshot's scheduler state forward still-encoded: re-saves of
 	// this checkpoint keep serving it, and the first post-install commit

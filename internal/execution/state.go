@@ -96,10 +96,13 @@ type kvEntry struct {
 // experiments submit — are counted but have no KV effect, so any transaction
 // stream is accepted.
 //
-// The ledger is backed by an authenticated Merkle tree (internal/merkle):
-// every Apply updates the tree's root incrementally in O(log n), so Root()
-// is O(1) instead of the full O(n) rehash it used to be, and any key's
-// presence or absence can be proven against the root (see Prove / Freeze).
+// The ledger is backed by an authenticated Merkle tree (internal/merkle).
+// Apply writes the tree without hashing anything; Root() hashes the nodes
+// written since it (or Prove/Freeze) was last called, each once — the
+// executor asks per checkpoint, so a key overwritten a hundred times between
+// two checkpoints costs one leaf hash, not a hundred root paths — and any
+// key's presence or absence can be proven against the root (see Prove /
+// Freeze).
 type KVState struct {
 	tree *merkle.Tree
 	// version counts applied KV ops; opaque counts non-KV transactions. Both
@@ -129,10 +132,15 @@ func (s *KVState) Apply(tx *types.Transaction) {
 	switch p[0] {
 	case opPut:
 		s.version++
-		// Copy key and value: payloads are shared with the mempool/DAG and
-		// the tree holds its inputs by reference.
-		key := append([]byte(nil), p[3:3+keyLen]...)
-		value := append([]byte(nil), p[3+keyLen:]...)
+		// Copy key and value, in one allocation: payloads are shared with the
+		// mempool/DAG, and the tree holds its inputs by reference and hashes
+		// them only at the next Root. An empty value stays nil, as Restore
+		// reads one back.
+		buf := append([]byte(nil), p[3:]...)
+		key, value := buf[:keyLen:keyLen], []byte(nil)
+		if len(buf) > keyLen {
+			value = buf[keyLen:]
+		}
 		s.tree.Insert(key, value, s.version)
 	case opDelete:
 		s.version++
@@ -149,8 +157,9 @@ func (s *KVState) Get(key []byte) ([]byte, bool) {
 }
 
 // GetVersioned returns the value under key plus the global op version that
-// last wrote it. The returned slice is never mutated in place (Apply replaces
-// entries wholesale), so callers may hold it across further applies.
+// last wrote it. The returned slice's bytes are never written again (an
+// overwrite gives the entry a new slice), so callers may hold it across
+// further applies.
 func (s *KVState) GetVersioned(key []byte) (value []byte, version uint64, ok bool) {
 	return s.tree.Get(key)
 }
@@ -162,7 +171,8 @@ func (s *KVState) Len() int { return s.tree.Len() }
 func (s *KVState) Version() uint64 { return s.version }
 
 // Root implements StateMachine: the op counters combined with the Merkle
-// root. O(1) — the tree maintains its root incrementally per applied op.
+// root. O(nodes written since the last Root/Prove/Freeze), O(1) when none
+// were: the tree defers its hashing to here.
 //
 //hammerlint:deterministic
 func (s *KVState) Root() types.Digest {
@@ -180,10 +190,11 @@ func (s *KVState) Counters() (version, opaque uint64) { return s.version, s.opaq
 // current tree root.
 func (s *KVState) Prove(key []byte) merkle.Proof { return s.tree.Prove(key) }
 
-// Freeze returns an immutable point-in-time view of the ledger. O(1): the
-// tree's nodes are path-copied on write, never mutated. The executor
-// captures one per checkpoint so proof-carrying reads are served against the
-// quorum-certified root while the live state advances.
+// Freeze returns an immutable point-in-time view of the ledger: a Root()
+// worth of hashing, then a pointer copy — the view shares the tree's nodes,
+// and the live tree copies one the first time it writes it afterwards. The
+// executor captures one per checkpoint so proof-carrying reads are served
+// against the quorum-certified root while the live state advances.
 func (s *KVState) Freeze() *FrozenKV {
 	return &FrozenKV{tree: s.tree.Freeze(), version: s.version, opaque: s.opaque}
 }

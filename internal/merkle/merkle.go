@@ -1,21 +1,39 @@
 // Package merkle implements the authenticated key-value tree behind the
-// execution layer's state digest: an immutable, path-copying binary trie
-// (crit-bit radix tree) over the SHA-256 hashes of keys, where every node
-// carries a hash committing to its entire subtree.
+// execution layer's state digest: a binary trie (crit-bit radix tree) over
+// the SHA-256 hashes of keys, where every node carries a hash committing to
+// its entire subtree.
 //
 // Properties the rest of the system builds on:
 //
-//   - Incremental root maintenance: Insert/Delete copy only the O(log n)
-//     nodes on the touched path, so the root digest after each commit costs
-//     O(touched keys · log n) instead of the O(n) full rehash the flat
-//     KVState root used to pay (~4.7ms at 10k keys).
+//   - A write costs one descent and no hashing. Insert/Delete only mark the
+//     touched path dirty; Root, Prove and Freeze hash the dirty subtree once,
+//     bottom-up, so Root is O(dirty nodes) — O(1) on a tree nobody wrote
+//     since the last of them — and a node written a thousand times between
+//     two checkpoints is hashed once. The execution layer reads the root once
+//     per checkpoint, not once per write.
+//   - Ownership instead of path copies. Every node carries the stamp of the
+//     tree generation that created it. A node whose stamp equals the live
+//     tree's was created since the last Freeze, no frozen handle can reach
+//     it, and it is updated in place; any other node is shared with a frozen
+//     handle and is copied once, on first touch. Freeze bumps the live tree's
+//     stamp, which disowns every node at a stroke. A handle returned by
+//     Freeze has stamp 0 and owns nothing: writing to one forks it, copying
+//     every node it touches, every time.
+//   - Snapshots are a flush plus a pointer copy: Freeze hashes whatever is
+//     dirty (no longer O(1)), then shares the node structure. A frozen tree
+//     serves proofs against a past (e.g. quorum-certified) root while the
+//     live tree advances; it is clean, and Root/Prove/Get/Walk on a clean
+//     tree store nothing, so any number of goroutines may read one handle
+//     while another goroutine writes the tree it was frozen from.
 //   - Compact proofs: Prove(key) emits the sibling hashes along the key's
 //     lookup path. The same proof shape serves inclusion AND exclusion —
 //     descent by H(key)'s bits is deterministic, so the leaf it lands on
 //     either holds the key (inclusion) or proves no leaf can (exclusion).
-//   - O(1) snapshots: nodes are never mutated after construction, so
-//     Freeze() is a pointer copy. A frozen tree serves proofs against a
-//     past (e.g. quorum-certified) root while the live tree advances.
+//
+// Insert keeps key and value by reference and hashes them later, at the next
+// Root/Prove/Freeze. A caller that reuses either buffer after Insert returns
+// therefore corrupts the digest silently (the tree would commit to whatever
+// the buffer holds at flush time); copy first, as the execution layer does.
 //
 // The tree is keyed on sha256(key) rather than the raw key so depth is
 // balanced regardless of key distribution and proof size is bounded by the
@@ -34,30 +52,39 @@ import (
 
 // Domain-separation tags: the first hashed part of every node preimage, so
 // leaves, inner nodes and the empty tree can never collide structurally.
-var (
-	leafTag  = []byte{0x00}
-	innerTag = []byte{0x01}
-	emptyTag = []byte("hammerhead/merkle/empty/v1")
+const (
+	leafTag  = 0x00
+	innerTag = 0x01
+	emptyTag = "hammerhead/merkle/empty/v1"
 )
 
 // EmptyRoot is the root digest of a tree with no entries.
-var EmptyRoot = types.HashBytes(emptyTag)
+var EmptyRoot = types.HashBytes([]byte(emptyTag))
 
-// node is one immutable tree node — a leaf holding an entry, or an inner
-// node splitting its subtree's keys at bit index bit of their key hashes
-// (left: bit clear, right: bit set). Nodes are never mutated after
-// construction; updates path-copy, which is what makes Freeze O(1).
+// node is one tree node — a leaf (leaf != nil) or an inner node splitting its
+// subtree's keys at bit index bit of their key hashes (left: bit clear,
+// right: bit set). Inner nodes are what a write copies (a leaf is replaced,
+// never copied), so the entry lives behind a pointer and a node fits the
+// 64-byte size class.
+//
+// Crit-bit invariant: bit indices strictly increase from root to leaf, and
+// every key hash in a subtree agrees on all branch bits above it.
 type node struct {
-	hash types.Digest
-
-	// Inner node fields (leaf == false). Crit-bit invariant: bit indices
-	// strictly increase from root to leaf, and every key hash in the subtree
-	// agrees on all branch bits above this node.
-	bit         int
+	// hash commits to the subtree; stale while dirty.
+	hash        types.Digest
 	left, right *node
+	leaf        *entry
+	// owner is the stamp of the tree generation that created the node; only a
+	// tree whose stamp equals it may write the node (see Tree.stamp).
+	owner uint32
+	bit   uint16
+	// dirty marks a hash that does not cover the node's current content. A
+	// dirty node's ancestors are all dirty, and only its owner can reach it.
+	dirty bool
+}
 
-	// Leaf fields (leaf == true).
-	leaf    bool
+// entry is a leaf's content.
+type entry struct {
 	keyHash [32]byte
 	key     []byte
 	value   []byte
@@ -69,65 +96,111 @@ func bitAt(h *[32]byte, i int) byte {
 	return (h[i>>3] >> (7 - uint(i)&7)) & 1
 }
 
-// leafHash commits to the full entry: key hash, key, value and version.
+// appendPart appends one preimage part the way types.HashBytes frames it: an
+// 8-byte big-endian length, then the bytes.
+func appendPart(b, part []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(len(part)))
+	return append(b, part...)
+}
+
+// leafHash commits to the full entry: key hash, key, value and version. The
+// digest is types.HashBytes(leafTag, keyHash, key, value, version); the
+// preimage is assembled on the stack (entries past the buffer spill to the
+// heap) so that hashing allocates nothing.
 //
 //hammerlint:deterministic
 func leafHash(keyHash *[32]byte, key, value []byte, version uint64) types.Digest {
-	var ver [8]byte
-	binary.BigEndian.PutUint64(ver[:], version)
-	return types.HashBytes(leafTag, keyHash[:], key, value, ver[:])
+	var stack [256]byte
+	b := appendPart(stack[:0], []byte{leafTag})
+	b = appendPart(b, keyHash[:])
+	b = appendPart(b, key)
+	b = appendPart(b, value)
+	b = binary.BigEndian.AppendUint64(b, 8)
+	b = binary.BigEndian.AppendUint64(b, version)
+	return sha256.Sum256(b)
 }
 
 // innerHash commits to the split bit and both children — the bit index is
-// part of the preimage, so a proof path pins the exact descent structure.
+// part of the preimage, so a proof path pins the exact descent structure. The
+// digest is types.HashBytes(innerTag, bit, left, right), assembled on the
+// stack like leafHash's.
 //
 //hammerlint:deterministic
-func innerHash(bit int, left, right types.Digest) types.Digest {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], uint16(bit))
-	return types.HashBytes(innerTag, b[:], left[:], right[:])
+func innerHash(bit int, left, right *types.Digest) types.Digest {
+	var stack [4*8 + 1 + 2 + 2*types.DigestSize]byte
+	b := appendPart(stack[:0], []byte{innerTag})
+	b = binary.BigEndian.AppendUint64(b, 2)
+	b = binary.BigEndian.AppendUint16(b, uint16(bit))
+	b = appendPart(b, left[:])
+	b = appendPart(b, right[:])
+	return sha256.Sum256(b)
 }
 
-func newLeaf(keyHash [32]byte, key, value []byte, version uint64) *node {
-	return &node{
-		hash:    leafHash(&keyHash, key, value, version),
-		leaf:    true,
-		keyHash: keyHash,
-		key:     key,
-		value:   value,
-		version: version,
-	}
-}
-
-func newInner(bit int, left, right *node) *node {
-	return &node{hash: innerHash(bit, left.hash, right.hash), bit: bit, left: left, right: right}
-}
-
-// Tree is the mutable handle over the immutable node structure. Not safe for
+// Tree is the mutable handle over the node structure. Not safe for
 // concurrent use; Freeze() hands out an independent read-only handle.
 type Tree struct {
 	root *node
 	size int
+	// stamp is this handle's current generation: nodes it creates carry it,
+	// and it writes in place exactly the nodes that carry it. Freeze bumps
+	// it. 0 owns nothing — the stamp of every frozen handle, and of a live
+	// tree after 2^32 freezes, which from then on copies every node a write
+	// touches, as a frozen handle does (slower, still correct).
+	stamp uint32
 }
 
 // New returns an empty tree.
-func New() *Tree { return &Tree{} }
+func New() *Tree { return &Tree{stamp: 1} }
 
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
 
-// Root returns the current root digest (EmptyRoot for an empty tree). O(1):
-// node hashes are maintained incrementally on every update.
+// flush hashes the dirty part of the tree, bottom-up, each node once. A clean
+// tree is left untouched — no store — which is what lets frozen handles be
+// read concurrently.
+func (t *Tree) flush() {
+	if t.root != nil && t.root.dirty {
+		rehash(t.root)
+	}
+}
+
+func rehash(n *node) {
+	if e := n.leaf; e != nil {
+		n.hash = leafHash(&e.keyHash, e.key, e.value, e.version)
+	} else {
+		if n.left.dirty {
+			rehash(n.left)
+		}
+		if n.right.dirty {
+			rehash(n.right)
+		}
+		n.hash = innerHash(int(n.bit), &n.left.hash, &n.right.hash)
+	}
+	n.dirty = false
+}
+
+// Root returns the current root digest (EmptyRoot for an empty tree). It
+// hashes what was written since the last Root/Prove/Freeze: O(dirty nodes),
+// O(1) when there was nothing.
 func (t *Tree) Root() types.Digest {
 	if t.root == nil {
 		return EmptyRoot
 	}
+	t.flush()
 	return t.root.hash
 }
 
 // Freeze returns an immutable point-in-time handle sharing the current node
-// structure. O(1); further updates to t never affect the frozen tree.
-func (t *Tree) Freeze() *Tree { return &Tree{root: t.root, size: t.size} }
+// structure: a flush, then a pointer copy. Further updates to t never affect
+// the frozen tree — Freeze disowns every node t created so far, so t copies
+// each on its next touch instead of writing it.
+func (t *Tree) Freeze() *Tree {
+	t.flush()
+	if t.stamp != 0 {
+		t.stamp++
+	}
+	return &Tree{root: t.root, size: t.size}
+}
 
 // Get returns the value and version stored under key.
 func (t *Tree) Get(key []byte) (value []byte, version uint64, ok bool) {
@@ -135,74 +208,95 @@ func (t *Tree) Get(key []byte) (value []byte, version uint64, ok bool) {
 		return nil, 0, false
 	}
 	kh := sha256.Sum256(key)
-	n := t.root
-	for !n.leaf {
-		if bitAt(&kh, n.bit) == 0 {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if n.keyHash != kh {
+	e := t.find(&kh)
+	if e.keyHash != kh {
 		return nil, 0, false
 	}
-	return n.value, n.version, true
+	return e.value, e.version, true
 }
 
-// Insert puts (key, value, version), replacing any existing entry. The
-// caller must not mutate key or value afterwards (the tree stores them by
-// reference; the execution layer already copies payload-derived values).
+// find descends by kh's bits to the one leaf that could hold it. The tree
+// must not be empty.
+func (t *Tree) find(kh *[32]byte) *entry {
+	n := t.root
+	for n.leaf == nil {
+		n = *n.child(kh)
+	}
+	return n.leaf
+}
+
+// child returns the slot of the inner node's child on kh's side.
+func (n *node) child(kh *[32]byte) **node {
+	if bitAt(kh, int(n.bit)) == 0 {
+		return &n.left
+	}
+	return &n.right
+}
+
+// owns reports whether t created n since its last Freeze, which is when no
+// other handle can reach n and t may write it in place.
+func (t *Tree) owns(n *node) bool { return n.owner == t.stamp && t.stamp != 0 }
+
+// touch makes the inner node in *slot writable by t — copying it into t's
+// generation unless t owns it — marks it dirty and returns it.
+func (t *Tree) touch(slot **node) *node {
+	n := *slot
+	if !t.owns(n) {
+		c := *n
+		c.owner = t.stamp
+		n = &c
+		*slot = n
+	}
+	n.dirty = true
+	return n
+}
+
+func (t *Tree) newLeaf(e entry) *node {
+	return &node{leaf: &e, owner: t.stamp, dirty: true}
+}
+
+// Insert puts (key, value, version), replacing any existing entry. The tree
+// keeps key and value by reference and hashes them at the next
+// Root/Prove/Freeze: the caller must not mutate either afterwards (see the
+// package comment; the execution layer copies payload-derived bytes first).
 func (t *Tree) Insert(key, value []byte, version uint64) {
-	kh := sha256.Sum256(key)
+	e := entry{keyHash: sha256.Sum256(key), key: key, value: value, version: version}
+	kh := &e.keyHash
 	if t.root == nil {
-		t.root = newLeaf(kh, key, value, version)
+		t.root = t.newLeaf(e)
 		t.size = 1
 		return
 	}
-	// First pass: descend to the candidate leaf to find the diverging bit.
-	n := t.root
-	for !n.leaf {
-		if bitAt(&kh, n.bit) == 0 {
-			n = n.left
-		} else {
-			n = n.right
-		}
+	// First pass, read-only: the leaf kh's descent lands on tells whether
+	// this is an overwrite and, if not, at which bit the new key splits off.
+	diff := 256
+	if at := t.find(kh); at.keyHash != *kh {
+		diff = firstDiffBit(&at.keyHash, kh)
 	}
-	if n.keyHash == kh {
-		t.root = replaceLeaf(t.root, &kh, key, value, version)
+	// Second pass: take the path down to that point into this generation.
+	slot := &t.root
+	for n := *slot; n.leaf == nil && int(n.bit) < diff; n = *slot {
+		slot = t.touch(slot).child(kh)
+	}
+	if diff == 256 {
+		// Overwrite. The old key slice goes with the old value: the two may
+		// share one allocation.
+		if n := *slot; t.owns(n) {
+			*n.leaf = e
+			n.dirty = true
+		} else {
+			*slot = t.newLeaf(e)
+		}
 		return
 	}
-	diff := firstDiffBit(&n.keyHash, &kh)
-	t.root = splice(t.root, kh, key, value, version, diff)
+	// Graft an inner node splitting at diff above whatever the descent
+	// stopped on.
+	in := &node{left: *slot, right: t.newLeaf(e), bit: uint16(diff), owner: t.stamp, dirty: true}
+	if bitAt(kh, diff) == 0 {
+		in.left, in.right = in.right, in.left
+	}
+	*slot = in
 	t.size++
-}
-
-// replaceLeaf path-copies down to the existing leaf for kh and swaps in a
-// new leaf with the updated value/version.
-func replaceLeaf(n *node, kh *[32]byte, key, value []byte, version uint64) *node {
-	if n.leaf {
-		return newLeaf(*kh, key, value, version)
-	}
-	if bitAt(kh, n.bit) == 0 {
-		return newInner(n.bit, replaceLeaf(n.left, kh, key, value, version), n.right)
-	}
-	return newInner(n.bit, n.left, replaceLeaf(n.right, kh, key, value, version))
-}
-
-// splice path-copies down to the insertion point for a key diverging at bit
-// diff and grafts a new inner node there.
-func splice(n *node, kh [32]byte, key, value []byte, version uint64, diff int) *node {
-	if n.leaf || n.bit > diff {
-		nl := newLeaf(kh, key, value, version)
-		if bitAt(&kh, diff) == 0 {
-			return newInner(diff, nl, n)
-		}
-		return newInner(diff, n, nl)
-	}
-	if bitAt(&kh, n.bit) == 0 {
-		return newInner(n.bit, splice(n.left, kh, key, value, version, diff), n.right)
-	}
-	return newInner(n.bit, n.left, splice(n.right, kh, key, value, version, diff))
 }
 
 // firstDiffBit returns the index of the first differing bit of two distinct
@@ -216,48 +310,33 @@ func firstDiffBit(a, b *[32]byte) int {
 	panic("merkle: firstDiffBit on equal hashes")
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present. Deleting an absent
+// key touches nothing.
 func (t *Tree) Delete(key []byte) bool {
 	if t.root == nil {
 		return false
 	}
 	kh := sha256.Sum256(key)
-	nr, ok := deleteNode(t.root, &kh)
-	if !ok {
+	if t.find(&kh).keyHash != kh {
 		return false
 	}
-	t.root = nr
 	t.size--
+	// The leaf's sibling is hoisted into its parent's slot (crit-bit
+	// contraction); the path above that slot goes dirty.
+	slot := &t.root
+	for n := *slot; n.leaf == nil; n = *slot {
+		if (*n.child(&kh)).leaf != nil {
+			if bitAt(&kh, int(n.bit)) == 0 {
+				*slot = n.right
+			} else {
+				*slot = n.left
+			}
+			return true
+		}
+		slot = t.touch(slot).child(&kh)
+	}
+	t.root = nil // the only entry
 	return true
-}
-
-// deleteNode path-copies with the leaf for kh removed; a removed leaf's
-// sibling is hoisted into its parent's slot (crit-bit contraction).
-func deleteNode(n *node, kh *[32]byte) (*node, bool) {
-	if n.leaf {
-		if n.keyHash == *kh {
-			return nil, true
-		}
-		return n, false
-	}
-	if bitAt(kh, n.bit) == 0 {
-		nl, ok := deleteNode(n.left, kh)
-		if !ok {
-			return n, false
-		}
-		if nl == nil {
-			return n.right, true
-		}
-		return newInner(n.bit, nl, n.right), true
-	}
-	nr, ok := deleteNode(n.right, kh)
-	if !ok {
-		return n, false
-	}
-	if nr == nil {
-		return n.left, true
-	}
-	return newInner(n.bit, n.left, nr), true
 }
 
 // Walk visits every entry in key-hash order (deterministic; NOT key order).
@@ -270,8 +349,8 @@ func walk(n *node, fn func(key, value []byte, version uint64) bool) bool {
 	if n == nil {
 		return true
 	}
-	if n.leaf {
-		return fn(n.key, n.value, n.version)
+	if e := n.leaf; e != nil {
+		return fn(e.key, e.value, e.version)
 	}
 	return walk(n.left, fn) && walk(n.right, fn)
 }
@@ -301,25 +380,37 @@ type Proof struct {
 }
 
 // Prove returns the proof for key against the tree's current root. Always
-// succeeds: an absent key yields an exclusion proof.
+// succeeds: an absent key yields an exclusion proof. Like Root, it first
+// hashes whatever was written since the last flush.
 func (t *Tree) Prove(key []byte) Proof {
 	if t.root == nil {
 		return Proof{}
 	}
+	t.flush()
 	kh := sha256.Sum256(key)
+	// Descend once for the depth, so the steps are one allocation of the
+	// exact size (nil for a single-leaf tree).
 	var steps []ProofStep
+	depth := 0
+	for n := t.root; n.leaf == nil; n = *n.child(&kh) {
+		depth++
+	}
+	if depth > 0 {
+		steps = make([]ProofStep, 0, depth)
+	}
 	n := t.root
-	for !n.leaf {
-		if bitAt(&kh, n.bit) == 0 {
-			steps = append(steps, ProofStep{Bit: uint16(n.bit), Sibling: n.right.hash})
+	for n.leaf == nil {
+		if bitAt(&kh, int(n.bit)) == 0 {
+			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.right.hash})
 			n = n.left
 		} else {
-			steps = append(steps, ProofStep{Bit: uint16(n.bit), Sibling: n.left.hash})
+			steps = append(steps, ProofStep{Bit: n.bit, Sibling: n.left.hash})
 			n = n.right
 		}
 	}
+	e := n.leaf
 	return Proof{
-		Leaf:  &ProofLeaf{Key: n.key, Value: n.value, Version: n.version},
+		Leaf:  &ProofLeaf{Key: e.key, Value: e.value, Version: e.version},
 		Steps: steps,
 	}
 }
@@ -377,9 +468,9 @@ func (p *Proof) Verify(key []byte) (types.Digest, Entry, error) {
 	for i := len(p.Steps) - 1; i >= 0; i-- {
 		st := p.Steps[i]
 		if bitAt(&kh, int(st.Bit)) == 0 {
-			h = innerHash(int(st.Bit), h, st.Sibling)
+			h = innerHash(int(st.Bit), &h, &st.Sibling)
 		} else {
-			h = innerHash(int(st.Bit), st.Sibling, h)
+			h = innerHash(int(st.Bit), &st.Sibling, &h)
 		}
 	}
 	return h, entry, nil

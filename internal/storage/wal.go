@@ -52,6 +52,16 @@ var ErrClosed = errors.New("storage: WAL is closed")
 // _maxRecordSize bounds a single record (a certificate with a full batch).
 const _maxRecordSize = 64 << 20
 
+// Buffer sizes. An append session and a start-up replay keep theirs for the
+// life of the process or run once; a compaction runs at every checkpoint
+// floor advance and only streams records from one file to another (each is
+// flushed as it is appended), so it gets a copy-sized pair instead of two
+// more megabytes of garbage per pass.
+const (
+	_sessionBufSize = 1 << 20
+	_compactBufSize = 64 << 10
+)
+
 // WAL is an append-only certificate log. Append is not safe for concurrent
 // use; the node serializes through its event loop.
 type WAL struct {
@@ -84,7 +94,7 @@ func OpenWAL(path string) (*WAL, error) {
 			return nil, fmt.Errorf("storage: truncating torn WAL tail: %w", err)
 		}
 	}
-	return openWALAppend(path)
+	return openWALAppend(path, _sessionBufSize)
 }
 
 // OpenWALTrimmed opens the log for appending after truncating it to the
@@ -96,10 +106,10 @@ func OpenWALTrimmed(path string, validBytes int64) (*WAL, error) {
 			return nil, fmt.Errorf("storage: truncating torn WAL tail: %w", err)
 		}
 	}
-	return openWALAppend(path)
+	return openWALAppend(path, _sessionBufSize)
 }
 
-func openWALAppend(path string) (*WAL, error) {
+func openWALAppend(path string, bufSize int) (*WAL, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("storage: creating WAL directory: %w", err)
 	}
@@ -107,7 +117,7 @@ func openWALAppend(path string) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening WAL %s: %w", path, err)
 	}
-	return &WAL{path: path, file: f, writer: bufio.NewWriterSize(f, 1<<20)}, nil
+	return &WAL{path: path, file: f, writer: bufio.NewWriterSize(f, bufSize)}, nil
 }
 
 // walRecord is the gob envelope of one log record: exactly one field is set.
@@ -156,7 +166,7 @@ func validPrefix(path string) (valid, total int64, err error) {
 	}
 	total = info.Size()
 
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := bufio.NewReaderSize(f, _sessionBufSize)
 	for {
 		body, ok := readRecord(r)
 		if !ok {
@@ -345,6 +355,10 @@ func ReplayPrefix(path string, fn func(*engine.Certificate) error) (int64, error
 // length of the valid record prefix. The node's recovery path uses it to
 // rebuild the DAG and recover the voted-round high-water mark in one scan.
 func ReplayPrefixRecords(path string, certFn func(*engine.Certificate) error, propFn func(*engine.Header) error) (int64, error) {
+	return replayRecords(path, _sessionBufSize, certFn, propFn)
+}
+
+func replayRecords(path string, bufSize int, certFn func(*engine.Certificate) error, propFn func(*engine.Header) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -355,7 +369,7 @@ func ReplayPrefixRecords(path string, certFn func(*engine.Certificate) error, pr
 	defer f.Close()
 
 	var valid int64
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := bufio.NewReaderSize(f, bufSize)
 	for {
 		body, ok := readRecord(r)
 		if !ok {
@@ -451,7 +465,7 @@ func (w *WAL) CompactTo(floor types.Round) error {
 		return fmt.Errorf("storage: reopening WAL after compaction: %w", err)
 	}
 	w.file = f
-	w.writer = bufio.NewWriterSize(f, 1<<20)
+	w.writer.Reset(f) // flushed above: nothing buffered, no sticky error
 	return compactErr
 }
 
@@ -470,7 +484,7 @@ func Compact(path string, floor types.Round) error {
 	if err := os.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("storage: clearing stale compaction file: %w", err)
 	}
-	out, err := OpenWAL(tmp)
+	out, err := openWALAppend(tmp, _compactBufSize)
 	if err != nil {
 		return err
 	}
@@ -480,7 +494,7 @@ func Compact(path string, floor types.Round) error {
 	// record order does not matter for proposals).
 	var bestBelow *engine.Header
 	keptMark := false
-	_, replayErr := ReplayPrefixRecords(path, func(cert *engine.Certificate) error {
+	_, replayErr := replayRecords(path, _compactBufSize, func(cert *engine.Certificate) error {
 		if cert.Header.Round < floor {
 			return nil
 		}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"hammerhead/internal/engine"
@@ -482,6 +483,35 @@ func TestCompactToShrinksOpenWALAndKeepsAppending(t *testing.T) {
 	// Compacting a closed WAL is refused.
 	if err := w.CompactTo(8); err == nil {
 		t.Fatal("CompactTo on a closed WAL must fail")
+	}
+}
+
+// TestCompactToAllocatesCopyBuffersOnly bounds what a compaction of an open
+// log allocates: the session keeps its writer across the handle swap and the
+// rewrite streams through copy-sized buffers. A fresh megabyte each for the
+// session writer, the temp log's writer and the replay reader — 3 MiB per
+// checkpoint floor advance — is what it used to cost.
+func TestCompactToAllocatesCopyBuffersOnly(t *testing.T) {
+	w, err := OpenWAL(filepath.Join(t.TempDir(), "certs.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const passes = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := types.Round(1); r <= passes; r++ {
+		if err := w.Append(testCert(r, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.CompactTo(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perPass := (after.TotalAlloc - before.TotalAlloc) / passes; perPass > 4*_compactBufSize {
+		t.Fatalf("a compaction allocates %d KiB, want at most %d (two %d KiB copy buffers and the records)",
+			perPass>>10, 4*_compactBufSize>>10, _compactBufSize>>10)
 	}
 }
 
