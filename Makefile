@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race lint hammerlint staticcheck vulncheck bench-core bench-smoke sim-mem clean
+.PHONY: all build test race fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem clean
 
 all: build test
 
@@ -17,6 +17,10 @@ test:
 
 race:
 	go test -race ./...
+
+# fmt rewrites every file gofmt would change; CI fails when there is one.
+fmt:
+	gofmt -w .
 
 # lint runs every static check. hammerlint (the repo's own vettool; see
 # tools/hammerlint and the README's "Static analysis & invariants" section)
@@ -42,12 +46,6 @@ vulncheck:
 	else \
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
-
-# bench-core regenerates BENCH_core.json and fails on a perf regression
-# beyond the tolerance band (or >5% tracing overhead on the gateway path).
-# Commit the refreshed artifact when a deliberate change moves the numbers.
-bench-core:
-	go run ./cmd/hammerhead-bench -experiment core -duration 10s
 
 # bench-smoke checks the black-box benchmark (bench/, a module of its own, so
 # `go test ./...` at the root does not reach it): BENCHMARK.json matches the

@@ -1,7 +1,8 @@
 // Command hammerhead-bench regenerates every table and figure of the
-// paper's evaluation on the simulated 13-region deployment, plus the
-// ablations indexed in DESIGN.md §5. Each experiment prints a paper-style
-// series; EXPERIMENTS.md records the outputs against the published numbers.
+// paper's evaluation on the simulated 13-region deployment, plus ablations
+// (epoch length, scoring rule) and recovery scenarios. Each experiment prints
+// a paper-style series. The regression benchmark is bench/ (`bash
+// bench/run.sh`), not this command.
 //
 // Usage:
 //
@@ -12,19 +13,14 @@
 //	hammerhead-bench -experiment recovery             # crash + reintegration
 //	hammerhead-bench -experiment ablation-epoch       # epoch length sweep
 //	hammerhead-bench -experiment ablation-scoring     # votes vs Shoal rule
-//	hammerhead-bench -experiment executor-replay      # standalone executor on a recorded trace
 //	hammerhead-bench -experiment snapshot-catchup     # state-sync recovery beyond the GC horizon
 //	hammerhead-bench -experiment crash-restart        # full-committee SIGKILL + WAL restart + rejoin
-//	hammerhead-bench -experiment scheduler            # byzantine leaders: round-robin vs reputation, emits BENCH_scheduler.json
-//	hammerhead-bench -experiment codec                # gob vs deterministic wire codec, emits BENCH_codec.json
-//	hammerhead-bench -experiment client-load          # REAL cluster + RPC gateway + open-loop HTTP load (wall clock)
-//	hammerhead-bench -experiment core                 # pinned perf trajectory: verify/pipeline/apply/gateway, emits and gates on BENCH_core.json
+//	hammerhead-bench -experiment scheduler            # byzantine leaders: round-robin vs reputation (fails on an inverted payoff)
 //	hammerhead-bench -experiment all
 //	  -sizes 10,50,100  -loads 1000,2000,3000,4000  -duration 60s -warmup 30s -seed 1
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,14 +29,7 @@ import (
 	"time"
 
 	"hammerhead"
-	"hammerhead/internal/bullshark"
 	"hammerhead/internal/core"
-	"hammerhead/internal/dag"
-	"hammerhead/internal/engine"
-	"hammerhead/internal/execution"
-	"hammerhead/internal/leader"
-	"hammerhead/internal/simnet"
-	"hammerhead/internal/types"
 )
 
 type benchConfig struct {
@@ -50,7 +39,6 @@ type benchConfig struct {
 	duration   time.Duration
 	warmup     time.Duration
 	seed       int64
-	tolerance  float64
 }
 
 func main() {
@@ -67,17 +55,16 @@ func main() {
 
 func parseFlags(args []string) (benchConfig, error) {
 	fs := flag.NewFlagSet("hammerhead-bench", flag.ContinueOnError)
-	exp := fs.String("experiment", "all", "fig1|fig2|incident|utilization|recovery|ablation-epoch|ablation-scoring|all")
+	exp := fs.String("experiment", "all", "fig1|fig2|incident|utilization|recovery|ablation-epoch|ablation-scoring|snapshot-catchup|crash-restart|scheduler|all")
 	sizes := fs.String("sizes", "10,50,100", "comma-separated committee sizes")
 	loads := fs.String("loads", "1000,2000,3000,4000", "comma-separated offered loads (tx/s)")
 	duration := fs.Duration("duration", 60*time.Second, "simulated run length per data point")
 	warmup := fs.Duration("warmup", 30*time.Second, "warmup excluded from statistics")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	tolerance := fs.Float64("tolerance", 0.5, "core: allowed fractional drift per row vs the committed BENCH_core.json before the gate fails")
 	if err := fs.Parse(args); err != nil {
 		return benchConfig{}, err
 	}
-	cfg := benchConfig{experiment: *exp, duration: *duration, warmup: *warmup, seed: *seed, tolerance: *tolerance}
+	cfg := benchConfig{experiment: *exp, duration: *duration, warmup: *warmup, seed: *seed}
 	for _, s := range strings.Split(*sizes, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
@@ -104,16 +91,12 @@ func run(cfg benchConfig) error {
 		"recovery":         runRecovery,
 		"ablation-epoch":   runAblationEpoch,
 		"ablation-scoring": runAblationScoring,
-		"executor-replay":  runExecutorReplay,
 		"snapshot-catchup": runSnapshotCatchUp,
 		"crash-restart":    runCrashRestart,
 		"scheduler":        runScheduler,
-		"codec":            runCodec,
-		"client-load":      runClientLoad,
-		"core":             runCore,
 	}
 	if cfg.experiment == "all" {
-		for _, name := range []string{"fig1", "fig2", "incident", "utilization", "recovery", "ablation-epoch", "ablation-scoring", "executor-replay", "snapshot-catchup", "crash-restart", "scheduler", "codec"} {
+		for _, name := range []string{"fig1", "fig2", "incident", "utilization", "recovery", "ablation-epoch", "ablation-scoring", "snapshot-catchup", "crash-restart", "scheduler"} {
 			if err := experiments[name](cfg); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
@@ -277,126 +260,6 @@ func runAblationEpoch(cfg benchConfig) error {
 	return nil
 }
 
-// noBatches satisfies engine.BatchProvider for trace replay: the trace's
-// certificates already carry their batches.
-type noBatches struct{}
-
-func (noBatches) NextBatch(int64, int) *types.Batch { return nil }
-
-// runExecutorReplay drives the execution subsystem standalone: a short
-// simulated deployment records validator 0's certificate-insertion trace
-// (the same recorder behind the pipeline determinism test), then the trace
-// is replayed wall-clock through a fresh serial engine whose commit sink
-// feeds an executor — isolating commit-derivation + state-machine apply +
-// root chaining + checkpointing from networking entirely.
-func runExecutorReplay(cfg benchConfig) error {
-	fmt.Printf("\n==== Executor replay: standalone execution over a recorded commit trace ====\n")
-	committee, err := hammerhead.NewEqualStakeCommittee(4)
-	if err != nil {
-		return err
-	}
-	engCfg := engine.DefaultConfig()
-	engCfg.VerifySignatures = false
-	engCfg.LeaderTimeout = 500 * time.Millisecond
-	engCfg.ResyncInterval = 200 * time.Millisecond
-
-	var trace []*engine.Certificate
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
-		Committee: committee,
-		Engine:    engCfg,
-		Latency:   simnet.Uniform{Base: 30 * time.Millisecond, Jitter: 0.2},
-		NewScheduler: func(c *types.Committee, d *dag.DAG) (leader.Scheduler, error) {
-			return leader.NewRoundRobin(c, 1), nil
-		},
-		OnInsert: func(node types.ValidatorID, cert *engine.Certificate) {
-			if node == 0 {
-				trace = append(trace, (&engine.Message{Kind: engine.KindCertificate, Cert: cert}).Clone().Cert)
-			}
-		},
-		Seed: cfg.seed,
-	})
-	if err != nil {
-		return err
-	}
-	// Open-loop KV load so the replay has real transactions to execute.
-	load := 2000.0
-	if len(cfg.loads) > 0 {
-		load = cfg.loads[0]
-	}
-	interval := time.Duration(float64(time.Second) / load)
-	var seq uint64
-	var tick func()
-	tick = func() {
-		if cluster.Sim.Now() >= cfg.duration.Nanoseconds() {
-			return
-		}
-		seq++
-		key := []byte(fmt.Sprintf("acct-%05d", seq%10000))
-		val := []byte(fmt.Sprintf("balance-%d", seq))
-		_ = cluster.SubmitTx(types.ValidatorID(seq%4), types.Transaction{ID: seq, Payload: execution.PutOp(key, val)})
-		cluster.Sim.After(interval, tick)
-	}
-	cluster.Sim.After(interval, tick)
-	cluster.Start()
-	cluster.Sim.RunFor(cfg.duration)
-	if len(trace) == 0 {
-		return fmt.Errorf("recorded no certificates")
-	}
-
-	// Standalone replay, wall-clock timed.
-	exec := execution.NewExecutor(execution.NewKVState(), execution.Config{CheckpointInterval: 32})
-	var commits, txs uint64
-	d := dag.New(committee)
-	kp := crypto0(committee)
-	eng, err := engine.New(engine.Params{
-		Config:    engCfg,
-		Committee: committee,
-		Self:      0,
-		Keys:      kp,
-		Batches:   noBatches{},
-		Scheduler: leader.NewRoundRobin(committee, 1),
-		DAG:       d,
-		Commits: engine.CommitSinkFunc(func(sub bullshark.CommittedSubDAG) {
-			commits++
-			txs += uint64(sub.TxCount())
-			exec.ApplyCommit(sub)
-		}),
-	})
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	for _, cert := range trace {
-		eng.OnMessage(1, &engine.Message{Kind: engine.KindCertificate, Cert: cert}, 0)
-	}
-	elapsed := time.Since(start)
-	snap, err := exec.ForceCheckpoint()
-	if err != nil {
-		return err
-	}
-	blob, err := execution.EncodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trace: %d certs -> %d commits, %d txs (%.0fs virtual)\n",
-		len(trace), commits, txs, cfg.duration.Seconds())
-	fmt.Printf("replay: %v wall  %.0f certs/s  %.0f commits/s  %.0f tx/s\n",
-		elapsed, float64(len(trace))/elapsed.Seconds(), float64(commits)/elapsed.Seconds(),
-		float64(txs)/elapsed.Seconds())
-	fmt.Printf("executor: applied_seq=%d applied_round=%d state_root=%s checkpoints=%d snapshot_bytes=%d\n",
-		exec.AppliedSeq(), exec.AppliedRound(), exec.StateRoot(), exec.Checkpoints(), len(blob))
-	return nil
-}
-
-// crypto0 derives validator 0's (insecure-scheme) keys for replay engines.
-func crypto0(*types.Committee) hammerhead.KeyPair {
-	pairs, _, err := hammerhead.GenerateKeys("insecure", [32]byte{}, 1)
-	if err != nil {
-		panic(err)
-	}
-	return pairs[0]
-}
-
 // runSnapshotCatchUp measures state-sync recovery: a validator crashes
 // early, the committee checkpoints on, and the absentee rejoins far beyond
 // the GC horizon — possible only through a snapshot install.
@@ -461,46 +324,18 @@ func runCrashRestart(cfg benchConfig) error {
 	return nil
 }
 
-// schedulerBenchRow is one mechanism's measurements in BENCH_scheduler.json.
-type schedulerBenchRow struct {
-	Mechanism          string   `json:"mechanism"`
-	N                  int      `json:"n"`
-	Crashed            int      `json:"crashed"`
-	Withholding        int      `json:"withholding"`
-	Slow               int      `json:"slow"`
-	LoadTxPerSec       float64  `json:"load_tx_per_sec"`
-	ThroughputTxPerSec float64  `json:"throughput_tx_per_sec"`
-	CommitLatencyMeanS float64  `json:"commit_latency_mean_s"`
-	CommitLatencyP50S  float64  `json:"commit_latency_p50_s"`
-	CommitLatencyP95S  float64  `json:"commit_latency_p95_s"`
-	SkippedAnchors     uint64   `json:"skipped_anchors"`
-	LeaderTimeouts     uint64   `json:"leader_timeouts"`
-	ScheduleSwitches   int      `json:"schedule_switches"`
-	Excluded           []uint32 `json:"excluded,omitempty"`
-}
-
-// schedulerBench is the BENCH_scheduler.json artifact layout.
-type schedulerBench struct {
-	Experiment           string              `json:"experiment"`
-	DurationS            float64             `json:"duration_s"`
-	Seed                 int64               `json:"seed"`
-	Rows                 []schedulerBenchRow `json:"rows"`
-	LatencyImprovementPc float64             `json:"hammerhead_mean_latency_improvement_pct"`
-}
-
 // runScheduler is the reputation scheduler's payoff measurement: the
 // byzantine-leader scenario (one crashed, one selectively-withholding, one
 // lagging leader in a committee of 10) under both mechanisms. Round-robin
 // keeps re-electing the faulty trio and eats a leader timeout on most of
-// their anchor rounds; HammerHead scores them out after a few epochs. The
-// comparison lands in BENCH_scheduler.json for CI to archive.
+// their anchor rounds; HammerHead scores them out after a few epochs. Fails
+// unless HammerHead's mean commit latency beats the baseline.
 func runScheduler(cfg benchConfig) error {
 	fmt.Printf("\n==== Scheduler payoff: byzantine leaders, round-robin vs reputation ====\n")
 	load := 200.0
 	if len(cfg.loads) > 0 {
 		load = cfg.loads[0]
 	}
-	out := schedulerBench{Experiment: "byzantine-leader", Seed: cfg.seed}
 	printHeader("commit latency under 1 crashed + 1 withholding + 1 lagging leader (n=10)")
 	var meanByMech [2]float64
 	for i, m := range []hammerhead.Mechanism{hammerhead.Bullshark, hammerhead.HammerHead} {
@@ -508,7 +343,6 @@ func runScheduler(cfg benchConfig) error {
 		s.Duration = 3 * cfg.duration
 		s.Warmup = s.Duration / 3 // scoring needs epochs to react; compare steady state
 		s.Seed = cfg.seed
-		out.DurationS = s.Duration.Seconds()
 		res, err := hammerhead.RunExperiment(s)
 		if err != nil {
 			return err
@@ -516,76 +350,13 @@ func runScheduler(cfg benchConfig) error {
 		printRow(res)
 		fmt.Printf("%-12s schedule switches=%d excluded=%v\n", m, res.ScheduleSwitches, res.Excluded)
 		meanByMech[i] = res.Latency.Mean.Seconds()
-		row := schedulerBenchRow{
-			Mechanism:          m.String(),
-			N:                  s.N,
-			Crashed:            s.Faults,
-			Withholding:        s.WithholdCount,
-			Slow:               s.SlowCount,
-			LoadTxPerSec:       s.LoadTxPerSec,
-			ThroughputTxPerSec: res.ThroughputTxPerSec,
-			CommitLatencyMeanS: res.Latency.Mean.Seconds(),
-			CommitLatencyP50S:  res.Latency.P50.Seconds(),
-			CommitLatencyP95S:  res.Latency.P95.Seconds(),
-			SkippedAnchors:     res.SkippedAnchors,
-			LeaderTimeouts:     res.LeaderTimeouts,
-			ScheduleSwitches:   res.ScheduleSwitches,
-		}
-		for _, id := range res.Excluded {
-			row.Excluded = append(row.Excluded, uint32(id))
-		}
-		out.Rows = append(out.Rows, row)
 	}
-	if meanByMech[0] > 0 {
-		out.LatencyImprovementPc = 100 * (meanByMech[0] - meanByMech[1]) / meanByMech[0]
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_scheduler.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("hammerhead mean commit latency improvement: %.0f%% -> BENCH_scheduler.json\n",
-		out.LatencyImprovementPc)
 	if meanByMech[1] >= meanByMech[0] {
 		return fmt.Errorf("scheduler payoff inverted: hammerhead mean %.2fs >= bullshark %.2fs",
 			meanByMech[1], meanByMech[0])
 	}
-	return nil
-}
-
-// runClientLoad measures the serving layer end to end: a REAL in-process
-// 4-node cluster (wall clock, goroutines, HTTP gateways) under open-loop
-// client load — submit-ack latency, submit-to-commit latency via the SSE
-// stream, cross-validator KV read-back and chained-root agreement. This is
-// the one experiment that cannot run in the discrete-event simulator: it
-// exercises the actual HTTP surface clients use.
-func runClientLoad(cfg benchConfig) error {
-	fmt.Printf("\n==== Client load: RPC gateway, fair admission, submit->commit->read (wall clock) ====\n")
-	load := 500.0
-	if len(cfg.loads) > 0 {
-		load = cfg.loads[0]
-	}
-	duration := cfg.duration
-	if duration > 30*time.Second {
-		// Wall-clock run; the simulated experiments' 60s default would just
-		// burn real time without changing the numbers.
-		duration = 30 * time.Second
-	}
-	s := hammerhead.NewClientLoadScenario(4, load, duration)
-	res, err := hammerhead.RunClientLoad(s)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("n=%d rate=%.0f tx/s duration=%v clients=%d lanes-per-node=%d\n",
-		s.N, s.RateTxPerSec, duration, s.Clients, s.Clients)
-	fmt.Printf("submitted=%d accepted=%d rejected=%d committed=%d tput=%.0f tx/s\n",
-		res.Submitted, res.Accepted, res.Rejected, res.Committed, res.ThroughputTxPerSec)
-	fmt.Printf("submit-ack p50=%v p95=%v   submit->commit p50=%v p95=%v\n",
-		res.SubmitLatency.P50, res.SubmitLatency.P95, res.CommitLatency.P50, res.CommitLatency.P95)
-	fmt.Printf("kv-readback=%d/%d state_roots_agree=%v sse_resume=%v drained=%v\n",
-		res.KVChecked-res.KVMismatches, res.KVChecked, res.StateRootsAgree, res.ResumeOK, res.Drained)
+	fmt.Printf("hammerhead mean commit latency improvement: %.0f%%\n",
+		100*(meanByMech[0]-meanByMech[1])/meanByMech[0])
 	return nil
 }
 

@@ -3,18 +3,17 @@
 // for DAG BFT (Tsimos, Kichidis, Sonnino, Kokoris-Kogias; ICDCS 2024) — on
 // top of a complete Narwhal/Bullshark consensus stack.
 //
-// Three entry points cover the common uses:
+// Two entry points cover the common uses:
 //
 //   - StartLocalCluster boots an in-process committee over channel
 //     transports — the quickest way to see transactions reach finality.
 //   - RunExperiment executes a simulated deployment (13-region geo network,
 //     crash faults, open-loop load) and returns the latency/throughput
 //     measurements behind the paper's figures.
-//   - NewNode / transports build a real validator over TCP with WAL
-//     crash-recovery and metrics.
 //
-// The exported names alias the internal packages, so downstream users work
-// entirely through this package.
+// A real validator over TCP is cmd/hammerhead-node (internal/node); its
+// clients use pkg/client. The names below alias the internal packages, and
+// each is here because something outside this file uses it.
 package hammerhead
 
 import (
@@ -24,14 +23,8 @@ import (
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/experiment"
-	"hammerhead/internal/leader"
-	"hammerhead/internal/mempool"
 	"hammerhead/internal/metrics"
 	"hammerhead/internal/node"
-	"hammerhead/internal/rpc"
-	"hammerhead/internal/simnet"
-	"hammerhead/internal/storage"
-	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
 )
 
@@ -41,12 +34,8 @@ import (
 type (
 	// Transaction is a client transaction.
 	Transaction = types.Transaction
-	// Batch groups transactions inside one vertex.
-	Batch = types.Batch
 	// ValidatorID identifies a committee member.
 	ValidatorID = types.ValidatorID
-	// Round is a DAG round.
-	Round = types.Round
 	// Stake is voting power.
 	Stake = types.Stake
 	// Committee is the validator set with stake-weighted quorum arithmetic.
@@ -67,87 +56,31 @@ var NewEqualStakeCommittee = types.NewEqualStakeCommittee
 
 // ---- scheduling ----
 
-// Scheduler configuration, aliased from internal/core (the paper's
-// contribution) and internal/leader (the baseline).
-type (
-	// SchedulerConfig parameterizes HammerHead's reputation scheduler.
-	SchedulerConfig = core.Config
-	// ScoringRule selects the reputation scoring rule.
-	ScoringRule = core.ScoringRule
-	// EpochPolicy selects rounds- or commits-based schedule epochs.
-	EpochPolicy = core.EpochPolicy
-	// SwapDecision records one schedule recomputation.
-	SwapDecision = core.SwapDecision
-	// ReputationManager is the HammerHead scheduler (leader.Scheduler).
-	ReputationManager = core.Manager
-	// Schedule maps anchor rounds to leaders.
-	Schedule = leader.Schedule
-)
+// SchedulerConfig parameterizes HammerHead's reputation scheduler.
+type SchedulerConfig = core.Config
 
-// Scheduling constants, re-exported.
-const (
-	// ScoringVotes is the paper's rule: one point per committed vote for the
-	// previous round's leader.
-	ScoringVotes = core.ScoringVotes
-	// ScoringShoal is the Shoal-style commit/skip rule (ablation).
-	ScoringShoal = core.ScoringShoal
-	// EpochByRounds switches schedules every T rounds (paper Algorithm 2).
-	EpochByRounds = core.EpochByRounds
-	// EpochByCommits switches schedules every C commits (the paper's
-	// evaluation and the Sui deployment).
-	EpochByCommits = core.EpochByCommits
-)
+// ScoringVotes is the paper's scoring rule: one point per committed vote for
+// the previous round's leader.
+const ScoringVotes = core.ScoringVotes
 
 // DefaultSchedulerConfig matches the paper's evaluation settings.
 var DefaultSchedulerConfig = core.DefaultConfig
 
 // ---- engine / node ----
 
-// Validator-node building blocks, aliased from internal packages.
-type (
-	// EngineConfig holds protocol pacing and batching parameters.
-	EngineConfig = engine.Config
-	// Message is the wire envelope between validators.
-	Message = engine.Message
-	// Node is a running validator on the real runtime.
-	Node = node.Node
-	// NodeConfig assembles a validator node.
-	NodeConfig = node.Config
-	// CommitHandler observes ordered sub-DAGs.
-	CommitHandler = node.CommitHandler
-	// CommitSink receives ordered sub-DAGs straight from an engine (advanced
-	// use; nodes adapt it to CommitHandler internally).
-	CommitSink = engine.CommitSink
-	// KeyPair holds a validator's signing keys.
-	KeyPair = crypto.KeyPair
-	// MetricsRegistry exposes Prometheus-style metrics.
-	MetricsRegistry = metrics.Registry
-	// Gateway is a node's embedded client RPC gateway (tx submission, KV
-	// reads, commit streaming, status). See NodeConfig.RPCAddr and
-	// pkg/client for the Go client.
-	Gateway = rpc.Gateway
-	// GatewayConfig assembles a standalone gateway (advanced use; nodes
-	// build their own from NodeConfig.RPCAddr).
-	GatewayConfig = rpc.Config
-	// FairMempool is the weighted-lane fair-admission transaction pool.
-	FairMempool = mempool.FairPool
-	// FairMempoolConfig parameterizes a FairMempool.
-	FairMempoolConfig = mempool.FairConfig
-)
+// Node is a running validator on the real runtime.
+type Node = node.Node
 
 // DefaultEngineConfig returns production-shaped engine defaults.
 var DefaultEngineConfig = engine.DefaultConfig
-
-// NewNode builds a validator node over the given transport.
-var NewNode = node.New
 
 // NewMetricsRegistry creates an empty metrics registry.
 var NewMetricsRegistry = metrics.NewRegistry
 
 // GenerateKeys derives the committee's key pairs deterministically from a
 // cluster seed: element i belongs to validator i. The second return value
-// lists every validator's public key in ID order (the input to NodeConfig).
-func GenerateKeys(schemeName string, clusterSeed [32]byte, n int) ([]KeyPair, []crypto.PublicKey, error) {
+// lists every validator's public key in ID order.
+func GenerateKeys(schemeName string, clusterSeed [32]byte, n int) ([]crypto.KeyPair, []crypto.PublicKey, error) {
 	scheme, err := crypto.SchemeByName(schemeName)
 	if err != nil {
 		return nil, nil, err
@@ -165,67 +98,12 @@ func GenerateKeys(schemeName string, clusterSeed [32]byte, n int) ([]KeyPair, []
 	return pairs, pubs, nil
 }
 
-// ---- execution & state sync ----
-
-// Execution-subsystem building blocks, aliased from internal/execution and
-// internal/storage.
-type (
-	// StateMachine is the pluggable deterministic state the executor drives.
-	StateMachine = execution.StateMachine
-	// KVState is the built-in versioned key-value ledger.
-	KVState = execution.KVState
-	// Executor applies the commit stream, checkpoints, and installs
-	// snapshots during state-sync.
-	Executor = execution.Executor
-	// ExecutorConfig parameterizes an executor.
-	ExecutorConfig = execution.Config
-	// ExecutionCheckpoint identifies one checkpoint (round, seq, roots).
-	ExecutionCheckpoint = execution.Checkpoint
-	// ExecutionSnapshot is one transferable checkpoint.
-	ExecutionSnapshot = execution.Snapshot
-	// SnapshotStore persists checkpoints (file-backed, atomic
-	// write-temp-rename, retention knob).
-	SnapshotStore = storage.SnapshotStore
-)
-
-// NewKVState returns an empty key-value ledger.
-var NewKVState = execution.NewKVState
-
-// NewExecutor builds an executor over a state machine.
-var NewExecutor = execution.NewExecutor
-
-// NewSnapshotStore opens a file-backed checkpoint store.
-var NewSnapshotStore = storage.NewSnapshotStore
-
-// PutOp / DeleteOp encode KVState transactions.
-var (
-	PutOp    = execution.PutOp
-	DeleteOp = execution.DeleteOp
-)
-
-// ---- transports ----
-
-// Transport implementations, aliased from internal/transport.
-type (
-	// Transport moves messages between validators.
-	Transport = transport.Transport
-	// ChannelNetwork is the in-process transport fabric.
-	ChannelNetwork = transport.ChannelNetwork
-	// TCPConfig configures a TCP endpoint.
-	TCPConfig = transport.TCPConfig
-	// TCPTransport is the TCP implementation.
-	TCPTransport = transport.TCPTransport
-)
-
-// NewChannelNetwork creates an in-process transport fabric.
-var NewChannelNetwork = transport.NewChannelNetwork
-
-// NewTCPTransport binds a TCP endpoint.
-var NewTCPTransport = transport.NewTCP
+// PutOp encodes a put as a transaction for the built-in key-value ledger.
+var PutOp = execution.PutOp
 
 // ---- experiments / simulation ----
 
-// Experiment machinery, aliased from internal/experiment and internal/simnet.
+// Experiment machinery, aliased from internal/experiment.
 type (
 	// Scenario describes one simulated experiment.
 	Scenario = experiment.Scenario
@@ -233,14 +111,6 @@ type (
 	ExperimentResult = experiment.Result
 	// Mechanism selects Bullshark or HammerHead.
 	Mechanism = experiment.Mechanism
-	// LatencyStats summarizes latency samples.
-	LatencyStats = experiment.LatencyStats
-	// SimCluster is a simulated deployment (advanced use).
-	SimCluster = simnet.Cluster
-	// SimClusterConfig assembles a simulated deployment.
-	SimClusterConfig = simnet.ClusterConfig
-	// GeoLatency is the 13-region AWS-like network model.
-	GeoLatency = simnet.Geo
 )
 
 // Mechanisms, re-exported.
@@ -254,16 +124,6 @@ const (
 // NewScenario returns a calibrated scenario mirroring the paper's setup.
 var NewScenario = experiment.NewScenario
 
-// NewHighLoadScenario returns a scenario tuned for ingress stress: tight
-// pacing, large headers, parallel signature verification and a sharded
-// mempool.
-var NewHighLoadScenario = experiment.NewHighLoadScenario
-
-// NewCatchUpScenario returns a scenario where crashed validators recover far
-// behind a loaded committee — beyond the default GC horizon, so they rejoin
-// through snapshot state-sync (execution subsystem enabled).
-var NewCatchUpScenario = experiment.NewCatchUpScenario
-
 // NewSnapshotCatchUpScenario returns the snapshot state-sync stress
 // scenario: a longer outage with frequent checkpoints, guaranteeing the
 // recovering validators must install a snapshot to rejoin.
@@ -276,36 +136,9 @@ var NewSnapshotCatchUpScenario = experiment.NewSnapshotCatchUpScenario
 var NewCrashRestartScenario = experiment.NewCrashRestartScenario
 
 // NewByzantineLeaderScenario returns the faulty-leader showcase (one
-// crashed, one selectively withholding, one lagging leader): the scenario
-// behind the BENCH_scheduler.json artifact comparing commit latency under
-// round-robin vs reputation scheduling.
+// crashed, one selectively withholding, one lagging leader) comparing commit
+// latency under round-robin vs reputation scheduling.
 var NewByzantineLeaderScenario = experiment.NewByzantineLeaderScenario
 
 // RunExperiment executes a scenario and returns its measurements.
 var RunExperiment = experiment.Run
-
-// Client-load experiment: a REAL in-process cluster (wall clock, HTTP
-// gateways) under open-loop load from pkg/client — end-to-end
-// submit->commit->read measurement.
-type (
-	// ClientLoadScenario parameterizes the client-gateway experiment.
-	ClientLoadScenario = experiment.ClientLoadScenario
-	// ClientLoadResult is its measurements.
-	ClientLoadResult = experiment.ClientLoadResult
-)
-
-// NewClientLoadScenario returns a calibrated client-load scenario.
-var NewClientLoadScenario = experiment.NewClientLoadScenario
-
-// RunClientLoad executes a client-load scenario on a real in-process cluster.
-var RunClientLoad = experiment.RunClientLoad
-
-// NewFairMempool builds a weighted-lane fair-admission pool.
-var NewFairMempool = mempool.NewFair
-
-// NewSimCluster assembles a simulated deployment (advanced use; most callers
-// want RunExperiment).
-var NewSimCluster = simnet.NewCluster
-
-// NewGeoLatency spreads n validators over the 13-region latency model.
-var NewGeoLatency = simnet.NewGeo

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -11,14 +9,11 @@ import (
 	"hammerhead/internal/wire"
 )
 
-// ManagerState encoding version tags. Bodies with an unknown leading tag are
-// rejected, so a future format change cannot be silently misdecoded by an
-// old binary. V1 (gob body) blobs still decode — they ride inside
-// pre-upgrade execution checkpoints; V2 is the current wire-codec body.
-const (
-	_managerStateV1 = byte(0x01)
-	_managerStateV2 = byte(0x02)
-)
+// _managerStateV2 is the ManagerState encoding's version tag. Bodies with any
+// other leading tag are rejected, so a format change cannot be silently
+// misdecoded by an old binary. 0x01 (a gob body) is a retired generation: a
+// format revision takes the next value up and never reuses one.
+const _managerStateV2 = byte(0x02)
 
 // Minimum encoded sizes bounding pre-allocation on decode.
 const (
@@ -62,41 +57,12 @@ type scoreEntry struct {
 	Score int64
 }
 
-// scheduleWire is one schedule in the wire form.
-type scheduleWire struct {
-	InitialRound types.Round
-	Slots        []types.ValidatorID
-}
-
-// managerStateWire is the gob body of a ManagerState (preceded by the
-// version tag byte). Score maps are flattened into ID-sorted slices so equal
-// states encode to equal bytes on every validator.
-type managerStateWire struct {
-	Schedules             []scheduleWire
-	BaseSlots             []types.ValidatorID
-	CommitsThisEpoch      int
-	ShoalScores           []scoreEntry
-	LastOrderedAnchor     types.Round
-	HaveLastOrderedAnchor bool
-	Switches              int
-	Excluded              []types.ValidatorID
-	EpochScores           []scoreEntry
-}
-
 func sortedScores(s Scores) []scoreEntry {
 	out := make([]scoreEntry, 0, len(s))
 	for id, score := range s {
 		out = append(out, scoreEntry{ID: id, Score: score})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func scoresFromEntries(entries []scoreEntry) Scores {
-	out := make(Scores, len(entries))
-	for _, e := range entries {
-		out[e.ID] = e.Score
-	}
 	return out
 }
 
@@ -170,78 +136,54 @@ func readScores(r *wire.Reader) Scores {
 
 // DecodeManagerState parses an encoded ManagerState, validating the version
 // tag and the schedule suffix (non-empty, strictly ascending initial
-// rounds). Both generations decode: V2 wire bodies (current) and V1 gob
-// bodies from pre-upgrade checkpoints.
+// rounds).
 func DecodeManagerState(data []byte) (*ManagerState, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("core: empty scheduler state")
 	}
-	var w managerStateWire
-	switch data[0] {
-	case _managerStateV2:
-		r := wire.NewReader(data[1:])
-		nScheds := r.Count(_schedMinWire)
-		for i := 0; i < nScheds; i++ {
-			w.Schedules = append(w.Schedules, scheduleWire{
-				InitialRound: types.Round(r.U64()),
-				Slots:        readSlots(r),
-			})
-		}
-		w.BaseSlots = readSlots(r)
-		w.CommitsThisEpoch = int(r.Varint())
-		w.ShoalScores = nil // decoded directly into Scores below
-		shoal := readScores(r)
-		w.LastOrderedAnchor = types.Round(r.U64())
-		w.HaveLastOrderedAnchor = r.Bool()
-		w.Switches = int(r.Varint())
-		w.Excluded = readSlots(r)
-		epoch := readScores(r)
-		if err := r.Finish(); err != nil {
-			return nil, fmt.Errorf("core: decoding scheduler state: %w", err)
-		}
-		return managerStateFromWire(&w, shoal, epoch)
-	case _managerStateV1:
-		if err := gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&w); err != nil {
-			return nil, fmt.Errorf("core: decoding scheduler state: %w", err)
-		}
-		return managerStateFromWire(&w, scoresFromEntries(w.ShoalScores), scoresFromEntries(w.EpochScores))
-	default:
+	if data[0] != _managerStateV2 {
 		return nil, fmt.Errorf("core: unknown scheduler state version 0x%02x", data[0])
 	}
-}
-
-// managerStateFromWire validates the decoded fields and assembles the state
-// (shared by both format generations).
-func managerStateFromWire(w *managerStateWire, shoal, epoch Scores) (*ManagerState, error) {
-	if len(w.Schedules) == 0 {
+	r := wire.NewReader(data[1:])
+	type schedule struct {
+		initialRound types.Round
+		slots        []types.ValidatorID
+	}
+	var scheds []schedule
+	for i, n := 0, r.Count(_schedMinWire); i < n; i++ {
+		scheds = append(scheds, schedule{types.Round(r.U64()), readSlots(r)})
+	}
+	st := &ManagerState{
+		baseSlots:             readSlots(r),
+		commitsThisEpoch:      int(r.Varint()),
+		shoalScores:           readScores(r),
+		lastOrderedAnchor:     types.Round(r.U64()),
+		haveLastOrderedAnchor: r.Bool(),
+		switches:              int(r.Varint()),
+		excluded:              readSlots(r),
+		epochScores:           readScores(r),
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("core: decoding scheduler state: %w", err)
+	}
+	if len(scheds) == 0 {
 		return nil, fmt.Errorf("core: scheduler state carries no schedules")
 	}
-	if len(w.BaseSlots) == 0 {
+	if len(st.baseSlots) == 0 {
 		return nil, fmt.Errorf("core: scheduler state carries no base slots")
 	}
-	var history *leader.History
-	for i, sw := range w.Schedules {
-		s, err := leader.NewSchedule(sw.InitialRound, sw.Slots)
+	for i, sw := range scheds {
+		s, err := leader.NewSchedule(sw.initialRound, sw.slots)
 		if err != nil {
 			return nil, fmt.Errorf("core: scheduler state schedule %d: %w", i, err)
 		}
 		if i == 0 {
-			history = leader.NewHistory(s)
-		} else if err := history.Append(s); err != nil {
+			st.history = leader.NewHistory(s)
+		} else if err := st.history.Append(s); err != nil {
 			return nil, fmt.Errorf("core: scheduler state schedule %d: %w", i, err)
 		}
 	}
-	return &ManagerState{
-		history:               history,
-		baseSlots:             append([]types.ValidatorID(nil), w.BaseSlots...),
-		commitsThisEpoch:      w.CommitsThisEpoch,
-		shoalScores:           shoal,
-		lastOrderedAnchor:     w.LastOrderedAnchor,
-		haveLastOrderedAnchor: w.HaveLastOrderedAnchor,
-		switches:              w.Switches,
-		excluded:              append([]types.ValidatorID(nil), w.Excluded...),
-		epochScores:           epoch,
-	}, nil
+	return st, nil
 }
 
 // MinRetainedRound implements leader.SchedulerState, mirroring

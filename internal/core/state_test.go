@@ -119,8 +119,8 @@ func TestDecodeManagerStateRejectsGarbage(t *testing.T) {
 	if _, err := DecodeManagerState([]byte{0x7F, 1, 2, 3}); err == nil {
 		t.Fatal("unknown version tag must not decode")
 	}
-	if _, err := DecodeManagerState([]byte{_managerStateV1, 0xDE, 0xAD}); err == nil {
-		t.Fatal("corrupt gob body must not decode")
+	if _, err := DecodeManagerState([]byte{0x01, 0xDE, 0xAD}); err == nil {
+		t.Fatal("retired gob-body tag must not decode")
 	}
 
 	b := buildVotingDAG(t, 4, 10, nil)

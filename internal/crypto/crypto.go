@@ -10,8 +10,7 @@
 //     (evaluating under Byzantine faults is explicitly left open, §5 C3), so
 //     simulation correctness does not depend on unforgeability; skipping
 //     public-key operations is what makes 100-validator, multi-minute
-//     simulated deployments run in seconds. This substitution is recorded in
-//     DESIGN.md §4.
+//     simulated deployments run in seconds.
 package crypto
 
 import (

@@ -501,7 +501,9 @@ func (e *Engine) Scheduler() leader.Scheduler { return e.scheduler }
 // DAG exposes the vertex store (read-only use).
 func (e *Engine) DAG() *dag.DAG { return e.dagStore }
 
-// OnMessage processes one protocol message.
+// OnMessage processes one protocol message. It does not rely on whoever built
+// msg for a non-nil payload: the channel transport delivers Messages no
+// decoder ever saw.
 func (e *Engine) OnMessage(from types.ValidatorID, msg *Message, nowNanos int64) *Output {
 	out := &Output{}
 	if _, ok := e.committee.Authority(from); !ok {
@@ -518,6 +520,10 @@ func (e *Engine) OnMessage(from types.ValidatorID, msg *Message, nowNanos int64)
 	case KindCertRequest:
 		e.onCertRequest(from, msg.CertRequest, out)
 	case KindCertResponse:
+		if msg.CertResponse == nil {
+			e.stats.InvalidMessages++
+			return out
+		}
 		for _, c := range msg.CertResponse.Certs {
 			e.onCertificate(c, nowNanos, out)
 		}

@@ -349,6 +349,31 @@ func TestCertificateWithoutQuorumRejected(t *testing.T) {
 	}
 }
 
+// TestOnMessageNilPayloadIsHarmless: a Message whose payload pointer for its
+// kind is nil — which no decoder produces but an in-process transport can
+// hand over — must neither panic the engine nor move anything but the
+// invalid-message counter.
+func TestOnMessageNilPayloadIsHarmless(t *testing.T) {
+	rig := newTestRig(t, 4)
+	e := rig.engines[0]
+	e.Init(0)
+	before, round, vertices := e.Stats(), e.Round(), e.DAG().VertexCount()
+	for kind := KindHeader; kind <= KindCheckpointCert; kind++ {
+		t.Run(kind.String(), func(t *testing.T) {
+			out := e.OnMessage(1, &Message{Kind: kind}, 1)
+			if len(out.Unicasts)+len(out.Broadcasts)+len(out.Timers)+len(out.InsertedCerts) != 0 {
+				t.Fatalf("nil %s payload produced output %+v", kind, out)
+			}
+			after := e.Stats()
+			after.InvalidMessages = before.InvalidMessages
+			if after != before || e.Round() != round || e.DAG().VertexCount() != vertices {
+				t.Fatalf("nil %s payload changed engine state: stats %+v -> %+v, round %d, dag %d",
+					kind, before, after, e.Round(), e.DAG().VertexCount())
+			}
+		})
+	}
+}
+
 func TestMessageEncodedSizeAndString(t *testing.T) {
 	h := &Header{Round: 1, Source: 0, Edges: []types.Digest{{}}, Batch: &types.Batch{
 		Transactions: []types.Transaction{{ID: 1, Payload: []byte("xx")}},

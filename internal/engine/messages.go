@@ -81,8 +81,8 @@ type Header struct {
 
 	// Digest memos: headers are immutable once signed, and their digests
 	// are requested on every hop (vote checks, certificate validation,
-	// vertex construction). The memo fields are unexported, so gob skips
-	// them and each process computes at most once per header copy.
+	// vertex construction). The memo fields never cross the wire, so each
+	// process computes at most once per header copy.
 	digestMemo  types.Digest
 	digestOK    bool
 	batchMemo   types.Digest
@@ -94,8 +94,8 @@ type Header struct {
 
 // MarkSigVerified records that the header's signature was already checked by
 // an upstream pre-verify stage, letting the engine skip the redundant
-// public-key operation. The mark is unexported state: gob never transmits
-// it, so it can only be set by local code that actually verified.
+// public-key operation. The mark is unexported state the wire codec never
+// transmits, so it can only be set by local code that actually verified.
 func (h *Header) MarkSigVerified() { h.sigVerified = true }
 
 // SigVerified reports whether the header's signature was pre-verified.
@@ -342,8 +342,7 @@ func (r *CertResponse) EncodedSize() int {
 }
 
 // Message is the transport envelope: exactly one payload field is set,
-// matching Kind. A flat struct keeps encoding trivial (encoding/gob) and
-// runtime dispatch a single switch.
+// matching Kind. A flat struct keeps runtime dispatch a single switch.
 type Message struct {
 	Kind             MessageKind
 	Header           *Header
@@ -367,8 +366,8 @@ type Message struct {
 // sig-verified marks — is private to the recipient. In-process transports
 // must deliver clones: recipients mark (and may strip votes from) payloads
 // during pre-verification, and the TCP wire naturally isolates recipients
-// by gob-decoding a fresh copy per peer. Marks are cleared, exactly as a
-// gob round-trip would: a clone is untrusted input to its receiver.
+// by decoding a fresh copy per peer. Marks are cleared, exactly as a wire
+// round-trip would: a clone is untrusted input to its receiver.
 // Immutable byte material (edges, batches, signatures) is shared.
 func (m *Message) Clone() *Message {
 	c := *m

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"hammerhead/internal/checkpoint"
@@ -10,37 +9,9 @@ import (
 	"hammerhead/internal/types"
 )
 
-// FuzzMessageRoundTrip drives arbitrary message shapes through the wire
-// codec (encoding/gob, as used by the TCP transport) and asserts the decode
-// is faithful: same kind, same content digests, and — critically — that the
-// unexported sig-verified marks never survive the wire, since a peer must
-// not be able to ship a "pre-verified" payload.
-func FuzzMessageRoundTrip(f *testing.F) {
-	f.Add(uint8(1), uint64(1), uint32(0), []byte("edge-material"), []byte("sig"), uint8(3))
-	f.Add(uint8(2), uint64(7), uint32(3), []byte{}, []byte{}, uint8(0))
-	f.Add(uint8(3), uint64(42), uint32(2), bytes.Repeat([]byte{0xAB}, 64), bytes.Repeat([]byte{1}, 64), uint8(7))
-	f.Add(uint8(5), uint64(9), uint32(1), []byte("x"), []byte("y"), uint8(2))
-	f.Fuzz(func(t *testing.T, kindSel uint8, round uint64, source uint32, blob, sig []byte, nSub uint8) {
-		msg := buildMessage(kindSel, round, source, blob, sig, nSub)
-		if msg == nil {
-			t.Skip()
-		}
-
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-			t.Fatalf("encode %s: %v", msg.Kind, err)
-		}
-		var got Message
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&got); err != nil {
-			t.Fatalf("decode %s: %v", msg.Kind, err)
-		}
-		assertWireFidelity(t, msg, &got)
-	})
-}
-
 // assertWireFidelity fails the test unless got is a faithful decode of msg:
 // same kind, same content digests, and the unexported sig-verified marks
-// cleared. Shared by the gob and wire-codec round-trip fuzz targets.
+// cleared. Shared by the round-trip tests and fuzz targets.
 func assertWireFidelity(t *testing.T, msg, got *Message) {
 	t.Helper()
 	if got.Kind != msg.Kind {
@@ -138,8 +109,8 @@ func assertWireFidelity(t *testing.T, msg, got *Message) {
 }
 
 // buildMessage derives a structurally valid message of the selected kind
-// from fuzz material. Marks are set before encoding to prove gob strips
-// them.
+// from fuzz material. Marks are set before encoding to prove the codec
+// strips them.
 func buildMessage(kindSel uint8, round uint64, source uint32, blob, sig []byte, nSub uint8) *Message {
 	kind := MessageKind(kindSel%12 + 1)
 	mkHeader := func() *Header {

@@ -59,10 +59,10 @@ type SnapshotInstall struct {
 	// PruneTo (the committer must not re-order them).
 	Ordered []OrderedVertex
 	// SchedulerState is the snapshot's encoded scheduler state (empty for
-	// stateless schedulers and pre-upgrade snapshots). When the engine's
-	// scheduler is a leader.StateRestorer, it is restored before the
-	// committer fast-forwards, so ordering resumes under the exact schedule
-	// the snapshot was cut under.
+	// stateless schedulers). When the engine's scheduler is a
+	// leader.StateRestorer, it is restored before the committer
+	// fast-forwards, so ordering resumes under the exact schedule the
+	// snapshot was cut under.
 	SchedulerState []byte
 }
 
@@ -354,9 +354,9 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 // ingest-owned map prune to the boundary floor, and pending certificates that
 // became insertable (their parents are now below the floor) cascade into the
 // DAG. Returns false — leaving ordering state untouched — when the scheduler
-// needs state the install does not carry (a pre-upgrade snapshot): the
-// runtime then falls back to WAL replay, with the executor's sequence dedupe
-// absorbing re-derived commits.
+// needs state the install does not carry (a snapshot cut under a stateless
+// scheduler): the runtime then falls back to WAL replay, with the executor's
+// sequence dedupe absorbing re-derived commits.
 func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstall, nowNanos int64, out *Output) bool {
 	ordered := make(map[types.Digest]types.Round, len(install.Ordered))
 	for _, ov := range install.Ordered {
@@ -424,8 +424,8 @@ func (e *Engine) drainPendingAfterInstall(nowNanos int64, out *Output) {
 // CanFastForwardSchedule reports whether the engine's scheduler stays
 // correct when ordering jumps past unseen history (snapshot install). True
 // for the round-robin baseline AND for HammerHead's reputation scheduler
-// (which additionally restores its state from the snapshot; a stateless
-// legacy snapshot makes the jump itself no-op at apply time).
+// (which additionally restores its state from the snapshot; a snapshot
+// carrying none makes the jump itself no-op at apply time).
 func (e *Engine) CanFastForwardSchedule() bool { return e.schedFastForward != nil }
 
 // FastForwardToSnapshot fast-forwards the protocol state to a checkpoint the
@@ -433,8 +433,8 @@ func (e *Engine) CanFastForwardSchedule() bool { return e.schedFastForward != ni
 // snapshot before WAL replay). Must be called from the engine's goroutine;
 // the returned output carries any follow-up work, dispatchable like any
 // other step's. No-op (empty output) when the scheduler cannot follow the
-// jump — including a stateful scheduler handed a pre-upgrade snapshot with
-// no scheduler state — in which case the runtime relies on WAL replay to
+// jump — including a stateful scheduler handed a snapshot with no
+// scheduler state — in which case the runtime relies on WAL replay to
 // rebuild ordering state, with the executor's sequence dedupe absorbing
 // re-derived commits.
 func (e *Engine) FastForwardToSnapshot(meta SnapshotMeta, install *SnapshotInstall, nowNanos int64) *Output {

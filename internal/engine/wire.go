@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"hammerhead/internal/checkpoint"
@@ -14,18 +12,14 @@ import (
 // Wire framing of a transport message body (after the transport's 4-byte
 // length prefix):
 //
-//	0x00  wireMagic   — cannot begin a gob stream (gob's first byte is a
-//	                    nonzero uvarint message length), so legacy frames
-//	                    from pre-upgrade peers stay unambiguous
+//	0x00  wireMagic
 //	0x01  wireV1      — codec version
 //	kind  uint8       — MessageKind
 //	...   payload     — the kind's fixed field order (below)
 //
-// DecodeMessage accepts both generations: wire frames from current peers and
-// bare-gob frames from pre-upgrade peers, so a mixed-version committee keeps
-// interoperating during a rolling upgrade (old peers already decode nothing
-// but gob, and they receive gob from nobody new — their certificate sync
-// path re-pulls whatever they miss once upgraded).
+// DecodeMessage refuses any other leading pair. A first byte other than 0x00
+// was a bare encoding/gob frame until that generation was retired: a format
+// revision bumps wireV1 upward and never reuses the first byte.
 const (
 	wireMagic = 0x00
 	wireV1    = 0x01
@@ -42,8 +36,7 @@ const (
 
 // EncodeMessage serializes a message into a fresh buffer in the versioned
 // wire format. It fails on a message whose payload pointer for its kind is
-// nil (gob used to silently encode those; the codec treats them as caller
-// bugs).
+// nil (a caller bug).
 //
 //hammerlint:deterministic
 func EncodeMessage(m *Message) ([]byte, error) {
@@ -53,8 +46,8 @@ func EncodeMessage(m *Message) ([]byte, error) {
 	return AppendMessage(make([]byte, 0, m.EncodedSize()+16), m)
 }
 
-// checkPayload rejects a message whose payload pointer for its kind is nil
-// (EncodedSize and the payload encoders would dereference it).
+// checkPayload rejects a message of unknown kind or whose payload pointer for
+// its kind is nil (EncodedSize and the payload encoders would dereference it).
 func checkPayload(m *Message) error {
 	ok := true
 	switch m.Kind {
@@ -97,55 +90,34 @@ func checkPayload(m *Message) error {
 //
 //hammerlint:deterministic
 func AppendMessage(buf []byte, m *Message) ([]byte, error) {
+	if err := checkPayload(m); err != nil {
+		return nil, err
+	}
 	buf = append(buf, wireMagic, wireV1, byte(m.Kind))
 	switch m.Kind {
 	case KindHeader:
-		if m.Header == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
-		return appendHeader(buf, m.Header), nil
+		return AppendHeaderWire(buf, m.Header), nil
 	case KindVote:
-		if m.Vote == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		return appendVote(buf, m.Vote), nil
 	case KindCertificate:
-		if m.Cert == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
-		return appendCertificate(buf, m.Cert), nil
+		return AppendCertificateWire(buf, m.Cert), nil
 	case KindCertRequest:
-		if m.CertRequest == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		buf = wire.AppendUvarint(buf, uint64(len(m.CertRequest.Digests)))
 		for _, d := range m.CertRequest.Digests {
 			buf = wire.AppendDigest(buf, d)
 		}
 		return buf, nil
 	case KindCertResponse:
-		if m.CertResponse == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		return appendCertList(buf, m.CertResponse.Certs), nil
 	case KindRoundRequest:
-		if m.RoundRequest == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		return wire.AppendU64(buf, uint64(m.RoundRequest.FromRound)), nil
 	case KindSnapshotRequest:
-		if m.SnapshotRequest == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		r := m.SnapshotRequest
 		buf = wire.AppendU64(buf, uint64(r.HaveRound))
 		buf = wire.AppendU64(buf, uint64(r.Round))
 		buf = wire.AppendU32(buf, r.Chunk)
 		return buf, nil
 	case KindSnapshotResponse:
-		if m.SnapshotResponse == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		r := m.SnapshotResponse
 		buf = wire.AppendU64(buf, uint64(r.Round))
 		buf = wire.AppendU64(buf, r.CommitSeq)
@@ -157,14 +129,8 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 		buf = wire.AppendU32(buf, r.DataCRC)
 		return buf, nil
 	case KindRejoinRequest:
-		if m.RejoinRequest == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		return appendFrontier(buf, m.RejoinRequest.Frontier), nil
 	case KindRejoinResponse:
-		if m.RejoinResponse == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		r := m.RejoinResponse
 		buf = appendFrontier(buf, r.Frontier)
 		buf = appendCertList(buf, r.Certs)
@@ -174,53 +140,36 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 		}
 		return buf, nil
 	case KindCheckpointSig:
-		if m.CheckpointSig == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		return checkpoint.AppendShare(buf, m.CheckpointSig), nil
 	case KindCheckpointCert:
-		if m.CheckpointCert == nil {
-			return nil, fmt.Errorf("engine: encoding %s: nil payload", m.Kind)
-		}
 		return checkpoint.AppendCertificate(buf, m.CheckpointCert), nil
 	default:
 		return nil, fmt.Errorf("engine: encoding unknown message kind %d", m.Kind)
 	}
 }
 
-// DecodeMessage parses a transport frame body into a Message. Bodies
-// starting with wireMagic decode through the versioned wire codec; anything
-// else falls back to encoding/gob — the legacy format pre-upgrade peers
-// still send. Decoded byte fields (signatures, payloads, snapshot chunks)
-// alias data, which the TCP read loop allocates per frame, so recipients own
-// them without a copy. Pre-verified marks never survive either path: both
-// produce freshly constructed payloads.
+// DecodeMessage parses a transport frame body into a Message, refusing
+// anything that does not start with the wireMagic, wireV1 pair. The payload
+// pointer for the decoded kind is never nil. Decoded byte fields (signatures,
+// payloads, snapshot chunks) alias data, which the TCP read loop allocates per
+// frame, so recipients own them without a copy. Pre-verified marks never
+// survive: every payload is freshly constructed.
 func DecodeMessage(data []byte) (*Message, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("engine: decoding empty message frame")
-	}
-	if data[0] != wireMagic {
-		var msg Message
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&msg); err != nil {
-			return nil, fmt.Errorf("engine: decoding legacy gob message: %w", err)
-		}
-		return &msg, nil
-	}
 	if len(data) < 3 {
 		return nil, fmt.Errorf("engine: %w: message frame too short", wire.ErrTruncated)
 	}
-	if data[1] != wireV1 {
-		return nil, fmt.Errorf("engine: unknown message codec version 0x%02x", data[1])
+	if data[0] != wireMagic || data[1] != wireV1 {
+		return nil, fmt.Errorf("engine: unknown message framing 0x%02x 0x%02x", data[0], data[1])
 	}
 	msg := &Message{Kind: MessageKind(data[2])}
 	r := wire.NewReader(data[3:])
 	switch msg.Kind {
 	case KindHeader:
-		msg.Header = readHeader(r)
+		msg.Header = ReadHeaderWire(r)
 	case KindVote:
 		msg.Vote = readVote(r)
 	case KindCertificate:
-		msg.Cert = readCertificate(r)
+		msg.Cert = ReadCertificateWire(r)
 	case KindCertRequest:
 		req := &CertRequest{}
 		n := r.Count(_digestWire)
@@ -276,7 +225,12 @@ func DecodeMessage(data []byte) (*Message, error) {
 
 // ---- payload codecs ----
 
-func appendHeader(b []byte, h *Header) []byte {
+// AppendHeaderWire appends h's wire form: the in-message header layout and,
+// so the log shares it byte for byte, the body of a WAL proposal record
+// (the storage package frames its records itself).
+//
+//hammerlint:deterministic
+func AppendHeaderWire(b []byte, h *Header) []byte {
 	b = wire.AppendU64(b, uint64(h.Round))
 	b = wire.AppendU32(b, uint32(h.Source))
 	b = wire.AppendUvarint(b, uint64(len(h.Edges)))
@@ -298,7 +252,8 @@ func appendHeader(b []byte, h *Header) []byte {
 	return b
 }
 
-func readHeader(r *wire.Reader) *Header {
+// ReadHeaderWire decodes AppendHeaderWire's form.
+func ReadHeaderWire(r *wire.Reader) *Header {
 	h := &Header{
 		Round:  types.Round(r.U64()),
 		Source: types.ValidatorID(r.U32()),
@@ -349,8 +304,12 @@ func readVote(r *wire.Reader) *Vote {
 	}
 }
 
-func appendCertificate(b []byte, c *Certificate) []byte {
-	b = appendHeader(b, &c.Header)
+// AppendCertificateWire appends c's wire form: the in-message certificate
+// layout and the body of a WAL certificate record.
+//
+//hammerlint:deterministic
+func AppendCertificateWire(b []byte, c *Certificate) []byte {
+	b = AppendHeaderWire(b, &c.Header)
 	b = wire.AppendUvarint(b, uint64(len(c.Votes)))
 	for i := range c.Votes {
 		b = wire.AppendU32(b, uint32(c.Votes[i].Voter))
@@ -359,9 +318,10 @@ func appendCertificate(b []byte, c *Certificate) []byte {
 	return b
 }
 
-func readCertificate(r *wire.Reader) *Certificate {
+// ReadCertificateWire decodes AppendCertificateWire's form.
+func ReadCertificateWire(r *wire.Reader) *Certificate {
 	c := &Certificate{}
-	h := readHeader(r)
+	h := ReadHeaderWire(r)
 	if h != nil {
 		c.Header = *h
 	}
@@ -381,7 +341,7 @@ func readCertificate(r *wire.Reader) *Certificate {
 func appendCertList(b []byte, certs []*Certificate) []byte {
 	b = wire.AppendUvarint(b, uint64(len(certs)))
 	for _, c := range certs {
-		b = appendCertificate(b, c)
+		b = AppendCertificateWire(b, c)
 	}
 	return b
 }
@@ -393,7 +353,7 @@ func readCertList(r *wire.Reader) []*Certificate {
 	}
 	certs := make([]*Certificate, 0, n)
 	for i := 0; i < n; i++ {
-		certs = append(certs, readCertificate(r))
+		certs = append(certs, ReadCertificateWire(r))
 	}
 	return certs
 }
@@ -428,36 +388,4 @@ func readSnapshotMeta(r *wire.Reader) SnapshotMeta {
 		StateRoot:   r.Digest(),
 		StateDigest: r.Digest(),
 	}
-}
-
-// ---- WAL record payloads ----
-//
-// The storage package frames its records itself (length + CRC + version
-// tag); these exported codecs are the record *bodies* for the two record
-// kinds, so the WAL shares the exact header/certificate byte layout the
-// transport uses.
-
-// AppendCertificateWire appends c's wire form (a WAL certificate record
-// body, and the in-message certificate layout).
-//
-//hammerlint:deterministic
-func AppendCertificateWire(b []byte, c *Certificate) []byte {
-	return appendCertificate(b, c)
-}
-
-// ReadCertificateWire decodes AppendCertificateWire's form.
-func ReadCertificateWire(r *wire.Reader) *Certificate {
-	return readCertificate(r)
-}
-
-// AppendHeaderWire appends h's wire form (a WAL proposal record body).
-//
-//hammerlint:deterministic
-func AppendHeaderWire(b []byte, h *Header) []byte {
-	return appendHeader(b, h)
-}
-
-// ReadHeaderWire decodes AppendHeaderWire's form.
-func ReadHeaderWire(r *wire.Reader) *Header {
-	return readHeader(r)
 }

@@ -2,17 +2,13 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 )
 
-// FuzzWireCodecRoundTrip is the differential fuzz for the deterministic wire
-// codec: for every message kind buildMessage can produce, the wire
-// encode→decode composition must be as faithful as the gob path it replaced
-// (assertWireFidelity is the shared oracle), the encoding must be
-// deterministic (equal messages encode to equal bytes), and a legacy gob
-// frame of the same message must still decode through DecodeMessage — the
-// mixed-version interop contract.
+// FuzzWireCodecRoundTrip fuzzes the deterministic wire codec: for every
+// message kind buildMessage can produce, the encode→decode composition must
+// be faithful (assertWireFidelity is the oracle) and the encoding must be
+// deterministic (equal messages encode to equal bytes).
 func FuzzWireCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint64(1), uint32(0), []byte("edge-material"), []byte("sig"), uint8(3))
 	f.Add(uint8(2), uint64(7), uint32(3), []byte{}, []byte{}, uint8(0))
@@ -43,17 +39,6 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 		}
 		assertWireFidelity(t, msg, got)
 
-		// Differential leg: the same message as a legacy gob frame decodes
-		// through the same entry point with the same fidelity.
-		var legacy bytes.Buffer
-		if err := gob.NewEncoder(&legacy).Encode(msg); err != nil {
-			t.Fatalf("gob encode %s: %v", msg.Kind, err)
-		}
-		fromLegacy, err := DecodeMessage(legacy.Bytes())
-		if err != nil {
-			t.Fatalf("legacy gob frame of %s rejected: %v", msg.Kind, err)
-		}
-		assertWireFidelity(t, msg, fromLegacy)
 	})
 }
 

@@ -1,8 +1,7 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
+	"strings"
 	"testing"
 )
 
@@ -27,24 +26,8 @@ func TestWireCodecAllKindsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyGobFrameDecodes pins mixed-version interop: a frame body encoded
-// by a pre-upgrade peer (bare gob) decodes through DecodeMessage.
-func TestLegacyGobFrameDecodes(t *testing.T) {
-	msg := buildMessage(3, 7, 1, []byte("legacy"), []byte("sig"), 3)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeMessage(buf.Bytes())
-	if err != nil {
-		t.Fatalf("legacy gob frame rejected: %v", err)
-	}
-	assertWireFidelity(t, msg, got)
-}
-
-// TestEncodeMessageRejectsNilPayload: gob silently encoded a Message whose
-// payload pointer for its kind was nil; the wire codec treats that as a
-// caller bug.
+// TestEncodeMessageRejectsNilPayload: a Message whose payload pointer for its
+// kind is nil is a caller bug, not an encodable value.
 func TestEncodeMessageRejectsNilPayload(t *testing.T) {
 	for kind := KindHeader; kind <= KindCheckpointCert; kind++ {
 		if _, err := EncodeMessage(&Message{Kind: kind}); err == nil {
@@ -59,6 +42,11 @@ func TestDecodeMessageRejectsBadFraming(t *testing.T) {
 	}
 	if _, err := DecodeMessage([]byte{0x00, 0x7F, 0x01}); err == nil {
 		t.Fatal("unknown codec version decoded cleanly")
+	}
+	// A first byte other than the magic is a framing error: no decoder
+	// looks at the rest.
+	if _, err := DecodeMessage([]byte{0x2C, 0x01, 0x05, 0x00}); err == nil || !strings.Contains(err.Error(), "unknown message framing") {
+		t.Fatalf("frame without the magic byte: err = %v, want a framing error", err)
 	}
 	if _, err := DecodeMessage([]byte{0x00, 0x01, 0xEE}); err == nil {
 		t.Fatal("unknown message kind decoded cleanly")

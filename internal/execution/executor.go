@@ -54,8 +54,9 @@ type Config struct {
 	// snapshots that carry no scheduler state — set by nodes running the
 	// HammerHead scheduler, whose ordering cannot follow a snapshot jump
 	// without the schedule the snapshot was cut under. The check runs before
-	// the state machine is touched, so a legacy (pre-upgrade) snapshot from a
-	// stale peer fails cleanly and another responder is tried.
+	// the state machine is touched, so a snapshot without one (a responder
+	// running the round-robin baseline) fails cleanly and another responder
+	// is tried.
 	RequireSchedulerState bool
 	// RequireCertificate, when true, makes InstallFromWire reject remote
 	// snapshots that carry no checkpoint certificate, or whose certificate

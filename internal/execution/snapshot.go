@@ -3,7 +3,6 @@ package execution
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -63,21 +62,20 @@ type Snapshot struct {
 	Data []byte
 	// SchedulerState is the leader scheduler's encoded state right after the
 	// checkpoint's commit (core.ManagerState under HammerHead; empty under
-	// the round-robin baseline and in pre-upgrade snapshots — gob tolerates
-	// the field's absence in old blobs, which is the legacy fallback).
-	// Installers running a stateful scheduler restore it before the engine
-	// fast-forwards, so the restored schedule is bit-equal to a live node's.
+	// the round-robin baseline). Installers running a stateful scheduler
+	// restore it before the engine fast-forwards, so the restored schedule
+	// is bit-equal to a live node's.
 	SchedulerState []byte
 	// Cert is the 2f+1 checkpoint certificate over this snapshot's tuple,
 	// attached once the validator quorum certified it (nil on fresh
-	// checkpoints whose certification gossip is still in flight, and in
-	// pre-upgrade blobs — gob tolerates its absence). Installers configured
-	// with RequireCertificate verify it instead of trusting the responder.
+	// checkpoints whose certification gossip is still in flight). Installers
+	// configured with RequireCertificate verify it instead of trusting the
+	// responder.
 	Cert *checkpoint.Certificate
 }
 
-// EncodeSnapshot serializes a snapshot for the wire or disk in the current
-// (wire-codec, checksummed) framing.
+// EncodeSnapshot serializes a snapshot for the wire or disk in the
+// wire-codec, checksummed framing.
 //
 //hammerlint:deterministic
 func EncodeSnapshot(s Snapshot) ([]byte, error) {
@@ -107,13 +105,12 @@ func EncodeSnapshot(s Snapshot) ([]byte, error) {
 // Snapshot wire framing. The install path's digest recomputation only covers
 // Data (it IS the state machine's content digest), so a bit flip in Floor,
 // Ordered or SchedulerState would otherwise decode cleanly and install — a
-// whole-blob checksum closes that gap. The magic byte 0x00 can never begin a
-// bare gob stream (gob's first byte encodes a nonzero message length), so
-// pre-checksum legacy blobs remain unambiguous and still decode; the version
-// byte separates checksummed gob bodies (V2) from wire-codec bodies (V3).
+// whole-blob checksum closes that gap. Version 0x02 (a checksummed gob body)
+// and any first byte other than the magic (a bare gob stream) are retired
+// generations: a format revision takes the next version up and never reuses
+// one.
 const (
 	snapshotMagic  = 0x00
-	snapshotWireV2 = 0x02
 	snapshotWireV3 = 0x03
 
 	// _orderedRefWire is one encoded OrderedRef (digest + fixed round).
@@ -122,32 +119,19 @@ const (
 
 var snapshotCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// DecodeSnapshot parses an EncodeSnapshot blob, verifying the whole-blob
-// checksum on framed blobs. Three generations decode: V3 wire bodies
-// (current), V2 checksummed gob bodies, and legacy bare-gob blobs (written
-// before the checksummed framing; unchecked — the state digest still guards
-// their Data). Decoded byte fields are copied, not aliased: snapshots are
-// reassembled from transfer chunks and installed long after the source
-// buffer is gone.
+// DecodeSnapshot parses an EncodeSnapshot blob, verifying the framing and the
+// whole-blob checksum; any other framing is refused. Decoded byte fields are
+// copied, not aliased: snapshots are reassembled from transfer chunks and
+// installed long after the source buffer is gone.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
-	var s Snapshot
-	if len(data) > 0 && data[0] == snapshotMagic {
-		if len(data) < 6 || (data[1] != snapshotWireV2 && data[1] != snapshotWireV3) {
-			return Snapshot{}, fmt.Errorf("execution: malformed snapshot framing")
-		}
-		body, trailer := data[2:len(data)-4], data[len(data)-4:]
-		if crc32.Checksum(body, snapshotCRCTable) != binary.BigEndian.Uint32(trailer) {
-			return Snapshot{}, fmt.Errorf("execution: snapshot checksum mismatch (corrupt blob)")
-		}
-		if data[1] == snapshotWireV3 {
-			return decodeSnapshotWire(body)
-		}
-		data = body
+	if len(data) < 6 || data[0] != snapshotMagic || data[1] != snapshotWireV3 {
+		return Snapshot{}, fmt.Errorf("execution: malformed snapshot framing")
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("execution: decoding snapshot: %w", err)
+	body, trailer := data[2:len(data)-4], data[len(data)-4:]
+	if crc32.Checksum(body, snapshotCRCTable) != binary.BigEndian.Uint32(trailer) {
+		return Snapshot{}, fmt.Errorf("execution: snapshot checksum mismatch (corrupt blob)")
 	}
-	return s, nil
+	return decodeSnapshotWire(body)
 }
 
 func decodeSnapshotWire(body []byte) (Snapshot, error) {

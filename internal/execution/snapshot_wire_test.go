@@ -2,7 +2,6 @@ package execution
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -15,11 +14,9 @@ func applyPut(s *KVState, key, value string) {
 }
 
 // TestKVSnapshotDeterministic pins the property the determinism analyzer
-// guards: equal states serialize to equal bytes. Before the sorted-pair wire
-// form, gob wrote the entries map in iteration order, so repeated snapshots
-// of the same state (or the same commit stream replayed on two validators)
-// could produce byte-different blobs. With ~64 keys the old encoding failed
-// this test with overwhelming probability.
+// guards: equal states serialize to equal bytes — repeated snapshots of the
+// same state, and the same commit stream replayed on two validators, whatever
+// order the trie walks its keys in.
 func TestKVSnapshotDeterministic(t *testing.T) {
 	build := func() *KVState {
 		s := NewKVState()
@@ -75,59 +72,6 @@ func TestKVSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKVSnapshotRestoresLegacyMapForm proves the compat decode path: blobs
-// written before the sorted-pair migration carried the entries as a gob map.
-// Gob matches fields by name, so the old shape must still restore.
-func TestKVSnapshotRestoresLegacyMapForm(t *testing.T) {
-	type legacySnapshot struct {
-		Entries map[string]kvEntry
-		Version uint64
-		Opaque  uint64
-	}
-	legacy := legacySnapshot{
-		Entries: map[string]kvEntry{
-			"a": {Value: []byte("1"), Version: 1},
-			"b": {Value: []byte("2"), Version: 2},
-		},
-		Version: 2,
-		Opaque:  3,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	s := NewKVState()
-	if err := s.Restore(buf.Bytes()); err != nil {
-		t.Fatalf("legacy blob did not restore: %v", err)
-	}
-	if s.Len() != 2 || s.Version() != 2 {
-		t.Fatalf("restored len=%d version=%d, want 2/2", s.Len(), s.Version())
-	}
-	if _, ver, ok := s.GetVersioned([]byte("b")); !ok || ver != 2 {
-		t.Fatalf("restored entry version = %d, %v", ver, ok)
-	}
-
-	// A modern snapshot of the restored state must equal a modern snapshot of
-	// the same state built live: the compat path converges on the new wire.
-	live := NewKVState()
-	applyPut(live, "a", "1")
-	applyPut(live, "b", "2")
-	live.Apply(&types.Transaction{Payload: []byte("x")})
-	live.Apply(&types.Transaction{Payload: []byte("x")})
-	live.Apply(&types.Transaction{Payload: []byte("x")})
-	got, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := live.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("restored-from-legacy state snapshots differently than the same state built live")
-	}
-}
-
 // TestSnapshotBlobChecksumCatchesAnyFlip: the whole-blob checksum rejects a
 // bit flip at EVERY byte position — including Floor, Ordered and
 // SchedulerState, which the state digest does not cover (the install-layer
@@ -155,29 +99,5 @@ func TestSnapshotBlobChecksumCatchesAnyFlip(t *testing.T) {
 		if _, err := DecodeSnapshot(bad); err == nil {
 			t.Fatalf("flip at byte %d/%d decoded cleanly", i, len(blob))
 		}
-	}
-}
-
-// TestSnapshotDecodesLegacyBareGobBlob: blobs written before the checksummed
-// framing are bare gob streams; they must still decode (persisted snapshot
-// stores survive the upgrade).
-func TestSnapshotDecodesLegacyBareGobBlob(t *testing.T) {
-	want := Snapshot{
-		Checkpoint: Checkpoint{Round: 5, CommitSeq: 3},
-		Floor:      1,
-		Ordered:    []OrderedRef{{Round: 5}},
-		Data:       []byte("payload"),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(buf.Bytes())
-	if err != nil {
-		t.Fatalf("legacy blob rejected: %v", err)
-	}
-	if got.CommitSeq != want.CommitSeq || got.Floor != want.Floor ||
-		len(got.Ordered) != 1 || !bytes.Equal(got.Data, want.Data) {
-		t.Fatalf("legacy decode mismatch: %+v", got)
 	}
 }

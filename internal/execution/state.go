@@ -17,7 +17,6 @@ package execution
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -80,14 +79,6 @@ func DeleteOp(key []byte) []byte {
 	binary.BigEndian.PutUint16(out[1:3], uint16(len(key)))
 	copy(out[3:], key)
 	return out
-}
-
-// kvEntry is one ledger cell: the value and the (global) op version that last
-// wrote it, making the ledger a versioned KV store whose digest commits to
-// write order, not only final values.
-type kvEntry struct {
-	Value   []byte
-	Version uint64
 }
 
 // KVState is the built-in StateMachine: a versioned key-value ledger that
@@ -238,37 +229,17 @@ func (f *FrozenKV) Get(key []byte) (value []byte, version uint64, ok bool) {
 	return f.tree.Get(key)
 }
 
-// kvPair is one ledger cell in the deterministic wire form.
+// kvPair is one ledger cell on its way into a snapshot: the value and the
+// (global) op version that last wrote it, so the ledger's digest commits to
+// write order, not only final values.
 type kvPair struct {
-	Key   string
-	Entry kvEntry
+	key, value []byte
+	version    uint64
 }
 
-// kvSnapshotWire is the encode-side wire form: entries flattened into a
-// key-sorted slice so equal states serialize to equal bytes. Gob writes maps
-// in iteration order, which made pre-wire snapshots nondeterministic — two
-// validators at the same checkpoint could serve byte-different blobs for
-// identical state (why snapshot fetches had to be pinned to one responder).
-type kvSnapshotWire struct {
-	Pairs   []kvPair
-	Version uint64
-	Opaque  uint64
-}
-
-// kvSnapshotCompat decodes both wire generations: blobs written before the
-// sorted-pair migration carry Entries (gob matches by field name, so either
-// shape decodes); newer blobs carry Pairs.
-type kvSnapshotCompat struct {
-	Entries map[string]kvEntry
-	Pairs   []kvPair
-	Version uint64
-	Opaque  uint64
-}
-
-// KV snapshot blob framing. The magic byte 0x00 never begins a gob stream
-// (gob's first byte is a nonzero uvarint message length), so blobs from both
-// gob generations — sorted-pair and the older map form — stay unambiguous
-// and restore through the compat decoder.
+// KV snapshot blob framing. Any first byte other than the magic was a gob
+// stream until that generation was retired: a format revision takes the next
+// version up and never reuses the first byte.
 const (
 	kvSnapshotMagic  = 0x00
 	kvSnapshotWireV1 = 0x01
@@ -287,58 +258,34 @@ func (s *KVState) Snapshot() ([]byte, error) {
 	pairs := make([]kvPair, 0, s.tree.Len())
 	total := 0
 	s.tree.Walk(func(k, v []byte, ver uint64) bool {
-		pairs = append(pairs, kvPair{Key: string(k), Entry: kvEntry{Value: v, Version: ver}})
+		pairs = append(pairs, kvPair{key: k, value: v, version: ver})
 		total += len(k) + len(v)
 		return true
 	})
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
+	sort.Slice(pairs, func(i, j int) bool { return bytes.Compare(pairs[i].key, pairs[j].key) < 0 })
 	buf := make([]byte, 0, total+len(pairs)*12+32)
 	buf = append(buf, kvSnapshotMagic, kvSnapshotWireV1)
 	buf = wire.AppendU64(buf, s.version)
 	buf = wire.AppendU64(buf, s.opaque)
 	buf = wire.AppendUvarint(buf, uint64(len(pairs)))
 	for i := range pairs {
-		buf = wire.AppendBytes(buf, []byte(pairs[i].Key))
-		buf = wire.AppendBytes(buf, pairs[i].Entry.Value)
-		buf = wire.AppendU64(buf, pairs[i].Entry.Version)
+		buf = wire.AppendBytes(buf, pairs[i].key)
+		buf = wire.AppendBytes(buf, pairs[i].value)
+		buf = wire.AppendU64(buf, pairs[i].version)
 	}
 	return buf, nil
 }
 
 // Restore implements StateMachine. Decoding and tree rebuilding happen into
 // fresh structures, so a corrupt snapshot leaves the previous state
-// untouched. Both gob generations (sorted-pair and the older map form)
-// restore as well as the current wire form. The rebuild is the batch
-// recomputation of the Merkle root — the install path's digest check
-// compares it against the incrementally maintained root the snapshot was cut
-// under.
+// untouched. Keys and values are copied out of the blob (the tree holds its
+// inputs by reference, and the blob is a transient transfer buffer). The
+// rebuild is the batch recomputation of the Merkle root — the install path's
+// digest check compares it against the incrementally maintained root the
+// snapshot was cut under.
 func (s *KVState) Restore(data []byte) error {
-	if len(data) > 0 && data[0] == kvSnapshotMagic {
-		return s.restoreWire(data)
-	}
-	var snap kvSnapshotCompat
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("execution: decoding KV snapshot: %w", err)
-	}
-	tree := merkle.New()
-	for _, p := range snap.Pairs {
-		tree.Insert([]byte(p.Key), p.Entry.Value, p.Entry.Version)
-	}
-	for k, e := range snap.Entries { // legacy map-form blobs
-		tree.Insert([]byte(k), e.Value, e.Version)
-	}
-	s.tree = tree
-	s.version = snap.Version
-	s.opaque = snap.Opaque
-	return nil
-}
-
-// restoreWire rebuilds the ledger from a wire-form blob. Keys and values are
-// copied out of the blob (the tree holds its inputs by reference, and the
-// blob is a transient transfer buffer).
-func (s *KVState) restoreWire(data []byte) error {
-	if len(data) < 2 || data[1] != kvSnapshotWireV1 {
-		return fmt.Errorf("execution: unknown KV snapshot version")
+	if len(data) < 2 || data[0] != kvSnapshotMagic || data[1] != kvSnapshotWireV1 {
+		return fmt.Errorf("execution: unknown KV snapshot framing")
 	}
 	r := wire.NewReader(data[2:])
 	version := r.U64()

@@ -83,7 +83,7 @@ func (x *Executor) InstallFromWire(meta engine.SnapshotMeta, data []byte) (*engi
 		// Reject BEFORE Install mutates the state machine: a stateful
 		// scheduler cannot follow the jump without the snapshot's schedule,
 		// and a clean error here lets the engine retry another responder.
-		return nil, fmt.Errorf("execution: snapshot at seq %d carries no scheduler state (pre-upgrade responder?)", snap.CommitSeq)
+		return nil, fmt.Errorf("execution: snapshot at seq %d carries no scheduler state", snap.CommitSeq)
 	}
 	if x.cfg.RequireCertificate {
 		// Also before Install: an uncertified (or mis-certified) snapshot

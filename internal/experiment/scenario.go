@@ -65,7 +65,7 @@ type Scenario struct {
 	// VerifySignatures switches the simulated deployment to real Ed25519
 	// signing with pre-verification at delivery — the authenticated
 	// pipeline the TCP node runs. The paper's crash-only evaluation keeps
-	// it off (DESIGN.md §4); Byzantine-signer scenarios need it on.
+	// it off; Byzantine-signer scenarios need it on.
 	VerifySignatures bool
 	// VerifyWorkers bounds each validator's signature-verification pool
 	// (0 keeps the engine default).
@@ -290,8 +290,8 @@ func (s Scenario) EngineConfig() engine.Config {
 	cfg.MinRoundDelay = s.MinRoundDelay
 	cfg.LeaderTimeout = s.LeaderTimeout
 	cfg.MaxBatchTx = s.MaxBatchTx
-	// Crash-only simulation by default (DESIGN.md §4); Byzantine-signer
-	// scenarios opt in to the authenticated pipeline.
+	// Crash-only simulation by default; Byzantine-signer scenarios opt in
+	// to the authenticated pipeline.
 	cfg.VerifySignatures = s.VerifySignatures
 	if s.VerifyWorkers > 0 {
 		cfg.VerifyWorkers = s.VerifyWorkers

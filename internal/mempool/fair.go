@@ -3,16 +3,16 @@
 // A single shared queue lets one saturating client fill the whole mempool and
 // starve everyone else — admission becomes first-come-first-flooded. FairPool
 // partitions admission into weighted lanes keyed by client ID: each lane is
-// its own bounded sharded Pool (so a hot client exhausts only its lane's cap
+// its own bounded shardedPool (so a hot client exhausts only its lane's cap
 // and gets ErrFull while other lanes keep admitting), and the engine-facing
 // drain interleaves lanes by weight (smooth weighted round-robin, one
 // transaction per pick), so a backlogged lane cannot monopolize header
 // batches either. Per-lane FIFO order is preserved.
 //
-// With Lanes <= 1 the pool degenerates to exactly one inner Pool and behaves
-// identically to it — the configuration every pre-gateway caller gets, so the
-// simulator's determinism and the seed tests' ordering expectations are
-// untouched.
+// With Lanes <= 1 the pool is exactly one shardedPool: Submit and NextBatch
+// delegate straight to it — the configuration the simulator runs, whose
+// determinism and seed tests' ordering expectations rest on that queue's
+// FIFO drain.
 package mempool
 
 import (
@@ -28,11 +28,11 @@ type FairConfig struct {
 	// (rounded up per lane): a client saturating its lane can never consume
 	// another lane's reserved admission headroom.
 	MaxSize int
-	// Shards is each lane's internal shard count (see NewSharded; 0 sizes it
+	// Shards is each lane's internal shard count (see newSharded; 0 sizes it
 	// to the machine).
 	Shards int
 	// Lanes is the number of admission lanes. Client IDs hash onto lanes.
-	// <= 1 keeps a single lane with exact Pool semantics.
+	// <= 1 keeps a single lane with exact shardedPool semantics.
 	Lanes int
 	// Weights gives each lane's drain weight and capacity share (missing or
 	// non-positive entries default to 1). len(Weights) beyond Lanes is
@@ -58,7 +58,7 @@ type LaneStats struct {
 // lane is one admission class: a bounded queue plus its drain weight and the
 // smooth-WRR credit balance.
 type lane struct {
-	pool   *Pool
+	pool   *shardedPool
 	weight int
 	cap    int
 	// credit is the smooth weighted round-robin balance. Only the draining
@@ -100,7 +100,7 @@ func NewFair(cfg FairConfig) *FairPool {
 			c = cfg.MaxSize // exact single-queue semantics
 		}
 		p.lanes[i].cap = c
-		p.lanes[i].pool = NewSharded(c, cfg.Shards)
+		p.lanes[i].pool = newSharded(c, cfg.Shards)
 	}
 	return p
 }
@@ -152,7 +152,7 @@ func (p *FairPool) admit(laneIdx int, tx types.Transaction) error {
 // by smooth weighted round-robin across non-empty lanes, one transaction per
 // pick. A lane's long-run share of a contended drain equals its weight share
 // among the non-empty lanes; per-lane FIFO order is preserved. Intended for
-// one draining goroutine (the engine's), like Pool.
+// one draining goroutine (the engine's), like shardedPool.
 func (p *FairPool) NextBatch(nowNanos int64, maxTx int) *types.Batch {
 	if len(p.lanes) == 1 {
 		return p.lanes[0].pool.NextBatch(nowNanos, maxTx)
@@ -204,27 +204,6 @@ func (p *FairPool) Pending() int {
 		total += p.lanes[i].pool.Pending()
 	}
 	return total
-}
-
-// Capacity returns the sum of the lane caps.
-func (p *FairPool) Capacity() int {
-	total := 0
-	for i := range p.lanes {
-		total += p.lanes[i].cap
-	}
-	return total
-}
-
-// MaxLaneDepth returns the deepest lane's pending count — the value behind
-// the hammerhead_mempool_lane_depth gauge.
-func (p *FairPool) MaxLaneDepth() int {
-	max := 0
-	for i := range p.lanes {
-		if d := p.lanes[i].pool.Pending(); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Stats sums the lane counters.

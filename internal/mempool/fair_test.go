@@ -11,9 +11,9 @@ import (
 
 func tx(id uint64) types.Transaction { return types.Transaction{ID: id} }
 
-// TestFairSingleLaneMatchesPool pins the degenerate configuration every
-// pre-gateway caller gets: one lane must behave exactly like the sharded
-// Pool — same capacity semantics, same FIFO drain for a single submitter.
+// TestFairSingleLaneMatchesPool pins the degenerate configuration the
+// simulator runs: one lane must behave exactly like the shardedPool under
+// it — same capacity semantics, same FIFO drain for a single submitter.
 func TestFairSingleLaneMatchesPool(t *testing.T) {
 	p := NewFair(FairConfig{MaxSize: 4, Lanes: 1, Shards: 1})
 	for i := uint64(1); i <= 4; i++ {

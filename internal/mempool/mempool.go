@@ -1,7 +1,9 @@
 // Package mempool buffers client transactions until the consensus engine
-// drains them into header batches. It implements engine.BatchProvider.
+// drains them into header batches. FairPool (fair.go) is the one pool callers
+// build and the engine.BatchProvider; this file is the bounded queue each of
+// its lanes is made of.
 //
-// The pool is sharded: submissions are spread round-robin over a
+// The queue is sharded: submissions are spread round-robin over a
 // power-of-two number of independently locked FIFO shards, so concurrent
 // clients (the node's transport goroutines, RPC handlers, load generators)
 // no longer serialize on one mutex. The engine drains round-robin across
@@ -64,10 +66,10 @@ func (s *shard) pop() (types.Transaction, bool) {
 	return tx, true
 }
 
-// Pool is a bounded, sharded transaction queue. Safe for concurrent use:
-// any number of clients submit while the engine drains from its own
-// goroutine.
-type Pool struct {
+// shardedPool is a bounded, sharded transaction queue: what one FairPool lane
+// is made of. Safe for concurrent use: any number of clients submit while the
+// engine drains from its own goroutine.
+type shardedPool struct {
 	shards  []shard
 	mask    uint64
 	maxSize int64
@@ -83,14 +85,11 @@ type Pool struct {
 	drained   atomic.Uint64
 }
 
-// New creates a pool holding at most maxSize transactions, with a shard
-// count sized to the machine.
-func New(maxSize int) *Pool { return NewSharded(maxSize, 0) }
-
-// NewSharded creates a pool with an explicit shard count, rounded up to a
-// power of two. shards <= 0 picks a default: GOMAXPROCS rounded up, capped
-// at 32 (beyond that, lock contention is no longer the bottleneck).
-func NewSharded(maxSize, shards int) *Pool {
+// newSharded creates a pool holding at most maxSize transactions with an
+// explicit shard count, rounded up to a power of two. shards <= 0 picks a
+// default: GOMAXPROCS rounded up, capped at 32 (beyond that, lock contention
+// is no longer the bottleneck).
+func newSharded(maxSize, shards int) *shardedPool {
 	if maxSize < 1 {
 		maxSize = 1
 	}
@@ -104,19 +103,16 @@ func NewSharded(maxSize, shards int) *Pool {
 	for n < shards {
 		n <<= 1
 	}
-	return &Pool{
+	return &shardedPool{
 		shards:  make([]shard, n),
 		mask:    uint64(n - 1),
 		maxSize: int64(maxSize),
 	}
 }
 
-// ShardCount returns the number of shards (a power of two).
-func (p *Pool) ShardCount() int { return len(p.shards) }
-
 // Submit enqueues a transaction onto the next shard in round-robin order,
 // returning ErrFull when the pool-wide capacity is reached.
-func (p *Pool) Submit(tx types.Transaction) error {
+func (p *shardedPool) Submit(tx types.Transaction) error {
 	// Reserve capacity first: the atomic add-then-check keeps the bound
 	// exact under concurrent submitters without a global lock.
 	if p.pending.Add(1) > p.maxSize {
@@ -139,7 +135,7 @@ func (p *Pool) Submit(tx types.Transaction) error {
 // empty (empty headers are valid and keep rounds advancing under low load).
 // Intended for one draining goroutine (the engine's), as with the previous
 // single-queue pool.
-func (p *Pool) NextBatch(_ int64, maxTx int) *types.Batch {
+func (p *shardedPool) NextBatch(_ int64, maxTx int) *types.Batch {
 	if maxTx < 1 || p.pending.Load() == 0 {
 		return nil
 	}
@@ -169,7 +165,7 @@ func (p *Pool) NextBatch(_ int64, maxTx int) *types.Batch {
 // fair-admission drain interleaves lanes one transaction at a time, and a
 // per-transaction Batch allocation on the engine's header-build path would
 // be pure garbage. Same single-drainer contract as NextBatch.
-func (p *Pool) PopOne() (types.Transaction, bool) {
+func (p *shardedPool) PopOne() (types.Transaction, bool) {
 	if p.pending.Load() == 0 {
 		return types.Transaction{}, false
 	}
@@ -187,12 +183,12 @@ func (p *Pool) PopOne() (types.Transaction, bool) {
 }
 
 // Pending returns the number of queued transactions.
-func (p *Pool) Pending() int { return int(p.pending.Load()) }
+func (p *shardedPool) Pending() int { return int(p.pending.Load()) }
 
 // Stats returns a copy of the counters. Drained is loaded before Submitted
 // so a concurrent reader can never observe Drained > Submitted (submits
 // racing between the two loads only inflate Submitted).
-func (p *Pool) Stats() Stats {
+func (p *shardedPool) Stats() Stats {
 	drained := p.drained.Load()
 	return Stats{
 		Submitted: p.submitted.Load(),

@@ -10,7 +10,7 @@ import (
 )
 
 func TestSubmitAndDrainFIFO(t *testing.T) {
-	p := New(100)
+	p := newSharded(100, 0)
 	for i := uint64(1); i <= 5; i++ {
 		if err := p.Submit(types.Transaction{ID: i}); err != nil {
 			t.Fatal(err)
@@ -38,7 +38,7 @@ func TestSubmitAndDrainFIFO(t *testing.T) {
 }
 
 func TestSubmitBackpressure(t *testing.T) {
-	p := New(2)
+	p := newSharded(2, 0)
 	if err := p.Submit(types.Transaction{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSubmitBackpressure(t *testing.T) {
 }
 
 func TestCompactionPreservesOrder(t *testing.T) {
-	p := New(100000)
+	p := newSharded(100000, 0)
 	const n = 5000
 	for i := uint64(1); i <= n; i++ {
 		if err := p.Submit(types.Transaction{ID: i}); err != nil {
@@ -89,11 +89,11 @@ func TestShardCountRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {17, 32},
 	} {
-		if got := NewSharded(10, tc.ask).ShardCount(); got != tc.want {
-			t.Fatalf("NewSharded(shards=%d).ShardCount() = %d, want %d", tc.ask, got, tc.want)
+		if got := len(newSharded(10, tc.ask).shards); got != tc.want {
+			t.Fatalf("newSharded(shards=%d) built %d shards, want %d", tc.ask, got, tc.want)
 		}
 	}
-	if got := New(10).ShardCount(); got&(got-1) != 0 || got < 1 {
+	if got := len(newSharded(10, 0).shards); got&(got-1) != 0 || got < 1 {
 		t.Fatalf("default shard count %d is not a power of two", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestShardedFIFOAcrossShardCounts(t *testing.T) {
 	// count: the round-robin drain cursor follows the round-robin submit
 	// cursor, skipping empty shards.
 	for _, shards := range []int{1, 2, 4, 8, 16} {
-		p := NewSharded(10000, shards)
+		p := newSharded(10000, shards)
 		for i := uint64(1); i <= 1000; i++ {
 			if err := p.Submit(types.Transaction{ID: i}); err != nil {
 				t.Fatal(err)
@@ -132,7 +132,7 @@ func TestCapacityExactUnderConcurrency(t *testing.T) {
 	// The pool-wide bound must hold exactly: with capacity C and more than
 	// C concurrent submissions and no draining, exactly C are admitted.
 	const capacity = 64
-	p := NewSharded(capacity, 8)
+	p := newSharded(capacity, 8)
 	var wg sync.WaitGroup
 	var accepted, rejected atomic.Uint64
 	for g := 0; g < 16; g++ {
@@ -172,7 +172,7 @@ func TestConcurrentNoLossNoDuplication(t *testing.T) {
 		submitters   = 8
 		perSubmitter = 5000
 	)
-	p := NewSharded(1<<16, 8)
+	p := newSharded(1<<16, 8)
 	var wg sync.WaitGroup
 	var accepted, rejected atomic.Uint64
 	for g := 0; g < submitters; g++ {
@@ -241,7 +241,7 @@ func TestConcurrentNoLossNoDuplication(t *testing.T) {
 }
 
 func TestConcurrentSubmitDrain(t *testing.T) {
-	p := New(1 << 20)
+	p := newSharded(1<<20, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

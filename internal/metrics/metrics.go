@@ -1,6 +1,6 @@
 // Package metrics is a minimal Prometheus-style metrics registry: counters,
 // gauges and histograms with text exposition over HTTP. It stands in for
-// the paper's Prometheus/Grafana monitoring stack (DESIGN.md §4) — the
+// the paper's Prometheus/Grafana monitoring stack — the
 // HammerHead production rollout leaned heavily on continuous monitoring of
 // reputation scores, and hammerhead-node exposes the same signals.
 package metrics

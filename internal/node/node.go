@@ -268,9 +268,6 @@ func New(cfg Config, trans transport.Transport) (*Node, error) {
 	if cfg.Committee == nil {
 		return nil, fmt.Errorf("node: committee is required")
 	}
-	if cfg.MempoolSize == 0 {
-		cfg.MempoolSize = 1 << 20
-	}
 	var tracer *obs.Tracer
 	if cfg.Trace {
 		tracer = obs.NewTracer(cfg.TraceSlots, cfg.Metrics)
@@ -977,11 +974,11 @@ func (n *Node) Start() error {
 		// that slept past the committee's GC horizon resumes from its own
 		// state instead of an unrecoverable certificate gap. The checkpoint
 		// carries the scheduler's state, so under HammerHead the engine
-		// restores the exact schedule before fast-forwarding; only a
-		// pre-upgrade checkpoint without scheduler state falls back to the
-		// old behavior (no fast-forward — the executor still restores, and
-		// WAL replay rebuilds ordering with the sequence dedupe absorbing
-		// re-derived commits).
+		// restores the exact schedule before fast-forwarding; a checkpoint
+		// without scheduler state (cut under the round-robin baseline) gives
+		// it nothing to restore, so there is no fast-forward — the executor
+		// still restores, and WAL replay rebuilds ordering with the sequence
+		// dedupe absorbing re-derived commits.
 		if n.exec != nil {
 			if snap, ok := n.exec.Store().Latest(); ok {
 				if meta, install, err := n.exec.InstallLocal(snap); err == nil {

@@ -1,6 +1,10 @@
 package node_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -454,6 +458,41 @@ func TestNodeCrashRecoveryFromWAL(t *testing.T) {
 			t.Fatal("recovered node never committed fresh sub-DAGs")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestNodeRefusesWALOfAnotherFormatGeneration: a log whose first record
+// passes its CRC under a version tag this binary does not write must stop the
+// node at start-up and stay on disk byte for byte — replaying "nothing" and
+// truncating the file would silently discard the validator's history.
+func TestNodeRefusesWALOfAnotherFormatGeneration(t *testing.T) {
+	body := []byte{0x03, 0x01, 0xAA, 0xBB}
+	foreign := make([]byte, 8, 8+len(body))
+	binary.BigEndian.PutUint32(foreign[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(foreign[4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	foreign = append(foreign, body...)
+	walPath := filepath.Join(t.TempDir(), "v0.wal")
+	if err := os.WriteFile(walPath, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &testCluster{
+		committee: committee,
+		network:   transport.NewChannelNetwork(1 << 14),
+		commits:   make(map[types.ValidatorID][]types.Digest),
+		txSeen:    make(map[types.ValidatorID]int),
+	}
+	nd := buildNode(t, tc, 0, nil, walPath, nil)
+	defer nd.Close()
+	if err := nd.Start(); err == nil || !strings.Contains(err.Error(), "version tag 0x03") {
+		t.Fatalf("Start on a foreign-generation WAL: err = %v, want a refusal naming tag 0x03", err)
+	}
+	if got, err := os.ReadFile(walPath); err != nil || !bytes.Equal(got, foreign) {
+		t.Fatalf("refused WAL was modified (%d -> %d bytes, err %v)", len(foreign), len(got), err)
 	}
 }
 

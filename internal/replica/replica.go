@@ -101,10 +101,10 @@ type Replica struct {
 
 	mu           sync.Mutex
 	kv           *execution.KVState
-	appliedSeq   uint64       // guarded by mu
-	appliedRound uint64       // guarded by mu
-	chainedRoot  types.Digest // guarded by mu
-	ring         []ringEntry  // guarded by mu; ascending seq, len <= RingSize
+	appliedSeq   uint64                  // guarded by mu
+	appliedRound uint64                  // guarded by mu
+	chainedRoot  types.Digest            // guarded by mu
+	ring         []ringEntry             // guarded by mu; ascending seq, len <= RingSize
 	certified    *checkpoint.Certificate // guarded by mu
 	certifiedKV  *execution.FrozenKV     // guarded by mu
 	poisoned     error                   // guarded by mu; non-nil is terminal

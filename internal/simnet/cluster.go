@@ -42,7 +42,7 @@ type ClusterConfig struct {
 	OnCommit CommitHook
 	// OnInsert observes every certificate a validator accepts into its DAG,
 	// in insertion order — the trace recorder behind the pipeline
-	// determinism test and the standalone executor replay bench.
+	// determinism test.
 	OnInsert func(node types.ValidatorID, cert *engine.Certificate)
 	// Execution attaches a deterministic executor (execution.KVState behind
 	// an in-memory snapshot store) to every validator's commit sink, applied
@@ -69,7 +69,7 @@ type Cluster struct {
 	Committee *types.Committee
 
 	engines []*engine.Engine
-	pools   []*mempool.Pool
+	pools   []*mempool.FairPool
 	// execs holds each validator's executor when ClusterConfig.Execution is
 	// set (nil entries otherwise). Applied synchronously inside the commit
 	// sink, so executor state always reflects a definite virtual instant.
@@ -156,9 +156,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Committee == nil || cfg.Latency == nil || cfg.NewScheduler == nil {
 		return nil, fmt.Errorf("simnet: committee, latency and scheduler factory are required")
 	}
-	if cfg.MempoolSize == 0 {
-		cfg.MempoolSize = 1 << 20
-	}
 	n := cfg.Committee.Size()
 	c := &Cluster{
 		Sim:              New(cfg.Seed),
@@ -241,9 +238,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // DAG, scheduler, executor (over the given snapshot store, which models the
 // validator's disk; nil = fresh) and engine. Used at cluster construction and
 // again by KillRestart, which rebuilds everything a SIGKILL destroys.
-func (c *Cluster) buildValidator(id types.ValidatorID, store execution.SnapshotStore) (*engine.Engine, *mempool.Pool, *execution.Executor, error) {
+func (c *Cluster) buildValidator(id types.ValidatorID, store execution.SnapshotStore) (*engine.Engine, *mempool.FairPool, *execution.Executor, error) {
 	cfg := c.cfg
-	pool := mempool.NewSharded(cfg.MempoolSize, cfg.MempoolShards)
+	pool := mempool.NewFair(mempool.FairConfig{MaxSize: cfg.MempoolSize, Shards: cfg.MempoolShards})
 	d := dag.New(cfg.Committee)
 	sched, err := cfg.NewScheduler(cfg.Committee, d)
 	if err != nil {
@@ -310,7 +307,7 @@ func (c *Cluster) Start() {
 func (c *Cluster) Engine(id types.ValidatorID) *engine.Engine { return c.engines[id] }
 
 // Pool returns validator id's mempool.
-func (c *Cluster) Pool(id types.ValidatorID) *mempool.Pool { return c.pools[id] }
+func (c *Cluster) Pool(id types.ValidatorID) *mempool.FairPool { return c.pools[id] }
 
 // Executor returns validator id's executor (nil unless the cluster was built
 // with ClusterConfig.Execution).
@@ -438,7 +435,7 @@ func (c *Cluster) restartFromWAL(id types.ValidatorID) {
 	}
 	initOut := eng.Init(now)
 	for _, cert := range c.walLogs[id] {
-		// Clone per replay, as the node's gob decode would: the rebuilt
+		// Clone per replay, as the node's WAL decode would: the rebuilt
 		// engine owns (and may mutate) its copies, while the recorded
 		// originals stay pristine for the next restart.
 		msg := (&engine.Message{Kind: engine.KindCertificate, Cert: cert}).Clone()
@@ -680,7 +677,7 @@ func (c *Cluster) send(from, to types.ValidatorID, msg *engine.Message, now int6
 	if at := c.badSigAt[from]; at >= 0 && now >= at {
 		msg = corruptSignatures(msg) // clones internally
 	} else if c.prevers != nil {
-		// Each recipient owns its copy, as after a gob decode: the
+		// Each recipient owns its copy, as after a wire decode: the
 		// pre-verify stage marks (and may strip votes from) payloads, and
 		// neither the sender's state nor a sibling recipient's copy may be
 		// affected.

@@ -42,7 +42,7 @@ var RegionNames = []string{
 
 // regionRTTMillis is a symmetric inter-region round-trip-time matrix in
 // milliseconds, assembled from public inter-region measurements. It
-// substitutes for the paper's live AWS links (DESIGN.md §4): the experiments
+// substitutes for the paper's live AWS links: the experiments
 // depend on the RTT *distribution* (a fast transatlantic core plus slow
 // Asia-Pacific tails), not on exact values. Only the upper triangle is
 // specified; the lower is mirrored, and the diagonal is intra-region.

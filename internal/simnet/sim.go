@@ -1,6 +1,6 @@
 // Package simnet is a deterministic discrete-event simulator for
 // HammerHead/Bullshark deployments. It substitutes for the paper's AWS
-// testbed (DESIGN.md §4): validators run the exact production engine
+// testbed: validators run the exact production engine
 // (internal/engine); only the transport, clock and fault injection are
 // simulated. A 100-validator, multi-minute geo-distributed run executes in
 // seconds of wall time and is perfectly reproducible from its seed.

@@ -7,7 +7,7 @@
 // deterministic functions of it (the same property that gives the protocol
 // Schedule Agreement gives the WAL its simplicity). The paper's
 // implementation persists through RocksDB; a CRC-framed log file is the
-// stdlib equivalent with the same contract (DESIGN.md §4).
+// stdlib equivalent with the same contract.
 //
 // Two record kinds share the log. Certificate records rebuild the DAG.
 // Proposal records persist the header this validator signed for its own slot
@@ -18,20 +18,18 @@
 // the slot.
 //
 // Record layout: 4-byte big-endian body length, 4-byte CRC32C of the body,
-// then a version-tagged body. Current bodies are 0x02 + kind byte (1 =
-// certificate, 2 = proposal) + the engine's deterministic wire encoding;
-// 0x01-tagged bodies are the previous gob envelope and untagged bodies are
-// legacy bare-certificate records — both replay losslessly, and the next
-// compaction rewrites them into the current form. A torn tail (partial
+// then a version-tagged body: 0x02 + kind byte (1 = certificate, 2 =
+// proposal) + the engine's deterministic wire encoding. A torn tail (partial
 // final record, truncated file, CRC mismatch at the end) is tolerated on
-// replay, as a crash mid-append must not poison recovery.
+// replay, as a crash mid-append must not poison recovery. A record that
+// passes its CRC under any other version tag is not a torn tail but a log
+// from another format generation: every scan refuses it with an error and
+// leaves the file as it is.
 package storage
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -83,18 +81,14 @@ type WAL struct {
 // would be unreachable on the NEXT replay (which stops at the first bad
 // record), silently losing every certificate persisted after the crash.
 // Callers that just replayed the log avoid the validity scan by passing the
-// replay's measured prefix through OpenWALTrimmed instead.
+// replay's measured prefix through OpenWALTrimmed instead. A log holding a
+// record of another format generation is refused and left untouched.
 func OpenWAL(path string) (*WAL, error) {
-	valid, total, err := validPrefix(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	valid, err := replayRecords(path, _sessionBufSize, nil, nil)
+	if err != nil {
 		return nil, err
 	}
-	if err == nil && valid < total {
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, fmt.Errorf("storage: truncating torn WAL tail: %w", err)
-		}
-	}
-	return openWALAppend(path, _sessionBufSize)
+	return OpenWALTrimmed(path, valid)
 }
 
 // OpenWALTrimmed opens the log for appending after truncating it to the
@@ -120,64 +114,26 @@ func openWALAppend(path string, bufSize int) (*WAL, error) {
 	return &WAL{path: path, file: f, writer: bufio.NewWriterSize(f, bufSize)}, nil
 }
 
-// walRecord is the gob envelope of one log record: exactly one field is set.
+// walRecord is one decoded log record: exactly one field is set.
 type walRecord struct {
 	Cert     *engine.Certificate
 	Proposal *engine.Header
 }
 
-// valid reports whether the envelope is well-formed (exactly one payload).
-func (r *walRecord) valid() bool {
-	return (r.Cert != nil) != (r.Proposal != nil)
-}
-
-// Record body version tags. Legacy logs (bare gob-encoded certificates,
-// pre-proposal-records) have a gob stream as the first body byte — a uvarint
-// message length that is never 1 or 2 (the first gob message is a type
-// descriptor) — so the tags are unambiguous. Without them, gob would
-// "decode" a legacy certificate into an EMPTY walRecord (field names don't
-// overlap), the valid-prefix scan would stop at record one, and the reopen
-// truncation would silently erase the node's entire pre-upgrade history.
+// Record body version tag: the tag, a record kind byte, then the payload's
+// engine wire form. 0x01 (a gob envelope) and every first byte of a bare gob
+// stream are retired generations: a format revision takes the next value up
+// and never reuses one.
 const (
-	// _recordV1 tags the previous gob-envelope body format (decode only).
-	_recordV1 = 0x01
-	// _recordV2 tags the current wire-codec body format: the tag, a record
-	// kind byte, then the payload's engine wire form.
 	_recordV2 = 0x02
 
 	_recordKindCert     = 0x01
 	_recordKindProposal = 0x02
 )
 
-// validPrefix scans the log and returns the byte length of its longest valid
-// record prefix, plus the total file size. Validity matches Replay exactly
-// (same readRecord/decodeRecord pair): a CRC-intact but undecodable record
-// also ends the prefix — Replay would stop there, so anything appended after
-// it would be unreachable.
-func validPrefix(path string) (valid, total int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("storage: stat WAL: %w", err)
-	}
-	total = info.Size()
-
-	r := bufio.NewReaderSize(f, _sessionBufSize)
-	for {
-		body, ok := readRecord(r)
-		if !ok {
-			return valid, total, nil
-		}
-		if _, ok := decodeRecord(body); !ok {
-			return valid, total, nil
-		}
-		valid += int64(8 + len(body))
-	}
-}
+// errUnknownRecordVersion marks a CRC-intact record body whose version tag
+// this binary does not write: the log belongs to another format generation.
+var errUnknownRecordVersion = errors.New("unknown record version tag")
 
 // readRecord reads one framed record body. ok=false at a clean EOF, torn
 // header or body, implausible length, or CRC mismatch — the crash-consistent
@@ -202,51 +158,31 @@ func readRecord(r *bufio.Reader) (body []byte, ok bool) {
 	return body, true
 }
 
-// decodeRecord parses a record body into its envelope. 0x02-tagged bodies
-// are the current wire form; 0x01-tagged bodies are the previous gob
-// envelope; anything else is a legacy bare-certificate record (pre-upgrade
-// logs replay losslessly; their rewrite on the next compaction migrates
-// them). Wire-decoded payloads alias body, which readRecord allocates per
-// record.
-func decodeRecord(body []byte) (walRecord, bool) {
+// decodeRecord parses a CRC-intact record body. An unknown version tag is
+// errUnknownRecordVersion, which no scan may treat as a torn tail; any other
+// error is an undecodable body under the current tag, where replay stops.
+// Decoded payloads alias body, which readRecord allocates per record.
+func decodeRecord(body []byte) (walRecord, error) {
 	if len(body) == 0 {
-		return walRecord{}, false
+		return walRecord{}, wire.ErrTruncated
 	}
-	switch body[0] {
-	case _recordV2:
-		if len(body) < 2 {
-			return walRecord{}, false
-		}
-		r := wire.NewReader(body[2:])
-		var rec walRecord
-		switch body[1] {
-		case _recordKindCert:
-			rec.Cert = engine.ReadCertificateWire(r)
-		case _recordKindProposal:
-			rec.Proposal = engine.ReadHeaderWire(r)
-		default:
-			return walRecord{}, false
-		}
-		if r.Finish() != nil {
-			return walRecord{}, false
-		}
-		return rec, true
-	case _recordV1:
-		var rec walRecord
-		if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&rec); err != nil {
-			return walRecord{}, false
-		}
-		if !rec.valid() {
-			return walRecord{}, false
-		}
-		return rec, true
+	if body[0] != _recordV2 {
+		return walRecord{}, fmt.Errorf("%w 0x%02x", errUnknownRecordVersion, body[0])
+	}
+	if len(body) < 2 {
+		return walRecord{}, wire.ErrTruncated
+	}
+	r := wire.NewReader(body[2:])
+	var rec walRecord
+	switch body[1] {
+	case _recordKindCert:
+		rec.Cert = engine.ReadCertificateWire(r)
+	case _recordKindProposal:
+		rec.Proposal = engine.ReadHeaderWire(r)
 	default:
-		var cert engine.Certificate
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&cert); err != nil {
-			return walRecord{}, false
-		}
-		return walRecord{Cert: &cert}, true
+		return walRecord{}, fmt.Errorf("unknown record kind 0x%02x", body[1])
 	}
+	return rec, r.Finish()
 }
 
 // Path returns the log's file path.
@@ -337,7 +273,8 @@ func (w *WAL) Close() error {
 // (proposal records are skipped). A torn or corrupt tail ends replay silently
 // (crash-consistent); corruption in the middle also stops there — the
 // protocol's sync path backfills anything lost. fn returning an error aborts
-// replay with that error.
+// replay with that error, and so does a CRC-intact record under a version tag
+// of another format generation.
 func Replay(path string, fn func(*engine.Certificate) error) error {
 	_, err := ReplayPrefix(path, fn)
 	return err
@@ -375,8 +312,11 @@ func replayRecords(path string, bufSize int, certFn func(*engine.Certificate) er
 		if !ok {
 			return valid, nil // clean EOF, torn record, or corruption: stop
 		}
-		rec, ok := decodeRecord(body)
-		if !ok {
+		rec, err := decodeRecord(body)
+		if errors.Is(err, errUnknownRecordVersion) {
+			return valid, fmt.Errorf("storage: WAL %s: %w at byte offset %d: written by another format generation, refusing to replay or truncate it", path, err, valid)
+		}
+		if err != nil {
 			return valid, nil // undecodable body: stop
 		}
 		switch {

@@ -18,15 +18,15 @@ func FuzzWALRecordDecode(f *testing.F) {
 	prop := &engine.Header{Round: 9, Source: 1, Signature: []byte("own")}
 	f.Add(append([]byte{_recordV2, _recordKindProposal}, engine.AppendHeaderWire(nil, prop)...))
 	f.Add([]byte{_recordV2, 0xFF, 0x01})
-	f.Add([]byte{_recordV1, 0x00})
+	f.Add([]byte{0x01, 0x00})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec, ok := decodeRecord(body)
-		if !ok {
+		rec, err := decodeRecord(body)
+		if err != nil {
 			return
 		}
-		if !rec.valid() {
-			t.Fatal("decodeRecord returned ok for an invalid envelope")
+		if (rec.Cert != nil) == (rec.Proposal != nil) {
+			t.Fatal("decodeRecord accepted a record without exactly one payload")
 		}
 	})
 }
@@ -51,8 +51,8 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 		if isCert {
 			cert := &engine.Certificate{Header: h, Votes: []engine.VoteSig{{Voter: 1, Signature: sig}}}
 			body = append([]byte{_recordV2, _recordKindCert}, engine.AppendCertificateWire(nil, cert)...)
-			rec, ok := decodeRecord(body)
-			if !ok || rec.Cert == nil {
+			rec, err := decodeRecord(body)
+			if err != nil || rec.Cert == nil {
 				t.Fatal("wire certificate record did not decode")
 			}
 			if rec.Cert.Digest() != cert.Digest() {
@@ -60,8 +60,8 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 			}
 		} else {
 			body = append([]byte{_recordV2, _recordKindProposal}, engine.AppendHeaderWire(nil, &h)...)
-			rec, ok := decodeRecord(body)
-			if !ok || rec.Proposal == nil {
+			rec, err := decodeRecord(body)
+			if err != nil || rec.Proposal == nil {
 				t.Fatal("wire proposal record did not decode")
 			}
 			if rec.Proposal.Digest() != h.Digest() {

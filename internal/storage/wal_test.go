@@ -3,11 +3,11 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hammerhead/internal/engine"
@@ -720,60 +720,71 @@ func TestCompactKeepsProposalHighWaterMark(t *testing.T) {
 	}
 }
 
-// TestLegacyCertificateRecordsReplay is the upgrade-path regression: logs
-// written before the record envelope (bare gob-encoded certificates, no
-// version tag) must replay losslessly — without the tag discrimination, the
-// valid-prefix scan would stop at record one and the reopen truncation would
-// silently erase the node's entire pre-upgrade history.
-func TestLegacyCertificateRecordsReplay(t *testing.T) {
+// TestUnknownVersionTagIsRefusedNotErased: a record that passes its CRC under
+// a version tag this binary does not write is a log from another format
+// generation, not a torn tail. Every scan must refuse it with an error naming
+// the tag and offset and leave the file byte-identical — treating it as the
+// end of the valid prefix would have OpenWAL truncate the whole history away.
+// The same byte damaged WITHOUT a matching CRC stays a torn tail.
+func TestUnknownVersionTagIsRefusedNotErased(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := types.Round(1); r <= 3; r++ {
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(testCert(r, 0)); err != nil {
-			t.Fatal(err)
-		}
-		var header [8]byte
-		binary.BigEndian.PutUint32(header[:4], uint32(body.Len()))
-		binary.BigEndian.PutUint32(header[4:], crc32.Checksum(body.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
-		if _, err := f.Write(header[:]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(body.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got := replayAll(t, path)
-	if len(got) != 3 {
-		t.Fatalf("legacy log replayed %d certs, want 3", len(got))
-	}
-	// Reopening must keep (not truncate) the legacy prefix and append new
-	// envelope records after it.
 	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(testCert(4, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendProposal(testProposal(5, 0)); err != nil {
-		t.Fatal(err)
+	for r := types.Round(1); r <= 3; r++ {
+		if err := w.Append(testCert(r, 0)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(path)
+	// Retag the first record and fix its CRC up, as a binary of another
+	// format generation would have written it.
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Certs != 4 || info.HighestRound != 4 || info.Proposals != 1 || info.HighestProposal != 5 {
-		t.Fatalf("mixed-format log: %+v, want 4 certs to round 4 + the round-5 proposal", info)
+	first := want[8 : 8+binary.BigEndian.Uint32(want[:4])]
+	first[0] = 0x03
+	binary.BigEndian.PutUint32(want[4:8], crc32.Checksum(first, _crcTable))
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	refused := func(op string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "version tag 0x03") || !strings.Contains(err.Error(), "byte offset 0") {
+			t.Fatalf("%s: err = %v, want a refusal naming tag 0x03 at byte offset 0", op, err)
+		}
+		if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed the refused log (%d -> %d bytes, err %v)", op, len(want), len(got), rerr)
+		}
+	}
+	_, err = OpenWAL(path)
+	refused("OpenWAL", err)
+	refused("Replay", Replay(path, func(*engine.Certificate) error { return nil }))
+	_, err = Inspect(path)
+	refused("Inspect", err)
+	refused("Compact", Compact(path, 2))
+
+	// Torn, not foreign: the same record with one more byte flipped and no
+	// CRC fix-up fails its checksum before anyone reads the tag, so the open
+	// truncates and carries on as it always has.
+	torn := append([]byte(nil), want...)
+	torn[9] ^= 0xFF
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err = OpenWAL(path)
+	if err != nil {
+		t.Fatalf("CRC-failed record must stay a torn tail: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != 0 {
+		t.Fatalf("torn first record not truncated: size %d, err %v", info.Size(), err)
 	}
 }

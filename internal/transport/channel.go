@@ -110,7 +110,7 @@ func (t *ChannelTransport) deliverLoop(handler Handler) {
 
 // enqueue delivers into this endpoint's inbox without blocking the sender.
 // The message is cloned so each recipient owns its payload, as it would
-// after gob-decoding from a TCP stream: pre-verify stages mark and mutate
+// after decoding from a TCP stream: pre-verify stages mark and mutate
 // payloads, and a broadcast must not let recipients observe each other's
 // (or the sender's) copies.
 func (t *ChannelTransport) enqueue(from types.ValidatorID, msg *engine.Message) {

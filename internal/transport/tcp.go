@@ -46,9 +46,8 @@ type TCPConfig struct {
 
 // TCPTransport implements Transport over persistent TCP connections: one
 // outbound connection per peer (with automatic redial) carrying
-// length-prefixed wire-codec frames (legacy gob frames still decode), and a
-// listener accepting inbound streams that
-// start with a magic + sender-ID handshake.
+// length-prefixed wire-codec frames, and a listener accepting inbound streams
+// that start with a magic + sender-ID handshake.
 type TCPTransport struct {
 	cfg      TCPConfig
 	listener net.Listener
@@ -290,8 +289,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			return
 		}
 		// body is allocated per frame, so the decoded message may alias it
-		// (engine.DecodeMessage is zero-copy for byte fields). Legacy peers
-		// that still send gob frames decode through the same entry point.
+		// (engine.DecodeMessage is zero-copy for byte fields).
 		msg, err := engine.DecodeMessage(body)
 		if err != nil {
 			return

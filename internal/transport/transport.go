@@ -1,10 +1,10 @@
 // Package transport moves engine messages between validators. Two
 // implementations share one interface: an in-process channel transport for
 // tests and single-binary clusters, and a TCP transport with length-prefixed
-// gob frames, identity handshake and automatic reconnection for real
+// wire-codec frames, identity handshake and automatic reconnection for real
 // deployments (the paper's implementation uses QUIC point-to-point channels;
-// TCP gives the same reliable authenticated-pairwise abstraction from the
-// standard library — DESIGN.md §4).
+// TCP gives the same reliable pairwise abstraction from the standard
+// library).
 package transport
 
 import (

@@ -206,7 +206,7 @@ func TestTCPSendReceive(t *testing.T) {
 
 func TestTCPBroadcastRoundTrip(t *testing.T) {
 	trs, cols := newTCPMesh(t, 4)
-	// A full header with payload exercises gob round-tripping of nested
+	// A full header with payload exercises round-tripping of nested
 	// structs.
 	hdr := &engine.Message{Kind: engine.KindHeader, Header: &engine.Header{
 		Round:  3,
@@ -405,7 +405,7 @@ func TestTCPRedialsQuicklyAfterPeerAppears(t *testing.T) {
 	}
 }
 
-func TestTCPAllKindsSurviveGob(t *testing.T) {
+func TestTCPMessageKindsSurviveFraming(t *testing.T) {
 	trs, cols := newTCPMesh(t, 2)
 	h := engine.Header{Round: 1, Source: 0, Edges: []types.Digest{types.HashBytes([]byte("x"))}}
 	msgs := []*engine.Message{

@@ -1,9 +1,7 @@
 // Package wire is the deterministic binary codec underneath every
 // HammerHead byte stream: transport frames, WAL records, snapshots and
-// scheduler state. It replaces encoding/gob on those paths, which re-encoded
-// type metadata per stream, allocated per field, and — because gob walks
-// maps in iteration order — kept inviting nondeterminism into byte streams
-// that consensus compares bit for bit.
+// scheduler state — byte streams that consensus compares bit for bit, so
+// nothing here may depend on reflection or map iteration order.
 //
 // The codec is deliberately primitive: explicit field order, length-prefixed
 // byte strings, fixed-width big-endian integers where the value is usually
@@ -11,7 +9,7 @@
 // small (counts, lengths, scores). There is no reflection, no type
 // negotiation and no schema on the hot path; versioning lives in the single
 // tag byte each layer prefixes its records with (see the README's "Wire
-// format" section for the per-layer layouts and legacy-gob fallback rules).
+// format" section for the per-layer layouts; an unknown tag is refused).
 //
 // Decoding is zero-copy where possible: Reader.Bytes returns sub-slices
 // aliasing the input buffer, so decoding a message allocates only the

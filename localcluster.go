@@ -14,22 +14,11 @@ import (
 type LocalClusterOption func(*localClusterOptions)
 
 type localClusterOptions struct {
-	engineConfig    EngineConfig
-	hammerhead      *SchedulerConfig
-	walDir          string
-	scheme          string
-	execution       bool
-	snapshotDir     string
-	rpc             bool
-	rpcLanes        int
-	onCommit        func(id ValidatorID, sub CommittedSubDAG, replayed bool)
-	metrics         *MetricsRegistry
-	metricsTargetID ValidatorID
-}
-
-// WithEngineConfig overrides the engine configuration for every node.
-func WithEngineConfig(cfg EngineConfig) LocalClusterOption {
-	return func(o *localClusterOptions) { o.engineConfig = cfg }
+	hammerhead  *SchedulerConfig
+	walDir      string
+	execution   bool
+	snapshotDir string
+	onCommit    func(id ValidatorID, sub CommittedSubDAG, replayed bool)
 }
 
 // WithHammerHead enables reputation scheduling (nil config means the paper's
@@ -62,29 +51,9 @@ func WithExecution(snapshotDir string) LocalClusterOption {
 	}
 }
 
-// WithRPC serves each node's client gateway on an ephemeral loopback port
-// (see RPCAddrs) with the given number of fair-admission mempool lanes
-// (<= 1 keeps a single lane). Pair with WithExecution for KV reads.
-func WithRPC(lanes int) LocalClusterOption {
-	return func(o *localClusterOptions) {
-		o.rpc = true
-		o.rpcLanes = lanes
-	}
-}
-
 // WithCommitObserver registers a commit callback across all nodes.
 func WithCommitObserver(fn func(id ValidatorID, sub CommittedSubDAG, replayed bool)) LocalClusterOption {
 	return func(o *localClusterOptions) { o.onCommit = fn }
-}
-
-// WithMetrics attaches a metrics registry to one validator.
-func WithMetrics(reg *MetricsRegistry, id ValidatorID) LocalClusterOption {
-	return func(o *localClusterOptions) { o.metrics = reg; o.metricsTargetID = id }
-}
-
-// WithScheme selects the signature scheme ("ed25519" or "insecure").
-func WithScheme(name string) LocalClusterOption {
-	return func(o *localClusterOptions) { o.scheme = name }
 }
 
 // LocalCluster is an in-process committee wired over channel transports —
@@ -100,17 +69,15 @@ type LocalCluster struct {
 // StartLocalCluster boots an n-validator cluster and returns once all nodes
 // run. Callers must Stop it.
 func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error) {
-	options := localClusterOptions{
-		engineConfig: DefaultEngineConfig(),
-		scheme:       "ed25519",
-	}
+	engineConfig := DefaultEngineConfig()
 	// Local clusters exchange messages in microseconds; the production
 	// leader timeout would only slow fault examples down.
-	options.engineConfig.LeaderTimeout = 1e9 // 1s
+	engineConfig.LeaderTimeout = 1e9 // 1s
 	// Real runtimes run the two-stage engine pipeline: certificate ingest
 	// returns to message processing while the Bullshark walk orders
-	// asynchronously. WithEngineConfig overrides (0 = serial).
-	options.engineConfig.PipelineDepth = engine.DefaultPipelineDepth
+	// asynchronously.
+	engineConfig.PipelineDepth = engine.DefaultPipelineDepth
+	var options localClusterOptions
 	for _, opt := range opts {
 		opt(&options)
 	}
@@ -121,7 +88,7 @@ func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error)
 	}
 	var seed [32]byte
 	seed[0] = 0x42
-	pairs, pubs, err := GenerateKeys(options.scheme, seed, n)
+	pairs, pubs, err := GenerateKeys("ed25519", seed, n)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +104,7 @@ func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error)
 			Self:         id,
 			Keys:         pairs[i],
 			PublicKeys:   pubs,
-			Engine:       options.engineConfig,
+			Engine:       engineConfig,
 			HammerHead:   options.hammerhead,
 			ScheduleSeed: 7,
 		}
@@ -150,16 +117,9 @@ func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error)
 				cfg.SnapshotDir = filepath.Join(options.snapshotDir, fmt.Sprintf("validator-%d", i))
 			}
 		}
-		if options.rpc {
-			cfg.RPCAddr = "127.0.0.1:0"
-			cfg.MempoolLanes = options.rpcLanes
-		}
 		if options.onCommit != nil {
 			hook := options.onCommit
 			cfg.OnCommit = func(sub CommittedSubDAG, replayed bool) { hook(id, sub, replayed) }
-		}
-		if options.metrics != nil && options.metricsTargetID == id {
-			cfg.Metrics = options.metrics
 		}
 
 		var nd *node.Node
@@ -185,18 +145,6 @@ func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error)
 		}
 	}
 	return cluster, nil
-}
-
-// RPCAddrs lists each node's client-gateway base address ("host:port"), in
-// validator order. Empty without WithRPC.
-func (c *LocalCluster) RPCAddrs() []string {
-	var addrs []string
-	for _, nd := range c.Nodes {
-		if gw := nd.Gateway(); gw != nil {
-			addrs = append(addrs, gw.Addr())
-		}
-	}
-	return addrs
 }
 
 // Submit hands a transaction to the given validator's mempool.
