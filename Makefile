@@ -57,11 +57,14 @@ bench-smoke:
 	cd bench && go vet -tags benchprobes ./probes && go build -tags benchprobes -o /dev/null ./probes
 	cd bench && go test ./...
 
-# sim-mem is CI's "Simulator memory and pinned results" step: the retained
+# sim-mem is CI's "Retained memory and pinned results" step: the retained
 # heap of a paper-sized fault run (n=50, 16 crashed) stays under its budget,
-# and a small fault run reproduces its pinned commit-stream hash.
+# a small fault run reproduces its pinned commit-stream hash, and a serving
+# validator's gateway and executor retain no more after 1000 commits than
+# after 200.
 sim-mem:
 	go test -run 'TestFaultRunRetainedHeap|TestFaultRunResultsPinned' ./internal/experiment/
+	go test -run TestServingRetainedHeapFollowsState ./internal/rpc/
 
 clean:
 	rm -rf bin hammerlint

@@ -78,6 +78,23 @@ func BenchmarkStateRootHash(b *testing.B) {
 	}
 }
 
+// BenchmarkKVSnapshot isolates what a checkpoint pays to serialize the ledger
+// under the executor's lock: walk, key sort and encode of 10k pairs.
+func BenchmarkKVSnapshot(b *testing.B) {
+	s := NewKVState()
+	for i := 0; i < 10_000; i++ {
+		s.Apply(&types.Transaction{Payload: PutOp(
+			[]byte(fmt.Sprintf("acct-%d", 100000+i*7919%10000)), []byte(fmt.Sprintf("value-%d", i)))})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSnapshotRoundTrip measures the checkpoint→install cycle: cut a
 // snapshot of a 10k-key ledger, encode it for the wire, decode and install
 // it into a fresh executor with full state-digest verification — the cost a

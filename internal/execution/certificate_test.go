@@ -10,7 +10,7 @@ import (
 
 // certCommittee builds a 4-validator committee with Ed25519 keys for
 // certificate tests.
-func certCommittee(t *testing.T) (*types.Committee, []crypto.KeyPair, []crypto.PublicKey) {
+func certCommittee(t testing.TB) (*types.Committee, []crypto.KeyPair, []crypto.PublicKey) {
 	t.Helper()
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
@@ -34,7 +34,7 @@ func certCommittee(t *testing.T) (*types.Committee, []crypto.KeyPair, []crypto.P
 
 // quorumCertFor signs the snapshot's checkpoint tuple with the first signers
 // validators — a valid certificate when signers reaches quorum.
-func quorumCertFor(t *testing.T, snap Snapshot, keys []crypto.KeyPair, signers int) *checkpoint.Certificate {
+func quorumCertFor(t testing.TB, snap Snapshot, keys []crypto.KeyPair, signers int) *checkpoint.Certificate {
 	t.Helper()
 	m := checkpoint.Meta{
 		Round:       snap.Round,
@@ -56,7 +56,7 @@ func quorumCertFor(t *testing.T, snap Snapshot, keys []crypto.KeyPair, signers i
 
 func runProducer(t *testing.T, commits uint64) *Executor {
 	t.Helper()
-	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
+	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000, CheckpointCerts: true})
 	for seq := uint64(1); seq <= commits; seq++ {
 		x.ApplyCommit(makeCommit(seq, types.Round(seq*2), [][]byte{PutOp([]byte{byte(seq)}, []byte("v"))}))
 	}
@@ -74,7 +74,7 @@ func TestInstallFromWireRequiresCertificate(t *testing.T) {
 	newInstaller := func() *Executor {
 		return NewExecutor(NewKVState(), Config{
 			CheckpointInterval: 1000,
-			RequireCertificate: true,
+			CheckpointCerts:    true,
 			CertVerifier: func(c *checkpoint.Certificate) error {
 				return c.Verify(committee, pubs, crypto.Ed25519{})
 			},

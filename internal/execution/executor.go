@@ -58,17 +58,21 @@ type Config struct {
 	// running the round-robin baseline) fails cleanly and another responder
 	// is tried.
 	RequireSchedulerState bool
-	// RequireCertificate, when true, makes InstallFromWire reject remote
+	// CheckpointCerts says the node runs checkpoint certification, which
+	// asks two things of the executor. InstallFromWire rejects remote
 	// snapshots that carry no checkpoint certificate, or whose certificate
 	// does not cover exactly the snapshot's (round, seq, roots, scheduler
-	// state) tuple. Like RequireSchedulerState, the check runs before the
+	// state) tuple; like RequireSchedulerState, the check runs before the
 	// state machine is touched: a fresh checkpoint whose certification
 	// gossip is still in flight fails cleanly and another responder (or a
-	// later retry) is tried.
-	RequireCertificate bool
+	// later retry) is tried. And every checkpoint captures a frozen view of
+	// the KV state for AttachCertificate to promote and ProvenRead to prove
+	// against; without certification nothing reads such a view, so none is
+	// captured and the live trie goes on writing its nodes in place.
+	CheckpointCerts bool
 	// CertVerifier, when non-nil, vets the certificate's signatures and
 	// quorum (typically checkpoint.Certificate.Verify against the node's
-	// committee). Only consulted when RequireCertificate is set.
+	// committee). Only consulted when CheckpointCerts is set.
 	CertVerifier func(*checkpoint.Certificate) error
 	// OnApplied, when non-nil, observes every commit the ASYNC apply
 	// goroutine finishes (including the close-time drain) — the tracing tap
@@ -138,13 +142,17 @@ type Executor struct {
 	served     map[uint64][]byte // guarded by mu
 
 	// frozenLatest/frozenPrev are immutable KV views captured at the two
-	// cached checkpoints (nil when the state machine is not a KVState).
+	// cached checkpoints, waiting for their quorum certificates (nil without
+	// Config.CheckpointCerts, or when the state machine is not a KVState).
 	// Capturing shares the trie's nodes (the checkpoint's StateDigest has
 	// just flushed their hashes); the live trie copies a node the first time
-	// it writes one a frozen view can reach. Once a
-	// checkpoint's quorum certificate arrives (AttachCertificate), the
-	// matching frozen view becomes the certified read state ProvenRead
-	// serves proofs from.
+	// it writes one a frozen view can reach, so every view held pins up to a
+	// whole former generation of the trie — several times the checkpoint's
+	// blob under write churn. Once a checkpoint's certificate arrives
+	// (AttachCertificate), its view becomes certifiedKV, the read state
+	// ProvenRead serves proofs from, and the views of older checkpoints are
+	// released: frozenPrev is non-nil only while the latest checkpoint is
+	// still uncertified.
 	frozenLatest *FrozenKV               // guarded by mu
 	frozenPrev   *FrozenKV               // guarded by mu
 	certified    *checkpoint.Certificate // guarded by mu
@@ -528,6 +536,7 @@ func (x *Executor) Install(snap Snapshot) error {
 		// immediately servable for proof-carrying reads.
 		x.certified = snap.Cert
 		x.certifiedKV = frozen
+		x.frozenPrev = nil
 	}
 	if err := x.cfg.Store.Save(snap); err == nil && x.cfg.OnCheckpoint != nil {
 		x.cfg.OnCheckpoint(snap)
@@ -535,11 +544,12 @@ func (x *Executor) Install(snap Snapshot) error {
 	return nil
 }
 
-// freezeKVLocked captures an immutable view of the state machine when it is
-// the built-in KVState (nil otherwise — custom machines have no generic
-// proof surface).
+// freezeKVLocked captures an immutable view of the state machine when
+// certification is on and the machine is the built-in KVState (nil otherwise
+// — no certificate will ever promote the view, or a custom machine has no
+// generic proof surface).
 func (x *Executor) freezeKVLocked() *FrozenKV {
-	if kv, ok := x.sm.(*KVState); ok {
+	if kv, ok := x.sm.(*KVState); ok && x.cfg.CheckpointCerts {
 		return kv.Freeze()
 	}
 	return nil
@@ -548,7 +558,8 @@ func (x *Executor) freezeKVLocked() *FrozenKV {
 // cacheSnapshotLocked rotates the in-memory checkpoint cache: the newest two
 // stay servable (mirroring the store's default retention) and stale wire
 // encodings are dropped. frozen is the immutable KV view captured at the
-// snapshot (nil for non-KV state machines); it rotates with the snapshot.
+// snapshot (nil unless freezeKVLocked captures one); it rotates with the
+// snapshot.
 func (x *Executor) cacheSnapshotLocked(snap Snapshot, frozen *FrozenKV) {
 	if x.haveLatest && x.latest.CommitSeq != snap.CommitSeq {
 		x.prev = x.latest
@@ -585,6 +596,7 @@ func (x *Executor) AttachCertificate(seq uint64, cert *checkpoint.Certificate) b
 		if x.frozenLatest != nil {
 			x.certified = cert
 			x.certifiedKV = x.frozenLatest
+			x.frozenPrev = nil
 		}
 		return true
 	case x.havePrev && x.prev.CommitSeq == seq:

@@ -69,7 +69,7 @@ type Snapshot struct {
 	// Cert is the 2f+1 checkpoint certificate over this snapshot's tuple,
 	// attached once the validator quorum certified it (nil on fresh
 	// checkpoints whose certification gossip is still in flight). Installers
-	// configured with RequireCertificate verify it instead of trusting the
+	// configured with CheckpointCerts verify it instead of trusting the
 	// responder.
 	Cert *checkpoint.Certificate
 }

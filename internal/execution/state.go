@@ -18,7 +18,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hammerhead/internal/merkle"
 	"hammerhead/internal/types"
@@ -183,9 +183,10 @@ func (s *KVState) Prove(key []byte) merkle.Proof { return s.tree.Prove(key) }
 
 // Freeze returns an immutable point-in-time view of the ledger: a Root()
 // worth of hashing, then a pointer copy — the view shares the tree's nodes,
-// and the live tree copies one the first time it writes it afterwards. The
-// executor captures one per checkpoint so proof-carrying reads are served
-// against the quorum-certified root while the live state advances.
+// and the live tree copies one the first time it writes it afterwards. With
+// checkpoint certification on, the executor captures one per checkpoint so
+// proof-carrying reads are served against the quorum-certified root while the
+// live state advances.
 func (s *KVState) Freeze() *FrozenKV {
 	return &FrozenKV{tree: s.tree.Freeze(), version: s.version, opaque: s.opaque}
 }
@@ -262,7 +263,7 @@ func (s *KVState) Snapshot() ([]byte, error) {
 		total += len(k) + len(v)
 		return true
 	})
-	sort.Slice(pairs, func(i, j int) bool { return bytes.Compare(pairs[i].key, pairs[j].key) < 0 })
+	slices.SortFunc(pairs, func(a, b kvPair) int { return bytes.Compare(a.key, b.key) })
 	buf := make([]byte, 0, total+len(pairs)*12+32)
 	buf = append(buf, kvSnapshotMagic, kvSnapshotWireV1)
 	buf = wire.AppendU64(buf, s.version)

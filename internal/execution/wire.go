@@ -85,7 +85,7 @@ func (x *Executor) InstallFromWire(meta engine.SnapshotMeta, data []byte) (*engi
 		// and a clean error here lets the engine retry another responder.
 		return nil, fmt.Errorf("execution: snapshot at seq %d carries no scheduler state", snap.CommitSeq)
 	}
-	if x.cfg.RequireCertificate {
+	if x.cfg.CheckpointCerts {
 		// Also before Install: an uncertified (or mis-certified) snapshot
 		// must not touch the state machine, so the fetch retries another
 		// responder — or the same one later, once certification gossip

@@ -373,8 +373,9 @@ func New(cfg Config, trans transport.Transport) (*Node, error) {
 			}
 			// With certification on, never install a remote snapshot on the
 			// responder's word alone: require a quorum certificate covering
-			// exactly the snapshot's tuple.
-			execCfg.RequireCertificate = true
+			// exactly the snapshot's tuple. It is also what makes the executor
+			// keep a frozen KV view per checkpoint for proof-carrying reads.
+			execCfg.CheckpointCerts = true
 			execCfg.CertVerifier = func(cert *checkpoint.Certificate) error {
 				return cert.Verify(cfg.Committee, cfg.PublicKeys, cfg.Keys.Scheme)
 			}

@@ -15,9 +15,11 @@
 //     certificate covers a re-executed sequence, compare both the chained
 //     root and the re-executed state digest against the certified tuple.
 //     A match promotes that sequence's frozen state to the certified read
-//     view (served with Merkle proofs on ?proof=1); a mismatch means the
-//     stream this replica tailed is NOT the quorum's history — the replica
-//     poisons itself and stops serving rather than serve lies.
+//     view (served with Merkle proofs on ?proof=1) and releases the frozen
+//     states at and below it, which no later certificate can promote: the
+//     replica holds views for its uncertified tail only. A mismatch means
+//     the stream this replica tailed is NOT the quorum's history — the
+//     replica poisons itself and stops serving rather than serve lies.
 //
 // Because step 3 verifies recomputed state against quorum signatures, a
 // malicious or buggy serving validator cannot feed a replica fabricated
@@ -47,9 +49,10 @@ const (
 	// DefaultPollInterval is the checkpoint-certificate poll cadence.
 	DefaultPollInterval = 200 * time.Millisecond
 	// DefaultRingSize is how many recent re-executed commits the replica
-	// retains (chained root + frozen state each) for certificate
-	// cross-checks. It must cover at least one checkpoint interval of
-	// commits, or certificates land past the ring and never promote.
+	// retains for certificate cross-checks and RootAt: the chained root of
+	// each, plus the frozen state of those above the certified sequence. It
+	// must cover at least one checkpoint interval of commits, or
+	// certificates land past the ring and never promote.
 	DefaultRingSize = 512
 	// bootstrapBackoff paces snapshot retries while the cluster has not
 	// certified a checkpoint yet.
@@ -79,8 +82,9 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// ringEntry is one re-executed commit the replica can still cross-check:
-// the roots it derived and the frozen state view it can serve proofs from.
+// ringEntry is one re-executed commit: the roots the replica derived and,
+// while a certificate could still promote it (seq above the certified one),
+// the frozen state view it would serve proofs from.
 type ringEntry struct {
 	seq         uint64
 	round       uint64
@@ -235,13 +239,12 @@ func (r *Replica) BootstrapFromBlob(blob []byte) error {
 	r.chainedRoot = snap.StateRoot
 	r.certified = snap.Cert
 	r.certifiedKV = frozen
-	r.ring = r.ring[:0]
-	r.ring = append(r.ring, ringEntry{
+	clear(r.ring) // the abandoned entries' views must not outlive them
+	r.ring = append(r.ring[:0], ringEntry{
 		seq:         snap.CommitSeq,
 		round:       uint64(snap.Round),
 		chainedRoot: snap.StateRoot,
 		stateDigest: snap.StateDigest,
-		frozen:      frozen,
 	})
 	r.logger.Info("bootstrapped from certified snapshot", "seq", snap.CommitSeq, "round", snap.Round)
 	return nil
@@ -403,6 +406,14 @@ func (r *Replica) CrossCheck(cert *checkpoint.Certificate) error {
 	}
 	r.certified = cert
 	r.certifiedKV = entry.frozen
+	// Nothing at or below seq can be promoted again: keep those entries'
+	// roots for RootAt, release their views.
+	for i := range r.ring {
+		if r.ring[i].seq > seq {
+			break
+		}
+		r.ring[i].frozen = nil
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func newHarness(t *testing.T) *harness {
 		committee: committee,
 		keys:      keys,
 		verifier:  &client.Verifier{Committee: committee, PublicKeys: pubs, Scheme: scheme},
-		producer:  execution.NewExecutor(execution.NewKVState(), execution.Config{CheckpointInterval: 1000}),
+		producer:  execution.NewExecutor(execution.NewKVState(), execution.Config{CheckpointInterval: 1000, CheckpointCerts: true}),
 	}
 }
 
@@ -299,5 +300,91 @@ func TestReplicaStreamGapRequestsResync(t *testing.T) {
 	ev.Seq += 5 // the gateway ring aged past us
 	if err := r.ApplyCommitEvent(ev); err != errResync {
 		t.Fatalf("gap produced %v, want errResync", err)
+	}
+}
+
+// TestReplicaReleasesViewsAtPromotion: a ring entry's frozen view exists to be
+// promoted by a certificate, and nothing at or below the certified sequence
+// can be promoted again — so after a cross-check the replica holds views for
+// its uncertified tail only, while every retained entry still answers RootAt
+// (the gateway stamps stream events with it). Older certificates stay no-ops
+// and a later divergence still poisons.
+func TestReplicaReleasesViewsAtPromotion(t *testing.T) {
+	h := newHarness(t)
+	h.commit(execution.PutOp([]byte("k"), []byte("v0")))
+	h.certify(t, 3)
+	blob, _ := h.producer.CertifiedSnapshotBlob()
+	r := h.newReplica(t)
+	if err := r.BootstrapFromBlob(blob); err != nil {
+		t.Fatal(err)
+	}
+	views := func() (held []uint64) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, e := range r.ring {
+			if e.frozen != nil {
+				held = append(held, e.seq)
+			}
+		}
+		return held
+	}
+	if got := views(); len(got) != 0 {
+		t.Fatalf("the bootstrap entry is already certified, yet seqs %v hold views", got)
+	}
+
+	roots := map[uint64]types.Digest{1: r.ChainedRoot()}
+	tail := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			ev := h.commit(execution.PutOp([]byte("k"), []byte(fmt.Sprintf("v%d", h.nextSeq+1))))
+			if err := r.ApplyCommitEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+			roots[ev.Seq] = r.ChainedRoot()
+		}
+	}
+	tail(3) // seqs 2..4
+	certAt4, _ := h.certify(t, 3)
+	tail(2) // seqs 5, 6
+	if got := views(); len(got) != 5 {
+		t.Fatalf("uncertified tail 2..6 should hold 5 views, have %v", got)
+	}
+
+	if err := r.CrossCheck(certAt4); err != nil {
+		t.Fatal(err)
+	}
+	if got := views(); len(got) != 2 || got[0] != 5 || got[1] != 6 {
+		t.Fatalf("after promoting seq 4 views remain at %v, want only the uncertified tail [5 6]", got)
+	}
+	for seq, want := range roots {
+		if got, ok := r.RootAt(seq); !ok || got != want {
+			t.Fatalf("RootAt(%d) = %s (ok=%v) after promotion, want %s", seq, got, ok, want)
+		}
+	}
+	pr, ok := r.ProvenRead([]byte("k"))
+	if !ok || pr.Cert.Meta.CommitSeq != 4 {
+		t.Fatal("promoted view does not serve proven reads at seq 4")
+	}
+	if _, entry, err := pr.Proof.Verify([]byte("k")); err != nil || string(entry.Value) != "v4" {
+		t.Fatalf("proven k = %q (err %v), want the value certified at seq 4", entry.Value, err)
+	}
+
+	// A certificate at or below the certified sequence changes nothing.
+	older := *certAt4
+	older.Meta.CommitSeq = 3
+	older.Meta.StateRoot = types.HashBytes([]byte("would diverge if it were checked"))
+	if err := r.CrossCheck(&older); err != nil {
+		t.Fatalf("certificate for an already-covered sequence must be a no-op, got %v", err)
+	}
+	if got, _ := r.Certificate(); got.Meta.CommitSeq != 4 {
+		t.Fatalf("certified seq moved to %d", got.Meta.CommitSeq)
+	}
+
+	// Divergence above the certified sequence still poisons.
+	certAt6, _ := h.certify(t, 3)
+	bad := *certAt6
+	bad.Meta.StateDigest = types.HashBytes([]byte("not what the replica executed"))
+	if err := r.CrossCheck(&bad); err == nil || r.Err() == nil {
+		t.Fatal("a certificate contradicting the re-execution did not poison the replica")
 	}
 }

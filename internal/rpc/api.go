@@ -15,14 +15,25 @@
 //	                     consistent cursor
 //	GET  /v1/commits   — Server-Sent Events stream of committed transactions,
 //	                     resumable from a sequence number (?from= or
-//	                     Last-Event-ID)
-//	GET  /v1/status    — round, frontier, rejoining, snapshot floor, mempool
-//	                     lane depths
+//	                     Last-Event-ID) while it is inside the resume window
+//	GET  /v1/status    — round, frontier, rejoining, snapshot floor, oldest
+//	                     resumable commit, mempool lane depths
 //	GET  /v1/trace/{txid} — a transaction's commit-path waterfall (admitted →
 //	                     proposed → cert_formed → ordered → durable →
 //	                     streamed → applied), from the node's tracer
 //	GET  /metrics      — Prometheus text exposition (when a registry is
 //	                     attached)
+//
+// The resume window (commitRing) is bounded by what it holds, not by how long
+// the node has run: at most Config.HistoryDepth commits and at most
+// historyBytes of transaction IDs and payloads, but never fewer than the
+// newest two checkpoint intervals of commits — what a replica needs between a
+// certified snapshot and the live tail. A subscriber behind the window gets a
+// gap event and continues from the oldest retained commit (a replica
+// re-bootstraps); one that stops reading is disconnected after
+// streamWriteTimeout. Subscribers copy the ring out streamBatch events at a
+// time, so none holds the gateway's lock — which the node's commit path takes
+// in ObserveCommit — for the length of the ring.
 //
 // The wire types are defined in hammerhead/pkg/rpcapi — an importable
 // package, so external consumers of pkg/client can name them — and aliased

@@ -8,7 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"sort"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,10 +25,24 @@ import (
 )
 
 const (
-	// DefaultHistoryDepth is how many recent commits the gateway retains for
+	// DefaultHistoryDepth is the most recent commits the gateway retains for
 	// SSE resume. A client further behind receives a gap event and resumes
 	// from the oldest retained sequence.
 	DefaultHistoryDepth = 4096
+	// historyBytes bounds what the retained commits may hold in transaction
+	// IDs and payloads: under load the resume window is this many bytes of
+	// history, not HistoryDepth commits (see commitRing for the floor).
+	historyBytes = 4 << 20
+	// streamBatch is how many events a subscriber copies out of the ring per
+	// hold of the gateway's lock — the lock ObserveCommit takes on the node's
+	// commit-delivery goroutine, which a deep resume must not hold for the
+	// length of the whole ring.
+	streamBatch = 64
+	// streamWriteTimeout is how long one batch of stream events may take to
+	// reach a subscriber's socket. A subscriber that stops reading is
+	// disconnected when it runs out, instead of parking its handler (and the
+	// batch it copied) for ever; it can resume from its Last-Event-ID.
+	streamWriteTimeout = 10 * time.Second
 	// maxSubmitBody bounds one POST /v1/tx body.
 	maxSubmitBody = 8 << 20
 	// maxTxIDsPerEvent caps the per-commit ID list carried on the stream;
@@ -93,8 +107,8 @@ type Config struct {
 	// (hammerhead_rpc_requests_total, hammerhead_rpc_submit_latency_seconds,
 	// hammerhead_mempool_lane_depth) and is mounted at /metrics.
 	Metrics *metrics.Registry
-	// HistoryDepth overrides the SSE resume window (0 =
-	// DefaultHistoryDepth).
+	// HistoryDepth overrides the most commits the SSE resume window holds
+	// (0 = DefaultHistoryDepth). The window is also bounded in bytes.
 	HistoryDepth int
 }
 
@@ -105,25 +119,30 @@ type Gateway struct {
 	listener net.Listener
 	server   *http.Server
 
-	// Commit history for SSE resume: a circular buffer ordered by seq
-	// (oldest at head). mu/cond guard it and wake streaming subscribers;
-	// ObserveCommit is the only writer, and appends are O(1) — this runs on
-	// the node's commit-delivery goroutine.
+	// Commit history for SSE resume. mu/cond guard it and wake streaming
+	// subscribers; ObserveCommit is the only writer, and appends are O(1)
+	// amortized — this runs on the node's commit-delivery goroutine.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	ring    []CommitEvent // guarded by mu
-	head    int           // guarded by mu
-	lastSeq uint64        // guarded by mu
-	commits uint64        // guarded by mu
-	closed  bool          // guarded by mu
+	ring    *commitRing // guarded by mu
+	lastSeq uint64      // guarded by mu
+	commits uint64      // guarded by mu
+	closed  bool        // guarded by mu
+
+	// writeTimeout is streamWriteTimeout; a field so a test can shorten it
+	// before Start.
+	writeTimeout time.Duration
 
 	txSeq       atomic.Uint64
 	redirectSeq atomic.Uint64
 	closeOnce   sync.Once
 
-	reqsMetric    *metrics.Counter
-	submitLatency *metrics.Histogram
-	laneDepth     *metrics.Gauge
+	reqsMetric      *metrics.Counter
+	submitLatency   *metrics.Histogram
+	laneDepth       *metrics.Gauge
+	historyEvents   *metrics.Gauge
+	historyBytesMet *metrics.Gauge
+	streamEvictions *metrics.Counter
 }
 
 // New binds the gateway's listener (so ":0" callers can read Addr before
@@ -146,9 +165,10 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("rpc: listening on %s: %w", cfg.Addr, err)
 	}
 	g := &Gateway{
-		cfg:      cfg,
-		listener: ln,
-		ring:     make([]CommitEvent, 0, cfg.HistoryDepth),
+		cfg:          cfg,
+		listener:     ln,
+		ring:         newCommitRing(cfg.HistoryDepth, 2*execution.DefaultCheckpointInterval, historyBytes),
+		writeTimeout: streamWriteTimeout,
 	}
 	g.cond = sync.NewCond(&g.mu)
 	if cfg.Metrics != nil {
@@ -156,6 +176,9 @@ func New(cfg Config) (*Gateway, error) {
 		g.submitLatency = cfg.Metrics.Histogram("hammerhead_rpc_submit_latency_seconds",
 			[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1})
 		g.laneDepth = cfg.Metrics.Gauge("hammerhead_mempool_lane_depth")
+		g.historyEvents = cfg.Metrics.Gauge("hammerhead_rpc_history_events")
+		g.historyBytesMet = cfg.Metrics.Gauge("hammerhead_rpc_history_bytes")
+		g.streamEvictions = cfg.Metrics.Counter("hammerhead_rpc_stream_evictions_total")
 	}
 
 	mux := http.NewServeMux()
@@ -215,7 +238,7 @@ func (g *Gateway) Close() error {
 // the ring and wakes subscribers, nothing slower. The event retains the full
 // transaction payloads (in application order) plus the commit's content
 // digest so ?full=1 subscribers — read replicas — can re-execute the stream;
-// HistoryDepth bounds the retained payload memory.
+// historyBytes bounds the retained payload memory.
 func (g *Gateway) ObserveCommit(sub bullshark.CommittedSubDAG) {
 	ev := CommitEvent{
 		Seq:          sub.Index,
@@ -223,6 +246,10 @@ func (g *Gateway) ObserveCommit(sub bullshark.CommittedSubDAG) {
 		TxCount:      sub.TxCount(),
 		CommitDigest: hex.EncodeToString(digestOf(&sub)),
 	}
+	// Sized exactly: the ring holds these slices for as long as the event,
+	// and accounts for their lengths.
+	ev.Payloads = make([][]byte, 0, ev.TxCount)
+	ev.TxIDs = make([]uint64, 0, min(ev.TxCount, maxTxIDsPerEvent))
 	for _, v := range sub.Vertices {
 		if v.Batch == nil {
 			continue
@@ -249,23 +276,17 @@ func digestOf(sub *bullshark.CommittedSubDAG) []byte {
 func (g *Gateway) ObserveEvent(ev CommitEvent) {
 	g.mu.Lock()
 	if ev.Seq > g.lastSeq {
-		if len(g.ring) < cap(g.ring) {
-			g.ring = append(g.ring, ev)
-		} else {
-			// Full: overwrite the oldest slot and advance the head.
-			g.ring[g.head] = ev
-			g.head = (g.head + 1) % len(g.ring)
-		}
+		g.ring.push(ev)
 		g.lastSeq = ev.Seq
 	}
 	g.commits++
+	n, held := g.ring.n, g.ring.bytes
 	g.mu.Unlock()
 	g.cond.Broadcast()
-}
-
-// ringAtLocked returns the i-th oldest retained event. Caller holds g.mu.
-func (g *Gateway) ringAtLocked(i int) *CommitEvent {
-	return &g.ring[(g.head+i)%len(g.ring)]
+	if g.historyEvents != nil {
+		g.historyEvents.Set(int64(n))
+		g.historyBytesMet.Set(int64(held))
+	}
 }
 
 // counted wraps a handler with the request counter.
@@ -534,6 +555,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	g.mu.Lock()
 	resp.Commits = g.commits
+	resp.HistoryOldestSeq = g.ring.oldestSeq()
 	g.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -541,16 +563,13 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleCommits streams commits as Server-Sent Events. ?from=SEQ (or the
 // Last-Event-ID header on reconnect) resumes after the given sequence; absent,
 // the stream starts at the live tail. A resume point older than the retained
-// ring yields a gap event, then streaming continues from the oldest retained
-// commit.
+// ring — on connect, or because the subscriber fell behind the ring's bounds
+// mid-stream — yields a gap event, then streaming continues from the oldest
+// retained commit. A subscriber that stops reading is disconnected after
+// streamWriteTimeout.
 func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, SubmitError{Error: "GET only"})
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, SubmitError{Error: "streaming unsupported"})
 		return
 	}
 	from, fromSet, err := resumePoint(r)
@@ -564,7 +583,10 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	rc := http.NewResponseController(w)
+	if err := rc.Flush(); err != nil {
+		return // streaming unsupported by this ResponseWriter, or client gone
+	}
 
 	// Wake the cond wait when the client goes away. The broadcast must
 	// serialize with the handler's check-then-wait under g.mu: a bare
@@ -584,6 +606,10 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
+	// batch is reused across wakes and cleared after each write, so a
+	// subscriber parked in Wait (or in a blocked write) pins at most
+	// streamBatch events' payloads outside the ring's budget.
+	batch := make([]CommitEvent, 0, streamBatch)
 	g.mu.Lock()
 	next := g.lastSeq + 1 // live tail by default
 	if fromSet {
@@ -597,33 +623,23 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 			g.mu.Unlock()
 			return
 		}
-		// Copy the deliverable tail out (the ring is seq-ordered, so the
-		// start position is a binary search), then emit without the lock.
-		var gap *GapEvent
-		n := len(g.ring)
-		if n > 0 && g.ringAtLocked(0).Seq > next {
-			gap = &GapEvent{Oldest: g.ringAtLocked(0).Seq}
-			next = g.ringAtLocked(0).Seq
-		}
-		start := sort.Search(n, func(i int) bool { return g.ringAtLocked(i).Seq >= next })
-		batch := make([]CommitEvent, 0, n-start)
-		for i := start; i < n; i++ {
-			batch = append(batch, *g.ringAtLocked(i))
-		}
+		// Copy the next slice of the deliverable tail out, then emit without
+		// the lock.
+		var gapOldest uint64
+		batch, gapOldest = g.ring.tail(batch, next, streamBatch)
 		if len(batch) > 0 {
 			next = batch[len(batch)-1].Seq + 1
 		}
 		g.mu.Unlock()
 
-		if gap != nil {
+		err := rc.SetWriteDeadline(time.Now().Add(g.writeTimeout))
+		if err == nil && gapOldest != 0 {
 			// The gap frame's id is Oldest-1: a client reconnecting with
 			// Last-Event-ID after seeing only the gap must still receive the
 			// commit at Oldest (id semantics are "last seq caught up to").
-			if err := writeEvent(w, "gap", gap.Oldest-1, gap); err != nil {
-				return
-			}
+			err = writeEvent(w, "gap", gapOldest-1, GapEvent{Oldest: gapOldest})
 		}
-		for i := range batch {
+		for i := 0; err == nil && i < len(batch); i++ {
 			if !full {
 				batch[i].Payloads = nil
 			}
@@ -632,11 +648,19 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 					batch[i].StateRoot = hex.EncodeToString(root[:])
 				}
 			}
-			if err := writeEvent(w, "commit", batch[i].Seq, batch[i]); err != nil {
-				return
-			}
+			err = writeEvent(w, "commit", batch[i].Seq, batch[i])
 		}
-		flusher.Flush()
+		if err == nil {
+			err = rc.Flush()
+		}
+		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) && g.streamEvictions != nil {
+				g.streamEvictions.Inc()
+			}
+			return
+		}
+		clear(batch)
+		batch = batch[:0]
 		g.mu.Lock()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -345,6 +346,33 @@ func TestGatewayCommitStreamGap(t *testing.T) {
 	_ = json.Unmarshal(data, &ev)
 	if name != "commit" || ev.Seq != 7 {
 		t.Fatalf("post-gap event = %s seq %d, want commit 7", name, ev.Seq)
+	}
+
+	// An operator reads the same window off /v1/status and /metrics.
+	resp, err := http.Get(base + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status StatusResponse
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if status.HistoryOldestSeq != gap.Oldest {
+		t.Fatalf("status history_oldest_seq = %d, the stream's gap said %d", status.HistoryOldestSeq, gap.Oldest)
+	}
+	text := g.cfg.Metrics.Render()
+	g.mu.Lock()
+	held := g.ring.bytes
+	g.mu.Unlock()
+	for _, line := range []string{
+		"hammerhead_rpc_history_events 4",
+		fmt.Sprintf("hammerhead_rpc_history_bytes %d", held),
+		"hammerhead_rpc_stream_evictions_total 0",
+	} {
+		if held == 0 || !strings.Contains(text, line) {
+			t.Fatalf("metrics exposition missing %q (ring holds %d bytes):\n%s", line, held, text)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hammerhead/internal/metrics"
 	"hammerhead/internal/types"
 )
 
@@ -71,5 +72,75 @@ func TestGatewayDropsStalledClient(t *testing.T) {
 	var ev CommitEvent
 	if err := json.Unmarshal(data, &ev); err != nil || name != "commit" || ev.Seq != 1 {
 		t.Fatalf("stream event %q %s (err %v), want commit 1", name, data, err)
+	}
+}
+
+// TestGatewayEvictsSlowSubscriber: a subscriber that stops reading is
+// disconnected once a batch has sat unwritten for the stream write timeout,
+// instead of parking its handler — and the payloads it copied out of the
+// ring — for as long as the connection stays open. Meanwhile the commit path
+// never waits on it, and a subscriber that does read sees every event.
+func TestGatewayEvictsSlowSubscriber(t *testing.T) {
+	reg := metrics.NewRegistry()
+	g, err := New(Config{
+		Addr:    "127.0.0.1:0",
+		Submit:  func(string, types.Transaction) error { return nil },
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = g.Close() })
+	if g.writeTimeout != streamWriteTimeout || streamWriteTimeout <= 0 {
+		t.Fatalf("stream write timeout %v, want the constant %v", g.writeTimeout, streamWriteTimeout)
+	}
+	g.writeTimeout = 300 * time.Millisecond // not yet serving: no one else reads it
+	g.Start()
+
+	// The stalled subscriber: sends the request, never reads a byte.
+	stalled, err := net.Dial("tcp", g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write([]byte("GET /v1/commits?full=1&from=0 HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	good := openStream(t, "http://"+g.Addr(), "0")
+
+	// 48 commits of 256 KB: several times what the two sockets' buffers can
+	// absorb on the stalled connection, and under the ring's 64-event floor,
+	// so the reading subscriber can always resume.
+	payload := make([]byte, 256<<10)
+	evictions := reg.Counter("hammerhead_rpc_stream_evictions_total")
+	var slowest time.Duration
+	for seq := uint64(1); seq <= 48; seq++ {
+		start := time.Now()
+		g.ObserveCommit(syntheticCommit(seq, types.Round(2*seq), payload))
+		slowest = max(slowest, time.Since(start))
+		name, data := good.next(t)
+		var ev CommitEvent
+		if err := json.Unmarshal(data, &ev); err != nil || name != "commit" || ev.Seq != seq {
+			t.Fatalf("reading subscriber got %q seq %d (err %v), want commit %d", name, ev.Seq, err, seq)
+		}
+	}
+	if slowest > g.writeTimeout/2 {
+		t.Fatalf("ObserveCommit took %v while a subscriber was stalled; the commit path must not wait on streams", slowest)
+	}
+	for deadline := time.Now().Add(10 * time.Second); evictions.Value() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled subscriber's handler was still parked 10s after its write timed out")
+		}
+	}
+	if got := evictions.Value(); got != 1 {
+		t.Fatalf("stream evictions = %d, want 1 (the reading subscriber must stay)", got)
+	}
+	// The server closed the evicted connection: draining what the sockets
+	// had buffered ends in EOF or a reset, not in our own read deadline.
+	if err := stalled.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, stalled); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("evicted subscriber's connection was left open")
 	}
 }

@@ -34,7 +34,8 @@ var (
 	// ErrTruncated reports input that ended before a declared field.
 	ErrTruncated = errors.New("wire: truncated input")
 	// ErrMalformed reports input that is structurally invalid (a length
-	// exceeding the remaining bytes, a non-canonical bool, trailing garbage).
+	// exceeding the remaining bytes, a non-canonical bool or varint, trailing
+	// garbage).
 	ErrMalformed = errors.New("wire: malformed input")
 )
 
@@ -170,36 +171,38 @@ func (r *Reader) U64() uint64 {
 	return binary.BigEndian.Uint64(p)
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint, failing on one padded with a trailing
+// zero group (0x80 0x00 for 0): like a non-canonical bool, a second encoding
+// of the same value would make decode∘encode non-identity.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		if n == 0 {
-			r.fail(ErrTruncated)
-		} else {
-			r.fail(fmt.Errorf("%w: uvarint overflow", ErrMalformed))
-		}
-		return 0
-	}
-	r.off += n
-	return v
+	return r.varintRead(v, n)
 }
 
-// Varint reads a zigzag-encoded signed varint.
+// Varint reads a zigzag-encoded signed varint, canonical like Uvarint.
 func (r *Reader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		if n == 0 {
-			r.fail(ErrTruncated)
-		} else {
-			r.fail(fmt.Errorf("%w: varint overflow", ErrMalformed))
-		}
+	return int64(r.varintRead(uint64(v), n))
+}
+
+// varintRead vets what encoding/binary decoded at the read offset — n as
+// binary.Uvarint reports it — and consumes it.
+func (r *Reader) varintRead(v uint64, n int) uint64 {
+	switch {
+	case n == 0:
+		r.fail(ErrTruncated)
+		return 0
+	case n < 0:
+		r.fail(fmt.Errorf("%w: varint overflow", ErrMalformed))
+		return 0
+	case n > 1 && r.buf[r.off+n-1] == 0:
+		r.fail(fmt.Errorf("%w: non-canonical varint", ErrMalformed))
 		return 0
 	}
 	r.off += n

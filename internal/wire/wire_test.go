@@ -180,3 +180,24 @@ func TestUvarintOverflowRejected(t *testing.T) {
 		t.Fatalf("err = %v, want ErrMalformed", r.Err())
 	}
 }
+
+// TestNonCanonicalVarintRejected: a varint padded with a trailing zero group
+// decodes, under encoding/binary, to the same value as its minimal form — a
+// second byte stream for one record, which Finish's every-byte accounting
+// exists to rule out.
+func TestNonCanonicalVarintRejected(t *testing.T) {
+	for _, b := range [][]byte{{0x80, 0x00}, {0x85, 0x00}, {0xFF, 0x80, 0x00}} {
+		r := NewReader(b)
+		if v := r.Uvarint(); v != 0 || !errors.Is(r.Err(), ErrMalformed) {
+			t.Fatalf("uvarint % x decoded to %d (err %v), want ErrMalformed", b, v, r.Err())
+		}
+		r = NewReader(b)
+		if v := r.Varint(); v != 0 || !errors.Is(r.Err(), ErrMalformed) {
+			t.Fatalf("varint % x decoded to %d (err %v), want ErrMalformed", b, v, r.Err())
+		}
+		r = NewReader(b)
+		if p := r.Bytes(); p != nil || !errors.Is(r.Err(), ErrMalformed) {
+			t.Fatalf("length prefix % x accepted (err %v)", b, r.Err())
+		}
+	}
+}

@@ -52,7 +52,7 @@ func newFreshHarness(t *testing.T) *freshHarness {
 		committee: committee,
 		keys:      keys,
 		verifier:  &Verifier{Committee: committee, PublicKeys: pubs, Scheme: scheme},
-		producer:  execution.NewExecutor(execution.NewKVState(), execution.Config{CheckpointInterval: 1000}),
+		producer:  execution.NewExecutor(execution.NewKVState(), execution.Config{CheckpointInterval: 1000, CheckpointCerts: true}),
 	}
 }
 

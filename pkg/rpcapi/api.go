@@ -190,6 +190,10 @@ type StatusResponse struct {
 	// Commits counts ordered sub-DAGs delivered since boot (replayed ones
 	// included).
 	Commits uint64 `json:"commits"`
+	// HistoryOldestSeq is the oldest commit sequence GET /v1/commits can still
+	// resume from (0 before the first commit): a subscriber whose last seen
+	// sequence is below HistoryOldestSeq-1 gets a gap event on reconnect.
+	HistoryOldestSeq uint64 `json:"history_oldest_seq"`
 	// Leader-scheduling state. ScheduleEpoch counts schedule switches (always
 	// 0 under the round-robin baseline, which never switches);
 	// ScheduleStartRound is the active schedule's first round; CurrentLeader
