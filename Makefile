@@ -58,13 +58,15 @@ bench-smoke:
 	cd bench && go test ./...
 
 # sim-mem is CI's "Retained memory and pinned results" step: the retained
-# heap of a paper-sized fault run (n=50, 16 crashed) stays under its budget,
-# a small fault run reproduces its pinned commit-stream hash, and a serving
-# validator's gateway and executor retain no more after 1000 commits than
-# after 200.
+# heap of a paper-sized fault run (n=50, 16 crashed) stays under its budgets
+# halfway and at the end, a small fault run reproduces its pinned
+# commit-stream hash, a serving validator's gateway and executor retain no
+# more after 1000 commits than after 200, and the DAG's tag-scan lookups
+# answer as the digest index they replaced did.
 sim-mem:
 	go test -run 'TestFaultRunRetainedHeap|TestFaultRunResultsPinned' ./internal/experiment/
 	go test -run TestServingRetainedHeapFollowsState ./internal/rpc/
+	go test -run TestDigestLookupsMatchIndexModel ./internal/dag/
 
 clean:
 	rm -rf bin hammerlint

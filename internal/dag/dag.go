@@ -15,14 +15,20 @@
 // dense array of slots indexed by validator ID, with the set of occupied
 // slots and their running stake beside it, and each slot keeps its vertex's
 // parents as a bitset (types.ValidatorSet) over the previous round's sources.
+// There is no digest index: a slot keeps its digest's leading 8 bytes as a
+// tag, and a digest resolves by a scan of the tags, newest round first — a
+// compare per retained vertex on a miss. The retained rounds are contiguous:
+// above the pruned floor Insert requires parents worth a quorum. A vertex
+// names at most one parent per committee member, so resolving its edges costs
+// at most n scans.
 //
 // Insert is the single point where digests are resolved — one pass over the
-// edges, which also makes every check on them (parent present, parent exactly
-// one round back) — and everything after it is index arithmetic: Get is two
-// array steps, RoundStake and HasQuorumAt read the running total, HasEdge
-// tests one bit, and Path and CausalHistory sweep round by round, OR-ing the
-// parent sets of the sources reached so far into the set reached one round
-// down. A sweep visits sources in ascending order within a round, so
+// edges, which also makes every check on them (present, exactly one round
+// back, a quorum of them) — and everything after it is index arithmetic: Get
+// is two array steps, RoundStake and HasQuorumAt read the running total,
+// HasEdge tests one bit, and Path and CausalHistory sweep round by round,
+// OR-ing the parent sets of the sources reached so far into the set reached
+// one round down. A sweep visits sources in ascending order within a round, so
 // CausalHistory yields its (round, source) order without sorting, and it
 // needs no visited set: a bit is either already set or not.
 //
@@ -145,16 +151,13 @@ var (
 	ErrPruned         = errors.New("dag: round already pruned")
 	ErrUnknownSource  = errors.New("dag: vertex source is not a committee member")
 	ErrRoundTooFar    = errors.New("dag: round too far above the pruned floor")
+	ErrTooFewParents  = errors.New("dag: vertex parents carry less than a quorum of stake")
+	ErrTooManyEdges   = errors.New("dag: vertex lists more edges than the committee has members")
 )
 
-// MaxRetainedRounds bounds how far above the pruned floor a vertex may sit.
-// Rounds fill contiguously — a vertex needs its parents one round down — so
-// only a parentless vertex can open a round far above the rest, and the
-// window of rounds pays a pointer for every round it skips. A million rounds
-// is half a day of 50 ms rounds with no commit and no pruning, far past the
-// memory a DAG that deep would need for its vertices. The engine bounds the
-// rounds it votes at with the same constant: its per-round window slides with
-// this one.
+// MaxRetainedRounds bounds how far above the pruned floor a vertex may sit,
+// and so — rounds fill contiguously — how many rounds the DAG retains (half a
+// day of 50 ms rounds). The engine bounds the rounds it votes at with it too.
 const MaxRetainedRounds = 1 << 20
 
 // MissingParentsError is Insert's failure for a vertex some of whose parents
@@ -175,9 +178,7 @@ func (e *MissingParentsError) Is(target error) bool { return target == ErrMissin
 // roundSlots is one round of the DAG: a slot per committee member.
 type roundSlots struct {
 	// vertices[id] is the vertex of validator id, nil while the slot is empty;
-	// tags[id] is the leading 8 bytes of its digest, kept side by side so that
-	// Insert can look for a parent digest among the slots without touching
-	// the vertices.
+	// tags[id] is the leading 8 bytes of its digest, scanned by lookups.
 	vertices []*Vertex
 	tags     []uint64
 	// parents holds one ValidatorSet per slot, back to back: slot id's
@@ -199,14 +200,11 @@ type DAG struct {
 	mu        sync.RWMutex
 	committee *types.Committee
 	words     int // length of a ValidatorSet over the committee
-	// byDigest resolves a parent digest to its vertex. Insert is the only
-	// protocol path that reads it; everything else addresses slots.
-	byDigest map[types.Digest]*Vertex
 	// rounds holds the retained rounds, nil where no vertex arrived yet; its
 	// floor is the pruned floor: all rounds below it were dropped.
 	rounds types.RoundWindow[*roundSlots]
 	// resolved is Insert's scratch parent set (it holds the write lock).
-	resolved types.ValidatorSet
+	resolved *types.StakeAccumulator
 	highest  types.Round
 }
 
@@ -215,8 +213,7 @@ func New(committee *types.Committee) *DAG {
 	return &DAG{
 		committee: committee,
 		words:     types.ValidatorSetWords(committee.Size()),
-		byDigest:  make(map[types.Digest]*Vertex),
-		resolved:  types.NewValidatorSet(committee.Size()),
+		resolved:  types.NewStakeAccumulator(committee),
 	}
 }
 
@@ -251,6 +248,17 @@ func (rs *roundSlots) find(digest types.Digest, from int) int {
 	return -1
 }
 
+// lookup returns the retained vertex with the digest, newest round first.
+func (d *DAG) lookup(digest types.Digest) *Vertex {
+	for r := d.rounds.End(); r > d.rounds.Floor(); r-- {
+		rs := d.rounds.At(r - 1)
+		if i := rs.find(digest, 0); i >= 0 {
+			return rs.vertices[i]
+		}
+	}
+	return nil
+}
+
 // at returns the occupant of the (round, source) slot, nil when empty.
 func (d *DAG) at(round types.Round, source types.ValidatorID) *Vertex {
 	rs := d.rounds.At(round)
@@ -271,13 +279,13 @@ func (d *DAG) holds(v *Vertex) bool {
 // parents fails with a *MissingParentsError naming every one of them.
 // Inserting the same vertex twice is a no-op; inserting a *different* vertex
 // into an occupied (round, source) slot fails, which in the crash-fault model
-// can only arise from corruption. Parents below the pruned floor are not
-// checked — they cannot be, and a vertex at the floor links to nothing the
-// DAG will ever traverse.
-//
-// This is the one place parent digests are resolved: one pass over the edges
-// yields each parent's presence, its round, and the bit to set in the slot's
-// parent set.
+// can only arise from corruption. A vertex lists at most one edge per
+// committee member (ErrTooManyEdges), and above the pruned floor its parents
+// must be worth a quorum of stake (ErrTooFewParents), as every honest
+// header's are — except one round above an empty floor round, where a DAG fed
+// without a genesis round starts. Parents below the floor are not checked —
+// they cannot be, and a vertex at the floor links to nothing the DAG will ever
+// traverse.
 func (d *DAG) Insert(v *Vertex) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -292,48 +300,42 @@ func (d *DAG) Insert(v *Vertex) error {
 	if int(v.Source) >= n {
 		return fmt.Errorf("%w: round %d source %s", ErrUnknownSource, v.Round, v.Source)
 	}
-	rs := d.rounds.At(v.Round)
-	if rs != nil {
-		if existing := rs.vertices[v.Source]; existing != nil {
-			if existing.digest == v.digest {
-				return nil
-			}
-			return fmt.Errorf("%w: round %d source %s", ErrSlotOccupied, v.Round, v.Source)
-		}
+	if len(v.Edges) > n {
+		return fmt.Errorf("%w: %s lists %d edges, committee of %d", ErrTooManyEdges, v, len(v.Edges), n)
 	}
-	d.resolved.Clear()
+	rs := d.rounds.At(v.Round)
+	if existing := d.at(v.Round, v.Source); existing != nil {
+		if existing.digest == v.digest {
+			return nil
+		}
+		return fmt.Errorf("%w: round %d source %s", ErrSlotOccupied, v.Round, v.Source)
+	}
+	d.resolved.Reset()
 	if v.Round > floor {
 		var missing []types.Digest
-		var misplaced *Vertex
 		// A header lists its parents in source order (Engine.propose walks
-		// RoundVertices), so each edge is first looked for among the slots
-		// after the previous edge's: n tag compares per vertex in all. An
-		// edge not found there — out of order, absent, or pointing at
-		// another round — takes the digest index, which tells the three apart.
+		// RoundVertices), so each edge is first looked for after the previous
+		// edge's slot: n tag compares per vertex in all. An edge not found
+		// there — out of order, absent, or pointing at another round — takes
+		// a lookup, which tells the three apart.
 		prev, next := d.rounds.At(v.Round-1), 0
 		for _, e := range v.Edges {
 			if at := prev.find(e, next); at >= 0 {
 				d.resolved.Add(types.ValidatorID(at))
 				next = at + 1
-				continue
-			}
-			parent, ok := d.byDigest[e]
-			switch {
-			case !ok:
+			} else if parent := d.lookup(e); parent == nil {
 				missing = append(missing, e)
-			case parent.Round != v.Round-1:
-				if misplaced == nil {
-					misplaced = parent
-				}
-			default:
+			} else if parent.Round == v.Round-1 {
 				d.resolved.Add(parent.Source)
+			} else {
+				return fmt.Errorf("%w: %s references %s at round %d", ErrBadEdgeRound, v, parent.digest, parent.Round)
 			}
 		}
 		if len(missing) > 0 {
 			return &MissingParentsError{Vertex: v, Missing: missing}
 		}
-		if misplaced != nil {
-			return fmt.Errorf("%w: %s references %s at round %d", ErrBadEdgeRound, v, misplaced.digest, misplaced.Round)
+		if !d.resolved.ReachedQuorum() && (prev != nil || v.Round-1 > floor) {
+			return fmt.Errorf("%w: %s has parents worth %d", ErrTooFewParents, v, d.resolved.Total())
 		}
 	}
 	if rs == nil {
@@ -347,10 +349,9 @@ func (d *DAG) Insert(v *Vertex) error {
 	}
 	rs.vertices[v.Source] = v
 	rs.tags[v.Source] = digestTag(v.digest)
-	copy(rs.parentsOf(v.Source, d.words), d.resolved)
+	copy(rs.parentsOf(v.Source, d.words), d.resolved.Members())
 	rs.present.Add(v.Source)
 	rs.stake += d.committee.Stake(v.Source)
-	d.byDigest[v.digest] = v
 	if v.Round > d.highest {
 		d.highest = v.Round
 	}
@@ -369,8 +370,8 @@ func (d *DAG) Get(round types.Round, source types.ValidatorID) (*Vertex, bool) {
 func (d *DAG) ByDigest(digest types.Digest) (*Vertex, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	v, ok := d.byDigest[digest]
-	return v, ok
+	v := d.lookup(digest)
+	return v, v != nil
 }
 
 // RoundVertices returns the vertices of a round sorted by source ID.
@@ -531,17 +532,6 @@ func (d *DAG) CausalHistory(v *Vertex, minRound types.Round, skip func(*Vertex) 
 func (d *DAG) Prune(floor types.Round) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for r := d.rounds.Floor(); r < min(floor, d.rounds.End()); r++ {
-		rs := d.rounds.At(r)
-		if rs == nil {
-			continue
-		}
-		for _, v := range rs.vertices {
-			if v != nil {
-				delete(d.byDigest, v.digest)
-			}
-		}
-	}
 	d.rounds.DropBelow(floor)
 }
 
@@ -556,5 +546,11 @@ func (d *DAG) PrunedTo() types.Round {
 func (d *DAG) VertexCount() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.byDigest)
+	n := 0
+	for r := d.rounds.Floor(); r < d.rounds.End(); r++ {
+		if rs := d.rounds.At(r); rs != nil {
+			n += rs.present.Len()
+		}
+	}
+	return n
 }

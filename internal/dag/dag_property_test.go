@@ -155,7 +155,7 @@ func TestCausalHistoryClosure(t *testing.T) {
 //
 // refPath and refCausalHistory are the traversals the store ran before it
 // moved to slots and bitsets: breadth-first over Vertex.Edges, each digest
-// resolved through the digest index, a visited map, and a final sort. They
+// resolved through ByDigest, a visited map, and a final sort. They
 // stay here as the reference the bitset sweeps must agree with.
 
 func refPath(d *dag.DAG, v, u *dag.Vertex) bool {
@@ -256,9 +256,9 @@ func weightedCommittee(t *testing.T, n int, rng *rand.Rand) *types.Committee {
 }
 
 // growMixed grows rounds 1..rounds: mostly GrowRandom's shuffled parent lists
-// (edges out of source order, resolved through the digest index), every third
-// round all parents in source order (the shape a real header has, resolved by
-// the slot scan). crashed sources never produce.
+// (edges out of source order), every third round all parents in source order
+// (the shape a real header has). crashed sources never produce; the rest must
+// hold a quorum of stake, or no vertex above round 1 is valid.
 func growMixed(b *dagtest.Builder, rng *rand.Rand, rounds types.Round, crashed map[types.ValidatorID]bool) {
 	var alive []types.ValidatorID
 	for _, id := range b.Committee.ValidatorIDs() {
@@ -375,8 +375,16 @@ func TestTraversalsMatchDigestWalk(t *testing.T) {
 				committee = weightedCommittee(t, n, rng)
 			}
 			crashed := map[types.ValidatorID]bool{}
+			alive := committee.TotalStake()
 			for i := 0; i < (n-1)/3; i++ {
-				crashed[types.ValidatorID(rng.Intn(n))] = true
+				// Up to f of n crash, but in a weighted committee a crash that
+				// left less than a quorum of stake alive would leave nobody a
+				// valid vertex to make.
+				id := types.ValidatorID(rng.Intn(n))
+				if !crashed[id] && alive-committee.Stake(id) >= committee.QuorumThreshold() {
+					crashed[id] = true
+					alive -= committee.Stake(id)
+				}
 			}
 			rounds := types.Round(9)
 			if n <= 4 {

@@ -3,6 +3,7 @@ package dag_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hammerhead/internal/dag"
@@ -268,27 +269,86 @@ func TestComputeDigestSensitivity(t *testing.T) {
 	}
 }
 
-// TestInsertRejectsFarRounds: a parentless vertex may open a round above the
-// rest of the DAG (tests do it, and a Byzantine certificate could), but the
-// window of rounds costs a pointer per round skipped, so the distance from
-// the pruned floor is bounded — and follows the floor up.
+// TestInsertRejectsFarRounds: a vertex cannot open a round far above the rest
+// of the DAG (a Byzantine certificate might try; the window of rounds costs a
+// pointer per round skipped). Past MaxRetainedRounds from the floor nothing
+// is even looked at. Above the floor a vertex needs a quorum of parents one
+// round down, so a parentless one is refused wherever it sits — except one
+// round above an empty floor round, where a DAG fed from round 1 with no
+// genesis round starts. At the floor itself, its parents gone, a vertex
+// enters without them.
 func TestInsertRejectsFarRounds(t *testing.T) {
 	d := dag.New(newCommittee(t, 4))
-	if err := d.Insert(dag.NewVertex(1000, 0, nil, nil, 0)); err != nil {
-		t.Fatalf("a round well inside the bound: %v", err)
-	}
 	far := dag.NewVertex(1<<20, 1, nil, nil, 0)
 	if err := d.Insert(far); !errors.Is(err, dag.ErrRoundTooFar) {
 		t.Fatalf("err = %v, want ErrRoundTooFar", err)
 	}
-	if got := d.HighestRound(); got != 1000 {
-		t.Fatalf("HighestRound = %d after a refused insert, want 1000", got)
+	if err := d.Insert(dag.NewVertex(5, 0, nil, nil, 0)); !errors.Is(err, dag.ErrTooFewParents) {
+		t.Fatalf("a parentless vertex above a pristine DAG's floor: err = %v, want ErrTooFewParents", err)
 	}
-	d.Prune(1 << 19)
+	if err := d.Insert(dag.NewVertex(1, 3, nil, nil, 0)); err != nil || d.PrunedTo() != 0 {
+		t.Fatalf("a parentless vertex one round above the empty floor: err = %v, floor %d; want it in, floor 0", err, d.PrunedTo())
+	}
+	if err := d.Insert(dag.NewVertex(2, 3, nil, nil, 0)); !errors.Is(err, dag.ErrTooFewParents) {
+		t.Fatalf("a parentless vertex two rounds above the empty floor: err = %v, want ErrTooFewParents", err)
+	}
+	d.Prune(5)
+	for _, id := range []types.ValidatorID{0, 2} {
+		if err := d.Insert(dag.NewVertex(5, id, nil, nil, 0)); err != nil {
+			t.Fatalf("a parentless vertex at the floor: %v", err)
+		}
+	}
+	for _, r := range []types.Round{6, 1000} {
+		if err := d.Insert(dag.NewVertex(r, 1, nil, nil, 0)); !errors.Is(err, dag.ErrTooFewParents) {
+			t.Fatalf("a parentless vertex at round %d over a held floor: err = %v, want ErrTooFewParents", r, err)
+		}
+	}
+	if err := d.Insert(far); !errors.Is(err, dag.ErrTooFewParents) {
+		t.Fatalf("the far round, now inside the bound: err = %v, want ErrTooFewParents", err)
+	}
+	if got, n := d.HighestRound(), d.VertexCount(); got != 5 || n != 2 {
+		t.Fatalf("HighestRound = %d with %d vertices after refused inserts, want 5 and 2", got, n)
+	}
+	d.Prune(far.Round)
 	if err := d.Insert(far); err != nil {
-		t.Fatalf("the same round once the floor came up: %v", err)
+		t.Fatalf("the same round once the floor came up to it: %v", err)
 	}
-	if got, ok := d.Get(1<<20, 1); !ok || got != far || d.VertexCount() != 1 {
-		t.Fatalf("Get = %v, %v with %d vertices; want the far vertex alone (round 1000 was pruned)", got, ok, d.VertexCount())
+	if got, ok := d.Get(far.Round, 1); !ok || got != far || d.VertexCount() != 1 {
+		t.Fatalf("Get = %v, %v with %d vertices; want the far vertex alone", got, ok, d.VertexCount())
+	}
+}
+
+// TestInsertRejectsTooManyEdges: a vertex names at most one parent per
+// committee member, so an edge list longer than the committee is refused
+// before any edge is resolved — a repeated parent, or a flood of garbage that
+// would otherwise each cost a scan of every retained vertex.
+func TestInsertRejectsTooManyEdges(t *testing.T) {
+	d := dag.New(newCommittee(t, 4))
+	var genesis []types.Digest
+	for id := range 4 {
+		v := dag.NewVertex(0, types.ValidatorID(id), nil, nil, 0)
+		if err := d.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+		genesis = append(genesis, v.Digest())
+	}
+	garbage := make([]types.Digest, 100000)
+	for i := range garbage {
+		garbage[i] = types.HashBytes([]byte{byte(i), byte(i >> 8), byte(i >> 16)})
+	}
+	for what, edges := range map[string][]types.Digest{
+		"every parent, one twice":    append(slices.Clone(genesis), genesis[2]),
+		"every parent, then garbage": append(slices.Clone(genesis), garbage[0]),
+		"garbage only":               garbage,
+	} {
+		if err := d.Insert(dag.NewVertex(1, 0, edges, nil, 0)); !errors.Is(err, dag.ErrTooManyEdges) {
+			t.Fatalf("%s (%d edges): err = %v, want ErrTooManyEdges", what, len(edges), err)
+		}
+	}
+	if d.HighestRound() != 0 || d.VertexCount() != 4 {
+		t.Fatalf("HighestRound = %d with %d vertices after refused inserts, want 0 and 4", d.HighestRound(), d.VertexCount())
+	}
+	if err := d.Insert(dag.NewVertex(1, 0, genesis, nil, 0)); err != nil {
+		t.Fatalf("one edge per member: %v", err)
 	}
 }

@@ -41,7 +41,11 @@ type Config struct {
 	// before pruning. Pruning runs after every GCEvery commits.
 	GCDepth uint64
 	GCEvery uint64
-	// MaxSyncBatch caps certificates per CertResponse.
+	// MaxSyncBatch caps the digests read from one CertRequest, and so the
+	// certificates per CertResponse (and per RoundResponse). The engine's own
+	// CertRequests are chunked to it, so every validator must use the same
+	// value: a server with a smaller one ignores the tail of each chunk, and
+	// resync re-sends the same chunks.
 	MaxSyncBatch int
 	// MaxPendingCerts bounds the causal-sync pending set; above it, the
 	// pending certificate furthest above the DAG frontier is evicted (it can

@@ -738,8 +738,7 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 		}
 		if len(toRequest) > 0 {
 			if target, ok := e.syncPeer(c.Header.Source); ok {
-				e.stats.SyncRequests++
-				out.unicast(target, &Message{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: toRequest}})
+				e.requestCerts(target, toRequest, out)
 			}
 		}
 		if !e.resyncArmed {
@@ -1013,16 +1012,18 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 	return nil
 }
 
+// onCertRequest serves the retained certificates among the first MaxSyncBatch
+// digests of a request, in request order. The rest go unread: a digest is
+// resolved by a scan of the DAG's slots, so the cap is what bounds the work a
+// peer's request can buy, however many digests its frame carries. The
+// engine's own requests never carry more (requestCerts).
 func (e *Engine) onCertRequest(from types.ValidatorID, req *CertRequest, out *Output) {
 	if req == nil {
 		return
 	}
 	resp := &CertResponse{}
-	for _, d := range req.Digests {
-		if len(resp.Certs) >= e.config.MaxSyncBatch {
-			break
-		}
-		// The DAG's digest index names the slot; the certificate is in ours.
+	for _, d := range req.Digests[:min(len(req.Digests), e.config.MaxSyncBatch)] {
+		// The DAG names the slot; the certificate is in ours.
 		if v, ok := e.dagStore.ByDigest(d); ok {
 			if c := e.certAt(v.Round, v.Source); c != nil {
 				resp.Certs = append(resp.Certs, c)
@@ -1031,6 +1032,17 @@ func (e *Engine) onCertRequest(from types.ValidatorID, req *CertRequest, out *Ou
 	}
 	if len(resp.Certs) > 0 {
 		out.unicast(from, &Message{Kind: KindCertResponse, CertResponse: resp})
+	}
+}
+
+// requestCerts asks target for the certificates of digests, in requests of
+// at most MaxSyncBatch digests, all of which a peer's onCertRequest reads.
+func (e *Engine) requestCerts(target types.ValidatorID, digests []types.Digest, out *Output) {
+	for len(digests) > 0 {
+		k := min(len(digests), e.config.MaxSyncBatch)
+		e.stats.SyncRequests++
+		out.unicast(target, &Message{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: digests[:k:k]}})
+		digests = digests[k:]
 	}
 }
 
@@ -1160,12 +1172,7 @@ func (e *Engine) resync(out *Output) {
 		perTarget[target] = append(perTarget[target], d)
 	}
 	for _, target := range e.committee.ValidatorIDs() {
-		ds, ok := perTarget[target]
-		if !ok {
-			continue
-		}
-		e.stats.SyncRequests++
-		out.unicast(target, &Message{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: ds}})
+		e.requestCerts(target, perTarget[target], out)
 	}
 	e.resyncArmed = true
 	out.timer(Timer{Kind: TimerResync, Delay: e.config.ResyncInterval})

@@ -68,11 +68,12 @@ func (m *slotModel) certAt(round types.Round, source types.ValidatorID) *Certifi
 	return nil
 }
 
-// byDigests is what a CertRequest is answered with.
+// byDigests is what a CertRequest is answered with: the retained certificates
+// among its first limit digests.
 func (m *slotModel) byDigests(digests []types.Digest, limit int) []*Certificate {
 	var out []*Certificate
-	for _, d := range digests {
-		if c, ok := m.store[d]; ok && len(out) < limit {
+	for _, d := range digests[:min(len(digests), limit)] {
+		if c, ok := m.store[d]; ok {
 			out = append(out, c)
 		}
 	}

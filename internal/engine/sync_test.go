@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"hammerhead/internal/types"
@@ -111,6 +112,161 @@ func TestPendingCertTriggersSyncRequest(t *testing.T) {
 	}
 	if _, ok := e3.DAG().ByDigest(round2[0].Digest()); !ok {
 		t.Fatal("pended round-2 cert must cascade in after its parents")
+	}
+}
+
+// TestCertRequestWorkIsBounded: a CertRequest buys at most MaxSyncBatch digest
+// lookups however many digests its frame carries — the ones after the cap go
+// unread, retained or not — and the engine's own requests stay inside that
+// cap, so a node missing more parents than one request may name still
+// recovers every one of them, from the one peer it asked.
+func TestCertRequestWorkIsBounded(t *testing.T) {
+	const n, batch = 10, 3
+	committee, err := types.NewEqualStakeCommittee(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := func(c *Config) { c.MaxSyncBatch = batch }
+	trace := buildCertTrace(t, committee, 2)
+	round1, child := trace[:n:n], trace[n+4]
+	peer, _ := newTraceEngine(t, committee, small)
+	feedCerts(peer, trace)
+
+	serve := func(req *Message) []*Certificate {
+		return certResponse(peer.OnMessage(1, req, 0))
+	}
+	request := func(digests ...[]types.Digest) *Message {
+		return &Message{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: slices.Concat(digests...)}}
+	}
+	var garbage, retained []types.Digest
+	for i := range 4 * batch {
+		garbage = append(garbage, types.HashBytes([]byte{'g', byte(i)}))
+	}
+	for _, c := range round1 {
+		retained = append(retained, c.Digest())
+	}
+	if got := serve(request(garbage, retained)); len(got) != 0 {
+		t.Fatalf("%d garbage digests, then retained ones: served %d certificates, want none", len(garbage), len(got))
+	}
+	if got := serve(request(garbage[:batch-1], retained)); len(got) != 1 || got[0].Digest() != retained[0] {
+		t.Fatalf("%d garbage digests, then retained ones: served %d certificates, want exactly the first retained one", batch-1, len(got))
+	}
+	if got := serve(request(retained)); len(got) != batch || got[0].Digest() != retained[0] || got[batch-1].Digest() != retained[batch-1] {
+		t.Fatalf("retained digests only: served %d certificates, want the first %d", len(got), batch)
+	}
+
+	// A node holding none of round 1 receives a round-2 certificate: it
+	// misses all n parents and asks the certificate's source for them.
+	node, _ := newTraceEngine(t, committee, small)
+	checkRequests := func(what string, out *Output) []*Message {
+		t.Helper()
+		var reqs []*Message
+		asked := map[types.Digest]bool{}
+		for _, u := range out.Unicasts {
+			if u.Msg.Kind != KindCertRequest {
+				continue
+			}
+			if ds := u.Msg.CertRequest.Digests; len(ds) > batch {
+				t.Fatalf("%s: a request names %d digests, more than MaxSyncBatch = %d", what, len(ds), batch)
+			}
+			for _, d := range u.Msg.CertRequest.Digests {
+				asked[d] = true
+			}
+			reqs = append(reqs, u.Msg)
+		}
+		for _, d := range retained {
+			if !asked[d] {
+				t.Fatalf("%s: missing parent %s never requested", what, d)
+			}
+		}
+		return reqs
+	}
+	reqs := checkRequests("on arrival", node.OnMessage(child.Header.Source, &Message{Kind: KindCertificate, Cert: child}, 0))
+	checkRequests("resync", node.OnTimer(Timer{Kind: TimerResync}, 0))
+	for _, req := range reqs {
+		node.OnMessage(child.Header.Source, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: serve(req)}}, 0)
+	}
+	for _, c := range append(round1, child) {
+		if !node.inDAG(c) {
+			t.Fatalf("certificate (%d, %s) not inserted after the chunked requests were served", c.Header.Round, c.Header.Source)
+		}
+	}
+}
+
+// TestEdgelessFarCertificateIsRefused: a certificate whose header names no
+// parents, voted by a quorum, at a round far above everything: it used to
+// insert and open a thousand-round window. Above the floor a vertex needs a
+// quorum of parents, so it is an invalid message and nothing moves.
+func TestEdgelessFarCertificateIsRefused(t *testing.T) {
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, _ := newTraceEngine(t, committee, nil)
+	feedCerts(eng, buildCertTrace(t, committee, 6))
+	d := eng.DAG()
+	top, floor, vertices, end := d.HighestRound(), d.PrunedTo(), d.VertexCount(), eng.rounds.End()
+	far := &Certificate{Header: Header{Round: floor + 1000, Source: 2}}
+	for j := range 4 {
+		far.Votes = append(far.Votes, VoteSig{Voter: types.ValidatorID(j)})
+	}
+	invalid := eng.Stats().InvalidMessages
+	eng.OnMessage(2, &Message{Kind: KindCertificate, Cert: far}, 0)
+	if got := eng.Stats().InvalidMessages - invalid; got != 1 {
+		t.Fatalf("InvalidMessages moved by %d, want 1", got)
+	}
+	if d.HighestRound() != top || d.PrunedTo() != floor || d.VertexCount() != vertices || eng.rounds.End() != end {
+		t.Fatalf("DAG rounds [%d, %d] with %d vertices, engine window end %d; was [%d, %d], %d, %d",
+			d.PrunedTo(), d.HighestRound(), d.VertexCount(), eng.rounds.End(), floor, top, vertices, end)
+	}
+}
+
+// TestOverlongEdgeListIsRefused: the wire bounds a header's edge list only by
+// the frame size, and voters do not look at it, so a Byzantine member can get
+// a header with millions of edges certified. A vertex names at most one parent
+// per member: a certificate listing more — one parent twice, or a flood of
+// garbage that would each cost a scan of the DAG and then a digest to fetch —
+// is an invalid message, refused before any edge is resolved or requested.
+func TestOverlongEdgeListIsRefused(t *testing.T) {
+	const n = 4
+	committee, err := types.NewEqualStakeCommittee(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := buildCertTrace(t, committee, 6)
+	eng, _ := newTraceEngine(t, committee, nil)
+	feedCerts(eng, trace)
+	var parents []types.Digest
+	for _, c := range trace[len(trace)-n:] {
+		parents = append(parents, c.Digest())
+	}
+	garbage := make([]types.Digest, 50000)
+	for i := range garbage {
+		garbage[i] = types.HashBytes([]byte{'g', byte(i), byte(i >> 8)})
+	}
+	d := eng.DAG()
+	top, vertices := d.HighestRound(), d.VertexCount()
+	for what, edges := range map[string][]types.Digest{
+		"n+1 edges, one parent twice": append(slices.Clone(parents), parents[1]),
+		"every parent, then garbage":  append(slices.Clone(parents), garbage...),
+	} {
+		c := &Certificate{Header: Header{Round: top + 1, Source: 2, Edges: edges}}
+		for j := range n {
+			c.Votes = append(c.Votes, VoteSig{Voter: types.ValidatorID(j)})
+		}
+		invalid := eng.Stats().InvalidMessages
+		out := eng.OnMessage(2, &Message{Kind: KindCertificate, Cert: c}, 0)
+		if got := eng.Stats().InvalidMessages - invalid; got != 1 {
+			t.Fatalf("%s: InvalidMessages moved by %d, want 1", what, got)
+		}
+		for _, u := range out.Unicasts {
+			if u.Msg.Kind == KindCertRequest {
+				t.Fatalf("%s: sent a CertRequest for %d digests", what, len(u.Msg.CertRequest.Digests))
+			}
+		}
+		if d.HighestRound() != top || d.VertexCount() != vertices {
+			t.Fatalf("%s: DAG top %d with %d vertices, was %d with %d", what, d.HighestRound(), d.VertexCount(), top, vertices)
+		}
 	}
 }
 

@@ -18,7 +18,11 @@
 //     handle and is copied once, on first touch. Freeze bumps the live tree's
 //     stamp, which disowns every node at a stroke. A handle returned by
 //     Freeze has stamp 0 and owns nothing: writing to one forks it, copying
-//     every node it touches, every time.
+//     every node it touches, every time. The stamp is a uint32, so that is
+//     also where a live tree ends up after 2³² Freezes — slower from then
+//     on, never incorrect. A validator freezes at most once per checkpoint;
+//     a replica freezes once per commit, and at ten commits a second would
+//     reach the horizon after about 13 years.
 //   - Snapshots are a flush plus a pointer copy: Freeze hashes whatever is
 //     dirty (no longer O(1)), then shares the node structure. A frozen tree
 //     serves proofs against a past (e.g. quorum-certified) root while the

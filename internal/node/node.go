@@ -218,6 +218,8 @@ type Node struct {
 	commitsMetric   *metrics.Counter
 	txsMetric       *metrics.Counter
 	roundMetric     *metrics.Gauge
+	dagFloorMetric  *metrics.Gauge
+	dagVertsMetric  *metrics.Gauge
 	queueMetric     *metrics.Gauge
 	droppedMetric   *metrics.Counter
 	batchHist       *metrics.Histogram
@@ -460,6 +462,8 @@ func New(cfg Config, trans transport.Transport) (*Node, error) {
 		n.commitsMetric = cfg.Metrics.Counter("hammerhead_commits_total")
 		n.txsMetric = cfg.Metrics.Counter("hammerhead_committed_txs_total")
 		n.roundMetric = cfg.Metrics.Gauge("hammerhead_round")
+		n.dagFloorMetric = cfg.Metrics.Gauge("hammerhead_dag_floor_round")
+		n.dagVertsMetric = cfg.Metrics.Gauge("hammerhead_dag_vertices")
 		n.queueMetric = cfg.Metrics.Gauge("hammerhead_verify_queue_depth")
 		n.droppedMetric = cfg.Metrics.Counter("hammerhead_preverify_dropped_total")
 		n.batchHist = cfg.Metrics.Histogram("hammerhead_verify_batch_size",
@@ -1221,6 +1225,8 @@ func (n *Node) dispatch(out *engine.Output, transmit bool) {
 	}
 	if n.cfg.Metrics != nil {
 		n.roundMetric.Set(int64(n.eng.Round()))
+		n.dagFloorMetric.Set(int64(n.eng.DAG().PrunedTo()))
+		n.dagVertsMetric.Set(int64(n.eng.DAG().VertexCount()))
 		mirrorCounter(n.abandonedMetric, st.HeadersAbandoned)
 		mirrorCounter(n.carriedMetric, st.TxCarried)
 		mirrorCounter(n.lostMetric, st.OwnVerticesPrunedUnordered)

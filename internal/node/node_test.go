@@ -325,8 +325,13 @@ func TestNodeMetricsExposed(t *testing.T) {
 	if got := reg.Gauge("hammerhead_round").Value(); got == 0 {
 		t.Fatal("round gauge never set")
 	}
+	// At least the genesis round and one certified round past it.
+	if got := reg.Gauge("hammerhead_dag_vertices").Value(); got < 4+3 {
+		t.Fatalf("DAG vertex gauge reads %d", got)
+	}
 	page := reg.Render()
 	for _, name := range []string{
+		"hammerhead_dag_floor_round",
 		"hammerhead_headers_abandoned_total",
 		"hammerhead_tx_carried_total",
 		"hammerhead_own_vertices_pruned_unordered_total",

@@ -27,7 +27,7 @@ type harness struct {
 	nextSeq   uint64
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	t.Helper()
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
@@ -86,7 +86,7 @@ func (h *harness) commit(payloads ...[]byte) rpcapi.CommitEvent {
 // certify cuts a checkpoint on the upstream executor and assembles a genuine
 // quorum certificate over its tuple, attaching it so the executor serves a
 // certified blob.
-func (h *harness) certify(t *testing.T, signers int) (*checkpoint.Certificate, execution.Snapshot) {
+func (h *harness) certify(t testing.TB, signers int) (*checkpoint.Certificate, execution.Snapshot) {
 	t.Helper()
 	snap, err := h.producer.ForceCheckpoint()
 	if err != nil {
@@ -113,7 +113,7 @@ func (h *harness) certify(t *testing.T, signers int) (*checkpoint.Certificate, e
 	return cert, snap
 }
 
-func (h *harness) newReplica(t *testing.T) *Replica {
+func (h *harness) newReplica(t testing.TB) *Replica {
 	t.Helper()
 	r, err := New(Config{
 		// Never dialed in these tests: events and certificates are fed

@@ -168,6 +168,10 @@ func (a *StakeAccumulator) Add(id ValidatorID) Stake {
 // Has reports whether the validator was recorded.
 func (a *StakeAccumulator) Has(id ValidatorID) bool { return a.seen.Has(id) }
 
+// Members returns the set of recorded validators: the accumulator's own, so
+// it changes with the next Add or Reset.
+func (a *StakeAccumulator) Members() ValidatorSet { return a.seen }
+
 // Reset empties the accumulator for reuse.
 func (a *StakeAccumulator) Reset() {
 	a.seen.Clear()
