@@ -124,18 +124,6 @@ func run(args []string) error {
 		return err
 	}
 	logger := obs.WithValidator(obs.Component(root, "validator"), uint64(self))
-	// Peers deliver from the moment the listener is bound; inbound holds them
-	// until the node exists.
-	inbound := node.NewInbound()
-	tr, err := transport.NewTCP(transport.TCPConfig{
-		Self:       self,
-		ListenAddr: authority.Address,
-		PeerAddrs:  file.PeerAddrs(self),
-		Handler:    inbound.Handle,
-	})
-	if err != nil {
-		return fmt.Errorf("binding %s: %w", authority.Address, err)
-	}
 	nd, err := node.New(node.Config{
 		Committee:          committee,
 		Self:               self,
@@ -169,20 +157,29 @@ func run(args []string) error {
 				"vertices", len(sub.Vertices),
 				"txs", sub.TxCount())
 		},
-	}, tr)
-	inbound.Bind(nd)
+	})
 	if err != nil {
-		_ = tr.Close()
-		return err
-	}
-	return serve(nd, tr, logger, reg, *metricsAddr, self)
-}
-
-func serve(nd *node.Node, tr transport.Transport, logger *slog.Logger, reg *metrics.Registry, metricsAddr string, self types.ValidatorID) error {
-	if err := nd.Start(); err != nil {
 		return err
 	}
 	defer nd.Close()
+	// Peers deliver from the moment the listener is bound; the node holds
+	// their messages until Start has recovered it.
+	tr, err := transport.NewTCP(transport.TCPConfig{
+		Self:       self,
+		ListenAddr: authority.Address,
+		PeerAddrs:  file.PeerAddrs(self),
+		Handler:    nd.HandleMessage,
+	})
+	if err != nil {
+		return fmt.Errorf("binding %s: %w", authority.Address, err)
+	}
+	if err := nd.Start(tr); err != nil {
+		return err
+	}
+	return serve(nd, logger, reg, *metricsAddr, self)
+}
+
+func serve(nd *node.Node, logger *slog.Logger, reg *metrics.Registry, metricsAddr string, self types.ValidatorID) error {
 	logger.Info("validator running", "id", uint64(self))
 	if gw := nd.Gateway(); gw != nil {
 		logger.Info("client gateway listening (POST /v1/tx, GET /v1/kv/{key}, /v1/commits, /v1/status, /v1/trace/{txid})",

@@ -64,16 +64,6 @@ func run() error {
 	nodes := make([]*node.Node, n)
 	for i := 0; i < n; i++ {
 		id := types.ValidatorID(i)
-		inbound := node.NewInbound() // holds peer messages until the node exists
-		tr, err := transport.NewTCP(transport.TCPConfig{
-			Self:       id,
-			ListenAddr: file.Validators[i].Address,
-			PeerAddrs:  file.PeerAddrs(id),
-			Handler:    inbound.Handle,
-		})
-		if err != nil {
-			return fmt.Errorf("binding %s: %w", file.Validators[i].Address, err)
-		}
 		cfg := node.Config{
 			Committee:    committee,
 			Self:         id,
@@ -95,18 +85,25 @@ func run() error {
 		if i == 0 {
 			cfg.Metrics = reg
 		}
-		nd, err := node.New(cfg, tr)
-		inbound.Bind(nd)
+		nd, err := node.New(cfg)
 		if err != nil {
 			return err
 		}
-		nodes[i] = nd
 		defer nd.Close()
-	}
-	for _, nd := range nodes {
-		if err := nd.Start(); err != nil {
+		// The node holds peer messages that arrive before its Start.
+		tr, err := transport.NewTCP(transport.TCPConfig{
+			Self:       id,
+			ListenAddr: file.Validators[i].Address,
+			PeerAddrs:  file.PeerAddrs(id),
+			Handler:    nd.HandleMessage,
+		})
+		if err != nil {
+			return fmt.Errorf("binding %s: %w", file.Validators[i].Address, err)
+		}
+		if err := nd.Start(tr); err != nil {
 			return err
 		}
+		nodes[i] = nd
 	}
 	fmt.Printf("4 validators listening on 127.0.0.1:42100-42103 (Ed25519, WAL in %s)\n", dir)
 

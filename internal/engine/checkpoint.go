@@ -10,12 +10,14 @@ import (
 // calls OnLocalCheckpoint with the checkpoint tuple. The engine signs it,
 // broadcasts the signature share (KindCheckpointSig), and accumulates its own
 // and peers' shares; the first 2f+1-stake quorum on one tuple assembles a
-// checkpoint.Certificate, which is delivered to the runtime's OnCheckpointCert
-// hook and broadcast (KindCheckpointCert) so lagging peers — and peers whose
-// share gossip was partitioned — adopt the certificate directly. Certificates
-// are delivered in strictly ascending commit-seq order, exactly once each.
+// checkpoint.Certificate, which is attached to the execution layer's matching
+// checkpoint and broadcast (KindCheckpointCert) so lagging peers — and peers
+// whose share gossip was partitioned — adopt the certificate directly.
+// Certificates are delivered in strictly ascending commit-seq order, exactly
+// once each.
 //
-// All of this is inert unless Params.OnCheckpointCert was set.
+// All of this is inert unless the execution layer certifies checkpoints
+// (Execution.CheckpointCerts).
 
 // OnLocalCheckpoint signs the local checkpoint tuple, broadcasts the share,
 // and feeds it to the local accumulator (which may complete a quorum if peer
@@ -100,9 +102,11 @@ func (e *Engine) onPeerCheckpointCert(cert *checkpoint.Certificate) {
 	e.deliverCheckpointCert(cert)
 }
 
-// deliverCheckpointCert hands a certificate to the runtime hook once per
-// commit seq, in ascending order, and prunes accumulator state behind it.
-// Reports whether the certificate was fresh (and therefore delivered).
+// deliverCheckpointCert attaches a certificate to the execution layer once
+// per commit seq, in ascending order, and prunes accumulator state behind it:
+// it becomes the certified state for proof-carrying reads and certified
+// snapshot serving. Reports whether the certificate was fresh (and therefore
+// delivered).
 func (e *Engine) deliverCheckpointCert(cert *checkpoint.Certificate) bool {
 	// Commit seqs start at 1, so the zero-valued ckptDelivered means "none".
 	if cert.Meta.CommitSeq <= e.ckptDelivered {
@@ -110,9 +114,7 @@ func (e *Engine) deliverCheckpointCert(cert *checkpoint.Certificate) bool {
 	}
 	e.ckptDelivered = cert.Meta.CommitSeq
 	e.ckptAcc.PruneTo(cert.Meta.CommitSeq)
-	if e.onCheckpointCert != nil {
-		e.onCheckpointCert(cert)
-	}
+	e.exec.AttachCertificate(cert.Meta.CommitSeq, cert)
 	return true
 }
 

@@ -12,12 +12,12 @@ import (
 
 // ckptRig builds n engines with checkpoint certification enabled (insecure
 // scheme, signature verification ON so share/cert verification paths run).
-// certs[i] records the certificates engine i's hook delivered, in order.
+// execs[i].certs records the certificates engine i attached, in order.
 type ckptRig struct {
 	committee *types.Committee
 	engines   []*Engine
 	keys      []crypto.KeyPair
-	certs     [][]*checkpoint.Certificate
+	execs     []*stubExec
 }
 
 func newCkptRig(t *testing.T, n int) *ckptRig {
@@ -41,9 +41,10 @@ func newCkptRig(t *testing.T, n int) *ckptRig {
 	}
 	cfg := DefaultConfig()
 	cfg.VerifySignatures = true
-	rig := &ckptRig{committee: committee, keys: pairs, certs: make([][]*checkpoint.Certificate, n)}
+	rig := &ckptRig{committee: committee, keys: pairs}
 	for i := 0; i < n; i++ {
-		i := i
+		exec := &stubExec{certify: true}
+		rig.execs = append(rig.execs, exec)
 		eng, err := New(Params{
 			Config:     cfg,
 			Committee:  committee,
@@ -53,9 +54,7 @@ func newCkptRig(t *testing.T, n int) *ckptRig {
 			Batches:    nilBatches{},
 			Scheduler:  leader.NewRoundRobin(committee, 1),
 			DAG:        dag.New(committee),
-			OnCheckpointCert: func(c *checkpoint.Certificate) {
-				rig.certs[i] = append(rig.certs[i], c)
-			},
+			Execution:  exec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -110,10 +109,10 @@ func TestCheckpointSharesAssembleAndDeliverOnce(t *testing.T) {
 	}
 
 	for i := range rig.engines {
-		if len(rig.certs[i]) != 1 {
-			t.Fatalf("engine %d delivered %d certificates, want exactly 1", i, len(rig.certs[i]))
+		if len(rig.execs[i].certs) != 1 {
+			t.Fatalf("engine %d delivered %d certificates, want exactly 1", i, len(rig.execs[i].certs))
 		}
-		cert := rig.certs[i][0]
+		cert := rig.execs[i].certs[0]
 		if !cert.Matches(m) {
 			t.Fatalf("engine %d certified a different tuple", i)
 		}
@@ -176,8 +175,8 @@ func TestCheckpointPeerCertAdoptedAndDeduped(t *testing.T) {
 	msg := &Message{Kind: KindCheckpointCert, CheckpointCert: cert}
 	rig.engines[3].OnMessage(0, msg.Clone(), 0)
 	rig.engines[3].OnMessage(1, msg.Clone(), 0) // duplicate from another peer
-	if len(rig.certs[3]) != 1 {
-		t.Fatalf("delivered %d certificates, want 1 (dedupe)", len(rig.certs[3]))
+	if len(rig.execs[3].certs) != 1 {
+		t.Fatalf("delivered %d certificates, want 1 (dedupe)", len(rig.execs[3].certs))
 	}
 	if got := rig.engines[3].Stats().CheckpointCertsAdopted; got != 1 {
 		t.Fatalf("CheckpointCertsAdopted = %d, want 1", got)
@@ -186,7 +185,7 @@ func TestCheckpointPeerCertAdoptedAndDeduped(t *testing.T) {
 	// A forged certificate (sub-quorum) must be rejected.
 	forged := &checkpoint.Certificate{Meta: ckptTestMeta(4), Sigs: sigs[:2]}
 	rig.engines[3].OnMessage(0, &Message{Kind: KindCheckpointCert, CheckpointCert: forged}, 0)
-	if len(rig.certs[3]) != 1 {
+	if len(rig.execs[3].certs) != 1 {
 		t.Fatal("sub-quorum certificate adopted")
 	}
 
@@ -194,7 +193,7 @@ func TestCheckpointPeerCertAdoptedAndDeduped(t *testing.T) {
 	bad := cert.Clone()
 	bad.Meta = ckptTestMeta(5)
 	rig.engines[3].OnMessage(0, &Message{Kind: KindCheckpointCert, CheckpointCert: bad}, 0)
-	if len(rig.certs[3]) != 1 {
+	if len(rig.execs[3].certs) != 1 {
 		t.Fatal("certificate with signatures over a different tuple adopted")
 	}
 }
@@ -215,7 +214,7 @@ func TestCheckpointStaleCertIgnored(t *testing.T) {
 	}
 	rig.engines[3].OnMessage(0, mk(8), 0)
 	rig.engines[3].OnMessage(0, mk(4), 0) // older checkpoint arrives late
-	if len(rig.certs[3]) != 1 || rig.certs[3][0].Meta.CommitSeq != 8 {
-		t.Fatalf("stale certificate delivered (got %d certs)", len(rig.certs[3]))
+	if len(rig.execs[3].certs) != 1 || rig.execs[3].certs[0].Meta.CommitSeq != 8 {
+		t.Fatalf("stale certificate delivered (got %d certs)", len(rig.execs[3].certs))
 	}
 }

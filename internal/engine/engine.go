@@ -22,6 +22,38 @@ type BatchProvider interface {
 	NextBatch(nowNanos int64, maxTx int) *types.Batch
 }
 
+// Observer sees what a validator must record about itself: every certificate
+// it accepts into its DAG and every header it signs. The node's WAL writer
+// and tracer implement it, and so does the simulator's recorder. Every method
+// runs on the engine goroutine, in the order the events happen.
+type Observer interface {
+	// Inserted sees every certificate accepted into the DAG, in insertion
+	// (parents-first) order, strictly BEFORE its vertex can contribute to any
+	// commit delivered through the CommitSink: in pipelined mode the vertex
+	// reaches the order stage only after Inserted returns. A runtime that
+	// logs certificates here and gates commit delivery on the log's progress
+	// keeps every commit it hands to execution re-derivable from the log.
+	Inserted(*Certificate)
+	// Proposed sees every header this validator signs and proposes, before
+	// its broadcast is queued. It may block until the header is durable: the
+	// recorded header is the voted-round high-water mark a restart restores
+	// (RestoreProposal) instead of building a conflicting header for a slot
+	// whose certificate may have survived only in a peer's log.
+	Proposed(*Header)
+	// Certified sees every certificate formed for this validator's OWN header
+	// (a quorum of votes gathered, or the n=1 instant self-certification);
+	// certificates received from peers are not delivered here. It must not
+	// block.
+	Certified(*Certificate)
+}
+
+// nopObserver stands in when Params.Observer is nil.
+type nopObserver struct{}
+
+func (nopObserver) Inserted(*Certificate)  {}
+func (nopObserver) Proposed(*Header)       {}
+func (nopObserver) Certified(*Certificate) {}
+
 // Unicast is a message addressed to one validator.
 type Unicast struct {
 	To  types.ValidatorID
@@ -38,12 +70,6 @@ type Output struct {
 	Unicasts   []Unicast
 	Broadcasts []*Message
 	Timers     []Timer
-	// InsertedCerts are certificates accepted into the DAG during this step,
-	// in insertion (parents-first) order — an observability surface for
-	// tests and simulations (the simulator's determinism tap records it).
-	// WAL persistence does NOT read it: real nodes persist through the
-	// Params.Persist hook, which fires before a vertex can reach a commit.
-	InsertedCerts []*Certificate
 }
 
 func (o *Output) unicast(to types.ValidatorID, msg *Message) {
@@ -147,48 +173,38 @@ type Engine struct {
 	verifier  *crypto.BatchVerifier
 	batches   BatchProvider
 
-	dagStore        *dag.DAG
-	committer       *bullshark.Committer
-	scheduler       leader.Scheduler
-	sink            CommitSink
-	persist         func(*Certificate)
-	persistProposal func(*Header)
-	// Tracing taps (nil when the runtime records no traces): onOwnHeader
-	// observes every header this validator proposes; onOwnCert every
-	// certificate formed for its own header. Both run on the engine
-	// goroutine and must not block.
-	onOwnHeader func(*Header)
-	onOwnCert   func(*Certificate)
+	dagStore  *dag.DAG
+	committer *bullshark.Committer
+	scheduler leader.Scheduler
+	sink      CommitSink
+	observer  Observer
 	// proposalFloor is the voted-round high-water mark restored from the WAL:
 	// the engine never CONSTRUCTS a new header at a round at or below it (the
 	// restored header itself is re-transmitted instead), because a fresh
 	// header for an already-signed slot could equivocate it (see
 	// RestoreProposal).
 	proposalFloor types.Round
-	// Snapshot state-sync: snapshots serves local checkpoints to peers;
-	// installSnapshot verifies and applies a fetched one; schedFastForward
-	// is non-nil when the scheduler tolerates jumping past ordering history
-	// (requesting is disabled otherwise); schedRestore is non-nil when the
-	// scheduler additionally needs its state restored from the snapshot
-	// before the jump (core.Manager); snapFetch is the active download.
-	snapshots        SnapshotProvider
-	installSnapshot  func(meta SnapshotMeta, data []byte) (*SnapshotInstall, error)
+	// exec is the execution layer (nil without one): it serves local
+	// checkpoints to peers, installs fetched ones, reports its applied
+	// sequence for rejoin frontiers and stores checkpoint certificates.
+	// Snapshot state-sync: schedFastForward is non-nil when the scheduler
+	// tolerates jumping past ordering history (requesting is disabled
+	// otherwise); schedRestore is non-nil when the scheduler additionally
+	// needs its state restored from the snapshot before the jump
+	// (core.Manager); snapFetch is the active download.
+	exec             Execution
 	schedFastForward scheduleFastForwarder
 	schedRestore     leader.StateRestorer
 	snapFetch        snapFetch
-	// appliedSeq reports the execution layer's applied commit sequence for
-	// rejoin frontiers (nil without an executor); rejoin is the crash-rejoin
-	// handshake's gathering state.
-	appliedSeq func() uint64
-	rejoin     rejoinState
-	// Checkpoint certification (nil/zero when Params.OnCheckpointCert is
-	// unset): ckptAcc assembles quorum certificates from gossiped signature
-	// shares; onCheckpointCert delivers each newly certified checkpoint to
-	// the runtime exactly once; ckptDelivered is the highest delivered commit
-	// seq (dedupes peer cert broadcasts, which can race the local quorum).
-	ckptAcc          *checkpoint.Accumulator
-	onCheckpointCert func(*checkpoint.Certificate)
-	ckptDelivered    uint64
+	// rejoin is the crash-rejoin handshake's gathering state.
+	rejoin rejoinState
+	// Checkpoint certification (nil/zero unless the execution layer
+	// certifies checkpoints): ckptAcc assembles quorum certificates from
+	// gossiped signature shares; ckptDelivered is the highest commit seq
+	// handed to the execution layer (dedupes peer cert broadcasts, which can
+	// race the local quorum).
+	ckptAcc       *checkpoint.Accumulator
+	ckptDelivered uint64
 	// stage is the asynchronous order stage (stage 2 of the pipeline); nil
 	// when PipelineDepth == 0, in which case the committer runs inline on
 	// the ingest path.
@@ -256,55 +272,13 @@ type Params struct {
 	// Commits receives ordered sub-DAGs. Nil discards them (counter-only
 	// experiments); runtimes that execute transactions must set it.
 	Commits CommitSink
-	// Persist, when non-nil, is invoked synchronously on the ingest
-	// goroutine for every certificate accepted into the DAG, in insertion
-	// order, strictly BEFORE the certificate's vertex can contribute to any
-	// commit delivered via Commits (in pipelined mode the vertex is queued
-	// to the order stage only after Persist returns). Real nodes enqueue
-	// the certificate to their WAL writer here and gate non-replayed commit
-	// delivery on the writer's progress, preserving the recovery invariant
-	// that every commit handed to execution is re-derivable from the WAL.
-	Persist func(*Certificate)
-	// Snapshots, when non-nil, serves the execution layer's latest
-	// checkpoint to peers requesting snapshot state-sync.
-	Snapshots SnapshotProvider
-	// InstallSnapshot, when non-nil, verifies and applies a fetched snapshot
-	// to the execution layer, returning how far the engine should
-	// fast-forward. Enables REQUESTING snapshot state-sync — additionally
-	// gated on the scheduler supporting the jump (leader.RoundRobin does;
-	// core.Manager does too, restoring its reputation state from the
-	// snapshot's scheduler-state payload first).
-	InstallSnapshot func(meta SnapshotMeta, data []byte) (*SnapshotInstall, error)
-	// AppliedSeq, when non-nil, reports the execution layer's applied commit
-	// sequence; the crash-rejoin handshake carries it in frontiers so
-	// restarting peers can see how far each survivor's executor reaches.
-	AppliedSeq func() uint64
-	// PersistProposal, when non-nil, is invoked on the engine goroutine with
-	// every header this validator signs and proposes, before it is broadcast.
-	// Real nodes append it to the WAL: after a crash, the replayed proposal is
-	// the voted-round high-water mark — the engine re-adopts the recorded
-	// header (re-transmitting it verbatim) instead of building a fresh,
-	// conflicting one for a slot whose certificate may have survived only in
-	// a peer's WAL, which would equivocate the slot and fork the DAG.
-	PersistProposal func(*Header)
-	// OnOwnHeader, when non-nil, observes every header this validator builds
-	// and proposes — the tracing tap for the "proposed" lifecycle stage of
-	// the batch's transactions. Runs on the engine goroutine after the header
-	// is signed (and, when configured, persisted), immediately before its
-	// broadcast is queued; it must not block.
-	OnOwnHeader func(*Header)
-	// OnOwnCert, when non-nil, observes every certificate formed for this
-	// validator's OWN header (quorum of votes gathered, or the n=1 instant
-	// self-certification) — the tracing tap for the "cert_formed" stage.
-	// Runs on the engine goroutine; it must not block. Certificates received
-	// from peers for other validators' headers are not delivered here.
-	OnOwnCert func(*Certificate)
-	// OnCheckpointCert, when non-nil, enables checkpoint certification: the
-	// runtime calls OnLocalCheckpoint after each local checkpoint, the engine
-	// gossips signature shares and assembles 2f+1 certificates, and each
-	// certified checkpoint is delivered here exactly once (ascending commit
-	// seq). Runs on the engine goroutine — hand off heavy work.
-	OnCheckpointCert func(*checkpoint.Certificate)
+	// Execution, when non-nil, is the validator's execution layer: snapshot
+	// state-sync serves and installs through it, and checkpoint
+	// certification runs when it certifies checkpoints.
+	Execution Execution
+	// Observer, when non-nil, sees every inserted certificate and every own
+	// header and certificate (see Observer).
+	Observer Observer
 }
 
 // New constructs an engine. Call Init before feeding messages.
@@ -342,6 +316,10 @@ func New(p Params) (*Engine, error) {
 	if sink == nil {
 		sink = discardSink{}
 	}
+	observer := p.Observer
+	if observer == nil {
+		observer = nopObserver{}
+	}
 	e := &Engine{
 		config:           p.Config,
 		committee:        p.Committee,
@@ -354,13 +332,8 @@ func New(p Params) (*Engine, error) {
 		committer:        bullshark.New(p.Committee, p.DAG, p.Scheduler),
 		scheduler:        p.Scheduler,
 		sink:             sink,
-		persist:          p.Persist,
-		persistProposal:  p.PersistProposal,
-		onOwnHeader:      p.OnOwnHeader,
-		onOwnCert:        p.OnOwnCert,
-		snapshots:        p.Snapshots,
-		installSnapshot:  p.InstallSnapshot,
-		appliedSeq:       p.AppliedSeq,
+		observer:         observer,
+		exec:             p.Execution,
 		votes:            make([]crypto.Signature, p.Committee.Size()),
 		voteStake:        types.NewStakeAccumulator(p.Committee),
 		pendingCerts:     make(map[types.Digest]*Certificate),
@@ -368,9 +341,8 @@ func New(p Params) (*Engine, error) {
 		requested:        make(map[types.Digest]bool),
 		pendingRounds:    make(map[types.Round]int),
 	}
-	if p.OnCheckpointCert != nil {
+	if e.exec != nil && e.exec.CheckpointCerts() {
 		e.ckptAcc = checkpoint.NewAccumulator(p.Committee)
-		e.onCheckpointCert = p.OnCheckpointCert
 	}
 	if ff, ok := p.Scheduler.(scheduleFastForwarder); ok {
 		e.schedFastForward = ff
@@ -473,9 +445,9 @@ func (e *Engine) Round() types.Round { return e.round }
 
 // CurrentProposal returns the header the engine most recently built for its
 // own slot (nil when none, or when the slot was adopted/forfeited during
-// recovery). Engine-goroutine only. The node uses it to persist a proposal
-// built while WAL appends were still suppressed (the initial proposal of a
-// fresh boot).
+// recovery). Engine-goroutine only. Recovery (validator.Recover) uses it to
+// record a proposal built while the record was still suppressed (the initial
+// proposal of a fresh boot).
 func (e *Engine) CurrentProposal() *Header { return e.curHeader }
 
 // Stats returns a copy of the engine counters.
@@ -691,9 +663,7 @@ func (e *Engine) certifyOwn(nowNanos int64, out *Output) {
 	}
 	e.ownCertFormed = true
 	e.stats.CertsFormed++
-	if e.onOwnCert != nil {
-		e.onOwnCert(cert)
-	}
+	e.observer.Certified(cert)
 	out.broadcast(&Message{Kind: KindCertificate, Cert: cert})
 	e.onCertificate(cert, nowNanos, out)
 }
@@ -970,12 +940,8 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 		}
 		e.removePending(digest)
 		delete(e.requested, digest)
-		out.InsertedCerts = append(out.InsertedCerts, cert)
-		if e.persist != nil {
-			// Durability hook runs before the vertex can reach the committer
-			// (see Params.Persist).
-			e.persist(cert)
-		}
+		// Before the vertex can reach the committer (see Observer.Inserted).
+		e.observer.Inserted(cert)
 
 		if e.stage != nil {
 			// Stage 2 orders asynchronously; the ingest stage prunes its own
@@ -1336,14 +1302,9 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 	e.restoredHeader = false
 	e.roundDelayOK = false
 	e.stats.HeadersProposed++
-	if e.persistProposal != nil {
-		// Durability hook: record the signed header before it can reach the
-		// wire, so a restart can re-adopt it instead of equivocating the slot.
-		e.persistProposal(header)
-	}
-	if e.onOwnHeader != nil {
-		e.onOwnHeader(header)
-	}
+	// Recorded before it can reach the wire, so a restart can re-adopt it
+	// instead of equivocating the slot.
+	e.observer.Proposed(header)
 
 	out.broadcast(&Message{Kind: KindHeader, Header: header})
 	out.timer(Timer{Kind: TimerRoundDelay, Round: uint64(round), Delay: e.config.MinRoundDelay})

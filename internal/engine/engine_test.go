@@ -361,7 +361,7 @@ func TestOnMessageNilPayloadIsHarmless(t *testing.T) {
 	for kind := KindHeader; kind <= KindCheckpointCert; kind++ {
 		t.Run(kind.String(), func(t *testing.T) {
 			out := e.OnMessage(1, &Message{Kind: kind}, 1)
-			if len(out.Unicasts)+len(out.Broadcasts)+len(out.Timers)+len(out.InsertedCerts) != 0 {
+			if len(out.Unicasts)+len(out.Broadcasts)+len(out.Timers) != 0 {
 				t.Fatalf("nil %s payload produced output %+v", kind, out)
 			}
 			after := e.Stats()

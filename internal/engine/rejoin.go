@@ -117,8 +117,8 @@ func (e *Engine) Frontier() Frontier {
 		HighestRound: e.dagStore.HighestRound(),
 		LastOrdered:  e.lastOrderedRound(),
 	}
-	if e.appliedSeq != nil {
-		f.AppliedSeq = e.appliedSeq()
+	if e.exec != nil {
+		f.AppliedSeq = e.exec.AppliedSeq()
 	}
 	return f
 }
@@ -191,8 +191,8 @@ func (e *Engine) onRejoinRequest(from types.ValidatorID, req *RejoinRequest, out
 		Frontier: e.Frontier(),
 		Certs:    e.certRange(req.Frontier.HighestRound),
 	}
-	if e.snapshots != nil {
-		if meta, _, ok := e.snapshots.LatestSnapshot(); ok {
+	if e.exec != nil {
+		if meta, _, ok := e.exec.LatestSnapshot(); ok {
 			resp.Offer = &meta
 		}
 	}

@@ -141,6 +141,7 @@ type slotHarness struct {
 	world     [][]*Certificate // world[r][source]; nil: none (always for validator 0)
 	delivered []int            // per world round, how many deliveries were attempted
 	wal       []walEntry
+	inserted  []*Certificate   // reported by the engine (Observer) since the last absorb
 	snap      *SnapshotInstall // last fast-forward, replayed on restart like a local snapshot
 	snapMeta  SnapshotMeta
 	step      int
@@ -157,7 +158,7 @@ func (h *slotHarness) newEngine() *Engine {
 	e, err := New(Params{
 		Config: cfg, Committee: h.committee, Self: slotSelf, Keys: h.keys,
 		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(h.committee, 1),
-		DAG: dag.New(h.committee),
+		DAG: dag.New(h.committee), Observer: h,
 	})
 	if err != nil {
 		h.t.Fatal(err)
@@ -198,15 +199,22 @@ func (h *slotHarness) buildWorld(rounds int) {
 	}
 }
 
+// The harness is its engine's Observer: inserted certificates wait for the
+// step's absorb.
+func (h *slotHarness) Inserted(c *Certificate) { h.inserted = append(h.inserted, c) }
+func (h *slotHarness) Proposed(*Header)        {}
+func (h *slotHarness) Certified(*Certificate)  {}
+
 // absorb feeds one engine step's observable effects to the model — headers
 // proposed are votes cast, inserted certificates are retained — lets it
 // follow the engine's floor, and compares everything.
 func (h *slotHarness) absorb(out *Output) {
 	h.t.Helper()
-	for _, c := range out.InsertedCerts {
+	for _, c := range h.inserted {
 		h.m.insert(c)
 		h.wal = append(h.wal, walEntry{cert: c})
 	}
+	h.inserted = h.inserted[:0]
 	for _, msg := range out.Broadcasts {
 		if msg.Kind == KindHeader && msg.Header.Source == slotSelf {
 			h.m.voted[modelKey{slotSelf, msg.Header.Round}] = msg.Header.Digest()

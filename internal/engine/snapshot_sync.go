@@ -4,6 +4,7 @@ import (
 	"hash/crc32"
 	"sort"
 
+	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/types"
 )
 
@@ -26,9 +27,10 @@ type SnapshotMeta struct {
 	StateDigest types.Digest
 }
 
-// SnapshotProvider serves the local execution layer's checkpoints to peers.
-// Implemented by execution.Executor; nil disables serving.
-type SnapshotProvider interface {
+// Execution is the execution layer as the engine sees it. Implemented by
+// *execution.Executor; an engine without one neither serves nor requests
+// snapshots and certifies no checkpoints.
+type Execution interface {
 	// LatestSnapshot returns the newest checkpoint's metadata and encoded
 	// payload, or ok=false when no checkpoint exists yet.
 	LatestSnapshot() (meta SnapshotMeta, data []byte, ok bool)
@@ -38,6 +40,24 @@ type SnapshotProvider interface {
 	// rotation — without it, a committee checkpointing faster than a fetch
 	// completes would force a restart from chunk zero every time.
 	SnapshotAt(round types.Round) (meta SnapshotMeta, data []byte, ok bool)
+	// InstallFromWire verifies and applies a fetched snapshot, returning how
+	// far the engine should fast-forward. Requesting snapshots is
+	// additionally gated on the scheduler supporting the jump
+	// (leader.RoundRobin does; core.Manager does too, restoring its
+	// reputation state from the snapshot's scheduler-state payload first).
+	InstallFromWire(meta SnapshotMeta, data []byte) (*SnapshotInstall, error)
+	// AppliedSeq reports the applied commit sequence; the crash-rejoin
+	// handshake carries it in frontiers so restarting peers can see how far
+	// each survivor's executor reaches.
+	AppliedSeq() uint64
+	// CheckpointCerts reports whether the layer was built for checkpoint
+	// certification: only then does the engine gossip signature shares over
+	// the checkpoints the runtime reports (OnLocalCheckpoint) and assemble
+	// quorum certificates.
+	CheckpointCerts() bool
+	// AttachCertificate receives each certified checkpoint exactly once, in
+	// ascending commit seq, on the engine goroutine.
+	AttachCertificate(seq uint64, cert *checkpoint.Certificate) bool
 }
 
 // OrderedVertex names one vertex a snapshot already covers, so the committer
@@ -114,10 +134,10 @@ func (e *Engine) snapshotChunkSize() int {
 }
 
 // snapshotSyncEnabled reports whether this engine may REQUEST snapshot
-// state-sync: it needs an installer (execution layer present) and a
-// scheduler that stays correct across the jump.
+// state-sync: it needs an execution layer to install into and a scheduler
+// that stays correct across the jump.
 func (e *Engine) snapshotSyncEnabled() bool {
-	return e.installSnapshot != nil && e.schedFastForward != nil
+	return e.exec != nil && e.schedFastForward != nil
 }
 
 // beyondGCHorizon reports whether the observed certificate frontier is so
@@ -211,10 +231,10 @@ func (e *Engine) onSnapshotTimer(nowNanos int64, out *Output) {
 
 // onSnapshotRequest serves one chunk of the latest local checkpoint.
 func (e *Engine) onSnapshotRequest(from types.ValidatorID, req *SnapshotRequest, out *Output) {
-	if req == nil || e.snapshots == nil || from == e.self {
+	if req == nil || e.exec == nil || from == e.self {
 		return
 	}
-	meta, data, ok := e.snapshots.LatestSnapshot()
+	meta, data, ok := e.exec.LatestSnapshot()
 	if !ok || meta.Round <= req.HaveRound {
 		// Nothing newer than the requester already has: explicit empty
 		// response so it can move on to another peer.
@@ -226,7 +246,7 @@ func (e *Engine) onSnapshotRequest(from types.ValidatorID, req *SnapshotRequest,
 		// The requester pinned an older checkpoint mid-fetch; serve it from
 		// retention if we still can, so the fetch stays resumable across our
 		// checkpoint rotation.
-		if m, d, ok := e.snapshots.SnapshotAt(req.Round); ok && m.Round > req.HaveRound {
+		if m, d, ok := e.exec.SnapshotAt(req.Round); ok && m.Round > req.HaveRound {
 			meta, data = m, d
 		}
 	}
@@ -333,7 +353,7 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 
 	meta, data := f.meta, f.buf
 	*f = snapFetch{lastAttempt: nowNanos}
-	install, err := e.installSnapshot(meta, data)
+	install, err := e.exec.InstallFromWire(meta, data)
 	if err != nil {
 		// Corrupted or forged snapshot (the installer recomputes the state
 		// digest), a snapshot missing required scheduler state, or one stale
@@ -429,7 +449,7 @@ func (e *Engine) drainPendingAfterInstall(nowNanos int64, out *Output) {
 func (e *Engine) CanFastForwardSchedule() bool { return e.schedFastForward != nil }
 
 // FastForwardToSnapshot fast-forwards the protocol state to a checkpoint the
-// runtime installed out of band (node startup restoring a locally persisted
+// runtime installed out of band (recovery restoring a locally persisted
 // snapshot before WAL replay). Must be called from the engine's goroutine;
 // the returned output carries any follow-up work, dispatchable like any
 // other step's. No-op (empty output) when the scheduler cannot follow the

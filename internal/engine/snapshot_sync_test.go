@@ -4,19 +4,38 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/crypto"
 	"hammerhead/internal/dag"
 	"hammerhead/internal/leader"
 	"hammerhead/internal/types"
 )
 
-// The tests here drive the engine's state-sync protocol against stub
-// provider/installer hooks (the in-package tests cannot import
-// internal/execution — it imports this package). The real executor behind
-// the same hooks is exercised end to end by the simnet snapshot catch-up
-// tests and the execution package's own install tests.
+// The tests here drive the engine's state-sync protocol against a stub
+// Execution (the in-package tests cannot import internal/execution — it
+// imports this package). The real executor behind the same interface is
+// exercised end to end by the simnet snapshot catch-up tests and the
+// execution package's own install tests.
 
-// stubSnapshots is a SnapshotProvider serving one fixed blob.
+// stubExec is an Execution: serving from stubSnapshots (nil: no checkpoint
+// yet), installing through stubInstaller, recording the checkpoint
+// certificates attached to it when certify is set.
+type stubExec struct {
+	*stubSnapshots
+	*stubInstaller
+	certify bool
+	certs   []*checkpoint.Certificate
+}
+
+func (*stubExec) AppliedSeq() uint64      { return 0 }
+func (s *stubExec) CheckpointCerts() bool { return s.certify }
+
+func (s *stubExec) AttachCertificate(_ uint64, cert *checkpoint.Certificate) bool {
+	s.certs = append(s.certs, cert)
+	return true
+}
+
+// stubSnapshots serves one fixed blob.
 type stubSnapshots struct {
 	meta SnapshotMeta
 	blob []byte
@@ -24,11 +43,14 @@ type stubSnapshots struct {
 }
 
 func (s *stubSnapshots) LatestSnapshot() (SnapshotMeta, []byte, bool) {
+	if s == nil {
+		return SnapshotMeta{}, nil, false
+	}
 	return s.meta, s.blob, s.ok
 }
 
 func (s *stubSnapshots) SnapshotAt(round types.Round) (SnapshotMeta, []byte, bool) {
-	if s.ok && s.meta.Round == round {
+	if s != nil && s.ok && s.meta.Round == round {
 		return s.meta, s.blob, true
 	}
 	return SnapshotMeta{}, nil, false
@@ -44,7 +66,7 @@ type stubInstaller struct {
 	lastData []byte
 }
 
-func (s *stubInstaller) Install(meta SnapshotMeta, data []byte) (*SnapshotInstall, error) {
+func (s *stubInstaller) InstallFromWire(meta SnapshotMeta, data []byte) (*SnapshotInstall, error) {
 	if types.HashBytes(data) != meta.StateDigest {
 		return nil, corruptErr{}
 	}
@@ -106,23 +128,22 @@ func newSyncRig(t *testing.T, n int, serve *stubSnapshots) (*testRig, []*stubIns
 	for i := 0; i < n; i++ {
 		collector := &commitCollector{}
 		installers[i] = &stubInstaller{}
-		inst := installers[i]
-		params := Params{
-			Config:          cfg,
-			Committee:       committee,
-			Self:            types.ValidatorID(i),
-			Keys:            pairs[i],
-			PublicKeys:      pubKeys,
-			Batches:         nilBatches{},
-			Scheduler:       leader.NewRoundRobin(committee, 1),
-			DAG:             dag.New(committee),
-			Commits:         collector,
-			InstallSnapshot: inst.Install,
+		exec := &stubExec{stubInstaller: installers[i]}
+		if i == 0 {
+			exec.stubSnapshots = serve
 		}
-		if i == 0 && serve != nil {
-			params.Snapshots = serve
-		}
-		eng, err := New(params)
+		eng, err := New(Params{
+			Config:     cfg,
+			Committee:  committee,
+			Self:       types.ValidatorID(i),
+			Keys:       pairs[i],
+			PublicKeys: pubKeys,
+			Batches:    nilBatches{},
+			Scheduler:  leader.NewRoundRobin(committee, 1),
+			DAG:        dag.New(committee),
+			Commits:    collector,
+			Execution:  exec,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,10 +286,11 @@ func TestSnapshotResponderWithoutCheckpoint(t *testing.T) {
 		t.Fatal("no install may happen on an empty response")
 	}
 
-	// An engine without any snapshot provider ignores requests entirely.
+	// An engine without an execution layer ignores requests entirely.
+	rig.engines[2].exec = nil
 	out = rig.engines[2].OnMessage(0, &Message{Kind: KindSnapshotRequest, SnapshotRequest: &SnapshotRequest{}}, 0)
 	if len(out.Unicasts) != 0 {
-		t.Fatalf("provider-less engine must ignore snapshot requests, got %+v", out.Unicasts)
+		t.Fatalf("engine without execution must ignore snapshot requests, got %+v", out.Unicasts)
 	}
 }
 
@@ -409,16 +431,15 @@ func TestSnapshotSyncDisabledWithoutFastForwardableScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := &stubInstaller{}
 	eng, err := New(Params{
-		Config:          snapshotlessConfig(),
-		Committee:       committee,
-		Self:            0,
-		Keys:            kp,
-		Batches:         nilBatches{},
-		Scheduler:       noFFScheduler{leader.NewRoundRobin(committee, 1)},
-		DAG:             dag.New(committee),
-		InstallSnapshot: inst.Install,
+		Config:    snapshotlessConfig(),
+		Committee: committee,
+		Self:      0,
+		Keys:      kp,
+		Batches:   nilBatches{},
+		Scheduler: noFFScheduler{leader.NewRoundRobin(committee, 1)},
+		DAG:       dag.New(committee),
+		Execution: &stubExec{stubInstaller: &stubInstaller{}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,12 +51,12 @@ type Config struct {
 	// back into the executor; hand off to another goroutine for real work.
 	OnCheckpoint func(Snapshot)
 	// RequireSchedulerState, when true, makes InstallFromWire reject remote
-	// snapshots that carry no scheduler state — set by nodes running the
-	// HammerHead scheduler, whose ordering cannot follow a snapshot jump
-	// without the schedule the snapshot was cut under. The check runs before
-	// the state machine is touched, so a snapshot without one (a responder
-	// running the round-robin baseline) fails cleanly and another responder
-	// is tried.
+	// snapshots that carry no scheduler state — set (by internal/validator)
+	// for the HammerHead scheduler, whose ordering cannot follow a snapshot
+	// jump without the schedule the snapshot was cut under. The check runs
+	// before the state machine is touched, so a snapshot without one (a
+	// responder running the round-robin baseline) fails cleanly and another
+	// responder is tried.
 	RequireSchedulerState bool
 	// CheckpointCerts says the node runs checkpoint certification, which
 	// asks two things of the executor. InstallFromWire rejects remote
@@ -206,6 +206,10 @@ func NewExecutor(sm StateMachine, cfg Config) *Executor {
 
 // Store returns the executor's snapshot store.
 func (x *Executor) Store() SnapshotStore { return x.cfg.Store }
+
+// CheckpointCerts reports Config.CheckpointCerts: the engine certifies
+// checkpoints exactly when its executor was built for it.
+func (x *Executor) CheckpointCerts() bool { return x.cfg.CheckpointCerts }
 
 // ---- synchronous core ----
 

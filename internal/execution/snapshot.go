@@ -196,7 +196,6 @@ type MemoryStore struct {
 	mu     sync.Mutex
 	latest Snapshot
 	have   bool
-	saves  uint64
 }
 
 // NewMemoryStore returns an empty in-memory store.
@@ -210,7 +209,6 @@ func (m *MemoryStore) Save(s Snapshot) error {
 		m.latest = s
 		m.have = true
 	}
-	m.saves++
 	return nil
 }
 
@@ -219,11 +217,4 @@ func (m *MemoryStore) Latest() (Snapshot, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.latest, m.have
-}
-
-// Saves returns how many snapshots were saved (tests).
-func (m *MemoryStore) Saves() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.saves
 }

@@ -8,7 +8,7 @@ import (
 	"hammerhead/internal/types"
 )
 
-// LatestSnapshot implements engine.SnapshotProvider: the newest checkpoint,
+// LatestSnapshot implements engine.Execution: the newest checkpoint,
 // encoded for the wire. Serving reads the in-memory copy the executor kept
 // from its last checkpoint or install — falling back to the store only once
 // (a restarted process that has not checkpointed yet) — and the encoding is
@@ -28,7 +28,7 @@ func (x *Executor) LatestSnapshot() (engine.SnapshotMeta, []byte, bool) {
 	return x.serveLocked(x.latest)
 }
 
-// SnapshotAt implements engine.SnapshotProvider: the retained checkpoint at
+// SnapshotAt implements engine.Execution: the retained checkpoint at
 // exactly the given anchor round, so a peer fetching the previous checkpoint
 // can finish after we rotate to a newer one.
 func (x *Executor) SnapshotAt(round types.Round) (engine.SnapshotMeta, []byte, bool) {
@@ -64,7 +64,7 @@ func (x *Executor) serveLocked(snap Snapshot) (engine.SnapshotMeta, []byte, bool
 	}, blob, true
 }
 
-// InstallFromWire is the engine's InstallSnapshot hook: decode the fetched
+// InstallFromWire implements engine.Execution: decode the fetched
 // blob, cross-check it against the metadata the responder advertised, verify
 // and install it into the executor, and tell the engine how far to
 // fast-forward. A corrupted chunk fails here — either the decode, the

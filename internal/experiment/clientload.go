@@ -683,6 +683,7 @@ func verifyStreamResume(ctx context.Context, cl *client.Client, last uint64) boo
 // clientLoadCluster is the real-runtime cluster behind RunClientLoad.
 type clientLoadCluster struct {
 	nodes     []*node.Node
+	trans     []transport.Transport // trans[i] is node i's endpoint
 	addrs     []string
 	committee *types.Committee
 	pubs      []crypto.PublicKey
@@ -713,15 +714,7 @@ func newClientLoadCluster(s ClientLoadScenario, lanes int) (*clientLoadCluster, 
 	cluster := &clientLoadCluster{committee: committee, pubs: pubs}
 	for i := 0; i < s.N; i++ {
 		id := types.ValidatorID(i)
-		var nd *node.Node
-		tr, err := network.Join(id, func(from types.ValidatorID, msg *engine.Message) {
-			nd.HandleMessage(from, msg)
-		})
-		if err != nil {
-			cluster.stop()
-			return nil, err
-		}
-		nd, err = node.New(node.Config{
+		nd, err := node.New(node.Config{
 			Committee:          committee,
 			Self:               id,
 			Keys:               pairs[i],
@@ -734,17 +727,22 @@ func newClientLoadCluster(s ClientLoadScenario, lanes int) (*clientLoadCluster, 
 			MempoolLanes:       lanes,
 			RPCAddr:            "127.0.0.1:0",
 			Trace:              s.Trace,
-		}, tr)
+		})
 		if err != nil {
-			_ = tr.Close()
 			cluster.stop()
 			return nil, err
 		}
 		cluster.nodes = append(cluster.nodes, nd)
 		cluster.addrs = append(cluster.addrs, nd.Gateway().Addr())
+		tr, err := network.Join(id, nd.HandleMessage)
+		if err != nil {
+			cluster.stop()
+			return nil, err
+		}
+		cluster.trans = append(cluster.trans, tr)
 	}
-	for _, nd := range cluster.nodes {
-		if err := nd.Start(); err != nil {
+	for i, nd := range cluster.nodes {
+		if err := nd.Start(cluster.trans[i]); err != nil {
 			cluster.stop()
 			return nil, err
 		}
@@ -752,11 +750,15 @@ func newClientLoadCluster(s ClientLoadScenario, lanes int) (*clientLoadCluster, 
 	return cluster, nil
 }
 
+// stop closes every node, then every endpoint (a started node already
+// closed its own; a never-started one's reader is released by the node's
+// Close first).
 func (c *clientLoadCluster) stop() {
 	for _, nd := range c.nodes {
-		if nd != nil {
-			_ = nd.Close()
-		}
+		_ = nd.Close()
+	}
+	for _, tr := range c.trans {
+		_ = tr.Close()
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/core"
-	"hammerhead/internal/dag"
-	"hammerhead/internal/leader"
 	"hammerhead/internal/simnet"
 	"hammerhead/internal/types"
 )
@@ -198,21 +196,20 @@ func newCluster(s Scenario, onCommit simnet.CommitHook) (*simnet.Cluster, error)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	factory := func(c *types.Committee, d *dag.DAG) (leader.Scheduler, error) {
-		if s.Mechanism == Bullshark {
-			return leader.NewRoundRobin(c, uint64(s.Seed)), nil
-		}
+	var hh *core.Config
+	if s.Mechanism != Bullshark {
 		cfg := s.CoreConfig()
 		if s.SwapFraction > 0 {
-			cfg.MaxSwapStake = types.Stake(s.SwapFraction * float64(c.TotalStake()))
+			cfg.MaxSwapStake = types.Stake(s.SwapFraction * float64(committee.TotalStake()))
 		}
-		return core.NewManager(c, d, cfg)
+		hh = &cfg
 	}
 	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
 		Committee:          committee,
 		Engine:             s.EngineConfig(),
 		Latency:            simnet.NewGeo(s.N),
-		NewScheduler:       factory,
+		HammerHead:         hh,
+		ScheduleSeed:       uint64(s.Seed),
 		MempoolShards:      s.MempoolShards,
 		OnCommit:           onCommit,
 		Execution:          s.Execution,

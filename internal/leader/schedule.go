@@ -48,9 +48,6 @@ func (s *Schedule) Slots() []types.ValidatorID {
 	return append([]types.ValidatorID(nil), s.slots...)
 }
 
-// SlotCount returns the length of the slot cycle.
-func (s *Schedule) SlotCount() int { return len(s.slots) }
-
 // LeaderAt returns the leader of the given anchor round. It returns
 // NoValidator for odd rounds (which have no leader) and for rounds before
 // InitialRound (covered by an earlier schedule; consult the history).

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/core"
 	"hammerhead/internal/crypto"
-	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/metrics"
 	"hammerhead/internal/node"
@@ -43,22 +41,12 @@ func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *co
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nd *node.Node
-	var ndPtr atomic.Pointer[node.Node]
-	tr, err := tc.network.Join(id, func(from types.ValidatorID, msg *engine.Message) {
-		if p := ndPtr.Load(); p != nil {
-			p.HandleMessage(from, msg)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	engCfg := fastNodeEngineConfig()
 	engCfg.PipelineDepth = 64
 	if tc.engineCfg != nil {
 		engCfg = *tc.engineCfg
 	}
-	nd, err = node.New(node.Config{
+	nd, err := node.New(node.Config{
 		Committee:          tc.committee,
 		Self:               id,
 		Keys:               kp,
@@ -79,11 +67,11 @@ func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *co
 			}
 			tc.txSeen[id] += sub.TxCount()
 		},
-	}, tr)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndPtr.Store(nd)
+	tc.join(t, id, nd)
 	return nd
 }
 
@@ -187,7 +175,7 @@ func TestNodeRestartWithSnapshotUnderHammerHead(t *testing.T) {
 
 	tc := buildAll()
 	for _, nd := range tc.nodes {
-		if err := nd.Start(); err != nil {
+		if err := tc.startNode(nd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +274,7 @@ func TestHammerHeadWALCompactionThenRestart(t *testing.T) {
 		tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, types.ValidatorID(i), &hh, "", "", nil))
 	}
 	for _, nd := range tc.nodes {
-		if err := nd.Start(); err != nil {
+		if err := tc.startNode(nd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +316,7 @@ func TestHammerHeadWALCompactionThenRestart(t *testing.T) {
 	}
 
 	restarted := buildExecNodeHH(t, tc, 0, &hh, walPath, snapDir, nil)
-	if err := restarted.Start(); err != nil {
+	if err := tc.startNode(restarted); err != nil {
 		t.Fatal(err)
 	}
 	if got := restarted.Executor().AppliedSeq(); got < preSeq {
@@ -397,7 +385,7 @@ func TestNodeRestartFromLocalSnapshot(t *testing.T) {
 		tc.nodes = append(tc.nodes, buildExecNode(t, tc, types.ValidatorID(i), "", "", nil))
 	}
 	for _, nd := range tc.nodes {
-		if err := nd.Start(); err != nil {
+		if err := tc.startNode(nd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -427,7 +415,7 @@ func TestNodeRestartFromLocalSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	restarted := buildExecNode(t, tc, 0, walPath, snapDir, nil)
-	if err := restarted.Start(); err != nil {
+	if err := tc.startNode(restarted); err != nil {
 		t.Fatal(err)
 	}
 	defer restarted.Close()
@@ -489,7 +477,7 @@ func TestCheckpointDrivenWALCompactionAndRestart(t *testing.T) {
 		tc.nodes = append(tc.nodes, buildExecNode(t, tc, types.ValidatorID(i), "", "", nil))
 	}
 	for _, nd := range tc.nodes {
-		if err := nd.Start(); err != nil {
+		if err := tc.startNode(nd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -531,7 +519,7 @@ func TestCheckpointDrivenWALCompactionAndRestart(t *testing.T) {
 	// Restart from the compacted log: the local checkpoint covers the pruned
 	// prefix, the retained suffix replays on top, and the node rejoins.
 	restarted := buildExecNode(t, tc, 0, walPath, snapDir, nil)
-	if err := restarted.Start(); err != nil {
+	if err := tc.startNode(restarted); err != nil {
 		t.Fatal(err)
 	}
 	defer restarted.Close()

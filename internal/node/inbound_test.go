@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hammerhead/internal/crypto"
 	"hammerhead/internal/engine"
 	"hammerhead/internal/node"
 	"hammerhead/internal/transport"
@@ -12,21 +13,33 @@ import (
 )
 
 // TestInboundHoldsMessagesUntilTheNodeExists delivers a peer's message over
-// real TCP between a validator binding its listener and node.New returning —
-// the window in which a handler that captured the not-yet-assigned node
-// pointer dereferenced nil and killed the process. The message must wait,
-// and reach the node once it is bound.
+// real TCP between node.New and Start — the window in which a transport
+// handler once captured a node that did not exist yet and killed the process
+// on a nil dereference. The message must be held, not processed and not
+// dropped, and reach the engine once Start has recovered the node.
 func TestInboundHoldsMessagesUntilTheNodeExists(t *testing.T) {
 	spec := newTCPSpec(t, 2)
-	inbound := node.NewInbound()
-	arrived := make(chan struct{})
+	cfg := engine.DefaultConfig()
+	cfg.VerifySignatures = true
+	nd, err := node.New(node.Config{
+		Committee:  spec.committee,
+		Self:       1,
+		Keys:       spec.keys[1],
+		PublicKeys: spec.pubs,
+		Engine:     cfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	delivered := make(chan struct{})
 	var once sync.Once
 	tr, err := transport.NewTCP(transport.TCPConfig{
 		Self: 1, ListenAddr: spec.addrs[1],
 		PeerAddrs: map[types.ValidatorID]string{0: spec.addrs[0]},
 		Handler: func(from types.ValidatorID, msg *engine.Message) {
-			once.Do(func() { close(arrived) })
-			inbound.Handle(from, msg)
+			nd.HandleMessage(from, msg)
+			once.Do(func() { close(delivered) })
 		},
 	})
 	if err != nil {
@@ -48,27 +61,14 @@ func TestInboundHoldsMessagesUntilTheNodeExists(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-arrived:
+	case <-delivered:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the peer's message never reached the listener")
 	}
-
-	cfg := engine.DefaultConfig()
-	cfg.VerifySignatures = true
-	nd, err := node.New(node.Config{
-		Committee:  spec.committee,
-		Self:       1,
-		Keys:       spec.keys[1],
-		PublicKeys: spec.pubs,
-		Engine:     cfg,
-	}, tr)
-	inbound.Bind(nd)
-	if err != nil {
-		_ = tr.Close()
-		t.Fatal(err)
+	if got := nd.PreVerifyStats().Checked; got != 0 {
+		t.Fatalf("a node that was never started checked %d messages", got)
 	}
-	defer nd.Close()
-	if err := nd.Start(); err != nil {
+	if err := nd.Start(tr); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -80,19 +80,44 @@ func TestInboundHoldsMessagesUntilTheNodeExists(t *testing.T) {
 	}
 }
 
-// TestInboundDiscardsWhenConstructionFails: Bind(nil) must release the
-// transport's readers, or the transport could never close.
+// TestInboundDiscardsWhenConstructionFails: a node that is never started —
+// its transport failed to bind, or Start was never reached — holds only as
+// many deliveries as its queues take, and then blocks the transport's
+// reader. Close must release that reader, or the transport could never close.
 func TestInboundDiscardsWhenConstructionFails(t *testing.T) {
-	inbound := node.NewInbound()
-	held := make(chan struct{})
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kp, err := crypto.NewKeyPair(crypto.Insecure{}, [32]byte{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastNodeEngineConfig()
+	cfg.VerifySignatures = false
+	nd, err := node.New(node.Config{Committee: committee, Self: 0, Keys: kp, Engine: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
 	go func() {
-		inbound.Handle(0, &engine.Message{Kind: engine.KindVote, Vote: &engine.Vote{}})
-		close(held)
+		defer close(released)
+		// Far more than the node queues before Start: the reader blocks.
+		for i := 0; i < 20000; i++ {
+			nd.HandleMessage(1, &engine.Message{Kind: engine.KindVote, Vote: &engine.Vote{}})
+		}
 	}()
-	inbound.Bind(nil)
 	select {
-	case <-held:
+	case <-released:
+		t.Fatal("a never-started node took every delivery: nothing bounds what it holds")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := nd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-released:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Handle still blocked after Bind(nil)")
+		t.Fatal("HandleMessage still blocked after Close")
 	}
 }

@@ -1,15 +1,16 @@
 // Package node runs the HammerHead validator on a real runtime: goroutines,
 // wall-clock timers, pluggable transports (in-process channels or TCP), WAL
-// persistence with crash-recovery, and metrics. It drives the exact same
-// engine the simulator drives — the protocol logic is shared line for line.
+// persistence with crash-recovery, and metrics. It assembles and recovers the
+// validator through internal/validator, exactly as the simulator does — the
+// protocol logic is shared line for line.
 package node
 
 import (
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,7 +20,6 @@ import (
 	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/core"
 	"hammerhead/internal/crypto"
-	"hammerhead/internal/dag"
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/leader"
@@ -30,6 +30,7 @@ import (
 	"hammerhead/internal/storage"
 	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
+	"hammerhead/internal/validator"
 )
 
 // CommitHandler receives committed sub-DAGs in order. Replayed is true for
@@ -123,11 +124,15 @@ type Config struct {
 
 // Node is a running validator.
 type Node struct {
-	cfg   Config
-	eng   *engine.Engine
-	pool  *mempool.FairPool
+	cfg Config
+	// v is the assembled validator; eng, pool and exec are its parts.
+	v    *validator.Validator
+	eng  *engine.Engine
+	pool *mempool.FairPool
+	// trans is the transport Start was handed (nil before Start).
 	trans transport.Transport
-	wal   *storage.WAL
+	// walw is the WAL writer (nil without Config.WALPath).
+	walw *walWriter
 	// gw is the embedded client gateway (nil without Config.RPCAddr): it
 	// feeds client submissions into the pool's fair-admission lanes and
 	// observes the commit stream for SSE subscribers.
@@ -158,33 +163,11 @@ type Node struct {
 	// enqueues ordered sub-DAGs here and commitLoop hands them to the
 	// configured handler, so a slow executor backpressures the (bounded)
 	// queue instead of stalling the engine or the order stage directly.
+	// replaying is set until recovery goes live: commits are delivered
+	// synchronously and flagged replayed, and nothing is written to the WAL.
 	commitq   chan commitDelivery
 	commitWg  sync.WaitGroup
 	replaying atomic.Bool
-
-	// WAL appends run on their own goroutine too: the engine's Persist hook
-	// only enqueues the inserted certificate, keeping append latency out of
-	// message processing. walSeq/walDone form the durability watermark:
-	// Persist runs before a vertex can reach any commit, so a commit sinked
-	// when walSeq == S contains only certificates enqueued at or before S,
-	// and commitLoop holds its delivery until walDone >= S. That preserves
-	// the recovery invariant the synchronous append used to give: a commit
-	// handed to the executor with replayed=false is re-derivable from the
-	// WAL, so it can never be re-delivered as fresh after a crash.
-	walq    chan walEntry
-	walWg   sync.WaitGroup
-	walMu   sync.Mutex
-	walCond *sync.Cond
-	walSeq  uint64 // guarded by walMu; certificates enqueued for append
-	walDone uint64 // guarded by walMu; certificates appended (or abandoned at shutdown)
-	// compactFloor is the round below which the WAL no longer needs to
-	// replay, published by the executor's checkpoint hook and consumed by the
-	// WAL writer between appends (0 = no compaction pending). Wired whenever
-	// a restart can resume from the checkpoint (execution on, WAL on) —
-	// including under HammerHead, whose scheduler state rides inside the
-	// checkpoint since the floor is by construction at or below the restored
-	// schedule's minimum retained round.
-	compactFloor atomic.Uint64
 
 	// Thread-safe status mirror for the gateway's /v1/status: the engine is
 	// owned by the loop goroutine, so dispatch and commit delivery publish
@@ -225,9 +208,6 @@ type Node struct {
 	batchHist       *metrics.Histogram
 	pipelineMetric  *metrics.Gauge
 	commitQMetric   *metrics.Gauge
-	walQMetric      *metrics.Gauge
-	compactsMetric  *metrics.Counter
-	compactFailsMet *metrics.Counter
 	epochMetric     *metrics.Gauge
 	epochStartMet   *metrics.Gauge
 	leaderMetric    *metrics.Gauge
@@ -243,207 +223,80 @@ type inbound struct {
 	msg  *engine.Message
 }
 
-// commitDelivery is one ordered sub-DAG awaiting the commit handler.
-// walSeq is the durability watermark the delivery waits for (0 when the
-// node runs without a WAL or the commit was replayed from it).
+// commitDelivery is one fresh ordered sub-DAG awaiting the commit handler
+// (replayed ones are delivered synchronously). walSeq is the durability
+// watermark the delivery waits for (0 when the node runs without a WAL).
 type commitDelivery struct {
-	sub      bullshark.CommittedSubDAG
-	replayed bool
-	walSeq   uint64
+	sub    bullshark.CommittedSubDAG
+	walSeq uint64
 }
 
-// walEntry is one record awaiting the WAL writer: an inserted certificate
-// (tracked by the durability watermark) or this validator's own signed
-// proposal header (the voted-round high-water mark; commits never wait on
-// it). done, when non-nil, is closed once the record is appended AND fsynced
-// — the proposer blocks on it so the header cannot reach the wire before the
-// voted-mark is durable.
-type walEntry struct {
-	cert     *engine.Certificate
-	proposal *engine.Header
-	done     chan struct{}
-}
-
-// New builds a node bound to the given transport-joining function. Call
-// Start to boot it. The returned node owns the WAL (if configured).
-func New(cfg Config, trans transport.Transport) (*Node, error) {
-	if cfg.Committee == nil {
-		return nil, fmt.Errorf("node: committee is required")
-	}
-	var tracer *obs.Tracer
-	if cfg.Trace {
-		tracer = obs.NewTracer(cfg.TraceSlots, cfg.Metrics)
-	}
-	fairCfg := mempool.FairConfig{
-		MaxSize: cfg.MempoolSize,
-		Shards:  cfg.MempoolShards,
-		Lanes:   cfg.MempoolLanes,
-	}
-	if tracer != nil {
-		// The admitted stage starts a trace; tx ID 0 means "gateway will
-		// assign one later" on some paths, so it never gets a trace entry.
-		fairCfg.OnAdmit = func(tx types.Transaction) {
-			if tx.ID != 0 {
-				tracer.Record(obs.StageAdmitted, tx.ID)
-			}
-		}
-	}
-	pool := mempool.NewFair(fairCfg)
-	d := dag.New(cfg.Committee)
-
-	var sched leader.Scheduler
-	if cfg.HammerHead != nil {
-		hh := *cfg.HammerHead
-		hh.Seed = cfg.ScheduleSeed
-		m, err := core.NewManager(cfg.Committee, d, hh)
-		if err != nil {
-			return nil, fmt.Errorf("node: building HammerHead scheduler: %w", err)
-		}
-		sched = m
-	} else {
-		sched = leader.NewRoundRobin(cfg.Committee, cfg.ScheduleSeed)
-	}
-
+// New builds a node: the validator, its gateway and debug listeners bound,
+// nothing running yet. Messages handed to HandleMessage before Start are held
+// until Start has recovered the node, backpressuring the transport once the
+// queues fill. The returned node owns the WAL (if configured).
+func New(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
-		pool:    pool,
-		trans:   trans,
-		tracer:  tracer,
 		logger:  obs.WithValidator(obs.Component(cfg.Logger, "node"), uint64(cfg.Self)),
 		tasks:   make(chan func(), 4096),
 		done:    make(chan struct{}),
 		commitq: make(chan commitDelivery, 1024),
 	}
-	// Seed the scheduler status mirror so /v1/status reports the initial
-	// schedule before the first commit publishes an export.
-	if m, ok := sched.(*core.Manager); ok {
-		if st, ok := m.ExportState().(*core.ManagerState); ok {
-			n.schedState.Store(st)
-		}
-	} else if rr, ok := sched.(*leader.RoundRobin); ok {
-		n.rrSched = rr
+	if cfg.Trace {
+		n.tracer = obs.NewTracer(cfg.TraceSlots, cfg.Metrics)
 	}
-	params := engine.Params{
-		Config:     cfg.Engine,
-		Committee:  cfg.Committee,
-		Self:       cfg.Self,
-		Keys:       cfg.Keys,
-		PublicKeys: cfg.PublicKeys,
-		Batches:    pool,
-		Scheduler:  sched,
-		DAG:        d,
-		Commits:    engine.CommitSinkFunc(n.sinkCommit),
+	if cfg.WALPath != "" {
+		n.walw = newWALWriter(cfg.WALPath, cfg.Metrics, n.logger, &n.replaying, n.done)
+		// Until Start finishes recovery and goes live, inserted certificates
+		// are not appended and commits are delivered flagged replayed.
+		n.replaying.Store(true)
 	}
-	if tracer != nil {
-		// Proposed / cert_formed fire only for this validator's OWN headers —
-		// which carry exactly the transactions its local mempool admitted, so
-		// the admitting node holds the full waterfall from one clock.
-		params.OnOwnHeader = func(h *engine.Header) {
-			recordBatchStage(tracer, obs.StageProposed, h.Batch)
-		}
-		params.OnOwnCert = func(c *engine.Certificate) {
-			recordBatchStage(tracer, obs.StageCertFormed, c.Header.Batch)
+	vcfg := validator.Config{
+		Committee:    cfg.Committee,
+		Self:         cfg.Self,
+		Keys:         cfg.Keys,
+		PublicKeys:   cfg.PublicKeys,
+		Engine:       cfg.Engine,
+		HammerHead:   cfg.HammerHead,
+		ScheduleSeed: cfg.ScheduleSeed,
+		Mempool: mempool.FairConfig{
+			MaxSize: cfg.MempoolSize,
+			Shards:  cfg.MempoolShards,
+			Lanes:   cfg.MempoolLanes,
+		},
+		Commits:  engine.CommitSinkFunc(n.sinkCommit),
+		Observer: observer{wal: n.walw, tracer: n.tracer},
+	}
+	if n.tracer != nil {
+		// The admitted stage starts a trace; tx ID 0 means "gateway will
+		// assign one later" on some paths, so it never gets a trace entry.
+		vcfg.Mempool.OnAdmit = func(tx types.Transaction) {
+			if tx.ID != 0 {
+				n.tracer.Record(obs.StageAdmitted, tx.ID)
+			}
 		}
 	}
 	if cfg.Execution {
-		var store execution.SnapshotStore
-		if cfg.SnapshotDir != "" {
-			fileStore, err := storage.NewSnapshotStore(cfg.SnapshotDir, 0)
-			if err != nil {
-				return nil, fmt.Errorf("node: opening snapshot store: %w", err)
-			}
-			store = fileStore
+		xc, err := n.executionConfig()
+		if err != nil {
+			return nil, err
 		}
-		execCfg := execution.Config{
-			CheckpointInterval: cfg.CheckpointInterval,
-			Store:              store,
-			Metrics:            cfg.Metrics,
-			// A HammerHead node must never install a snapshot that does not
-			// carry scheduler state — restoring the KV state without the
-			// schedule would silently degrade it to a stale leader sequence.
-			RequireSchedulerState: cfg.HammerHead != nil,
-		}
-		if tracer != nil {
-			execCfg.OnApplied = func(sub bullshark.CommittedSubDAG) {
-				recordCommitStage(tracer, obs.StageApplied, &sub)
-			}
-		}
-		if cfg.CheckpointCerts {
-			if len(cfg.PublicKeys) != cfg.Committee.Size() {
-				return nil, fmt.Errorf("node: checkpoint certification needs all %d public keys (have %d)",
-					cfg.Committee.Size(), len(cfg.PublicKeys))
-			}
-			// With certification on, never install a remote snapshot on the
-			// responder's word alone: require a quorum certificate covering
-			// exactly the snapshot's tuple. It is also what makes the executor
-			// keep a frozen KV view per checkpoint for proof-carrying reads.
-			execCfg.CheckpointCerts = true
-			execCfg.CertVerifier = func(cert *checkpoint.Certificate) error {
-				return cert.Verify(cfg.Committee, cfg.PublicKeys, cfg.Keys.Scheme)
-			}
-		}
-		if cfg.WALPath != "" || cfg.CheckpointCerts {
-			// Checkpoint-driven WAL compaction: once a checkpoint is durable,
-			// certificates below its boundary floor are redundant on replay (a
-			// restart installs the checkpoint first), so the WAL writer drops
-			// them at its next append. Under HammerHead the checkpoint carries
-			// the scheduler state and the executor clamps the floor to the
-			// schedule's minimum retained round, so compaction is safe for both
-			// schedulers. With certification on, the hook also starts the
-			// signature gossip for the fresh checkpoint. The hook runs with the
-			// executor's lock held — hand the engine work to a goroutine so the
-			// (bounded) task queue cannot deadlock the apply loop.
-			compact := cfg.WALPath != ""
-			certify := cfg.CheckpointCerts
-			execCfg.OnCheckpoint = func(snap execution.Snapshot) {
-				if compact && snap.Floor > 0 {
-					n.compactFloor.Store(uint64(snap.Floor))
-				}
-				if certify && snap.Cert == nil && !n.replaying.Load() {
-					meta := checkpoint.Meta{
-						Round:       snap.Round,
-						CommitSeq:   snap.CommitSeq,
-						StateRoot:   snap.StateRoot,
-						StateDigest: snap.StateDigest,
-						SchedDigest: checkpoint.SchedDigestOf(snap.SchedulerState),
-					}
-					go n.enqueue(func() {
-						n.dispatch(n.eng.OnLocalCheckpoint(meta), true)
-					})
-				}
-			}
-		}
-		n.exec = execution.NewExecutor(execution.NewKVState(), execCfg)
-		params.Snapshots = n.exec
-		params.InstallSnapshot = n.exec.InstallFromWire
-		params.AppliedSeq = n.exec.AppliedSeq
-		if cfg.CheckpointCerts {
-			// Certificates assembled (or adopted) by the engine attach to the
-			// executor's matching cached checkpoint, becoming the certified
-			// state for proof-carrying reads and certified snapshot serving.
-			// Runs on the engine goroutine; AttachCertificate only takes the
-			// executor lock, so there is no cycle with OnCheckpoint above.
-			params.OnCheckpointCert = func(cert *checkpoint.Certificate) {
-				n.exec.AttachCertificate(cert.Meta.CommitSeq, cert)
-			}
-		}
+		vcfg.Execution = xc
 	}
-	if cfg.WALPath != "" {
-		n.walq = make(chan walEntry, 1024)
-		n.walCond = sync.NewCond(&n.walMu)
-		params.Persist = n.persistCert
-		params.PersistProposal = n.persistProposal
-		// Until Start finishes recovery and goes live, inserted certificates
-		// are not appended (pre-replay arrivals were never persisted before
-		// either; WAL-replayed ones must not be re-appended) and commits are
-		// delivered flagged replayed.
-		n.replaying.Store(true)
-	}
-	eng, err := engine.New(params)
+	v, err := validator.New(vcfg)
 	if err != nil {
-		return nil, fmt.Errorf("node: building engine: %w", err)
+		return nil, fmt.Errorf("node: %w", err)
 	}
-	n.eng = eng
+	n.v, n.eng, n.pool, n.exec = v, v.Engine, v.Pool, v.Executor
+	// Seed the scheduler status mirror so /v1/status reports the initial
+	// schedule before the first commit publishes an export.
+	switch sched := n.eng.Scheduler().(type) {
+	case *core.Manager:
+		n.schedState.Store(sched.ExportState().(*core.ManagerState))
+	case *leader.RoundRobin:
+		n.rrSched = sched
+	}
 	if cfg.Engine.VerifySignatures {
 		workers := cfg.Engine.VerifyWorkers
 		if workers < 1 {
@@ -470,9 +323,6 @@ func New(cfg Config, trans transport.Transport) (*Node, error) {
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 		n.pipelineMetric = cfg.Metrics.Gauge("hammerhead_pipeline_depth")
 		n.commitQMetric = cfg.Metrics.Gauge("hammerhead_commit_queue_depth")
-		n.walQMetric = cfg.Metrics.Gauge("hammerhead_wal_queue_depth")
-		n.compactsMetric = cfg.Metrics.Counter("hammerhead_wal_compactions_total")
-		n.compactFailsMet = cfg.Metrics.Counter("hammerhead_wal_compaction_failures_total")
 		n.epochMetric = cfg.Metrics.Gauge("hammerhead_schedule_epoch")
 		n.epochStartMet = cfg.Metrics.Gauge("hammerhead_schedule_start_round")
 		n.leaderMetric = cfg.Metrics.Gauge("hammerhead_current_leader")
@@ -489,8 +339,8 @@ func New(cfg Config, trans transport.Transport) (*Node, error) {
 			Addr:      cfg.RPCAddr,
 			Validator: cfg.Self,
 			Submit:    n.SubmitClient,
-			Lane:      pool.LaneFor,
-			LaneStats: pool.LaneStats,
+			Lane:      n.pool.LaneFor,
+			LaneStats: n.pool.LaneStats,
 			Status:    n.statusSnapshot,
 			Metrics:   cfg.Metrics,
 		}
@@ -526,6 +376,81 @@ func New(cfg Config, trans transport.Transport) (*Node, error) {
 	return n, nil
 }
 
+// executionConfig is the executor's configuration: checkpoints persisted to
+// Config.SnapshotDir, the applied trace stage, and the checkpoint hook that
+// feeds WAL compaction and certification.
+func (n *Node) executionConfig() (*execution.Config, error) {
+	cfg := n.cfg
+	xc := &execution.Config{
+		CheckpointInterval: cfg.CheckpointInterval,
+		Metrics:            cfg.Metrics,
+		// With certification on, a remote snapshot installs only with a
+		// quorum certificate covering exactly its tuple, and the executor
+		// keeps a frozen KV view per checkpoint for proof-carrying reads.
+		CheckpointCerts: cfg.CheckpointCerts,
+	}
+	if cfg.SnapshotDir != "" {
+		store, err := storage.NewSnapshotStore(cfg.SnapshotDir, 0)
+		if err != nil {
+			return nil, fmt.Errorf("node: opening snapshot store: %w", err)
+		}
+		xc.Store = store
+	}
+	if n.tracer != nil {
+		xc.OnApplied = func(sub bullshark.CommittedSubDAG) {
+			recordCommitStage(n.tracer, obs.StageApplied, &sub)
+		}
+	}
+	if n.walw != nil || cfg.CheckpointCerts {
+		// Checkpoint-driven WAL compaction: once a checkpoint is durable,
+		// certificates below its boundary floor are redundant on replay (a
+		// restart installs the checkpoint first), so the WAL writer drops
+		// them at its next append. With certification on, the hook also
+		// starts the signature gossip for the fresh checkpoint. The hook runs
+		// with the executor's lock held — hand the engine work to a goroutine
+		// so the (bounded) task queue cannot deadlock the apply loop.
+		xc.OnCheckpoint = func(snap execution.Snapshot) {
+			if n.walw != nil && snap.Floor > 0 {
+				n.walw.compactFloor.Store(uint64(snap.Floor))
+			}
+			if cfg.CheckpointCerts && snap.Cert == nil && !n.replaying.Load() {
+				meta := checkpoint.Meta{
+					Round:       snap.Round,
+					CommitSeq:   snap.CommitSeq,
+					StateRoot:   snap.StateRoot,
+					StateDigest: snap.StateDigest,
+					SchedDigest: checkpoint.SchedDigestOf(snap.SchedulerState),
+				}
+				go n.enqueue(func() {
+					n.dispatch(n.eng.OnLocalCheckpoint(meta))
+				})
+			}
+		}
+	}
+	return xc, nil
+}
+
+// observer is the node's engine.Observer: the WAL writer makes inserted
+// certificates and own proposals durable, and the tracer stamps the proposed
+// and cert_formed stages. Both fire only for this validator's OWN headers —
+// which carry exactly the transactions its local mempool admitted, so the
+// admitting node holds the full waterfall from one clock. Either may be nil.
+type observer struct {
+	wal    *walWriter
+	tracer *obs.Tracer
+}
+
+func (o observer) Inserted(cert *engine.Certificate) { o.wal.inserted(cert) }
+
+func (o observer) Proposed(h *engine.Header) {
+	o.wal.proposed(h)
+	recordBatchStage(o.tracer, obs.StageProposed, h.Batch)
+}
+
+func (o observer) Certified(cert *engine.Certificate) {
+	recordBatchStage(o.tracer, obs.StageCertFormed, cert.Header.Batch)
+}
+
 // DebugAddr returns the debug listener's bound address ("" when
 // Config.DebugAddr is unset).
 func (n *Node) DebugAddr() string {
@@ -551,39 +476,33 @@ func (n *Node) statusSnapshot() rpc.StatusResponse {
 		st.StateRoot = hex.EncodeToString(root[:])
 		st.SnapshotFloor = uint64(n.exec.SnapshotFloor())
 	}
-	// Leader-scheduling half: CurrentLeader is the leader of the next anchor
-	// round at or after the engine's round, read from the thread-safe
-	// schedule mirror (HammerHead) or the immutable round-robin schedule.
-	anchor := types.Round(st.Round)
-	if !anchor.IsAnchorRound() {
-		anchor++
-	}
+	// Leader-scheduling half.
+	st.CurrentLeader = uint32(n.leaderAhead(types.Round(st.Round)))
 	if ms := n.schedState.Load(); ms != nil {
 		st.ScheduleEpoch = uint64(ms.Epoch())
 		st.ScheduleStartRound = uint64(ms.EpochStartRound())
-		st.CurrentLeader = uint32(ms.LeaderAt(anchor))
 		scores := ms.Scores()
-		if len(scores) > 0 {
-			ids := make([]types.ValidatorID, 0, len(scores))
-			for id := range scores {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			st.SchedulerScores = make([]rpc.ValidatorScore, 0, len(ids))
-			for _, id := range ids {
-				st.SchedulerScores = append(st.SchedulerScores, rpc.ValidatorScore{
-					Validator: uint32(id),
-					Score:     scores[id],
-				})
-			}
+		for _, id := range slices.Sorted(maps.Keys(scores)) {
+			st.SchedulerScores = append(st.SchedulerScores, rpc.ValidatorScore{Validator: uint32(id), Score: scores[id]})
 		}
 		for _, id := range ms.Excluded() {
 			st.ExcludedValidators = append(st.ExcludedValidators, uint32(id))
 		}
-	} else if n.rrSched != nil {
-		st.CurrentLeader = uint32(n.rrSched.LeaderAt(anchor))
 	}
 	return st
+}
+
+// leaderAhead is the leader of the next anchor round at or after round, read
+// from the thread-safe schedule mirror (HammerHead) or the immutable
+// round-robin schedule.
+func (n *Node) leaderAhead(round types.Round) types.ValidatorID {
+	if !round.IsAnchorRound() {
+		round++
+	}
+	if ms := n.schedState.Load(); ms != nil {
+		return ms.LeaderAt(round)
+	}
+	return n.rrSched.LeaderAt(round)
 }
 
 // Counters are the cumulative counters behind an operator's status line.
@@ -628,63 +547,6 @@ func (n *Node) publishSchedulerState(ms *core.ManagerState) {
 	}
 }
 
-// persistCert is the engine's Persist hook: it runs on the ingest
-// goroutine, in insertion order, before the certificate's vertex can reach
-// the committer, and enqueues the certificate for the WAL writer. Replayed
-// certificates came from the WAL and are not re-appended.
-func (n *Node) persistCert(cert *engine.Certificate) {
-	if n.replaying.Load() {
-		return
-	}
-	n.walMu.Lock()
-	n.walSeq++
-	n.walMu.Unlock()
-	select {
-	case n.walq <- walEntry{cert: cert}:
-		if n.walQMetric != nil {
-			n.walQMetric.Set(int64(len(n.walq)))
-		}
-	case <-n.done:
-		// Shutdown: the append will never happen; advance the watermark so
-		// a commit delivery waiting on it is not stranded.
-		n.walMu.Lock()
-		n.walDone++
-		n.walMu.Unlock()
-		n.walCond.Broadcast()
-	}
-}
-
-// persistProposal is the engine's PersistProposal hook: it records this
-// validator's own signed header — the voted-round high-water mark — so a
-// restart re-adopts the identical proposal instead of equivocating the slot.
-// Runs on the engine goroutine at propose time, before the header's
-// broadcast is dispatched; replay-time proposals are suppressed exactly like
-// certificate appends. Proposals do not advance the commit durability
-// watermark (no commit depends on them), but the hook BLOCKS until the
-// record is appended and fsynced: a fire-and-forget append left a torn-tail
-// window where the header had already reached peers while the voted-mark
-// record was still (or only partially) in the page cache — a crash there
-// re-proposed the slot and equivocated against surviving pre-crash votes.
-func (n *Node) persistProposal(h *engine.Header) {
-	if n.replaying.Load() {
-		return
-	}
-	done := make(chan struct{})
-	select {
-	case n.walq <- walEntry{proposal: h, done: done}:
-		if n.walQMetric != nil {
-			n.walQMetric.Set(int64(len(n.walq)))
-		}
-	case <-n.done:
-		return
-	}
-	select {
-	case <-done:
-	case <-n.done:
-		// Shutdown: the broadcast will never be dispatched either.
-	}
-}
-
 // sinkCommit is the engine's CommitSink. During WAL recovery it delivers
 // synchronously (every replayed commit must reach the handler before the
 // node goes live); afterwards it enqueues for the commit loop, stamped with
@@ -703,12 +565,7 @@ func (n *Node) sinkCommit(sub bullshark.CommittedSubDAG) {
 	// Ordered creates the trace when absent: a peer that never saw the tx's
 	// admission still records the commit-side suffix of the waterfall.
 	recordCommitStageCreate(n.tracer, obs.StageOrdered, &sub)
-	d := commitDelivery{sub: sub}
-	if n.walq != nil {
-		n.walMu.Lock()
-		d.walSeq = n.walSeq
-		n.walMu.Unlock()
-	}
+	d := commitDelivery{sub: sub, walSeq: n.walw.watermark()}
 	select {
 	case n.commitq <- d:
 		if n.commitQMetric != nil {
@@ -724,29 +581,14 @@ func (n *Node) commitLoop() {
 		if n.commitQMetric != nil {
 			n.commitQMetric.Set(int64(len(n.commitq)))
 		}
-		if !d.replayed && d.walSeq > 0 {
+		if d.walSeq > 0 {
 			// Hold fresh commits until their certificates are in the WAL —
 			// otherwise a crash between execution and append would
 			// re-deliver them after restart as if never executed.
-			n.walMu.Lock()
-			for n.walDone < d.walSeq && !n.closing() {
-				n.walCond.Wait()
-			}
-			n.walMu.Unlock()
+			n.walw.waitDurable(d.walSeq)
 		}
-		if !d.replayed {
-			recordCommitStage(n.tracer, obs.StageDurable, &d.sub)
-		}
-		n.deliverCommit(d.sub, d.replayed)
-	}
-}
-
-func (n *Node) closing() bool {
-	select {
-	case <-n.done:
-		return true
-	default:
-		return false
+		recordCommitStage(n.tracer, obs.StageDurable, &d.sub)
+		n.deliverCommit(d.sub, false)
 	}
 }
 
@@ -778,67 +620,6 @@ func (n *Node) deliverCommit(sub bullshark.CommittedSubDAG, replayed bool) {
 	}
 }
 
-// walLoop appends inserted certificates in order and advances the
-// durability watermark. Persistence failure must not stall consensus
-// (recovery falls back to peer sync), so append errors are swallowed — the
-// watermark still advances, matching the pre-pipeline behavior where a
-// failed synchronous append did not block commit delivery either. Between
-// appends the loop runs any pending checkpoint-driven compaction: the writer
-// goroutine owns the file handle, so the rewrite needs no extra locking.
-func (n *Node) walLoop() {
-	defer n.walWg.Done()
-	for entry := range n.walq {
-		if n.walQMetric != nil {
-			n.walQMetric.Set(int64(len(n.walq)))
-		}
-		appendEntry := func() error {
-			if entry.cert != nil {
-				return n.wal.Append(entry.cert)
-			}
-			return n.wal.AppendProposal(entry.proposal)
-		}
-		if err := appendEntry(); errors.Is(err, storage.ErrClosed) {
-			// The only closed-while-running path is a compaction whose reopen
-			// failed. The log itself lives on disk; reopen it and retry this
-			// record, so a transient FS error costs at most the records
-			// between failure and the next append instead of silently ending
-			// durability for the rest of the process lifetime.
-			if w, oerr := storage.OpenWAL(n.cfg.WALPath); oerr == nil {
-				n.wal = w
-				_ = appendEntry()
-			}
-		}
-		if entry.cert == nil {
-			// Proposal records are not part of the commit durability
-			// watermark, but the proposer blocks until the record is durable:
-			// fsync before releasing it. A sync failure is swallowed like an
-			// append failure (consensus must not stall on local disk trouble);
-			// the proposer is released regardless.
-			if entry.done != nil {
-				_ = n.wal.Sync()
-				close(entry.done)
-			}
-			continue
-		}
-		n.walMu.Lock()
-		n.walDone++
-		n.walMu.Unlock()
-		n.walCond.Broadcast()
-		if floor := n.compactFloor.Swap(0); floor > 0 {
-			// Compaction failure is as tolerable as an append failure: the log
-			// keeps (at worst) redundant history, never loses needed records.
-			if err := n.wal.CompactTo(types.Round(floor)); err != nil {
-				n.logger.Warn("WAL compaction failed", "floor", floor, "err", err)
-				if n.compactFailsMet != nil {
-					n.compactFailsMet.Inc()
-				}
-			} else if n.compactsMetric != nil {
-				n.compactsMetric.Inc()
-			}
-		}
-	}
-}
-
 // HandleMessage is the transport inbound hook; safe for concurrent use.
 // Signature-bearing messages detour through the pre-verify stage when it is
 // enabled; a full pre-verify queue blocks the transport reader, which is
@@ -856,7 +637,7 @@ func (n *Node) HandleMessage(from types.ValidatorID, msg *engine.Message) {
 	}
 	n.enqueue(func() {
 		out := n.eng.OnMessage(from, msg, time.Now().UnixNano())
-		n.dispatch(out, true)
+		n.dispatch(out)
 	})
 }
 
@@ -885,7 +666,7 @@ func (n *Node) preverifyLoop() {
 			}
 			n.enqueue(func() {
 				out := n.eng.OnMessage(in.from, in.msg, time.Now().UnixNano())
-				n.dispatch(out, true)
+				n.dispatch(out)
 			})
 		case <-n.done:
 			return
@@ -931,15 +712,18 @@ func (n *Node) PreVerifyStats() engine.PreVerifyStats {
 	return n.prever.Stats()
 }
 
-// Start boots the node: replays the WAL (if any), initializes the engine
-// and begins processing. Must be called once.
-func (n *Node) Start() error {
+// Start boots the node on the given transport, whose handler must deliver
+// to HandleMessage: it recovers the validator (local checkpoint, WAL replay,
+// rejoin handshake — validator.Recover), transmits, and begins processing.
+// Must be called once.
+func (n *Node) Start(tr transport.Transport) error {
 	n.startMu.Lock()
 	defer n.startMu.Unlock()
 	if n.started {
 		return fmt.Errorf("node: already started")
 	}
 	n.started = true
+	n.trans = tr
 
 	if n.exec != nil {
 		// First: Start makes the queue the commit loop submits to.
@@ -963,127 +747,26 @@ func (n *Node) Start() error {
 		n.gw.Start()
 	}
 
-	var walErr error
+	var replay validator.Replay
+	if n.walw != nil {
+		replay = n.walw.replay
+	}
+	var err error
 	startup := make(chan struct{})
 	n.enqueue(func() {
 		defer close(startup)
-		// Boot the engine quietly: genesis goes in and the first proposal is
-		// built, but nothing is transmitted until recovery finishes (peers
-		// would see a stale duplicate).
 		n.replaying.Store(true)
-
-		// A locally persisted checkpoint fast-forwards executor and engine
-		// BEFORE WAL replay: certificates below the snapshot's floor are
-		// covered by it (the replay drops them), and commits re-derived above
-		// the checkpoint sequence re-apply idempotently. This is how a node
-		// that slept past the committee's GC horizon resumes from its own
-		// state instead of an unrecoverable certificate gap. The checkpoint
-		// carries the scheduler's state, so under HammerHead the engine
-		// restores the exact schedule before fast-forwarding; a checkpoint
-		// without scheduler state (cut under the round-robin baseline) gives
-		// it nothing to restore, so there is no fast-forward — the executor
-		// still restores, and WAL replay rebuilds ordering with the sequence
-		// dedupe absorbing re-derived commits.
-		if n.exec != nil {
-			if snap, ok := n.exec.Store().Latest(); ok {
-				if meta, install, err := n.exec.InstallLocal(snap); err == nil {
-					n.dispatch(n.eng.FastForwardToSnapshot(meta, install, time.Now().UnixNano()), false)
-				}
-			}
-		}
-		initOut := n.eng.Init(time.Now().UnixNano())
-
-		if n.cfg.WALPath != "" {
-			// Recovery: replay persisted certificates through the normal
-			// message path. Commits are re-derived deterministically and
-			// reach the handler through the sink flagged replayed; no
-			// messages go out (outputs suppressed). Proposal records are
-			// collected alongside: the highest one is the voted-round
-			// high-water mark restored below.
-			var validBytes int64
-			var lastProposal *engine.Header
-			validBytes, walErr = storage.ReplayPrefixRecords(n.cfg.WALPath, func(cert *engine.Certificate) error {
-				n.eng.OnMessage(n.cfg.Self, &engine.Message{
-					Kind: engine.KindCertificate,
-					Cert: cert,
-				}, time.Now().UnixNano())
-				return nil
-			}, func(h *engine.Header) error {
-				if h.Source == n.cfg.Self && (lastProposal == nil || h.Round > lastProposal.Round) {
-					lastProposal = h
-				}
-				return nil
-			})
-			if walErr != nil {
-				return
-			}
-			// Re-adopt the recorded pre-crash proposal (if any): recovery will
-			// re-transmit the identical header instead of building a fresh one
-			// for a slot whose certificate may have survived elsewhere —
-			// re-proposing would equivocate the slot.
-			n.eng.RestoreProposal(lastProposal)
-			// Reuse the replay's measured prefix: the open truncates any torn
-			// tail without re-scanning the file (appending after garbage
-			// would strand everything written after it at the NEXT replay).
-			wal, err := storage.OpenWALTrimmed(n.cfg.WALPath, validBytes)
-			if err != nil {
-				walErr = err
-				return
-			}
-			n.wal = wal
-			n.walWg.Add(1)
-			go n.walLoop()
-		}
-		// Drain the order stage so every replay-derived commit is delivered
-		// (and flagged replayed) before the node goes live, then transmit the
-		// initial proposal and arm its timers.
-		n.eng.Flush()
-		n.replaying.Store(false)
-		if n.cfg.WALPath != "" {
-			// Init ran before replay: when the log moved the engine past that
-			// first proposal, its queued broadcast is a stale header for an
-			// already-signed slot — transmitting it would look like (and be
-			// refused as) slot equivocation by peers that voted pre-crash.
-			// Only the engine's CURRENT proposal may go out.
-			cur := n.eng.CurrentProposal()
-			kept := initOut.Broadcasts[:0]
-			for _, m := range initOut.Broadcasts {
-				if m.Kind == engine.KindHeader && m.Header != cur {
-					continue
-				}
-				kept = append(kept, m)
-			}
-			initOut.Broadcasts = kept
-		}
-		if n.walq != nil {
-			// A proposal built while appends were suppressed (the initial
-			// proposal of a fresh boot) is about to go on the wire; record it
-			// first so a crash cannot force a conflicting re-proposal of the
-			// slot. Restored proposals are already in the log (their round
-			// equals the floor) and are not re-appended.
-			if h := n.eng.CurrentProposal(); h != nil && h.Round > n.eng.ProposalFloor() {
-				n.persistProposal(h)
-			}
-		}
-		n.dispatch(initOut, true)
-		// Crash-rejoin handshake: proposals made and timers armed while
-		// replaying were never transmitted (outputs suppressed). A single
-		// recovering node gets pulled forward by the live frontier, but on a
-		// correlated restart every peer replays the same dead history and the
-		// committee wedges at its pre-crash round. StartRejoin resets the
-		// phantom-timer bookkeeping, gathers a write quorum of peer frontiers
-		// (retrying until peers come back) and re-proposes into a fresh round
-		// strictly above everything that only existed in dead memory.
-		n.dispatch(n.eng.StartRejoin(time.Now().UnixNano()), true)
+		err = n.v.Recover(func() int64 { return time.Now().UnixNano() }, replay,
+			func() { n.replaying.Store(false) }, n.dispatch)
 	})
 	<-startup
-	if walErr != nil {
-		n.logger.Error("WAL recovery failed", "err", walErr)
-		return fmt.Errorf("node: recovering from WAL: %w", walErr)
+	if err != nil {
+		n.logger.Error("WAL recovery failed", "err", err)
+		return fmt.Errorf("node: recovering from WAL: %w", err)
 	}
 	n.logger.Info("node started",
 		"round", n.statusRound.Load(),
-		"wal", n.cfg.WALPath != "",
+		"wal", n.walw != nil,
 		"execution", n.exec != nil,
 		"tracing", n.tracer != nil)
 	return nil
@@ -1128,6 +811,7 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
+	trans := n.trans
 	n.startMu.Unlock()
 
 	if n.debug != nil {
@@ -1138,10 +822,8 @@ func (n *Node) Close() error {
 		_ = n.gw.Close()
 	}
 	close(n.done)
-	if n.walCond != nil {
-		// Wake a commit delivery parked on the durability watermark.
-		n.walCond.Broadcast()
-	}
+	// Wake a commit delivery parked on the durability watermark.
+	n.walw.wake()
 	n.wg.Wait()
 	// Stop the engine's order stage (drains already-queued vertices; its
 	// sink sends can no longer block because done is closed), then drain the
@@ -1155,16 +837,11 @@ func (n *Node) Close() error {
 		// executor applies its backlog and cuts a final checkpoint.
 		n.exec.Close()
 	}
-	if n.walq != nil {
-		close(n.walq)
-		n.walWg.Wait()
-	}
-	var err error
-	if n.wal != nil {
-		err = n.wal.Close()
-	}
-	if terr := n.trans.Close(); err == nil {
-		err = terr
+	err := n.walw.close()
+	if trans != nil {
+		if terr := trans.Close(); err == nil {
+			err = terr
+		}
 	}
 	return err
 }
@@ -1192,24 +869,21 @@ func (n *Node) loop() {
 
 // dispatch routes an engine output to the transport and timers. Commits
 // never appear here — they flow through the engine's CommitSink — and WAL
-// persistence happens in the engine's Persist hook, which runs before the
-// inserted vertex can reach the committer. transmit=false suppresses
-// outbound traffic (recovery replay).
-func (n *Node) dispatch(out *engine.Output, transmit bool) {
-	if transmit {
-		for _, u := range out.Unicasts {
-			_ = n.trans.Send(u.To, u.Msg)
-		}
-		for _, msg := range out.Broadcasts {
-			_ = n.trans.Broadcast(msg)
-		}
+// persistence happens in the engine's Observer, which runs before the
+// inserted vertex can reach the committer.
+func (n *Node) dispatch(out *engine.Output) {
+	for _, u := range out.Unicasts {
+		_ = n.trans.Send(u.To, u.Msg)
+	}
+	for _, msg := range out.Broadcasts {
+		_ = n.trans.Broadcast(msg)
 	}
 	for _, t := range out.Timers {
 		timer := t
 		time.AfterFunc(t.Delay, func() {
 			n.enqueue(func() {
 				o := n.eng.OnTimer(timer, time.Now().UnixNano())
-				n.dispatch(o, true)
+				n.dispatch(o)
 			})
 		})
 	}
@@ -1232,15 +906,7 @@ func (n *Node) dispatch(out *engine.Output, transmit bool) {
 		mirrorCounter(n.lostMetric, st.OwnVerticesPrunedUnordered)
 	}
 	if n.leaderMetric != nil {
-		anchor := n.eng.Round()
-		if !anchor.IsAnchorRound() {
-			anchor++
-		}
-		if ms := n.schedState.Load(); ms != nil {
-			n.leaderMetric.Set(int64(ms.LeaderAt(anchor)))
-		} else if n.rrSched != nil {
-			n.leaderMetric.Set(int64(n.rrSched.LeaderAt(anchor)))
-		}
+		n.leaderMetric.Set(int64(n.leaderAhead(n.eng.Round())))
 	}
 	if n.pipelineMetric != nil {
 		n.pipelineMetric.Set(int64(n.eng.PipelineBacklog()))

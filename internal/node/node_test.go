@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +26,8 @@ type testCluster struct {
 	committee *types.Committee
 	network   *transport.ChannelNetwork
 	nodes     []*node.Node
+	// trans holds each built node's endpoint, handed over at Start.
+	trans map[*node.Node]transport.Transport
 	// engineCfg overrides fastNodeEngineConfig when non-nil (pipelined runs).
 	engineCfg *engine.Config
 
@@ -62,18 +63,11 @@ func buildNode(t *testing.T, tc *testCluster, id types.ValidatorID, hh *core.Con
 		t.Fatal(err)
 	}
 
-	var nd *node.Node
-	tr, err := tc.network.Join(id, func(from types.ValidatorID, msg *engine.Message) {
-		nd.HandleMessage(from, msg)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	engCfg := fastNodeEngineConfig()
 	if tc.engineCfg != nil {
 		engCfg = *tc.engineCfg
 	}
-	nd, err = node.New(node.Config{
+	nd, err := node.New(node.Config{
 		Committee:    tc.committee,
 		Self:         id,
 		Keys:         kp,
@@ -91,12 +85,29 @@ func buildNode(t *testing.T, tc *testCluster, id types.ValidatorID, hh *core.Con
 			}
 			tc.txSeen[id] += sub.TxCount()
 		},
-	}, tr)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tc.join(t, id, nd)
 	return nd
 }
+
+// join connects a built node to the network; startNode hands it the
+// endpoint.
+func (tc *testCluster) join(t *testing.T, id types.ValidatorID, nd *node.Node) {
+	t.Helper()
+	tr, err := tc.network.Join(id, nd.HandleMessage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.trans == nil {
+		tc.trans = make(map[*node.Node]transport.Transport)
+	}
+	tc.trans[nd] = tr
+}
+
+func (tc *testCluster) startNode(nd *node.Node) error { return nd.Start(tc.trans[nd]) }
 
 func newTestCluster(t *testing.T, n int, hh *core.Config) *testCluster {
 	t.Helper()
@@ -119,7 +130,7 @@ func newTestCluster(t *testing.T, n int, hh *core.Config) *testCluster {
 func (tc *testCluster) start(t *testing.T) {
 	t.Helper()
 	for _, nd := range tc.nodes {
-		if err := nd.Start(); err != nil {
+		if err := tc.startNode(nd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,7 +371,7 @@ func TestNodeCrashRecoveryFromWAL(t *testing.T) {
 		tc.nodes = append(tc.nodes, buildNode(t, tc, types.ValidatorID(i), nil, "", nil))
 	}
 	for _, nd := range tc.nodes {
-		if err := nd.Start(); err != nil {
+		if err := tc.startNode(nd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,19 +393,6 @@ func TestNodeCrashRecoveryFromWAL(t *testing.T) {
 	// Restart v0 from its WAL under a fresh transport endpoint.
 	var replayedCommits int
 	var mu sync.Mutex
-	// The survivors broadcast into the rejoined endpoint as soon as Join
-	// returns, concurrently with node.New below; publish the node pointer
-	// atomically and drop deliveries that race the construction (a real
-	// process loses them while booting too — resync recovers them).
-	var restartedPtr atomic.Pointer[node.Node]
-	tr, err := tc.network.Join(0, func(from types.ValidatorID, msg *engine.Message) {
-		if nd := restartedPtr.Load(); nd != nil {
-			nd.HandleMessage(from, msg)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	scheme := crypto.Insecure{}
 	var seed [32]byte
 	pubs := make([]crypto.PublicKey, 4)
@@ -428,12 +426,12 @@ func TestNodeCrashRecoveryFromWAL(t *testing.T) {
 				tc.mu.Unlock()
 			}
 		},
-	}, tr)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restartedPtr.Store(restarted)
-	if err := restarted.Start(); err != nil {
+	tc.join(t, 0, restarted)
+	if err := tc.startNode(restarted); err != nil {
 		t.Fatal(err)
 	}
 	defer restarted.Close()
@@ -493,7 +491,7 @@ func TestNodeRefusesWALOfAnotherFormatGeneration(t *testing.T) {
 	}
 	nd := buildNode(t, tc, 0, nil, walPath, nil)
 	defer nd.Close()
-	if err := nd.Start(); err == nil || !strings.Contains(err.Error(), "version tag 0x03") {
+	if err := tc.startNode(nd); err == nil || !strings.Contains(err.Error(), "version tag 0x03") {
 		t.Fatalf("Start on a foreign-generation WAL: err = %v, want a refusal naming tag 0x03", err)
 	}
 	if got, err := os.ReadFile(walPath); err != nil || !bytes.Equal(got, foreign) {

@@ -70,23 +70,6 @@ func (s *tcpNodeSpec) bootTCPNode(t *testing.T, id types.ValidatorID, walPath, r
 			peers[pid] = addr
 		}
 	}
-	inbound := node.NewInbound()
-	var tr *transport.TCPTransport
-	var err error
-	for attempt := 0; ; attempt++ {
-		tr, err = transport.NewTCP(transport.TCPConfig{
-			Self: id, ListenAddr: s.addrs[id],
-			PeerAddrs: peers,
-			Handler:   inbound.Handle,
-		})
-		if err == nil {
-			break
-		}
-		if attempt > 100 {
-			t.Fatalf("binding %s: %v", s.addrs[id], err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 	cfg := engine.DefaultConfig()
 	cfg.MinRoundDelay = 20 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
@@ -104,13 +87,27 @@ func (s *tcpNodeSpec) bootTCPNode(t *testing.T, id types.ValidatorID, walPath, r
 		MempoolLanes: 2,
 		RPCAddr:      rpcAddr,
 		OnCommit:     onCommit,
-	}, tr)
-	inbound.Bind(nd)
+	})
 	if err != nil {
-		_ = tr.Close()
 		t.Fatal(err)
 	}
-	if err := nd.Start(); err != nil {
+	var tr *transport.TCPTransport
+	for attempt := 0; ; attempt++ {
+		tr, err = transport.NewTCP(transport.TCPConfig{
+			Self: id, ListenAddr: s.addrs[id],
+			PeerAddrs: peers,
+			Handler:   nd.HandleMessage,
+		})
+		if err == nil {
+			break
+		}
+		if attempt > 100 {
+			_ = nd.Close()
+			t.Fatalf("binding %s: %v", s.addrs[id], err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err := nd.Start(tr); err != nil {
 		t.Fatal(err)
 	}
 	return nd

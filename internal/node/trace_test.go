@@ -6,13 +6,11 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/crypto"
-	"hammerhead/internal/engine"
 	"hammerhead/internal/node"
 	"hammerhead/internal/obs"
 	"hammerhead/internal/transport"
@@ -40,15 +38,6 @@ func buildTraceNode(t *testing.T, tc *testCluster, id types.ValidatorID, walPath
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ndPtr atomic.Pointer[node.Node]
-	tr, err := tc.network.Join(id, func(from types.ValidatorID, msg *engine.Message) {
-		if p := ndPtr.Load(); p != nil {
-			p.HandleMessage(from, msg)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	engCfg := fastNodeEngineConfig()
 	engCfg.PipelineDepth = 64
 	nd, err := node.New(node.Config{
@@ -70,11 +59,11 @@ func buildTraceNode(t *testing.T, tc *testCluster, id types.ValidatorID, walPath
 			}
 			tc.txSeen[id] += sub.TxCount()
 		},
-	}, tr)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndPtr.Store(nd)
+	tc.join(t, id, nd)
 	return nd
 }
 
@@ -177,7 +166,7 @@ func TestTraceCoversFullCommitPath(t *testing.T) {
 		tc.nodes = append(tc.nodes, buildTraceNode(t, tc, types.ValidatorID(i), ""))
 	}
 	for _, nd := range tc.nodes {
-		if err := nd.Start(); err != nil {
+		if err := tc.startNode(nd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,15 +215,6 @@ func TestTraceCoversFullCommitPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var restartedPtr atomic.Pointer[node.Node]
-	tr0, err := tc.network.Join(0, func(from types.ValidatorID, msg *engine.Message) {
-		if nd := restartedPtr.Load(); nd != nil {
-			nd.HandleMessage(from, msg)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	var freshCommits int
 	engCfg := fastNodeEngineConfig()
@@ -257,12 +237,12 @@ func TestTraceCoversFullCommitPath(t *testing.T) {
 				mu.Unlock()
 			}
 		},
-	}, tr0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restartedPtr.Store(restarted)
-	if err := restarted.Start(); err != nil {
+	tc.join(t, 0, restarted)
+	if err := tc.startNode(restarted); err != nil {
 		t.Fatal(err)
 	}
 	defer restarted.Close()

@@ -28,15 +28,6 @@ func (s *tcpNodeSpec) bootCertNode(t *testing.T, id types.ValidatorID, rpcAddr s
 			peers[pid] = addr
 		}
 	}
-	inbound := node.NewInbound()
-	tr, err := transport.NewTCP(transport.TCPConfig{
-		Self: id, ListenAddr: s.addrs[id],
-		PeerAddrs: peers,
-		Handler:   inbound.Handle,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := engine.DefaultConfig()
 	cfg.MinRoundDelay = 20 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
@@ -54,13 +45,20 @@ func (s *tcpNodeSpec) bootCertNode(t *testing.T, id types.ValidatorID, rpcAddr s
 		CheckpointCerts:    true,
 		MempoolLanes:       2,
 		RPCAddr:            rpcAddr,
-	}, tr)
-	inbound.Bind(nd)
+	})
 	if err != nil {
-		_ = tr.Close()
 		t.Fatal(err)
 	}
-	if err := nd.Start(); err != nil {
+	tr, err := transport.NewTCP(transport.TCPConfig{
+		Self: id, ListenAddr: s.addrs[id],
+		PeerAddrs: peers,
+		Handler:   nd.HandleMessage,
+	})
+	if err != nil {
+		_ = nd.Close()
+		t.Fatal(err)
+	}
+	if err := nd.Start(tr); err != nil {
 		t.Fatal(err)
 	}
 	return nd

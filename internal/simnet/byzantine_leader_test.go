@@ -29,7 +29,8 @@ func TestHammerHeadScoresOutFaultyLeaders(t *testing.T) {
 		Committee:    committee,
 		Engine:       cfg,
 		Latency:      Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: hammerheadFactory(6),
+		HammerHead:   hhConfig(6),
+		ScheduleSeed: 1,
 		Seed:         23,
 	})
 	if err != nil {

@@ -27,7 +27,7 @@ func TestClusterDropsInvalidSignaturesPreservesLiveness(t *testing.T) {
 		Committee:    committee,
 		Engine:       engCfg,
 		Latency:      simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: roundRobinFactory(1),
+		ScheduleSeed: 1,
 		OnCommit:     rec.hook,
 		Seed:         11,
 	})
@@ -98,7 +98,7 @@ func TestClusterAuthenticatedFaultlessRun(t *testing.T) {
 		Committee:    committee,
 		Engine:       engCfg,
 		Latency:      simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: roundRobinFactory(1),
+		ScheduleSeed: 1,
 		OnCommit:     rec.hook,
 		Seed:         19,
 	})

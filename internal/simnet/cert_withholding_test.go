@@ -25,7 +25,7 @@ func TestWithholdCertsDegradesToResync(t *testing.T) {
 			Committee:    committee,
 			Engine:       fastSimEngineConfig(),
 			Latency:      Uniform{Base: 10 * time.Millisecond, Jitter: 0.1},
-			NewScheduler: roundRobinFactory,
+			ScheduleSeed: 1,
 			Seed:         7,
 		})
 		if err != nil {

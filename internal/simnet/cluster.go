@@ -5,19 +5,14 @@ import (
 	"time"
 
 	"hammerhead/internal/bullshark"
+	"hammerhead/internal/core"
 	"hammerhead/internal/crypto"
-	"hammerhead/internal/dag"
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
-	"hammerhead/internal/leader"
 	"hammerhead/internal/mempool"
 	"hammerhead/internal/types"
+	"hammerhead/internal/validator"
 )
-
-// SchedulerFactory builds one validator's leader scheduler over its DAG.
-// Factories return leader.RoundRobin for the Bullshark baseline or a
-// core.Manager for HammerHead.
-type SchedulerFactory func(committee *types.Committee, d *dag.DAG) (leader.Scheduler, error)
 
 // CommitHook observes every commit on every validator, with the virtual
 // time it happened. The experiment harness hangs latency accounting here.
@@ -31,8 +26,11 @@ type ClusterConfig struct {
 	Engine engine.Config
 	// Latency is the network model. Required.
 	Latency LatencyModel
-	// NewScheduler builds each validator's scheduler. Required.
-	NewScheduler SchedulerFactory
+	// HammerHead, when non-nil, schedules leaders by reputation with this
+	// configuration; nil runs the round-robin baseline.
+	HammerHead *core.Config
+	// ScheduleSeed seeds every validator's initial schedule permutation.
+	ScheduleSeed uint64
 	// MempoolSize bounds each validator's pool (default 1<<20).
 	MempoolSize int
 	// MempoolShards is each pool's shard count, rounded up to a power of
@@ -40,10 +38,6 @@ type ClusterConfig struct {
 	MempoolShards int
 	// OnCommit observes commits (may be nil).
 	OnCommit CommitHook
-	// OnInsert observes every certificate a validator accepts into its DAG,
-	// in insertion order — the trace recorder behind the pipeline
-	// determinism test.
-	OnInsert func(node types.ValidatorID, cert *engine.Certificate)
 	// Execution attaches a deterministic executor (execution.KVState behind
 	// an in-memory snapshot store) to every validator's commit sink, applied
 	// synchronously in virtual time, and wires snapshot state-sync
@@ -68,12 +62,10 @@ type Cluster struct {
 	Sim       *Simulator
 	Committee *types.Committee
 
-	engines []*engine.Engine
-	pools   []*mempool.FairPool
-	// execs holds each validator's executor when ClusterConfig.Execution is
-	// set (nil entries otherwise). Applied synchronously inside the commit
-	// sink, so executor state always reflects a definite virtual instant.
-	execs []*execution.Executor
+	// validators holds each validator as validator.New assembled it. An
+	// executor (ClusterConfig.Execution) applies synchronously inside the
+	// commit sink, so its state always reflects a definite virtual instant.
+	validators []*validator.Validator
 	// keys holds each validator's signing keys; fault injection that forges
 	// protocol artifacts a real Byzantine validator could produce (e.g.
 	// quorum-voted certificates over unchecked header fields) signs with
@@ -84,53 +76,12 @@ type Cluster struct {
 	// verification is enabled (nil otherwise). The simulator runs Check
 	// synchronously at delivery — same code as the node's async stage.
 	prevers []*engine.PreVerifier
-
-	crashedAt []int64 // -1 = never
-	slowFrom  []int64
-	slowUntil []int64
-	slowMul   []float64
-	badSigAt  []int64 // virtual time a validator starts corrupting; -1 = never
-	// withholdAt / withholdFrom model selective withholding: from the given
-	// virtual time, the validator suppresses its OWN header broadcasts toward
-	// the peer set — enough peers and it never gathers a vote quorum, so its
-	// vertices never certify while it otherwise looks alive.
-	withholdAt   []int64
-	withholdFrom []map[types.ValidatorID]bool
-	// voteWithholdAt / voteWithholdFrom model the vote-withholding variant:
-	// from the given virtual time, the validator silently refuses to vote for
-	// headers ORIGINATING from the peer set. Enough withholders and the
-	// targeted proposer can no longer gather a quorum — its vertices never
-	// certify even though its headers reach everyone. Unlike header
-	// withholding, the damage is attributed to the victim (its proposals
-	// stall), which is exactly the griefing pattern reputation scoring has to
-	// pin on the right validator.
-	voteWithholdAt   []int64
-	voteWithholdFrom []map[types.ValidatorID]bool
-	// certWithholdAt / certWithholdFrom complete the withholding family: from
-	// the given virtual time, the validator suppresses its DAG certificate
-	// broadcasts (engine.KindCertificate) toward the peer set. The targets
-	// still see headers and votes, so the withholder looks alive — but their
-	// DAGs starve of the certified vertices needed to advance rounds and
-	// anchor commits, leaning on certificate resync to limp along.
-	certWithholdAt   []int64
-	certWithholdFrom []map[types.ValidatorID]bool
-
-	// incarnation guards against cross-incarnation delivery: a SIGKILL
-	// restart (KillRestart) bumps a validator's incarnation at kill AND at
-	// restart, so messages and timers belonging to the dead process — or sent
-	// while it was down — are discarded at their scheduled instant instead of
-	// leaking into the rebuilt engine. Graceful Recover keeps the incarnation
-	// (its model intentionally preserves pre-crash in-memory state).
-	incarnation []uint64
-	// replaying marks a validator whose rebuilt engine is consuming its
-	// recorded WAL: the commit sink re-derives commits silently (executor
-	// still applies; the CommitHook is suppressed, as the node runtime flags
-	// replayed commits).
-	replaying []bool
-	// walLogs records each validator's inserted certificates in insertion
-	// order when recordWALs is set — the simulated write-ahead log a
-	// KillRestart recovers from.
-	walLogs    [][]*engine.Certificate
+	// procs holds each validator's simulated process state.
+	procs []process
+	// walLogs records, when recordWALs is set, each validator's inserted
+	// certificates and own proposals in the order its engine reported them
+	// — the simulated write-ahead log a KillRestart recovers from.
+	walLogs    [][]walRecord
 	recordWALs bool
 	restarts   uint64
 	cfg        ClusterConfig
@@ -140,51 +91,96 @@ type Cluster struct {
 	dropRate float64
 
 	msgsSent    uint64
-	bytesSent   uint64
 	msgsDropped uint64
 	preDropped  uint64
+}
 
-	// insertTap, when set (tests), observes every certificate a validator
-	// accepts into its DAG, in insertion order. The pipeline determinism
-	// test replays this sequence into fresh serial and pipelined engines and
-	// asserts byte-identical commit streams.
-	insertTap func(node types.ValidatorID, cert *engine.Certificate)
+// process is one validator's simulated process: the faults injected into it,
+// as virtual times (-1 = never), and its lifecycle.
+type process struct {
+	crashedAt           int64
+	slowFrom, slowUntil int64
+	slowMul             float64
+	badSigAt            int64 // corrupts every signature it sends from here on
+	// Selective withholding of its own headers, its votes for the targets'
+	// headers and its certificate broadcasts (Withhold, WithholdVotes,
+	// WithholdCerts).
+	headers, votes, certs withholding
+	// incarnation guards against cross-incarnation delivery: a SIGKILL
+	// restart (KillRestart) bumps a validator's incarnation at kill AND at
+	// restart, so messages and timers belonging to the dead process — or sent
+	// while it was down — are discarded at their scheduled instant instead of
+	// leaking into the rebuilt engine. Graceful Recover keeps the incarnation
+	// (its model intentionally preserves pre-crash in-memory state).
+	incarnation uint64
+	// replaying marks a validator whose rebuilt engine is consuming its
+	// recorded WAL: the commit sink re-derives commits silently (executor
+	// still applies; the CommitHook is suppressed, as the node runtime flags
+	// replayed commits), and nothing is recorded twice.
+	replaying bool
+}
+
+// withholding suppresses one kind of a validator's traffic toward a peer set
+// from a virtual time on (at -1 = never).
+type withholding struct {
+	at    int64
+	peers map[types.ValidatorID]bool
+}
+
+func newWithholding(peers []types.ValidatorID, from time.Duration) withholding {
+	set := make(map[types.ValidatorID]bool, len(peers))
+	for _, p := range peers {
+		set[p] = true
+	}
+	return withholding{at: from.Nanoseconds(), peers: set}
+}
+
+// covers reports whether the withholding applies to peer at virtual time now.
+func (w withholding) covers(peer types.ValidatorID, now int64) bool {
+	return w.at >= 0 && now >= w.at && w.peers[peer]
+}
+
+// walRecord is one entry of a simulated WAL: exactly one field is set.
+type walRecord struct {
+	cert     *engine.Certificate
+	proposal *engine.Header
+}
+
+// recorder is one validator's engine.Observer: the simulated WAL writer.
+type recorder struct {
+	c  *Cluster
+	id types.ValidatorID
+}
+
+func (r recorder) Inserted(cert *engine.Certificate) { r.c.record(r.id, walRecord{cert: cert}) }
+func (r recorder) Proposed(h *engine.Header)         { r.c.record(r.id, walRecord{proposal: h}) }
+func (r recorder) Certified(*engine.Certificate)     {}
+
+// record appends to a validator's log while it is live; recovery replays
+// the log and must not record it again.
+func (c *Cluster) record(id types.ValidatorID, rec walRecord) {
+	if c.recordWALs && !c.procs[id].replaying {
+		c.walLogs[id] = append(c.walLogs[id], rec)
+	}
 }
 
 // NewCluster wires the deployment; call Start to boot the validators.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Committee == nil || cfg.Latency == nil || cfg.NewScheduler == nil {
-		return nil, fmt.Errorf("simnet: committee, latency and scheduler factory are required")
+	if cfg.Committee == nil || cfg.Latency == nil {
+		return nil, fmt.Errorf("simnet: committee and latency are required")
 	}
 	n := cfg.Committee.Size()
 	c := &Cluster{
-		Sim:              New(cfg.Seed),
-		Committee:        cfg.Committee,
-		crashedAt:        make([]int64, n),
-		slowFrom:         make([]int64, n),
-		slowUntil:        make([]int64, n),
-		slowMul:          make([]float64, n),
-		badSigAt:         make([]int64, n),
-		withholdAt:       make([]int64, n),
-		withholdFrom:     make([]map[types.ValidatorID]bool, n),
-		voteWithholdAt:   make([]int64, n),
-		voteWithholdFrom: make([]map[types.ValidatorID]bool, n),
-		certWithholdAt:   make([]int64, n),
-		certWithholdFrom: make([]map[types.ValidatorID]bool, n),
-		incarnation:      make([]uint64, n),
-		replaying:        make([]bool, n),
-		latency:          cfg.Latency,
-		onCommit:         cfg.OnCommit,
-		dropRate:         cfg.DropRate,
-		insertTap:        cfg.OnInsert,
+		Sim:       New(cfg.Seed),
+		Committee: cfg.Committee,
+		procs:     make([]process, n),
+		latency:   cfg.Latency,
+		onCommit:  cfg.OnCommit,
+		dropRate:  cfg.DropRate,
 	}
-	for i := range c.crashedAt {
-		c.crashedAt[i] = -1
-		c.slowMul[i] = 1
-		c.badSigAt[i] = -1
-		c.withholdAt[i] = -1
-		c.voteWithholdAt[i] = -1
-		c.certWithholdAt[i] = -1
+	never := withholding{at: -1}
+	for i := range c.procs {
+		c.procs[i] = process{crashedAt: -1, slowMul: 1, badSigAt: -1, headers: never, votes: never, certs: never}
 	}
 
 	// Simulated deployments are crash-only (as is the paper's evaluation);
@@ -195,19 +191,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	var clusterSeed [32]byte
 	clusterSeed[0] = byte(cfg.Seed)
-	pubKeys := make([]crypto.PublicKey, n)
-	keyPairs := make([]crypto.KeyPair, n)
-	for i := 0; i < n; i++ {
+	c.keys = make([]crypto.KeyPair, n)
+	c.pubKeys = make([]crypto.PublicKey, n)
+	for i := range c.keys {
 		kp, err := crypto.NewKeyPair(scheme, clusterSeed, uint32(i))
 		if err != nil {
 			return nil, fmt.Errorf("simnet: generating keys: %w", err)
 		}
-		keyPairs[i] = kp
-		pubKeys[i] = kp.Public
+		c.keys[i], c.pubKeys[i] = kp, kp.Public
 	}
-	c.keys = keyPairs
-
-	c.pubKeys = pubKeys
 
 	// Simulated engines always run the serial path: the order stage's
 	// goroutine would break virtual time (commits must land at a definite
@@ -216,111 +208,88 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// simulation results transfer to pipelined deployments.
 	cfg.Engine.PipelineDepth = 0
 	c.cfg = cfg
-	for i := 0; i < n; i++ {
-		eng, pool, exec, err := c.buildValidator(types.ValidatorID(i), nil)
-		if err != nil {
+	c.validators = make([]*validator.Validator, n)
+	for i := range c.validators {
+		if err := c.buildValidator(types.ValidatorID(i), nil); err != nil {
 			return nil, err
 		}
-		c.engines = append(c.engines, eng)
-		c.pools = append(c.pools, pool)
-		c.execs = append(c.execs, exec)
 	}
 	if cfg.Engine.VerifySignatures {
 		c.prevers = make([]*engine.PreVerifier, n)
 		for i := 0; i < n; i++ {
-			c.prevers[i] = engine.NewPreVerifier(scheme, cfg.Committee, pubKeys, cfg.Engine.VerifyWorkers)
+			c.prevers[i] = engine.NewPreVerifier(scheme, cfg.Committee, c.pubKeys, cfg.Engine.VerifyWorkers)
 		}
 	}
 	return c, nil
 }
 
-// buildValidator assembles one validator's full in-memory state — mempool,
-// DAG, scheduler, executor (over the given snapshot store, which models the
-// validator's disk; nil = fresh) and engine. Used at cluster construction and
-// again by KillRestart, which rebuilds everything a SIGKILL destroys.
-func (c *Cluster) buildValidator(id types.ValidatorID, store execution.SnapshotStore) (*engine.Engine, *mempool.FairPool, *execution.Executor, error) {
+// buildValidator assembles one validator's full in-memory state through
+// validator.New, its executor over the given snapshot store (the validator's
+// disk; nil = fresh). Used at cluster construction and again by KillRestart,
+// which rebuilds everything a SIGKILL destroys.
+func (c *Cluster) buildValidator(id types.ValidatorID, store execution.SnapshotStore) error {
 	cfg := c.cfg
-	pool := mempool.NewFair(mempool.FairConfig{MaxSize: cfg.MempoolSize, Shards: cfg.MempoolShards})
-	d := dag.New(cfg.Committee)
-	sched, err := cfg.NewScheduler(cfg.Committee, d)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("simnet: building scheduler for %s: %w", id, err)
-	}
-	var exec *execution.Executor
-	if cfg.Execution {
-		_, stateful := sched.(leader.StateRestorer)
-		exec = execution.NewExecutor(execution.NewKVState(), execution.Config{
-			CheckpointInterval: cfg.CheckpointInterval,
-			Store:              store,
-			// A stateful scheduler (HammerHead) must never install a snapshot
-			// without the schedule it was cut under.
-			RequireSchedulerState: stateful,
-		})
-	}
-	params := engine.Params{
-		Config:     cfg.Engine,
-		Committee:  cfg.Committee,
-		Self:       id,
-		Keys:       c.keys[id],
-		PublicKeys: c.pubKeys,
-		Batches:    pool,
-		Scheduler:  sched,
-		DAG:        d,
+	vcfg := validator.Config{
+		Committee:    cfg.Committee,
+		Self:         id,
+		Keys:         c.keys[id],
+		PublicKeys:   c.pubKeys,
+		Engine:       cfg.Engine,
+		HammerHead:   cfg.HammerHead,
+		ScheduleSeed: cfg.ScheduleSeed,
+		Mempool:      mempool.FairConfig{MaxSize: cfg.MempoolSize, Shards: cfg.MempoolShards},
 		// Serial engines invoke the sink synchronously inside the step, so
 		// Sim.Now() is the commit's virtual time.
 		Commits: engine.CommitSinkFunc(func(sub bullshark.CommittedSubDAG) {
-			if exec != nil {
+			if exec := c.validators[id].Executor; exec != nil {
 				// The executor dedupes by sequence, so commits re-derived
 				// during a restart's WAL replay apply idempotently.
 				exec.ApplyCommit(sub)
 			}
-			if c.replaying[id] {
+			if c.procs[id].replaying {
 				return // replay re-derivations are not news to observers
 			}
 			if c.onCommit != nil {
 				c.onCommit(id, sub, c.Sim.Now())
 			}
 		}),
+		Observer: recorder{c: c, id: id},
 	}
-	if exec != nil {
-		params.Snapshots = exec
-		params.InstallSnapshot = exec.InstallFromWire
-		params.AppliedSeq = exec.AppliedSeq
+	if cfg.Execution {
+		vcfg.Execution = &execution.Config{CheckpointInterval: cfg.CheckpointInterval, Store: store}
 	}
-	eng, err := engine.New(params)
+	v, err := validator.New(vcfg)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("simnet: building engine for %s: %w", id, err)
+		return fmt.Errorf("simnet: building %s: %w", id, err)
 	}
-	return eng, pool, exec, nil
+	c.validators[id] = v
+	return nil
 }
 
 // Start boots every validator at the current virtual time.
 func (c *Cluster) Start() {
-	for i := range c.engines {
-		id := types.ValidatorID(i)
-		out := c.engines[i].Init(c.Sim.Now())
-		c.dispatch(id, out)
+	for i, v := range c.validators {
+		c.dispatch(types.ValidatorID(i), v.Engine.Init(c.Sim.Now()))
 	}
 }
 
 // Engine returns validator id's engine (read-only use: stats, committer).
-func (c *Cluster) Engine(id types.ValidatorID) *engine.Engine { return c.engines[id] }
+func (c *Cluster) Engine(id types.ValidatorID) *engine.Engine { return c.validators[id].Engine }
 
 // Pool returns validator id's mempool.
-func (c *Cluster) Pool(id types.ValidatorID) *mempool.FairPool { return c.pools[id] }
+func (c *Cluster) Pool(id types.ValidatorID) *mempool.FairPool { return c.validators[id].Pool }
 
 // Executor returns validator id's executor (nil unless the cluster was built
 // with ClusterConfig.Execution).
-func (c *Cluster) Executor(id types.ValidatorID) *execution.Executor { return c.execs[id] }
+func (c *Cluster) Executor(id types.ValidatorID) *execution.Executor {
+	return c.validators[id].Executor
+}
 
 // Size returns the committee size.
-func (c *Cluster) Size() int { return len(c.engines) }
+func (c *Cluster) Size() int { return len(c.validators) }
 
 // MessagesSent returns the cumulative network message count.
 func (c *Cluster) MessagesSent() uint64 { return c.msgsSent }
-
-// BytesSent returns the cumulative network byte count.
-func (c *Cluster) BytesSent() uint64 { return c.bytesSent }
 
 // ---- fault injection ----
 
@@ -328,7 +297,7 @@ func (c *Cluster) BytesSent() uint64 { return c.bytesSent }
 // events and its queued messages are dropped at delivery. CrashNow crashes
 // at the current time (use before Start for crash-from-genesis faults).
 func (c *Cluster) CrashAt(id types.ValidatorID, at time.Duration) {
-	c.crashedAt[id] = at.Nanoseconds()
+	c.procs[id].crashedAt = at.Nanoseconds()
 }
 
 // Recover un-crashes a validator at a future virtual time by scheduling its
@@ -337,22 +306,24 @@ func (c *Cluster) CrashAt(id types.ValidatorID, at time.Duration) {
 // revival models a process restart that restored state from its WAL).
 func (c *Cluster) Recover(id types.ValidatorID, at time.Duration) {
 	c.Sim.After(at-time.Duration(c.Sim.Now()), func() {
-		c.crashedAt[id] = -1
+		c.procs[id].crashedAt = -1
 		// Nudge the revived node: re-arm its pacing so it resumes proposing.
-		out := c.engines[id].OnTimer(engine.Timer{
+		eng := c.Engine(id)
+		out := eng.OnTimer(engine.Timer{
 			Kind:  engine.TimerRoundDelay,
-			Round: uint64(c.engines[id].Round()),
+			Round: uint64(eng.Round()),
 		}, c.Sim.Now())
 		c.dispatch(id, out)
 	})
 }
 
-// RecordWALs begins recording every certificate each validator inserts, in
-// insertion order — the simulated equivalent of the node runtime's
-// write-ahead log. Must be called before Start; required by KillRestart.
+// RecordWALs begins recording every certificate each validator inserts and
+// every header it proposes, in order — the simulated equivalent of the node
+// runtime's write-ahead log. Must be called before Start; required by
+// KillRestart.
 func (c *Cluster) RecordWALs() {
 	c.recordWALs = true
-	c.walLogs = make([][]*engine.Certificate, len(c.engines))
+	c.walLogs = make([][]walRecord, len(c.validators))
 }
 
 // Restarts returns how many validator restarts KillRestart has performed.
@@ -362,11 +333,10 @@ func (c *Cluster) Restarts() uint64 { return c.restarts }
 // restarts each from its recorded WAL after `downtime`. Unlike the graceful
 // Recover fault, this models a real process kill: every in-flight message to
 // or from the validator is discarded, all in-memory state (engine, DAG,
-// scheduler, mempool, executor) is destroyed and rebuilt from scratch, the
-// recorded certificate log is replayed silently (exactly as node recovery
-// suppresses replay outputs), and the validator re-enters the committee
-// through the crash-rejoin handshake. Only the snapshot store — the
-// validator's "disk" — survives. Panics unless RecordWALs was called.
+// scheduler, mempool, executor) is destroyed and rebuilt from scratch, and
+// the node runtime's own recovery sequence (validator.Recover) brings it
+// back from its recorded log and snapshot store — the validator's "disk",
+// which alone survives. Panics unless RecordWALs was called.
 func (c *Cluster) KillRestart(ids []types.ValidatorID, at, downtime time.Duration) {
 	if !c.recordWALs {
 		panic("simnet: KillRestart requires RecordWALs before Start")
@@ -375,10 +345,10 @@ func (c *Cluster) KillRestart(ids []types.ValidatorID, at, downtime time.Duratio
 	c.Sim.After(at-time.Duration(c.Sim.Now()), func() {
 		now := c.Sim.Now()
 		for _, id := range targets {
-			c.crashedAt[id] = now
+			c.procs[id].crashedAt = now
 			// Kill-side incarnation bump: pending deliveries and timers of the
 			// dead process die at their scheduled instant.
-			c.incarnation[id]++
+			c.procs[id].incarnation++
 		}
 	})
 	c.Sim.After(at+downtime-time.Duration(c.Sim.Now()), func() {
@@ -392,58 +362,49 @@ func (c *Cluster) KillRestart(ids []types.ValidatorID, at, downtime time.Duratio
 // correlated power-loss / rolling-infra-failure scenario a production
 // deployment must survive — and restarts every validator from its WAL.
 func (c *Cluster) KillRestartAll(at, downtime time.Duration) {
-	ids := make([]types.ValidatorID, len(c.engines))
+	ids := make([]types.ValidatorID, len(c.validators))
 	for i := range ids {
 		ids[i] = types.ValidatorID(i)
 	}
 	c.KillRestart(ids, at, downtime)
 }
 
-// restartFromWAL rebuilds one validator and mirrors the node runtime's
-// recovery sequence: snapshot restore → silent WAL replay → go live → rejoin.
+// restartFromWAL rebuilds one validator and recovers it exactly as the node
+// runtime does (validator.Recover), replaying its recorded log.
 func (c *Cluster) restartFromWAL(id types.ValidatorID) {
 	var store execution.SnapshotStore
-	if old := c.execs[id]; old != nil {
+	if old := c.validators[id].Executor; old != nil {
 		store = old.Store() // the snapshot store is the disk: it survives
 	}
-	eng, pool, exec, err := c.buildValidator(id, store)
-	if err != nil {
+	if err := c.buildValidator(id, store); err != nil {
 		// The same configuration built the validator once already; a failure
 		// here is a harness bug, not a simulated fault.
 		panic(fmt.Sprintf("simnet: rebuilding %s after kill: %v", id, err))
 	}
-	c.engines[id] = eng
-	c.pools[id] = pool
-	c.execs[id] = exec
 	// Restart-side incarnation bump: messages sent while the process was down
 	// must not leak into the rebuilt engine.
-	c.incarnation[id]++
-	c.crashedAt[id] = -1
+	c.procs[id].incarnation++
+	c.procs[id].crashedAt = -1
 	c.restarts++
 
-	now := c.Sim.Now()
-	c.replaying[id] = true
-	if exec != nil {
-		// A locally persisted checkpoint fast-forwards executor and engine
-		// before WAL replay, exactly as the node runtime does. The output is
-		// discarded: nothing transmits during recovery.
-		if snap, ok := exec.Store().Latest(); ok {
-			if meta, install, err := exec.InstallLocal(snap); err == nil {
-				eng.FastForwardToSnapshot(meta, install, now)
+	log := c.walLogs[id]
+	replay := func(cert func(*engine.Certificate) error, proposal func(*engine.Header) error) error {
+		for _, rec := range log {
+			// Clone per replay, as the node's WAL decode would: the rebuilt
+			// engine owns (and may mutate) its copies, while the recorded
+			// originals stay pristine for the next restart.
+			if rec.cert != nil {
+				_ = cert((&engine.Message{Kind: engine.KindCertificate, Cert: rec.cert}).Clone().Cert)
+			} else {
+				_ = proposal((&engine.Message{Kind: engine.KindHeader, Header: rec.proposal}).Clone().Header)
 			}
 		}
+		return nil
 	}
-	initOut := eng.Init(now)
-	for _, cert := range c.walLogs[id] {
-		// Clone per replay, as the node's WAL decode would: the rebuilt
-		// engine owns (and may mutate) its copies, while the recorded
-		// originals stay pristine for the next restart.
-		msg := (&engine.Message{Kind: engine.KindCertificate, Cert: cert}).Clone()
-		eng.OnMessage(id, msg, now) // outputs discarded — replay is silent
-	}
-	c.replaying[id] = false
-	c.dispatch(id, initOut)
-	c.dispatch(id, eng.StartRejoin(now))
+	c.procs[id].replaying = true
+	// The simulated log cannot fail to replay.
+	_ = c.validators[id].Recover(c.Sim.Now, replay, func() { c.procs[id].replaying = false },
+		func(out *engine.Output) { c.dispatch(id, out) })
 }
 
 // CorruptSignatures makes a validator emit garbage signatures on every
@@ -453,7 +414,7 @@ func (c *Cluster) restartFromWAL(id types.ValidatorID) {
 // (crash-only model). Receivers' pre-verify stages must drop the traffic
 // without it ever reaching their engines.
 func (c *Cluster) CorruptSignatures(id types.ValidatorID, from time.Duration) {
-	c.badSigAt[id] = from.Nanoseconds()
+	c.procs[id].badSigAt = from.Nanoseconds()
 }
 
 // PreVerifyDropped returns the total number of messages rejected by the
@@ -484,7 +445,7 @@ func (c *Cluster) ForgeGhostCerts(id types.ValidatorID, from, every time.Duratio
 }
 
 func (c *Cluster) broadcastGhostCert(id types.ValidatorID, seq uint64, now int64) {
-	round := c.engines[id].DAG().HighestRound() + 1
+	round := c.Engine(id).DAG().HighestRound() + 1
 	var ghost types.Digest
 	ghost[0], ghost[1] = 0xBA, byte(id)
 	for i := 0; i < 8; i++ {
@@ -498,7 +459,7 @@ func (c *Cluster) broadcastGhostCert(id types.ValidatorID, seq uint64, now int64
 	}
 	header.Signature = sig
 	cert := &engine.Certificate{Header: header}
-	for j := range c.engines {
+	for j := range c.validators {
 		// Honest voters WOULD sign this header (edges are unchecked at vote
 		// time), so signing on their behalf reproduces exactly the quorum a
 		// real Byzantine proposer collects.
@@ -509,7 +470,7 @@ func (c *Cluster) broadcastGhostCert(id types.ValidatorID, seq uint64, now int64
 		cert.Votes = append(cert.Votes, engine.VoteSig{Voter: types.ValidatorID(j), Signature: vsig})
 	}
 	msg := &engine.Message{Kind: engine.KindCertificate, Cert: cert}
-	for i := range c.engines {
+	for i := range c.validators {
 		if to := types.ValidatorID(i); to != id {
 			c.send(id, to, msg, now)
 		}
@@ -525,12 +486,7 @@ func (c *Cluster) broadcastGhostCert(id types.ValidatorID, seq uint64, now int64
 // proposals never land — exactly the behavior reputation scheduling must
 // score out and round-robin keeps re-electing.
 func (c *Cluster) Withhold(id types.ValidatorID, peers []types.ValidatorID, from time.Duration) {
-	set := make(map[types.ValidatorID]bool, len(peers))
-	for _, p := range peers {
-		set[p] = true
-	}
-	c.withholdFrom[id] = set
-	c.withholdAt[id] = from.Nanoseconds()
+	c.procs[id].headers = newWithholding(peers, from)
 }
 
 // WithholdVotes makes validator id suppress its votes for headers
@@ -538,14 +494,12 @@ func (c *Cluster) Withhold(id types.ValidatorID, peers []types.ValidatorID, from
 // vote-withholding variant of Withhold. The withholder still proposes,
 // relays and votes for everyone else, so every health signal it emits looks
 // normal; only the targeted proposers suffer, and with enough withholders
-// (n minus quorum plus one) their vertices never certify at all.
+// (n minus quorum plus one) their vertices never certify at all. Unlike
+// header withholding, the damage is attributed to the victim (its proposals
+// stall): exactly the griefing pattern reputation scoring has to pin on the
+// right validator.
 func (c *Cluster) WithholdVotes(id types.ValidatorID, peers []types.ValidatorID, from time.Duration) {
-	set := make(map[types.ValidatorID]bool, len(peers))
-	for _, p := range peers {
-		set[p] = true
-	}
-	c.voteWithholdFrom[id] = set
-	c.voteWithholdAt[id] = from.Nanoseconds()
+	c.procs[id].votes = newWithholding(peers, from)
 }
 
 // WithholdCerts makes validator id suppress its DAG certificate broadcasts
@@ -556,31 +510,25 @@ func (c *Cluster) WithholdVotes(id types.ValidatorID, peers []types.ValidatorID,
 // must recover them through certificate resync (or fall behind when too few
 // honest relays remain).
 func (c *Cluster) WithholdCerts(id types.ValidatorID, peers []types.ValidatorID, from time.Duration) {
-	set := make(map[types.ValidatorID]bool, len(peers))
-	for _, p := range peers {
-		set[p] = true
-	}
-	c.certWithholdFrom[id] = set
-	c.certWithholdAt[id] = from.Nanoseconds()
+	c.procs[id].certs = newWithholding(peers, from)
 }
 
 // SlowDown multiplies all message latencies touching the validator by
 // factor within [from, until] — the §1 incident's "less responsive"
 // validators.
 func (c *Cluster) SlowDown(id types.ValidatorID, factor float64, from, until time.Duration) {
-	c.slowFrom[id] = from.Nanoseconds()
-	c.slowUntil[id] = until.Nanoseconds()
-	c.slowMul[id] = factor
+	p := &c.procs[id]
+	p.slowFrom, p.slowUntil, p.slowMul = from.Nanoseconds(), until.Nanoseconds(), factor
 }
 
 func (c *Cluster) crashed(id types.ValidatorID, now int64) bool {
-	at := c.crashedAt[id]
+	at := c.procs[id].crashedAt
 	return at >= 0 && now >= at
 }
 
 func (c *Cluster) slowFactor(id types.ValidatorID, now int64) float64 {
-	if c.slowMul[id] != 1 && now >= c.slowFrom[id] && now <= c.slowUntil[id] {
-		return c.slowMul[id]
+	if p := &c.procs[id]; p.slowMul != 1 && now >= p.slowFrom && now <= p.slowUntil {
+		return p.slowMul
 	}
 	return 1
 }
@@ -597,7 +545,7 @@ func (c *Cluster) SubmitTx(id types.ValidatorID, tx types.Transaction) error {
 	if tx.SubmitTimeNanos == 0 {
 		tx.SubmitTimeNanos = c.Sim.Now()
 	}
-	return c.pools[id].Submit(tx)
+	return c.Pool(id).Submit(tx)
 }
 
 // ---- event plumbing ----
@@ -609,7 +557,7 @@ func (c *Cluster) dispatch(from types.ValidatorID, out *engine.Output) {
 		c.send(from, u.To, u.Msg, now)
 	}
 	for _, msg := range out.Broadcasts {
-		for i := range c.engines {
+		for i := range c.validators {
 			to := types.ValidatorID(i)
 			if to == from {
 				continue
@@ -619,26 +567,16 @@ func (c *Cluster) dispatch(from types.ValidatorID, out *engine.Output) {
 	}
 	for _, t := range out.Timers {
 		timer := t
-		inc := c.incarnation[from]
+		inc := c.procs[from].incarnation
 		c.Sim.After(t.Delay, func() {
 			// The incarnation check kills timers armed by a SIGKILLed
 			// process: a restarted validator must never receive callbacks the
 			// dead incarnation scheduled.
-			if c.incarnation[from] != inc || c.crashed(from, c.Sim.Now()) {
+			if c.procs[from].incarnation != inc || c.crashed(from, c.Sim.Now()) {
 				return
 			}
-			c.dispatch(from, c.engines[from].OnTimer(timer, c.Sim.Now()))
+			c.dispatch(from, c.Engine(from).OnTimer(timer, c.Sim.Now()))
 		})
-	}
-	if c.recordWALs {
-		// The recorded log persists across KillRestart (it IS the WAL);
-		// replayed re-inserts bypass dispatch, so nothing records twice.
-		c.walLogs[from] = append(c.walLogs[from], out.InsertedCerts...)
-	}
-	if c.insertTap != nil {
-		for _, cert := range out.InsertedCerts {
-			c.insertTap(from, cert)
-		}
 	}
 }
 
@@ -653,28 +591,17 @@ func (c *Cluster) send(from, to types.ValidatorID, msg *engine.Message, now int6
 		c.msgsDropped++
 		return
 	}
-	if at := c.withholdAt[from]; at >= 0 && now >= at &&
-		msg.Kind == engine.KindHeader && msg.Header != nil &&
-		msg.Header.Source == from && c.withholdFrom[from][to] {
-		// Selective withholding: only the validator's own headers are
-		// suppressed — it keeps voting and relaying, so it looks alive.
+	p := &c.procs[from]
+	switch {
+	case msg.Kind == engine.KindHeader && msg.Header != nil && msg.Header.Source == from && p.headers.covers(to, now),
+		msg.Kind == engine.KindVote && msg.Vote != nil && msg.Vote.Voter == from && p.votes.covers(msg.Vote.Origin, now),
+		msg.Kind == engine.KindCertificate && msg.Cert != nil && p.certs.covers(to, now):
+		// Withheld: only the validator's own headers, its votes endorsing the
+		// targeted origins, or its certificates toward the targets — it keeps
+		// relaying everything else, so it looks alive.
 		return
 	}
-	if at := c.voteWithholdAt[from]; at >= 0 && now >= at &&
-		msg.Kind == engine.KindVote && msg.Vote != nil &&
-		msg.Vote.Voter == from && c.voteWithholdFrom[from][msg.Vote.Origin] {
-		// Vote-withholding variant: only votes endorsing the targeted
-		// origins are dropped; everything else flows normally.
-		return
-	}
-	if at := c.certWithholdAt[from]; at >= 0 && now >= at &&
-		msg.Kind == engine.KindCertificate && msg.Cert != nil &&
-		c.certWithholdFrom[from][to] {
-		// Certificate withholding: the sender's DAG certificate broadcasts
-		// toward the targets vanish; headers and votes still flow.
-		return
-	}
-	if at := c.badSigAt[from]; at >= 0 && now >= at {
+	if at := p.badSigAt; at >= 0 && now >= at {
 		msg = corruptSignatures(msg) // clones internally
 	} else if c.prevers != nil {
 		// Each recipient owns its copy, as after a wire decode: the
@@ -685,25 +612,24 @@ func (c *Cluster) send(from, to types.ValidatorID, msg *engine.Message, now int6
 	}
 	size := msg.EncodedSize()
 	c.msgsSent++
-	c.bytesSent += uint64(size)
 	delay := c.latency.Delay(int(from), int(to), size, c.Sim.Rand())
 	slow := c.slowFactor(from, now) * c.slowFactor(to, now)
 	if slow != 1 {
 		delay = time.Duration(float64(delay) * slow)
 	}
-	inc := c.incarnation[to]
+	inc := c.procs[to].incarnation
 	c.Sim.After(delay, func() {
 		// The incarnation check models SIGKILL's message loss: anything in
 		// flight toward a killed process — or sent while it was down — is
 		// gone, even if the validator is back up by the delivery instant.
-		if c.incarnation[to] != inc || c.crashed(to, c.Sim.Now()) {
+		if c.procs[to].incarnation != inc || c.crashed(to, c.Sim.Now()) {
 			return
 		}
 		if c.prevers != nil && engine.NeedsCheck(msg.Kind) && !c.prevers[to].Check(msg) {
 			c.preDropped++
 			return
 		}
-		c.dispatch(to, c.engines[to].OnMessage(from, msg, c.Sim.Now()))
+		c.dispatch(to, c.Engine(to).OnMessage(from, msg, c.Sim.Now()))
 	})
 }
 

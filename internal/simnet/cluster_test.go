@@ -6,24 +6,10 @@ import (
 
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/core"
-	"hammerhead/internal/dag"
 	"hammerhead/internal/engine"
-	"hammerhead/internal/leader"
 	"hammerhead/internal/simnet"
 	"hammerhead/internal/types"
 )
-
-func roundRobinFactory(seed uint64) simnet.SchedulerFactory {
-	return func(c *types.Committee, _ *dag.DAG) (leader.Scheduler, error) {
-		return leader.NewRoundRobin(c, seed), nil
-	}
-}
-
-func hammerheadFactory(cfg core.Config) simnet.SchedulerFactory {
-	return func(c *types.Committee, d *dag.DAG) (leader.Scheduler, error) {
-		return core.NewManager(c, d, cfg)
-	}
-}
 
 func fastEngineConfig() engine.Config {
 	cfg := engine.DefaultConfig()
@@ -77,7 +63,9 @@ func prefixConsistent(a, b []types.Digest) bool {
 	return true
 }
 
-func newCluster(t *testing.T, n int, factory simnet.SchedulerFactory, rec *commitRecorder, seed int64) *simnet.Cluster {
+// newCluster builds an n-validator cluster on the round-robin baseline
+// (seed 1), or on HammerHead with hh.
+func newCluster(t *testing.T, n int, hh *core.Config, rec *commitRecorder, seed int64) *simnet.Cluster {
 	t.Helper()
 	committee, err := types.NewEqualStakeCommittee(n)
 	if err != nil {
@@ -91,7 +79,8 @@ func newCluster(t *testing.T, n int, factory simnet.SchedulerFactory, rec *commi
 		Committee:    committee,
 		Engine:       fastEngineConfig(),
 		Latency:      simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: factory,
+		HammerHead:   hh,
+		ScheduleSeed: 1,
 		OnCommit:     hook,
 		Seed:         seed,
 	})
@@ -118,7 +107,7 @@ func submitLoad(c *simnet.Cluster, to types.ValidatorID, every time.Duration, un
 
 func TestClusterCommitsFaultless(t *testing.T) {
 	rec := newCommitRecorder(0)
-	cluster := newCluster(t, 4, roundRobinFactory(1), rec, 7)
+	cluster := newCluster(t, 4, nil, rec, 7)
 	submitLoad(cluster, 0, 20*time.Millisecond, 10*time.Second)
 	cluster.Start()
 	cluster.Sim.RunFor(12 * time.Second)
@@ -158,7 +147,7 @@ func TestClusterCommitsFaultless(t *testing.T) {
 func TestClusterDeterministicBySeed(t *testing.T) {
 	run := func() (uint64, uint64, []types.Digest) {
 		rec := newCommitRecorder(0)
-		cluster := newCluster(t, 4, roundRobinFactory(1), rec, 42)
+		cluster := newCluster(t, 4, nil, rec, 42)
 		submitLoad(cluster, 1, 30*time.Millisecond, 5*time.Second)
 		cluster.Start()
 		cluster.Sim.RunFor(6 * time.Second)
@@ -183,7 +172,7 @@ func TestClusterBaselineSuffersCrashedLeader(t *testing.T) {
 	// With a crashed validator, the round-robin baseline keeps electing it
 	// and fires leader timeouts forever.
 	rec := newCommitRecorder(0)
-	cluster := newCluster(t, 4, roundRobinFactory(1), rec, 3)
+	cluster := newCluster(t, 4, nil, rec, 3)
 	cluster.CrashAt(3, 0)
 	cluster.Start()
 	cluster.Sim.RunFor(20 * time.Second)
@@ -208,7 +197,7 @@ func TestClusterHammerHeadExcludesCrashedLeader(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.EpochCommits = 5
 	rec := newCommitRecorder(0)
-	cluster := newCluster(t, 4, hammerheadFactory(cfg), rec, 3)
+	cluster := newCluster(t, 4, &cfg, rec, 3)
 	cluster.CrashAt(3, 0)
 	cluster.Start()
 	cluster.Sim.RunFor(30 * time.Second)
@@ -247,7 +236,7 @@ func TestClusterHammerHeadExcludesCrashedLeader(t *testing.T) {
 
 func TestClusterCrashRecoveryCatchesUp(t *testing.T) {
 	rec := newCommitRecorder(0)
-	cluster := newCluster(t, 4, roundRobinFactory(1), rec, 5)
+	cluster := newCluster(t, 4, nil, rec, 5)
 	cluster.CrashAt(2, 5*time.Second)
 	cluster.Recover(2, 10*time.Second)
 	cluster.Start()
@@ -274,7 +263,7 @@ func TestClusterSlowdownInflatesLatency(t *testing.T) {
 	// The §1 incident in miniature: degrade one validator's links mid-run
 	// and verify rounds keep progressing (no stall).
 	rec := newCommitRecorder(0)
-	cluster := newCluster(t, 4, roundRobinFactory(1), rec, 8)
+	cluster := newCluster(t, 4, nil, rec, 8)
 	cluster.SlowDown(1, 8.0, 5*time.Second, 15*time.Second)
 	submitLoad(cluster, 0, 50*time.Millisecond, 18*time.Second)
 	cluster.Start()

@@ -30,7 +30,7 @@ func TestClusterSurvivesMessageLoss(t *testing.T) {
 		Committee:    committee,
 		Engine:       fastEngineConfig(),
 		Latency:      simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: roundRobinFactory(1),
+		ScheduleSeed: 1,
 		OnCommit:     rec.hook,
 		Seed:         21,
 		DropRate:     0.05,
@@ -66,13 +66,13 @@ func TestClusterSurvivesHeavyLossWithHammerHead(t *testing.T) {
 	hh.EpochCommits = 4
 	rec := newCommitRecorder(0)
 	cluster := newClusterWithConfig(t, simnet.ClusterConfig{
-		Committee:    committee,
-		Engine:       fastEngineConfig(),
-		Latency:      simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.2},
-		NewScheduler: hammerheadFactory(hh),
-		OnCommit:     rec.hook,
-		Seed:         5,
-		DropRate:     0.15,
+		Committee:  committee,
+		Engine:     fastEngineConfig(),
+		Latency:    simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.2},
+		HammerHead: &hh,
+		OnCommit:   rec.hook,
+		Seed:       5,
+		DropRate:   0.15,
 	})
 	cluster.CrashAt(6, 0)
 	cluster.Start()
@@ -106,7 +106,7 @@ func TestClusterAsynchronyThenGST(t *testing.T) {
 		Committee:    committee,
 		Engine:       fastEngineConfig(),
 		Latency:      simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: roundRobinFactory(1),
+		ScheduleSeed: 1,
 		OnCommit:     rec.hook,
 		Seed:         13,
 	})
@@ -139,12 +139,12 @@ func TestClusterTinyEpochStressesScheduleSwitches(t *testing.T) {
 	hh.EpochRounds = 2
 	rec := newCommitRecorder(0)
 	cluster := newClusterWithConfig(t, simnet.ClusterConfig{
-		Committee:    committee,
-		Engine:       fastEngineConfig(),
-		Latency:      simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.15},
-		NewScheduler: hammerheadFactory(hh),
-		OnCommit:     rec.hook,
-		Seed:         17,
+		Committee:  committee,
+		Engine:     fastEngineConfig(),
+		Latency:    simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.15},
+		HammerHead: &hh,
+		OnCommit:   rec.hook,
+		Seed:       17,
 	})
 	cluster.CrashAt(3, 5*time.Second)
 	cluster.Start()
@@ -196,7 +196,7 @@ func TestClusterGarbageCollectionBoundsState(t *testing.T) {
 		Committee:    committee,
 		Engine:       engCfg,
 		Latency:      simnet.Uniform{Base: 10 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: roundRobinFactory(1),
+		ScheduleSeed: 1,
 		Seed:         3,
 	})
 	cluster.Start()

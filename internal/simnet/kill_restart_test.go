@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hammerhead/internal/bullshark"
+	"hammerhead/internal/core"
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/types"
@@ -13,7 +14,7 @@ import (
 
 // killRestartCluster builds an execution-enabled, WAL-recorded cluster with a
 // per-validator commit timeline for post-crash liveness assertions.
-func killRestartCluster(t *testing.T, factory SchedulerFactory, seed int64) (*Cluster, *[]commitAt) {
+func killRestartCluster(t *testing.T, hh *core.Config, seed int64) (*Cluster, *[]commitAt) {
 	t.Helper()
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
@@ -31,7 +32,8 @@ func killRestartCluster(t *testing.T, factory SchedulerFactory, seed int64) (*Cl
 		Committee:          committee,
 		Engine:             cfg,
 		Latency:            Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
-		NewScheduler:       factory,
+		HammerHead:         hh,
+		ScheduleSeed:       1,
 		Execution:          true,
 		CheckpointInterval: 8,
 		Seed:               seed,
@@ -86,7 +88,7 @@ func TestFullCommitteeKillRestartConverges(t *testing.T) {
 		downtime = 1 * time.Second
 		runFor   = 30 * time.Second
 	)
-	cluster, timeline := killRestartCluster(t, roundRobinFactory, 11)
+	cluster, timeline := killRestartCluster(t, nil, 11)
 	cluster.KillRestartAll(killAt, downtime)
 	submitKVLoad(cluster, 25*time.Second)
 
@@ -166,7 +168,7 @@ func TestHammerHeadFullCommitteeKillRestartConverges(t *testing.T) {
 		killAt   = 8 * time.Second
 		downtime = 1 * time.Second
 	)
-	cluster, timeline := killRestartCluster(t, hammerheadFactory(10), 13)
+	cluster, timeline := killRestartCluster(t, hhConfig(10), 13)
 	cluster.KillRestartAll(killAt, downtime)
 	submitKVLoad(cluster, 22*time.Second)
 	cluster.Start()
@@ -224,7 +226,7 @@ func TestHammerHeadFullCommitteeKillRestartConverges(t *testing.T) {
 // gather its rejoin quorum from the live majority, merge their frontier and
 // catch back up — the handshake subsumes the old single-node recovery path.
 func TestPartialKillRestartRejoinsLiveCommittee(t *testing.T) {
-	cluster, timeline := killRestartCluster(t, roundRobinFactory, 17)
+	cluster, timeline := killRestartCluster(t, nil, 17)
 	cluster.KillRestart([]types.ValidatorID{3}, 6*time.Second, 2*time.Second)
 	submitKVLoad(cluster, 20*time.Second)
 	cluster.Start()
@@ -251,5 +253,79 @@ func TestPartialKillRestartRejoinsLiveCommittee(t *testing.T) {
 	rec := cluster.Engine(3).Committer().LastOrderedRound()
 	if rec+20 < obs {
 		t.Fatalf("restarted validator lags: round %d vs observer %d", rec, obs)
+	}
+}
+
+// TestKillRestartRestoresVotedRoundMark kills a validator after it proposed
+// round r and before that header certified. The header's votes are still in
+// flight, and the restart is quick enough that they reach the new process.
+// Its recorded log holds the proposal, so recovery must restore the
+// voted-round mark: the proposal floor reaches r, and the only vertex of
+// (r, victim) any peer ever holds carries the digest signed before the crash.
+// A restart that signed a fresh header for r would have equivocated the slot.
+func TestKillRestartRestoresVotedRoundMark(t *testing.T) {
+	const victim = types.ValidatorID(3)
+	cluster, _ := killRestartCluster(t, nil, 23)
+	submitKVLoad(cluster, 8*time.Second)
+
+	var (
+		round         types.Round
+		digest        types.Digest
+		certifiedDead bool
+		held, forked  int
+	)
+	var watchPeers func()
+	watchPeers = func() {
+		for p := types.ValidatorID(0); p < victim; p++ {
+			if v, ok := cluster.Engine(p).DAG().Get(round, victim); ok {
+				if v.Digest() == digest {
+					held++
+				} else {
+					forked++
+				}
+			}
+		}
+		cluster.Sim.After(time.Millisecond, watchPeers)
+	}
+	var watchVictim func()
+	watchVictim = func() {
+		eng := cluster.Engine(victim)
+		h := eng.CurrentProposal()
+		if h == nil {
+			cluster.Sim.After(time.Millisecond, watchVictim)
+			return
+		}
+		if _, certified := eng.DAG().Get(h.Round, victim); certified {
+			cluster.Sim.After(time.Millisecond, watchVictim)
+			return
+		}
+		round, digest = h.Round, h.Digest()
+		cluster.KillRestart([]types.ValidatorID{victim}, time.Duration(cluster.Sim.Now()), 5*time.Millisecond)
+		// Runs right after the kill: the dead engine never certified r.
+		cluster.Sim.After(0, func() { _, certifiedDead = eng.DAG().Get(round, victim) })
+		watchPeers()
+	}
+	cluster.Sim.After(3*time.Second, watchVictim)
+
+	cluster.Start()
+	cluster.Sim.RunFor(10 * time.Second)
+
+	if round == 0 || cluster.Restarts() != 1 {
+		t.Fatalf("the victim was never killed mid-proposal (round %d, restarts %d)", round, cluster.Restarts())
+	}
+	if certifiedDead {
+		t.Fatalf("the header of round %d certified before the kill; test lost its teeth", round)
+	}
+	if got := cluster.Engine(victim).ProposalFloor(); got < round {
+		t.Fatalf("restarted validator's proposal floor is %d, want >= %d: the voted-round mark was not restored", got, round)
+	}
+	if forked > 0 {
+		t.Fatalf("peers hold a vertex of (%d, %s) whose digest is not the pre-crash header's", round, victim)
+	}
+	if held == 0 {
+		t.Fatalf("no peer ever held the restored header's vertex of round %d", round)
+	}
+	if cluster.Engine(victim).Stats().RejoinsCompleted == 0 {
+		t.Fatal("restarted validator never completed the rejoin handshake")
 	}
 }

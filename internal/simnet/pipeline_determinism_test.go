@@ -7,17 +7,11 @@ import (
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/core"
 	"hammerhead/internal/crypto"
-	"hammerhead/internal/dag"
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
-	"hammerhead/internal/leader"
 	"hammerhead/internal/types"
+	"hammerhead/internal/validator"
 )
-
-// noBatches is an engine.BatchProvider returning empty headers.
-type noBatches struct{}
-
-func (noBatches) NextBatch(int64, int) *types.Batch { return nil }
 
 // commitLog records sink deliveries in order.
 type commitLog struct {
@@ -35,21 +29,32 @@ func fastSimEngineConfig() engine.Config {
 	return cfg
 }
 
-func hammerheadFactory(epochCommits int) SchedulerFactory {
-	return func(committee *types.Committee, d *dag.DAG) (leader.Scheduler, error) {
-		cfg := core.DefaultConfig()
-		cfg.EpochCommits = epochCommits
-		cfg.Seed = 1
-		return core.NewManager(committee, d, cfg)
+// hhConfig is the reputation scheduler's configuration with the given epoch
+// length.
+func hhConfig(epochCommits int) *core.Config {
+	cfg := core.DefaultConfig()
+	cfg.EpochCommits = epochCommits
+	return &cfg
+}
+
+// recordedCerts returns the certificates validator id inserted, in order,
+// from its recorded log (RecordWALs).
+func (c *Cluster) recordedCerts(id types.ValidatorID) []*engine.Certificate {
+	var certs []*engine.Certificate
+	for _, rec := range c.walLogs[id] {
+		if rec.cert != nil {
+			certs = append(certs, rec.cert)
+		}
 	}
+	return certs
 }
 
 // replayEngine feeds a recorded certificate-insertion trace into a fresh
-// engine with the given scheduler and pipeline depth, an executor hanging
-// off the commit sink (applied inline for serial engines, from the
-// order-stage goroutine for pipelined ones), and returns the commit stream
-// plus the executor.
-func replayEngine(t *testing.T, committee *types.Committee, newScheduler SchedulerFactory, trace []*engine.Certificate, depth int) ([]bullshark.CommittedSubDAG, *execution.Executor) {
+// validator 0 with the given scheduler (seed 1) and pipeline depth, its
+// executor hanging off the commit sink (applied inline for serial engines,
+// from the order-stage goroutine for pipelined ones), and returns the commit
+// stream plus the executor.
+func replayEngine(t *testing.T, committee *types.Committee, hh *core.Config, trace []*engine.Certificate, depth int) ([]bullshark.CommittedSubDAG, *execution.Executor) {
 	t.Helper()
 	kp, err := crypto.NewKeyPair(crypto.Insecure{}, [32]byte{}, 0)
 	if err != nil {
@@ -57,23 +62,17 @@ func replayEngine(t *testing.T, committee *types.Committee, newScheduler Schedul
 	}
 	cfg := fastSimEngineConfig()
 	cfg.PipelineDepth = depth
-	d := dag.New(committee)
-	sched, err := newScheduler(committee, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var v *validator.Validator
 	log := &commitLog{}
-	exec := execution.NewExecutor(execution.NewKVState(), execution.Config{CheckpointInterval: 5})
-	eng, err := engine.New(engine.Params{
-		Config:    cfg,
-		Committee: committee,
-		Self:      0,
-		Keys:      kp,
-		Batches:   noBatches{},
-		Scheduler: sched,
-		DAG:       d,
+	v, err = validator.New(validator.Config{
+		Committee:    committee,
+		Keys:         kp,
+		Engine:       cfg,
+		HammerHead:   hh,
+		ScheduleSeed: 1,
+		Execution:    &execution.Config{CheckpointInterval: 5},
 		Commits: engine.CommitSinkFunc(func(sub bullshark.CommittedSubDAG) {
-			exec.ApplyCommit(sub)
+			v.Executor.ApplyCommit(sub)
 			log.subs = append(log.subs, sub)
 		}),
 	})
@@ -82,11 +81,11 @@ func replayEngine(t *testing.T, committee *types.Committee, newScheduler Schedul
 	}
 	for _, cert := range trace {
 		msg := &engine.Message{Kind: engine.KindCertificate, Cert: cert}
-		eng.OnMessage(1, msg.Clone(), 0)
+		v.Engine.OnMessage(1, msg.Clone(), 0)
 	}
-	eng.Flush()
-	eng.Close()
-	return log.subs, exec
+	v.Engine.Flush()
+	v.Engine.Close()
+	return log.subs, v.Executor
 }
 
 func assertSameCommitStream(t *testing.T, label string, a, b []bullshark.CommittedSubDAG) {
@@ -128,7 +127,8 @@ func TestPipelinedOrderingMatchesSerial(t *testing.T) {
 		Committee:    committee,
 		Engine:       fastSimEngineConfig(),
 		Latency:      Uniform{Base: 30 * time.Millisecond, Jitter: 0.2},
-		NewScheduler: hammerheadFactory(3),
+		HammerHead:   hhConfig(3),
+		ScheduleSeed: 1,
 		Seed:         7,
 		OnCommit: func(node types.ValidatorID, sub bullshark.CommittedSubDAG, _ int64) {
 			if node == 0 {
@@ -139,13 +139,7 @@ func TestPipelinedOrderingMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace []*engine.Certificate
-	cluster.insertTap = func(node types.ValidatorID, cert *engine.Certificate) {
-		if node == 0 {
-			// Clone at insertion time: the engine mutates payload state later.
-			trace = append(trace, (&engine.Message{Kind: engine.KindCertificate, Cert: cert}).Clone().Cert)
-		}
-	}
+	cluster.RecordWALs() // validator 0's insertion sequence, replayed below
 	cluster.SlowDown(2, 4, 5*time.Second, 10*time.Second)
 	cluster.CrashAt(3, 8*time.Second)
 	cluster.Recover(3, 14*time.Second)
@@ -153,11 +147,12 @@ func TestPipelinedOrderingMatchesSerial(t *testing.T) {
 	cluster.Start()
 	cluster.Sim.RunFor(20 * time.Second)
 
+	trace := cluster.recordedCerts(0)
 	if len(live) < 10 || len(trace) < 40 {
 		t.Fatalf("trace too small to be meaningful: %d commits, %d certs", len(live), len(trace))
 	}
-	serial, serialExec := replayEngine(t, committee, hammerheadFactory(3), trace, 0)
-	pipelined, pipelinedExec := replayEngine(t, committee, hammerheadFactory(3), trace, 8)
+	serial, serialExec := replayEngine(t, committee, hhConfig(3), trace, 0)
+	pipelined, pipelinedExec := replayEngine(t, committee, hhConfig(3), trace, 8)
 	assertSameCommitStream(t, "serial-vs-live", live, serial)
 	assertSameCommitStream(t, "pipelined-vs-serial", serial, pipelined)
 	// Executor determinism on the same trace: identical commit streams must
@@ -198,7 +193,8 @@ func TestGhostParentChurnKeepsPendingBounded(t *testing.T) {
 		Committee:    committee,
 		Engine:       cfg,
 		Latency:      Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: hammerheadFactory(10),
+		HammerHead:   hhConfig(10),
+		ScheduleSeed: 1,
 		Seed:         3,
 	})
 	if err != nil {

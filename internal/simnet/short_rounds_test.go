@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hammerhead/internal/bullshark"
-	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/types"
 )
@@ -45,7 +44,8 @@ func TestShortRoundsSurviveAStalledValidator(t *testing.T) {
 		Committee:    committee,
 		Engine:       cfg,
 		Latency:      Uniform{Base: 2 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: hammerheadFactory(10),
+		HammerHead:   hhConfig(10),
+		ScheduleSeed: 1,
 		Seed:         1,
 		Execution:    true,
 		OnCommit: func(node types.ValidatorID, sub bullshark.CommittedSubDAG, _ int64) {
@@ -65,12 +65,7 @@ func TestShortRoundsSurviveAStalledValidator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace []*engine.Certificate
-	cluster.insertTap = func(node types.ValidatorID, cert *engine.Certificate) {
-		if node == 0 {
-			trace = append(trace, (&engine.Message{Kind: engine.KindCertificate, Cert: cert}).Clone().Cert)
-		}
-	}
+	cluster.RecordWALs() // validator 0's insertion sequence, replayed below
 	cluster.SlowDown(stalled, 20, from, until)
 
 	// Open loop: one put to every validator each 5 ms.
@@ -149,8 +144,9 @@ func TestShortRoundsSurviveAStalledValidator(t *testing.T) {
 	}
 
 	// The same insertion sequence orders identically inline and pipelined.
-	serial, _ := replayEngine(t, committee, hammerheadFactory(10), trace, 0)
-	pipelined, _ := replayEngine(t, committee, hammerheadFactory(10), trace, 8)
+	trace := cluster.recordedCerts(0)
+	serial, _ := replayEngine(t, committee, hhConfig(10), trace, 0)
+	pipelined, _ := replayEngine(t, committee, hhConfig(10), trace, 8)
 	assertSameCommitStream(t, "serial-vs-live", live, serial)
 	assertSameCommitStream(t, "pipelined-vs-serial", serial, pipelined)
 }

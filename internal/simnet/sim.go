@@ -105,6 +105,3 @@ func (s *Simulator) RunFor(d time.Duration) {
 
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
-
-// QueueLen returns the number of pending events.
-func (s *Simulator) QueueLen() int { return len(s.queue) }

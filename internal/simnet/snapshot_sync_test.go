@@ -6,19 +6,11 @@ import (
 	"time"
 
 	"hammerhead/internal/core"
-	"hammerhead/internal/dag"
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/leader"
 	"hammerhead/internal/types"
 )
-
-// roundRobinFactory builds the static baseline scheduler. Both it and
-// core.Manager support snapshot fast-forward — the reputation scheduler's
-// state rides inside checkpoints and is restored before the jump.
-func roundRobinFactory(committee *types.Committee, d *dag.DAG) (leader.Scheduler, error) {
-	return leader.NewRoundRobin(committee, 1), nil
-}
 
 // assertSchedulesAgree compares two validators' leader sequences over the
 // overlapping anchor-round window both schedulers retain — the paper's
@@ -77,7 +69,7 @@ func TestSnapshotCatchUpConverges(t *testing.T) {
 		Committee:          committee,
 		Engine:             cfg,
 		Latency:            Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
-		NewScheduler:       roundRobinFactory,
+		ScheduleSeed:       1,
 		Execution:          true,
 		CheckpointInterval: 8,
 		Seed:               5,
@@ -178,7 +170,8 @@ func TestHammerHeadSnapshotCatchUpConverges(t *testing.T) {
 		Committee:          committee,
 		Engine:             cfg,
 		Latency:            Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
-		NewScheduler:       hammerheadFactory(10),
+		HammerHead:         hhConfig(10),
+		ScheduleSeed:       1,
 		Execution:          true,
 		CheckpointInterval: 8,
 		Seed:               9,

@@ -34,7 +34,7 @@ func TestWithholdVotesStarvesTargetedProposer(t *testing.T) {
 		Committee:    committee,
 		Engine:       fastSimEngineConfig(),
 		Latency:      Uniform{Base: 10 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: roundRobinFactory,
+		ScheduleSeed: 1,
 		Seed:         7,
 	})
 	if err != nil {
@@ -77,7 +77,7 @@ func TestWithholdVotesBelowThresholdIsHarmless(t *testing.T) {
 		Committee:    committee,
 		Engine:       fastSimEngineConfig(),
 		Latency:      Uniform{Base: 10 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: roundRobinFactory,
+		ScheduleSeed: 1,
 		Seed:         7,
 	})
 	if err != nil {

@@ -29,12 +29,12 @@ func TestWeightedStakeCommittee(t *testing.T) {
 	hh.EpochCommits = 5
 	rec := newCommitRecorder(0)
 	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
-		Committee:    committee,
-		Engine:       fastEngineConfig(),
-		Latency:      simnet.Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
-		NewScheduler: hammerheadFactory(hh),
-		OnCommit:     rec.hook,
-		Seed:         2,
+		Committee:  committee,
+		Engine:     fastEngineConfig(),
+		Latency:    simnet.Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
+		HammerHead: &hh,
+		OnCommit:   rec.hook,
+		Seed:       2,
 	})
 	if err != nil {
 		t.Fatal(err)

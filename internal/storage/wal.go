@@ -92,7 +92,7 @@ func OpenWAL(path string) (*WAL, error) {
 }
 
 // OpenWALTrimmed opens the log for appending after truncating it to the
-// given valid prefix length (as returned by ReplayPrefix), skipping
+// given valid prefix length (as returned by ReplayPrefixRecords), skipping
 // OpenWAL's own full-file validity scan.
 func OpenWALTrimmed(path string, validBytes int64) (*WAL, error) {
 	if info, err := os.Stat(path); err == nil && info.Size() > validBytes {
@@ -137,7 +137,7 @@ var errUnknownRecordVersion = errors.New("unknown record version tag")
 
 // readRecord reads one framed record body. ok=false at a clean EOF, torn
 // header or body, implausible length, or CRC mismatch — the crash-consistent
-// stop conditions shared by Replay and the reopen truncation.
+// stop conditions shared by ReplayPrefixRecords and the reopen truncation.
 func readRecord(r *bufio.Reader) (body []byte, ok bool) {
 	var header [8]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
@@ -269,28 +269,16 @@ func (w *WAL) Close() error {
 	return w.file.Close()
 }
 
-// Replay streams every intact certificate record to fn in append order
-// (proposal records are skipped). A torn or corrupt tail ends replay silently
-// (crash-consistent); corruption in the middle also stops there — the
-// protocol's sync path backfills anything lost. fn returning an error aborts
-// replay with that error, and so does a CRC-intact record under a version tag
-// of another format generation.
-func Replay(path string, fn func(*engine.Certificate) error) error {
-	_, err := ReplayPrefix(path, fn)
-	return err
-}
-
-// ReplayPrefix is Replay returning additionally the byte length of the
-// valid record prefix it consumed. Callers about to OpenWAL the same log
-// pass it through OpenWALTrimmed, sparing the open its own validity scan.
-func ReplayPrefix(path string, fn func(*engine.Certificate) error) (int64, error) {
-	return ReplayPrefixRecords(path, fn, nil)
-}
-
 // ReplayPrefixRecords streams certificate records to certFn and proposal
 // records to propFn (either may be nil), in append order, returning the byte
-// length of the valid record prefix. The node's recovery path uses it to
-// rebuild the DAG and recover the voted-round high-water mark in one scan.
+// length of the valid record prefix; callers about to OpenWAL the same log
+// pass it through OpenWALTrimmed, sparing the open its own validity scan. The
+// node's recovery path uses it to rebuild the DAG and recover the voted-round
+// high-water mark in one scan. A torn or corrupt tail ends replay silently
+// (crash-consistent); corruption in the middle also stops there — the
+// protocol's sync path backfills anything lost. A callback returning an error
+// aborts replay with that error, and so does a CRC-intact record under a
+// version tag of another format generation.
 func ReplayPrefixRecords(path string, certFn func(*engine.Certificate) error, propFn func(*engine.Header) error) (int64, error) {
 	return replayRecords(path, _sessionBufSize, certFn, propFn)
 }
@@ -353,7 +341,7 @@ type WALInfo struct {
 }
 
 // Inspect scans the log and reports its replayable frontier. It shares
-// ReplayPrefix's record iteration exactly, so what it reports is precisely
+// ReplayPrefixRecords' record iteration exactly, so what it reports is precisely
 // what a restart will replay.
 func Inspect(path string) (WALInfo, error) {
 	var info WALInfo

@@ -32,10 +32,10 @@ func testCert(round types.Round, source types.ValidatorID) *engine.Certificate {
 func replayAll(t *testing.T, path string) []*engine.Certificate {
 	t.Helper()
 	var got []*engine.Certificate
-	if err := Replay(path, func(c *engine.Certificate) error {
+	if _, err := ReplayPrefixRecords(path, func(c *engine.Certificate) error {
 		got = append(got, c)
 		return nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return got
@@ -194,7 +194,7 @@ func TestReopenAfterTornTailKeepsLaterAppends(t *testing.T) {
 }
 
 func TestOpenWALTrimmedUsesReplayPrefix(t *testing.T) {
-	// The node's recovery path: ReplayPrefix measures the valid prefix and
+	// The node's recovery path: ReplayPrefixRecords measures the valid prefix and
 	// OpenWALTrimmed truncates to it without re-scanning; appends after a
 	// torn tail stay reachable.
 	path := filepath.Join(t.TempDir(), "certs.log")
@@ -219,7 +219,7 @@ func TestOpenWALTrimmedUsesReplayPrefix(t *testing.T) {
 	}
 
 	replayed := 0
-	valid, err := ReplayPrefix(path, func(*engine.Certificate) error { replayed++; return nil })
+	valid, err := ReplayPrefixRecords(path, func(*engine.Certificate) error { replayed++; return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestSyncEveryAppend(t *testing.T) {
 func TestInspectReportsReplayFrontier(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal", "certs.log")
 
-	// A missing log is an empty frontier, not an error (mirrors Replay).
+	// A missing log is an empty frontier, not an error (mirrors replay).
 	info, err := Inspect(path)
 	if err != nil || info.Certs != 0 || info.ValidBytes != 0 {
 		t.Fatalf("missing log: info=%+v err=%v", info, err)
@@ -569,7 +569,7 @@ func testProposal(round types.Round, source types.ValidatorID) *engine.Header {
 
 // TestProposalRecordsRoundTrip: proposal records interleave with certificate
 // records, replay keeps the two streams separate and in order, and the
-// certificate-only Replay skips proposals entirely.
+// certificate-only replay skips proposals entirely.
 func TestProposalRecordsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	w, err := OpenWAL(path)
@@ -611,7 +611,7 @@ func TestProposalRecordsRoundTrip(t *testing.T) {
 
 	// Certificate-only replay must skip proposal records.
 	if got := replayAll(t, path); len(got) != 2 {
-		t.Fatalf("Replay yielded %d certs, want 2", len(got))
+		t.Fatalf("certificate-only replay yielded %d certs, want 2", len(got))
 	}
 
 	info, err := Inspect(path)
@@ -764,7 +764,8 @@ func TestUnknownVersionTagIsRefusedNotErased(t *testing.T) {
 	}
 	_, err = OpenWAL(path)
 	refused("OpenWAL", err)
-	refused("Replay", Replay(path, func(*engine.Certificate) error { return nil }))
+	_, err = ReplayPrefixRecords(path, func(*engine.Certificate) error { return nil }, nil)
+	refused("ReplayPrefixRecords", err)
 	_, err = Inspect(path)
 	refused("Inspect", err)
 	refused("Compact", Compact(path, 2))

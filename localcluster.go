@@ -64,6 +64,8 @@ type LocalCluster struct {
 	Nodes     []*Node
 
 	network *transport.ChannelNetwork
+	// trans[i] is node i's endpoint, closed with it once started.
+	trans []transport.Transport
 }
 
 // StartLocalCluster boots an n-validator cluster and returns once all nodes
@@ -122,24 +124,21 @@ func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error)
 			cfg.OnCommit = func(sub CommittedSubDAG, replayed bool) { hook(id, sub, replayed) }
 		}
 
-		var nd *node.Node
-		tr, err := cluster.network.Join(id, func(from types.ValidatorID, msg *engine.Message) {
-			nd.HandleMessage(from, msg)
-		})
+		nd, err := node.New(cfg)
 		if err != nil {
-			cluster.Stop()
-			return nil, err
-		}
-		nd, err = node.New(cfg, tr)
-		if err != nil {
-			_ = tr.Close()
 			cluster.Stop()
 			return nil, fmt.Errorf("hammerhead: building node %s: %w", id, err)
 		}
 		cluster.Nodes = append(cluster.Nodes, nd)
+		tr, err := cluster.network.Join(id, nd.HandleMessage)
+		if err != nil {
+			cluster.Stop()
+			return nil, err
+		}
+		cluster.trans = append(cluster.trans, tr)
 	}
-	for _, nd := range cluster.Nodes {
-		if err := nd.Start(); err != nil {
+	for i, nd := range cluster.Nodes {
+		if err := nd.Start(cluster.trans[i]); err != nil {
 			cluster.Stop()
 			return nil, err
 		}
@@ -155,11 +154,12 @@ func (c *LocalCluster) Submit(to ValidatorID, tx Transaction) error {
 	return c.Nodes[to].Submit(tx)
 }
 
-// Stop shuts every node down.
+// Stop shuts every node down and closes every endpoint.
 func (c *LocalCluster) Stop() {
 	for _, nd := range c.Nodes {
-		if nd != nil {
-			_ = nd.Close()
-		}
+		_ = nd.Close()
+	}
+	for _, tr := range c.trans {
+		_ = tr.Close()
 	}
 }
