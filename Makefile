@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem clean
 
 all: build test
 
@@ -17,6 +17,13 @@ test:
 
 race:
 	go test -race ./...
+
+# race-core is CI's "Consensus core (race)" step: the packages whose
+# concurrency tests only mean something under the race detector (DAG,
+# committer, scheduler, engine, trie and executor, gateway ring, replica,
+# validator assembly, mempool lanes).
+race-core:
+	go test -race ./internal/dag/ ./internal/bullshark/ ./internal/core/ ./internal/types/ ./internal/engine/ ./internal/merkle/ ./internal/execution/ ./internal/rpc/ ./internal/replica/ ./internal/validator/ ./internal/mempool/
 
 # fmt rewrites every file gofmt would change; CI fails when there is one.
 fmt:

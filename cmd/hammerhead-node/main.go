@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -53,10 +52,8 @@ func run(args []string) error {
 	engCfg := engine.DefaultConfig()
 	minRoundDelay := fs.Duration("min-round-delay", engCfg.MinRoundDelay, "header pacing: the shortest time between a validator's own proposals")
 	leaderTimeout := fs.Duration("leader-timeout", engCfg.LeaderTimeout, "anchor-round leader wait")
-	verifyWorkers := fs.Int("verify-workers", 0, "signature-verification worker pool size (0 = one per CPU)")
 	pipelineDepth := fs.Int("pipeline-depth", engine.DefaultPipelineDepth, "order-stage queue depth; 0 runs the committer inline on the ingest path")
 	mempoolSize := fs.Int("mempool-size", 0, "transaction pool capacity (0 = default 1<<20)")
-	mempoolShards := fs.Int("mempool-shards", 0, "transaction pool shard count, rounded to a power of two (0 = sized to the machine)")
 	rpcAddr := fs.String("rpc-addr", "", "address for the client gateway (HTTP/JSON tx submission, KV reads, commit streaming; empty disables)")
 	rpcLanes := fs.Int("rpc-lanes", 0, "fair-admission mempool lanes for gateway clients (<=1 keeps a single lane)")
 	execution := fs.Bool("execution", false, "enable the execution subsystem: deterministic KV state machine, checkpoints, snapshot state-sync")
@@ -104,11 +101,6 @@ func run(args []string) error {
 
 	engCfg.MinRoundDelay = *minRoundDelay
 	engCfg.LeaderTimeout = *leaderTimeout
-	if *verifyWorkers > 0 {
-		engCfg.VerifyWorkers = *verifyWorkers
-	} else {
-		engCfg.VerifyWorkers = runtime.GOMAXPROCS(0)
-	}
 	engCfg.PipelineDepth = *pipelineDepth
 
 	var hh *core.Config
@@ -134,7 +126,6 @@ func run(args []string) error {
 		ScheduleSeed:       file.ScheduleSeed,
 		WALPath:            *walPath,
 		MempoolSize:        *mempoolSize,
-		MempoolShards:      *mempoolShards,
 		MempoolLanes:       *rpcLanes,
 		RPCAddr:            *rpcAddr,
 		Execution:          *execution,

@@ -44,56 +44,3 @@ func FuzzEd25519SignVerify(f *testing.F) {
 		}
 	})
 }
-
-// FuzzBatchVerifier cross-checks the parallel batch path against the serial
-// scheme for arbitrary batch shapes, worker counts and corruption masks, for
-// both schemes.
-func FuzzBatchVerifier(f *testing.F) {
-	f.Add([]byte("payload"), uint8(5), uint8(3), uint16(0b101), false)
-	f.Add([]byte{}, uint8(1), uint8(1), uint16(0), true)
-	f.Add([]byte("x"), uint8(16), uint8(8), uint16(0xFFFF), true)
-	f.Fuzz(func(t *testing.T, msgBase []byte, nTasks, workers uint8, corruptMask uint16, useEd bool) {
-		var s Scheme = Insecure{}
-		n := int(nTasks)%16 + 1
-		if useEd {
-			s = Ed25519{}
-			if n > 8 {
-				n = 8 // keep Ed25519 fuzz iterations cheap
-			}
-		}
-		tasks := make([]VerifyTask, n)
-		want := make([]bool, n)
-		for i := 0; i < n; i++ {
-			priv, pub, err := s.GenerateKey(SeedForValidator(sha256.Sum256(msgBase), uint32(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			msg := append(append([]byte(nil), msgBase...), byte(i))
-			sig, err := s.Sign(priv, msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if corruptMask&(1<<i) != 0 {
-				sig = append(Signature(nil), sig...)
-				sig[i%len(sig)] ^= 0xFF
-			}
-			tasks[i] = VerifyTask{Pub: pub, Msg: msg, Sig: sig}
-			want[i] = s.Verify(pub, msg, sig)
-		}
-		v := NewBatchVerifier(s, int(workers)%8+1)
-		got := v.Verify(tasks)
-		if len(got) != n {
-			t.Fatalf("got %d results for %d tasks", len(got), n)
-		}
-		allOK := true
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("task %d: batch=%v serial=%v", i, got[i], want[i])
-			}
-			allOK = allOK && got[i]
-		}
-		if v.VerifyAll(tasks) != allOK {
-			t.Fatal("VerifyAll disagrees with per-task results")
-		}
-	})
-}

@@ -29,14 +29,6 @@ type Config struct {
 	// votes and certificates. Simulations of crash-only deployments disable
 	// it (see internal/crypto).
 	VerifySignatures bool
-	// VerifyWorkers bounds the signature-verification worker pool
-	// (crypto.BatchVerifier) used for certificate quorum checks in the
-	// engine and for the node's asynchronous pre-verify stage. 1 verifies
-	// serially on the calling goroutine; higher values fan the 2f+1
-	// signatures of each certificate across cores. 0 keeps the serial
-	// behaviour (backwards compatible); ignored when VerifySignatures is
-	// false.
-	VerifyWorkers int
 	// GCDepth is how many rounds below the committer's floor are retained
 	// before pruning. Pruning runs after every GCEvery commits.
 	GCDepth uint64
@@ -95,7 +87,6 @@ func DefaultConfig() Config {
 		ResyncInterval:   time.Second,
 		MaxBatchTx:       500,
 		VerifySignatures: true,
-		VerifyWorkers:    4,
 		GCDepth:          50,
 		GCEvery:          16,
 		MaxSyncBatch:     512,
@@ -117,9 +108,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxSyncBatch < 1 {
 		return fmt.Errorf("engine: MaxSyncBatch must be >= 1, got %d", c.MaxSyncBatch)
-	}
-	if c.VerifyWorkers < 0 {
-		return fmt.Errorf("engine: VerifyWorkers must be >= 0, got %d", c.VerifyWorkers)
 	}
 	if c.MaxPendingCerts < 0 {
 		return fmt.Errorf("engine: MaxPendingCerts must be >= 0, got %d", c.MaxPendingCerts)

@@ -170,7 +170,6 @@ type Engine struct {
 	self      types.ValidatorID
 	keys      crypto.KeyPair
 	pubKeys   []crypto.PublicKey
-	verifier  *crypto.BatchVerifier
 	batches   BatchProvider
 
 	dagStore  *dag.DAG
@@ -305,10 +304,6 @@ func New(p Params) (*Engine, error) {
 			return nil, fmt.Errorf("engine: inserting genesis vertex: %w", err)
 		}
 	}
-	verifyWorkers := p.Config.VerifyWorkers
-	if verifyWorkers < 1 {
-		verifyWorkers = 1
-	}
 	if p.Config.MaxPendingCerts == 0 {
 		p.Config.MaxPendingCerts = DefaultConfig().MaxPendingCerts
 	}
@@ -326,7 +321,6 @@ func New(p Params) (*Engine, error) {
 		self:             p.Self,
 		keys:             p.Keys,
 		pubKeys:          p.PublicKeys,
-		verifier:         crypto.NewBatchVerifier(p.Keys.Scheme, verifyWorkers),
 		batches:          p.Batches,
 		dagStore:         p.DAG,
 		committer:        bullshark.New(p.Committee, p.DAG, p.Scheduler),
@@ -635,8 +629,6 @@ func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
 		e.stats.InvalidMessages++
 		return
 	}
-	// A single signature gains nothing from the batch verifier; check it
-	// directly on the engine goroutine.
 	if e.config.VerifySignatures && !v.SigVerified() &&
 		!e.keys.Scheme.Verify(e.pubKeys[v.Voter], v.HeaderDigest[:], v.Signature) {
 		e.stats.InvalidMessages++
@@ -861,9 +853,8 @@ func (e *Engine) sweepPendingIndexes() {
 }
 
 // validCertificate checks quorum voting stake and, when enabled, signatures.
-// Signature checks fan out over the batch verifier: the 2f+1 votes are
-// independent, so a certificate's verification latency drops from 2f+1
-// serial public-key operations to roughly ceil((2f+1)/workers).
+// A certificate the pre-verify stage already checked carries its mark and
+// skips the signature loop.
 func (e *Engine) validCertificate(c *Certificate) bool {
 	if c.Header.Round < 1 {
 		return false
@@ -878,7 +869,7 @@ func (e *Engine) validCertificate(c *Certificate) bool {
 		}
 		return acc.ReachedQuorum()
 	}
-	kept, ok := verifyQuorumVotes(e.verifier, e.committee, e.pubKeys, c)
+	kept, ok := verifyQuorumVotes(e.keys.Scheme, e.committee, e.pubKeys, c)
 	if !ok {
 		return false
 	}

@@ -22,7 +22,7 @@ import (
 type PreVerifier struct {
 	committee *types.Committee
 	pubKeys   []crypto.PublicKey
-	verifier  *crypto.BatchVerifier
+	scheme    crypto.Scheme
 
 	checked atomic.Uint64
 	dropped atomic.Uint64
@@ -36,21 +36,12 @@ type PreVerifyStats struct {
 	Dropped uint64
 }
 
-// NewPreVerifier builds a pre-verify stage for one validator. workers bounds
-// the underlying batch verifier's fan-out per certificate.
-func NewPreVerifier(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, workers int) *PreVerifier {
-	if workers < 1 {
-		workers = 1
-	}
-	return &PreVerifier{
-		committee: committee,
-		pubKeys:   pubKeys,
-		verifier:  crypto.NewBatchVerifier(scheme, workers),
-	}
+// NewPreVerifier builds a pre-verify stage for one validator. Check verifies
+// a message's signatures one after another on the caller's goroutine; the
+// node's concurrency is its pool of pre-verify workers, not this stage.
+func NewPreVerifier(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey) *PreVerifier {
+	return &PreVerifier{committee: committee, pubKeys: pubKeys, scheme: scheme}
 }
-
-// Verifier exposes the underlying batch verifier (stats, reuse).
-func (pv *PreVerifier) Verifier() *crypto.BatchVerifier { return pv.verifier }
 
 // Stats returns a copy of the counters.
 func (pv *PreVerifier) Stats() PreVerifyStats {
@@ -133,7 +124,7 @@ func (pv *PreVerifier) checkHeader(h *Header) bool {
 		return true
 	}
 	digest := h.Digest()
-	if !pv.verifier.Scheme().Verify(pv.pubKeys[h.Source], digest[:], h.Signature) {
+	if !pv.scheme.Verify(pv.pubKeys[h.Source], digest[:], h.Signature) {
 		return false
 	}
 	h.MarkSigVerified()
@@ -147,7 +138,7 @@ func (pv *PreVerifier) checkVote(v *Vote) bool {
 	if v.SigVerified() {
 		return true
 	}
-	if !pv.verifier.Scheme().Verify(pv.pubKeys[v.Voter], v.HeaderDigest[:], v.Signature) {
+	if !pv.scheme.Verify(pv.pubKeys[v.Voter], v.HeaderDigest[:], v.Signature) {
 		return false
 	}
 	v.MarkSigVerified()
@@ -161,7 +152,7 @@ func (pv *PreVerifier) checkCertificate(c *Certificate) bool {
 	if c.SigVerified() {
 		return true
 	}
-	kept, ok := verifyQuorumVotes(pv.verifier, pv.committee, pv.pubKeys, c)
+	kept, ok := verifyQuorumVotes(pv.scheme, pv.committee, pv.pubKeys, c)
 	if !ok {
 		return false
 	}
@@ -170,30 +161,21 @@ func (pv *PreVerifier) checkCertificate(c *Certificate) bool {
 	return true
 }
 
-// verifyQuorumVotes fans a certificate's vote signatures across the batch
-// verifier and reports whether the valid ones reach quorum stake, returning
-// those valid votes. Shared by the engine's validCertificate and the
-// pre-verify stage, so the two paths cannot drift: votes from voters
-// outside the key set or with bad signatures are skipped (not fatal), and
-// only the surviving stake decides.
-func verifyQuorumVotes(verifier *crypto.BatchVerifier, committee *types.Committee, pubKeys []crypto.PublicKey, c *Certificate) ([]VoteSig, bool) {
+// verifyQuorumVotes checks a certificate's vote signatures in order and
+// reports whether the valid ones reach quorum stake, returning those valid
+// votes. Shared by the engine's validCertificate and the pre-verify stage,
+// so the two paths cannot drift: votes from voters outside the key set or
+// with bad signatures are skipped (not fatal), and only the surviving stake
+// decides.
+func verifyQuorumVotes(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, c *Certificate) ([]VoteSig, bool) {
 	digest := c.Digest()
-	tasks := make([]crypto.VerifyTask, 0, len(c.Votes))
-	idx := make([]int, 0, len(c.Votes))
-	for i, vs := range c.Votes {
-		if int(vs.Voter) >= len(pubKeys) {
-			continue // unknown voter: indexing pubKeys would panic
-		}
-		tasks = append(tasks, crypto.VerifyTask{Pub: pubKeys[vs.Voter], Msg: digest[:], Sig: vs.Signature})
-		idx = append(idx, i)
-	}
-	results := verifier.Verify(tasks)
 	acc := types.NewStakeAccumulator(committee)
 	kept := make([]VoteSig, 0, len(c.Votes))
-	for i, ok := range results {
-		if ok {
-			kept = append(kept, c.Votes[idx[i]])
-			acc.Add(c.Votes[idx[i]].Voter)
+	for _, vs := range c.Votes {
+		// An unknown voter has no key: indexing pubKeys would panic.
+		if int(vs.Voter) < len(pubKeys) && scheme.Verify(pubKeys[vs.Voter], digest[:], vs.Signature) {
+			kept = append(kept, vs)
+			acc.Add(vs.Voter)
 		}
 	}
 	return kept, acc.ReachedQuorum()

@@ -25,7 +25,7 @@ func preRig(t *testing.T) (*PreVerifier, []crypto.KeyPair, *types.Committee) {
 		pairs[i] = kp
 		pubs[i] = kp.Public
 	}
-	return NewPreVerifier(crypto.Ed25519{}, committee, pubs, 4), pairs, committee
+	return NewPreVerifier(crypto.Ed25519{}, committee, pubs), pairs, committee
 }
 
 func signedHeader(t *testing.T, kp crypto.KeyPair, source types.ValidatorID, round types.Round) *Header {
@@ -112,6 +112,13 @@ func TestPreVerifierCertificateQuorum(t *testing.T) {
 	}
 	if len(padded.Votes) != 3 {
 		t.Fatalf("invalid vote must be stripped, have %d votes", len(padded.Votes))
+	}
+
+	// A vote from outside the key set: stripped, not a panic.
+	stranger := mkCert(0, 1, 2)
+	stranger.Votes = append(stranger.Votes, VoteSig{Voter: 99, Signature: stranger.Votes[0].Signature})
+	if !pv.Check(&Message{Kind: KindCertificate, Cert: stranger}) || len(stranger.Votes) != 3 {
+		t.Fatalf("quorate certificate with an out-of-committee vote must pass with it stripped, have %d votes", len(stranger.Votes))
 	}
 
 	// All signatures valid but sub-quorum stake: dropped.

@@ -136,27 +136,12 @@ func TestRunFaultyComparison(t *testing.T) {
 	}
 }
 
-func TestHighLoadScenarioPreset(t *testing.T) {
-	s := NewHighLoadScenario(HammerHead, 10, 0, 2000)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	base := NewScenario(HammerHead, 10, 0, 2000)
-	if s.MaxBatchTx <= base.MaxBatchTx {
-		t.Fatalf("high-load MaxBatchTx %d must exceed base %d", s.MaxBatchTx, base.MaxBatchTx)
-	}
-	if s.MinRoundDelay >= base.MinRoundDelay {
-		t.Fatalf("high-load pacing %v must be tighter than base %v", s.MinRoundDelay, base.MinRoundDelay)
-	}
-	if s.VerifyWorkers < 2 || s.MempoolShards < 2 {
-		t.Fatalf("high-load preset must parallelize: workers=%d shards=%d", s.VerifyWorkers, s.MempoolShards)
-	}
-	cfg := s.EngineConfig()
-	if cfg.VerifyWorkers != s.VerifyWorkers {
-		t.Fatalf("EngineConfig did not thread VerifyWorkers: %d", cfg.VerifyWorkers)
-	}
-	if cfg.VerifySignatures {
-		t.Fatal("high-load preset stays crash-only unless VerifySignatures is set")
+// TestEngineConfigThreadsVerifySignatures: scenarios are crash-only unless
+// VerifySignatures is set, and EngineConfig carries the switch through.
+func TestEngineConfigThreadsVerifySignatures(t *testing.T) {
+	s := NewScenario(HammerHead, 10, 0, 2000)
+	if s.EngineConfig().VerifySignatures {
+		t.Fatal("scenarios stay crash-only unless VerifySignatures is set")
 	}
 	s.VerifySignatures = true
 	if !s.EngineConfig().VerifySignatures {
@@ -240,23 +225,5 @@ func TestRunSnapshotCatchUpScenario(t *testing.T) {
 	}
 	if res.Executed == 0 {
 		t.Fatal("snapshot catch-up run executed nothing")
-	}
-}
-
-func TestRunHighLoadScenario(t *testing.T) {
-	// A shrunk high-load run end to end: the sharded-mempool and
-	// parallel-verification knobs must not perturb correctness.
-	s := NewHighLoadScenario(Bullshark, 4, 0, 800)
-	s.Duration = 20 * time.Second
-	s.Warmup = 5 * time.Second
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Executed == 0 || res.ThroughputTxPerSec <= 0 {
-		t.Fatalf("high-load run executed nothing: %+v", res)
-	}
-	if res.Latency.P95 <= 0 || res.Latency.P95 > 10*time.Second {
-		t.Fatalf("high-load p95 latency %v implausible", res.Latency.P95)
 	}
 }

@@ -210,7 +210,6 @@ func newCluster(s Scenario, onCommit simnet.CommitHook) (*simnet.Cluster, error)
 		Latency:            simnet.NewGeo(s.N),
 		HammerHead:         hh,
 		ScheduleSeed:       uint64(s.Seed),
-		MempoolShards:      s.MempoolShards,
 		OnCommit:           onCommit,
 		Execution:          s.Execution,
 		CheckpointInterval: s.CheckpointCommits,

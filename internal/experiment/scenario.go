@@ -67,12 +67,6 @@ type Scenario struct {
 	// pipeline the TCP node runs. The paper's crash-only evaluation keeps
 	// it off; Byzantine-signer scenarios need it on.
 	VerifySignatures bool
-	// VerifyWorkers bounds each validator's signature-verification pool
-	// (0 keeps the engine default).
-	VerifyWorkers int
-	// MempoolShards is each validator's mempool shard count (0 sizes it to
-	// the machine).
-	MempoolShards int
 	// GCDepthRounds overrides the engine's DAG retention window (0 keeps
 	// the default). Pre-snapshot recovery scenarios had to raise it so a
 	// validator rejoining after a long outage found its missing history
@@ -184,23 +178,6 @@ func batchCapFor(n int) int {
 	return int(cap + 0.5)
 }
 
-// NewHighLoadScenario returns a scenario tuned for ingress stress: tighter
-// round pacing, 4x the per-header transaction cap, and explicit
-// parallel-verification and mempool-sharding knobs. It models the
-// "production traffic" end of the roadmap — a committee drinking from a
-// firehose of client load — where the serial-verification and
-// single-mutex-mempool ceilings the pipeline removes would otherwise bind
-// first.
-func NewHighLoadScenario(m Mechanism, n, faults int, loadTxPerSec float64) Scenario {
-	s := NewScenario(m, n, faults, loadTxPerSec)
-	s.Name = fmt.Sprintf("%s-highload-n%d-f%d-load%.0f", m, n, faults, loadTxPerSec)
-	s.MinRoundDelay = 150 * time.Millisecond
-	s.MaxBatchTx = 4 * batchCapFor(n)
-	s.VerifyWorkers = 8
-	s.MempoolShards = 16
-	return s
-}
-
 // NewCatchUpScenario returns a scenario stressing the commit path's
 // catch-up machinery under sustained load: faults validators crash shortly
 // after genesis and recover at 60% of the run, far behind a committee that
@@ -293,9 +270,6 @@ func (s Scenario) EngineConfig() engine.Config {
 	// Crash-only simulation by default; Byzantine-signer scenarios opt in
 	// to the authenticated pipeline.
 	cfg.VerifySignatures = s.VerifySignatures
-	if s.VerifyWorkers > 0 {
-		cfg.VerifyWorkers = s.VerifyWorkers
-	}
 	if s.GCDepthRounds > 0 {
 		cfg.GCDepth = s.GCDepthRounds
 	}

@@ -1,6 +1,10 @@
 package mempool
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,11 +15,29 @@ import (
 
 func tx(id uint64) types.Transaction { return types.Transaction{ID: id} }
 
+// laneClients returns one client ID per lane of p, indexed by lane.
+func laneClients(t *testing.T, p *FairPool) []string {
+	t.Helper()
+	clients := make([]string, len(p.lanes))
+	found := 0
+	for i := 0; found < len(clients) && i < 10000; i++ {
+		c := fmt.Sprintf("client-%d", i)
+		if l := p.LaneFor(c); clients[l] == "" {
+			clients[l] = c
+			found++
+		}
+	}
+	if found < len(clients) {
+		t.Fatalf("found clients for %d of %d lanes", found, len(clients))
+	}
+	return clients
+}
+
 // TestFairSingleLaneMatchesPool pins the degenerate configuration the
-// simulator runs: one lane must behave exactly like the shardedPool under
-// it — same capacity semantics, same FIFO drain for a single submitter.
+// simulator runs: one lane is one FIFO of capacity MaxSize — exact
+// capacity, submission-order drain for a single submitter.
 func TestFairSingleLaneMatchesPool(t *testing.T) {
-	p := NewFair(FairConfig{MaxSize: 4, Lanes: 1, Shards: 1})
+	p := NewFair(FairConfig{MaxSize: 4, Lanes: 1})
 	for i := uint64(1); i <= 4; i++ {
 		if err := p.Submit(tx(i)); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -42,7 +64,7 @@ func TestFairSingleLaneMatchesPool(t *testing.T) {
 // saturating its lane gets ErrFull while a light client on another lane keeps
 // being admitted — the hot client cannot consume the light lane's headroom.
 func TestFairLaneCapsIsolateClients(t *testing.T) {
-	p := NewFair(FairConfig{MaxSize: 100, Lanes: 2, Shards: 1})
+	p := NewFair(FairConfig{MaxSize: 100, Lanes: 2})
 	// Find two client IDs mapping to distinct lanes.
 	hot, light := "hot-client", ""
 	for _, c := range []string{"a", "b", "c", "d", "e"} {
@@ -73,52 +95,90 @@ func TestFairLaneCapsIsolateClients(t *testing.T) {
 	}
 }
 
-// TestFairWeightedDrainShare is the drain half of fairness: with both lanes
-// backlogged, each lane's share of the drained stream matches its weight —
-// the saturating lane cannot push the light lane's share below it.
-func TestFairWeightedDrainShare(t *testing.T) {
-	p := NewFair(FairConfig{MaxSize: 10000, Lanes: 2, Shards: 1, Weights: []int{3, 1}})
+// TestFairEqualDrainShare is the drain half of fairness: with every lane
+// backlogged, a drain of 4k takes exactly k from each of the 4 lanes, one
+// per lane per turn, each lane's share in its own FIFO order — a saturating
+// lane cannot push another's share below it.
+func TestFairEqualDrainShare(t *testing.T) {
+	const lanes, k = 4, 100
+	p := NewFair(FairConfig{MaxSize: 10000, Lanes: lanes})
+	clients := laneClients(t, p)
 	for i := uint64(0); i < 1000; i++ {
-		if err := p.SubmitLane(0, tx(i)); err != nil {
-			t.Fatalf("lane 0 submit: %v", err)
+		for l, c := range clients {
+			if err := p.SubmitClient(c, tx(uint64(l)*10000+i)); err != nil {
+				t.Fatalf("lane %d submit: %v", l, err)
+			}
 		}
 	}
-	for i := uint64(0); i < 1000; i++ {
-		if err := p.SubmitLane(1, tx(10000+i)); err != nil {
-			t.Fatalf("lane 1 submit: %v", err)
+	for drain := 0; drain < 3; drain++ {
+		b := p.NextBatch(0, lanes*k)
+		if b == nil || len(b.Transactions) != lanes*k {
+			t.Fatalf("drain %d: got %v, want %d transactions", drain, b, lanes*k)
+		}
+		var got [lanes]uint64
+		for i, x := range b.Transactions {
+			l := x.ID / 10000
+			turn := b.Transactions[i-i%lanes : i] // this turn's earlier picks
+			if slices.ContainsFunc(turn, func(y types.Transaction) bool { return y.ID/10000 == l }) {
+				t.Fatalf("drain %d: lane %d yielded twice in one turn of %d", drain, l, lanes)
+			}
+			if want := uint64(drain*k) + got[l]; x.ID%10000 != want {
+				t.Fatalf("drain %d: lane %d yielded %d, want %d: per-lane FIFO violated", drain, l, x.ID%10000, want)
+			}
+			got[l]++
+		}
+		for l, n := range got {
+			if n != k {
+				t.Fatalf("drain %d: lane %d gave %d of %d, want exactly %d", drain, l, n, lanes*k, k)
+			}
 		}
 	}
-	b := p.NextBatch(0, 400)
-	if b == nil || len(b.Transactions) != 400 {
-		t.Fatalf("drained %d, want 400", len(b.Transactions))
-	}
-	var lane1 int
-	for _, got := range b.Transactions {
-		if got.ID >= 10000 {
-			lane1++
+}
+
+// TestFairDrainTurnCarriesAcrossBatches: the turn order continues from one
+// drain to the next, so batches smaller than the lane count still rotate
+// through every backlogged lane instead of favouring the first.
+func TestFairDrainTurnCarriesAcrossBatches(t *testing.T) {
+	const lanes = 3
+	p := NewFair(FairConfig{MaxSize: 300, Lanes: lanes})
+	clients := laneClients(t, p)
+	for i := uint64(0); i < 10; i++ {
+		for l, c := range clients {
+			if err := p.SubmitClient(c, tx(uint64(l)*100+i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// Weight 1 of 4 → exactly 100 of 400 under smooth WRR with both lanes
-	// permanently backlogged.
-	if lane1 != 100 {
-		t.Fatalf("light lane drained %d of 400, want its weight share 100", lane1)
+	var order []uint64
+	for i := 0; i < 2*lanes; i++ {
+		b := p.NextBatch(0, 1)
+		if b == nil || len(b.Transactions) != 1 {
+			t.Fatalf("drain %d: got %v, want one transaction", i, b)
+		}
+		order = append(order, b.Transactions[0].ID/100)
+	}
+	for i, l := range order {
+		if want := uint64(i % lanes); l != want {
+			t.Fatalf("single-transaction drains came from lanes %v, want 0, 1, 2 in rotation", order)
+		}
 	}
 }
 
 // TestFairDrainPreservesLaneFIFO: interleaving across lanes must not reorder
 // within a lane.
 func TestFairDrainPreservesLaneFIFO(t *testing.T) {
-	p := NewFair(FairConfig{MaxSize: 1000, Lanes: 4, Shards: 1})
+	p := NewFair(FairConfig{MaxSize: 1000, Lanes: 4})
+	clients := laneClients(t, p)
 	for i := uint64(0); i < 50; i++ {
 		for l := 0; l < 4; l++ {
-			if err := p.SubmitLane(l, tx(uint64(l)*1000+i)); err != nil {
+			if err := p.SubmitClient(clients[l], tx(uint64(l)*1000+i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	b := p.NextBatch(0, 200)
 	if b == nil || len(b.Transactions) != 200 {
-		t.Fatalf("drained %d, want 200", len(b.Transactions))
+		t.Fatalf("drained %v, want 200", b)
 	}
 	next := map[uint64]uint64{}
 	for _, got := range b.Transactions {
@@ -130,10 +190,125 @@ func TestFairDrainPreservesLaneFIFO(t *testing.T) {
 	}
 }
 
+// TestLaneForMatchesFNV pins the client-to-lane mapping: the inlined hash is
+// 32-bit FNV-1a, so every client keeps the lane hash/fnv gave it.
+func TestLaneForMatchesFNV(t *testing.T) {
+	for _, lanes := range []int{2, 4, 16} {
+		p := NewFair(FairConfig{Lanes: lanes})
+		for i := 0; i < 64; i++ {
+			client := fmt.Sprintf("client-%d", i)
+			h := fnv.New32a()
+			_, _ = h.Write([]byte(client))
+			if got, want := p.LaneFor(client), int(h.Sum32()%uint32(lanes)); got != want {
+				t.Fatalf("lanes=%d: LaneFor(%q) = %d, hash/fnv gives %d", lanes, client, got, want)
+			}
+		}
+	}
+}
+
+// TestFairMatchesLaneModel drives a pool and a model — one slice per lane —
+// with the same seeded submits and drains. Each submit must hit ErrFull
+// exactly when the model's lane holds ceil(MaxSize/Lanes); each drained
+// transaction must be the oldest of its lane; a drain must return
+// min(maxTx, pending), and a lane left non-empty must have had every turn
+// (no lane took more than one transaction beyond it). At the end everything
+// admitted has been drained exactly once and the counters agree.
+func TestFairMatchesLaneModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lanes := 1 + rng.Intn(5)
+		maxSize := lanes + rng.Intn(60)
+		limit := (maxSize + lanes - 1) / lanes
+		p := NewFair(FairConfig{MaxSize: maxSize, Lanes: lanes})
+		clients := make([]string, 12)
+		for i := range clients {
+			clients[i] = fmt.Sprintf("c%d-%d", seed, i)
+		}
+		model := make([][]uint64, lanes)
+		laneOf := map[uint64]int{}
+		drained := map[uint64]bool{}
+		var want Stats
+		var nextID uint64
+		pending := func() int {
+			n := 0
+			for _, m := range model {
+				n += len(m)
+			}
+			return n
+		}
+		drain := func(maxTx int) {
+			b := p.NextBatch(0, maxTx)
+			var got []types.Transaction
+			if b != nil {
+				got = b.Transactions
+			}
+			if wantN := min(maxTx, pending()); len(got) != wantN {
+				t.Fatalf("seed %d: drain(%d) returned %d, want %d", seed, maxTx, len(got), wantN)
+			}
+			took := make([]int, lanes)
+			for _, x := range got {
+				l := laneOf[x.ID]
+				if len(model[l]) == 0 || model[l][0] != x.ID {
+					t.Fatalf("seed %d: lane %d yielded %d, model head %v: FIFO violated", seed, l, x.ID, model[l])
+				}
+				if drained[x.ID] {
+					t.Fatalf("seed %d: tx %d drained twice", seed, x.ID)
+				}
+				drained[x.ID] = true
+				model[l] = model[l][1:]
+				took[l]++
+			}
+			want.Drained += uint64(len(got))
+			for l := range model {
+				for m := range model {
+					if len(model[l]) > 0 && took[m] > took[l]+1 {
+						t.Fatalf("seed %d: lane %d kept a backlog but took %d while lane %d took %d", seed, l, took[l], m, took[m])
+					}
+				}
+			}
+		}
+		for op := 0; op < 2000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 7:
+				nextID++
+				lane, err := 0, error(nil)
+				if r == 0 {
+					err = p.Submit(tx(nextID))
+				} else {
+					c := clients[rng.Intn(len(clients))]
+					lane, err = p.LaneFor(c), p.SubmitClient(c, tx(nextID))
+				}
+				if full := len(model[lane]) == limit; full != (err == ErrFull) || (!full && err != nil) {
+					t.Fatalf("seed %d op %d: lane %d holds %d of %d, submit err = %v", seed, op, lane, len(model[lane]), limit, err)
+				}
+				if err != nil {
+					want.Rejected++
+					continue
+				}
+				want.Submitted++
+				model[lane] = append(model[lane], nextID)
+				laneOf[nextID] = lane
+			default:
+				drain(1 + rng.Intn(2*limit))
+			}
+			if got := p.Pending(); got != pending() {
+				t.Fatalf("seed %d op %d: Pending = %d, model holds %d", seed, op, got, pending())
+			}
+		}
+		drain(pending() + 1)
+		if len(drained) != len(laneOf) {
+			t.Fatalf("seed %d: drained %d of %d admitted (loss)", seed, len(drained), len(laneOf))
+		}
+		if got := p.Stats(); got != want {
+			t.Fatalf("seed %d: Stats = %+v, model %+v", seed, got, want)
+		}
+	}
+}
+
 // TestFairConcurrentSubmitDrain races many submitters against a drainer;
 // run with -race. Every admitted transaction must be drained exactly once.
 func TestFairConcurrentSubmitDrain(t *testing.T) {
-	p := NewFair(FairConfig{MaxSize: 1 << 16, Lanes: 4, Shards: 2})
+	p := NewFair(FairConfig{MaxSize: 1 << 16, Lanes: 4})
 	const clients, perClient = 8, 2000
 	var wg sync.WaitGroup
 	var admitted sync.Map

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -58,15 +59,11 @@ type Config struct {
 	WALPath string
 	// MempoolSize bounds the transaction pool (default 1<<20).
 	MempoolSize int
-	// MempoolShards is the transaction pool's shard count, rounded up to a
-	// power of two (0 sizes it to the machine). Each shard has its own
-	// lock, so concurrent clients do not serialize on one mutex.
-	MempoolShards int
 	// MempoolLanes is the fair-admission lane count: client IDs arriving
 	// through the RPC gateway hash onto lanes, each with its own capacity
 	// share of MempoolSize, so one saturating client cannot starve the
-	// others' admission. <= 1 keeps a single lane with the classic pool
-	// semantics (the node's own Submit path always uses lane 0).
+	// others' admission. <= 1 keeps a single lane (the node's own Submit
+	// path always uses lane 0).
 	MempoolLanes int
 	// RPCAddr, when non-empty, serves the client gateway (HTTP/JSON: tx
 	// submission, KV reads, commit streaming, status) on this address.
@@ -152,12 +149,11 @@ type Node struct {
 	logger *slog.Logger
 
 	// Pre-verify stage: inbound signature-bearing messages are validated by
-	// preWorkers goroutines pulling from preq, off the engine loop, before
+	// one goroutine per CPU pulling from preq, off the engine loop, before
 	// being enqueued into the single-threaded state machine. Nil prever
 	// disables the stage (signature verification off).
-	prever     *engine.PreVerifier
-	preq       chan inbound
-	preWorkers int
+	prever *engine.PreVerifier
+	preq   chan inbound
 
 	// Commit delivery runs on its own goroutine: the engine's CommitSink
 	// enqueues ordered sub-DAGs here and commitLoop hands them to the
@@ -262,7 +258,6 @@ func New(cfg Config) (*Node, error) {
 		ScheduleSeed: cfg.ScheduleSeed,
 		Mempool: mempool.FairConfig{
 			MaxSize: cfg.MempoolSize,
-			Shards:  cfg.MempoolShards,
 			Lanes:   cfg.MempoolLanes,
 		},
 		Commits:  engine.CommitSinkFunc(n.sinkCommit),
@@ -298,17 +293,7 @@ func New(cfg Config) (*Node, error) {
 		n.rrSched = sched
 	}
 	if cfg.Engine.VerifySignatures {
-		workers := cfg.Engine.VerifyWorkers
-		if workers < 1 {
-			workers = 1
-		}
-		// VerifyWorkers bounds TOTAL verification concurrency: parallelism
-		// comes from running `workers` pre-verify loops, each verifying its
-		// message's signatures inline (PreVerifier width 1). Nesting a
-		// per-certificate fan-out inside each loop would oversubscribe the
-		// budget quadratically.
-		n.preWorkers = workers
-		n.prever = engine.NewPreVerifier(cfg.Keys.Scheme, cfg.Committee, cfg.PublicKeys, 1)
+		n.prever = engine.NewPreVerifier(cfg.Keys.Scheme, cfg.Committee, cfg.PublicKeys)
 		n.preq = make(chan inbound, 4096)
 	}
 	if cfg.Metrics != nil {
@@ -319,6 +304,8 @@ func New(cfg Config) (*Node, error) {
 		n.dagVertsMetric = cfg.Metrics.Gauge("hammerhead_dag_vertices")
 		n.queueMetric = cfg.Metrics.Gauge("hammerhead_verify_queue_depth")
 		n.droppedMetric = cfg.Metrics.Counter("hammerhead_preverify_dropped_total")
+		// Signatures per pre-verified message (a certificate carries its
+		// quorum of votes).
 		n.batchHist = cfg.Metrics.Histogram("hammerhead_verify_batch_size",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 		n.pipelineMetric = cfg.Metrics.Gauge("hammerhead_pipeline_depth")
@@ -642,9 +629,10 @@ func (n *Node) HandleMessage(from types.ValidatorID, msg *engine.Message) {
 }
 
 // preverifyLoop is one pre-verify worker: it validates signatures off the
-// engine goroutine and forwards only messages that pass. Workers may
-// reorder messages relative to each other; the engine tolerates arbitrary
-// reordering (the network provides none of its own ordering either).
+// engine goroutine, one after another, and forwards only messages that pass.
+// Workers may reorder messages relative to each other; the engine tolerates
+// arbitrary reordering (the network provides none of its own ordering
+// either).
 func (n *Node) preverifyLoop() {
 	defer n.wg.Done()
 	for {
@@ -674,8 +662,8 @@ func (n *Node) preverifyLoop() {
 	}
 }
 
-// sigCount is the number of signatures a message carries — the batch size
-// the pre-verify stage hands the batch verifier.
+// sigCount is the number of signatures a message carries: what the
+// pre-verify stage checks for it.
 func sigCount(msg *engine.Message) int {
 	switch msg.Kind {
 	case engine.KindHeader, engine.KindVote:
@@ -732,7 +720,7 @@ func (n *Node) Start(tr transport.Transport) error {
 	n.wg.Add(1)
 	go n.loop()
 	if n.prever != nil {
-		for i := 0; i < n.preWorkers; i++ {
+		for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 			n.wg.Add(1)
 			go n.preverifyLoop()
 		}

@@ -546,7 +546,6 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 				Lane:      ls.Lane,
 				Depth:     ls.Depth,
 				Cap:       ls.Cap,
-				Weight:    ls.Weight,
 				Submitted: ls.Stats.Submitted,
 				Rejected:  ls.Stats.Rejected,
 				Drained:   ls.Stats.Drained,

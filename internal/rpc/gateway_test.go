@@ -22,7 +22,7 @@ import (
 // serving on an ephemeral port.
 func newTestGateway(t *testing.T, mutate func(*Config)) (*Gateway, *mempool.FairPool, *execution.Executor, string) {
 	t.Helper()
-	pool := mempool.NewFair(mempool.FairConfig{MaxSize: 64, Lanes: 2, Shards: 1})
+	pool := mempool.NewFair(mempool.FairConfig{MaxSize: 64, Lanes: 2})
 	exec := execution.NewExecutor(execution.NewKVState(), execution.Config{})
 	reg := metrics.NewRegistry()
 	cfg := Config{

@@ -20,7 +20,6 @@ func TestClusterDropsInvalidSignaturesPreservesLiveness(t *testing.T) {
 	}
 	engCfg := fastEngineConfig()
 	engCfg.VerifySignatures = true // Ed25519 keys + pre-verify stage
-	engCfg.VerifyWorkers = 4
 	engCfg.MinRoundDelay = 100 * time.Millisecond
 	rec := newCommitRecorder(0)
 	cluster := newClusterWithConfig(t, simnet.ClusterConfig{
@@ -91,7 +90,6 @@ func TestClusterAuthenticatedFaultlessRun(t *testing.T) {
 	}
 	engCfg := fastEngineConfig()
 	engCfg.VerifySignatures = true
-	engCfg.VerifyWorkers = 2
 	engCfg.MinRoundDelay = 100 * time.Millisecond
 	rec := newCommitRecorder(0)
 	cluster := newClusterWithConfig(t, simnet.ClusterConfig{

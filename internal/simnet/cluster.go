@@ -33,9 +33,6 @@ type ClusterConfig struct {
 	ScheduleSeed uint64
 	// MempoolSize bounds each validator's pool (default 1<<20).
 	MempoolSize int
-	// MempoolShards is each pool's shard count, rounded up to a power of
-	// two (0 sizes it to the machine).
-	MempoolShards int
 	// OnCommit observes commits (may be nil).
 	OnCommit CommitHook
 	// Execution attaches a deterministic executor (execution.KVState behind
@@ -217,7 +214,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Engine.VerifySignatures {
 		c.prevers = make([]*engine.PreVerifier, n)
 		for i := 0; i < n; i++ {
-			c.prevers[i] = engine.NewPreVerifier(scheme, cfg.Committee, c.pubKeys, cfg.Engine.VerifyWorkers)
+			c.prevers[i] = engine.NewPreVerifier(scheme, cfg.Committee, c.pubKeys)
 		}
 	}
 	return c, nil
@@ -237,7 +234,7 @@ func (c *Cluster) buildValidator(id types.ValidatorID, store execution.SnapshotS
 		Engine:       cfg.Engine,
 		HammerHead:   cfg.HammerHead,
 		ScheduleSeed: cfg.ScheduleSeed,
-		Mempool:      mempool.FairConfig{MaxSize: cfg.MempoolSize, Shards: cfg.MempoolShards},
+		Mempool:      mempool.FairConfig{MaxSize: cfg.MempoolSize},
 		// Serial engines invoke the sink synchronously inside the step, so
 		// Sim.Now() is the commit's virtual time.
 		Commits: engine.CommitSinkFunc(func(sub bullshark.CommittedSubDAG) {

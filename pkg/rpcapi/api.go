@@ -154,7 +154,6 @@ type LaneStatus struct {
 	Lane      int    `json:"lane"`
 	Depth     int    `json:"depth"`
 	Cap       int    `json:"cap"`
-	Weight    int    `json:"weight"`
 	Submitted uint64 `json:"submitted"`
 	Rejected  uint64 `json:"rejected"`
 	Drained   uint64 `json:"drained"`
