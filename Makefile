@@ -21,9 +21,9 @@ race:
 # race-core is CI's "Consensus core (race)" step: the packages whose
 # concurrency tests only mean something under the race detector (DAG,
 # committer, scheduler, engine, trie and executor, gateway ring, replica,
-# validator assembly, mempool lanes).
+# validator assembly, mempool lanes, TCP transport).
 race-core:
-	go test -race ./internal/dag/ ./internal/bullshark/ ./internal/core/ ./internal/types/ ./internal/engine/ ./internal/merkle/ ./internal/execution/ ./internal/rpc/ ./internal/replica/ ./internal/validator/ ./internal/mempool/
+	go test -race ./internal/dag/ ./internal/bullshark/ ./internal/core/ ./internal/types/ ./internal/engine/ ./internal/merkle/ ./internal/execution/ ./internal/rpc/ ./internal/replica/ ./internal/validator/ ./internal/mempool/ ./internal/transport/
 
 # fmt rewrites every file gofmt would change; CI fails when there is one.
 fmt:

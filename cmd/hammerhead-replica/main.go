@@ -1,7 +1,8 @@
 // Command hammerhead-replica runs a non-voting read replica: it bootstraps
 // from a quorum-certified snapshot served by a validator gateway, tails the
 // commit stream, re-executes every transaction, and cross-checks its chained
-// state roots against the committee's checkpoint certificates. It then serves
+// state roots against the committee's checkpoint certificates, which the
+// stream pushes as the validators attach them. It then serves
 // the same read surface as a validator gateway — including proof-carrying
 // reads (GET /v1/kv/{key}?proof=1) verifiable with zero trust in the replica
 // — while redirecting transaction submissions back to the validators.
@@ -47,7 +48,6 @@ func run(args []string) error {
 	committeePath := fs.String("committee", "committee.json", "committee configuration file (the trust anchor: certificates are verified against its keys)")
 	validators := fs.String("validators", "", "comma-separated validator gateway addresses (host:port) to bootstrap from and tail")
 	listen := fs.String("listen", "127.0.0.1:9500", "address for this replica's read gateway")
-	pollInterval := fs.Duration("poll-interval", 0, "checkpoint certificate poll cadence (0 = default)")
 	bootstrapTimeout := fs.Duration("bootstrap-timeout", 2*time.Minute, "give up if no certified snapshot appears within this window")
 	logLevel := fs.String("log-level", "info", "log level: debug|info|warn|error")
 	logFormat := fs.String("log-format", "text", "log format: text|json")
@@ -85,11 +85,10 @@ func run(args []string) error {
 	}
 	logger := obs.Component(root, "replica")
 	rep, err := replica.New(replica.Config{
-		Validators:   endpoints,
-		Verifier:     &client.Verifier{Committee: committee, PublicKeys: pubs, Scheme: scheme},
-		RPCAddr:      *listen,
-		PollInterval: *pollInterval,
-		Logger:       root,
+		Validators: endpoints,
+		Verifier:   &client.Verifier{Committee: committee, PublicKeys: pubs, Scheme: scheme},
+		RPCAddr:    *listen,
+		Logger:     root,
 	})
 	if err != nil {
 		return err

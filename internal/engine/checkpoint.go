@@ -115,6 +115,7 @@ func (e *Engine) deliverCheckpointCert(cert *checkpoint.Certificate) bool {
 	e.ckptDelivered = cert.Meta.CommitSeq
 	e.ckptAcc.PruneTo(cert.Meta.CommitSeq)
 	e.exec.AttachCertificate(cert.Meta.CommitSeq, cert)
+	e.observer.CheckpointCertified(cert)
 	return true
 }
 

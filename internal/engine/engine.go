@@ -22,9 +22,10 @@ type BatchProvider interface {
 	NextBatch(nowNanos int64, maxTx int) *types.Batch
 }
 
-// Observer sees what a validator must record about itself: every certificate
-// it accepts into its DAG and every header it signs. The node's WAL writer
-// and tracer implement it, and so does the simulator's recorder. Every method
+// Observer sees what a validator must record or announce about itself: every
+// certificate it accepts into its DAG, every header it signs, and every
+// checkpoint certificate it attaches. The node's WAL writer, tracer and
+// gateway implement it, and so does the simulator's recorder. Every method
 // runs on the engine goroutine, in the order the events happen.
 type Observer interface {
 	// Inserted sees every certificate accepted into the DAG, in insertion
@@ -45,6 +46,10 @@ type Observer interface {
 	// certificates received from peers are not delivered here. It must not
 	// block.
 	Certified(*Certificate)
+	// CheckpointCertified sees every checkpoint certificate once the
+	// execution layer holds it (Execution.AttachCertificate returned), in
+	// ascending commit-seq order, exactly once each. It must not block.
+	CheckpointCertified(*checkpoint.Certificate)
 }
 
 // nopObserver stands in when Params.Observer is nil.
@@ -53,6 +58,8 @@ type nopObserver struct{}
 func (nopObserver) Inserted(*Certificate)  {}
 func (nopObserver) Proposed(*Header)       {}
 func (nopObserver) Certified(*Certificate) {}
+
+func (nopObserver) CheckpointCertified(*checkpoint.Certificate) {}
 
 // Unicast is a message addressed to one validator.
 type Unicast struct {

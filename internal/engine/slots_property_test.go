@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/crypto"
 	"hammerhead/internal/dag"
 	"hammerhead/internal/leader"
@@ -204,6 +205,8 @@ func (h *slotHarness) buildWorld(rounds int) {
 func (h *slotHarness) Inserted(c *Certificate) { h.inserted = append(h.inserted, c) }
 func (h *slotHarness) Proposed(*Header)        {}
 func (h *slotHarness) Certified(*Certificate)  {}
+
+func (h *slotHarness) CheckpointCertified(*checkpoint.Certificate) {}
 
 // absorb feeds one engine step's observable effects to the model — headers
 // proposed are votes cast, inserted certificates are retained — lets it

@@ -78,8 +78,9 @@ func BenchmarkStateRootHash(b *testing.B) {
 	}
 }
 
-// BenchmarkKVSnapshot isolates what a checkpoint pays to serialize the ledger
-// under the executor's lock: walk, key sort and encode of 10k pairs.
+// BenchmarkKVSnapshot isolates what a checkpoint pays to serialize the ledger:
+// walk, key sort and encode of 10k pairs, on the checkpoint goroutine since
+// checkpoints were cut from frozen views (BenchmarkCheckpointCut).
 func BenchmarkKVSnapshot(b *testing.B) {
 	s := NewKVState()
 	for i := 0; i < 10_000; i++ {
@@ -129,6 +130,70 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 		}
 		if i == 0 {
 			b.ReportMetric(float64(len(blob)), "snapshot-bytes")
+		}
+	}
+}
+
+// BenchmarkCheckpointCut measures how long a checkpoint holds the executor's
+// lock — what every apply and read waits behind — with a few hundred writes
+// since the previous checkpoint: the cut (flush, freeze, copy the window)
+// against the inline path it replaced (serialise, sort, encode and save under
+// the lock), at 10k and 100k keys. Only the locked section is timed; the cut
+// is written off the clock, as the checkpoint goroutine would.
+func BenchmarkCheckpointCut(b *testing.B) {
+	const dirty = 300
+	for _, keys := range []int{10_000, 100_000} {
+		for _, path := range []string{"cut", "inline"} {
+			b.Run(fmt.Sprintf("keys=%d/%s", keys, path), func(b *testing.B) {
+				o := newInlineOracle(1<<62, false)
+				x := o.x
+				seq := uint64(0)
+				commit := func(n, stride int) {
+					seq++
+					puts := make([][]byte, n)
+					for i := range puts {
+						k := fmt.Sprintf("acct-%07d", (int(seq)*7919+i*stride)%keys)
+						puts[i] = PutOp([]byte(k), []byte(fmt.Sprintf("value-%d", seq)))
+					}
+					x.ApplyCommit(makeCommit(seq, types.Round(2*seq), puts))
+				}
+				// checkpoint runs one checkpoint with only its locked section on
+				// the clock.
+				checkpoint := func() {
+					if path == "inline" {
+						if _, err := o.checkpoint(); err != nil {
+							b.Fatal(err)
+						}
+						return
+					}
+					x.mu.Lock()
+					c, err := x.cutLocked()
+					x.mu.Unlock()
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					x.writeMu.Lock()
+					_, err = x.write(c)
+					x.writeMu.Unlock()
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				for loaded := 0; loaded < keys; loaded += 1000 {
+					commit(1000, 1)
+				}
+				checkpoint() // the preload's, which flushes every key
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					commit(dirty, 104729)
+					b.StartTimer()
+					checkpoint()
+				}
+			})
 		}
 	}
 }

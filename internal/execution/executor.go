@@ -43,12 +43,15 @@ type Config struct {
 	QueueDepth int
 	// Store persists checkpoints (nil = in-memory MemoryStore).
 	Store SnapshotStore
-	// OnCheckpoint, when non-nil, observes every checkpoint successfully
-	// persisted to the store (periodic, forced, final-on-close and installed
-	// ones alike). The node hangs checkpoint-driven WAL compaction here: the
-	// snapshot's Floor is the round below which the WAL no longer needs to
-	// replay. Called with the executor's lock held — the hook must not call
-	// back into the executor; hand off to another goroutine for real work.
+	// OnCheckpoint, when non-nil, observes every checkpoint once the store
+	// has saved it (periodic, forced, final-on-close and installed ones
+	// alike), in the order they were saved. The node hangs checkpoint-driven
+	// WAL compaction here: the snapshot's Floor is the round below which the
+	// WAL no longer needs to replay. It runs on whichever goroutine wrote the
+	// checkpoint — the checkpoint goroutine after Start — holding no executor
+	// lock but the writer's turn: the hook must not call back into the
+	// executor; hand off to another goroutine for real work. Cert is set when
+	// a certificate arrived before the write.
 	OnCheckpoint func(Snapshot)
 	// RequireSchedulerState, when true, makes InstallFromWire reject remote
 	// snapshots that carry no scheduler state — set (by internal/validator)
@@ -65,10 +68,11 @@ type Config struct {
 	// state) tuple; like RequireSchedulerState, the check runs before the
 	// state machine is touched: a fresh checkpoint whose certification
 	// gossip is still in flight fails cleanly and another responder (or a
-	// later retry) is tried. And every checkpoint captures a frozen view of
-	// the KV state for AttachCertificate to promote and ProvenRead to prove
-	// against; without certification nothing reads such a view, so none is
-	// captured and the live trie goes on writing its nodes in place.
+	// later retry) is tried. And every checkpoint keeps the frozen view of
+	// the KV state it was cut from for AttachCertificate to promote and
+	// ProvenRead to prove against; without certification nothing reads such
+	// a view once the checkpoint is written, so it is handed back to the live
+	// trie, which goes on writing its nodes in place.
 	CheckpointCerts bool
 	// CertVerifier, when non-nil, vets the certificate's signatures and
 	// quorum (typically checkpoint.Certificate.Verify against the node's
@@ -92,10 +96,18 @@ type Config struct {
 // Two usage modes share the same core:
 //
 //   - Synchronous: call ApplyCommit from the commit-delivering goroutine
-//     (the discrete-event simulator, benchmarks, trace replay).
+//     (the discrete-event simulator, benchmarks, trace replay). Checkpoints
+//     are written before the call that cut them returns.
 //   - Asynchronous: call Start once, then Submit from the commit stream; a
 //     dedicated goroutine applies, so a slow state machine backpressures the
-//     bounded queue instead of the consensus path (real nodes).
+//     bounded queue instead of the consensus path (real nodes), and a second
+//     one writes checkpoints, so neither applies nor reads wait on a
+//     serialisation or a disk.
+//
+// A checkpoint is cut under the lock in O(writes since the last one) — the
+// state is flushed and frozen, the ordered window and scheduler bytes copied —
+// and written from that frozen view off it: serialised, saved, cached as its
+// encoded blob, announced to OnCheckpoint.
 type Executor struct {
 	mu  sync.Mutex
 	sm  StateMachine
@@ -130,37 +142,38 @@ type Executor struct {
 	// simulator runs fifty executors that see a few hundred commits each.
 	roots []rootAt // guarded by mu
 
-	// latest/prev cache the two newest checkpoints in memory so chunked
-	// serving never touches the store per chunk request (the file store
-	// would re-read and re-decode the whole snapshot each time), and so a
-	// peer mid-fetch of the previous checkpoint can finish after we rotate;
-	// served caches their wire encodings keyed by commit sequence.
-	latest     Snapshot          // guarded by mu
-	haveLatest bool              // guarded by mu
-	prev       Snapshot          // guarded by mu
-	havePrev   bool              // guarded by mu
-	served     map[uint64][]byte // guarded by mu
+	// Checkpoints from cut to cache. pending is the one cut (or install)
+	// waiting for the writer — a newer one replaces it — and writing the one
+	// being written. latest/prev are the two newest written, kept as their
+	// blobs: chunked serving never touches the store or re-encodes, and a peer
+	// mid-fetch of the previous checkpoint can finish after we rotate.
+	pending *ckpt // guarded by mu
+	writing *ckpt // guarded by mu
+	latest  *ckpt // guarded by mu
+	prev    *ckpt // guarded by mu
 
-	// frozenLatest/frozenPrev are immutable KV views captured at the two
-	// cached checkpoints, waiting for their quorum certificates (nil without
-	// Config.CheckpointCerts, or when the state machine is not a KVState).
-	// Capturing shares the trie's nodes (the checkpoint's StateDigest has
-	// just flushed their hashes); the live trie copies a node the first time
-	// it writes one a frozen view can reach, so every view held pins up to a
-	// whole former generation of the trie — several times the checkpoint's
-	// blob under write churn. Once a checkpoint's certificate arrives
-	// (AttachCertificate), its view becomes certifiedKV, the read state
-	// ProvenRead serves proofs from, and the views of older checkpoints are
-	// released: frozenPrev is non-nil only while the latest checkpoint is
-	// still uncertified.
-	frozenLatest *FrozenKV               // guarded by mu
-	frozenPrev   *FrozenKV               // guarded by mu
-	certified    *checkpoint.Certificate // guarded by mu
-	certifiedKV  *FrozenKV               // guarded by mu
+	// certified is the newest quorum certificate attached to a checkpoint
+	// whose frozen view this executor held, and certifiedKV that view: the
+	// read state ProvenRead serves (both nil without Config.CheckpointCerts).
+	// A frozen view shares the trie's nodes, and the live trie copies a node
+	// the first time it writes one a view can reach, so every view held pins
+	// up to a whole former generation of the trie — several times the
+	// checkpoint's blob under write churn. Views of checkpoints older than
+	// the certified one can never be promoted and are released.
+	certified   *checkpoint.Certificate // guarded by mu
+	certifiedKV *FrozenKV               // guarded by mu
 
-	// Async mode. q is made by Start: synchronous users (the simulator's
-	// executors, replay tools, benchmarks) never pay for its QueueDepth slots.
+	// writeMu is the writer's turn: one goroutine at a time serialises, saves
+	// and announces checkpoints, so saves and OnCheckpoint calls go in commit
+	// order. Taken before mu, never while holding it.
+	writeMu sync.Mutex
+
+	// Async mode. q and wake are made by Start: synchronous users (the
+	// simulator's executors, replay tools, benchmarks) never pay for its
+	// QueueDepth slots. wake hands parked checkpoint work to the checkpoint
+	// goroutine.
 	q       chan bullshark.CommittedSubDAG
+	wake    chan struct{}
 	done    chan struct{}
 	wg      sync.WaitGroup
 	started bool // guarded by mu
@@ -173,6 +186,24 @@ type Executor struct {
 type rootAt struct {
 	seq  uint64
 	root types.Digest
+}
+
+// ckpt is one checkpoint on its way from cut to cache. snap holds the tuple
+// and the side structures fixed at the cut; its Data is set only where the
+// state was serialised then (a state machine that cannot freeze, an install)
+// and dropped once blob exists. Executor.mu guards the fields below.
+type ckpt struct {
+	snap Snapshot
+	// frozen is the state at the cut: what the writer serialises and, with
+	// CheckpointCerts, what a certificate for this checkpoint promotes.
+	frozen *FrozenKV
+	// cert is the newest certificate attached to the checkpoint. blob is its
+	// encoding as cached and saved, carrying blobCert; the certificate flag
+	// starts at certAt, which is where a later certificate is sealed on.
+	cert     *checkpoint.Certificate
+	blob     []byte
+	blobCert *checkpoint.Certificate
+	certAt   int
 }
 
 // NewExecutor builds an executor over the given state machine.
@@ -193,7 +224,6 @@ func NewExecutor(sm StateMachine, cfg Config) *Executor {
 		sm:      sm,
 		cfg:     cfg,
 		ordered: make(map[types.Round][]OrderedRef),
-		served:  make(map[uint64][]byte),
 		done:    make(chan struct{}),
 	}
 	if cfg.Metrics != nil {
@@ -215,14 +245,16 @@ func (x *Executor) CheckpointCerts() bool { return x.cfg.CheckpointCerts }
 
 // ApplyCommit applies one ordered sub-DAG. Commits at or below the applied
 // sequence are skipped (WAL replay and snapshot installs make redeliveries
-// normal). Safe for concurrent use, though a single delivering goroutine is
-// the expected shape.
+// normal). At the checkpoint interval it cuts a checkpoint and hands it on:
+// to the checkpoint goroutine after Start, otherwise through the writer
+// before returning. Safe for concurrent use, though a single delivering
+// goroutine is the expected shape.
 //
 //hammerlint:deterministic
 func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
 	x.mu.Lock()
-	defer x.mu.Unlock()
 	if sub.Index <= x.appliedSeq {
+		x.mu.Unlock()
 		return
 	}
 	if sub.SchedulerState != nil {
@@ -247,10 +279,19 @@ func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
 		x.appliedMetric.Set(int64(x.appliedRound))
 	}
 	x.sinceCkpt++
+	cut := false
 	if x.sinceCkpt >= x.cfg.CheckpointInterval {
 		// Checkpoint failures (disk full, ...) must not stall execution; the
 		// next interval retries.
-		_, _ = x.checkpointLocked()
+		if c, err := x.cutLocked(); err == nil {
+			x.pending = c
+			cut = true
+		}
+	}
+	inline := !x.started
+	x.mu.Unlock()
+	if cut {
+		x.handOff(inline)
 	}
 }
 
@@ -407,19 +448,19 @@ func (x *Executor) ReadKV(key []byte) (KVRead, bool) {
 	return r, true
 }
 
-// SnapshotFloor returns the latest persisted checkpoint's retention floor (0
+// SnapshotFloor returns the latest written checkpoint's retention floor (0
 // when no checkpoint exists yet) — the round below which this node's WAL and
 // DAG history are covered by a snapshot. Exposed on /v1/status.
 func (x *Executor) SnapshotFloor() types.Round {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if !x.haveLatest {
+	if x.latest == nil {
 		return 0
 	}
-	return x.latest.Floor
+	return x.latest.snap.Floor
 }
 
-// Checkpoints returns how many checkpoints were cut.
+// Checkpoints returns how many checkpoints were written.
 func (x *Executor) Checkpoints() uint64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -429,18 +470,53 @@ func (x *Executor) Checkpoints() uint64 {
 // ---- checkpoints ----
 
 // ForceCheckpoint cuts a checkpoint at the current applied state regardless
-// of the interval and persists it to the store.
+// of the interval and writes it before returning (waiting out a write in
+// progress). A cut still parked for the writer is older and is dropped.
 func (x *Executor) ForceCheckpoint() (Snapshot, error) {
+	x.writeMu.Lock()
+	defer x.writeMu.Unlock()
 	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.checkpointLocked()
-}
-
-func (x *Executor) checkpointLocked() (Snapshot, error) {
-	x.sinceCkpt = 0
-	data, err := x.sm.Snapshot()
+	c, err := x.cutLocked()
+	x.mu.Unlock()
 	if err != nil {
 		return Snapshot{}, err
+	}
+	return x.write(c)
+}
+
+// cutLocked takes a checkpoint of the applied state for the writer. Its cost
+// is the writes since the last cut, not the state: the KV state is flushed
+// and frozen (a custom state machine, which cannot freeze, is serialised
+// here), and the ordered window and scheduler bytes are copied.
+func (x *Executor) cutLocked() (*ckpt, error) {
+	x.sinceCkpt = 0
+	schedBytes := x.schedStateBytes
+	if x.schedState != nil {
+		var err error
+		schedBytes, err = x.schedState.Encode()
+		if err != nil {
+			return nil, fmt.Errorf("execution: encoding scheduler state: %w", err)
+		}
+	}
+	c := &ckpt{snap: Snapshot{
+		Checkpoint: Checkpoint{
+			Round:     x.appliedRound,
+			CommitSeq: x.appliedSeq,
+			StateRoot: x.stateRoot,
+		},
+		Floor:          x.boundaryFloorLocked(),
+		SchedulerState: schedBytes,
+	}}
+	if kv, ok := x.sm.(*KVState); ok {
+		c.frozen = kv.Freeze()
+		c.snap.StateDigest = c.frozen.Root()
+	} else {
+		data, err := x.sm.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		c.snap.Data = data
+		c.snap.StateDigest = x.sm.Root()
 	}
 	window := 0
 	for _, bucket := range x.ordered {
@@ -451,59 +527,217 @@ func (x *Executor) checkpointLocked() (Snapshot, error) {
 		refs = append(refs, bucket...)
 	}
 	sortOrderedRefs(refs)
-	schedBytes := x.schedStateBytes
-	if x.schedState != nil {
-		schedBytes, err = x.schedState.Encode()
-		if err != nil {
-			return Snapshot{}, fmt.Errorf("execution: encoding scheduler state: %w", err)
+	c.snap.Ordered = refs
+	return c, nil
+}
+
+// handOff passes parked checkpoint work on: a wake-up for the checkpoint
+// goroutine, or — for an executor that was never started, or is closing —
+// the writer itself, on this goroutine.
+func (x *Executor) handOff(inline bool) {
+	if inline {
+		x.drain()
+		return
+	}
+	select {
+	case x.wake <- struct{}{}:
+	default: // a wake-up is already waiting; it covers this work too
+	}
+}
+
+// drain takes the writer's turn and does what the lock parked: the waiting
+// cut or install, then every certificate a cached blob does not carry yet.
+func (x *Executor) drain() {
+	x.writeMu.Lock()
+	defer x.writeMu.Unlock()
+	for {
+		x.mu.Lock()
+		c := x.pending
+		x.pending = nil
+		x.mu.Unlock()
+		if c != nil {
+			// A failed write (disk full, ...) must not stall the writer; the
+			// next interval cuts again.
+			_, _ = x.write(c)
+			continue
+		}
+		if !x.reseal() {
+			return
 		}
 	}
-	snap := Snapshot{
-		Checkpoint: Checkpoint{
-			Round:       x.appliedRound,
-			CommitSeq:   x.appliedSeq,
-			StateRoot:   x.stateRoot,
-			StateDigest: x.sm.Root(),
-		},
-		Floor:          x.boundaryFloorLocked(),
-		Ordered:        refs,
-		Data:           data,
-		SchedulerState: schedBytes,
+}
+
+// write serialises a checkpoint from its frozen view (unless it already has
+// its bytes), seals in the certificate if one arrived meanwhile, saves it,
+// caches it and announces it. A checkpoint a newer cached one has overtaken
+// (an install, a forced checkpoint) is dropped unwritten. The caller holds
+// writeMu.
+func (x *Executor) write(c *ckpt) (Snapshot, error) {
+	x.mu.Lock()
+	stale := x.overtakenLocked(c)
+	x.writing = c
+	frozen, blob, cert := c.frozen, c.blob, c.blobCert
+	x.mu.Unlock()
+	if stale {
+		return x.drop(c, ErrStaleSnapshot)
 	}
-	if err := x.cfg.Store.Save(snap); err != nil {
-		return Snapshot{}, err
+	snap := c.snap
+	cut := blob == nil // an install arrives encoded
+	if cut {
+		if frozen != nil {
+			snap.Data = frozen.Snapshot()
+		}
+		x.mu.Lock()
+		if !x.cfg.CheckpointCerts {
+			// Nothing will promote the view: the live trie gets its nodes
+			// back.
+			x.releaseLocked(frozen)
+			c.frozen = nil
+		}
+		cert = c.cert
+		x.mu.Unlock()
+		body := snapshotBody(snap)
+		blob = sealSnapshot(body, cert)
+		c.certAt = len(body)
 	}
-	x.cacheSnapshotLocked(snap, x.freezeKVLocked())
-	x.ckptCount++
+	if err := x.cfg.Store.Save(snap.CommitSeq, blob); err != nil {
+		return x.drop(c, err)
+	}
+	x.mu.Lock()
+	if x.overtakenLocked(c) {
+		x.mu.Unlock()
+		return x.drop(c, ErrStaleSnapshot)
+	}
+	x.writing = nil
+	c.blob, c.blobCert = blob, cert
+	c.snap.Data = nil
+	x.cacheLocked(c)
+	if cut {
+		x.ckptCount++
+	}
+	x.mu.Unlock()
 	if x.snapBytes != nil {
-		x.snapBytes.Add(uint64(len(data)))
+		x.snapBytes.Add(uint64(len(snap.Data)))
 	}
+	snap.Cert = cert
 	if x.cfg.OnCheckpoint != nil {
 		x.cfg.OnCheckpoint(snap)
 	}
 	return snap, nil
 }
 
+// overtakenLocked reports whether a newer checkpoint than c is already
+// cached: writing c would replace it.
+func (x *Executor) overtakenLocked(c *ckpt) bool {
+	return x.latest != nil && x.latest.snap.CommitSeq > c.snap.CommitSeq
+}
+
+// drop abandons a checkpoint the writer could not or must not write.
+func (x *Executor) drop(c *ckpt, err error) (Snapshot, error) {
+	x.mu.Lock()
+	if x.writing == c {
+		x.writing = nil
+	}
+	if !x.cfg.CheckpointCerts {
+		x.releaseLocked(c.frozen)
+		c.frozen = nil
+	}
+	x.mu.Unlock()
+	return Snapshot{}, err
+}
+
+// releaseLocked hands a frozen view back to the KV state (a no-op when a
+// later cut froze it again or an install replaced it).
+func (x *Executor) releaseLocked(f *FrozenKV) {
+	if kv, ok := x.sm.(*KVState); ok && f != nil {
+		kv.Release(f)
+	}
+}
+
+// cacheLocked makes a written checkpoint the latest: the newest two stay
+// servable, mirroring the store's default retention.
+func (x *Executor) cacheLocked(c *ckpt) {
+	if x.latest != nil && x.latest.snap.CommitSeq != c.snap.CommitSeq {
+		x.prev = x.latest
+	}
+	x.latest = c
+	x.releaseStaleViewsLocked()
+}
+
+// releaseStaleViewsLocked drops the frozen views of cached checkpoints older
+// than the certified one: no certificate can promote them any more.
+func (x *Executor) releaseStaleViewsLocked() {
+	if x.certified == nil {
+		return
+	}
+	for _, c := range []*ckpt{x.prev, x.latest} {
+		if c != nil && c.snap.CommitSeq < x.certified.Meta.CommitSeq {
+			c.frozen = nil
+		}
+	}
+}
+
+// reseal brings one cached checkpoint's blob up to its newest certificate
+// and reports whether there was one to bring. The latest is saved again, so
+// a restart finds it certified. The caller holds writeMu.
+func (x *Executor) reseal() bool {
+	x.mu.Lock()
+	var c *ckpt
+	for _, r := range []*ckpt{x.latest, x.prev} {
+		if r != nil && r.cert != r.blobCert {
+			c = r
+			break
+		}
+	}
+	if c == nil {
+		x.mu.Unlock()
+		return false
+	}
+	cert, body, save := c.cert, c.blob[:c.certAt:c.certAt], c == x.latest
+	x.mu.Unlock()
+	blob := sealSnapshot(body, cert)
+	if save {
+		// On failure the store keeps the uncertified copy of the same
+		// checkpoint: still installable locally, only not servable as
+		// certified after a restart.
+		_ = x.cfg.Store.Save(c.snap.CommitSeq, blob)
+	}
+	x.mu.Lock()
+	c.blob, c.blobCert = blob, cert
+	x.mu.Unlock()
+	return true
+}
+
 // Install replaces the executor's state with a verified snapshot: the state
 // machine is restored from the snapshot bytes and its content digest is
 // recomputed — a mismatch (corrupted or forged chunk) rolls the previous
-// state back and rejects the install. On success the snapshot is persisted
-// to the local store, so the node can serve it onward and survive restarts.
+// state back and rejects the install. On success the snapshot becomes the
+// latest cached checkpoint at once and is handed to the writer, which saves
+// it to the local store, so the node can serve it onward and survive
+// restarts.
 func (x *Executor) Install(snap Snapshot) error {
+	body := snapshotBody(snap)
+	c := &ckpt{snap: snap, cert: snap.Cert, blobCert: snap.Cert, certAt: len(body)}
+	c.blob = sealSnapshot(body, snap.Cert)
+	c.snap.Data, c.snap.Cert = nil, nil
+
 	x.mu.Lock()
-	defer x.mu.Unlock()
 	if snap.CommitSeq <= x.appliedSeq {
+		x.mu.Unlock()
 		return ErrStaleSnapshot
 	}
 	prev, err := x.sm.Snapshot()
 	if err != nil {
+		x.mu.Unlock()
 		return fmt.Errorf("execution: preserving state for install: %w", err)
 	}
 	if err := x.sm.Restore(snap.Data); err != nil {
+		x.mu.Unlock()
 		return fmt.Errorf("execution: restoring snapshot: %w", err)
 	}
 	if got := x.sm.Root(); got != snap.StateDigest {
 		_ = x.sm.Restore(prev)
+		x.mu.Unlock()
 		return fmt.Errorf("execution: snapshot state digest mismatch: recomputed %s, checkpoint %s",
 			got, snap.StateDigest)
 	}
@@ -533,103 +767,75 @@ func (x *Executor) Install(snap Snapshot) error {
 	if x.snapBytes != nil {
 		x.snapBytes.Add(uint64(len(snap.Data)))
 	}
-	frozen := x.freezeKVLocked()
-	x.cacheSnapshotLocked(snap, frozen)
-	if snap.Cert != nil && frozen != nil {
-		// An installed snapshot arrives pre-certified: its frozen view is
-		// immediately servable for proof-carrying reads.
-		x.certified = snap.Cert
-		x.certifiedKV = frozen
-		x.frozenPrev = nil
-	}
-	if err := x.cfg.Store.Save(snap); err == nil && x.cfg.OnCheckpoint != nil {
-		x.cfg.OnCheckpoint(snap)
-	}
-	return nil
-}
-
-// freezeKVLocked captures an immutable view of the state machine when
-// certification is on and the machine is the built-in KVState (nil otherwise
-// — no certificate will ever promote the view, or a custom machine has no
-// generic proof surface).
-func (x *Executor) freezeKVLocked() *FrozenKV {
 	if kv, ok := x.sm.(*KVState); ok && x.cfg.CheckpointCerts {
-		return kv.Freeze()
-	}
-	return nil
-}
-
-// cacheSnapshotLocked rotates the in-memory checkpoint cache: the newest two
-// stay servable (mirroring the store's default retention) and stale wire
-// encodings are dropped. frozen is the immutable KV view captured at the
-// snapshot (nil unless freezeKVLocked captures one); it rotates with the
-// snapshot.
-func (x *Executor) cacheSnapshotLocked(snap Snapshot, frozen *FrozenKV) {
-	if x.haveLatest && x.latest.CommitSeq != snap.CommitSeq {
-		x.prev = x.latest
-		x.havePrev = true
-		x.frozenPrev = x.frozenLatest
-	}
-	x.latest = snap
-	x.haveLatest = true
-	x.frozenLatest = frozen
-	for seq := range x.served {
-		if seq != x.latest.CommitSeq && (!x.havePrev || seq != x.prev.CommitSeq) {
-			delete(x.served, seq)
+		c.frozen = kv.Freeze()
+		if snap.Cert != nil {
+			// An installed snapshot arrives pre-certified: its frozen view is
+			// immediately servable for proof-carrying reads.
+			x.certified = snap.Cert
+			x.certifiedKV = c.frozen
 		}
 	}
+	// A cut still parked is older than the install; the writer saves this
+	// instead.
+	x.pending = c
+	x.cacheLocked(c)
+	inline := !x.started
+	x.mu.Unlock()
+	x.handOff(inline)
+	return nil
 }
 
-// AttachCertificate binds a quorum checkpoint certificate to the cached
-// checkpoint at the given commit seq: the snapshot re-persists with the
-// certificate embedded (so wire serving and restarts carry it), and the
-// checkpoint's frozen KV view becomes the certified state ProvenRead serves.
-// Certificates for rotated-out checkpoints are ignored (false). The caller
-// must have verified the certificate — the executor stores, not vets, it.
+// AttachCertificate binds a quorum checkpoint certificate to the checkpoint
+// at the given commit seq — cached, being written, or cut and waiting — and
+// returns at once: the checkpoint's frozen view becomes the certified state
+// ProvenRead serves, and the writer reseals the checkpoint's blob with the
+// certificate embedded (so wire serving and restarts carry it), or writes it
+// in with the checkpoint if that is not written yet. Certificates for
+// checkpoints no longer held are ignored (false). The caller must have
+// verified the certificate — the executor stores, not vets, it.
 func (x *Executor) AttachCertificate(seq uint64, cert *checkpoint.Certificate) bool {
 	if cert == nil {
 		return false
 	}
 	x.mu.Lock()
-	defer x.mu.Unlock()
-	switch {
-	case x.haveLatest && x.latest.CommitSeq == seq:
-		x.latest.Cert = cert
-		delete(x.served, seq)
-		_ = x.cfg.Store.Save(x.latest)
-		if x.frozenLatest != nil {
-			x.certified = cert
-			x.certifiedKV = x.frozenLatest
-			x.frozenPrev = nil
+	var c *ckpt
+	for _, r := range []*ckpt{x.latest, x.prev, x.writing, x.pending} {
+		if r != nil && r.snap.CommitSeq == seq {
+			c = r
+			break
 		}
-		return true
-	case x.havePrev && x.prev.CommitSeq == seq:
-		x.prev.Cert = cert
-		delete(x.served, seq)
-		if x.frozenPrev != nil && (x.certified == nil || x.certified.Meta.CommitSeq < seq) {
-			x.certified = cert
-			x.certifiedKV = x.frozenPrev
-		}
-		return true
 	}
-	return false
+	if c == nil {
+		x.mu.Unlock()
+		return false
+	}
+	c.cert = cert
+	// The view is promoted when the checkpoint is newer than the certified
+	// one, or is the latest (a second certificate for it replaces the
+	// first); a view older than the certified one was released already.
+	// Without CheckpointCerts a cut's view lives only while it is written and
+	// then goes back to the live trie: it must never become a read state.
+	if x.cfg.CheckpointCerts && c.frozen != nil && (x.certified == nil || seq > x.certified.Meta.CommitSeq || c == x.latest) {
+		x.certified, x.certifiedKV = cert, c.frozen
+		x.releaseStaleViewsLocked()
+	}
+	inline := !x.started
+	x.mu.Unlock()
+	x.handOff(inline)
+	return true
 }
 
 // CertifiedSnapshotBlob returns the wire encoding of the newest cached
-// checkpoint that carries a quorum certificate (false before one exists).
-// Served on the gateway's /v1/snapshot so replicas bootstrap from certified
-// state instead of trusting the responder.
+// checkpoint whose blob carries a quorum certificate (false before one
+// exists). Served on the gateway's /v1/snapshot so replicas bootstrap from
+// certified state instead of trusting the responder.
 func (x *Executor) CertifiedSnapshotBlob() ([]byte, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.haveLatest && x.latest.Cert != nil {
-		if _, blob, ok := x.serveLocked(x.latest); ok {
-			return blob, true
-		}
-	}
-	if x.havePrev && x.prev.Cert != nil {
-		if _, blob, ok := x.serveLocked(x.prev); ok {
-			return blob, true
+	for _, c := range []*ckpt{x.latest, x.prev} {
+		if c != nil && c.blobCert != nil {
+			return c.blob, true
 		}
 	}
 	return nil, false
@@ -682,9 +888,9 @@ func (x *Executor) ProvenRead(key []byte) (ProvenKV, bool) {
 
 // ---- asynchronous mode ----
 
-// Start makes the commit queue and spawns the executor's apply goroutine.
-// Must be called once, before the first Submit and before any goroutine that
-// submits is started.
+// Start makes the commit queue and spawns the executor's apply and
+// checkpoint goroutines. Must be called once, before the first Submit and
+// before any goroutine that submits is started.
 func (x *Executor) Start() {
 	x.mu.Lock()
 	if x.started {
@@ -693,9 +899,11 @@ func (x *Executor) Start() {
 	}
 	x.started = true
 	x.q = make(chan bullshark.CommittedSubDAG, x.cfg.QueueDepth)
+	x.wake = make(chan struct{}, 1)
 	x.mu.Unlock()
-	x.wg.Add(1)
+	x.wg.Add(2)
 	go x.loop()
+	go x.writeLoop()
 }
 
 // Submit enqueues a commit for the apply goroutine. Blocks when the queue is
@@ -747,9 +955,24 @@ func (x *Executor) loop() {
 	}
 }
 
-// Close stops the apply goroutine after draining queued commits and cuts a
-// final checkpoint so a restart resumes from the freshest possible state.
-// Idempotent; synchronous-mode users may skip it.
+// writeLoop is the checkpoint goroutine: it writes what ApplyCommit, Install
+// and AttachCertificate park, until Close.
+func (x *Executor) writeLoop() {
+	defer x.wg.Done()
+	for {
+		select {
+		case <-x.wake:
+			x.drain()
+		case <-x.done:
+			return
+		}
+	}
+}
+
+// Close stops the apply and checkpoint goroutines after draining queued
+// commits, writes what they left parked, and cuts a final checkpoint so a
+// restart resumes from the freshest possible state. Idempotent;
+// synchronous-mode users may skip it.
 func (x *Executor) Close() {
 	x.mu.Lock()
 	started := x.started
@@ -766,7 +989,10 @@ func (x *Executor) Close() {
 	}
 	x.mu.Lock()
 	if x.appliedSeq > 0 && x.sinceCkpt > 0 {
-		_, _ = x.checkpointLocked()
+		if c, err := x.cutLocked(); err == nil {
+			x.pending = c
+		}
 	}
 	x.mu.Unlock()
+	x.drain()
 }

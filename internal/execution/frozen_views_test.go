@@ -7,11 +7,18 @@ import (
 	"hammerhead/internal/types"
 )
 
-// frozenViews reads the executor's three view slots under its lock.
+// frozenViews reads the views the executor holds for its two cached
+// checkpoints and the certified read state, under its lock.
 func frozenViews(x *Executor) (latest, prev, certified *FrozenKV) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.frozenLatest, x.frozenPrev, x.certifiedKV
+	if x.latest != nil {
+		latest = x.latest.frozen
+	}
+	if x.prev != nil {
+		prev = x.prev.frozen
+	}
+	return latest, prev, x.certifiedKV
 }
 
 // overwriteAllocs reports what one overwrite of a preloaded key allocates,

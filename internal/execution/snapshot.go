@@ -79,6 +79,16 @@ type Snapshot struct {
 //
 //hammerlint:deterministic
 func EncodeSnapshot(s Snapshot) ([]byte, error) {
+	return sealSnapshot(snapshotBody(s), s.Cert), nil
+}
+
+// snapshotBody encodes everything in s but its certificate: the part of a
+// blob that stays when a certificate is sealed on later.
+//
+//hammerlint:deterministic
+func snapshotBody(s Snapshot) []byte {
+	// The slack covers the framing and the seal of an uncertified blob (flag
+	// and checksum), so sealing one appends in place.
 	buf := make([]byte, 0, len(s.Data)+len(s.SchedulerState)+len(s.Ordered)*48+256)
 	buf = append(buf, snapshotMagic, snapshotWireV3)
 	buf = wire.AppendU64(buf, uint64(s.Round))
@@ -92,14 +102,29 @@ func EncodeSnapshot(s Snapshot) ([]byte, error) {
 		buf = wire.AppendU64(buf, uint64(s.Ordered[i].Round))
 	}
 	buf = wire.AppendBytes(buf, s.Data)
-	buf = wire.AppendBytes(buf, s.SchedulerState)
-	buf = wire.AppendBool(buf, s.Cert != nil)
-	if s.Cert != nil {
-		buf = checkpoint.AppendCertificate(buf, s.Cert)
+	return wire.AppendBytes(buf, s.SchedulerState)
+}
+
+// sealSnapshot completes a snapshotBody into the blob EncodeSnapshot
+// returns: the certificate (nil: none), then the whole-blob checksum. It
+// appends in place only where body has room to spare; a body cut from a blob
+// being served (capped at its length) is copied, so readers holding the old
+// blob never see it change.
+//
+//hammerlint:deterministic
+func sealSnapshot(body []byte, cert *checkpoint.Certificate) []byte {
+	var tail []byte
+	if cert != nil {
+		tail = checkpoint.AppendCertificate(nil, cert)
 	}
+	if need := len(body) + 1 + len(tail) + 4; cap(body) < need {
+		body = append(make([]byte, 0, need), body...)
+	}
+	buf := wire.AppendBool(body, cert != nil)
+	buf = append(buf, tail...)
 	var crc [4]byte
 	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(buf[2:], snapshotCRCTable))
-	return append(buf, crc[:]...), nil
+	return append(buf, crc[:]...)
 }
 
 // Snapshot wire framing. The install path's digest recomputation only covers
@@ -183,9 +208,11 @@ func sortOrderedRefs(refs []OrderedRef) {
 // implementation real nodes use; MemoryStore serves tests and the
 // discrete-event simulator (which must not touch the filesystem).
 type SnapshotStore interface {
-	// Save persists a snapshot (replacing any with the same CommitSeq) and
-	// may prune older ones per its retention policy.
-	Save(Snapshot) error
+	// Save persists one snapshot, as its EncodeSnapshot blob, under its
+	// commit sequence (replacing any with the same one), and may prune older
+	// ones per its retention policy. It returns once the blob is durable. The
+	// executor never changes a blob it handed over, so the store may keep it.
+	Save(seq uint64, blob []byte) error
 	// Latest returns the newest retained snapshot.
 	Latest() (Snapshot, bool)
 }
@@ -193,21 +220,20 @@ type SnapshotStore interface {
 // MemoryStore is an in-memory SnapshotStore retaining only the newest
 // snapshot. Safe for concurrent use.
 type MemoryStore struct {
-	mu     sync.Mutex
-	latest Snapshot
-	have   bool
+	mu   sync.Mutex
+	seq  uint64 // guarded by mu
+	blob []byte // guarded by mu
 }
 
 // NewMemoryStore returns an empty in-memory store.
 func NewMemoryStore() *MemoryStore { return &MemoryStore{} }
 
 // Save implements SnapshotStore.
-func (m *MemoryStore) Save(s Snapshot) error {
+func (m *MemoryStore) Save(seq uint64, blob []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.have || s.CommitSeq >= m.latest.CommitSeq {
-		m.latest = s
-		m.have = true
+	if m.blob == nil || seq >= m.seq {
+		m.seq, m.blob = seq, blob
 	}
 	return nil
 }
@@ -215,6 +241,11 @@ func (m *MemoryStore) Save(s Snapshot) error {
 // Latest implements SnapshotStore.
 func (m *MemoryStore) Latest() (Snapshot, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.latest, m.have
+	blob := m.blob
+	m.mu.Unlock()
+	if blob == nil {
+		return Snapshot{}, false
+	}
+	snap, err := DecodeSnapshot(blob)
+	return snap, err == nil
 }

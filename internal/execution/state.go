@@ -256,9 +256,31 @@ const (
 //
 //hammerlint:deterministic
 func (s *KVState) Snapshot() ([]byte, error) {
-	pairs := make([]kvPair, 0, s.tree.Len())
+	return encodeKV(s.tree, s.version, s.opaque), nil
+}
+
+// Snapshot serialises the frozen state exactly as KVState.Snapshot would have
+// at the Freeze. It reads the handle only, so it runs beside further applies
+// to the live ledger: the executor writes its checkpoints this way, off its
+// lock.
+//
+//hammerlint:deterministic
+func (f *FrozenKV) Snapshot() []byte {
+	return encodeKV(f.tree, f.version, f.opaque)
+}
+
+// Release hands a view Freeze returned back to the ledger, which then writes
+// the nodes it shared in place again — unless the ledger was frozen since or
+// restored. The caller must be done with f.
+func (s *KVState) Release(f *FrozenKV) { s.tree.Release(f.tree) }
+
+// encodeKV is the KV snapshot encoding of one tree and its op counters.
+//
+//hammerlint:deterministic
+func encodeKV(tree *merkle.Tree, version, opaque uint64) []byte {
+	pairs := make([]kvPair, 0, tree.Len())
 	total := 0
-	s.tree.Walk(func(k, v []byte, ver uint64) bool {
+	tree.Walk(func(k, v []byte, ver uint64) bool {
 		pairs = append(pairs, kvPair{key: k, value: v, version: ver})
 		total += len(k) + len(v)
 		return true
@@ -266,15 +288,15 @@ func (s *KVState) Snapshot() ([]byte, error) {
 	slices.SortFunc(pairs, func(a, b kvPair) int { return bytes.Compare(a.key, b.key) })
 	buf := make([]byte, 0, total+len(pairs)*12+32)
 	buf = append(buf, kvSnapshotMagic, kvSnapshotWireV1)
-	buf = wire.AppendU64(buf, s.version)
-	buf = wire.AppendU64(buf, s.opaque)
+	buf = wire.AppendU64(buf, version)
+	buf = wire.AppendU64(buf, opaque)
 	buf = wire.AppendUvarint(buf, uint64(len(pairs)))
 	for i := range pairs {
 		buf = wire.AppendBytes(buf, pairs[i].key)
 		buf = wire.AppendBytes(buf, pairs[i].value)
 		buf = wire.AppendU64(buf, pairs[i].version)
 	}
-	return buf, nil
+	return buf
 }
 
 // Restore implements StateMachine. Decoding and tree rebuilding happen into

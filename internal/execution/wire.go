@@ -8,24 +8,14 @@ import (
 	"hammerhead/internal/types"
 )
 
-// LatestSnapshot implements engine.Execution: the newest checkpoint,
-// encoded for the wire. Serving reads the in-memory copy the executor kept
-// from its last checkpoint or install — falling back to the store only once
-// (a restarted process that has not checkpointed yet) — and the encoding is
-// cached per commit sequence, so per-chunk requests cost a slice, not a
-// store read or re-encode.
+// LatestSnapshot implements engine.Execution: the newest checkpoint this
+// executor wrote or installed, encoded for the wire. The blob is the cached
+// one (a restarted node installs its local checkpoint before it serves), so
+// per-chunk requests cost a slice, not a store read or re-encode.
 func (x *Executor) LatestSnapshot() (engine.SnapshotMeta, []byte, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if !x.haveLatest {
-		snap, ok := x.cfg.Store.Latest()
-		if !ok || snap.CommitSeq == 0 {
-			return engine.SnapshotMeta{}, nil, false
-		}
-		x.latest = snap
-		x.haveLatest = true
-	}
-	return x.serveLocked(x.latest)
+	return served(x.latest)
 }
 
 // SnapshotAt implements engine.Execution: the retained checkpoint at
@@ -34,34 +24,26 @@ func (x *Executor) LatestSnapshot() (engine.SnapshotMeta, []byte, bool) {
 func (x *Executor) SnapshotAt(round types.Round) (engine.SnapshotMeta, []byte, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.haveLatest && x.latest.Round == round {
-		return x.serveLocked(x.latest)
-	}
-	if x.havePrev && x.prev.Round == round {
-		return x.serveLocked(x.prev)
+	for _, c := range []*ckpt{x.latest, x.prev} {
+		if c != nil && c.snap.Round == round {
+			return served(c)
+		}
 	}
 	return engine.SnapshotMeta{}, nil, false
 }
 
-func (x *Executor) serveLocked(snap Snapshot) (engine.SnapshotMeta, []byte, bool) {
-	if snap.CommitSeq == 0 {
+// served is a cached checkpoint as the wire serves it. The caller holds the
+// executor's lock.
+func served(c *ckpt) (engine.SnapshotMeta, []byte, bool) {
+	if c == nil || c.snap.CommitSeq == 0 {
 		return engine.SnapshotMeta{}, nil, false
 	}
-	blob, ok := x.served[snap.CommitSeq]
-	if !ok {
-		var err error
-		blob, err = EncodeSnapshot(snap)
-		if err != nil {
-			return engine.SnapshotMeta{}, nil, false
-		}
-		x.served[snap.CommitSeq] = blob
-	}
 	return engine.SnapshotMeta{
-		Round:       snap.Round,
-		CommitSeq:   snap.CommitSeq,
-		StateRoot:   snap.StateRoot,
-		StateDigest: snap.StateDigest,
-	}, blob, true
+		Round:       c.snap.Round,
+		CommitSeq:   c.snap.CommitSeq,
+		StateRoot:   c.snap.StateRoot,
+		StateDigest: c.snap.StateDigest,
+	}, c.blob, true
 }
 
 // InstallFromWire implements engine.Execution: decode the fetched

@@ -12,17 +12,21 @@
 //     two checkpoints is hashed once. The execution layer reads the root once
 //     per checkpoint, not once per write.
 //   - Ownership instead of path copies. Every node carries the stamp of the
-//     tree generation that created it. A node whose stamp equals the live
-//     tree's was created since the last Freeze, no frozen handle can reach
-//     it, and it is updated in place; any other node is shared with a frozen
-//     handle and is copied once, on first touch. Freeze bumps the live tree's
-//     stamp, which disowns every node at a stroke. A handle returned by
+//     tree generation that created it. A node whose stamp is in the live
+//     tree's owned range was created since the last Freeze, no frozen handle
+//     can reach it, and it is updated in place; any other node is shared with
+//     a frozen handle and is copied once, on first touch. Freeze bumps the
+//     live tree's stamp and starts the range there, which disowns every node
+//     at a stroke. A handle returned by
 //     Freeze has stamp 0 and owns nothing: writing to one forks it, copying
 //     every node it touches, every time. The stamp is a uint32, so that is
 //     also where a live tree ends up after 2³² Freezes — slower from then
 //     on, never incorrect. A validator freezes at most once per checkpoint;
 //     a replica freezes once per commit, and at ten commits a second would
-//     reach the horizon after about 13 years.
+//     reach the horizon after about 13 years. A handle needed only briefly
+//     — a checkpoint serialised off the writer's lock — can be handed back
+//     with Release: if no Freeze came after it, the live tree owns its old
+//     nodes again and goes back to writing them in place.
 //   - Snapshots are a flush plus a pointer copy: Freeze hashes whatever is
 //     dirty (no longer O(1)), then shares the node structure. A frozen tree
 //     serves proofs against a past (e.g. quorum-certified) root while the
@@ -79,7 +83,7 @@ type node struct {
 	left, right *node
 	leaf        *entry
 	// owner is the stamp of the tree generation that created the node; only a
-	// tree whose stamp equals it may write the node (see Tree.stamp).
+	// tree whose owned range covers it may write the node (see Tree.stamp).
 	owner uint32
 	bit   uint16
 	// dirty marks a hash that does not cover the node's current content. A
@@ -146,15 +150,25 @@ type Tree struct {
 	root *node
 	size int
 	// stamp is this handle's current generation: nodes it creates carry it,
-	// and it writes in place exactly the nodes that carry it. Freeze bumps
-	// it. 0 owns nothing — the stamp of every frozen handle, and of a live
-	// tree after 2^32 freezes, which from then on copies every node a write
+	// and it writes in place exactly the nodes stamped low through stamp.
+	// Freeze bumps stamp and raises low to it; Release lowers low again. 0
+	// owns nothing — the stamp of every frozen handle, and of a live tree
+	// after 2^32 freezes, which from then on copies every node a write
 	// touches, as a frozen handle does (slower, still correct).
-	stamp uint32
+	stamp, low uint32
+	// line names the live tree a handle descends from, so Release trusts
+	// only handles of its own tree. A handle Freeze returned also records the
+	// stamp that Freeze opened and the live tree's low before it.
+	line               *lineage
+	frozeAt, lowBefore uint32
 }
 
+// lineage is a live tree's identity; it has a size so that two are never
+// the same allocation.
+type lineage struct{ _ byte }
+
 // New returns an empty tree.
-func New() *Tree { return &Tree{stamp: 1} }
+func New() *Tree { return &Tree{stamp: 1, low: 1, line: new(lineage)} }
 
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
@@ -200,10 +214,24 @@ func (t *Tree) Root() types.Digest {
 // each on its next touch instead of writing it.
 func (t *Tree) Freeze() *Tree {
 	t.flush()
+	h := &Tree{root: t.root, size: t.size, line: t.line, lowBefore: t.low}
 	if t.stamp != 0 {
 		t.stamp++
+		t.low = t.stamp
+		h.frozeAt = t.stamp
 	}
-	return &Tree{root: t.root, size: t.size}
+	return h
+}
+
+// Release hands back a handle t.Freeze returned. If t has not been frozen
+// since, t owns again every node it owned before that Freeze and writes them
+// in place from now on; otherwise, or for a handle of another tree, nothing
+// changes. The caller must be done with h and with every handle frozen from
+// h: none of them may be read afterwards.
+func (t *Tree) Release(h *Tree) {
+	if h.line == t.line && h.frozeAt != 0 && h.frozeAt == t.stamp {
+		t.low = h.lowBefore
+	}
 }
 
 // Get returns the value and version stored under key.
@@ -237,9 +265,10 @@ func (n *node) child(kh *[32]byte) **node {
 	return &n.right
 }
 
-// owns reports whether t created n since its last Freeze, which is when no
-// other handle can reach n and t may write it in place.
-func (t *Tree) owns(n *node) bool { return n.owner == t.stamp && t.stamp != 0 }
+// owns reports whether t created n since its last Freeze that was not
+// released, which is when no other handle can reach n and t may write it in
+// place.
+func (t *Tree) owns(n *node) bool { return n.owner >= t.low && t.stamp != 0 }
 
 // touch makes the inner node in *slot writable by t — copying it into t's
 // generation unless t owns it — marks it dirty and returns it.

@@ -56,6 +56,7 @@ const (
 	opProve
 	opGet
 	opWalk
+	opRelease
 	opCount
 
 	opBytes   = 4 // op, target handle, key index (2 bytes)
@@ -126,6 +127,17 @@ func (m *model) apply(op [opBytes]byte) {
 		p.tree.Walk(func(_, _ []byte, _ uint64) bool { seen++; return seen < stop })
 		if want := max(stop, min(1, p.ref.Len())); seen != want {
 			m.tb.Fatalf("step %d: walk stopped at %d visited %d entries", m.step, stop, seen)
+		}
+	case opRelease:
+		// The newest handle goes back to the live tree and is never read
+		// again. Handles are appended as they are frozen, so none frozen from
+		// it remains; whether the release takes effect (no Freeze of the live
+		// tree since) is the tree's business, and either way the others must
+		// not see the live tree's writes.
+		if last := len(m.pairs) - 1; last > 0 {
+			m.pairs[0].tree.Release(m.pairs[last].tree)
+			m.pairs = m.pairs[:last]
+			p = m.pairs[0]
 		}
 	}
 	// The key this op named is where a write leaking from one handle into
@@ -425,6 +437,72 @@ func TestWritesBetweenFreezesAllocateOncePerNode(t *testing.T) {
 	}
 	if want := buildTreeFrom(keys, vals[n:], 3*n); tr.Root() != want.Root() {
 		t.Fatal("root after the overwrites differs from a tree built from the final entries")
+	}
+}
+
+// TestReleaseHandsNodesBack names the Release cases: a handle released before
+// any later Freeze gives the live tree its nodes back, so a key's first
+// overwrite allocates nothing again; a release a later Freeze overtook, and
+// one of another tree's handle, change nothing, and an older handle still
+// reads what it froze.
+func TestReleaseHandsNodesBack(t *testing.T) {
+	const n = 1000
+	tr := buildTree(n)
+	keys, vals := make([][]byte, n), make([][]byte, n)
+	for i := range keys {
+		keys[i], vals[i] = key(i), val(n+i)
+	}
+	next := 0
+	// firstOverwrite is what overwriting a key not written since the build
+	// allocates.
+	firstOverwrite := func(tree *Tree) float64 {
+		return testing.AllocsPerRun(1, func() {
+			tree.Insert(keys[next], vals[next], uint64(n+next+1))
+			next++
+		})
+	}
+	if a := firstOverwrite(tr); a != 0 {
+		t.Fatalf("an overwrite in the tree's own generation allocated %.0f objects", a)
+	}
+	h := tr.Freeze()
+	if a := firstOverwrite(tr); a == 0 {
+		t.Fatal("an overwrite of a node a frozen handle shares allocated nothing")
+	}
+	tr.Release(h)
+	if a := firstOverwrite(tr); a != 0 {
+		t.Fatalf("an overwrite after the only handle was released allocated %.0f objects", a)
+	}
+
+	older := tr.Freeze()
+	olderRoot := older.Root()
+	newer := tr.Freeze()
+	tr.Release(older) // overtaken by newer
+	if a := firstOverwrite(tr); a == 0 {
+		t.Fatal("releasing an overtaken handle gave the live tree nodes a newer handle shares")
+	}
+	tr.Release(newer) // older still shares everything from before it
+	if a := firstOverwrite(tr); a == 0 {
+		t.Fatal("releasing the newer handle gave the live tree nodes an older handle shares")
+	}
+	if older.Root() != olderRoot {
+		t.Fatal("an older handle saw the live tree's writes")
+	}
+
+	// The key overwritten last sits on a path of tr's current generation,
+	// which a new handle now shares. A handle of another tree whose Freeze
+	// opened the very stamp tr is at must not hand that path back.
+	last := keys[next-1]
+	was, _, _ := tr.Get(last)
+	shared := tr.Freeze()
+	other := buildTree(10)
+	var foreign *Tree
+	for foreign == nil || foreign.frozeAt < tr.stamp {
+		foreign = other.Freeze()
+	}
+	tr.Release(foreign)
+	tr.Insert(last, []byte("after the foreign release"), 3*n)
+	if v, _, _ := shared.Get(last); !bytes.Equal(v, was) {
+		t.Fatalf("a handle of another tree gave the live tree its nodes: a frozen handle reads %q, froze %q", v, was)
 	}
 }
 

@@ -261,7 +261,7 @@ func New(cfg Config) (*Node, error) {
 			Lanes:   cfg.MempoolLanes,
 		},
 		Commits:  engine.CommitSinkFunc(n.sinkCommit),
-		Observer: observer{wal: n.walw, tracer: n.tracer},
+		Observer: observer{n},
 	}
 	if n.tracer != nil {
 		// The admitted stage starts a trace; tx ID 0 means "gateway will
@@ -393,9 +393,9 @@ func (n *Node) executionConfig() (*execution.Config, error) {
 		// certificates below its boundary floor are redundant on replay (a
 		// restart installs the checkpoint first), so the WAL writer drops
 		// them at its next append. With certification on, the hook also
-		// starts the signature gossip for the fresh checkpoint. The hook runs
-		// with the executor's lock held — hand the engine work to a goroutine
-		// so the (bounded) task queue cannot deadlock the apply loop.
+		// starts the signature gossip for the fresh checkpoint, as a task for
+		// the engine goroutine. The hook runs on the executor's checkpoint
+		// goroutine, which nothing on the engine goroutine waits for.
 		xc.OnCheckpoint = func(snap execution.Snapshot) {
 			if n.walw != nil && snap.Floor > 0 {
 				n.walw.compactFloor.Store(uint64(snap.Floor))
@@ -408,7 +408,7 @@ func (n *Node) executionConfig() (*execution.Config, error) {
 					StateDigest: snap.StateDigest,
 					SchedDigest: checkpoint.SchedDigestOf(snap.SchedulerState),
 				}
-				go n.enqueue(func() {
+				n.enqueue(func() {
 					n.dispatch(n.eng.OnLocalCheckpoint(meta))
 				})
 			}
@@ -421,21 +421,26 @@ func (n *Node) executionConfig() (*execution.Config, error) {
 // certificates and own proposals durable, and the tracer stamps the proposed
 // and cert_formed stages. Both fire only for this validator's OWN headers —
 // which carry exactly the transactions its local mempool admitted, so the
-// admitting node holds the full waterfall from one clock. Either may be nil.
-type observer struct {
-	wal    *walWriter
-	tracer *obs.Tracer
-}
+// admitting node holds the full waterfall from one clock. A checkpoint
+// certificate wakes the gateway, which pushes it down ?full=1 streams. The
+// WAL writer, tracer and gateway may each be nil.
+type observer struct{ n *Node }
 
-func (o observer) Inserted(cert *engine.Certificate) { o.wal.inserted(cert) }
+func (o observer) Inserted(cert *engine.Certificate) { o.n.walw.inserted(cert) }
 
 func (o observer) Proposed(h *engine.Header) {
-	o.wal.proposed(h)
-	recordBatchStage(o.tracer, obs.StageProposed, h.Batch)
+	o.n.walw.proposed(h)
+	recordBatchStage(o.n.tracer, obs.StageProposed, h.Batch)
 }
 
 func (o observer) Certified(cert *engine.Certificate) {
-	recordBatchStage(o.tracer, obs.StageCertFormed, cert.Header.Batch)
+	recordBatchStage(o.n.tracer, obs.StageCertFormed, cert.Header.Batch)
+}
+
+func (o observer) CheckpointCertified(*checkpoint.Certificate) {
+	if o.n.gw != nil {
+		o.n.gw.ObserveCheckpoint()
+	}
 }
 
 // DebugAddr returns the debug listener's bound address ("" when

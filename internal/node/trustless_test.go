@@ -137,10 +137,9 @@ func TestTrustlessReadTierEndToEnd(t *testing.T) {
 
 	// Boot a non-voting replica off the validator gateway.
 	rep, err := replica.New(replica.Config{
-		Validators:   []string{nodes[0].Gateway().Addr()},
-		Verifier:     verifier,
-		RPCAddr:      "127.0.0.1:0",
-		PollInterval: 50 * time.Millisecond,
+		Validators: []string{nodes[0].Gateway().Addr()},
+		Verifier:   verifier,
+		RPCAddr:    "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,15 +11,19 @@
 //  2. Tail — subscribe to the gateway commit stream with ?full=1 and
 //     re-execute every commit's payloads locally, chaining
 //     H(prev, commit digest) exactly like the validators' executors do.
-//  3. Cross-check — poll GET /v1/checkpoint; whenever a new quorum
-//     certificate covers a re-executed sequence, compare both the chained
-//     root and the re-executed state digest against the certified tuple.
-//     A match promotes that sequence's frozen state to the certified read
-//     view (served with Merkle proofs on ?proof=1) and releases the frozen
-//     states at and below it, which no later certificate can promote: the
-//     replica holds views for its uncertified tail only. A mismatch means
-//     the stream this replica tailed is NOT the quorum's history — the
-//     replica poisons itself and stops serving rather than serve lies.
+//  3. Cross-check — the same stream pushes each quorum certificate as the
+//     validator attaches it (a checkpoint event). The replica verifies it
+//     against the committee, dropping a forged one, and once it has
+//     re-executed the certified sequence — at once, or when that commit
+//     arrives — compares both the chained root and the re-executed state
+//     digest against the certified tuple. A match promotes that sequence's
+//     frozen state to the certified read view (served with Merkle proofs on
+//     ?proof=1), pushes the certificate on to the replica's own ?full=1
+//     subscribers, and releases the frozen states at and below it, which no
+//     later certificate can promote: the replica holds views for its
+//     uncertified tail only. A mismatch means the stream this replica tailed
+//     is NOT the quorum's history — the replica poisons itself and stops
+//     serving rather than serve lies.
 //
 // Because step 3 verifies recomputed state against quorum signatures, a
 // malicious or buggy serving validator cannot feed a replica fabricated
@@ -46,8 +50,6 @@ import (
 
 // Defaults for Config zero values.
 const (
-	// DefaultPollInterval is the checkpoint-certificate poll cadence.
-	DefaultPollInterval = 200 * time.Millisecond
 	// DefaultRingSize is how many recent re-executed commits the replica
 	// retains for certificate cross-checks and RootAt: the chained root of
 	// each, plus the frozen state of those above the certified sequence. It
@@ -71,9 +73,6 @@ type Config struct {
 	// RPCAddr is the replica's own serving address (":0" for ephemeral;
 	// "" disables serving — a tail-only auditor).
 	RPCAddr string
-	// PollInterval overrides the certificate poll cadence
-	// (0 = DefaultPollInterval).
-	PollInterval time.Duration
 	// RingSize overrides the retained re-execution history
 	// (0 = DefaultRingSize).
 	RingSize int
@@ -111,7 +110,10 @@ type Replica struct {
 	ring         []ringEntry             // guarded by mu; ascending seq, len <= RingSize
 	certified    *checkpoint.Certificate // guarded by mu
 	certifiedKV  *execution.FrozenKV     // guarded by mu
-	poisoned     error                   // guarded by mu; non-nil is terminal
+	// held is the newest verified certificate for a sequence not
+	// re-executed yet: it is cross-checked when that commit is applied.
+	held     *checkpoint.Certificate // guarded by mu
+	poisoned error                   // guarded by mu; non-nil is terminal
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -127,9 +129,6 @@ func New(cfg Config) (*Replica, error) {
 	}
 	if cfg.Verifier == nil {
 		return nil, errors.New("replica: a committee Verifier is required (trustless by construction)")
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = DefaultPollInterval
 	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = DefaultRingSize
@@ -239,6 +238,12 @@ func (r *Replica) BootstrapFromBlob(blob []byte) error {
 	r.chainedRoot = snap.StateRoot
 	r.certified = snap.Cert
 	r.certifiedKV = frozen
+	if r.held != nil && r.held.Meta.CommitSeq <= snap.CommitSeq {
+		r.held = nil
+	}
+	if r.gw != nil {
+		r.gw.ObserveCheckpoint()
+	}
 	clear(r.ring) // the abandoned entries' views must not outlive them
 	r.ring = append(r.ring[:0], ringEntry{
 		seq:         snap.CommitSeq,
@@ -251,16 +256,15 @@ func (r *Replica) BootstrapFromBlob(blob []byte) error {
 }
 
 // Start begins serving (when a gateway is configured) and spawns the tail
-// and certificate-poll loops. Call after a successful Bootstrap.
+// loop. Call after a successful Bootstrap.
 func (r *Replica) Start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
 	if r.gw != nil {
 		r.gw.Start()
 	}
-	r.wg.Add(2)
+	r.wg.Add(1)
 	go r.tailLoop(ctx)
-	go r.pollLoop(ctx)
 }
 
 // Close stops the loops and the gateway. Idempotent.
@@ -319,7 +323,9 @@ var errResync = errors.New("replica: commit stream gap, re-bootstrapping")
 // re-bootstraps), and an event without digest or payload integrity poisons
 // only at the next certificate cross-check — the event itself is applied
 // optimistically, which is safe precisely because nothing is served from it
-// until a quorum certificate confirms the recomputed roots.
+// until a quorum certificate confirms the recomputed roots. A held
+// certificate whose sequence this event reaches is cross-checked here, so an
+// event can also return the error that poisoned the replica.
 func (r *Replica) ApplyCommitEvent(ev rpcapi.CommitEvent) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -363,6 +369,10 @@ func (r *Replica) ApplyCommitEvent(ev rpcapi.CommitEvent) error {
 		// chain off replicas.
 		r.gw.ObserveEvent(ev)
 	}
+	if held := r.held; held != nil && held.Meta.CommitSeq <= r.appliedSeq {
+		r.held = nil
+		return r.crossCheckLocked(held)
+	}
 	return nil
 }
 
@@ -370,11 +380,17 @@ func (r *Replica) ApplyCommitEvent(ev rpcapi.CommitEvent) error {
 // own re-execution at the certified sequence. A match promotes that
 // sequence's frozen state to the certified read view; a mismatch poisons the
 // replica — its stream upstream served a history the quorum did not execute.
-// Certificates for sequences not (or no longer) retained are skipped without
-// effect. The caller must have verified the certificate's signatures.
+// A certificate ahead of the re-execution is held (the newest one only) and
+// checked once ApplyCommitEvent reaches its sequence. Certificates for
+// sequences no longer retained are skipped without effect. The caller must
+// have verified the certificate's signatures.
 func (r *Replica) CrossCheck(cert *checkpoint.Certificate) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.crossCheckLocked(cert)
+}
+
+func (r *Replica) crossCheckLocked(cert *checkpoint.Certificate) error {
 	if r.poisoned != nil {
 		return r.poisoned
 	}
@@ -383,7 +399,10 @@ func (r *Replica) CrossCheck(cert *checkpoint.Certificate) error {
 		return nil
 	}
 	if seq > r.appliedSeq {
-		return nil // not re-executed yet; the next poll retries
+		if r.held == nil || seq > r.held.Meta.CommitSeq {
+			r.held = cert
+		}
+		return nil
 	}
 	var entry *ringEntry
 	for i := range r.ring {
@@ -414,7 +433,28 @@ func (r *Replica) CrossCheck(cert *checkpoint.Certificate) error {
 		}
 		r.ring[i].frozen = nil
 	}
+	if r.gw != nil {
+		// Push it on, so replicas tailing this one promote it too.
+		r.gw.ObserveCheckpoint()
+	}
 	return nil
+}
+
+// onCheckpoint takes one certificate the stream pushed. A malformed or
+// forged one proves nothing about upstream: it is logged and dropped, and
+// the replica carries on. A verified one is cross-checked (or held), and only
+// a contradiction — which poisons — stops the stream.
+func (r *Replica) onCheckpoint(w rpcapi.CheckpointCert) error {
+	cert, err := rpcapi.CertFromWire(w)
+	if err != nil {
+		r.logger.Warn("malformed certificate", "err", err)
+		return nil
+	}
+	if err := r.cfg.Verifier.VerifyCert(cert); err != nil {
+		r.logger.Warn("certificate rejected", "seq", cert.Meta.CommitSeq, "err", err)
+		return nil
+	}
+	return r.CrossCheck(cert)
 }
 
 // ProvenRead serves proof-carrying reads from the replica's last
@@ -475,15 +515,14 @@ func (r *Replica) status() rpc.StatusResponse {
 	return resp
 }
 
-// tailLoop streams full commits from the validators and re-executes them,
+// tailLoop streams full commits and pushed certificates from the
+// validators, re-executes the commits and cross-checks the certificates,
 // re-bootstrapping whenever the stream gaps past retained history.
 func (r *Replica) tailLoop(ctx context.Context) {
 	defer r.wg.Done()
 	for ctx.Err() == nil {
 		from := r.AppliedSeq()
-		err := r.cli.StreamCommitsFull(ctx, from, func(ev rpcapi.CommitEvent) error {
-			return r.ApplyCommitEvent(ev)
-		})
+		err := r.cli.StreamCommitsFull(ctx, from, r.ApplyCommitEvent, r.onCheckpoint)
 		if ctx.Err() != nil {
 			return
 		}
@@ -501,36 +540,6 @@ func (r *Replica) tailLoop(ctx context.Context) {
 		case <-time.After(bootstrapBackoff):
 		case <-ctx.Done():
 			return
-		}
-	}
-}
-
-// pollLoop fetches quorum certificates and cross-checks the re-execution.
-func (r *Replica) pollLoop(ctx context.Context) {
-	defer r.wg.Done()
-	ticker := time.NewTicker(r.cfg.PollInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			return
-		}
-		wire, err := r.cli.Checkpoint(ctx)
-		if err != nil {
-			continue // none certified yet, or transient
-		}
-		cert, err := rpcapi.CertFromWire(wire)
-		if err != nil {
-			r.logger.Warn("malformed certificate", "err", err)
-			continue
-		}
-		if err := r.cfg.Verifier.VerifyCert(cert); err != nil {
-			r.logger.Warn("certificate rejected", "err", err)
-			continue
-		}
-		if err := r.CrossCheck(cert); err != nil {
-			return // poisoned
 		}
 	}
 }

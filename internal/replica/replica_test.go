@@ -388,3 +388,158 @@ func TestReplicaReleasesViewsAtPromotion(t *testing.T) {
 		t.Fatal("a certificate contradicting the re-execution did not poison the replica")
 	}
 }
+
+// pushed is the stream frame a validator gateway sends for cert.
+func pushed(cert *checkpoint.Certificate) rpcapi.CheckpointCert { return rpcapi.CertToWire(cert) }
+
+// TestReplicaHoldsPushedCertificateUntilApplied: a certificate the stream
+// pushes ahead of the replica's re-execution is held, not dropped, and
+// promoted the moment the replica applies the sequence it certifies; a newer
+// one pushed meanwhile replaces it.
+func TestReplicaHoldsPushedCertificateUntilApplied(t *testing.T) {
+	h := newHarness(t)
+	h.commit(execution.PutOp([]byte("k"), []byte("v1")))
+	h.certify(t, 3)
+	blob, _ := h.producer.CertifiedSnapshotBlob()
+	r := h.newReplica(t)
+	if err := r.BootstrapFromBlob(blob); err != nil {
+		t.Fatal(err)
+	}
+	ev2 := h.commit(execution.PutOp([]byte("k"), []byte("v2")))
+	cert2, _ := h.certify(t, 3)
+	ev3 := h.commit(execution.PutOp([]byte("k"), []byte("v3")))
+	ev4 := h.commit(execution.PutOp([]byte("k"), []byte("v4")))
+	cert4, _ := h.certify(t, 3)
+
+	if err := r.onCheckpoint(pushed(cert2)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.Certificate(); got.Meta.CommitSeq != 1 {
+		t.Fatalf("certified seq %d before the replica re-executed seq 2", got.Meta.CommitSeq)
+	}
+	if err := r.ApplyCommitEvent(ev2); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.Certificate(); got.Meta.CommitSeq != 2 {
+		t.Fatalf("held certificate not promoted when seq 2 was applied (certified %d)", got.Meta.CommitSeq)
+	}
+
+	// Two pushed ahead: the newer replaces the older.
+	if err := r.onCheckpoint(pushed(cert4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []rpcapi.CommitEvent{ev3, ev4} {
+		if err := r.ApplyCommitEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := r.Certificate(); got.Meta.CommitSeq != 4 {
+		t.Fatalf("certified seq %d after applying seq 4, want 4", got.Meta.CommitSeq)
+	}
+	if v, _ := provenValue(t, r, "k"); v != "v4" {
+		t.Fatalf("proven k = %q, want v4", v)
+	}
+}
+
+// provenValue verifies one proof-carrying read off the replica.
+func provenValue(t *testing.T, r *Replica, key string) (string, uint64) {
+	t.Helper()
+	pr, ok := r.ProvenRead([]byte(key))
+	if !ok {
+		t.Fatal("no proven read")
+	}
+	root, entry, err := pr.Proof.Verify([]byte(key))
+	if err != nil || execution.StateDigestFrom(pr.Version, pr.Opaque, root) != pr.Cert.Meta.StateDigest {
+		t.Fatalf("proof does not reproduce the certified digest (err %v)", err)
+	}
+	return string(entry.Value), pr.Cert.Meta.CommitSeq
+}
+
+// TestReplicaDropsForgedPushedCertificate: a pushed frame that is not a
+// valid quorum certificate — malformed, short of a quorum, or with a broken
+// signature — proves nothing about the stream. It is dropped without
+// poisoning the replica or stopping the stream, and the genuine certificate
+// that follows still promotes.
+func TestReplicaDropsForgedPushedCertificate(t *testing.T) {
+	h := newHarness(t)
+	h.commit(execution.PutOp([]byte("k"), []byte("v1")))
+	h.certify(t, 3)
+	blob, _ := h.producer.CertifiedSnapshotBlob()
+	r := h.newReplica(t)
+	if err := r.BootstrapFromBlob(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ApplyCommitEvent(h.commit(execution.PutOp([]byte("k"), []byte("v2")))); err != nil {
+		t.Fatal(err)
+	}
+	genuine, _ := h.certify(t, 3)
+
+	badSig := pushed(genuine)
+	badSig.Sigs = append([]rpcapi.CheckpointSig(nil), badSig.Sigs...)
+	badSig.Sigs[0].Signature = append([]byte(nil), badSig.Sigs[0].Signature...)
+	badSig.Sigs[0].Signature[0] ^= 0xff
+	short := pushed(genuine)
+	short.Sigs = short.Sigs[:2]
+	// A forged tuple: what the replica re-executed is not what it claims.
+	lie := pushed(genuine)
+	lie.StateDigest = rpcapi.DigestToHex(types.HashBytes([]byte("lie")))
+	malformed := pushed(genuine)
+	malformed.StateRoot = "not hex"
+	for name, frame := range map[string]rpcapi.CheckpointCert{
+		"broken signature": badSig, "sub-quorum": short, "forged tuple": lie, "malformed": malformed,
+	} {
+		if err := r.onCheckpoint(frame); err != nil {
+			t.Fatalf("%s: stopped the stream: %v", name, err)
+		}
+		if r.Err() != nil {
+			t.Fatalf("%s: poisoned the replica: %v", name, r.Err())
+		}
+		if got, _ := r.Certificate(); got.Meta.CommitSeq != 1 {
+			t.Fatalf("%s: promoted (certified seq %d)", name, got.Meta.CommitSeq)
+		}
+	}
+	if err := r.onCheckpoint(pushed(genuine)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.Certificate(); got.Meta.CommitSeq != 2 {
+		t.Fatalf("the genuine certificate after the forgeries did not promote (certified %d)", got.Meta.CommitSeq)
+	}
+}
+
+// TestReplicaPoisonedByPushedContradiction: a valid quorum certificate that
+// contradicts the replica's re-execution still poisons it and stops the
+// stream, whether it arrives after the sequence was applied or is held until
+// the tampered commit arrives.
+func TestReplicaPoisonedByPushedContradiction(t *testing.T) {
+	for _, held := range []bool{false, true} {
+		h := newHarness(t)
+		h.commit(execution.PutOp([]byte("k"), []byte("honest")))
+		h.certify(t, 3)
+		blob, _ := h.producer.CertifiedSnapshotBlob()
+		r := h.newReplica(t)
+		if err := r.BootstrapFromBlob(blob); err != nil {
+			t.Fatal(err)
+		}
+		tampered := h.commit(execution.PutOp([]byte("k"), []byte("honest-2")))
+		tampered.Payloads = [][]byte{execution.PutOp([]byte("k"), []byte("EVIL"))}
+		cert, _ := h.certify(t, 3)
+		var err error
+		if held {
+			if err = r.onCheckpoint(pushed(cert)); err != nil {
+				t.Fatalf("a certificate ahead of the re-execution stopped the stream: %v", err)
+			}
+			err = r.ApplyCommitEvent(tampered)
+		} else {
+			if err = r.ApplyCommitEvent(tampered); err != nil {
+				t.Fatal(err)
+			}
+			err = r.onCheckpoint(pushed(cert))
+		}
+		if err == nil || r.Err() == nil || !strings.Contains(err.Error(), "DIVERGENCE") {
+			t.Fatalf("held=%v: contradiction returned %v, replica error %v", held, err, r.Err())
+		}
+		if _, ok := r.ProvenRead([]byte("k")); ok {
+			t.Fatalf("held=%v: poisoned replica serves proven reads", held)
+		}
+	}
+}

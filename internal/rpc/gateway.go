@@ -86,7 +86,9 @@ type Config struct {
 	// 501; ok=false (no certificate yet) answers 503.
 	ProvenRead func(key []byte) (execution.ProvenKV, bool)
 	// Checkpoint serves GET /v1/checkpoint: the newest quorum checkpoint
-	// certificate this node holds. nil answers 501; ok=false 404.
+	// certificate this node holds. nil answers 501; ok=false 404. ?full=1
+	// commit streams push it too: on connect, then after each
+	// ObserveCheckpoint that finds a newer one.
 	Checkpoint func() (*checkpoint.Certificate, bool)
 	// SnapshotBlob serves GET /v1/snapshot: the raw wire encoding
 	// (execution.EncodeSnapshot) of the newest CERTIFIED checkpoint, the blob
@@ -122,12 +124,15 @@ type Gateway struct {
 	// Commit history for SSE resume. mu/cond guard it and wake streaming
 	// subscribers; ObserveCommit is the only writer, and appends are O(1)
 	// amortized — this runs on the node's commit-delivery goroutine.
-	mu      sync.Mutex
-	cond    *sync.Cond
-	ring    *commitRing // guarded by mu
-	lastSeq uint64      // guarded by mu
-	commits uint64      // guarded by mu
-	closed  bool        // guarded by mu
+	// checkpoints counts ObserveCheckpoint calls, so a full stream parked in
+	// the wait knows to look for a newer certificate.
+	mu          sync.Mutex
+	cond        *sync.Cond
+	ring        *commitRing // guarded by mu
+	lastSeq     uint64      // guarded by mu
+	commits     uint64      // guarded by mu
+	checkpoints uint64      // guarded by mu
+	closed      bool        // guarded by mu
 
 	// writeTimeout is streamWriteTimeout; a field so a test can shorten it
 	// before Start.
@@ -287,6 +292,18 @@ func (g *Gateway) ObserveEvent(ev CommitEvent) {
 		g.historyEvents.Set(int64(n))
 		g.historyBytesMet.Set(int64(held))
 	}
+}
+
+// ObserveCheckpoint wakes ?full=1 subscribers to push the newest checkpoint
+// certificate (Config.Checkpoint) if it is newer than the last one each has
+// sent. Validators call it when their engine attaches a certificate,
+// replicas when they promote one; it takes the gateway's lock for an
+// increment and nothing slower.
+func (g *Gateway) ObserveCheckpoint() {
+	g.mu.Lock()
+	g.checkpoints++
+	g.mu.Unlock()
+	g.cond.Broadcast()
 }
 
 // counted wraps a handler with the request counter.
@@ -564,8 +581,11 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 // the stream starts at the live tail. A resume point older than the retained
 // ring — on connect, or because the subscriber fell behind the ring's bounds
 // mid-stream — yields a gap event, then streaming continues from the oldest
-// retained commit. A subscriber that stops reading is disconnected after
-// streamWriteTimeout.
+// retained commit. A ?full=1 stream also carries checkpoint events: the
+// newest quorum certificate on connect and each newer one as the node
+// attaches it, after the commits already due. They have no id, so they never
+// move a reconnecting client's resume point. A subscriber that stops reading
+// is disconnected after streamWriteTimeout.
 func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, SubmitError{Error: "GET only"})
@@ -610,12 +630,18 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 	// streamBatch events' payloads outside the ring's budget.
 	batch := make([]CommitEvent, 0, streamBatch)
 	g.mu.Lock()
+	// A full stream pushes certificates: sentCert is the commit seq of the
+	// last one it sent, and certDue says ObserveCheckpoint ran since it last
+	// looked (and on connect). Called with g.mu held.
+	var sentCert uint64
+	seenCheckpoints := g.checkpoints - 1
+	certDue := func() bool { return full && seenCheckpoints != g.checkpoints }
 	next := g.lastSeq + 1 // live tail by default
 	if fromSet {
 		next = from + 1
 	}
 	for {
-		for !g.closed && ctx.Err() == nil && g.lastSeq < next {
+		for !g.closed && ctx.Err() == nil && g.lastSeq < next && !certDue() {
 			g.cond.Wait()
 		}
 		if g.closed || ctx.Err() != nil {
@@ -629,6 +655,8 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 		if len(batch) > 0 {
 			next = batch[len(batch)-1].Seq + 1
 		}
+		pushCert := certDue()
+		seenCheckpoints = g.checkpoints
 		g.mu.Unlock()
 
 		err := rc.SetWriteDeadline(time.Now().Add(g.writeTimeout))
@@ -636,7 +664,7 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 			// The gap frame's id is Oldest-1: a client reconnecting with
 			// Last-Event-ID after seeing only the gap must still receive the
 			// commit at Oldest (id semantics are "last seq caught up to").
-			err = writeEvent(w, "gap", gapOldest-1, GapEvent{Oldest: gapOldest})
+			err = writeEvent(w, "gap", strconv.FormatUint(gapOldest-1, 10), GapEvent{Oldest: gapOldest})
 		}
 		for i := 0; err == nil && i < len(batch); i++ {
 			if !full {
@@ -647,7 +675,13 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 					batch[i].StateRoot = hex.EncodeToString(root[:])
 				}
 			}
-			err = writeEvent(w, "commit", batch[i].Seq, batch[i])
+			err = writeEvent(w, "commit", strconv.FormatUint(batch[i].Seq, 10), batch[i])
+		}
+		if err == nil && pushCert && g.cfg.Checkpoint != nil {
+			if cert, ok := g.cfg.Checkpoint(); ok && cert.Meta.CommitSeq > sentCert {
+				sentCert = cert.Meta.CommitSeq
+				err = writeEvent(w, "checkpoint", "", rpcapi.CertToWire(cert))
+			}
 		}
 		if err == nil {
 			err = rc.Flush()
@@ -680,12 +714,18 @@ func resumePoint(r *http.Request) (seq uint64, set bool, err error) {
 	return seq, true, nil
 }
 
-// writeEvent emits one SSE frame: id, event name, JSON data.
-func writeEvent(w http.ResponseWriter, name string, id uint64, v any) error {
+// writeEvent emits one SSE frame: id (none when empty), event name, JSON
+// data.
+func writeEvent(w http.ResponseWriter, name, id string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, name, data)
+	if id != "" {
+		if _, err := fmt.Fprintf(w, "id: %s\n", id); err != nil {
+			return err
+		}
+	}
+	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
 	return err
 }

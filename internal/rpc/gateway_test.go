@@ -248,8 +248,13 @@ func openStream(t *testing.T, base string, from string) *sseClient {
 // timeout via the response deadline-less read — callers keep events flowing.
 func (c *sseClient) next(t *testing.T) (string, []byte) {
 	t.Helper()
-	var name string
-	var data []byte
+	name, _, data := c.frame(t)
+	return name, data
+}
+
+// frame reads one event with its id line ("" when it has none).
+func (c *sseClient) frame(t *testing.T) (name, id string, data []byte) {
+	t.Helper()
 	for {
 		line, err := c.reader.ReadString('\n')
 		if err != nil {
@@ -257,12 +262,14 @@ func (c *sseClient) next(t *testing.T) (string, []byte) {
 		}
 		line = strings.TrimRight(line, "\n")
 		switch {
+		case strings.HasPrefix(line, "id: "):
+			id = strings.TrimPrefix(line, "id: ")
 		case strings.HasPrefix(line, "event: "):
 			name = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
 			data = []byte(strings.TrimPrefix(line, "data: "))
 		case line == "" && data != nil:
-			return name, data
+			return name, id, data
 		}
 	}
 }

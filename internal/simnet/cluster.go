@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hammerhead/internal/bullshark"
+	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/core"
 	"hammerhead/internal/crypto"
 	"hammerhead/internal/engine"
@@ -152,6 +153,8 @@ type recorder struct {
 func (r recorder) Inserted(cert *engine.Certificate) { r.c.record(r.id, walRecord{cert: cert}) }
 func (r recorder) Proposed(h *engine.Header)         { r.c.record(r.id, walRecord{proposal: h}) }
 func (r recorder) Certified(*engine.Certificate)     {}
+
+func (r recorder) CheckpointCertified(*checkpoint.Certificate) {}
 
 // record appends to a validator's log while it is live; recovery replays
 // the log and must not record it again.

@@ -54,32 +54,64 @@ func snapshotFileName(commitSeq uint64) string {
 	return fmt.Sprintf("checkpoint-%020d.snap", commitSeq)
 }
 
-// Save implements execution.SnapshotStore: atomic temp-write-rename, then
-// retention pruning. A crash at any point leaves either the old set or the
-// old set plus the complete new file.
-func (s *SnapshotStore) Save(snap execution.Snapshot) error {
+// Save implements execution.SnapshotStore: write a temp file and fsync it,
+// rename it into place and fsync the directory, then prune. A crash at any
+// point leaves either the old set or the old set plus the complete new file,
+// and once Save returns the new file survives a power loss — what the WAL
+// compaction it unlocks relies on.
+func (s *SnapshotStore) Save(seq uint64, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	body, err := execution.EncodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
-	framed := make([]byte, 8+len(body))
-	binary.BigEndian.PutUint32(framed[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(framed[4:8], crc32.Checksum(body, _crcTable))
-	copy(framed[8:], body)
+	framed := make([]byte, 8+len(blob))
+	binary.BigEndian.PutUint32(framed[:4], uint32(len(blob)))
+	binary.BigEndian.PutUint32(framed[4:8], crc32.Checksum(blob, _crcTable))
+	copy(framed[8:], blob)
 
-	final := filepath.Join(s.dir, snapshotFileName(snap.CommitSeq))
+	final := filepath.Join(s.dir, snapshotFileName(seq))
 	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, framed, 0o644); err != nil {
+	if err := writeSynced(tmp, framed); err != nil {
+		_ = os.Remove(tmp)
 		return fmt.Errorf("storage: writing snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("storage: publishing snapshot: %w", err)
 	}
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("storage: publishing snapshot: %w", err)
+	}
 	s.pruneLocked()
 	return nil
+}
+
+// writeSynced writes data to a new file at path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		_ = d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // pruneLocked removes everything but the newest retain snapshots (and any

@@ -23,6 +23,15 @@ func testSnapshot(seq uint64, round types.Round) execution.Snapshot {
 	}
 }
 
+// save hands the store a snapshot the way the executor does: encoded.
+func save(store *SnapshotStore, snap execution.Snapshot) error {
+	blob, err := execution.EncodeSnapshot(snap)
+	if err != nil {
+		return err
+	}
+	return store.Save(snap.CommitSeq, blob)
+}
+
 func TestSnapshotStoreRoundTrip(t *testing.T) {
 	store, err := NewSnapshotStore(filepath.Join(t.TempDir(), "snaps"), 0)
 	if err != nil {
@@ -32,7 +41,7 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 		t.Fatal("empty store must report no snapshot")
 	}
 	want := testSnapshot(7, 40)
-	if err := store.Save(want); err != nil {
+	if err := save(store, want); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := store.Latest()
@@ -58,7 +67,7 @@ func TestSnapshotStoreRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := store.Save(testSnapshot(seq, types.Round(seq*10))); err != nil {
+		if err := save(store, testSnapshot(seq, types.Round(seq*10))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,10 +90,10 @@ func TestSnapshotStoreSkipsCorruptLatest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(testSnapshot(1, 10)); err != nil {
+	if err := save(store, testSnapshot(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(testSnapshot(2, 20)); err != nil {
+	if err := save(store, testSnapshot(2, 20)); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the newest file: the store must fall back to the predecessor.
@@ -109,7 +118,7 @@ func TestSnapshotStorePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(testSnapshot(3, 30)); err != nil {
+	if err := save(store, testSnapshot(3, 30)); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := NewSnapshotStore(dir, 0)

@@ -172,7 +172,11 @@ func (t *TCPTransport) Close() error {
 // ---- outbound ----
 
 // sendLoop owns one peer's connection: dial (with redial on failure), write
-// the handshake, then drain the queue.
+// the handshake, then drain the queue. The frame in hand is kept through
+// failed dials and retried once the peer is reachable: every cold start has
+// validators sending their first headers and votes to peers that bind a few
+// milliseconds later. Only the queue bound drops frames (drop-newest, in
+// enqueue).
 func (t *TCPTransport) sendLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	var conn net.Conn
@@ -201,16 +205,14 @@ func (t *TCPTransport) sendLoop(p *tcpPeer) {
 						return
 					}
 					redial = min(2*redial, _redialMax)
-					// Drop this frame after a failed dial window; newer
-					// traffic supersedes it and resync fills gaps.
-					break
+					continue // keep the frame; redial
 				}
 				conn, redial = c, _redialMin
 			}
 			if _, err := conn.Write(frame); err != nil {
 				_ = conn.Close()
 				conn = nil
-				continue // redial and retry once with the same frame
+				continue // redial and retry the same frame
 			}
 			break
 		}

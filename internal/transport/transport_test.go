@@ -371,7 +371,7 @@ func TestTCPRedialsQuicklyAfterPeerAppears(t *testing.T) {
 	defer sender.Close()
 
 	start := time.Now()
-	if err := sender.Send(1, voteMsg(0, 0)); err != nil { // nobody listens: dropped
+	if err := sender.Send(1, voteMsg(0, 0)); err != nil { // nobody listens: held while the send loop redials
 		t.Fatal(err)
 	}
 	time.Sleep(time.Until(start.Add(100 * time.Millisecond)))
@@ -547,8 +547,8 @@ func TestTCPPeerRestartResumesDelivery(t *testing.T) {
 
 // TestTCPSaturatedPeerDropsNewest pins the backpressure contract at a dead
 // peer: sends past the outbound queue bound return immediately (drop-newest,
-// never block), and once the peer appears only the oldest ~SendQueueLen
-// frames are delivered.
+// never block), and once the peer appears only the oldest SendQueueLen+1
+// frames are delivered — the queue's, and the one the send loop holds.
 func TestTCPSaturatedPeerDropsNewest(t *testing.T) {
 	late := newCollector()
 	// Reserve an address that is not listening yet.
@@ -598,31 +598,71 @@ func TestTCPSaturatedPeerDropsNewest(t *testing.T) {
 
 	late.waitFor(t, 1, 15*time.Second)
 	// Give the queue time to drain, then check the drop side by counting. The
-	// queue never holds more than SendQueueLen frames, so no more can arrive.
-	// Which frames those are is not fixed by number: each time the send loop
-	// pops a frame for a dial attempt — at once, then once per redial delay —
-	// a slot frees up, and if the burst is still running the frame being sent
-	// at that instant takes it, whatever its number (drop-newest drops what
-	// finds the queue full, and that one did not). So frames from the
-	// overflow half can survive, but only one per dial window the burst
-	// overlapped: a handful, where a broken bound would deliver thousands.
-	// The redial delay backs off — 10 ms doubling to a 500 ms cap — so the
-	// windows open at 0, 10, 30, 70, 150, 310 and 630 ms, then every 500 ms.
+	// send loop holds one frame through its failed dials and the queue holds
+	// SendQueueLen more, so no more can arrive. The held frame is the first
+	// one sent unless the burst filled the queue before the loop popped it;
+	// then the pop freed one slot, and whichever frame was being sent at that
+	// instant took it. So at most one frame from the overflow half survives,
+	// where a broken bound would deliver thousands.
 	time.Sleep(2 * time.Second)
 	late.mu.Lock()
 	defer late.mu.Unlock()
-	if len(late.msgs) > transport.SendQueueLen {
-		t.Fatalf("delivered %d > queue bound %d: overflow was not dropped", len(late.msgs), transport.SendQueueLen)
+	if len(late.msgs) > transport.SendQueueLen+1 {
+		t.Fatalf("delivered %d > queue bound %d + the held frame: overflow was not dropped", len(late.msgs), transport.SendQueueLen)
 	}
-	const dialWindows = 16 // the burst may take 5 s: 7 windows by 630 ms, 8 more by 4630 ms, one spare
 	overflow := 0
 	for _, r := range late.msgs {
 		if r.msg.Vote.Round >= types.Round(transport.SendQueueLen) {
 			overflow++
 		}
 	}
-	if overflow > dialWindows {
-		t.Fatalf("%d of %d delivered frames were sent after the queue filled, want at most one per dial window (%d): drop-newest violated",
-			overflow, len(late.msgs), dialWindows)
+	if overflow > 1 {
+		t.Fatalf("%d of %d delivered frames were sent after the queue filled, want at most one: drop-newest violated",
+			overflow, len(late.msgs))
+	}
+}
+
+// TestTCPFrameSentBeforePeerBindsArrives: the first frame to a peer that has
+// not bound yet — a validator's first header or vote at a cold start — is
+// held through the failed dials and delivered once the peer binds, not
+// dropped with the first failed dial.
+func TestTCPFrameSentBeforePeerBindsArrives(t *testing.T) {
+	probe, err := transport.NewTCP(transport.TCPConfig{
+		Self: 1, ListenAddr: "127.0.0.1:0",
+		PeerAddrs: map[types.ValidatorID]string{},
+		Handler:   newCollector().handler,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateAddr := probe.Addr()
+	_ = probe.Close()
+
+	sender, err := transport.NewTCP(transport.TCPConfig{
+		Self: 0, ListenAddr: "127.0.0.1:0",
+		PeerAddrs: map[types.ValidatorID]string{1: lateAddr},
+		Handler:   newCollector().handler,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	if err := sender.Send(1, voteMsg(0, 42)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // several failed dials
+	late := newCollector()
+	peer, err := transport.NewTCP(transport.TCPConfig{
+		Self: 1, ListenAddr: lateAddr,
+		PeerAddrs: map[types.ValidatorID]string{},
+		Handler:   late.handler,
+	})
+	if err != nil {
+		t.Fatalf("late peer failed to bind %s: %v", lateAddr, err)
+	}
+	defer peer.Close()
+	got := late.waitFor(t, 1, 5*time.Second)
+	if got[0].msg.Vote.Round != 42 {
+		t.Fatalf("received round %d, want the frame sent before the bind (42)", got[0].msg.Vote.Round)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/core"
 	"hammerhead/internal/crypto"
 	"hammerhead/internal/engine"
@@ -20,6 +21,8 @@ type events struct {
 
 func (e *events) Inserted(*engine.Certificate)  {}
 func (e *events) Certified(*engine.Certificate) {}
+
+func (e *events) CheckpointCertified(*checkpoint.Certificate) {}
 func (e *events) Proposed(h *engine.Header) {
 	e.log = append(e.log, "proposed")
 	e.proposed = append(e.proposed, h)

@@ -470,6 +470,12 @@ func (c *Client) verifiedGet(ctx context.Context, base string, v *Verifier, key 
 // the stream and is returned from StreamCommits.
 type CommitHandler func(ev rpcapi.CommitEvent) error
 
+// CheckpointHandler observes one checkpoint certificate a full stream pushes,
+// exactly as the gateway sent it: nothing about it is verified yet (use
+// rpcapi.CertFromWire and a Verifier). Returning an error stops the stream,
+// like a CommitHandler's.
+type CheckpointHandler func(cert rpcapi.CheckpointCert) error
+
 // StreamCommits subscribes to the commit stream, resuming after fromSeq
 // (0 starts at the live tail of the first connection). The subscription
 // reconnects with failover on broken streams, resuming from the last seen
@@ -477,17 +483,19 @@ type CommitHandler func(ev rpcapi.CommitEvent) error
 // out of the gateway's ring) are folded in transparently: streaming continues
 // from the oldest retained commit.
 func (c *Client) StreamCommits(ctx context.Context, fromSeq uint64, fn CommitHandler) error {
-	return c.streamCommits(ctx, fromSeq, false, fn)
+	return c.streamCommits(ctx, fromSeq, false, fn, nil)
 }
 
 // StreamCommitsFull is StreamCommits with ?full=1: events carry the commit
 // digest and the full transaction payloads in application order — the
-// re-execution feed read replicas tail.
-func (c *Client) StreamCommitsFull(ctx context.Context, fromSeq uint64, fn CommitHandler) error {
-	return c.streamCommits(ctx, fromSeq, true, fn)
+// re-execution feed read replicas tail — and the gateway pushes its newest
+// checkpoint certificate to onCert (nil skips them): on every connect, then
+// each newer one as the node attaches it.
+func (c *Client) StreamCommitsFull(ctx context.Context, fromSeq uint64, fn CommitHandler, onCert CheckpointHandler) error {
+	return c.streamCommits(ctx, fromSeq, true, fn, onCert)
 }
 
-func (c *Client) streamCommits(ctx context.Context, fromSeq uint64, full bool, fn CommitHandler) error {
+func (c *Client) streamCommits(ctx context.Context, fromSeq uint64, full bool, fn CommitHandler, onCert CheckpointHandler) error {
 	last := fromSeq
 	seen := fromSeq > 0
 	endpoint := int(c.next.Add(1) - 1)
@@ -496,7 +504,7 @@ func (c *Client) streamCommits(ctx context.Context, fromSeq uint64, full bool, f
 			return err
 		}
 		base := c.bases[endpoint%len(c.bases)]
-		err := c.streamOnce(ctx, base, full, &last, &seen, fn)
+		err := c.streamOnce(ctx, base, full, &last, &seen, fn, onCert)
 		switch {
 		case err == nil:
 			return nil // handler asked to stop
@@ -524,7 +532,7 @@ func (e errStopStream) Error() string { return e.err.Error() }
 
 // streamOnce runs a single SSE connection until it breaks (error) or the
 // handler stops it (nil).
-func (c *Client) streamOnce(ctx context.Context, base string, full bool, last *uint64, seen *bool, fn CommitHandler) error {
+func (c *Client) streamOnce(ctx context.Context, base string, full bool, last *uint64, seen *bool, fn CommitHandler, onCert CheckpointHandler) error {
 	params := url.Values{}
 	if *seen {
 		params.Set("from", strconv.FormatUint(*last, 10))
@@ -563,7 +571,8 @@ func (c *Client) streamOnce(ctx context.Context, base string, full bool, last *u
 		case strings.HasPrefix(line, "data: "):
 			data = []byte(strings.TrimPrefix(line, "data: "))
 		case line == "" && data != nil:
-			if event == "commit" {
+			switch event {
+			case "commit":
 				var ev rpcapi.CommitEvent
 				if err := json.Unmarshal(data, &ev); err == nil {
 					*last, *seen = ev.Seq, true
@@ -571,9 +580,16 @@ func (c *Client) streamOnce(ctx context.Context, base string, full bool, last *u
 						return errStopStream{err: err}
 					}
 				}
+			case "checkpoint":
+				var cert rpcapi.CheckpointCert
+				if err := json.Unmarshal(data, &cert); err == nil && onCert != nil {
+					if err := onCert(cert); err != nil {
+						return errStopStream{err: err}
+					}
+				}
 			}
 			// Gap events only move the resume cursor implicitly: the next
-			// commit event's Seq does that for us.
+			// commit event's Seq does that for us. Unknown events are skipped.
 			event, data = "", nil
 		}
 	}

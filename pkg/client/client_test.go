@@ -50,6 +50,13 @@ func (s *stubGateway) handler() http.Handler {
 			data, _ := json.Marshal(rpcapi.CommitEvent{Seq: seq, Round: seq * 2, TxCount: 1})
 			fmt.Fprintf(w, "id: %d\nevent: commit\ndata: %s\n\n", seq, data)
 		}
+		if r.URL.Query().Get("full") == "1" {
+			// A full stream pushes the newest certificate (no id) and may
+			// carry events this client does not know.
+			data, _ := json.Marshal(rpcapi.CheckpointCert{CommitSeq: from + 2})
+			fmt.Fprintf(w, "event: checkpoint\ndata: %s\n\n", data)
+			fmt.Fprintf(w, "event: from-the-future\ndata: {}\n\n")
+		}
 		flusher.Flush()
 		// Break the stream after three events: the client must reconnect and
 		// resume from the last seen sequence.
@@ -166,5 +173,39 @@ func TestClientRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Endpoints: []string{"://bad"}}); err == nil {
 		t.Fatal("bad endpoint must fail")
+	}
+}
+
+// TestClientFullStreamDeliversCheckpoints: StreamCommitsFull hands pushed
+// certificates to its checkpoint handler, in stream order, without moving
+// the resume point, skips events it does not know, and stops when the
+// checkpoint handler errors.
+func TestClientFullStreamDeliversCheckpoints(t *testing.T) {
+	gw := &stubGateway{}
+	srv := httptest.NewServer(gw.handler())
+	defer srv.Close()
+	c, err := New(Config{Endpoints: []string{srv.URL}, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var log []string
+	wantStop := errors.New("enough")
+	err = c.StreamCommitsFull(ctx, 0, func(ev rpcapi.CommitEvent) error {
+		log = append(log, fmt.Sprintf("c%d", ev.Seq))
+		return nil
+	}, func(cert rpcapi.CheckpointCert) error {
+		log = append(log, fmt.Sprintf("k%d", cert.CommitSeq))
+		if len(log) == 8 {
+			return wantStop
+		}
+		return nil
+	})
+	if !errors.Is(err, wantStop) {
+		t.Fatalf("stream err = %v, want the checkpoint handler's stop", err)
+	}
+	if got := fmt.Sprint(log); got != "[c1 c2 c3 k2 c4 c5 c6 k5]" {
+		t.Fatalf("stream delivered %s", got)
 	}
 }
