@@ -68,12 +68,15 @@ bench-smoke:
 # heap of a paper-sized fault run (n=50, 16 crashed) stays under its budgets
 # halfway and at the end, a small fault run reproduces its pinned
 # commit-stream hash, a serving validator's gateway and executor retain no
-# more after 1000 commits than after 200, and the DAG's tag-scan lookups
-# answer as the digest index they replaced did.
+# more after 1000 commits than after 200, the DAG's tag-scan lookups
+# answer as the digest index they replaced did, and a burst of full batches
+# drains at certification pace and, with a validator stalled, loses and
+# duplicates nothing.
 sim-mem:
 	go test -run 'TestFaultRunRetainedHeap|TestFaultRunResultsPinned' ./internal/experiment/
 	go test -run TestServingRetainedHeapFollowsState ./internal/rpc/
 	go test -run TestDigestLookupsMatchIndexModel ./internal/dag/
+	go test -run 'TestBurstDrainsAtCertificationPace|TestBurstSurvivesAStalledValidator' ./internal/simnet/
 
 clean:
 	rm -rf bin hammerlint

@@ -208,6 +208,7 @@ func serve(nd *node.Node, logger *slog.Logger, reg *metrics.Registry, metricsAdd
 				"ordered_vertices", cs.OrderedVertices,
 				"skipped", cs.SkippedAnchors,
 				"timeouts", c.LeaderTimeouts,
+				"full_early", c.HeadersFullEarly,
 				"pending_tx", nd.Pool().Pending(),
 				"preverified", pv.Checked-pv.Dropped,
 				"dropped", pv.Dropped)

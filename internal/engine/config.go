@@ -8,13 +8,15 @@ import (
 // Config holds the engine's protocol parameters. Zero value is invalid; use
 // DefaultConfig as a base.
 type Config struct {
-	// MinRoundDelay paces header proposals: a validator proposes round r+1
-	// no earlier than MinRoundDelay after it proposed round r, unless
-	// certificates worth f+1 stake already exist at r+1 (it is late; see
-	// Engine.pacingOpen). A floor on the round time, bounding the round rate
-	// and batching transactions — Narwhal's min_header_delay, not its
-	// max_header_delay: nothing here forces a header out, a round still
-	// waits for its quorum of certificates. 0 disables pacing.
+	// MinRoundDelay paces partly filled headers: a validator proposes round
+	// r+1 no earlier than MinRoundDelay after it proposed round r, unless
+	// certificates worth f+1 stake already exist at r+1 (it is late), or it
+	// holds MaxBatchTx transactions and every validator's round-r certificate
+	// (a full batch has nothing left to wait for; see Engine.pacingOpen). A
+	// floor on the round time that batches transactions — Narwhal's
+	// min_header_delay, not its max_header_delay: nothing here forces a
+	// header out, a round still waits for its quorum of certificates. 0
+	// disables pacing.
 	MinRoundDelay time.Duration
 	// LeaderTimeout bounds the wait for the anchor certificate when leaving
 	// an anchor round. This is the cost a crashed leader inflicts per anchor
@@ -22,8 +24,10 @@ type Config struct {
 	LeaderTimeout time.Duration
 	// ResyncInterval paces re-requests for still-missing parent certificates.
 	ResyncInterval time.Duration
-	// MaxBatchTx caps transactions per header; together with the round rate
-	// it bounds per-validator throughput capacity.
+	// MaxBatchTx caps transactions per header, and a header's worth of them
+	// lifts the MinRoundDelay floor. So while the whole committee keeps up
+	// it is no throughput cap: under backlog, full headers go out at the
+	// pace of certification.
 	MaxBatchTx int
 	// VerifySignatures enables full signature verification on headers,
 	// votes and certificates. Simulations of crash-only deployments disable

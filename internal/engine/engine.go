@@ -20,6 +20,9 @@ type BatchProvider interface {
 	// NextBatch returns at most maxTx transactions, or nil for an empty
 	// header. Returned transactions are considered in-flight.
 	NextBatch(nowNanos int64, maxTx int) *types.Batch
+	// Pending is how many transactions NextBatch would hand out if asked for
+	// all of them.
+	Pending() int
 }
 
 // Observer sees what a validator must record or announce about itself: every
@@ -126,6 +129,9 @@ type Stats struct {
 	// twice counts twice).
 	HeadersAbandoned uint64
 	TxCarried        uint64
+	// Own headers proposed because a full batch opened the pacing gate while
+	// neither MinRoundDelay nor the f+1 rule had (see pacingOpen).
+	HeadersFullEarly uint64
 	// Own certified vertices dropped below the pruning floor without ever
 	// having been ordered, and the transactions in them: acknowledged writes
 	// that will never commit. Peers reference a vertex only while they are in
@@ -1176,7 +1182,11 @@ func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 		if !e.dagStore.HasQuorumAt(e.round) {
 			return
 		}
-		if !e.ownCertFormed || !e.pacingOpen() {
+		if !e.ownCertFormed {
+			return
+		}
+		open, fullEarly := e.pacingOpen()
+		if !open {
 			return
 		}
 		behind := e.dagStore.HighestRound() > e.round
@@ -1192,22 +1202,45 @@ func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 				}
 			}
 		}
+		if fullEarly {
+			e.stats.HeadersFullEarly++
+		}
 		e.propose(e.round+1, nowNanos, out)
 	}
 }
 
 // pacingOpen reports whether header pacing lets this validator leave its
-// round. MinRoundDelay since its own last proposal always opens the gate.
-// So do certificates worth f+1 stake at the next round: one of them is an
-// honest validator's, which paced itself into that round, so following it
-// keeps the committee's round rate at the floor — while a validator that fell
-// behind re-aligns within a round trip instead of staying late by the same
-// amount forever (its timer restarts from its own, late, proposal), until
-// its certificates miss every next round's parent set. Stake of f or less
-// ahead moves nobody: a fast or Byzantine minority cannot un-pace the rest.
-func (e *Engine) pacingOpen() bool {
-	return e.roundDelayOK ||
-		e.dagStore.RoundStake(e.round+1) >= e.committee.ValidityThreshold()
+// round, and whether only a full batch opened it. MinRoundDelay since its own
+// last proposal always opens the gate. So do certificates worth f+1 stake at
+// the next round: one of them is an honest validator's, which paced itself
+// into that round, so following it keeps the committee's round rate at the
+// floor — while a validator that fell behind re-aligns within a round trip
+// instead of staying late by the same amount forever (its timer restarts from
+// its own, late, proposal), until its certificates miss every next round's
+// parent set. Stake of f or less ahead moves nobody: a fast or Byzantine
+// minority cannot un-pace the rest.
+//
+// A full header's worth of transactions, carried and pending, opens it too
+// once every validator's certificate at this round is in. The floor exists to
+// batch, and a full batch has nothing left to wait for (Narwhal's primary
+// likewise sends a header once it holds enough batches; its delay timer
+// covers only a partly filled one). Under backlog a healthy committee then
+// advances at certification pace, not MaxBatchTx per MinRoundDelay. It takes
+// the whole round, not a quorum: a committee that left a slower validator's
+// vertices behind at certification pace would soon be more than four rounds
+// ahead of it, and the catch-up jump that follows cuts the chain of its own
+// vertices, whose transactions then never commit. So the slowest validator
+// sets the pace, and a crashed one puts everybody back on the floor. Only the
+// floor is lifted: the own certificate still gates tryAdvance, the whole
+// round holds an anchor round's leader, and a partly filled batch is still
+// paced.
+func (e *Engine) pacingOpen() (open, fullEarly bool) {
+	if e.roundDelayOK || e.dagStore.RoundStake(e.round+1) >= e.committee.ValidityThreshold() {
+		return true, false
+	}
+	full := e.dagStore.RoundStake(e.round) == e.committee.TotalStake() &&
+		len(e.carried)+e.batches.Pending() >= e.config.MaxBatchTx
+	return full, full
 }
 
 // abandonHeader gives up the current own header. If it has not certified it

@@ -14,6 +14,7 @@ import (
 type nilBatches struct{}
 
 func (nilBatches) NextBatch(int64, int) *types.Batch { return nil }
+func (nilBatches) Pending() int                      { return 0 }
 
 // commitCollector is a CommitSink recording deliveries in order.
 type commitCollector struct {

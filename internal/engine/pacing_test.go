@@ -21,6 +21,8 @@ func (q *queueBatches) NextBatch(_ int64, maxTx int) *types.Batch {
 	return b
 }
 
+func (q *queueBatches) Pending() int { return len(q.txs) }
+
 func txRange(from, to uint64) []types.Transaction {
 	var txs []types.Transaction
 	for id := from; id <= to; id++ {
@@ -68,16 +70,24 @@ func peerRounds(committee *types.Committee, from, to types.Round) map[types.Roun
 	return rounds
 }
 
+// proposedIn returns the header an engine step broadcast, or nil.
+func proposedIn(out *Output) *Header {
+	for _, m := range out.Broadcasts {
+		if m.Kind == KindHeader {
+			return m.Header
+		}
+	}
+	return nil
+}
+
 // deliver feeds certificates to the engine and returns the last header it
 // proposed while processing them (nil when it proposed none).
 func deliver(eng *Engine, certs []*Certificate) *Header {
 	var proposed *Header
 	for _, c := range certs {
 		out := eng.OnMessage(c.Header.Source, (&Message{Kind: KindCertificate, Cert: c}).Clone(), 0)
-		for _, m := range out.Broadcasts {
-			if m.Kind == KindHeader {
-				proposed = m.Header
-			}
+		if h := proposedIn(out); h != nil {
+			proposed = h
 		}
 	}
 	return proposed
@@ -96,10 +106,8 @@ func certifyOwn(t *testing.T, eng *Engine) *Header {
 		out := eng.OnMessage(voter, &Message{Kind: KindVote, Vote: &Vote{
 			HeaderDigest: h.Digest(), Round: h.Round, Origin: h.Source, Voter: voter,
 		}}, 0)
-		for _, m := range out.Broadcasts {
-			if m.Kind == KindHeader {
-				proposed = m.Header
-			}
+		if p := proposedIn(out); p != nil {
+			proposed = p
 		}
 	}
 	if _, ok := eng.DAG().Get(h.Round, h.Source); !ok {
@@ -288,4 +296,160 @@ func TestOwnVerticesPrunedUnorderedCounted(t *testing.T) {
 		collectors = append(collectors, collector)
 	}
 	assertSameCommits(t, collectors[0], collectors[1])
+}
+
+// fullBatchEngine is validator 0 of a four-validator committee with
+// MaxBatchTx 4, its round-1 header proposed empty: what it takes next comes
+// from pool.
+func fullBatchEngine(t *testing.T) (*Engine, *queueBatches, map[types.Round][]*Certificate) {
+	t.Helper()
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := &queueBatches{}
+	eng, _ := newTraceEngineWith(t, committee, pool, func(c *Config) { c.MaxBatchTx = 4 })
+	eng.Init(0)
+	return eng, pool, peerRounds(committee, 1, 3)
+}
+
+// TestFullBatchOpensPacingGate: a validator holding MaxBatchTx transactions,
+// carried and pending together, leaves its complete round without waiting out
+// MinRoundDelay, and its header holds exactly MaxBatchTx of them. One short
+// of that, it waits for the round-delay timer.
+func TestFullBatchOpensPacingGate(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		carried, queue []types.Transaction
+		early          bool
+		want           []uint64
+	}{
+		{"exactly full", nil, txRange(1, 4), true, []uint64{1, 2, 3, 4}},
+		{"more than full", nil, txRange(1, 6), true, []uint64{1, 2, 3, 4}},
+		{"carried counts", txRange(1, 2), txRange(3, 4), true, []uint64{1, 2, 3, 4}},
+		{"one short", nil, txRange(1, 3), false, []uint64{1, 2, 3}},
+		{"one short with carried", txRange(1, 1), txRange(2, 3), false, []uint64{1, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, pool, peers := fullBatchEngine(t)
+			eng.carried, pool.txs = tc.carried, tc.queue
+			deliver(eng, peers[1])
+			h := certifyOwn(t, eng)
+			if !tc.early {
+				if h != nil {
+					t.Fatalf("proposed round %d with %d of 4 transactions and the timer running", h.Round, len(tc.carried)+len(tc.queue))
+				}
+				h = proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 1}, 0))
+			} else if stale := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 1}, 0)); stale != nil {
+				t.Fatalf("the round-1 timer proposed round %d after the early round-2 header", stale.Round)
+			}
+			if h == nil || h.Round != 2 {
+				t.Fatalf("want a round-2 proposal, got %v (engine round %d)", h, eng.Round())
+			}
+			if got := batchIDs(h.Batch); !slices.Equal(got, tc.want) {
+				t.Fatalf("round-2 batch = %v, want %v", got, tc.want)
+			}
+			wantEarly := uint64(0)
+			if tc.early {
+				wantEarly = 1
+			}
+			if st := eng.Stats(); st.HeadersFullEarly != wantEarly {
+				t.Fatalf("HeadersFullEarly = %d, want %d", st.HeadersFullEarly, wantEarly)
+			}
+		})
+	}
+}
+
+// TestFullBatchKeepsRoundConditions: a full batch lifts only the floor, and
+// only over a whole round. The validator still waits for its own
+// certificate; with a quorum but one validator's certificate missing it waits
+// for the round-delay timer; the last certificate of the round opens the gate.
+func TestFullBatchKeepsRoundConditions(t *testing.T) {
+	t.Run("own certificate", func(t *testing.T) {
+		eng, pool, peers := fullBatchEngine(t)
+		pool.txs = txRange(1, 4)
+		if h := deliver(eng, peers[1]); h != nil {
+			t.Fatalf("proposed round %d before the own round-1 header certified", h.Round)
+		}
+		if h := certifyOwn(t, eng); h == nil || h.Round != 2 {
+			t.Fatalf("must propose round 2 once its certificate forms, got %v", h)
+		}
+	})
+	t.Run("whole round", func(t *testing.T) {
+		eng, pool, peers := fullBatchEngine(t)
+		pool.txs = txRange(1, 4)
+		if h := certifyOwn(t, eng); h != nil {
+			t.Fatalf("proposed round %d holding 1 of 4 certificates", h.Round)
+		}
+		for i, c := range peers[1] {
+			h := deliver(eng, []*Certificate{c})
+			if last := i == len(peers[1])-1; !last && h != nil {
+				t.Fatalf("proposed round %d early holding %d of 4 certificates", h.Round, i+2)
+			} else if last && (h == nil || h.Round != 2) {
+				t.Fatalf("must propose round 2 once the round is whole, got %v", h)
+			}
+		}
+	})
+	t.Run("quorum waits for the floor", func(t *testing.T) {
+		eng, pool, peers := fullBatchEngine(t)
+		pool.txs = txRange(1, 4)
+		deliver(eng, peers[1][:2])
+		if h := certifyOwn(t, eng); h != nil {
+			t.Fatalf("proposed round %d early with a validator's certificate missing", h.Round)
+		}
+		h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 1}, 0))
+		if h == nil || h.Round != 2 || !slices.Equal(batchIDs(h.Batch), []uint64{1, 2, 3, 4}) {
+			t.Fatalf("the round-delay timer must propose round 2 with [1 2 3 4], got %v", h)
+		}
+		if st := eng.Stats(); st.HeadersFullEarly != 0 {
+			t.Fatalf("HeadersFullEarly = %d for a header the floor released", st.HeadersFullEarly)
+		}
+	})
+}
+
+// TestFullBatchKeepsLeaderWait: leaving an anchor round, a full batch still
+// waits for the leader's certificate or the whole leader timeout, even once
+// the floor has passed.
+func TestFullBatchKeepsLeaderWait(t *testing.T) {
+	for _, release := range []string{"leader certificate", "leader timeout"} {
+		t.Run(release, func(t *testing.T) {
+			eng, pool, peers := fullBatchEngine(t)
+			pool.txs = txRange(1, 8)
+			deliver(eng, peers[1])
+			if h := certifyOwn(t, eng); h == nil || h.Round != 2 {
+				t.Fatalf("want an early round-2 proposal, got %v", h)
+			}
+			leader := eng.leaderAt(2)
+			if leader == eng.self {
+				t.Fatal("setup: the engine under test leads round 2; the leader-wait is vacuous")
+			}
+			var leaderCert []*Certificate
+			for _, c := range peers[2] {
+				if c.Header.Source == leader {
+					leaderCert = append(leaderCert, c)
+				} else {
+					deliver(eng, []*Certificate{c})
+				}
+			}
+			if h := certifyOwn(t, eng); h != nil {
+				t.Fatalf("proposed round %d without the round-2 leader's certificate", h.Round)
+			}
+			out := eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 2}, 0)
+			if p := proposedIn(out); p != nil {
+				t.Fatalf("the round-delay timer proposed round %d without the leader", p.Round)
+			}
+			if !slices.ContainsFunc(out.Timers, func(tm Timer) bool { return tm.Kind == TimerLeader && tm.Round == 2 }) {
+				t.Fatalf("the completed anchor round must arm the leader timer, got %v", out.Timers)
+			}
+			var next *Header
+			if release == "leader certificate" {
+				next = deliver(eng, leaderCert)
+			} else {
+				next = proposedIn(eng.OnTimer(Timer{Kind: TimerLeader, Round: 2}, 0))
+			}
+			if next == nil || next.Round != 3 || !slices.Equal(batchIDs(next.Batch), []uint64{5, 6, 7, 8}) {
+				t.Fatalf("want round 3 with [5 6 7 8] once the %s arrives, got %v", release, next)
+			}
+		})
+	}
 }

@@ -168,7 +168,10 @@ func NewScenario(m Mechanism, n, faults int, loadTxPerSec float64) Scenario {
 //
 // Derivation: normal cadence is ~1 header per validator per
 // (MinRoundDelay + ~0.25s geo RTT) =: hr. Target capacity C = 1.6 * ~4000;
-// cap = C / (n * hr).
+// cap = C / (n * hr). That cadence holds while headers are partly filled. A
+// full batch lifts the MinRoundDelay floor once a round holds every
+// validator's certificate, which never happens with validators crashed, so
+// the fault scenarios keep it; a faultless backlogged run can go faster.
 func batchCapFor(n int) int {
 	const headerRatePerSec = 1.0 / 0.65
 	cap := 1.6 * 4000.0 / (float64(n) * headerRatePerSec)

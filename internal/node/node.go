@@ -175,6 +175,7 @@ type Node struct {
 	// counters by the commit sink.
 	statusTimeouts         atomic.Uint64
 	statusSnapshotInstalls atomic.Uint64
+	statusFullEarly        atomic.Uint64
 	statusCommitter        atomic.Pointer[bullshark.Stats]
 	// lostVertices is the engine's OwnVerticesPrunedUnordered as of the last
 	// dispatch (loop goroutine only): a rise is logged.
@@ -210,6 +211,7 @@ type Node struct {
 	excludedMetric  *metrics.Gauge
 	abandonedMetric *metrics.Counter
 	carriedMetric   *metrics.Counter
+	fullEarlyMetric *metrics.Counter
 	lostMetric      *metrics.Counter
 }
 
@@ -316,6 +318,7 @@ func New(cfg Config) (*Node, error) {
 		n.excludedMetric = cfg.Metrics.Gauge("hammerhead_excluded_validators")
 		n.abandonedMetric = cfg.Metrics.Counter("hammerhead_headers_abandoned_total")
 		n.carriedMetric = cfg.Metrics.Counter("hammerhead_tx_carried_total")
+		n.fullEarlyMetric = cfg.Metrics.Counter("hammerhead_headers_full_early_total")
 		n.lostMetric = cfg.Metrics.Counter("hammerhead_own_vertices_pruned_unordered_total")
 		if st := n.schedState.Load(); st != nil {
 			n.publishSchedulerState(st)
@@ -502,6 +505,7 @@ type Counters struct {
 	Round            uint64
 	LeaderTimeouts   uint64
 	SnapshotInstalls uint64
+	HeadersFullEarly uint64
 	Committer        bullshark.Stats
 }
 
@@ -513,6 +517,7 @@ func (n *Node) Counters() Counters {
 		Round:            n.statusRound.Load(),
 		LeaderTimeouts:   n.statusTimeouts.Load(),
 		SnapshotInstalls: n.statusSnapshotInstalls.Load(),
+		HeadersFullEarly: n.statusFullEarly.Load(),
 	}
 	if cs := n.statusCommitter.Load(); cs != nil {
 		c.Committer = *cs
@@ -885,6 +890,7 @@ func (n *Node) dispatch(out *engine.Output) {
 	st := n.eng.Stats()
 	n.statusTimeouts.Store(st.LeaderTimeouts)
 	n.statusSnapshotInstalls.Store(st.SnapshotInstalls)
+	n.statusFullEarly.Store(st.HeadersFullEarly)
 	if st.OwnVerticesPrunedUnordered > n.lostVertices {
 		n.lostVertices = st.OwnVerticesPrunedUnordered
 		n.logger.Warn("own certified vertices pruned without ever being ordered: their transactions will not commit",
@@ -896,6 +902,7 @@ func (n *Node) dispatch(out *engine.Output) {
 		n.dagVertsMetric.Set(int64(n.eng.DAG().VertexCount()))
 		mirrorCounter(n.abandonedMetric, st.HeadersAbandoned)
 		mirrorCounter(n.carriedMetric, st.TxCarried)
+		mirrorCounter(n.fullEarlyMetric, st.HeadersFullEarly)
 		mirrorCounter(n.lostMetric, st.OwnVerticesPrunedUnordered)
 	}
 	if n.leaderMetric != nil {

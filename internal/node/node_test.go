@@ -345,6 +345,7 @@ func TestNodeMetricsExposed(t *testing.T) {
 		"hammerhead_dag_floor_round",
 		"hammerhead_headers_abandoned_total",
 		"hammerhead_tx_carried_total",
+		"hammerhead_headers_full_early_total",
 		"hammerhead_own_vertices_pruned_unordered_total",
 	} {
 		if !strings.Contains(page, name+" ") {

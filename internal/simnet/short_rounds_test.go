@@ -90,40 +90,8 @@ func TestShortRoundsSurviveAStalledValidator(t *testing.T) {
 	cluster.Start()
 	cluster.Sim.RunFor(runFor)
 
-	// Every admitted transaction committed exactly once, everywhere.
-	for v := 0; v < n; v++ {
-		lost, twice := map[types.ValidatorID]int{}, 0
-		for txid, origin := range admitted {
-			switch c := committed[v][txid]; {
-			case c == 0:
-				lost[origin]++
-			case c > 1:
-				twice++
-			}
-		}
-		if len(lost) > 0 || twice > 0 {
-			t.Errorf("v%d: of %d admitted transactions, lost by admitting validator %v, %d committed twice",
-				v, len(admitted), lost, twice)
-		}
-		if st := cluster.Engine(types.ValidatorID(v)).Stats(); st.OwnVerticesPrunedUnordered != 0 {
-			t.Errorf("v%d pruned %d own vertices (%d txs) unordered", v, st.OwnVerticesPrunedUnordered, st.OwnTxPrunedUnordered)
-		}
-	}
-
-	// Chained roots agree at the lowest commonly applied commit.
-	minSeq := cluster.Executor(0).AppliedSeq()
-	for v := 1; v < n; v++ {
-		minSeq = min(minSeq, cluster.Executor(types.ValidatorID(v)).AppliedSeq())
-	}
-	ref, ok := cluster.Executor(0).RootAt(minSeq)
-	if !ok || minSeq == 0 {
-		t.Fatalf("v0 has no root at seq %d", minSeq)
-	}
-	for v := 1; v < n; v++ {
-		if root, ok := cluster.Executor(types.ValidatorID(v)).RootAt(minSeq); !ok || root != ref {
-			t.Fatalf("v%d root at seq %d = %s (retained %v), v0 has %s", v, minSeq, root, ok, ref)
-		}
-	}
+	assertCommittedOnce(t, cluster, admitted, committed)
+	assertRootsAgree(t, cluster)
 
 	// The stalled validator is back to a full share of ordered vertices: of
 	// those proposed in the load's last two seconds it holds one in four,
@@ -149,4 +117,49 @@ func TestShortRoundsSurviveAStalledValidator(t *testing.T) {
 	pipelined, _ := replayEngine(t, committee, hhConfig(10), trace, 8)
 	assertSameCommitStream(t, "serial-vs-live", live, serial)
 	assertSameCommitStream(t, "pipelined-vs-serial", serial, pipelined)
+}
+
+// assertCommittedOnce checks that every admitted transaction (ID -> the
+// validator that admitted it) committed exactly once on every validator
+// (committed[v]: ID -> times committed), and that no validator pruned one of
+// its own certified vertices unordered.
+func assertCommittedOnce(t *testing.T, cluster *Cluster, admitted map[uint64]types.ValidatorID, committed []map[uint64]int) {
+	t.Helper()
+	for v := range committed {
+		lost, twice := map[types.ValidatorID]int{}, 0
+		for txid, origin := range admitted {
+			switch c := committed[v][txid]; {
+			case c == 0:
+				lost[origin]++
+			case c > 1:
+				twice++
+			}
+		}
+		if len(lost) > 0 || twice > 0 {
+			t.Errorf("v%d: of %d admitted transactions, lost by admitting validator %v, %d committed twice",
+				v, len(admitted), lost, twice)
+		}
+		if st := cluster.Engine(types.ValidatorID(v)).Stats(); st.OwnVerticesPrunedUnordered != 0 {
+			t.Errorf("v%d pruned %d own vertices (%d txs) unordered", v, st.OwnVerticesPrunedUnordered, st.OwnTxPrunedUnordered)
+		}
+	}
+}
+
+// assertRootsAgree checks that the chained state roots agree at the lowest
+// commonly applied commit.
+func assertRootsAgree(t *testing.T, cluster *Cluster) {
+	t.Helper()
+	minSeq := cluster.Executor(0).AppliedSeq()
+	for v := 1; v < cluster.Size(); v++ {
+		minSeq = min(minSeq, cluster.Executor(types.ValidatorID(v)).AppliedSeq())
+	}
+	ref, ok := cluster.Executor(0).RootAt(minSeq)
+	if !ok || minSeq == 0 {
+		t.Fatalf("v0 has no root at seq %d", minSeq)
+	}
+	for v := 1; v < cluster.Size(); v++ {
+		if root, ok := cluster.Executor(types.ValidatorID(v)).RootAt(minSeq); !ok || root != ref {
+			t.Fatalf("v%d root at seq %d = %s (retained %v), v0 has %s", v, minSeq, root, ok, ref)
+		}
+	}
 }
