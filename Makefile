@@ -21,9 +21,10 @@ race:
 # race-core is CI's "Consensus core (race)" step: the packages whose
 # concurrency tests only mean something under the race detector (DAG,
 # committer, scheduler, engine, trie and executor, gateway ring, replica,
-# validator assembly, mempool lanes, TCP transport).
+# validator assembly, mempool lanes, TCP transport, and the node, whose loop
+# goroutine delivers commits beside the status mirrors the gateway reads).
 race-core:
-	go test -race ./internal/dag/ ./internal/bullshark/ ./internal/core/ ./internal/types/ ./internal/engine/ ./internal/merkle/ ./internal/execution/ ./internal/rpc/ ./internal/replica/ ./internal/validator/ ./internal/mempool/ ./internal/transport/
+	go test -race ./internal/dag/ ./internal/bullshark/ ./internal/core/ ./internal/types/ ./internal/engine/ ./internal/merkle/ ./internal/execution/ ./internal/rpc/ ./internal/replica/ ./internal/validator/ ./internal/mempool/ ./internal/transport/ ./internal/node/
 
 # fmt rewrites every file gofmt would change; CI fails when there is one.
 fmt:

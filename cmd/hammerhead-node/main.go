@@ -52,7 +52,6 @@ func run(args []string) error {
 	engCfg := engine.DefaultConfig()
 	minRoundDelay := fs.Duration("min-round-delay", engCfg.MinRoundDelay, "header pacing: the shortest time between a validator's own proposals")
 	leaderTimeout := fs.Duration("leader-timeout", engCfg.LeaderTimeout, "anchor-round leader wait")
-	pipelineDepth := fs.Int("pipeline-depth", engine.DefaultPipelineDepth, "order-stage queue depth; 0 runs the committer inline on the ingest path")
 	mempoolSize := fs.Int("mempool-size", 0, "transaction pool capacity (0 = default 1<<20)")
 	rpcAddr := fs.String("rpc-addr", "", "address for the client gateway (HTTP/JSON tx submission, KV reads, commit streaming; empty disables)")
 	rpcLanes := fs.Int("rpc-lanes", 0, "fair-admission mempool lanes for gateway clients (<=1 keeps a single lane)")
@@ -101,7 +100,6 @@ func run(args []string) error {
 
 	engCfg.MinRoundDelay = *minRoundDelay
 	engCfg.LeaderTimeout = *leaderTimeout
-	engCfg.PipelineDepth = *pipelineDepth
 
 	var hh *core.Config
 	if !*baseline {

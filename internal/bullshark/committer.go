@@ -11,12 +11,12 @@
 // orders and assert prefix-consistent outputs, which is the paper's Total
 // Order + Schedule Agreement argument in executable form.
 //
-// That single driver may be the engine's ingest goroutine (serial mode) or
-// its order stage (engine.Config.PipelineDepth > 0): because ProcessVertex
-// is a pure function of the vertex sequence it is fed, draining the same
-// insertion order through a FIFO queue on another goroutine yields a
-// byte-identical commit stream — the contract the engine's pipeline
-// determinism tests pin down.
+// That single driver runs on the engine goroutine, inside the step that
+// inserts each vertex, in every runtime. ProcessVertex is a pure function of
+// the vertex sequence it is fed, so replaying a validator's recorded
+// insertion order reproduces its commit stream byte for byte — the contract
+// the replay determinism tests (engine TestOneFloor, simnet
+// TestReplayedOrderingMatchesLive) pin down.
 package bullshark
 
 import (

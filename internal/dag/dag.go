@@ -190,12 +190,13 @@ type roundSlots struct {
 	stake   types.Stake
 }
 
-// DAG is the local store of one validator. It is safe for concurrent use:
-// the engine's ingest stage inserts while the order stage (the Bullshark
-// committer, which may run on its own goroutine when the engine pipeline is
-// enabled) traverses and prunes. Vertices are immutable once inserted, so
-// the lock only guards the indexes — traversals hold the read lock for
-// their duration, and insertion/pruning take the write lock.
+// DAG is the local store of one validator. The engine goroutine inserts,
+// traverses (the Bullshark committer) and prunes; the lock is for readers off
+// that goroutine, such as the gateway's /v1/status, which reads HighestRound
+// from an HTTP handler, so the DAG is safe for concurrent use. Vertices are
+// immutable once inserted, so the lock only guards the indexes — traversals
+// hold the read lock for their duration, and insertion/pruning take the
+// write lock.
 type DAG struct {
 	mu        sync.RWMutex
 	committee *types.Committee

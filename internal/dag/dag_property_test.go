@@ -463,7 +463,8 @@ func TestVerticesTheDAGDoesNotHold(t *testing.T) {
 }
 
 // TestTraverseWhileInserting runs one inserter and one traverser on the same
-// DAG — the engine's ingest and order stages — and is meaningful under -race.
+// DAG — the contract the DAG's lock keeps for readers off the engine
+// goroutine — and is meaningful under -race.
 // A vertex enters the DAG after its whole history, so what the traverser sees
 // from any vertex it got from the DAG is final and must match the digest walk
 // whatever the inserter is doing.

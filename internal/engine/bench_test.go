@@ -2,94 +2,10 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"testing"
-	"time"
 
 	"hammerhead/internal/types"
 )
-
-// BenchmarkEnginePipeline compares certificate ingest with the committer
-// inline (serial) against the two-stage pipeline. Each iteration feeds a
-// full 50-validator, 30-round certificate trace into a fresh engine and
-// times every individual OnMessage call.
-//
-// The headline metric is max-ingest-us: the longest single stall of the
-// message-processing goroutine. In serial mode the certificate that
-// completes an anchor's vote quorum pays for the whole Bullshark walk —
-// backward chain, causal-history collection and delivery — inline, so
-// ingest stalls grow with committee size and commit depth. In pipelined
-// mode that certificate is queued to the order stage and OnMessage returns;
-// the stall ceiling is a channel send. (Mean ingest cost barely moves — the
-// walk is amortized over many cheap inserts — which is exactly why the
-// inline committer hurt tail latency, not throughput, until catch-up bursts
-// made the walks long.)
-func BenchmarkEnginePipeline(b *testing.B) {
-	committee, err := types.NewEqualStakeCommittee(50)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const rounds = 30
-	trace := buildCertTrace(b, committee, rounds)
-	msgs := make([]*Message, len(trace))
-	for i, c := range trace {
-		msgs[i] = &Message{Kind: KindCertificate, Cert: c}
-	}
-
-	for _, mode := range []struct {
-		name  string
-		depth int
-	}{
-		{"serial", 0},
-		{"pipelined", DefaultPipelineDepth},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var ingest, total time.Duration
-			stalls := make([]time.Duration, 0, len(msgs))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng, _ := newTraceEngine(b, committee, func(c *Config) {
-					c.PipelineDepth = mode.depth
-				})
-				cloned := make([]*Message, len(msgs))
-				for j, m := range msgs {
-					cloned[j] = m.Clone()
-				}
-				stalls = stalls[:0]
-				b.StartTimer()
-
-				start := time.Now()
-				for _, m := range cloned {
-					s := time.Now()
-					eng.OnMessage(1, m, 0)
-					stalls = append(stalls, time.Since(s))
-				}
-				ingest += time.Since(start)
-				eng.Flush()
-				total += time.Since(start)
-
-				b.StopTimer()
-				eng.Close()
-				b.StartTimer()
-			}
-			sort.Slice(stalls, func(i, j int) bool { return stalls[i] > stalls[j] })
-			// Mean of the slowest rounds/2 ingest calls of the final
-			// iteration — one slot per anchor round: in serial mode these
-			// are the anchor-quorum certificates paying for commit walks
-			// inline.
-			top := stalls[:rounds/2]
-			var tail time.Duration
-			for _, d := range top {
-				tail += d
-			}
-			certs := float64(b.N * len(msgs))
-			b.ReportMetric(float64(ingest.Nanoseconds())/certs, "ingest-ns/cert")
-			b.ReportMetric(float64(total.Nanoseconds())/certs, "total-ns/cert")
-			b.ReportMetric(float64(tail.Nanoseconds())/float64(len(top))/1e3, "ingest-anchor-stall-us")
-		})
-	}
-}
 
 // BenchmarkRoundRequestServe measures serving a frontier sync request from
 // the per-round index. Before the index, every request iterated and sorted

@@ -54,17 +54,6 @@ type Config struct {
 	// pending certificate furthest above the DAG frontier is evicted (it can
 	// be re-fetched by round sync if it was genuine). 0 selects the default.
 	MaxPendingCerts int
-	// PipelineDepth selects the engine's execution mode. 0 runs stage 2
-	// inline: certificate insertion, the Bullshark committer walk and
-	// scheduler epoch logic all happen on the caller's goroutine — the mode
-	// the discrete-event simulator requires (virtual time cannot cross
-	// goroutines) and the default for tests. > 0 enables the two-stage
-	// pipeline: ingest (validate + DAG insert) returns to message processing
-	// immediately while an order stage consumes inserted vertices from a
-	// bounded queue of this depth, running the committer and delivering
-	// commits to the CommitSink asynchronously. Commit order is identical in
-	// both modes. Real nodes default to DefaultPipelineDepth.
-	PipelineDepth int
 	// SnapshotChunkBytes caps the payload of one SnapshotResponse during
 	// state-sync (0 selects DefaultSnapshotChunkBytes). Tests shrink it to
 	// exercise the multi-chunk resume path.
@@ -81,12 +70,6 @@ type Config struct {
 // enough that serving a chunk never monopolizes the engine loop, large
 // enough that realistic snapshots move in a handful of round-trips.
 const DefaultSnapshotChunkBytes = 256 << 10
-
-// DefaultPipelineDepth is the order-stage queue bound real nodes use: deep
-// enough that ingest never stalls on a committer walk during catch-up
-// bursts, shallow enough to bound memory and how far ingest outruns
-// execution.
-const DefaultPipelineDepth = 256
 
 // DefaultConfig returns the defaults every runtime starts from
 // (hammerhead-node's flags included); the simulated experiments override the
@@ -122,9 +105,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxPendingCerts < 0 {
 		return fmt.Errorf("engine: MaxPendingCerts must be >= 0, got %d", c.MaxPendingCerts)
-	}
-	if c.PipelineDepth < 0 {
-		return fmt.Errorf("engine: PipelineDepth must be >= 0, got %d", c.PipelineDepth)
 	}
 	if c.SnapshotChunkBytes < 0 {
 		return fmt.Errorf("engine: SnapshotChunkBytes must be >= 0, got %d", c.SnapshotChunkBytes)

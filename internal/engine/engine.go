@@ -34,10 +34,10 @@ type BatchProvider interface {
 type Observer interface {
 	// Inserted sees every certificate accepted into the DAG, in insertion
 	// (parents-first) order, strictly BEFORE its vertex can contribute to any
-	// commit delivered through the CommitSink: in pipelined mode the vertex
-	// reaches the order stage only after Inserted returns. A runtime that
-	// logs certificates here and gates commit delivery on the log's progress
-	// keeps every commit it hands to execution re-derivable from the log.
+	// commit delivered through the CommitSink: the committer sees the vertex
+	// only after Inserted returns. A runtime that logs certificates here and
+	// gates commit delivery on the log's progress keeps every commit it hands
+	// to execution re-derivable from the log.
 	Inserted(*Certificate)
 	// Proposed sees every header this validator signs and proposes, before
 	// its broadcast is queued. It may block until the header is durable: the
@@ -71,12 +71,31 @@ type Unicast struct {
 	Msg *Message
 }
 
+// CommitSink receives ordered sub-DAGs from the engine. Runtimes register a
+// sink at construction and the committer pushes each commit into it from the
+// engine goroutine, inside the step that inserted the vertex completing it,
+// strictly in commit-index order. A sink that blocks blocks the engine.
+type CommitSink interface {
+	DeliverCommit(sub bullshark.CommittedSubDAG)
+}
+
+// CommitSinkFunc adapts a function to the CommitSink interface.
+type CommitSinkFunc func(sub bullshark.CommittedSubDAG)
+
+// DeliverCommit implements CommitSink.
+func (f CommitSinkFunc) DeliverCommit(sub bullshark.CommittedSubDAG) { f(sub) }
+
+// discardSink drops commits; used when no sink is configured (experiments
+// that only read counters).
+type discardSink struct{}
+
+func (discardSink) DeliverCommit(bullshark.CommittedSubDAG) {}
+
 // Output collects everything one engine step wants the runtime to do.
 // Runtimes must dispatch Unicasts/Broadcasts and arm Timers, in any order
 // (the engine assumes nothing about scheduling). Commits are NOT part of the
-// output: they are delivered through the CommitSink registered at
-// construction — synchronously within the step when the pipeline is
-// disabled, asynchronously from the order stage when it is enabled.
+// output: they are delivered within the step through the CommitSink
+// registered at construction.
 type Output struct {
 	Unicasts   []Unicast
 	Broadcasts []*Message
@@ -221,10 +240,6 @@ type Engine struct {
 	// race the local quorum).
 	ckptAcc       *checkpoint.Accumulator
 	ckptDelivered uint64
-	// stage is the asynchronous order stage (stage 2 of the pipeline); nil
-	// when PipelineDepth == 0, in which case the committer runs inline on
-	// the ingest path.
-	stage *orderStage
 
 	round           types.Round
 	curHeader       *Header
@@ -264,7 +279,6 @@ type Engine struct {
 	resyncArmed   bool
 
 	commitsSinceGC    uint64
-	insertsSinceGC    uint64
 	progressLastRound types.Round
 	progressTarget    uint32
 	maxPendingRound   types.Round
@@ -364,39 +378,7 @@ func New(p Params) (*Engine, error) {
 	if sr, ok := p.Scheduler.(leader.StateRestorer); ok {
 		e.schedRestore = sr
 	}
-	if p.Config.PipelineDepth > 0 {
-		e.stage = newOrderStage(e.committer, e.scheduler, sink, p.Self, p.Config.PipelineDepth,
-			p.Config.GCEvery, p.Config.GCDepth)
-	}
 	return e, nil
-}
-
-// Flush blocks until every certificate inserted so far has been ordered and
-// its commits delivered to the sink. No-op in serial mode, where ordering is
-// inline. Safe to call from any goroutine except the order stage's own sink.
-func (e *Engine) Flush() {
-	if e.stage != nil {
-		e.stage.Flush()
-	}
-}
-
-// Close stops the order stage after draining already-queued certificates.
-// Serial engines need no Close (no goroutines); calling it is still safe.
-// The engine must not be fed messages after Close.
-func (e *Engine) Close() {
-	if e.stage != nil {
-		e.stage.Close()
-	}
-}
-
-// PipelineBacklog returns the order stage's current queue depth (0 when the
-// pipeline is disabled). Safe for concurrent use; exported as the
-// hammerhead_pipeline_depth gauge.
-func (e *Engine) PipelineBacklog() int {
-	if e.stage == nil {
-		return 0
-	}
-	return e.stage.depth()
 }
 
 // SyncBacklog reports the sizes of the causal-sync pending maps: certificates
@@ -405,39 +387,6 @@ func (e *Engine) PipelineBacklog() int {
 // garbage collection bounds all three (see TestPendingStateGarbageCollected).
 func (e *Engine) SyncBacklog() (pendingCerts, missingParents, requested int) {
 	return len(e.pendingCerts), len(e.pendingByMissing), len(e.requested)
-}
-
-// leaderAt resolves the leader schedule. In pipelined mode the order stage
-// mutates the schedule on commit, so reads from the ingest stage take its
-// lock; the transient staleness between an anchor being ordered and the
-// switch becoming visible here affects only leader-wait pacing, never commit
-// ordering (the order stage resolves leaders under its own lock).
-func (e *Engine) leaderAt(round types.Round) types.ValidatorID {
-	if e.stage != nil {
-		e.stage.mu.Lock()
-		defer e.stage.mu.Unlock()
-	}
-	return e.scheduler.LeaderAt(round)
-}
-
-// lastOrderedRound reads the committer's ordering floor, locking against the
-// order stage when pipelined.
-func (e *Engine) lastOrderedRound() types.Round {
-	if e.stage != nil {
-		e.stage.mu.Lock()
-		defer e.stage.mu.Unlock()
-	}
-	return e.committer.LastOrderedRound()
-}
-
-// CommitterStats returns a copy of the committer counters, safe to call
-// while the order stage runs.
-func (e *Engine) CommitterStats() bullshark.Stats {
-	if e.stage != nil {
-		e.stage.mu.Lock()
-		defer e.stage.mu.Unlock()
-	}
-	return e.committer.Stats()
 }
 
 // Init goes live: unlocks proposing (gated until now so that recovery can
@@ -465,20 +414,11 @@ func (e *Engine) Round() types.Round { return e.round }
 func (e *Engine) CurrentProposal() *Header { return e.curHeader }
 
 // Stats returns a copy of the engine counters.
-func (e *Engine) Stats() Stats {
-	st := e.stats
-	if e.stage != nil {
-		// Pipelined, the order stage prunes, and counts on its own goroutine.
-		st.OwnVerticesPrunedUnordered = e.stage.ownPrunedVertices.Load()
-		st.OwnTxPrunedUnordered = e.stage.ownPrunedTxs.Load()
-	}
-	return st
-}
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Committer exposes the underlying committer (read-only use: stats, last
-// ordered round). With the pipeline enabled the order stage mutates the
-// committer concurrently — use CommitterStats/lastOrderedRound-style locked
-// accessors instead, or call only after Close/Flush.
+// ordered round). Engine-goroutine only: the committer runs inside the engine
+// step that inserts a vertex, so it is read between steps, never beside one.
 func (e *Engine) Committer() *bullshark.Committer { return e.committer }
 
 // Scheduler exposes the leader scheduler.
@@ -581,7 +521,7 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 					target = types.ValidatorID(e.progressTarget % n)
 				}
 				e.stats.SyncRequests++
-				from := e.lastOrderedRound()
+				from := e.committer.LastOrderedRound()
 				out.unicast(target, &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: from}})
 				if e.beyondGCHorizon() {
 					// The frontier is unreachable by certificate sync; pull
@@ -908,10 +848,9 @@ func (e *Engine) validCertificate(c *Certificate) bool {
 	return true
 }
 
-// insertCert inserts a certificate into the DAG, hands its vertex to the
-// order stage (or runs the committer inline when the pipeline is disabled),
-// and cascades any pending certificates this unblocked. When c itself is
-// blocked it returns the parents c misses and leaves the buffering to the
+// insertCert inserts a certificate into the DAG, runs the committer on its
+// vertex, and cascades any pending certificates this unblocked. When c itself
+// is blocked it returns the parents c misses and leaves the buffering to the
 // caller; a cascaded certificate that is still blocked (it missed several
 // parents) goes back to pending on its own.
 //
@@ -921,10 +860,6 @@ func (e *Engine) validCertificate(c *Certificate) bool {
 // below the DAG's pruned floor is vacuously satisfied there — the insertion
 // path after a snapshot install, where the first post-checkpoint round
 // re-enters the DAG without its (snapshot-covered) parents.
-//
-// This is stage 1 of the pipeline: with PipelineDepth > 0 it returns to
-// message processing as soon as the vertex is queued, so ingest throughput is
-// no longer bounded by the committer's ordering walk.
 func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missing []types.Digest) {
 	queue := []*Certificate{c}
 	for len(queue) > 0 {
@@ -944,9 +879,10 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 				}
 				e.addPending(digest, cert)
 			case !errors.Is(err, dag.ErrPruned):
-				// In pipelined mode the order stage's DAG floor can run ahead
-				// of the ingest stage's certFloor; an honest straggler between
-				// the two is merely below retention, not protocol-invalid.
+				// Below the DAG's floor: an honest straggler is merely below
+				// retention, not protocol-invalid. onCertificate drops those on
+				// arrival; this keeps whatever path reaches here from counting
+				// one as invalid.
 				e.stats.InvalidMessages++
 			}
 			continue
@@ -959,26 +895,15 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 		// Before the vertex can reach the committer (see Observer.Inserted).
 		e.observer.Inserted(cert)
 
-		if e.stage != nil {
-			// Stage 2 orders asynchronously; the ingest stage prunes its own
-			// maps whenever the stage's published retention floor advanced.
-			e.stage.submit(vertex)
-			e.insertsSinceGC++
-			if e.insertsSinceGC >= e.config.GCEvery {
-				e.insertsSinceGC = 0
-				e.pruneProtocolState(types.Round(e.stage.floor()))
-			}
-		} else {
-			commits := e.committer.ProcessVertex(vertex)
-			for _, sub := range commits {
-				e.sink.DeliverCommit(sub)
-			}
-			if len(commits) > 0 {
-				e.commitsSinceGC += uint64(len(commits))
-				if e.commitsSinceGC >= e.config.GCEvery {
-					e.commitsSinceGC = 0
-					e.garbageCollect()
-				}
+		commits := e.committer.ProcessVertex(vertex)
+		for _, sub := range commits {
+			e.sink.DeliverCommit(sub)
+		}
+		if len(commits) > 0 {
+			e.commitsSinceGC += uint64(len(commits))
+			if e.commitsSinceGC >= e.config.GCEvery {
+				e.commitsSinceGC = 0
+				e.garbageCollect()
 			}
 		}
 
@@ -1206,7 +1131,7 @@ func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 		}
 		behind := e.dagStore.HighestRound() > e.round
 		if e.round.IsAnchorRound() && e.round > 0 && !behind && e.leaderTimedOut != e.round {
-			leaderID := e.leaderAt(e.round)
+			leaderID := e.scheduler.LeaderAt(e.round)
 			if leaderID != e.self && leaderID != types.NoValidator {
 				if _, haveLeader := e.dagStore.Get(e.round, leaderID); !haveLeader {
 					if e.leaderTimerArmed != e.round {
@@ -1433,9 +1358,10 @@ func (e *Engine) adoptHeader(h *Header, digest types.Digest, sig crypto.Signatur
 }
 
 // garbageCollect prunes DAG rounds, certificates and vote records no longer
-// needed by the committer or the scheduler's score scans. Serial mode only:
-// in pipelined mode the order stage prunes the committer and DAG itself and
-// the ingest stage calls pruneProtocolState with the stage's published floor.
+// needed by the committer or the scheduler's score scans. It is the one place
+// the pruning floor is computed: the committer's ordered set, the DAG and the
+// engine's round window all move to the same floor here (a snapshot install
+// moves all three to its boundary).
 func (e *Engine) garbageCollect() {
 	floor := e.committer.LastOrderedRound()
 	if mr, ok := e.scheduler.(minRetainer); ok {

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"hammerhead/internal/core"
 	"hammerhead/internal/crypto"
 	"hammerhead/internal/dag"
 	"hammerhead/internal/leader"
@@ -15,6 +18,13 @@ import (
 // engines — but carrying a full quorum of voter IDs.
 func buildCertTrace(tb testing.TB, committee *types.Committee, rounds types.Round) []*Certificate {
 	tb.Helper()
+	return buildCertTraceSkipping(committee, rounds, nil)
+}
+
+// buildCertTraceSkipping is buildCertTrace without the certificates skip
+// names (nil skips none); headers reference only the previous round's
+// certificates that exist.
+func buildCertTraceSkipping(committee *types.Committee, rounds types.Round, skip func(types.Round, types.ValidatorID) bool) []*Certificate {
 	n := committee.Size()
 	prev := make([]types.Digest, 0, n)
 	for i := 0; i < n; i++ {
@@ -24,6 +34,9 @@ func buildCertTrace(tb testing.TB, committee *types.Committee, rounds types.Roun
 	for r := types.Round(1); r <= rounds; r++ {
 		cur := make([]types.Digest, 0, n)
 		for i := 0; i < n; i++ {
+			if skip != nil && skip(r, types.ValidatorID(i)) {
+				continue
+			}
 			c := &Certificate{Header: Header{
 				Round:  r,
 				Source: types.ValidatorID(i),
@@ -41,7 +54,7 @@ func buildCertTrace(tb testing.TB, committee *types.Committee, rounds types.Roun
 }
 
 // newTraceEngine builds a single engine with signature verification off (so
-// buildCertTrace certificates are accepted), the given pipeline depth, and a
+// buildCertTrace certificates are accepted), the config mutate makes, and a
 // commit collector.
 func newTraceEngine(tb testing.TB, committee *types.Committee, mutate func(*Config)) (*Engine, *commitCollector) {
 	tb.Helper()
@@ -92,12 +105,12 @@ func assertSameCommits(t *testing.T, want, got *commitCollector) {
 		t.Fatal("trace produced no commits; test is vacuous")
 	}
 	if len(a) != len(b) {
-		t.Fatalf("commit counts differ: serial %d, pipelined %d", len(a), len(b))
+		t.Fatalf("commit counts differ: want %d, got %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i].Index != b[i].Index || a[i].Direct != b[i].Direct ||
 			a[i].Anchor.Digest() != b[i].Anchor.Digest() {
-			t.Fatalf("commit %d differs: serial (idx=%d r=%d %s direct=%v), pipelined (idx=%d r=%d %s direct=%v)",
+			t.Fatalf("commit %d differs: want (idx=%d r=%d %s direct=%v), got (idx=%d r=%d %s direct=%v)",
 				i, a[i].Index, a[i].Anchor.Round, a[i].Anchor.Source, a[i].Direct,
 				b[i].Index, b[i].Anchor.Round, b[i].Anchor.Source, b[i].Direct)
 		}
@@ -112,49 +125,111 @@ func assertSameCommits(t *testing.T, want, got *commitCollector) {
 	}
 }
 
-// TestPipelinedCommitsMatchSerial is the determinism contract at engine
-// level: the same certificate insertion sequence produces a byte-identical
-// commit stream whether the committer runs inline or on the order stage —
-// including with a tiny queue that forces ingest to block on backpressure.
-func TestPipelinedCommitsMatchSerial(t *testing.T) {
-	committee, err := types.NewEqualStakeCommittee(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := buildCertTrace(t, committee, 40)
-
-	serial, serialC := newTraceEngine(t, committee, nil)
-	feedCerts(serial, trace)
-	serial.Flush() // no-op; symmetry
-
-	for _, depth := range []int{2, 64} {
-		pipelined, pipelinedC := newTraceEngine(t, committee, func(c *Config) { c.PipelineDepth = depth })
-		feedCerts(pipelined, trace)
-		pipelined.Flush()
-		pipelined.Close()
-		assertSameCommits(t, serialC, pipelinedC)
-	}
+// floorRecorder is an Observer noting each certificate its engine inserts
+// and the engine's pruning floor as the insertion begins.
+type floorRecorder struct {
+	nopObserver
+	e        *Engine
+	inserted []*Certificate
+	floors   []types.Round
 }
 
-// TestPipelineFlushAndCloseLifecycle exercises Flush/Close edge cases:
-// double Close, Flush after Close, Close draining queued vertices.
-func TestPipelineFlushAndCloseLifecycle(t *testing.T) {
+func (r *floorRecorder) Inserted(c *Certificate) {
+	r.inserted = append(r.inserted, c)
+	r.floors = append(r.floors, r.e.rounds.Floor())
+}
+
+// newFloorEngine is validator 0 under the HammerHead scheduler, switching
+// schedules every 3 commits and pruning GCDepth 4 below the floor every 2
+// commits: both the committer's ordering floor and the scheduler's retention
+// bound take part in the floor garbageCollect computes.
+func newFloorEngine(t *testing.T, committee *types.Committee) (*Engine, *floorRecorder, *commitCollector) {
+	t.Helper()
+	d := dag.New(committee)
+	hh := core.DefaultConfig()
+	hh.EpochCommits = 3
+	sched, err := core.NewManager(committee, d, hh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kp, err := crypto.NewKeyPair(crypto.Insecure{}, [32]byte{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.VerifySignatures = false
+	cfg.GCDepth, cfg.GCEvery = 4, 2
+	rec, commits := &floorRecorder{}, &commitCollector{}
+	e, err := New(Params{
+		Config: cfg, Committee: committee, Keys: kp, Batches: nilBatches{},
+		Scheduler: sched, DAG: d, Commits: commits, Observer: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.e = e
+	return e, rec, commits
+}
+
+// TestOneFloor pins the engine's single pruning floor: after every message
+// the engine's round window and the DAG are pruned to the same round, the one
+// garbageCollect computes. A snapshot install is no exception: it moves both
+// to the install's PruneTo, and TestSlotStoreMatchesMapModel checks the same
+// equality across installs and restarts.
+//
+// The live engine receives a 60-round trace, one validator missing from
+// every third round, shuffled within windows of ten certificates, so
+// certificates pend on missing parents and insert in cascades. A fresh engine
+// fed the recorded insertion sequence must see the same floor at every
+// insertion and deliver the same commits.
+func TestOneFloor(t *testing.T) {
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := buildCertTrace(t, committee, 10)
-	eng, collector := newTraceEngine(t, committee, func(c *Config) { c.PipelineDepth = 4 })
-	feedCerts(eng, trace)
-	eng.Close() // drains queued vertices before stopping
-	eng.Close() // idempotent
-	eng.Flush() // must not hang after Close
-	if len(collector.subs) == 0 {
-		t.Fatal("Close must drain queued vertices into commits")
+	trace := buildCertTraceSkipping(committee, 60, func(r types.Round, id types.ValidatorID) bool {
+		return r%3 == 0 && id == types.ValidatorID(r/3%4)
+	})
+	delivery := slices.Clone(trace)
+	rng := rand.New(rand.NewSource(5)) //nolint:gosec // test determinism
+	for i := 0; i < len(delivery); i += 10 {
+		w := delivery[i:min(i+10, len(delivery))]
+		rng.Shuffle(len(w), func(a, b int) { w[a], w[b] = w[b], w[a] })
 	}
-	if eng.PipelineBacklog() != 0 {
-		t.Fatalf("backlog after Close = %d, want 0", eng.PipelineBacklog())
+	feed := func(label string, e *Engine, certs []*Certificate) {
+		t.Helper()
+		for i, c := range certs {
+			e.OnMessage(1, (&Message{Kind: KindCertificate, Cert: c}).Clone(), 0)
+			if got, want := e.rounds.Floor(), e.dagStore.PrunedTo(); got != want {
+				t.Fatalf("%s: message %d (round %d): engine floor %d, DAG floor %d", label, i, c.Header.Round, got, want)
+			}
+		}
 	}
+
+	live, liveRec, liveCommits := newFloorEngine(t, committee)
+	feed("live", live, delivery)
+	if len(liveRec.inserted) != len(trace) || live.Stats().CertsPended == 0 {
+		t.Fatalf("live engine inserted %d of %d certificates, %d pended: want all, some pended",
+			len(liveRec.inserted), len(trace), live.Stats().CertsPended)
+	}
+	if floor := live.rounds.Floor(); floor < 30 {
+		t.Fatalf("floor only reached round %d: nothing was pruned", floor)
+	}
+
+	replay, replayRec, replayCommits := newFloorEngine(t, committee)
+	feed("replay", replay, liveRec.inserted)
+	if len(replayRec.floors) != len(liveRec.floors) {
+		t.Fatalf("replay inserted %d certificates, live %d", len(replayRec.floors), len(liveRec.floors))
+	}
+	for i := range liveRec.floors {
+		if replayRec.floors[i] != liveRec.floors[i] {
+			t.Fatalf("insertion %d: replayed floor %d, live floor %d", i, replayRec.floors[i], liveRec.floors[i])
+		}
+	}
+	if got, want := replay.rounds.Floor(), live.rounds.Floor(); got != want {
+		t.Fatalf("final floor: replayed %d, live %d", got, want)
+	}
+	assertSameCommits(t, liveCommits, replayCommits)
 }
 
 // TestPendingStateGarbageCollected is the regression test for the pending
@@ -166,58 +241,38 @@ func TestPendingStateGarbageCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, depth := range []int{0, 16} {
-		eng, collector := newTraceEngine(t, committee, func(c *Config) {
-			c.PipelineDepth = depth
-			c.GCDepth = 4
-			c.GCEvery = 4
-		})
-		// Ghost-parent certificate at round 2: one edge that exists nowhere.
-		ghost := &Certificate{Header: Header{
-			Round:  2,
-			Source: 3,
-			Edges:  []types.Digest{types.HashBytes([]byte("no such parent"))},
-		}}
-		for j := 0; j < 4; j++ {
-			ghost.Votes = append(ghost.Votes, VoteSig{Voter: types.ValidatorID(j)})
-		}
-		eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: ghost}, 0)
-		if p, m, r := eng.SyncBacklog(); p != 1 || m != 1 || r != 1 {
-			t.Fatalf("ghost cert must pend: backlog = (%d,%d,%d)", p, m, r)
-		}
-
-		// Drive enough honest rounds that the GC floor passes round 2.
-		feedCerts(eng, buildCertTrace(t, committee, 60))
-		eng.Flush()
-		if depth > 0 {
-			// Pipelined: the ingest stage prunes on the next insert after the
-			// stage published a floor; one more round supplies the inserts.
-			feedCerts(eng, certTraceRounds(t, committee, 61, 61))
-			eng.Flush()
-		}
-		eng.Close()
-
-		if len(collector.subs) == 0 {
-			t.Fatal("honest trace must commit")
-		}
-		if p, m, r := eng.SyncBacklog(); p != 0 || m != 0 || r != 0 {
-			t.Fatalf("depth %d: pending state leaked past GC: backlog = (%d,%d,%d)", depth, p, m, r)
-		}
-		if eng.maxPendingRound != 0 {
-			// A stale high-water mark would keep maybeRangeSync firing (and
-			// peers answering with full sync batches) forever.
-			t.Fatalf("depth %d: maxPendingRound stuck at %d after prune", depth, eng.maxPendingRound)
-		}
+	eng, collector := newTraceEngine(t, committee, func(c *Config) {
+		c.GCDepth = 4
+		c.GCEvery = 4
+	})
+	// Ghost-parent certificate at round 2: one edge that exists nowhere.
+	ghost := &Certificate{Header: Header{
+		Round:  2,
+		Source: 3,
+		Edges:  []types.Digest{types.HashBytes([]byte("no such parent"))},
+	}}
+	for j := 0; j < 4; j++ {
+		ghost.Votes = append(ghost.Votes, VoteSig{Voter: types.ValidatorID(j)})
 	}
-}
+	eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: ghost}, 0)
+	if p, m, r := eng.SyncBacklog(); p != 1 || m != 1 || r != 1 {
+		t.Fatalf("ghost cert must pend: backlog = (%d,%d,%d)", p, m, r)
+	}
 
-// certTraceRounds extends buildCertTrace for a sub-range [from, to],
-// reconstructing parent digests deterministically.
-func certTraceRounds(tb testing.TB, committee *types.Committee, from, to types.Round) []*Certificate {
-	tb.Helper()
-	all := buildCertTrace(tb, committee, to)
-	n := types.Round(committee.Size())
-	return all[(from-1)*n:]
+	// Drive enough honest rounds that the GC floor passes round 2.
+	feedCerts(eng, buildCertTrace(t, committee, 60))
+
+	if len(collector.subs) == 0 {
+		t.Fatal("honest trace must commit")
+	}
+	if p, m, r := eng.SyncBacklog(); p != 0 || m != 0 || r != 0 {
+		t.Fatalf("pending state leaked past GC: backlog = (%d,%d,%d)", p, m, r)
+	}
+	if eng.maxPendingRound != 0 {
+		// A stale high-water mark would keep maybeRangeSync firing (and
+		// peers answering with full sync batches) forever.
+		t.Fatalf("maxPendingRound stuck at %d after prune", eng.maxPendingRound)
+	}
 }
 
 // TestCertFloorDropsStaleCertificates: certificates below the GC floor are

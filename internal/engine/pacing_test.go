@@ -280,50 +280,41 @@ func TestNextBatchRespectsMaxBatchTx(t *testing.T) {
 
 // TestOwnVerticesPrunedUnorderedCounted: an own certified vertex nobody
 // referenced is counted, with its transactions, when the committer prunes
-// past it — inline and on the order stage alike — and the two modes still
-// deliver the same commits.
+// past it.
 func TestOwnVerticesPrunedUnorderedCounted(t *testing.T) {
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var collectors []*commitCollector
-	for _, depth := range []int{0, 16} {
-		eng, collector := newTraceEngineWith(t, committee, &queueBatches{txs: txRange(1, 3)}, func(c *Config) {
-			c.PipelineDepth = depth
-			c.GCDepth = 4
-			c.GCEvery = 4
-		})
-		eng.Init(0)
-		peers := peerRounds(committee, 1, 40)
-		deliver(eng, peers[1])
-		// The round-1 header certifies after the others left round 1: their
-		// round-2 headers (peerRounds) do not reference it, and the jump
-		// below skips the own round-2 header that does.
-		certifyOwn(t, eng)
-		for r := types.Round(2); r <= 40; r++ {
-			deliver(eng, peers[r])
-		}
-		eng.Flush()
-		eng.Close()
-		if len(collector.subs) == 0 {
-			t.Fatal("trace produced no commits")
-		}
-		for _, sub := range collector.subs {
-			for _, v := range sub.Vertices {
-				if v.Source == 0 && v.Round == 1 {
-					t.Fatal("the unreferenced vertex was ordered; test lost its teeth")
-				}
+	eng, collector := newTraceEngineWith(t, committee, &queueBatches{txs: txRange(1, 3)}, func(c *Config) {
+		c.GCDepth = 4
+		c.GCEvery = 4
+	})
+	eng.Init(0)
+	peers := peerRounds(committee, 1, 40)
+	deliver(eng, peers[1])
+	// The round-1 header certifies after the others left round 1: their
+	// round-2 headers (peerRounds) do not reference it, and the jump
+	// below skips the own round-2 header that does.
+	certifyOwn(t, eng)
+	for r := types.Round(2); r <= 40; r++ {
+		deliver(eng, peers[r])
+	}
+	if len(collector.subs) == 0 {
+		t.Fatal("trace produced no commits")
+	}
+	for _, sub := range collector.subs {
+		for _, v := range sub.Vertices {
+			if v.Source == 0 && v.Round == 1 {
+				t.Fatal("the unreferenced vertex was ordered; test lost its teeth")
 			}
 		}
-		st := eng.Stats()
-		if st.OwnVerticesPrunedUnordered != 1 || st.OwnTxPrunedUnordered != 3 {
-			t.Fatalf("depth %d: pruned unordered = %d vertices / %d txs, want 1 / 3",
-				depth, st.OwnVerticesPrunedUnordered, st.OwnTxPrunedUnordered)
-		}
-		collectors = append(collectors, collector)
 	}
-	assertSameCommits(t, collectors[0], collectors[1])
+	st := eng.Stats()
+	if st.OwnVerticesPrunedUnordered != 1 || st.OwnTxPrunedUnordered != 3 {
+		t.Fatalf("pruned unordered = %d vertices / %d txs, want 1 / 3",
+			st.OwnVerticesPrunedUnordered, st.OwnTxPrunedUnordered)
+	}
 }
 
 // fullBatchEngine is validator 0 of a four-validator committee with
@@ -469,7 +460,7 @@ func TestWholeAnchorRoundSendsVoteAtOnce(t *testing.T) {
 			certs := peers[tc.leave]
 			if tc.missing {
 				// Not the leader's: the leader-wait is met either way.
-				drop := slices.IndexFunc(certs, func(c *Certificate) bool { return c.Header.Source != eng.leaderAt(tc.leave) })
+				drop := slices.IndexFunc(certs, func(c *Certificate) bool { return c.Header.Source != eng.scheduler.LeaderAt(tc.leave) })
 				certs = slices.Delete(slices.Clone(certs), drop, drop+1)
 			}
 			pool.txs = tc.queue
@@ -649,7 +640,7 @@ func TestFullBatchKeepsLeaderWait(t *testing.T) {
 			if h := certifyOwn(t, eng); h == nil || h.Round != 2 {
 				t.Fatalf("want an early round-2 proposal, got %v", h)
 			}
-			leader := eng.leaderAt(2)
+			leader := eng.scheduler.LeaderAt(2)
 			if leader == eng.self {
 				t.Fatal("setup: the engine under test leads round 2; the leader-wait is vacuous")
 			}

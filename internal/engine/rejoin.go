@@ -115,7 +115,7 @@ func (e *Engine) ProposalFloor() types.Round { return e.proposalFloor }
 func (e *Engine) Frontier() Frontier {
 	f := Frontier{
 		HighestRound: e.dagStore.HighestRound(),
-		LastOrdered:  e.lastOrderedRound(),
+		LastOrdered:  e.committer.LastOrderedRound(),
 	}
 	if e.exec != nil {
 		f.AppliedSeq = e.exec.AppliedSeq()
@@ -212,7 +212,7 @@ func (e *Engine) onRejoinResponse(from types.ValidatorID, resp *RejoinResponse, 
 	for _, c := range resp.Certs {
 		e.onCertificate(c, nowNanos, out)
 	}
-	if resp.Offer != nil && resp.Offer.Round > e.lastOrderedRound()+types.Round(e.config.GCDepth) {
+	if resp.Offer != nil && resp.Offer.Round > e.committer.LastOrderedRound()+types.Round(e.config.GCDepth) {
 		// The responder's checkpoint sits beyond our GC horizon: certificate
 		// sync can never close that gap, and the offer already tells us which
 		// checkpoint to fetch. Start the download now, pinned to the offered
@@ -220,7 +220,7 @@ func (e *Engine) onRejoinResponse(from types.ValidatorID, resp *RejoinResponse, 
 		// a from-scratch restart) is skipped entirely.
 		e.startOfferedSnapshotFetch(from, *resp.Offer, nowNanos, out)
 	}
-	if resp.Frontier.LastOrdered > e.lastOrderedRound()+types.Round(e.config.GCDepth) {
+	if resp.Frontier.LastOrdered > e.committer.LastOrderedRound()+types.Round(e.config.GCDepth) {
 		// The responder ordered so far past us that its certificate history
 		// is pruned; only a checkpoint can close the gap.
 		e.maybeSnapshotSync(from, nowNanos, out)

@@ -233,6 +233,10 @@ func (h *slotHarness) absorb(out *Output) {
 func (h *slotHarness) check() {
 	h.t.Helper()
 	e, m := h.e, h.m
+	if got, want := e.rounds.Floor(), e.dagStore.PrunedTo(); got != want {
+		// One floor (see TestOneFloor), snapshot installs included.
+		h.t.Fatalf("step %d: window floor %d, DAG floor %d", h.step, got, want)
+	}
 	votes, certs := 0, 0
 	for r := e.rounds.Floor(); r < e.rounds.End(); r++ {
 		rs := e.rounds.At(r)

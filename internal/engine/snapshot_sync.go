@@ -178,7 +178,7 @@ func (e *Engine) startOfferedSnapshotFetch(from types.ValidatorID, offer Snapsho
 	if !e.snapshotSyncEnabled() || e.snapFetch.active || offer.Round == 0 {
 		return
 	}
-	if offer.Round <= e.lastOrderedRound() {
+	if offer.Round <= e.committer.LastOrderedRound() {
 		return // offer is behind what we already applied
 	}
 	target, ok := e.syncPeer(from)
@@ -195,7 +195,7 @@ func (e *Engine) requestSnapshotChunk(out *Output) {
 	f := &e.snapFetch
 	e.stats.SnapshotRequests++
 	out.unicast(f.target, &Message{Kind: KindSnapshotRequest, SnapshotRequest: &SnapshotRequest{
-		HaveRound: e.lastOrderedRound(),
+		HaveRound: e.committer.LastOrderedRound(),
 		Round:     f.meta.Round,
 		Chunk:     f.next,
 	}})
@@ -293,7 +293,7 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 		f.lastAttempt = nowNanos
 		return
 	}
-	if resp.Round <= e.lastOrderedRound() {
+	if resp.Round <= e.committer.LastOrderedRound() {
 		// The responder's checkpoint is older than our applied state
 		// (possible when we advanced while fetching): installing it would
 		// move us backwards. Abort.
@@ -382,14 +382,8 @@ func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstal
 	for _, ov := range install.Ordered {
 		ordered[ov.Digest] = ov.Round
 	}
-	if e.stage != nil {
-		e.stage.mu.Lock()
-	}
 	if e.schedRestore != nil {
 		if len(install.SchedulerState) == 0 || e.schedRestore.RestoreState(install.SchedulerState) != nil {
-			if e.stage != nil {
-				e.stage.mu.Unlock()
-			}
 			e.stats.SnapshotInstallFailures++
 			return false
 		}
@@ -397,9 +391,6 @@ func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstal
 	e.committer.FastForward(meta.Round, meta.CommitSeq, install.PruneTo, ordered)
 	if e.schedFastForward != nil {
 		e.schedFastForward.FastForwardTo(meta.Round)
-	}
-	if e.stage != nil {
-		e.stage.mu.Unlock()
 	}
 	e.dagStore.Prune(install.PruneTo)
 	e.pruneProtocolState(install.PruneTo)

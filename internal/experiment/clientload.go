@@ -700,7 +700,6 @@ func newClientLoadCluster(s ClientLoadScenario, lanes int) (*clientLoadCluster, 
 	}
 	engCfg := engine.DefaultConfig()
 	engCfg.LeaderTimeout = time.Second
-	engCfg.PipelineDepth = engine.DefaultPipelineDepth
 
 	// Replicas bootstrap from certified snapshots, so a replica-bearing run
 	// switches on quorum checkpoint certification with a tight interval —

@@ -189,8 +189,7 @@ func batchCapFor(n int) int {
 // after genesis and recover at 60% of the run, far behind a committee that
 // kept committing at high-load pacing the whole time. The recovering
 // validators must re-sync hundreds of rounds while live traffic keeps
-// arriving — the burst the engine's two-stage pipeline absorbs on real
-// nodes. Execution is on and GC runs at the DEFAULT depth: the gap exceeds
+// arriving. Execution is on and GC runs at the DEFAULT depth: the gap exceeds
 // the horizon, so recovery goes through snapshot state-sync (the old
 // raised-GCDepthRounds workaround is gone). Both mechanisms recover fully:
 // HammerHead's schedule state rides in the snapshot and fast-forwards.

@@ -41,17 +41,12 @@ func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *co
 	if err != nil {
 		t.Fatal(err)
 	}
-	engCfg := fastNodeEngineConfig()
-	engCfg.PipelineDepth = 64
-	if tc.engineCfg != nil {
-		engCfg = *tc.engineCfg
-	}
 	nd, err := node.New(node.Config{
 		Committee:          tc.committee,
 		Self:               id,
 		Keys:               kp,
 		PublicKeys:         pubs,
-		Engine:             engCfg,
+		Engine:             fastNodeEngineConfig(),
 		HammerHead:         hh,
 		ScheduleSeed:       7,
 		WALPath:            walPath,
@@ -75,7 +70,7 @@ func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *co
 	return nd
 }
 
-// TestNodesExecuteAndConverge runs a pipelined 4-node cluster with the
+// TestNodesExecuteAndConverge runs a 4-node cluster with the
 // execution subsystem on: every node applies the commit stream on its
 // executor goroutine, checkpoints periodically, and all nodes converge to
 // the same chained state root at a common commit sequence.

@@ -158,7 +158,8 @@ type Node struct {
 	// Commit delivery runs on its own goroutine: the engine's CommitSink
 	// enqueues ordered sub-DAGs here and commitLoop hands them to the
 	// configured handler, so a slow executor backpressures the (bounded)
-	// queue instead of stalling the engine or the order stage directly.
+	// queue instead of stalling the engine directly. It is the one queue
+	// between ordering and execution.
 	// replaying is set until recovery goes live: commits are delivered
 	// synchronously and flagged replayed, and nothing is written to the WAL.
 	commitq   chan commitDelivery
@@ -204,7 +205,6 @@ type Node struct {
 	queueMetric     *metrics.Gauge
 	droppedMetric   *metrics.Counter
 	batchHist       *metrics.Histogram
-	pipelineMetric  *metrics.Gauge
 	commitQMetric   *metrics.Gauge
 	epochMetric     *metrics.Gauge
 	epochStartMet   *metrics.Gauge
@@ -312,7 +312,6 @@ func New(cfg Config) (*Node, error) {
 		// quorum of votes).
 		n.batchHist = cfg.Metrics.Histogram("hammerhead_verify_batch_size",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128})
-		n.pipelineMetric = cfg.Metrics.Gauge("hammerhead_pipeline_depth")
 		n.commitQMetric = cfg.Metrics.Gauge("hammerhead_commit_queue_depth")
 		n.epochMetric = cfg.Metrics.Gauge("hammerhead_schedule_epoch")
 		n.epochStartMet = cfg.Metrics.Gauge("hammerhead_schedule_start_round")
@@ -552,11 +551,11 @@ func (n *Node) publishSchedulerState(ms *core.ManagerState) {
 // sinkCommit is the engine's CommitSink. During WAL recovery it delivers
 // synchronously (every replayed commit must reach the handler before the
 // node goes live); afterwards it enqueues for the commit loop, stamped with
-// the current durability watermark. Called from the engine loop in serial
-// mode and from the order stage when the pipeline is enabled — in both
-// cases a single goroutine at a time, in commit order.
+// the current durability watermark. Called on the node loop goroutine, where
+// the engine and its committer run (recovery included), in commit order; a
+// full commitq blocks the loop, the backpressure execution exerts on ordering.
 func (n *Node) sinkCommit(sub bullshark.CommittedSubDAG) {
-	cs := n.eng.CommitterStats()
+	cs := n.eng.Committer().Stats()
 	n.statusCommitter.Store(&cs)
 	if n.replaying.Load() {
 		// WAL replay re-derives pre-crash commits; their trace entries died
@@ -828,11 +827,9 @@ func (n *Node) Close() error {
 	// Wake a commit delivery parked on the durability watermark.
 	n.walw.wake()
 	n.wg.Wait()
-	// Stop the engine's order stage (drains already-queued vertices; its
-	// sink sends can no longer block because done is closed), then drain the
+	// The loop goroutine, the only sender on commitq, has exited: drain the
 	// commit loop — the WAL writer stays up meanwhile so watermark waits
 	// keep resolving — and finally the WAL writer itself.
-	n.eng.Close()
 	close(n.commitq)
 	n.commitWg.Wait()
 	if n.exec != nil {
@@ -914,9 +911,6 @@ func (n *Node) dispatch(out *engine.Output) {
 	}
 	if n.leaderMetric != nil {
 		n.leaderMetric.Set(int64(n.leaderAhead(n.eng.Round())))
-	}
-	if n.pipelineMetric != nil {
-		n.pipelineMetric.Set(int64(n.eng.PipelineBacklog()))
 	}
 }
 

@@ -28,8 +28,6 @@ type testCluster struct {
 	nodes     []*node.Node
 	// trans holds each built node's endpoint, handed over at Start.
 	trans map[*node.Node]transport.Transport
-	// engineCfg overrides fastNodeEngineConfig when non-nil (pipelined runs).
-	engineCfg *engine.Config
 
 	mu      sync.Mutex
 	commits map[types.ValidatorID][]types.Digest
@@ -63,16 +61,12 @@ func buildNode(t *testing.T, tc *testCluster, id types.ValidatorID, hh *core.Con
 		t.Fatal(err)
 	}
 
-	engCfg := fastNodeEngineConfig()
-	if tc.engineCfg != nil {
-		engCfg = *tc.engineCfg
-	}
 	nd, err := node.New(node.Config{
 		Committee:    tc.committee,
 		Self:         id,
 		Keys:         kp,
 		PublicKeys:   pubs,
-		Engine:       engCfg,
+		Engine:       fastNodeEngineConfig(),
 		HammerHead:   hh,
 		ScheduleSeed: 7,
 		WALPath:      walPath,
@@ -171,7 +165,7 @@ func (tc *testCluster) waitCommits(t *testing.T, min int, timeout time.Duration)
 
 // assertCountersLive reads every node's status-line counters while the
 // engines run (under -race this is the check that the line is served from
-// mirrors, not from state the engine and order-stage goroutines own).
+// mirrors, not from state the engine goroutine owns).
 func (tc *testCluster) assertCountersLive(t *testing.T) {
 	t.Helper()
 	for i, nd := range tc.nodes {
@@ -192,55 +186,41 @@ func TestNodesCommitTransactions(t *testing.T) {
 	}
 	tc.waitCommits(t, 3, 15*time.Second)
 	tc.assertCountersLive(t)
+	tc.assertPrefixConsistent(t)
+}
 
+// assertPrefixConsistent checks that every node's commit stream is a prefix
+// of v0's or extends it, and that transactions flowed through every node.
+func (tc *testCluster) assertPrefixConsistent(t *testing.T) {
+	t.Helper()
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	// Prefix consistency across nodes.
 	ref := tc.commits[0]
-	for i := 1; i < 4; i++ {
+	for i := 1; i < tc.committee.Size(); i++ {
 		other := tc.commits[types.ValidatorID(i)]
-		k := len(ref)
-		if len(other) < k {
-			k = len(other)
-		}
-		for j := 0; j < k; j++ {
+		for j := 0; j < min(len(ref), len(other)); j++ {
 			if ref[j] != other[j] {
-				t.Fatalf("node v%d commit %d diverges", i, j)
+				t.Fatalf("node v%d commit %d diverges from v0", i, j)
 			}
 		}
 	}
-	// Transactions flowed through.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < tc.committee.Size(); i++ {
 		if tc.txSeen[types.ValidatorID(i)] == 0 {
 			t.Fatalf("node v%d committed no transactions", i)
 		}
 	}
 }
 
-// TestNodesCommitWithPipelinedEngine runs the same flow with the two-stage
-// engine pipeline enabled: certificate ingest and Bullshark ordering on
-// separate goroutines, commits delivered through the async sink. Prefix
-// consistency across nodes re-checks the determinism contract end-to-end on
-// the real runtime.
+// TestNodesCommitWithPipelinedEngine runs the transaction flow with the
+// HammerHead scheduler switching schedules every few commits: certificate
+// ingest, Bullshark ordering and the execution sink all run inline on each
+// node's engine goroutine. The name predates the removal of the separate
+// order stage; prefix consistency across nodes still re-checks the
+// determinism contract end-to-end on the real runtime.
 func TestNodesCommitWithPipelinedEngine(t *testing.T) {
-	committee, err := types.NewEqualStakeCommittee(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastNodeEngineConfig()
-	cfg.PipelineDepth = 64
-	tc := &testCluster{
-		committee: committee,
-		network:   transport.NewChannelNetwork(1 << 14),
-		engineCfg: &cfg,
-		commits:   make(map[types.ValidatorID][]types.Digest),
-		txSeen:    make(map[types.ValidatorID]int),
-	}
 	hh := core.DefaultConfig()
 	hh.EpochCommits = 3
-	for i := 0; i < 4; i++ {
-		tc.nodes = append(tc.nodes, buildNode(t, tc, types.ValidatorID(i), &hh, "", nil))
-	}
+	tc := newTestCluster(t, 4, &hh)
 	tc.start(t)
 	for i := 0; i < 50; i++ {
 		if err := tc.nodes[i%4].Submit(types.Transaction{ID: uint64(i + 1)}); err != nil {
@@ -249,27 +229,7 @@ func TestNodesCommitWithPipelinedEngine(t *testing.T) {
 	}
 	tc.waitCommits(t, 6, 20*time.Second)
 	tc.assertCountersLive(t)
-
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	ref := tc.commits[0]
-	for i := 1; i < 4; i++ {
-		other := tc.commits[types.ValidatorID(i)]
-		k := len(ref)
-		if len(other) < k {
-			k = len(other)
-		}
-		for j := 0; j < k; j++ {
-			if ref[j] != other[j] {
-				t.Fatalf("pipelined node v%d commit %d diverges from v0", i, j)
-			}
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if tc.txSeen[types.ValidatorID(i)] == 0 {
-			t.Fatalf("pipelined node v%d committed no transactions", i)
-		}
-	}
+	tc.assertPrefixConsistent(t)
 }
 
 func TestNodesWithHammerHeadScheduler(t *testing.T) {
@@ -282,9 +242,13 @@ func TestNodesWithHammerHeadScheduler(t *testing.T) {
 	}
 	tc.waitCommits(t, 8, 20*time.Second)
 
-	// The schedule must have switched on every node identically.
-	var ref []*struct{} // placeholder to keep scope tight
-	_ = ref
+	// The schedule must have switched on every node identically. The
+	// schedulers belong to the engine goroutines: stop them first.
+	for _, nd := range tc.nodes {
+		if err := nd.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var first *core.Manager
 	for i, nd := range tc.nodes {
 		m, ok := nd.Engine().Scheduler().(*core.Manager)

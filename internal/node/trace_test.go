@@ -38,14 +38,12 @@ func buildTraceNode(t *testing.T, tc *testCluster, id types.ValidatorID, walPath
 	if err != nil {
 		t.Fatal(err)
 	}
-	engCfg := fastNodeEngineConfig()
-	engCfg.PipelineDepth = 64
 	nd, err := node.New(node.Config{
 		Committee:    tc.committee,
 		Self:         id,
 		Keys:         kp,
 		PublicKeys:   pubs,
-		Engine:       engCfg,
+		Engine:       fastNodeEngineConfig(),
 		ScheduleSeed: 7,
 		WALPath:      walPath,
 		Execution:    true,
@@ -217,14 +215,12 @@ func TestTraceCoversFullCommitPath(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var freshCommits int
-	engCfg := fastNodeEngineConfig()
-	engCfg.PipelineDepth = 64
 	restarted, err := node.New(node.Config{
 		Committee:    committee,
 		Self:         0,
 		Keys:         kp,
 		PublicKeys:   pubs,
-		Engine:       engCfg,
+		Engine:       fastNodeEngineConfig(),
 		ScheduleSeed: 7,
 		WALPath:      walPath,
 		Execution:    true,

@@ -47,8 +47,8 @@ const (
 	// quorum and became a certificate (engine goroutine).
 	StageCertFormed
 	// StageOrdered: the Bullshark anchor walk committed the sub-DAG
-	// containing the tx (order-stage goroutine, fresh commits only — WAL
-	// replay records nothing).
+	// containing the tx (engine goroutine, fresh commits only — WAL replay
+	// records nothing).
 	StageOrdered
 	// StageDurable: the commit's WAL write passed the durability watermark
 	// (commit-delivery goroutine; trivially immediate when the node runs

@@ -201,12 +201,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.keys[i], c.pubKeys[i] = kp, kp.Public
 	}
 
-	// Simulated engines always run the serial path: the order stage's
-	// goroutine would break virtual time (commits must land at a definite
-	// simulated instant). Pipelined ordering is byte-identical to serial by
-	// construction — the determinism test in this package proves it — so
-	// simulation results transfer to pipelined deployments.
-	cfg.Engine.PipelineDepth = 0
 	c.cfg = cfg
 	c.validators = make([]*validator.Validator, n)
 	for i := range c.validators {

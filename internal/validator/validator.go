@@ -133,18 +133,17 @@ type Replay func(cert func(*engine.Certificate) error, proposal func(*engine.Hea
 //  2. Init unlocks proposing and builds a first header;
 //  3. replay (nil: nothing recorded) feeds the recorded certificates through
 //     the normal message path and collects the highest own proposal — commits
-//     are re-derived, and every output is discarded: nothing transmits
-//     during recovery;
+//     are re-derived and delivered to the sink within the replayed step, and
+//     every output is discarded: nothing transmits during recovery;
 //  4. RestoreProposal re-adopts that proposal, the voted-round mark, so the
 //     validator re-transmits the header it signed instead of equivocating
 //     the slot;
-//  5. Flush delivers every replay-derived commit;
-//  6. live is called: the runtime stops suppressing its record and flags
+//  5. live is called: the runtime stops suppressing its record and flags
 //     commits fresh from here on;
-//  7. Init's header goes unless replay moved the engine past it, and the
+//  6. Init's header goes unless replay moved the engine past it, and the
 //     current proposal is recorded (Observer.Proposed) unless it is the
 //     restored one, already in the record;
-//  8. Init's output, then the crash-rejoin handshake's (StartRejoin), go to
+//  7. Init's output, then the crash-rejoin handshake's (StartRejoin), go to
 //     dispatch.
 //
 // now is read at every step. A replay error returns before step 4, with
@@ -175,7 +174,6 @@ func (v *Validator) Recover(now func() int64, replay Replay, live func(), dispat
 		}
 		eng.RestoreProposal(last)
 	}
-	eng.Flush()
 	live()
 	// Init ran before replay: when the log moved the engine past that first
 	// proposal, its queued broadcast is a stale header for an already-signed

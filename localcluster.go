@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"hammerhead/internal/engine"
 	"hammerhead/internal/node"
 	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
@@ -75,10 +74,6 @@ func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error)
 	// Local clusters exchange messages in microseconds; the production
 	// leader timeout would only slow fault examples down.
 	engineConfig.LeaderTimeout = 1e9 // 1s
-	// Real runtimes run the two-stage engine pipeline: certificate ingest
-	// returns to message processing while the Bullshark walk orders
-	// asynchronously.
-	engineConfig.PipelineDepth = engine.DefaultPipelineDepth
 	var options localClusterOptions
 	for _, opt := range opts {
 		opt(&options)
