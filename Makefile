@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes clean
 
 all: build test
 
@@ -80,6 +80,14 @@ sim-mem:
 	go test -run TestDigestLookupsMatchIndexModel ./internal/dag/
 	go test -run 'TestBurstDrainsAtCertificationPace|TestBurstSurvivesAStalledValidator' ./internal/simnet/
 	go test -run 'TestVoteRoundFollowsCertification|TestVoteRoundWaitsForACrashedValidator' ./internal/simnet/
+
+# checkpoint-bytes is CI's "Checkpoint bytes (merge ≡ full encode)" step: the
+# checkpoint writer merges the writes since the previous checkpoint into its
+# cached bytes, and every blob saved or served must still be the full
+# encoding of its state (through forced checkpoints, a failed save and an
+# install), as the inline oracle's and the golden blobs are.
+checkpoint-bytes:
+	go test -count=3 -run '^(TestCheckpointMergeMatchesFullEncode|TestCheckpointChainRule|TestCheckpointsMatchInlineOracle|TestGoldenKVSnapshot|TestGoldenSnapshotBlob)$$' ./internal/execution/
 
 clean:
 	rm -rf bin hammerlint

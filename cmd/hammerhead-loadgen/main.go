@@ -42,7 +42,16 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options is a parsed command line.
+type options struct {
+	scenario            experiment.ClientLoadScenario
+	assert              bool // selfcluster only
+	logLevel, logFormat string
+}
+
+// parseFlags parses and checks a command line without booting or dialling
+// anything.
+func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("hammerhead-loadgen", flag.ContinueOnError)
 	targets := fs.String("targets", "", "comma-separated gateway addresses (host:port); mutually exclusive with -selfcluster")
 	selfCluster := fs.Int("selfcluster", 0, "boot an in-process cluster of this size and load it (CI smoke; implies verification)")
@@ -59,20 +68,17 @@ func run(args []string) error {
 	logLevel := fs.String("log-level", "info", "log level: debug|info|warn|error")
 	logFormat := fs.String("log-format", "text", "log format: text|json")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return options{}, err
 	}
-	root, err := obs.NewLogger(os.Stdout, *logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	logger := obs.Component(root, "loadgen")
 	if *selfCluster > 0 && *targets != "" {
-		return fmt.Errorf("-selfcluster and -targets are mutually exclusive")
+		return options{}, fmt.Errorf("-selfcluster and -targets are mutually exclusive")
 	}
 	if *selfCluster <= 0 && *targets == "" {
-		return fmt.Errorf("one of -targets or -selfcluster is required")
+		return options{}, fmt.Errorf("one of -targets or -selfcluster is required")
 	}
-
+	if *replicas > 0 && *targets != "" {
+		return options{}, fmt.Errorf("-replicas requires -selfcluster")
+	}
 	s := experiment.NewClientLoadScenario(*selfCluster, *rate, *duration)
 	s.Clients = *clients
 	s.BatchSize = *batch
@@ -81,18 +87,31 @@ func run(args []string) error {
 	s.Scheme = *scheme
 	s.Replicas = *replicas
 	s.Trace = *trace
-	if *replicas > 0 && *targets != "" {
-		return fmt.Errorf("-replicas requires -selfcluster")
-	}
 	if *targets != "" {
 		for _, ep := range strings.Split(*targets, ",") {
 			s.Endpoints = append(s.Endpoints, strings.TrimSpace(ep))
 		}
+	}
+	return options{scenario: s, assert: *assert && *selfCluster > 0, logLevel: *logLevel, logFormat: *logFormat}, nil
+}
+
+func run(args []string) error {
+	o, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	root, err := obs.NewLogger(os.Stdout, o.logLevel, o.logFormat)
+	if err != nil {
+		return err
+	}
+	logger := obs.Component(root, "loadgen")
+	s := o.scenario
+	if len(s.Endpoints) > 0 {
 		logger.Info("driving targets",
-			"endpoints", s.Endpoints, "rate", *rate, "duration", *duration, "clients", *clients, "batch", *batch, "trace", *trace)
+			"endpoints", s.Endpoints, "rate", s.RateTxPerSec, "duration", s.Duration, "clients", s.Clients, "batch", s.BatchSize, "trace", s.Trace)
 	} else {
 		logger.Info("booting self-cluster",
-			"n", *selfCluster, "rate", *rate, "duration", *duration, "clients", *clients, "batch", *batch, "scheme", *scheme, "trace", *trace)
+			"n", s.N, "rate", s.RateTxPerSec, "duration", s.Duration, "clients", s.Clients, "batch", s.BatchSize, "scheme", s.Scheme, "trace", s.Trace)
 	}
 
 	res, err := experiment.RunClientLoad(s)
@@ -100,7 +119,7 @@ func run(args []string) error {
 		return err
 	}
 	printClientLoad(res)
-	if *selfCluster > 0 && *assert {
+	if o.assert {
 		switch {
 		case res.Commits == 0 || res.Committed == 0:
 			return fmt.Errorf("FAIL: no commits observed")
@@ -112,18 +131,18 @@ func run(args []string) error {
 			return fmt.Errorf("FAIL: chained state roots disagree (compared %d)", res.StateRootsCompared)
 		case !res.ResumeOK:
 			return fmt.Errorf("FAIL: SSE resume from mid-stream sequence broke")
-		case *replicas > 0 && res.ReplicasCompared < *replicas:
-			return fmt.Errorf("FAIL: only %d of %d replicas certified past the commit frontier", res.ReplicasCompared, *replicas)
-		case *replicas > 0 && !res.ReplicaRootsAgree:
+		case s.Replicas > 0 && res.ReplicasCompared < s.Replicas:
+			return fmt.Errorf("FAIL: only %d of %d replicas certified past the commit frontier", res.ReplicasCompared, s.Replicas)
+		case s.Replicas > 0 && !res.ReplicaRootsAgree:
 			return fmt.Errorf("FAIL: replica chained roots disagree with the validators")
-		case *replicas > 0 && (res.ReplicaChecked == 0 || res.ReplicaMismatches != 0):
+		case s.Replicas > 0 && (res.ReplicaChecked == 0 || res.ReplicaMismatches != 0):
 			return fmt.Errorf("FAIL: %d of %d replica verified reads failed", res.ReplicaMismatches, res.ReplicaChecked)
-		case *trace && res.TraceChecked == 0:
+		case s.Trace && res.TraceChecked == 0:
 			return fmt.Errorf("FAIL: tracing enabled but no accepted transactions were trace-checked")
-		case *trace && res.TraceIncomplete != 0:
+		case s.Trace && res.TraceIncomplete != 0:
 			return fmt.Errorf("FAIL: %d of %d accepted transactions lack a complete monotonic commit-path trace", res.TraceIncomplete, res.TraceChecked)
 		}
-		if *replicas > 0 {
+		if s.Replicas > 0 {
 			fmt.Println("PASS: commits observed, KV agrees on every validator, state roots agree, SSE resume OK, replica verified reads OK")
 		} else {
 			fmt.Println("PASS: commits observed, KV agrees on every validator, state roots agree, SSE resume OK")

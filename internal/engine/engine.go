@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"hammerhead/internal/bullshark"
@@ -248,6 +249,8 @@ type Engine struct {
 	// certified; the next own headers take them ahead of the mempool's, so a
 	// batch leaves the engine only inside a certificate.
 	carried []types.Transaction
+	// carriedLen is len(carried), for Carried's callers on other goroutines.
+	carriedLen atomic.Int64
 	// restoredHeader marks curHeader as re-adopted from the WAL rather than
 	// built by this process (see abandonHeader).
 	restoredHeader bool
@@ -537,6 +540,18 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 	case TimerRejoin:
 		e.onRejoinTimer(nowNanos, out)
 	}
+	return out
+}
+
+// OnBatchFull processes the pending transactions, carried and mempool,
+// reaching MaxBatchTx between engine events. A full batch opens the pacing
+// gate (see pacingOpen), but the gate is otherwise looked at only when a
+// message or timer arrives: a quiet committee waiting out its floor would hold
+// a batch that filled from the gateway until the wave timer fired. The
+// runtime calls it once per fill (validator.Validator.Submit reports one).
+func (e *Engine) OnBatchFull(nowNanos int64) *Output {
+	out := &Output{}
+	e.tryAdvance(nowNanos, out)
 	return out
 }
 
@@ -1247,7 +1262,7 @@ func (e *Engine) abandonHeader() {
 	}
 	e.stats.HeadersAbandoned++
 	if h.Batch != nil {
-		e.carried = append(e.carried, h.Batch.Transactions...)
+		e.setCarried(append(e.carried, h.Batch.Transactions...))
 		e.stats.TxCarried += uint64(h.Batch.Len())
 	}
 }
@@ -1262,6 +1277,17 @@ func (e *Engine) resumeAt(round types.Round) {
 	e.roundDelayOK = true
 }
 
+// setCarried replaces the carried transactions.
+func (e *Engine) setCarried(txs []types.Transaction) {
+	e.carried = txs
+	e.carriedLen.Store(int64(len(txs)))
+}
+
+// Carried returns how many transactions of abandoned own headers wait for the
+// next ones. Safe from any goroutine: the admission path adds it to the
+// mempool's pending count to see a batch fill (see OnBatchFull).
+func (e *Engine) Carried() int { return int(e.carriedLen.Load()) }
+
 // nextBatch assembles the next own header's batch: transactions carried over
 // from abandoned headers first, then the mempool's, MaxBatchTx in all.
 func (e *Engine) nextBatch(nowNanos int64) *types.Batch {
@@ -1272,7 +1298,7 @@ func (e *Engine) nextBatch(nowNanos int64) *types.Batch {
 	// Copied: the batch outlives this step inside the header, while carried
 	// keeps being appended to.
 	txs := append(make([]types.Transaction, 0, e.config.MaxBatchTx), e.carried[:n]...)
-	e.carried = e.carried[n:]
+	e.setCarried(e.carried[n:])
 	if room := e.config.MaxBatchTx - n; room > 0 {
 		if b := e.batches.NextBatch(nowNanos, room); b != nil {
 			txs = append(txs, b.Transactions...)
@@ -1313,7 +1339,7 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 		// batch) and let the round delay retry.
 		e.stats.InvalidMessages++
 		if header.Batch != nil {
-			e.carried = append(e.carried, header.Batch.Transactions...)
+			e.setCarried(append(e.carried, header.Batch.Transactions...))
 		}
 		return
 	}

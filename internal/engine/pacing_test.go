@@ -379,6 +379,41 @@ func TestFullBatchOpensPacingGate(t *testing.T) {
 	}
 }
 
+// TestBatchFilledBetweenEventsIsProposed: a quiet committee whose whole
+// voting round waits for the wave timer proposes a batch that fills from the
+// gateway when OnBatchFull reports the fill, not when the timer fires, and
+// counts it as an early full batch. One short of full, the report changes
+// nothing.
+func TestBatchFilledBetweenEventsIsProposed(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	eng, pool, peers := fullBatchEngine(t)
+	deliver(eng, peers[1])
+	certifyOwn(t, eng)
+	if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 1}, 0)); h == nil || h.Round != 2 {
+		t.Fatalf("setup: want the round-2 header at time 0, got %v", h)
+	}
+	deliverAt(eng, peers[2], 10*ms)
+	if h, _ := certifyOwnAt(t, eng, 10*ms); h == nil || h.Round != 3 {
+		t.Fatalf("setup: want the round-3 vote early, got %v", h)
+	}
+	deliverAt(eng, peers[3], 20*ms)
+	if h, _ := certifyOwnAt(t, eng, 20*ms); h != nil {
+		t.Fatalf("setup: proposed round %d before the wave timer with an empty pool", h.Round)
+	}
+	pool.txs = txRange(1, 3)
+	if h := proposedIn(eng.OnBatchFull(25 * ms)); h != nil {
+		t.Fatalf("proposed round %d holding 3 of 4 transactions", h.Round)
+	}
+	pool.txs = txRange(1, 4)
+	h := proposedIn(eng.OnBatchFull(30 * ms))
+	if h == nil || h.Round != 4 || !slices.Equal(batchIDs(h.Batch), []uint64{1, 2, 3, 4}) {
+		t.Fatalf("a full batch over the whole round 3 must go out at once as round 4 with [1 2 3 4], got %v", h)
+	}
+	if st := eng.Stats(); st.HeadersFullEarly != 1 {
+		t.Fatalf("HeadersFullEarly = %d, want 1", st.HeadersFullEarly)
+	}
+}
+
 // TestFullBatchKeepsRoundConditions: a full batch lifts only the floor, and
 // only over a whole round. The validator still waits for its own
 // certificate; with a quorum but one validator's certificate missing it waits

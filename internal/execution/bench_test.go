@@ -134,16 +134,19 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointCut measures how long a checkpoint holds the executor's
-// lock — what every apply and read waits behind — with a few hundred writes
-// since the previous checkpoint: the cut (flush, freeze, copy the window)
-// against the inline path it replaced (serialise, sort, encode and save under
-// the lock), at 10k and 100k keys. Only the locked section is timed; the cut
-// is written off the clock, as the checkpoint goroutine would.
+// BenchmarkCheckpointCut measures a checkpoint's two halves with a few
+// hundred writes since the previous checkpoint, at 10k and 100k keys. cut and
+// inline time how long it holds the executor's lock — what every apply and
+// read waits behind: the cut (flush, freeze, copy the window) against the
+// inline path it replaced (serialise, sort, encode and save under the lock);
+// the cut is written off the clock, as the checkpoint goroutine would.
+// write/merge and write/full time the writer, with the cut off the clock:
+// merging the writes into the previous checkpoint's bytes, against encoding
+// the whole ledger (the chain broken before every write).
 func BenchmarkCheckpointCut(b *testing.B) {
 	const dirty = 300
 	for _, keys := range []int{10_000, 100_000} {
-		for _, path := range []string{"cut", "inline"} {
+		for _, path := range []string{"cut", "inline", "write/merge", "write/full"} {
 			b.Run(fmt.Sprintf("keys=%d/%s", keys, path), func(b *testing.B) {
 				o := newInlineOracle(1<<62, false)
 				x := o.x
@@ -157,7 +160,7 @@ func BenchmarkCheckpointCut(b *testing.B) {
 					}
 					x.ApplyCommit(makeCommit(seq, types.Round(2*seq), puts))
 				}
-				// checkpoint runs one checkpoint with only its locked section on
+				// checkpoint runs one checkpoint with only the measured half on
 				// the clock.
 				checkpoint := func() {
 					if path == "inline" {
@@ -168,10 +171,17 @@ func BenchmarkCheckpointCut(b *testing.B) {
 					}
 					x.mu.Lock()
 					c, err := x.cutLocked()
+					if path == "write/full" && x.latest != nil {
+						x.latest.kvGen = 0
+					}
 					x.mu.Unlock()
-					b.StopTimer()
 					if err != nil {
 						b.Fatal(err)
+					}
+					if path == "cut" {
+						b.StopTimer()
+					} else {
+						b.StartTimer()
 					}
 					x.writeMu.Lock()
 					_, err = x.write(c)
@@ -179,7 +189,11 @@ func BenchmarkCheckpointCut(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					b.StartTimer()
+					if path == "cut" {
+						b.StartTimer()
+					} else {
+						b.StopTimer()
+					}
 				}
 				for loaded := 0; loaded < keys; loaded += 1000 {
 					commit(1000, 1)
@@ -190,7 +204,9 @@ func BenchmarkCheckpointCut(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					commit(dirty, 104729)
-					b.StartTimer()
+					if path == "cut" || path == "inline" {
+						b.StartTimer()
+					}
 					checkpoint()
 				}
 			})

@@ -106,7 +106,8 @@ type Config struct {
 //
 // A checkpoint is cut under the lock in O(writes since the last one) — the
 // state is flushed and frozen, the ordered window and scheduler bytes copied —
-// and written from that frozen view off it: serialised, saved, cached as its
+// and written from that frozen view off it: serialised (the writes since the
+// previous checkpoint merged into its cached bytes), saved, cached as its
 // encoded blob, announced to OnCheckpoint.
 type Executor struct {
 	mu  sync.Mutex
@@ -204,6 +205,11 @@ type ckpt struct {
 	blob     []byte
 	blobCert *checkpoint.Certificate
 	certAt   int
+	// blob[kvAt:kvAt+kvLen] is the KV encoding of the view cut at its
+	// ledger's Freeze kvGen, when the writer encoded one (kvGen 0: an install,
+	// or a custom state machine): the next cut's writer merges into it.
+	kvAt, kvLen int
+	kvGen       uint64
 }
 
 // NewExecutor builds an executor over the given state machine.
@@ -577,6 +583,13 @@ func (x *Executor) write(c *ckpt) (Snapshot, error) {
 	stale := x.overtakenLocked(c)
 	x.writing = c
 	frozen, blob, cert := c.frozen, c.blob, c.blobCert
+	// The latest blob's bytes never change (a reseal copies them), so the
+	// writer reads its KV encoding off the lock.
+	var base []byte
+	var baseGen uint64
+	if l := x.latest; l != nil && l.kvGen != 0 {
+		base, baseGen = l.blob[l.kvAt:l.kvAt+l.kvLen], l.kvGen
+	}
 	x.mu.Unlock()
 	if stale {
 		return x.drop(c, ErrStaleSnapshot)
@@ -584,8 +597,13 @@ func (x *Executor) write(c *ckpt) (Snapshot, error) {
 	snap := c.snap
 	cut := blob == nil // an install arrives encoded
 	if cut {
+		var body []byte
 		if frozen != nil {
-			snap.Data = frozen.Snapshot()
+			body, c.kvAt, c.kvLen = checkpointBody(&snap, frozen, base, baseGen)
+			c.kvGen = frozen.gen
+			snap.Data = body[c.kvAt : c.kvAt+c.kvLen : c.kvAt+c.kvLen]
+		} else {
+			body = snapshotBody(snap)
 		}
 		x.mu.Lock()
 		if !x.cfg.CheckpointCerts {
@@ -596,7 +614,6 @@ func (x *Executor) write(c *ckpt) (Snapshot, error) {
 		}
 		cert = c.cert
 		x.mu.Unlock()
-		body := snapshotBody(snap)
 		blob = sealSnapshot(body, cert)
 		c.certAt = len(body)
 	}
@@ -637,6 +654,9 @@ func (x *Executor) drop(c *ckpt, err error) (Snapshot, error) {
 	x.mu.Lock()
 	if x.writing == c {
 		x.writing = nil
+	}
+	if c.frozen != nil {
+		c.frozen.touched = nil // a view kept for certification must not pin it
 	}
 	if !x.cfg.CheckpointCerts {
 		x.releaseLocked(c.frozen)

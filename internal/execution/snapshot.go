@@ -87,9 +87,73 @@ func EncodeSnapshot(s Snapshot) ([]byte, error) {
 //
 //hammerlint:deterministic
 func snapshotBody(s Snapshot) []byte {
-	// The slack covers the framing and the seal of an uncertified blob (flag
-	// and checksum), so sealing one appends in place.
-	buf := make([]byte, 0, len(s.Data)+len(s.SchedulerState)+len(s.Ordered)*48+256)
+	buf := make([]byte, 0, bodyCap(&s, len(s.Data)))
+	buf = appendSnapshotHead(buf, &s)
+	buf = wire.AppendBytes(buf, s.Data)
+	return wire.AppendBytes(buf, s.SchedulerState)
+}
+
+// bodyCap is the capacity of a body whose Data is up to dataLen bytes. The
+// slack covers the framing and the seal of an uncertified blob (flag and
+// checksum), so sealing one appends in place.
+func bodyCap(s *Snapshot, dataLen int) int {
+	return dataLen + len(s.SchedulerState) + len(s.Ordered)*48 + 256
+}
+
+// checkpointBody is snapshotBody for a checkpoint whose Data is the encoding
+// of the frozen view f, written straight into the body, and returns where in
+// the body those bytes sit. base is the KV encoding of the view its ledger
+// froze at baseGen (nil, 0: none); when f follows it, f's writes are merged
+// into base, and otherwise f is encoded in full. Merged, the checkpoint
+// allocates one buffer, sized once.
+//
+//hammerlint:deterministic
+func checkpointBody(s *Snapshot, f *FrozenKV, base []byte, baseGen uint64) (body []byte, kvAt, kvLen int) {
+	merge := f.follows(baseGen)
+	var edits []kvEdit
+	var full []byte
+	size := 0
+	if merge {
+		edits, size = f.edits()
+		size += len(base) + binary.MaxVarintLen64 // the pair count may grow
+	} else {
+		full = f.Snapshot()
+		size = len(full)
+	}
+	f.touched = nil // a view kept for certification must not pin it
+	body = appendSnapshotHead(make([]byte, 0, bodyCap(s, size)), s)
+	// The length prefix goes before the bytes it counts: reserve it for size,
+	// which bounds them, and move them down if their length takes fewer.
+	lenAt := len(body)
+	kvAt = lenAt + uvarintLen(uint64(size))
+	body = body[:kvAt]
+	if merge {
+		body = f.appendKVMerged(body, base, edits)
+	} else {
+		body = append(body, full...)
+	}
+	kvLen = len(body) - kvAt
+	if at := lenAt + uvarintLen(uint64(kvLen)); at != kvAt {
+		body = body[:at+copy(body[at:], body[kvAt:])]
+		kvAt = at
+	}
+	binary.PutUvarint(body[lenAt:], uint64(kvLen))
+	return wire.AppendBytes(body, s.SchedulerState), kvAt, kvLen
+}
+
+// uvarintLen is the encoded size of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// appendSnapshotHead appends everything in s that precedes its Data.
+//
+//hammerlint:deterministic
+func appendSnapshotHead(buf []byte, s *Snapshot) []byte {
 	buf = append(buf, snapshotMagic, snapshotWireV3)
 	buf = wire.AppendU64(buf, uint64(s.Round))
 	buf = wire.AppendU64(buf, s.CommitSeq)
@@ -101,8 +165,7 @@ func snapshotBody(s Snapshot) []byte {
 		buf = wire.AppendDigest(buf, s.Ordered[i].Digest)
 		buf = wire.AppendU64(buf, uint64(s.Ordered[i].Round))
 	}
-	buf = wire.AppendBytes(buf, s.Data)
-	return wire.AppendBytes(buf, s.SchedulerState)
+	return buf
 }
 
 // sealSnapshot completes a snapshotBody into the blob EncodeSnapshot

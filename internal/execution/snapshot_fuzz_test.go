@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hammerhead/internal/types"
+	"hammerhead/internal/wire"
 )
 
 // FuzzDecodeSnapshot feeds DecodeSnapshot — the decoder behind GET
@@ -46,6 +47,29 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(padded)
 	f.Add([]byte{})
 	f.Add([]byte{snapshotMagic, snapshotWireV3, 0, 0, 0, 0})
+	// KV states whose pairs are out of key order, or repeat a key: each
+	// restores to a state that has another encoding. The KV decoder refuses
+	// both.
+	kvSeed := func(keys ...string) []byte {
+		data := []byte{kvSnapshotMagic, kvSnapshotWireV1}
+		data = wire.AppendU64(data, uint64(len(keys)))
+		data = wire.AppendU64(data, 0)
+		data = wire.AppendUvarint(data, uint64(len(keys)))
+		for i, k := range keys {
+			data = wire.AppendBytes(data, []byte(k))
+			data = wire.AppendBytes(data, []byte("v"))
+			data = wire.AppendU64(data, uint64(i+1))
+		}
+		s := snap
+		s.Cert, s.Data = nil, data
+		blob, err := EncodeSnapshot(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
+	}
+	f.Add(kvSeed("b", "a"))
+	f.Add(kvSeed("a", "a"))
 
 	check := func(t *testing.T, data []byte) {
 		decoded, err := DecodeSnapshot(data)
@@ -58,6 +82,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("DecodeSnapshot accepted %d bytes that are not the encoding of what it returned (%d bytes)", len(data), len(again))
+		}
+		// The same for the KV state inside: what restores re-encodes to its
+		// own bytes.
+		kv := NewKVState()
+		if kv.Restore(decoded.Data) != nil {
+			return
+		}
+		if state, _ := kv.Snapshot(); !bytes.Equal(state, decoded.Data) {
+			t.Fatalf("KVState.Restore accepted %d state bytes that are not the encoding of what it restored (%d bytes)", len(decoded.Data), len(state))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -101,6 +101,15 @@ type KVState struct {
 	// of unparsable payloads.
 	version uint64
 	opaque  uint64
+	// touched lists the keys written or deleted since the last Freeze, in
+	// apply order and with repeats: what the checkpoint writer merges into
+	// the previous checkpoint's bytes. A put's entry is the key slice the
+	// trie holds. untracked says the list was dropped — it outgrew its
+	// bound (see touch), or a Restore replaced the ledger under it — and the
+	// next view is encoded in full. gen counts Freezes.
+	touched   [][]byte
+	untracked bool
+	gen       uint64
 }
 
 // NewKVState returns an empty ledger.
@@ -133,11 +142,31 @@ func (s *KVState) Apply(tx *types.Transaction) {
 			value = buf[keyLen:]
 		}
 		s.tree.Insert(key, value, s.version)
+		s.touch(key)
 	case opDelete:
 		s.version++
-		s.tree.Delete(p[3 : 3+keyLen])
+		key := p[3 : 3+keyLen]
+		s.tree.Delete(key)
+		// Copied: the payload is shared with the mempool and the DAG.
+		s.touch(bytes.Clone(key))
 	default:
 		s.opaque++
+	}
+}
+
+// touch records a key written since the last Freeze. A list that grows past
+// a quarter of the ledger is dropped, and the next view is encoded in full:
+// merging costs a trie lookup per write, and near half the ledger
+// (BenchmarkCheckpointCut, 10 000 keys) it costs what the full encoding does.
+// The bound also caps the list, and the old values it keeps alive, by the
+// state it describes.
+func (s *KVState) touch(key []byte) {
+	if s.untracked {
+		return
+	}
+	s.touched = append(s.touched, key)
+	if len(s.touched) > s.tree.Len()/4 {
+		s.touched, s.untracked = nil, true
 	}
 }
 
@@ -187,8 +216,15 @@ func (s *KVState) Prove(key []byte) merkle.Proof { return s.tree.Prove(key) }
 // checkpoint certification on, the executor captures one per checkpoint so
 // proof-carrying reads are served against the quorum-certified root while the
 // live state advances.
+//
+// The view takes the keys written since the previous Freeze, and the ledger
+// starts a new list.
 func (s *KVState) Freeze() *FrozenKV {
-	return &FrozenKV{tree: s.tree.Freeze(), version: s.version, opaque: s.opaque}
+	s.gen++
+	f := &FrozenKV{tree: s.tree.Freeze(), version: s.version, opaque: s.opaque,
+		gen: s.gen, touched: s.touched, tracked: !s.untracked}
+	s.touched, s.untracked = make([][]byte, 0, len(s.touched)), false
+	return f
 }
 
 // StateDigestFrom combines the op counters and the Merkle root into the
@@ -209,6 +245,12 @@ func StateDigestFrom(version, opaque uint64, merkleRoot types.Digest) types.Dige
 type FrozenKV struct {
 	tree            *merkle.Tree
 	version, opaque uint64
+	// gen is the Freeze of its ledger that cut the view. touched lists the
+	// keys written since the Freeze before it, when tracked (see
+	// KVState.touched); the checkpoint writer consumes the list.
+	gen     uint64
+	touched [][]byte
+	tracked bool
 }
 
 // Root returns the frozen state digest (same formula as KVState.Root).
@@ -261,8 +303,9 @@ func (s *KVState) Snapshot() ([]byte, error) {
 
 // Snapshot serialises the frozen state exactly as KVState.Snapshot would have
 // at the Freeze. It reads the handle only, so it runs beside further applies
-// to the live ledger: the executor writes its checkpoints this way, off its
-// lock.
+// to the live ledger: the executor's checkpoint writer encodes a view this
+// way, off its lock, when it cannot merge the view's writes into the
+// previous checkpoint's bytes (see checkpointBody).
 //
 //hammerlint:deterministic
 func (f *FrozenKV) Snapshot() []byte {
@@ -299,6 +342,92 @@ func encodeKV(tree *merkle.Tree, version, opaque uint64) []byte {
 	return buf
 }
 
+// follows reports whether f's touched list leads from the view its ledger
+// froze at gen: the Freeze immediately before f's.
+func (f *FrozenKV) follows(gen uint64) bool {
+	return f.tracked && gen != 0 && gen+1 == f.gen
+}
+
+// kvEdit is one touched key's cell in a frozen view: its value and version,
+// or its absence.
+type kvEdit struct {
+	kvPair
+	live bool
+}
+
+// edits returns f's touched keys sorted and deduplicated, each with its cell
+// in f, plus an upper bound on the bytes the live ones encode to. It sorts
+// the list in place.
+func (f *FrozenKV) edits() ([]kvEdit, int) {
+	keys := f.touched
+	slices.SortFunc(keys, bytes.Compare)
+	keys = slices.CompactFunc(keys, bytes.Equal)
+	edits := make([]kvEdit, len(keys))
+	size := 0
+	for i, k := range keys {
+		v, ver, ok := f.tree.Get(k)
+		edits[i] = kvEdit{kvPair{key: k, value: v, version: ver}, ok}
+		if ok {
+			size += len(k) + len(v) + 2*binary.MaxVarintLen64 + 8
+		}
+	}
+	return edits, size
+}
+
+// appendKVMerged appends the KV snapshot encoding of f to dst, made from base
+// — the encoding of the view its ledger froze just before f (f.follows) — and
+// the edits of the keys written in between: every run of untouched cells is
+// copied in one piece, and each touched cell is replaced, inserted or
+// dropped. One pass over base plus O(d log d) for d touched keys, where
+// encodeKV walks the trie and sorts all n keys; the bytes are encodeKV's.
+//
+//hammerlint:deterministic
+func (f *FrozenKV) appendKVMerged(dst, base []byte, edits []kvEdit) []byte {
+	dst = append(dst, kvSnapshotMagic, kvSnapshotWireV1)
+	dst = wire.AppendU64(dst, f.version)
+	dst = wire.AppendU64(dst, f.opaque)
+	dst = wire.AppendUvarint(dst, uint64(f.tree.Len()))
+	// base is this writer's own output, so its framing is not re-checked.
+	_, n := binary.Uvarint(base[2+16:])
+	cells := base[2+16+n:]
+	at, run := 0, 0 // the next cell to look at; the first one not copied yet
+	for i := range edits {
+		e := &edits[i]
+		found, next := false, 0
+		for at < len(cells) {
+			var key []byte
+			key, next = kvCellAt(cells, at)
+			if c := bytes.Compare(key, e.key); c >= 0 {
+				found = c == 0
+				break
+			}
+			at = next
+		}
+		dst = append(dst, cells[run:at]...)
+		if found {
+			at = next
+		}
+		run = at
+		if e.live {
+			dst = wire.AppendBytes(dst, e.key)
+			dst = wire.AppendBytes(dst, e.value)
+			dst = wire.AppendU64(dst, e.version)
+		}
+	}
+	return append(dst, cells[run:]...)
+}
+
+// kvCellAt returns the key of the encoded pair starting at cells[at] and the
+// offset of the pair after it.
+func kvCellAt(cells []byte, at int) (key []byte, next int) {
+	kl, n := binary.Uvarint(cells[at:])
+	at += n
+	key = cells[at : at+int(kl)]
+	at += int(kl)
+	vl, n := binary.Uvarint(cells[at:])
+	return key, at + n + int(vl) + 8
+}
+
 // Restore implements StateMachine. Decoding and tree rebuilding happen into
 // fresh structures, so a corrupt snapshot leaves the previous state
 // untouched. Keys and values are copied out of the blob (the tree holds its
@@ -315,6 +444,7 @@ func (s *KVState) Restore(data []byte) error {
 	opaque := r.U64()
 	n := r.Count(_kvPairMinWire)
 	tree := merkle.New()
+	var prev []byte
 	for i := 0; i < n; i++ {
 		key := r.BytesCopy()
 		value := r.BytesCopy()
@@ -322,6 +452,13 @@ func (s *KVState) Restore(data []byte) error {
 		if r.Err() != nil {
 			break
 		}
+		// One encoding per state: keys strictly ascending, so no pair is out
+		// of order and none repeats — the order the checkpoint writer's merge
+		// assumes of the bytes it merges into.
+		if i > 0 && bytes.Compare(prev, key) >= 0 {
+			return fmt.Errorf("execution: decoding KV snapshot: key %d is not above the one before it", i)
+		}
+		prev = key
 		tree.Insert(key, value, ver)
 	}
 	if err := r.Finish(); err != nil {
@@ -330,5 +467,7 @@ func (s *KVState) Restore(data []byte) error {
 	s.tree = tree
 	s.version = version
 	s.opaque = opaque
+	// The writes listed since the last Freeze no longer lead from its view.
+	s.touched, s.untracked = nil, true
 	return nil
 }

@@ -779,7 +779,9 @@ func (n *Node) Submit(tx types.Transaction) error {
 	if tx.SubmitTimeNanos == 0 {
 		tx.SubmitTimeNanos = time.Now().UnixNano()
 	}
-	return n.pool.Submit(tx)
+	filled, err := n.v.Submit(tx)
+	n.afterSubmit(filled)
+	return err
 }
 
 // SubmitClient hands a client-attributed transaction to the fair-admission
@@ -788,7 +790,17 @@ func (n *Node) SubmitClient(client string, tx types.Transaction) error {
 	if tx.SubmitTimeNanos == 0 {
 		tx.SubmitTimeNanos = time.Now().UnixNano()
 	}
-	return n.pool.SubmitClient(client, tx)
+	filled, err := n.v.SubmitClient(client, tx)
+	n.afterSubmit(filled)
+	return err
+}
+
+// afterSubmit has the loop propose a batch the submission filled (see
+// validator.Validator.Submit).
+func (n *Node) afterSubmit(filled bool) {
+	if filled {
+		n.enqueue(func() { n.dispatch(n.eng.OnBatchFull(time.Now().UnixNano())) })
+	}
 }
 
 // Gateway exposes the embedded RPC gateway (nil without Config.RPCAddr).

@@ -539,7 +539,11 @@ func (c *Cluster) SubmitTx(id types.ValidatorID, tx types.Transaction) error {
 	if tx.SubmitTimeNanos == 0 {
 		tx.SubmitTimeNanos = c.Sim.Now()
 	}
-	return c.Pool(id).Submit(tx)
+	filled, err := c.validators[id].Submit(tx)
+	if filled {
+		c.dispatch(id, c.Engine(id).OnBatchFull(c.Sim.Now()))
+	}
+	return err
 }
 
 // ---- event plumbing ----

@@ -8,6 +8,7 @@ package validator
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/core"
@@ -57,6 +58,10 @@ type Validator struct {
 
 	self     types.ValidatorID
 	observer engine.Observer
+	// maxBatch is the engine's MaxBatchTx; below says the pending count was
+	// under it at the last admission, which arms the next fill.
+	maxBatch int
+	below    atomic.Bool
 }
 
 // New assembles a validator. Recover — or Engine.Init, for a validator that
@@ -82,7 +87,9 @@ func New(cfg Config) (*Validator, error) {
 		Pool:     mempool.NewFair(cfg.Mempool),
 		self:     cfg.Self,
 		observer: cfg.Observer,
+		maxBatch: cfg.Engine.MaxBatchTx,
 	}
+	v.below.Store(true)
 	params := engine.Params{
 		Config:     cfg.Engine,
 		Committee:  cfg.Committee,
@@ -116,6 +123,37 @@ func New(cfg Config) (*Validator, error) {
 	}
 	v.Engine = eng
 	return v, nil
+}
+
+// Submit admits tx to the mempool's default lane and reports whether it
+// filled a batch: the pending count, carried transactions included, reached
+// the engine's MaxBatchTx from below. The runtime then hands the engine
+// OnBatchFull on the engine's goroutine — node as a task on its loop, simnet
+// at once — so the full batch is proposed without waiting for the engine's
+// next message or timer. Safe for concurrent use.
+func (v *Validator) Submit(tx types.Transaction) (filled bool, err error) {
+	if err := v.Pool.Submit(tx); err != nil {
+		return false, err
+	}
+	return v.filled(), nil
+}
+
+// SubmitClient is Submit on the client's admission lane.
+func (v *Validator) SubmitClient(client string, tx types.Transaction) (filled bool, err error) {
+	if err := v.Pool.SubmitClient(client, tx); err != nil {
+		return false, err
+	}
+	return v.filled(), nil
+}
+
+// filled reports whether the admission just made crossed MaxBatchTx: once
+// per crossing, however many submitters race to it.
+func (v *Validator) filled() bool {
+	if v.Pool.Pending()+v.Engine.Carried() < v.maxBatch {
+		v.below.Store(true)
+		return false
+	}
+	return v.below.CompareAndSwap(true, false)
 }
 
 // Replay feeds recovery a validator's recorded log: every certificate it

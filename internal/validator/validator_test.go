@@ -2,6 +2,8 @@ package validator
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hammerhead/internal/checkpoint"
@@ -179,4 +181,70 @@ func headerIn(out *engine.Output) *engine.Header {
 		}
 	}
 	return nil
+}
+
+// TestSubmitReportsEachFill: Submit reports the admission that brings the
+// pending count to MaxBatchTx, and only that one; once a drain takes the
+// count back under it, the next fill is reported again, on either lane.
+func TestSubmitReportsEachFill(t *testing.T) {
+	cfg := testConfig(t, nil)
+	cfg.Engine.MaxBatchTx = 4
+	cfg.Mempool.Lanes = 2
+	v, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := uint64(0)
+	submit := func(client string) bool {
+		t.Helper()
+		id++
+		tx := types.Transaction{ID: id}
+		var filled bool
+		var err error
+		if client == "" {
+			filled, err = v.Submit(tx)
+		} else {
+			filled, err = v.SubmitClient(client, tx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return filled
+	}
+	for round := 0; round < 2; round++ {
+		for i, client := range []string{"", "a", "b", "", "a"} {
+			if got, want := submit(client), i == 3; got != want {
+				t.Fatalf("pass %d: admission %d reported a fill: %v, want %v", round, i+1, got, want)
+			}
+		}
+		v.Pool.NextBatch(0, 4)
+		if got := submit("b"); got {
+			t.Fatalf("pass %d: an admission at 2 of 4 after the drain reported a fill", round)
+		}
+		v.Pool.NextBatch(0, 100)
+	}
+
+	// Racing submitters: the pending count only grows, so it crosses once.
+	var fills atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(client string) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				filled, err := v.SubmitClient(client, types.Transaction{ID: uint64(1000 + i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if filled {
+					fills.Add(1)
+				}
+			}
+		}(string(rune('a' + g)))
+	}
+	wg.Wait()
+	if n := fills.Load(); n != 1 {
+		t.Fatalf("racing submitters reported %d fills, want 1", n)
+	}
 }
