@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once clean
 
 all: build test
 
@@ -88,6 +88,17 @@ sim-mem:
 # install), as the inline oracle's and the golden blobs are.
 checkpoint-bytes:
 	go test -count=3 -run '^(TestCheckpointMergeMatchesFullEncode|TestCheckpointChainRule|TestCheckpointsMatchInlineOracle|TestGoldenKVSnapshot|TestGoldenSnapshotBlob)$$' ./internal/execution/
+
+# sig-once is CI's "Signatures checked once (race)" step: checking each
+# signature once — certificate votes a validator already verified or cast,
+# its own certificate, a client's repeated checkpoint certificate — decides
+# every header, vote and certificate as verifying everything does; a
+# certificate with more votes than members or a repeated voter is refused
+# before any public-key work; and the table the pre-verify workers share
+# with the engine stays within its bound under the race detector.
+sig-once:
+	go test -race -count=3 -run '^(TestCheckOnceMatchesReference|TestVoteFloodCostsAtMostN|TestOwnCertificateNotReverified|TestKnownSigsSharedAcrossWorkers)$$' ./internal/engine/
+	go test -race -count=3 -run '^(TestVerifierChecksEachCertificateOnce|TestVerifierRemembersTheLastFew)$$' ./pkg/client/
 
 clean:
 	rm -rf bin hammerlint

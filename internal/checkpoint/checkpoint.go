@@ -176,7 +176,8 @@ func (c *Certificate) EncodedSize() int {
 	return n
 }
 
-// Equal reports deep equality (tests).
+// Equal reports deep equality: the same tuple, and the same signers with the
+// same signature bytes in the same order.
 func (c *Certificate) Equal(o *Certificate) bool {
 	if c == nil || o == nil {
 		return c == o

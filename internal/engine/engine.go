@@ -207,7 +207,11 @@ type Engine struct {
 	self      types.ValidatorID
 	keys      crypto.KeyPair
 	pubKeys   []crypto.PublicKey
-	batches   BatchProvider
+	// known is the validator's table of signatures already verified or cast,
+	// shared with its pre-verify stage (nil: every signature is verified;
+	// see UseKnownSigs).
+	known   *KnownSigs
+	batches BatchProvider
 
 	dagStore  *dag.DAG
 	committer *bullshark.Committer
@@ -383,6 +387,12 @@ func New(p Params) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// UseKnownSigs shares the validator's KnownSigs table with the engine: the
+// engine adds the header signatures it verifies and the votes it signs, and
+// counts certificate votes the table holds without verifying them again.
+// Call once, before the first message.
+func (e *Engine) UseKnownSigs(known *KnownSigs) { e.known = known }
 
 // SyncBacklog reports the sizes of the causal-sync pending maps: certificates
 // waiting for parents, distinct missing parent digests, and outstanding
@@ -564,10 +574,12 @@ func (e *Engine) onHeader(from types.ValidatorID, h *Header, out *Output) {
 		return
 	}
 	digest := h.Digest()
-	if e.config.VerifySignatures && !h.SigVerified() &&
-		!e.keys.Scheme.Verify(e.pubKeys[h.Source], digest[:], h.Signature) {
-		e.stats.InvalidMessages++
-		return
+	if e.config.VerifySignatures && !h.SigVerified() {
+		if !e.keys.Scheme.Verify(e.pubKeys[h.Source], digest[:], h.Signature) {
+			e.stats.InvalidMessages++
+			return
+		}
+		e.known.add(h.Source, digest, h.Signature)
 	}
 	rs := e.slots(h.Round)
 	if rs == nil || (rs.voted.Has(h.Source) && rs.votedFor[h.Source] != digest) {
@@ -587,6 +599,8 @@ func (e *Engine) onHeader(from types.ValidatorID, h *Header, out *Output) {
 		e.stats.InvalidMessages++
 		return
 	}
+	// The header's certificate will carry this vote, byte for byte.
+	e.known.add(e.self, digest, sig)
 	e.stats.VotesSent++
 	out.unicast(h.Source, &Message{Kind: KindVote, Vote: &Vote{
 		HeaderDigest: digest,
@@ -626,6 +640,9 @@ func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
 
 // certifyOwn assembles the certificate of the current own header from the
 // votes gathered (a quorum, the caller checked), broadcasts and ingests it.
+// Every vote in it is already checked — onVote verified the peers', and the
+// own vote is the header signature this validator made — so it is marked
+// verified and ingested without a second look at its signatures.
 func (e *Engine) certifyOwn(nowNanos int64, out *Output) {
 	cert := &Certificate{Header: *e.curHeader, Votes: make([]VoteSig, 0, e.voteStake.Count())}
 	for i, sig := range e.votes {
@@ -633,6 +650,7 @@ func (e *Engine) certifyOwn(nowNanos int64, out *Output) {
 			cert.Votes = append(cert.Votes, VoteSig{Voter: id, Signature: sig})
 		}
 	}
+	cert.MarkSigVerified()
 	e.ownCertFormed = true
 	e.stats.CertsFormed++
 	e.observer.Certified(cert)
@@ -832,9 +850,9 @@ func (e *Engine) sweepPendingIndexes() {
 	}
 }
 
-// validCertificate checks quorum voting stake and, when enabled, signatures.
-// A certificate the pre-verify stage already checked carries its mark and
-// skips the signature loop.
+// validCertificate checks the vote-count rule, quorum voting stake and, when
+// enabled, signatures. A certificate the pre-verify stage already checked,
+// or this validator assembled, carries its mark and skips the signature loop.
 func (e *Engine) validCertificate(c *Certificate) bool {
 	if c.Header.Round < 1 {
 		return false
@@ -843,21 +861,24 @@ func (e *Engine) validCertificate(c *Certificate) bool {
 		return false
 	}
 	if !e.config.VerifySignatures || c.SigVerified() {
+		if !oneVotePerMember(e.committee, c.Votes) {
+			return false
+		}
 		acc := types.NewStakeAccumulator(e.committee)
 		for _, vs := range c.Votes {
 			acc.Add(vs.Voter)
 		}
 		return acc.ReachedQuorum()
 	}
-	kept, ok := verifyQuorumVotes(e.keys.Scheme, e.committee, e.pubKeys, c)
+	kept, _, ok := verifyQuorumVotes(e.keys.Scheme, e.committee, e.pubKeys, e.known, c)
 	if !ok {
 		return false
 	}
-	// Strip the votes that failed (same as the pre-verify path): the
-	// certificate is retained in its slot and served to syncing peers, who
-	// must not re-receive forged votes. The quorum is established; later
-	// re-checks (cascaded pending inserts, duplicate deliveries) can skip
-	// the public-key work.
+	// Strip the votes that failed or went unchecked (same as the pre-verify
+	// path): the certificate is retained in its slot and served to syncing
+	// peers, who must not re-receive forged votes. The quorum is
+	// established; later re-checks (cascaded pending inserts, duplicate
+	// deliveries) can skip the public-key work.
 	c.Votes = kept
 	c.MarkSigVerified()
 	return true

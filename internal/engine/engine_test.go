@@ -72,6 +72,7 @@ func newTestRig(t *testing.T, n int) *testRig {
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.UseKnownSigs(NewKnownSigs(n))
 		rig.engines = append(rig.engines, eng)
 		rig.commits = append(rig.commits, collector)
 	}

@@ -25,7 +25,7 @@ func preRig(t *testing.T) (*PreVerifier, []crypto.KeyPair, *types.Committee) {
 		pairs[i] = kp
 		pubs[i] = kp.Public
 	}
-	return NewPreVerifier(crypto.Ed25519{}, committee, pubs), pairs, committee
+	return NewPreVerifier(crypto.Ed25519{}, committee, pubs, NewKnownSigs(4)), pairs, committee
 }
 
 func signedHeader(t *testing.T, kp crypto.KeyPair, source types.ValidatorID, round types.Round) *Header {
@@ -190,7 +190,7 @@ func TestPreVerifiedMarksSkipEngineVerification(t *testing.T) {
 }
 
 func TestNeedsCheck(t *testing.T) {
-	signed := []MessageKind{KindHeader, KindVote, KindCertificate, KindCertResponse}
+	signed := []MessageKind{KindHeader, KindVote, KindCertificate, KindCertResponse, KindRejoinResponse}
 	for _, k := range signed {
 		if !NeedsCheck(k) {
 			t.Fatalf("%s must need a signature check", k)
@@ -199,6 +199,12 @@ func TestNeedsCheck(t *testing.T) {
 	for _, k := range []MessageKind{KindCertRequest, KindRoundRequest} {
 		if NeedsCheck(k) {
 			t.Fatalf("%s carries no signature", k)
+		}
+	}
+	// Checkpoint shares and certificates are the engine's to check.
+	for _, k := range []MessageKind{KindCheckpointSig, KindCheckpointCert} {
+		if NeedsCheck(k) {
+			t.Fatalf("%s must reach the engine unqueued", k)
 		}
 	}
 }

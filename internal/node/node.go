@@ -205,6 +205,8 @@ type Node struct {
 	queueMetric     *metrics.Gauge
 	droppedMetric   *metrics.Counter
 	batchHist       *metrics.Histogram
+	sigsVerified    *metrics.Counter
+	sigsKnown       *metrics.Counter
 	commitQMetric   *metrics.Gauge
 	epochMetric     *metrics.Gauge
 	epochStartMet   *metrics.Gauge
@@ -296,8 +298,7 @@ func New(cfg Config) (*Node, error) {
 	case *leader.RoundRobin:
 		n.rrSched = sched
 	}
-	if cfg.Engine.VerifySignatures {
-		n.prever = engine.NewPreVerifier(cfg.Keys.Scheme, cfg.Committee, cfg.PublicKeys)
+	if n.prever = v.PreVerifier; n.prever != nil {
 		n.preq = make(chan inbound, 4096)
 	}
 	if cfg.Metrics != nil {
@@ -312,6 +313,10 @@ func New(cfg Config) (*Node, error) {
 		// quorum of votes).
 		n.batchHist = cfg.Metrics.Histogram("hammerhead_verify_batch_size",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128})
+		// What the pre-verify stage did with those signatures: checked with a
+		// public-key operation, or accepted as already verified or cast.
+		n.sigsVerified = cfg.Metrics.Counter("hammerhead_signatures_verified_total")
+		n.sigsKnown = cfg.Metrics.Counter("hammerhead_signatures_known_total")
 		n.commitQMetric = cfg.Metrics.Gauge("hammerhead_commit_queue_depth")
 		n.epochMetric = cfg.Metrics.Gauge("hammerhead_schedule_epoch")
 		n.epochStartMet = cfg.Metrics.Gauge("hammerhead_schedule_start_round")
@@ -677,7 +682,8 @@ func (n *Node) preverifyLoop() {
 }
 
 // sigCount is the number of signatures a message carries: what the
-// pre-verify stage checks for it.
+// pre-verify stage is handed for it. It verifies at most that many; the
+// hammerhead_signatures_* counters say how many it did.
 func sigCount(msg *engine.Message) int {
 	switch msg.Kind {
 	case engine.KindHeader, engine.KindVote:
@@ -920,13 +926,19 @@ func (n *Node) dispatch(out *engine.Output) {
 		mirrorCounter(n.voteEarlyMetric, st.HeadersVoteEarly)
 		mirrorCounter(n.fullEarlyMetric, st.HeadersFullEarly)
 		mirrorCounter(n.lostMetric, st.OwnVerticesPrunedUnordered)
+		if n.prever != nil {
+			pv := n.prever.Stats()
+			mirrorCounter(n.sigsVerified, pv.Verified)
+			mirrorCounter(n.sigsKnown, pv.Known)
+		}
 	}
 	if n.leaderMetric != nil {
 		n.leaderMetric.Set(int64(n.leaderAhead(n.eng.Round())))
 	}
 }
 
-// mirrorCounter raises c to total, an engine counter only dispatch publishes.
+// mirrorCounter raises c to total, an engine or pre-verify counter only
+// dispatch publishes.
 func mirrorCounter(c *metrics.Counter, total uint64) {
 	if have := c.Value(); total > have {
 		c.Add(total - have)

@@ -70,10 +70,6 @@ type Cluster struct {
 	// them. pubKeys is the committee's verification set.
 	keys    []crypto.KeyPair
 	pubKeys []crypto.PublicKey
-	// prevers holds each validator's pre-verify stage when signature
-	// verification is enabled (nil otherwise). The simulator runs Check
-	// synchronously at delivery — same code as the node's async stage.
-	prevers []*engine.PreVerifier
 	// procs holds each validator's simulated process state.
 	procs []process
 	// walLogs records, when recordWALs is set, each validator's inserted
@@ -206,12 +202,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := range c.validators {
 		if err := c.buildValidator(types.ValidatorID(i), nil); err != nil {
 			return nil, err
-		}
-	}
-	if cfg.Engine.VerifySignatures {
-		c.prevers = make([]*engine.PreVerifier, n)
-		for i := 0; i < n; i++ {
-			c.prevers[i] = engine.NewPreVerifier(scheme, cfg.Committee, c.pubKeys)
 		}
 	}
 	return c, nil
@@ -601,7 +591,7 @@ func (c *Cluster) send(from, to types.ValidatorID, msg *engine.Message, now int6
 	}
 	if at := p.badSigAt; at >= 0 && now >= at {
 		msg = corruptSignatures(msg) // clones internally
-	} else if c.prevers != nil {
+	} else if c.cfg.Engine.VerifySignatures {
 		// Each recipient owns its copy, as after a wire decode: the
 		// pre-verify stage marks (and may strip votes from) payloads, and
 		// neither the sender's state nor a sibling recipient's copy may be
@@ -623,7 +613,10 @@ func (c *Cluster) send(from, to types.ValidatorID, msg *engine.Message, now int6
 		if c.procs[to].incarnation != inc || c.crashed(to, c.Sim.Now()) {
 			return
 		}
-		if c.prevers != nil && engine.NeedsCheck(msg.Kind) && !c.prevers[to].Check(msg) {
+		// Each validator's pre-verify stage (validator.New builds it when
+		// signatures are verified) runs synchronously at delivery — same code
+		// as the node's asynchronous stage.
+		if pv := c.validators[to].PreVerifier; pv != nil && engine.NeedsCheck(msg.Kind) && !pv.Check(msg) {
 			c.preDropped++
 			return
 		}

@@ -55,6 +55,10 @@ type Validator struct {
 	Pool   *mempool.FairPool
 	// Executor is nil without Config.Execution.
 	Executor *execution.Executor
+	// PreVerifier is the validator's signature pre-verify stage, nil unless
+	// Config.Engine.VerifySignatures: the runtime runs its Check on every
+	// message engine.NeedsCheck names before the engine sees it.
+	PreVerifier *engine.PreVerifier
 
 	self     types.ValidatorID
 	observer engine.Observer
@@ -122,6 +126,13 @@ func New(cfg Config) (*Validator, error) {
 		return nil, fmt.Errorf("validator: building engine: %w", err)
 	}
 	v.Engine = eng
+	if cfg.Engine.VerifySignatures {
+		// One table of signatures already verified or cast, shared by the
+		// pre-verify stage and the engine: a signature is checked once.
+		known := engine.NewKnownSigs(cfg.Committee.Size())
+		eng.UseKnownSigs(known)
+		v.PreVerifier = engine.NewPreVerifier(cfg.Keys.Scheme, cfg.Committee, cfg.PublicKeys, known)
+	}
 	return v, nil
 }
 

@@ -26,6 +26,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -338,16 +339,65 @@ func (c *Client) Snapshot(ctx context.Context) ([]byte, error) {
 // Verifier holds the committee trust anchor a client checks quorum
 // certificates against: the stake distribution and each validator's public
 // key. With one, reads verify end-to-end with zero trust in the serving node
-// — including a non-voting replica.
+// — including a non-voting replica. Its fields must not change once it is in
+// use; it is safe for concurrent use.
 type Verifier struct {
 	Committee  *types.Committee
 	PublicKeys []crypto.PublicKey
 	Scheme     crypto.Scheme
+
+	// recent holds copies of the last certificates that verified, oldest
+	// overwritten first: the reads of a busy client mostly land on the few
+	// newest checkpoints, so one certificate's signatures are checked once,
+	// not once per read.
+	mu     sync.Mutex
+	recent [recentCerts]*checkpoint.Certificate // guarded by mu
+	next   int                                  // guarded by mu
 }
 
-// VerifyCert checks a certificate's signatures and quorum stake.
+// recentCerts is how many verified certificates a Verifier remembers. A
+// checkpoint can come as several certificates — each validator assembles its
+// own quorum of shares — so this covers the last few checkpoints of a
+// committee of four.
+const recentCerts = 8
+
+// VerifyCert checks a certificate's signatures and quorum stake. A
+// certificate identical to one that verified recently — the same Meta, and
+// the same signers with the same signature bytes — is accepted without a
+// second check; any other is verified.
 func (v *Verifier) VerifyCert(cert *checkpoint.Certificate) error {
-	return cert.Verify(v.Committee, v.PublicKeys, v.Scheme)
+	if v.verifiedBefore(cert) {
+		return nil
+	}
+	if err := cert.Verify(v.Committee, v.PublicKeys, v.Scheme); err != nil {
+		return err
+	}
+	v.remember(cert)
+	return nil
+}
+
+func (v *Verifier) verifiedBefore(cert *checkpoint.Certificate) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, c := range v.recent {
+		if c != nil && c.Equal(cert) {
+			return true
+		}
+	}
+	return false
+}
+
+// remember keeps a deep copy of a certificate that verified: the caller
+// owns cert and may change its signature bytes afterwards.
+func (v *Verifier) remember(cert *checkpoint.Certificate) {
+	c := &checkpoint.Certificate{Meta: cert.Meta, Sigs: make([]checkpoint.Sig, len(cert.Sigs))}
+	for i, s := range cert.Sigs {
+		c.Sigs[i] = checkpoint.Sig{Validator: s.Validator, Signature: bytes.Clone(s.Signature)}
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.recent[v.next] = c
+	v.next = (v.next + 1) % len(v.recent)
 }
 
 // VerifiedRead is the outcome of a proof-checked read: the value (or proven
