@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes clean
 
 all: build test
 
@@ -99,6 +99,17 @@ checkpoint-bytes:
 sig-once:
 	go test -race -count=3 -run '^(TestCheckOnceMatchesReference|TestVoteFloodCostsAtMostN|TestOwnCertificateNotReverified|TestKnownSigsSharedAcrossWorkers)$$' ./internal/engine/
 	go test -race -count=3 -run '^(TestVerifierChecksEachCertificateOnce|TestVerifierRemembersTheLastFew)$$' ./pkg/client/
+
+# ring-bytes is CI's "Commit history holds what it counts (race)" step: the
+# gateway's resume ring packs each commit's payloads into one block and must
+# serve the stream the ring of whole events served, byte for byte, plain and
+# ?full=1; what it charges its budget must be what it keeps alive, with no
+# network frame pinned behind a payload; and the WAL compaction, which copies
+# through its buffer, must write the bytes the per-record copy wrote and make
+# the rename durable before the session reopens the log.
+ring-bytes:
+	go test -race -count=3 -run '^(TestRingStreamMatchesOracle|TestRingHoldsWhatItCounts|TestRingAgreesWithCountOnlyModel|TestRingByteBudget|TestRingCountStillBinds|TestStreamResumeMatchesModel|TestFullSubscriberThatKeepsUpNeverGaps)$$' ./internal/rpc/
+	go test -race -count=3 -run '^(TestCompactMatchesPerRecordOracle|TestCompactToSyncsDirAfterRename|TestCompactDropsOldRounds|TestCompactToShrinksOpenWALAndKeepsAppending|TestCompactToAllocatesCopyBuffersOnly|TestCompactIgnoresStaleTempFile|TestCompactKeepsProposalHighWaterMark|TestGoldenWALRecords)$$' ./internal/storage/
 
 clean:
 	rm -rf bin hammerlint

@@ -26,7 +26,9 @@
 //
 // The resume window (commitRing) is bounded by what it holds, not by how long
 // the node has run: at most Config.HistoryDepth commits and at most
-// historyBytes of transaction IDs and payloads, but never fewer than the
+// historyBytes of transaction IDs, payloads and 4-byte payload offsets — the
+// payloads copied out of the frames they arrived in, so the bytes counted are
+// the bytes held — but never fewer than the
 // newest two checkpoint intervals of commits — what a replica needs between a
 // certified snapshot and the live tail. A subscriber behind the window gets a
 // gap event and continues from the oldest retained commit (a replica

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -240,10 +241,12 @@ func (g *Gateway) Close() error {
 
 // ObserveCommit records one ordered sub-DAG for the commit stream and status
 // counters. Called from the node's commit-delivery goroutine — it appends to
-// the ring and wakes subscribers, nothing slower. The event retains the full
+// the ring and wakes subscribers, nothing slower. The ring retains the full
 // transaction payloads (in application order) plus the commit's content
-// digest so ?full=1 subscribers — read replicas — can re-execute the stream;
-// historyBytes bounds the retained payload memory.
+// digest so ?full=1 subscribers — read replicas — can re-execute the stream.
+// The payloads are copied once into one block: a peer's decoded payloads
+// alias its whole certificate frame, which must not outlive the DAG's window
+// for the sake of a few bytes of it. historyBytes bounds the retained bytes.
 func (g *Gateway) ObserveCommit(sub bullshark.CommittedSubDAG) {
 	ev := CommitEvent{
 		Seq:          sub.Index,
@@ -251,23 +254,31 @@ func (g *Gateway) ObserveCommit(sub bullshark.CommittedSubDAG) {
 		TxCount:      sub.TxCount(),
 		CommitDigest: hex.EncodeToString(digestOf(&sub)),
 	}
-	// Sized exactly: the ring holds these slices for as long as the event,
-	// and accounts for their lengths.
-	ev.Payloads = make([][]byte, 0, ev.TxCount)
-	ev.TxIDs = make([]uint64, 0, min(ev.TxCount, maxTxIDsPerEvent))
+	size := 0
 	for _, v := range sub.Vertices {
 		if v.Batch == nil {
 			continue
 		}
 		for i := range v.Batch.Transactions {
-			ev.Payloads = append(ev.Payloads, v.Batch.Transactions[i].Payload)
-			if len(ev.TxIDs) >= maxTxIDsPerEvent {
-				continue
-			}
-			ev.TxIDs = append(ev.TxIDs, v.Batch.Transactions[i].ID)
+			size += len(v.Batch.Transactions[i].Payload)
 		}
 	}
-	g.ObserveEvent(ev)
+	// Sized exactly: the ring holds these for as long as the commit, and
+	// accounts for their capacities.
+	ev.TxIDs = make([]uint64, 0, min(ev.TxCount, maxTxIDsPerEvent))
+	c := newRetainedCommit(ev, ev.TxCount, size)
+	for _, v := range sub.Vertices {
+		if v.Batch == nil {
+			continue
+		}
+		for i := range v.Batch.Transactions {
+			c.addPayload(v.Batch.Transactions[i].Payload)
+			if len(c.ev.TxIDs) < maxTxIDsPerEvent {
+				c.ev.TxIDs = append(c.ev.TxIDs, v.Batch.Transactions[i].ID)
+			}
+		}
+	}
+	g.observe(c)
 }
 
 func digestOf(sub *bullshark.CommittedSubDAG) []byte {
@@ -275,14 +286,19 @@ func digestOf(sub *bullshark.CommittedSubDAG) []byte {
 	return d[:]
 }
 
-// ObserveEvent records one already-built commit event. Replicas re-serving a
-// stream they tail (and re-execute) feed their gateway here; validators go
-// through ObserveCommit. Events must arrive in ascending Seq order.
+// ObserveEvent records one already-built commit event, copying its payloads
+// into the ring's block. Replicas re-serving a stream they tail (and
+// re-execute) feed their gateway here; validators go through ObserveCommit.
+// Events must arrive in ascending Seq order.
 func (g *Gateway) ObserveEvent(ev CommitEvent) {
+	g.observe(packCommit(ev))
+}
+
+func (g *Gateway) observe(c retainedCommit) {
 	g.mu.Lock()
-	if ev.Seq > g.lastSeq {
-		g.ring.push(ev)
-		g.lastSeq = ev.Seq
+	if c.ev.Seq > g.lastSeq {
+		g.ring.push(c)
+		g.lastSeq = c.ev.Seq
 	}
 	g.commits++
 	n, held := g.ring.n, g.ring.bytes
@@ -596,8 +612,8 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, SubmitError{Error: err.Error()})
 		return
 	}
-	// ?full=1 keeps the per-commit transaction payloads on the events — the
-	// re-execution feed replicas tail. Plain subscribers get them stripped.
+	// ?full=1 puts the per-commit transaction payloads on the events — the
+	// re-execution feed replicas tail. Plain subscribers get none.
 	full := r.URL.Query().Get("full") == "1"
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -651,7 +667,7 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 		// Copy the next slice of the deliverable tail out, then emit without
 		// the lock.
 		var gapOldest uint64
-		batch, gapOldest = g.ring.tail(batch, next, streamBatch)
+		batch, gapOldest = g.ring.tail(batch, next, streamBatch, full)
 		if len(batch) > 0 {
 			next = batch[len(batch)-1].Seq + 1
 		}
@@ -667,9 +683,6 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 			err = writeEvent(w, "gap", strconv.FormatUint(gapOldest-1, 10), GapEvent{Oldest: gapOldest})
 		}
 		for i := 0; err == nil && i < len(batch); i++ {
-			if !full {
-				batch[i].Payloads = nil
-			}
 			if g.cfg.RootAt != nil && batch[i].StateRoot == "" {
 				if root, ok := g.cfg.RootAt(batch[i].Seq); ok {
 					batch[i].StateRoot = hex.EncodeToString(root[:])
@@ -716,7 +729,7 @@ func resumePoint(r *http.Request) (seq uint64, set bool, err error) {
 
 // writeEvent emits one SSE frame: id (none when empty), event name, JSON
 // data.
-func writeEvent(w http.ResponseWriter, name, id string, v any) error {
+func writeEvent(w io.Writer, name, id string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err

@@ -70,7 +70,7 @@ func drain(t *testing.T, r *commitRing, next uint64, limit int) (seqs []uint64, 
 	var batch []CommitEvent
 	for {
 		var gap uint64
-		batch, gap = r.tail(batch[:0], next, limit)
+		batch, gap = r.tail(batch[:0], next, limit, true)
 		if len(batch) > limit {
 			t.Fatalf("tail copied %d events out under one hold of the lock, limit %d", len(batch), limit)
 		}
@@ -101,7 +101,7 @@ func TestRingAgreesWithCountOnlyModel(t *testing.T) {
 		for step := 0; step < 3*depth+20; step++ {
 			seq += 1 + uint64(rng.Intn(3)) // sequences may skip (snapshot installs)
 			ev := randomEvent(rng, seq, 8, 64)
-			ring.push(ev)
+			ring.push(packCommit(ev))
 			model.push(ev)
 			for next := uint64(0); next <= seq+2; next++ {
 				want, wantGap := model.tail(next)
@@ -143,13 +143,13 @@ func TestRingByteBudget(t *testing.T) {
 		if seq/100%4 == 3 {
 			maxPayload = 512
 		}
-		ring.push(randomEvent(rng, seq, 32, maxPayload))
+		ring.push(packCommit(randomEvent(rng, seq, 32, maxPayload)))
 
 		sum := 0
 		for i := 0; i < ring.n; i++ {
-			sum += eventBytes(ring.at(i))
-			if want := seq - uint64(ring.n-1-i); ring.at(i).Seq != want {
-				t.Fatalf("seq %d: slot %d holds seq %d, want %d (not a contiguous suffix)", seq, i, ring.at(i).Seq, want)
+			sum += ring.at(i).heldBytes()
+			if want := seq - uint64(ring.n-1-i); ring.at(i).ev.Seq != want {
+				t.Fatalf("seq %d: slot %d holds seq %d, want %d (not a contiguous suffix)", seq, i, ring.at(i).ev.Seq, want)
 			}
 		}
 		if sum != ring.bytes {
@@ -164,15 +164,18 @@ func TestRingByteBudget(t *testing.T) {
 		if ring.bytes > budget && ring.n == floor {
 			sawFloorBind = true
 		}
-		for i := ring.n; i < depth; i++ {
-			if ev := ring.at(i); ev.Seq != 0 || ev.Payloads != nil || ev.TxIDs != nil {
-				t.Fatalf("seq %d: evicted slot still holds seq %d", seq, ev.Seq)
+		if len(ring.buf) > depth {
+			t.Fatalf("seq %d: %d slots, depth %d", seq, len(ring.buf), depth)
+		}
+		for i := ring.n; i < len(ring.buf); i++ {
+			if c := ring.at(i); c.ev.Seq != 0 || c.block != nil || c.ends != nil || c.ev.TxIDs != nil {
+				t.Fatalf("seq %d: evicted slot still holds seq %d", seq, c.ev.Seq)
 			}
 		}
 		if ring.n < int(seq) {
-			_, gap := ring.tail(nil, 1, 1)
-			if gap != ring.at(0).Seq || gap != ring.oldestSeq() {
-				t.Fatalf("seq %d: late resume told oldest=%d, ring's oldest is %d", seq, gap, ring.at(0).Seq)
+			_, gap := ring.tail(nil, 1, 1, false)
+			if gap != ring.at(0).ev.Seq || gap != ring.oldestSeq() {
+				t.Fatalf("seq %d: late resume told oldest=%d, ring's oldest is %d", seq, gap, ring.at(0).ev.Seq)
 			}
 		}
 	}
@@ -186,7 +189,7 @@ func TestRingByteBudget(t *testing.T) {
 func TestRingCountStillBinds(t *testing.T) {
 	ring := newCommitRing(4, 64, 1)
 	for seq := uint64(1); seq <= 10; seq++ {
-		ring.push(CommitEvent{Seq: seq, TxIDs: []uint64{seq}})
+		ring.push(packCommit(CommitEvent{Seq: seq, TxIDs: []uint64{seq}}))
 	}
 	if ring.n != 4 || ring.oldestSeq() != 7 {
 		t.Fatalf("ring holds %d events from seq %d, want 4 from 7", ring.n, ring.oldestSeq())

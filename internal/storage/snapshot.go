@@ -101,8 +101,11 @@ func writeSynced(path string, data []byte) error {
 	return f.Close()
 }
 
-// syncDir fsyncs a directory, making a rename inside it durable.
-func syncDir(dir string) error {
+// syncDir fsyncs a directory, making a rename inside it durable. A variable
+// so a test can observe when it runs.
+var syncDir = fsyncDir
+
+func fsyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

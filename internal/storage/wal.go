@@ -50,14 +50,15 @@ var ErrClosed = errors.New("storage: WAL is closed")
 // _maxRecordSize bounds a single record (a certificate with a full batch).
 const _maxRecordSize = 64 << 20
 
-// Buffer sizes. An append session and a start-up replay keep theirs for the
-// life of the process or run once; a compaction runs at every checkpoint
-// floor advance and only streams records from one file to another (each is
-// flushed as it is appended), so it gets a copy-sized pair instead of two
-// more megabytes of garbage per pass.
+// Buffer sizes. A start-up replay reads the whole log once, through a large
+// reader. Everything else gets a copy-sized buffer: the append session
+// flushes after every record, so a larger writer would only be a megabyte
+// held for the life of the process, and a compaction runs at every
+// checkpoint floor advance, where two large buffers would be two megabytes
+// of garbage per pass.
 const (
-	_sessionBufSize = 1 << 20
-	_compactBufSize = 64 << 10
+	_replayBufSize = 1 << 20
+	_copyBufSize   = 64 << 10
 )
 
 // WAL is an append-only certificate log. Append is not safe for concurrent
@@ -84,7 +85,7 @@ type WAL struct {
 // replay's measured prefix through OpenWALTrimmed instead. A log holding a
 // record of another format generation is refused and left untouched.
 func OpenWAL(path string) (*WAL, error) {
-	valid, err := replayRecords(path, _sessionBufSize, nil, nil)
+	valid, err := replayRecords(path, _replayBufSize, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +101,7 @@ func OpenWALTrimmed(path string, validBytes int64) (*WAL, error) {
 			return nil, fmt.Errorf("storage: truncating torn WAL tail: %w", err)
 		}
 	}
-	return openWALAppend(path, _sessionBufSize)
+	return openWALAppend(path, _copyBufSize)
 }
 
 func openWALAppend(path string, bufSize int) (*WAL, error) {
@@ -203,14 +204,33 @@ func (w *WAL) AppendProposal(h *engine.Header) error {
 	return w.appendRecord(walRecord{Proposal: h})
 }
 
-// appendRecord frames and writes one record. The record encoding must be
-// deterministic: replay-trim logic compares byte offsets across restarts.
-//
-//hammerlint:deterministic
+// appendRecord writes one record and flushes it to the file (and fsyncs it
+// under SyncEveryAppend).
 func (w *WAL) appendRecord(rec walRecord) error {
 	if w.closed {
 		return ErrClosed
 	}
+	if err := w.writeRecord(rec); err != nil {
+		return err
+	}
+	if err := w.writer.Flush(); err != nil {
+		return fmt.Errorf("storage: flushing WAL: %w", err)
+	}
+	if w.SyncEveryAppend {
+		if err := w.file.Sync(); err != nil {
+			return fmt.Errorf("storage: syncing WAL: %w", err)
+		}
+	}
+	w.appended++
+	return nil
+}
+
+// writeRecord frames one record into the write buffer. The record encoding
+// must be deterministic: replay-trim logic compares byte offsets across
+// restarts.
+//
+//hammerlint:deterministic
+func (w *WAL) writeRecord(rec walRecord) error {
 	var body []byte
 	switch {
 	case rec.Cert != nil:
@@ -233,15 +253,6 @@ func (w *WAL) appendRecord(rec walRecord) error {
 	if _, err := w.writer.Write(body); err != nil {
 		return fmt.Errorf("storage: writing record body: %w", err)
 	}
-	if err := w.writer.Flush(); err != nil {
-		return fmt.Errorf("storage: flushing WAL: %w", err)
-	}
-	if w.SyncEveryAppend {
-		if err := w.file.Sync(); err != nil {
-			return fmt.Errorf("storage: syncing WAL: %w", err)
-		}
-	}
-	w.appended++
 	return nil
 }
 
@@ -280,7 +291,7 @@ func (w *WAL) Close() error {
 // aborts replay with that error, and so does a CRC-intact record under a
 // version tag of another format generation.
 func ReplayPrefixRecords(path string, certFn func(*engine.Certificate) error, propFn func(*engine.Header) error) (int64, error) {
-	return replayRecords(path, _sessionBufSize, certFn, propFn)
+	return replayRecords(path, _replayBufSize, certFn, propFn)
 }
 
 func replayRecords(path string, bufSize int, certFn func(*engine.Certificate) error, propFn func(*engine.Header) error) (int64, error) {
@@ -404,6 +415,13 @@ func (w *WAL) CompactTo(floor types.Round) error {
 // silently widen the slot-equivocation window after the next restart. The
 // WAL must be closed by the caller first (open sessions use CompactTo, which
 // handles the handle swap).
+//
+// The copy goes through the temp log's buffer and is flushed and fsynced
+// once, at the end; the rename is made durable by fsyncing the directory
+// before Compact returns. Without that, a power loss could leave path naming
+// the old file while the validator appends proposal records — each fsynced —
+// to the new one, and a restart would lose them: the voted-round mark would
+// regress and the validator could sign a second header for a slot.
 func Compact(path string, floor types.Round) error {
 	tmp := path + ".compact"
 	// A crash mid-compaction can leave a stale temp file; OpenWAL would
@@ -412,7 +430,7 @@ func Compact(path string, floor types.Round) error {
 	if err := os.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("storage: clearing stale compaction file: %w", err)
 	}
-	out, err := openWALAppend(tmp, _compactBufSize)
+	out, err := openWALAppend(tmp, _copyBufSize)
 	if err != nil {
 		return err
 	}
@@ -422,15 +440,15 @@ func Compact(path string, floor types.Round) error {
 	// record order does not matter for proposals).
 	var bestBelow *engine.Header
 	keptMark := false
-	_, replayErr := replayRecords(path, _compactBufSize, func(cert *engine.Certificate) error {
+	_, replayErr := replayRecords(path, _copyBufSize, func(cert *engine.Certificate) error {
 		if cert.Header.Round < floor {
 			return nil
 		}
-		return out.Append(cert)
+		return out.writeRecord(walRecord{Cert: cert})
 	}, func(h *engine.Header) error {
 		if h.Round >= floor {
 			keptMark = true
-			return out.AppendProposal(h)
+			return out.writeRecord(walRecord{Proposal: h})
 		}
 		if bestBelow == nil || h.Round > bestBelow.Round {
 			bestBelow = h
@@ -438,7 +456,7 @@ func Compact(path string, floor types.Round) error {
 		return nil
 	})
 	if replayErr == nil && !keptMark && bestBelow != nil {
-		replayErr = out.AppendProposal(bestBelow)
+		replayErr = out.writeRecord(walRecord{Proposal: bestBelow})
 	}
 	if replayErr != nil {
 		_ = out.Close()
@@ -454,5 +472,11 @@ func Compact(path string, floor types.Round) error {
 		_ = os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("storage: publishing compacted WAL: %w", err)
+	}
+	return nil
 }

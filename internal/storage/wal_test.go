@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -509,9 +510,64 @@ func TestCompactToAllocatesCopyBuffersOnly(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if perPass := (after.TotalAlloc - before.TotalAlloc) / passes; perPass > 4*_compactBufSize {
+	if perPass := (after.TotalAlloc - before.TotalAlloc) / passes; perPass > 4*_copyBufSize {
 		t.Fatalf("a compaction allocates %d KiB, want at most %d (two %d KiB copy buffers and the records)",
-			perPass>>10, 4*_compactBufSize>>10, _compactBufSize>>10)
+			perPass>>10, 4*_copyBufSize>>10, _copyBufSize>>10)
+	}
+}
+
+// TestCompactToSyncsDirAfterRename: a compaction is durable before the
+// session appends to the new file. The directory is fsynced once the rename
+// has published the compacted log and before CompactTo reopens it — without
+// that, a power loss could leave the path naming the old file, and proposal
+// records fsynced into the new one since would be lost with it.
+func TestCompactToSyncsDirAfterRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "certs.log")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for r := types.Round(1); r <= 10; r++ {
+		if err := w.Append(testCert(r, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.AppendProposal(testProposal(10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	closedHandle := w.file
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	calls := 0
+	syncDir = func(d string) error {
+		calls++
+		if d != dir {
+			t.Errorf("fsynced %s, want the WAL's directory %s", d, dir)
+		}
+		if info, err := Inspect(path); err != nil || info.LowestRound != 6 || info.Certs != 5 || info.HighestProposal != 10 {
+			t.Errorf("at the directory fsync the path holds %+v (err %v), want the compacted log: the rename has not happened", info, err)
+		}
+		if _, err := os.Stat(path + ".compact"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("at the directory fsync the temp file is still there (stat: %v)", err)
+		}
+		if w.file != closedHandle {
+			t.Error("CompactTo reopened the log before the rename was durable")
+		}
+		return orig(d)
+	}
+	if err := w.CompactTo(6); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("the directory was fsynced %d times, want once", calls)
+	}
+	if w.file == closedHandle {
+		t.Fatal("CompactTo did not reopen the log")
+	}
+	if err := w.Append(testCert(11, 0)); err != nil {
+		t.Fatal(err)
 	}
 }
 
