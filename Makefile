@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing clean
 
 all: build test
 
@@ -72,8 +72,9 @@ bench-smoke:
 # more after 1000 commits than after 200, the DAG's tag-scan lookups
 # answer as the digest index they replaced did, and a burst of full batches
 # drains at certification pace and, with a validator stalled, loses and
-# duplicates nothing, and under light load a whole anchor round sends its vote
-# at once while a crashed validator keeps every round on the floor.
+# duplicates nothing, and under light load rounds go in periods of four
+# (batch-round headers two floors apart) while a crashed validator keeps every
+# round on the floor.
 sim-mem:
 	go test -run 'TestFaultRunRetainedHeap|TestFaultRunResultsPinned' ./internal/experiment/
 	go test -run TestServingRetainedHeapFollowsState ./internal/rpc/
@@ -99,6 +100,20 @@ checkpoint-bytes:
 sig-once:
 	go test -race -count=3 -run '^(TestCheckOnceMatchesReference|TestVoteFloodCostsAtMostN|TestOwnCertificateNotReverified|TestKnownSigsSharedAcrossWorkers)$$' ./internal/engine/
 	go test -race -count=3 -run '^(TestVerifierChecksEachCertificateOnce|TestVerifierRemembersTheLastFew)$$' ./pkg/client/
+
+# pacing is CI's "Header pacing by period (race)" step: a whole round ≡ 1, 2
+# or 3 (mod 4) is left at once, a whole round ≡ 0 at the period timer that
+# f+1 stake of batch-round headers armed (the per-round floor does not open
+# it), a round missing a certificate at the per-round floor, and f+1 stake
+# ahead or a full batch opens the gate (the engine's pacing tests,
+# TestPeriodGate's table among them); in simulation, batch-round headers
+# come two floors apart and commit p50 beats the wave pacing it replaced,
+# also when the validators boot 60 to 80 ms apart, a crashed validator keeps
+# every round on the floor, and stalled validators lose and duplicate nothing
+# through bursts.
+pacing:
+	go test -race -count=3 -run '^(TestPacingGateOpensAtValidityThreshold|TestLaggingValidatorCertifiesBeforeAdvancing|TestCatchUpJumpCarriesAbandonedBatch|TestFullBatchOpensPacingGate|TestBatchFilledBetweenEventsIsProposed|TestFullBatchKeepsRoundConditions|TestWholeAnchorRoundSendsVoteAtOnce|TestWaveFloorCountsFromTheAnchorHeader|TestPeriodGate|TestFullBatchKeepsLeaderWait)$$' ./internal/engine/
+	go test -race -count=3 -run '^(TestShortRoundsSurviveAStalledValidator|TestVoteRoundFollowsCertification|TestPeriodsAgreeAfterStaggeredStarts|TestVoteRoundWaitsForACrashedValidator|TestBurstDrainsAtCertificationPace|TestBurstSurvivesAStalledValidator)$$' ./internal/simnet/
 
 # ring-bytes is CI's "Commit history holds what it counts (race)" step: the
 # gateway's resume ring packs each commit's payloads into one block and must

@@ -206,7 +206,7 @@ func serve(nd *node.Node, logger *slog.Logger, reg *metrics.Registry, metricsAdd
 				"ordered_vertices", cs.OrderedVertices,
 				"skipped", cs.SkippedAnchors,
 				"timeouts", c.LeaderTimeouts,
-				"vote_early", c.HeadersVoteEarly,
+				"whole_early", c.HeadersWholeEarly,
 				"full_early", c.HeadersFullEarly,
 				"pending_tx", nd.Pool().Pending(),
 				"preverified", pv.Checked-pv.Dropped,

@@ -8,22 +8,23 @@ import (
 // Config holds the engine's protocol parameters. Zero value is invalid; use
 // DefaultConfig as a base.
 type Config struct {
-	// MinRoundDelay paces waves of partly filled headers: a validator
-	// proposes round r+1 no earlier than MinRoundDelay after it proposed
-	// round r, unless certificates worth f+1 stake already exist at r+1 (it
-	// is late), or it holds every validator's round-r certificate and either
-	// r is an anchor round (round r+1 is the vote that commits the anchor,
-	// and batches nothing the next anchor round would not) or it holds
-	// MaxBatchTx transactions (a full batch has nothing left to wait for).
-	// A voting round whose header went out that way is left once it is whole
-	// and MinRoundDelay has passed since the anchor-round header; see
-	// Engine.pacingOpen. So in a committee that keeps up the floor paces a
-	// wave, anchor round plus voting round, from one anchor-round header to
-	// the next, and with a validator down it paces every round. A floor on
-	// the round time that batches transactions
-	// — Narwhal's min_header_delay, not its max_header_delay: nothing here
-	// forces a header out, a round still waits for its quorum of
-	// certificates. 0 disables pacing.
+	// MinRoundDelay paces rounds of partly filled headers. A round missing
+	// a validator's certificate is left no earlier than MinRoundDelay after
+	// the validator's own last proposal, unless certificates worth f+1 stake
+	// already exist at the next round (it is late). A whole round — every
+	// validator's certificate in — is paced by period, four rounds by round
+	// number: round r ≡ 1 (mod 4) is the batch round, r ≡ 2 its anchor and
+	// r ≡ 3 the vote that commits that anchor, each left at once when whole,
+	// and a round ≡ 0 is left 2 × MinRoundDelay after the validator held
+	// batch-round headers worth f+1 stake, its own counted once proposed. A
+	// full batch (MaxBatchTx transactions) and the f+1 rule still open any
+	// whole round. See Engine.pacingOpen. So a committee
+	// that keeps up sends two headers per floor, and each batch commits
+	// three round trips after it is proposed; with a validator down no
+	// round is whole and the floor paces every round. A floor on the round
+	// time that batches transactions — Narwhal's min_header_delay, not its
+	// max_header_delay: nothing here forces a header out, a round still
+	// waits for its quorum of certificates. 0 disables pacing.
 	MinRoundDelay time.Duration
 	// LeaderTimeout bounds the wait for the anchor certificate when leaving
 	// an anchor round. This is the cost a crashed leader inflicts per anchor
@@ -143,9 +144,10 @@ const (
 	// engine has not gathered a write quorum of RejoinResponses, the request
 	// is re-broadcast (peers may still be restarting themselves).
 	TimerRejoin
-	// TimerWaveDelay fires when MinRoundDelay since the anchor-round header
-	// has elapsed, for the voting round whose header went out early; the
-	// voting round may then be left once it is whole.
+	// TimerWaveDelay is the period timer: armed once the validator holds
+	// headers worth f+1 stake of a batch round r ≡ 1 (mod 4), it fires 2 ×
+	// MinRoundDelay later, and Round is r+3, the round ≡ 0 it lets the
+	// validator leave once whole.
 	TimerWaveDelay
 )
 
@@ -174,8 +176,8 @@ func (k TimerKind) String() string {
 }
 
 // Timer is a request to be called back after Delay. Round scopes leader and
-// round-delay timers to the round they were armed for, so stale firings are
-// ignored.
+// round-delay timers to the round they were armed for, and the period timer
+// to the round it opens, so stale firings are ignored.
 type Timer struct {
 	Kind  TimerKind
 	Round uint64

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/checkpoint"
@@ -151,11 +150,12 @@ type Stats struct {
 	HeadersAbandoned uint64
 	TxCarried        uint64
 	// Own headers proposed because a whole round opened the pacing gate while
-	// neither MinRoundDelay nor the f+1 rule had (see pacingOpen): voting
-	// headers sent as soon as their anchor round was whole, and headers a full
-	// batch sent out. A header that is both counts as a vote.
-	HeadersVoteEarly uint64
-	HeadersFullEarly uint64
+	// neither MinRoundDelay, the period timer nor the f+1 rule had (see
+	// pacingOpen): headers a whole round ≡ 1, 2 or 3 (mod 4) sent out at once,
+	// three per period, and headers a full batch sent out. A header that is
+	// both counts as whole.
+	HeadersWholeEarly uint64
+	HeadersFullEarly  uint64
 	// Own certified vertices dropped below the pruning floor without ever
 	// having been ordered, and the transactions in them: acknowledged writes
 	// that will never commit. Peers reference a vertex only while they are in
@@ -264,9 +264,12 @@ type Engine struct {
 	voteStake     *types.StakeAccumulator
 	ownCertFormed bool
 	roundDelayOK  bool
-	// waveDelayOK: this is a voting round whose header went out early, and
-	// MinRoundDelay has passed since the anchor-round header (see pacingOpen).
-	waveDelayOK bool
+	// periodRound is the round ≡ 0 (mod 4) whose gate the period timer holds,
+	// armed when this validator held headers worth f+1 stake of the batch
+	// round three below it (0: none); periodDelayOK: the timer fired (see
+	// startPeriod and pacingOpen).
+	periodRound   types.Round
+	periodDelayOK bool
 	// The anchor round whose leader-wait timer is running, and the one whose
 	// wait expired (0: none, round 0 never waits). Read only at e.round.
 	leaderTimerArmed types.Round
@@ -509,9 +512,11 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 			e.tryAdvance(nowNanos, out)
 		}
 	case TimerWaveDelay:
-		if e.round == types.Round(t.Round) {
-			e.waveDelayOK = true
-			e.tryAdvance(nowNanos, out)
+		if e.periodRound == types.Round(t.Round) {
+			e.periodDelayOK = true
+			if e.round == e.periodRound {
+				e.tryAdvance(nowNanos, out)
+			}
 		}
 	case TimerResync:
 		e.resyncArmed = false
@@ -557,7 +562,7 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 // reaching MaxBatchTx between engine events. A full batch opens the pacing
 // gate (see pacingOpen), but the gate is otherwise looked at only when a
 // message or timer arrives: a quiet committee waiting out its floor would hold
-// a batch that filled from the gateway until the wave timer fired. The
+// a batch that filled from the gateway until the period timer fired. The
 // runtime calls it once per fill (validator.Validator.Submit reports one).
 func (e *Engine) OnBatchFull(nowNanos int64) *Output {
 	out := &Output{}
@@ -609,6 +614,7 @@ func (e *Engine) onHeader(from types.ValidatorID, h *Header, out *Output) {
 		Voter:        e.self,
 		Signature:    sig,
 	}})
+	e.startPeriod(h.Round, out)
 }
 
 func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
@@ -1146,7 +1152,10 @@ func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 		// two ahead) on the paced path, and it leaves a validator that stalls
 		// a round of room beyond four: the whole-round openers in pacingOpen
 		// can send the others on at the instant its links slow, so it may
-		// start a stall one round behind.
+		// start a stall one round behind. One round, however many rounds of
+		// a period leave at once: each opener takes the whole round, the
+		// stalling validator's certificate at it included, so the others
+		// leave the round after without it only at the per-round floor.
 		if frontier := e.dagStore.HighestRound(); frontier > e.round+5 {
 			for r := frontier; r > e.round; r-- {
 				if e.dagStore.HasQuorumAt(r) {
@@ -1179,94 +1188,121 @@ func (e *Engine) tryAdvance(nowNanos int64, out *Output) {
 			}
 		}
 		switch early {
-		case earlyVote:
-			e.stats.HeadersVoteEarly++
+		case earlyWhole:
+			e.stats.HeadersWholeEarly++
 		case earlyFull:
 			e.stats.HeadersFullEarly++
 		}
-		anchor := e.curHeader
 		e.propose(e.round+1, nowNanos, out)
-		if early == earlyVote {
-			e.armWaveDelay(anchor, nowNanos, out)
-		}
 	}
 }
 
-// armWaveDelay starts the floor of the voting round whose header was just
-// proposed early: MinRoundDelay counted from the anchor-round header, not from
-// the vote, so the round trip the vote waited for is not paid again.
-func (e *Engine) armWaveDelay(anchor *Header, nowNanos int64, out *Output) {
-	if anchor == nil || e.curHeader == nil || e.curHeader.Round != anchor.Round+1 {
-		return // the proposal did not happen
-	}
-	left := e.config.MinRoundDelay - time.Duration(nowNanos-anchor.CreatedNanos)
-	if left <= 0 {
-		e.waveDelayOK = true
-		return
-	}
-	// Capped: nowNanos is wall-clock time, which can step back.
-	out.timer(Timer{Kind: TimerWaveDelay, Round: uint64(e.round), Delay: min(left, e.config.MinRoundDelay)})
-}
-
-// earlyReason says what opened the pacing gate before MinRoundDelay or the
-// f+1 rule did.
+// earlyReason says what opened the pacing gate before MinRoundDelay, the
+// period timer or the f+1 rule did.
 type earlyReason uint8
 
 const (
-	notEarly  earlyReason = iota
-	earlyVote             // a whole anchor round: the next header is its vote
-	earlyFull             // a full batch over a whole round
+	notEarly   earlyReason = iota
+	earlyWhole             // a whole round ≡ 1, 2 or 3 (mod 4)
+	earlyFull              // a full batch over a whole round
 )
 
+// periodRounds is the length of a pacing period in rounds: a batch round
+// (≡ 1), its anchor (≡ 2), the vote that commits that anchor (≡ 3), and a
+// round ≡ 0 that waits out the rest of the period (see pacingOpen).
+const periodRounds = 4
+
+// startPeriod arms the period timer of batch round r (see pacingOpen) once
+// this validator holds round-r headers worth f+1 stake, its own counted once
+// proposed. Not at its own header alone: a validator whose period ran ahead
+// of the committee's — it started first, or left a round early — would leave
+// every round ≡ 0 alone, one f+1 rule ahead of the rest, for good, and the
+// batch it proposed early would wait for the others' in every period. Counted
+// from the (f+1)-th header, the periods of the committee agree within a
+// message delay from the first one on, and one of those headers belongs to an
+// honest validator that waited out its own period.
+func (e *Engine) startPeriod(r types.Round, out *Output) {
+	if r%periodRounds != 1 || e.periodRound >= r+periodRounds-1 {
+		return
+	}
+	rs := e.slots(r)
+	if rs == nil {
+		return
+	}
+	var stake types.Stake
+	for id := range rs.voted.All() {
+		stake += e.committee.Stake(id)
+	}
+	if stake < e.committee.ValidityThreshold() {
+		return
+	}
+	e.periodRound, e.periodDelayOK = r+periodRounds-1, false
+	out.timer(Timer{Kind: TimerWaveDelay, Round: uint64(e.periodRound), Delay: 2 * e.config.MinRoundDelay})
+}
+
 // pacingOpen reports whether header pacing lets this validator leave its
-// round, and, when only a whole round opened it, why. MinRoundDelay since its
-// own last proposal always opens the gate. So do certificates worth f+1 stake
-// at the next round: one of them is an honest validator's, which paced itself
-// into that round, so following it keeps the committee's round rate at the
-// floor — while a validator that fell behind re-aligns within a round trip
-// instead of staying late by the same amount forever (its timer restarts from
-// its own, late, proposal), until its certificates miss every next round's
-// parent set. Stake of f or less ahead moves nobody: a fast or Byzantine
-// minority cannot un-pace the rest.
+// round, and, when only a whole round opened it, why. Certificates worth f+1
+// stake at the next round always open the gate: one of them is an honest
+// validator's, which paced itself into that round, so following it keeps the
+// committee's round rate at the floor — while a validator that fell behind
+// re-aligns within a round trip instead of staying late by the same amount
+// forever (its timer restarts from its own, late, proposal), until its
+// certificates miss every next round's parent set. Stake of f or less ahead
+// moves nobody: a fast or Byzantine minority cannot un-pace the rest.
 //
-// Once every validator's certificate at this round is in, three more things
-// open it. Leaving an anchor round, the next header is the vote that commits
-// the anchor (Bullshark commits it once f+1 stake at the next round links
-// it), and it batches nothing the following anchor-round header would not:
-// it goes out at once, and an anchor commits about two round trips after it
-// is proposed. Leaving that voting round, the floor counts from the
-// anchor-round header (armWaveDelay), not from the vote, so the floor paces a
-// wave — anchor round plus voting round — and the round trip the vote waited
-// for is not added to it: while two round trips fit in the floor, the
-// slowest commit pays the round trip once, as under per-round pacing, not
-// three times. A voting round that is not whole waits for its own floor. And a full header's worth of transactions,
-// carried and pending, opens it at any round: the floor exists to batch, and
-// a full batch has nothing left to wait for (Narwhal's primary likewise sends
-// a header once it holds enough batches; its delay timer covers only a partly
-// filled one). Under backlog a healthy committee then advances at
-// certification pace, not MaxBatchTx per MinRoundDelay.
+// A round missing a validator's certificate is otherwise left MinRoundDelay
+// after the validator's own last proposal, the per-round floor. A whole round
+// — every validator's certificate in — is paced by period instead, four rounds
+// by round number. Round r ≡ 1 (mod 4) is the batch round, r ≡ 2 its anchor
+// and r ≡ 3 the vote that commits that anchor (Bullshark commits it once f+1
+// stake at the next round links it): whole, each is left at once. A round ≡ 0
+// is left once 2 × MinRoundDelay has passed since the validator held
+// batch-round headers worth f+1 stake (the period timer; see startPeriod),
+// and the per-round floor does not open it while that timer is armed, or the
+// period would shrink to one floor plus three round trips. So a committee
+// that keeps up sends two headers per floor, and every batch-round vertex is
+// in the causal history of the very next anchor, which commits three round
+// trips after the batch. A round ≡ 0 with no period timer of its own —
+// reached by a catch-up jump, a rejoin or a restored header, or left behind
+// by f+1 peers already in the next period — falls back to the per-round
+// floor, and so does genesis, round 0.
 //
-// All three take the whole round, not a quorum: a committee that left a
-// slower validator's vertices behind at certification pace would soon be more
-// than five rounds ahead of it, and the catch-up jump that follows cuts the chain
-// of its own vertices, whose transactions then never commit. So the slowest
-// validator sets the pace, and a crashed one puts everybody back on the
-// floor. Only the floor is lifted: the own certificate still gates
-// tryAdvance, and the whole round holds an anchor round's leader.
+// A full header's worth of transactions, carried and pending, opens a whole
+// round of any residue: the floor exists to batch, and a full batch has
+// nothing left to wait for (Narwhal's primary likewise sends a header once it
+// holds enough batches; its delay timer covers only a partly filled one).
+// Under backlog a healthy committee then advances at certification pace, not
+// MaxBatchTx per MinRoundDelay.
+//
+// Every opener but the floors and f+1 takes the whole round, not a quorum: a
+// committee that left a slower validator's vertices behind at certification
+// pace would soon be more than five rounds ahead of it, and the catch-up jump
+// that follows cuts the chain of its own vertices, whose transactions then
+// never commit. So the slowest validator sets the pace, and a crashed one puts
+// everybody back on the per-round floor. Only the floor is lifted: the own
+// certificate still gates tryAdvance, and the whole round holds an anchor
+// round's leader.
 func (e *Engine) pacingOpen() (open bool, early earlyReason) {
-	if e.roundDelayOK || e.dagStore.RoundStake(e.round+1) >= e.committee.ValidityThreshold() {
+	if e.dagStore.RoundStake(e.round+1) >= e.committee.ValidityThreshold() {
 		return true, notEarly
 	}
 	if e.dagStore.RoundStake(e.round) != e.committee.TotalStake() {
-		return false, notEarly
+		return e.roundDelayOK, notEarly
 	}
-	if e.round.IsAnchorRound() && e.round > 0 {
-		return true, earlyVote
+	switch {
+	case e.periodRound != 0 && e.round == e.periodRound:
+		if e.periodDelayOK {
+			return true, notEarly
+		}
+	case e.roundDelayOK:
+		return true, notEarly
+	case e.round%periodRounds != 0:
+		return true, earlyWhole
 	}
 	if len(e.carried)+e.batches.Pending() >= e.config.MaxBatchTx {
 		return true, earlyFull
 	}
-	return e.waveDelayOK, notEarly
+	return false, notEarly
 }
 
 // abandonHeader gives up the current own header. If it has not certified it
@@ -1369,7 +1405,6 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 	e.adoptHeader(header, digest, sig)
 	e.restoredHeader = false
 	e.roundDelayOK = false
-	e.waveDelayOK = false
 	e.stats.HeadersProposed++
 	// Recorded before it can reach the wire, so a restart can re-adopt it
 	// instead of equivocating the slot.
@@ -1377,6 +1412,7 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 
 	out.broadcast(&Message{Kind: KindHeader, Header: header})
 	out.timer(Timer{Kind: TimerRoundDelay, Round: uint64(round), Delay: e.config.MinRoundDelay})
+	e.startPeriod(round, out)
 	out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(round), Delay: e.config.ResyncInterval})
 
 	// A lone validator committee (n=1) certifies immediately on self-vote.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -134,11 +135,46 @@ func certifyOwnAt(t *testing.T, eng *Engine, nowNanos int64) (*Header, []Timer) 
 	return proposed, timers
 }
 
-// TestPacingGateOpensAtValidityThreshold: with its round complete and its
-// own pacing timer still running, a validator stays put while certificates
-// worth f stake exist at the next round and proposes once they are worth
-// f+1 — it is late, and one of them belongs to an honest validator that
-// paced itself there.
+// deliverHeaders feeds the engine the headers behind certs, each from its
+// source, at nowNanos, and returns the timers armed.
+func deliverHeaders(eng *Engine, certs []*Certificate, nowNanos int64) []Timer {
+	var timers []Timer
+	for _, c := range certs {
+		out := eng.OnMessage(c.Header.Source, (&Message{Kind: KindHeader, Header: &c.Header}).Clone(), nowNanos)
+		timers = append(timers, out.Timers...)
+	}
+	return timers
+}
+
+// climb drives eng from its round up to round to: each round's peer headers
+// and certificates, then its own certificate, and the period timer for a
+// round that waits for it. It returns the timers armed, by the round the
+// engine was in after the step that armed them.
+func climb(t *testing.T, eng *Engine, peers map[types.Round][]*Certificate, to types.Round) map[types.Round][]Timer {
+	t.Helper()
+	armed := map[types.Round][]Timer{}
+	for r := eng.Round(); r < to; r++ {
+		armed[r] = append(armed[r], deliverHeaders(eng, peers[r], 0)...)
+		deliver(eng, peers[r])
+		h, timers := certifyOwnAt(t, eng, 0)
+		if h == nil {
+			out := eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: uint64(r)}, 0)
+			h, timers = proposedIn(out), out.Timers
+		}
+		if h == nil || h.Round != r+1 {
+			t.Fatalf("setup: want a round-%d proposal, got %v", r+1, h)
+		}
+		armed[r+1] = append(armed[r+1], timers...)
+	}
+	return armed
+}
+
+// TestPacingGateOpensAtValidityThreshold: with its round complete and both
+// its pacing timers still running — a whole round 4 waits for the period
+// timer, and the per-round floor does not open it — a validator stays put
+// while certificates worth f stake exist at the next round and proposes once
+// they are worth f+1: it is late, and one of them belongs to an honest
+// validator that paced itself there.
 func TestPacingGateOpensAtValidityThreshold(t *testing.T) {
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
@@ -146,21 +182,25 @@ func TestPacingGateOpensAtValidityThreshold(t *testing.T) {
 	}
 	eng, _ := newTraceEngine(t, committee, nil)
 	eng.Init(0)
-	peers := peerRounds(committee, 1, 2)
-	deliver(eng, peers[1])
+	peers := peerRounds(committee, 1, 5)
+	climb(t, eng, peers, 4)
+	deliver(eng, peers[4])
 	if h := certifyOwn(t, eng); h != nil {
-		t.Fatalf("proposed round %d with the pacing timer running and nobody ahead", h.Round)
+		t.Fatalf("proposed round %d with the pacing timers running and nobody ahead", h.Round)
 	}
-	if h := deliver(eng, peers[2][:1]); h != nil || eng.Round() != 1 {
+	if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 0)); h != nil {
+		t.Fatalf("the per-round floor proposed round %d from a whole round 4 the period timer holds", h.Round)
+	}
+	if h := deliver(eng, peers[5][:1]); h != nil || eng.Round() != 4 {
 		t.Fatalf("stake f at the next round must not open the gate (round %d)", eng.Round())
 	}
-	h := deliver(eng, peers[2][1:2])
-	if h == nil || h.Round != 2 {
+	h := deliver(eng, peers[5][1:2])
+	if h == nil || h.Round != 5 {
 		t.Fatalf("stake f+1 at the next round must open the gate: proposed %v, round %d", h, eng.Round())
 	}
-	own, _ := eng.DAG().Get(1, 0)
+	own, _ := eng.DAG().Get(4, 0)
 	if !slices.Contains(h.Edges, own.Digest()) {
-		t.Fatal("the round-2 header must reference the validator's own round-1 vertex")
+		t.Fatal("the round-5 header must reference the validator's own round-4 vertex")
 	}
 }
 
@@ -237,14 +277,11 @@ func TestCatchUpJumpCarriesAbandonedBatch(t *testing.T) {
 	}
 
 	// The round-7 header certifies and the next one takes only what is left.
-	// Round 7 is a voting round the engine jumped into, not one an early vote
-	// opened, so it waits out the floor though it is whole.
-	if next := certifyOwn(t, eng); next != nil {
-		t.Fatalf("proposed round %d before the round-7 floor", next.Round)
-	}
-	next := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 7}, 0))
+	// Round 7 ≡ 3 (mod 4) is whole once it does, so the round-8 header goes
+	// out in that step.
+	next := certifyOwn(t, eng)
 	if next == nil {
-		t.Fatal("the round-7 timer must propose round 8")
+		t.Fatal("the whole round 7 must propose round 8 as its own certificate forms")
 	}
 	if got := batchIDs(next.Batch); next.Round != 8 || !slices.Equal(got, []uint64{5, 6, 7}) {
 		t.Fatalf("round-%d batch = %v, want round 8 with [5 6 7]", next.Round, got)
@@ -329,13 +366,14 @@ func fullBatchEngine(t *testing.T) (*Engine, *queueBatches, map[types.Round][]*C
 	pool := &queueBatches{}
 	eng, _ := newTraceEngineWith(t, committee, pool, func(c *Config) { c.MaxBatchTx = 4 })
 	eng.Init(0)
-	return eng, pool, peerRounds(committee, 1, 3)
+	return eng, pool, peerRounds(committee, 1, 9)
 }
 
-// TestFullBatchOpensPacingGate: a validator holding MaxBatchTx transactions,
-// carried and pending together, leaves its complete round without waiting out
-// MinRoundDelay, and its header holds exactly MaxBatchTx of them. One short
-// of that, it waits for the round-delay timer.
+// TestFullBatchOpensPacingGate: at a whole round 4, which waits for the
+// period timer, a validator holding MaxBatchTx transactions, carried and
+// pending together, leaves without waiting, and its header holds exactly
+// MaxBatchTx of them. One short of that, it waits for the period timer: the
+// per-round floor does not release it.
 func TestFullBatchOpensPacingGate(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -351,22 +389,26 @@ func TestFullBatchOpensPacingGate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, pool, peers := fullBatchEngine(t)
+			climb(t, eng, peers, 4)
 			eng.carried, pool.txs = tc.carried, tc.queue
-			deliver(eng, peers[1])
+			deliver(eng, peers[4])
 			h := certifyOwn(t, eng)
 			if !tc.early {
 				if h != nil {
-					t.Fatalf("proposed round %d with %d of 4 transactions and the timer running", h.Round, len(tc.carried)+len(tc.queue))
+					t.Fatalf("proposed round %d with %d of 4 transactions and the period timer running", h.Round, len(tc.carried)+len(tc.queue))
 				}
-				h = proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 1}, 0))
-			} else if stale := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 1}, 0)); stale != nil {
-				t.Fatalf("the round-1 timer proposed round %d after the early round-2 header", stale.Round)
+				if h = proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 0)); h != nil {
+					t.Fatalf("the per-round floor proposed round %d with the period timer running", h.Round)
+				}
+				h = proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 0))
+			} else if stale := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 0)); stale != nil {
+				t.Fatalf("the round-4 period timer proposed round %d after the early round-5 header", stale.Round)
 			}
-			if h == nil || h.Round != 2 {
-				t.Fatalf("want a round-2 proposal, got %v (engine round %d)", h, eng.Round())
+			if h == nil || h.Round != 5 {
+				t.Fatalf("want a round-5 proposal, got %v (engine round %d)", h, eng.Round())
 			}
 			if got := batchIDs(h.Batch); !slices.Equal(got, tc.want) {
-				t.Fatalf("round-2 batch = %v, want %v", got, tc.want)
+				t.Fatalf("round-5 batch = %v, want %v", got, tc.want)
 			}
 			wantEarly := uint64(0)
 			if tc.early {
@@ -380,25 +422,17 @@ func TestFullBatchOpensPacingGate(t *testing.T) {
 }
 
 // TestBatchFilledBetweenEventsIsProposed: a quiet committee whose whole
-// voting round waits for the wave timer proposes a batch that fills from the
+// round 4 waits for the period timer proposes a batch that fills from the
 // gateway when OnBatchFull reports the fill, not when the timer fires, and
 // counts it as an early full batch. One short of full, the report changes
 // nothing.
 func TestBatchFilledBetweenEventsIsProposed(t *testing.T) {
 	const ms = int64(time.Millisecond)
 	eng, pool, peers := fullBatchEngine(t)
-	deliver(eng, peers[1])
-	certifyOwn(t, eng)
-	if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 1}, 0)); h == nil || h.Round != 2 {
-		t.Fatalf("setup: want the round-2 header at time 0, got %v", h)
-	}
-	deliverAt(eng, peers[2], 10*ms)
-	if h, _ := certifyOwnAt(t, eng, 10*ms); h == nil || h.Round != 3 {
-		t.Fatalf("setup: want the round-3 vote early, got %v", h)
-	}
-	deliverAt(eng, peers[3], 20*ms)
+	climb(t, eng, peers, 4)
+	deliverAt(eng, peers[4], 20*ms)
 	if h, _ := certifyOwnAt(t, eng, 20*ms); h != nil {
-		t.Fatalf("setup: proposed round %d before the wave timer with an empty pool", h.Round)
+		t.Fatalf("setup: proposed round %d before the period timer with an empty pool", h.Round)
 	}
 	pool.txs = txRange(1, 3)
 	if h := proposedIn(eng.OnBatchFull(25 * ms)); h != nil {
@@ -406,8 +440,8 @@ func TestBatchFilledBetweenEventsIsProposed(t *testing.T) {
 	}
 	pool.txs = txRange(1, 4)
 	h := proposedIn(eng.OnBatchFull(30 * ms))
-	if h == nil || h.Round != 4 || !slices.Equal(batchIDs(h.Batch), []uint64{1, 2, 3, 4}) {
-		t.Fatalf("a full batch over the whole round 3 must go out at once as round 4 with [1 2 3 4], got %v", h)
+	if h == nil || h.Round != 5 || !slices.Equal(batchIDs(h.Batch), []uint64{1, 2, 3, 4}) {
+		t.Fatalf("a full batch over the whole round 4 must go out at once as round 5 with [1 2 3 4], got %v", h)
 	}
 	if st := eng.Stats(); st.HeadersFullEarly != 1 {
 		t.Fatalf("HeadersFullEarly = %d, want 1", st.HeadersFullEarly)
@@ -461,37 +495,31 @@ func TestFullBatchKeepsRoundConditions(t *testing.T) {
 	})
 }
 
-// TestWholeAnchorRoundSendsVoteAtOnce: leaving an anchor round that holds
-// every validator's certificate, the voting header goes out inside the step
-// that completes the round, with the round-delay timer still running. An
-// anchor round missing one certificate, and a whole voting round, wait for
-// the floor. A vote that is also a full batch counts once, as a vote.
+// TestWholeAnchorRoundSendsVoteAtOnce: leaving a whole round ≡ 1, 2 or 3
+// (mod 4) — the batch round, its anchor round, and the vote that commits the
+// anchor — the next header goes out inside the step that completes the round,
+// with the round-delay timer still running. A round missing one certificate
+// waits for the per-round floor, and a whole round 4 for the period timer. A
+// header that is also a full batch counts once, as whole.
 func TestWholeAnchorRoundSendsVoteAtOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		leave   types.Round         // the round the engine completes
 		missing bool                // one non-leader peer's certificate never arrives
 		queue   []types.Transaction // pending once the engine proposed round leave
-		early   bool                // proposed before the floor, and counted as an early vote
+		release TimerKind           // the timer that releases it; 0: at once, counted as whole
 		want    []uint64
 	}{
-		{"whole anchor round", 2, false, nil, true, nil},
-		{"anchor round missing a certificate", 2, true, nil, false, nil},
-		{"whole voting round", 3, false, nil, false, nil},
-		{"vote with a full batch", 2, false, txRange(1, 6), true, []uint64{1, 2, 3, 4}},
+		{"whole batch round", 1, false, nil, 0, nil},
+		{"whole anchor round", 2, false, nil, 0, nil},
+		{"whole voting round", 3, false, nil, 0, nil},
+		{"anchor round missing a certificate", 2, true, nil, TimerRoundDelay, nil},
+		{"whole round 4 waits for the period", 4, false, nil, TimerWaveDelay, nil},
+		{"vote with a full batch", 2, false, txRange(1, 6), 0, []uint64{1, 2, 3, 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, pool, peers := fullBatchEngine(t)
-			for r := types.Round(1); r < tc.leave; r++ {
-				deliver(eng, peers[r])
-				h := certifyOwn(t, eng)
-				if h == nil {
-					h = proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: uint64(r)}, 0))
-				}
-				if h == nil || h.Round != r+1 {
-					t.Fatalf("setup: want a round-%d proposal, got %v", r+1, h)
-				}
-			}
+			climb(t, eng, peers, tc.leave)
 			certs := peers[tc.leave]
 			if tc.missing {
 				// Not the leader's: the leader-wait is met either way.
@@ -506,17 +534,21 @@ func TestWholeAnchorRoundSendsVoteAtOnce(t *testing.T) {
 			var h *Header
 			for i, c := range certs {
 				h = deliver(eng, []*Certificate{c})
-				if h != nil && (!tc.early || i < len(certs)-1) {
+				if h != nil && (tc.release != 0 || i < len(certs)-1) {
 					t.Fatalf("proposed round %d early holding %d of 4 round-%d certificates", h.Round, i+2, tc.leave)
 				}
 			}
-			stale := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: uint64(tc.leave)}, 0))
-			if tc.early {
-				if stale != nil {
-					t.Fatalf("the round-%d timer proposed round %d after the early header", tc.leave, stale.Round)
+			for _, kind := range []TimerKind{TimerRoundDelay, TimerWaveDelay} {
+				fired := proposedIn(eng.OnTimer(Timer{Kind: kind, Round: uint64(tc.leave)}, 0))
+				switch {
+				case kind == tc.release:
+					h = fired
+				case fired != nil:
+					t.Fatalf("the round-%d %v timer proposed round %d", tc.leave, kind, fired.Round)
 				}
-			} else {
-				h = stale
+				if h != nil {
+					break
+				}
 			}
 			if h == nil || h.Round != tc.leave+1 {
 				t.Fatalf("want a round-%d proposal, got %v (engine round %d)", tc.leave+1, h, eng.Round())
@@ -524,13 +556,13 @@ func TestWholeAnchorRoundSendsVoteAtOnce(t *testing.T) {
 			if got := batchIDs(h.Batch); !slices.Equal(got, tc.want) {
 				t.Fatalf("round-%d batch = %v, want %v", h.Round, got, tc.want)
 			}
-			wantVote := uint64(0)
-			if tc.early {
-				wantVote = 1
+			wantWhole := uint64(0)
+			if tc.release == 0 {
+				wantWhole = 1
 			}
 			st := eng.Stats()
-			if vote, full := st.HeadersVoteEarly-before.HeadersVoteEarly, st.HeadersFullEarly-before.HeadersFullEarly; vote != wantVote || full != 0 {
-				t.Fatalf("leaving round %d counted %d early votes and %d early full batches, want %d and 0", tc.leave, vote, full, wantVote)
+			if whole, full := st.HeadersWholeEarly-before.HeadersWholeEarly, st.HeadersFullEarly-before.HeadersFullEarly; whole != wantWhole || full != 0 {
+				t.Fatalf("leaving round %d counted %d early whole-round headers and %d early full batches, want %d and 0", tc.leave, whole, full, wantWhole)
 			}
 		})
 	}
@@ -541,126 +573,340 @@ func TestWholeAnchorRoundSendsVoteAtOnce(t *testing.T) {
 		}
 		eng, _ := newTraceEngine(t, committee, nil)
 		if open, early := eng.pacingOpen(); open || early != notEarly {
-			t.Fatalf("round 0 with no timer passed: pacingOpen = %v, %v; genesis has no anchor to vote for", open, early)
+			t.Fatalf("round 0 with no timer passed: pacingOpen = %v, %v; genesis, ≡ 0 with no period timer, waits for the per-round floor", open, early)
 		}
 	})
 }
 
-// TestWaveFloorCountsFromTheAnchorHeader: a voting round whose header a whole
-// anchor round sent out early is left, once it is whole too, MinRoundDelay
-// after the anchor-round header rather than after the vote; missing a
-// certificate, it waits for its own floor. A vote sent a floor or more after
-// its anchor-round header leaves as soon as its round is whole, and none of
-// this carries over to the next wave.
+// TestWaveFloorCountsFromTheAnchorHeader: the period counts from the
+// batch-round header that brings the validator's holding of them to f+1
+// stake, its own included once proposed. Proposing round 1 arms nothing by
+// itself (f stake at n=4); the first peer round-1 header arms the period
+// timer for round 4, 2 × MinRoundDelay ahead, and nothing later in the
+// period re-arms it. A whole round 4 is left when it fires, or at once if it
+// already has; missing a certificate it waits for its own per-round floor;
+// none of this carries over to the next period; and a validator still in
+// round 4 when f+1 peers' round-5 headers arrive follows them at the
+// per-round floor. The subtest names are the wave's: a round ≡ 0 is where
+// the period, like the wave before it, waits out the floor.
 func TestWaveFloorCountsFromTheAnchorHeader(t *testing.T) {
 	const ms = int64(time.Millisecond)
-	floor := DefaultConfig().MinRoundDelay
-	// waveEngine returns an engine that proposed its round-2 anchor header at
-	// time 0 and its round-3 vote early at voteAt, with the timers that last
-	// step armed.
-	waveEngine := func(t *testing.T, voteAt int64) (*Engine, map[types.Round][]*Certificate, []Timer) {
+	period := 2 * DefaultConfig().MinRoundDelay
+	periodTimers := func(timers []Timer) []Timer {
+		var p []Timer
+		for _, tm := range timers {
+			if tm.Kind == TimerWaveDelay {
+				p = append(p, tm)
+			}
+		}
+		return p
+	}
+	// periodEngine returns an engine that proposed its round-1 batch header
+	// at time 0, took its peers' round-1 headers at 2 ms, and proposed rounds
+	// 2 to 4 at once at 5, 10 and 15 ms.
+	periodEngine := func(t *testing.T) (*Engine, map[types.Round][]*Certificate) {
 		committee, err := types.NewEqualStakeCommittee(4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng, _ := newTraceEngineWith(t, committee, &queueBatches{}, nil)
-		eng.Init(0)
-		peers := peerRounds(committee, 1, 5)
-		deliver(eng, peers[1])
-		if h := certifyOwn(t, eng); h != nil {
-			t.Fatalf("setup: round 1 proposed round %d before its floor", h.Round)
+		if p := periodTimers(eng.Init(0).Timers); len(p) != 0 {
+			t.Fatalf("the own round-1 header alone armed period timers %v", p)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 1}, 0)); h == nil || h.Round != 2 {
-			t.Fatalf("setup: want the round-2 header at time 0, got %v", h)
+		peers := peerRounds(committee, 1, 9)
+		p := periodTimers(deliverHeaders(eng, peers[1][:1], 2*ms))
+		if len(p) != 1 || p[0].Round != 4 || p[0].Delay != period {
+			t.Fatalf("the first peer round-1 header armed period timers %v, want one for round 4 in %v", p, period)
 		}
-		deliverAt(eng, peers[2], voteAt)
-		h, timers := certifyOwnAt(t, eng, voteAt)
-		if h == nil || h.Round != 3 {
-			t.Fatalf("setup: want the round-3 vote early at %v, got %v", time.Duration(voteAt), h)
+		if p := periodTimers(deliverHeaders(eng, peers[1][1:], 2*ms)); len(p) != 0 {
+			t.Fatalf("later round-1 headers armed period timers %v", p)
 		}
-		return eng, peers, timers
-	}
-	waveTimer := func(timers []Timer, round types.Round) (time.Duration, bool) {
-		for _, tm := range timers {
-			if tm.Kind == TimerWaveDelay && tm.Round == uint64(round) {
-				return tm.Delay, true
+		for r := types.Round(1); r < 4; r++ {
+			at := int64(r) * 5 * ms
+			deliverAt(eng, peers[r], at)
+			h, armed := certifyOwnAt(t, eng, at)
+			if h == nil || h.Round != r+1 {
+				t.Fatalf("setup: want the round-%d header at once at %v, got %v", r+1, time.Duration(at), h)
+			}
+			if p := periodTimers(armed); len(p) != 0 {
+				t.Fatalf("proposing round %d armed period timers %v", r+1, p)
 			}
 		}
-		return 0, false
+		return eng, peers
 	}
 
 	t.Run("whole voting round leaves at the wave timer", func(t *testing.T) {
-		eng, peers, timers := waveEngine(t, 10*ms)
-		if d, ok := waveTimer(timers, 3); !ok || d != floor-10*time.Millisecond {
-			t.Fatalf("wave timer for round 3 = %v (armed %v), want %v: the floor counts from the round-2 header", d, ok, floor-10*time.Millisecond)
-		}
-		deliverAt(eng, peers[3], 20*ms)
+		eng, peers := periodEngine(t)
+		deliverAt(eng, peers[4], 20*ms)
 		if h, _ := certifyOwnAt(t, eng, 20*ms); h != nil {
-			t.Fatalf("proposed round %d before the wave timer", h.Round)
+			t.Fatalf("proposed round %d before the period timer", h.Round)
 		}
-		h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 3}, 50*ms))
-		if h == nil || h.Round != 4 {
-			t.Fatalf("the wave timer must propose round 4 from the whole round 3, got %v", h)
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 65*ms)); h != nil {
+			t.Fatalf("the per-round floor proposed round %d from a whole round 4", h.Round)
 		}
-		if st := eng.Stats(); st.HeadersVoteEarly != 1 || st.HeadersFullEarly != 0 {
-			t.Fatalf("counted %d early votes and %d early full batches, want 1 and 0", st.HeadersVoteEarly, st.HeadersFullEarly)
+		out := eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 102*ms)
+		h := proposedIn(out)
+		if h == nil || h.Round != 5 {
+			t.Fatalf("the period timer must propose round 5 from the whole round 4, got %v", h)
+		}
+		if p := periodTimers(out.Timers); len(p) != 0 {
+			t.Fatalf("the own round-5 header alone armed period timers %v", p)
+		}
+		if p := periodTimers(deliverHeaders(eng, peers[5], 103*ms)); len(p) != 1 || p[0].Round != 8 || p[0].Delay != period {
+			t.Fatalf("the round-5 peer headers armed period timers %v, want one for round 8 in %v", p, period)
+		}
+		if st := eng.Stats(); st.HeadersWholeEarly != 3 || st.HeadersFullEarly != 0 {
+			t.Fatalf("counted %d early whole-round headers and %d early full batches, want 3 and 0", st.HeadersWholeEarly, st.HeadersFullEarly)
 		}
 
-		// The next wave starts over: its vote goes out early, and its
-		// voting round again waits for its own wave timer.
-		deliverAt(eng, peers[4], 60*ms)
-		h, timers = certifyOwnAt(t, eng, 60*ms)
-		if h == nil || h.Round != 5 {
-			t.Fatalf("want the round-5 vote early, got %v", h)
+		// The next period starts over: rounds 5 to 7 go out at once, and the
+		// whole round 8 waits for its own period timer.
+		for r := types.Round(5); r < 8; r++ {
+			deliverAt(eng, peers[r], 100*ms+int64(r)*ms)
+			if h, _ := certifyOwnAt(t, eng, 100*ms+int64(r)*ms); h == nil || h.Round != r+1 {
+				t.Fatalf("want the round-%d header at once, got %v", r+1, h)
+			}
 		}
-		if d, ok := waveTimer(timers, 5); !ok || d != floor-10*time.Millisecond {
-			t.Fatalf("wave timer for round 5 = %v (armed %v), want %v", d, ok, floor-10*time.Millisecond)
+		deliverAt(eng, peers[8], 120*ms)
+		if h, _ := certifyOwnAt(t, eng, 120*ms); h != nil {
+			t.Fatalf("proposed round %d: the round-4 period timer outlived its period", h.Round)
 		}
-		deliverAt(eng, peers[5], 70*ms)
-		if h, _ := certifyOwnAt(t, eng, 70*ms); h != nil {
-			t.Fatalf("proposed round %d: the round-3 wave timer outlived its round", h.Round)
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 150*ms)); h != nil {
+			t.Fatalf("a stale round-4 period timer proposed round %d", h.Round)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 3}, 80*ms)); h != nil {
-			t.Fatalf("a stale round-3 wave timer proposed round %d", h.Round)
-		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 5}, 100*ms)); h == nil || h.Round != 6 {
-			t.Fatalf("the round-5 wave timer must propose round 6, got %v", h)
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 8}, 203*ms)); h == nil || h.Round != 9 {
+			t.Fatalf("the round-8 period timer must propose round 9, got %v", h)
 		}
 	})
 	t.Run("voting round missing a certificate waits for its own floor", func(t *testing.T) {
-		eng, peers, _ := waveEngine(t, 10*ms)
-		deliverAt(eng, peers[3][:2], 20*ms)
+		eng, peers := periodEngine(t)
+		// Not the leader's: the leader-wait is met either way.
+		drop := slices.IndexFunc(peers[4], func(c *Certificate) bool { return c.Header.Source != eng.scheduler.LeaderAt(4) })
+		certs := slices.Delete(slices.Clone(peers[4]), drop, drop+1)
+		deliverAt(eng, certs, 20*ms)
 		if h, _ := certifyOwnAt(t, eng, 20*ms); h != nil {
 			t.Fatalf("proposed round %d holding 3 of 4 certificates", h.Round)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 3}, 50*ms)); h != nil {
-			t.Fatalf("the wave timer proposed round %d with a validator's certificate missing", h.Round)
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 102*ms)); h != nil {
+			t.Fatalf("the period timer proposed round %d with a validator's certificate missing", h.Round)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 3}, 60*ms)); h == nil || h.Round != 4 {
-			t.Fatalf("the round-3 floor must propose round 4, got %v", h)
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 110*ms)); h == nil || h.Round != 5 {
+			t.Fatalf("the round-4 floor must propose round 5, got %v", h)
 		}
 	})
 	t.Run("round whole after the wave timer", func(t *testing.T) {
-		eng, peers, _ := waveEngine(t, 10*ms)
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 3}, 50*ms)); h != nil {
-			t.Fatalf("the wave timer proposed round %d before round 3 completed", h.Round)
+		eng, peers := periodEngine(t)
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 102*ms)); h != nil {
+			t.Fatalf("the period timer proposed round %d before round 4 completed", h.Round)
 		}
-		deliverAt(eng, peers[3], 55*ms)
-		if h, _ := certifyOwnAt(t, eng, 55*ms); h == nil || h.Round != 4 {
-			t.Fatalf("round 3 must propose round 4 as it becomes whole, got %v", h)
+		deliverAt(eng, peers[4], 105*ms)
+		if h, _ := certifyOwnAt(t, eng, 105*ms); h == nil || h.Round != 5 {
+			t.Fatalf("round 4 must propose round 5 as it becomes whole, got %v", h)
 		}
 	})
 	t.Run("vote a floor after its anchor header", func(t *testing.T) {
-		voteAt := int64(floor) + 5*ms
-		eng, peers, timers := waveEngine(t, voteAt)
-		if d, ok := waveTimer(timers, 3); ok {
-			t.Fatalf("armed a %v wave timer a floor after the round-2 header", d)
+		// A validator still waiting out round 4 when headers worth f+1 stake
+		// of round 5 arrive is behind the committee's period: they start its
+		// round-8 period, and round 4, with no period timer left, is left at
+		// the per-round floor — at the next event, here a round-5 certificate
+		// worth f stake, which by itself would not open the gate.
+		eng, peers := periodEngine(t)
+		deliverAt(eng, peers[4], 20*ms)
+		if h, _ := certifyOwnAt(t, eng, 20*ms); h != nil {
+			t.Fatalf("proposed round %d before the period timer", h.Round)
 		}
-		deliverAt(eng, peers[3], voteAt)
-		if h, _ := certifyOwnAt(t, eng, voteAt); h == nil || h.Round != 4 {
-			t.Fatalf("round 3 must propose round 4 as it becomes whole, got %v", h)
+		if p := periodTimers(deliverHeaders(eng, peers[5][:1], 90*ms)); len(p) != 0 {
+			t.Fatalf("one peer round-5 header (f stake) armed period timers %v", p)
+		}
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 90*ms)); h != nil {
+			t.Fatalf("the per-round floor proposed round %d with the round-4 period timer running", h.Round)
+		}
+		out := eng.OnMessage(peers[5][1].Header.Source, (&Message{Kind: KindHeader, Header: &peers[5][1].Header}).Clone(), 95*ms)
+		if p := periodTimers(out.Timers); len(p) != 1 || p[0].Round != 8 || p[0].Delay != period {
+			t.Fatalf("the second peer round-5 header armed period timers %v, want one for round 8 in %v", p, period)
+		}
+		if h := deliver(eng, peers[5][:1]); h == nil || h.Round != 5 {
+			t.Fatalf("with the per-round floor passed, round 4 must propose round 5 behind f+1 round-5 headers, got %v", h)
 		}
 	})
+}
+
+// When TestPeriodGate's validator left its round.
+const (
+	atOnce   = "at once"
+	atFloor  = "at the per-round floor"
+	atPeriod = "at the period timer"
+	never    = "never"
+)
+
+// TestPeriodGate is the pacing gate as a table: for a validator at round
+// 4 + residue with its own certificate formed, whether it leaves at once, at
+// the per-round floor, at the period timer, or never, by
+//   - the round's residue mod 4,
+//   - whole, or missing one (non-leader) peer's certificate,
+//   - the period timer fired, pending, or absent (as after a catch-up jump,
+//     a rejoin or a restored header),
+//   - a full batch pending,
+//   - certificates worth f+1 stake at the next round.
+//
+// Period timers scoped to other rounds fire first and change nothing, and the
+// period timer of round p ≡ 0 is the one the headers of batch round p-3
+// armed, 2 × MinRoundDelay ahead.
+func TestPeriodGate(t *testing.T) {
+	type timerState string
+	const (
+		fired   timerState = "fired"
+		pending timerState = "pending"
+		absent  timerState = "absent"
+	)
+	// expect is the rule: f+1 ahead always leaves; a round missing a
+	// certificate waits for the per-round floor; a whole round ≡ 1, 2 or 3
+	// leaves at once, and a whole round ≡ 0 once its period has passed or a
+	// full batch is in, otherwise at its period timer, or with none at the
+	// per-round floor.
+	expect := func(residue int, whole bool, timer timerState, full, ahead bool) string {
+		switch {
+		case ahead:
+			return atOnce
+		case !whole:
+			return atFloor
+		case residue != 0, timer == fired, full:
+			return atOnce
+		case timer == pending:
+			return atPeriod
+		}
+		return atFloor
+	}
+	period := 2 * DefaultConfig().MinRoundDelay
+	for residue := 0; residue < periodRounds; residue++ {
+		for _, whole := range []bool{true, false} {
+			for _, timer := range []timerState{fired, pending, absent} {
+				for _, full := range []bool{false, true} {
+					for _, ahead := range []bool{false, true} {
+						name := fmt.Sprintf("r%d/whole=%v/%s/full=%v/ahead=%v", residue, whole, timer, full, ahead)
+						t.Run(name, func(t *testing.T) {
+							want := expect(residue, whole, timer, full, ahead)
+							if got := periodGateRun(t, types.Round(4+residue), whole, timer == fired, timer == absent, full, ahead, period); got != want {
+								t.Fatalf("left %s, want %s", got, want)
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// periodGateRun is one row of TestPeriodGate: validator 0 of four, MaxBatchTx
+// 4, brought to round at by whole rounds. It reports when the validator left
+// round at.
+func periodGateRun(t *testing.T, at types.Round, whole, fire, absent, full, ahead bool, period time.Duration) string {
+	t.Helper()
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := &queueBatches{}
+	eng, _ := newTraceEngineWith(t, committee, pool, func(c *Config) { c.MaxBatchTx = 4 })
+	armed := map[types.Round][]Timer{1: eng.Init(0).Timers}
+	peers := peerRounds(committee, 1, at+1)
+	for r, timers := range climb(t, eng, peers, at) {
+		armed[r] = append(armed[r], timers...)
+	}
+	armed[at] = append(armed[at], deliverHeaders(eng, peers[at], 0)...)
+
+	// p is the round ≡ 0 at or above at: the round whose gate the current
+	// period timer holds. Only the headers of batch round p-3 arm it.
+	p := at + (periodRounds-at%periodRounds)%periodRounds
+	for r, timers := range armed {
+		for _, tm := range timers {
+			if tm.Kind != TimerWaveDelay {
+				continue
+			}
+			if r%periodRounds != 1 || tm.Round != uint64(r+periodRounds-1) || tm.Delay != period {
+				t.Fatalf("at round %d armed period timer %+v; only batch round r's headers arm one, for r+3 in %v", r, tm, period)
+			}
+		}
+	}
+	if !slices.ContainsFunc(armed[p-3], func(tm Timer) bool { return tm.Kind == TimerWaveDelay && tm.Round == uint64(p) }) {
+		t.Fatalf("the round-%d batch headers armed no period timer for round %d: %v", p-3, p, armed[p-3])
+	}
+
+	if absent {
+		eng.periodRound = 0
+	}
+	fireAt := []types.Round{p + periodRounds}
+	if p > periodRounds {
+		fireAt = append(fireAt, p-periodRounds)
+	}
+	if fire {
+		fireAt = append(fireAt, p)
+	}
+	for _, r := range fireAt {
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: uint64(r)}, 0)); h != nil {
+			t.Fatalf("a round-%d period timer proposed round %d before round %d completed", r, h.Round, at)
+		}
+	}
+	if full {
+		pool.txs = txRange(1, 4)
+	}
+	certs := peers[at]
+	if !whole {
+		// Not the leader's: the leader-wait is met either way.
+		drop := slices.IndexFunc(certs, func(c *Certificate) bool { return c.Header.Source != eng.scheduler.LeaderAt(at) })
+		certs = slices.Delete(slices.Clone(certs), drop, drop+1)
+	}
+	if h := deliver(eng, certs); h != nil {
+		t.Fatalf("proposed round %d before the own round-%d certificate formed", h.Round, at)
+	}
+	before := eng.Stats()
+	h := certifyOwn(t, eng)
+	completing := h != nil // left in the step that completed the round
+	if h == nil && ahead {
+		// Validators 1 and 2 — f+1 stake — are at the next round, their
+		// headers referencing every round-at vertex the engine holds.
+		var edges []types.Digest
+		for _, v := range eng.DAG().RoundVertices(at) {
+			edges = append(edges, v.Digest())
+		}
+		var next []*Certificate
+		for src := types.ValidatorID(1); src <= 2; src++ {
+			c := &Certificate{Header: Header{Round: at + 1, Source: src, Edges: edges}}
+			for voter := types.ValidatorID(1); voter <= 3; voter++ {
+				c.Votes = append(c.Votes, VoteSig{Voter: voter})
+			}
+			next = append(next, c)
+		}
+		h = deliver(eng, next)
+	}
+	left := atOnce
+	if h == nil {
+		left = atFloor
+		h = proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: uint64(at)}, 0))
+	}
+	if h == nil {
+		left = atPeriod
+		h = proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: uint64(p)}, 0))
+	}
+	if h == nil {
+		return never
+	}
+	if h.Round != at+1 {
+		t.Fatalf("proposed round %d leaving round %d", h.Round, at)
+	}
+	// Counted early: a whole round ≡ 1, 2 or 3 left as it completed, or a
+	// full batch that opened a whole round ≡ 0 before its period passed.
+	var wantWhole, wantFull uint64
+	if completing && at%periodRounds != 0 {
+		wantWhole = 1
+	} else if completing && !fire {
+		wantFull = 1
+	}
+	st := eng.Stats()
+	if whole, full := st.HeadersWholeEarly-before.HeadersWholeEarly, st.HeadersFullEarly-before.HeadersFullEarly; whole != wantWhole || full != wantFull {
+		t.Fatalf("counted %d early whole-round headers and %d early full batches, want %d and %d", whole, full, wantWhole, wantFull)
+	}
+	return left
 }
 
 // TestFullBatchKeepsLeaderWait: leaving an anchor round, a full batch still

@@ -381,8 +381,11 @@ func (h *slotHarness) opCertifyOwn() {
 	}
 }
 
+// opTick fires every timer that can hold the current round: the per-round
+// floor, the period timer of a round ≡ 0 (mod 4), and the leader-wait.
 func (h *slotHarness) opTick() {
 	h.absorb(h.e.OnTimer(Timer{Kind: TimerRoundDelay, Round: uint64(h.e.Round())}, 0))
+	h.absorb(h.e.OnTimer(Timer{Kind: TimerWaveDelay, Round: uint64(h.e.Round())}, 0))
 	h.absorb(h.e.OnTimer(Timer{Kind: TimerLeader, Round: uint64(h.e.Round())}, 0))
 }
 

@@ -170,10 +170,11 @@ func NewScenario(m Mechanism, n, faults int, loadTxPerSec float64) Scenario {
 // (MinRoundDelay + ~0.25s geo RTT) =: hr. Target capacity C = 1.6 * ~4000;
 // cap = C / (n * hr). That cadence holds while a validator is down. Once a
 // round holds every validator's certificate, which never happens with
-// validators crashed, the MinRoundDelay floor lifts for the vote leaving an
-// anchor round and for a full batch, so the fault scenarios keep hr, while a
-// faultless run sends each voting header one certification round trip after
-// its anchor round completes, not a floor later, and a backlogged one goes
+// validators crashed, rounds are paced by period instead (see
+// engine.Config.MinRoundDelay) and a full batch lifts the floor, so the fault
+// scenarios keep hr, while in a faultless run three rounds of every four
+// leave one certification round trip after the round before, the fourth
+// once two floors have passed since the first, and a backlogged run goes
 // faster still.
 func batchCapFor(n int) int {
 	const headerRatePerSec = 1.0 / 0.65

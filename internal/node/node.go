@@ -176,7 +176,7 @@ type Node struct {
 	// counters by the commit sink.
 	statusTimeouts         atomic.Uint64
 	statusSnapshotInstalls atomic.Uint64
-	statusVoteEarly        atomic.Uint64
+	statusWholeEarly       atomic.Uint64
 	statusFullEarly        atomic.Uint64
 	statusCommitter        atomic.Pointer[bullshark.Stats]
 	// lostVertices is the engine's OwnVerticesPrunedUnordered as of the last
@@ -197,26 +197,26 @@ type Node struct {
 	started bool // guarded by startMu
 	closed  bool // guarded by startMu
 
-	commitsMetric   *metrics.Counter
-	txsMetric       *metrics.Counter
-	roundMetric     *metrics.Gauge
-	dagFloorMetric  *metrics.Gauge
-	dagVertsMetric  *metrics.Gauge
-	queueMetric     *metrics.Gauge
-	droppedMetric   *metrics.Counter
-	batchHist       *metrics.Histogram
-	sigsVerified    *metrics.Counter
-	sigsKnown       *metrics.Counter
-	commitQMetric   *metrics.Gauge
-	epochMetric     *metrics.Gauge
-	epochStartMet   *metrics.Gauge
-	leaderMetric    *metrics.Gauge
-	excludedMetric  *metrics.Gauge
-	abandonedMetric *metrics.Counter
-	carriedMetric   *metrics.Counter
-	voteEarlyMetric *metrics.Counter
-	fullEarlyMetric *metrics.Counter
-	lostMetric      *metrics.Counter
+	commitsMetric    *metrics.Counter
+	txsMetric        *metrics.Counter
+	roundMetric      *metrics.Gauge
+	dagFloorMetric   *metrics.Gauge
+	dagVertsMetric   *metrics.Gauge
+	queueMetric      *metrics.Gauge
+	droppedMetric    *metrics.Counter
+	batchHist        *metrics.Histogram
+	sigsVerified     *metrics.Counter
+	sigsKnown        *metrics.Counter
+	commitQMetric    *metrics.Gauge
+	epochMetric      *metrics.Gauge
+	epochStartMet    *metrics.Gauge
+	leaderMetric     *metrics.Gauge
+	excludedMetric   *metrics.Gauge
+	abandonedMetric  *metrics.Counter
+	carriedMetric    *metrics.Counter
+	wholeEarlyMetric *metrics.Counter
+	fullEarlyMetric  *metrics.Counter
+	lostMetric       *metrics.Counter
 }
 
 // inbound is one transport delivery awaiting pre-verification.
@@ -324,7 +324,7 @@ func New(cfg Config) (*Node, error) {
 		n.excludedMetric = cfg.Metrics.Gauge("hammerhead_excluded_validators")
 		n.abandonedMetric = cfg.Metrics.Counter("hammerhead_headers_abandoned_total")
 		n.carriedMetric = cfg.Metrics.Counter("hammerhead_tx_carried_total")
-		n.voteEarlyMetric = cfg.Metrics.Counter("hammerhead_headers_vote_early_total")
+		n.wholeEarlyMetric = cfg.Metrics.Counter("hammerhead_headers_whole_early_total")
 		n.fullEarlyMetric = cfg.Metrics.Counter("hammerhead_headers_full_early_total")
 		n.lostMetric = cfg.Metrics.Counter("hammerhead_own_vertices_pruned_unordered_total")
 		if st := n.schedState.Load(); st != nil {
@@ -509,12 +509,12 @@ func (n *Node) leaderAhead(round types.Round) types.ValidatorID {
 
 // Counters are the cumulative counters behind an operator's status line.
 type Counters struct {
-	Round            uint64
-	LeaderTimeouts   uint64
-	SnapshotInstalls uint64
-	HeadersVoteEarly uint64
-	HeadersFullEarly uint64
-	Committer        bullshark.Stats
+	Round             uint64
+	LeaderTimeouts    uint64
+	SnapshotInstalls  uint64
+	HeadersWholeEarly uint64
+	HeadersFullEarly  uint64
+	Committer         bullshark.Stats
 }
 
 // Counters reads the thread-safe mirrors, like statusSnapshot: the engine
@@ -522,11 +522,11 @@ type Counters struct {
 // orders, so neither may be asked directly while the node runs.
 func (n *Node) Counters() Counters {
 	c := Counters{
-		Round:            n.statusRound.Load(),
-		LeaderTimeouts:   n.statusTimeouts.Load(),
-		SnapshotInstalls: n.statusSnapshotInstalls.Load(),
-		HeadersVoteEarly: n.statusVoteEarly.Load(),
-		HeadersFullEarly: n.statusFullEarly.Load(),
+		Round:             n.statusRound.Load(),
+		LeaderTimeouts:    n.statusTimeouts.Load(),
+		SnapshotInstalls:  n.statusSnapshotInstalls.Load(),
+		HeadersWholeEarly: n.statusWholeEarly.Load(),
+		HeadersFullEarly:  n.statusFullEarly.Load(),
 	}
 	if cs := n.statusCommitter.Load(); cs != nil {
 		c.Committer = *cs
@@ -910,7 +910,7 @@ func (n *Node) dispatch(out *engine.Output) {
 	st := n.eng.Stats()
 	n.statusTimeouts.Store(st.LeaderTimeouts)
 	n.statusSnapshotInstalls.Store(st.SnapshotInstalls)
-	n.statusVoteEarly.Store(st.HeadersVoteEarly)
+	n.statusWholeEarly.Store(st.HeadersWholeEarly)
 	n.statusFullEarly.Store(st.HeadersFullEarly)
 	if st.OwnVerticesPrunedUnordered > n.lostVertices {
 		n.lostVertices = st.OwnVerticesPrunedUnordered
@@ -923,7 +923,7 @@ func (n *Node) dispatch(out *engine.Output) {
 		n.dagVertsMetric.Set(int64(n.eng.DAG().VertexCount()))
 		mirrorCounter(n.abandonedMetric, st.HeadersAbandoned)
 		mirrorCounter(n.carriedMetric, st.TxCarried)
-		mirrorCounter(n.voteEarlyMetric, st.HeadersVoteEarly)
+		mirrorCounter(n.wholeEarlyMetric, st.HeadersWholeEarly)
 		mirrorCounter(n.fullEarlyMetric, st.HeadersFullEarly)
 		mirrorCounter(n.lostMetric, st.OwnVerticesPrunedUnordered)
 		if n.prever != nil {

@@ -163,6 +163,38 @@ func (tc *testCluster) waitCommits(t *testing.T, min int, timeout time.Duration)
 	}
 }
 
+// waitCommitsRise waits until each of ids has delivered rise more commits
+// than it had on entry.
+func (tc *testCluster) waitCommitsRise(t *testing.T, ids []types.ValidatorID, rise int, timeout time.Duration) {
+	t.Helper()
+	tc.mu.Lock()
+	want := make(map[types.ValidatorID]int, len(ids))
+	for _, id := range ids {
+		want[id] = len(tc.commits[id]) + rise
+	}
+	tc.mu.Unlock()
+	deadline := time.Now().Add(timeout)
+	for {
+		tc.mu.Lock()
+		ready := 0
+		for _, id := range ids {
+			if len(tc.commits[id]) >= want[id] {
+				ready++
+			}
+		}
+		tc.mu.Unlock()
+		if ready == len(ids) {
+			return
+		}
+		if time.Now().After(deadline) {
+			tc.mu.Lock()
+			defer tc.mu.Unlock()
+			t.Fatalf("timed out waiting for %d more commits on %v: commits per node = %v", rise, ids, tc.commits)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // assertCountersLive reads every node's status-line counters while the
 // engines run (under -race this is the check that the line is served from
 // mirrors, not from state the engine goroutine owns).
@@ -309,7 +341,7 @@ func TestNodeMetricsExposed(t *testing.T) {
 		"hammerhead_dag_floor_round",
 		"hammerhead_headers_abandoned_total",
 		"hammerhead_tx_carried_total",
-		"hammerhead_headers_vote_early_total",
+		"hammerhead_headers_whole_early_total",
 		"hammerhead_headers_full_early_total",
 		"hammerhead_own_vertices_pruned_unordered_total",
 	} {
@@ -354,7 +386,7 @@ func TestNodeCrashRecoveryFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The survivors keep committing while v0 is down.
-	time.Sleep(500 * time.Millisecond)
+	tc.waitCommitsRise(t, []types.ValidatorID{1, 2, 3}, 3, 15*time.Second)
 
 	// Restart v0 from its WAL under a fresh transport endpoint.
 	var replayedCommits int

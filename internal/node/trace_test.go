@@ -192,11 +192,12 @@ func TestTraceCoversFullCommitPath(t *testing.T) {
 		}
 	}
 
-	// Crash the WAL-backed validator.
+	// Crash the WAL-backed validator; the survivors keep committing while it
+	// is down.
 	if err := tc.nodes[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
+	tc.waitCommitsRise(t, []types.ValidatorID{1, 2, 3}, 3, 20*time.Second)
 
 	// Restart it from the WAL on a fresh transport endpoint.
 	scheme := crypto.Insecure{}

@@ -190,15 +190,19 @@ type voteRoundRun struct {
 	load      *steadyLoad
 	committed []map[uint64]int // per live validator: tx ID -> times committed
 	// anchorGap is the median interval between the proposals of consecutive
-	// anchors validator 0 committed, and commitP50 the median time from
-	// submission to commit over every live validator's commits.
-	anchorGap, commitP50 time.Duration
+	// anchors validator 0 committed, batchGap the median interval between
+	// validator 0's own consecutive batch-round (≡ 1 mod 4) headers, and
+	// commitP50 the median time from submission to commit over every live
+	// validator's commits, commitP95 its 95th percentile.
+	anchorGap, batchGap, commitP50, commitP95 time.Duration
 }
 
 // runVoteRounds runs four validators on a 2 ms network at a 50 ms floor under
 // light steady load (one put to every live validator each 5 ms) for five
 // seconds, with the last validator crashed from genesis when crashed is set.
-func runVoteRounds(t *testing.T, crashed bool) *voteRoundRun {
+// Validator i starts at starts[i] when starts are given, all at time 0
+// otherwise.
+func runVoteRounds(t *testing.T, crashed bool, starts ...time.Duration) *voteRoundRun {
 	t.Helper()
 	const (
 		n       = 4
@@ -219,6 +223,7 @@ func runVoteRounds(t *testing.T, crashed bool) *voteRoundRun {
 	}
 	var anchors []time.Duration
 	var latencies []time.Duration
+	batches := map[types.Round]time.Duration{} // v0's batch-round headers, by round
 	r.cluster, err = NewCluster(ClusterConfig{
 		Committee:    committee,
 		Engine:       fastSimEngineConfig(),
@@ -232,6 +237,9 @@ func runVoteRounds(t *testing.T, crashed bool) *voteRoundRun {
 				anchors = append(anchors, time.Duration(sub.Anchor.CreatedNanos))
 			}
 			for _, v := range sub.Vertices {
+				if node == 0 && v.Source == 0 && v.Round%4 == 1 {
+					batches[v.Round] = time.Duration(v.CreatedNanos)
+				}
 				if v.Batch == nil {
 					continue
 				}
@@ -249,7 +257,15 @@ func runVoteRounds(t *testing.T, crashed bool) *voteRoundRun {
 		r.cluster.CrashAt(n-1, 0)
 	}
 	r.load = startSteadyLoad(r.cluster, live, loadEnd)
-	r.cluster.Start()
+	if starts == nil {
+		r.cluster.Start()
+	}
+	for i, at := range starts {
+		v := types.ValidatorID(i)
+		r.cluster.Sim.After(at, func() {
+			r.cluster.dispatch(v, r.cluster.Engine(v).Init(r.cluster.Sim.Now()))
+		})
+	}
 	r.cluster.Sim.RunFor(runFor)
 
 	var gaps []time.Duration
@@ -259,7 +275,17 @@ func runVoteRounds(t *testing.T, crashed bool) *voteRoundRun {
 	if len(gaps) < 20 || len(latencies) == 0 {
 		t.Fatalf("%d anchors and %d commits in %v", len(anchors), len(latencies), runFor)
 	}
-	r.anchorGap, r.commitP50 = median(gaps), median(latencies)
+	var batchGaps []time.Duration
+	for round, at := range batches {
+		if next, ok := batches[round+4]; ok {
+			batchGaps = append(batchGaps, next-at)
+		}
+	}
+	if len(batchGaps) < 10 {
+		t.Fatalf("%d intervals between v0's committed batch-round headers in %v", len(batchGaps), runFor)
+	}
+	r.anchorGap, r.batchGap, r.commitP50 = median(gaps), median(batchGaps), median(latencies)
+	r.commitP95 = latencies[len(latencies)*95/100] // sorted by median
 	return r
 }
 
@@ -269,33 +295,57 @@ func median(ds []time.Duration) time.Duration {
 	return ds[len(ds)/2]
 }
 
-// pacedCommitP50 is the steady vote-round scenario's commit p50 when every
-// round, the voting round included, waits out the floor: anchors two floors
-// apart.
-const pacedCommitP50 = 146 * time.Millisecond
+// wavedCommitP50 is the steady vote-round scenario's commit p50 when the
+// floor paced waves — a whole anchor round sent its vote at once, and the
+// next anchor-round header, which carried the batch, followed a floor after
+// the previous one — so the anchor round's other vertices were ordered only
+// with the next anchor, a floor later.
+const wavedCommitP50 = 71900 * time.Microsecond
 
 // TestVoteRoundFollowsCertification: in a committee every validator keeps up
-// with, a whole anchor round sends its voting header at once and the next
-// anchor-round header follows a floor after the previous one, so the floor
-// paces a wave — anchor round plus voting round. Anchors are proposed one
-// floor apart, not two, and not one floor plus the round trip the vote
-// waited for; commit p50 falls by at least a third from pacedCommitP50.
-// Every transaction still commits exactly once everywhere, under one chain
-// of state roots.
+// with, rounds go in periods of four — the batch round, its anchor, the vote
+// that commits the anchor, each sent at once when the round before is whole,
+// and a round ≡ 0 (mod 4) that waits out the rest of two floors from the
+// batch-round headers. A validator's batch-round headers are two floors apart
+// (and a message delay), and every batch-round vertex is ordered
+// with the very next anchor, three round trips after it is proposed: commit
+// p50 falls below wavedCommitP50. Every transaction still commits exactly
+// once everywhere, under one chain of state roots.
 func TestVoteRoundFollowsCertification(t *testing.T) {
 	r := runVoteRounds(t, false)
 	floor := fastSimEngineConfig().MinRoundDelay
-	t.Logf("anchor gap p50 %v, commit p50 %v", r.anchorGap, r.commitP50)
-	if r.anchorGap > floor*21/20 {
-		t.Errorf("median anchor-to-anchor interval %v, want at most 1.05 × the %v floor", r.anchorGap, floor)
+	t.Logf("batch gap p50 %v, anchor gap p50 %v, commit p50 %v, p95 %v", r.batchGap, r.anchorGap, r.commitP50, r.commitP95)
+	if lo, hi := 2*floor*19/20, 2*floor*21/20; r.batchGap < lo || r.batchGap > hi {
+		t.Errorf("median batch-header interval %v, want within 5%% of two %v floors", r.batchGap, floor)
 	}
-	if r.commitP50 > pacedCommitP50*2/3 {
-		t.Errorf("commit p50 %v, want a third off the %v of rounds paced one by one", r.commitP50, pacedCommitP50)
+	if r.commitP50 >= wavedCommitP50 {
+		t.Errorf("commit p50 %v, want below the %v of waves paced by the floor", r.commitP50, wavedCommitP50)
 	}
 	for v := range r.committed {
-		if st := r.cluster.Engine(types.ValidatorID(v)).Stats(); st.HeadersVoteEarly == 0 {
-			t.Errorf("v%d sent no voting header early", v)
+		if st := r.cluster.Engine(types.ValidatorID(v)).Stats(); st.HeadersWholeEarly == 0 {
+			t.Errorf("v%d sent no header early from a whole round", v)
 		}
+	}
+	assertCommittedOnce(t, r.cluster, r.load.admitted, r.committed)
+	assertRootsAgree(t, r.cluster)
+}
+
+// TestPeriodsAgreeAfterStaggeredStarts: validators that boot 60 to 80 ms
+// apart — as processes started one after another do — still pace one
+// period. Counted from each validator's own batch-round header, the first
+// validator's periods would run ahead of the committee's for good: it would
+// leave every round ≡ 0 alone, its batches would wait for the others', and
+// commit p50 would settle near 84 ms, p95 near 144 ms. Counted from the
+// (f+1)-th batch-round header, the periods agree from the first one on.
+func TestPeriodsAgreeAfterStaggeredStarts(t *testing.T) {
+	r := runVoteRounds(t, false, 0, 60*time.Millisecond, 70*time.Millisecond, 80*time.Millisecond)
+	floor := fastSimEngineConfig().MinRoundDelay
+	t.Logf("batch gap p50 %v, commit p50 %v, p95 %v", r.batchGap, r.commitP50, r.commitP95)
+	if lo, hi := 2*floor*19/20, 2*floor*21/20; r.batchGap < lo || r.batchGap > hi {
+		t.Errorf("median batch-header interval %v, want within 5%% of two %v floors", r.batchGap, floor)
+	}
+	if r.commitP50 >= wavedCommitP50 || r.commitP95 > 2*floor+floor/5 {
+		t.Errorf("commit p50 %v, p95 %v; want below %v and at most %v", r.commitP50, r.commitP95, wavedCommitP50, 2*floor+floor/5)
 	}
 	assertCommittedOnce(t, r.cluster, r.load.admitted, r.committed)
 	assertRootsAgree(t, r.cluster)
@@ -303,7 +353,7 @@ func TestVoteRoundFollowsCertification(t *testing.T) {
 
 // TestVoteRoundWaitsForACrashedValidator: with one of four validators crashed
 // no round is ever whole, so every round waits out the floor — anchors stay
-// at least two floors apart — and no voting header goes out early.
+// at least two floors apart — and no header goes out early.
 func TestVoteRoundWaitsForACrashedValidator(t *testing.T) {
 	r := runVoteRounds(t, true)
 	floor := fastSimEngineConfig().MinRoundDelay
@@ -312,8 +362,8 @@ func TestVoteRoundWaitsForACrashedValidator(t *testing.T) {
 		t.Errorf("median anchor-to-anchor interval %v, want the two %v floors of paced rounds", r.anchorGap, floor)
 	}
 	for v := range r.committed {
-		if st := r.cluster.Engine(types.ValidatorID(v)).Stats(); st.HeadersVoteEarly != 0 {
-			t.Errorf("v%d sent %d voting headers early with a validator crashed", v, st.HeadersVoteEarly)
+		if st := r.cluster.Engine(types.ValidatorID(v)).Stats(); st.HeadersWholeEarly != 0 {
+			t.Errorf("v%d sent %d headers early from a whole round with a validator crashed", v, st.HeadersWholeEarly)
 		}
 	}
 	assertCommittedOnce(t, r.cluster, r.load.admitted, r.committed)
