@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing crash-restart clean
 
 all: build test
 
@@ -114,6 +114,20 @@ sig-once:
 pacing:
 	go test -race -count=3 -run '^(TestPacingGateOpensAtValidityThreshold|TestLaggingValidatorCertifiesBeforeAdvancing|TestCatchUpJumpCarriesAbandonedBatch|TestFullBatchOpensPacingGate|TestBatchFilledBetweenEventsIsProposed|TestFullBatchKeepsRoundConditions|TestWholeAnchorRoundSendsVoteAtOnce|TestWaveFloorCountsFromTheAnchorHeader|TestPeriodGate|TestFullBatchKeepsLeaderWait)$$' ./internal/engine/
 	go test -race -count=3 -run '^(TestShortRoundsSurviveAStalledValidator|TestVoteRoundFollowsCertification|TestPeriodsAgreeAfterStaggeredStarts|TestVoteRoundWaitsForACrashedValidator|TestBurstDrainsAtCertificationPace|TestBurstSurvivesAStalledValidator)$$' ./internal/simnet/
+
+# crash-restart is CI's "Crash-restart on the real log (race)" step: simnet
+# kills and restarts validators from their own storage.WAL and snapshot
+# files — the whole committee, one validator, one killed mid-proposal, one
+# after its log was compacted at two or more checkpoints, one whose log's
+# last record is torn at a seeded offset — and a log or snapshot directory
+# that storage creates is named durably (and a reopen syncs nothing); a
+# validator is not live, and records nothing, until Init or Recover (a
+# certificate a node takes before Start is not written beside recovery).
+crash-restart:
+	go test -race -count=3 -run '^(TestFullCommitteeKillRestartConverges|TestHammerHeadFullCommitteeKillRestartConverges|TestPartialKillRestartRejoinsLiveCommittee|TestKillRestartRestoresVotedRoundMark|TestKillRestartRecoversFromCompactedLog|TestKillRestartTrimsATornTail)$$' ./internal/simnet/
+	go test -race -count=3 -run '^(TestOpenWALSyncsDirOnCreate|TestNewSnapshotStoreSyncsCreatedDirs)$$' ./internal/storage/
+	go test -race -count=3 -run '^(TestInitOpensTheLogAndGoesLive|TestLogCompactsAtTheCheckpointFloor|TestLogReopensAfterAFailedCompaction)$$' ./internal/validator/
+	go test -race -count=3 -run '^TestNodeRecordsNothingBeforeStart$$' ./internal/node/
 
 # ring-bytes is CI's "Commit history holds what it counts (race)" step: the
 # gateway's resume ring packs each commit's payloads into one block and must

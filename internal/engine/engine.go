@@ -29,8 +29,9 @@ type BatchProvider interface {
 // Observer sees what a validator must record or announce about itself: every
 // certificate it accepts into its DAG, every header it signs, and every
 // checkpoint certificate it attaches. The node's WAL writer, tracer and
-// gateway implement it, and so does the simulator's recorder. Every method
-// runs on the engine goroutine, in the order the events happen.
+// gateway implement it, and so does the simulator, whose validators write
+// the node's own log inline. Every method runs on the engine goroutine, in
+// the order the events happen.
 type Observer interface {
 	// Inserted sees every certificate accepted into the DAG, in insertion
 	// (parents-first) order, strictly BEFORE its vertex can contribute to any

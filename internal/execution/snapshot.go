@@ -268,8 +268,9 @@ func sortOrderedRefs(refs []OrderedRef) {
 }
 
 // SnapshotStore persists checkpoints. storage.SnapshotStore is the file
-// implementation real nodes use; MemoryStore serves tests and the
-// discrete-event simulator (which must not touch the filesystem).
+// implementation real nodes use, and the discrete-event simulator's validators
+// when they have a disk (simnet's RecordWALs); MemoryStore serves tests and
+// the simulator without one, which touches no filesystem.
 type SnapshotStore interface {
 	// Save persists one snapshot, as its EncodeSnapshot blob, under its
 	// commit sequence (replacing any with the same one), and may prune older

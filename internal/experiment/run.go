@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"hammerhead/internal/bullshark"
@@ -147,6 +148,21 @@ func Run(s Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	if s.KillAllAt > 0 {
+		// Correlated crash-restart injection: kill the whole committee mid-run
+		// and restart every validator from its log and snapshot files, kept
+		// in a scratch directory for the length of the run.
+		dir, err := os.MkdirTemp("", "hammerhead-crash-restart-")
+		if err != nil {
+			return Result{}, err
+		}
+		defer os.RemoveAll(dir)
+		if err := cluster.RecordWALs(dir); err != nil {
+			return Result{}, err
+		}
+		defer cluster.Close()
+		cluster.KillRestartAll(s.KillAllAt, s.RestartDowntime)
+	}
 
 	submitted := startLoad(cluster, s)
 	cluster.Start()
@@ -244,12 +260,6 @@ func newCluster(s Scenario, onCommit simnet.CommitHook) (*simnet.Cluster, error)
 	for i := 0; i < s.SlowCount; i++ {
 		id := types.ValidatorID(s.N - 1 - s.Faults - s.WithholdCount - i)
 		cluster.SlowDown(id, s.SlowFactor, s.SlowFrom, s.SlowUntil)
-	}
-	// Correlated crash-restart injection: kill the whole committee mid-run
-	// and restart every validator from its recorded WAL.
-	if s.KillAllAt > 0 {
-		cluster.RecordWALs()
-		cluster.KillRestartAll(s.KillAllAt, s.RestartDowntime)
 	}
 	return cluster, nil
 }

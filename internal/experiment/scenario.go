@@ -98,7 +98,7 @@ type Scenario struct {
 
 	// Correlated crash-restart injection: when KillAllAt is positive, the
 	// WHOLE committee is SIGKILLed at that time (all in-flight messages and
-	// per-validator memory discarded) and restarted from recorded WALs after
+	// per-validator memory discarded) and restarted from its files after
 	// RestartDowntime — the power-loss scenario the crash-rejoin handshake
 	// exists for. Result.TimeToFirstPostCrashCommit reports recovery speed.
 	KillAllAt       time.Duration

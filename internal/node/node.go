@@ -159,12 +159,11 @@ type Node struct {
 	// enqueues ordered sub-DAGs here and commitLoop hands them to the
 	// configured handler, so a slow executor backpressures the (bounded)
 	// queue instead of stalling the engine directly. It is the one queue
-	// between ordering and execution.
-	// replaying is set until recovery goes live: commits are delivered
-	// synchronously and flagged replayed, and nothing is written to the WAL.
-	commitq   chan commitDelivery
-	commitWg  sync.WaitGroup
-	replaying atomic.Bool
+	// between ordering and execution. While the validator is replaying
+	// (validator.Validator.Replaying) commits bypass it: they are delivered
+	// synchronously and flagged replayed.
+	commitq  chan commitDelivery
+	commitWg sync.WaitGroup
 
 	// Thread-safe status mirror for the gateway's /v1/status: the engine is
 	// owned by the loop goroutine, so dispatch and commit delivery publish
@@ -226,11 +225,11 @@ type inbound struct {
 }
 
 // commitDelivery is one fresh ordered sub-DAG awaiting the commit handler
-// (replayed ones are delivered synchronously). walSeq is the durability
-// watermark the delivery waits for (0 when the node runs without a WAL).
+// (replayed ones are delivered synchronously). durable is the WAL writer's
+// mark the delivery waits for (nil when the node runs without a WAL).
 type commitDelivery struct {
-	sub    bullshark.CommittedSubDAG
-	walSeq uint64
+	sub     bullshark.CommittedSubDAG
+	durable <-chan struct{}
 }
 
 // New builds a node: the validator, its gateway and debug listeners bound,
@@ -249,10 +248,7 @@ func New(cfg Config) (*Node, error) {
 		n.tracer = obs.NewTracer(cfg.TraceSlots, cfg.Metrics)
 	}
 	if cfg.WALPath != "" {
-		n.walw = newWALWriter(cfg.WALPath, cfg.Metrics, n.logger, &n.replaying, n.done)
-		// Until Start finishes recovery and goes live, inserted certificates
-		// are not appended and commits are delivered flagged replayed.
-		n.replaying.Store(true)
+		n.walw = newWALWriter(cfg.WALPath, cfg.Metrics, n.logger, n.done)
 	}
 	vcfg := validator.Config{
 		Committee:    cfg.Committee,
@@ -407,10 +403,10 @@ func (n *Node) executionConfig() (*execution.Config, error) {
 		// the engine goroutine. The hook runs on the executor's checkpoint
 		// goroutine, which nothing on the engine goroutine waits for.
 		xc.OnCheckpoint = func(snap execution.Snapshot) {
-			if n.walw != nil && snap.Floor > 0 {
-				n.walw.compactFloor.Store(uint64(snap.Floor))
+			if n.walw != nil {
+				n.walw.log.Checkpointed(snap.Floor)
 			}
-			if cfg.CheckpointCerts && snap.Cert == nil && !n.replaying.Load() {
+			if cfg.CheckpointCerts && snap.Cert == nil && !n.v.Replaying() {
 				meta := checkpoint.Meta{
 					Round:       snap.Round,
 					CommitSeq:   snap.CommitSeq,
@@ -556,13 +552,13 @@ func (n *Node) publishSchedulerState(ms *core.ManagerState) {
 // sinkCommit is the engine's CommitSink. During WAL recovery it delivers
 // synchronously (every replayed commit must reach the handler before the
 // node goes live); afterwards it enqueues for the commit loop, stamped with
-// the current durability watermark. Called on the node loop goroutine, where
+// a durability mark in the WAL writer's queue. Called on the node loop goroutine, where
 // the engine and its committer run (recovery included), in commit order; a
 // full commitq blocks the loop, the backpressure execution exerts on ordering.
 func (n *Node) sinkCommit(sub bullshark.CommittedSubDAG) {
 	cs := n.eng.Committer().Stats()
 	n.statusCommitter.Store(&cs)
-	if n.replaying.Load() {
+	if n.v.Replaying() {
 		// WAL replay re-derives pre-crash commits; their trace entries died
 		// with the process and must not be fabricated from post-restart time.
 		n.deliverCommit(sub, true)
@@ -571,7 +567,7 @@ func (n *Node) sinkCommit(sub bullshark.CommittedSubDAG) {
 	// Ordered creates the trace when absent: a peer that never saw the tx's
 	// admission still records the commit-side suffix of the waterfall.
 	recordCommitStageCreate(n.tracer, obs.StageOrdered, &sub)
-	d := commitDelivery{sub: sub, walSeq: n.walw.watermark()}
+	d := commitDelivery{sub: sub, durable: n.walw.mark()}
 	select {
 	case n.commitq <- d:
 		if n.commitQMetric != nil {
@@ -587,11 +583,11 @@ func (n *Node) commitLoop() {
 		if n.commitQMetric != nil {
 			n.commitQMetric.Set(int64(len(n.commitq)))
 		}
-		if d.walSeq > 0 {
+		if d.durable != nil {
 			// Hold fresh commits until their certificates are in the WAL —
 			// otherwise a crash between execution and append would
 			// re-deliver them after restart as if never executed.
-			n.walw.waitDurable(d.walSeq)
+			n.walw.waitDurable(d.durable)
 		}
 		recordCommitStage(n.tracer, obs.StageDurable, &d.sub)
 		n.deliverCommit(d.sub, false)
@@ -755,17 +751,19 @@ func (n *Node) Start(tr transport.Transport) error {
 		n.gw.Start()
 	}
 
-	var replay validator.Replay
+	var log *validator.Log
 	if n.walw != nil {
-		replay = n.walw.replay
+		log = n.walw.log
+		// The validator records nothing before recovery has replayed and
+		// opened the log, so the writer's first record comes after.
+		n.walw.wg.Add(1)
+		go n.walw.loop()
 	}
 	var err error
 	startup := make(chan struct{})
 	n.enqueue(func() {
 		defer close(startup)
-		n.replaying.Store(true)
-		err = n.v.Recover(func() int64 { return time.Now().UnixNano() }, replay,
-			func() { n.replaying.Store(false) }, n.dispatch)
+		err = n.v.Recover(func() int64 { return time.Now().UnixNano() }, log, n.dispatch)
 	})
 	<-startup
 	if err != nil {
@@ -842,11 +840,9 @@ func (n *Node) Close() error {
 		_ = n.gw.Close()
 	}
 	close(n.done)
-	// Wake a commit delivery parked on the durability watermark.
-	n.walw.wake()
 	n.wg.Wait()
 	// The loop goroutine, the only sender on commitq, has exited: drain the
-	// commit loop — the WAL writer stays up meanwhile so watermark waits
+	// commit loop — the WAL writer stays up meanwhile so durability marks
 	// keep resolving — and finally the WAL writer itself.
 	close(n.commitq)
 	n.commitWg.Wait()

@@ -17,6 +17,7 @@ import (
 	"hammerhead/internal/engine"
 	"hammerhead/internal/metrics"
 	"hammerhead/internal/node"
+	"hammerhead/internal/storage"
 	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
 )
@@ -459,6 +460,71 @@ func TestNodeCrashRecoveryFromWAL(t *testing.T) {
 			t.Fatal("recovered node never committed fresh sub-DAGs")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestNodeRecordsNothingBeforeStart hands a fresh node a peer's certificate
+// before Start: the engine inserts it from the held queue before recovery
+// runs, while the log is not open yet. The validator is not live then, so the
+// certificate is not recorded — no write races recovery's replay and open —
+// and the log the node leaves behind replays whole on a restart.
+func TestNodeRecordsNothingBeforeStart(t *testing.T) {
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &testCluster{
+		committee: committee,
+		network:   transport.NewChannelNetwork(1 << 14),
+		commits:   make(map[types.ValidatorID][]types.Digest),
+		txSeen:    make(map[types.ValidatorID]int),
+	}
+	var seed [32]byte
+	sign := func(id types.ValidatorID, d types.Digest) []byte {
+		kp, err := crypto.NewKeyPair(crypto.Insecure{}, seed, uint32(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := kp.Sign(d[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig
+	}
+	h := engine.Header{Round: 1, Source: 1}
+	h.Signature = sign(1, h.Digest())
+	cert := &engine.Certificate{Header: h}
+	for v := types.ValidatorID(1); v <= 3; v++ {
+		cert.Votes = append(cert.Votes, engine.VoteSig{Voter: v, Signature: sign(v, h.Digest())})
+	}
+
+	walPath := filepath.Join(t.TempDir(), "v0", "wal")
+	nd := buildNode(t, tc, 0, nil, walPath, nil)
+	nd.HandleMessage(1, &engine.Message{Kind: engine.KindCertificate, Cert: cert})
+	if err := tc.startNode(nd); err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := storage.Inspect(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Certs != 0 || info.Proposals == 0 || info.ValidBytes != st.Size() {
+		t.Fatalf("the log holds %+v in %d bytes, want only the node's own proposals, all replayable", info, st.Size())
+	}
+
+	restarted := buildNode(t, tc, 0, nil, walPath, nil)
+	if err := tc.startNode(restarted); err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

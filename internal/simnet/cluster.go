@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"path/filepath"
 	"time"
 
 	"hammerhead/internal/bullshark"
@@ -11,6 +12,7 @@ import (
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/mempool"
+	"hammerhead/internal/storage"
 	"hammerhead/internal/types"
 	"hammerhead/internal/validator"
 )
@@ -37,7 +39,8 @@ type ClusterConfig struct {
 	// OnCommit observes commits (may be nil).
 	OnCommit CommitHook
 	// Execution attaches a deterministic executor (execution.KVState behind
-	// an in-memory snapshot store) to every validator's commit sink, applied
+	// an in-memory snapshot store, or the validator's snapshot files under
+	// RecordWALs) to every validator's commit sink, applied
 	// synchronously in virtual time, and wires snapshot state-sync
 	// serve/install through the engines. Checkpoints carry the scheduler's
 	// state, so state-sync works for round-robin and HammerHead alike.
@@ -72,13 +75,15 @@ type Cluster struct {
 	pubKeys []crypto.PublicKey
 	// procs holds each validator's simulated process state.
 	procs []process
-	// walLogs records, when recordWALs is set, each validator's inserted
-	// certificates and own proposals in the order its engine reported them
-	// — the simulated write-ahead log a KillRestart recovers from.
-	walLogs    [][]walRecord
-	recordWALs bool
-	restarts   uint64
-	cfg        ClusterConfig
+	// dir is where each validator keeps its log and snapshot files, one
+	// directory each ("" = no disk; see RecordWALs).
+	dir      string
+	restarts uint64
+	cfg      ClusterConfig
+	// tap, when set by the package's tests, wraps each validator's observer
+	// (nil without a disk) as the validator is built: the tests read its live
+	// insertion and proposal order there.
+	tap func(id types.ValidatorID, next engine.Observer) engine.Observer
 
 	latency  LatencyModel
 	onCommit CommitHook
@@ -100,6 +105,9 @@ type process struct {
 	// headers and its certificate broadcasts (Withhold, WithholdVotes,
 	// WithholdCerts).
 	headers, votes, certs withholding
+	// log is the validator's durable record, nil without a disk; a SIGKILL
+	// closes it and the restart opens the same file again.
+	log *validator.Log
 	// incarnation guards against cross-incarnation delivery: a SIGKILL
 	// restart (KillRestart) bumps a validator's incarnation at kill AND at
 	// restart, so messages and timers belonging to the dead process — or sent
@@ -107,11 +115,6 @@ type process struct {
 	// leaking into the rebuilt engine. Graceful Recover keeps the incarnation
 	// (its model intentionally preserves pre-crash in-memory state).
 	incarnation uint64
-	// replaying marks a validator whose rebuilt engine is consuming its
-	// recorded WAL: the commit sink re-derives commits silently (executor
-	// still applies; the CommitHook is suppressed, as the node runtime flags
-	// replayed commits), and nothing is recorded twice.
-	replaying bool
 }
 
 // withholding suppresses one kind of a validator's traffic toward a peer set
@@ -134,31 +137,15 @@ func (w withholding) covers(peer types.ValidatorID, now int64) bool {
 	return w.at >= 0 && now >= w.at && w.peers[peer]
 }
 
-// walRecord is one entry of a simulated WAL: exactly one field is set.
-type walRecord struct {
-	cert     *engine.Certificate
-	proposal *engine.Header
-}
+// logObserver writes a validator's log inline, as the node's writer does on
+// its own goroutine, and swallows write errors as that writer does: a failing
+// disk must not stall consensus.
+type logObserver struct{ *validator.Log }
 
-// recorder is one validator's engine.Observer: the simulated WAL writer.
-type recorder struct {
-	c  *Cluster
-	id types.ValidatorID
-}
-
-func (r recorder) Inserted(cert *engine.Certificate) { r.c.record(r.id, walRecord{cert: cert}) }
-func (r recorder) Proposed(h *engine.Header)         { r.c.record(r.id, walRecord{proposal: h}) }
-func (r recorder) Certified(*engine.Certificate)     {}
-
-func (r recorder) CheckpointCertified(*checkpoint.Certificate) {}
-
-// record appends to a validator's log while it is live; recovery replays
-// the log and must not record it again.
-func (c *Cluster) record(id types.ValidatorID, rec walRecord) {
-	if c.recordWALs && !c.procs[id].replaying {
-		c.walLogs[id] = append(c.walLogs[id], rec)
-	}
-}
+func (o logObserver) Inserted(cert *engine.Certificate)         { _ = o.Append(cert) }
+func (o logObserver) Proposed(h *engine.Header)                 { _ = o.AppendProposal(h) }
+func (logObserver) Certified(*engine.Certificate)               {}
+func (logObserver) CheckpointCertified(*checkpoint.Certificate) {}
 
 // NewCluster wires the deployment; call Start to boot the validators.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
@@ -200,7 +187,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.cfg = cfg
 	c.validators = make([]*validator.Validator, n)
 	for i := range c.validators {
-		if err := c.buildValidator(types.ValidatorID(i), nil); err != nil {
+		if err := c.buildValidator(types.ValidatorID(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -208,11 +195,23 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // buildValidator assembles one validator's full in-memory state through
-// validator.New, its executor over the given snapshot store (the validator's
-// disk; nil = fresh). Used at cluster construction and again by KillRestart,
-// which rebuilds everything a SIGKILL destroys.
-func (c *Cluster) buildValidator(id types.ValidatorID, store execution.SnapshotStore) error {
+// validator.New. With a disk (RecordWALs) it opens the validator's files: the
+// log the observer writes and Recover replays, and the snapshot store its
+// executor saves checkpoints to, each checkpoint's floor compacting the log.
+// Used at cluster construction, by RecordWALs and again by KillRestart, which
+// rebuilds everything a SIGKILL destroys.
+func (c *Cluster) buildValidator(id types.ValidatorID) error {
 	cfg := c.cfg
+	var log *validator.Log
+	var obs engine.Observer
+	if c.dir != "" {
+		log = validator.NewLog(c.walPath(id), nil)
+		obs = logObserver{log}
+	}
+	if c.tap != nil {
+		obs = c.tap(id, obs)
+	}
+	c.procs[id].log = log
 	vcfg := validator.Config{
 		Committee:    cfg.Committee,
 		Self:         id,
@@ -225,22 +224,32 @@ func (c *Cluster) buildValidator(id types.ValidatorID, store execution.SnapshotS
 		// Serial engines invoke the sink synchronously inside the step, so
 		// Sim.Now() is the commit's virtual time.
 		Commits: engine.CommitSinkFunc(func(sub bullshark.CommittedSubDAG) {
-			if exec := c.validators[id].Executor; exec != nil {
+			v := c.validators[id]
+			if v.Executor != nil {
 				// The executor dedupes by sequence, so commits re-derived
-				// during a restart's WAL replay apply idempotently.
-				exec.ApplyCommit(sub)
+				// during a restart's log replay apply idempotently.
+				v.Executor.ApplyCommit(sub)
 			}
-			if c.procs[id].replaying {
+			if v.Replaying() {
 				return // replay re-derivations are not news to observers
 			}
 			if c.onCommit != nil {
 				c.onCommit(id, sub, c.Sim.Now())
 			}
 		}),
-		Observer: recorder{c: c, id: id},
+		Observer: obs,
 	}
 	if cfg.Execution {
-		vcfg.Execution = &execution.Config{CheckpointInterval: cfg.CheckpointInterval, Store: store}
+		xc := &execution.Config{CheckpointInterval: cfg.CheckpointInterval}
+		if log != nil {
+			store, err := storage.NewSnapshotStore(filepath.Join(c.dir, id.String(), "snapshots"), 0)
+			if err != nil {
+				return fmt.Errorf("simnet: opening %s's snapshot store: %w", id, err)
+			}
+			xc.Store = store
+			xc.OnCheckpoint = func(snap execution.Snapshot) { log.Checkpointed(snap.Floor) }
+		}
+		vcfg.Execution = xc
 	}
 	v, err := validator.New(vcfg)
 	if err != nil {
@@ -250,10 +259,22 @@ func (c *Cluster) buildValidator(id types.ValidatorID, store execution.SnapshotS
 	return nil
 }
 
-// Start boots every validator at the current virtual time.
+// walPath is where validator id keeps its log under RecordWALs.
+func (c *Cluster) walPath(id types.ValidatorID) string {
+	return filepath.Join(c.dir, id.String(), "wal")
+}
+
+// Start boots every validator at the current virtual time, opening its log
+// first under RecordWALs.
 func (c *Cluster) Start() {
 	for i, v := range c.validators {
-		c.dispatch(types.ValidatorID(i), v.Engine.Init(c.Sim.Now()))
+		out, err := v.Init(c.Sim.Now(), c.procs[i].log)
+		if err != nil {
+			// The log is created under RecordWALs' directory: a failure here
+			// is a broken disk or a harness bug, not a simulated fault.
+			panic(fmt.Sprintf("simnet: opening %s's log: %v", types.ValidatorID(i), err))
+		}
+		c.dispatch(types.ValidatorID(i), out)
 	}
 }
 
@@ -285,9 +306,9 @@ func (c *Cluster) CrashAt(id types.ValidatorID, at time.Duration) {
 }
 
 // Recover un-crashes a validator at a future virtual time by scheduling its
-// revival: it rejoins with its pre-crash state (crash-recovery of in-memory
-// state is exercised separately in internal/storage tests; the simulated
-// revival models a process restart that restored state from its WAL).
+// revival: it rejoins with its pre-crash state, as if its process had paused.
+// KillRestart is the fault that destroys that state and recovers it from the
+// validator's files.
 func (c *Cluster) Recover(id types.ValidatorID, at time.Duration) {
 	c.Sim.After(at-time.Duration(c.Sim.Now()), func() {
 		c.procs[id].crashedAt = -1
@@ -301,28 +322,47 @@ func (c *Cluster) Recover(id types.ValidatorID, at time.Duration) {
 	})
 }
 
-// RecordWALs begins recording every certificate each validator inserts and
-// every header it proposes, in order — the simulated equivalent of the node
-// runtime's write-ahead log. Must be called before Start; required by
-// KillRestart.
-func (c *Cluster) RecordWALs() {
-	c.recordWALs = true
-	c.walLogs = make([][]walRecord, len(c.validators))
+// RecordWALs gives every validator a disk under dir, one directory each: the
+// node's own write-ahead log (storage.WAL, written through validator.Log)
+// and, with Execution, its snapshot files (storage.SnapshotStore), which
+// compact the log at every checkpoint. Must be called before Start; required
+// by KillRestart. Without it the cluster touches no filesystem. Close
+// releases the files.
+func (c *Cluster) RecordWALs(dir string) error {
+	c.dir = dir
+	for i := range c.validators {
+		if err := c.buildValidator(types.ValidatorID(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close closes the validators' logs (RecordWALs). Every record was flushed
+// as it was written, so a failed close loses nothing.
+func (c *Cluster) Close() {
+	for _, p := range c.procs {
+		if p.log != nil {
+			_ = p.log.Close()
+		}
+	}
 }
 
 // Restarts returns how many validator restarts KillRestart has performed.
 func (c *Cluster) Restarts() uint64 { return c.restarts }
 
 // KillRestart SIGKILLs the given validators at virtual time `at` and
-// restarts each from its recorded WAL after `downtime`. Unlike the graceful
-// Recover fault, this models a real process kill: every in-flight message to
-// or from the validator is discarded, all in-memory state (engine, DAG,
-// scheduler, mempool, executor) is destroyed and rebuilt from scratch, and
-// the node runtime's own recovery sequence (validator.Recover) brings it
-// back from its recorded log and snapshot store — the validator's "disk",
-// which alone survives. Panics unless RecordWALs was called.
+// restarts each from its files after `downtime`. Unlike the graceful Recover
+// fault, this models a real process kill: every in-flight message to or from
+// the validator is discarded, its log is closed, all in-memory state (engine,
+// DAG, scheduler, mempool, executor) is destroyed and rebuilt from scratch,
+// and the node runtime's own recovery sequence (validator.Recover) brings it
+// back from its log and snapshot files — the validator's disk, which alone
+// survives — exactly as node.Start does: the latest snapshot installed, the
+// log's intact prefix replayed, a torn tail trimmed. Panics unless
+// RecordWALs was called.
 func (c *Cluster) KillRestart(ids []types.ValidatorID, at, downtime time.Duration) {
-	if !c.recordWALs {
+	if c.dir == "" {
 		panic("simnet: KillRestart requires RecordWALs before Start")
 	}
 	targets := append([]types.ValidatorID(nil), ids...)
@@ -333,18 +373,21 @@ func (c *Cluster) KillRestart(ids []types.ValidatorID, at, downtime time.Duratio
 			// Kill-side incarnation bump: pending deliveries and timers of the
 			// dead process die at their scheduled instant.
 			c.procs[id].incarnation++
+			// The dead process's file handle goes with it. Every record was
+			// flushed as it was written, so a failed close loses nothing.
+			_ = c.procs[id].log.Close()
 		}
 	})
 	c.Sim.After(at+downtime-time.Duration(c.Sim.Now()), func() {
 		for _, id := range targets {
-			c.restartFromWAL(id)
+			c.restart(id)
 		}
 	})
 }
 
 // KillRestartAll SIGKILLs the whole committee simultaneously — the
 // correlated power-loss / rolling-infra-failure scenario a production
-// deployment must survive — and restarts every validator from its WAL.
+// deployment must survive — and restarts every validator from its files.
 func (c *Cluster) KillRestartAll(at, downtime time.Duration) {
 	ids := make([]types.ValidatorID, len(c.validators))
 	for i := range ids {
@@ -353,16 +396,13 @@ func (c *Cluster) KillRestartAll(at, downtime time.Duration) {
 	c.KillRestart(ids, at, downtime)
 }
 
-// restartFromWAL rebuilds one validator and recovers it exactly as the node
-// runtime does (validator.Recover), replaying its recorded log.
-func (c *Cluster) restartFromWAL(id types.ValidatorID) {
-	var store execution.SnapshotStore
-	if old := c.validators[id].Executor; old != nil {
-		store = old.Store() // the snapshot store is the disk: it survives
-	}
-	if err := c.buildValidator(id, store); err != nil {
-		// The same configuration built the validator once already; a failure
-		// here is a harness bug, not a simulated fault.
+// restart rebuilds one killed validator over its files and recovers it as
+// the node runtime does (validator.Recover).
+func (c *Cluster) restart(id types.ValidatorID) {
+	// The same configuration built the validator once already, and its log
+	// is the one this cluster wrote: a failure here is a harness bug or a
+	// broken disk, not a simulated fault.
+	if err := c.buildValidator(id); err != nil {
 		panic(fmt.Sprintf("simnet: rebuilding %s after kill: %v", id, err))
 	}
 	// Restart-side incarnation bump: messages sent while the process was down
@@ -370,25 +410,10 @@ func (c *Cluster) restartFromWAL(id types.ValidatorID) {
 	c.procs[id].incarnation++
 	c.procs[id].crashedAt = -1
 	c.restarts++
-
-	log := c.walLogs[id]
-	replay := func(cert func(*engine.Certificate) error, proposal func(*engine.Header) error) error {
-		for _, rec := range log {
-			// Clone per replay, as the node's WAL decode would: the rebuilt
-			// engine owns (and may mutate) its copies, while the recorded
-			// originals stay pristine for the next restart.
-			if rec.cert != nil {
-				_ = cert((&engine.Message{Kind: engine.KindCertificate, Cert: rec.cert}).Clone().Cert)
-			} else {
-				_ = proposal((&engine.Message{Kind: engine.KindHeader, Header: rec.proposal}).Clone().Header)
-			}
-		}
-		return nil
+	err := c.validators[id].Recover(c.Sim.Now, c.procs[id].log, func(out *engine.Output) { c.dispatch(id, out) })
+	if err != nil {
+		panic(fmt.Sprintf("simnet: recovering %s from its log: %v", id, err))
 	}
-	c.procs[id].replaying = true
-	// The simulated log cannot fail to replay.
-	_ = c.validators[id].Recover(c.Sim.Now, replay, func() { c.procs[id].replaying = false },
-		func(out *engine.Output) { c.dispatch(id, out) })
 }
 
 // CorruptSignatures makes a validator emit garbage signatures on every

@@ -1,7 +1,11 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -9,11 +13,13 @@ import (
 	"hammerhead/internal/core"
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
+	"hammerhead/internal/storage"
 	"hammerhead/internal/types"
 )
 
-// killRestartCluster builds an execution-enabled, WAL-recorded cluster with a
-// per-validator commit timeline for post-crash liveness assertions.
+// killRestartCluster builds an execution-enabled cluster whose validators
+// keep their logs and snapshots on disk, with a per-validator commit timeline
+// for post-crash liveness assertions.
 func killRestartCluster(t *testing.T, hh *core.Config, seed int64) (*Cluster, *[]commitAt) {
 	t.Helper()
 	committee, err := types.NewEqualStakeCommittee(4)
@@ -44,7 +50,10 @@ func killRestartCluster(t *testing.T, hh *core.Config, seed int64) (*Cluster, *[
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.RecordWALs()
+	if err := cluster.RecordWALs(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
 	return cluster, timeline
 }
 
@@ -328,4 +337,213 @@ func TestKillRestartRestoresVotedRoundMark(t *testing.T) {
 	if cluster.Engine(victim).Stats().RejoinsCompleted == 0 {
 		t.Fatal("restarted validator never completed the rejoin handshake")
 	}
+}
+
+// TestKillRestartRecoversFromCompactedLog kills a validator after its
+// executor has cut several checkpoints, each compacting its log at the
+// checkpoint's floor. Recovery must work from what a real node keeps on disk:
+// the newest snapshot file, installed first, and a log that no longer starts
+// at genesis. Afterwards every validator chains the same state root.
+func TestKillRestartRecoversFromCompactedLog(t *testing.T) {
+	const (
+		victim   = types.ValidatorID(2)
+		killAt   = 8 * time.Second
+		downtime = time.Second
+	)
+	cluster, timeline := killRestartCluster(t, hhConfig(10), 31)
+	cluster.KillRestart([]types.ValidatorID{victim}, killAt, downtime)
+	submitKVLoad(cluster, 20*time.Second)
+
+	var (
+		checkpoints uint64
+		atKill      storage.WALInfo
+		snap        execution.Snapshot
+		haveSnap    bool
+		installed   uint64
+		ordered     types.Round
+	)
+	cluster.Sim.After(killAt-time.Millisecond, func() {
+		checkpoints = cluster.Executor(victim).Checkpoints()
+	})
+	// Scheduled after KillRestart, so it runs right after the kill: the
+	// victim's files as the dead process left them.
+	cluster.Sim.After(killAt, func() {
+		atKill, _ = inspectLog(t, cluster.walPath(victim))
+		store, err := storage.NewSnapshotStore(filepath.Join(cluster.dir, victim.String(), "snapshots"), 0)
+		if err != nil {
+			t.Errorf("opening the dead validator's snapshots: %v", err)
+			return
+		}
+		snap, haveSnap = store.Latest()
+	})
+	// Right after the restart: what recovery rebuilt before any new commit.
+	cluster.Sim.After(killAt+downtime, func() {
+		installed = cluster.Executor(victim).AppliedSeq()
+		ordered = cluster.Engine(victim).Committer().LastOrderedRound()
+	})
+	cluster.Start()
+	cluster.Sim.RunFor(25 * time.Second)
+
+	if checkpoints < 2 {
+		t.Fatalf("the victim cut %d checkpoints before the kill, want at least 2", checkpoints)
+	}
+	if atKill.LowestRound <= 1 || atKill.Certs == 0 {
+		t.Fatalf("the log at the kill holds %+v: never compacted, so recovery did not start from a checkpoint", atKill)
+	}
+	if !haveSnap || snap.Floor > atKill.LowestRound {
+		t.Fatalf("newest snapshot on disk: present %v, floor %d; the log starts at round %d, so rounds in between are lost",
+			haveSnap, snap.Floor, atKill.LowestRound)
+	}
+	if installed < snap.CommitSeq || ordered < snap.Round {
+		t.Fatalf("after recovery the executor stood at commit %d and the committer at round %d, below the snapshot file's (%d, %d): the snapshot was not installed",
+			installed, ordered, snap.CommitSeq, snap.Round)
+	}
+	if cluster.Restarts() != 1 || cluster.Engine(victim).Stats().RejoinsCompleted == 0 {
+		t.Fatalf("restarts %d, rejoins %d", cluster.Restarts(), cluster.Engine(victim).Stats().RejoinsCompleted)
+	}
+	fresh := 0
+	for _, c := range *timeline {
+		if c.node == victim && c.at >= (killAt+downtime).Nanoseconds() {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("the restarted validator delivered no fresh commits")
+	}
+	assertRootsAgree(t, cluster)
+}
+
+// TestKillRestartTrimsATornTail kills a validator while the last record of
+// its log is a certificate — flushed, not fsynced — and tears that record at a
+// seeded offset, as a power loss mid-write would. Recovery replays the intact
+// prefix and trims the tail; the validator rejoins, appends after the trim,
+// and never signs a second header for a slot it signed before the kill.
+func TestKillRestartTrimsATornTail(t *testing.T) {
+	const victim = types.ValidatorID(1)
+	cluster, timeline := killRestartCluster(t, nil, 37)
+	submitKVLoad(cluster, 12*time.Second)
+
+	signed := map[types.Round]types.Digest{}
+	var resigned []types.Round
+	lastWasCert := false
+	cluster.setTap(func(id types.ValidatorID, cert *engine.Certificate, h *engine.Header) {
+		if id != victim {
+			return
+		}
+		lastWasCert = cert != nil
+		if h == nil {
+			return
+		}
+		if d, ok := signed[h.Round]; ok && d != h.Digest() {
+			resigned = append(resigned, h.Round)
+		}
+		signed[h.Round] = h.Digest()
+	})
+
+	var (
+		killedAt int64
+		tornLen  int64
+		// The log right after recovery: the bytes it replays and holds.
+		validAfter, sizeAfter int64
+	)
+	rng := rand.New(rand.NewSource(37))
+	var watch func()
+	watch = func() {
+		if !lastWasCert {
+			cluster.Sim.After(time.Millisecond, watch)
+			return
+		}
+		killedAt = cluster.Sim.Now()
+		cluster.KillRestart([]types.ValidatorID{victim}, time.Duration(killedAt), 500*time.Millisecond)
+		cluster.Sim.After(0, func() { // after the kill: the log is closed
+			path := cluster.walPath(victim)
+			off, n, kind := lastRecord(t, path)
+			if kind != walKindCert {
+				t.Errorf("the log's last record is of kind %d, want a certificate", kind)
+				return
+			}
+			tornLen = n
+			if err := os.Truncate(path, off+1+rng.Int63n(n-1)); err != nil {
+				t.Error(err)
+			}
+		})
+		cluster.Sim.After(500*time.Millisecond, func() { // after the restart
+			var after storage.WALInfo
+			after, sizeAfter = inspectLog(t, cluster.walPath(victim))
+			validAfter = after.ValidBytes
+		})
+	}
+	cluster.Sim.After(4*time.Second, watch)
+	cluster.Start()
+	cluster.Sim.RunFor(15 * time.Second)
+
+	if killedAt == 0 || tornLen == 0 {
+		t.Fatal("the victim was never killed with a certificate at the end of its log")
+	}
+	if len(resigned) > 0 {
+		t.Fatalf("the restarted validator signed a second header for rounds %v", resigned)
+	}
+	if cluster.Restarts() != 1 || cluster.Engine(victim).Stats().RejoinsCompleted == 0 {
+		t.Fatalf("restarts %d, rejoins %d", cluster.Restarts(), cluster.Engine(victim).Stats().RejoinsCompleted)
+	}
+	fresh := 0
+	for _, c := range *timeline {
+		if c.node == victim && c.at > killedAt {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("the restarted validator delivered no fresh commits")
+	}
+	// Recovery trimmed the torn record: what it appended follows the intact
+	// prefix, where the next replay reaches it.
+	if validAfter != sizeAfter {
+		t.Fatalf("after recovery the log replays %d of its %d bytes: the torn tail was not trimmed", validAfter, sizeAfter)
+	}
+	if end, size := inspectLog(t, cluster.walPath(victim)); end.ValidBytes != size {
+		t.Fatalf("the log replays %d of its %d bytes", end.ValidBytes, size)
+	}
+	assertRootsAgree(t, cluster)
+}
+
+// inspectLog is what a restart would replay from the log at path
+// (storage.Inspect), beside the file's size.
+func inspectLog(t *testing.T, path string) (storage.WALInfo, int64) {
+	t.Helper()
+	info, err := storage.Inspect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info, st.Size()
+}
+
+// walKindCert is the storage log's certificate record kind.
+const walKindCert = 0x01
+
+// lastRecord walks the log's frames (4-byte length, 4-byte CRC, then a body
+// of version tag, kind and payload) and returns the last one's offset, framed
+// length and kind.
+func lastRecord(t *testing.T, path string) (off, n int64, kind byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pos int64
+	for pos+8 <= int64(len(data)) {
+		size := int64(binary.BigEndian.Uint32(data[pos:]))
+		if pos+8+size > int64(len(data)) || size < 2 {
+			break
+		}
+		off, n, kind = pos, 8+size, data[pos+9]
+		pos += 8 + size
+	}
+	if n == 0 {
+		t.Fatal("the log holds no record")
+	}
+	return off, n, kind
 }

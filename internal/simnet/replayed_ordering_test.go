@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hammerhead/internal/bullshark"
+	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/core"
 	"hammerhead/internal/crypto"
 	"hammerhead/internal/engine"
@@ -37,17 +38,57 @@ func hhConfig(epochCommits int) *core.Config {
 	return &cfg
 }
 
-// recordedCerts returns the certificates validator id inserted, in order,
-// from its recorded log (RecordWALs).
-func (c *Cluster) recordedCerts(id types.ValidatorID) []*engine.Certificate {
-	var certs []*engine.Certificate
-	for _, rec := range c.walLogs[id] {
-		if rec.cert != nil {
-			certs = append(certs, rec.cert)
+// recordInsertions taps the certificates validator id inserts, in order,
+// from genesis on — an order a log compacted at checkpoints does not keep.
+// Call before Start; read the trace after the run.
+func (c *Cluster) recordInsertions(id types.ValidatorID) *[]*engine.Certificate {
+	trace := &[]*engine.Certificate{}
+	c.setTap(func(v types.ValidatorID, cert *engine.Certificate, _ *engine.Header) {
+		if v == id && cert != nil {
+			*trace = append(*trace, cert)
+		}
+	})
+	return trace
+}
+
+// setTap hands fn every record each validator's observer receives (exactly
+// one of cert and h is set), after its log has it, in every incarnation. It
+// rebuilds the validators around the tap: call before Start.
+func (c *Cluster) setTap(fn func(id types.ValidatorID, cert *engine.Certificate, h *engine.Header)) {
+	c.tap = func(id types.ValidatorID, next engine.Observer) engine.Observer {
+		return tapObserver{next: next, id: id, fn: fn}
+	}
+	for i := range c.validators {
+		if err := c.buildValidator(types.ValidatorID(i)); err != nil {
+			panic(err)
 		}
 	}
-	return certs
 }
+
+// tapObserver passes each record to the validator's own observer, if any,
+// then to fn.
+type tapObserver struct {
+	next engine.Observer
+	id   types.ValidatorID
+	fn   func(id types.ValidatorID, cert *engine.Certificate, h *engine.Header)
+}
+
+func (o tapObserver) Inserted(cert *engine.Certificate) {
+	if o.next != nil {
+		o.next.Inserted(cert)
+	}
+	o.fn(o.id, cert, nil)
+}
+
+func (o tapObserver) Proposed(h *engine.Header) {
+	if o.next != nil {
+		o.next.Proposed(h)
+	}
+	o.fn(o.id, nil, h)
+}
+
+func (tapObserver) Certified(*engine.Certificate)               {}
+func (tapObserver) CheckpointCertified(*checkpoint.Certificate) {}
 
 // replayCheckpointInterval is the checkpoint interval of replayEngine's
 // executor; a live cluster compared with a replay must use the same.
@@ -142,7 +183,7 @@ func TestReplayedOrderingMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.RecordWALs() // validator 0's insertion sequence, replayed below
+	recorded := cluster.recordInsertions(0) // replayed below
 	cluster.SlowDown(2, 4, 5*time.Second, 10*time.Second)
 	cluster.CrashAt(3, 8*time.Second)
 	cluster.Recover(3, 14*time.Second)
@@ -151,7 +192,7 @@ func TestReplayedOrderingMatchesLive(t *testing.T) {
 	cluster.Start()
 	cluster.Sim.RunFor(20 * time.Second)
 
-	trace := cluster.recordedCerts(0)
+	trace := *recorded
 	if len(live) < 10 || len(trace) < 40 {
 		t.Fatalf("trace too small to be meaningful: %d commits, %d certs", len(live), len(trace))
 	}

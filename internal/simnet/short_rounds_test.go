@@ -66,7 +66,7 @@ func TestShortRoundsSurviveAStalledValidator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.RecordWALs() // validator 0's insertion sequence, replayed below
+	recorded := cluster.recordInsertions(0) // replayed below
 	cluster.SlowDown(stalled, 20, from, until)
 
 	load := startSteadyLoad(cluster, n, loadEnd)
@@ -95,7 +95,7 @@ func TestShortRoundsSurviveAStalledValidator(t *testing.T) {
 	}
 
 	// The recorded insertion sequence, replayed, orders as validator 0 did.
-	replayed, _ := replayEngine(t, committee, hhConfig(10), cluster.recordedCerts(0))
+	replayed, _ := replayEngine(t, committee, hhConfig(10), *recorded)
 	assertSameCommitStream(t, "replay-vs-live", live, replayed)
 }
 
@@ -263,7 +263,12 @@ func runVoteRounds(t *testing.T, crashed bool, starts ...time.Duration) *voteRou
 	for i, at := range starts {
 		v := types.ValidatorID(i)
 		r.cluster.Sim.After(at, func() {
-			r.cluster.dispatch(v, r.cluster.Engine(v).Init(r.cluster.Sim.Now()))
+			out, err := r.cluster.validators[v].Init(r.cluster.Sim.Now(), nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			r.cluster.dispatch(v, out)
 		})
 	}
 	r.cluster.Sim.RunFor(runFor)

@@ -35,20 +35,17 @@ var _ execution.SnapshotStore = (*SnapshotStore)(nil)
 // against a torn latest.
 const DefaultSnapshotRetain = 2
 
-// NewSnapshotStore opens (creating if needed) a snapshot directory keeping
-// the newest retain checkpoints (0 = DefaultSnapshotRetain).
+// NewSnapshotStore opens (creating if needed, durably) a snapshot directory
+// keeping the newest retain checkpoints (0 = DefaultSnapshotRetain).
 func NewSnapshotStore(dir string, retain int) (*SnapshotStore, error) {
 	if retain <= 0 {
 		retain = DefaultSnapshotRetain
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirDurable(dir); err != nil {
 		return nil, fmt.Errorf("storage: creating snapshot directory: %w", err)
 	}
 	return &SnapshotStore{dir: dir, retain: retain}, nil
 }
-
-// Dir returns the store's directory.
-func (s *SnapshotStore) Dir() string { return s.dir }
 
 func snapshotFileName(commitSeq uint64) string {
 	return fmt.Sprintf("checkpoint-%020d.snap", commitSeq)

@@ -130,3 +130,32 @@ func TestSnapshotStorePersistsAcrossReopen(t *testing.T) {
 		t.Fatalf("reopened latest = %d (ok=%v), want 3", got.CommitSeq, ok)
 	}
 }
+
+// TestNewSnapshotStoreSyncsCreatedDirs: the directory a store creates is
+// named durably — the parent of each directory it makes is fsynced — since
+// the WAL is compacted once a snapshot in it is saved. Opening an existing
+// store syncs nothing.
+func TestNewSnapshotStoreSyncsCreatedDirs(t *testing.T) {
+	root := t.TempDir()
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	var synced []string
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		return orig(d)
+	}
+	dir := filepath.Join(root, "node", "snaps")
+	if _, err := NewSnapshotStore(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 2 || synced[0] != root || synced[1] != filepath.Join(root, "node") {
+		t.Fatalf("creating %s fsynced %v, want %s then %s", dir, synced, root, filepath.Join(root, "node"))
+	}
+	synced = nil
+	if _, err := NewSnapshotStore(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 0 {
+		t.Fatalf("reopening the store fsynced %v, want nothing", synced)
+	}
+}

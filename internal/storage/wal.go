@@ -62,18 +62,12 @@ const (
 )
 
 // WAL is an append-only certificate log. Append is not safe for concurrent
-// use; the node serializes through its event loop.
+// use; validator.Log, its one writer, is driven from one goroutine.
 type WAL struct {
 	path   string
 	file   *os.File
 	writer *bufio.Writer
-	// SyncEveryAppend forces an fsync per record; off by default (the
-	// protocol tolerates losing the latest certificates — peers re-serve
-	// them through the sync path).
-	SyncEveryAppend bool
-
-	appended uint64
-	closed   bool
+	closed bool
 }
 
 // OpenWAL opens (or creates) the log at path for appending. A torn or
@@ -104,15 +98,45 @@ func OpenWALTrimmed(path string, validBytes int64) (*WAL, error) {
 	return openWALAppend(path, _copyBufSize)
 }
 
+// openWALAppend opens the log at path for appending, creating it if it does
+// not exist. A log it creates is durable before it returns: the directory
+// entry is fsynced, and so is the parent of every directory it made. fsync(2)
+// on the file alone does not reach the entry naming it, so after a power loss
+// on a first boot the log could vanish with fsynced proposal records in it,
+// and the restart could sign a second header for a slot.
 func openWALAppend(path string, bufSize int) (*WAL, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := mkdirDurable(dir); err != nil {
 		return nil, fmt.Errorf("storage: creating WAL directory: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		if f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
+			if err = syncDir(dir); err != nil {
+				_ = f.Close()
+			}
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening WAL %s: %w", path, err)
 	}
 	return &WAL{path: path, file: f, writer: bufio.NewWriterSize(f, bufSize)}, nil
+}
+
+// mkdirDurable creates dir and any missing parents, fsyncing the parent of
+// each directory it creates.
+func mkdirDurable(dir string) error {
+	parent := filepath.Dir(dir)
+	if _, err := os.Stat(dir); err == nil || parent == dir {
+		return nil
+	}
+	if err := mkdirDurable(parent); err != nil {
+		return err
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
+		return err
+	}
+	return syncDir(parent)
 }
 
 // walRecord is one decoded log record: exactly one field is set.
@@ -132,9 +156,10 @@ const (
 	_recordKindProposal = 0x02
 )
 
-// errUnknownRecordVersion marks a CRC-intact record body whose version tag
-// this binary does not write: the log belongs to another format generation.
-var errUnknownRecordVersion = errors.New("unknown record version tag")
+// ErrUnknownRecordVersion, wrapped, is how every scan refuses a CRC-intact
+// record body whose version tag this binary does not write: the log belongs
+// to another format generation.
+var ErrUnknownRecordVersion = errors.New("unknown record version tag")
 
 // readRecord reads one framed record body. ok=false at a clean EOF, torn
 // header or body, implausible length, or CRC mismatch — the crash-consistent
@@ -160,7 +185,7 @@ func readRecord(r *bufio.Reader) (body []byte, ok bool) {
 }
 
 // decodeRecord parses a CRC-intact record body. An unknown version tag is
-// errUnknownRecordVersion, which no scan may treat as a torn tail; any other
+// ErrUnknownRecordVersion, which no scan may treat as a torn tail; any other
 // error is an undecodable body under the current tag, where replay stops.
 // Decoded payloads alias body, which readRecord allocates per record.
 func decodeRecord(body []byte) (walRecord, error) {
@@ -168,7 +193,7 @@ func decodeRecord(body []byte) (walRecord, error) {
 		return walRecord{}, wire.ErrTruncated
 	}
 	if body[0] != _recordV2 {
-		return walRecord{}, fmt.Errorf("%w 0x%02x", errUnknownRecordVersion, body[0])
+		return walRecord{}, fmt.Errorf("%w 0x%02x", ErrUnknownRecordVersion, body[0])
 	}
 	if len(body) < 2 {
 		return walRecord{}, wire.ErrTruncated
@@ -186,12 +211,6 @@ func decodeRecord(body []byte) (walRecord, error) {
 	return rec, r.Finish()
 }
 
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
-// Appended returns the number of records appended in this session.
-func (w *WAL) Appended() uint64 { return w.appended }
-
 // Append writes one certificate record.
 func (w *WAL) Append(cert *engine.Certificate) error {
 	return w.appendRecord(walRecord{Cert: cert})
@@ -204,8 +223,10 @@ func (w *WAL) AppendProposal(h *engine.Header) error {
 	return w.appendRecord(walRecord{Proposal: h})
 }
 
-// appendRecord writes one record and flushes it to the file (and fsyncs it
-// under SyncEveryAppend).
+// appendRecord writes one record and flushes it to the file. It does not
+// fsync: the protocol tolerates losing the latest certificates (peers
+// re-serve them through the sync path), and Sync makes a record durable
+// where that matters.
 func (w *WAL) appendRecord(rec walRecord) error {
 	if w.closed {
 		return ErrClosed
@@ -216,12 +237,6 @@ func (w *WAL) appendRecord(rec walRecord) error {
 	if err := w.writer.Flush(); err != nil {
 		return fmt.Errorf("storage: flushing WAL: %w", err)
 	}
-	if w.SyncEveryAppend {
-		if err := w.file.Sync(); err != nil {
-			return fmt.Errorf("storage: syncing WAL: %w", err)
-		}
-	}
-	w.appended++
 	return nil
 }
 
@@ -283,9 +298,9 @@ func (w *WAL) Close() error {
 // ReplayPrefixRecords streams certificate records to certFn and proposal
 // records to propFn (either may be nil), in append order, returning the byte
 // length of the valid record prefix; callers about to OpenWAL the same log
-// pass it through OpenWALTrimmed, sparing the open its own validity scan. The
-// node's recovery path uses it to rebuild the DAG and recover the voted-round
-// high-water mark in one scan. A torn or corrupt tail ends replay silently
+// pass it through OpenWALTrimmed, sparing the open its own validity scan.
+// Recovery (validator.Recover) uses it to rebuild the DAG and recover the
+// voted-round high-water mark in one scan. A torn or corrupt tail ends replay silently
 // (crash-consistent); corruption in the middle also stops there — the
 // protocol's sync path backfills anything lost. A callback returning an error
 // aborts replay with that error, and so does a CRC-intact record under a
@@ -312,7 +327,7 @@ func replayRecords(path string, bufSize int, certFn func(*engine.Certificate) er
 			return valid, nil // clean EOF, torn record, or corruption: stop
 		}
 		rec, err := decodeRecord(body)
-		if errors.Is(err, errUnknownRecordVersion) {
+		if errors.Is(err, ErrUnknownRecordVersion) {
 			return valid, fmt.Errorf("storage: WAL %s: %w at byte offset %d: written by another format generation, refusing to replay or truncate it", path, err, valid)
 		}
 		if err != nil {
@@ -379,7 +394,7 @@ func Inspect(path string) (WALInfo, error) {
 
 // CompactTo rewrites an OPEN log in place, keeping only certificates with
 // round >= floor, and restores the append session over the compacted file.
-// The node's WAL writer calls it when the executor's checkpoint floor
+// validator.Log calls it when the executor's checkpoint floor
 // advances: certificates below the floor are covered by a persisted
 // checkpoint, so replaying them after a restart is redundant and the log
 // would otherwise grow without bound. Must be called from the goroutine that
@@ -430,10 +445,13 @@ func Compact(path string, floor types.Round) error {
 	if err := os.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("storage: clearing stale compaction file: %w", err)
 	}
-	out, err := openWALAppend(tmp, _copyBufSize)
+	// The temp file needs no directory fsync of its own: the rename below
+	// is made durable with one.
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
-		return err
+		return fmt.Errorf("storage: creating compaction file: %w", err)
 	}
+	out := &WAL{path: tmp, file: f, writer: bufio.NewWriterSize(f, _copyBufSize)}
 	// Single pass: proposals at or above the floor copy through; the highest
 	// below-floor proposal is buffered and appended at the end ONLY when no
 	// above-floor proposal preserved the mark (replay takes the highest, so

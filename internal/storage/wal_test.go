@@ -54,9 +54,6 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Appended() != 3 {
-		t.Fatalf("Appended = %d", w.Appended())
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -368,13 +365,13 @@ func TestCompactDropsOldRounds(t *testing.T) {
 	}
 }
 
+// TestSyncEveryAppend: a record appended and then Synced replays.
 func TestSyncEveryAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "certs.log")
 	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SyncEveryAppend = true
 	if err := w.Append(testCert(1, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -386,6 +383,57 @@ func TestSyncEveryAppend(t *testing.T) {
 	}
 	if got := replayAll(t, path); len(got) != 1 {
 		t.Fatalf("replayed %d, want 1", len(got))
+	}
+}
+
+// TestOpenWALSyncsDirOnCreate: a log the open creates is named durably — its
+// directory is fsynced once, and so is the parent of every directory the open
+// made — while reopening an existing log syncs nothing.
+func TestOpenWALSyncsDirOnCreate(t *testing.T) {
+	root := t.TempDir()
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	var synced []string
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		return orig(d)
+	}
+	open := func(path string) {
+		t.Helper()
+		w, err := OpenWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendProposal(testProposal(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	path := filepath.Join(root, "certs.log")
+	open(path)
+	if len(synced) != 1 || synced[0] != root {
+		t.Fatalf("creating the log fsynced %v, want its directory %s once", synced, root)
+	}
+	synced = nil
+	open(path)
+	if len(synced) != 0 {
+		t.Fatalf("reopening the log fsynced %v, want nothing", synced)
+	}
+
+	nested := filepath.Join(root, "a", "b", "certs.log")
+	open(nested)
+	want := map[string]bool{root: true, filepath.Join(root, "a"): true, filepath.Join(root, "a", "b"): true}
+	if len(synced) != len(want) {
+		t.Fatalf("creating a log two directories down fsynced %v, want each of %v once", synced, want)
+	}
+	for _, d := range synced {
+		if !want[d] {
+			t.Fatalf("creating a log two directories down fsynced %v, want each of %v once", synced, want)
+		}
+		delete(want, d)
 	}
 }
 

@@ -44,7 +44,8 @@ type Config struct {
 	// certificate that verifies against the committee.
 	Execution *execution.Config
 	// Commits receives ordered sub-DAGs; Observer sees inserted certificates
-	// and own headers (see engine.Params).
+	// and own headers (see engine.Params) once the validator is live (see
+	// Replaying).
 	Commits  engine.CommitSink
 	Observer engine.Observer
 }
@@ -62,14 +63,18 @@ type Validator struct {
 
 	self     types.ValidatorID
 	observer engine.Observer
+	// replaying is set from New until Recover or Init puts the validator on
+	// the wire: a certificate handed to the engine before then is not
+	// recorded, and a commit is not news.
+	replaying atomic.Bool
 	// maxBatch is the engine's MaxBatchTx; below says the pending count was
 	// under it at the last admission, which arms the next fill.
 	maxBatch int
 	below    atomic.Bool
 }
 
-// New assembles a validator. Recover — or Engine.Init, for a validator that
-// has no durable record — puts it on the wire.
+// New assembles a validator, not yet live. Recover — or Init, for a
+// validator booting for the first time — puts it on the wire.
 func New(cfg Config) (*Validator, error) {
 	if cfg.Committee == nil {
 		return nil, fmt.Errorf("validator: committee is required")
@@ -94,6 +99,7 @@ func New(cfg Config) (*Validator, error) {
 		maxBatch: cfg.Engine.MaxBatchTx,
 	}
 	v.below.Store(true)
+	v.replaying.Store(true)
 	params := engine.Params{
 		Config:     cfg.Engine,
 		Committee:  cfg.Committee,
@@ -104,7 +110,9 @@ func New(cfg Config) (*Validator, error) {
 		Scheduler:  sched,
 		DAG:        d,
 		Commits:    cfg.Commits,
-		Observer:   cfg.Observer,
+	}
+	if cfg.Observer != nil {
+		params.Observer = liveObserver{cfg.Observer, v}
 	}
 	if cfg.Execution != nil {
 		xc := *cfg.Execution
@@ -167,28 +175,65 @@ func (v *Validator) filled() bool {
 	return v.below.CompareAndSwap(true, false)
 }
 
-// Replay feeds recovery a validator's recorded log: every certificate it
-// inserted to cert and every header it proposed to proposal, in recorded
-// order. Either callback's error ends the replay with it.
-type Replay func(cert func(*engine.Certificate) error, proposal func(*engine.Header) error) error
+// Replaying reports whether the validator is not live yet — Recover is
+// rebuilding it from its record, or neither Recover nor Init has run: a
+// commit delivered now is re-derived, not news. Safe for concurrent use.
+func (v *Validator) Replaying() bool { return v.replaying.Load() }
+
+// liveObserver is Config.Observer with Inserted and Proposed withheld until
+// the validator is live: a replayed certificate is already in the record, a
+// header built during replay is recorded by Recover if it goes out, and the
+// record is not open before Recover or Init opens it. This is the one check
+// that keeps a runtime from appending to its record while replaying it.
+type liveObserver struct {
+	engine.Observer
+	v *Validator
+}
+
+func (o liveObserver) Inserted(cert *engine.Certificate) {
+	if !o.v.replaying.Load() {
+		o.Observer.Inserted(cert)
+	}
+}
+
+func (o liveObserver) Proposed(h *engine.Header) {
+	if !o.v.replaying.Load() {
+		o.Observer.Proposed(h)
+	}
+}
+
+// Init puts a freshly assembled validator that has no durable record on the
+// wire: its first boot. log, when non-nil, is opened for appending first,
+// created if absent; nothing in it is replayed. It returns the engine's first
+// output for dispatch.
+func (v *Validator) Init(now int64, log *Log) (*engine.Output, error) {
+	if log != nil {
+		if err := log.replay(nil, nil); err != nil {
+			return nil, err
+		}
+	}
+	v.replaying.Store(false)
+	return v.Engine.Init(now), nil
+}
 
 // Recover brings a freshly assembled validator back from its durable record
-// and puts it on the wire. Every runtime recovers in this one order:
+// and puts it on the wire. Every runtime recovers in this one order, with
+// Replaying set until step 5:
 //
 //  1. the executor's latest local checkpoint is installed and the engine
 //     fast-forwarded to it, so certificates below the checkpoint's floor are
 //     covered and a validator that slept past the committee's GC horizon
 //     resumes from its own state;
 //  2. Init unlocks proposing and builds a first header;
-//  3. replay (nil: nothing recorded) feeds the recorded certificates through
-//     the normal message path and collects the highest own proposal — commits
-//     are re-derived and delivered to the sink within the replayed step, and
-//     every output is discarded: nothing transmits during recovery;
+//  3. the log (nil: nothing recorded) replays its intact prefix — the
+//     recorded certificates through the normal message path, collecting the
+//     highest own proposal — and opens for appending, trimmed to that prefix;
+//     commits are re-derived and delivered to the sink within the replayed
+//     step, and every output is discarded: nothing transmits during recovery;
 //  4. RestoreProposal re-adopts that proposal, the voted-round mark, so the
 //     validator re-transmits the header it signed instead of equivocating
 //     the slot;
-//  5. live is called: the runtime stops suppressing its record and flags
-//     commits fresh from here on;
+//  5. Replaying clears: the observer records again, and commits are fresh;
 //  6. Init's header goes unless replay moved the engine past it, and the
 //     current proposal is recorded (Observer.Proposed) unless it is the
 //     restored one, already in the record;
@@ -196,8 +241,8 @@ type Replay func(cert func(*engine.Certificate) error, proposal func(*engine.Hea
 //     dispatch.
 //
 // now is read at every step. A replay error returns before step 4, with
-// nothing transmitted.
-func (v *Validator) Recover(now func() int64, replay Replay, live func(), dispatch func(*engine.Output)) error {
+// nothing transmitted and nothing recorded.
+func (v *Validator) Recover(now func() int64, log *Log, dispatch func(*engine.Output)) error {
 	eng := v.Engine
 	if v.Executor != nil {
 		if snap, ok := v.Executor.Store().Latest(); ok {
@@ -207,9 +252,9 @@ func (v *Validator) Recover(now func() int64, replay Replay, live func(), dispat
 		}
 	}
 	initOut := eng.Init(now())
-	if replay != nil {
+	if log != nil {
 		var last *engine.Header
-		err := replay(func(cert *engine.Certificate) error {
+		err := log.replay(func(cert *engine.Certificate) error {
 			eng.OnMessage(v.self, &engine.Message{Kind: engine.KindCertificate, Cert: cert}, now())
 			return nil
 		}, func(h *engine.Header) error {
@@ -223,7 +268,7 @@ func (v *Validator) Recover(now func() int64, replay Replay, live func(), dispat
 		}
 		eng.RestoreProposal(last)
 	}
-	live()
+	v.replaying.Store(false)
 	// Init ran before replay: when the log moved the engine past that first
 	// proposal, its queued broadcast is a stale header for an already-signed
 	// slot — transmitting it would look like (and be refused as) slot

@@ -1,7 +1,11 @@
 package validator
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,13 +16,16 @@ import (
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/leader"
+	"hammerhead/internal/storage"
 	"hammerhead/internal/types"
 )
 
-// events records what the runtime sees during Recover, in order.
+// events records what the runtime sees during Recover, in order; live, when
+// set, reports whether the validator is live at the time.
 type events struct {
 	log      []string
 	proposed []*engine.Header
+	live     func() bool
 }
 
 func (e *events) Inserted(*engine.Certificate)  {}
@@ -26,7 +33,11 @@ func (e *events) Certified(*engine.Certificate) {}
 
 func (e *events) CheckpointCertified(*checkpoint.Certificate) {}
 func (e *events) Proposed(h *engine.Header) {
-	e.log = append(e.log, "proposed")
+	if e.live != nil && e.live() {
+		e.log = append(e.log, "proposed live")
+	} else {
+		e.log = append(e.log, "proposed")
+	}
 	e.proposed = append(e.proposed, h)
 }
 
@@ -93,27 +104,63 @@ func TestNewRefusesCertificationWithoutEveryKey(t *testing.T) {
 	}
 }
 
+// TestInitOpensTheLogAndGoesLive: a validator is not live from New; Init
+// opens its log for appending and records its first proposal live, and that
+// proposal is what goes on the wire.
+func TestInitOpensTheLogAndGoesLive(t *testing.T) {
+	ev := &events{}
+	v, err := New(testConfig(t, ev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Replaying() {
+		t.Fatal("live before Init")
+	}
+	ev.live = func() bool { return !v.Replaying() }
+	path := filepath.Join(t.TempDir(), "v0", "wal")
+	log := NewLog(path, nil)
+	out, err := v.Init(0, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ev.log; len(got) != 1 || got[0] != "proposed live" {
+		t.Fatalf("events %v, want the first proposal recorded live", got)
+	}
+	if h := headerIn(out); h == nil || h != ev.proposed[0] {
+		t.Fatal("the recorded first proposal is not the header that goes on the wire")
+	}
+	if err := log.AppendProposal(ev.proposed[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := storage.Inspect(path); err != nil || info.Proposals != 1 {
+		t.Fatalf("the log holds %+v (err %v), want the first proposal", info, err)
+	}
+}
+
 // TestRecoverFreshBootRecordsItsFirstProposal: with nothing recorded, the
-// first header is recorded after the runtime goes live and before anything
-// is dispatched, and it is what goes on the wire.
+// first header is recorded once the validator is live — Init's own Proposed,
+// made while replaying, never reaches the observer — and before anything is
+// dispatched, and it is what goes on the wire.
 func TestRecoverFreshBootRecordsItsFirstProposal(t *testing.T) {
 	ev := &events{}
 	v, err := New(testConfig(t, ev))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev.live = func() bool { return !v.Replaying() }
 	var outs []*engine.Output
 	err = v.Recover(func() int64 { return 0 }, nil,
-		func() { ev.log = append(ev.log, "live") },
 		func(out *engine.Output) { ev.log = append(ev.log, "dispatch"); outs = append(outs, out) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Init's own Proposed comes first: suppressing it is the runtime's job.
-	if got := ev.log; len(got) != 5 || got[1] != "live" || got[2] != "proposed" || got[3] != "dispatch" || got[4] != "dispatch" {
-		t.Fatalf("events %v, want Init's proposal, live, the proposal recorded, two dispatches", got)
+	if got := ev.log; len(got) != 3 || got[0] != "proposed live" || got[1] != "dispatch" || got[2] != "dispatch" {
+		t.Fatalf("events %v, want the proposal recorded live, then two dispatches", got)
 	}
-	if header := headerIn(outs[0]); header == nil || header != ev.proposed[1] || header != v.Engine.CurrentProposal() {
+	if header := headerIn(outs[0]); header == nil || header != ev.proposed[0] || header != v.Engine.CurrentProposal() {
 		t.Fatal("the recorded first proposal is not the header that goes on the wire")
 	}
 	if !v.Engine.Rejoining() {
@@ -134,12 +181,19 @@ func TestRecoverRestoresTheRecordedProposal(t *testing.T) {
 	// digest than the header Init builds.
 	recorded := &engine.Header{Round: 1, Source: 0, CreatedNanos: 7,
 		Batch: &types.Batch{Transactions: []types.Transaction{{ID: 42}}}}
+	path := filepath.Join(t.TempDir(), "wal")
+	w, err := storage.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendProposal(recorded); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	var outs []*engine.Output
-	err = v.Recover(func() int64 { return 0 },
-		func(_ func(*engine.Certificate) error, proposal func(*engine.Header) error) error {
-			return proposal(recorded)
-		},
-		func() { ev.log = append(ev.log, "live") },
+	err = v.Recover(func() int64 { return 0 }, NewLog(path, nil),
 		func(out *engine.Output) { outs = append(outs, out) })
 	if err != nil {
 		t.Fatal(err)
@@ -147,30 +201,40 @@ func TestRecoverRestoresTheRecordedProposal(t *testing.T) {
 	if got := v.Engine.ProposalFloor(); got != 1 {
 		t.Fatalf("proposal floor %d, want 1", got)
 	}
-	if v.Engine.CurrentProposal() != recorded {
+	if cur := v.Engine.CurrentProposal(); cur == nil || cur.Digest() != recorded.Digest() {
 		t.Fatal("the recorded header was not restored as the current proposal")
 	}
 	if h := headerIn(outs[0]); h != nil {
 		t.Fatalf("Init's stale header for round %d went on the wire", h.Round)
 	}
-	if got := ev.log; len(got) != 2 || got[1] != "live" {
+	if got := ev.log; len(got) != 0 {
 		t.Fatalf("events %v: the restored header must not be recorded again", got)
 	}
 }
 
-// TestRecoverStopsOnAReplayError: nothing goes live and nothing transmits.
+// TestRecoverStopsOnAReplayError: a log of another format generation is
+// refused; nothing goes live, nothing is recorded and nothing transmits.
 func TestRecoverStopsOnAReplayError(t *testing.T) {
-	v, err := New(testConfig(t, &events{}))
+	ev := &events{}
+	v, err := New(testConfig(t, ev))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused := errors.New("another format generation")
-	err = v.Recover(func() int64 { return 0 },
-		func(func(*engine.Certificate) error, func(*engine.Header) error) error { return refused },
-		func() { t.Fatal("went live after a replay error") },
+	// One CRC-intact record under a version tag this binary does not write.
+	body := []byte{0x7f, 0x01}
+	record := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	record = binary.BigEndian.AppendUint32(record, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	path := filepath.Join(t.TempDir(), "wal")
+	if err := os.WriteFile(path, append(record, body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = v.Recover(func() int64 { return 0 }, NewLog(path, nil),
 		func(*engine.Output) { t.Fatal("dispatched after a replay error") })
-	if !errors.Is(err, refused) {
-		t.Fatalf("Recover returned %v, want the replay's error", err)
+	if !errors.Is(err, storage.ErrUnknownRecordVersion) {
+		t.Fatalf("Recover returned %v, want the replay's refusal of another format generation", err)
+	}
+	if !v.Replaying() || len(ev.log) != 0 {
+		t.Fatalf("went live after a replay error (replaying %v, events %v)", v.Replaying(), ev.log)
 	}
 }
 
