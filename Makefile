@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing crash-restart clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing crash-restart apply-path clean
 
 all: build test
 
@@ -139,6 +139,17 @@ crash-restart:
 ring-bytes:
 	go test -race -count=3 -run '^(TestRingStreamMatchesOracle|TestRingHoldsWhatItCounts|TestRingAgreesWithCountOnlyModel|TestRingByteBudget|TestRingCountStillBinds|TestStreamResumeMatchesModel|TestFullSubscriberThatKeepsUpNeverGaps)$$' ./internal/rpc/
 	go test -race -count=3 -run '^(TestCompactMatchesPerRecordOracle|TestCompactToSyncsDirAfterRename|TestCompactDropsOldRounds|TestCompactToShrinksOpenWALAndKeepsAppending|TestCompactToAllocatesCopyBuffersOnly|TestCompactIgnoresStaleTempFile|TestCompactKeepsProposalHighWaterMark|TestGoldenWALRecords)$$' ./internal/storage/
+
+# apply-path is CI's "One apply path (race)" step: the executor applies on
+# the goroutine that delivers the commit and writes checkpoints inline or on
+# its one checkpoint goroutine, with the same bytes (the inline oracle, the
+# full encoding, the same roots, digest and count started or not, Close's
+# inline final checkpoint); an install adopts a snapshot that hashes to its
+# digest and a rejected one leaves the live ledger and the certified reads
+# alone; and the node tests that apply on the commit goroutine.
+apply-path:
+	go test -race -count=3 -run '^(TestCheckpointsMatchInlineOracle|TestCheckpointMergeMatchesFullEncode|TestExecutorAsyncModeMatchesSync|TestExecutorSubmitBeforeStartIsDroppedAtClose|TestExecutorInstallVerifiesAndAdopts|TestRejectedInstallLeavesTheLedgerAlone)$$' ./internal/execution/
+	go test -race -count=3 -run '^(TestNodesExecuteAndConverge|TestCheckpointDrivenWALCompactionAndRestart|TestTraceCoversFullCommitPath)$$' ./internal/node/
 
 clean:
 	rm -rf bin hammerlint

@@ -216,7 +216,6 @@ func serve(nd *node.Node, logger *slog.Logger, reg *metrics.Registry, metricsAdd
 					"applied_seq", exec.AppliedSeq(),
 					"applied_round", uint64(exec.AppliedRound()),
 					"state_root", exec.StateRoot(),
-					"queue", exec.QueueDepth(),
 					"checkpoints", exec.Checkpoints(),
 					"snapshots_installed", c.SnapshotInstalls)
 			}

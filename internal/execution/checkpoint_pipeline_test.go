@@ -47,11 +47,10 @@ func randomStream(rng *rand.Rand, n int) []bullshark.CommittedSubDAG {
 
 // TestCheckpointsMatchInlineOracle runs seeded commit streams through the
 // executor and through the inline checkpointing it replaced, in lockstep,
-// with and without certification, applying synchronously and through the
-// apply and checkpoint goroutines: interval cuts, certificates for the
-// cached checkpoints (and for ones not held), forced checkpoints,
-// redeliveries, installs of certified and uncertified snapshots from ahead,
-// and Close. After every step every blob either has saved is the same, in
+// with and without certification, writing inline and on the checkpoint
+// goroutine: interval cuts, certificates for the cached checkpoints (and for
+// ones not held), forced checkpoints, redeliveries, installs of certified and
+// uncertified snapshots from ahead, and Close. After every step every blob either has saved is the same, in
 // the same order, and so is everything served: the latest and previous
 // snapshots, the certified blob, the certificate, the floor, the count and a
 // proof-carrying read.
@@ -78,27 +77,16 @@ func lockstepWithOracle(t *testing.T, seed int64, certs, started bool) {
 	if started {
 		x.Start()
 	}
-	// settle waits out the apply goroutine and has the writer finish what it
-	// was handed, so both sides are compared at rest.
+	// settle has the writer finish what it was handed, so both sides are
+	// compared at rest.
 	settle := func() {
-		if !started {
-			return
+		if started {
+			x.drain()
 		}
-		for deadline := time.Now().Add(10 * time.Second); x.AppliedSeq() < o.x.AppliedSeq(); {
-			if time.Now().After(deadline) {
-				t.Fatalf("applied %d of %d commits", x.AppliedSeq(), o.x.AppliedSeq())
-			}
-			time.Sleep(time.Millisecond)
-		}
-		x.drain()
 	}
 	apply := func(c bullshark.CommittedSubDAG) {
 		o.apply(c)
-		if started {
-			x.Submit(c)
-		} else {
-			x.ApplyCommit(c)
-		}
+		x.ApplyCommit(c)
 	}
 	tag := byte(0)
 	next := 1
@@ -144,7 +132,7 @@ func lockstepWithOracle(t *testing.T, seed int64, certs, started bool) {
 				tag++
 				snap.Cert = testCert(snap.CommitSeq, tag)
 			}
-			if err, werr := x.Install(snap), o.install(snap); err != nil || werr != nil {
+			if err, werr := x.install(snap), o.install(snap); err != nil || werr != nil {
 				t.Fatalf("step %d: install at %d: %v, inline %v", step, snap.CommitSeq, err, werr)
 			}
 			next = upTo + 1
@@ -349,7 +337,7 @@ func TestWriteNeverReplacesNewerCheckpoint(t *testing.T) {
 		t.Fatalf("writer saving seq %d, want 4", seq)
 	}
 	within(t, "Install", func() {
-		if err := x.Install(installed); err != nil {
+		if err := x.install(installed); err != nil {
 			t.Error(err)
 		}
 	})

@@ -2,6 +2,8 @@ package execution
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -28,6 +30,10 @@ func makeCommit(seq uint64, round types.Round, payloads ...[][]byte) bullshark.C
 	vertices = append(vertices, anchor)
 	return bullshark.CommittedSubDAG{Index: seq, Anchor: anchor, Vertices: vertices}
 }
+
+// snapshotKV is the ledger's whole encoding, as a checkpoint of it would
+// carry.
+func snapshotKV(s *KVState) []byte { return encodeKV(s.tree, s.version, s.opaque) }
 
 func TestKVStateOps(t *testing.T) {
 	s := NewKVState()
@@ -80,10 +86,7 @@ func TestKVStateSnapshotRestoreRoundTrip(t *testing.T) {
 		s.Apply(&types.Transaction{Payload: PutOp([]byte{'k', i}, []byte{'v', i})})
 	}
 	s.Apply(&types.Transaction{Payload: DeleteOp([]byte{'k', 7})})
-	data, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := snapshotKV(s)
 	restored := NewKVState()
 	if err := restored.Restore(data); err != nil {
 		t.Fatal(err)
@@ -174,7 +177,7 @@ func TestExecutorInstallVerifiesAndAdopts(t *testing.T) {
 	}
 
 	fresh := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
-	if err := fresh.Install(snap); err != nil {
+	if err := fresh.install(snap); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.AppliedSeq() != 6 || fresh.StateRoot() != producer.StateRoot() ||
@@ -182,21 +185,99 @@ func TestExecutorInstallVerifiesAndAdopts(t *testing.T) {
 		t.Fatal("install did not adopt the checkpoint state")
 	}
 	// Stale installs are refused.
-	if err := fresh.Install(snap); err != ErrStaleSnapshot {
+	if err := fresh.install(snap); err != ErrStaleSnapshot {
 		t.Fatalf("re-install err = %v, want ErrStaleSnapshot", err)
 	}
 
-	// Corrupted data: digest recomputation must reject and roll back.
+	// Corrupted data: digest recomputation must reject it, the live ledger
+	// untouched.
 	bad := snap
 	bad.CommitSeq++
 	bad.Data = append([]byte(nil), snap.Data...)
 	bad.Data[len(bad.Data)-2] ^= 0xFF // inside the encoded entry values
 	before := fresh.StateDigest()
-	if err := fresh.Install(bad); err == nil {
+	if err := fresh.install(bad); err == nil {
 		t.Fatal("corrupted snapshot must be rejected")
 	}
 	if fresh.StateDigest() != before || fresh.AppliedSeq() != 6 {
 		t.Fatal("rejected install must leave state untouched")
+	}
+}
+
+// TestRejectedInstallLeavesTheLedgerAlone: a snapshot whose bytes do not hash
+// to its state digest is refused before the live ledger is touched. The
+// ledger keeps its touched-key list, so the next checkpoint still merges into
+// the cached bytes (and still carries the full encoding), and the certified
+// read state is the one from before the install.
+func TestRejectedInstallLeavesTheLedgerAlone(t *testing.T) {
+	var stream []bullshark.CommittedSubDAG
+	for seq := uint64(1); seq <= 6; seq++ {
+		var puts [][]byte
+		for i := 0; i < 10; i++ {
+			puts = append(puts, PutOp([]byte(fmt.Sprintf("k%02d", i*6+int(seq))), []byte("v")))
+		}
+		stream = append(stream, makeCommit(seq, types.Round(2*seq), puts))
+	}
+	write := makeCommit(7, 14, [][]byte{PutOp([]byte("k07"), []byte("w")), DeleteOp([]byte("k30"))})
+	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000, CheckpointCerts: true})
+	for _, c := range stream {
+		x.ApplyCommit(c)
+	}
+	first, err := x.ForceCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := testCert(first.CommitSeq, 1)
+	if !x.AttachCertificate(first.CommitSeq, cert) {
+		t.Fatal("certificate for the latest checkpoint not attached")
+	}
+	proven, ok := x.ProvenRead([]byte("k07"))
+	if !ok {
+		t.Fatal("no certified read state")
+	}
+	x.ApplyCommit(write)
+	ledger := func() (touched int, follows bool) {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		return len(x.kv.touched), !x.kv.untracked && x.kv.gen == x.latest.kvGen
+	}
+	touched, follows := ledger()
+	if touched != 2 || !follows {
+		t.Fatalf("before the install: %d touched keys, next view follows the cached one %v", touched, follows)
+	}
+
+	producer := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
+	for _, c := range append(stream, write) {
+		producer.ApplyCommit(c)
+	}
+	producer.ApplyCommit(makeCommit(8, 16, [][]byte{PutOp([]byte("k99"), []byte("x"))}))
+	forged, err := producer.ForceCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.StateDigest = types.HashBytes([]byte("forged"))
+	if _, _, err := x.InstallLocal(forged); err == nil {
+		t.Fatal("a snapshot whose bytes miss its state digest was installed")
+	}
+
+	if touched, follows := ledger(); touched != 2 || !follows {
+		t.Fatalf("after the rejected install: %d touched keys, next view follows the cached one %v", touched, follows)
+	}
+	if again, ok := x.ProvenRead([]byte("k07")); !ok || !reflect.DeepEqual(again, proven) {
+		t.Fatal("the rejected install changed the certified read state")
+	}
+	if got, _ := x.LatestCertificate(); got != cert {
+		t.Fatal("the rejected install changed the latest certificate")
+	}
+	second, err := x.ForceCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.mu.Lock()
+	full := encodeKV(x.kv.tree, x.kv.version, x.kv.opaque)
+	x.mu.Unlock()
+	if second.CommitSeq != 7 || !bytes.Equal(second.Data, full) {
+		t.Fatalf("checkpoint at seq %d after the rejected install is not the full encoding", second.CommitSeq)
 	}
 }
 
@@ -235,49 +316,101 @@ func TestExecutorInstallFromWireDetectsCorruptChunk(t *testing.T) {
 	}
 }
 
+// TestExecutorAsyncModeMatchesSync holds the checkpoint goroutine to the
+// inline writer: fed the same commits at interval 3, an executor that was
+// started and one that was not reach the same roots at every checkpoint, the
+// same state digest and the same checkpoint count, and save the same blobs.
 func TestExecutorAsyncModeMatchesSync(t *testing.T) {
 	var commits []bullshark.CommittedSubDAG
 	for seq := uint64(1); seq <= 20; seq++ {
 		commits = append(commits, makeCommit(seq, types.Round(seq*2),
 			[][]byte{PutOp([]byte{byte(seq)}, []byte("v")), DeleteOp([]byte{byte(seq / 2)})}))
 	}
-	sync := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
+	inlineStore := &recordingStore{}
+	startedStore := &savedStore{saved: make(chan uint64, 1)}
+	inline := NewExecutor(NewKVState(), Config{CheckpointInterval: 3, Store: inlineStore})
+	started := NewExecutor(NewKVState(), Config{CheckpointInterval: 3, Store: startedStore})
+	started.Start()
 	for _, c := range commits {
-		sync.ApplyCommit(c)
+		inline.ApplyCommit(c)
+		started.ApplyCommit(c)
+		if c.Index%3 == 0 {
+			// The checkpoint goroutine writes this cut before the next one
+			// can replace it.
+			select {
+			case seq := <-startedStore.saved:
+				if seq != c.Index {
+					t.Fatalf("checkpoint goroutine saved seq %d, want %d", seq, c.Index)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("checkpoint goroutine never saved the cut at seq %d", c.Index)
+			}
+		}
 	}
-	if sync.q != nil || sync.QueueDepth() != 0 {
-		t.Fatal("an executor that was never started holds an async queue")
+	inline.Close()
+	started.Close()
+	for seq := uint64(1); seq <= 20; seq++ {
+		a, aok := inline.RootAt(seq)
+		b, bok := started.RootAt(seq)
+		if !aok || !bok || a != b {
+			t.Fatalf("root at seq %d: started %s (%v), inline %s (%v)", seq, b, bok, a, aok)
+		}
 	}
-	async := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000, QueueDepth: 4})
-	async.Start()
-	for _, c := range commits {
-		async.Submit(c)
+	if started.StateDigest() != inline.StateDigest() {
+		t.Fatalf("state digest: started %s, inline %s", started.StateDigest(), inline.StateDigest())
 	}
-	async.Close()
-	if async.AppliedSeq() != sync.AppliedSeq() || async.StateRoot() != sync.StateRoot() {
-		t.Fatalf("async (%d, %s) != sync (%d, %s)",
-			async.AppliedSeq(), async.StateRoot(), sync.AppliedSeq(), sync.StateRoot())
+	// Six interval checkpoints and Close's final one at seq 20.
+	if started.Checkpoints() != 7 || inline.Checkpoints() != 7 {
+		t.Fatalf("checkpoints: started %d, inline %d, want 7", started.Checkpoints(), inline.Checkpoints())
+	}
+	got, want := startedStore.log(), inlineStore.log()
+	if len(got) != len(want) {
+		t.Fatalf("started saved %d blobs, inline %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].seq != want[i].seq || !bytes.Equal(got[i].blob, want[i].blob) {
+			t.Fatalf("save %d: started seq %d, inline seq %d, blobs equal %v",
+				i, got[i].seq, want[i].seq, bytes.Equal(got[i].blob, want[i].blob))
+		}
 	}
 }
 
-// TestExecutorSubmitBeforeStartIsDroppedAtClose pins what Submit does for a
-// caller that breaks the contract (Start first): it waits, and Close releases
-// it with the commit dropped, exactly as for a submit that races Close.
-func TestExecutorSubmitBeforeStartIsDroppedAtClose(t *testing.T) {
-	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
-	returned := make(chan struct{})
-	go func() {
-		defer close(returned)
-		x.Submit(makeCommit(1, 2, [][]byte{PutOp([]byte("k"), []byte("v"))}))
-	}()
-	x.Close()
+// savedStore is a recordingStore that also reports each save's sequence.
+type savedStore struct {
+	recordingStore
+	saved chan uint64
+}
+
+func (s *savedStore) Save(seq uint64, blob []byte) error {
+	err := s.recordingStore.Save(seq, blob)
 	select {
-	case <-returned:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Submit on a never-started executor did not return after Close")
+	case s.saved <- seq:
+	default: // Close's final save, which nothing waits for
 	}
-	if x.AppliedSeq() != 0 {
-		t.Fatalf("applied seq %d: a never-started executor applied a submitted commit", x.AppliedSeq())
+	return err
+}
+
+// TestExecutorSubmitBeforeStartIsDroppedAtClose pins what Close does for an
+// executor that was never started: it writes the final checkpoint itself,
+// before returning, for the commits applied since the last one.
+func TestExecutorSubmitBeforeStartIsDroppedAtClose(t *testing.T) {
+	store := &recordingStore{}
+	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000, Store: store})
+	x.ApplyCommit(makeCommit(1, 2, [][]byte{PutOp([]byte("k"), []byte("v"))}))
+	x.Close()
+	if x.Checkpoints() != 1 {
+		t.Fatalf("%d checkpoints after Close, want the final one", x.Checkpoints())
+	}
+	saves := store.log()
+	if len(saves) != 1 || saves[0].seq != 1 {
+		t.Fatalf("saves after Close = %d, want one at seq 1", len(saves))
+	}
+	if meta, blob, ok := x.LatestSnapshot(); !ok || meta.CommitSeq != 1 || !bytes.Equal(blob, saves[0].blob) {
+		t.Fatalf("latest snapshot after Close: seq %d (ok %v), want the saved final checkpoint", meta.CommitSeq, ok)
+	}
+	x.Close() // idempotent: nothing more is cut or saved
+	if len(store.log()) != 1 {
+		t.Fatal("a second Close saved again")
 	}
 }
 
@@ -355,13 +488,6 @@ func TestExecutorReadKV(t *testing.T) {
 	}
 	if r, _ := x.ReadKV([]byte("missing")); r.Found {
 		t.Fatal("missing key reported found")
-	}
-
-	// A non-KV state machine has no generic read surface.
-	type opaque struct{ StateMachine }
-	y := NewExecutor(opaque{NewKVState()}, Config{})
-	if _, ok := y.ReadKV([]byte("a")); ok {
-		t.Fatal("ReadKV against a custom state machine must report ok=false")
 	}
 }
 

@@ -23,9 +23,6 @@ const (
 	// back; the committer's own GC makes anything deeper than GCDepth
 	// impossible everywhere).
 	DefaultBoundaryRounds types.Round = 16
-	// DefaultQueueDepth bounds the asynchronous commit queue; a full queue
-	// backpressures the node's commit loop rather than dropping commits.
-	DefaultQueueDepth = 1024
 	// rootRingSize is how many recent (seq, root) pairs RootAt retains.
 	rootRingSize = 4096
 )
@@ -39,8 +36,6 @@ type Config struct {
 	// BoundaryRounds is the ordered-window depth carried by snapshots
 	// (0 = DefaultBoundaryRounds).
 	BoundaryRounds types.Round
-	// QueueDepth bounds the async commit queue (0 = DefaultQueueDepth).
-	QueueDepth int
 	// Store persists checkpoints (nil = in-memory MemoryStore).
 	Store SnapshotStore
 	// OnCheckpoint, when non-nil, observes every checkpoint once the store
@@ -57,16 +52,16 @@ type Config struct {
 	// snapshots that carry no scheduler state — set (by internal/validator)
 	// for the HammerHead scheduler, whose ordering cannot follow a snapshot
 	// jump without the schedule the snapshot was cut under. The check runs
-	// before the state machine is touched, so a snapshot without one (a
-	// responder running the round-robin baseline) fails cleanly and another
-	// responder is tried.
+	// before the ledger is touched, so a snapshot without one (a responder
+	// running the round-robin baseline) fails cleanly and another responder
+	// is tried.
 	RequireSchedulerState bool
 	// CheckpointCerts says the node runs checkpoint certification, which
 	// asks two things of the executor. InstallFromWire rejects remote
 	// snapshots that carry no checkpoint certificate, or whose certificate
 	// does not cover exactly the snapshot's (round, seq, roots, scheduler
 	// state) tuple; like RequireSchedulerState, the check runs before the
-	// state machine is touched: a fresh checkpoint whose certification
+	// ledger is touched: a fresh checkpoint whose certification
 	// gossip is still in flight fails cleanly and another responder (or a
 	// later retry) is tried. And every checkpoint keeps the frozen view of
 	// the KV state it was cut from for AttachCertificate to promote and
@@ -78,31 +73,20 @@ type Config struct {
 	// quorum (typically checkpoint.Certificate.Verify against the node's
 	// committee). Only consulted when CheckpointCerts is set.
 	CertVerifier func(*checkpoint.Certificate) error
-	// OnApplied, when non-nil, observes every commit the ASYNC apply
-	// goroutine finishes (including the close-time drain) — the tracing tap
-	// for the "applied" lifecycle stage. It runs on the apply goroutine with
-	// no executor lock held, after ApplyCommit returns; it must not block.
-	// Synchronous ApplyCommit callers (benchmarks, replay tools) bypass it.
-	OnApplied func(sub bullshark.CommittedSubDAG)
 	// Metrics, when non-nil, receives executor gauges and counters.
 	Metrics *metrics.Registry
 }
 
-// Executor drives a StateMachine from the commit stream. It tracks
+// Executor applies the commit stream to a KV ledger. It tracks
 // (lastAppliedRound, stateRoot) where the root is an incremental hash chained
 // per commit, emits periodic checkpoints into its SnapshotStore, and installs
 // verified snapshots during state-sync.
 //
-// Two usage modes share the same core:
-//
-//   - Synchronous: call ApplyCommit from the commit-delivering goroutine
-//     (the discrete-event simulator, benchmarks, trace replay). Checkpoints
-//     are written before the call that cut them returns.
-//   - Asynchronous: call Start once, then Submit from the commit stream; a
-//     dedicated goroutine applies, so a slow state machine backpressures the
-//     bounded queue instead of the consensus path (real nodes), and a second
-//     one writes checkpoints, so neither applies nor reads wait on a
-//     serialisation or a disk.
+// ApplyCommit runs on the goroutine that delivers commits. Checkpoints are
+// written before the call that cut them returns (the discrete-event
+// simulator, benchmarks, trace replay) or, after Start, on a checkpoint
+// goroutine (real nodes), so neither applies nor reads wait on a
+// serialisation or a disk.
 //
 // A checkpoint is cut under the lock in O(writes since the last one) — the
 // state is flushed and frozen, the ordered window and scheduler bytes copied —
@@ -111,7 +95,7 @@ type Config struct {
 // encoded blob, announced to OnCheckpoint.
 type Executor struct {
 	mu  sync.Mutex
-	sm  StateMachine
+	kv  *KVState // guarded by mu
 	cfg Config
 
 	appliedRound types.Round  // guarded by mu
@@ -169,18 +153,13 @@ type Executor struct {
 	// order. Taken before mu, never while holding it.
 	writeMu sync.Mutex
 
-	// Async mode. q and wake are made by Start: synchronous users (the
-	// simulator's executors, replay tools, benchmarks) never pay for its
-	// QueueDepth slots. wake hands parked checkpoint work to the checkpoint
-	// goroutine.
-	q       chan bullshark.CommittedSubDAG
+	// The checkpoint goroutine, after Start: wake hands it parked work.
 	wake    chan struct{}
 	done    chan struct{}
 	wg      sync.WaitGroup
 	started bool // guarded by mu
 
 	appliedMetric *metrics.Gauge
-	queueMetric   *metrics.Gauge
 	snapBytes     *metrics.Counter
 }
 
@@ -190,9 +169,8 @@ type rootAt struct {
 }
 
 // ckpt is one checkpoint on its way from cut to cache. snap holds the tuple
-// and the side structures fixed at the cut; its Data is set only where the
-// state was serialised then (a state machine that cannot freeze, an install)
-// and dropped once blob exists. Executor.mu guards the fields below.
+// and the side structures fixed at the cut, without Data: the state's bytes
+// are in blob once written. Executor.mu guards the fields below.
 type ckpt struct {
 	snap Snapshot
 	// frozen is the state at the cut: what the writer serialises and, with
@@ -206,35 +184,32 @@ type ckpt struct {
 	blobCert *checkpoint.Certificate
 	certAt   int
 	// blob[kvAt:kvAt+kvLen] is the KV encoding of the view cut at its
-	// ledger's Freeze kvGen, when the writer encoded one (kvGen 0: an install,
-	// or a custom state machine): the next cut's writer merges into it.
+	// ledger's Freeze kvGen, when the writer encoded one (kvGen 0: an
+	// install): the next cut's writer merges into it.
 	kvAt, kvLen int
 	kvGen       uint64
 }
 
-// NewExecutor builds an executor over the given state machine.
-func NewExecutor(sm StateMachine, cfg Config) *Executor {
+// NewExecutor builds an executor over the given ledger, which it owns from
+// then on: an install replaces it with the ledger restored from the snapshot.
+func NewExecutor(kv *KVState, cfg Config) *Executor {
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
 	if cfg.BoundaryRounds == 0 {
 		cfg.BoundaryRounds = DefaultBoundaryRounds
 	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	if cfg.Store == nil {
 		cfg.Store = NewMemoryStore()
 	}
 	x := &Executor{
-		sm:      sm,
+		kv:      kv,
 		cfg:     cfg,
 		ordered: make(map[types.Round][]OrderedRef),
 		done:    make(chan struct{}),
 	}
 	if cfg.Metrics != nil {
 		x.appliedMetric = cfg.Metrics.Gauge("hammerhead_executor_applied_round")
-		x.queueMetric = cfg.Metrics.Gauge("hammerhead_executor_queue_depth")
 		x.snapBytes = cfg.Metrics.Counter("hammerhead_snapshot_bytes_total")
 	}
 	return x
@@ -247,14 +222,12 @@ func (x *Executor) Store() SnapshotStore { return x.cfg.Store }
 // checkpoints exactly when its executor was built for it.
 func (x *Executor) CheckpointCerts() bool { return x.cfg.CheckpointCerts }
 
-// ---- synchronous core ----
-
 // ApplyCommit applies one ordered sub-DAG. Commits at or below the applied
 // sequence are skipped (WAL replay and snapshot installs make redeliveries
 // normal). At the checkpoint interval it cuts a checkpoint and hands it on:
 // to the checkpoint goroutine after Start, otherwise through the writer
 // before returning. Safe for concurrent use, though a single delivering
-// goroutine is the expected shape.
+// goroutine — the node's commit goroutine — is the expected shape.
 //
 //hammerlint:deterministic
 func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
@@ -270,7 +243,7 @@ func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
 	for _, v := range sub.Vertices {
 		if v.Batch != nil {
 			for i := range v.Batch.Transactions {
-				x.sm.Apply(&v.Batch.Transactions[i])
+				x.kv.Apply(&v.Batch.Transactions[i])
 			}
 		}
 		x.ordered[v.Round] = append(x.ordered[v.Round], OrderedRef{Digest: v.Digest(), Round: v.Round})
@@ -394,14 +367,13 @@ func (x *Executor) StateRoot() types.Digest {
 	return x.stateRoot
 }
 
-// StateDigest computes the state machine's content digest. For the built-in
-// KVState that hashes every trie node written since the last checkpoint or
-// StateDigest call — checkpoint cost, under the executor's lock; not a
-// hot-path call.
+// StateDigest computes the ledger's content digest: it hashes every trie node
+// written since the last checkpoint or StateDigest call — checkpoint cost,
+// under the executor's lock; not a hot-path call.
 func (x *Executor) StateDigest() types.Digest {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.sm.Root()
+	return x.kv.Root()
 }
 
 // RootAt returns the chained root as of the given commit sequence, if still
@@ -434,23 +406,19 @@ type KVRead struct {
 // ReadKV serves the RPC gateway's GET /v1/kv path: a point read with its
 // consistency cursor, taken atomically under the executor's lock so the value
 // and the (seq, root) pair always belong to the same applied prefix. ok is
-// false when the executor's state machine is not a KVState (a custom
-// StateMachine has no generic read surface). Safe for concurrent use; the
+// always true: it is there for the gateway's read hook, which a replica that
+// stopped trusting its state answers false. Safe for concurrent use; the
 // returned value slice is stable (an overwrite gives the entry a new slice;
 // KVState never writes to the bytes of one it handed out).
 func (x *Executor) ReadKV(key []byte) (KVRead, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	kv, ok := x.sm.(*KVState)
-	if !ok {
-		return KVRead{}, false
-	}
 	r := KVRead{
 		AppliedSeq: x.appliedSeq,
 		Round:      x.appliedRound,
 		StateRoot:  x.stateRoot,
 	}
-	r.Value, r.Version, r.Found = kv.GetVersioned(key)
+	r.Value, r.Version, r.Found = x.kv.GetVersioned(key)
 	return r, true
 }
 
@@ -491,9 +459,8 @@ func (x *Executor) ForceCheckpoint() (Snapshot, error) {
 }
 
 // cutLocked takes a checkpoint of the applied state for the writer. Its cost
-// is the writes since the last cut, not the state: the KV state is flushed
-// and frozen (a custom state machine, which cannot freeze, is serialised
-// here), and the ordered window and scheduler bytes are copied.
+// is the writes since the last cut, not the state: the ledger is flushed and
+// frozen, and the ordered window and scheduler bytes are copied.
 func (x *Executor) cutLocked() (*ckpt, error) {
 	x.sinceCkpt = 0
 	schedBytes := x.schedStateBytes
@@ -504,26 +471,17 @@ func (x *Executor) cutLocked() (*ckpt, error) {
 			return nil, fmt.Errorf("execution: encoding scheduler state: %w", err)
 		}
 	}
-	c := &ckpt{snap: Snapshot{
+	frozen := x.kv.Freeze()
+	c := &ckpt{frozen: frozen, snap: Snapshot{
 		Checkpoint: Checkpoint{
-			Round:     x.appliedRound,
-			CommitSeq: x.appliedSeq,
-			StateRoot: x.stateRoot,
+			Round:       x.appliedRound,
+			CommitSeq:   x.appliedSeq,
+			StateRoot:   x.stateRoot,
+			StateDigest: frozen.Root(),
 		},
 		Floor:          x.boundaryFloorLocked(),
 		SchedulerState: schedBytes,
 	}}
-	if kv, ok := x.sm.(*KVState); ok {
-		c.frozen = kv.Freeze()
-		c.snap.StateDigest = c.frozen.Root()
-	} else {
-		data, err := x.sm.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		c.snap.Data = data
-		c.snap.StateDigest = x.sm.Root()
-	}
 	window := 0
 	for _, bucket := range x.ordered {
 		window += len(bucket)
@@ -598,13 +556,9 @@ func (x *Executor) write(c *ckpt) (Snapshot, error) {
 	cut := blob == nil // an install arrives encoded
 	if cut {
 		var body []byte
-		if frozen != nil {
-			body, c.kvAt, c.kvLen = checkpointBody(&snap, frozen, base, baseGen)
-			c.kvGen = frozen.gen
-			snap.Data = body[c.kvAt : c.kvAt+c.kvLen : c.kvAt+c.kvLen]
-		} else {
-			body = snapshotBody(snap)
-		}
+		body, c.kvAt, c.kvLen = checkpointBody(&snap, frozen, base, baseGen)
+		c.kvGen = frozen.gen
+		snap.Data = body[c.kvAt : c.kvAt+c.kvLen : c.kvAt+c.kvLen]
 		x.mu.Lock()
 		if !x.cfg.CheckpointCerts {
 			// Nothing will promote the view: the live trie gets its nodes
@@ -627,7 +581,6 @@ func (x *Executor) write(c *ckpt) (Snapshot, error) {
 	}
 	x.writing = nil
 	c.blob, c.blobCert = blob, cert
-	c.snap.Data = nil
 	x.cacheLocked(c)
 	if cut {
 		x.ckptCount++
@@ -666,11 +619,11 @@ func (x *Executor) drop(c *ckpt, err error) (Snapshot, error) {
 	return Snapshot{}, err
 }
 
-// releaseLocked hands a frozen view back to the KV state (a no-op when a
-// later cut froze it again or an install replaced it).
+// releaseLocked hands a frozen view back to the ledger (a no-op when a later
+// cut froze it again or an install replaced the ledger).
 func (x *Executor) releaseLocked(f *FrozenKV) {
-	if kv, ok := x.sm.(*KVState); ok && f != nil {
-		kv.Release(f)
+	if f != nil {
+		x.kv.Release(f)
 	}
 }
 
@@ -728,14 +681,25 @@ func (x *Executor) reseal() bool {
 	return true
 }
 
-// Install replaces the executor's state with a verified snapshot: the state
-// machine is restored from the snapshot bytes and its content digest is
-// recomputed — a mismatch (corrupted or forged chunk) rolls the previous
-// state back and rejects the install. On success the snapshot becomes the
-// latest cached checkpoint at once and is handed to the writer, which saves
-// it to the local store, so the node can serve it onward and survive
-// restarts.
-func (x *Executor) Install(snap Snapshot) error {
+// install replaces the executor's state with a verified snapshot. A fresh
+// ledger is restored from the snapshot bytes and its content digest
+// recomputed, off the lock, and adopted only when the digest matches: a
+// corrupted or forged chunk is rejected with the live ledger untouched. On
+// success the snapshot becomes the latest cached checkpoint at once and is
+// handed to the writer, which saves it to the local store, so the node can
+// serve it onward and survive restarts.
+func (x *Executor) install(snap Snapshot) error {
+	if snap.CommitSeq <= x.AppliedSeq() {
+		return ErrStaleSnapshot
+	}
+	kv := NewKVState()
+	if err := kv.Restore(snap.Data); err != nil {
+		return fmt.Errorf("execution: restoring snapshot: %w", err)
+	}
+	if got := kv.Root(); got != snap.StateDigest {
+		return fmt.Errorf("execution: snapshot state digest mismatch: recomputed %s, checkpoint %s",
+			got, snap.StateDigest)
+	}
 	body := snapshotBody(snap)
 	c := &ckpt{snap: snap, cert: snap.Cert, blobCert: snap.Cert, certAt: len(body)}
 	c.blob = sealSnapshot(body, snap.Cert)
@@ -746,21 +710,7 @@ func (x *Executor) Install(snap Snapshot) error {
 		x.mu.Unlock()
 		return ErrStaleSnapshot
 	}
-	prev, err := x.sm.Snapshot()
-	if err != nil {
-		x.mu.Unlock()
-		return fmt.Errorf("execution: preserving state for install: %w", err)
-	}
-	if err := x.sm.Restore(snap.Data); err != nil {
-		x.mu.Unlock()
-		return fmt.Errorf("execution: restoring snapshot: %w", err)
-	}
-	if got := x.sm.Root(); got != snap.StateDigest {
-		_ = x.sm.Restore(prev)
-		x.mu.Unlock()
-		return fmt.Errorf("execution: snapshot state digest mismatch: recomputed %s, checkpoint %s",
-			got, snap.StateDigest)
-	}
+	x.kv = kv
 	x.appliedSeq = snap.CommitSeq
 	x.appliedRound = snap.Round
 	x.stateRoot = snap.StateRoot
@@ -787,7 +737,7 @@ func (x *Executor) Install(snap Snapshot) error {
 	if x.snapBytes != nil {
 		x.snapBytes.Add(uint64(len(snap.Data)))
 	}
-	if kv, ok := x.sm.(*KVState); ok && x.cfg.CheckpointCerts {
+	if x.cfg.CheckpointCerts {
 		c.frozen = kv.Freeze()
 		if snap.Cert != nil {
 			// An installed snapshot arrives pre-certified: its frozen view is
@@ -887,10 +837,9 @@ type ProvenKV struct {
 }
 
 // ProvenRead serves a proof-carrying read against the last certified
-// checkpoint. ok is false until a certificate has been attached (or when the
-// state machine is not a KVState). The read lags the live state by up to one
-// checkpoint interval plus certification gossip — the price of serving only
-// quorum-certified answers.
+// checkpoint. ok is false until a certificate has been attached. The read
+// lags the live state by up to one checkpoint interval plus certification
+// gossip — the price of serving only quorum-certified answers.
 func (x *Executor) ProvenRead(key []byte) (ProvenKV, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -906,76 +855,24 @@ func (x *Executor) ProvenRead(key []byte) (ProvenKV, bool) {
 	}, true
 }
 
-// ---- asynchronous mode ----
+// ---- checkpoint goroutine ----
 
-// Start makes the commit queue and spawns the executor's apply and
-// checkpoint goroutines. Must be called once, before the first Submit and
-// before any goroutine that submits is started.
+// Start spawns the checkpoint goroutine: from then on the writer's work that
+// ApplyCommit, install and AttachCertificate park is done there instead of
+// on the calling goroutine. Call once, before the first commit.
 func (x *Executor) Start() {
 	x.mu.Lock()
+	defer x.mu.Unlock()
 	if x.started {
-		x.mu.Unlock()
 		return
 	}
 	x.started = true
-	x.q = make(chan bullshark.CommittedSubDAG, x.cfg.QueueDepth)
 	x.wake = make(chan struct{}, 1)
-	x.mu.Unlock()
-	x.wg.Add(2)
-	go x.loop()
+	x.wg.Add(1)
 	go x.writeLoop()
 }
 
-// Submit enqueues a commit for the apply goroutine. Blocks when the queue is
-// full (backpressure on the commit stream); drops the commit when the
-// executor is closed (the WAL re-derives it on restart). Start comes first,
-// as it always had to: an executor that was never started has no queue, so
-// Submit blocks until Close and then drops the commit.
-//
-//hammerlint:nonblocking
-func (x *Executor) Submit(sub bullshark.CommittedSubDAG) {
-	select {
-	case x.q <- sub:
-		if x.queueMetric != nil {
-			x.queueMetric.Set(int64(len(x.q)))
-		}
-	case <-x.done:
-	}
-}
-
-// QueueDepth returns the current async queue occupancy (0 before Start).
-func (x *Executor) QueueDepth() int { return len(x.q) }
-
-func (x *Executor) loop() {
-	defer x.wg.Done()
-	for {
-		select {
-		case sub := <-x.q:
-			if x.queueMetric != nil {
-				x.queueMetric.Set(int64(len(x.q)))
-			}
-			x.ApplyCommit(sub)
-			if x.cfg.OnApplied != nil {
-				x.cfg.OnApplied(sub)
-			}
-		case <-x.done:
-			// Drain what the commit loop already queued, then stop.
-			for {
-				select {
-				case sub := <-x.q:
-					x.ApplyCommit(sub)
-					if x.cfg.OnApplied != nil {
-						x.cfg.OnApplied(sub)
-					}
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// writeLoop is the checkpoint goroutine: it writes what ApplyCommit, Install
+// writeLoop is the checkpoint goroutine: it writes what ApplyCommit, install
 // and AttachCertificate park, until Close.
 func (x *Executor) writeLoop() {
 	defer x.wg.Done()
@@ -989,13 +886,11 @@ func (x *Executor) writeLoop() {
 	}
 }
 
-// Close stops the apply and checkpoint goroutines after draining queued
-// commits, writes what they left parked, and cuts a final checkpoint so a
-// restart resumes from the freshest possible state. Idempotent;
-// synchronous-mode users may skip it.
+// Close stops the checkpoint goroutine, writes what it left parked, and cuts
+// a final checkpoint so a restart resumes from the freshest possible state.
+// Idempotent; an executor that was never started may skip it.
 func (x *Executor) Close() {
 	x.mu.Lock()
-	started := x.started
 	x.started = false
 	x.mu.Unlock()
 	select {
@@ -1004,9 +899,7 @@ func (x *Executor) Close() {
 	default:
 	}
 	close(x.done)
-	if started {
-		x.wg.Wait()
-	}
+	x.wg.Wait()
 	x.mu.Lock()
 	if x.appliedSeq > 0 && x.sinceCkpt > 0 {
 		if c, err := x.cutLocked(); err == nil {

@@ -85,10 +85,7 @@ func (o *inlineOracle) checkpoint() (Snapshot, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	o.sinceCkpt = 0
-	data, err := x.sm.Snapshot()
-	if err != nil {
-		return Snapshot{}, err
-	}
+	data := snapshotKV(x.kv)
 	var refs []OrderedRef
 	for _, bucket := range x.ordered {
 		refs = append(refs, bucket...)
@@ -96,6 +93,7 @@ func (o *inlineOracle) checkpoint() (Snapshot, error) {
 	sortOrderedRefs(refs)
 	schedBytes := x.schedStateBytes
 	if x.schedState != nil {
+		var err error
 		if schedBytes, err = x.schedState.Encode(); err != nil {
 			return Snapshot{}, fmt.Errorf("execution: encoding scheduler state: %w", err)
 		}
@@ -105,7 +103,7 @@ func (o *inlineOracle) checkpoint() (Snapshot, error) {
 			Round:       x.appliedRound,
 			CommitSeq:   x.appliedSeq,
 			StateRoot:   x.stateRoot,
-			StateDigest: x.sm.Root(),
+			StateDigest: x.kv.Root(),
 		},
 		Floor:          x.boundaryFloorLocked(),
 		Ordered:        refs,
@@ -115,7 +113,7 @@ func (o *inlineOracle) checkpoint() (Snapshot, error) {
 	if err := o.save(snap); err != nil {
 		return Snapshot{}, err
 	}
-	o.cache(snap, o.freeze())
+	o.cache(snap, o.freezeLocked())
 	o.ckptCount++
 	return snap, nil
 }
@@ -128,9 +126,9 @@ func (o *inlineOracle) save(snap Snapshot) error {
 	return o.store.Save(snap.CommitSeq, blob)
 }
 
-func (o *inlineOracle) freeze() *FrozenKV {
-	if kv, ok := o.x.sm.(*KVState); ok && o.certs {
-		return kv.Freeze()
+func (o *inlineOracle) freezeLocked() *FrozenKV {
+	if o.certs {
+		return o.x.kv.Freeze()
 	}
 	return nil
 }
@@ -150,12 +148,12 @@ func (o *inlineOracle) cache(snap Snapshot, frozen *FrozenKV) {
 }
 
 func (o *inlineOracle) install(snap Snapshot) error {
-	if err := o.x.Install(snap); err != nil {
+	if err := o.x.install(snap); err != nil {
 		return err
 	}
 	o.sinceCkpt = 0
 	o.x.mu.Lock()
-	frozen := o.freeze()
+	frozen := o.freezeLocked()
 	o.x.mu.Unlock()
 	o.cache(snap, frozen)
 	if snap.Cert != nil && frozen != nil {

@@ -15,9 +15,9 @@ import (
 	"hammerhead/internal/wire"
 )
 
-// ErrStaleSnapshot is returned by Install when the snapshot is no newer than
-// the executor's applied state (a responder can legitimately hold an older
-// checkpoint than the requester has already applied).
+// ErrStaleSnapshot is returned by an install when the snapshot is no newer
+// than the executor's applied state (a responder can legitimately hold an
+// older checkpoint than the requester has already applied).
 var ErrStaleSnapshot = errors.New("execution: snapshot not newer than applied state")
 
 // Checkpoint identifies one execution checkpoint: the executor's cursor after
@@ -58,7 +58,7 @@ type Snapshot struct {
 	// Ordered lists every ordered vertex with round >= Floor, sorted by
 	// (round, digest).
 	Ordered []OrderedRef
-	// Data is StateMachine.Snapshot() at the checkpoint.
+	// Data is the ledger's encoding (encodeKV) at the checkpoint.
 	Data []byte
 	// SchedulerState is the leader scheduler's encoded state right after the
 	// checkpoint's commit (core.ManagerState under HammerHead; empty under

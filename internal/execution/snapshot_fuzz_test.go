@@ -89,7 +89,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if kv.Restore(decoded.Data) != nil {
 			return
 		}
-		if state, _ := kv.Snapshot(); !bytes.Equal(state, decoded.Data) {
+		if state := snapshotKV(kv); !bytes.Equal(state, decoded.Data) {
 			t.Fatalf("KVState.Restore accepted %d state bytes that are not the encoding of what it restored (%d bytes)", len(decoded.Data), len(state))
 		}
 	}

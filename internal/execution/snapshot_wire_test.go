@@ -27,23 +27,14 @@ func TestKVSnapshotDeterministic(t *testing.T) {
 	}
 	a, b := build(), build()
 
-	first, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := snapshotKV(a)
 	for i := 0; i < 8; i++ {
-		again, err := a.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		again := snapshotKV(a)
 		if !bytes.Equal(first, again) {
 			t.Fatalf("snapshot %d of the same state differs from the first", i)
 		}
 	}
-	other, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := snapshotKV(b)
 	if !bytes.Equal(first, other) {
 		t.Fatal("two states built from identical op sequences snapshot to different bytes")
 	}
@@ -56,10 +47,7 @@ func TestKVSnapshotRoundTrip(t *testing.T) {
 	applyPut(s, "a", "1")
 	applyPut(s, "b", "2")
 	s.Apply(&types.Transaction{Payload: []byte("xx")}) // opaque
-	blob, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := snapshotKV(s)
 	r := NewKVState()
 	if err := r.Restore(blob); err != nil {
 		t.Fatal(err)
@@ -79,10 +67,7 @@ func TestKVSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotBlobChecksumCatchesAnyFlip(t *testing.T) {
 	s := NewKVState()
 	applyPut(s, "k", "v")
-	data, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := snapshotKV(s)
 	blob, err := EncodeSnapshot(Snapshot{
 		Checkpoint:     Checkpoint{Round: 8, CommitSeq: 4, StateDigest: s.Root()},
 		Floor:          2,

@@ -1,14 +1,15 @@
 // Package execution is the deterministic execution layer behind the commit
 // sink: consensus orders sub-DAGs, the Executor applies their transactions to
-// a pluggable StateMachine, and periodic checkpoints bound how much work a
-// recovering or newly joining validator must replay. Snapshot state-sync
-// (internal/engine's SnapshotRequest/SnapshotResponse) serves those
-// checkpoints to nodes that fell behind the DAG's GC horizon, where
-// certificate sync alone can no longer recover them.
+// a KV ledger (KVState) on the goroutine that delivers the commits, and
+// periodic checkpoints bound how much work a recovering or newly joining
+// validator must replay. Snapshot state-sync (internal/engine's
+// SnapshotRequest/SnapshotResponse) serves those checkpoints to nodes that
+// fell behind the DAG's GC horizon, where certificate sync alone can no
+// longer recover them.
 //
 // Everything in this package is a pure function of the commit stream: two
-// validators feeding identical commit sequences into identical state machines
-// reach identical (commit seq, state root) pairs — the property the simnet
+// validators feeding identical commit sequences into identical ledgers reach
+// identical (commit seq, state root) pairs — the property the simnet
 // convergence tests pin down, and the reason a snapshot taken on one
 // validator can be installed on another and verified by recomputing the
 // state digest.
@@ -24,24 +25,6 @@ import (
 	"hammerhead/internal/types"
 	"hammerhead/internal/wire"
 )
-
-// StateMachine is the pluggable deterministic state the Executor drives. All
-// methods are called from a single goroutine (the executor's).
-type StateMachine interface {
-	// Apply executes one transaction. It must be deterministic: identical
-	// transaction sequences yield identical state on every validator.
-	Apply(tx *types.Transaction)
-	// Root returns a content digest of the full current state. Two state
-	// machines that applied the same transaction sequence must return the
-	// same root; it is recomputed after a snapshot Restore to verify the
-	// transferred bytes.
-	Root() types.Digest
-	// Snapshot serializes the full state.
-	Snapshot() ([]byte, error)
-	// Restore replaces the state from a snapshot. It must be all-or-nothing:
-	// on error the previous state is left intact.
-	Restore(data []byte) error
-}
 
 // Op bytes of the KVState transaction encoding.
 const (
@@ -81,7 +64,7 @@ func DeleteOp(key []byte) []byte {
 	return out
 }
 
-// KVState is the built-in StateMachine: a versioned key-value ledger that
+// KVState is the state the Executor drives: a versioned key-value ledger that
 // parses transaction payloads as put/delete ops (see PutOp/DeleteOp).
 // Payloads that do not parse — including the empty payloads the latency
 // experiments submit — are counted but have no KV effect, so any transaction
@@ -117,7 +100,8 @@ func NewKVState() *KVState {
 	return &KVState{tree: merkle.New()}
 }
 
-// Apply implements StateMachine.
+// Apply executes one transaction, deterministically: identical transaction
+// sequences yield identical ledgers on every validator.
 func (s *KVState) Apply(tx *types.Transaction) {
 	p := tx.Payload
 	if len(p) < 3 {
@@ -190,9 +174,9 @@ func (s *KVState) Len() int { return s.tree.Len() }
 // Version returns the number of KV ops applied.
 func (s *KVState) Version() uint64 { return s.version }
 
-// Root implements StateMachine: the op counters combined with the Merkle
-// root. O(nodes written since the last Root/Prove/Freeze), O(1) when none
-// were: the tree defers its hashing to here.
+// Root is the ledger's content digest: the op counters combined with the
+// Merkle root. O(nodes written since the last Root/Prove/Freeze), O(1) when
+// none were: the tree defers its hashing to here.
 //
 //hammerlint:deterministic
 func (s *KVState) Root() types.Digest {
@@ -292,17 +276,8 @@ const (
 	_kvPairMinWire = 10
 )
 
-// Snapshot implements StateMachine. The encoding is deterministic: equal
-// states yield equal bytes on every validator (pairs are key-sorted; the op
-// counters are explicit fields).
-//
-//hammerlint:deterministic
-func (s *KVState) Snapshot() ([]byte, error) {
-	return encodeKV(s.tree, s.version, s.opaque), nil
-}
-
-// Snapshot serialises the frozen state exactly as KVState.Snapshot would have
-// at the Freeze. It reads the handle only, so it runs beside further applies
+// Snapshot serialises the frozen state: the whole ledger as it was at the
+// Freeze. It reads the handle only, so it runs beside further applies
 // to the live ledger: the executor's checkpoint writer encodes a view this
 // way, off its lock, when it cannot merge the view's writes into the
 // previous checkpoint's bytes (see checkpointBody).
@@ -317,7 +292,9 @@ func (f *FrozenKV) Snapshot() []byte {
 // restored. The caller must be done with f.
 func (s *KVState) Release(f *FrozenKV) { s.tree.Release(f.tree) }
 
-// encodeKV is the KV snapshot encoding of one tree and its op counters.
+// encodeKV is the KV snapshot encoding of one tree and its op counters. The
+// encoding is deterministic: equal states yield equal bytes on every
+// validator (pairs are key-sorted; the op counters are explicit fields).
 //
 //hammerlint:deterministic
 func encodeKV(tree *merkle.Tree, version, opaque uint64) []byte {
@@ -428,9 +405,9 @@ func kvCellAt(cells []byte, at int) (key []byte, next int) {
 	return key, at + n + int(vl) + 8
 }
 
-// Restore implements StateMachine. Decoding and tree rebuilding happen into
-// fresh structures, so a corrupt snapshot leaves the previous state
-// untouched. Keys and values are copied out of the blob (the tree holds its
+// Restore replaces the ledger with a Snapshot's. Decoding and tree
+// rebuilding happen into fresh structures, so a corrupt snapshot leaves the
+// previous state untouched. Keys and values are copied out of the blob (the tree holds its
 // inputs by reference, and the blob is a transient transfer buffer). The
 // rebuild is the batch recomputation of the Merkle root — the install path's
 // digest check compares it against the incrementally maintained root the

@@ -76,7 +76,7 @@ func (x *Executor) InstallFromWire(meta engine.SnapshotMeta, data []byte) (*engi
 			return nil, err
 		}
 	}
-	if err := x.Install(snap); err != nil {
+	if err := x.install(snap); err != nil {
 		return nil, err
 	}
 	return snapshotInstallPlan(snap), nil
@@ -130,7 +130,7 @@ func snapshotInstallPlan(snap Snapshot) *engine.SnapshotInstall {
 // metadata. Used before WAL replay so a node that slept past the GC horizon
 // resumes from its own checkpoint instead of an unrecoverable gap.
 func (x *Executor) InstallLocal(snap Snapshot) (engine.SnapshotMeta, *engine.SnapshotInstall, error) {
-	if err := x.Install(snap); err != nil {
+	if err := x.install(snap); err != nil {
 		return engine.SnapshotMeta{}, nil, err
 	}
 	meta := engine.SnapshotMeta{

@@ -135,8 +135,8 @@ type Node struct {
 	// observes the commit stream for SSE subscribers.
 	gw *rpc.Gateway
 	// exec is the execution subsystem (nil when Config.Execution is off):
-	// commits fan out to it from the commit loop, it applies them on its own
-	// goroutine and owns checkpointing and snapshot install.
+	// the commit loop applies each commit to it, and it owns checkpointing
+	// (written on its checkpoint goroutine) and snapshot install.
 	exec *execution.Executor
 	// tracer is the commit-path trace collector (nil without Config.Trace;
 	// the nil tracer is inert, so record sites need no branches).
@@ -156,12 +156,12 @@ type Node struct {
 	preq   chan inbound
 
 	// Commit delivery runs on its own goroutine: the engine's CommitSink
-	// enqueues ordered sub-DAGs here and commitLoop hands them to the
-	// configured handler, so a slow executor backpressures the (bounded)
-	// queue instead of stalling the engine directly. It is the one queue
-	// between ordering and execution. While the validator is replaying
-	// (validator.Validator.Replaying) commits bypass it: they are delivered
-	// synchronously and flagged replayed.
+	// enqueues ordered sub-DAGs here and commitLoop streams, applies and
+	// hands them to the configured handler, so a slow executor backpressures
+	// the (bounded) queue instead of stalling the engine directly. It is the
+	// one queue between ordering and execution. While the validator is
+	// replaying (validator.Validator.Replaying) commits bypass it: they are
+	// delivered synchronously and flagged replayed.
 	commitq  chan commitDelivery
 	commitWg sync.WaitGroup
 
@@ -370,8 +370,8 @@ func New(cfg Config) (*Node, error) {
 }
 
 // executionConfig is the executor's configuration: checkpoints persisted to
-// Config.SnapshotDir, the applied trace stage, and the checkpoint hook that
-// feeds WAL compaction and certification.
+// Config.SnapshotDir, and the checkpoint hook that feeds WAL compaction and
+// certification.
 func (n *Node) executionConfig() (*execution.Config, error) {
 	cfg := n.cfg
 	xc := &execution.Config{
@@ -388,11 +388,6 @@ func (n *Node) executionConfig() (*execution.Config, error) {
 			return nil, fmt.Errorf("node: opening snapshot store: %w", err)
 		}
 		xc.Store = store
-	}
-	if n.tracer != nil {
-		xc.OnApplied = func(sub bullshark.CommittedSubDAG) {
-			recordCommitStage(n.tracer, obs.StageApplied, &sub)
-		}
 	}
 	if n.walw != nil || cfg.CheckpointCerts {
 		// Checkpoint-driven WAL compaction: once a checkpoint is durable,
@@ -615,7 +610,8 @@ func (n *Node) deliverCommit(sub bullshark.CommittedSubDAG, replayed bool) {
 		// The executor dedupes by commit sequence, so replayed commits that
 		// were already applied (from a pre-crash run resumed via a local
 		// snapshot) fall out naturally.
-		n.exec.Submit(sub)
+		n.exec.ApplyCommit(sub)
+		recordCommitStage(n.tracer, obs.StageApplied, &sub)
 	}
 	if n.cfg.OnCommit != nil {
 		n.cfg.OnCommit(sub, replayed)
@@ -730,7 +726,8 @@ func (n *Node) Start(tr transport.Transport) error {
 	n.trans = tr
 
 	if n.exec != nil {
-		// First: Start makes the queue the commit loop submits to.
+		// First: recovery's snapshot install and replayed commits hand their
+		// checkpoints to the checkpoint goroutine.
 		n.exec.Start()
 	}
 	n.wg.Add(1)
@@ -847,8 +844,8 @@ func (n *Node) Close() error {
 	close(n.commitq)
 	n.commitWg.Wait()
 	if n.exec != nil {
-		// After the commit loop drained nothing submits anymore; the
-		// executor applies its backlog and cuts a final checkpoint.
+		// After the commit loop drained nothing applies anymore; the
+		// executor writes what is parked and cuts a final checkpoint.
 		n.exec.Close()
 	}
 	err := n.walw.close()
