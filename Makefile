@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing crash-restart apply-path clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing crash-restart apply-path checkpoint-phase clean
 
 all: build test
 
@@ -150,6 +150,20 @@ ring-bytes:
 apply-path:
 	go test -race -count=3 -run '^(TestCheckpointsMatchInlineOracle|TestCheckpointMergeMatchesFullEncode|TestExecutorAsyncModeMatchesSync|TestExecutorSubmitBeforeStartIsDroppedAtClose|TestExecutorInstallVerifiesAndAdopts|TestRejectedInstallLeavesTheLedgerAlone)$$' ./internal/execution/
 	go test -race -count=3 -run '^(TestNodesExecuteAndConverge|TestCheckpointDrivenWALCompactionAndRestart|TestTraceCoversFullCommitPath)$$' ./internal/node/
+
+# checkpoint-phase is CI's "Checkpoints where the period waits (race)" step:
+# the cut rule (a checkpoint at the commit that ends a period's fast phase,
+# at most interval+1 commits apart, the same seqs on every validator and
+# after a clean restart), the executor's checkpoint tests that follow it,
+# four certifying simulated validators healthy and with one crashed, a
+# restarted node whose certificates advance with the committee's, and the
+# resume window that keeps every commit above the older of the two newest
+# certified seqs.
+checkpoint-phase:
+	go test -race -count=3 -run '^(TestCheckpointCutRule|TestRestartKeepsTheCheckpointGrid|TestExecutorCheckpointsAtInterval|TestExecutorAsyncModeMatchesSync|TestNoFrozenViewsWithoutCertification|TestCheckpointsMatchInlineOracle|TestWriteNeverReplacesNewerCheckpoint|TestBlockedWriterStallsNothing)$$' ./internal/execution/
+	go test -race -count=3 -run '^TestCheckpointsLandWhereThePeriodWaits$$' ./internal/simnet/
+	go test -race -count=3 -run '^TestCleanRestartKeepsTheCheckpointGrid$$' ./internal/node/
+	go test -race -count=3 -run '^(TestRingKeepsWhatAReplicaBootstrapsFrom|TestFullSubscriberThatKeepsUpNeverGaps)$$' ./internal/rpc/
 
 clean:
 	rm -rf bin hammerlint

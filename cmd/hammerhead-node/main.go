@@ -56,7 +56,7 @@ func run(args []string) error {
 	rpcAddr := fs.String("rpc-addr", "", "address for the client gateway (HTTP/JSON tx submission, KV reads, commit streaming; empty disables)")
 	rpcLanes := fs.Int("rpc-lanes", 0, "fair-admission mempool lanes for gateway clients (<=1 keeps a single lane)")
 	execution := fs.Bool("execution", false, "enable the execution subsystem: deterministic KV state machine, checkpoints, snapshot state-sync")
-	checkpointInterval := fs.Uint64("checkpoint-interval", 0, "commits between execution checkpoints (0 = default 32; needs -execution)")
+	checkpointInterval := fs.Uint64("checkpoint-interval", 0, "about this many commits between execution checkpoints, never more than one past it: the cut moves to the commit that ends a period's fast phase (0 = default 32; needs -execution)")
 	checkpointCerts := fs.Bool("checkpoint-certs", false, "sign and gossip checkpoint tuples into quorum certificates, enabling trustless snapshots, proof-carrying reads and read replicas (needs -execution)")
 	snapshotDir := fs.String("snapshot-dir", "", "directory persisting execution checkpoints (empty = in-memory; needs -execution)")
 	trace := fs.Bool("trace", false, "record per-transaction commit-path traces, served on GET /v1/trace/{txid} and in the hammerhead_stage_latency_seconds histograms")

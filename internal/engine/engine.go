@@ -1213,6 +1213,14 @@ const (
 // round ≡ 0 that waits out the rest of the period (see pacingOpen).
 const periodRounds = 4
 
+// CommitEndsFastPhase reports whether the commit of the anchor at round
+// anchor ends a period's fast phase. An anchor ≡ 2 (mod 4) is committed by
+// its vote round ≡ 3; the validator then proposes the round ≡ 0, which waits
+// out the period. Work that commit starts runs while nothing waits for it.
+// The commit of an anchor ≡ 0 (mod 4) lands as the batch round is left, at
+// the start of the three rounds that leave at once.
+func CommitEndsFastPhase(anchor types.Round) bool { return anchor%periodRounds == 2 }
+
 // startPeriod arms the period timer of batch round r (see pacingOpen) once
 // this validator holds round-r headers worth f+1 stake, its own counted once
 // proposed. Not at its own header alone: a validator whose period ran ahead

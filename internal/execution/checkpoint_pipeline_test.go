@@ -242,8 +242,10 @@ func TestBlockedWriterStallsNothing(t *testing.T) {
 			close(store.gate)
 		}
 	}()
+	// Anchors ≡ 2 (mod 4) at the even seqs: each of those ends a fast phase,
+	// so the cuts land on them.
 	put := func(seq uint64) {
-		x.ApplyCommit(makeCommit(seq, types.Round(2*seq), [][]byte{PutOp([]byte("k"), []byte(fmt.Sprintf("v%d", seq)))}))
+		x.ApplyCommit(makeCommit(seq, types.Round(2*seq+2), [][]byte{PutOp([]byte("k"), []byte(fmt.Sprintf("v%d", seq)))}))
 	}
 	put(1)
 	put(2) // cut at 2
@@ -330,11 +332,12 @@ func TestWriteNeverReplacesNewerCheckpoint(t *testing.T) {
 	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 4, Store: store,
 		OnCheckpoint: func(s Snapshot) { announced = append(announced, s.CommitSeq) }})
 	x.Start()
-	for seq := 1; seq <= 4; seq++ {
+	// Seq 4's anchor (round 8) leaves the fast phase running: the cut is at 5.
+	for seq := 1; seq <= 5; seq++ {
 		x.ApplyCommit(stream[seq])
 	}
-	if seq := <-store.entered; seq != 4 {
-		t.Fatalf("writer saving seq %d, want 4", seq)
+	if seq := <-store.entered; seq != 5 {
+		t.Fatalf("writer saving seq %d, want 5", seq)
 	}
 	within(t, "Install", func() {
 		if err := x.install(installed); err != nil {

@@ -142,12 +142,14 @@ func TestExecutorCheckpointsAtInterval(t *testing.T) {
 	for seq := uint64(1); seq <= 9; seq++ {
 		x.ApplyCommit(makeCommit(seq, types.Round(seq*2), [][]byte{PutOp([]byte{byte(seq)}, []byte("v"))}))
 	}
+	// Seqs 4 and 8 commit anchors ≡ 0 (mod 4), which leave the fast phase
+	// running: each cut moves to the next commit, whose anchor ends it.
 	if got := x.Checkpoints(); got != 2 {
-		t.Fatalf("checkpoints = %d, want 2 (at seq 4 and 8)", got)
+		t.Fatalf("checkpoints = %d, want 2 (at seq 5 and 9)", got)
 	}
 	snap, ok := store.Latest()
-	if !ok || snap.CommitSeq != 8 {
-		t.Fatalf("latest checkpoint seq = %d (ok=%v), want 8", snap.CommitSeq, ok)
+	if !ok || snap.CommitSeq != 9 || snap.Round != 18 {
+		t.Fatalf("latest checkpoint seq = %d round %d (ok=%v), want seq 9 round 18", snap.CommitSeq, snap.Round, ok)
 	}
 	if snap.StateRoot == (types.Digest{}) || snap.StateDigest == (types.Digest{}) {
 		t.Fatal("checkpoint must carry both roots")
@@ -331,10 +333,13 @@ func TestExecutorAsyncModeMatchesSync(t *testing.T) {
 	inline := NewExecutor(NewKVState(), Config{CheckpointInterval: 3, Store: inlineStore})
 	started := NewExecutor(NewKVState(), Config{CheckpointInterval: 3, Store: startedStore})
 	started.Start()
+	var prev types.Round
 	for _, c := range commits {
 		inline.ApplyCommit(c)
 		started.ApplyCommit(c)
-		if c.Index%3 == 0 {
+		due := checkpointDue(3, c.Index, c.Anchor.Round, prev)
+		prev = c.Anchor.Round
+		if due {
 			// The checkpoint goroutine writes this cut before the next one
 			// can replace it.
 			select {
@@ -359,7 +364,8 @@ func TestExecutorAsyncModeMatchesSync(t *testing.T) {
 	if started.StateDigest() != inline.StateDigest() {
 		t.Fatalf("state digest: started %s, inline %s", started.StateDigest(), inline.StateDigest())
 	}
-	// Six interval checkpoints and Close's final one at seq 20.
+	// Six interval checkpoints (seqs 3, 7, 9, 13, 15, 19) and Close's final
+	// one at seq 20.
 	if started.Checkpoints() != 7 || inline.Checkpoints() != 7 {
 		t.Fatalf("checkpoints: started %d, inline %d, want 7", started.Checkpoints(), inline.Checkpoints())
 	}

@@ -7,6 +7,7 @@ import (
 
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/checkpoint"
+	"hammerhead/internal/engine"
 	"hammerhead/internal/leader"
 	"hammerhead/internal/merkle"
 	"hammerhead/internal/metrics"
@@ -15,7 +16,8 @@ import (
 
 // Defaults for Config zero values.
 const (
-	// DefaultCheckpointInterval is the number of commits between checkpoints.
+	// DefaultCheckpointInterval is about the number of commits between
+	// checkpoints (see Config.CheckpointInterval).
 	DefaultCheckpointInterval = 32
 	// DefaultBoundaryRounds is the depth of the ordered-vertex window carried
 	// by snapshots. It must exceed the deepest straggler a commit can pick up
@@ -30,8 +32,11 @@ const (
 // Config parameterizes an Executor. The zero value selects all defaults with
 // an in-memory snapshot store.
 type Config struct {
-	// CheckpointInterval is the number of commits between checkpoints
-	// (0 = DefaultCheckpointInterval).
+	// CheckpointInterval is about the number of commits between checkpoints,
+	// never more than one past it (0 = DefaultCheckpointInterval): a
+	// checkpoint is cut at the commit seq ≡ 0 (mod CheckpointInterval) when
+	// that commit ends the period's fast phase, else at the next commit (see
+	// checkpointDue).
 	CheckpointInterval uint64
 	// BoundaryRounds is the ordered-window depth carried by snapshots
 	// (0 = DefaultBoundaryRounds).
@@ -108,7 +113,6 @@ type Executor struct {
 	// not hold yet — but is bucketed by round, so dropping what fell below
 	// the boundary walks the window's rounds, not its vertices.
 	ordered   map[types.Round][]OrderedRef // guarded by mu
-	sinceCkpt uint64                       // guarded by mu
 	ckptCount uint64                       // guarded by mu
 
 	// schedState is the scheduler state attached to the last applied commit
@@ -224,9 +228,9 @@ func (x *Executor) CheckpointCerts() bool { return x.cfg.CheckpointCerts }
 
 // ApplyCommit applies one ordered sub-DAG. Commits at or below the applied
 // sequence are skipped (WAL replay and snapshot installs make redeliveries
-// normal). At the checkpoint interval it cuts a checkpoint and hands it on:
-// to the checkpoint goroutine after Start, otherwise through the writer
-// before returning. Safe for concurrent use, though a single delivering
+// normal). When checkpointDue names the commit, it cuts a checkpoint and
+// hands it on: to the checkpoint goroutine after Start, otherwise through the
+// writer before returning. Safe for concurrent use, though a single delivering
 // goroutine — the node's commit goroutine — is the expected shape.
 //
 //hammerlint:deterministic
@@ -250,6 +254,7 @@ func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
 	}
 	cd := commitDigest(&sub)
 	x.stateRoot = types.HashBytes(x.stateRoot[:], cd[:])
+	due := checkpointDue(x.cfg.CheckpointInterval, sub.Index, sub.Anchor.Round, x.appliedRound)
 	x.appliedSeq = sub.Index
 	x.appliedRound = sub.Anchor.Round
 	x.recordRootLocked()
@@ -257,9 +262,8 @@ func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
 	if x.appliedMetric != nil {
 		x.appliedMetric.Set(int64(x.appliedRound))
 	}
-	x.sinceCkpt++
 	cut := false
-	if x.sinceCkpt >= x.cfg.CheckpointInterval {
+	if due {
 		// Checkpoint failures (disk full, ...) must not stall execution; the
 		// next interval retries.
 		if c, err := x.cutLocked(); err == nil {
@@ -272,6 +276,31 @@ func (x *Executor) ApplyCommit(sub bullshark.CommittedSubDAG) {
 	if cut {
 		x.handOff(inline)
 	}
+}
+
+// checkpointDue reports whether the commit at seq, of the anchor at round
+// anchor, cuts a checkpoint at interval n; prev is the anchor round of the
+// commit before it (a snapshot carries its own as Round). Each run of n
+// commits from a seq ≡ 0 (mod n) cuts once: at its first commit when that
+// one ends the period's fast phase (engine.CommitEndsFastPhase), else at its
+// second. The cut, the log compaction it triggers and certification then run
+// while the round ≡ 0 waits out the period instead of inside the rounds that
+// leave at once. Cuts are at most n+1 commits apart, and a function of the
+// commit stream alone: every validator cuts at the same seqs, across restarts
+// and snapshot installs. n = 1 cuts at every commit.
+//
+//hammerlint:deterministic
+func checkpointDue(n, seq uint64, anchor, prev types.Round) bool {
+	if n <= 1 {
+		return true
+	}
+	switch seq % n {
+	case 0:
+		return engine.CommitEndsFastPhase(anchor)
+	case 1:
+		return seq > 1 && !engine.CommitEndsFastPhase(prev)
+	}
+	return false
 }
 
 // recordRootLocked files the chained root under the applied sequence.
@@ -462,7 +491,6 @@ func (x *Executor) ForceCheckpoint() (Snapshot, error) {
 // is the writes since the last cut, not the state: the ledger is flushed and
 // frozen, and the ordered window and scheduler bytes are copied.
 func (x *Executor) cutLocked() (*ckpt, error) {
-	x.sinceCkpt = 0
 	schedBytes := x.schedStateBytes
 	if x.schedState != nil {
 		var err error
@@ -596,6 +624,18 @@ func (x *Executor) write(c *ckpt) (Snapshot, error) {
 	return snap, nil
 }
 
+// newestCutLocked is the commit seq of the newest checkpoint cut or installed,
+// written or not (0: none).
+func (x *Executor) newestCutLocked() uint64 {
+	var seq uint64
+	for _, c := range []*ckpt{x.pending, x.writing, x.latest} {
+		if c != nil {
+			seq = max(seq, c.snap.CommitSeq)
+		}
+	}
+	return seq
+}
+
 // overtakenLocked reports whether a newer checkpoint than c is already
 // cached: writing c would replace it.
 func (x *Executor) overtakenLocked(c *ckpt) bool {
@@ -725,7 +765,6 @@ func (x *Executor) install(snap Snapshot) error {
 	}
 	clear(x.roots)
 	x.recordRootLocked()
-	x.sinceCkpt = 0
 	// Carry the snapshot's scheduler state forward still-encoded: re-saves of
 	// this checkpoint keep serving it, and the first post-install commit
 	// replaces it with a live export.
@@ -838,8 +877,8 @@ type ProvenKV struct {
 
 // ProvenRead serves a proof-carrying read against the last certified
 // checkpoint. ok is false until a certificate has been attached. The read
-// lags the live state by up to one checkpoint interval plus certification
-// gossip — the price of serving only quorum-certified answers.
+// lags the live state by up to one checkpoint interval and one commit, plus
+// certification gossip — the price of serving only quorum-certified answers.
 func (x *Executor) ProvenRead(key []byte) (ProvenKV, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -901,7 +940,7 @@ func (x *Executor) Close() {
 	close(x.done)
 	x.wg.Wait()
 	x.mu.Lock()
-	if x.appliedSeq > 0 && x.sinceCkpt > 0 {
+	if x.appliedSeq > x.newestCutLocked() {
 		if c, err := x.cutLocked(); err == nil {
 			x.pending = c
 		}

@@ -21,7 +21,6 @@ type inlineOracle struct {
 	store     *recordingStore
 	certs     bool
 	interval  uint64
-	sinceCkpt uint64
 	ckptCount uint64
 
 	latest, prev             Snapshot
@@ -69,13 +68,12 @@ func (s *recordingStore) log() []savedBlob {
 }
 
 func (o *inlineOracle) apply(c bullshark.CommittedSubDAG) {
-	before := o.x.AppliedSeq()
+	before, prev := o.x.AppliedSeq(), o.x.AppliedRound()
 	o.x.ApplyCommit(c)
 	if o.x.AppliedSeq() == before {
 		return
 	}
-	o.sinceCkpt++
-	if o.sinceCkpt >= o.interval {
+	if checkpointDue(o.interval, c.Index, c.Anchor.Round, prev) {
 		_, _ = o.checkpoint()
 	}
 }
@@ -84,7 +82,6 @@ func (o *inlineOracle) checkpoint() (Snapshot, error) {
 	x := o.x
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	o.sinceCkpt = 0
 	data := snapshotKV(x.kv)
 	var refs []OrderedRef
 	for _, bucket := range x.ordered {
@@ -151,7 +148,6 @@ func (o *inlineOracle) install(snap Snapshot) error {
 	if err := o.x.install(snap); err != nil {
 		return err
 	}
-	o.sinceCkpt = 0
 	o.x.mu.Lock()
 	frozen := o.freezeLocked()
 	o.x.mu.Unlock()
@@ -184,7 +180,7 @@ func (o *inlineOracle) attach(seq uint64, cert *checkpoint.Certificate) bool {
 }
 
 func (o *inlineOracle) close() {
-	if o.x.AppliedSeq() > 0 && o.sinceCkpt > 0 {
+	if o.x.AppliedSeq() > 0 && (!o.haveLatest || o.latest.CommitSeq < o.x.AppliedSeq()) {
 		_, _ = o.checkpoint()
 	}
 }

@@ -74,6 +74,17 @@ type Snapshot struct {
 	Cert *checkpoint.Certificate
 }
 
+// Meta is the tuple a quorum certificate for this checkpoint signs.
+func (s *Snapshot) Meta() checkpoint.Meta {
+	return checkpoint.Meta{
+		Round:       s.Round,
+		CommitSeq:   s.CommitSeq,
+		StateRoot:   s.StateRoot,
+		StateDigest: s.StateDigest,
+		SchedDigest: checkpoint.SchedDigestOf(s.SchedulerState),
+	}
+}
+
 // EncodeSnapshot serializes a snapshot for the wire or disk in the
 // wire-codec, checksummed framing.
 //

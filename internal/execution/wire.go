@@ -93,14 +93,7 @@ func verifySnapshotCert(snap *Snapshot, verifier func(*checkpoint.Certificate) e
 	if cert == nil {
 		return fmt.Errorf("execution: snapshot at seq %d carries no checkpoint certificate", snap.CommitSeq)
 	}
-	want := checkpoint.Meta{
-		Round:       snap.Round,
-		CommitSeq:   snap.CommitSeq,
-		StateRoot:   snap.StateRoot,
-		StateDigest: snap.StateDigest,
-		SchedDigest: checkpoint.SchedDigestOf(snap.SchedulerState),
-	}
-	if !cert.Matches(want) {
+	if !cert.Matches(snap.Meta()) {
 		return fmt.Errorf("execution: checkpoint certificate does not cover the snapshot tuple at seq %d", snap.CommitSeq)
 	}
 	if verifier != nil {

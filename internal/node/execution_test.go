@@ -23,8 +23,9 @@ func buildExecNode(t *testing.T, tc *testCluster, id types.ValidatorID, walPath,
 	return buildExecNodeHH(t, tc, id, nil, walPath, snapDir, reg)
 }
 
-// buildExecNodeHH additionally selects the scheduler (nil = round-robin).
-func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *core.Config, walPath, snapDir string, reg *metrics.Registry) *node.Node {
+// buildExecNodeHH additionally selects the scheduler (nil = round-robin);
+// opts adjust the configuration last.
+func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *core.Config, walPath, snapDir string, reg *metrics.Registry, opts ...func(*node.Config)) *node.Node {
 	t.Helper()
 	n := tc.committee.Size()
 	scheme := crypto.Insecure{}
@@ -41,7 +42,7 @@ func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *co
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, err := node.New(node.Config{
+	cfg := node.Config{
 		Committee:          tc.committee,
 		Self:               id,
 		Keys:               kp,
@@ -62,7 +63,11 @@ func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *co
 			}
 			tc.txSeen[id] += sub.TxCount()
 		},
-	})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	nd, err := node.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,22 +322,7 @@ func TestHammerHeadWALCompactionThenRestart(t *testing.T) {
 	if got := restarted.Executor().AppliedSeq(); got < preSeq {
 		t.Fatalf("restarted executor at seq %d, want >= pre-shutdown %d", got, preSeq)
 	}
-	tc.mu.Lock()
-	base := len(tc.commits[0])
-	tc.mu.Unlock()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		tc.mu.Lock()
-		fresh := len(tc.commits[0]) - base
-		tc.mu.Unlock()
-		if fresh >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("restarted HammerHead node never committed fresh sub-DAGs from the compacted WAL")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	tc.waitCommitsRise(t, []types.ValidatorID{0}, 2, 20*time.Second)
 
 	// Quiesce everything, then check root and schedule agreement between the
 	// restarted node and the live committee.
@@ -429,28 +419,13 @@ func TestNodeRestartFromLocalSnapshot(t *testing.T) {
 	}
 
 	// And it rejoins consensus: fresh commits resume via the peers.
-	tc.mu.Lock()
-	base := len(tc.commits[0])
-	tc.mu.Unlock()
 	for i := 0; i < 20; i++ {
 		_ = tc.nodes[1].Submit(types.Transaction{
 			ID:      uint64(1000 + i),
 			Payload: execution.PutOp([]byte("post"), []byte{byte(i)}),
 		})
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		tc.mu.Lock()
-		fresh := len(tc.commits[0]) - base
-		tc.mu.Unlock()
-		if fresh >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("restarted node never committed fresh sub-DAGs")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	tc.waitCommitsRise(t, []types.ValidatorID{0}, 2, 20*time.Second)
 }
 
 // TestCheckpointDrivenWALCompactionAndRestart: as the executor's checkpoint
@@ -521,20 +496,76 @@ func TestCheckpointDrivenWALCompactionAndRestart(t *testing.T) {
 	if got := restarted.Executor().AppliedSeq(); got < preSeq {
 		t.Fatalf("restarted executor at seq %d, want >= pre-shutdown %d", got, preSeq)
 	}
-	tc.mu.Lock()
-	base := len(tc.commits[0])
-	tc.mu.Unlock()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		tc.mu.Lock()
-		fresh := len(tc.commits[0]) - base
-		tc.mu.Unlock()
-		if fresh >= 2 {
-			break
+	tc.waitCommitsRise(t, []types.ValidatorID{0}, 2, 20*time.Second)
+}
+
+// TestCleanRestartKeepsTheCheckpointGrid: a certifying validator shut down
+// cleanly at a commit seq that is no multiple of the checkpoint interval
+// writes its final checkpoint there and restarts from it. It must go on
+// cutting where the committee cuts, so that its shares join quorums and the
+// committee's certificates attach to checkpoints it holds: its
+// LatestCertificate advances with the committee's instead of staying where
+// the restart left it.
+func TestCleanRestartKeepsTheCheckpointGrid(t *testing.T) {
+	const interval = 8
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "v0.wal")
+	snapDir := filepath.Join(dir, "v0-snapshots")
+	certify := func(c *node.Config) {
+		c.CheckpointInterval = interval
+		c.CheckpointCerts = true
+	}
+	tc := newExecCluster(t, committee)
+	tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, 0, nil, walPath, snapDir, nil, certify))
+	for i := 1; i < 4; i++ {
+		tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, types.ValidatorID(i), nil, "", "", nil, certify))
+	}
+	for _, nd := range tc.nodes {
+		if err := tc.startNode(nd); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("restarted node never committed fresh sub-DAGs from the compacted WAL")
+	}
+	defer func() {
+		for _, nd := range tc.nodes[1:] {
+			_ = nd.Close()
 		}
-		time.Sleep(20 * time.Millisecond)
+	}()
+
+	// Shut v0 down a few commits past a multiple of the interval: its final
+	// checkpoint is then off the multiples a count from genesis cuts at.
+	v0 := tc.nodes[0].Executor()
+	for seq := v0.AppliedSeq(); seq < 2*interval || seq%interval < 2 || seq%interval > 4; seq = v0.AppliedSeq() {
+		tc.waitCommitsRise(t, []types.ValidatorID{0}, 1, 20*time.Second)
+	}
+	if err := tc.nodes[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	closedAt := v0.AppliedSeq()
+
+	restarted := buildExecNodeHH(t, tc, 0, nil, walPath, snapDir, nil, certify)
+	if err := tc.startNode(restarted); err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	var base uint64
+	for _, nd := range tc.nodes[1:] {
+		if cert, ok := nd.Executor().LatestCertificate(); ok {
+			base = max(base, cert.Meta.CommitSeq)
+		}
+	}
+	for rise := 0; ; rise++ {
+		if cert, ok := restarted.Executor().LatestCertificate(); ok && cert.Meta.CommitSeq > base {
+			return
+		}
+		if rise == 6*interval {
+			cert, _ := restarted.Executor().LatestCertificate()
+			t.Fatalf("closed at seq %d and restarted; %d commits later it holds certificate %v, the committee held seq %d at the restart",
+				closedAt, rise, cert, base)
+		}
+		tc.waitCommitsRise(t, []types.ValidatorID{0}, 1, 20*time.Second)
 	}
 }

@@ -79,8 +79,11 @@ type Config struct {
 	// state, so the recovery paths work identically under the round-robin
 	// baseline and HammerHead's reputation scheduler.
 	Execution bool
-	// CheckpointInterval is the number of commits between checkpoints
-	// (0 = execution.DefaultCheckpointInterval). Ignored without Execution.
+	// CheckpointInterval is about the number of commits between
+	// checkpoints, never more than one past it: the executor cuts at the
+	// commit seq that is a multiple of it when that commit ends a period's
+	// fast phase, else at the next commit (see execution.Config). 0 =
+	// execution.DefaultCheckpointInterval. Ignored without Execution.
 	CheckpointInterval uint64
 	// CheckpointCerts enables quorum checkpoint certification: after each
 	// checkpoint this validator signs the (round, seq, state root, state
@@ -402,13 +405,7 @@ func (n *Node) executionConfig() (*execution.Config, error) {
 				n.walw.log.Checkpointed(snap.Floor)
 			}
 			if cfg.CheckpointCerts && snap.Cert == nil && !n.v.Replaying() {
-				meta := checkpoint.Meta{
-					Round:       snap.Round,
-					CommitSeq:   snap.CommitSeq,
-					StateRoot:   snap.StateRoot,
-					StateDigest: snap.StateDigest,
-					SchedDigest: checkpoint.SchedDigestOf(snap.SchedulerState),
-				}
+				meta := snap.Meta()
 				n.enqueue(func() {
 					n.dispatch(n.eng.OnLocalCheckpoint(meta))
 				})
@@ -438,9 +435,9 @@ func (o observer) Certified(cert *engine.Certificate) {
 	recordBatchStage(o.n.tracer, obs.StageCertFormed, cert.Header.Batch)
 }
 
-func (o observer) CheckpointCertified(*checkpoint.Certificate) {
+func (o observer) CheckpointCertified(cert *checkpoint.Certificate) {
 	if o.n.gw != nil {
-		o.n.gw.ObserveCheckpoint()
+		o.n.gw.ObserveCheckpoint(cert.Meta.CommitSeq)
 	}
 }
 

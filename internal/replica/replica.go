@@ -206,14 +206,7 @@ func (r *Replica) BootstrapFromBlob(blob []byte) error {
 	if snap.Cert == nil {
 		return fmt.Errorf("replica: snapshot at seq %d carries no checkpoint certificate", snap.CommitSeq)
 	}
-	want := checkpoint.Meta{
-		Round:       snap.Round,
-		CommitSeq:   snap.CommitSeq,
-		StateRoot:   snap.StateRoot,
-		StateDigest: snap.StateDigest,
-		SchedDigest: checkpoint.SchedDigestOf(snap.SchedulerState),
-	}
-	if !snap.Cert.Matches(want) {
+	if !snap.Cert.Matches(snap.Meta()) {
 		return fmt.Errorf("replica: certificate does not cover the snapshot tuple at seq %d", snap.CommitSeq)
 	}
 	if err := r.cfg.Verifier.VerifyCert(snap.Cert); err != nil {
@@ -242,7 +235,7 @@ func (r *Replica) BootstrapFromBlob(blob []byte) error {
 		r.held = nil
 	}
 	if r.gw != nil {
-		r.gw.ObserveCheckpoint()
+		r.gw.ObserveCheckpoint(snap.CommitSeq)
 	}
 	clear(r.ring) // the abandoned entries' views must not outlive them
 	r.ring = append(r.ring[:0], ringEntry{
@@ -435,7 +428,7 @@ func (r *Replica) crossCheckLocked(cert *checkpoint.Certificate) error {
 	}
 	if r.gw != nil {
 		// Push it on, so replicas tailing this one promote it too.
-		r.gw.ObserveCheckpoint()
+		r.gw.ObserveCheckpoint(seq)
 	}
 	return nil
 }

@@ -61,12 +61,12 @@ func TestFullStreamPushesCheckpoints(t *testing.T) {
 	mu.Lock()
 	newest = &checkpoint.Certificate{Meta: checkpoint.Meta{CommitSeq: 3, Round: 6}}
 	mu.Unlock()
-	g.ObserveCheckpoint()
+	g.ObserveCheckpoint(3)
 	expect(full, "checkpoint", 3)
 
 	// Nothing newer: the wake-up sends nothing, and the next frame on either
 	// stream is the next commit.
-	g.ObserveCheckpoint()
+	g.ObserveCheckpoint(3)
 	applyCommit(g, exec, 4, 8)
 	expect(full, "commit", 4)
 	expect(plain, "commit", 4)

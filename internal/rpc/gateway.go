@@ -32,7 +32,7 @@ const (
 	DefaultHistoryDepth = 4096
 	// historyBytes bounds what the retained commits may hold in transaction
 	// IDs and payloads: under load the resume window is this many bytes of
-	// history, not HistoryDepth commits (see commitRing for the floor).
+	// history, not HistoryDepth commits (see commitRing for what is exempt).
 	historyBytes = 4 << 20
 	// streamBatch is how many events a subscriber copies out of the ring per
 	// hold of the gateway's lock — the lock ObserveCommit takes on the node's
@@ -126,13 +126,15 @@ type Gateway struct {
 	// subscribers; ObserveCommit is the only writer, and appends are O(1)
 	// amortized — this runs on the node's commit-delivery goroutine.
 	// checkpoints counts ObserveCheckpoint calls, so a full stream parked in
-	// the wait knows to look for a newer certificate.
+	// the wait knows to look for a newer certificate; certSeqs are the two
+	// newest certified seqs those calls named, older first (0: none).
 	mu          sync.Mutex
 	cond        *sync.Cond
 	ring        *commitRing // guarded by mu
 	lastSeq     uint64      // guarded by mu
 	commits     uint64      // guarded by mu
 	checkpoints uint64      // guarded by mu
+	certSeqs    [2]uint64   // guarded by mu
 	closed      bool        // guarded by mu
 
 	// writeTimeout is streamWriteTimeout; a field so a test can shorten it
@@ -170,10 +172,12 @@ func New(cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listening on %s: %w", cfg.Addr, err)
 	}
+	// The ring's floor is one commit: the newest always stays, however
+	// large, so a subscriber that keeps up never sees a gap.
 	g := &Gateway{
 		cfg:          cfg,
 		listener:     ln,
-		ring:         newCommitRing(cfg.HistoryDepth, 2*execution.DefaultCheckpointInterval, historyBytes),
+		ring:         newCommitRing(cfg.HistoryDepth, 1, historyBytes),
 		writeTimeout: streamWriteTimeout,
 	}
 	g.cond = sync.NewCond(&g.mu)
@@ -310,14 +314,26 @@ func (g *Gateway) observe(c retainedCommit) {
 	}
 }
 
-// ObserveCheckpoint wakes ?full=1 subscribers to push the newest checkpoint
-// certificate (Config.Checkpoint) if it is newer than the last one each has
-// sent. Validators call it when their engine attaches a certificate,
-// replicas when they promote one; it takes the gateway's lock for an
-// increment and nothing slower.
-func (g *Gateway) ObserveCheckpoint() {
+// ObserveCheckpoint takes note of a quorum certificate for the checkpoint at
+// commit seq and wakes ?full=1 subscribers to push the newest certificate
+// (Config.Checkpoint) if it is newer than the last one each has sent.
+// Validators call it when their engine attaches a certificate, replicas when
+// they promote one. The resume window then keeps every commit above the older
+// of the two newest certified seqs, whatever the byte budget: a replica
+// bootstrapping from either certified snapshot resumes the stream right
+// after it. It takes the gateway's lock for that bookkeeping and nothing
+// slower.
+func (g *Gateway) ObserveCheckpoint(seq uint64) {
 	g.mu.Lock()
 	g.checkpoints++
+	if seq > g.certSeqs[1] {
+		g.certSeqs = [2]uint64{g.certSeqs[1], seq}
+		older := g.certSeqs[0]
+		if older == 0 {
+			older = seq
+		}
+		g.ring.keepCommitsAbove(older)
+	}
 	g.mu.Unlock()
 	g.cond.Broadcast()
 }

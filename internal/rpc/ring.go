@@ -1,17 +1,22 @@
 package rpc
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // commitRing is the gateway's SSE resume window: recent commits in ascending
 // Seq order, oldest first. Two bounds evict, oldest-first: a count (depth
 // commits) and a byte budget over what the retained commits hold — see
 // retainedCommit.heldBytes. The budget is what keeps a validator's memory a
 // function of its load rather than its uptime: at thousands of tx/s a count
-// alone lets the window grow to hundreds of megabytes of payloads. The newest
-// floor commits are exempt from the budget (never from the count): a replica
-// bootstrapping from a certified snapshot needs the stream between that
-// checkpoint and the live tail, which is up to two checkpoint intervals of
-// commits.
+// alone lets the window grow to hundreds of megabytes of payloads. Two kinds
+// of commit are exempt from the budget (never from the count): the newest
+// floor ones, and every one with a Seq above keepAbove. The gateway sets that
+// to the older of the last two certified checkpoints it was told of, because
+// a replica bootstrapping from a certified snapshot needs the stream from
+// that checkpoint on, and the snapshot it is served may be the one before the
+// newest.
 //
 // The slot array grows on demand, doubling up to depth, so a window the
 // budget holds to a few hundred commits never pays for depth slots.
@@ -25,13 +30,16 @@ type commitRing struct {
 	depth  int
 	floor  int
 	budget int
+	// keepAbove is the Seq above which commits are exempt from the budget
+	// (math.MaxUint64: none).
+	keepAbove uint64
 }
 
 // minRingSlots is the slot array's first allocation.
 const minRingSlots = 16
 
 func newCommitRing(depth, floor, budget int) *commitRing {
-	return &commitRing{depth: depth, floor: min(depth, floor), budget: budget}
+	return &commitRing{depth: depth, floor: min(depth, floor), budget: budget, keepAbove: math.MaxUint64}
 }
 
 // nilPayload marks an end offset whose payload was nil rather than empty: the
@@ -124,7 +132,21 @@ func (r *commitRing) push(c retainedCommit) {
 	r.bytes += c.heldBytes()
 	r.buf[(r.head+r.n)%len(r.buf)] = c
 	r.n++
-	for r.bytes > r.budget && r.n > r.floor {
+	r.trim()
+}
+
+// keepCommitsAbove exempts every commit with a Seq above seq from the budget,
+// instead of those above the previous mark, and evicts what the budget then
+// no longer spares.
+func (r *commitRing) keepCommitsAbove(seq uint64) {
+	r.keepAbove = seq
+	r.trim()
+}
+
+// trim evicts the oldest commits while the ring holds more than its budget
+// and the oldest is not exempt.
+func (r *commitRing) trim() {
+	for r.bytes > r.budget && r.n > r.floor && r.at(0).ev.Seq <= r.keepAbove {
 		r.evictOldest()
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"hammerhead/internal/execution"
 	"hammerhead/internal/types"
 )
 
@@ -95,7 +94,7 @@ func drain(t *testing.T, r *commitRing, next uint64, limit int) (seqs []uint64, 
 func TestRingAgreesWithCountOnlyModel(t *testing.T) {
 	for _, depth := range []int{1, 3, 16, 40} {
 		rng := rand.New(rand.NewSource(int64(depth)))
-		ring := newCommitRing(depth, 2*execution.DefaultCheckpointInterval, 1<<40)
+		ring := newCommitRing(depth, 1, 1<<40)
 		model := newModelRing(depth)
 		seq := uint64(0)
 		for step := 0; step < 3*depth+20; step++ {
@@ -184,10 +183,11 @@ func TestRingByteBudget(t *testing.T) {
 	}
 }
 
-// TestRingCountStillBinds: the floor exempts events from the byte budget,
-// never from HistoryDepth.
+// TestRingCountStillBinds: the floor and the certified mark exempt events
+// from the byte budget, never from HistoryDepth.
 func TestRingCountStillBinds(t *testing.T) {
 	ring := newCommitRing(4, 64, 1)
+	ring.keepCommitsAbove(0)
 	for seq := uint64(1); seq <= 10; seq++ {
 		ring.push(packCommit(CommitEvent{Seq: seq, TxIDs: []uint64{seq}}))
 	}
@@ -301,11 +301,59 @@ func TestFullSubscriberThatKeepsUpNeverGaps(t *testing.T) {
 			t.Fatalf("frame %q seq %d with %d payloads, want commit %d with its payload", name, ev.Seq, len(ev.Payloads), seq)
 		}
 	}
+	// No certificate was observed, so nothing is exempt but the newest
+	// commit: the ring holds as many of the newest commits as fit the budget.
 	g.mu.Lock()
 	n, held, oldest := g.ring.n, g.ring.bytes, g.ring.oldestSeq()
 	g.mu.Unlock()
-	if n != 2*execution.DefaultCheckpointInterval || held <= historyBytes || oldest != commits-uint64(n)+1 {
-		t.Fatalf("ring holds %d events (%d bytes) from seq %d; 128 KB commits should pin it at its floor of %d",
-			n, held, oldest, 2*execution.DefaultCheckpointInterval)
+	if held > historyBytes || held+commitBytes <= historyBytes || oldest != commits-uint64(n)+1 {
+		t.Fatalf("ring holds %d events (%d bytes) from seq %d; 128 KB commits should fill the %d-byte budget and no more",
+			n, held, oldest, historyBytes)
+	}
+}
+
+// TestRingKeepsWhatAReplicaBootstrapsFrom: at checkpoint interval 40 cuts
+// land up to 41 commits apart, and a replica may be served the certified
+// snapshot before the newest. Under a byte budget that holds 32 commits, the
+// resume window still reaches back to the older of the two newest certified
+// seqs, so a replica bootstrapping from either resumes without a gap, and
+// below that mark the budget binds again.
+func TestRingKeepsWhatAReplicaBootstrapsFrom(t *testing.T) {
+	g, _, _, _ := newTestGateway(t, func(c *Config) { c.RootAt = nil })
+	const commitBytes = 128 << 10
+	// Cuts at interval 40 whose anchors change phase (a skipped leader):
+	// gaps of 41 and 39 commits. Each certificate lands three commits later.
+	cuts := []uint64{40, 81, 120, 161, 200}
+	const certLag = 3
+	var certified []uint64
+	var older uint64
+	payload := make([]byte, commitBytes)
+	for seq := uint64(1); seq <= 230; seq++ {
+		g.ObserveCommit(syntheticCommit(seq, types.Round(2*seq), payload))
+		for _, cut := range cuts {
+			if seq == cut+certLag {
+				g.ObserveCheckpoint(cut)
+				certified = append(certified, cut)
+			}
+		}
+		if len(certified) == 0 {
+			continue
+		}
+		older = certified[max(0, len(certified)-2)]
+		g.mu.Lock()
+		batch, gap := g.ring.tail(nil, older+1, 1<<30, false)
+		g.mu.Unlock()
+		if gap != 0 || len(batch) != int(seq-older) {
+			t.Fatalf("at seq %d a replica bootstrapping from the certified seq %d resumes at %d (gap to %d, %d events)",
+				seq, older, older+1, gap, len(batch))
+		}
+	}
+	// The 69 commits above the mark alone exceed the budget: none below it
+	// is left.
+	g.mu.Lock()
+	oldest := g.ring.oldestSeq()
+	g.mu.Unlock()
+	if oldest != older+1 {
+		t.Fatalf("the ring holds commits from seq %d; with the exempt mark at %d it should start at %d", oldest, older, older+1)
 	}
 }

@@ -109,8 +109,8 @@ func TestGatewayEvictsSlowSubscriber(t *testing.T) {
 	good := openStream(t, "http://"+g.Addr(), "0")
 
 	// 48 commits of 256 KB: several times what the two sockets' buffers can
-	// absorb on the stalled connection, and under the ring's 64-event floor,
-	// so the reading subscriber can always resume.
+	// absorb on the stalled connection; the reading subscriber takes each as
+	// it lands, so the ring's budget never evicts one it still needs.
 	payload := make([]byte, 256<<10)
 	evictions := reg.Counter("hammerhead_rpc_stream_evictions_total")
 	var slowest time.Duration

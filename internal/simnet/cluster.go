@@ -45,8 +45,9 @@ type ClusterConfig struct {
 	// serve/install through the engines. Checkpoints carry the scheduler's
 	// state, so state-sync works for round-robin and HammerHead alike.
 	Execution bool
-	// CheckpointInterval is the number of commits between checkpoints
-	// (0 = execution default). Ignored without Execution.
+	// CheckpointInterval is about the number of commits between checkpoints,
+	// never more than one past it (0 = execution default; see
+	// execution.Config). Ignored without Execution.
 	CheckpointInterval uint64
 	// Seed drives all simulation randomness.
 	Seed int64
@@ -84,6 +85,11 @@ type Cluster struct {
 	// (nil without a disk) as the validator is built: the tests read its live
 	// insertion and proposal order there.
 	tap func(id types.ValidatorID, next engine.Observer) engine.Observer
+	// certify, when set by the package's tests before the validators are
+	// built, has every executor certify its checkpoints: each validator signs
+	// a fresh checkpoint's tuple as a node does, and the shares and
+	// certificates travel the simulated network.
+	certify bool
 
 	latency  LatencyModel
 	onCommit CommitHook
@@ -249,6 +255,16 @@ func (c *Cluster) buildValidator(id types.ValidatorID) error {
 			xc.Store = store
 			xc.OnCheckpoint = func(snap execution.Snapshot) { log.Checkpointed(snap.Floor) }
 		}
+		if c.certify {
+			xc.CheckpointCerts = true
+			compact := xc.OnCheckpoint
+			xc.OnCheckpoint = func(snap execution.Snapshot) {
+				if compact != nil {
+					compact(snap)
+				}
+				c.signCheckpoint(id, snap)
+			}
+		}
 		vcfg.Execution = xc
 	}
 	v, err := validator.New(vcfg)
@@ -257,6 +273,24 @@ func (c *Cluster) buildValidator(id types.ValidatorID) error {
 	}
 	c.validators[id] = v
 	return nil
+}
+
+// signCheckpoint starts the certification of a checkpoint validator id
+// just wrote, as the node's checkpoint hook does: its engine signs the tuple
+// in a step of its own, scheduled at once, since the write happened inside
+// the step that delivered the commit.
+func (c *Cluster) signCheckpoint(id types.ValidatorID, snap execution.Snapshot) {
+	if snap.Cert != nil || c.validators[id].Replaying() {
+		return
+	}
+	meta := snap.Meta()
+	inc := c.procs[id].incarnation
+	c.Sim.After(0, func() {
+		if c.procs[id].incarnation != inc || c.crashed(id, c.Sim.Now()) {
+			return
+		}
+		c.dispatch(id, c.Engine(id).OnLocalCheckpoint(meta))
+	})
 }
 
 // walPath is where validator id keeps its log under RecordWALs.
