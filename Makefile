@@ -5,7 +5,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing crash-restart apply-path checkpoint-phase clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck knobs bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing crash-restart apply-path checkpoint-phase clean
 
 all: build test
 
@@ -54,6 +54,14 @@ vulncheck:
 	else \
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
+
+# knobs prints the settable-value count (the exported fields of the
+# configuration structs, the tunable constructor parameters and the
+# hammerhead-node flags) and lists the fields and parameters that no non-test
+# code outside their package sets (see tools/knobs). A report, not a gate:
+# cite its count instead of counting by hand.
+knobs:
+	go run ./tools/knobs
 
 # bench-smoke checks the black-box benchmark (bench/, a module of its own, so
 # `go test ./...` at the root does not reach it): BENCHMARK.json matches the

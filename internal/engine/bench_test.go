@@ -21,7 +21,6 @@ func BenchmarkRoundRequestServe(b *testing.B) {
 		b.Run(fmt.Sprintf("storedRounds=%d", storedRounds), func(b *testing.B) {
 			eng, _ := newTraceEngine(b, committee, func(c *Config) {
 				c.GCDepth = uint64(storedRounds) * 2 // keep everything resident
-				c.MaxSyncBatch = 64
 			})
 			feedCerts(eng, buildCertTrace(b, committee, storedRounds))
 			req := &RoundRequest{FromRound: storedRounds - 4}

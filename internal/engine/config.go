@@ -30,8 +30,6 @@ type Config struct {
 	// an anchor round. This is the cost a crashed leader inflicts per anchor
 	// round — the quantity HammerHead's scheduling removes.
 	LeaderTimeout time.Duration
-	// ResyncInterval paces re-requests for still-missing parent certificates.
-	ResyncInterval time.Duration
 	// MaxBatchTx caps transactions per header, and a header's worth of them
 	// lifts the MinRoundDelay floor. So while the whole committee keeps up
 	// it is no throughput cap: under backlog, full headers go out at the
@@ -42,35 +40,41 @@ type Config struct {
 	// it (see internal/crypto).
 	VerifySignatures bool
 	// GCDepth is how many rounds below the committer's floor are retained
-	// before pruning. Pruning runs after every GCEvery commits.
+	// before pruning. Pruning runs after every gcEvery commits.
 	GCDepth uint64
-	GCEvery uint64
-	// MaxSyncBatch caps the digests read from one CertRequest, and so the
-	// certificates per CertResponse (and per RoundResponse). The engine's own
-	// CertRequests are chunked to it, so every validator must use the same
-	// value: a server with a smaller one ignores the tail of each chunk, and
-	// resync re-sends the same chunks.
-	MaxSyncBatch int
-	// MaxPendingCerts bounds the causal-sync pending set; above it, the
-	// pending certificate furthest above the DAG frontier is evicted (it can
-	// be re-fetched by round sync if it was genuine). 0 selects the default.
-	MaxPendingCerts int
-	// SnapshotChunkBytes caps the payload of one SnapshotResponse during
-	// state-sync (0 selects DefaultSnapshotChunkBytes). Tests shrink it to
-	// exercise the multi-chunk resume path.
-	SnapshotChunkBytes int
-	// RejoinTimeout paces the crash-rejoin handshake: a restarted validator
-	// that has not yet gathered a write quorum of RejoinResponses
-	// re-broadcasts its RejoinRequest this often, forever — a committee below
-	// quorum cannot progress anyway, so retrying until peers return is the
-	// only correct behavior. 0 selects 2x ResyncInterval.
-	RejoinTimeout time.Duration
 }
 
-// DefaultSnapshotChunkBytes is the snapshot state-sync chunk size: small
-// enough that serving a chunk never monopolizes the engine loop, large
-// enough that realistic snapshots move in a handful of round-trips.
-const DefaultSnapshotChunkBytes = 256 << 10
+// Protocol constants. Each is the same on every validator: they are not
+// settings.
+const (
+	// gcEvery is how many commits pass between two prunings.
+	gcEvery = 16
+	// maxSyncBatch caps the digests read from one CertRequest, and so the
+	// certificates per CertResponse (and per RoundResponse). The engine's own
+	// CertRequests are chunked to it: a server reading fewer would ignore the
+	// tail of each chunk, and resync would re-send the same chunks.
+	maxSyncBatch = 512
+	// maxPendingCerts bounds the causal-sync pending set; above it, the
+	// pending certificate furthest above the DAG frontier is evicted (it can
+	// be re-fetched by round sync if it was genuine).
+	maxPendingCerts = 8192
+	// snapshotChunkBytes caps the payload of one SnapshotResponse during
+	// state-sync: small enough that serving a chunk never monopolizes the
+	// engine loop, large enough that realistic snapshots move in a handful
+	// of round-trips.
+	snapshotChunkBytes = 256 << 10
+)
+
+// resyncInterval paces re-requests for still-missing parent certificates,
+// header re-broadcasts and the progress watchdog: the leader wait, at most a
+// second (a second for every LeaderTimeout of 1 s and more). The
+// crash-rejoin handshake re-broadcasts its RejoinRequest every two of them
+// until it gathers a write quorum of RejoinResponses, forever — a committee
+// below quorum cannot progress anyway, so retrying until peers return is the
+// only correct behavior.
+func (c Config) resyncInterval() time.Duration {
+	return min(c.LeaderTimeout, time.Second)
+}
 
 // DefaultConfig returns the defaults every runtime starts from
 // (hammerhead-node's flags included); the simulated experiments override the
@@ -79,39 +83,23 @@ func DefaultConfig() Config {
 	return Config{
 		MinRoundDelay:    50 * time.Millisecond,
 		LeaderTimeout:    2 * time.Second,
-		ResyncInterval:   time.Second,
 		MaxBatchTx:       500,
 		VerifySignatures: true,
 		GCDepth:          50,
-		GCEvery:          16,
-		MaxSyncBatch:     512,
-		MaxPendingCerts:  8192,
 	}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.MinRoundDelay < 0 || c.LeaderTimeout <= 0 || c.ResyncInterval <= 0 {
-		return fmt.Errorf("engine: MinRoundDelay must be >= 0, LeaderTimeout and ResyncInterval > 0 (round=%v leader=%v resync=%v)",
-			c.MinRoundDelay, c.LeaderTimeout, c.ResyncInterval)
+	if c.MinRoundDelay < 0 || c.LeaderTimeout <= 0 {
+		return fmt.Errorf("engine: MinRoundDelay must be >= 0 and LeaderTimeout > 0 (round=%v leader=%v)",
+			c.MinRoundDelay, c.LeaderTimeout)
 	}
 	if c.MaxBatchTx < 1 {
 		return fmt.Errorf("engine: MaxBatchTx must be >= 1, got %d", c.MaxBatchTx)
 	}
-	if c.GCEvery == 0 || c.GCDepth == 0 {
-		return fmt.Errorf("engine: GCEvery and GCDepth must be positive")
-	}
-	if c.MaxSyncBatch < 1 {
-		return fmt.Errorf("engine: MaxSyncBatch must be >= 1, got %d", c.MaxSyncBatch)
-	}
-	if c.MaxPendingCerts < 0 {
-		return fmt.Errorf("engine: MaxPendingCerts must be >= 0, got %d", c.MaxPendingCerts)
-	}
-	if c.SnapshotChunkBytes < 0 {
-		return fmt.Errorf("engine: SnapshotChunkBytes must be >= 0, got %d", c.SnapshotChunkBytes)
-	}
-	if c.RejoinTimeout < 0 {
-		return fmt.Errorf("engine: RejoinTimeout must be >= 0, got %v", c.RejoinTimeout)
+	if c.GCDepth == 0 {
+		return fmt.Errorf("engine: GCDepth must be positive")
 	}
 	return nil
 }

@@ -201,7 +201,7 @@ type minRetainer interface {
 // The causal-sync sets (pendingCerts, pendingByMissing, requested) stay maps:
 // their keys are digests of what this validator does NOT hold — a missing
 // parent has no known (round, source) — they are empty in steady state, and
-// MaxPendingCerts and the floor bound them.
+// maxPendingCerts and the floor bound them.
 type Engine struct {
 	config    Config
 	committee *types.Committee
@@ -296,6 +296,9 @@ type Engine struct {
 	lastRangeReqFloor types.Round
 	lastRangeReqNanos int64
 	stats             Stats
+	// syncBatch is maxSyncBatch; a field so a test can cut sync responses
+	// inside a round of a small committee.
+	syncBatch int
 }
 
 // Params bundles the engine's construction dependencies.
@@ -349,9 +352,6 @@ func New(p Params) (*Engine, error) {
 			return nil, fmt.Errorf("engine: inserting genesis vertex: %w", err)
 		}
 	}
-	if p.Config.MaxPendingCerts == 0 {
-		p.Config.MaxPendingCerts = DefaultConfig().MaxPendingCerts
-	}
 	sink := p.Commits
 	if sink == nil {
 		sink = discardSink{}
@@ -379,6 +379,7 @@ func New(p Params) (*Engine, error) {
 		pendingByMissing: make(map[types.Digest][]types.Digest),
 		requested:        make(map[types.Digest]bool),
 		pendingRounds:    make(map[types.Round]int),
+		syncBatch:        maxSyncBatch,
 	}
 	if e.exec != nil && e.exec.CheckpointCerts() {
 		e.ckptAcc = checkpoint.NewAccumulator(p.Committee)
@@ -416,7 +417,7 @@ func (e *Engine) Init(nowNanos int64) *Output {
 	// The progress watchdog runs for the engine's lifetime: a committee can
 	// wedge at one round if certificate broadcasts are lost (nothing later
 	// ever references them), so a stalled engine pulls the frontier.
-	out.timer(Timer{Kind: TimerProgress, Delay: 2 * e.config.ResyncInterval})
+	out.timer(Timer{Kind: TimerProgress, Delay: 2 * e.config.resyncInterval()})
 	return out
 }
 
@@ -473,7 +474,7 @@ func (e *Engine) OnMessage(from types.ValidatorID, msg *Message, nowNanos int64)
 		e.stats.SyncResponses++
 		// Batched catch-up: if we are still far behind after this response,
 		// immediately pull the next range from the same peer. Each
-		// round-trip advances MaxSyncBatch certificates, so a recovering
+		// round-trip advances maxSyncBatch certificates, so a recovering
 		// validator outpaces the live frontier instead of crawling one
 		// round per resync interval.
 		e.maybeRangeSync(from, nowNanos, out)
@@ -525,7 +526,7 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 	case TimerHeaderRetry:
 		if e.round == types.Round(t.Round) && !e.ownCertFormed && e.curHeader != nil {
 			out.broadcast(&Message{Kind: KindHeader, Header: e.curHeader})
-			out.timer(Timer{Kind: TimerHeaderRetry, Round: t.Round, Delay: e.config.ResyncInterval})
+			out.timer(Timer{Kind: TimerHeaderRetry, Round: t.Round, Delay: e.config.resyncInterval()})
 		}
 	case TimerProgress:
 		if e.round == e.progressLastRound {
@@ -550,7 +551,7 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 			}
 		}
 		e.progressLastRound = e.round
-		out.timer(Timer{Kind: TimerProgress, Delay: 2 * e.config.ResyncInterval})
+		out.timer(Timer{Kind: TimerProgress, Delay: 2 * e.config.resyncInterval()})
 	case TimerSnapshot:
 		e.onSnapshotTimer(nowNanos, out)
 	case TimerRejoin:
@@ -690,7 +691,7 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 
 	if missing := e.insertCert(c, nowNanos, out); len(missing) > 0 {
 		e.stats.CertsPended++
-		if len(e.pendingCerts) >= e.config.MaxPendingCerts {
+		if len(e.pendingCerts) >= maxPendingCerts {
 			e.evictPending()
 		}
 		e.addPending(digest, c)
@@ -710,7 +711,7 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 		}
 		if !e.resyncArmed {
 			e.resyncArmed = true
-			out.timer(Timer{Kind: TimerResync, Delay: e.config.ResyncInterval})
+			out.timer(Timer{Kind: TimerResync, Delay: e.config.resyncInterval()})
 		}
 		return
 	}
@@ -755,7 +756,7 @@ func (e *Engine) addPending(digest types.Digest, c *Certificate) {
 
 // removePending forgets a pending certificate and refreshes the high-water
 // mark. A stale mark would keep maybeRangeSync requesting (and peers
-// serving MaxSyncBatch-cert responses for) history the node already has —
+// serving maxSyncBatch-cert responses for) history the node already has —
 // for the node's lifetime, if a single ghost certificate at an absurd round
 // was evicted or pruned. The refresh only walks the per-round count keys,
 // and only when the highest round just emptied.
@@ -786,7 +787,7 @@ func (e *Engine) removePending(digest types.Digest) {
 // sits at arbitrary high rounds, while genuine catch-up certificates
 // cluster near it). Sampling keeps the per-message cost of a sustained
 // flood O(sample + edges + distinct pending rounds) instead of
-// O(MaxPendingCerts) — eviction runs on the ingest path, so a full scan per
+// O(maxPendingCerts) — eviction runs on the ingest path, so a full scan per
 // attacker message would itself be the DoS lever this bound exists to
 // remove.
 func (e *Engine) evictPending() {
@@ -944,7 +945,7 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 		}
 		if len(commits) > 0 {
 			e.commitsSinceGC += uint64(len(commits))
-			if e.commitsSinceGC >= e.config.GCEvery {
+			if e.commitsSinceGC >= gcEvery {
 				e.commitsSinceGC = 0
 				e.garbageCollect()
 			}
@@ -962,7 +963,7 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 	return nil
 }
 
-// onCertRequest serves the retained certificates among the first MaxSyncBatch
+// onCertRequest serves the retained certificates among the first maxSyncBatch
 // digests of a request, in request order. The rest go unread: a digest is
 // resolved by a scan of the DAG's slots, so the cap is what bounds the work a
 // peer's request can buy, however many digests its frame carries. The
@@ -972,7 +973,7 @@ func (e *Engine) onCertRequest(from types.ValidatorID, req *CertRequest, out *Ou
 		return
 	}
 	resp := &CertResponse{}
-	for _, d := range req.Digests[:min(len(req.Digests), e.config.MaxSyncBatch)] {
+	for _, d := range req.Digests[:min(len(req.Digests), e.syncBatch)] {
 		// The DAG names the slot; the certificate is in ours.
 		if v, ok := e.dagStore.ByDigest(d); ok {
 			if c := e.certAt(v.Round, v.Source); c != nil {
@@ -986,10 +987,10 @@ func (e *Engine) onCertRequest(from types.ValidatorID, req *CertRequest, out *Ou
 }
 
 // requestCerts asks target for the certificates of digests, in requests of
-// at most MaxSyncBatch digests, all of which a peer's onCertRequest reads.
+// at most maxSyncBatch digests, all of which a peer's onCertRequest reads.
 func (e *Engine) requestCerts(target types.ValidatorID, digests []types.Digest, out *Output) {
 	for len(digests) > 0 {
-		k := min(len(digests), e.config.MaxSyncBatch)
+		k := min(len(digests), e.syncBatch)
 		e.stats.SyncRequests++
 		out.unicast(target, &Message{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: digests[:k:k]}})
 		digests = digests[k:]
@@ -1016,7 +1017,7 @@ func (e *Engine) maybeRangeSync(target types.ValidatorID, nowNanos int64, out *O
 		return
 	}
 	if floor == e.lastRangeReqFloor &&
-		nowNanos-e.lastRangeReqNanos < e.config.ResyncInterval.Nanoseconds() {
+		nowNanos-e.lastRangeReqNanos < e.config.resyncInterval().Nanoseconds() {
 		return
 	}
 	target, ok := e.syncPeer(target)
@@ -1041,11 +1042,11 @@ func (e *Engine) onRoundRequest(from types.ValidatorID, req *RoundRequest, out *
 
 // certRange collects every retained certificate from the given round on,
 // oldest rounds first so the requester can insert parents-first, in source
-// order within a round, capped at MaxSyncBatch: a walk over the slots, costing
+// order within a round, capped at maxSyncBatch: a walk over the slots, costing
 // the rounds scanned and the batch. Shared by round requests and rejoin
 // responses.
 func (e *Engine) certRange(start types.Round) []*Certificate {
-	certs := make([]*Certificate, 0, e.config.MaxSyncBatch)
+	certs := make([]*Certificate, 0, e.syncBatch)
 	// Rounds below the floor are gone; every retained certificate is a DAG
 	// vertex, so none sits above the DAG's highest round.
 	for r, top := max(start, e.rounds.Floor()), e.dagStore.HighestRound(); r <= top; r++ {
@@ -1057,7 +1058,7 @@ func (e *Engine) certRange(start types.Round) []*Certificate {
 			if c == nil {
 				continue
 			}
-			if len(certs) == e.config.MaxSyncBatch {
+			if len(certs) == e.syncBatch {
 				return certs
 			}
 			certs = append(certs, c)
@@ -1125,7 +1126,7 @@ func (e *Engine) resync(out *Output) {
 		e.requestCerts(target, perTarget[target], out)
 	}
 	e.resyncArmed = true
-	out.timer(Timer{Kind: TimerResync, Delay: e.config.ResyncInterval})
+	out.timer(Timer{Kind: TimerResync, Delay: e.config.resyncInterval()})
 }
 
 // ---- round advancement ----
@@ -1422,7 +1423,7 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 	out.broadcast(&Message{Kind: KindHeader, Header: header})
 	out.timer(Timer{Kind: TimerRoundDelay, Round: uint64(round), Delay: e.config.MinRoundDelay})
 	e.startPeriod(round, out)
-	out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(round), Delay: e.config.ResyncInterval})
+	out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(round), Delay: e.config.resyncInterval()})
 
 	// A lone validator committee (n=1) certifies immediately on self-vote.
 	if e.voteStake.ReachedQuorum() {

@@ -99,8 +99,7 @@ func TestConfigValidate(t *testing.T) {
 		{"default", func(*Config) {}, false},
 		{"zero leader timeout", func(c *Config) { c.LeaderTimeout = 0 }, true},
 		{"zero batch", func(c *Config) { c.MaxBatchTx = 0 }, true},
-		{"zero gc", func(c *Config) { c.GCEvery = 0 }, true},
-		{"zero sync batch", func(c *Config) { c.MaxSyncBatch = 0 }, true},
+		{"zero gc", func(c *Config) { c.GCDepth = 0 }, true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

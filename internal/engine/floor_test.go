@@ -140,8 +140,8 @@ func (r *floorRecorder) Inserted(c *Certificate) {
 }
 
 // newFloorEngine is validator 0 under the HammerHead scheduler, switching
-// schedules every 3 commits and pruning GCDepth 4 below the floor every 2
-// commits: both the committer's ordering floor and the scheduler's retention
+// schedules every 3 commits and pruning GCDepth 4 below the floor every
+// gcEvery commits: both the committer's ordering floor and the scheduler's retention
 // bound take part in the floor garbageCollect computes.
 func newFloorEngine(t *testing.T, committee *types.Committee) (*Engine, *floorRecorder, *commitCollector) {
 	t.Helper()
@@ -158,7 +158,7 @@ func newFloorEngine(t *testing.T, committee *types.Committee) (*Engine, *floorRe
 	}
 	cfg := DefaultConfig()
 	cfg.VerifySignatures = false
-	cfg.GCDepth, cfg.GCEvery = 4, 2
+	cfg.GCDepth = 4
 	rec, commits := &floorRecorder{}, &commitCollector{}
 	e, err := New(Params{
 		Config: cfg, Committee: committee, Keys: kp, Batches: nilBatches{},
@@ -177,7 +177,7 @@ func newFloorEngine(t *testing.T, committee *types.Committee) (*Engine, *floorRe
 // to the install's PruneTo, and TestSlotStoreMatchesMapModel checks the same
 // equality across installs and restarts.
 //
-// The live engine receives a 60-round trace, one validator missing from
+// The live engine receives a 120-round trace, one validator missing from
 // every third round, shuffled within windows of ten certificates, so
 // certificates pend on missing parents and insert in cascades. A fresh engine
 // fed the recorded insertion sequence must see the same floor at every
@@ -187,7 +187,7 @@ func TestOneFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := buildCertTraceSkipping(committee, 60, func(r types.Round, id types.ValidatorID) bool {
+	trace := buildCertTraceSkipping(committee, 120, func(r types.Round, id types.ValidatorID) bool {
 		return r%3 == 0 && id == types.ValidatorID(r/3%4)
 	})
 	delivery := slices.Clone(trace)
@@ -241,10 +241,7 @@ func TestPendingStateGarbageCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, collector := newTraceEngine(t, committee, func(c *Config) {
-		c.GCDepth = 4
-		c.GCEvery = 4
-	})
+	eng, collector := newTraceEngine(t, committee, func(c *Config) { c.GCDepth = 4 })
 	// Ghost-parent certificate at round 2: one edge that exists nowhere.
 	ghost := &Certificate{Header: Header{
 		Round:  2,
@@ -282,10 +279,7 @@ func TestCertFloorDropsStaleCertificates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, _ := newTraceEngine(t, committee, func(c *Config) {
-		c.GCDepth = 4
-		c.GCEvery = 4
-	})
+	eng, _ := newTraceEngine(t, committee, func(c *Config) { c.GCDepth = 4 })
 	feedCerts(eng, buildCertTrace(t, committee, 60))
 	before := eng.Stats().CertsReceived
 	// A ghost cert at round 1, far below the floor by now.
@@ -308,14 +302,14 @@ func TestCertFloorDropsStaleCertificates(t *testing.T) {
 
 // TestPendingEvictionBoundsFlood: an attacker fabricating ghost-parent
 // certificates at arbitrary future rounds cannot grow pending state past
-// MaxPendingCerts.
+// maxPendingCerts.
 func TestPendingEvictionBoundsFlood(t *testing.T) {
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cap = 32
-	eng, _ := newTraceEngine(t, committee, func(c *Config) { c.MaxPendingCerts = cap })
+	const cap = maxPendingCerts
+	eng, _ := newTraceEngine(t, committee, nil)
 	for i := 0; i < 4*cap; i++ {
 		ghost := &Certificate{Header: Header{
 			Round:  types.Round(100 + i), // far future, never insertable
@@ -333,15 +327,18 @@ func TestPendingEvictionBoundsFlood(t *testing.T) {
 }
 
 // TestRoundRequestServedFromIndex checks the per-round index path: ascending
-// rounds, source order within a round, MaxSyncBatch cap, floor clamping, and
+// rounds, source order within a round, maxSyncBatch cap, floor clamping, and
 // that requests from self are ignored.
 func TestRoundRequestServedFromIndex(t *testing.T) {
-	committee, err := types.NewEqualStakeCommittee(4)
+	// A committee of 20, so rounds 3 and up hold more than maxSyncBatch
+	// certificates before the GC depth prunes anything.
+	const n = 20
+	committee, err := types.NewEqualStakeCommittee(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, _ := newTraceEngine(t, committee, func(c *Config) { c.MaxSyncBatch = 10 })
-	feedCerts(eng, buildCertTrace(t, committee, 8))
+	eng, _ := newTraceEngine(t, committee, nil)
+	feedCerts(eng, buildCertTrace(t, committee, 3+maxSyncBatch/n+2))
 
 	out := &Output{}
 	eng.onRoundRequest(2, &RoundRequest{FromRound: 3}, out)
@@ -349,12 +346,12 @@ func TestRoundRequestServedFromIndex(t *testing.T) {
 		t.Fatalf("want one response to v2, got %+v", out.Unicasts)
 	}
 	certs := out.Unicasts[0].Msg.CertResponse.Certs
-	if len(certs) != 10 {
-		t.Fatalf("batch = %d certs, want capped at 10", len(certs))
+	if len(certs) != maxSyncBatch {
+		t.Fatalf("batch = %d certs, want capped at %d", len(certs), maxSyncBatch)
 	}
 	for i, c := range certs {
-		wantRound := types.Round(3 + i/4)
-		wantSource := types.ValidatorID(i % 4)
+		wantRound := types.Round(3 + i/n)
+		wantSource := types.ValidatorID(i % n)
 		if c.Header.Round != wantRound || c.Header.Source != wantSource {
 			t.Fatalf("cert %d = (r=%d src=%s), want (r=%d src=%s)",
 				i, c.Header.Round, c.Header.Source, wantRound, wantSource)

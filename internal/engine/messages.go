@@ -299,7 +299,7 @@ func (r *RejoinRequest) EncodedSize() int { return 8 + 8 + 8 }
 
 // RejoinResponse answers a RejoinRequest: the responder's own frontier plus
 // its retained certificates from the requester's frontier round on (capped at
-// MaxSyncBatch), so the requester rebuilds the frontier rounds without extra
+// maxSyncBatch), so the requester rebuilds the frontier rounds without extra
 // round-trips. Once a rejoining validator has gathered responses worth a
 // write quorum (counting itself), it re-proposes into a fresh round strictly
 // above every round the merged frontier can still complete.

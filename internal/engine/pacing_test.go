@@ -323,18 +323,15 @@ func TestOwnVerticesPrunedUnorderedCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, collector := newTraceEngineWith(t, committee, &queueBatches{txs: txRange(1, 3)}, func(c *Config) {
-		c.GCDepth = 4
-		c.GCEvery = 4
-	})
+	eng, collector := newTraceEngineWith(t, committee, &queueBatches{txs: txRange(1, 3)}, func(c *Config) { c.GCDepth = 4 })
 	eng.Init(0)
-	peers := peerRounds(committee, 1, 40)
+	peers := peerRounds(committee, 1, 80)
 	deliver(eng, peers[1])
 	// The round-1 header certifies after the others left round 1: their
 	// round-2 headers (peerRounds) do not reference it, and the jump
 	// below skips the own round-2 header that does.
 	certifyOwn(t, eng)
-	for r := types.Round(2); r <= 40; r++ {
+	for r := types.Round(2); r <= 80; r++ {
 		deliver(eng, peers[r])
 	}
 	if len(collector.subs) == 0 {

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"hammerhead/internal/types"
 )
 
@@ -49,14 +47,6 @@ type rejoinState struct {
 	active    bool
 	acc       *types.StakeAccumulator
 	responded map[types.ValidatorID]bool
-}
-
-// rejoinRetryDelay is the handshake's retry pacing.
-func (e *Engine) rejoinRetryDelay() time.Duration {
-	if e.config.RejoinTimeout > 0 {
-		return e.config.RejoinTimeout
-	}
-	return 2 * e.config.ResyncInterval
 }
 
 // RestoreProposal re-adopts the highest proposal header recovered from the
@@ -142,7 +132,7 @@ func (e *Engine) StartRejoin(nowNanos int64) *Output {
 	e.resyncArmed = false
 	if len(e.pendingByMissing) > 0 {
 		e.resyncArmed = true
-		out.timer(Timer{Kind: TimerResync, Delay: e.config.ResyncInterval})
+		out.timer(Timer{Kind: TimerResync, Delay: e.config.resyncInterval()})
 	}
 
 	e.rejoin = rejoinState{
@@ -159,7 +149,7 @@ func (e *Engine) StartRejoin(nowNanos int64) *Output {
 		return out
 	}
 	out.broadcast(&Message{Kind: KindRejoinRequest, RejoinRequest: &RejoinRequest{Frontier: e.Frontier()}})
-	out.timer(Timer{Kind: TimerRejoin, Delay: e.rejoinRetryDelay()})
+	out.timer(Timer{Kind: TimerRejoin, Delay: 2 * e.config.resyncInterval()})
 	return out
 }
 
@@ -171,7 +161,7 @@ func (e *Engine) onRejoinTimer(nowNanos int64, out *Output) {
 	}
 	e.stats.RejoinRequests++
 	out.broadcast(&Message{Kind: KindRejoinRequest, RejoinRequest: &RejoinRequest{Frontier: e.Frontier()}})
-	out.timer(Timer{Kind: TimerRejoin, Delay: e.rejoinRetryDelay()})
+	out.timer(Timer{Kind: TimerRejoin, Delay: 2 * e.config.resyncInterval()})
 }
 
 // onRejoinRequest serves a restarted peer: our frontier plus retained
@@ -271,7 +261,7 @@ func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 		e.roundDelayOK = true
 		if !e.ownCertFormed && e.curHeader != nil && e.curHeader.Round == e.round {
 			out.broadcast(&Message{Kind: KindHeader, Header: e.curHeader})
-			out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(e.round), Delay: e.config.ResyncInterval})
+			out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(e.round), Delay: e.config.resyncInterval()})
 		}
 	case ownCert != nil:
 		// Our pre-crash proposal for the fresh round certified and the
@@ -292,7 +282,7 @@ func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 		// would conflict with our own recorded vote for it.
 		e.roundDelayOK = true
 		out.broadcast(&Message{Kind: KindHeader, Header: e.curHeader})
-		out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(target), Delay: e.config.ResyncInterval})
+		out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(target), Delay: e.config.resyncInterval()})
 	default:
 		// Forfeit our slots at and below the merged frontier and propose
 		// fresh strictly above it. The quorum round q is complete — never

@@ -253,7 +253,7 @@ func TestRejoinLoneValidatorCompletesImmediately(t *testing.T) {
 // offer — the first SnapshotRequest is already pinned to the offered round
 // (no blind discovery round-trip) and the seeded fetch completes.
 func TestRejoinResponseCarriesCheckpointOffer(t *testing.T) {
-	blob := []byte("0123456789abcdef0123456789abcdef0123456789") // 3 chunks at 16B
+	blob := chunkedBlob(3)
 	serve := &stubSnapshots{meta: snapMeta(40, 20, blob), blob: blob, ok: true}
 	rig, installers := newSyncRig(t, 4, serve)
 	for i := range rig.engines {

@@ -154,8 +154,7 @@ const slotSelf = types.ValidatorID(0)
 func (h *slotHarness) newEngine() *Engine {
 	cfg := DefaultConfig()
 	cfg.VerifySignatures = false
-	cfg.GCDepth, cfg.GCEvery = 4, 2
-	cfg.MaxSyncBatch = 2*h.n + 3 // cuts a response inside a round
+	cfg.GCDepth = 4
 	e, err := New(Params{
 		Config: cfg, Committee: h.committee, Self: slotSelf, Keys: h.keys,
 		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(h.committee, 1),
@@ -164,6 +163,7 @@ func (h *slotHarness) newEngine() *Engine {
 	if err != nil {
 		h.t.Fatal(err)
 	}
+	e.syncBatch = 2*h.n + 3 // cuts a response inside a round
 	return e
 }
 
@@ -392,7 +392,7 @@ func (h *slotHarness) opTick() {
 // opServe asks for certificates the three ways a peer can and compares each
 // answer with the model's: same certificates, same order.
 func (h *slotHarness) opServe() {
-	limit := h.e.config.MaxSyncBatch
+	limit := h.e.syncBatch
 	start := types.Round(h.rng.Intn(int(h.e.DAG().HighestRound()) + 3))
 	if err := sameCerts(h.e.certRange(start), h.m.rangeFrom(start, limit)); err != nil {
 		h.t.Fatalf("step %d: certRange(%d) (floor %d): %v", h.step, start, h.m.floor, err)

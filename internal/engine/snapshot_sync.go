@@ -125,14 +125,6 @@ const snapshotStallRetries = 2
 // attacker-controlled); overflowing the cap aborts the fetch as corrupt.
 const maxSnapshotFetchBytes = 256 << 20
 
-// snapshotChunkSize returns the configured chunk payload size.
-func (e *Engine) snapshotChunkSize() int {
-	if e.config.SnapshotChunkBytes > 0 {
-		return e.config.SnapshotChunkBytes
-	}
-	return DefaultSnapshotChunkBytes
-}
-
 // snapshotSyncEnabled reports whether this engine may REQUEST snapshot
 // state-sync: it needs an execution layer to install into and a scheduler
 // that stays correct across the jump.
@@ -150,12 +142,12 @@ func (e *Engine) beyondGCHorizon() bool {
 }
 
 // maybeSnapshotSync starts a snapshot fetch when one is needed and none is
-// active. Rate-limited by ResyncInterval between attempts.
+// active. Rate-limited by resyncInterval between attempts.
 func (e *Engine) maybeSnapshotSync(hint types.ValidatorID, nowNanos int64, out *Output) {
 	if !e.snapshotSyncEnabled() || e.snapFetch.active {
 		return
 	}
-	if e.snapFetch.lastAttempt != 0 && nowNanos-e.snapFetch.lastAttempt < e.config.ResyncInterval.Nanoseconds() {
+	if e.snapFetch.lastAttempt != 0 && nowNanos-e.snapFetch.lastAttempt < e.config.resyncInterval().Nanoseconds() {
 		return
 	}
 	target, ok := e.syncPeer(hint)
@@ -164,7 +156,7 @@ func (e *Engine) maybeSnapshotSync(hint types.ValidatorID, nowNanos int64, out *
 	}
 	e.snapFetch = snapFetch{active: true, target: target, lastAttempt: nowNanos}
 	e.requestSnapshotChunk(out)
-	out.timer(Timer{Kind: TimerSnapshot, Delay: 2 * e.config.ResyncInterval})
+	out.timer(Timer{Kind: TimerSnapshot, Delay: 2 * e.config.resyncInterval()})
 }
 
 // startOfferedSnapshotFetch begins a snapshot download seeded by a rejoin
@@ -187,7 +179,7 @@ func (e *Engine) startOfferedSnapshotFetch(from types.ValidatorID, offer Snapsho
 	}
 	e.snapFetch = snapFetch{active: true, target: target, meta: offer, lastAttempt: nowNanos}
 	e.requestSnapshotChunk(out)
-	out.timer(Timer{Kind: TimerSnapshot, Delay: 2 * e.config.ResyncInterval})
+	out.timer(Timer{Kind: TimerSnapshot, Delay: 2 * e.config.resyncInterval()})
 }
 
 // requestSnapshotChunk asks the pinned responder for the fetch's next chunk.
@@ -226,7 +218,7 @@ func (e *Engine) onSnapshotTimer(nowNanos int64, out *Output) {
 		f.retries = 0
 	}
 	f.lastReceived = f.received
-	out.timer(Timer{Kind: TimerSnapshot, Delay: 2 * e.config.ResyncInterval})
+	out.timer(Timer{Kind: TimerSnapshot, Delay: 2 * e.config.resyncInterval()})
 }
 
 // onSnapshotRequest serves one chunk of the latest local checkpoint.
@@ -250,7 +242,7 @@ func (e *Engine) onSnapshotRequest(from types.ValidatorID, req *SnapshotRequest,
 			meta, data = m, d
 		}
 	}
-	cs := e.snapshotChunkSize()
+	cs := snapshotChunkBytes
 	chunks := uint32((len(data) + cs - 1) / cs)
 	if chunks == 0 {
 		chunks = 1

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"hash/crc32"
 	"testing"
 
@@ -87,6 +88,16 @@ type corruptErr struct{}
 
 func (corruptErr) Error() string { return "stub: state digest mismatch" }
 
+// chunkedBlob is a snapshot blob that spans chunks snapshot chunks, the last
+// one half full.
+func chunkedBlob(chunks int) []byte {
+	blob := make([]byte, (chunks-1)*snapshotChunkBytes+snapshotChunkBytes/2)
+	for i := range blob {
+		blob[i] = byte(i % 251)
+	}
+	return blob
+}
+
 // snapMeta builds a consistent meta for a blob.
 func snapMeta(round types.Round, seq uint64, blob []byte) SnapshotMeta {
 	return SnapshotMeta{
@@ -97,7 +108,7 @@ func snapMeta(round types.Round, seq uint64, blob []byte) SnapshotMeta {
 	}
 }
 
-// newSyncRig builds a testRig with aggressive GC and tiny snapshot chunks,
+// newSyncRig builds a testRig with a shallow GC depth,
 // engine 0 serving `serve` and every engine able to install via its own
 // stubInstaller. Returns the rig and the per-engine installers.
 func newSyncRig(t *testing.T, n int, serve *stubSnapshots) (*testRig, []*stubInstaller) {
@@ -121,8 +132,6 @@ func newSyncRig(t *testing.T, n int, serve *stubSnapshots) (*testRig, []*stubIns
 	cfg := DefaultConfig()
 	cfg.VerifySignatures = true
 	cfg.GCDepth = 4
-	cfg.GCEvery = 1
-	cfg.SnapshotChunkBytes = 16
 	rig := &testRig{committee: committee}
 	installers := make([]*stubInstaller, n)
 	for i := 0; i < n; i++ {
@@ -193,7 +202,7 @@ func triggerBeyondHorizon(t *testing.T, rig *testRig, recovering *Engine, rounds
 }
 
 func TestBeyondHorizonTriggersSnapshotRequest(t *testing.T) {
-	blob := []byte("0123456789abcdef0123456789abcdef0123456789") // 3 chunks at 16B
+	blob := chunkedBlob(3)
 	serve := &stubSnapshots{meta: snapMeta(12, 6, blob), blob: blob, ok: true}
 	rig, installers := newSyncRig(t, 4, serve)
 	for i := range rig.engines {
@@ -223,7 +232,7 @@ func TestBeyondHorizonTriggersSnapshotRequest(t *testing.T) {
 }
 
 func TestSnapshotFetchAssemblesChunksAndFastForwards(t *testing.T) {
-	blob := []byte("the-serialized-state-machine-bytes-of-the-checkpoint")
+	blob := chunkedBlob(4)
 	meta := snapMeta(12, 6, blob)
 	serve := &stubSnapshots{meta: meta, blob: blob, ok: true}
 	rig, installers := newSyncRig(t, 4, serve)
@@ -239,10 +248,10 @@ func TestSnapshotFetchAssemblesChunksAndFastForwards(t *testing.T) {
 		t.Fatalf("installs = %d/%d (failures=%d), want 1", st.SnapshotInstalls, installers[3].installs, st.SnapshotInstallFailures)
 	}
 	if st.SnapshotRequests < 3 {
-		t.Fatalf("SnapshotRequests = %d, want >= 3 (chunked fetch at 16B)", st.SnapshotRequests)
+		t.Fatalf("SnapshotRequests = %d, want >= 3 (a chunked fetch of a %d-byte blob)", st.SnapshotRequests, len(blob))
 	}
-	if string(installers[3].lastData) != string(blob) {
-		t.Fatalf("installer got %q, want the full blob", installers[3].lastData)
+	if !bytes.Equal(installers[3].lastData, blob) {
+		t.Fatalf("installer got %d bytes, want the full %d-byte blob", len(installers[3].lastData), len(blob))
 	}
 	if installers[3].lastMeta != meta {
 		t.Fatalf("installer meta = %+v, want %+v", installers[3].lastMeta, meta)
@@ -333,7 +342,7 @@ func TestCorruptSnapshotChunkRejectsInstall(t *testing.T) {
 	// damage) must fail the install — the installer recomputes the state
 	// digest over the assembled payload — and leave the engine
 	// un-fast-forwarded, free to retry.
-	blob := []byte("the-serialized-state-machine-bytes-of-the-checkpoint")
+	blob := chunkedBlob(4)
 	serve := &stubSnapshots{meta: snapMeta(12, 6, blob), blob: blob, ok: true}
 	rig, installers := newSyncRig(t, 4, serve)
 	for i := range rig.engines {
@@ -371,7 +380,7 @@ func TestSnapshotChunkCRCRejectedOnReceipt(t *testing.T) {
 	// flipped bit cannot force re-fetching an entire multi-chunk snapshot,
 	// and garbage can never fill the fetch cap. The pacing timer then
 	// re-pulls the dropped chunk and the fetch completes.
-	blob := []byte("0123456789abcdef0123456789abcdef0123456789abcdef")
+	blob := chunkedBlob(3)
 	serve := &stubSnapshots{meta: snapMeta(12, 6, blob), blob: blob, ok: true}
 	rig, installers := newSyncRig(t, 4, serve)
 	for i := range rig.engines {
@@ -414,8 +423,8 @@ func TestSnapshotChunkCRCRejectedOnReceipt(t *testing.T) {
 	if st.SnapshotInstalls != 1 || installers[3].installs != 1 {
 		t.Fatalf("fetch did not complete after the retry: %+v", st)
 	}
-	if string(installers[3].lastData) != string(blob) {
-		t.Fatalf("installer got %q, want the full blob", installers[3].lastData)
+	if !bytes.Equal(installers[3].lastData, blob) {
+		t.Fatalf("installer got %d bytes, want the full %d-byte blob", len(installers[3].lastData), len(blob))
 	}
 }
 

@@ -115,7 +115,7 @@ func TestPendingCertTriggersSyncRequest(t *testing.T) {
 	}
 }
 
-// TestCertRequestWorkIsBounded: a CertRequest buys at most MaxSyncBatch digest
+// TestCertRequestWorkIsBounded: a CertRequest buys at most syncBatch digest
 // lookups however many digests its frame carries — the ones after the cap go
 // unread, retained or not — and the engine's own requests stay inside that
 // cap, so a node missing more parents than one request may name still
@@ -126,10 +126,10 @@ func TestCertRequestWorkIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := func(c *Config) { c.MaxSyncBatch = batch }
 	trace := buildCertTrace(t, committee, 2)
 	round1, child := trace[:n:n], trace[n+4]
-	peer, _ := newTraceEngine(t, committee, small)
+	peer, _ := newTraceEngine(t, committee, nil)
+	peer.syncBatch = batch
 	feedCerts(peer, trace)
 
 	serve := func(req *Message) []*Certificate {
@@ -157,7 +157,8 @@ func TestCertRequestWorkIsBounded(t *testing.T) {
 
 	// A node holding none of round 1 receives a round-2 certificate: it
 	// misses all n parents and asks the certificate's source for them.
-	node, _ := newTraceEngine(t, committee, small)
+	node, _ := newTraceEngine(t, committee, nil)
+	node.syncBatch = batch
 	checkRequests := func(what string, out *Output) []*Message {
 		t.Helper()
 		var reqs []*Message
@@ -167,7 +168,7 @@ func TestCertRequestWorkIsBounded(t *testing.T) {
 				continue
 			}
 			if ds := u.Msg.CertRequest.Digests; len(ds) > batch {
-				t.Fatalf("%s: a request names %d digests, more than MaxSyncBatch = %d", what, len(ds), batch)
+				t.Fatalf("%s: a request names %d digests, more than syncBatch = %d", what, len(ds), batch)
 			}
 			for _, d := range u.Msg.CertRequest.Digests {
 				asked[d] = true

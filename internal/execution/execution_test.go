@@ -500,7 +500,7 @@ func TestExecutorReadKV(t *testing.T) {
 // TestExecutorSnapshotFloor: no checkpoint -> 0; after a checkpoint the floor
 // tracks the boundary window.
 func TestExecutorSnapshotFloor(t *testing.T) {
-	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000, BoundaryRounds: 4})
+	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
 	if got := x.SnapshotFloor(); got != 0 {
 		t.Fatalf("floor before any checkpoint = %d, want 0", got)
 	}
@@ -510,7 +510,7 @@ func TestExecutorSnapshotFloor(t *testing.T) {
 	if _, err := x.ForceCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := x.SnapshotFloor(); got != 20+1-4 {
-		t.Fatalf("floor = %d, want %d", got, 20+1-4)
+	if got := x.SnapshotFloor(); got != 20+1-boundaryRounds {
+		t.Fatalf("floor = %d, want %d", got, 20+1-boundaryRounds)
 	}
 }

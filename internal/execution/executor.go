@@ -14,17 +14,16 @@ import (
 	"hammerhead/internal/types"
 )
 
-// Defaults for Config zero values.
 const (
 	// DefaultCheckpointInterval is about the number of commits between
-	// checkpoints (see Config.CheckpointInterval).
+	// checkpoints when Config.CheckpointInterval is zero.
 	DefaultCheckpointInterval = 32
-	// DefaultBoundaryRounds is the depth of the ordered-vertex window carried
-	// by snapshots. It must exceed the deepest straggler a commit can pick up
+	// boundaryRounds is the depth of the ordered-vertex window carried by
+	// snapshots. It must exceed the deepest straggler a commit can pick up
 	// below its anchor round (in healthy operation stragglers sit 1-2 rounds
 	// back; the committer's own GC makes anything deeper than GCDepth
 	// impossible everywhere).
-	DefaultBoundaryRounds types.Round = 16
+	boundaryRounds types.Round = 16
 	// rootRingSize is how many recent (seq, root) pairs RootAt retains.
 	rootRingSize = 4096
 )
@@ -38,9 +37,6 @@ type Config struct {
 	// that commit ends the period's fast phase, else at the next commit (see
 	// checkpointDue).
 	CheckpointInterval uint64
-	// BoundaryRounds is the ordered-window depth carried by snapshots
-	// (0 = DefaultBoundaryRounds).
-	BoundaryRounds types.Round
 	// Store persists checkpoints (nil = in-memory MemoryStore).
 	Store SnapshotStore
 	// OnCheckpoint, when non-nil, observes every checkpoint once the store
@@ -107,7 +103,7 @@ type Executor struct {
 	appliedSeq   uint64       // guarded by mu
 	stateRoot    types.Digest // guarded by mu
 	// ordered is the boundary window: every ordered vertex with round in
-	// (appliedRound-BoundaryRounds, appliedRound], exported into checkpoints
+	// (appliedRound-boundaryRounds, appliedRound], exported into checkpoints
 	// so installing committers resume with the exact ordered set. It stays
 	// digest-addressed — a snapshot names vertices the installing node does
 	// not hold yet — but is bucketed by round, so dropping what fell below
@@ -199,9 +195,6 @@ type ckpt struct {
 func NewExecutor(kv *KVState, cfg Config) *Executor {
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
-	}
-	if cfg.BoundaryRounds == 0 {
-		cfg.BoundaryRounds = DefaultBoundaryRounds
 	}
 	if cfg.Store == nil {
 		cfg.Store = NewMemoryStore()
@@ -343,14 +336,14 @@ func CommitDigestOf(sub *bullshark.CommittedSubDAG) types.Digest {
 }
 
 // boundaryFloorLocked is the lowest round whose ordered status the window
-// still records: (appliedRound - BoundaryRounds, appliedRound], clamped down
+// still records: (appliedRound - boundaryRounds, appliedRound], clamped down
 // to the scheduler state's retention floor when one rides along — an
 // installed node's DAG is pruned to the snapshot floor, and the scheduler's
 // epoch score scan must still find every retained round's vertices.
 func (x *Executor) boundaryFloorLocked() types.Round {
 	var floor types.Round
-	if x.appliedRound >= x.cfg.BoundaryRounds {
-		floor = x.appliedRound + 1 - x.cfg.BoundaryRounds
+	if x.appliedRound >= boundaryRounds {
+		floor = x.appliedRound + 1 - boundaryRounds
 	}
 	if x.schedState != nil {
 		if m := x.schedState.MinRetainedRound(); m < floor {

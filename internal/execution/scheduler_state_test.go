@@ -19,9 +19,9 @@ func (f fakeSchedState) MinRetainedRound() types.Round          { return f.floor
 func (f fakeSchedState) LeaderAt(types.Round) types.ValidatorID { return types.NoValidator }
 
 func TestCheckpointCarriesSchedulerState(t *testing.T) {
-	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000, BoundaryRounds: 4})
+	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
 	state := fakeSchedState{floor: 3, blob: []byte("sched-v1")}
-	for seq := uint64(1); seq <= 5; seq++ {
+	for seq := uint64(1); seq <= 10; seq++ {
 		c := makeCommit(seq, types.Round(seq*2), [][]byte{PutOp([]byte{byte(seq)}, []byte("v"))})
 		c.SchedulerState = state
 		x.ApplyCommit(c)
@@ -33,7 +33,7 @@ func TestCheckpointCarriesSchedulerState(t *testing.T) {
 	if !bytes.Equal(snap.SchedulerState, state.blob) {
 		t.Fatalf("checkpoint scheduler state = %q, want %q", snap.SchedulerState, state.blob)
 	}
-	// The boundary window would float at appliedRound+1-BoundaryRounds = 7,
+	// The boundary window would float at appliedRound+1-boundaryRounds = 5,
 	// but the scheduler still needs to scan back to round 3 — the floor must
 	// be clamped down to the state's retention floor.
 	if snap.Floor != 3 {

@@ -12,10 +12,10 @@ import (
 	"hammerhead/internal/node"
 	"hammerhead/internal/obs"
 	"hammerhead/internal/replica"
-	"hammerhead/internal/rpc"
 	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
 	"hammerhead/pkg/client"
+	"hammerhead/pkg/rpcapi"
 )
 
 // ClientLoadScenario parameterizes the client-gateway experiment: a REAL
@@ -253,7 +253,7 @@ func RunClientLoad(s ClientLoadScenario) (ClientLoadResult, error) {
 	watcherDone := make(chan struct{})
 	go func() {
 		defer close(watcherDone)
-		_ = watchClient.StreamCommits(watchCtx, 0, func(ev rpc.CommitEvent) error {
+		_ = watchClient.StreamCommits(watchCtx, 0, func(ev rpcapi.CommitEvent) error {
 			if ev.Seq > lastSeq.Load() {
 				lastSeq.Store(ev.Seq)
 			}
@@ -308,7 +308,7 @@ func RunClientLoad(s ClientLoadScenario) (ClientLoadResult, error) {
 				if now.After(deadline) {
 					return
 				}
-				txs := make([]rpc.SubmitTx, s.BatchSize)
+				txs := make([]rpcapi.SubmitTx, s.BatchSize)
 				ids := make([]uint64, s.BatchSize)
 				batchKeys := make([]string, s.BatchSize)
 				t0 := time.Now()
@@ -316,7 +316,7 @@ func RunClientLoad(s ClientLoadScenario) (ClientLoadResult, error) {
 					id := txSeq.Add(1)
 					ids[i] = id
 					batchKeys[i] = fmt.Sprintf("c%02d-k%04d", c, int(id)%s.Keys)
-					txs[i] = rpc.SubmitTx{ID: id, Payload: client.PutPayload([]byte(batchKeys[i]), []byte(fmt.Sprintf("v%d", id)))}
+					txs[i] = rpcapi.SubmitTx{ID: id, Payload: client.PutPayload([]byte(batchKeys[i]), []byte(fmt.Sprintf("v%d", id)))}
 					pending.Store(id, t0)
 				}
 				submitted.Add(uint64(len(txs)))
@@ -429,7 +429,7 @@ func RunClientLoad(s ClientLoadScenario) (ClientLoadResult, error) {
 	for c := range keysWritten {
 		for key := range keysWritten[c] {
 			res.KVChecked++
-			var ref rpc.KVResponse
+			var ref rpcapi.KVResponse
 			for v := range addrs {
 				got, err := readClient.GetAt(ctx, v, []byte(key))
 				if err != nil || !got.Found {
@@ -594,7 +594,7 @@ func verifyTraces(ctx context.Context, res *ClientLoadResult, cl *client.Client,
 		go func(id uint64) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var full rpc.TraceResponse
+			var full rpcapi.TraceResponse
 			for attempt := 0; attempt < 5 && !full.Complete && ctx.Err() == nil; attempt++ {
 				if attempt > 0 {
 					time.Sleep(20 * time.Millisecond)
@@ -630,7 +630,7 @@ func verifyTraces(ctx context.Context, res *ClientLoadResult, cl *client.Client,
 	}
 }
 
-func containsIndex(errs []rpc.SubmitError, idx int) bool {
+func containsIndex(errs []rpcapi.SubmitError, idx int) bool {
 	for _, e := range errs {
 		if e.Index == idx {
 			return true
@@ -652,7 +652,7 @@ func verifyStreamResume(ctx context.Context, cl *client.Client, last uint64) boo
 	done := fmt.Errorf("resume check complete")
 	streamCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	err := cl.StreamCommits(streamCtx, mid, func(ev rpc.CommitEvent) error {
+	err := cl.StreamCommits(streamCtx, mid, func(ev rpcapi.CommitEvent) error {
 		if first && ev.Seq > want {
 			// The resume point aged out of the gateway's retained ring; the
 			// gap event (folded in by the client) legally jumps the stream

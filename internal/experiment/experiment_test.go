@@ -136,19 +136,6 @@ func TestRunFaultyComparison(t *testing.T) {
 	}
 }
 
-// TestEngineConfigThreadsVerifySignatures: scenarios are crash-only unless
-// VerifySignatures is set, and EngineConfig carries the switch through.
-func TestEngineConfigThreadsVerifySignatures(t *testing.T) {
-	s := NewScenario(HammerHead, 10, 0, 2000)
-	if s.EngineConfig().VerifySignatures {
-		t.Fatal("scenarios stay crash-only unless VerifySignatures is set")
-	}
-	s.VerifySignatures = true
-	if !s.EngineConfig().VerifySignatures {
-		t.Fatal("EngineConfig did not thread VerifySignatures")
-	}
-}
-
 func TestCatchUpScenarioPreset(t *testing.T) {
 	s := NewCatchUpScenario(HammerHead, 10, 2, 500)
 	if err := s.Validate(); err != nil {

@@ -80,8 +80,8 @@ func Run(s Scenario) (Result, error) {
 	}
 
 	// Execution stage model: a FIFO server at the observer with service time
-	// ExecCostPerTx per transaction; latency is submit -> execution done.
-	execCost := s.ExecCostPerTx().Nanoseconds()
+	// execCostPerTx per transaction; latency is submit -> execution done.
+	execCost := s.execCostPerTx().Nanoseconds()
 	var execFreeAt int64
 	var executed, commits uint64
 	var latencies []time.Duration
@@ -215,9 +215,6 @@ func newCluster(s Scenario, onCommit simnet.CommitHook) (*simnet.Cluster, error)
 	var hh *core.Config
 	if s.Mechanism != Bullshark {
 		cfg := s.CoreConfig()
-		if s.SwapFraction > 0 {
-			cfg.MaxSwapStake = types.Stake(s.SwapFraction * float64(committee.TotalStake()))
-		}
 		hh = &cfg
 	}
 	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
@@ -319,7 +316,7 @@ func startLoad(cluster *simnet.Cluster, s Scenario) *uint64 {
 	if interval <= 0 {
 		interval = time.Nanosecond
 	}
-	payload := make([]byte, s.TxPayloadBytes)
+	payload := make([]byte, txPayloadBytes)
 	n := s.N
 	var seq uint64
 	var tick func()

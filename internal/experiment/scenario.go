@@ -6,7 +6,6 @@ import (
 
 	"hammerhead/internal/core"
 	"hammerhead/internal/engine"
-	"hammerhead/internal/types"
 )
 
 // Mechanism selects the leader-election mechanism under test.
@@ -51,22 +50,16 @@ type Scenario struct {
 	Warmup   time.Duration
 	Seed     int64
 
-	// Protocol knobs (paper's evaluation settings by default).
-	EpochPolicy  core.EpochPolicy
+	// Schedule epochs end every EpochCommits commits, and Scoring rates the
+	// leaders (the paper's evaluation settings by default). Each schedule
+	// swaps out at most f stake.
 	EpochCommits int
-	EpochRounds  int
 	Scoring      core.ScoringRule
-	SwapFraction float64 // fraction of total stake swapped out; 0 = f
 
 	// Engine pacing.
 	MinRoundDelay time.Duration
 	LeaderTimeout time.Duration
 	MaxBatchTx    int
-	// VerifySignatures switches the simulated deployment to real Ed25519
-	// signing with pre-verification at delivery — the authenticated
-	// pipeline the TCP node runs. The paper's crash-only evaluation keeps
-	// it off; Byzantine-signer scenarios need it on.
-	VerifySignatures bool
 	// GCDepthRounds overrides the engine's DAG retention window (0 keeps
 	// the default). Pre-snapshot recovery scenarios had to raise it so a
 	// validator rejoining after a long outage found its missing history
@@ -84,12 +77,6 @@ type Scenario struct {
 	// CheckpointCommits is the number of commits between checkpoints
 	// (0 = execution default). Ignored without Execution.
 	CheckpointCommits uint64
-
-	// Execution capacity model: service time per transaction is
-	// ExecBaseTxCost + ExecPerValidatorCost*N, calibrating the saturation
-	// knee to the paper's ~4,000 tx/s (n=10/50) and ~3,500 tx/s (n=100).
-	ExecBaseTxCost       time.Duration
-	ExecPerValidatorCost time.Duration
 
 	// Fault timing: CrashAt is when the Faults validators die (0 = genesis);
 	// RecoverAt, if positive, revives them (reintegration experiment A3).
@@ -120,10 +107,6 @@ type Scenario struct {
 	WithholdCount int
 	WithholdAt    time.Duration
 
-	// TxPayloadBytes sizes transactions (the paper uses tiny counter
-	// increments).
-	TxPayloadBytes int
-
 	// Windows, when non-empty, are ascending submit-time boundaries that
 	// split latency samples into len(Windows)+1 buckets (before the first
 	// boundary, between consecutive ones, after the last). The incident
@@ -138,26 +121,33 @@ type Scenario struct {
 // bottom-third exclusion, vote-based scoring.
 func NewScenario(m Mechanism, n, faults int, loadTxPerSec float64) Scenario {
 	return Scenario{
-		Name:                 fmt.Sprintf("%s-n%d-f%d-load%.0f", m, n, faults, loadTxPerSec),
-		Mechanism:            m,
-		N:                    n,
-		Faults:               faults,
-		LoadTxPerSec:         loadTxPerSec,
-		Duration:             2 * time.Minute,
-		Warmup:               40 * time.Second,
-		Seed:                 1,
-		EpochPolicy:          core.EpochByCommits,
-		EpochCommits:         10,
-		EpochRounds:          20,
-		Scoring:              core.ScoringVotes,
-		MinRoundDelay:        400 * time.Millisecond,
-		LeaderTimeout:        3 * time.Second,
-		MaxBatchTx:           batchCapFor(n),
-		ExecBaseTxCost:       230 * time.Microsecond,
-		ExecPerValidatorCost: 450 * time.Nanosecond,
-		TxPayloadBytes:       32,
+		Name:          fmt.Sprintf("%s-n%d-f%d-load%.0f", m, n, faults, loadTxPerSec),
+		Mechanism:     m,
+		N:             n,
+		Faults:        faults,
+		LoadTxPerSec:  loadTxPerSec,
+		Duration:      2 * time.Minute,
+		Warmup:        40 * time.Second,
+		Seed:          1,
+		EpochCommits:  10,
+		Scoring:       core.ScoringVotes,
+		MinRoundDelay: 400 * time.Millisecond,
+		LeaderTimeout: 3 * time.Second,
+		MaxBatchTx:    batchCapFor(n),
 	}
 }
+
+// The simulated deployment's fixed model: every scenario runs it.
+const (
+	// txPayloadBytes sizes transactions (the paper uses tiny counter
+	// increments).
+	txPayloadBytes = 32
+	// The execution capacity model: service time per transaction is
+	// execBaseTxCost + execPerValidatorCost*N, calibrating the saturation
+	// knee to the paper's ~4,000 tx/s (n=10/50) and ~3,500 tx/s (n=100).
+	execBaseTxCost       = 230 * time.Microsecond
+	execPerValidatorCost = 450 * time.Nanosecond
+)
 
 // batchCapFor sizes the per-header transaction cap so that faultless
 // consensus capacity sits ~60% above the execution knee for every committee
@@ -262,9 +252,9 @@ func NewByzantineLeaderScenario(m Mechanism, n int, loadTxPerSec float64) Scenar
 	return s
 }
 
-// ExecCostPerTx returns the modeled execution service time per transaction.
-func (s Scenario) ExecCostPerTx() time.Duration {
-	return s.ExecBaseTxCost + time.Duration(s.N)*s.ExecPerValidatorCost
+// execCostPerTx returns the modeled execution service time per transaction.
+func (s Scenario) execCostPerTx() time.Duration {
+	return execBaseTxCost + time.Duration(s.N)*execPerValidatorCost
 }
 
 // EngineConfig assembles the engine configuration for the scenario.
@@ -273,9 +263,8 @@ func (s Scenario) EngineConfig() engine.Config {
 	cfg.MinRoundDelay = s.MinRoundDelay
 	cfg.LeaderTimeout = s.LeaderTimeout
 	cfg.MaxBatchTx = s.MaxBatchTx
-	// Crash-only simulation by default; Byzantine-signer scenarios opt in
-	// to the authenticated pipeline.
-	cfg.VerifySignatures = s.VerifySignatures
+	// The paper's evaluation is crash-only: no signing, no verification.
+	cfg.VerifySignatures = false
 	if s.GCDepthRounds > 0 {
 		cfg.GCDepth = s.GCDepthRounds
 	}
@@ -285,14 +274,8 @@ func (s Scenario) EngineConfig() engine.Config {
 // CoreConfig assembles the HammerHead scheduler configuration.
 func (s Scenario) CoreConfig() core.Config {
 	cfg := core.DefaultConfig()
-	if s.EpochPolicy != 0 {
-		cfg.Policy = s.EpochPolicy
-	}
 	if s.EpochCommits > 0 {
 		cfg.EpochCommits = s.EpochCommits
-	}
-	if s.EpochRounds > 0 {
-		cfg.EpochRounds = types.Round(s.EpochRounds)
 	}
 	if s.Scoring != 0 {
 		cfg.Scoring = s.Scoring

@@ -32,6 +32,7 @@ import (
 	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
 	"hammerhead/internal/validator"
+	"hammerhead/pkg/rpcapi"
 )
 
 // CommitHandler receives committed sub-DAGs in order. Replayed is true for
@@ -386,7 +387,7 @@ func (n *Node) executionConfig() (*execution.Config, error) {
 		CheckpointCerts: cfg.CheckpointCerts,
 	}
 	if cfg.SnapshotDir != "" {
-		store, err := storage.NewSnapshotStore(cfg.SnapshotDir, 0)
+		store, err := storage.NewSnapshotStore(cfg.SnapshotDir)
 		if err != nil {
 			return nil, fmt.Errorf("node: opening snapshot store: %w", err)
 		}
@@ -452,8 +453,8 @@ func (n *Node) DebugAddr() string {
 
 // statusSnapshot assembles the node-level half of /v1/status from the
 // thread-safe mirrors (the gateway fills in commit and mempool counters).
-func (n *Node) statusSnapshot() rpc.StatusResponse {
-	st := rpc.StatusResponse{
+func (n *Node) statusSnapshot() rpcapi.StatusResponse {
+	st := rpcapi.StatusResponse{
 		Round:        n.statusRound.Load(),
 		HighestRound: uint64(n.eng.DAG().HighestRound()),
 		LastOrdered:  n.statusOrdered.Load(),
@@ -473,7 +474,7 @@ func (n *Node) statusSnapshot() rpc.StatusResponse {
 		st.ScheduleStartRound = uint64(ms.EpochStartRound())
 		scores := ms.Scores()
 		for _, id := range slices.Sorted(maps.Keys(scores)) {
-			st.SchedulerScores = append(st.SchedulerScores, rpc.ValidatorScore{Validator: uint32(id), Score: scores[id]})
+			st.SchedulerScores = append(st.SchedulerScores, rpcapi.ValidatorScore{Validator: uint32(id), Score: scores[id]})
 		}
 		for _, id := range ms.Excluded() {
 			st.ExcludedValidators = append(st.ExcludedValidators, uint32(id))

@@ -39,7 +39,6 @@ func fastNodeEngineConfig() engine.Config {
 	cfg := engine.DefaultConfig()
 	cfg.MinRoundDelay = 20 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
-	cfg.ResyncInterval = 200 * time.Millisecond
 	cfg.VerifySignatures = true
 	return cfg
 }

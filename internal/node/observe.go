@@ -3,8 +3,8 @@ package node
 import (
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/obs"
-	"hammerhead/internal/rpc"
 	"hammerhead/internal/types"
+	"hammerhead/pkg/rpcapi"
 )
 
 // recordBatchStage stamps stage for every identified transaction in a batch.
@@ -65,16 +65,16 @@ func recordCommitStageCreate(tr *obs.Tracer, stage obs.Stage, sub *bullshark.Com
 // node's commit path — streamed, plus applied when execution is on — with
 // monotonically non-decreasing timestamps; only the validator that admitted
 // the transaction can satisfy it.
-func (n *Node) traceResponse(txID uint64) (rpc.TraceResponse, bool) {
+func (n *Node) traceResponse(txID uint64) (rpcapi.TraceResponse, bool) {
 	t, ok := n.tracer.Lookup(txID)
 	if !ok {
-		return rpc.TraceResponse{}, false
+		return rpcapi.TraceResponse{}, false
 	}
 	last := obs.StageStreamed
 	if n.exec != nil {
 		last = obs.StageApplied
 	}
-	resp := rpc.TraceResponse{TxID: txID, Complete: true}
+	resp := rpcapi.TraceResponse{TxID: txID, Complete: true}
 	var prev int64
 	for s := 0; s < obs.NumStages; s++ {
 		ts := t.Times[s]
@@ -88,7 +88,7 @@ func (n *Node) traceResponse(txID uint64) (rpc.TraceResponse, bool) {
 			resp.Complete = false
 		}
 		prev = ts
-		resp.Stages = append(resp.Stages, rpc.TraceStage{
+		resp.Stages = append(resp.Stages, rpcapi.TraceStage{
 			Stage:     obs.Stage(s).String(),
 			TimeNanos: ts,
 		})

@@ -15,9 +15,9 @@ import (
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/node"
-	"hammerhead/internal/rpc"
 	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
+	"hammerhead/pkg/rpcapi"
 )
 
 // tcpNodeSpec assembles one validator over real TCP for the gateway tests.
@@ -73,7 +73,6 @@ func (s *tcpNodeSpec) bootTCPNode(t *testing.T, id types.ValidatorID, walPath, r
 	cfg := engine.DefaultConfig()
 	cfg.MinRoundDelay = 20 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
-	cfg.ResyncInterval = 200 * time.Millisecond
 	cfg.VerifySignatures = true
 	nd, err := node.New(node.Config{
 		Committee:    s.committee,
@@ -113,9 +112,9 @@ func (s *tcpNodeSpec) bootTCPNode(t *testing.T, id types.ValidatorID, walPath, r
 	return nd
 }
 
-func submitKV(t *testing.T, base string, client, key, value string) (*rpc.SubmitResponse, int) {
+func submitKV(t *testing.T, base string, client, key, value string) (*rpcapi.SubmitResponse, int) {
 	t.Helper()
-	body, _ := json.Marshal(rpc.SubmitRequest{Client: client, Txs: []rpc.SubmitTx{
+	body, _ := json.Marshal(rpcapi.SubmitRequest{Client: client, Txs: []rpcapi.SubmitTx{
 		{Payload: execution.PutOp([]byte(key), []byte(value))},
 	}})
 	resp, err := http.Post(base+"/v1/tx", "application/json", bytes.NewReader(body))
@@ -123,7 +122,7 @@ func submitKV(t *testing.T, base string, client, key, value string) (*rpc.Submit
 		return nil, 0
 	}
 	defer resp.Body.Close()
-	var out rpc.SubmitResponse
+	var out rpcapi.SubmitResponse
 	_ = json.NewDecoder(resp.Body).Decode(&out)
 	return &out, resp.StatusCode
 }
@@ -196,7 +195,7 @@ func TestGatewayAcceptsWhileTCPPeerRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st rpc.StatusResponse
+	var st rpcapi.StatusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@ import (
 	"hammerhead/internal/engine"
 	"hammerhead/internal/node"
 	"hammerhead/internal/replica"
-	"hammerhead/internal/rpc"
 	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
 	"hammerhead/pkg/client"
+	"hammerhead/pkg/rpcapi"
 )
 
 // bootCertNode is bootTCPNode with the trustless read tier enabled: quorum
@@ -31,7 +31,6 @@ func (s *tcpNodeSpec) bootCertNode(t *testing.T, id types.ValidatorID, rpcAddr s
 	cfg := engine.DefaultConfig()
 	cfg.MinRoundDelay = 20 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
-	cfg.ResyncInterval = 200 * time.Millisecond
 	cfg.VerifySignatures = true
 	nd, err := node.New(node.Config{
 		Committee:          s.committee,
@@ -200,7 +199,7 @@ func TestTrustlessReadTierEndToEnd(t *testing.T) {
 	if loc := resp.Header.Get("Location"); loc != base+"/v1/tx" {
 		t.Fatalf("redirect location = %q, want %q", loc, base+"/v1/tx")
 	}
-	var se rpc.SubmitError
+	var se rpcapi.SubmitError
 	if err := json.NewDecoder(resp.Body).Decode(&se); err != nil || se.Error == "" {
 		t.Fatalf("redirect body: %v (%+v)", err, se)
 	}

@@ -48,14 +48,14 @@ import (
 	"hammerhead/pkg/rpcapi"
 )
 
-// Defaults for Config zero values.
 const (
-	// DefaultRingSize is how many recent re-executed commits the replica
-	// retains for certificate cross-checks and RootAt: the chained root of
-	// each, plus the frozen state of those above the certified sequence. It
-	// must cover at least one checkpoint interval of commits, or
-	// certificates land past the ring and never promote.
-	DefaultRingSize = 512
+	// ringSize is how many recent re-executed commits the replica retains
+	// for certificate cross-checks and RootAt: the chained root of each,
+	// plus the frozen state of those above the certified sequence. It must
+	// cover the commits that land between a checkpoint's commit and the
+	// arrival of its quorum certificate: a certificate for a sequence the
+	// ring has already dropped never promotes.
+	ringSize = 512
 	// bootstrapBackoff paces snapshot retries while the cluster has not
 	// certified a checkpoint yet.
 	bootstrapBackoff = 250 * time.Millisecond
@@ -73,9 +73,6 @@ type Config struct {
 	// RPCAddr is the replica's own serving address (":0" for ephemeral;
 	// "" disables serving — a tail-only auditor).
 	RPCAddr string
-	// RingSize overrides the retained re-execution history
-	// (0 = DefaultRingSize).
-	RingSize int
 	// Logger, when non-nil, receives structured progress and divergence
 	// reports (slog, component=replica). Nil keeps the replica silent.
 	Logger *slog.Logger
@@ -107,7 +104,7 @@ type Replica struct {
 	appliedSeq   uint64                  // guarded by mu
 	appliedRound uint64                  // guarded by mu
 	chainedRoot  types.Digest            // guarded by mu
-	ring         []ringEntry             // guarded by mu; ascending seq, len <= RingSize
+	ring         []ringEntry             // guarded by mu; ascending seq, len <= ringSize
 	certified    *checkpoint.Certificate // guarded by mu
 	certifiedKV  *execution.FrozenKV     // guarded by mu
 	// held is the newest verified certificate for a sequence not
@@ -129,9 +126,6 @@ func New(cfg Config) (*Replica, error) {
 	}
 	if cfg.Verifier == nil {
 		return nil, errors.New("replica: a committee Verifier is required (trustless by construction)")
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
 	}
 	cli, err := client.New(client.Config{Endpoints: cfg.Validators})
 	if err != nil {
@@ -171,19 +165,31 @@ func (r *Replica) Addr() string {
 }
 
 // Bootstrap fetches a certified snapshot from the validators — retrying
-// until one exists or ctx is done — verifies it and installs it. Must
-// complete before Start.
+// until one exists or ctx is done — verifies it and installs it. Each pass
+// asks every endpoint in turn: a blob that fails verification (forged,
+// uncertified, stale) moves on to the next endpoint, and Bootstrap gives up
+// only when every endpoint's blob failed in the same pass. Must complete
+// before Start.
 func (r *Replica) Bootstrap(ctx context.Context) error {
 	for {
-		blob, err := r.cli.Snapshot(ctx)
-		if err == nil {
+		var rejected []error
+		for i := range r.cfg.Validators {
+			blob, err := r.cli.SnapshotAt(ctx, i)
+			if err != nil {
+				if !errors.Is(err, client.ErrNoSnapshot) && ctx.Err() == nil {
+					r.logger.Warn("snapshot fetch failed", "endpoint", i, "err", err)
+				}
+				continue
+			}
 			if err := r.BootstrapFromBlob(blob); err != nil {
-				return err
+				r.logger.Warn("snapshot rejected", "endpoint", i, "err", err)
+				rejected = append(rejected, err)
+				continue
 			}
 			return nil
 		}
-		if !errors.Is(err, client.ErrNoSnapshot) && ctx.Err() == nil {
-			r.logger.Warn("snapshot fetch failed", "err", err)
+		if len(rejected) == len(r.cfg.Validators) {
+			return fmt.Errorf("replica: every endpoint's snapshot was rejected: %w", errors.Join(rejected...))
 		}
 		select {
 		case <-time.After(bootstrapBackoff):
@@ -352,7 +358,7 @@ func (r *Replica) ApplyCommitEvent(ev rpcapi.CommitEvent) error {
 		stateDigest: r.kv.Root(),
 		frozen:      r.kv.Freeze(),
 	}
-	if len(r.ring) >= r.cfg.RingSize {
+	if len(r.ring) >= ringSize {
 		copy(r.ring, r.ring[1:])
 		r.ring = r.ring[:len(r.ring)-1]
 	}
@@ -496,10 +502,10 @@ func (r *Replica) RootAt(seq uint64) (types.Digest, bool) {
 	return types.Digest{}, false
 }
 
-func (r *Replica) status() rpc.StatusResponse {
+func (r *Replica) status() rpcapi.StatusResponse {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	resp := rpc.StatusResponse{
+	resp := rpcapi.StatusResponse{
 		Replica:      true,
 		AppliedSeq:   r.appliedSeq,
 		AppliedRound: r.appliedRound,

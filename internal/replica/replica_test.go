@@ -1,10 +1,16 @@
 package replica
 
 import (
+	"bytes"
+	"context"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/checkpoint"
@@ -284,6 +290,70 @@ func TestReplicaRejectsBadBootstrap(t *testing.T) {
 	_ = snap2
 	if r.AppliedSeq() != 0 {
 		t.Fatal("rejected bootstrap mutated the replica")
+	}
+}
+
+// TestReplicaBootstrapSkipsABadResponder: a responder whose snapshot blob
+// fails verification does not stop a replica's start. Bootstrap moves on to
+// the next endpoint and installs its certified blob; only when every
+// endpoint's blob fails in the same pass does it give up, at once rather
+// than at its deadline.
+func TestReplicaBootstrapSkipsABadResponder(t *testing.T) {
+	h := newHarness(t)
+	h.commit(execution.PutOp([]byte("k"), []byte("v")))
+	_, snap := h.certify(t, 3)
+	genuine, ok := h.producer.CertifiedSnapshotBlob()
+	if !ok {
+		t.Fatal("producer serves no certified blob")
+	}
+	// The forgery: the genuine blob with one signature of its certificate
+	// broken.
+	tampered, err := execution.DecodeSnapshot(bytes.Clone(genuine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered.Cert.Sigs[0].Signature[0] ^= 0xFF
+	forged, err := execution.EncodeSnapshot(tampered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(blob []byte) string {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path != "/v1/snapshot" {
+				http.NotFound(w, req)
+				return
+			}
+			_, _ = w.Write(blob)
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	bad, good := serve(forged), serve(genuine)
+	bootstrap := func(endpoints ...string) (*Replica, error) {
+		r, err := New(Config{Validators: endpoints, Verifier: h.verifier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		return r, r.Bootstrap(ctx)
+	}
+
+	r, err := bootstrap(bad, good)
+	if err != nil {
+		t.Fatalf("a forged blob at the first endpoint aborted the bootstrap: %v", err)
+	}
+	if r.AppliedSeq() != snap.CommitSeq {
+		t.Fatalf("applied seq %d, want the certified %d", r.AppliedSeq(), snap.CommitSeq)
+	}
+
+	r, err = bootstrap(bad, bad)
+	if err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("every endpoint forged: Bootstrap returned %v, want the rejection", err)
+	}
+	if r.AppliedSeq() != 0 {
+		t.Fatal("a rejected blob was installed")
 	}
 }
 

@@ -38,7 +38,7 @@ func TestFullStreamPushesCheckpoints(t *testing.T) {
 		}
 		switch name {
 		case "commit":
-			var ev CommitEvent
+			var ev rpcapi.CommitEvent
 			if err := json.Unmarshal(data, &ev); err != nil || ev.Seq != seq {
 				t.Fatalf("commit %d (%v), want %d", ev.Seq, err, seq)
 			}

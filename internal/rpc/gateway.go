@@ -26,13 +26,13 @@ import (
 )
 
 const (
-	// DefaultHistoryDepth is the most recent commits the gateway retains for
-	// SSE resume. A client further behind receives a gap event and resumes
-	// from the oldest retained sequence.
-	DefaultHistoryDepth = 4096
+	// historyDepth is the most recent commits the gateway retains for SSE
+	// resume. A client further behind receives a gap event and resumes from
+	// the oldest retained sequence.
+	historyDepth = 4096
 	// historyBytes bounds what the retained commits may hold in transaction
 	// IDs and payloads: under load the resume window is this many bytes of
-	// history, not HistoryDepth commits (see commitRing for what is exempt).
+	// history, not historyDepth commits (see commitRing for what is exempt).
 	historyBytes = 4 << 20
 	// streamBatch is how many events a subscriber copies out of the ring per
 	// hold of the gateway's lock — the lock ObserveCommit takes on the node's
@@ -101,18 +101,15 @@ type Config struct {
 	// Status supplies the node-level fields of /v1/status (engine round,
 	// frontier, execution cursor); the gateway fills in commit and mempool
 	// counters. Nil leaves those fields zero.
-	Status func() StatusResponse
+	Status func() rpcapi.StatusResponse
 	// Trace serves GET /v1/trace/{txid}: the transaction's commit-path
 	// waterfall from the node's lifecycle tracer. nil (tracing disabled)
 	// answers 501; ok=false (unknown or evicted tx) 404.
-	Trace func(txID uint64) (TraceResponse, bool)
+	Trace func(txID uint64) (rpcapi.TraceResponse, bool)
 	// Metrics, when non-nil, receives gateway counters
 	// (hammerhead_rpc_requests_total, hammerhead_rpc_submit_latency_seconds,
 	// hammerhead_mempool_lane_depth) and is mounted at /metrics.
 	Metrics *metrics.Registry
-	// HistoryDepth overrides the most commits the SSE resume window holds
-	// (0 = DefaultHistoryDepth). The window is also bounded in bytes.
-	HistoryDepth int
 }
 
 // Gateway is the embedded HTTP server. Create with New (binds the listener),
@@ -165,9 +162,6 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		cfg.RedirectSubmit[i] = strings.TrimRight(cfg.RedirectSubmit[i], "/")
 	}
-	if cfg.HistoryDepth <= 0 {
-		cfg.HistoryDepth = DefaultHistoryDepth
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listening on %s: %w", cfg.Addr, err)
@@ -177,7 +171,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:          cfg,
 		listener:     ln,
-		ring:         newCommitRing(cfg.HistoryDepth, 1, historyBytes),
+		ring:         newCommitRing(historyDepth, 1, historyBytes),
 		writeTimeout: streamWriteTimeout,
 	}
 	g.cond = sync.NewCond(&g.mu)
@@ -252,7 +246,7 @@ func (g *Gateway) Close() error {
 // alias its whole certificate frame, which must not outlive the DAG's window
 // for the sake of a few bytes of it. historyBytes bounds the retained bytes.
 func (g *Gateway) ObserveCommit(sub bullshark.CommittedSubDAG) {
-	ev := CommitEvent{
+	ev := rpcapi.CommitEvent{
 		Seq:          sub.Index,
 		Round:        uint64(sub.Anchor.Round),
 		TxCount:      sub.TxCount(),
@@ -294,7 +288,7 @@ func digestOf(sub *bullshark.CommittedSubDAG) []byte {
 // into the ring's block. Replicas re-serving a stream they tail (and
 // re-execute) feed their gateway here; validators go through ObserveCommit.
 // Events must arrive in ascending Seq order.
-func (g *Gateway) ObserveEvent(ev CommitEvent) {
+func (g *Gateway) ObserveEvent(ev rpcapi.CommitEvent) {
 	g.observe(packCommit(ev))
 }
 
@@ -356,7 +350,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // clientID resolves the submitter identity for lane selection: explicit
 // request field, then the X-Client-ID header, then the remote host.
-func clientID(req *SubmitRequest, r *http.Request) string {
+func clientID(req *rpcapi.SubmitRequest, r *http.Request) string {
 	if req.Client != "" {
 		return req.Client
 	}
@@ -372,7 +366,7 @@ func clientID(req *SubmitRequest, r *http.Request) string {
 
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, SubmitError{Error: "POST only"})
+		writeJSON(w, http.StatusMethodNotAllowed, rpcapi.SubmitError{Error: "POST only"})
 		return
 	}
 	if g.cfg.Submit == nil {
@@ -380,18 +374,18 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// so a redirect-following client lands on a real validator unchanged.
 		target := g.cfg.RedirectSubmit[int(g.redirectSeq.Add(1)-1)%len(g.cfg.RedirectSubmit)]
 		w.Header().Set("Location", target+"/v1/tx")
-		writeJSON(w, http.StatusTemporaryRedirect, SubmitError{Error: "read replica: submit to a validator"})
+		writeJSON(w, http.StatusTemporaryRedirect, rpcapi.SubmitError{Error: "read replica: submit to a validator"})
 		return
 	}
 	start := time.Now()
-	var req SubmitRequest
+	var req rpcapi.SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, SubmitError{Error: "decoding body: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, rpcapi.SubmitError{Error: "decoding body: " + err.Error()})
 		return
 	}
 	client := clientID(&req, r)
-	resp := SubmitResponse{}
+	resp := rpcapi.SubmitResponse{}
 	if g.cfg.Lane != nil {
 		resp.Lane = g.cfg.Lane(client)
 	}
@@ -407,7 +401,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := g.cfg.Submit(client, tx); err != nil {
 			resp.Rejected++
-			resp.Errors = append(resp.Errors, SubmitError{Index: i, Error: err.Error()})
+			resp.Errors = append(resp.Errors, rpcapi.SubmitError{Index: i, Error: err.Error()})
 			continue
 		}
 		resp.Accepted++
@@ -435,13 +429,13 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleKV(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, SubmitError{Error: "GET only"})
+		writeJSON(w, http.StatusMethodNotAllowed, rpcapi.SubmitError{Error: "GET only"})
 		return
 	}
 	raw := strings.TrimPrefix(r.URL.EscapedPath(), "/v1/kv/")
 	key, err := url.PathUnescape(raw)
 	if err != nil || key == "" {
-		writeJSON(w, http.StatusBadRequest, SubmitError{Error: "bad key"})
+		writeJSON(w, http.StatusBadRequest, rpcapi.SubmitError{Error: "bad key"})
 		return
 	}
 	if r.URL.Query().Get("proof") == "1" {
@@ -449,15 +443,15 @@ func (g *Gateway) handleKV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if g.cfg.ReadKV == nil {
-		writeJSON(w, http.StatusNotImplemented, SubmitError{Error: "execution subsystem disabled on this node"})
+		writeJSON(w, http.StatusNotImplemented, rpcapi.SubmitError{Error: "execution subsystem disabled on this node"})
 		return
 	}
 	read, ok := g.cfg.ReadKV([]byte(key))
 	if !ok {
-		writeJSON(w, http.StatusNotImplemented, SubmitError{Error: "state machine has no KV read surface"})
+		writeJSON(w, http.StatusNotImplemented, rpcapi.SubmitError{Error: "state machine has no KV read surface"})
 		return
 	}
-	resp := KVResponse{
+	resp := rpcapi.KVResponse{
 		Key:          []byte(key),
 		Value:        read.Value,
 		Found:        read.Found,
@@ -479,21 +473,21 @@ func (g *Gateway) handleKV(w http.ResponseWriter, r *http.Request) {
 // trustless client re-derives them by verifying the proof client-side.
 func (g *Gateway) handleKVProof(w http.ResponseWriter, key []byte) {
 	if g.cfg.ProvenRead == nil {
-		writeJSON(w, http.StatusNotImplemented, SubmitError{Error: "proof-carrying reads unavailable on this node"})
+		writeJSON(w, http.StatusNotImplemented, rpcapi.SubmitError{Error: "proof-carrying reads unavailable on this node"})
 		return
 	}
 	pr, ok := g.cfg.ProvenRead(key)
 	if !ok {
-		writeJSON(w, http.StatusServiceUnavailable, SubmitError{Error: "no certified checkpoint yet"})
+		writeJSON(w, http.StatusServiceUnavailable, rpcapi.SubmitError{Error: "no certified checkpoint yet"})
 		return
 	}
 	_, entry, err := pr.Proof.Verify(key)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, SubmitError{Error: "malformed proof: " + err.Error()})
+		writeJSON(w, http.StatusInternalServerError, rpcapi.SubmitError{Error: "malformed proof: " + err.Error()})
 		return
 	}
 	leaf, steps := rpcapi.ProofToWire(pr.Proof)
-	resp := KVProofResponse{
+	resp := rpcapi.KVProofResponse{
 		Key:          key,
 		Value:        entry.Value,
 		Found:        entry.Found,
@@ -515,16 +509,16 @@ func (g *Gateway) handleKVProof(w http.ResponseWriter, key []byte) {
 // against.
 func (g *Gateway) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, SubmitError{Error: "GET only"})
+		writeJSON(w, http.StatusMethodNotAllowed, rpcapi.SubmitError{Error: "GET only"})
 		return
 	}
 	if g.cfg.Checkpoint == nil {
-		writeJSON(w, http.StatusNotImplemented, SubmitError{Error: "checkpoint certification disabled on this node"})
+		writeJSON(w, http.StatusNotImplemented, rpcapi.SubmitError{Error: "checkpoint certification disabled on this node"})
 		return
 	}
 	cert, ok := g.cfg.Checkpoint()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, SubmitError{Error: "no certified checkpoint yet"})
+		writeJSON(w, http.StatusNotFound, rpcapi.SubmitError{Error: "no certified checkpoint yet"})
 		return
 	}
 	writeJSON(w, http.StatusOK, rpcapi.CertToWire(cert))
@@ -535,16 +529,16 @@ func (g *Gateway) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // — the blob already carries its own framing, checksum and certificate.
 func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, SubmitError{Error: "GET only"})
+		writeJSON(w, http.StatusMethodNotAllowed, rpcapi.SubmitError{Error: "GET only"})
 		return
 	}
 	if g.cfg.SnapshotBlob == nil {
-		writeJSON(w, http.StatusNotImplemented, SubmitError{Error: "snapshot serving disabled on this node"})
+		writeJSON(w, http.StatusNotImplemented, rpcapi.SubmitError{Error: "snapshot serving disabled on this node"})
 		return
 	}
 	blob, ok := g.cfg.SnapshotBlob()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, SubmitError{Error: "no certified snapshot yet"})
+		writeJSON(w, http.StatusNotFound, rpcapi.SubmitError{Error: "no certified snapshot yet"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -556,22 +550,22 @@ func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // waterfall the node's lifecycle tracer recorded for one transaction.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, SubmitError{Error: "GET only"})
+		writeJSON(w, http.StatusMethodNotAllowed, rpcapi.SubmitError{Error: "GET only"})
 		return
 	}
 	if g.cfg.Trace == nil {
-		writeJSON(w, http.StatusNotImplemented, SubmitError{Error: "tracing disabled on this node"})
+		writeJSON(w, http.StatusNotImplemented, rpcapi.SubmitError{Error: "tracing disabled on this node"})
 		return
 	}
 	raw := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	txID, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil || txID == 0 {
-		writeJSON(w, http.StatusBadRequest, SubmitError{Error: "bad tx id: " + raw})
+		writeJSON(w, http.StatusBadRequest, rpcapi.SubmitError{Error: "bad tx id: " + raw})
 		return
 	}
 	resp, ok := g.cfg.Trace(txID)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, SubmitError{Error: "no trace retained for this tx"})
+		writeJSON(w, http.StatusNotFound, rpcapi.SubmitError{Error: "no trace retained for this tx"})
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -579,10 +573,10 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, SubmitError{Error: "GET only"})
+		writeJSON(w, http.StatusMethodNotAllowed, rpcapi.SubmitError{Error: "GET only"})
 		return
 	}
-	var resp StatusResponse
+	var resp rpcapi.StatusResponse
 	if g.cfg.Status != nil {
 		resp = g.cfg.Status()
 	}
@@ -591,7 +585,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		for _, ls := range g.cfg.LaneStats() {
 			resp.MempoolPending += ls.Depth
 			resp.MempoolCapacity += ls.Cap
-			resp.Lanes = append(resp.Lanes, LaneStatus{
+			resp.Lanes = append(resp.Lanes, rpcapi.LaneStatus{
 				Lane:      ls.Lane,
 				Depth:     ls.Depth,
 				Cap:       ls.Cap,
@@ -620,12 +614,12 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 // is disconnected after streamWriteTimeout.
 func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, SubmitError{Error: "GET only"})
+		writeJSON(w, http.StatusMethodNotAllowed, rpcapi.SubmitError{Error: "GET only"})
 		return
 	}
 	from, fromSet, err := resumePoint(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, SubmitError{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, rpcapi.SubmitError{Error: err.Error()})
 		return
 	}
 	// ?full=1 puts the per-commit transaction payloads on the events — the
@@ -660,7 +654,7 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 	// batch is reused across wakes and cleared after each write, so a
 	// subscriber parked in Wait (or in a blocked write) pins at most
 	// streamBatch events' payloads outside the ring's budget.
-	batch := make([]CommitEvent, 0, streamBatch)
+	batch := make([]rpcapi.CommitEvent, 0, streamBatch)
 	g.mu.Lock()
 	// A full stream pushes certificates: sentCert is the commit seq of the
 	// last one it sent, and certDue says ObserveCheckpoint ran since it last
@@ -696,7 +690,7 @@ func (g *Gateway) handleCommits(w http.ResponseWriter, r *http.Request) {
 			// The gap frame's id is Oldest-1: a client reconnecting with
 			// Last-Event-ID after seeing only the gap must still receive the
 			// commit at Oldest (id semantics are "last seq caught up to").
-			err = writeEvent(w, "gap", strconv.FormatUint(gapOldest-1, 10), GapEvent{Oldest: gapOldest})
+			err = writeEvent(w, "gap", strconv.FormatUint(gapOldest-1, 10), rpcapi.GapEvent{Oldest: gapOldest})
 		}
 		for i := 0; err == nil && i < len(batch); i++ {
 			if g.cfg.RootAt != nil && batch[i].StateRoot == "" {

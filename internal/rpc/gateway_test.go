@@ -16,6 +16,7 @@ import (
 	"hammerhead/internal/mempool"
 	"hammerhead/internal/metrics"
 	"hammerhead/internal/types"
+	"hammerhead/pkg/rpcapi"
 )
 
 // newTestGateway boots a gateway over a 2-lane fair pool and a live executor,
@@ -33,8 +34,8 @@ func newTestGateway(t *testing.T, mutate func(*Config)) (*Gateway, *mempool.Fair
 		LaneStats: pool.LaneStats,
 		ReadKV:    exec.ReadKV,
 		RootAt:    exec.RootAt,
-		Status: func() StatusResponse {
-			return StatusResponse{Round: 7, HighestRound: 9, LastOrdered: 6, AppliedSeq: exec.AppliedSeq()}
+		Status: func() rpcapi.StatusResponse {
+			return rpcapi.StatusResponse{Round: 7, HighestRound: 9, LastOrdered: 6, AppliedSeq: exec.AppliedSeq()}
 		},
 		Metrics: reg,
 	}
@@ -87,7 +88,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 func TestGatewaySubmitBatch(t *testing.T) {
 	_, pool, _, base := newTestGateway(t, nil)
-	req := SubmitRequest{Client: "alice", Txs: []SubmitTx{
+	req := rpcapi.SubmitRequest{Client: "alice", Txs: []rpcapi.SubmitTx{
 		{ID: 1, Payload: []byte("a")},
 		{Payload: []byte("b")}, // ID assigned by the gateway
 	}}
@@ -95,7 +96,7 @@ func TestGatewaySubmitBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var out SubmitResponse
+	var out rpcapi.SubmitResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -123,18 +124,18 @@ func TestGatewaySubmitBatch(t *testing.T) {
 func TestGatewaySubmitBackpressure429(t *testing.T) {
 	_, pool, _, base := newTestGateway(t, nil)
 	// Saturate alice's lane (cap = 32 of the 64-wide pool).
-	var txs []SubmitTx
+	var txs []rpcapi.SubmitTx
 	for i := 0; i < 64; i++ {
-		txs = append(txs, SubmitTx{Payload: []byte("x")})
+		txs = append(txs, rpcapi.SubmitTx{Payload: []byte("x")})
 	}
-	resp, body := postJSON(t, base+"/v1/tx", SubmitRequest{Client: "alice", Txs: txs})
-	var out SubmitResponse
+	resp, body := postJSON(t, base+"/v1/tx", rpcapi.SubmitRequest{Client: "alice", Txs: txs})
+	var out rpcapi.SubmitResponse
 	_ = json.Unmarshal(body, &out)
 	if resp.StatusCode != http.StatusOK || out.Rejected == 0 {
 		t.Fatalf("mixed batch: status %d rejected %d, want 200 with rejections", resp.StatusCode, out.Rejected)
 	}
 	// A fully rejected batch surfaces as 429 with per-tx errors.
-	resp, body = postJSON(t, base+"/v1/tx", SubmitRequest{Client: "alice", Txs: txs[:2]})
+	resp, body = postJSON(t, base+"/v1/tx", rpcapi.SubmitRequest{Client: "alice", Txs: txs[:2]})
 	_ = json.Unmarshal(body, &out)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated lane: status = %d, want 429 (body %s)", resp.StatusCode, body)
@@ -152,7 +153,7 @@ func TestGatewaySubmitBackpressure429(t *testing.T) {
 			}
 		}
 	}
-	resp, _ = postJSON(t, base+"/v1/tx", SubmitRequest{Client: other, Txs: txs[:2]})
+	resp, _ = postJSON(t, base+"/v1/tx", rpcapi.SubmitRequest{Client: other, Txs: txs[:2]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("light client rejected while another lane is saturated: %d", resp.StatusCode)
 	}
@@ -171,7 +172,7 @@ func TestGatewayKVReadWithCursor(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var out KVResponse
+	var out rpcapi.KVResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestGatewayStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out StatusResponse
+	var out rpcapi.StatusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestGatewayCommitStreamResume(t *testing.T) {
 		if name != "commit" {
 			t.Fatalf("event = %s, want commit", name)
 		}
-		var ev CommitEvent
+		var ev rpcapi.CommitEvent
 		if err := json.Unmarshal(data, &ev); err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +302,7 @@ func TestGatewayCommitStreamResume(t *testing.T) {
 
 	// Live delivery continues on the same stream. (Raw read in the goroutine:
 	// t.Fatal must stay on the test goroutine.)
-	done := make(chan CommitEvent, 1)
+	done := make(chan rpcapi.CommitEvent, 1)
 	go func() {
 		for {
 			line, err := c.reader.ReadString('\n')
@@ -309,7 +310,7 @@ func TestGatewayCommitStreamResume(t *testing.T) {
 				return
 			}
 			if strings.HasPrefix(line, "data: ") {
-				var ev CommitEvent
+				var ev rpcapi.CommitEvent
 				if json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimRight(line, "\n"), "data: ")), &ev) == nil {
 					done <- ev
 					return
@@ -330,18 +331,18 @@ func TestGatewayCommitStreamResume(t *testing.T) {
 }
 
 func TestGatewayCommitStreamGap(t *testing.T) {
-	g, _, exec, base := newTestGateway(t, func(c *Config) { c.HistoryDepth = 4 })
-	for seq := uint64(1); seq <= 10; seq++ {
+	g, _, exec, base := newTestGateway(t, nil)
+	for seq := uint64(1); seq <= historyDepth+6; seq++ {
 		applyCommit(g, exec, seq, types.Round(seq*2))
 	}
-	// Ring holds 7..10; resuming from 2 must announce the gap, then continue
-	// from the oldest retained commit.
+	// Ring holds the newest historyDepth commits, 7 on; resuming from 2 must
+	// announce the gap, then continue from the oldest retained commit.
 	c := openStream(t, base, "2")
 	name, data := c.next(t)
 	if name != "gap" {
 		t.Fatalf("first event = %s, want gap", name)
 	}
-	var gap GapEvent
+	var gap rpcapi.GapEvent
 	if err := json.Unmarshal(data, &gap); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestGatewayCommitStreamGap(t *testing.T) {
 		t.Fatalf("gap oldest = %d, want 7", gap.Oldest)
 	}
 	name, data = c.next(t)
-	var ev CommitEvent
+	var ev rpcapi.CommitEvent
 	_ = json.Unmarshal(data, &ev)
 	if name != "commit" || ev.Seq != 7 {
 		t.Fatalf("post-gap event = %s seq %d, want commit 7", name, ev.Seq)
@@ -361,7 +362,7 @@ func TestGatewayCommitStreamGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var status StatusResponse
+	var status rpcapi.StatusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestGatewayCommitStreamGap(t *testing.T) {
 	held := g.ring.bytes
 	g.mu.Unlock()
 	for _, line := range []string{
-		"hammerhead_rpc_history_events 4",
+		fmt.Sprintf("hammerhead_rpc_history_events %d", historyDepth),
 		fmt.Sprintf("hammerhead_rpc_history_bytes %d", held),
 		"hammerhead_rpc_stream_evictions_total 0",
 	} {
@@ -385,7 +386,7 @@ func TestGatewayCommitStreamGap(t *testing.T) {
 
 func TestGatewayMetricsExposition(t *testing.T) {
 	_, _, _, base := newTestGateway(t, nil)
-	postJSON(t, base+"/v1/tx", SubmitRequest{Client: "m", Txs: []SubmitTx{{Payload: []byte("p")}}})
+	postJSON(t, base+"/v1/tx", rpcapi.SubmitRequest{Client: "m", Txs: []rpcapi.SubmitTx{{Payload: []byte("p")}}})
 
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"hammerhead/pkg/rpcapi"
 	"math"
 	"sort"
 )
@@ -55,14 +56,14 @@ const nilPayload = 1 << 31
 // collected once the DAG prunes it; one block with a 4-byte offset per
 // payload keeps the copy smaller than a 24-byte slice header per payload.
 type retainedCommit struct {
-	ev    CommitEvent // Payloads always nil
-	block []byte      // the payloads back to back
-	ends  []uint32    // ends[i] is payload i's end offset in block, | nilPayload when nil
+	ev    rpcapi.CommitEvent // Payloads always nil
+	block []byte             // the payloads back to back
+	ends  []uint32           // ends[i] is payload i's end offset in block, | nilPayload when nil
 }
 
 // newRetainedCommit starts a commit whose payloads will total blockBytes
 // bytes over txs transactions; addPayload fills it.
-func newRetainedCommit(ev CommitEvent, txs, blockBytes int) retainedCommit {
+func newRetainedCommit(ev rpcapi.CommitEvent, txs, blockBytes int) retainedCommit {
 	ev.Payloads = nil
 	// block is non-nil even when empty: an empty payload sliced out of it must
 	// stay empty, not become nil.
@@ -70,7 +71,7 @@ func newRetainedCommit(ev CommitEvent, txs, blockBytes int) retainedCommit {
 }
 
 // packCommit copies ev's payloads into a retainedCommit.
-func packCommit(ev CommitEvent) retainedCommit {
+func packCommit(ev rpcapi.CommitEvent) retainedCommit {
 	size := 0
 	for _, p := range ev.Payloads {
 		size += len(p)
@@ -102,7 +103,7 @@ func (c *retainedCommit) heldBytes() int {
 // event rebuilds the commit's stream event. With full, its Payloads are
 // sub-slices of the block, each capped at its own end so an append to one
 // can never write into the next.
-func (c *retainedCommit) event(full bool) CommitEvent {
+func (c *retainedCommit) event(full bool) rpcapi.CommitEvent {
 	ev := c.ev
 	if !full || len(c.ends) == 0 {
 		return ev
@@ -185,7 +186,7 @@ func (r *commitRing) oldestSeq() uint64 {
 // next, oldest first, with payloads only when full. When next has aged out of
 // the ring it reports the oldest retained Seq as gapOldest (0 otherwise) and
 // starts there.
-func (r *commitRing) tail(dst []CommitEvent, next uint64, limit int, full bool) (batch []CommitEvent, gapOldest uint64) {
+func (r *commitRing) tail(dst []rpcapi.CommitEvent, next uint64, limit int, full bool) (batch []rpcapi.CommitEvent, gapOldest uint64) {
 	if oldest := r.oldestSeq(); oldest > next {
 		gapOldest, next = oldest, oldest
 	}

@@ -13,14 +13,15 @@ import (
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/dag"
 	"hammerhead/internal/types"
+	"hammerhead/pkg/rpcapi"
 )
 
 // oracleEvent builds a commit event of a seeded random shape, the corners the
 // JSON encoding tells apart included: no payloads (nil or empty list), nil
 // and empty payloads beside full ones, no IDs, an upstream state root (a
 // replica re-serving a stream).
-func oracleEvent(rng *rand.Rand, seq uint64) CommitEvent {
-	ev := CommitEvent{Seq: seq, Round: 2 * seq, CommitDigest: fmt.Sprintf("%064x", seq)}
+func oracleEvent(rng *rand.Rand, seq uint64) rpcapi.CommitEvent {
+	ev := rpcapi.CommitEvent{Seq: seq, Round: 2 * seq, CommitDigest: fmt.Sprintf("%064x", seq)}
 	if rng.Intn(4) == 0 {
 		ev.StateRoot = fmt.Sprintf("%064x", ^seq)
 	}
@@ -53,7 +54,7 @@ func oracleEvent(rng *rand.Rand, seq uint64) CommitEvent {
 
 // deepCopy returns ev with payloads of its own, so the caller can scribble
 // over them.
-func deepCopy(ev CommitEvent) CommitEvent {
+func deepCopy(ev rpcapi.CommitEvent) rpcapi.CommitEvent {
 	if ev.Payloads != nil {
 		ps := make([][]byte, len(ev.Payloads))
 		for i, p := range ev.Payloads {
@@ -66,20 +67,20 @@ func deepCopy(ev CommitEvent) CommitEvent {
 	return ev
 }
 
-type tailFunc func(dst []CommitEvent, next uint64, limit int, full bool) ([]CommitEvent, uint64)
+type tailFunc func(dst []rpcapi.CommitEvent, next uint64, limit int, full bool) ([]rpcapi.CommitEvent, uint64)
 
 // renderStream is what the stream loop writes for a subscriber resuming at
 // next once it has caught up: a gap frame if next aged out, then every
 // retained commit frame, taken limit at a time. check sees every batch.
-func renderStream(t *testing.T, tail tailFunc, next uint64, limit int, full bool, check func([]CommitEvent)) []byte {
+func renderStream(t *testing.T, tail tailFunc, next uint64, limit int, full bool, check func([]rpcapi.CommitEvent)) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	var batch []CommitEvent
+	var batch []rpcapi.CommitEvent
 	for {
 		var gap uint64
 		batch, gap = tail(batch[:0], next, limit, full)
 		if gap != 0 {
-			if err := writeEvent(&out, "gap", strconv.FormatUint(gap-1, 10), GapEvent{Oldest: gap}); err != nil {
+			if err := writeEvent(&out, "gap", strconv.FormatUint(gap-1, 10), rpcapi.GapEvent{Oldest: gap}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -118,7 +119,7 @@ func TestRingStreamMatchesOracle(t *testing.T) {
 		depth, floor, budget := c.depth, c.floor, c.budget
 		ring := newCommitRing(depth, floor, budget)
 		oracle := newOracleRing(depth, floor, budget)
-		capped := func(batch []CommitEvent) {
+		capped := func(batch []rpcapi.CommitEvent) {
 			for _, ev := range batch {
 				for i, p := range ev.Payloads {
 					if cap(p) != len(p) {
@@ -149,7 +150,7 @@ func TestRingStreamMatchesOracle(t *testing.T) {
 			for _, next := range []uint64{oldest - uint64(rng.Intn(2)), oldest + uint64(rng.Intn(int(seq-oldest)+1)), seq + uint64(rng.Intn(2))} {
 				limit := []int{streamBatch, 3}[rng.Intn(2)]
 				for _, full := range []bool{false, true} {
-					want := renderStream(t, oracle.tail, next, limit, full, func([]CommitEvent) {})
+					want := renderStream(t, oracle.tail, next, limit, full, func([]rpcapi.CommitEvent) {})
 					got := renderStream(t, ring.tail, next, limit, full, capped)
 					if !bytes.Equal(got, want) {
 						t.Fatalf("seed %d seq %d resume %d full %v limit %d: stream differs\n got %q\nwant %q", seed, seq, next, full, limit, got, want)
@@ -220,7 +221,7 @@ func TestRingHoldsWhatItCounts(t *testing.T) {
 		t.Fatalf("ring holds %d commits, want all %d (the budget must not bind here)", n, commits)
 	}
 	if nSlots > 2*n {
-		t.Fatalf("%d slots for %d commits: the slot array must grow on demand, not be allocated at HistoryDepth", nSlots, n)
+		t.Fatalf("%d slots for %d commits: the slot array must grow on demand, not be allocated at historyDepth", nSlots, n)
 	}
 	alive := 0
 	for _, w := range frames {

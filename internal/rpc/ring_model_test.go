@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hammerhead/internal/types"
+	"hammerhead/pkg/rpcapi"
 )
 
 // modelRing is the resume window as the gateway kept it before the byte
@@ -18,15 +19,15 @@ import (
 // the whole deliverable tail. It is the oracle the byte-bounded commitRing
 // must agree with whenever the budget does not bind.
 type modelRing struct {
-	ring []CommitEvent
+	ring []rpcapi.CommitEvent
 	head int
 }
 
 func newModelRing(depth int) *modelRing {
-	return &modelRing{ring: make([]CommitEvent, 0, depth)}
+	return &modelRing{ring: make([]rpcapi.CommitEvent, 0, depth)}
 }
 
-func (m *modelRing) push(ev CommitEvent) {
+func (m *modelRing) push(ev rpcapi.CommitEvent) {
 	if len(m.ring) < cap(m.ring) {
 		m.ring = append(m.ring, ev)
 		return
@@ -35,9 +36,9 @@ func (m *modelRing) push(ev CommitEvent) {
 	m.head = (m.head + 1) % len(m.ring)
 }
 
-func (m *modelRing) at(i int) *CommitEvent { return &m.ring[(m.head+i)%len(m.ring)] }
+func (m *modelRing) at(i int) *rpcapi.CommitEvent { return &m.ring[(m.head+i)%len(m.ring)] }
 
-func (m *modelRing) tail(next uint64) (batch []CommitEvent, gapOldest uint64) {
+func (m *modelRing) tail(next uint64) (batch []rpcapi.CommitEvent, gapOldest uint64) {
 	n := len(m.ring)
 	if n > 0 && m.at(0).Seq > next {
 		gapOldest = m.at(0).Seq
@@ -52,8 +53,8 @@ func (m *modelRing) tail(next uint64) (batch []CommitEvent, gapOldest uint64) {
 
 // randomEvent builds a commit event of a seeded random size: up to maxTx
 // transactions of up to maxPayload bytes each.
-func randomEvent(rng *rand.Rand, seq uint64, maxTx, maxPayload int) CommitEvent {
-	ev := CommitEvent{Seq: seq, Round: 2 * seq, CommitDigest: fmt.Sprintf("%064x", seq)}
+func randomEvent(rng *rand.Rand, seq uint64, maxTx, maxPayload int) rpcapi.CommitEvent {
+	ev := rpcapi.CommitEvent{Seq: seq, Round: 2 * seq, CommitDigest: fmt.Sprintf("%064x", seq)}
 	for i, n := 0, rng.Intn(maxTx+1); i < n; i++ {
 		ev.TxIDs = append(ev.TxIDs, seq<<16|uint64(i))
 		ev.Payloads = append(ev.Payloads, bytes.Repeat([]byte{byte(seq)}, rng.Intn(maxPayload+1)))
@@ -66,7 +67,7 @@ func randomEvent(rng *rand.Rand, seq uint64, maxTx, maxPayload int) CommitEvent 
 // resuming after the last one — until it has caught up.
 func drain(t *testing.T, r *commitRing, next uint64, limit int) (seqs []uint64, gaps []uint64) {
 	t.Helper()
-	var batch []CommitEvent
+	var batch []rpcapi.CommitEvent
 	for {
 		var gap uint64
 		batch, gap = r.tail(batch[:0], next, limit, true)
@@ -184,12 +185,12 @@ func TestRingByteBudget(t *testing.T) {
 }
 
 // TestRingCountStillBinds: the floor and the certified mark exempt events
-// from the byte budget, never from HistoryDepth.
+// from the byte budget, never from historyDepth.
 func TestRingCountStillBinds(t *testing.T) {
 	ring := newCommitRing(4, 64, 1)
 	ring.keepCommitsAbove(0)
 	for seq := uint64(1); seq <= 10; seq++ {
-		ring.push(packCommit(CommitEvent{Seq: seq, TxIDs: []uint64{seq}}))
+		ring.push(packCommit(rpcapi.CommitEvent{Seq: seq, TxIDs: []uint64{seq}}))
 	}
 	if ring.n != 4 || ring.oldestSeq() != 7 {
 		t.Fatalf("ring holds %d events from seq %d, want 4 from 7", ring.n, ring.oldestSeq())
@@ -217,13 +218,13 @@ func readStream(t *testing.T, base, query, lastEventID string, upTo uint64) (seq
 		name, data := c.next(t)
 		switch name {
 		case "gap":
-			var gap GapEvent
+			var gap rpcapi.GapEvent
 			if err := json.Unmarshal(data, &gap); err != nil {
 				t.Fatal(err)
 			}
 			gaps = append(gaps, gap.Oldest)
 		case "commit":
-			var ev CommitEvent
+			var ev rpcapi.CommitEvent
 			if err := json.Unmarshal(data, &ev); err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +244,10 @@ func readStream(t *testing.T, base, query, lastEventID string, upTo uint64) (seq
 // several streamBatch slices included.
 func TestStreamResumeMatchesModel(t *testing.T) {
 	const depth = 3*streamBatch + 10
-	g, _, _, base := newTestGateway(t, func(c *Config) { c.HistoryDepth = depth; c.RootAt = nil })
+	g, _, _, base := newTestGateway(t, func(c *Config) { c.RootAt = nil })
+	g.mu.Lock()
+	g.ring = newCommitRing(depth, 1, historyBytes) // a window the test can wrap cheaply
+	g.mu.Unlock()
 	model := newModelRing(depth)
 	rng := rand.New(rand.NewSource(3))
 	const last = depth + 50
@@ -293,7 +297,7 @@ func TestFullSubscriberThatKeepsUpNeverGaps(t *testing.T) {
 		payload := bytes.Repeat([]byte{byte(seq)}, commitBytes)
 		g.ObserveCommit(syntheticCommit(seq, types.Round(2*seq), payload))
 		name, data := c.next(t)
-		var ev CommitEvent
+		var ev rpcapi.CommitEvent
 		if err := json.Unmarshal(data, &ev); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,10 @@
 package rpc
 
-import "sort"
+import (
+	"sort"
+
+	"hammerhead/pkg/rpcapi"
+)
 
 // oracleRing is the resume window as the gateway kept it before payloads
 // were packed into one block per commit: a preallocated circular buffer of
@@ -9,22 +13,22 @@ import "sort"
 // header, so it evicts as commitRing does and the two must serve the same
 // stream byte for byte.
 type oracleRing struct {
-	buf    []CommitEvent // circular, len(buf) == depth
-	head   int           // index of the oldest event
-	n      int           // events retained
-	bytes  int           // sum of compactCost over the retained events
+	buf    []rpcapi.CommitEvent // circular, len(buf) == depth
+	head   int                  // index of the oldest event
+	n      int                  // events retained
+	bytes  int                  // sum of compactCost over the retained events
 	floor  int
 	budget int
 }
 
 func newOracleRing(depth, floor, budget int) *oracleRing {
-	return &oracleRing{buf: make([]CommitEvent, depth), floor: min(depth, floor), budget: budget}
+	return &oracleRing{buf: make([]rpcapi.CommitEvent, depth), floor: min(depth, floor), budget: budget}
 }
 
 // compactCost is retainedCommit.heldBytes of the commit packCommit(*ev)
 // builds: 8 bytes per ID, the payload bytes, 4 bytes per payload offset, the
 // hex strings.
-func compactCost(ev *CommitEvent) int {
+func compactCost(ev *rpcapi.CommitEvent) int {
 	b := cap(ev.TxIDs)*8 + len(ev.Payloads)*4 + len(ev.CommitDigest) + len(ev.StateRoot)
 	for _, p := range ev.Payloads {
 		b += len(p)
@@ -32,7 +36,7 @@ func compactCost(ev *CommitEvent) int {
 	return b
 }
 
-func (r *oracleRing) push(ev CommitEvent) {
+func (r *oracleRing) push(ev rpcapi.CommitEvent) {
 	if r.n == len(r.buf) {
 		r.evictOldest()
 	}
@@ -47,12 +51,12 @@ func (r *oracleRing) push(ev CommitEvent) {
 func (r *oracleRing) evictOldest() {
 	slot := &r.buf[r.head]
 	r.bytes -= compactCost(slot)
-	*slot = CommitEvent{} // release the payloads
+	*slot = rpcapi.CommitEvent{} // release the payloads
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 }
 
-func (r *oracleRing) at(i int) *CommitEvent {
+func (r *oracleRing) at(i int) *rpcapi.CommitEvent {
 	return &r.buf[(r.head+i)%len(r.buf)]
 }
 
@@ -65,7 +69,7 @@ func (r *oracleRing) oldestSeq() uint64 {
 
 // tail is the old ring's tail; the old stream loop then stripped the
 // payloads for plain subscribers, which full=false does here.
-func (r *oracleRing) tail(dst []CommitEvent, next uint64, limit int, full bool) (batch []CommitEvent, gapOldest uint64) {
+func (r *oracleRing) tail(dst []rpcapi.CommitEvent, next uint64, limit int, full bool) (batch []rpcapi.CommitEvent, gapOldest uint64) {
 	if oldest := r.oldestSeq(); oldest > next {
 		gapOldest, next = oldest, oldest
 	}

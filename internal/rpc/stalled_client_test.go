@@ -11,6 +11,7 @@ import (
 
 	"hammerhead/internal/metrics"
 	"hammerhead/internal/types"
+	"hammerhead/pkg/rpcapi"
 )
 
 // TestGatewayDropsStalledClient pins the public listener's timeouts: a client
@@ -69,7 +70,7 @@ func TestGatewayDropsStalledClient(t *testing.T) {
 	// timeout by now: it must still deliver.
 	g.ObserveCommit(syntheticCommit(1, 2))
 	name, data := stream.next(t)
-	var ev CommitEvent
+	var ev rpcapi.CommitEvent
 	if err := json.Unmarshal(data, &ev); err != nil || name != "commit" || ev.Seq != 1 {
 		t.Fatalf("stream event %q %s (err %v), want commit 1", name, data, err)
 	}
@@ -119,7 +120,7 @@ func TestGatewayEvictsSlowSubscriber(t *testing.T) {
 		g.ObserveCommit(syntheticCommit(seq, types.Round(2*seq), payload))
 		slowest = max(slowest, time.Since(start))
 		name, data := good.next(t)
-		var ev CommitEvent
+		var ev rpcapi.CommitEvent
 		if err := json.Unmarshal(data, &ev); err != nil || name != "commit" || ev.Seq != seq {
 			t.Fatalf("reading subscriber got %q seq %d (err %v), want commit %d", name, ev.Seq, err, seq)
 		}

@@ -24,7 +24,6 @@ func TestHammerHeadScoresOutFaultyLeaders(t *testing.T) {
 	cfg := fastSimEngineConfig()
 	cfg.MinRoundDelay = 30 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
-	cfg.ResyncInterval = 150 * time.Millisecond
 	cluster, err := NewCluster(ClusterConfig{
 		Committee:    committee,
 		Engine:       cfg,

@@ -34,8 +34,6 @@ type ClusterConfig struct {
 	HammerHead *core.Config
 	// ScheduleSeed seeds every validator's initial schedule permutation.
 	ScheduleSeed uint64
-	// MempoolSize bounds each validator's pool (default 1<<20).
-	MempoolSize int
 	// OnCommit observes commits (may be nil).
 	OnCommit CommitHook
 	// Execution attaches a deterministic executor (execution.KVState behind
@@ -226,7 +224,6 @@ func (c *Cluster) buildValidator(id types.ValidatorID) error {
 		Engine:       cfg.Engine,
 		HammerHead:   cfg.HammerHead,
 		ScheduleSeed: cfg.ScheduleSeed,
-		Mempool:      mempool.FairConfig{MaxSize: cfg.MempoolSize},
 		// Serial engines invoke the sink synchronously inside the step, so
 		// Sim.Now() is the commit's virtual time.
 		Commits: engine.CommitSinkFunc(func(sub bullshark.CommittedSubDAG) {
@@ -248,7 +245,7 @@ func (c *Cluster) buildValidator(id types.ValidatorID) error {
 	if cfg.Execution {
 		xc := &execution.Config{CheckpointInterval: cfg.CheckpointInterval}
 		if log != nil {
-			store, err := storage.NewSnapshotStore(filepath.Join(c.dir, id.String(), "snapshots"), 0)
+			store, err := storage.NewSnapshotStore(filepath.Join(c.dir, id.String(), "snapshots"))
 			if err != nil {
 				return fmt.Errorf("simnet: opening %s's snapshot store: %w", id, err)
 			}

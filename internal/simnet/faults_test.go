@@ -190,7 +190,6 @@ func TestClusterGarbageCollectionBoundsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	engCfg := fastEngineConfig()
-	engCfg.GCEvery = 4
 	engCfg.GCDepth = 10
 	cluster := newClusterWithConfig(t, simnet.ClusterConfig{
 		Committee:    committee,

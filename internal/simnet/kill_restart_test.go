@@ -29,7 +29,6 @@ func killRestartCluster(t *testing.T, hh *core.Config, seed int64) (*Cluster, *[
 	cfg := fastSimEngineConfig()
 	cfg.MinRoundDelay = 30 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
-	cfg.ResyncInterval = 150 * time.Millisecond
 	if cfg.GCDepth != engine.DefaultConfig().GCDepth {
 		t.Fatalf("test must run at the default GCDepth, got %d", cfg.GCDepth)
 	}
@@ -369,7 +368,7 @@ func TestKillRestartRecoversFromCompactedLog(t *testing.T) {
 	// victim's files as the dead process left them.
 	cluster.Sim.After(killAt, func() {
 		atKill, _ = inspectLog(t, cluster.walPath(victim))
-		store, err := storage.NewSnapshotStore(filepath.Join(cluster.dir, victim.String(), "snapshots"), 0)
+		store, err := storage.NewSnapshotStore(filepath.Join(cluster.dir, victim.String(), "snapshots"))
 		if err != nil {
 			t.Errorf("opening the dead validator's snapshots: %v", err)
 			return

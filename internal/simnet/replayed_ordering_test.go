@@ -26,7 +26,6 @@ func fastSimEngineConfig() engine.Config {
 	cfg.VerifySignatures = false
 	cfg.MinRoundDelay = 50 * time.Millisecond
 	cfg.LeaderTimeout = 500 * time.Millisecond
-	cfg.ResyncInterval = 200 * time.Millisecond
 	return cfg
 }
 
@@ -234,9 +233,7 @@ func TestGhostParentChurnKeepsPendingBounded(t *testing.T) {
 	cfg.VerifySignatures = true // authenticated pipeline: Ed25519 + pre-verify
 	cfg.MinRoundDelay = 50 * time.Millisecond
 	cfg.LeaderTimeout = 400 * time.Millisecond
-	cfg.ResyncInterval = 200 * time.Millisecond
 	cfg.GCDepth = 8
-	cfg.GCEvery = 4
 	cluster, err := NewCluster(ClusterConfig{
 		Committee:    committee,
 		Engine:       cfg,

@@ -45,6 +45,31 @@ func assertSchedulesAgree(t *testing.T, cluster *Cluster, a, b types.ValidatorID
 	}
 }
 
+// snapshotChunk is the engine's snapshot state-sync chunk size.
+const snapshotChunk = 256 << 10
+
+// bulkPut is the catch-up tests' load: 257 keys written over and over with
+// 2 KiB values, so the ledger holds about twice snapshotChunk.
+func bulkPut(seq uint64) []byte {
+	val := make([]byte, 2048)
+	copy(val, fmt.Sprintf("v%d", seq))
+	return execution.PutOp([]byte(fmt.Sprintf("k%03d", seq%257)), val)
+}
+
+// assertChunkedFetch checks that validator id's snapshot fetch took the
+// multi-chunk resume path: the checkpoint it holds spans more than one chunk,
+// and it asked for more than one.
+func assertChunkedFetch(t *testing.T, cluster *Cluster, id types.ValidatorID) {
+	t.Helper()
+	_, data, ok := cluster.Executor(id).LatestSnapshot()
+	if !ok || len(data) <= snapshotChunk {
+		t.Fatalf("v%d holds a %d-byte checkpoint: one chunk, the multi-chunk path went untested", id, len(data))
+	}
+	if st := cluster.Engine(id).Stats(); st.SnapshotRequests < 2 {
+		t.Fatalf("snapshot fetch was not chunked: %d requests", st.SnapshotRequests)
+	}
+}
+
 // TestSnapshotCatchUpConverges is the acceptance test for snapshot
 // state-sync: a validator partitioned far past the GC horizon — with the
 // DEFAULT GCDepth, so its missing certificate history is genuinely pruned
@@ -60,8 +85,6 @@ func TestSnapshotCatchUpConverges(t *testing.T) {
 	cfg := fastSimEngineConfig()
 	cfg.MinRoundDelay = 30 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
-	cfg.ResyncInterval = 150 * time.Millisecond
-	cfg.SnapshotChunkBytes = 2048 // force the multi-chunk resume path
 	if cfg.GCDepth != engine.DefaultConfig().GCDepth {
 		t.Fatalf("test must run at the default GCDepth, got %d", cfg.GCDepth)
 	}
@@ -81,7 +104,8 @@ func TestSnapshotCatchUpConverges(t *testing.T) {
 	cluster.Recover(3, 15*time.Second)
 
 	// Open-loop KV load on the live validators for most of the run, so the
-	// ledger state is non-trivial and roots have teeth.
+	// ledger state is non-trivial, roots have teeth and the snapshot the
+	// recovering validator fetches spans several chunks.
 	var tick func()
 	seq := uint64(0)
 	tick = func() {
@@ -89,12 +113,7 @@ func TestSnapshotCatchUpConverges(t *testing.T) {
 			return
 		}
 		seq++
-		key := []byte(fmt.Sprintf("k%03d", seq%257))
-		val := []byte(fmt.Sprintf("v%d", seq))
-		_ = cluster.SubmitTx(types.ValidatorID(seq%3), types.Transaction{
-			ID:      seq,
-			Payload: execution.PutOp(key, val),
-		})
+		_ = cluster.SubmitTx(types.ValidatorID(seq%3), types.Transaction{ID: seq, Payload: bulkPut(seq)})
 		cluster.Sim.After(5*time.Millisecond, tick)
 	}
 	cluster.Sim.After(5*time.Millisecond, tick)
@@ -116,9 +135,7 @@ func TestSnapshotCatchUpConverges(t *testing.T) {
 	if st.SnapshotInstalls < 1 {
 		t.Fatalf("recovered validator never installed a snapshot: %+v", st)
 	}
-	if st.SnapshotRequests < 2 {
-		t.Fatalf("snapshot fetch was not chunked: %d requests", st.SnapshotRequests)
-	}
+	assertChunkedFetch(t, cluster, 3)
 	if rec+40 < obs {
 		t.Fatalf("recovered validator did not catch up: at round %d vs observer %d", rec, obs)
 	}
@@ -161,8 +178,6 @@ func TestHammerHeadSnapshotCatchUpConverges(t *testing.T) {
 	cfg := fastSimEngineConfig()
 	cfg.MinRoundDelay = 30 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
-	cfg.ResyncInterval = 150 * time.Millisecond
-	cfg.SnapshotChunkBytes = 2048 // force the multi-chunk resume path
 	if cfg.GCDepth != engine.DefaultConfig().GCDepth {
 		t.Fatalf("test must run at the default GCDepth, got %d", cfg.GCDepth)
 	}
@@ -189,12 +204,7 @@ func TestHammerHeadSnapshotCatchUpConverges(t *testing.T) {
 			return
 		}
 		seq++
-		key := []byte(fmt.Sprintf("k%03d", seq%257))
-		val := []byte(fmt.Sprintf("v%d", seq))
-		_ = cluster.SubmitTx(types.ValidatorID(seq%3), types.Transaction{
-			ID:      seq,
-			Payload: execution.PutOp(key, val),
-		})
+		_ = cluster.SubmitTx(types.ValidatorID(seq%3), types.Transaction{ID: seq, Payload: bulkPut(seq)})
 		cluster.Sim.After(5*time.Millisecond, tick)
 	}
 	cluster.Sim.After(5*time.Millisecond, tick)
@@ -217,6 +227,7 @@ func TestHammerHeadSnapshotCatchUpConverges(t *testing.T) {
 	if st.SnapshotInstallFailures != 0 {
 		t.Fatalf("snapshot installs failed (missing scheduler state?): %+v", st)
 	}
+	assertChunkedFetch(t, cluster, 3)
 	if rec+40 < obs {
 		t.Fatalf("recovered validator did not catch up: at round %d vs observer %d", rec, obs)
 	}

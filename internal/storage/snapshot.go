@@ -14,8 +14,8 @@ import (
 )
 
 // SnapshotStore persists execution checkpoints as one file per snapshot
-// under a directory, with atomic write-temp-rename publication and a
-// retention knob. It implements execution.SnapshotStore; real nodes plug it
+// under a directory, with atomic write-temp-rename publication, keeping the
+// newest snapshotRetain. It implements execution.SnapshotStore; real nodes plug it
 // into their executor so checkpoints survive restarts and can be served to
 // state-syncing peers.
 //
@@ -23,28 +23,22 @@ import (
 // CRC32C + the execution snapshot encoding (same framing discipline as the
 // WAL). A corrupt file is skipped on load — the next older snapshot wins.
 type SnapshotStore struct {
-	mu     sync.Mutex
-	dir    string
-	retain int
+	mu  sync.Mutex
+	dir string
 }
 
 var _ execution.SnapshotStore = (*SnapshotStore)(nil)
 
-// DefaultSnapshotRetain is how many checkpoints are kept when the retention
-// knob is zero: the latest to serve and one predecessor as a fallback
-// against a torn latest.
-const DefaultSnapshotRetain = 2
+// snapshotRetain is how many checkpoints a store keeps: the latest to serve
+// and one predecessor as a fallback against a torn latest.
+const snapshotRetain = 2
 
-// NewSnapshotStore opens (creating if needed, durably) a snapshot directory
-// keeping the newest retain checkpoints (0 = DefaultSnapshotRetain).
-func NewSnapshotStore(dir string, retain int) (*SnapshotStore, error) {
-	if retain <= 0 {
-		retain = DefaultSnapshotRetain
-	}
+// NewSnapshotStore opens (creating if needed, durably) a snapshot directory.
+func NewSnapshotStore(dir string) (*SnapshotStore, error) {
 	if err := mkdirDurable(dir); err != nil {
 		return nil, fmt.Errorf("storage: creating snapshot directory: %w", err)
 	}
-	return &SnapshotStore{dir: dir, retain: retain}, nil
+	return &SnapshotStore{dir: dir}, nil
 }
 
 func snapshotFileName(commitSeq uint64) string {
@@ -114,11 +108,11 @@ func fsyncDir(dir string) error {
 	return d.Close()
 }
 
-// pruneLocked removes everything but the newest retain snapshots (and any
+// pruneLocked removes everything but the newest snapshotRetain snapshots (and any
 // stray temp files).
 func (s *SnapshotStore) pruneLocked() {
 	names := s.snapshotNamesLocked()
-	for i := 0; i < len(names)-s.retain; i++ {
+	for i := 0; i < len(names)-snapshotRetain; i++ {
 		_ = os.Remove(filepath.Join(s.dir, names[i]))
 	}
 	entries, err := os.ReadDir(s.dir)

@@ -33,7 +33,7 @@ func save(store *SnapshotStore, snap execution.Snapshot) error {
 }
 
 func TestSnapshotStoreRoundTrip(t *testing.T) {
-	store, err := NewSnapshotStore(filepath.Join(t.TempDir(), "snaps"), 0)
+	store, err := NewSnapshotStore(filepath.Join(t.TempDir(), "snaps"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 
 func TestSnapshotStoreRetention(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snaps")
-	store, err := NewSnapshotStore(dir, 2)
+	store, err := NewSnapshotStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestSnapshotStoreRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("retention kept %d files, want 2", len(entries))
+	if len(entries) != snapshotRetain {
+		t.Fatalf("retention kept %d files, want %d", len(entries), snapshotRetain)
 	}
 	got, ok := store.Latest()
 	if !ok || got.CommitSeq != 5 {
@@ -86,7 +86,7 @@ func TestSnapshotStoreRetention(t *testing.T) {
 
 func TestSnapshotStoreSkipsCorruptLatest(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snaps")
-	store, err := NewSnapshotStore(dir, 3)
+	store, err := NewSnapshotStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +114,14 @@ func TestSnapshotStoreSkipsCorruptLatest(t *testing.T) {
 
 func TestSnapshotStorePersistsAcrossReopen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snaps")
-	store, err := NewSnapshotStore(dir, 0)
+	store, err := NewSnapshotStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := save(store, testSnapshot(3, 30)); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := NewSnapshotStore(dir, 0)
+	reopened, err := NewSnapshotStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +145,14 @@ func TestNewSnapshotStoreSyncsCreatedDirs(t *testing.T) {
 		return orig(d)
 	}
 	dir := filepath.Join(root, "node", "snaps")
-	if _, err := NewSnapshotStore(dir, 0); err != nil {
+	if _, err := NewSnapshotStore(dir); err != nil {
 		t.Fatal(err)
 	}
 	if len(synced) != 2 || synced[0] != root || synced[1] != filepath.Join(root, "node") {
 		t.Fatalf("creating %s fsynced %v, want %s then %s", dir, synced, root, filepath.Join(root, "node"))
 	}
 	synced = nil
-	if _, err := NewSnapshotStore(dir, 0); err != nil {
+	if _, err := NewSnapshotStore(dir); err != nil {
 		t.Fatal(err)
 	}
 	if len(synced) != 0 {

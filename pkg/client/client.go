@@ -301,39 +301,31 @@ func (c *Client) CheckpointAt(ctx context.Context, endpoint int) (rpcapi.Checkpo
 // normal early in a cluster's life; callers retry after a backoff.
 var ErrNoSnapshot = errors.New("client: no certified snapshot available yet")
 
-// Snapshot fetches the raw certified snapshot blob a gateway serves on
-// /v1/snapshot (failing over across endpoints). The blob is the execution
-// snapshot wire format, certificate embedded; decode with
-// execution.DecodeSnapshot and verify the certificate before restoring.
-func (c *Client) Snapshot(ctx context.Context) ([]byte, error) {
-	var blob []byte
-	sawEmpty := false
-	err := c.do(ctx, func(base string) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/snapshot", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			blob, err = io.ReadAll(resp.Body)
-			return err
-		case http.StatusNotFound:
-			sawEmpty = true
-			return ErrNoSnapshot
-		default:
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			return fmt.Errorf("client: %s/v1/snapshot: status %d: %s", base, resp.StatusCode, body)
-		}
-	})
-	if err != nil && sawEmpty {
-		return nil, ErrNoSnapshot
+// SnapshotAt fetches the raw certified snapshot blob one specific endpoint
+// (index into Endpoints) serves on /v1/snapshot; ErrNoSnapshot when it holds
+// none yet. The blob is the execution snapshot wire format, certificate
+// embedded; decode with execution.DecodeSnapshot and verify the certificate
+// before restoring.
+func (c *Client) SnapshotAt(ctx context.Context, endpoint int) ([]byte, error) {
+	base := c.bases[endpoint%len(c.bases)]
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/snapshot", nil)
+	if err != nil {
+		return nil, err
 	}
-	return blob, err
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return io.ReadAll(resp.Body)
+	case http.StatusNotFound:
+		return nil, ErrNoSnapshot
+	default:
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return nil, fmt.Errorf("client: %s/v1/snapshot: status %d: %s", base, resp.StatusCode, body)
+	}
 }
 
 // Verifier holds the committee trust anchor a client checks quorum
