@@ -104,10 +104,20 @@ checkpoint-bytes:
 # every header, vote and certificate as verifying everything does; a
 # certificate with more votes than members or a repeated voter is refused
 # before any public-key work; and the table the pre-verify workers share
-# with the engine stays within its bound under the race detector.
+# with the engine stays within its bound under the race detector. A message
+# is immutable once the engine sends it: every kind the stage checks reports
+# its signatures, every output message is sealed, the stage's verdict reaches
+# the engine with the message however much the table evicted meanwhile, a
+# shared certificate keeps its forged vote while each recipient stores a copy
+# without it, and the in-process transport and LocalCluster share one message
+# among recipients under the race detector.
 sig-once:
 	go test -race -count=3 -run '^(TestCheckOnceMatchesReference|TestVoteFloodCostsAtMostN|TestOwnCertificateNotReverified|TestKnownSigsSharedAcrossWorkers)$$' ./internal/engine/
 	go test -race -count=3 -run '^(TestVerifierChecksEachCertificateOnce|TestVerifierRemembersTheLastFew)$$' ./pkg/client/
+	go test -race -count=3 -run '^(TestSigCountFollowsNeedsCheck|TestOutputMessagesAreSealed|TestCheckedVerdictOutlivesTable)$$' ./internal/engine/
+	go test -race -count=3 -run '^TestSharedCertificateIsNotStripped$$' ./internal/simnet/
+	go test -race -count=3 -run '^TestChannel' ./internal/transport/
+	go test -race -count=3 -run '^TestLocalClusterEndToEnd$$' .
 
 # pacing is CI's "Header pacing by period (race)" step: a whole round ≡ 1, 2
 # or 3 (mod 4) is left at once, a whole round ≡ 0 at the period timer that

@@ -156,16 +156,6 @@ func (c *Certificate) Matches(m Meta) bool {
 	return c.Meta == m
 }
 
-// Clone returns a deep copy safe to hand across goroutines.
-func (c *Certificate) Clone() *Certificate {
-	if c == nil {
-		return nil
-	}
-	d := *c
-	d.Sigs = append([]Sig(nil), c.Sigs...)
-	return &d
-}
-
 // EncodedSize approximates the wire size in bytes (simulator bandwidth
 // model).
 func (c *Certificate) EncodedSize() int {

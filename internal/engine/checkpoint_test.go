@@ -86,7 +86,7 @@ func (r *ckptRig) deliverAll(from int, out *Output) []*Output {
 			if j == from {
 				continue
 			}
-			next = append(next, r.engines[j].OnMessage(types.ValidatorID(from), m.Clone(), 0))
+			next = append(next, r.engines[j].OnMessage(types.ValidatorID(from), m, 0))
 		}
 	}
 	return next
@@ -173,8 +173,8 @@ func TestCheckpointPeerCertAdoptedAndDeduped(t *testing.T) {
 	}
 	cert := &checkpoint.Certificate{Meta: m, Sigs: sigs}
 	msg := &Message{Kind: KindCheckpointCert, CheckpointCert: cert}
-	rig.engines[3].OnMessage(0, msg.Clone(), 0)
-	rig.engines[3].OnMessage(1, msg.Clone(), 0) // duplicate from another peer
+	rig.engines[3].OnMessage(0, msg, 0)
+	rig.engines[3].OnMessage(1, msg, 0) // duplicate from another peer
 	if len(rig.execs[3].certs) != 1 {
 		t.Fatalf("delivered %d certificates, want 1 (dedupe)", len(rig.execs[3].certs))
 	}
@@ -190,9 +190,9 @@ func TestCheckpointPeerCertAdoptedAndDeduped(t *testing.T) {
 	}
 
 	// And one with a corrupted signature must be rejected too.
-	bad := cert.Clone()
+	bad := *cert
 	bad.Meta = ckptTestMeta(5)
-	rig.engines[3].OnMessage(0, &Message{Kind: KindCheckpointCert, CheckpointCert: bad}, 0)
+	rig.engines[3].OnMessage(0, &Message{Kind: KindCheckpointCert, CheckpointCert: &bad}, 0)
 	if len(rig.execs[3].certs) != 1 {
 		t.Fatal("certificate with signatures over a different tuple adopted")
 	}

@@ -103,11 +103,15 @@ type Output struct {
 	Timers     []Timer
 }
 
+// unicast and broadcast seal msg (see Message.seal): once out of the engine,
+// a message is only read.
 func (o *Output) unicast(to types.ValidatorID, msg *Message) {
+	msg.seal()
 	o.Unicasts = append(o.Unicasts, Unicast{To: to, Msg: msg})
 }
 
 func (o *Output) broadcast(msg *Message) {
+	msg.seal()
 	o.Broadcasts = append(o.Broadcasts, msg)
 }
 
@@ -449,6 +453,18 @@ func (e *Engine) DAG() *dag.DAG { return e.dagStore }
 // msg for a non-nil payload: the channel transport delivers Messages no
 // decoder ever saw.
 func (e *Engine) OnMessage(from types.ValidatorID, msg *Message, nowNanos int64) *Output {
+	return e.onMessage(from, msg, false, nowNanos)
+}
+
+// OnChecked processes a message the pre-verify stage passed (c from a Check
+// that returned true): the signatures in it are not verified again.
+func (e *Engine) OnChecked(from types.ValidatorID, c Checked, nowNanos int64) *Output {
+	return e.onMessage(from, c.msg, true, nowNanos)
+}
+
+// onMessage dispatches msg; checked says every signature in it verified
+// already (OnChecked).
+func (e *Engine) onMessage(from types.ValidatorID, msg *Message, checked bool, nowNanos int64) *Output {
 	out := &Output{}
 	if _, ok := e.committee.Authority(from); !ok {
 		e.stats.InvalidMessages++
@@ -456,11 +472,11 @@ func (e *Engine) OnMessage(from types.ValidatorID, msg *Message, nowNanos int64)
 	}
 	switch msg.Kind {
 	case KindHeader:
-		e.onHeader(from, msg.Header, out)
+		e.onHeader(from, msg.Header, checked, out)
 	case KindVote:
-		e.onVote(msg.Vote, nowNanos, out)
+		e.onVote(msg.Vote, checked, nowNanos, out)
 	case KindCertificate:
-		e.onCertificate(msg.Cert, nowNanos, out)
+		e.onCertificate(msg.Cert, checked, nowNanos, out)
 	case KindCertRequest:
 		e.onCertRequest(from, msg.CertRequest, out)
 	case KindCertResponse:
@@ -469,7 +485,7 @@ func (e *Engine) OnMessage(from types.ValidatorID, msg *Message, nowNanos int64)
 			return out
 		}
 		for _, c := range msg.CertResponse.Certs {
-			e.onCertificate(c, nowNanos, out)
+			e.onCertificate(c, checked, nowNanos, out)
 		}
 		e.stats.SyncResponses++
 		// Batched catch-up: if we are still far behind after this response,
@@ -487,7 +503,7 @@ func (e *Engine) OnMessage(from types.ValidatorID, msg *Message, nowNanos int64)
 	case KindRejoinRequest:
 		e.onRejoinRequest(from, msg.RejoinRequest, out)
 	case KindRejoinResponse:
-		e.onRejoinResponse(from, msg.RejoinResponse, nowNanos, out)
+		e.onRejoinResponse(from, msg.RejoinResponse, checked, nowNanos, out)
 	case KindCheckpointSig:
 		e.onCheckpointSig(from, msg.CheckpointSig, out)
 	case KindCheckpointCert:
@@ -574,14 +590,14 @@ func (e *Engine) OnBatchFull(nowNanos int64) *Output {
 
 // ---- header / vote / certificate handling ----
 
-func (e *Engine) onHeader(from types.ValidatorID, h *Header, out *Output) {
+func (e *Engine) onHeader(from types.ValidatorID, h *Header, checked bool, out *Output) {
 	if h == nil || h.Source != from || h.Round < 1 || int(h.Source) >= e.committee.Size() {
 		// The last: a source outside the committee has no slot (and no key).
 		e.stats.InvalidMessages++
 		return
 	}
 	digest := h.Digest()
-	if e.config.VerifySignatures && !h.SigVerified() {
+	if e.config.VerifySignatures && !checked {
 		if !e.keys.Scheme.Verify(e.pubKeys[h.Source], digest[:], h.Signature) {
 			e.stats.InvalidMessages++
 			return
@@ -619,7 +635,7 @@ func (e *Engine) onHeader(from types.ValidatorID, h *Header, out *Output) {
 	e.startPeriod(h.Round, out)
 }
 
-func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
+func (e *Engine) onVote(v *Vote, checked bool, nowNanos int64, out *Output) {
 	if v == nil || v.Origin != e.self || e.curHeader == nil {
 		return
 	}
@@ -631,7 +647,7 @@ func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
 		e.stats.InvalidMessages++
 		return
 	}
-	if e.config.VerifySignatures && !v.SigVerified() &&
+	if e.config.VerifySignatures && !checked &&
 		!e.keys.Scheme.Verify(e.pubKeys[v.Voter], v.HeaderDigest[:], v.Signature) {
 		e.stats.InvalidMessages++
 		return
@@ -649,8 +665,8 @@ func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
 // certifyOwn assembles the certificate of the current own header from the
 // votes gathered (a quorum, the caller checked), broadcasts and ingests it.
 // Every vote in it is already checked — onVote verified the peers', and the
-// own vote is the header signature this validator made — so it is marked
-// verified and ingested without a second look at its signatures.
+// own vote is the header signature this validator made — so it is ingested
+// as checked, without a second look at its signatures.
 func (e *Engine) certifyOwn(nowNanos int64, out *Output) {
 	cert := &Certificate{Header: *e.curHeader, Votes: make([]VoteSig, 0, e.voteStake.Count())}
 	for i, sig := range e.votes {
@@ -658,15 +674,14 @@ func (e *Engine) certifyOwn(nowNanos int64, out *Output) {
 			cert.Votes = append(cert.Votes, VoteSig{Voter: id, Signature: sig})
 		}
 	}
-	cert.MarkSigVerified()
 	e.ownCertFormed = true
 	e.stats.CertsFormed++
 	e.observer.Certified(cert)
 	out.broadcast(&Message{Kind: KindCertificate, Cert: cert})
-	e.onCertificate(cert, nowNanos, out)
+	e.onCertificate(cert, true, nowNanos, out)
 }
 
-func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
+func (e *Engine) onCertificate(c *Certificate, checked bool, nowNanos int64, out *Output) {
 	if c == nil {
 		return
 	}
@@ -683,7 +698,8 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 	if _, pend := e.pendingCerts[digest]; pend {
 		return
 	}
-	if !e.validCertificate(c) {
+	c, ok := e.validCertificate(c, checked)
+	if !ok {
 		e.stats.InvalidMessages++
 		return
 	}
@@ -859,37 +875,30 @@ func (e *Engine) sweepPendingIndexes() {
 }
 
 // validCertificate checks the vote-count rule, quorum voting stake and, when
-// enabled, signatures. A certificate the pre-verify stage already checked,
-// or this validator assembled, carries its mark and skips the signature loop.
-func (e *Engine) validCertificate(c *Certificate) bool {
+// enabled and not already checked, signatures. A certificate the pre-verify
+// stage passed, or this validator assembled, carries only verified votes. It
+// returns the certificate to keep (see verifyQuorumVotes): the kept one is
+// retained in its slot and served to syncing peers, who must not re-receive
+// forged votes.
+func (e *Engine) validCertificate(c *Certificate, checked bool) (*Certificate, bool) {
 	if c.Header.Round < 1 {
-		return false
+		return nil, false
 	}
 	if _, ok := e.committee.Authority(c.Header.Source); !ok {
-		return false
+		return nil, false
 	}
-	if !e.config.VerifySignatures || c.SigVerified() {
+	if !e.config.VerifySignatures || checked {
 		if !oneVotePerMember(e.committee, c.Votes) {
-			return false
+			return nil, false
 		}
 		acc := types.NewStakeAccumulator(e.committee)
 		for _, vs := range c.Votes {
 			acc.Add(vs.Voter)
 		}
-		return acc.ReachedQuorum()
+		return c, acc.ReachedQuorum()
 	}
 	kept, _, ok := verifyQuorumVotes(e.keys.Scheme, e.committee, e.pubKeys, e.known, c)
-	if !ok {
-		return false
-	}
-	// Strip the votes that failed or went unchecked (same as the pre-verify
-	// path): the certificate is retained in its slot and served to syncing
-	// peers, who must not re-receive forged votes. The quorum is
-	// established; later re-checks (cascaded pending inserts, duplicate
-	// deliveries) can skip the public-key work.
-	c.Votes = kept
-	c.MarkSigVerified()
-	return true
+	return kept, ok
 }
 
 // insertCert inserts a certificate into the DAG, runs the committer on its

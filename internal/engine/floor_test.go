@@ -94,7 +94,7 @@ func newTraceEngineWith(tb testing.TB, committee *types.Committee, batches Batch
 func feedCerts(eng *Engine, certs []*Certificate) {
 	for _, c := range certs {
 		msg := &Message{Kind: KindCertificate, Cert: c}
-		eng.OnMessage(1, msg.Clone(), 0)
+		eng.OnMessage(1, msg, 0)
 	}
 }
 
@@ -199,7 +199,7 @@ func TestOneFloor(t *testing.T) {
 	feed := func(label string, e *Engine, certs []*Certificate) {
 		t.Helper()
 		for i, c := range certs {
-			e.OnMessage(1, (&Message{Kind: KindCertificate, Cert: c}).Clone(), 0)
+			e.OnMessage(1, &Message{Kind: KindCertificate, Cert: c}, 0)
 			if got, want := e.rounds.Floor(), e.dagStore.PrunedTo(); got != want {
 				t.Fatalf("%s: message %d (round %d): engine floor %d, DAG floor %d", label, i, c.Header.Round, got, want)
 			}

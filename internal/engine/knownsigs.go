@@ -25,7 +25,10 @@ const knownSigsPerValidator = 8
 // Two things add entries: a header signature that verified (the origin's
 // vote in that header's certificate is the header signature, see
 // adoptHeader), and the vote this validator signs for a peer's header. The
-// table holds a fixed number of entries and evicts the oldest first.
+// table holds a fixed number of entries and evicts the oldest first. It
+// saves work and decides nothing: that a message passed the pre-verify
+// stage travels with the message (Checked), because a sync response or a
+// queued backlog can evict its entries before the engine reads it.
 //
 // One table is shared by a validator's pre-verify workers and its engine
 // goroutine; a mutex guards it. The nil table knows nothing and keeps

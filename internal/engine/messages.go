@@ -88,18 +88,7 @@ type Header struct {
 	batchMemo   types.Digest
 	batchMemoOK bool
 	vertexMemo  *dag.Vertex // see Vertex; a copy of the header shares it
-
-	sigVerified bool
 }
-
-// MarkSigVerified records that the header's signature was already checked by
-// an upstream pre-verify stage, letting the engine skip the redundant
-// public-key operation. The mark is unexported state the wire codec never
-// transmits, so it can only be set by local code that actually verified.
-func (h *Header) MarkSigVerified() { h.sigVerified = true }
-
-// SigVerified reports whether the header's signature was pre-verified.
-func (h *Header) SigVerified() bool { return h.sigVerified }
 
 // Digest returns the content address of the header, shared with the
 // certificate and DAG vertex it becomes.
@@ -158,15 +147,7 @@ type Vote struct {
 	Origin       types.ValidatorID // the header's source
 	Voter        types.ValidatorID
 	Signature    crypto.Signature
-
-	sigVerified bool
 }
-
-// MarkSigVerified records an upstream signature check (see Header).
-func (v *Vote) MarkSigVerified() { v.sigVerified = true }
-
-// SigVerified reports whether the vote's signature was pre-verified.
-func (v *Vote) SigVerified() bool { return v.sigVerified }
 
 // EncodedSize approximates the wire size in bytes.
 func (v *Vote) EncodedSize() int {
@@ -184,16 +165,7 @@ type VoteSig struct {
 type Certificate struct {
 	Header Header
 	Votes  []VoteSig
-
-	sigVerified bool
 }
-
-// MarkSigVerified records that a quorum of the certificate's vote signatures
-// was already checked by an upstream pre-verify stage (see Header).
-func (c *Certificate) MarkSigVerified() { c.sigVerified = true }
-
-// SigVerified reports whether the certificate's quorum was pre-verified.
-func (c *Certificate) SigVerified() bool { return c.sigVerified }
 
 // Digest returns the certified vertex digest.
 func (c *Certificate) Digest() types.Digest { return c.Header.Digest() }
@@ -342,7 +314,9 @@ func (r *CertResponse) EncodedSize() int {
 }
 
 // Message is the transport envelope: exactly one payload field is set,
-// matching Kind. A flat struct keeps runtime dispatch a single switch.
+// matching Kind. A flat struct keeps runtime dispatch a single switch. A
+// message is immutable once built: no recipient writes to it, so one message
+// serves every in-process recipient (see seal).
 type Message struct {
 	Kind             MessageKind
 	Header           *Header
@@ -361,65 +335,28 @@ type Message struct {
 	CheckpointCert *checkpoint.Certificate
 }
 
-// Clone returns a copy of the message whose mutable payload state — the
-// Header/Vote/Certificate structs, certificate vote lists and the
-// sig-verified marks — is private to the recipient. In-process transports
-// must deliver clones: recipients mark (and may strip votes from) payloads
-// during pre-verification, and the TCP wire naturally isolates recipients
-// by decoding a fresh copy per peer. Marks are cleared, exactly as a wire
-// round-trip would: a clone is untrusted input to its receiver.
-// Immutable byte material (edges, batches, signatures) is shared.
-func (m *Message) Clone() *Message {
-	c := *m
+// seal fills the memos a reader would otherwise fill on first use: a
+// header's digests and a certificate's vertex. A message is immutable once
+// sealed, so an in-process transport hands the one *Message to every
+// recipient, each reading it on its own goroutine. Output seals every message
+// the engine sends.
+func (m *Message) seal() {
 	switch m.Kind {
 	case KindHeader:
-		if m.Header != nil {
-			h := *m.Header
-			h.sigVerified = false
-			c.Header = &h
-		}
-	case KindVote:
-		if m.Vote != nil {
-			v := *m.Vote
-			v.sigVerified = false
-			c.Vote = &v
-		}
+		m.Header.Digest()
 	case KindCertificate:
-		c.Cert = m.Cert.clone()
+		m.Cert.Header.Vertex()
 	case KindCertResponse:
-		if m.CertResponse != nil {
-			certs := make([]*Certificate, len(m.CertResponse.Certs))
-			for i, cert := range m.CertResponse.Certs {
-				certs[i] = cert.clone()
-			}
-			c.CertResponse = &CertResponse{Certs: certs}
-		}
+		sealCerts(m.CertResponse.Certs)
 	case KindRejoinResponse:
-		if m.RejoinResponse != nil {
-			certs := make([]*Certificate, len(m.RejoinResponse.Certs))
-			for i, cert := range m.RejoinResponse.Certs {
-				certs[i] = cert.clone()
-			}
-			// The Offer is read-only metadata; sharing it is safe.
-			c.RejoinResponse = &RejoinResponse{Frontier: m.RejoinResponse.Frontier, Certs: certs, Offer: m.RejoinResponse.Offer}
-		}
-	case KindCheckpointCert:
-		c.CheckpointCert = m.CheckpointCert.Clone()
+		sealCerts(m.RejoinResponse.Certs)
 	}
-	// CertRequest / RoundRequest / RejoinRequest / Snapshot* / CheckpointSig
-	// payloads are read-only (and the snapshot chunk bytes are immutable once
-	// encoded); sharing is safe.
-	return &c
 }
 
-func (c *Certificate) clone() *Certificate {
-	if c == nil {
-		return nil
+func sealCerts(certs []*Certificate) {
+	for _, c := range certs {
+		c.Header.Vertex()
 	}
-	d := *c
-	d.sigVerified = false
-	d.Votes = append([]VoteSig(nil), c.Votes...)
-	return &d
 }
 
 // EncodedSize approximates the wire size in bytes.

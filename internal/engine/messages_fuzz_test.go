@@ -10,8 +10,8 @@ import (
 )
 
 // assertWireFidelity fails the test unless got is a faithful decode of msg:
-// same kind, same content digests, and the unexported sig-verified marks
-// cleared. Shared by the round-trip tests and fuzz targets.
+// same kind, same content digests. Shared by the round-trip tests and fuzz
+// targets.
 func assertWireFidelity(t *testing.T, msg, got *Message) {
 	t.Helper()
 	if got.Kind != msg.Kind {
@@ -25,9 +25,6 @@ func assertWireFidelity(t *testing.T, msg, got *Message) {
 		if got.Header.Digest() != msg.Header.Digest() {
 			t.Fatal("header digest changed across the wire")
 		}
-		if got.Header.SigVerified() {
-			t.Fatal("sig-verified mark must not survive the wire")
-		}
 	case KindVote:
 		v, w := got.Vote, msg.Vote
 		if v.HeaderDigest != w.HeaderDigest || v.Round != w.Round ||
@@ -35,18 +32,12 @@ func assertWireFidelity(t *testing.T, msg, got *Message) {
 			!bytes.Equal(v.Signature, w.Signature) {
 			t.Fatal("vote fields changed across the wire")
 		}
-		if got.Vote.SigVerified() {
-			t.Fatal("sig-verified mark must not survive the wire")
-		}
 	case KindCertificate:
 		if got.Cert.Digest() != msg.Cert.Digest() {
 			t.Fatal("certificate digest changed across the wire")
 		}
 		if len(got.Cert.Votes) != len(msg.Cert.Votes) {
 			t.Fatal("vote count changed across the wire")
-		}
-		if got.Cert.SigVerified() {
-			t.Fatal("sig-verified mark must not survive the wire")
 		}
 	case KindCertRequest:
 		if len(got.CertRequest.Digests) != len(msg.CertRequest.Digests) {
@@ -92,9 +83,6 @@ func assertWireFidelity(t *testing.T, msg, got *Message) {
 			if got.RejoinResponse.Certs[i].Digest() != msg.RejoinResponse.Certs[i].Digest() {
 				t.Fatalf("certificate %d digest changed across the wire", i)
 			}
-			if got.RejoinResponse.Certs[i].SigVerified() {
-				t.Fatal("sig-verified mark must not survive the wire")
-			}
 		}
 	case KindCheckpointSig:
 		s, w := got.CheckpointSig, msg.CheckpointSig
@@ -109,8 +97,7 @@ func assertWireFidelity(t *testing.T, msg, got *Message) {
 }
 
 // buildMessage derives a structurally valid message of the selected kind
-// from fuzz material. Marks are set before encoding to prove the codec
-// strips them.
+// from fuzz material.
 func buildMessage(kindSel uint8, round uint64, source uint32, blob, sig []byte, nSub uint8) *Message {
 	kind := MessageKind(kindSel%12 + 1)
 	mkHeader := func() *Header {
@@ -124,7 +111,7 @@ func buildMessage(kindSel uint8, round uint64, source uint32, blob, sig []byte, 
 				{ID: round ^ 0xdead, Payload: blob, SubmitTimeNanos: int64(round)},
 			}}
 		}
-		h := &Header{
+		return &Header{
 			Round:        types.Round(round),
 			Source:       types.ValidatorID(source),
 			Edges:        edges,
@@ -132,28 +119,23 @@ func buildMessage(kindSel uint8, round uint64, source uint32, blob, sig []byte, 
 			CreatedNanos: int64(round),
 			Signature:    crypto.Signature(sig),
 		}
-		h.MarkSigVerified()
-		return h
 	}
 	switch kind {
 	case KindHeader:
 		return &Message{Kind: kind, Header: mkHeader()}
 	case KindVote:
-		v := &Vote{
+		return &Message{Kind: kind, Vote: &Vote{
 			HeaderDigest: types.HashBytes(blob),
 			Round:        types.Round(round),
 			Origin:       types.ValidatorID(source),
 			Voter:        types.ValidatorID(source + 1),
 			Signature:    crypto.Signature(sig),
-		}
-		v.MarkSigVerified()
-		return &Message{Kind: kind, Vote: v}
+		}}
 	case KindCertificate:
 		c := &Certificate{Header: *mkHeader()}
 		for i := uint8(0); i < nSub%5; i++ {
 			c.Votes = append(c.Votes, VoteSig{Voter: types.ValidatorID(i), Signature: crypto.Signature(sig)})
 		}
-		c.MarkSigVerified()
 		return &Message{Kind: kind, Cert: c}
 	case KindCertRequest:
 		digests := make([]types.Digest, int(nSub)%8)

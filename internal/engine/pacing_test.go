@@ -94,7 +94,7 @@ func deliverAt(eng *Engine, certs []*Certificate, nowNanos int64) (*Header, []Ti
 	var proposed *Header
 	var timers []Timer
 	for _, c := range certs {
-		out := eng.OnMessage(c.Header.Source, (&Message{Kind: KindCertificate, Cert: c}).Clone(), nowNanos)
+		out := eng.OnMessage(c.Header.Source, &Message{Kind: KindCertificate, Cert: c}, nowNanos)
 		if h := proposedIn(out); h != nil {
 			proposed = h
 		}
@@ -140,7 +140,7 @@ func certifyOwnAt(t *testing.T, eng *Engine, nowNanos int64) (*Header, []Timer) 
 func deliverHeaders(eng *Engine, certs []*Certificate, nowNanos int64) []Timer {
 	var timers []Timer
 	for _, c := range certs {
-		out := eng.OnMessage(c.Header.Source, (&Message{Kind: KindHeader, Header: &c.Header}).Clone(), nowNanos)
+		out := eng.OnMessage(c.Header.Source, &Message{Kind: KindHeader, Header: &c.Header}, nowNanos)
 		timers = append(timers, out.Timers...)
 	}
 	return timers
@@ -718,7 +718,7 @@ func TestWaveFloorCountsFromTheAnchorHeader(t *testing.T) {
 		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 90*ms)); h != nil {
 			t.Fatalf("the per-round floor proposed round %d with the round-4 period timer running", h.Round)
 		}
-		out := eng.OnMessage(peers[5][1].Header.Source, (&Message{Kind: KindHeader, Header: &peers[5][1].Header}).Clone(), 95*ms)
+		out := eng.OnMessage(peers[5][1].Header.Source, &Message{Kind: KindHeader, Header: &peers[5][1].Header}, 95*ms)
 		if p := periodTimers(out.Timers); len(p) != 1 || p[0].Round != 8 || p[0].Delay != period {
 			t.Fatalf("the second peer round-5 header armed period timers %v, want one for round 8 in %v", p, period)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"hammerhead/internal/crypto"
@@ -11,19 +12,17 @@ import (
 // the expensive public-key work happens off the single-threaded state
 // machine. The node runtime runs Check on a pool of goroutines between the
 // transport and the engine loop; the simulator runs it synchronously at
-// delivery when signature verification is enabled. Payloads that pass are
-// marked (Header/Vote/Certificate.MarkSigVerified), so the engine skips the
-// redundant re-verification; messages that fail should be dropped without
-// ever entering the engine.
+// delivery when signature verification is enabled. Messages that fail should
+// be dropped without ever entering the engine.
 //
-// A signature is checked once: the stage shares its validator's KnownSigs
-// table with the engine, adds every header signature that verifies to it,
-// and counts a certificate vote whose exact bytes the table holds without a
-// second public-key operation.
+// The stage's verdict travels with the message it passed, as the Checked
+// value the engine takes in OnChecked, and is never written into the message:
+// one message may be shared by every in-process recipient. The stage shares
+// its validator's KnownSigs table with the engine, adds every header
+// signature that verifies to it, and counts a certificate vote whose exact
+// bytes the table holds without a second public-key operation.
 //
-// Check is safe for concurrent use as long as each *Message is handed to
-// one goroutine at a time (the node's workers each own the messages they
-// pull from the queue).
+// Check is safe for concurrent use.
 type PreVerifier struct {
 	committee *types.Committee
 	pubKeys   []crypto.PublicKey
@@ -84,60 +83,99 @@ func NeedsCheck(kind MessageKind) bool {
 	}
 }
 
-// Check verifies every signature msg carries and marks the payloads that
-// pass. It returns false when the message should be dropped: a forged
-// header or vote, or a certificate that breaks the vote-count rule or whose
-// valid-signature votes do not reach quorum. Invalid votes inside an
-// otherwise-quorate certificate are stripped rather than fatal, matching the
-// engine's tolerance.
-func (pv *PreVerifier) Check(msg *Message) bool {
-	pv.checked.Add(1)
-	ok := pv.check(msg)
-	if !ok {
-		pv.dropped.Add(1)
+// SigCount is the number of signatures msg hands the pre-verify stage: the
+// stage verifies at most that many, and kinds NeedsCheck refuses report 0.
+// Nil payloads (a malformed frame whose Kind and payload disagree) report 0;
+// the stage drops them.
+func (m *Message) SigCount() int {
+	switch {
+	case m.Kind == KindHeader && m.Header != nil, m.Kind == KindVote && m.Vote != nil:
+		return 1
+	case m.Kind == KindCertificate && m.Cert != nil:
+		return len(m.Cert.Votes)
+	case m.Kind == KindCertResponse && m.CertResponse != nil:
+		return certSigCount(m.CertResponse.Certs)
+	case m.Kind == KindRejoinResponse && m.RejoinResponse != nil:
+		return certSigCount(m.RejoinResponse.Certs)
+	default:
+		return 0
 	}
-	return ok
 }
 
-func (pv *PreVerifier) check(msg *Message) bool {
+func certSigCount(certs []*Certificate) int {
+	total := 0
+	for _, c := range certs {
+		if c != nil {
+			total += len(c.Votes)
+		}
+	}
+	return total
+}
+
+// Checked is a message the pre-verify stage passed, for Engine.OnChecked:
+// every signature in it verified, or its bytes were known (KnownSigs), so the
+// engine checks none of them again. Only Check makes one. The verdict rides
+// with the message rather than in the table, whose entries a full sync batch
+// or a queued backlog evicts before the engine reads the message.
+type Checked struct{ msg *Message }
+
+// Check verifies every signature msg carries. It returns false when the
+// message should be dropped: a forged header or vote, a certificate that
+// breaks the vote-count rule or whose valid-signature votes do not reach
+// quorum, a CertResponse with no certificate, or a CertResponse or
+// RejoinResponse holding any certificate that fails — honest responders serve
+// only certificates they validated. Invalid or surplus votes inside an
+// otherwise-quorate certificate are not fatal: the message passed on holds a
+// new certificate without them. msg itself is never changed.
+func (pv *PreVerifier) Check(msg *Message) (Checked, bool) {
+	pv.checked.Add(1)
+	passed, ok := pv.check(msg)
+	if !ok {
+		pv.dropped.Add(1)
+		return Checked{}, false
+	}
+	return Checked{msg: passed}, true
+}
+
+// check returns the message to pass on: msg, or a new message when a
+// certificate in it lost votes.
+func (pv *PreVerifier) check(msg *Message) (*Message, bool) {
 	switch msg.Kind {
 	case KindHeader:
-		return pv.checkHeader(msg.Header)
+		return msg, pv.checkHeader(msg.Header)
 	case KindVote:
-		return pv.checkVote(msg.Vote)
+		return msg, pv.checkVote(msg.Vote)
 	case KindCertificate:
-		return pv.checkCertificate(msg.Cert)
+		c, ok := pv.checkCertificate(msg.Cert)
+		if ok && c != msg.Cert {
+			msg = &Message{Kind: KindCertificate, Cert: c}
+		}
+		return msg, ok
 	case KindCertResponse:
 		if msg.CertResponse == nil {
-			return false
+			return nil, false
 		}
-		// A sync response is useful as long as something in it survives;
-		// invalid certificates are dropped from the batch, not fatal to it.
-		kept := msg.CertResponse.Certs[:0]
-		for _, c := range msg.CertResponse.Certs {
-			if pv.checkCertificate(c) {
-				kept = append(kept, c)
-			}
+		certs, stripped, ok := pv.checkCertificates(msg.CertResponse.Certs)
+		if stripped {
+			msg = &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: certs}}
 		}
-		msg.CertResponse.Certs = kept
-		return len(kept) > 0
+		return msg, ok && len(certs) > 0
 	case KindRejoinResponse:
 		if msg.RejoinResponse == nil {
-			return false
+			return nil, false
 		}
-		// Unlike a CertResponse, a rejoin response stripped of every
-		// certificate is still meaningful: the frontier it carries counts
-		// toward the restarting validator's gathering quorum.
-		kept := msg.RejoinResponse.Certs[:0]
-		for _, c := range msg.RejoinResponse.Certs {
-			if pv.checkCertificate(c) {
-				kept = append(kept, c)
-			}
+		// Unlike a CertResponse, a rejoin response without certificates is
+		// still meaningful: its frontier counts toward the restarting
+		// validator's gathering quorum.
+		certs, stripped, ok := pv.checkCertificates(msg.RejoinResponse.Certs)
+		if stripped {
+			r := *msg.RejoinResponse
+			r.Certs = certs
+			msg = &Message{Kind: KindRejoinResponse, RejoinResponse: &r}
 		}
-		msg.RejoinResponse.Certs = kept
-		return true
+		return msg, ok
 	default:
-		return true
+		return msg, true
 	}
 }
 
@@ -151,49 +189,49 @@ func (pv *PreVerifier) checkHeader(h *Header) bool {
 	if h == nil || int(h.Source) >= len(pv.pubKeys) {
 		return false
 	}
-	if h.SigVerified() {
-		return true
-	}
 	digest := h.Digest()
 	if !pv.verify(h.Source, digest[:], h.Signature) {
 		return false
 	}
 	// Only now: an entry vouches for the bytes it holds.
 	pv.known.add(h.Source, digest, h.Signature)
-	h.MarkSigVerified()
 	return true
 }
 
 func (pv *PreVerifier) checkVote(v *Vote) bool {
-	if v == nil || int(v.Voter) >= len(pv.pubKeys) {
-		return false
-	}
-	if v.SigVerified() {
-		return true
-	}
-	if !pv.verify(v.Voter, v.HeaderDigest[:], v.Signature) {
-		return false
-	}
-	v.MarkSigVerified()
-	return true
+	return v != nil && int(v.Voter) < len(pv.pubKeys) && pv.verify(v.Voter, v.HeaderDigest[:], v.Signature)
 }
 
-func (pv *PreVerifier) checkCertificate(c *Certificate) bool {
+// checkCertificate returns the certificate to pass on: c, or a new one
+// holding only the votes that verified or were known.
+func (pv *PreVerifier) checkCertificate(c *Certificate) (*Certificate, bool) {
 	if c == nil {
-		return false
-	}
-	if c.SigVerified() {
-		return true
+		return nil, false
 	}
 	kept, cost, ok := verifyQuorumVotes(pv.scheme, pv.committee, pv.pubKeys, pv.known, c)
 	pv.verified.Add(uint64(cost.verified))
 	pv.knownVotes.Add(uint64(cost.known))
-	if !ok {
-		return false
+	return kept, ok
+}
+
+// checkCertificates checks a response's certificates, stopping at the first
+// that fails. It returns them as the engine is to take them: certs, or a new
+// slice (stripped) when one lost votes.
+func (pv *PreVerifier) checkCertificates(certs []*Certificate) (out []*Certificate, stripped, ok bool) {
+	out = certs
+	for i, c := range certs {
+		kept, ok := pv.checkCertificate(c)
+		if !ok {
+			return nil, false, false
+		}
+		if kept != c && !stripped {
+			out, stripped = slices.Clone(certs), true
+		}
+		if stripped {
+			out[i] = kept
+		}
 	}
-	c.Votes = kept
-	c.MarkSigVerified()
-	return true
+	return out, stripped, true
 }
 
 // sigCost is what checking a certificate took: votes verified with a
@@ -211,10 +249,11 @@ type sigCost struct {
 // with valid signatures reach quorum stake: first the votes whose exact
 // bytes known holds, which need no check, then the others verified in order
 // until the quorum is reached. A vote from a voter outside the key set or
-// with a bad signature is skipped, not fatal. The votes returned are the
-// known and verified ones: forged votes and any the quorum did not need are
-// stripped.
-func verifyQuorumVotes(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, known *KnownSigs, c *Certificate) ([]VoteSig, sigCost, bool) {
+// with a bad signature is skipped, not fatal. It returns the certificate to
+// keep: c when every vote counts, else a new certificate of the known and
+// verified votes, without the forged ones and any the quorum did not need.
+// c itself is never changed: others may share it.
+func verifyQuorumVotes(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, known *KnownSigs, c *Certificate) (*Certificate, sigCost, bool) {
 	var cost sigCost
 	if !oneVotePerMember(committee, c.Votes) {
 		return nil, cost, false
@@ -241,12 +280,12 @@ func verifyQuorumVotes(scheme crypto.Scheme, committee *types.Committee, pubKeys
 	// Voters are distinct (the vote-count rule), so the votes that count are
 	// exactly the accumulator's members.
 	if acc.Count() == len(c.Votes) {
-		return c.Votes, cost, true
+		return c, cost, true
 	}
-	kept := make([]VoteSig, 0, acc.Count())
+	kept := &Certificate{Header: c.Header, Votes: make([]VoteSig, 0, acc.Count())}
 	for _, vs := range c.Votes {
 		if acc.Has(vs.Voter) {
-			kept = append(kept, vs)
+			kept.Votes = append(kept.Votes, vs)
 		}
 	}
 	return kept, cost, true

@@ -1,14 +1,16 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
+	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/crypto"
 	"hammerhead/internal/types"
 )
 
 // preRig builds a 4-validator committee with Ed25519 keys and a PreVerifier
-// for validator 0.
+// for validator 0 over its own table.
 func preRig(t *testing.T) (*PreVerifier, []crypto.KeyPair, *types.Committee) {
 	t.Helper()
 	committee, err := types.NewEqualStakeCommittee(4)
@@ -40,20 +42,24 @@ func signedHeader(t *testing.T, kp crypto.KeyPair, source types.ValidatorID, rou
 	return h
 }
 
+// passes reports whether the stage passes m.
+func passes(pv *PreVerifier, m *Message) bool {
+	_, ok := pv.Check(m)
+	return ok
+}
+
 func TestPreVerifierHeaderAndVote(t *testing.T) {
 	pv, pairs, _ := preRig(t)
 
 	h := signedHeader(t, pairs[1], 1, 1)
-	if !pv.Check(&Message{Kind: KindHeader, Header: h}) {
-		t.Fatal("valid header must pass")
-	}
-	if !h.SigVerified() {
-		t.Fatal("passing header must be marked")
+	m := &Message{Kind: KindHeader, Header: h}
+	if c, ok := pv.Check(m); !ok || c.msg != m {
+		t.Fatal("valid header must pass as it is")
 	}
 
 	forged := signedHeader(t, pairs[1], 1, 1)
 	forged.Signature[0] ^= 0xFF
-	if pv.Check(&Message{Kind: KindHeader, Header: forged}) {
+	if passes(pv, &Message{Kind: KindHeader, Header: forged}) {
 		t.Fatal("forged header must be dropped")
 	}
 
@@ -63,15 +69,15 @@ func TestPreVerifierHeaderAndVote(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := &Vote{HeaderDigest: d, Round: 1, Origin: 1, Voter: 2, Signature: sig}
-	if !pv.Check(&Message{Kind: KindVote, Vote: v}) || !v.SigVerified() {
-		t.Fatal("valid vote must pass and be marked")
+	if !passes(pv, &Message{Kind: KindVote, Vote: v}) {
+		t.Fatal("valid vote must pass")
 	}
 	bad := &Vote{HeaderDigest: d, Round: 1, Origin: 1, Voter: 3, Signature: sig}
-	if pv.Check(&Message{Kind: KindVote, Vote: bad}) {
+	if passes(pv, &Message{Kind: KindVote, Vote: bad}) {
 		t.Fatal("vote signed under the wrong key must be dropped")
 	}
 	outOfRange := &Vote{HeaderDigest: d, Round: 1, Origin: 1, Voter: 99, Signature: sig}
-	if pv.Check(&Message{Kind: KindVote, Vote: outOfRange}) {
+	if passes(pv, &Message{Kind: KindVote, Vote: outOfRange}) {
 		t.Fatal("vote from a voter outside the key set must be dropped, not panic")
 	}
 
@@ -99,31 +105,35 @@ func TestPreVerifierCertificateQuorum(t *testing.T) {
 	}
 
 	good := mkCert(0, 1, 2)
-	if !pv.Check(&Message{Kind: KindCertificate, Cert: good}) || !good.SigVerified() {
-		t.Fatal("quorate certificate must pass and be marked")
+	goodMsg := &Message{Kind: KindCertificate, Cert: good}
+	if c, ok := pv.Check(goodMsg); !ok || c.msg != goodMsg {
+		t.Fatal("quorate certificate must pass as it is")
 	}
 
-	// One bad vote among 2f+2: stripped, quorum still reached.
+	// One bad vote among 2f+2: the quorum is still reached, and the stage
+	// passes on a new certificate without it, leaving the one it checked
+	// as it came.
 	padded := mkCert(0, 1, 2, 3)
 	padded.Votes[3].Signature = append(crypto.Signature(nil), padded.Votes[3].Signature...)
 	padded.Votes[3].Signature[0] ^= 0xFF
-	if !pv.Check(&Message{Kind: KindCertificate, Cert: padded}) {
-		t.Fatal("certificate quorate after stripping one bad vote must pass")
+	c, ok := pv.Check(&Message{Kind: KindCertificate, Cert: padded})
+	if !ok {
+		t.Fatal("certificate quorate without its one bad vote must pass")
 	}
-	if len(padded.Votes) != 3 {
-		t.Fatalf("invalid vote must be stripped, have %d votes", len(padded.Votes))
+	if len(c.msg.Cert.Votes) != 3 || len(padded.Votes) != 4 {
+		t.Fatalf("invalid vote must be stripped from a new certificate: passed on %d votes, the original holds %d", len(c.msg.Cert.Votes), len(padded.Votes))
 	}
 
 	// A vote from outside the key set: stripped, not a panic.
 	stranger := mkCert(0, 1, 2)
 	stranger.Votes = append(stranger.Votes, VoteSig{Voter: 99, Signature: stranger.Votes[0].Signature})
-	if !pv.Check(&Message{Kind: KindCertificate, Cert: stranger}) || len(stranger.Votes) != 3 {
-		t.Fatalf("quorate certificate with an out-of-committee vote must pass with it stripped, have %d votes", len(stranger.Votes))
+	if c, ok := pv.Check(&Message{Kind: KindCertificate, Cert: stranger}); !ok || len(c.msg.Cert.Votes) != 3 || len(stranger.Votes) != 4 {
+		t.Fatal("quorate certificate with an out-of-committee vote must pass with it stripped from a new certificate")
 	}
 
 	// All signatures valid but sub-quorum stake: dropped.
 	thin := mkCert(0, 1)
-	if pv.Check(&Message{Kind: KindCertificate, Cert: thin}) {
+	if passes(pv, &Message{Kind: KindCertificate, Cert: thin}) {
 		t.Fatal("sub-quorum certificate must be dropped")
 	}
 
@@ -133,7 +143,7 @@ func TestPreVerifierCertificateQuorum(t *testing.T) {
 		forged.Votes[i].Signature = append(crypto.Signature(nil), forged.Votes[i].Signature...)
 		forged.Votes[i].Signature[0] ^= 0xFF
 	}
-	if pv.Check(&Message{Kind: KindCertificate, Cert: forged}) {
+	if passes(pv, &Message{Kind: KindCertificate, Cert: forged}) {
 		t.Fatal("fully forged certificate must be dropped")
 	}
 }
@@ -153,24 +163,36 @@ func TestPreVerifierCertResponseFiltersBadCerts(t *testing.T) {
 	good := &Certificate{Header: *h, Votes: votes}
 	bad := &Certificate{Header: *h, Votes: []VoteSig{{Voter: 0, Signature: crypto.Signature("junk")}}}
 
-	msg := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{bad, good}}}
-	if !pv.Check(msg) {
-		t.Fatal("response with one good certificate must pass")
+	// A response holding a bad certificate is dropped whole, and the stage
+	// leaves it as it came: honest responders serve only certificates they
+	// validated.
+	certs := []*Certificate{good, bad}
+	msg := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: certs}}
+	if passes(pv, msg) {
+		t.Fatal("response with a bad certificate must be dropped")
 	}
-	if len(msg.CertResponse.Certs) != 1 || !msg.CertResponse.Certs[0].SigVerified() {
-		t.Fatalf("bad certificate must be filtered, kept %d", len(msg.CertResponse.Certs))
+	if !reflect.DeepEqual(msg.CertResponse.Certs, []*Certificate{good, bad}) || &msg.CertResponse.Certs[0] != &certs[0] {
+		t.Fatal("the stage must not filter the response's certificates in place")
+	}
+	rejoin := &Message{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{bad, good}}}
+	if passes(pv, rejoin) {
+		t.Fatal("rejoin response with a bad certificate must be dropped")
 	}
 
-	allBad := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{bad}}}
-	if pv.Check(allBad) {
-		t.Fatal("response with only bad certificates must be dropped")
+	if !passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{good}}}) {
+		t.Fatal("response of good certificates must pass")
+	}
+	if passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{}}) {
+		t.Fatal("response with no certificate must be dropped")
 	}
 }
 
 func TestPreVerifiedMarksSkipEngineVerification(t *testing.T) {
-	// An engine with VerifySignatures=true must accept a marked header
-	// whose wire signature is garbage — the mark asserts an upstream check
-	// already happened (it is unexported, so only local code can set it).
+	// An engine with VerifySignatures=true must accept a header whose wire
+	// signature is garbage when it comes as a Checked verdict — the verdict
+	// asserts an upstream check already happened (only PreVerifier.Check
+	// makes one). The same header as a bare message is verified, and
+	// refused.
 	rig := newTestRig(t, 4)
 	for i := range rig.engines {
 		rig.engines[i].Init(0)
@@ -182,10 +204,12 @@ func TestPreVerifiedMarksSkipEngineVerification(t *testing.T) {
 		edges[i] = p.Digest()
 	}
 	h := &Header{Round: 1, Source: 0, Edges: edges, Signature: crypto.Signature("garbage")}
-	h.MarkSigVerified()
-	out := e1.OnMessage(0, &Message{Kind: KindHeader, Header: h}, 0)
-	if len(out.Unicasts) != 1 {
-		t.Fatal("marked header must earn a vote without re-verification")
+	m := &Message{Kind: KindHeader, Header: h}
+	if out := e1.OnMessage(0, m, 0); len(out.Unicasts) != 0 {
+		t.Fatal("a header delivered bare must be verified")
+	}
+	if out := e1.OnChecked(0, Checked{msg: m}, 0); len(out.Unicasts) != 1 {
+		t.Fatal("a checked header must earn a vote without re-verification")
 	}
 }
 
@@ -255,5 +279,75 @@ func TestEngineStripsForgedVotesFromStoredCerts(t *testing.T) {
 		if vs.Voter == 0 {
 			t.Fatal("forged vote survived into the stored certificate")
 		}
+	}
+}
+
+// TestSigCountFollowsNeedsCheck: the kinds the pre-verify stage checks are
+// exactly the kinds whose messages report signatures to it, so the
+// verify-batch histogram observes every message the stage verifies.
+func TestSigCountFollowsNeedsCheck(t *testing.T) {
+	sig := crypto.Signature("sig")
+	cert := func() *Certificate {
+		return &Certificate{Header: Header{Round: 1, Signature: sig}, Votes: []VoteSig{{Voter: 0, Signature: sig}, {Voter: 1, Signature: sig}}}
+	}
+	// One non-empty payload of every kind.
+	msgs := []*Message{
+		{Kind: KindHeader, Header: &Header{Round: 1, Signature: sig}},
+		{Kind: KindVote, Vote: &Vote{Round: 1, Signature: sig}},
+		{Kind: KindCertificate, Cert: cert()},
+		{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: []types.Digest{{1}}}},
+		{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{cert(), cert()}}},
+		{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: 1}},
+		{Kind: KindSnapshotRequest, SnapshotRequest: &SnapshotRequest{HaveRound: 1}},
+		{Kind: KindSnapshotResponse, SnapshotResponse: &SnapshotResponse{Round: 1, Data: []byte{1}}},
+		{Kind: KindRejoinRequest, RejoinRequest: &RejoinRequest{Frontier: Frontier{HighestRound: 1}}},
+		{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{cert()}}},
+		{Kind: KindCheckpointSig, CheckpointSig: &checkpoint.Share{Signature: sig}},
+		{Kind: KindCheckpointCert, CheckpointCert: &checkpoint.Certificate{Sigs: []checkpoint.Sig{{Signature: sig}}}},
+	}
+	for i, m := range msgs {
+		if m.Kind != MessageKind(i+1) {
+			t.Fatalf("table out of order at %s", m.Kind)
+		}
+		if got := m.SigCount(); NeedsCheck(m.Kind) != (got > 0) {
+			t.Errorf("%s: SigCount %d, NeedsCheck %v", m.Kind, got, NeedsCheck(m.Kind))
+		}
+	}
+	if len(msgs) != int(KindCheckpointCert) {
+		t.Fatalf("%d kinds in the table, want %d", len(msgs), KindCheckpointCert)
+	}
+	if got := msgs[4].SigCount(); got != 4 {
+		t.Fatalf("a response of two 2-vote certificates counts %d signatures, want 4", got)
+	}
+	for _, k := range []MessageKind{KindHeader, KindVote, KindCertificate, KindCertResponse, KindRejoinResponse} {
+		if got := (&Message{Kind: k}).SigCount(); got != 0 {
+			t.Errorf("%s with no payload counts %d signatures", k, got)
+		}
+	}
+}
+
+// TestOutputMessagesAreSealed: Output seals what it is handed, whether or
+// not the engine read it — header digests and certificate vertices are
+// filled, so recipients sharing the message never write to it. Every message
+// a live committee sends is checked the same way, and read by three
+// goroutines at once, in the TestCheckOnceMatchesReference harness
+// (sigNet.checkSealed).
+func TestOutputMessagesAreSealed(t *testing.T) {
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &sigNet{t: t, committee: committee}
+	out := &Output{}
+	fresh := func(r types.Round) *Certificate { return &Certificate{Header: Header{Round: r, Source: 1}} }
+	out.broadcast(&Message{Kind: KindHeader, Header: &Header{Round: 1, Source: 1}})
+	out.broadcast(&Message{Kind: KindCertificate, Cert: fresh(1)})
+	out.unicast(2, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{fresh(2), fresh(3)}}})
+	out.unicast(2, &Message{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{fresh(4)}}})
+	for _, m := range out.Broadcasts {
+		net.checkSealed(m)
+	}
+	for _, u := range out.Unicasts {
+		net.checkSealed(u.Msg)
 	}
 }

@@ -20,12 +20,12 @@ func findUnicastTo(out *Output, to types.ValidatorID, kind MessageKind) *Message
 // the message the requester would receive.
 func rejoinResponseFrom(t *testing.T, rig *testRig, from, requester types.ValidatorID, req *Message) *Message {
 	t.Helper()
-	out := rig.engines[from].OnMessage(requester, req.Clone(), 0)
+	out := rig.engines[from].OnMessage(requester, req, 0)
 	resp := findUnicastTo(out, requester, KindRejoinResponse)
 	if resp == nil {
 		t.Fatalf("engine %d served no rejoin response", from)
 	}
-	return resp.Clone()
+	return resp
 }
 
 // TestRejoinHandshakeCompletesAtQuorum drives the handshake message by
@@ -119,7 +119,7 @@ func TestRejoinBelowQuorumRetries(t *testing.T) {
 		t.Fatal("f+1 alive validators are below quorum; the handshake must keep gathering")
 	}
 	// A duplicate response from the same peer must not double-count stake.
-	e3.OnMessage(0, resp.Clone(), 0)
+	e3.OnMessage(0, resp, 0)
 	if !e3.Rejoining() {
 		t.Fatal("duplicate response double-counted toward the quorum")
 	}
@@ -178,7 +178,7 @@ func TestRejoinAdoptsSurvivingOwnCertificate(t *testing.T) {
 	hdr := &Message{Kind: KindHeader, Header: e3.curHeader}
 	var ownCert *Certificate
 	for j := 0; j < 3 && ownCert == nil; j++ {
-		vout := rig.engines[j].OnMessage(3, hdr.Clone(), 0)
+		vout := rig.engines[j].OnMessage(3, hdr, 0)
 		if len(vout.Unicasts) != 1 {
 			continue
 		}
@@ -346,7 +346,7 @@ func TestRestoreProposalRetransmitsIdenticalHeader(t *testing.T) {
 	e3r := rig2.engines[3]
 	e3r.Init(0)
 	for _, c := range replayCerts {
-		e3r.OnMessage(3, (&Message{Kind: KindCertificate, Cert: c}).Clone(), 0)
+		e3r.OnMessage(3, &Message{Kind: KindCertificate, Cert: c}, 0)
 	}
 	e3r.RestoreProposal(preHeader)
 	if got := e3r.ProposalFloor(); got != preRound {
@@ -379,7 +379,7 @@ func TestRestoreProposalRetransmitsIdenticalHeader(t *testing.T) {
 	// Peers that voted pre-crash accept the re-transmit (same digest passes
 	// their votedFor check) — it must not count as an equivocation.
 	invalidBefore := rig.engines[0].Stats().InvalidMessages
-	rig.engines[0].OnMessage(3, (&Message{Kind: KindHeader, Header: hdr.Header}).Clone(), 0)
+	rig.engines[0].OnMessage(3, &Message{Kind: KindHeader, Header: hdr.Header}, 0)
 	if got := rig.engines[0].Stats().InvalidMessages; got != invalidBefore {
 		t.Fatal("peer rejected the re-transmitted header as conflicting")
 	}

@@ -157,6 +157,7 @@ func newSigNet(t *testing.T, seed int64) *sigNet {
 // every message is delivered eventually, so nothing needs a resync.
 func (net *sigNet) route(from types.ValidatorID, out *Output) {
 	for _, m := range out.Broadcasts {
+		net.checkSealed(m)
 		if m.Kind == KindCertificate && m.Cert.Header.Source == from {
 			net.checkOwnCert(m.Cert)
 		}
@@ -167,6 +168,7 @@ func (net *sigNet) route(from types.ValidatorID, out *Output) {
 		}
 	}
 	for _, u := range out.Unicasts {
+		net.checkSealed(u.Msg)
 		net.queue = append(net.queue, sigEvent{from: from, to: u.To, msg: u.Msg})
 	}
 	for _, tm := range out.Timers {
@@ -177,15 +179,50 @@ func (net *sigNet) route(from types.ValidatorID, out *Output) {
 	}
 }
 
-// checkOwnCert: a certificate this validator assembled is marked verified,
-// and the reference accepts it with every vote it carries.
+// checkSealed: a message leaves the engine with its header digests and
+// certificate vertices filled, so the recipients that share it never write
+// to it. Three goroutines then read it at once, as three recipients would:
+// under the race detector that pins the rule.
+func (net *sigNet) checkSealed(m *Message) {
+	t := net.t
+	t.Helper()
+	sealed := func(c *Certificate) bool { return c.Header.digestOK && c.Header.vertexMemo != nil }
+	ok := true
+	switch m.Kind {
+	case KindHeader:
+		ok = m.Header.digestOK && m.Header.batchMemoOK
+	case KindCertificate:
+		ok = sealed(m.Cert)
+	case KindCertResponse:
+		ok = !slices.ContainsFunc(m.CertResponse.Certs, func(c *Certificate) bool { return !sealed(c) })
+	case KindRejoinResponse:
+		ok = !slices.ContainsFunc(m.RejoinResponse.Certs, func(c *Certificate) bool { return !sealed(c) })
+	}
+	if !ok {
+		t.Fatalf("%s left the engine unsealed", m.Kind)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if NeedsCheck(m.Kind) {
+				NewPreVerifier(crypto.Insecure{}, net.committee, net.pubs, nil).Check(m)
+			}
+			if _, err := EncodeMessage(m); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// checkOwnCert: the reference accepts a certificate this validator
+// assembled with every vote it carries.
 func (net *sigNet) checkOwnCert(c *Certificate) {
 	net.t.Helper()
 	net.ownCerts++
-	if !c.SigVerified() {
-		net.t.Fatalf("own certificate %d/%d not marked verified", c.Header.Round, c.Header.Source)
-	}
-	kept, ok := refVerifyQuorumVotes(crypto.Insecure{}, net.committee, net.pubs, c.clone())
+	kept, ok := refVerifyQuorumVotes(crypto.Insecure{}, net.committee, net.pubs, c)
 	if !ok || len(kept) != len(c.Votes) {
 		net.t.Fatalf("own certificate %d/%d: reference accepts=%v with %d of %d votes", c.Header.Round, c.Header.Source, ok, len(kept), len(c.Votes))
 	}
@@ -203,23 +240,31 @@ func (net *sigNet) step() {
 		net.route(ev.to, e.OnTimer(*ev.timer, net.now))
 		return
 	}
-	m := ev.msg.Clone()
-	if NeedsCheck(m.Kind) && !net.check(ev.to, m, ev.msg.Clone()) {
-		return
+	// One message, shared with its sender and every other recipient.
+	m := ev.msg
+	if !NeedsCheck(m.Kind) {
+		net.route(ev.to, e.OnMessage(ev.from, m, net.now))
+	} else if checked, ok := net.check(ev.to, m); ok {
+		net.route(ev.to, e.OnChecked(ev.from, checked, net.now))
 	}
-	net.route(ev.to, e.OnMessage(ev.from, m, net.now))
 }
 
-// check runs validator to's pre-verify stage on m and holds every decision
-// to the reference, computed on ref, an untouched copy. It reports the
-// stage's decision.
-func (net *sigNet) check(to types.ValidatorID, m, ref *Message) bool {
+// check runs validator to's pre-verify stage on ref, which it must leave as
+// it is, and holds every decision to the reference. It returns the stage's
+// verdict.
+func (net *sigNet) check(to types.ValidatorID, ref *Message) (Checked, bool) {
 	t := net.t
 	t.Helper()
 	pv := net.prevers[to]
+	frame, encErr := EncodeMessage(ref)
 	before := pv.Stats()
-	got := pv.Check(m)
+	checked, got := pv.Check(ref)
 	after := pv.Stats()
+	if encErr == nil {
+		if again, _ := EncodeMessage(ref); !bytes.Equal(again, frame) {
+			t.Fatalf("the stage changed the %s it checked", ref.Kind)
+		}
+	}
 	verified := int(after.Verified - before.Verified)
 	net.verified += verified
 	net.knownVotes += int(after.Known - before.Known)
@@ -241,32 +286,30 @@ func (net *sigNet) check(to types.ValidatorID, m, ref *Message) bool {
 			t.Fatalf("vote of %d: stage accepts=%v, reference %v", v.Voter, got, want)
 		}
 	case KindCertificate:
-		kept := net.checkCert(to, ref.Cert, got, verified)
-		if got {
-			if !m.Cert.SigVerified() {
-				t.Fatal("accepted certificate not marked")
-			}
-			net.checkKept(m.Cert.Votes, ref.Cert)
+		if kept := net.checkCert(to, ref.Cert, got, verified); got {
+			net.checkKept(checked.msg.Cert.Votes, ref.Cert)
 			net.seenCerts[to] = append(net.seenCerts[to], kept)
 		}
 	case KindCertResponse:
-		var want []*Certificate
+		// Accepted whole or dropped whole.
+		want := len(ref.CertResponse.Certs) > 0
 		for _, c := range ref.CertResponse.Certs {
-			if !refusedByVoteCount(net.n, c.Votes) {
-				if _, ok := refVerifyQuorumVotes(crypto.Insecure{}, net.committee, net.pubs, c.clone()); ok {
-					want = append(want, c)
+			if refusedByVoteCount(net.n, c.Votes) {
+				want = false
+			} else if _, ok := refVerifyQuorumVotes(crypto.Insecure{}, net.committee, net.pubs, c); !ok {
+				want = false
+			}
+		}
+		if got != want {
+			t.Fatalf("cert response of %d certificates: stage accepts=%v, reference %v", len(ref.CertResponse.Certs), got, want)
+		}
+		if got {
+			for i, c := range checked.msg.CertResponse.Certs {
+				if c.Digest() != ref.CertResponse.Certs[i].Digest() {
+					t.Fatal("cert response: the stage passed on a different certificate")
 				}
+				net.checkKept(c.Votes, ref.CertResponse.Certs[i])
 			}
-		}
-		have := m.CertResponse.Certs
-		if got != (len(want) > 0) || len(have) != len(want) {
-			t.Fatalf("cert response: stage kept %d of %d certificates (accepts=%v), reference %d", len(have), len(ref.CertResponse.Certs), got, len(want))
-		}
-		for i, c := range have {
-			if c.Digest() != want[i].Digest() {
-				t.Fatal("cert response: stage kept a different certificate than the reference")
-			}
-			net.checkKept(c.Votes, want[i])
 		}
 	}
 	for i, k := range net.known {
@@ -274,21 +317,21 @@ func (net *sigNet) check(to types.ValidatorID, m, ref *Message) bool {
 			t.Fatalf("validator %d's table holds %d entries, bound %d", i, k.len(), knownSigsPerValidator*net.n)
 		}
 	}
-	return got
+	return checked, got
 }
 
 // checkCert holds one certificate decision to the reference: refused with
 // no public-key work when the vote-count rule refuses it, otherwise the
 // reference's decision, and the engine's own check (validCertificate, over
-// the same table) agrees. It returns a copy for the adversary to reuse.
+// the same table) agrees and keeps a verified quorum. It returns a copy for
+// the adversary to reuse.
 func (net *sigNet) checkCert(to types.ValidatorID, ref *Certificate, got bool, verified int) *Certificate {
 	t := net.t
 	t.Helper()
 	net.certChecks++
 	net.certVotes += len(ref.Votes)
-	engineCopy := ref.clone()
 	before := net.engineVerifies.Load()
-	engineGot := net.engines[to].validCertificate(engineCopy)
+	engineKept, engineGot := net.engines[to].validCertificate(ref, false)
 	net.probeVerifies.Add(net.engineVerifies.Load() - before)
 	if refusedByVoteCount(net.n, ref.Votes) {
 		net.certRefusedByRule++
@@ -298,7 +341,7 @@ func (net *sigNet) checkCert(to types.ValidatorID, ref *Certificate, got bool, v
 		}
 		return nil
 	}
-	_, want := refVerifyQuorumVotes(crypto.Insecure{}, net.committee, net.pubs, ref.clone())
+	_, want := refVerifyQuorumVotes(crypto.Insecure{}, net.committee, net.pubs, ref)
 	if got != want || engineGot != want {
 		t.Fatalf("certificate %d/%d with %d votes: stage accepts=%v, engine %v, reference %v",
 			ref.Header.Round, ref.Header.Source, len(ref.Votes), got, engineGot, want)
@@ -307,9 +350,14 @@ func (net *sigNet) checkCert(to types.ValidatorID, ref *Certificate, got bool, v
 		t.Fatalf("certificate with %d votes took %d verifications", len(ref.Votes), verified)
 	}
 	if engineGot {
-		net.checkKept(engineCopy.Votes, ref)
+		net.checkKept(engineKept.Votes, ref)
 	}
-	return ref.clone()
+	return copyCert(ref)
+}
+
+// copyCert is a copy of c whose votes the adversary may edit.
+func copyCert(c *Certificate) *Certificate {
+	return &Certificate{Header: c.Header, Votes: slices.Clone(c.Votes)}
 }
 
 // checkKept: the votes kept on an accepted certificate are distinct votes of
@@ -359,14 +407,14 @@ func forge(sig crypto.Signature, rng *rand.Rand) crypto.Signature {
 func (net *sigNet) inject(to types.ValidatorID) {
 	rng := net.rng
 	peer := types.ValidatorID((int(to) + 1 + rng.Intn(net.n-1)) % net.n)
-	send := func(m *Message) { net.check(to, m, m.Clone()) }
+	send := func(m *Message) { net.check(to, m) }
 	switch rng.Intn(5) {
 	case 0, 1: // a mutated copy of a certificate the validator accepted
 		certs := net.seenCerts[to]
 		if len(certs) == 0 {
 			return
 		}
-		c := certs[rng.Intn(len(certs))].clone()
+		c := copyCert(certs[rng.Intn(len(certs))])
 		net.mutateVotes(c, to)
 		send(&Message{Kind: KindCertificate, Cert: c})
 	case 2: // a forged header, then a certificate carrying its signature
@@ -580,24 +628,20 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 			}
 		}
 		verifies.Store(0)
-		check("pre-verify", pv.Check(got))
-		resp := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{tc.c.clone(), good.clone()}}}
-		pv.Check(resp)
-		if len(resp.CertResponse.Certs) != 1 || resp.CertResponse.Certs[0].Digest() != d || len(resp.CertResponse.Certs[0].Votes) != 3 {
-			t.Fatalf("%s: cert response kept %d certificates, want only the good one", tc.name, len(resp.CertResponse.Certs))
-		}
-		verifies.Store(0)
-		rejoin := &Message{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{tc.c.clone()}}}
-		check("rejoin response", !pv.Check(rejoin) || len(rejoin.RejoinResponse.Certs) > 0)
+		check("pre-verify", passes(pv, got))
+		resp := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{tc.c, good}}}
+		check("cert response", passes(pv, resp))
+		rejoin := &Message{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{good, tc.c}}}
+		check("rejoin response", passes(pv, rejoin))
 		invalid := eng.Stats().InvalidMessages
-		eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: tc.c.clone()}, 0)
+		eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: tc.c}, 0)
 		check("engine", eng.Stats().InvalidMessages == invalid)
 		if _, ok := eng.DAG().Get(1, 1); ok {
 			t.Fatalf("%s: engine inserted the certificate", tc.name)
 		}
 	}
-	if st := pv.Stats(); st.Dropped != 3 {
-		t.Fatalf("pre-verify dropped %d messages, want the 3 refused certificates", st.Dropped)
+	if st := pv.Stats(); st.Dropped != 9 {
+		t.Fatalf("pre-verify dropped %d messages, want the 3 refused certificates and the 6 responses holding one", st.Dropped)
 	}
 	// Without signature checks the rule still holds.
 	cfg.VerifySignatures = false
@@ -606,7 +650,11 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.validCertificate(flooded.clone()) || plain.validCertificate(padded.clone()) || !plain.validCertificate(good.clone()) {
+	valid := func(c *Certificate) bool {
+		_, ok := plain.validCertificate(c, false)
+		return ok
+	}
+	if valid(flooded) || valid(padded) || !valid(good) {
 		t.Fatal("without signature checks the vote-count rule must still refuse flooded and padded certificates, and only those")
 	}
 }
@@ -639,9 +687,7 @@ func TestOwnCertificateNotReverified(t *testing.T) {
 			if n := verifies.Load(); n != 1 {
 				t.Fatalf("completing vote and own certificate took %d verifications, want 1", n)
 			}
-			if m := findBroadcast(t, out, KindCertificate); !m.Cert.SigVerified() {
-				t.Fatal("own certificate not marked verified")
-			}
+			findBroadcast(t, out, KindCertificate)
 		}
 	}
 	if _, ok := e0.DAG().Get(1, 0); !ok {
@@ -709,7 +755,7 @@ func TestKnownSigsSharedAcrossWorkers(t *testing.T) {
 				h := &Header{Round: r, Source: types.ValidatorID(1 + (w+int(r))%(n-1)), CreatedNanos: int64(w)}
 				d := h.Digest()
 				h.Signature = sign(h.Source, d)
-				if !pv.Check(&Message{Kind: KindHeader, Header: h}) {
+				if !passes(pv, &Message{Kind: KindHeader, Header: h}) {
 					t.Error("valid header dropped")
 					return
 				}
@@ -719,7 +765,7 @@ func TestKnownSigsSharedAcrossWorkers(t *testing.T) {
 				for id := types.ValidatorID(0); int(id) < n; id++ {
 					c.Votes = append(c.Votes, VoteSig{Voter: id, Signature: sign(id, d)})
 				}
-				if !pv.Check(&Message{Kind: KindCertificate, Cert: c}) {
+				if !passes(pv, &Message{Kind: KindCertificate, Cert: c}) {
 					t.Error("valid certificate dropped")
 					return
 				}
@@ -732,5 +778,111 @@ func TestKnownSigsSharedAcrossWorkers(t *testing.T) {
 	}
 	if st := pv.Stats(); st.Known == 0 {
 		t.Fatal("no certificate vote was found in the table")
+	}
+}
+
+// TestCheckedVerdictOutlivesTable: the stage's verdict reaches the engine
+// with the message, whatever the table evicted meanwhile. A full sync
+// response (maxSyncBatch certificates) and a backlog of checked messages wait
+// behind a flood of fresh headers that evicts every table entry several times
+// over, as a Byzantine member or a busy engine queue would; the engine then
+// takes them all without one public-key operation.
+func TestCheckedVerdictOutlivesTable(t *testing.T) {
+	const n = 4
+	committee, err := types.NewEqualStakeCommittee(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verifies atomic.Int64
+	keys := make([]crypto.KeyPair, n)
+	pubs := make([]crypto.PublicKey, n)
+	for i := range keys {
+		if keys[i], err = crypto.NewKeyPair(crypto.Insecure{}, [32]byte{11}, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+		pubs[i] = keys[i].Public
+	}
+	sign := func(id types.ValidatorID, d types.Digest) crypto.Signature {
+		sig, err := keys[id].Sign(d[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig
+	}
+	cfg := DefaultConfig()
+	cfg.VerifySignatures = true
+	kp := keys[0]
+	kp.Scheme = countingScheme{kp.Scheme, &verifies}
+	eng, err := New(Params{Config: cfg, Committee: committee, Self: 0, Keys: kp, PublicKeys: pubs,
+		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := NewKnownSigs(n)
+	eng.UseKnownSigs(known)
+	pv := NewPreVerifier(crypto.Insecure{}, committee, pubs, known)
+	eng.Init(0)
+
+	// Rounds of certificates voted by the three peers, so none of the votes
+	// is one the engine cast itself.
+	rounds := types.Round(maxSyncBatch/n + 2)
+	certs := buildCertTrace(t, committee, rounds)
+	for _, c := range certs {
+		d := c.Digest()
+		c.Votes = c.Votes[:0]
+		for id := types.ValidatorID(1); id < n; id++ {
+			c.Votes = append(c.Votes, VoteSig{Voter: id, Signature: sign(id, d)})
+		}
+	}
+	check := func(m *Message) Checked {
+		t.Helper()
+		c, ok := pv.Check(m)
+		if !ok {
+			t.Fatalf("the stage dropped a valid %s", m.Kind)
+		}
+		return c
+	}
+	batch := check(&Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: certs[:maxSyncBatch]}})
+	var backlog []Checked
+	for _, c := range certs[maxSyncBatch:] {
+		backlog = append(backlog, check(&Message{Kind: KindCertificate, Cert: c}))
+	}
+	var edges []types.Digest
+	for _, c := range certs[len(certs)-n:] {
+		edges = append(edges, c.Digest())
+	}
+	h := &Header{Round: rounds + 1, Source: 1, Edges: edges}
+	h.Signature = sign(1, h.Digest())
+	backlog = append(backlog, check(&Message{Kind: KindHeader, Header: h}))
+	for i := 0; i < 4*knownSigsPerValidator*n; i++ {
+		f := &Header{Round: 1<<20 + types.Round(i), Source: 3}
+		f.Signature = sign(3, f.Digest())
+		check(&Message{Kind: KindHeader, Header: f})
+	}
+
+	verifies.Store(0)
+	eng.OnChecked(2, batch, 0)
+	var out *Output
+	for _, c := range backlog {
+		out = eng.OnChecked(1, c, 0)
+	}
+	if v := verifies.Load(); v != 0 {
+		t.Fatalf("the engine verified %d signatures the stage had checked", v)
+	}
+	for src := types.ValidatorID(0); src < n; src++ {
+		if _, ok := eng.DAG().Get(rounds, src); !ok {
+			t.Fatalf("certificate %d/%d not inserted", rounds, src)
+		}
+	}
+	if len(out.Unicasts) != 1 || out.Unicasts[0].Msg.Kind != KindVote {
+		t.Fatal("no vote for the checked header")
+	}
+	// The counter sees the engine's own work: a header delivered bare is
+	// verified.
+	g := &Header{Round: rounds + 1, Source: 2, Edges: edges}
+	g.Signature = sign(2, g.Digest())
+	eng.OnMessage(2, &Message{Kind: KindHeader, Header: g}, 0)
+	if v := verifies.Load(); v != 1 {
+		t.Fatalf("a bare header took %d verifications, want 1", v)
 	}
 }

@@ -198,7 +198,7 @@ func triggerBeyondHorizon(t *testing.T, rig *testRig, recovering *Engine, rounds
 	}
 	frontier := certifyRound(t, rig, map[types.ValidatorID]bool{recovering.self: true})
 	return recovering.OnMessage(frontier[0].Header.Source,
-		(&Message{Kind: KindCertificate, Cert: frontier[0]}).Clone(), 0)
+		&Message{Kind: KindCertificate, Cert: frontier[0]}, 0)
 }
 
 func TestBeyondHorizonTriggersSnapshotRequest(t *testing.T) {

@@ -152,8 +152,8 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 // anything that does not start with the wireMagic, wireV1 pair. The payload
 // pointer for the decoded kind is never nil. Decoded byte fields (signatures,
 // payloads, snapshot chunks) alias data, which the TCP read loop allocates per
-// frame, so recipients own them without a copy. Pre-verified marks never
-// survive: every payload is freshly constructed.
+// frame, so recipients own them without a copy; every payload is freshly
+// constructed.
 func DecodeMessage(data []byte) (*Message, error) {
 	if len(data) < 3 {
 		return nil, fmt.Errorf("engine: %w: message frame too short", wire.ErrTruncated)

@@ -651,53 +651,24 @@ func (n *Node) preverifyLoop() {
 				n.queueMetric.Set(int64(len(n.preq)))
 			}
 			if n.batchHist != nil {
-				if size := sigCount(in.msg); size > 0 {
+				if size := in.msg.SigCount(); size > 0 {
 					n.batchHist.Observe(float64(size))
 				}
 			}
-			if !n.prever.Check(in.msg) {
+			checked, ok := n.prever.Check(in.msg)
+			if !ok {
 				if n.droppedMetric != nil {
 					n.droppedMetric.Inc()
 				}
 				continue
 			}
 			n.enqueue(func() {
-				out := n.eng.OnMessage(in.from, in.msg, time.Now().UnixNano())
+				out := n.eng.OnChecked(in.from, checked, time.Now().UnixNano())
 				n.dispatch(out)
 			})
 		case <-n.done:
 			return
 		}
-	}
-}
-
-// sigCount is the number of signatures a message carries: what the
-// pre-verify stage is handed for it. It verifies at most that many; the
-// hammerhead_signatures_* counters say how many it did.
-func sigCount(msg *engine.Message) int {
-	switch msg.Kind {
-	case engine.KindHeader, engine.KindVote:
-		return 1
-	case engine.KindCertificate:
-		// Nil payloads (a malformed frame whose Kind and payload disagree)
-		// must not crash the worker; the pre-verify check drops them next.
-		if msg.Cert == nil {
-			return 0
-		}
-		return len(msg.Cert.Votes)
-	case engine.KindCertResponse:
-		if msg.CertResponse == nil {
-			return 0
-		}
-		total := 0
-		for _, c := range msg.CertResponse.Certs {
-			if c != nil {
-				total += len(c.Votes)
-			}
-		}
-		return total
-	default:
-		return 0
 	}
 }
 

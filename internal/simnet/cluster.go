@@ -646,13 +646,7 @@ func (c *Cluster) send(from, to types.ValidatorID, msg *engine.Message, now int6
 		return
 	}
 	if at := p.badSigAt; at >= 0 && now >= at {
-		msg = corruptSignatures(msg) // clones internally
-	} else if c.cfg.Engine.VerifySignatures {
-		// Each recipient owns its copy, as after a wire decode: the
-		// pre-verify stage marks (and may strip votes from) payloads, and
-		// neither the sender's state nor a sibling recipient's copy may be
-		// affected.
-		msg = msg.Clone()
+		msg = corruptSignatures(msg)
 	}
 	size := msg.EncodedSize()
 	c.msgsSent++
@@ -672,8 +666,13 @@ func (c *Cluster) send(from, to types.ValidatorID, msg *engine.Message, now int6
 		// Each validator's pre-verify stage (validator.New builds it when
 		// signatures are verified) runs synchronously at delivery — same code
 		// as the node's asynchronous stage.
-		if pv := c.validators[to].PreVerifier; pv != nil && engine.NeedsCheck(msg.Kind) && !pv.Check(msg) {
-			c.preDropped++
+		if pv := c.validators[to].PreVerifier; pv != nil && engine.NeedsCheck(msg.Kind) {
+			checked, ok := pv.Check(msg)
+			if !ok {
+				c.preDropped++
+				return
+			}
+			c.dispatch(to, c.Engine(to).OnChecked(from, checked, c.Sim.Now()))
 			return
 		}
 		c.dispatch(to, c.Engine(to).OnMessage(from, msg, c.Sim.Now()))
@@ -681,27 +680,38 @@ func (c *Cluster) send(from, to types.ValidatorID, msg *engine.Message, now int6
 }
 
 // corruptSignatures returns a copy of msg with every signature replaced by
-// garbage of the same length, leaving the original (which the sender's own
-// state may reference) untouched.
+// garbage of the same length. It builds new payloads for what it mangles:
+// the original is shared with the sender's own state and every recipient.
 func corruptSignatures(msg *engine.Message) *engine.Message {
-	m := msg.Clone()
+	m := *msg
 	switch m.Kind {
 	case engine.KindHeader:
-		m.Header.Signature = mangle(m.Header.Signature)
+		h := *m.Header
+		h.Signature = mangle(h.Signature)
+		m.Header = &h
 	case engine.KindVote:
-		m.Vote.Signature = mangle(m.Vote.Signature)
+		v := *m.Vote
+		v.Signature = mangle(v.Signature)
+		m.Vote = &v
 	case engine.KindCertificate:
-		for i := range m.Cert.Votes {
-			m.Cert.Votes[i].Signature = mangle(m.Cert.Votes[i].Signature)
-		}
+		m.Cert = mangleVotes(m.Cert)
 	case engine.KindCertResponse:
-		for _, cert := range m.CertResponse.Certs {
-			for i := range cert.Votes {
-				cert.Votes[i].Signature = mangle(cert.Votes[i].Signature)
-			}
+		certs := make([]*engine.Certificate, len(m.CertResponse.Certs))
+		for i, cert := range m.CertResponse.Certs {
+			certs[i] = mangleVotes(cert)
 		}
+		m.CertResponse = &engine.CertResponse{Certs: certs}
 	}
-	return m
+	return &m
+}
+
+// mangleVotes returns a copy of c with every vote signature mangled.
+func mangleVotes(c *engine.Certificate) *engine.Certificate {
+	d := &engine.Certificate{Header: c.Header, Votes: make([]engine.VoteSig, len(c.Votes))}
+	for i, vs := range c.Votes {
+		d.Votes[i] = engine.VoteSig{Voter: vs.Voter, Signature: mangle(vs.Signature)}
+	}
+	return d
 }
 
 func mangle(sig crypto.Signature) crypto.Signature {

@@ -122,7 +122,7 @@ func replayEngine(t *testing.T, committee *types.Committee, hh *core.Config, tra
 	}
 	for _, cert := range trace {
 		msg := &engine.Message{Kind: engine.KindCertificate, Cert: cert}
-		v.Engine.OnMessage(1, msg.Clone(), 0)
+		v.Engine.OnMessage(1, msg, 0)
 	}
 	return log.subs, v.Executor
 }

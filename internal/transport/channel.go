@@ -80,7 +80,11 @@ type envelope struct {
 	msg  *engine.Message
 }
 
-// ChannelTransport is one validator's endpoint in a ChannelNetwork.
+// ChannelTransport is one validator's endpoint in a ChannelNetwork. It hands
+// every recipient the sender's own *Message, with no copy and no encoding: a
+// message is immutable once the engine has output it (engine.Message), so
+// recipients on their own goroutines share it as they would share the bytes
+// of one TCP frame.
 type ChannelTransport struct {
 	network *ChannelNetwork
 	self    types.ValidatorID
@@ -109,12 +113,7 @@ func (t *ChannelTransport) deliverLoop(handler Handler) {
 }
 
 // enqueue delivers into this endpoint's inbox without blocking the sender.
-// The message is cloned so each recipient owns its payload, as it would
-// after decoding from a TCP stream: pre-verify stages mark and mutate
-// payloads, and a broadcast must not let recipients observe each other's
-// (or the sender's) copies.
 func (t *ChannelTransport) enqueue(from types.ValidatorID, msg *engine.Message) {
-	msg = msg.Clone()
 	select {
 	case t.inbox <- envelope{from: from, msg: msg}:
 	case <-t.done:

@@ -98,6 +98,38 @@ func TestChannelSendAndBroadcast(t *testing.T) {
 	cols[1].waitFor(t, 2, time.Second)
 }
 
+// TestChannelTransportSharesTheMessage: a unicast and a broadcast hand every
+// handler the sender's own *Message — no copy, no encoding.
+func TestChannelTransportSharesTheMessage(t *testing.T) {
+	net := transport.NewChannelNetwork(64)
+	cols := make([]*collector, 4)
+	trs := make([]*transport.ChannelTransport, 4)
+	for i := range cols {
+		cols[i] = newCollector()
+		tr, err := net.Join(types.ValidatorID(i), cols[i].handler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs[i] = tr
+		defer tr.Close()
+	}
+	uni, bcast := voteMsg(0, 1), voteMsg(0, 2)
+	if err := trs[0].Send(1, uni); err != nil {
+		t.Fatal(err)
+	}
+	if err := trs[0].Broadcast(bcast); err != nil {
+		t.Fatal(err)
+	}
+	if got := cols[1].waitFor(t, 2, time.Second); got[0].msg != uni || got[1].msg != bcast {
+		t.Fatal("validator 1 was handed a copy, not the sender's message")
+	}
+	for _, i := range []int{2, 3} {
+		if got := cols[i].waitFor(t, 1, time.Second); got[0].msg != bcast {
+			t.Fatalf("validator %d was handed a copy of the broadcast, not the sender's message", i)
+		}
+	}
+}
+
 func TestChannelUnknownPeer(t *testing.T) {
 	net := transport.NewChannelNetwork(8)
 	tr, err := net.Join(0, func(types.ValidatorID, *engine.Message) {})
