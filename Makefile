@@ -141,11 +141,17 @@ pacing:
 # that storage creates is named durably (and a reopen syncs nothing); a
 # validator is not live, and records nothing, until Init or Recover (a
 # certificate a node takes before Start is not written beside recovery).
+# A restart replays its log without verifying a signature, intact or torn;
+# a node run with a WAL and execution resumes from the checkpoints beside
+# its compacted log, alone and as a whole committee (LocalCluster).
 crash-restart:
 	go test -race -count=3 -run '^(TestFullCommitteeKillRestartConverges|TestHammerHeadFullCommitteeKillRestartConverges|TestPartialKillRestartRejoinsLiveCommittee|TestKillRestartRestoresVotedRoundMark|TestKillRestartRecoversFromCompactedLog|TestKillRestartTrimsATornTail)$$' ./internal/simnet/
 	go test -race -count=3 -run '^(TestOpenWALSyncsDirOnCreate|TestNewSnapshotStoreSyncsCreatedDirs)$$' ./internal/storage/
 	go test -race -count=3 -run '^(TestInitOpensTheLogAndGoesLive|TestLogCompactsAtTheCheckpointFloor|TestLogReopensAfterAFailedCompaction)$$' ./internal/validator/
 	go test -race -count=3 -run '^TestNodeRecordsNothingBeforeStart$$' ./internal/node/
+	go test -race -count=3 -run '^TestKillRestartReplaysItsLogUnverified$$' ./internal/simnet/
+	go test -race -count=3 -run '^TestRestartResumesFromItsOwnCompactedRecord$$' ./internal/node/
+	go test -race -count=3 -run '^TestLocalClusterRestartResumesFromItsRecords$$' .
 
 # ring-bytes is CI's "Commit history holds what it counts (race)" step: the
 # gateway's resume ring packs each commit's payloads into one block and must

@@ -45,7 +45,7 @@ func run(args []string) error {
 	committeePath := fs.String("committee", "committee.json", "committee configuration file")
 	id := fs.Uint("id", 0, "this validator's ID")
 	keyPath := fs.String("key", "", "private key file (from hammerhead-keygen)")
-	walPath := fs.String("wal", "", "WAL path for crash-recovery (empty disables persistence)")
+	walPath := fs.String("wal", "", "WAL path for crash-recovery; with -execution the checkpoints it is compacted against go in <path>.snapshots (empty disables persistence)")
 	metricsAddr := fs.String("metrics-addr", "", "address for /metrics (empty disables)")
 	baseline := fs.Bool("baseline", false, "use static round-robin instead of HammerHead")
 	epochCommits := fs.Int("epoch-commits", 10, "commits per leader-reputation schedule")
@@ -58,7 +58,6 @@ func run(args []string) error {
 	execution := fs.Bool("execution", false, "enable the execution subsystem: deterministic KV state machine, checkpoints, snapshot state-sync")
 	checkpointInterval := fs.Uint64("checkpoint-interval", 0, "about this many commits between execution checkpoints, never more than one past it: the cut moves to the commit that ends a period's fast phase (0 = default 32; needs -execution)")
 	checkpointCerts := fs.Bool("checkpoint-certs", false, "sign and gossip checkpoint tuples into quorum certificates, enabling trustless snapshots, proof-carrying reads and read replicas (needs -execution)")
-	snapshotDir := fs.String("snapshot-dir", "", "directory persisting execution checkpoints (empty = in-memory; needs -execution)")
 	trace := fs.Bool("trace", false, "record per-transaction commit-path traces, served on GET /v1/trace/{txid} and in the hammerhead_stage_latency_seconds histograms")
 	traceSlots := fs.Int("trace-slots", 0, "retained trace capacity, FIFO-evicted (0 = default 1<<16; needs -trace)")
 	debugAddr := fs.String("debug-addr", "", "address for the debug surface (net/http/pprof + /debug/runtime) on its OWN listener, never the public RPC mux (empty disables)")
@@ -129,7 +128,6 @@ func run(args []string) error {
 		Execution:          *execution,
 		CheckpointInterval: *checkpointInterval,
 		CheckpointCerts:    *checkpointCerts,
-		SnapshotDir:        *snapshotDir,
 		Metrics:            reg,
 		Trace:              *trace,
 		TraceSlots:         *traceSlots,

@@ -37,12 +37,13 @@ func TestRunAcceptsBenchFlags(t *testing.T) {
 	}
 }
 
-// TestRunRefusesRemovedFlags: the verification-pool, mempool-shard and
-// order-stage depth flags are gone, and passing one is a flag error before
-// anything is loaded.
+// TestRunRefusesRemovedFlags: the verification-pool, mempool-shard,
+// order-stage depth and snapshot-directory flags are gone (checkpoints live
+// beside the -wal log), and passing one is a flag error before anything is
+// loaded.
 func TestRunRefusesRemovedFlags(t *testing.T) {
 	dir := t.TempDir()
-	for _, flag := range []string{"-verify-workers", "-mempool-shards", "-pipeline-depth"} {
+	for _, flag := range []string{"-verify-workers", "-mempool-shards", "-pipeline-depth", "-snapshot-dir"} {
 		err := run(append(benchArgs(dir, filepath.Join(dir, "missing.json")), flag, "2"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
 			t.Fatalf("run with %s 2: error = %v, want it refused as an unknown flag", flag, err)

@@ -31,7 +31,7 @@ func run() error {
 	// deterministic KV ledger and checkpoints it.
 	cluster, err := hammerhead.StartLocalCluster(4,
 		hammerhead.WithHammerHead(nil),
-		hammerhead.WithExecution(""),
+		hammerhead.WithExecution(),
 		hammerhead.WithCommitObserver(func(id hammerhead.ValidatorID, sub hammerhead.CommittedSubDAG, replayed bool) {
 			if id != 0 || replayed {
 				return // print each commit once, from validator 0's view

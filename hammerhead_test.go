@@ -1,11 +1,13 @@
 package hammerhead_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"hammerhead"
+	"hammerhead/internal/execution"
 )
 
 func TestGenerateKeysPublicAPI(t *testing.T) {
@@ -69,6 +71,71 @@ func TestLocalClusterEndToEnd(t *testing.T) {
 	}
 	if err := cluster.Submit(99, hammerhead.Transaction{ID: 1}); err == nil {
 		t.Fatal("submit to unknown validator must fail")
+	}
+}
+
+// TestLocalClusterRestartResumesFromItsRecords stops a whole committee run
+// with WALs and execution and starts it again over the same directory. Every
+// validator resumes at or above the seq it stopped at, from the checkpoints
+// beside its compacted log; commits resume, and the chained roots agree at a
+// common seq.
+func TestLocalClusterRestartResumesFromItsRecords(t *testing.T) {
+	dir := t.TempDir()
+	start := func() *hammerhead.LocalCluster {
+		t.Helper()
+		cluster, err := hammerhead.StartLocalCluster(4, hammerhead.WithWALDir(dir), hammerhead.WithExecution())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cluster
+	}
+	// waitApplied waits until every executor applied at least seq.
+	waitApplied := func(cluster *hammerhead.LocalCluster, seq uint64) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for i := 0; i < len(cluster.Nodes); {
+			if cluster.Nodes[i].Executor().AppliedSeq() >= seq {
+				i++
+				continue
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("v%d applied up to seq %d, want %d", i, cluster.Nodes[i].Executor().AppliedSeq(), seq)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+
+	// Past two checkpoints at the default interval, each compacting the logs.
+	first := start()
+	waitApplied(first, 2*execution.DefaultCheckpointInterval+2)
+	first.Stop()
+	preSeq := make([]uint64, len(first.Nodes))
+	for i, nd := range first.Nodes {
+		preSeq[i] = nd.Executor().AppliedSeq()
+	}
+
+	second := start()
+	defer second.Stop()
+	for i, nd := range second.Nodes {
+		if got := nd.Executor().AppliedSeq(); got < preSeq[i] {
+			t.Fatalf("v%d resumed at seq %d, want >= %d, where it stopped", i, got, preSeq[i])
+		}
+	}
+	waitApplied(second, slices.Max(preSeq)+10)
+	second.Stop()
+
+	minSeq := second.Nodes[0].Executor().AppliedSeq()
+	for _, nd := range second.Nodes[1:] {
+		minSeq = min(minSeq, nd.Executor().AppliedSeq())
+	}
+	ref, ok := second.Nodes[0].Executor().RootAt(minSeq)
+	if !ok {
+		t.Fatalf("v0 lost its root at seq %d", minSeq)
+	}
+	for i, nd := range second.Nodes[1:] {
+		if root, ok := nd.Executor().RootAt(minSeq); !ok || root != ref {
+			t.Fatalf("v%d root at seq %d = %s (ok=%v), v0's is %s", i+1, minSeq, root, ok, ref)
+		}
 	}
 }
 

@@ -462,6 +462,17 @@ func (e *Engine) OnChecked(from types.ValidatorID, c Checked, nowNanos int64) *O
 	return e.onMessage(from, c.msg, true, nowNanos)
 }
 
+// OnRecorded replays one certificate from this validator's own durable record
+// (validator.Recover). The validator verified it before recording it and the
+// record is CRC-framed, so its signatures are not verified again; its vote
+// count and quorum still are. Only the validator's own record comes through
+// here: anything a peer sent goes through OnMessage or OnChecked.
+func (e *Engine) OnRecorded(cert *Certificate, nowNanos int64) *Output {
+	out := &Output{}
+	e.onCertificate(cert, true, nowNanos, out)
+	return out
+}
+
 // onMessage dispatches msg; checked says every signature in it verified
 // already (OnChecked).
 func (e *Engine) onMessage(from types.ValidatorID, msg *Message, checked bool, nowNanos int64) *Output {

@@ -92,7 +92,7 @@ func TestRestartKeepsTheCheckpointGrid(t *testing.T) {
 		ref.ApplyCommit(stream[seq])
 	}
 
-	store := NewMemoryStore()
+	store := &recordingStore{}
 	first := NewExecutor(NewKVState(), Config{CheckpointInterval: n, Store: store})
 	first.Start()
 	for seq := 1; seq <= closeAt; seq++ {

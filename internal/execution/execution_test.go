@@ -137,7 +137,7 @@ func TestExecutorAppliesAndChainsRoots(t *testing.T) {
 }
 
 func TestExecutorCheckpointsAtInterval(t *testing.T) {
-	store := NewMemoryStore()
+	store := &recordingStore{}
 	x := NewExecutor(NewKVState(), Config{CheckpointInterval: 4, Store: store})
 	for seq := uint64(1); seq <= 9; seq++ {
 		x.ApplyCommit(makeCommit(seq, types.Round(seq*2), [][]byte{PutOp([]byte{byte(seq)}, []byte("v"))}))

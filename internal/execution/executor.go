@@ -28,8 +28,8 @@ const (
 	rootRingSize = 4096
 )
 
-// Config parameterizes an Executor. The zero value selects all defaults with
-// an in-memory snapshot store.
+// Config parameterizes an Executor. The zero value selects all defaults and
+// saves no checkpoint.
 type Config struct {
 	// CheckpointInterval is about the number of commits between checkpoints,
 	// never more than one past it (0 = DefaultCheckpointInterval): a
@@ -37,13 +37,14 @@ type Config struct {
 	// that commit ends the period's fast phase, else at the next commit (see
 	// checkpointDue).
 	CheckpointInterval uint64
-	// Store persists checkpoints (nil = in-memory MemoryStore).
+	// Store persists checkpoints. Nil saves none: they are still cut, cached
+	// and served to state-syncing peers, but die with the process.
 	Store SnapshotStore
 	// OnCheckpoint, when non-nil, observes every checkpoint once the store
 	// has saved it (periodic, forced, final-on-close and installed ones
-	// alike), in the order they were saved. The node hangs checkpoint-driven
-	// WAL compaction here: the snapshot's Floor is the round below which the
-	// WAL no longer needs to replay. It runs on whichever goroutine wrote the
+	// alike), in the order they were saved. internal/validator hangs log
+	// compaction here: the snapshot's Floor is the round below which the log
+	// no longer needs to replay. It runs on whichever goroutine wrote the
 	// checkpoint — the checkpoint goroutine after Start — holding no executor
 	// lock but the writer's turn: the hook must not call back into the
 	// executor; hand off to another goroutine for real work. Cert is set when
@@ -196,9 +197,6 @@ func NewExecutor(kv *KVState, cfg Config) *Executor {
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
-	if cfg.Store == nil {
-		cfg.Store = NewMemoryStore()
-	}
 	x := &Executor{
 		kv:      kv,
 		cfg:     cfg,
@@ -211,9 +209,6 @@ func NewExecutor(kv *KVState, cfg Config) *Executor {
 	}
 	return x
 }
-
-// Store returns the executor's snapshot store.
-func (x *Executor) Store() SnapshotStore { return x.cfg.Store }
 
 // CheckpointCerts reports Config.CheckpointCerts: the engine certifies
 // checkpoints exactly when its executor was built for it.
@@ -592,8 +587,10 @@ func (x *Executor) write(c *ckpt) (Snapshot, error) {
 		blob = sealSnapshot(body, cert)
 		c.certAt = len(body)
 	}
-	if err := x.cfg.Store.Save(snap.CommitSeq, blob); err != nil {
-		return x.drop(c, err)
+	if x.cfg.Store != nil {
+		if err := x.cfg.Store.Save(snap.CommitSeq, blob); err != nil {
+			return x.drop(c, err)
+		}
 	}
 	x.mu.Lock()
 	if x.overtakenLocked(c) {
@@ -702,7 +699,7 @@ func (x *Executor) reseal() bool {
 	cert, body, save := c.cert, c.blob[:c.certAt:c.certAt], c == x.latest
 	x.mu.Unlock()
 	blob := sealSnapshot(body, cert)
-	if save {
+	if save && x.cfg.Store != nil {
 		// On failure the store keeps the uncertified copy of the same
 		// checkpoint: still installable locally, only not servable as
 		// certified after a restart.

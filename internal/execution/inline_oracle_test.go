@@ -41,10 +41,9 @@ func newInlineOracle(interval uint64, certs bool) *inlineOracle {
 	}
 }
 
-// recordingStore is a MemoryStore that also keeps every blob it is handed,
-// in order.
+// recordingStore is the tests' SnapshotStore: it keeps every blob it is
+// handed, in order, and serves the newest.
 type recordingStore struct {
-	MemoryStore
 	mu    sync.Mutex
 	saves []savedBlob // guarded by mu
 }
@@ -58,7 +57,25 @@ func (s *recordingStore) Save(seq uint64, blob []byte) error {
 	s.mu.Lock()
 	s.saves = append(s.saves, savedBlob{seq, blob})
 	s.mu.Unlock()
-	return s.MemoryStore.Save(seq, blob)
+	return nil
+}
+
+// Latest is the newest save of the highest commit seq, as a store that
+// replaces a snapshot saved again under its seq serves it.
+func (s *recordingStore) Latest() (Snapshot, bool) {
+	s.mu.Lock()
+	var newest savedBlob
+	for _, b := range s.saves {
+		if b.seq >= newest.seq {
+			newest = b
+		}
+	}
+	s.mu.Unlock()
+	if newest.blob == nil {
+		return Snapshot{}, false
+	}
+	snap, err := DecodeSnapshot(newest.blob)
+	return snap, err == nil
 }
 
 func (s *recordingStore) log() []savedBlob {

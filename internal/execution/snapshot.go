@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"sync"
 
 	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/crypto"
@@ -278,10 +277,10 @@ func sortOrderedRefs(refs []OrderedRef) {
 	})
 }
 
-// SnapshotStore persists checkpoints. storage.SnapshotStore is the file
-// implementation real nodes use, and the discrete-event simulator's validators
-// when they have a disk (simnet's RecordWALs); MemoryStore serves tests and
-// the simulator without one, which touches no filesystem.
+// SnapshotStore persists checkpoints. storage.SnapshotStore is the one
+// implementation: internal/validator opens it beside a validator's log, and a
+// validator without a log has no store, so its checkpoints are cut, cached and
+// served but not saved.
 type SnapshotStore interface {
 	// Save persists one snapshot, as its EncodeSnapshot blob, under its
 	// commit sequence (replacing any with the same one), and may prune older
@@ -290,37 +289,4 @@ type SnapshotStore interface {
 	Save(seq uint64, blob []byte) error
 	// Latest returns the newest retained snapshot.
 	Latest() (Snapshot, bool)
-}
-
-// MemoryStore is an in-memory SnapshotStore retaining only the newest
-// snapshot. Safe for concurrent use.
-type MemoryStore struct {
-	mu   sync.Mutex
-	seq  uint64 // guarded by mu
-	blob []byte // guarded by mu
-}
-
-// NewMemoryStore returns an empty in-memory store.
-func NewMemoryStore() *MemoryStore { return &MemoryStore{} }
-
-// Save implements SnapshotStore.
-func (m *MemoryStore) Save(seq uint64, blob []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.blob == nil || seq >= m.seq {
-		m.seq, m.blob = seq, blob
-	}
-	return nil
-}
-
-// Latest implements SnapshotStore.
-func (m *MemoryStore) Latest() (Snapshot, bool) {
-	m.mu.Lock()
-	blob := m.blob
-	m.mu.Unlock()
-	if blob == nil {
-		return Snapshot{}, false
-	}
-	snap, err := DecodeSnapshot(blob)
-	return snap, err == nil
 }

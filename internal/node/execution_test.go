@@ -19,13 +19,13 @@ import (
 )
 
 // buildExecNode is buildNode with the execution subsystem enabled.
-func buildExecNode(t *testing.T, tc *testCluster, id types.ValidatorID, walPath, snapDir string, reg *metrics.Registry) *node.Node {
-	return buildExecNodeHH(t, tc, id, nil, walPath, snapDir, reg)
+func buildExecNode(t *testing.T, tc *testCluster, id types.ValidatorID, walPath string, reg *metrics.Registry) *node.Node {
+	return buildExecNodeHH(t, tc, id, nil, walPath, reg)
 }
 
 // buildExecNodeHH additionally selects the scheduler (nil = round-robin);
 // opts adjust the configuration last.
-func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *core.Config, walPath, snapDir string, reg *metrics.Registry, opts ...func(*node.Config)) *node.Node {
+func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *core.Config, walPath string, reg *metrics.Registry, opts ...func(*node.Config)) *node.Node {
 	t.Helper()
 	n := tc.committee.Size()
 	scheme := crypto.Insecure{}
@@ -53,7 +53,6 @@ func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *co
 		WALPath:            walPath,
 		Execution:          true,
 		CheckpointInterval: 2,
-		SnapshotDir:        snapDir,
 		Metrics:            reg,
 		OnCommit: func(sub bullshark.CommittedSubDAG, replayed bool) {
 			tc.mu.Lock()
@@ -91,7 +90,7 @@ func TestNodesExecuteAndConverge(t *testing.T) {
 		if i == 0 {
 			r = reg
 		}
-		tc.nodes = append(tc.nodes, buildExecNode(t, tc, types.ValidatorID(i), "", "", r))
+		tc.nodes = append(tc.nodes, buildExecNode(t, tc, types.ValidatorID(i), "", r))
 	}
 	tc.start(t)
 	for i := 0; i < 60; i++ {
@@ -167,8 +166,7 @@ func TestNodeRestartWithSnapshotUnderHammerHead(t *testing.T) {
 		tc := newExecCluster(t, committee)
 		for i := 0; i < 4; i++ {
 			tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, types.ValidatorID(i), &hh,
-				filepath.Join(dir, fmt.Sprintf("v%d.wal", i)),
-				filepath.Join(dir, fmt.Sprintf("snaps%d", i)), nil))
+				filepath.Join(dir, fmt.Sprintf("v%d.wal", i)), nil))
 		}
 		return tc
 	}
@@ -192,7 +190,7 @@ func TestNodeRestartWithSnapshotUnderHammerHead(t *testing.T) {
 		preSeq[i] = nd.Executor().AppliedSeq() // Close cut a final checkpoint
 	}
 
-	// Restart the whole committee from WALs + snapshot dirs: the engine
+	// Restart the whole committee from their records: the engine
 	// restores the checkpoint's scheduler state, fast-forwards, and executors
 	// resume at least at their checkpoints.
 	tc2 := buildAll()
@@ -267,11 +265,10 @@ func TestHammerHeadWALCompactionThenRestart(t *testing.T) {
 	hh := core.DefaultConfig()
 	hh.EpochCommits = 3 // switch schedules often, so the restored state has teeth
 	walPath := filepath.Join(dir, "v0.wal")
-	snapDir := filepath.Join(dir, "v0-snapshots")
 	tc := newExecCluster(t, committee)
-	tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, 0, &hh, walPath, snapDir, nil))
+	tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, 0, &hh, walPath, nil))
 	for i := 1; i < 4; i++ {
-		tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, types.ValidatorID(i), &hh, "", "", nil))
+		tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, types.ValidatorID(i), &hh, "", nil))
 	}
 	for _, nd := range tc.nodes {
 		if err := tc.startNode(nd); err != nil {
@@ -315,7 +312,7 @@ func TestHammerHeadWALCompactionThenRestart(t *testing.T) {
 			info.LowestRound, info.Certs)
 	}
 
-	restarted := buildExecNodeHH(t, tc, 0, &hh, walPath, snapDir, nil)
+	restarted := buildExecNodeHH(t, tc, 0, &hh, walPath, nil)
 	if err := tc.startNode(restarted); err != nil {
 		t.Fatal(err)
 	}
@@ -363,11 +360,10 @@ func TestNodeRestartFromLocalSnapshot(t *testing.T) {
 	}
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "v0.wal")
-	snapDir := filepath.Join(dir, "v0-snapshots")
 	tc := newExecCluster(t, committee)
-	tc.nodes = append(tc.nodes, buildExecNode(t, tc, 0, walPath, snapDir, nil))
+	tc.nodes = append(tc.nodes, buildExecNode(t, tc, 0, walPath, nil))
 	for i := 1; i < 4; i++ {
-		tc.nodes = append(tc.nodes, buildExecNode(t, tc, types.ValidatorID(i), "", "", nil))
+		tc.nodes = append(tc.nodes, buildExecNode(t, tc, types.ValidatorID(i), "", nil))
 	}
 	for _, nd := range tc.nodes {
 		if err := tc.startNode(nd); err != nil {
@@ -399,7 +395,7 @@ func TestNodeRestartFromLocalSnapshot(t *testing.T) {
 	if err := os.Remove(walPath); err != nil {
 		t.Fatal(err)
 	}
-	restarted := buildExecNode(t, tc, 0, walPath, snapDir, nil)
+	restarted := buildExecNode(t, tc, 0, walPath, nil)
 	if err := tc.startNode(restarted); err != nil {
 		t.Fatal(err)
 	}
@@ -440,11 +436,10 @@ func TestCheckpointDrivenWALCompactionAndRestart(t *testing.T) {
 	}
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "v0.wal")
-	snapDir := filepath.Join(dir, "v0-snapshots")
 	tc := newExecCluster(t, committee)
-	tc.nodes = append(tc.nodes, buildExecNode(t, tc, 0, walPath, snapDir, nil))
+	tc.nodes = append(tc.nodes, buildExecNode(t, tc, 0, walPath, nil))
 	for i := 1; i < 4; i++ {
-		tc.nodes = append(tc.nodes, buildExecNode(t, tc, types.ValidatorID(i), "", "", nil))
+		tc.nodes = append(tc.nodes, buildExecNode(t, tc, types.ValidatorID(i), "", nil))
 	}
 	for _, nd := range tc.nodes {
 		if err := tc.startNode(nd); err != nil {
@@ -488,7 +483,7 @@ func TestCheckpointDrivenWALCompactionAndRestart(t *testing.T) {
 
 	// Restart from the compacted log: the local checkpoint covers the pruned
 	// prefix, the retained suffix replays on top, and the node rejoins.
-	restarted := buildExecNode(t, tc, 0, walPath, snapDir, nil)
+	restarted := buildExecNode(t, tc, 0, walPath, nil)
 	if err := tc.startNode(restarted); err != nil {
 		t.Fatal(err)
 	}
@@ -497,6 +492,68 @@ func TestCheckpointDrivenWALCompactionAndRestart(t *testing.T) {
 		t.Fatalf("restarted executor at seq %d, want >= pre-shutdown %d", got, preSeq)
 	}
 	tc.waitCommitsRise(t, []types.ValidatorID{0}, 2, 20*time.Second)
+}
+
+// TestRestartResumesFromItsOwnCompactedRecord: a validator run with a WAL and
+// execution, and nothing else, keeps the checkpoints its log is compacted
+// against beside the log. Restarted from a log compacted at two or more
+// checkpoints, its executor resumes at or above its pre-shutdown seq from
+// that record alone, before any peer could serve it a snapshot, and it goes
+// on committing without installing one.
+func TestRestartResumesFromItsOwnCompactedRecord(t *testing.T) {
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(t.TempDir(), "v0.wal")
+	reg := metrics.NewRegistry()
+	tc := newExecCluster(t, committee)
+	tc.nodes = append(tc.nodes, buildExecNode(t, tc, 0, walPath, reg))
+	for i := 1; i < 4; i++ {
+		tc.nodes = append(tc.nodes, buildExecNode(t, tc, types.ValidatorID(i), "", nil))
+	}
+	for _, nd := range tc.nodes {
+		if err := tc.startNode(nd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		for _, nd := range tc.nodes[1:] {
+			_ = nd.Close()
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		_ = tc.nodes[1].Submit(types.Transaction{
+			ID:      uint64(i + 1),
+			Payload: execution.PutOp([]byte(fmt.Sprintf("k%d", i%7)), []byte("v")),
+		})
+	}
+	tc.waitCommits(t, 20, 60*time.Second)
+	if err := tc.nodes[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	preSeq := tc.nodes[0].Executor().AppliedSeq()
+	info, err := storage.Inspect(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("hammerhead_wal_compactions_total").Value(); got < 2 || info.LowestRound <= 1 {
+		t.Fatalf("the log was compacted %d times before the shutdown and starts at round %d, want at least 2 and past round 1",
+			got, info.LowestRound)
+	}
+
+	restarted := buildExecNode(t, tc, 0, walPath, nil)
+	if err := tc.startNode(restarted); err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if got := restarted.Executor().AppliedSeq(); got < preSeq {
+		t.Fatalf("restarted executor at seq %d, want >= pre-shutdown %d from its own record", got, preSeq)
+	}
+	tc.waitCommitsRise(t, []types.ValidatorID{0}, 2, 20*time.Second)
+	if got := restarted.Counters().SnapshotInstalls; got != 0 {
+		t.Fatalf("the restarted validator installed %d snapshots from peers, want none", got)
+	}
 }
 
 // TestCleanRestartKeepsTheCheckpointGrid: a certifying validator shut down
@@ -514,15 +571,14 @@ func TestCleanRestartKeepsTheCheckpointGrid(t *testing.T) {
 	}
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "v0.wal")
-	snapDir := filepath.Join(dir, "v0-snapshots")
 	certify := func(c *node.Config) {
 		c.CheckpointInterval = interval
 		c.CheckpointCerts = true
 	}
 	tc := newExecCluster(t, committee)
-	tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, 0, nil, walPath, snapDir, nil, certify))
+	tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, 0, nil, walPath, nil, certify))
 	for i := 1; i < 4; i++ {
-		tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, types.ValidatorID(i), nil, "", "", nil, certify))
+		tc.nodes = append(tc.nodes, buildExecNodeHH(t, tc, types.ValidatorID(i), nil, "", nil, certify))
 	}
 	for _, nd := range tc.nodes {
 		if err := tc.startNode(nd); err != nil {
@@ -546,7 +602,7 @@ func TestCleanRestartKeepsTheCheckpointGrid(t *testing.T) {
 	}
 	closedAt := v0.AppliedSeq()
 
-	restarted := buildExecNodeHH(t, tc, 0, nil, walPath, snapDir, nil, certify)
+	restarted := buildExecNodeHH(t, tc, 0, nil, walPath, nil, certify)
 	if err := tc.startNode(restarted); err != nil {
 		t.Fatal(err)
 	}

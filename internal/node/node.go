@@ -28,7 +28,6 @@ import (
 	"hammerhead/internal/metrics"
 	"hammerhead/internal/obs"
 	"hammerhead/internal/rpc"
-	"hammerhead/internal/storage"
 	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
 	"hammerhead/internal/validator"
@@ -56,7 +55,10 @@ type Config struct {
 	// ScheduleSeed seeds the initial schedule permutation (must match across
 	// the committee).
 	ScheduleSeed uint64
-	// WALPath, when non-empty, enables persistence and crash-recovery.
+	// WALPath, when non-empty, enables persistence and crash-recovery: it
+	// names the node's whole durable record, the log at WALPath and, with
+	// Execution, the checkpoints in WALPath+".snapshots" that the log is
+	// compacted against. Without it nothing is saved.
 	WALPath string
 	// MempoolSize bounds the transaction pool (default 1<<20).
 	MempoolSize int
@@ -73,12 +75,13 @@ type Config struct {
 	// OnCommit receives ordered sub-DAGs (may be nil).
 	OnCommit CommitHandler
 	// Execution enables the execution subsystem: a deterministic state
-	// machine (execution.KVState) consumes the commit stream on its own
-	// goroutine, cuts periodic checkpoints, serves them to state-syncing
-	// peers, and lets THIS node recover via snapshot install when it falls
-	// beyond the committee's GC horizon. Checkpoints carry the scheduler's
-	// state, so the recovery paths work identically under the round-robin
-	// baseline and HammerHead's reputation scheduler.
+	// machine (execution.KVState) consumes the commit stream on the commit
+	// goroutine, cuts periodic checkpoints (saved beside the WAL, see
+	// WALPath), serves them to state-syncing peers, and lets THIS node
+	// recover via snapshot install when it falls beyond the committee's GC
+	// horizon. Checkpoints carry the scheduler's state, so the recovery paths
+	// work identically under the round-robin baseline and HammerHead's
+	// reputation scheduler.
 	Execution bool
 	// CheckpointInterval is about the number of commits between
 	// checkpoints, never more than one past it: the executor cuts at the
@@ -95,9 +98,6 @@ type Config struct {
 	// longer trusts the responder's bytes. Requires Execution and the full
 	// PublicKeys set. Ignored without Execution.
 	CheckpointCerts bool
-	// SnapshotDir persists checkpoints for crash-recovery and serving
-	// (empty = in-memory only). Ignored without Execution.
-	SnapshotDir string
 	// Metrics, when non-nil, receives node counters.
 	Metrics *metrics.Registry
 	// Trace enables commit-path transaction tracing: every accepted tx ID
@@ -279,13 +279,13 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	if cfg.Execution {
-		xc, err := n.executionConfig()
-		if err != nil {
-			return nil, err
-		}
-		vcfg.Execution = xc
+		vcfg.Execution = n.executionConfig()
 	}
-	v, err := validator.New(vcfg)
+	var log *validator.Log
+	if n.walw != nil {
+		log = n.walw.log
+	}
+	v, err := validator.New(vcfg, log)
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
@@ -373,10 +373,13 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// executionConfig is the executor's configuration: checkpoints persisted to
-// Config.SnapshotDir, and the checkpoint hook that feeds WAL compaction and
-// certification.
-func (n *Node) executionConfig() (*execution.Config, error) {
+// executionConfig is the executor's configuration. With certification on,
+// its checkpoint hook starts the signature gossip for each fresh checkpoint,
+// as a task for the engine goroutine; the hook runs on the executor's
+// checkpoint goroutine, which nothing on the engine goroutine waits for.
+// Where checkpoints are saved, and the log compaction they drive, is the
+// validator's (validator.New).
+func (n *Node) executionConfig() *execution.Config {
 	cfg := n.cfg
 	xc := &execution.Config{
 		CheckpointInterval: cfg.CheckpointInterval,
@@ -386,26 +389,9 @@ func (n *Node) executionConfig() (*execution.Config, error) {
 		// keeps a frozen KV view per checkpoint for proof-carrying reads.
 		CheckpointCerts: cfg.CheckpointCerts,
 	}
-	if cfg.SnapshotDir != "" {
-		store, err := storage.NewSnapshotStore(cfg.SnapshotDir)
-		if err != nil {
-			return nil, fmt.Errorf("node: opening snapshot store: %w", err)
-		}
-		xc.Store = store
-	}
-	if n.walw != nil || cfg.CheckpointCerts {
-		// Checkpoint-driven WAL compaction: once a checkpoint is durable,
-		// certificates below its boundary floor are redundant on replay (a
-		// restart installs the checkpoint first), so the WAL writer drops
-		// them at its next append. With certification on, the hook also
-		// starts the signature gossip for the fresh checkpoint, as a task for
-		// the engine goroutine. The hook runs on the executor's checkpoint
-		// goroutine, which nothing on the engine goroutine waits for.
+	if cfg.CheckpointCerts {
 		xc.OnCheckpoint = func(snap execution.Snapshot) {
-			if n.walw != nil {
-				n.walw.log.Checkpointed(snap.Floor)
-			}
-			if cfg.CheckpointCerts && snap.Cert == nil && !n.v.Replaying() {
+			if snap.Cert == nil && !n.v.Replaying() {
 				meta := snap.Meta()
 				n.enqueue(func() {
 					n.dispatch(n.eng.OnLocalCheckpoint(meta))
@@ -413,7 +399,7 @@ func (n *Node) executionConfig() (*execution.Config, error) {
 			}
 		}
 	}
-	return xc, nil
+	return xc
 }
 
 // observer is the node's engine.Observer: the WAL writer makes inserted
@@ -717,9 +703,7 @@ func (n *Node) Start(tr transport.Transport) error {
 		n.gw.Start()
 	}
 
-	var log *validator.Log
 	if n.walw != nil {
-		log = n.walw.log
 		// The validator records nothing before recovery has replayed and
 		// opened the log, so the writer's first record comes after.
 		n.walw.wg.Add(1)
@@ -729,7 +713,7 @@ func (n *Node) Start(tr transport.Transport) error {
 	startup := make(chan struct{})
 	n.enqueue(func() {
 		defer close(startup)
-		err = n.v.Recover(func() int64 { return time.Now().UnixNano() }, log, n.dispatch)
+		err = n.v.Recover(func() int64 { return time.Now().UnixNano() }, n.dispatch)
 	})
 	<-startup
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/mempool"
-	"hammerhead/internal/storage"
 	"hammerhead/internal/types"
 	"hammerhead/internal/validator"
 )
@@ -36,9 +35,9 @@ type ClusterConfig struct {
 	ScheduleSeed uint64
 	// OnCommit observes commits (may be nil).
 	OnCommit CommitHook
-	// Execution attaches a deterministic executor (execution.KVState behind
-	// an in-memory snapshot store, or the validator's snapshot files under
-	// RecordWALs) to every validator's commit sink, applied
+	// Execution attaches a deterministic executor (execution.KVState, its
+	// checkpoints saved beside the validator's log under RecordWALs and
+	// nowhere without it) to every validator's commit sink, applied
 	// synchronously in virtual time, and wires snapshot state-sync
 	// serve/install through the engines. Checkpoints carry the scheduler's
 	// state, so state-sync works for round-robin and HammerHead alike.
@@ -199,11 +198,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // buildValidator assembles one validator's full in-memory state through
-// validator.New. With a disk (RecordWALs) it opens the validator's files: the
-// log the observer writes and Recover replays, and the snapshot store its
-// executor saves checkpoints to, each checkpoint's floor compacting the log.
-// Used at cluster construction, by RecordWALs and again by KillRestart, which
-// rebuilds everything a SIGKILL destroys.
+// validator.New. With a disk (RecordWALs) it hands it the validator's log,
+// which the observer writes and beside which validator.New keeps the
+// executor's checkpoints. Used at cluster construction, by RecordWALs and
+// again by KillRestart, which rebuilds everything a SIGKILL destroys.
 func (c *Cluster) buildValidator(id types.ValidatorID) error {
 	cfg := c.cfg
 	var log *validator.Log
@@ -244,27 +242,13 @@ func (c *Cluster) buildValidator(id types.ValidatorID) error {
 	}
 	if cfg.Execution {
 		xc := &execution.Config{CheckpointInterval: cfg.CheckpointInterval}
-		if log != nil {
-			store, err := storage.NewSnapshotStore(filepath.Join(c.dir, id.String(), "snapshots"))
-			if err != nil {
-				return fmt.Errorf("simnet: opening %s's snapshot store: %w", id, err)
-			}
-			xc.Store = store
-			xc.OnCheckpoint = func(snap execution.Snapshot) { log.Checkpointed(snap.Floor) }
-		}
 		if c.certify {
 			xc.CheckpointCerts = true
-			compact := xc.OnCheckpoint
-			xc.OnCheckpoint = func(snap execution.Snapshot) {
-				if compact != nil {
-					compact(snap)
-				}
-				c.signCheckpoint(id, snap)
-			}
+			xc.OnCheckpoint = func(snap execution.Snapshot) { c.signCheckpoint(id, snap) }
 		}
 		vcfg.Execution = xc
 	}
-	v, err := validator.New(vcfg)
+	v, err := validator.New(vcfg, log)
 	if err != nil {
 		return fmt.Errorf("simnet: building %s: %w", id, err)
 	}
@@ -299,7 +283,7 @@ func (c *Cluster) walPath(id types.ValidatorID) string {
 // first under RecordWALs.
 func (c *Cluster) Start() {
 	for i, v := range c.validators {
-		out, err := v.Init(c.Sim.Now(), c.procs[i].log)
+		out, err := v.Init(c.Sim.Now())
 		if err != nil {
 			// The log is created under RecordWALs' directory: a failure here
 			// is a broken disk or a harness bug, not a simulated fault.
@@ -355,8 +339,8 @@ func (c *Cluster) Recover(id types.ValidatorID, at time.Duration) {
 
 // RecordWALs gives every validator a disk under dir, one directory each: the
 // node's own write-ahead log (storage.WAL, written through validator.Log)
-// and, with Execution, its snapshot files (storage.SnapshotStore), which
-// compact the log at every checkpoint. Must be called before Start; required
+// and, with Execution, the snapshot files beside it (storage.SnapshotStore,
+// opened by validator.New), which compact the log at every checkpoint. Must be called before Start; required
 // by KillRestart. Without it the cluster touches no filesystem. Close
 // releases the files.
 func (c *Cluster) RecordWALs(dir string) error {
@@ -441,7 +425,7 @@ func (c *Cluster) restart(id types.ValidatorID) {
 	c.procs[id].incarnation++
 	c.procs[id].crashedAt = -1
 	c.restarts++
-	err := c.validators[id].Recover(c.Sim.Now, c.procs[id].log, func(out *engine.Output) { c.dispatch(id, out) })
+	err := c.validators[id].Recover(c.Sim.Now, func(out *engine.Output) { c.dispatch(id, out) })
 	if err != nil {
 		panic(fmt.Sprintf("simnet: recovering %s from its log: %v", id, err))
 	}

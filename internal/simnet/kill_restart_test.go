@@ -3,14 +3,16 @@ package simnet
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
-	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hammerhead/internal/bullshark"
 	"hammerhead/internal/core"
+	"hammerhead/internal/crypto"
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/storage"
@@ -368,7 +370,7 @@ func TestKillRestartRecoversFromCompactedLog(t *testing.T) {
 	// victim's files as the dead process left them.
 	cluster.Sim.After(killAt, func() {
 		atKill, _ = inspectLog(t, cluster.walPath(victim))
-		store, err := storage.NewSnapshotStore(filepath.Join(cluster.dir, victim.String(), "snapshots"))
+		store, err := storage.NewSnapshotStore(cluster.walPath(victim) + ".snapshots")
 		if err != nil {
 			t.Errorf("opening the dead validator's snapshots: %v", err)
 			return
@@ -503,6 +505,153 @@ func TestKillRestartTrimsATornTail(t *testing.T) {
 		t.Fatalf("the log replays %d of its %d bytes", end.ValidBytes, size)
 	}
 	assertRootsAgree(t, cluster)
+}
+
+// TestKillRestartReplaysItsLogUnverified kills a validator that checks every
+// signature and restarts it from its log, once intact and once with its last
+// record, a certificate, torn. The validator verified each certificate before
+// it recorded it, so the replay verifies no signature; it rebuilds the DAG it
+// held at the kill, and its commits, except that the torn record stops the
+// replay: its vertex is missing and nothing after it is read.
+func TestKillRestartReplaysItsLogUnverified(t *testing.T) {
+	t.Run("intact", func(t *testing.T) { testReplayUnverified(t, false) })
+	t.Run("torn", func(t *testing.T) { testReplayUnverified(t, true) })
+}
+
+func testReplayUnverified(t *testing.T, torn bool) {
+	const (
+		victim   = types.ValidatorID(3)
+		downtime = 500 * time.Millisecond
+	)
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastSimEngineConfig()
+	cfg.VerifySignatures = true
+	cluster, err := NewCluster(ClusterConfig{
+		Committee:    committee,
+		Engine:       cfg,
+		Latency:      Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
+		ScheduleSeed: 1,
+		Seed:         41,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.RecordWALs(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	submitKVLoad(cluster, 4*time.Second)
+	var lastCert *engine.Certificate
+	cluster.setTap(func(id types.ValidatorID, cert *engine.Certificate, h *engine.Header) {
+		if id == victim {
+			lastCert = cert
+		}
+	})
+
+	var (
+		verifies      atomic.Int64
+		atKill, after replayState
+		recorded      storage.WALInfo
+		cut           types.Digest
+		restarted     bool
+	)
+	var watch func()
+	watch = func() {
+		if torn && lastCert == nil {
+			cluster.Sim.After(time.Millisecond, watch)
+			return
+		}
+		cluster.KillRestart([]types.ValidatorID{victim}, time.Duration(cluster.Sim.Now()), downtime)
+		cluster.Sim.After(0, func() { // after the kill: the log is closed
+			atKill = replayStateOf(cluster.Engine(victim))
+			path := cluster.walPath(victim)
+			if torn {
+				off, n, kind := lastRecord(t, path)
+				if kind != walKindCert {
+					t.Errorf("the log's last record is of kind %d, want a certificate", kind)
+				}
+				cut = lastCert.Digest()
+				if err := os.Truncate(path, off+1+rand.New(rand.NewSource(41)).Int63n(n-1)); err != nil {
+					t.Error(err)
+				}
+			}
+			recorded, _ = inspectLog(t, path)
+			// The restarted process counts its public-key operations.
+			cluster.keys[victim].Scheme = countingScheme{cluster.keys[victim].Scheme, &verifies}
+		})
+		cluster.Sim.After(downtime, func() { // right after the restart
+			restarted = true
+			after = replayStateOf(cluster.Engine(victim))
+			if got := verifies.Load(); got != 0 {
+				t.Errorf("replaying %d recorded certificates verified %d signatures, want none", recorded.Certs, got)
+			}
+		})
+	}
+	cluster.Sim.After(3*time.Second, watch)
+	cluster.Start()
+	cluster.Sim.RunFor(4 * time.Second)
+
+	if !restarted || recorded.Certs < 100 {
+		t.Fatalf("restarted %v over %d recorded certificates: the test lost its teeth", restarted, recorded.Certs)
+	}
+	if after.received != uint64(recorded.Certs) {
+		t.Fatalf("the replay took %d certificates, the log's intact prefix holds %d", after.received, recorded.Certs)
+	}
+	want := maps.Clone(atKill.vertices)
+	if torn {
+		if _, ok := want[cut]; !ok {
+			t.Fatal("the torn certificate was not in the DAG at the kill")
+		}
+		delete(want, cut)
+	}
+	for d := range after.vertices {
+		if _, ok := want[d]; !ok && after.vertices[d] >= atKill.floor {
+			t.Fatalf("the rebuilt DAG holds vertex %s of round %d, not in the DAG at the kill", d, after.vertices[d])
+		}
+	}
+	for d, r := range want {
+		if _, ok := after.vertices[d]; !ok {
+			t.Fatalf("the rebuilt DAG lacks vertex %s of round %d", d, r)
+		}
+	}
+	if !torn && after.ordered != atKill.ordered {
+		t.Fatalf("the replay ordered %+v, the validator had ordered %+v at the kill", after.ordered, atKill.ordered)
+	}
+}
+
+// replayState is what a validator's engine holds: its DAG's vertices (digest
+// to round) above its floor, and its committer's counters.
+type replayState struct {
+	vertices map[types.Digest]types.Round
+	floor    types.Round
+	ordered  bullshark.Stats
+	received uint64
+}
+
+func replayStateOf(eng *engine.Engine) replayState {
+	d := eng.DAG()
+	st := replayState{vertices: map[types.Digest]types.Round{}, floor: d.PrunedTo(),
+		ordered: eng.Committer().Stats(), received: eng.Stats().CertsReceived}
+	for r := d.PrunedTo(); r <= d.HighestRound(); r++ {
+		for _, v := range d.RoundVertices(r) {
+			st.vertices[v.Digest()] = r
+		}
+	}
+	return st
+}
+
+// countingScheme counts signature verifications.
+type countingScheme struct {
+	crypto.Scheme
+	verifies *atomic.Int64
+}
+
+func (s countingScheme) Verify(pub crypto.PublicKey, msg []byte, sig crypto.Signature) bool {
+	s.verifies.Add(1)
+	return s.Scheme.Verify(pub, msg, sig)
 }
 
 // inspectLog is what a restart would replay from the log at path

@@ -116,7 +116,7 @@ func replayEngine(t *testing.T, committee *types.Committee, hh *core.Config, tra
 			v.Executor.ApplyCommit(sub)
 			log.subs = append(log.subs, sub)
 		}),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,7 +263,7 @@ func runVoteRounds(t *testing.T, crashed bool, starts ...time.Duration) *voteRou
 	for i, at := range starts {
 		v := types.ValidatorID(i)
 		r.cluster.Sim.After(at, func() {
-			out, err := r.cluster.validators[v].Init(r.cluster.Sim.Now(), nil)
+			out, err := r.cluster.validators[v].Init(r.cluster.Sim.Now())
 			if err != nil {
 				t.Error(err)
 				return

@@ -15,9 +15,9 @@ import (
 
 // SnapshotStore persists execution checkpoints as one file per snapshot
 // under a directory, with atomic write-temp-rename publication, keeping the
-// newest snapshotRetain. It implements execution.SnapshotStore; real nodes plug it
-// into their executor so checkpoints survive restarts and can be served to
-// state-syncing peers.
+// newest snapshotRetain. It implements execution.SnapshotStore; a validator
+// with a log keeps its checkpoints in one beside it (internal/validator), so
+// the log compacted against them can be replayed after a restart.
 //
 // File layout: checkpoint-<commitseq>.snap, body = 4-byte length + 4-byte
 // CRC32C + the execution snapshot encoding (same framing discipline as the
@@ -53,14 +53,13 @@ func snapshotFileName(commitSeq uint64) string {
 func (s *SnapshotStore) Save(seq uint64, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	framed := make([]byte, 8+len(blob))
-	binary.BigEndian.PutUint32(framed[:4], uint32(len(blob)))
-	binary.BigEndian.PutUint32(framed[4:8], crc32.Checksum(blob, _crcTable))
-	copy(framed[8:], blob)
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(blob)))
+	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(blob, _crcTable))
 
 	final := filepath.Join(s.dir, snapshotFileName(seq))
 	tmp := final + ".tmp"
-	if err := writeSynced(tmp, framed); err != nil {
+	if err := writeSynced(tmp, hdr[:], blob); err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("storage: writing snapshot: %w", err)
 	}
@@ -75,15 +74,17 @@ func (s *SnapshotStore) Save(seq uint64, blob []byte) error {
 	return nil
 }
 
-// writeSynced writes data to a new file at path and fsyncs it.
-func writeSynced(path string, data []byte) error {
+// writeSynced writes parts, in order, to a new file at path and fsyncs it.
+func writeSynced(path string, parts ...[]byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return err
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			_ = f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()

@@ -1,6 +1,7 @@
 // Package validator is the one place a HammerHead validator is assembled —
 // mempool, DAG, leader scheduler, executor and engine — and the one place it
-// is recovered from its durable record. Both runtimes build through it:
+// is recovered from its durable record: its Log and, beside it, the snapshot
+// store its checkpoints are saved to. Both runtimes build through it:
 // internal/node on goroutines and the wall clock, internal/simnet in virtual
 // time. It starts no goroutine and reads no clock; the runtime drives the
 // engine it returns.
@@ -18,6 +19,7 @@ import (
 	"hammerhead/internal/execution"
 	"hammerhead/internal/leader"
 	"hammerhead/internal/mempool"
+	"hammerhead/internal/storage"
 	"hammerhead/internal/types"
 )
 
@@ -41,7 +43,8 @@ type Config struct {
 	// with it. RequireSchedulerState and CertVerifier are filled in here: a
 	// HammerHead validator never installs a snapshot without the schedule it
 	// was cut under, and with CheckpointCerts a remote snapshot must carry a
-	// certificate that verifies against the committee.
+	// certificate that verifies against the committee. With a log, so is
+	// Store, and OnCheckpoint runs after the log's compaction (see New).
 	Execution *execution.Config
 	// Commits receives ordered sub-DAGs; Observer sees inserted certificates
 	// and own headers (see engine.Params) once the validator is live (see
@@ -61,6 +64,10 @@ type Validator struct {
 	// message engine.NeedsCheck names before the engine sees it.
 	PreVerifier *engine.PreVerifier
 
+	// log and store are the durable record (nil: none). store holds the
+	// executor's checkpoints, beside the log it compacts.
+	log      *Log
+	store    *storage.SnapshotStore
 	self     types.ValidatorID
 	observer engine.Observer
 	// replaying is set from New until Recover or Init puts the validator on
@@ -73,9 +80,15 @@ type Validator struct {
 	below    atomic.Bool
 }
 
-// New assembles a validator, not yet live. Recover — or Init, for a
-// validator booting for the first time — puts it on the wire.
-func New(cfg Config) (*Validator, error) {
+// New assembles a validator over its durable record, not yet live. Recover —
+// or Init, for a validator booting for the first time — puts it on the wire.
+//
+// log, when non-nil, is the validator's log; the runtime writes it from the
+// Observer. With an executor, the checkpoints are saved in a snapshot store
+// beside it (<log path>.snapshots) and each saved one compacts the log to its
+// floor, before the runtime's own OnCheckpoint runs: a log is compacted only
+// against checkpoints a restart finds. Without a log, no checkpoint is saved.
+func New(cfg Config, log *Log) (*Validator, error) {
 	if cfg.Committee == nil {
 		return nil, fmt.Errorf("validator: committee is required")
 	}
@@ -94,6 +107,7 @@ func New(cfg Config) (*Validator, error) {
 	}
 	v := &Validator{
 		Pool:     mempool.NewFair(cfg.Mempool),
+		log:      log,
 		self:     cfg.Self,
 		observer: cfg.Observer,
 		maxBatch: cfg.Engine.MaxBatchTx,
@@ -124,6 +138,20 @@ func New(cfg Config) (*Validator, error) {
 			}
 			xc.CertVerifier = func(cert *checkpoint.Certificate) error {
 				return cert.Verify(cfg.Committee, cfg.PublicKeys, cfg.Keys.Scheme)
+			}
+		}
+		if log != nil {
+			store, err := storage.NewSnapshotStore(log.path + ".snapshots")
+			if err != nil {
+				return nil, fmt.Errorf("validator: opening snapshot store: %w", err)
+			}
+			v.store, xc.Store = store, store
+			hook := xc.OnCheckpoint
+			xc.OnCheckpoint = func(snap execution.Snapshot) {
+				log.Checkpointed(snap.Floor)
+				if hook != nil {
+					hook(snap)
+				}
 			}
 		}
 		v.Executor = execution.NewExecutor(execution.NewKVState(), xc)
@@ -203,12 +231,12 @@ func (o liveObserver) Proposed(h *engine.Header) {
 }
 
 // Init puts a freshly assembled validator that has no durable record on the
-// wire: its first boot. log, when non-nil, is opened for appending first,
+// wire: its first boot. The log, if any, is opened for appending first,
 // created if absent; nothing in it is replayed. It returns the engine's first
 // output for dispatch.
-func (v *Validator) Init(now int64, log *Log) (*engine.Output, error) {
-	if log != nil {
-		if err := log.replay(nil, nil); err != nil {
+func (v *Validator) Init(now int64) (*engine.Output, error) {
+	if v.log != nil {
+		if err := v.log.replay(nil, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -220,13 +248,14 @@ func (v *Validator) Init(now int64, log *Log) (*engine.Output, error) {
 // and puts it on the wire. Every runtime recovers in this one order, with
 // Replaying set until step 5:
 //
-//  1. the executor's latest local checkpoint is installed and the engine
-//     fast-forwarded to it, so certificates below the checkpoint's floor are
-//     covered and a validator that slept past the committee's GC horizon
-//     resumes from its own state;
+//  1. the latest checkpoint in the store beside the log is installed and the
+//     engine fast-forwarded to it, so certificates below the checkpoint's
+//     floor, compacted out of the log, are covered and a validator that
+//     slept past the committee's GC horizon resumes from its own state;
 //  2. Init unlocks proposing and builds a first header;
-//  3. the log (nil: nothing recorded) replays its intact prefix — the
-//     recorded certificates through the normal message path, collecting the
+//  3. the log (none: nothing recorded) replays its intact prefix — the
+//     recorded certificates through engine.OnRecorded, which verifies no
+//     signature the validator verified before recording it, collecting the
 //     highest own proposal — and opens for appending, trimmed to that prefix;
 //     commits are re-derived and delivered to the sink within the replayed
 //     step, and every output is discarded: nothing transmits during recovery;
@@ -242,20 +271,20 @@ func (v *Validator) Init(now int64, log *Log) (*engine.Output, error) {
 //
 // now is read at every step. A replay error returns before step 4, with
 // nothing transmitted and nothing recorded.
-func (v *Validator) Recover(now func() int64, log *Log, dispatch func(*engine.Output)) error {
+func (v *Validator) Recover(now func() int64, dispatch func(*engine.Output)) error {
 	eng := v.Engine
-	if v.Executor != nil {
-		if snap, ok := v.Executor.Store().Latest(); ok {
+	if v.store != nil {
+		if snap, ok := v.store.Latest(); ok {
 			if meta, install, err := v.Executor.InstallLocal(snap); err == nil {
 				eng.FastForwardToSnapshot(meta, install, now())
 			}
 		}
 	}
 	initOut := eng.Init(now())
-	if log != nil {
+	if v.log != nil {
 		var last *engine.Header
-		err := log.replay(func(cert *engine.Certificate) error {
-			eng.OnMessage(v.self, &engine.Message{Kind: engine.KindCertificate, Cert: cert}, now())
+		err := v.log.replay(func(cert *engine.Certificate) error {
+			eng.OnRecorded(cert, now())
 			return nil
 		}, func(h *engine.Header) error {
 			if h.Source == v.self && (last == nil || h.Round > last.Round) {

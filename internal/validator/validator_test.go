@@ -60,7 +60,7 @@ func testConfig(t *testing.T, ev *events) Config {
 // the round-robin baseline, and ScheduleSeed seeds either one.
 func TestNewChoosesTheScheduler(t *testing.T) {
 	cfg := testConfig(t, nil)
-	v, err := New(cfg)
+	v, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestNewChoosesTheScheduler(t *testing.T) {
 	hh := core.DefaultConfig()
 	cfg.HammerHead = &hh
 	cfg.Execution = &execution.Config{}
-	if v, err = New(cfg); err != nil {
+	if v, err = New(cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	m, ok := v.Engine.Scheduler().(*core.Manager)
@@ -99,7 +99,7 @@ func TestNewChoosesTheScheduler(t *testing.T) {
 func TestNewRefusesCertificationWithoutEveryKey(t *testing.T) {
 	cfg := testConfig(t, nil)
 	cfg.Execution = &execution.Config{CheckpointCerts: true}
-	if _, err := New(cfg); err == nil {
+	if _, err := New(cfg, nil); err == nil {
 		t.Fatal("certification without the committee's public keys must be refused")
 	}
 }
@@ -109,7 +109,9 @@ func TestNewRefusesCertificationWithoutEveryKey(t *testing.T) {
 // proposal is what goes on the wire.
 func TestInitOpensTheLogAndGoesLive(t *testing.T) {
 	ev := &events{}
-	v, err := New(testConfig(t, ev))
+	path := filepath.Join(t.TempDir(), "v0", "wal")
+	log := NewLog(path, nil)
+	v, err := New(testConfig(t, ev), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +119,7 @@ func TestInitOpensTheLogAndGoesLive(t *testing.T) {
 		t.Fatal("live before Init")
 	}
 	ev.live = func() bool { return !v.Replaying() }
-	path := filepath.Join(t.TempDir(), "v0", "wal")
-	log := NewLog(path, nil)
-	out, err := v.Init(0, log)
+	out, err := v.Init(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +146,13 @@ func TestInitOpensTheLogAndGoesLive(t *testing.T) {
 // dispatched, and it is what goes on the wire.
 func TestRecoverFreshBootRecordsItsFirstProposal(t *testing.T) {
 	ev := &events{}
-	v, err := New(testConfig(t, ev))
+	v, err := New(testConfig(t, ev), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev.live = func() bool { return !v.Replaying() }
 	var outs []*engine.Output
-	err = v.Recover(func() int64 { return 0 }, nil,
+	err = v.Recover(func() int64 { return 0 },
 		func(out *engine.Output) { ev.log = append(ev.log, "dispatch"); outs = append(outs, out) })
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +173,6 @@ func TestRecoverFreshBootRecordsItsFirstProposal(t *testing.T) {
 // slot never goes out, and the restored one is not recorded twice.
 func TestRecoverRestoresTheRecordedProposal(t *testing.T) {
 	ev := &events{}
-	v, err := New(testConfig(t, ev))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// What a previous process signed for round 1: another batch, so another
 	// digest than the header Init builds.
 	recorded := &engine.Header{Round: 1, Source: 0, CreatedNanos: 7,
@@ -192,8 +188,12 @@ func TestRecoverRestoresTheRecordedProposal(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	v, err := New(testConfig(t, ev), NewLog(path, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var outs []*engine.Output
-	err = v.Recover(func() int64 { return 0 }, NewLog(path, nil),
+	err = v.Recover(func() int64 { return 0 },
 		func(out *engine.Output) { outs = append(outs, out) })
 	if err != nil {
 		t.Fatal(err)
@@ -216,10 +216,6 @@ func TestRecoverRestoresTheRecordedProposal(t *testing.T) {
 // refused; nothing goes live, nothing is recorded and nothing transmits.
 func TestRecoverStopsOnAReplayError(t *testing.T) {
 	ev := &events{}
-	v, err := New(testConfig(t, ev))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// One CRC-intact record under a version tag this binary does not write.
 	body := []byte{0x7f, 0x01}
 	record := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
@@ -228,7 +224,11 @@ func TestRecoverStopsOnAReplayError(t *testing.T) {
 	if err := os.WriteFile(path, append(record, body...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = v.Recover(func() int64 { return 0 }, NewLog(path, nil),
+	v, err := New(testConfig(t, ev), NewLog(path, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = v.Recover(func() int64 { return 0 },
 		func(*engine.Output) { t.Fatal("dispatched after a replay error") })
 	if !errors.Is(err, storage.ErrUnknownRecordVersion) {
 		t.Fatalf("Recover returned %v, want the replay's refusal of another format generation", err)
@@ -254,7 +254,7 @@ func TestSubmitReportsEachFill(t *testing.T) {
 	cfg := testConfig(t, nil)
 	cfg.Engine.MaxBatchTx = 4
 	cfg.Mempool.Lanes = 2
-	v, err := New(cfg)
+	v, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,10 @@ import (
 type LocalClusterOption func(*localClusterOptions)
 
 type localClusterOptions struct {
-	hammerhead  *SchedulerConfig
-	walDir      string
-	execution   bool
-	snapshotDir string
-	onCommit    func(id ValidatorID, sub CommittedSubDAG, replayed bool)
+	hammerhead *SchedulerConfig
+	walDir     string
+	execution  bool
+	onCommit   func(id ValidatorID, sub CommittedSubDAG, replayed bool)
 }
 
 // WithHammerHead enables reputation scheduling (nil config means the paper's
@@ -41,13 +40,11 @@ func WithWALDir(dir string) LocalClusterOption {
 // WithExecution enables the execution subsystem on every node: a
 // deterministic KV ledger applies the commit stream, checkpoints
 // periodically, and snapshot state-sync recovers nodes that fall beyond the
-// GC horizon. snapshotDir, when non-empty, persists each validator's
-// checkpoints under its own subdirectory (empty keeps them in memory).
-func WithExecution(snapshotDir string) LocalClusterOption {
-	return func(o *localClusterOptions) {
-		o.execution = true
-		o.snapshotDir = snapshotDir
-	}
+// GC horizon. With WithWALDir each validator saves its checkpoints beside
+// its WAL (validator-N.wal.snapshots), so a cluster started again over the
+// same directory resumes from them; without it they are not saved.
+func WithExecution() LocalClusterOption {
+	return func(o *localClusterOptions) { o.execution = true }
 }
 
 // WithCommitObserver registers a commit callback across all nodes.
@@ -108,12 +105,7 @@ func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error)
 		if options.walDir != "" {
 			cfg.WALPath = filepath.Join(options.walDir, fmt.Sprintf("validator-%d.wal", i))
 		}
-		if options.execution {
-			cfg.Execution = true
-			if options.snapshotDir != "" {
-				cfg.SnapshotDir = filepath.Join(options.snapshotDir, fmt.Sprintf("validator-%d", i))
-			}
-		}
+		cfg.Execution = options.execution
 		if options.onCommit != nil {
 			hook := options.onCommit
 			cfg.OnCommit = func(sub CommittedSubDAG, replayed bool) { hook(id, sub, replayed) }
