@@ -110,7 +110,8 @@ checkpoint-bytes:
 # the engine with the message however much the table evicted meanwhile, a
 # shared certificate keeps its forged vote while each recipient stores a copy
 # without it, and the in-process transport and LocalCluster share one message
-# among recipients under the race detector.
+# among recipients under the race detector. A certificate the validator's DAG
+# holds, or one below its floor, costs the stage no verification.
 sig-once:
 	go test -race -count=3 -run '^(TestCheckOnceMatchesReference|TestVoteFloodCostsAtMostN|TestOwnCertificateNotReverified|TestKnownSigsSharedAcrossWorkers)$$' ./internal/engine/
 	go test -race -count=3 -run '^(TestVerifierChecksEachCertificateOnce|TestVerifierRemembersTheLastFew)$$' ./pkg/client/
@@ -118,6 +119,7 @@ sig-once:
 	go test -race -count=3 -run '^TestSharedCertificateIsNotStripped$$' ./internal/simnet/
 	go test -race -count=3 -run '^TestChannel' ./internal/transport/
 	go test -race -count=3 -run '^TestLocalClusterEndToEnd$$' .
+	go test -race -count=3 -run '^TestHeldCertificatesCostNoVerification$$' ./internal/engine/
 
 # pacing is CI's "Header pacing by period (race)" step: a whole round ≡ 1, 2
 # or 3 (mod 4) is left at once, a whole round ≡ 0 at the period timer that
@@ -125,13 +127,15 @@ sig-once:
 # it), a round missing a certificate at the per-round floor, and f+1 stake
 # ahead or a full batch opens the gate (the engine's pacing tests,
 # TestPeriodGate's table among them); in simulation, batch-round headers
-# come two floors apart and commit p50 beats the wave pacing it replaced,
-# also when the validators boot 60 to 80 ms apart, a crashed validator keeps
-# every round on the floor, and stalled validators lose and duplicate nothing
-# through bursts.
+# come one floor apart and commit p50 and p95 stay within half a floor and a
+# floor plus three round trips, also when the validators boot 60 to 80 ms
+# apart, a crashed validator keeps every round on the floor, and stalled
+# validators lose and duplicate nothing through bursts. An own header's
+# certificate waits for its record, and the validator for the certificate.
 pacing:
 	go test -race -count=3 -run '^(TestPacingGateOpensAtValidityThreshold|TestLaggingValidatorCertifiesBeforeAdvancing|TestCatchUpJumpCarriesAbandonedBatch|TestFullBatchOpensPacingGate|TestBatchFilledBetweenEventsIsProposed|TestFullBatchKeepsRoundConditions|TestWholeAnchorRoundSendsVoteAtOnce|TestWaveFloorCountsFromTheAnchorHeader|TestPeriodGate|TestFullBatchKeepsLeaderWait)$$' ./internal/engine/
 	go test -race -count=3 -run '^(TestShortRoundsSurviveAStalledValidator|TestVoteRoundFollowsCertification|TestPeriodsAgreeAfterStaggeredStarts|TestVoteRoundWaitsForACrashedValidator|TestBurstDrainsAtCertificationPace|TestBurstSurvivesAStalledValidator)$$' ./internal/simnet/
+	go test -race -count=3 -run '^TestOwnCertificateWaitsForTheRecord$$' ./internal/engine/
 
 # crash-restart is CI's "Crash-restart on the real log (race)" step: simnet
 # kills and restarts validators from their own storage.WAL and snapshot
@@ -143,7 +147,9 @@ pacing:
 # certificate a node takes before Start is not written beside recovery).
 # A restart replays its log without verifying a signature, intact or torn;
 # a node run with a WAL and execution resumes from the checkpoints beside
-# its compacted log, alone and as a whole committee (LocalCluster).
+# its compacted log, alone and as a whole committee (LocalCluster). A validator
+# killed after its header went out and before the header's record was durable
+# never certified it, and after the restart no slot holds two certificates.
 crash-restart:
 	go test -race -count=3 -run '^(TestFullCommitteeKillRestartConverges|TestHammerHeadFullCommitteeKillRestartConverges|TestPartialKillRestartRejoinsLiveCommittee|TestKillRestartRestoresVotedRoundMark|TestKillRestartRecoversFromCompactedLog|TestKillRestartTrimsATornTail)$$' ./internal/simnet/
 	go test -race -count=3 -run '^(TestOpenWALSyncsDirOnCreate|TestNewSnapshotStoreSyncsCreatedDirs)$$' ./internal/storage/
@@ -152,6 +158,7 @@ crash-restart:
 	go test -race -count=3 -run '^TestKillRestartReplaysItsLogUnverified$$' ./internal/simnet/
 	go test -race -count=3 -run '^TestRestartResumesFromItsOwnCompactedRecord$$' ./internal/node/
 	go test -race -count=3 -run '^TestLocalClusterRestartResumesFromItsRecords$$' .
+	go test -race -count=3 -run '^TestKillBeforeRecordCertifiesOnce$$' ./internal/simnet/
 
 # ring-bytes is CI's "Commit history holds what it counts (race)" step: the
 # gateway's resume ring packs each commit's payloads into one block and must

@@ -50,7 +50,7 @@ func run(args []string) error {
 	baseline := fs.Bool("baseline", false, "use static round-robin instead of HammerHead")
 	epochCommits := fs.Int("epoch-commits", 10, "commits per leader-reputation schedule")
 	engCfg := engine.DefaultConfig()
-	minRoundDelay := fs.Duration("min-round-delay", engCfg.MinRoundDelay, "header pacing: the shortest time between a validator's own proposals")
+	minRoundDelay := fs.Duration("min-round-delay", engCfg.MinRoundDelay, "header pacing floor: a round missing a validator's certificate is left no earlier than this after the validator's own last proposal; while all keep up, one batch round per floor")
 	leaderTimeout := fs.Duration("leader-timeout", engCfg.LeaderTimeout, "anchor-round leader wait")
 	mempoolSize := fs.Int("mempool-size", 0, "transaction pool capacity (0 = default 1<<20)")
 	rpcAddr := fs.String("rpc-addr", "", "address for the client gateway (HTTP/JSON tx submission, KV reads, commit streaming; empty disables)")

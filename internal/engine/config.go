@@ -15,16 +15,16 @@ type Config struct {
 	// validator's certificate in — is paced by period, four rounds by round
 	// number: round r ≡ 1 (mod 4) is the batch round, r ≡ 2 its anchor and
 	// r ≡ 3 the vote that commits that anchor, each left at once when whole,
-	// and a round ≡ 0 is left 2 × MinRoundDelay after the validator held
+	// and a round ≡ 0 is left MinRoundDelay after the validator held
 	// batch-round headers worth f+1 stake, its own counted once proposed. A
 	// full batch (MaxBatchTx transactions) and the f+1 rule still open any
-	// whole round. See Engine.pacingOpen. So a committee
-	// that keeps up sends two headers per floor, and each batch commits
-	// three round trips after it is proposed; with a validator down no
-	// round is whole and the floor paces every round. A floor on the round
-	// time that batches transactions — Narwhal's min_header_delay, not its
-	// max_header_delay: nothing here forces a header out, a round still
-	// waits for its quorum of certificates. 0 disables pacing.
+	// whole round. See Engine.pacingOpen. So a committee that keeps up sends
+	// one batch per floor, and each batch commits three round trips after it
+	// is proposed; with a validator down no round is whole and the floor
+	// paces every round. A floor on the round time that batches transactions
+	// — Narwhal's min_header_delay, not its max_header_delay: nothing here
+	// forces a header out, a round still waits for its quorum of
+	// certificates. 0 disables pacing.
 	MinRoundDelay time.Duration
 	// LeaderTimeout bounds the wait for the anchor certificate when leaving
 	// an anchor round. This is the cost a crashed leader inflicts per anchor
@@ -133,9 +133,9 @@ const (
 	// is re-broadcast (peers may still be restarting themselves).
 	TimerRejoin
 	// TimerWaveDelay is the period timer: armed once the validator holds
-	// headers worth f+1 stake of a batch round r ≡ 1 (mod 4), it fires 2 ×
+	// headers worth f+1 stake of a batch round r ≡ 1 (mod 4), it fires
 	// MinRoundDelay later, and Round is r+3, the round ≡ 0 it lets the
-	// validator leave once whole.
+	// validator leave once whole: one batch round per floor.
 	TimerWaveDelay
 )
 

@@ -41,11 +41,20 @@ type Observer interface {
 	// to execution re-derivable from the log.
 	Inserted(*Certificate)
 	// Proposed sees every header this validator signs and proposes, before
-	// its broadcast is queued. It may block until the header is durable: the
+	// its broadcast is queued, and reports whether the header's record is
+	// durable already. It must not wait for the write: the header goes out
+	// at once, and the engine assembles its certificate only once the record
+	// is durable — at once if Proposed returned true (a runtime that writes
+	// inline, or keeps no record), else when the runtime calls
+	// OnProposalDurable. The
 	// recorded header is the voted-round high-water mark a restart restores
-	// (RestoreProposal) instead of building a conflicting header for a slot
-	// whose certificate may have survived only in a peer's log.
-	Proposed(*Header)
+	// (RestoreProposal). A header whose record a crash lost was never
+	// certified and never can be: only its origin assembles its certificate,
+	// from votes unicast to the origin alone, and they died with the
+	// process. A second header for that slot after the restart yields at
+	// most one certificate, since the peers that voted for the first refuse
+	// it. So durable before certified keeps at most one certificate per slot.
+	Proposed(*Header) (durable bool)
 	// Certified sees every certificate formed for this validator's OWN header
 	// (a quorum of votes gathered, or the n=1 instant self-certification);
 	// certificates received from peers are not delivered here. It must not
@@ -61,7 +70,7 @@ type Observer interface {
 type nopObserver struct{}
 
 func (nopObserver) Inserted(*Certificate)  {}
-func (nopObserver) Proposed(*Header)       {}
+func (nopObserver) Proposed(*Header) bool  { return true }
 func (nopObserver) Certified(*Certificate) {}
 
 func (nopObserver) CheckpointCertified(*checkpoint.Certificate) {}
@@ -268,7 +277,10 @@ type Engine struct {
 	votes         []crypto.Signature
 	voteStake     *types.StakeAccumulator
 	ownCertFormed bool
-	roundDelayOK  bool
+	// ownDurable: curHeader's record is durable (Observer.Proposed,
+	// OnProposalDurable), so its certificate may form.
+	ownDurable   bool
+	roundDelayOK bool
 	// periodRound is the round ≡ 0 (mod 4) whose gate the period timer holds,
 	// armed when this validator held headers worth f+1 stake of the batch
 	// round three below it (0: none); periodDelayOK: the timer fired (see
@@ -473,6 +485,22 @@ func (e *Engine) OnRecorded(cert *Certificate, nowNanos int64) *Output {
 	return out
 }
 
+// OnProposalDurable reports that the record of this validator's own header at
+// round is durable (see Observer.Proposed): the header's certificate forms now
+// if its quorum of votes is in, else as the quorum completes. A report for a
+// header the engine has abandoned meanwhile does nothing.
+func (e *Engine) OnProposalDurable(round types.Round, nowNanos int64) *Output {
+	out := &Output{}
+	if e.curHeader == nil || e.curHeader.Round != round || e.ownDurable {
+		return out
+	}
+	e.ownDurable = true
+	if !e.ownCertFormed && e.voteStake.ReachedQuorum() {
+		e.certifyOwn(nowNanos, out)
+	}
+	return out
+}
+
 // onMessage dispatches msg; checked says every signature in it verified
 // already (OnChecked).
 func (e *Engine) onMessage(from types.ValidatorID, msg *Message, checked bool, nowNanos int64) *Output {
@@ -650,8 +678,8 @@ func (e *Engine) onVote(v *Vote, checked bool, nowNanos int64, out *Output) {
 	if v == nil || v.Origin != e.self || e.curHeader == nil {
 		return
 	}
-	if v.Round != e.round || v.HeaderDigest != e.curHeaderDigest || e.ownCertFormed {
-		return // stale or already certified
+	if v.Round != e.round || v.HeaderDigest != e.curHeaderDigest || e.ownCertFormed || e.voteStake.ReachedQuorum() {
+		return // stale, already certified, or a quorum already waits for the record
 	}
 	if int(v.Voter) >= len(e.votes) {
 		// Voter outside the committee (malformed or malicious): no slot, no key.
@@ -668,13 +696,14 @@ func (e *Engine) onVote(v *Vote, checked bool, nowNanos int64, out *Output) {
 	}
 	e.votes[v.Voter] = v.Signature
 	e.voteStake.Add(v.Voter)
-	if e.voteStake.ReachedQuorum() {
+	if e.voteStake.ReachedQuorum() && e.ownDurable {
 		e.certifyOwn(nowNanos, out)
 	}
 }
 
 // certifyOwn assembles the certificate of the current own header from the
-// votes gathered (a quorum, the caller checked), broadcasts and ingests it.
+// votes gathered (a quorum, and the header's record durable: the callers
+// checked both), broadcasts and ingests it.
 // Every vote in it is already checked — onVote verified the peers', and the
 // own vote is the header signature this validator made — so it is ingested
 // as checked, without a second look at its signatures.
@@ -1267,7 +1296,7 @@ func (e *Engine) startPeriod(r types.Round, out *Output) {
 		return
 	}
 	e.periodRound, e.periodDelayOK = r+periodRounds-1, false
-	out.timer(Timer{Kind: TimerWaveDelay, Round: uint64(e.periodRound), Delay: 2 * e.config.MinRoundDelay})
+	out.timer(Timer{Kind: TimerWaveDelay, Round: uint64(e.periodRound), Delay: e.config.MinRoundDelay})
 }
 
 // pacingOpen reports whether header pacing lets this validator leave its
@@ -1286,16 +1315,16 @@ func (e *Engine) startPeriod(r types.Round, out *Output) {
 // by round number. Round r ≡ 1 (mod 4) is the batch round, r ≡ 2 its anchor
 // and r ≡ 3 the vote that commits that anchor (Bullshark commits it once f+1
 // stake at the next round links it): whole, each is left at once. A round ≡ 0
-// is left once 2 × MinRoundDelay has passed since the validator held
-// batch-round headers worth f+1 stake (the period timer; see startPeriod),
-// and the per-round floor does not open it while that timer is armed, or the
-// period would shrink to one floor plus three round trips. So a committee
-// that keeps up sends two headers per floor, and every batch-round vertex is
-// in the causal history of the very next anchor, which commits three round
-// trips after the batch. A round ≡ 0 with no period timer of its own —
-// reached by a catch-up jump, a rejoin or a restored header, or left behind
-// by f+1 peers already in the next period — falls back to the per-round
-// floor, and so does genesis, round 0.
+// is left once MinRoundDelay has passed since the validator held batch-round
+// headers worth f+1 stake (the period timer; see startPeriod), and the
+// per-round floor does not open it while that timer is armed: the period, not
+// the validator's own last proposal, decides when the next batch goes. So a
+// committee that keeps up sends one batch per floor, and every batch-round
+// vertex is in the causal history of the very next anchor, which commits
+// three round trips after the batch. A round ≡ 0 with no period timer of its
+// own — reached by a catch-up jump, a rejoin or a restored header, or left
+// behind by f+1 peers already in the next period — falls back to the
+// per-round floor, and so does genesis, round 0.
 //
 // A full header's worth of transactions, carried and pending, opens a whole
 // round of any residue: the floor exists to batch, and a full batch has
@@ -1436,17 +1465,18 @@ func (e *Engine) propose(round types.Round, nowNanos int64, out *Output) {
 	e.restoredHeader = false
 	e.roundDelayOK = false
 	e.stats.HeadersProposed++
-	// Recorded before it can reach the wire, so a restart can re-adopt it
-	// instead of equivocating the slot.
-	e.observer.Proposed(header)
+	// Handed to the record before it can reach the wire; certified only once
+	// the record is durable (see Observer.Proposed).
+	e.ownDurable = e.observer.Proposed(header)
 
 	out.broadcast(&Message{Kind: KindHeader, Header: header})
 	out.timer(Timer{Kind: TimerRoundDelay, Round: uint64(round), Delay: e.config.MinRoundDelay})
 	e.startPeriod(round, out)
 	out.timer(Timer{Kind: TimerHeaderRetry, Round: uint64(round), Delay: e.config.resyncInterval()})
 
-	// A lone validator committee (n=1) certifies immediately on self-vote.
-	if e.voteStake.ReachedQuorum() {
+	// A lone validator committee (n=1) certifies on its self-vote, once the
+	// record is durable.
+	if e.ownDurable && e.voteStake.ReachedQuorum() {
 		e.certifyOwn(nowNanos, out)
 	}
 }
@@ -1463,6 +1493,7 @@ func (e *Engine) adoptHeader(h *Header, digest types.Digest, sig crypto.Signatur
 	e.votes[e.self] = sig
 	e.voteStake.Add(e.self)
 	e.ownCertFormed = false
+	e.ownDurable = false
 	// Outside the window no header of the round can certify here: no record.
 	if rs := e.slots(h.Round); rs != nil {
 		rs.voted.Add(e.self)

@@ -579,16 +579,19 @@ func TestWholeAnchorRoundSendsVoteAtOnce(t *testing.T) {
 // batch-round header that brings the validator's holding of them to f+1
 // stake, its own included once proposed. Proposing round 1 arms nothing by
 // itself (f stake at n=4); the first peer round-1 header arms the period
-// timer for round 4, 2 × MinRoundDelay ahead, and nothing later in the
+// timer for round 4, one MinRoundDelay ahead, and nothing later in the
 // period re-arms it. A whole round 4 is left when it fires, or at once if it
-// already has; missing a certificate it waits for its own per-round floor;
-// none of this carries over to the next period; and a validator still in
-// round 4 when f+1 peers' round-5 headers arrive follows them at the
-// per-round floor. The subtest names are the wave's: a round ≡ 0 is where
-// the period, like the wave before it, waits out the floor.
+// already has — not at a per-round floor that fires first; missing a
+// certificate it waits for its own per-round floor; none of this carries
+// over to the next period; and a validator still in round 4 when f+1 peers'
+// round-5 headers arrive follows them at the per-round floor. The subtest
+// names are the wave's: a round ≡ 0 is where the period, like the wave
+// before it, waits out the floor. The engine reads no clock, so the times
+// only order the events; a round-4 floor that fires before the period timer,
+// as in two subtests, takes an (f+1)-th round-1 header that came late.
 func TestWaveFloorCountsFromTheAnchorHeader(t *testing.T) {
 	const ms = int64(time.Millisecond)
-	period := 2 * DefaultConfig().MinRoundDelay
+	period := DefaultConfig().MinRoundDelay
 	periodTimers := func(timers []Timer) []Timer {
 		var p []Timer
 		for _, tm := range timers {
@@ -638,10 +641,10 @@ func TestWaveFloorCountsFromTheAnchorHeader(t *testing.T) {
 		if h, _ := certifyOwnAt(t, eng, 20*ms); h != nil {
 			t.Fatalf("proposed round %d before the period timer", h.Round)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 65*ms)); h != nil {
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 50*ms)); h != nil {
 			t.Fatalf("the per-round floor proposed round %d from a whole round 4", h.Round)
 		}
-		out := eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 102*ms)
+		out := eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 52*ms)
 		h := proposedIn(out)
 		if h == nil || h.Round != 5 {
 			t.Fatalf("the period timer must propose round 5 from the whole round 4, got %v", h)
@@ -649,7 +652,7 @@ func TestWaveFloorCountsFromTheAnchorHeader(t *testing.T) {
 		if p := periodTimers(out.Timers); len(p) != 0 {
 			t.Fatalf("the own round-5 header alone armed period timers %v", p)
 		}
-		if p := periodTimers(deliverHeaders(eng, peers[5], 103*ms)); len(p) != 1 || p[0].Round != 8 || p[0].Delay != period {
+		if p := periodTimers(deliverHeaders(eng, peers[5], 53*ms)); len(p) != 1 || p[0].Round != 8 || p[0].Delay != period {
 			t.Fatalf("the round-5 peer headers armed period timers %v, want one for round 8 in %v", p, period)
 		}
 		if st := eng.Stats(); st.HeadersWholeEarly != 3 || st.HeadersFullEarly != 0 {
@@ -659,19 +662,19 @@ func TestWaveFloorCountsFromTheAnchorHeader(t *testing.T) {
 		// The next period starts over: rounds 5 to 7 go out at once, and the
 		// whole round 8 waits for its own period timer.
 		for r := types.Round(5); r < 8; r++ {
-			deliverAt(eng, peers[r], 100*ms+int64(r)*ms)
-			if h, _ := certifyOwnAt(t, eng, 100*ms+int64(r)*ms); h == nil || h.Round != r+1 {
+			deliverAt(eng, peers[r], 50*ms+int64(r)*ms)
+			if h, _ := certifyOwnAt(t, eng, 50*ms+int64(r)*ms); h == nil || h.Round != r+1 {
 				t.Fatalf("want the round-%d header at once, got %v", r+1, h)
 			}
 		}
-		deliverAt(eng, peers[8], 120*ms)
-		if h, _ := certifyOwnAt(t, eng, 120*ms); h != nil {
+		deliverAt(eng, peers[8], 70*ms)
+		if h, _ := certifyOwnAt(t, eng, 70*ms); h != nil {
 			t.Fatalf("proposed round %d: the round-4 period timer outlived its period", h.Round)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 150*ms)); h != nil {
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 80*ms)); h != nil {
 			t.Fatalf("a stale round-4 period timer proposed round %d", h.Round)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 8}, 203*ms)); h == nil || h.Round != 9 {
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 8}, 103*ms)); h == nil || h.Round != 9 {
 			t.Fatalf("the round-8 period timer must propose round 9, got %v", h)
 		}
 	})
@@ -684,20 +687,20 @@ func TestWaveFloorCountsFromTheAnchorHeader(t *testing.T) {
 		if h, _ := certifyOwnAt(t, eng, 20*ms); h != nil {
 			t.Fatalf("proposed round %d holding 3 of 4 certificates", h.Round)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 102*ms)); h != nil {
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 52*ms)); h != nil {
 			t.Fatalf("the period timer proposed round %d with a validator's certificate missing", h.Round)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 110*ms)); h == nil || h.Round != 5 {
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 65*ms)); h == nil || h.Round != 5 {
 			t.Fatalf("the round-4 floor must propose round 5, got %v", h)
 		}
 	})
 	t.Run("round whole after the wave timer", func(t *testing.T) {
 		eng, peers := periodEngine(t)
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 102*ms)); h != nil {
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerWaveDelay, Round: 4}, 52*ms)); h != nil {
 			t.Fatalf("the period timer proposed round %d before round 4 completed", h.Round)
 		}
-		deliverAt(eng, peers[4], 105*ms)
-		if h, _ := certifyOwnAt(t, eng, 105*ms); h == nil || h.Round != 5 {
+		deliverAt(eng, peers[4], 55*ms)
+		if h, _ := certifyOwnAt(t, eng, 55*ms); h == nil || h.Round != 5 {
 			t.Fatalf("round 4 must propose round 5 as it becomes whole, got %v", h)
 		}
 	})
@@ -712,13 +715,13 @@ func TestWaveFloorCountsFromTheAnchorHeader(t *testing.T) {
 		if h, _ := certifyOwnAt(t, eng, 20*ms); h != nil {
 			t.Fatalf("proposed round %d before the period timer", h.Round)
 		}
-		if p := periodTimers(deliverHeaders(eng, peers[5][:1], 90*ms)); len(p) != 0 {
+		if p := periodTimers(deliverHeaders(eng, peers[5][:1], 40*ms)); len(p) != 0 {
 			t.Fatalf("one peer round-5 header (f stake) armed period timers %v", p)
 		}
-		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 90*ms)); h != nil {
+		if h := proposedIn(eng.OnTimer(Timer{Kind: TimerRoundDelay, Round: 4}, 45*ms)); h != nil {
 			t.Fatalf("the per-round floor proposed round %d with the round-4 period timer running", h.Round)
 		}
-		out := eng.OnMessage(peers[5][1].Header.Source, &Message{Kind: KindHeader, Header: &peers[5][1].Header}, 95*ms)
+		out := eng.OnMessage(peers[5][1].Header.Source, &Message{Kind: KindHeader, Header: &peers[5][1].Header}, 48*ms)
 		if p := periodTimers(out.Timers); len(p) != 1 || p[0].Round != 8 || p[0].Delay != period {
 			t.Fatalf("the second peer round-5 header armed period timers %v, want one for round 8 in %v", p, period)
 		}
@@ -748,7 +751,7 @@ const (
 //
 // Period timers scoped to other rounds fire first and change nothing, and the
 // period timer of round p ≡ 0 is the one the headers of batch round p-3
-// armed, 2 × MinRoundDelay ahead.
+// armed, one MinRoundDelay ahead.
 func TestPeriodGate(t *testing.T) {
 	type timerState string
 	const (
@@ -774,7 +777,7 @@ func TestPeriodGate(t *testing.T) {
 		}
 		return atFloor
 	}
-	period := 2 * DefaultConfig().MinRoundDelay
+	period := DefaultConfig().MinRoundDelay
 	for residue := 0; residue < periodRounds; residue++ {
 		for _, whole := range []bool{true, false} {
 			for _, timer := range []timerState{fired, pending, absent} {

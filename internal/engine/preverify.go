@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"hammerhead/internal/crypto"
+	"hammerhead/internal/dag"
 	"hammerhead/internal/types"
 )
 
@@ -20,7 +21,10 @@ import (
 // one message may be shared by every in-process recipient. The stage shares
 // its validator's KnownSigs table with the engine, adds every header
 // signature that verifies to it, and counts a certificate vote whose exact
-// bytes the table holds without a second public-key operation.
+// bytes the table holds without a second public-key operation. It reads the
+// validator's DAG as well: a certificate the DAG already holds, or one below
+// its floor, is passed on unchecked, since the engine drops it without
+// reading its votes.
 //
 // Check is safe for concurrent use.
 type PreVerifier struct {
@@ -28,6 +32,7 @@ type PreVerifier struct {
 	pubKeys   []crypto.PublicKey
 	scheme    crypto.Scheme
 	known     *KnownSigs
+	held      *dag.DAG
 
 	checked    atomic.Uint64
 	dropped    atomic.Uint64
@@ -50,11 +55,12 @@ type PreVerifyStats struct {
 }
 
 // NewPreVerifier builds a pre-verify stage for one validator over its
-// KnownSigs table (nil: none, every signature is verified). Check verifies a
-// message's signatures one after another on the caller's goroutine; the
-// node's concurrency is its pool of pre-verify workers, not this stage.
-func NewPreVerifier(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, known *KnownSigs) *PreVerifier {
-	return &PreVerifier{committee: committee, pubKeys: pubKeys, scheme: scheme, known: known}
+// KnownSigs table (nil: none, every signature is verified) and its DAG (nil:
+// every certificate is checked). Check verifies a message's signatures one
+// after another on the caller's goroutine; the node's concurrency is its pool
+// of pre-verify workers, not this stage.
+func NewPreVerifier(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, known *KnownSigs, held *dag.DAG) *PreVerifier {
+	return &PreVerifier{committee: committee, pubKeys: pubKeys, scheme: scheme, known: known, held: held}
 }
 
 // Stats returns a copy of the counters.
@@ -203,15 +209,36 @@ func (pv *PreVerifier) checkVote(v *Vote) bool {
 }
 
 // checkCertificate returns the certificate to pass on: c, or a new one
-// holding only the votes that verified or were known.
+// holding only the votes that verified or were known. A certificate the
+// engine drops unread passes as it is (see dropsUnread).
 func (pv *PreVerifier) checkCertificate(c *Certificate) (*Certificate, bool) {
 	if c == nil {
 		return nil, false
+	}
+	if pv.dropsUnread(c) {
+		return c, true
 	}
 	kept, cost, ok := verifyQuorumVotes(pv.scheme, pv.committee, pv.pubKeys, pv.known, c)
 	pv.verified.Add(uint64(cost.verified))
 	pv.knownVotes.Add(uint64(cost.known))
 	return kept, ok
+}
+
+// dropsUnread reports whether the engine will drop c without reading its
+// votes (onCertificate): its round is below the DAG's floor, or the DAG holds
+// its vertex. Both stay true once true — the DAG's floor only rises, and it
+// loses a vertex only below it — and the engine's floor is the DAG's, moved in
+// the same step, so what the stage sees here the engine sees when the message
+// reaches it.
+func (pv *PreVerifier) dropsUnread(c *Certificate) bool {
+	if pv.held == nil {
+		return false
+	}
+	if c.Header.Round < pv.held.PrunedTo() {
+		return true
+	}
+	v, ok := pv.held.Get(c.Header.Round, c.Header.Source)
+	return ok && v.Digest() == c.Digest()
 }
 
 // checkCertificates checks a response's certificates, stopping at the first

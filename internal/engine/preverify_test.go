@@ -27,7 +27,7 @@ func preRig(t *testing.T) (*PreVerifier, []crypto.KeyPair, *types.Committee) {
 		pairs[i] = kp
 		pubs[i] = kp.Public
 	}
-	return NewPreVerifier(crypto.Ed25519{}, committee, pubs, NewKnownSigs(4)), pairs, committee
+	return NewPreVerifier(crypto.Ed25519{}, committee, pubs, NewKnownSigs(4), nil), pairs, committee
 }
 
 func signedHeader(t *testing.T, kp crypto.KeyPair, source types.ValidatorID, round types.Round) *Header {

@@ -93,6 +93,7 @@ func (e *Engine) RestoreProposal(h *Header) {
 	e.abandonHeader() // a header built during replay was never transmitted
 	e.adoptHeader(h, digest, sig)
 	e.restoredHeader = true
+	e.ownDurable = true // read back from the record
 	e.roundDelayOK = true
 }
 

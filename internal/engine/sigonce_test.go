@@ -145,7 +145,7 @@ func newSigNet(t *testing.T, seed int64) *sigNet {
 		eng.UseKnownSigs(known)
 		net.engines = append(net.engines, eng)
 		net.known = append(net.known, known)
-		net.prevers = append(net.prevers, NewPreVerifier(crypto.Insecure{}, committee, net.pubs, known))
+		net.prevers = append(net.prevers, NewPreVerifier(crypto.Insecure{}, committee, net.pubs, known, nil))
 	}
 	for i, e := range net.engines {
 		net.route(types.ValidatorID(i), e.Init(0))
@@ -207,7 +207,7 @@ func (net *sigNet) checkSealed(m *Message) {
 		go func() {
 			defer wg.Done()
 			if NeedsCheck(m.Kind) {
-				NewPreVerifier(crypto.Insecure{}, net.committee, net.pubs, nil).Check(m)
+				NewPreVerifier(crypto.Insecure{}, net.committee, net.pubs, nil, nil).Check(m)
 			}
 			if _, err := EncodeMessage(m); err != nil {
 				t.Error(err)
@@ -587,7 +587,7 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 	}
 	known := NewKnownSigs(n)
 	eng.UseKnownSigs(known)
-	pv := NewPreVerifier(scheme, committee, pubs, known)
+	pv := NewPreVerifier(scheme, committee, pubs, known, nil)
 
 	edges := make([]types.Digest, 0, n)
 	for _, v := range eng.DAG().RoundVertices(0) {
@@ -741,7 +741,7 @@ func TestKnownSigsSharedAcrossWorkers(t *testing.T) {
 		pubs[i] = keys[i].Public
 	}
 	known := NewKnownSigs(n)
-	pv := NewPreVerifier(crypto.Insecure{}, committee, pubs, known)
+	pv := NewPreVerifier(crypto.Insecure{}, committee, pubs, known, nil)
 	sign := func(id types.ValidatorID, d types.Digest) crypto.Signature {
 		sig, _ := keys[id].Sign(d[:])
 		return sig
@@ -820,7 +820,7 @@ func TestCheckedVerdictOutlivesTable(t *testing.T) {
 	}
 	known := NewKnownSigs(n)
 	eng.UseKnownSigs(known)
-	pv := NewPreVerifier(crypto.Insecure{}, committee, pubs, known)
+	pv := NewPreVerifier(crypto.Insecure{}, committee, pubs, known, nil)
 	eng.Init(0)
 
 	// Rounds of certificates voted by the three peers, so none of the votes
@@ -885,4 +885,146 @@ func TestCheckedVerdictOutlivesTable(t *testing.T) {
 	if v := verifies.Load(); v != 1 {
 		t.Fatalf("a bare header took %d verifications, want 1", v)
 	}
+}
+
+// TestHeldCertificatesCostNoVerification: the pre-verify stage reads its
+// validator's DAG, and a certificate the engine would drop without reading
+// its votes — one whose vertex the DAG holds, or one below the DAG's floor —
+// passes without a public-key operation. A catch-up response of held
+// certificates costs nothing, and the engine, taking it, changes nothing. A
+// certificate the DAG lacks is still checked, and still sinks its response
+// when forged.
+func TestHeldCertificatesCostNoVerification(t *testing.T) {
+	const n = 4
+	committee, err := types.NewEqualStakeCommittee(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verifies atomic.Int64
+	scheme := countingScheme{crypto.Ed25519{}, &verifies}
+	keys := make([]crypto.KeyPair, n)
+	pubs := make([]crypto.PublicKey, n)
+	for i := range keys {
+		kp, err := crypto.NewKeyPair(crypto.Ed25519{}, [32]byte{5}, uint32(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kp.Scheme = scheme
+		keys[i], pubs[i] = kp, kp.Public
+	}
+	cfg := DefaultConfig()
+	cfg.VerifySignatures = true
+	eng, err := New(Params{Config: cfg, Committee: committee, Self: 0, Keys: keys[0], PublicKeys: pubs,
+		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := NewKnownSigs(n)
+	eng.UseKnownSigs(known)
+	pv := NewPreVerifier(scheme, committee, pubs, known, eng.DAG())
+
+	// Rounds 1 to 4 of validators 1 to 3, each certified by all three.
+	var prev []types.Digest
+	for _, v := range eng.DAG().RoundVertices(0) {
+		prev = append(prev, v.Digest())
+	}
+	rounds := make([][]*Certificate, 5)
+	for r := types.Round(1); r <= 4; r++ {
+		var cur []types.Digest
+		for src := types.ValidatorID(1); src < n; src++ {
+			h := Header{Round: r, Source: src, Edges: prev}
+			d := h.Digest()
+			h.Signature, _ = keys[src].Sign(d[:])
+			c := &Certificate{Header: h}
+			for voter := types.ValidatorID(1); voter < n; voter++ {
+				sig, _ := keys[voter].Sign(d[:])
+				c.Votes = append(c.Votes, VoteSig{Voter: voter, Signature: sig})
+			}
+			rounds[r] = append(rounds[r], c)
+			cur = append(cur, d)
+		}
+		prev = cur
+	}
+	var held []*Certificate
+	for r := 1; r <= 3; r++ {
+		held = append(held, rounds[r]...)
+	}
+	checked, ok := pv.Check(&Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: held}})
+	if !ok {
+		t.Fatal("the first response of rounds 1 to 3 was dropped")
+	}
+	eng.OnChecked(1, checked, 0)
+	if v := verifies.Swap(0); v == 0 {
+		t.Fatal("the first response cost no verification: nothing was held yet")
+	}
+	for _, c := range held {
+		if _, ok := eng.DAG().Get(c.Header.Round, c.Header.Source); !ok {
+			t.Fatalf("setup: (%d, %s) not inserted", c.Header.Round, c.Header.Source)
+		}
+	}
+
+	before := eng.Stats()
+	for _, m := range []*Message{
+		{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: held}},
+		{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: held}},
+		{Kind: KindCertificate, Cert: held[0]},
+	} {
+		checked, ok := pv.Check(m)
+		if !ok {
+			t.Fatalf("a %v of held certificates was dropped", m.Kind)
+		}
+		if v := verifies.Swap(0); v != 0 {
+			t.Fatalf("a %v of held certificates cost %d verifications, want 0", m.Kind, v)
+		}
+		eng.OnChecked(1, checked, 0)
+	}
+	if after := eng.Stats(); after.CertsReceived != before.CertsReceived || after.InvalidMessages != before.InvalidMessages {
+		t.Fatalf("the engine took held certificates: received %d → %d, invalid %d → %d",
+			before.CertsReceived, after.CertsReceived, before.InvalidMessages, after.InvalidMessages)
+	}
+
+	// A round-4 certificate beside them is checked, and only it.
+	if !passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: append(slices.Clone(held), rounds[4][0])}}) {
+		t.Fatal("held certificates and a fresh one were dropped")
+	}
+	if v := verifies.Swap(0); v == 0 || v > 3 {
+		t.Fatalf("held certificates and a fresh one cost %d verifications, want the fresh one's quorum", v)
+	}
+	forged := &Certificate{Header: rounds[4][1].Header, Votes: slices.Clone(rounds[4][1].Votes)}
+	forged.Votes[0].Signature = mangleSig(forged.Votes[0].Signature)
+	forged.Votes[1].Signature = mangleSig(forged.Votes[1].Signature)
+	if passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: append(slices.Clone(held), forged)}}) {
+		t.Fatal("a forged certificate the DAG lacks passed beside held ones")
+	}
+
+	// Below the floor: the DAG pruned rounds 1 and 2, and certificates there
+	// pass without a look at their votes, forged or not.
+	pruned := dag.New(committee)
+	for _, v := range eng.DAG().RoundVertices(0) {
+		if err := pruned.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range held {
+		if err := pruned.Insert(c.Header.Vertex()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pruned.Prune(3)
+	below := &Certificate{Header: Header{Round: 2, Source: 0}, Votes: forged.Votes}
+	verifies.Store(0)
+	pvPruned := NewPreVerifier(scheme, committee, pubs, NewKnownSigs(n), pruned)
+	if !passes(pvPruned, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{below, rounds[1][0]}}}) {
+		t.Fatal("certificates below the floor were dropped")
+	}
+	if v := verifies.Load(); v != 0 {
+		t.Fatalf("certificates below the floor cost %d verifications, want 0", v)
+	}
+}
+
+// mangleSig returns a copy of sig with its first byte flipped.
+func mangleSig(sig crypto.Signature) crypto.Signature {
+	out := slices.Clone(sig)
+	out[0] ^= 0xFF
+	return out
 }

@@ -203,7 +203,7 @@ func (h *slotHarness) buildWorld(rounds int) {
 // The harness is its engine's Observer: inserted certificates wait for the
 // step's absorb.
 func (h *slotHarness) Inserted(c *Certificate) { h.inserted = append(h.inserted, c) }
-func (h *slotHarness) Proposed(*Header)        {}
+func (h *slotHarness) Proposed(*Header) bool   { return true }
 func (h *slotHarness) Certified(*Certificate)  {}
 
 func (h *slotHarness) CheckpointCertified(*checkpoint.Certificate) {}

@@ -681,8 +681,12 @@ func (x *Executor) releaseStaleViewsLocked() {
 }
 
 // reseal brings one cached checkpoint's blob up to its newest certificate
-// and reports whether there was one to bring. The latest is saved again, so
-// a restart finds it certified. The caller holds writeMu.
+// and reports whether there was one to bring. Only the cached blob: the saved
+// one keeps the certificate it was written with, if any. Saving the whole
+// blob again, with its fsyncs, for a certificate of a few hundred bytes would
+// write every certified checkpoint twice; a restart instead serves its
+// checkpoint uncertified until the next certificate arrives, at most one
+// checkpoint interval and its gossip later. The caller holds writeMu.
 func (x *Executor) reseal() bool {
 	x.mu.Lock()
 	var c *ckpt
@@ -696,15 +700,9 @@ func (x *Executor) reseal() bool {
 		x.mu.Unlock()
 		return false
 	}
-	cert, body, save := c.cert, c.blob[:c.certAt:c.certAt], c == x.latest
+	cert, body := c.cert, c.blob[:c.certAt:c.certAt]
 	x.mu.Unlock()
 	blob := sealSnapshot(body, cert)
-	if save && x.cfg.Store != nil {
-		// On failure the store keeps the uncertified copy of the same
-		// checkpoint: still installable locally, only not servable as
-		// certified after a restart.
-		_ = x.cfg.Store.Save(c.snap.CommitSeq, blob)
-	}
 	x.mu.Lock()
 	c.blob, c.blobCert = blob, cert
 	x.mu.Unlock()
@@ -788,11 +786,11 @@ func (x *Executor) install(snap Snapshot) error {
 // AttachCertificate binds a quorum checkpoint certificate to the checkpoint
 // at the given commit seq — cached, being written, or cut and waiting — and
 // returns at once: the checkpoint's frozen view becomes the certified state
-// ProvenRead serves, and the writer reseals the checkpoint's blob with the
-// certificate embedded (so wire serving and restarts carry it), or writes it
-// in with the checkpoint if that is not written yet. Certificates for
-// checkpoints no longer held are ignored (false). The caller must have
-// verified the certificate — the executor stores, not vets, it.
+// ProvenRead serves, and the writer reseals the cached blob with the
+// certificate embedded (so wire serving carries it), or writes it in with the
+// checkpoint if that is not written yet — the one case a restart finds it.
+// Certificates for checkpoints no longer held are ignored (false). The caller
+// must have verified the certificate — the executor stores, not vets, it.
 func (x *Executor) AttachCertificate(seq uint64, cert *checkpoint.Certificate) bool {
 	if cert == nil {
 		return false

@@ -11,11 +11,12 @@ import (
 
 // inlineOracle is the executor's checkpointing as it was while a checkpoint
 // was taken in one step under the executor's lock: serialise the live state,
-// sort, encode, save and cache, and re-save a certified checkpoint on the
-// certificate's own call. It drives a real Executor that never cuts on its
-// own for what checkpointing does not touch (applying commits, an install's
-// state restore) and keeps the checkpoint cache, certificates and frozen
-// views itself. The pipeline must persist and serve exactly its bytes.
+// sort, encode, save and cache, and seal a certificate onto the cached
+// checkpoint on the certificate's own call, saving nothing. It drives a real
+// Executor that never cuts on its own for what checkpointing does not touch
+// (applying commits, an install's state restore) and keeps the checkpoint
+// cache, certificates and frozen views itself. The pipeline must persist and
+// serve exactly its bytes.
 type inlineOracle struct {
 	x         *Executor
 	store     *recordingStore
@@ -180,7 +181,6 @@ func (o *inlineOracle) attach(seq uint64, cert *checkpoint.Certificate) bool {
 	case o.haveLatest && o.latest.CommitSeq == seq:
 		o.latest.Cert = cert
 		delete(o.served, seq)
-		_ = o.save(o.latest)
 		if o.frozenLatest != nil {
 			o.certified, o.certifiedKV, o.frozenPrev = cert, o.frozenLatest, nil
 		}

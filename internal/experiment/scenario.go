@@ -164,8 +164,8 @@ const (
 // engine.Config.MinRoundDelay) and a full batch lifts the floor, so the fault
 // scenarios keep hr, while in a faultless run three rounds of every four
 // leave one certification round trip after the round before, the fourth
-// once two floors have passed since the first, and a backlogged run goes
-// faster still.
+// once a floor has passed since the first, and a backlogged run goes faster
+// still.
 func batchCapFor(n int) int {
 	const headerRatePerSec = 1.0 / 0.65
 	cap := 1.6 * 4000.0 / (float64(n) * headerRatePerSec)

@@ -413,9 +413,9 @@ type observer struct{ n *Node }
 
 func (o observer) Inserted(cert *engine.Certificate) { o.n.walw.inserted(cert) }
 
-func (o observer) Proposed(h *engine.Header) {
-	o.n.walw.proposed(h)
+func (o observer) Proposed(h *engine.Header) bool {
 	recordBatchStage(o.n.tracer, obs.StageProposed, h.Batch)
+	return o.n.walw.proposed(h)
 }
 
 func (o observer) Certified(cert *engine.Certificate) {
@@ -821,10 +821,17 @@ func (n *Node) enqueue(task func()) {
 
 func (n *Node) loop() {
 	defer n.wg.Done()
+	var durable <-chan struct{} // nil without a WAL: never ready
+	if n.walw != nil {
+		durable = n.walw.durable
+	}
 	for {
 		select {
 		case task := <-n.tasks:
 			task()
+		case <-durable:
+			round := types.Round(n.walw.durableRound.Load())
+			n.dispatch(n.eng.OnProposalDurable(round, time.Now().UnixNano()))
 		case <-n.done:
 			return
 		}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -44,25 +47,52 @@ func newTCPSpec(t *testing.T, n int) *tcpNodeSpec {
 		spec.keys = append(spec.keys, kp)
 		spec.pubs = append(spec.pubs, kp.Public)
 	}
-	// Learn ephemeral ports by binding and closing throwaway transports.
-	for i := 0; i < n; i++ {
-		tr, err := transport.NewTCP(transport.TCPConfig{
-			Self: types.ValidatorID(i), ListenAddr: "127.0.0.1:0",
-			PeerAddrs: map[types.ValidatorID]string{},
-			Handler:   func(types.ValidatorID, *engine.Message) {},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.addrs[types.ValidatorID(i)] = tr.Addr()
-		_ = tr.Close()
+	for i, addr := range loopbackPorts(t, n) {
+		spec.addrs[types.ValidatorID(i)] = addr
 	}
 	return spec
 }
 
-// bootTCPNode builds and starts one validator over TCP, retrying the listen
-// bind (restart tests rebind a just-freed port).
-func (s *tcpNodeSpec) bootTCPNode(t *testing.T, id types.ValidatorID, walPath, rpcAddr string, onCommit node.CommitHandler) *node.Node {
+// loopbackPorts picks n free loopback ports below the kernel's ephemeral
+// range. A validator's port is learned here and bound at boot, perhaps twice
+// (a restart): a port from the ephemeral range could meanwhile be handed to
+// any ":0" bind on the host — another test package's client socket or
+// listener — and the boot would fail with EADDRINUSE. No ":0" bind takes a
+// port below the range.
+func loopbackPorts(t *testing.T, n int) []string {
+	t.Helper()
+	low := 32768 // Linux's default start of the range; BSDs start higher
+	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if _, err := fmt.Sscan(string(b), &low); err != nil || low < 2048 {
+			t.Skipf("ephemeral port range starts at %d: no room below it", low)
+		}
+	}
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	seen := map[int]bool{}
+	var addrs []string
+	for attempt := 0; len(addrs) < n; attempt++ {
+		if attempt > 1000 {
+			t.Fatalf("found %d free ports below %d in %d attempts", len(addrs), low, attempt)
+		}
+		port := low/2 + rng.Intn(low/2)
+		addr := fmt.Sprintf("127.0.0.1:%d", port)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil || seen[port] {
+			continue
+		}
+		_ = ln.Close()
+		seen[port] = true
+		addrs = append(addrs, addr)
+	}
+	return addrs
+}
+
+// boot builds and starts validator id over TCP on its port, retrying the
+// listen bind (a restart rebinds a just-freed port). cfg carries what a test
+// chooses — log, gateway, commit handler, checkpoint certification; boot
+// fills in the committee and keys, execution, two mempool lanes and a
+// 20 ms floor.
+func (s *tcpNodeSpec) boot(t *testing.T, id types.ValidatorID, cfg node.Config) *node.Node {
 	t.Helper()
 	peers := map[types.ValidatorID]string{}
 	for pid, addr := range s.addrs {
@@ -70,23 +100,15 @@ func (s *tcpNodeSpec) bootTCPNode(t *testing.T, id types.ValidatorID, walPath, r
 			peers[pid] = addr
 		}
 	}
-	cfg := engine.DefaultConfig()
-	cfg.MinRoundDelay = 20 * time.Millisecond
-	cfg.LeaderTimeout = 300 * time.Millisecond
-	cfg.VerifySignatures = true
-	nd, err := node.New(node.Config{
-		Committee:    s.committee,
-		Self:         id,
-		Keys:         s.keys[id],
-		PublicKeys:   s.pubs,
-		Engine:       cfg,
-		ScheduleSeed: 7,
-		WALPath:      walPath,
-		Execution:    true,
-		MempoolLanes: 2,
-		RPCAddr:      rpcAddr,
-		OnCommit:     onCommit,
-	})
+	cfg.Committee, cfg.Self, cfg.Keys, cfg.PublicKeys = s.committee, id, s.keys[id], s.pubs
+	cfg.Engine = engine.DefaultConfig()
+	cfg.Engine.MinRoundDelay = 20 * time.Millisecond
+	cfg.Engine.LeaderTimeout = 300 * time.Millisecond
+	cfg.Engine.VerifySignatures = true
+	cfg.ScheduleSeed = 7
+	cfg.Execution = true
+	cfg.MempoolLanes = 2
+	nd, err := node.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +163,14 @@ func TestGatewayAcceptsWhileTCPPeerRestarts(t *testing.T) {
 	dir := t.TempDir()
 
 	var commits0 atomic.Uint64
-	n0 := spec.bootTCPNode(t, 0, filepath.Join(dir, "v0.wal"), "127.0.0.1:0",
-		func(sub bullshark.CommittedSubDAG, replayed bool) {
+	n0 := spec.boot(t, 0, node.Config{WALPath: filepath.Join(dir, "v0.wal"), RPCAddr: "127.0.0.1:0",
+		OnCommit: func(sub bullshark.CommittedSubDAG, replayed bool) {
 			if !replayed {
 				commits0.Add(1)
 			}
-		})
+		}})
 	defer n0.Close()
-	n1 := spec.bootTCPNode(t, 1, filepath.Join(dir, "v1.wal"), "", nil)
+	n1 := spec.boot(t, 1, node.Config{WALPath: filepath.Join(dir, "v1.wal")})
 
 	base := "http://" + n0.Gateway().Addr()
 
@@ -177,7 +199,7 @@ func TestGatewayAcceptsWhileTCPPeerRestarts(t *testing.T) {
 
 	// Restart the peer from its WAL on the same address: crash-rejoin brings
 	// the committee back, and the outage-time submissions commit.
-	n1 = spec.bootTCPNode(t, 1, filepath.Join(dir, "v1.wal"), "", nil)
+	n1 = spec.boot(t, 1, node.Config{WALPath: filepath.Join(dir, "v1.wal")})
 	defer n1.Close()
 
 	waitFor(t, 30*time.Second, "outage-time submissions to commit and be readable", func() bool {

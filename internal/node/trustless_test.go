@@ -8,60 +8,12 @@ import (
 	"time"
 
 	"hammerhead/internal/crypto"
-	"hammerhead/internal/engine"
 	"hammerhead/internal/node"
 	"hammerhead/internal/replica"
-	"hammerhead/internal/transport"
 	"hammerhead/internal/types"
 	"hammerhead/pkg/client"
 	"hammerhead/pkg/rpcapi"
 )
-
-// bootCertNode is bootTCPNode with the trustless read tier enabled: quorum
-// checkpoint certification and a tight checkpoint interval so certificates
-// form within the test budget.
-func (s *tcpNodeSpec) bootCertNode(t *testing.T, id types.ValidatorID, rpcAddr string) *node.Node {
-	t.Helper()
-	peers := map[types.ValidatorID]string{}
-	for pid, addr := range s.addrs {
-		if pid != id {
-			peers[pid] = addr
-		}
-	}
-	cfg := engine.DefaultConfig()
-	cfg.MinRoundDelay = 20 * time.Millisecond
-	cfg.LeaderTimeout = 300 * time.Millisecond
-	cfg.VerifySignatures = true
-	nd, err := node.New(node.Config{
-		Committee:          s.committee,
-		Self:               id,
-		Keys:               s.keys[id],
-		PublicKeys:         s.pubs,
-		Engine:             cfg,
-		ScheduleSeed:       7,
-		Execution:          true,
-		CheckpointInterval: 4,
-		CheckpointCerts:    true,
-		MempoolLanes:       2,
-		RPCAddr:            rpcAddr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := transport.NewTCP(transport.TCPConfig{
-		Self: id, ListenAddr: s.addrs[id],
-		PeerAddrs: peers,
-		Handler:   nd.HandleMessage,
-	})
-	if err != nil {
-		_ = nd.Close()
-		t.Fatal(err)
-	}
-	if err := nd.Start(tr); err != nil {
-		t.Fatal(err)
-	}
-	return nd
-}
 
 // TestTrustlessReadTierEndToEnd drives the whole trustless read stack over
 // real TCP and HTTP: four validators certify checkpoints, a client performs
@@ -81,7 +33,10 @@ func TestTrustlessReadTierEndToEnd(t *testing.T) {
 		if i == 0 {
 			rpcAddr = "127.0.0.1:0"
 		}
-		nodes[i] = spec.bootCertNode(t, types.ValidatorID(i), rpcAddr)
+		// The trustless read tier: quorum checkpoint certification, at a
+		// checkpoint interval tight enough for certificates to form within
+		// the test budget.
+		nodes[i] = spec.boot(t, types.ValidatorID(i), node.Config{RPCAddr: rpcAddr, CheckpointInterval: 4, CheckpointCerts: true})
 		defer nodes[i].Close()
 	}
 	base := "http://" + nodes[0].Gateway().Addr()

@@ -3,6 +3,7 @@ package node
 import (
 	"log/slog"
 	"sync"
+	"sync/atomic"
 
 	"hammerhead/internal/engine"
 	"hammerhead/internal/metrics"
@@ -22,6 +23,13 @@ import (
 // delivery until then (waitDurable). A commit handed to the executor with
 // replayed=false is therefore always re-derivable from the WAL, and can never
 // be re-delivered as fresh after a crash.
+//
+// An own header goes out before its record is durable; the engine certifies
+// it only once the writer reports the record fsynced (see
+// engine.Observer.Proposed). The report is a non-blocking hand-off — the
+// latest durable proposal round and a one-slot wake-up the node's loop
+// selects on — so the writer never waits for the engine, and a full task
+// queue and a full write queue cannot wait for each other.
 type walWriter struct {
 	// log is replayed and opened by recovery (validator.Recover) and written
 	// by the writer goroutine from then on.
@@ -30,6 +38,10 @@ type walWriter struct {
 	wg  sync.WaitGroup
 	// stop is the node's shutdown signal.
 	stop <-chan struct{}
+	// durable wakes the node's loop once a proposal record is durable;
+	// durableRound is the round of the latest one.
+	durable      chan struct{}
+	durableRound atomic.Uint64
 
 	queueMetric *metrics.Gauge
 }
@@ -39,8 +51,9 @@ func newWALWriter(path string, reg *metrics.Registry, logger *slog.Logger, stop 
 		// Absorbs a burst of certificates (a sync response, a rejoin merge)
 		// without stalling ingest on every append; a slower disk than that
 		// backpressures insertion.
-		q:    make(chan func(), 1024),
-		stop: stop,
+		q:       make(chan func(), 1024),
+		stop:    stop,
+		durable: make(chan struct{}, 1),
 	}
 	var compacts, compactFails *metrics.Counter
 	if reg != nil {
@@ -69,16 +82,24 @@ func (w *walWriter) inserted(cert *engine.Certificate) {
 	}
 }
 
-// proposed records this validator's own signed header and BLOCKS until the
-// record is appended and fsynced (validator.Log.AppendProposal), so the
-// header cannot reach a peer before it is durable.
-func (w *walWriter) proposed(h *engine.Header) {
+// proposed enqueues this validator's own signed header and reports whether
+// its record is durable already: only without a WAL. Otherwise the writer
+// appends and fsyncs it (validator.Log.AppendProposal) and then reports the
+// round through durable, without waiting for anyone. Runs on the engine
+// goroutine, which waits only while the write queue is full, as for inserted.
+func (w *walWriter) proposed(h *engine.Header) bool {
 	if w == nil {
-		return
+		return true
 	}
-	durable := make(chan struct{})
-	w.enqueue(func() { _ = w.log.AppendProposal(h); close(durable) })
-	w.waitDurable(durable)
+	w.enqueue(func() {
+		_ = w.log.AppendProposal(h)
+		w.durableRound.Store(uint64(h.Round))
+		select {
+		case w.durable <- struct{}{}:
+		default: // a wake-up is pending already: it reads the latest round
+		}
+	})
+	return false
 }
 
 // mark returns a channel the writer closes once every record enqueued before
@@ -120,8 +141,8 @@ func (w *walWriter) observeQueue() {
 
 // loop runs the writes in order. Persistence failure must not stall
 // consensus (recovery falls back to peer sync), so write errors are
-// swallowed: a failed append never blocks commit delivery, and a proposer is
-// released even when its fsync failed.
+// swallowed: a failed append never blocks commit delivery, and a proposal is
+// reported durable even when its fsync failed.
 func (w *walWriter) loop() {
 	defer w.wg.Done()
 	for write := range w.q {

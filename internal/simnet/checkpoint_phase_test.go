@@ -23,10 +23,8 @@ func (o certTap) Inserted(cert *engine.Certificate) {
 	}
 }
 
-func (o certTap) Proposed(h *engine.Header) {
-	if o.Observer != nil {
-		o.Observer.Proposed(h)
-	}
+func (o certTap) Proposed(h *engine.Header) bool {
+	return o.Observer == nil || o.Observer.Proposed(h)
 }
 
 func (o certTap) Certified(cert *engine.Certificate) {

@@ -142,11 +142,17 @@ func (w withholding) covers(peer types.ValidatorID, now int64) bool {
 
 // logObserver writes a validator's log inline, as the node's writer does on
 // its own goroutine, and swallows write errors as that writer does: a failing
-// disk must not stall consensus.
+// disk must not stall consensus. A proposal's record is durable within the
+// step that proposed it.
 type logObserver struct{ *validator.Log }
 
-func (o logObserver) Inserted(cert *engine.Certificate)         { _ = o.Append(cert) }
-func (o logObserver) Proposed(h *engine.Header)                 { _ = o.AppendProposal(h) }
+func (o logObserver) Inserted(cert *engine.Certificate) { _ = o.Append(cert) }
+
+func (o logObserver) Proposed(h *engine.Header) bool {
+	_ = o.AppendProposal(h)
+	return true
+}
+
 func (logObserver) Certified(*engine.Certificate)               {}
 func (logObserver) CheckpointCertified(*checkpoint.Certificate) {}
 

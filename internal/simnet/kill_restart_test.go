@@ -340,6 +340,134 @@ func TestKillRestartRestoresVotedRoundMark(t *testing.T) {
 	}
 }
 
+// lateRecordTap is a validator's observer for TestKillBeforeRecordCertifiesOnce.
+// It notes every certificate the validator inserts, and, once, it holds the
+// record of the victim's own header back for recordLag: the header is on the
+// wire at once, and the engine hears that it is durable only when the write
+// lands — which a kill before then prevents, the record dying with the
+// process, as an unflushed write behind the node's WAL writer does.
+type lateRecordTap struct {
+	engine.Observer
+	c      *Cluster
+	id     types.ValidatorID
+	insert func(*engine.Certificate)
+	hold   func(*engine.Header) bool
+}
+
+func (o lateRecordTap) Inserted(cert *engine.Certificate) {
+	o.Observer.Inserted(cert)
+	o.insert(cert)
+}
+
+func (o lateRecordTap) Proposed(h *engine.Header) bool {
+	if !o.hold(h) {
+		return o.Observer.Proposed(h)
+	}
+	inc := o.c.procs[o.id].incarnation
+	o.c.Sim.After(recordLag, func() {
+		if o.c.procs[o.id].incarnation != inc {
+			return // killed before the write landed
+		}
+		o.Observer.Proposed(h)
+		o.c.dispatch(o.id, o.c.Engine(o.id).OnProposalDurable(h.Round, o.c.Sim.Now()))
+	})
+	return false
+}
+
+// recordLag is how long the held record takes: longer than the 40 ms the
+// header and its votes take on killRestartCluster's network, so the quorum of
+// votes is in before the record is.
+const recordLag = 100 * time.Millisecond
+
+// TestKillBeforeRecordCertifiesOnce kills a validator after its header went
+// out and its quorum of votes came back, but before the header's record was
+// durable. The engine certifies an own header only once its record is, so the
+// dead process never certified it, and the votes for it died with the
+// process. The validator restarts from a log without that header: whatever it
+// proposes for the slot now, the peers that voted for the first header refuse
+// a second. So the run ends with no slot holding two different certificates
+// on any validator, the lost header certified nowhere, and the committee —
+// the restarted validator included — committing, under one chain of roots.
+func TestKillBeforeRecordCertifiesOnce(t *testing.T) {
+	const victim = types.ValidatorID(3)
+	cluster, timeline := killRestartCluster(t, nil, 29)
+	submitKVLoad(cluster, 8*time.Second)
+
+	type slot struct {
+		round  types.Round
+		source types.ValidatorID
+	}
+	certified := map[slot]types.Digest{}
+	var twice []slot
+	var (
+		lost         *engine.Header
+		killedAt     int64
+		certifiedNow bool
+	)
+	cluster.tap = func(id types.ValidatorID, next engine.Observer) engine.Observer {
+		return lateRecordTap{Observer: next, c: cluster, id: id,
+			insert: func(cert *engine.Certificate) {
+				s := slot{cert.Header.Round, cert.Header.Source}
+				d := cert.Digest()
+				if have, ok := certified[s]; ok && have != d {
+					twice = append(twice, s)
+				}
+				certified[s] = d
+			},
+			hold: func(h *engine.Header) bool {
+				if id != victim || lost != nil || cluster.Sim.Now() < (3*time.Second).Nanoseconds() {
+					return false
+				}
+				lost = h
+				eng := cluster.Engine(victim)
+				at := time.Duration(cluster.Sim.Now()) + recordLag*4/5
+				cluster.KillRestart([]types.ValidatorID{victim}, at, 5*time.Millisecond)
+				cluster.Sim.After(at-time.Duration(cluster.Sim.Now()), func() {
+					killedAt = cluster.Sim.Now()
+					_, certifiedNow = eng.DAG().Get(h.Round, victim)
+				})
+				return true
+			},
+		}
+	}
+	for i := range cluster.validators {
+		if err := cluster.buildValidator(types.ValidatorID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cluster.Start()
+	cluster.Sim.RunFor(10 * time.Second)
+
+	if lost == nil || killedAt == 0 || cluster.Restarts() != 1 {
+		t.Fatalf("the victim was never killed between its header and its record (restarts %d)", cluster.Restarts())
+	}
+	if certifiedNow {
+		t.Fatalf("the round-%d header certified before its record was durable", lost.Round)
+	}
+	if d, ok := certified[slot{lost.Round, victim}]; ok && d == lost.Digest() {
+		t.Fatalf("the round-%d header whose record was lost certified", lost.Round)
+	}
+	if len(twice) > 0 {
+		t.Fatalf("slots holding two different certificates: %v", twice)
+	}
+	for v := types.ValidatorID(0); int(v) < cluster.Size(); v++ {
+		fresh := 0
+		for _, c := range *timeline {
+			if c.node == v && c.at > killedAt+int64(time.Second) {
+				fresh++
+			}
+		}
+		if fresh == 0 {
+			t.Fatalf("v%d committed nothing a second after the restart", v)
+		}
+	}
+	if obs, rec := cluster.Engine(0).Committer().LastOrderedRound(), cluster.Engine(victim).Committer().LastOrderedRound(); rec+20 < obs {
+		t.Fatalf("restarted validator lags: round %d vs observer %d", rec, obs)
+	}
+	assertRootsAgree(t, cluster)
+}
+
 // TestKillRestartRecoversFromCompactedLog kills a validator after its
 // executor has cut several checkpoints, each compacting its log at the
 // checkpoint's floor. Recovery must work from what a real node keeps on disk:

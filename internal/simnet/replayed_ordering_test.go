@@ -79,11 +79,10 @@ func (o tapObserver) Inserted(cert *engine.Certificate) {
 	o.fn(o.id, cert, nil)
 }
 
-func (o tapObserver) Proposed(h *engine.Header) {
-	if o.next != nil {
-		o.next.Proposed(h)
-	}
+func (o tapObserver) Proposed(h *engine.Header) bool {
+	durable := o.next == nil || o.next.Proposed(h)
 	o.fn(o.id, nil, h)
+	return durable
 }
 
 func (tapObserver) Certified(*engine.Certificate)               {}

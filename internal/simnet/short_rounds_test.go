@@ -300,31 +300,35 @@ func median(ds []time.Duration) time.Duration {
 	return ds[len(ds)/2]
 }
 
-// wavedCommitP50 is the steady vote-round scenario's commit p50 when the
-// floor paced waves — a whole anchor round sent its vote at once, and the
-// next anchor-round header, which carried the batch, followed a floor after
-// the previous one — so the anchor round's other vertices were ordered only
-// with the next anchor, a floor later.
-const wavedCommitP50 = 71900 * time.Microsecond
+// The steady vote-round scenario's commit latency bounds under one batch
+// round per floor F, with δ the round trip (about 6 ms here): a transaction
+// waits F/2 for the next batch round at the median, F at worst, and commits
+// 3δ after it — p50 ≈ F/2 + 3δ, p95 ≈ F + 3δ. Measured: p50 42.0 ms and p95
+// 56.0 ms (56.4 ms after staggered starts). The period of two floors it
+// replaced measured 67.6 ms and 104.3 ms; the floor-paced waves before that,
+// p50 71.9 ms.
+func onePeriodBounds(floor time.Duration) (p50, p95 time.Duration) {
+	return floor * 9 / 10, floor * 6 / 5
+}
 
 // TestVoteRoundFollowsCertification: in a committee every validator keeps up
 // with, rounds go in periods of four — the batch round, its anchor, the vote
 // that commits the anchor, each sent at once when the round before is whole,
-// and a round ≡ 0 (mod 4) that waits out the rest of two floors from the
-// batch-round headers. A validator's batch-round headers are two floors apart
+// and a round ≡ 0 (mod 4) that waits out the rest of one floor from the
+// batch-round headers. A validator's batch-round headers are one floor apart
 // (and a message delay), and every batch-round vertex is ordered
 // with the very next anchor, three round trips after it is proposed: commit
-// p50 falls below wavedCommitP50. Every transaction still commits exactly
-// once everywhere, under one chain of state roots.
+// p50 and p95 stay within onePeriodBounds. Every transaction still commits
+// exactly once everywhere, under one chain of state roots.
 func TestVoteRoundFollowsCertification(t *testing.T) {
 	r := runVoteRounds(t, false)
 	floor := fastSimEngineConfig().MinRoundDelay
 	t.Logf("batch gap p50 %v, anchor gap p50 %v, commit p50 %v, p95 %v", r.batchGap, r.anchorGap, r.commitP50, r.commitP95)
-	if lo, hi := 2*floor*19/20, 2*floor*21/20; r.batchGap < lo || r.batchGap > hi {
-		t.Errorf("median batch-header interval %v, want within 5%% of two %v floors", r.batchGap, floor)
+	if lo, hi := floor*19/20, floor*21/20; r.batchGap < lo || r.batchGap > hi {
+		t.Errorf("median batch-header interval %v, want within 5%% of one %v floor", r.batchGap, floor)
 	}
-	if r.commitP50 >= wavedCommitP50 {
-		t.Errorf("commit p50 %v, want below the %v of waves paced by the floor", r.commitP50, wavedCommitP50)
+	if p50, p95 := onePeriodBounds(floor); r.commitP50 > p50 || r.commitP95 > p95 {
+		t.Errorf("commit p50 %v, p95 %v; want at most %v and %v", r.commitP50, r.commitP95, p50, p95)
 	}
 	for v := range r.committed {
 		if st := r.cluster.Engine(types.ValidatorID(v)).Stats(); st.HeadersWholeEarly == 0 {
@@ -339,18 +343,19 @@ func TestVoteRoundFollowsCertification(t *testing.T) {
 // apart — as processes started one after another do — still pace one
 // period. Counted from each validator's own batch-round header, the first
 // validator's periods would run ahead of the committee's for good: it would
-// leave every round ≡ 0 alone, its batches would wait for the others', and
-// commit p50 would settle near 84 ms, p95 near 144 ms. Counted from the
-// (f+1)-th batch-round header, the periods agree from the first one on.
+// leave every round ≡ 0 alone and its batches would wait for the others'
+// (under the period of two floors, commit p50 settled near 84 ms, p95 near
+// 144 ms). Counted from the (f+1)-th batch-round header, the periods agree
+// from the first one on, and latency stays within onePeriodBounds.
 func TestPeriodsAgreeAfterStaggeredStarts(t *testing.T) {
 	r := runVoteRounds(t, false, 0, 60*time.Millisecond, 70*time.Millisecond, 80*time.Millisecond)
 	floor := fastSimEngineConfig().MinRoundDelay
 	t.Logf("batch gap p50 %v, commit p50 %v, p95 %v", r.batchGap, r.commitP50, r.commitP95)
-	if lo, hi := 2*floor*19/20, 2*floor*21/20; r.batchGap < lo || r.batchGap > hi {
-		t.Errorf("median batch-header interval %v, want within 5%% of two %v floors", r.batchGap, floor)
+	if lo, hi := floor*19/20, floor*21/20; r.batchGap < lo || r.batchGap > hi {
+		t.Errorf("median batch-header interval %v, want within 5%% of one %v floor", r.batchGap, floor)
 	}
-	if r.commitP50 >= wavedCommitP50 || r.commitP95 > 2*floor+floor/5 {
-		t.Errorf("commit p50 %v, p95 %v; want below %v and at most %v", r.commitP50, r.commitP95, wavedCommitP50, 2*floor+floor/5)
+	if p50, p95 := onePeriodBounds(floor); r.commitP50 > p50 || r.commitP95 > p95 {
+		t.Errorf("commit p50 %v, p95 %v; want at most %v and %v", r.commitP50, r.commitP95, p50, p95)
 	}
 	assertCommittedOnce(t, r.cluster, r.load.admitted, r.committed)
 	assertRootsAgree(t, r.cluster)

@@ -11,7 +11,7 @@ import (
 
 // Log is a validator's durable record in a storage.WAL: every certificate its
 // engine inserts, flushed but not fsynced (peers re-serve what a power loss
-// takes), and every header it proposes, fsynced before the header can go out.
+// takes), and every header it proposes, fsynced before the header can certify.
 // Both runtimes write through it — internal/node from its writer goroutine,
 // internal/simnet inline — and Recover replays it. Not safe for concurrent
 // use, except Checkpointed.

@@ -164,10 +164,12 @@ func New(cfg Config, log *Log) (*Validator, error) {
 	v.Engine = eng
 	if cfg.Engine.VerifySignatures {
 		// One table of signatures already verified or cast, shared by the
-		// pre-verify stage and the engine: a signature is checked once.
+		// pre-verify stage and the engine: a signature is checked once. The
+		// stage reads the DAG too, and checks no certificate the engine
+		// drops unread.
 		known := engine.NewKnownSigs(cfg.Committee.Size())
 		eng.UseKnownSigs(known)
-		v.PreVerifier = engine.NewPreVerifier(cfg.Keys.Scheme, cfg.Committee, cfg.PublicKeys, known)
+		v.PreVerifier = engine.NewPreVerifier(cfg.Keys.Scheme, cfg.Committee, cfg.PublicKeys, known, d)
 	}
 	return v, nil
 }
@@ -210,9 +212,10 @@ func (v *Validator) Replaying() bool { return v.replaying.Load() }
 
 // liveObserver is Config.Observer with Inserted and Proposed withheld until
 // the validator is live: a replayed certificate is already in the record, a
-// header built during replay is recorded by Recover if it goes out, and the
-// record is not open before Recover or Init opens it. This is the one check
-// that keeps a runtime from appending to its record while replaying it.
+// header built during replay is recorded by Recover if it goes out — not
+// durable until then, so it cannot certify — and the record is not open
+// before Recover or Init opens it. This is the one check that keeps a runtime
+// from appending to its record while replaying it.
 type liveObserver struct {
 	engine.Observer
 	v *Validator
@@ -224,10 +227,8 @@ func (o liveObserver) Inserted(cert *engine.Certificate) {
 	}
 }
 
-func (o liveObserver) Proposed(h *engine.Header) {
-	if !o.v.replaying.Load() {
-		o.Observer.Proposed(h)
-	}
+func (o liveObserver) Proposed(h *engine.Header) bool {
+	return !o.v.replaying.Load() && o.Observer.Proposed(h)
 }
 
 // Init puts a freshly assembled validator that has no durable record on the
@@ -266,8 +267,10 @@ func (v *Validator) Init(now int64) (*engine.Output, error) {
 //  6. Init's header goes unless replay moved the engine past it, and the
 //     current proposal is recorded (Observer.Proposed) unless it is the
 //     restored one, already in the record;
-//  7. Init's output, then the crash-rejoin handshake's (StartRejoin), go to
-//     dispatch.
+//  7. Init's output — followed by the engine's OnProposalDurable's if the
+//     observer reported the record durable at once; an observer that writes
+//     later reports it to the engine itself — then the crash-rejoin
+//     handshake's (StartRejoin), go to dispatch.
 //
 // now is read at every step. A replay error returns before step 4, with
 // nothing transmitted and nothing recorded.
@@ -310,10 +313,14 @@ func (v *Validator) Recover(now func() int64, dispatch func(*engine.Output)) err
 		}
 	}
 	initOut.Broadcasts = kept
-	if cur != nil && cur.Round > eng.ProposalFloor() && v.observer != nil {
+	if cur != nil && cur.Round > eng.ProposalFloor() && v.observer != nil && v.observer.Proposed(cur) {
 		// Built while the record was suppressed and about to go on the wire:
-		// recorded first, so a crash cannot force a conflicting re-proposal.
-		v.observer.Proposed(cur)
+		// recorded now, and certified only once the record is durable — here
+		// at once, after the header in dispatch order.
+		durable := eng.OnProposalDurable(cur.Round, now())
+		initOut.Unicasts = append(initOut.Unicasts, durable.Unicasts...)
+		initOut.Broadcasts = append(initOut.Broadcasts, durable.Broadcasts...)
+		initOut.Timers = append(initOut.Timers, durable.Timers...)
 	}
 	dispatch(initOut)
 	// Proposals made and timers armed while replaying were never transmitted;

@@ -32,13 +32,14 @@ func (e *events) Inserted(*engine.Certificate)  {}
 func (e *events) Certified(*engine.Certificate) {}
 
 func (e *events) CheckpointCertified(*checkpoint.Certificate) {}
-func (e *events) Proposed(h *engine.Header) {
+func (e *events) Proposed(h *engine.Header) bool {
 	if e.live != nil && e.live() {
 		e.log = append(e.log, "proposed live")
 	} else {
 		e.log = append(e.log, "proposed")
 	}
 	e.proposed = append(e.proposed, h)
+	return true
 }
 
 func testConfig(t *testing.T, ev *events) Config {
