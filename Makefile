@@ -1,5 +1,7 @@
-# Developer entry points. CI runs the same commands (.github/workflows/ci.yml);
-# keep the two in sync, especially the pinned linter versions.
+# Developer entry points. CI's focused steps (.github/workflows/ci.yml) run
+# `make <target>`, so a target's commands and the comment above it are the one
+# place they are written down; the pinned linter versions below are repeated
+# in ci.yml and must move in lockstep.
 
 # Pinned linter versions — bump deliberately, in lockstep with ci.yml.
 STATICCHECK_VERSION := 2024.1.1
@@ -81,7 +83,7 @@ bench-smoke:
 # answer as the digest index they replaced did, and a burst of full batches
 # drains at certification pace and, with a validator stalled, loses and
 # duplicates nothing, and under light load rounds go in periods of four
-# (batch-round headers two floors apart) while a crashed validator keeps every
+# (batch-round headers one floor apart) while a crashed validator keeps every
 # round on the floor.
 sim-mem:
 	go test -run 'TestFaultRunRetainedHeap|TestFaultRunResultsPinned' ./internal/experiment/
@@ -149,7 +151,9 @@ pacing:
 # a node run with a WAL and execution resumes from the checkpoints beside
 # its compacted log, alone and as a whole committee (LocalCluster). A validator
 # killed after its header went out and before the header's record was durable
-# never certified it, and after the restart no slot holds two certificates.
+# never certified it, and after the restart no slot holds two certificates. A
+# LocalCluster given only a WAL directory compacts validator 0's log against
+# a checkpoint saved beside it within two checkpoint intervals.
 crash-restart:
 	go test -race -count=3 -run '^(TestFullCommitteeKillRestartConverges|TestHammerHeadFullCommitteeKillRestartConverges|TestPartialKillRestartRejoinsLiveCommittee|TestKillRestartRestoresVotedRoundMark|TestKillRestartRecoversFromCompactedLog|TestKillRestartTrimsATornTail)$$' ./internal/simnet/
 	go test -race -count=3 -run '^(TestOpenWALSyncsDirOnCreate|TestNewSnapshotStoreSyncsCreatedDirs)$$' ./internal/storage/
@@ -159,6 +163,7 @@ crash-restart:
 	go test -race -count=3 -run '^TestRestartResumesFromItsOwnCompactedRecord$$' ./internal/node/
 	go test -race -count=3 -run '^TestLocalClusterRestartResumesFromItsRecords$$' .
 	go test -race -count=3 -run '^TestKillBeforeRecordCertifiesOnce$$' ./internal/simnet/
+	go test -race -count=3 -run '^TestLocalClusterCompactsItsLogs$$' .
 
 # ring-bytes is CI's "Commit history holds what it counts (race)" step: the
 # gateway's resume ring packs each commit's payloads into one block and must

@@ -225,10 +225,6 @@ func runRecovery(cfg benchConfig) error {
 	s.Warmup = 0
 	s.CrashAt = cfg.duration
 	s.RecoverAt = 2 * cfg.duration
-	// Keep the outage within the GC horizon so peers still hold the history
-	// the recovering validators must fetch (beyond it, checkpoint state-sync
-	// would be required — out of scope, as in Narwhal itself).
-	s.GCDepthRounds = 100000
 	res, err := hammerhead.RunExperiment(s)
 	if err != nil {
 		return err

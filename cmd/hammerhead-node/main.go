@@ -45,7 +45,7 @@ func run(args []string) error {
 	committeePath := fs.String("committee", "committee.json", "committee configuration file")
 	id := fs.Uint("id", 0, "this validator's ID")
 	keyPath := fs.String("key", "", "private key file (from hammerhead-keygen)")
-	walPath := fs.String("wal", "", "WAL path for crash-recovery; with -execution the checkpoints it is compacted against go in <path>.snapshots (empty disables persistence)")
+	walPath := fs.String("wal", "", "WAL path for crash-recovery; the checkpoints it is compacted against go in <path>.snapshots (empty disables persistence)")
 	metricsAddr := fs.String("metrics-addr", "", "address for /metrics (empty disables)")
 	baseline := fs.Bool("baseline", false, "use static round-robin instead of HammerHead")
 	epochCommits := fs.Int("epoch-commits", 10, "commits per leader-reputation schedule")
@@ -55,9 +55,11 @@ func run(args []string) error {
 	mempoolSize := fs.Int("mempool-size", 0, "transaction pool capacity (0 = default 1<<20)")
 	rpcAddr := fs.String("rpc-addr", "", "address for the client gateway (HTTP/JSON tx submission, KV reads, commit streaming; empty disables)")
 	rpcLanes := fs.Int("rpc-lanes", 0, "fair-admission mempool lanes for gateway clients (<=1 keeps a single lane)")
-	execution := fs.Bool("execution", false, "enable the execution subsystem: deterministic KV state machine, checkpoints, snapshot state-sync")
-	checkpointInterval := fs.Uint64("checkpoint-interval", 0, "about this many commits between execution checkpoints, never more than one past it: the cut moves to the commit that ends a period's fast phase (0 = default 32; needs -execution)")
-	checkpointCerts := fs.Bool("checkpoint-certs", false, "sign and gossip checkpoint tuples into quorum certificates, enabling trustless snapshots, proof-carrying reads and read replicas (needs -execution)")
+	// Every validator executes; the flag is accepted, and ignored, for the
+	// launchers that still pass it.
+	_ = fs.Bool("execution", false, "ignored: every validator runs the execution subsystem (deterministic KV state machine, checkpoints, snapshot state-sync)")
+	checkpointInterval := fs.Uint64("checkpoint-interval", 0, "about this many commits between the executor's checkpoints, never more than one past it: the cut moves to the commit that ends a period's fast phase (0 = default 32)")
+	checkpointCerts := fs.Bool("checkpoint-certs", false, "sign and gossip checkpoint tuples into quorum certificates, enabling trustless snapshots, proof-carrying reads and read replicas")
 	trace := fs.Bool("trace", false, "record per-transaction commit-path traces, served on GET /v1/trace/{txid} and in the hammerhead_stage_latency_seconds histograms")
 	traceSlots := fs.Int("trace-slots", 0, "retained trace capacity, FIFO-evicted (0 = default 1<<16; needs -trace)")
 	debugAddr := fs.String("debug-addr", "", "address for the debug surface (net/http/pprof + /debug/runtime) on its OWN listener, never the public RPC mux (empty disables)")
@@ -125,7 +127,6 @@ func run(args []string) error {
 		MempoolSize:        *mempoolSize,
 		MempoolLanes:       *rpcLanes,
 		RPCAddr:            *rpcAddr,
-		Execution:          *execution,
 		CheckpointInterval: *checkpointInterval,
 		CheckpointCerts:    *checkpointCerts,
 		Metrics:            reg,
@@ -209,14 +210,13 @@ func serve(nd *node.Node, logger *slog.Logger, reg *metrics.Registry, metricsAdd
 				"pending_tx", nd.Pool().Pending(),
 				"preverified", pv.Checked-pv.Dropped,
 				"dropped", pv.Dropped)
-			if exec := nd.Executor(); exec != nil {
-				logger.Info("executor",
-					"applied_seq", exec.AppliedSeq(),
-					"applied_round", uint64(exec.AppliedRound()),
-					"state_root", exec.StateRoot(),
-					"checkpoints", exec.Checkpoints(),
-					"snapshots_installed", c.SnapshotInstalls)
-			}
+			exec := nd.Executor()
+			logger.Info("executor",
+				"applied_seq", exec.AppliedSeq(),
+				"applied_round", uint64(exec.AppliedRound()),
+				"state_root", exec.StateRoot(),
+				"checkpoints", exec.Checkpoints(),
+				"snapshots_installed", c.SnapshotInstalls)
 		case s := <-sig:
 			logger.Info("shutting down", "signal", s.String())
 			return nil

@@ -14,7 +14,7 @@
 // poisons itself and exits non-zero rather than serve unverifiable data.
 //
 //	hammerhead-keygen -n 4 -out ./testnet
-//	hammerhead-node -committee ./testnet/committee.json -id 0 ... -rpc-addr 127.0.0.1:9401 -execution
+//	hammerhead-node -committee ./testnet/committee.json -id 0 ... -rpc-addr 127.0.0.1:9401 -checkpoint-certs
 //	hammerhead-replica -committee ./testnet/committee.json \
 //	    -validators 127.0.0.1:9401,127.0.0.1:9402 -listen 127.0.0.1:9500
 package main

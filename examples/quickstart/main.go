@@ -26,12 +26,11 @@ func run() error {
 	var once sync.Once
 
 	// A 4-validator committee with HammerHead reputation scheduling at the
-	// paper's evaluation settings (schedule recomputed every 10 commits) and
-	// the execution subsystem on: every node applies commits to a
-	// deterministic KV ledger and checkpoints it.
+	// paper's evaluation settings (schedule recomputed every 10 commits).
+	// Every node applies commits to a deterministic KV ledger and
+	// checkpoints it.
 	cluster, err := hammerhead.StartLocalCluster(4,
 		hammerhead.WithHammerHead(nil),
-		hammerhead.WithExecution(),
 		hammerhead.WithCommitObserver(func(id hammerhead.ValidatorID, sub hammerhead.CommittedSubDAG, replayed bool) {
 			if id != 0 || replayed {
 				return // print each commit once, from validator 0's view

@@ -1,5 +1,6 @@
 // Command tcpcluster runs a 4-validator committee over real TCP sockets on
-// localhost — Ed25519 signatures, WAL persistence, metrics over HTTP — the
+// localhost — Ed25519 signatures, WAL persistence (each WAL compacted at
+// every checkpoint of the node's executor), metrics over HTTP — the
 // deployment shape a downstream operator would run across machines, here in
 // one process for demonstration.
 package main

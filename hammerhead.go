@@ -85,17 +85,7 @@ func GenerateKeys(schemeName string, clusterSeed [32]byte, n int) ([]crypto.KeyP
 	if err != nil {
 		return nil, nil, err
 	}
-	pairs := make([]crypto.KeyPair, n)
-	pubs := make([]crypto.PublicKey, n)
-	for i := 0; i < n; i++ {
-		kp, err := crypto.NewKeyPair(scheme, clusterSeed, uint32(i))
-		if err != nil {
-			return nil, nil, err
-		}
-		pairs[i] = kp
-		pubs[i] = kp.Public
-	}
-	return pairs, pubs, nil
+	return crypto.CommitteeKeys(scheme, clusterSeed, n)
 }
 
 // PutOp encodes a put as a transaction for the built-in key-value ledger.

@@ -1,13 +1,16 @@
 package hammerhead_test
 
 import (
+	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hammerhead"
 	"hammerhead/internal/execution"
+	"hammerhead/internal/storage"
 )
 
 func TestGenerateKeysPublicAPI(t *testing.T) {
@@ -75,15 +78,15 @@ func TestLocalClusterEndToEnd(t *testing.T) {
 }
 
 // TestLocalClusterRestartResumesFromItsRecords stops a whole committee run
-// with WALs and execution and starts it again over the same directory. Every
-// validator resumes at or above the seq it stopped at, from the checkpoints
-// beside its compacted log; commits resume, and the chained roots agree at a
+// with WALs and starts it again over the same directory. Every validator
+// resumes at or above the seq it stopped at, from the checkpoints beside its
+// compacted log; commits resume, and the chained roots agree at a
 // common seq.
 func TestLocalClusterRestartResumesFromItsRecords(t *testing.T) {
 	dir := t.TempDir()
 	start := func() *hammerhead.LocalCluster {
 		t.Helper()
-		cluster, err := hammerhead.StartLocalCluster(4, hammerhead.WithWALDir(dir), hammerhead.WithExecution())
+		cluster, err := hammerhead.StartLocalCluster(4, hammerhead.WithWALDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,5 +179,51 @@ func TestDefaultConfigsExported(t *testing.T) {
 	}
 	if committee.MaxFaultyStake() != 33 {
 		t.Fatalf("f = %d for n=100, want 33", committee.MaxFaultyStake())
+	}
+}
+
+// TestLocalClusterCompactsItsLogs runs a committee started with nothing but a
+// WAL directory past two checkpoint intervals. Every validator executes, so
+// validator 0 has saved a checkpoint beside its log and compacted the log to
+// that checkpoint's floor: the log no longer holds the first rounds, and a
+// restart would not replay from round 1.
+func TestLocalClusterCompactsItsLogs(t *testing.T) {
+	dir := t.TempDir()
+	var commits atomic.Uint64
+	cluster, err := hammerhead.StartLocalCluster(4, hammerhead.WithWALDir(dir),
+		hammerhead.WithCommitObserver(func(id hammerhead.ValidatorID, _ hammerhead.CommittedSubDAG, replayed bool) {
+			if id == 0 && !replayed {
+				commits.Add(1)
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(2*execution.DefaultCheckpointInterval + 2)
+	deadline := time.Now().Add(30 * time.Second)
+	for commits.Load() < want {
+		if time.Now().After(deadline) {
+			cluster.Stop()
+			t.Fatalf("v0 made %d commits, want %d", commits.Load(), want)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	cluster.Stop()
+
+	wal := filepath.Join(dir, "validator-0.wal")
+	info, err := storage.Inspect(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Certs == 0 || info.LowestRound <= 1 {
+		t.Fatalf("after %d commits v0's log holds %d certificates from round %d: never compacted",
+			commits.Load(), info.Certs, info.LowestRound)
+	}
+	store, err := storage.NewSnapshotStore(wal + ".snapshots")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Latest(); !ok {
+		t.Fatal("v0's snapshot store holds no checkpoint")
 	}
 }

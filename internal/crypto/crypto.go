@@ -168,6 +168,22 @@ func NewKeyPair(scheme Scheme, clusterSeed [32]byte, index uint32) (KeyPair, err
 	return KeyPair{Scheme: scheme, Private: priv, Public: pub}, nil
 }
 
+// CommitteeKeys derives the key pairs of an n-validator committee from one
+// cluster seed, element i belonging to validator i, and lists their public
+// keys in the same order.
+func CommitteeKeys(scheme Scheme, clusterSeed [32]byte, n int) ([]KeyPair, []PublicKey, error) {
+	pairs := make([]KeyPair, n)
+	pubs := make([]PublicKey, n)
+	for i := range pairs {
+		kp, err := NewKeyPair(scheme, clusterSeed, uint32(i))
+		if err != nil {
+			return nil, nil, err
+		}
+		pairs[i], pubs[i] = kp, kp.Public
+	}
+	return pairs, pubs, nil
+}
+
 // Sign signs msg with the pair's private key.
 func (k KeyPair) Sign(msg []byte) (Signature, error) {
 	return k.Scheme.Sign(k.Private, msg)

@@ -59,6 +59,7 @@ func TestOwnCertificateWaitsForTheRecord(t *testing.T) {
 		Scheduler: leader.NewRoundRobin(committee, 1),
 		DAG:       dag.New(committee),
 		Observer:  record,
+		Execution: &stubExec{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -238,9 +238,9 @@ type Engine struct {
 	// header for an already-signed slot could equivocate it (see
 	// RestoreProposal).
 	proposalFloor types.Round
-	// exec is the execution layer (nil without one): it serves local
-	// checkpoints to peers, installs fetched ones, reports its applied
-	// sequence for rejoin frontiers and stores checkpoint certificates.
+	// exec is the execution layer: it serves local checkpoints to peers,
+	// installs fetched ones, reports its applied sequence for rejoin
+	// frontiers and stores checkpoint certificates.
 	// Snapshot state-sync: schedFastForward is non-nil when the scheduler
 	// tolerates jumping past ordering history (requesting is disabled
 	// otherwise); schedRestore is non-nil when the scheduler additionally
@@ -335,9 +335,9 @@ type Params struct {
 	// Commits receives ordered sub-DAGs. Nil discards them (counter-only
 	// experiments); runtimes that execute transactions must set it.
 	Commits CommitSink
-	// Execution, when non-nil, is the validator's execution layer: snapshot
-	// state-sync serves and installs through it, and checkpoint
-	// certification runs when it certifies checkpoints.
+	// Execution is the validator's execution layer: snapshot state-sync
+	// serves and installs through it, and checkpoint certification runs when
+	// it certifies checkpoints.
 	Execution Execution
 	// Observer, when non-nil, sees every inserted certificate and every own
 	// header and certificate (see Observer).
@@ -349,8 +349,8 @@ func New(p Params) (*Engine, error) {
 	if err := p.Config.Validate(); err != nil {
 		return nil, err
 	}
-	if p.Committee == nil || p.Scheduler == nil || p.DAG == nil || p.Batches == nil {
-		return nil, fmt.Errorf("engine: missing dependency (committee/scheduler/dag/batches)")
+	if p.Committee == nil || p.Scheduler == nil || p.DAG == nil || p.Batches == nil || p.Execution == nil {
+		return nil, fmt.Errorf("engine: missing dependency (committee/scheduler/dag/batches/execution)")
 	}
 	if _, ok := p.Committee.Authority(p.Self); !ok {
 		return nil, fmt.Errorf("engine: self %s not in committee", p.Self)
@@ -397,7 +397,7 @@ func New(p Params) (*Engine, error) {
 		pendingRounds:    make(map[types.Round]int),
 		syncBatch:        maxSyncBatch,
 	}
-	if e.exec != nil && e.exec.CheckpointCerts() {
+	if e.exec.CheckpointCerts() {
 		e.ckptAcc = checkpoint.NewAccumulator(p.Committee)
 	}
 	if ff, ok := p.Scheduler.(scheduleFastForwarder); ok {

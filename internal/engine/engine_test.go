@@ -68,6 +68,7 @@ func newTestRig(t *testing.T, n int) *testRig {
 			Scheduler:  leader.NewRoundRobin(committee, 1),
 			DAG:        d,
 			Commits:    collector,
+			Execution:  &stubExec{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -121,6 +122,7 @@ func TestNewRejectsBadParams(t *testing.T) {
 		Batches:   nilBatches{},
 		Scheduler: leader.NewRoundRobin(rig.committee, 1),
 		DAG:       dag.New(rig.committee),
+		Execution: &stubExec{},
 	}
 	base.Config.VerifySignatures = false
 	if _, err := New(base); err == nil {
@@ -130,6 +132,11 @@ func TestNewRejectsBadParams(t *testing.T) {
 	base.DAG = nil
 	if _, err := New(base); err == nil {
 		t.Fatal("missing DAG must be rejected")
+	}
+	base.DAG = dag.New(rig.committee)
+	base.Execution = nil
+	if _, err := New(base); err == nil {
+		t.Fatal("missing execution layer must be rejected")
 	}
 }
 

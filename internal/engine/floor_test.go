@@ -84,6 +84,7 @@ func newTraceEngineWith(tb testing.TB, committee *types.Committee, batches Batch
 		Scheduler: leader.NewRoundRobin(committee, 1),
 		DAG:       dag.New(committee),
 		Commits:   collector,
+		Execution: &stubExec{},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -163,6 +164,7 @@ func newFloorEngine(t *testing.T, committee *types.Committee) (*Engine, *floorRe
 	e, err := New(Params{
 		Config: cfg, Committee: committee, Keys: kp, Batches: nilBatches{},
 		Scheduler: sched, DAG: d, Commits: commits, Observer: rec,
+		Execution: &stubExec{},
 	})
 	if err != nil {
 		t.Fatal(err)

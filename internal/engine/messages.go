@@ -246,7 +246,7 @@ func (r *SnapshotResponse) EncodedSize() int {
 
 // Frontier summarizes a validator's recovered state for the crash-rejoin
 // handshake: how far its replayed DAG, its committer and its execution layer
-// reach. AppliedSeq is 0 when the validator runs no execution subsystem.
+// reach.
 type Frontier struct {
 	// HighestRound is the highest DAG round holding at least one certificate.
 	HighestRound types.Round

@@ -104,14 +104,11 @@ func (e *Engine) ProposalFloor() types.Round { return e.proposalFloor }
 // Frontier reports the engine's current recovery frontier — what a
 // RejoinRequest would carry right now.
 func (e *Engine) Frontier() Frontier {
-	f := Frontier{
+	return Frontier{
 		HighestRound: e.dagStore.HighestRound(),
 		LastOrdered:  e.committer.LastOrderedRound(),
+		AppliedSeq:   e.exec.AppliedSeq(),
 	}
-	if e.exec != nil {
-		f.AppliedSeq = e.exec.AppliedSeq()
-	}
-	return f
 }
 
 // Rejoining reports whether a crash-rejoin handshake is still gathering
@@ -182,10 +179,8 @@ func (e *Engine) onRejoinRequest(from types.ValidatorID, req *RejoinRequest, out
 		Frontier: e.Frontier(),
 		Certs:    e.certRange(req.Frontier.HighestRound),
 	}
-	if e.exec != nil {
-		if meta, _, ok := e.exec.LatestSnapshot(); ok {
-			resp.Offer = &meta
-		}
+	if meta, _, ok := e.exec.LatestSnapshot(); ok {
+		resp.Offer = &meta
 	}
 	out.unicast(from, &Message{Kind: KindRejoinResponse, RejoinResponse: resp})
 }

@@ -137,6 +137,7 @@ func newSigNet(t *testing.T, seed int64) *sigNet {
 			Batches:    nilBatches{},
 			Scheduler:  leader.NewRoundRobin(committee, 1),
 			DAG:        dag.New(committee),
+			Execution:  &stubExec{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -581,7 +582,7 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VerifySignatures = true
 	eng, err := New(Params{Config: cfg, Committee: committee, Self: 0, Keys: keys[0], PublicKeys: pubs,
-		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee)})
+		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee), Execution: &stubExec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +647,7 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 	// Without signature checks the rule still holds.
 	cfg.VerifySignatures = false
 	plain, err := New(Params{Config: cfg, Committee: committee, Self: 0, Keys: keys[0],
-		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee)})
+		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee), Execution: &stubExec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -814,7 +815,7 @@ func TestCheckedVerdictOutlivesTable(t *testing.T) {
 	kp := keys[0]
 	kp.Scheme = countingScheme{kp.Scheme, &verifies}
 	eng, err := New(Params{Config: cfg, Committee: committee, Self: 0, Keys: kp, PublicKeys: pubs,
-		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee)})
+		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee), Execution: &stubExec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -915,7 +916,7 @@ func TestHeldCertificatesCostNoVerification(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VerifySignatures = true
 	eng, err := New(Params{Config: cfg, Committee: committee, Self: 0, Keys: keys[0], PublicKeys: pubs,
-		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee)})
+		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(committee, 1), DAG: dag.New(committee), Execution: &stubExec{}})
 	if err != nil {
 		t.Fatal(err)
 	}

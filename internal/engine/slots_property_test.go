@@ -159,6 +159,7 @@ func (h *slotHarness) newEngine() *Engine {
 		Config: cfg, Committee: h.committee, Self: slotSelf, Keys: h.keys,
 		Batches: nilBatches{}, Scheduler: leader.NewRoundRobin(h.committee, 1),
 		DAG: dag.New(h.committee), Observer: h,
+		Execution: &stubExec{},
 	})
 	if err != nil {
 		h.t.Fatal(err)

@@ -28,8 +28,7 @@ type SnapshotMeta struct {
 }
 
 // Execution is the execution layer as the engine sees it. Implemented by
-// *execution.Executor; an engine without one neither serves nor requests
-// snapshots and certifies no checkpoints.
+// *execution.Executor.
 type Execution interface {
 	// LatestSnapshot returns the newest checkpoint's metadata and encoded
 	// payload, or ok=false when no checkpoint exists yet.
@@ -126,10 +125,9 @@ const snapshotStallRetries = 2
 const maxSnapshotFetchBytes = 256 << 20
 
 // snapshotSyncEnabled reports whether this engine may REQUEST snapshot
-// state-sync: it needs an execution layer to install into and a scheduler
-// that stays correct across the jump.
+// state-sync: it needs a scheduler that stays correct across the jump.
 func (e *Engine) snapshotSyncEnabled() bool {
-	return e.exec != nil && e.schedFastForward != nil
+	return e.schedFastForward != nil
 }
 
 // beyondGCHorizon reports whether the observed certificate frontier is so
@@ -223,7 +221,7 @@ func (e *Engine) onSnapshotTimer(nowNanos int64, out *Output) {
 
 // onSnapshotRequest serves one chunk of the latest local checkpoint.
 func (e *Engine) onSnapshotRequest(from types.ValidatorID, req *SnapshotRequest, out *Output) {
-	if req == nil || e.exec == nil || from == e.self {
+	if req == nil || from == e.self {
 		return
 	}
 	meta, data, ok := e.exec.LatestSnapshot()

@@ -694,7 +694,12 @@ func newClientLoadCluster(s ClientLoadScenario, lanes int) (*clientLoadCluster, 
 	if err != nil {
 		return nil, err
 	}
-	pairs, pubs, err := generateClusterKeys(s.Scheme, s.N)
+	scheme, err := crypto.SchemeByName(s.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	// The seed StartLocalCluster derives its committee from.
+	pairs, pubs, err := crypto.CommitteeKeys(scheme, [32]byte{0x42}, s.N)
 	if err != nil {
 		return nil, err
 	}
@@ -720,7 +725,6 @@ func newClientLoadCluster(s ClientLoadScenario, lanes int) (*clientLoadCluster, 
 			PublicKeys:         pubs,
 			Engine:             engCfg,
 			ScheduleSeed:       7,
-			Execution:          true,
 			CheckpointInterval: checkpointInterval,
 			CheckpointCerts:    s.Replicas > 0,
 			MempoolLanes:       lanes,
@@ -759,26 +763,4 @@ func (c *clientLoadCluster) stop() {
 	for _, tr := range c.trans {
 		_ = tr.Close()
 	}
-}
-
-// generateClusterKeys derives a deterministic committee key set (mirrors the
-// root package's GenerateKeys, which cannot be imported from here).
-func generateClusterKeys(schemeName string, n int) ([]crypto.KeyPair, []crypto.PublicKey, error) {
-	scheme, err := crypto.SchemeByName(schemeName)
-	if err != nil {
-		return nil, nil, err
-	}
-	var seed [32]byte
-	seed[0] = 0x42
-	pairs := make([]crypto.KeyPair, n)
-	pubs := make([]crypto.PublicKey, n)
-	for i := 0; i < n; i++ {
-		kp, err := crypto.NewKeyPair(scheme, seed, uint32(i))
-		if err != nil {
-			return nil, nil, err
-		}
-		pairs[i] = kp
-		pubs[i] = kp.Public
-	}
-	return pairs, pubs, nil
 }

@@ -147,12 +147,9 @@ func TestCatchUpScenarioPreset(t *testing.T) {
 	}
 	// The raised-GCDepthRounds workaround is gone: recovery beyond the
 	// horizon goes through snapshot state-sync, so the preset must run at
-	// the DEFAULT retention depth with execution enabled.
+	// the DEFAULT retention depth.
 	if s.GCDepthRounds != 0 {
 		t.Fatalf("catch-up preset must use the default GC depth, GCDepthRounds=%d", s.GCDepthRounds)
-	}
-	if !s.Execution {
-		t.Fatal("catch-up preset must enable the execution subsystem")
 	}
 	if s.EngineConfig().GCDepth != engine.DefaultConfig().GCDepth {
 		t.Fatalf("EngineConfig GCDepth = %d, want default %d",

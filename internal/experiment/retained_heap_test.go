@@ -8,8 +8,8 @@ import (
 
 // TestFaultRunRetainedHeap bounds what a paper-sized fault run keeps live:
 // n=50 with 16 validators crashed from genesis, HammerHead, 1000 tx/s for 30
-// virtual seconds with execution on, Run's own cluster, still reachable when
-// the heap is read, once halfway through and once at the end. The simulator is
+// virtual seconds, Run's own cluster, still reachable when the heap is read,
+// once halfway through and once at the end. The simulator is
 // deterministic, so the readings repeat to 0.1 MB: 6.2 MB at t = 15 s and
 // 12.7 MB at t = 30 s with the DAG's vertices addressed by slot alone; 7.9 and
 // 15.9 MB while every DAG also kept a digest→vertex map; 24.1 MB at the end
@@ -22,7 +22,6 @@ func TestFaultRunRetainedHeap(t *testing.T) {
 	s := NewScenario(HammerHead, 50, 16, 1000)
 	s.Duration = 30 * time.Second
 	s.Seed = 1
-	s.Execution = true
 	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -42,7 +42,7 @@ type Result struct {
 	// SimEvents is the number of simulation events processed (cost metric).
 	SimEvents uint64
 
-	// Execution/state-sync results (Scenario.Execution only).
+	// Execution/state-sync results.
 	// SnapshotInstalls counts snapshots installed across the cluster.
 	SnapshotInstalls uint64
 	// MinAppliedSeq is the lowest commit sequence applied by any validator
@@ -192,9 +192,7 @@ func Run(s Scenario) (Result, error) {
 		res.ScheduleSwitches = m.SwitchCount()
 		res.Excluded = m.Excluded()
 	}
-	if s.Execution {
-		collectExecutionResults(cluster, s, &res)
-	}
+	collectExecutionResults(cluster, s, &res)
 	if s.KillAllAt > 0 {
 		res.Restarts = cluster.Restarts()
 		if firstPostCrash > 0 {
@@ -224,7 +222,6 @@ func newCluster(s Scenario, onCommit simnet.CommitHook) (*simnet.Cluster, error)
 		HammerHead:         hh,
 		ScheduleSeed:       uint64(s.Seed),
 		OnCommit:           onCommit,
-		Execution:          s.Execution,
 		CheckpointInterval: s.CheckpointCommits,
 		Seed:               s.Seed,
 	})

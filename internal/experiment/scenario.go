@@ -61,21 +61,20 @@ type Scenario struct {
 	LeaderTimeout time.Duration
 	MaxBatchTx    int
 	// GCDepthRounds overrides the engine's DAG retention window (0 keeps
-	// the default). Pre-snapshot recovery scenarios had to raise it so a
-	// validator rejoining after a long outage found its missing history
-	// still retained by peers; with Execution enabled, recovery beyond the
-	// GC horizon goes through checkpoint state-sync instead and the default
-	// depth suffices.
+	// the default). A validator rejoining beyond it recovers through
+	// checkpoint state-sync, so the default depth suffices.
 	GCDepthRounds uint64
 
-	// Execution attaches a deterministic executor (KV ledger + periodic
-	// checkpoints) to every validator and enables snapshot state-sync under
-	// either mechanism: round-robin schedules fast-forward trivially, and
+	// Execution is ignored: every validator runs a deterministic executor
+	// (KV ledger + periodic checkpoints) with snapshot state-sync under
+	// either mechanism — round-robin schedules fast-forward trivially, and
 	// HammerHead's reputation state rides inside the checkpoints, so a
 	// snapshot install re-establishes the exact schedule.
+	//
+	// Deprecated: kept only because the benchmark still sets it.
 	Execution bool
 	// CheckpointCommits is the number of commits between checkpoints
-	// (0 = execution default). Ignored without Execution.
+	// (0 = execution default).
 	CheckpointCommits uint64
 
 	// Fault timing: CrashAt is when the Faults validators die (0 = genesis);
@@ -180,9 +179,8 @@ func batchCapFor(n int) int {
 // after genesis and recover at 60% of the run, far behind a committee that
 // kept committing at high-load pacing the whole time. The recovering
 // validators must re-sync hundreds of rounds while live traffic keeps
-// arriving. Execution is on and GC runs at the DEFAULT depth: the gap exceeds
-// the horizon, so recovery goes through snapshot state-sync (the old
-// raised-GCDepthRounds workaround is gone). Both mechanisms recover fully:
+// arriving. GC runs at the DEFAULT depth: the gap exceeds the horizon, so
+// recovery goes through snapshot state-sync. Both mechanisms recover fully:
 // HammerHead's schedule state rides in the snapshot and fast-forwards.
 func NewCatchUpScenario(m Mechanism, n, faults int, loadTxPerSec float64) Scenario {
 	s := NewScenario(m, n, faults, loadTxPerSec)
@@ -190,7 +188,6 @@ func NewCatchUpScenario(m Mechanism, n, faults int, loadTxPerSec float64) Scenar
 	s.MinRoundDelay = 150 * time.Millisecond
 	s.CrashAt = 5 * time.Second
 	s.RecoverAt = s.Duration * 3 / 5
-	s.Execution = true
 	s.CheckpointCommits = 16
 	return s
 }
@@ -207,15 +204,14 @@ func NewSnapshotCatchUpScenario(m Mechanism, n, faults int, loadTxPerSec float64
 	s.MinRoundDelay = 100 * time.Millisecond
 	s.CrashAt = 3 * time.Second
 	s.RecoverAt = s.Duration * 7 / 10
-	s.Execution = true
 	s.CheckpointCommits = 8
 	return s
 }
 
 // NewCrashRestartScenario returns the correlated crash-restart scenario: the
 // whole committee is SIGKILLed a third of the way into the run and restarted
-// from WALs two (simulated) seconds later. Execution and checkpointing are on
-// so recovery exercises the full snapshot-restore → WAL-replay → rejoin
+// from WALs two (simulated) seconds later. Checkpoints are frequent so
+// recovery exercises the full snapshot-restore → WAL-replay → rejoin
 // startup sequence; the headline number is
 // Result.TimeToFirstPostCrashCommit — how long after the restart the first
 // fresh commit lands — and StateRootsAgree proves the committee converged.
@@ -223,7 +219,6 @@ func NewCrashRestartScenario(m Mechanism, n int, loadTxPerSec float64) Scenario 
 	s := NewScenario(m, n, 0, loadTxPerSec)
 	s.Name = fmt.Sprintf("%s-crashrestart-n%d-load%.0f", m, n, loadTxPerSec)
 	s.MinRoundDelay = 150 * time.Millisecond
-	s.Execution = true
 	s.CheckpointCommits = 16
 	s.KillAllAt = s.Duration / 3
 	s.RestartDowntime = 2 * time.Second

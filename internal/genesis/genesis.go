@@ -152,14 +152,12 @@ func Generate(schemeName string, clusterSeed [32]byte, n int, host string, baseP
 	if err != nil {
 		return nil, nil, err
 	}
+	pairs, _, err := crypto.CommitteeKeys(scheme, clusterSeed, n)
+	if err != nil {
+		return nil, nil, err
+	}
 	f := &File{Scheme: schemeName, ScheduleSeed: 7}
-	pairs := make([]crypto.KeyPair, n)
-	for i := 0; i < n; i++ {
-		kp, err := crypto.NewKeyPair(scheme, clusterSeed, uint32(i))
-		if err != nil {
-			return nil, nil, err
-		}
-		pairs[i] = kp
+	for i, kp := range pairs {
 		f.Validators = append(f.Validators, ValidatorSpec{
 			Name:      fmt.Sprintf("validator-%d", i),
 			Stake:     1,

@@ -51,7 +51,6 @@ func buildExecNodeHH(t *testing.T, tc *testCluster, id types.ValidatorID, hh *co
 		HammerHead:         hh,
 		ScheduleSeed:       7,
 		WALPath:            walPath,
-		Execution:          true,
 		CheckpointInterval: 2,
 		Metrics:            reg,
 		OnCommit: func(sub bullshark.CommittedSubDAG, replayed bool) {
@@ -146,7 +145,7 @@ func newExecCluster(t *testing.T, committee *types.Committee) *testCluster {
 	}
 }
 
-// TestNodeRestartWithSnapshotUnderHammerHead: restarting an -execution node
+// TestNodeRestartWithSnapshotUnderHammerHead: restarting a node
 // that runs the HammerHead scheduler engine-fast-forwards from its local
 // snapshot — the checkpoint carries core.ManagerState, restored before the
 // jump — then replays the retained WAL suffix on top. Executors must resume

@@ -56,9 +56,9 @@ type Config struct {
 	// the committee).
 	ScheduleSeed uint64
 	// WALPath, when non-empty, enables persistence and crash-recovery: it
-	// names the node's whole durable record, the log at WALPath and, with
-	// Execution, the checkpoints in WALPath+".snapshots" that the log is
-	// compacted against. Without it nothing is saved.
+	// names the node's whole durable record, the log at WALPath and the
+	// checkpoints in WALPath+".snapshots" that the log is compacted against.
+	// Without it nothing is saved.
 	WALPath string
 	// MempoolSize bounds the transaction pool (default 1<<20).
 	MempoolSize int
@@ -74,20 +74,17 @@ type Config struct {
 	RPCAddr string
 	// OnCommit receives ordered sub-DAGs (may be nil).
 	OnCommit CommitHandler
-	// Execution enables the execution subsystem: a deterministic state
-	// machine (execution.KVState) consumes the commit stream on the commit
-	// goroutine, cuts periodic checkpoints (saved beside the WAL, see
-	// WALPath), serves them to state-syncing peers, and lets THIS node
-	// recover via snapshot install when it falls beyond the committee's GC
-	// horizon. Checkpoints carry the scheduler's state, so the recovery paths
-	// work identically under the round-robin baseline and HammerHead's
-	// reputation scheduler.
-	Execution bool
-	// CheckpointInterval is about the number of commits between
-	// checkpoints, never more than one past it: the executor cuts at the
-	// commit seq that is a multiple of it when that commit ends a period's
-	// fast phase, else at the next commit (see execution.Config). 0 =
-	// execution.DefaultCheckpointInterval. Ignored without Execution.
+	// CheckpointInterval is about the number of commits between the
+	// checkpoints of the node's executor — a deterministic state machine
+	// (execution.KVState) that consumes the commit stream on the commit
+	// goroutine, saves its checkpoints beside the WAL (see WALPath), serves
+	// them to state-syncing peers and installs one when THIS node falls
+	// beyond the committee's GC horizon. Never more than one past it: the
+	// executor cuts at the commit seq that is a multiple of it when that
+	// commit ends a period's fast phase, else at the next commit (see
+	// execution.Config). 0 = execution.DefaultCheckpointInterval.
+	// Checkpoints carry the scheduler's state, so recovery works alike under
+	// the round-robin baseline and HammerHead's reputation scheduler.
 	CheckpointInterval uint64
 	// CheckpointCerts enables quorum checkpoint certification: after each
 	// checkpoint this validator signs the (round, seq, state root, state
@@ -95,8 +92,7 @@ type Config struct {
 	// assemble into a certificate that is embedded into the served snapshot
 	// and exposed to clients (proof-carrying reads, read replicas). With it
 	// on, REMOTE snapshot installs require a valid certificate — the node no
-	// longer trusts the responder's bytes. Requires Execution and the full
-	// PublicKeys set. Ignored without Execution.
+	// longer trusts the responder's bytes. Requires the full PublicKeys set.
 	CheckpointCerts bool
 	// Metrics, when non-nil, receives node counters.
 	Metrics *metrics.Registry
@@ -138,9 +134,9 @@ type Node struct {
 	// feeds client submissions into the pool's fair-admission lanes and
 	// observes the commit stream for SSE subscribers.
 	gw *rpc.Gateway
-	// exec is the execution subsystem (nil when Config.Execution is off):
-	// the commit loop applies each commit to it, and it owns checkpointing
-	// (written on its checkpoint goroutine) and snapshot install.
+	// exec is the execution subsystem: the commit loop applies each commit
+	// to it, and it owns checkpointing (written on its checkpoint goroutine)
+	// and snapshot install.
 	exec *execution.Executor
 	// tracer is the commit-path trace collector (nil without Config.Trace;
 	// the nil tracer is inert, so record sites need no branches).
@@ -266,8 +262,9 @@ func New(cfg Config) (*Node, error) {
 			MaxSize: cfg.MempoolSize,
 			Lanes:   cfg.MempoolLanes,
 		},
-		Commits:  engine.CommitSinkFunc(n.sinkCommit),
-		Observer: observer{n},
+		Execution: n.executionConfig(),
+		Commits:   engine.CommitSinkFunc(n.sinkCommit),
+		Observer:  observer{n},
 	}
 	if n.tracer != nil {
 		// The admitted stage starts a trace; tx ID 0 means "gateway will
@@ -277,9 +274,6 @@ func New(cfg Config) (*Node, error) {
 				n.tracer.Record(obs.StageAdmitted, tx.ID)
 			}
 		}
-	}
-	if cfg.Execution {
-		vcfg.Execution = n.executionConfig()
 	}
 	var log *validator.Log
 	if n.walw != nil {
@@ -339,22 +333,20 @@ func New(cfg Config) (*Node, error) {
 			Lane:      n.pool.LaneFor,
 			LaneStats: n.pool.LaneStats,
 			Status:    n.statusSnapshot,
+			ReadKV:    n.exec.ReadKV,
+			RootAt:    n.exec.RootAt,
 			Metrics:   cfg.Metrics,
 		}
 		if n.tracer != nil {
 			gwCfg.Trace = n.traceResponse
 		}
-		if n.exec != nil {
-			gwCfg.ReadKV = n.exec.ReadKV
-			gwCfg.RootAt = n.exec.RootAt
-			if cfg.CheckpointCerts {
-				// The trustless read tier: proof-carrying reads against the
-				// last certified checkpoint, the certificate itself, and the
-				// certified snapshot blob replicas bootstrap from.
-				gwCfg.ProvenRead = n.exec.ProvenRead
-				gwCfg.Checkpoint = n.exec.LatestCertificate
-				gwCfg.SnapshotBlob = n.exec.CertifiedSnapshotBlob
-			}
+		if cfg.CheckpointCerts {
+			// The trustless read tier: proof-carrying reads against the
+			// last certified checkpoint, the certificate itself, and the
+			// certified snapshot blob replicas bootstrap from.
+			gwCfg.ProvenRead = n.exec.ProvenRead
+			gwCfg.Checkpoint = n.exec.LatestCertificate
+			gwCfg.SnapshotBlob = n.exec.CertifiedSnapshotBlob
 		}
 		gw, err := rpc.New(gwCfg)
 		if err != nil {
@@ -379,9 +371,9 @@ func New(cfg Config) (*Node, error) {
 // checkpoint goroutine, which nothing on the engine goroutine waits for.
 // Where checkpoints are saved, and the log compaction they drive, is the
 // validator's (validator.New).
-func (n *Node) executionConfig() *execution.Config {
+func (n *Node) executionConfig() execution.Config {
 	cfg := n.cfg
-	xc := &execution.Config{
+	xc := execution.Config{
 		CheckpointInterval: cfg.CheckpointInterval,
 		Metrics:            cfg.Metrics,
 		// With certification on, a remote snapshot installs only with a
@@ -445,14 +437,12 @@ func (n *Node) statusSnapshot() rpcapi.StatusResponse {
 		HighestRound: uint64(n.eng.DAG().HighestRound()),
 		LastOrdered:  n.statusOrdered.Load(),
 		Rejoining:    n.statusRejoining.Load(),
+		AppliedSeq:   n.exec.AppliedSeq(),
+		AppliedRound: uint64(n.exec.AppliedRound()),
 	}
-	if n.exec != nil {
-		st.AppliedSeq = n.exec.AppliedSeq()
-		st.AppliedRound = uint64(n.exec.AppliedRound())
-		root := n.exec.StateRoot()
-		st.StateRoot = hex.EncodeToString(root[:])
-		st.SnapshotFloor = uint64(n.exec.SnapshotFloor())
-	}
+	root := n.exec.StateRoot()
+	st.StateRoot = hex.EncodeToString(root[:])
+	st.SnapshotFloor = uint64(n.exec.SnapshotFloor())
 	// Leader-scheduling half.
 	st.CurrentLeader = uint32(n.leaderAhead(types.Round(st.Round)))
 	if ms := n.schedState.Load(); ms != nil {
@@ -590,13 +580,11 @@ func (n *Node) deliverCommit(sub bullshark.CommittedSubDAG, replayed bool) {
 			recordCommitStage(n.tracer, obs.StageStreamed, &sub)
 		}
 	}
-	if n.exec != nil {
-		// The executor dedupes by commit sequence, so replayed commits that
-		// were already applied (from a pre-crash run resumed via a local
-		// snapshot) fall out naturally.
-		n.exec.ApplyCommit(sub)
-		recordCommitStage(n.tracer, obs.StageApplied, &sub)
-	}
+	// The executor dedupes by commit sequence, so replayed commits that were
+	// already applied (from a pre-crash run resumed via a local snapshot)
+	// fall out naturally.
+	n.exec.ApplyCommit(sub)
+	recordCommitStage(n.tracer, obs.StageApplied, &sub)
 	if n.cfg.OnCommit != nil {
 		n.cfg.OnCommit(sub, replayed)
 	}
@@ -680,11 +668,9 @@ func (n *Node) Start(tr transport.Transport) error {
 	n.started = true
 	n.trans = tr
 
-	if n.exec != nil {
-		// First: recovery's snapshot install and replayed commits hand their
-		// checkpoints to the checkpoint goroutine.
-		n.exec.Start()
-	}
+	// First: recovery's snapshot install and replayed commits hand their
+	// checkpoints to the checkpoint goroutine.
+	n.exec.Start()
 	n.wg.Add(1)
 	go n.loop()
 	if n.prever != nil {
@@ -723,7 +709,6 @@ func (n *Node) Start(tr transport.Transport) error {
 	n.logger.Info("node started",
 		"round", n.statusRound.Load(),
 		"wal", n.walw != nil,
-		"execution", n.exec != nil,
 		"tracing", n.tracer != nil)
 	return nil
 }
@@ -764,8 +749,8 @@ func (n *Node) Gateway() *rpc.Gateway { return n.gw }
 // from commit handlers or after Close, as the loop owns the engine).
 func (n *Node) Engine() *engine.Engine { return n.eng }
 
-// Executor exposes the execution subsystem (nil when Config.Execution is
-// off). Its status accessors are safe for concurrent use.
+// Executor exposes the execution subsystem. Its status accessors are safe
+// for concurrent use.
 func (n *Node) Executor() *execution.Executor { return n.exec }
 
 // Pool exposes the fair-admission mempool.
@@ -796,11 +781,9 @@ func (n *Node) Close() error {
 	// keep resolving — and finally the WAL writer itself.
 	close(n.commitq)
 	n.commitWg.Wait()
-	if n.exec != nil {
-		// After the commit loop drained nothing applies anymore; the
-		// executor writes what is parked and cuts a final checkpoint.
-		n.exec.Close()
-	}
+	// After the commit loop drained nothing applies anymore; the executor
+	// writes what is parked and cuts a final checkpoint.
+	n.exec.Close()
 	err := n.walw.close()
 	if trans != nil {
 		if terr := trans.Close(); err == nil {

@@ -62,26 +62,19 @@ func recordCommitStageCreate(tr *obs.Tracer, stage obs.Stage, sub *bullshark.Com
 
 // traceResponse builds the GET /v1/trace/{txid} body from the tracer's
 // retained waterfall. Complete requires every stage through the end of this
-// node's commit path — streamed, plus applied when execution is on — with
-// monotonically non-decreasing timestamps; only the validator that admitted
-// the transaction can satisfy it.
+// node's commit path, applied, with monotonically non-decreasing timestamps;
+// only the validator that admitted the transaction can satisfy it.
 func (n *Node) traceResponse(txID uint64) (rpcapi.TraceResponse, bool) {
 	t, ok := n.tracer.Lookup(txID)
 	if !ok {
 		return rpcapi.TraceResponse{}, false
-	}
-	last := obs.StageStreamed
-	if n.exec != nil {
-		last = obs.StageApplied
 	}
 	resp := rpcapi.TraceResponse{TxID: txID, Complete: true}
 	var prev int64
 	for s := 0; s < obs.NumStages; s++ {
 		ts := t.Times[s]
 		if ts == 0 {
-			if s <= int(last) {
-				resp.Complete = false
-			}
+			resp.Complete = false
 			continue
 		}
 		if ts < prev {

@@ -106,7 +106,6 @@ func (s *tcpNodeSpec) boot(t *testing.T, id types.ValidatorID, cfg node.Config) 
 	cfg.Engine.LeaderTimeout = 300 * time.Millisecond
 	cfg.Engine.VerifySignatures = true
 	cfg.ScheduleSeed = 7
-	cfg.Execution = true
 	cfg.MempoolLanes = 2
 	nd, err := node.New(cfg)
 	if err != nil {

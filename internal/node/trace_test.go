@@ -46,7 +46,6 @@ func buildTraceNode(t *testing.T, tc *testCluster, id types.ValidatorID, walPath
 		Engine:       fastNodeEngineConfig(),
 		ScheduleSeed: 7,
 		WALPath:      walPath,
-		Execution:    true,
 		RPCAddr:      "127.0.0.1:0",
 		Trace:        true,
 		OnCommit: func(sub bullshark.CommittedSubDAG, replayed bool) {
@@ -138,14 +137,14 @@ func waitComplete(t *testing.T, addrs []string, id uint64, timeout time.Duration
 	}
 }
 
-// TestTraceCoversFullCommitPath boots a traced 4-node cluster with execution
-// on, submits transactions to every node, and asserts each accepted tx yields
-// a complete monotonic admitted→proposed→cert_formed→ordered→durable→
-// streamed→applied waterfall on the gateway of the validator that admitted
-// it. It then SIGKILL-equivalently restarts the WAL-backed validator and
-// checks that (a) replayed commits fabricate no pre-crash timestamps — the
-// recovered node serves 404 for transactions committed before the crash —
-// and (b) transactions submitted after recovery trace end to end again.
+// TestTraceCoversFullCommitPath boots a traced 4-node cluster, submits
+// transactions to every node, and asserts each accepted tx yields a complete
+// monotonic admitted→proposed→cert_formed→ordered→durable→streamed→applied
+// waterfall on the gateway of the validator that admitted it. It then
+// SIGKILL-equivalently restarts the WAL-backed validator and checks that (a)
+// replayed commits fabricate no pre-crash timestamps — the recovered node
+// serves 404 for transactions committed before the crash — and (b)
+// transactions submitted after recovery trace end to end again.
 func TestTraceCoversFullCommitPath(t *testing.T) {
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
@@ -224,7 +223,6 @@ func TestTraceCoversFullCommitPath(t *testing.T) {
 		Engine:       fastNodeEngineConfig(),
 		ScheduleSeed: 7,
 		WALPath:      walPath,
-		Execution:    true,
 		RPCAddr:      "127.0.0.1:0",
 		Trace:        true,
 		OnCommit: func(sub bullshark.CommittedSubDAG, replayed bool) {

@@ -58,7 +58,7 @@ const (
 	// (commit-delivery goroutine).
 	StageStreamed
 	// StageApplied: the executor applied the commit to the state machine
-	// (executor goroutine; absent when execution is off).
+	// (executor goroutine).
 	StageApplied
 
 	// NumStages is the number of lifecycle stages.

@@ -80,7 +80,8 @@ type Config struct {
 	// instead of admitting locally — the read-replica shape, which serves
 	// reads but never feeds a mempool. Submit may be nil when set.
 	RedirectSubmit []string
-	// ReadKV serves GET /v1/kv; nil (execution disabled) answers 501.
+	// ReadKV serves GET /v1/kv; nil (a gateway with no ledger behind it)
+	// answers 501. Validators and replicas always set it.
 	ReadKV func(key []byte) (execution.KVRead, bool)
 	// ProvenRead serves GET /v1/kv/{key}?proof=1: a Merkle proof plus quorum
 	// certificate against the node's last certified checkpoint. nil answers
@@ -443,7 +444,7 @@ func (g *Gateway) handleKV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if g.cfg.ReadKV == nil {
-		writeJSON(w, http.StatusNotImplemented, rpcapi.SubmitError{Error: "execution subsystem disabled on this node"})
+		writeJSON(w, http.StatusNotImplemented, rpcapi.SubmitError{Error: "no KV ledger behind this gateway"})
 		return
 	}
 	read, ok := g.cfg.ReadKV([]byte(key))

@@ -55,7 +55,6 @@ func runBurst(t *testing.T, seed int64, stalled types.ValidatorID, stallFrom, st
 		HammerHead:   hhConfig(10),
 		ScheduleSeed: 1,
 		Seed:         seed,
-		Execution:    true,
 		OnCommit: func(node types.ValidatorID, sub bullshark.CommittedSubDAG, now int64) {
 			for _, v := range sub.Vertices {
 				if v.Batch == nil {

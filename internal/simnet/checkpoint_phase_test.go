@@ -60,7 +60,6 @@ func TestCheckpointsLandWhereThePeriodWaits(t *testing.T) {
 		Engine:             fastSimEngineConfig(),
 		Latency:            Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
 		ScheduleSeed:       1,
-		Execution:          true,
 		CheckpointInterval: interval,
 		Seed:               5,
 	})

@@ -35,16 +35,14 @@ type ClusterConfig struct {
 	ScheduleSeed uint64
 	// OnCommit observes commits (may be nil).
 	OnCommit CommitHook
-	// Execution attaches a deterministic executor (execution.KVState, its
-	// checkpoints saved beside the validator's log under RecordWALs and
-	// nowhere without it) to every validator's commit sink, applied
-	// synchronously in virtual time, and wires snapshot state-sync
-	// serve/install through the engines. Checkpoints carry the scheduler's
-	// state, so state-sync works for round-robin and HammerHead alike.
-	Execution bool
-	// CheckpointInterval is about the number of commits between checkpoints,
-	// never more than one past it (0 = execution default; see
-	// execution.Config). Ignored without Execution.
+	// CheckpointInterval is about the number of commits between the
+	// checkpoints of every validator's executor, never more than one past it
+	// (0 = execution default; see execution.Config). The executor
+	// (execution.KVState) applies each commit synchronously in virtual time;
+	// its checkpoints are saved beside the validator's log under RecordWALs
+	// (nowhere without it) and served and installed by snapshot state-sync.
+	// Checkpoints carry the scheduler's state, so state-sync works for
+	// round-robin and HammerHead alike.
 	CheckpointInterval uint64
 	// Seed drives all simulation randomness.
 	Seed int64
@@ -61,9 +59,9 @@ type Cluster struct {
 	Sim       *Simulator
 	Committee *types.Committee
 
-	// validators holds each validator as validator.New assembled it. An
-	// executor (ClusterConfig.Execution) applies synchronously inside the
-	// commit sink, so its state always reflects a definite virtual instant.
+	// validators holds each validator as validator.New assembled it. Its
+	// executor applies synchronously inside the commit sink, so its state
+	// always reflects a definite virtual instant.
 	validators []*validator.Validator
 	// keys holds each validator's signing keys; fault injection that forges
 	// protocol artifacts a real Byzantine validator could produce (e.g.
@@ -183,14 +181,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	var clusterSeed [32]byte
 	clusterSeed[0] = byte(cfg.Seed)
-	c.keys = make([]crypto.KeyPair, n)
-	c.pubKeys = make([]crypto.PublicKey, n)
-	for i := range c.keys {
-		kp, err := crypto.NewKeyPair(scheme, clusterSeed, uint32(i))
-		if err != nil {
-			return nil, fmt.Errorf("simnet: generating keys: %w", err)
-		}
-		c.keys[i], c.pubKeys[i] = kp, kp.Public
+	var err error
+	if c.keys, c.pubKeys, err = crypto.CommitteeKeys(scheme, clusterSeed, n); err != nil {
+		return nil, fmt.Errorf("simnet: generating keys: %w", err)
 	}
 
 	c.cfg = cfg
@@ -232,11 +225,9 @@ func (c *Cluster) buildValidator(id types.ValidatorID) error {
 		// Sim.Now() is the commit's virtual time.
 		Commits: engine.CommitSinkFunc(func(sub bullshark.CommittedSubDAG) {
 			v := c.validators[id]
-			if v.Executor != nil {
-				// The executor dedupes by sequence, so commits re-derived
-				// during a restart's log replay apply idempotently.
-				v.Executor.ApplyCommit(sub)
-			}
+			// The executor dedupes by sequence, so commits re-derived during
+			// a restart's log replay apply idempotently.
+			v.Executor.ApplyCommit(sub)
 			if v.Replaying() {
 				return // replay re-derivations are not news to observers
 			}
@@ -244,15 +235,12 @@ func (c *Cluster) buildValidator(id types.ValidatorID) error {
 				c.onCommit(id, sub, c.Sim.Now())
 			}
 		}),
-		Observer: obs,
+		Execution: execution.Config{CheckpointInterval: cfg.CheckpointInterval},
+		Observer:  obs,
 	}
-	if cfg.Execution {
-		xc := &execution.Config{CheckpointInterval: cfg.CheckpointInterval}
-		if c.certify {
-			xc.CheckpointCerts = true
-			xc.OnCheckpoint = func(snap execution.Snapshot) { c.signCheckpoint(id, snap) }
-		}
-		vcfg.Execution = xc
+	if c.certify {
+		vcfg.Execution.CheckpointCerts = true
+		vcfg.Execution.OnCheckpoint = func(snap execution.Snapshot) { c.signCheckpoint(id, snap) }
 	}
 	v, err := validator.New(vcfg, log)
 	if err != nil {
@@ -305,8 +293,7 @@ func (c *Cluster) Engine(id types.ValidatorID) *engine.Engine { return c.validat
 // Pool returns validator id's mempool.
 func (c *Cluster) Pool(id types.ValidatorID) *mempool.FairPool { return c.validators[id].Pool }
 
-// Executor returns validator id's executor (nil unless the cluster was built
-// with ClusterConfig.Execution).
+// Executor returns validator id's executor.
 func (c *Cluster) Executor(id types.ValidatorID) *execution.Executor {
 	return c.validators[id].Executor
 }
@@ -345,9 +332,9 @@ func (c *Cluster) Recover(id types.ValidatorID, at time.Duration) {
 
 // RecordWALs gives every validator a disk under dir, one directory each: the
 // node's own write-ahead log (storage.WAL, written through validator.Log)
-// and, with Execution, the snapshot files beside it (storage.SnapshotStore,
-// opened by validator.New), which compact the log at every checkpoint. Must be called before Start; required
-// by KillRestart. Without it the cluster touches no filesystem. Close
+// and the snapshot files beside it (storage.SnapshotStore, opened by
+// validator.New), which compact the log at every checkpoint. Must be called
+// before Start; required by KillRestart. Without it the cluster touches no filesystem. Close
 // releases the files.
 func (c *Cluster) RecordWALs(dir string) error {
 	c.dir = dir

@@ -41,7 +41,6 @@ func killRestartCluster(t *testing.T, hh *core.Config, seed int64) (*Cluster, *[
 		Latency:            Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
 		HammerHead:         hh,
 		ScheduleSeed:       1,
-		Execution:          true,
 		CheckpointInterval: 8,
 		Seed:               seed,
 		OnCommit: func(node types.ValidatorID, sub bullshark.CommittedSubDAG, nowNanos int64) {

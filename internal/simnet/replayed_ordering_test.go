@@ -110,7 +110,7 @@ func replayEngine(t *testing.T, committee *types.Committee, hh *core.Config, tra
 		Engine:       fastSimEngineConfig(),
 		HammerHead:   hh,
 		ScheduleSeed: 1,
-		Execution:    &execution.Config{CheckpointInterval: replayCheckpointInterval},
+		Execution:    execution.Config{CheckpointInterval: replayCheckpointInterval},
 		Commits: engine.CommitSinkFunc(func(sub bullshark.CommittedSubDAG) {
 			v.Executor.ApplyCommit(sub)
 			log.subs = append(log.subs, sub)
@@ -169,7 +169,6 @@ func TestReplayedOrderingMatchesLive(t *testing.T) {
 		HammerHead:   hhConfig(3),
 		ScheduleSeed: 1,
 		Seed:         7,
-		Execution:    true,
 		// The replay's executor checkpoints at the same interval.
 		CheckpointInterval: replayCheckpointInterval,
 		OnCommit: func(node types.ValidatorID, sub bullshark.CommittedSubDAG, _ int64) {

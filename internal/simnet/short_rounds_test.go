@@ -48,7 +48,6 @@ func TestShortRoundsSurviveAStalledValidator(t *testing.T) {
 		HammerHead:   hhConfig(10),
 		ScheduleSeed: 1,
 		Seed:         1,
-		Execution:    true,
 		OnCommit: func(node types.ValidatorID, sub bullshark.CommittedSubDAG, _ int64) {
 			if node == 0 {
 				live = append(live, sub)
@@ -231,7 +230,6 @@ func runVoteRounds(t *testing.T, crashed bool, starts ...time.Duration) *voteRou
 		HammerHead:   hhConfig(10),
 		ScheduleSeed: 1,
 		Seed:         1,
-		Execution:    true,
 		OnCommit: func(node types.ValidatorID, sub bullshark.CommittedSubDAG, now int64) {
 			if node == 0 {
 				anchors = append(anchors, time.Duration(sub.Anchor.CreatedNanos))

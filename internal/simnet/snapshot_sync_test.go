@@ -93,7 +93,6 @@ func TestSnapshotCatchUpConverges(t *testing.T) {
 		Engine:             cfg,
 		Latency:            Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
 		ScheduleSeed:       1,
-		Execution:          true,
 		CheckpointInterval: 8,
 		Seed:               5,
 	})
@@ -187,7 +186,6 @@ func TestHammerHeadSnapshotCatchUpConverges(t *testing.T) {
 		Latency:            Uniform{Base: 20 * time.Millisecond, Jitter: 0.1},
 		HammerHead:         hhConfig(10),
 		ScheduleSeed:       1,
-		Execution:          true,
 		CheckpointInterval: 8,
 		Seed:               9,
 	})

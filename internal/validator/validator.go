@@ -39,13 +39,13 @@ type Config struct {
 	// scheduler (must match across the committee).
 	ScheduleSeed uint64
 	Mempool      mempool.FairConfig
-	// Execution, when non-nil, attaches a deterministic KV executor built
-	// with it. RequireSchedulerState and CertVerifier are filled in here: a
-	// HammerHead validator never installs a snapshot without the schedule it
-	// was cut under, and with CheckpointCerts a remote snapshot must carry a
+	// Execution configures the validator's deterministic KV executor.
+	// RequireSchedulerState and CertVerifier are filled in here: a HammerHead
+	// validator never installs a snapshot without the schedule it was cut
+	// under, and with CheckpointCerts a remote snapshot must carry a
 	// certificate that verifies against the committee. With a log, so is
 	// Store, and OnCheckpoint runs after the log's compaction (see New).
-	Execution *execution.Config
+	Execution execution.Config
 	// Commits receives ordered sub-DAGs; Observer sees inserted certificates
 	// and own headers (see engine.Params) once the validator is live (see
 	// Replaying).
@@ -57,7 +57,7 @@ type Config struct {
 type Validator struct {
 	Engine *engine.Engine
 	Pool   *mempool.FairPool
-	// Executor is nil without Config.Execution.
+	// Executor applies the commit stream and cuts the checkpoints.
 	Executor *execution.Executor
 	// PreVerifier is the validator's signature pre-verify stage, nil unless
 	// Config.Engine.VerifySignatures: the runtime runs its Check on every
@@ -84,10 +84,10 @@ type Validator struct {
 // or Init, for a validator booting for the first time — puts it on the wire.
 //
 // log, when non-nil, is the validator's log; the runtime writes it from the
-// Observer. With an executor, the checkpoints are saved in a snapshot store
-// beside it (<log path>.snapshots) and each saved one compacts the log to its
-// floor, before the runtime's own OnCheckpoint runs: a log is compacted only
-// against checkpoints a restart finds. Without a log, no checkpoint is saved.
+// Observer. The executor's checkpoints are saved in a snapshot store beside
+// it (<log path>.snapshots) and each saved one compacts the log to its floor,
+// before the runtime's own OnCheckpoint runs: a log is compacted only against
+// checkpoints a restart finds. Without a log, no checkpoint is saved.
 func New(cfg Config, log *Log) (*Validator, error) {
 	if cfg.Committee == nil {
 		return nil, fmt.Errorf("validator: committee is required")
@@ -128,35 +128,33 @@ func New(cfg Config, log *Log) (*Validator, error) {
 	if cfg.Observer != nil {
 		params.Observer = liveObserver{cfg.Observer, v}
 	}
-	if cfg.Execution != nil {
-		xc := *cfg.Execution
-		xc.RequireSchedulerState = cfg.HammerHead != nil
-		if xc.CheckpointCerts {
-			if len(cfg.PublicKeys) != cfg.Committee.Size() {
-				return nil, fmt.Errorf("validator: checkpoint certification needs all %d public keys (have %d)",
-					cfg.Committee.Size(), len(cfg.PublicKeys))
-			}
-			xc.CertVerifier = func(cert *checkpoint.Certificate) error {
-				return cert.Verify(cfg.Committee, cfg.PublicKeys, cfg.Keys.Scheme)
-			}
+	xc := cfg.Execution
+	xc.RequireSchedulerState = cfg.HammerHead != nil
+	if xc.CheckpointCerts {
+		if len(cfg.PublicKeys) != cfg.Committee.Size() {
+			return nil, fmt.Errorf("validator: checkpoint certification needs all %d public keys (have %d)",
+				cfg.Committee.Size(), len(cfg.PublicKeys))
 		}
-		if log != nil {
-			store, err := storage.NewSnapshotStore(log.path + ".snapshots")
-			if err != nil {
-				return nil, fmt.Errorf("validator: opening snapshot store: %w", err)
-			}
-			v.store, xc.Store = store, store
-			hook := xc.OnCheckpoint
-			xc.OnCheckpoint = func(snap execution.Snapshot) {
-				log.Checkpointed(snap.Floor)
-				if hook != nil {
-					hook(snap)
-				}
-			}
+		xc.CertVerifier = func(cert *checkpoint.Certificate) error {
+			return cert.Verify(cfg.Committee, cfg.PublicKeys, cfg.Keys.Scheme)
 		}
-		v.Executor = execution.NewExecutor(execution.NewKVState(), xc)
-		params.Execution = v.Executor
 	}
+	if log != nil {
+		store, err := storage.NewSnapshotStore(log.path + ".snapshots")
+		if err != nil {
+			return nil, fmt.Errorf("validator: opening snapshot store: %w", err)
+		}
+		v.store, xc.Store = store, store
+		hook := xc.OnCheckpoint
+		xc.OnCheckpoint = func(snap execution.Snapshot) {
+			log.Checkpointed(snap.Floor)
+			if hook != nil {
+				hook(snap)
+			}
+		}
+	}
+	v.Executor = execution.NewExecutor(execution.NewKVState(), xc)
+	params.Execution = v.Executor
 	eng, err := engine.New(params)
 	if err != nil {
 		return nil, fmt.Errorf("validator: building engine: %w", err)

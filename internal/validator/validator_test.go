@@ -58,7 +58,8 @@ func testConfig(t *testing.T, ev *events) Config {
 }
 
 // TestNewChoosesTheScheduler: HammerHead picks the reputation scheduler, nil
-// the round-robin baseline, and ScheduleSeed seeds either one.
+// the round-robin baseline, and ScheduleSeed seeds either one; the executor
+// is built from a zero execution.Config.
 func TestNewChoosesTheScheduler(t *testing.T) {
 	cfg := testConfig(t, nil)
 	v, err := New(cfg, nil)
@@ -77,7 +78,6 @@ func TestNewChoosesTheScheduler(t *testing.T) {
 	}
 	hh := core.DefaultConfig()
 	cfg.HammerHead = &hh
-	cfg.Execution = &execution.Config{}
 	if v, err = New(cfg, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestNewChoosesTheScheduler(t *testing.T) {
 		}
 	}
 	if v.Executor == nil {
-		t.Fatal("Execution set, no executor built")
+		t.Fatal("no executor built")
 	}
 }
 
@@ -99,7 +99,7 @@ func TestNewChoosesTheScheduler(t *testing.T) {
 // verified against the whole committee.
 func TestNewRefusesCertificationWithoutEveryKey(t *testing.T) {
 	cfg := testConfig(t, nil)
-	cfg.Execution = &execution.Config{CheckpointCerts: true}
+	cfg.Execution = execution.Config{CheckpointCerts: true}
 	if _, err := New(cfg, nil); err == nil {
 		t.Fatal("certification without the committee's public keys must be refused")
 	}

@@ -15,7 +15,6 @@ type LocalClusterOption func(*localClusterOptions)
 type localClusterOptions struct {
 	hammerhead *SchedulerConfig
 	walDir     string
-	execution  bool
 	onCommit   func(id ValidatorID, sub CommittedSubDAG, replayed bool)
 }
 
@@ -32,19 +31,12 @@ func WithHammerHead(cfg *SchedulerConfig) LocalClusterOption {
 	}
 }
 
-// WithWALDir enables per-node persistence under dir (one WAL per validator).
+// WithWALDir enables per-node persistence under dir: each validator keeps
+// its WAL there (validator-N.wal) and its checkpoints beside it
+// (validator-N.wal.snapshots), against which the WAL is compacted, so a
+// cluster started again over the same directory resumes from them.
 func WithWALDir(dir string) LocalClusterOption {
 	return func(o *localClusterOptions) { o.walDir = dir }
-}
-
-// WithExecution enables the execution subsystem on every node: a
-// deterministic KV ledger applies the commit stream, checkpoints
-// periodically, and snapshot state-sync recovers nodes that fall beyond the
-// GC horizon. With WithWALDir each validator saves its checkpoints beside
-// its WAL (validator-N.wal.snapshots), so a cluster started again over the
-// same directory resumes from them; without it they are not saved.
-func WithExecution() LocalClusterOption {
-	return func(o *localClusterOptions) { o.execution = true }
 }
 
 // WithCommitObserver registers a commit callback across all nodes.
@@ -105,7 +97,6 @@ func StartLocalCluster(n int, opts ...LocalClusterOption) (*LocalCluster, error)
 		if options.walDir != "" {
 			cfg.WALPath = filepath.Join(options.walDir, fmt.Sprintf("validator-%d.wal", i))
 		}
-		cfg.Execution = options.execution
 		if options.onCommit != nil {
 			hook := options.onCommit
 			cfg.OnCommit = func(sub CommittedSubDAG, replayed bool) { hook(id, sub, replayed) }

@@ -179,7 +179,8 @@ type StatusResponse struct {
 	LastOrdered  uint64 `json:"last_ordered_round"`
 	// Rejoining is true while the crash-rejoin handshake is still gathering.
 	Rejoining bool `json:"rejoining"`
-	// Execution cursor (zero values when the execution subsystem is off).
+	// Execution cursor: how far the executor (or a replica's re-execution)
+	// has applied.
 	AppliedSeq   uint64 `json:"applied_seq"`
 	AppliedRound uint64 `json:"applied_round"`
 	StateRoot    string `json:"state_root,omitempty"`
@@ -213,7 +214,7 @@ type StatusResponse struct {
 // CommitEvent is one SSE event on GET /v1/commits: an ordered sub-DAG's
 // identity plus the IDs of the transactions it finalized. StateRoot is the
 // executor's chained root at this sequence when already applied ("" while
-// execution still trails the commit stream, or without execution).
+// execution still trails the commit stream).
 type CommitEvent struct {
 	Seq       uint64   `json:"seq"`
 	Round     uint64   `json:"round"`
@@ -256,7 +257,7 @@ type TraceResponse struct {
 	TxID   uint64       `json:"tx_id"`
 	Stages []TraceStage `json:"stages"`
 	// Complete is true when every stage through the end of this node's
-	// commit path (streamed, plus applied when execution is enabled) was
-	// recorded with monotonically non-decreasing timestamps.
+	// commit path, applied, was recorded with monotonically non-decreasing
+	// timestamps.
 	Complete bool `json:"complete"`
 }
