@@ -106,7 +106,11 @@ checkpoint-bytes:
 # every header, vote and certificate as verifying everything does; a
 # certificate with more votes than members or a repeated voter is refused
 # before any public-key work; and the table the pre-verify workers share
-# with the engine stays within its bound under the race detector. A message
+# with the engine stays within its bound under the race detector. The
+# engine's own pre-verify stage is the one check of header, vote and
+# certificate signatures, whether OnMessage runs it inline or a runtime runs
+# Check before OnChecked, and checkpoint shares and certificates are verified
+# even when VerifySignatures is off. A message
 # is immutable once the engine sends it: every kind the stage checks reports
 # its signatures, every output message is sealed, the stage's verdict reaches
 # the engine with the message however much the table evicted meanwhile, a
@@ -121,7 +125,7 @@ sig-once:
 	go test -race -count=3 -run '^TestSharedCertificateIsNotStripped$$' ./internal/simnet/
 	go test -race -count=3 -run '^TestChannel' ./internal/transport/
 	go test -race -count=3 -run '^TestLocalClusterEndToEnd$$' .
-	go test -race -count=3 -run '^TestHeldCertificatesCostNoVerification$$' ./internal/engine/
+	go test -race -count=3 -run '^(TestHeldCertificatesCostNoVerification|TestCheckpointForgeriesRefusedWithoutVerifySignatures)$$' ./internal/engine/
 
 # pacing is CI's "Header pacing by period (race)" step: a whole round ≡ 1, 2
 # or 3 (mod 4) is left at once, a whole round ≡ 0 at the period timer that

@@ -69,7 +69,7 @@ func BenchmarkVerifyCertificate(b *testing.B) {
 			acc.Add(id)
 		}
 		for _, table := range []string{"empty", "origin+own known"} {
-			known := NewKnownSigs(n)
+			known := newKnownSigs(n)
 			if table != "empty" {
 				known.add(1, d, cert.Votes[1].Signature) // the header signature
 				known.add(0, d, cert.Votes[0].Signature) // the vote validator 0 cast

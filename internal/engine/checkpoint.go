@@ -2,7 +2,6 @@ package engine
 
 import (
 	"hammerhead/internal/checkpoint"
-	"hammerhead/internal/crypto"
 	"hammerhead/internal/types"
 )
 
@@ -17,7 +16,10 @@ import (
 // once each.
 //
 // All of this is inert unless the execution layer certifies checkpoints
-// (Execution.CheckpointCerts).
+// (Execution.CheckpointCerts). Shares and peer certificates are always
+// verified against the committee's keys, whatever Config.VerifySignatures
+// says: they stay off the pre-verify stage (see NeedsCheck), so the engine is
+// their one check.
 
 // OnLocalCheckpoint signs the local checkpoint tuple, broadcasts the share,
 // and feeds it to the local accumulator (which may complete a quorum if peer
@@ -48,12 +50,10 @@ func (e *Engine) onCheckpointSig(from types.ValidatorID, sh *checkpoint.Share, o
 		e.stats.InvalidMessages++
 		return
 	}
-	if e.config.VerifySignatures {
-		if int(sh.Validator) >= len(e.pubKeys) ||
-			!checkpoint.VerifyShare(*sh, e.keys.Scheme, e.pubKeys[sh.Validator]) {
-			e.stats.InvalidMessages++
-			return
-		}
+	if int(sh.Validator) >= len(e.pubKeys) ||
+		!checkpoint.VerifyShare(*sh, e.keys.Scheme, e.pubKeys[sh.Validator]) {
+		e.stats.InvalidMessages++
+		return
 	}
 	e.stats.CheckpointSigs++
 	e.accumulateShare(*sh, out)
@@ -81,22 +81,9 @@ func (e *Engine) onPeerCheckpointCert(cert *checkpoint.Certificate) {
 	if cert.Meta.CommitSeq <= e.ckptDelivered {
 		return // already certified locally
 	}
-	if e.config.VerifySignatures {
-		if cert.Verify(e.committee, e.pubKeys, e.keys.Scheme) != nil {
-			e.stats.InvalidMessages++
-			return
-		}
-	} else {
-		// Even without signature checking, enforce the structural rules:
-		// strictly ascending known signers carrying quorum stake.
-		pubs := e.pubKeys
-		if len(pubs) < e.committee.Size() {
-			pubs = make([]crypto.PublicKey, e.committee.Size())
-		}
-		if cert.Verify(e.committee, pubs, insecureAccept{}) != nil {
-			e.stats.InvalidMessages++
-			return
-		}
+	if cert.Verify(e.committee, e.pubKeys, e.keys.Scheme) != nil {
+		e.stats.InvalidMessages++
+		return
 	}
 	e.stats.CheckpointCertsAdopted++
 	e.deliverCheckpointCert(cert)
@@ -116,25 +103,5 @@ func (e *Engine) deliverCheckpointCert(cert *checkpoint.Certificate) bool {
 	e.ckptAcc.PruneTo(cert.Meta.CommitSeq)
 	e.exec.AttachCertificate(cert.Meta.CommitSeq, cert)
 	e.observer.CheckpointCertified(cert)
-	return true
-}
-
-// insecureAccept satisfies crypto.Scheme for structure-only certificate
-// verification when VerifySignatures is off (tests, simulations): every
-// signature "verifies", so Certificate.Verify still enforces signer order,
-// committee membership and quorum stake.
-type insecureAccept struct{}
-
-func (insecureAccept) Name() string { return "accept-all" }
-
-func (insecureAccept) GenerateKey(seed [32]byte) (crypto.PrivateKey, crypto.PublicKey, error) {
-	return nil, nil, nil
-}
-
-func (insecureAccept) Sign(priv crypto.PrivateKey, msg []byte) (crypto.Signature, error) {
-	return nil, nil
-}
-
-func (insecureAccept) Verify(pub crypto.PublicKey, msg []byte, sig crypto.Signature) bool {
 	return true
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"hammerhead/internal/checkpoint"
@@ -11,8 +12,9 @@ import (
 )
 
 // ckptRig builds n engines with checkpoint certification enabled (insecure
-// scheme, signature verification ON so share/cert verification paths run).
-// execs[i].certs records the certificates engine i attached, in order.
+// scheme; verifySignatures sets Config.VerifySignatures, which checkpoint
+// signatures do not depend on). execs[i].certs records the certificates
+// engine i attached, in order.
 type ckptRig struct {
 	committee *types.Committee
 	engines   []*Engine
@@ -20,7 +22,7 @@ type ckptRig struct {
 	execs     []*stubExec
 }
 
-func newCkptRig(t *testing.T, n int) *ckptRig {
+func newCkptRig(t *testing.T, n int, verifySignatures bool) *ckptRig {
 	t.Helper()
 	committee, err := types.NewEqualStakeCommittee(n)
 	if err != nil {
@@ -40,7 +42,7 @@ func newCkptRig(t *testing.T, n int) *ckptRig {
 		pubKeys[i] = kp.Public
 	}
 	cfg := DefaultConfig()
-	cfg.VerifySignatures = true
+	cfg.VerifySignatures = verifySignatures
 	rig := &ckptRig{committee: committee, keys: pairs}
 	for i := 0; i < n; i++ {
 		exec := &stubExec{certify: true}
@@ -93,7 +95,7 @@ func (r *ckptRig) deliverAll(from int, out *Output) []*Output {
 }
 
 func TestCheckpointSharesAssembleAndDeliverOnce(t *testing.T) {
-	rig := newCkptRig(t, 4)
+	rig := newCkptRig(t, 4, true)
 	m := ckptTestMeta(1)
 
 	// Every validator checkpoints locally and gossips its share.
@@ -131,7 +133,7 @@ func pubKeysOf(keys []crypto.KeyPair) []crypto.PublicKey {
 }
 
 func TestCheckpointRelayedSharesRejected(t *testing.T) {
-	rig := newCkptRig(t, 4)
+	rig := newCkptRig(t, 4, true)
 	sh, err := checkpoint.Sign(ckptTestMeta(1), 2, rig.keys[2])
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +150,7 @@ func TestCheckpointRelayedSharesRejected(t *testing.T) {
 }
 
 func TestCheckpointForgedShareRejected(t *testing.T) {
-	rig := newCkptRig(t, 4)
+	rig := newCkptRig(t, 4, true)
 	sh, err := checkpoint.Sign(ckptTestMeta(1), 2, rig.keys[2])
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +163,7 @@ func TestCheckpointForgedShareRejected(t *testing.T) {
 }
 
 func TestCheckpointPeerCertAdoptedAndDeduped(t *testing.T) {
-	rig := newCkptRig(t, 4)
+	rig := newCkptRig(t, 4, true)
 	m := ckptTestMeta(3)
 	sigs := make([]checkpoint.Sig, 0, 3)
 	for i := 0; i < 3; i++ {
@@ -199,7 +201,7 @@ func TestCheckpointPeerCertAdoptedAndDeduped(t *testing.T) {
 }
 
 func TestCheckpointStaleCertIgnored(t *testing.T) {
-	rig := newCkptRig(t, 4)
+	rig := newCkptRig(t, 4, true)
 	mk := func(seq uint64) *Message {
 		m := ckptTestMeta(seq)
 		sigs := make([]checkpoint.Sig, 0, 3)
@@ -216,5 +218,55 @@ func TestCheckpointStaleCertIgnored(t *testing.T) {
 	rig.engines[3].OnMessage(0, mk(4), 0) // older checkpoint arrives late
 	if len(rig.execs[3].certs) != 1 || rig.execs[3].certs[0].Meta.CommitSeq != 8 {
 		t.Fatalf("stale certificate delivered (got %d certs)", len(rig.execs[3].certs))
+	}
+}
+
+// TestCheckpointForgeriesRefusedWithoutVerifySignatures: checkpoint shares
+// and peer checkpoint certificates are verified against the committee's keys
+// whatever Config.VerifySignatures says. An engine that checks no header,
+// vote or certificate signature still refuses a forged share and a peer
+// certificate carrying a forged signature, and adopts the genuine
+// certificate.
+func TestCheckpointForgeriesRefusedWithoutVerifySignatures(t *testing.T) {
+	rig := newCkptRig(t, 4, false)
+	e0, e3 := rig.engines[0], rig.engines[3]
+	if e0.PreVerifier() != nil {
+		t.Fatal("an engine without VerifySignatures built a pre-verify stage")
+	}
+
+	sh, err := checkpoint.Sign(ckptTestMeta(1), 2, rig.keys[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Signature = mangleSig(sh.Signature)
+	e0.OnMessage(2, &Message{Kind: KindCheckpointSig, CheckpointSig: &sh}, 0)
+	if got := e0.Stats().CheckpointSigs; got != 0 {
+		t.Fatalf("forged share counted (CheckpointSigs=%d)", got)
+	}
+	if got := e0.Stats().InvalidMessages; got != 1 {
+		t.Fatalf("InvalidMessages = %d after a forged share, want 1", got)
+	}
+
+	m := ckptTestMeta(3)
+	sigs := make([]checkpoint.Sig, 0, 3)
+	for i := 0; i < 3; i++ {
+		sh, err := checkpoint.Sign(m, types.ValidatorID(i), rig.keys[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigs = append(sigs, checkpoint.Sig{Validator: sh.Validator, Signature: sh.Signature})
+	}
+	forged := &checkpoint.Certificate{Meta: m, Sigs: slices.Clone(sigs)}
+	forged.Sigs[1].Signature = mangleSig(forged.Sigs[1].Signature)
+	e3.OnMessage(0, &Message{Kind: KindCheckpointCert, CheckpointCert: forged}, 0)
+	if n := len(rig.execs[3].certs); n != 0 {
+		t.Fatalf("a certificate carrying a forged signature was adopted (%d delivered)", n)
+	}
+	if got := e3.Stats().InvalidMessages; got != 1 {
+		t.Fatalf("InvalidMessages = %d after a forged certificate, want 1", got)
+	}
+	e3.OnMessage(0, &Message{Kind: KindCheckpointCert, CheckpointCert: &checkpoint.Certificate{Meta: m, Sigs: sigs}}, 0)
+	if n := len(rig.execs[3].certs); n != 1 || e3.Stats().CheckpointCertsAdopted != 1 {
+		t.Fatalf("the genuine certificate was not adopted (%d delivered)", n)
 	}
 }

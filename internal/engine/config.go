@@ -35,9 +35,11 @@ type Config struct {
 	// it is no throughput cap: under backlog, full headers go out at the
 	// pace of certification.
 	MaxBatchTx int
-	// VerifySignatures enables full signature verification on headers,
-	// votes and certificates. Simulations of crash-only deployments disable
-	// it (see internal/crypto).
+	// VerifySignatures decides whether New builds the validator's pre-verify
+	// stage (Engine.PreVerifier), the one check of header, vote and
+	// certificate signatures; without it none of those is verified.
+	// Simulations of crash-only deployments turn it off (see internal/crypto).
+	// Checkpoint shares and certificates are verified either way.
 	VerifySignatures bool
 	// GCDepth is how many rounds below the committer's floor are retained
 	// before pruning. Pruning runs after every gcEvery commits.

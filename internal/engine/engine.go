@@ -221,10 +221,11 @@ type Engine struct {
 	self      types.ValidatorID
 	keys      crypto.KeyPair
 	pubKeys   []crypto.PublicKey
-	// known is the validator's table of signatures already verified or cast,
-	// shared with its pre-verify stage (nil: every signature is verified;
-	// see UseKnownSigs).
-	known   *KnownSigs
+	// prever is the validator's pre-verify stage and known its table of
+	// signatures already verified or cast, which the engine adds its own
+	// votes to; both nil without Config.VerifySignatures.
+	prever  *PreVerifier
+	known   *knownSigs
 	batches BatchProvider
 
 	dagStore  *dag.DAG
@@ -355,7 +356,10 @@ func New(p Params) (*Engine, error) {
 	if _, ok := p.Committee.Authority(p.Self); !ok {
 		return nil, fmt.Errorf("engine: self %s not in committee", p.Self)
 	}
-	if p.Config.VerifySignatures && len(p.PublicKeys) != p.Committee.Size() {
+	// Only what verifies needs the keys: the stage, and checkpoint
+	// certification, whose shares and certificates are always verified.
+	verifies := p.Config.VerifySignatures || p.Execution.CheckpointCerts()
+	if verifies && len(p.PublicKeys) != p.Committee.Size() {
 		return nil, fmt.Errorf("engine: have %d public keys for %d validators", len(p.PublicKeys), p.Committee.Size())
 	}
 	// Seed the genesis round immediately (one implicit certificate per
@@ -397,6 +401,13 @@ func New(p Params) (*Engine, error) {
 		pendingRounds:    make(map[types.Round]int),
 		syncBatch:        maxSyncBatch,
 	}
+	if p.Config.VerifySignatures {
+		// One table of signatures already verified or cast, shared by the
+		// stage and the engine: a signature is checked once. The stage reads
+		// the DAG too, and checks no certificate the engine drops unread.
+		e.known = newKnownSigs(p.Committee.Size())
+		e.prever = newPreVerifier(p.Keys.Scheme, p.Committee, p.PublicKeys, e.known, p.DAG)
+	}
 	if e.exec.CheckpointCerts() {
 		e.ckptAcc = checkpoint.NewAccumulator(p.Committee)
 	}
@@ -409,11 +420,11 @@ func New(p Params) (*Engine, error) {
 	return e, nil
 }
 
-// UseKnownSigs shares the validator's KnownSigs table with the engine: the
-// engine adds the header signatures it verifies and the votes it signs, and
-// counts certificate votes the table holds without verifying them again.
-// Call once, before the first message.
-func (e *Engine) UseKnownSigs(known *KnownSigs) { e.known = known }
+// PreVerifier returns the validator's pre-verify stage, nil without
+// Config.VerifySignatures. A runtime may run its Check on every message
+// NeedsCheck names, off the engine's goroutine, and hand what passes to
+// OnChecked; OnMessage runs the same stage inline.
+func (e *Engine) PreVerifier() *PreVerifier { return e.prever }
 
 // SyncBacklog reports the sizes of the causal-sync pending maps: certificates
 // waiting for parents, distinct missing parent digests, and outstanding
@@ -461,17 +472,26 @@ func (e *Engine) Scheduler() leader.Scheduler { return e.scheduler }
 // DAG exposes the vertex store (read-only use).
 func (e *Engine) DAG() *dag.DAG { return e.dagStore }
 
-// OnMessage processes one protocol message. It does not rely on whoever built
-// msg for a non-nil payload: the channel transport delivers Messages no
-// decoder ever saw.
+// OnMessage processes one protocol message. A kind NeedsCheck names goes
+// through the pre-verify stage first, inline, and then the way OnChecked
+// takes it; a message the stage refuses counts in the stage's Dropped and
+// reaches nothing else. It does not rely on whoever built msg for a non-nil
+// payload: the channel transport delivers Messages no decoder ever saw.
 func (e *Engine) OnMessage(from types.ValidatorID, msg *Message, nowNanos int64) *Output {
-	return e.onMessage(from, msg, false, nowNanos)
+	if e.prever != nil && NeedsCheck(msg.Kind) {
+		c, ok := e.prever.Check(msg)
+		if !ok {
+			return &Output{}
+		}
+		msg = c.msg
+	}
+	return e.onMessage(from, msg, nowNanos)
 }
 
 // OnChecked processes a message the pre-verify stage passed (c from a Check
 // that returned true): the signatures in it are not verified again.
 func (e *Engine) OnChecked(from types.ValidatorID, c Checked, nowNanos int64) *Output {
-	return e.onMessage(from, c.msg, true, nowNanos)
+	return e.onMessage(from, c.msg, nowNanos)
 }
 
 // OnRecorded replays one certificate from this validator's own durable record
@@ -481,7 +501,7 @@ func (e *Engine) OnChecked(from types.ValidatorID, c Checked, nowNanos int64) *O
 // here: anything a peer sent goes through OnMessage or OnChecked.
 func (e *Engine) OnRecorded(cert *Certificate, nowNanos int64) *Output {
 	out := &Output{}
-	e.onCertificate(cert, true, nowNanos, out)
+	e.onCertificate(cert, nowNanos, out)
 	return out
 }
 
@@ -501,9 +521,9 @@ func (e *Engine) OnProposalDurable(round types.Round, nowNanos int64) *Output {
 	return out
 }
 
-// onMessage dispatches msg; checked says every signature in it verified
-// already (OnChecked).
-func (e *Engine) onMessage(from types.ValidatorID, msg *Message, checked bool, nowNanos int64) *Output {
+// onMessage dispatches msg, whose signatures the engine does not check: the
+// stage did, or nothing does (Config.VerifySignatures off).
+func (e *Engine) onMessage(from types.ValidatorID, msg *Message, nowNanos int64) *Output {
 	out := &Output{}
 	if _, ok := e.committee.Authority(from); !ok {
 		e.stats.InvalidMessages++
@@ -511,11 +531,11 @@ func (e *Engine) onMessage(from types.ValidatorID, msg *Message, checked bool, n
 	}
 	switch msg.Kind {
 	case KindHeader:
-		e.onHeader(from, msg.Header, checked, out)
+		e.onHeader(from, msg.Header, out)
 	case KindVote:
-		e.onVote(msg.Vote, checked, nowNanos, out)
+		e.onVote(msg.Vote, nowNanos, out)
 	case KindCertificate:
-		e.onCertificate(msg.Cert, checked, nowNanos, out)
+		e.onCertificate(msg.Cert, nowNanos, out)
 	case KindCertRequest:
 		e.onCertRequest(from, msg.CertRequest, out)
 	case KindCertResponse:
@@ -524,7 +544,7 @@ func (e *Engine) onMessage(from types.ValidatorID, msg *Message, checked bool, n
 			return out
 		}
 		for _, c := range msg.CertResponse.Certs {
-			e.onCertificate(c, checked, nowNanos, out)
+			e.onCertificate(c, nowNanos, out)
 		}
 		e.stats.SyncResponses++
 		// Batched catch-up: if we are still far behind after this response,
@@ -542,7 +562,7 @@ func (e *Engine) onMessage(from types.ValidatorID, msg *Message, checked bool, n
 	case KindRejoinRequest:
 		e.onRejoinRequest(from, msg.RejoinRequest, out)
 	case KindRejoinResponse:
-		e.onRejoinResponse(from, msg.RejoinResponse, checked, nowNanos, out)
+		e.onRejoinResponse(from, msg.RejoinResponse, nowNanos, out)
 	case KindCheckpointSig:
 		e.onCheckpointSig(from, msg.CheckpointSig, out)
 	case KindCheckpointCert:
@@ -629,20 +649,13 @@ func (e *Engine) OnBatchFull(nowNanos int64) *Output {
 
 // ---- header / vote / certificate handling ----
 
-func (e *Engine) onHeader(from types.ValidatorID, h *Header, checked bool, out *Output) {
+func (e *Engine) onHeader(from types.ValidatorID, h *Header, out *Output) {
 	if h == nil || h.Source != from || h.Round < 1 || int(h.Source) >= e.committee.Size() {
 		// The last: a source outside the committee has no slot (and no key).
 		e.stats.InvalidMessages++
 		return
 	}
 	digest := h.Digest()
-	if e.config.VerifySignatures && !checked {
-		if !e.keys.Scheme.Verify(e.pubKeys[h.Source], digest[:], h.Signature) {
-			e.stats.InvalidMessages++
-			return
-		}
-		e.known.add(h.Source, digest, h.Signature)
-	}
 	rs := e.slots(h.Round)
 	if rs == nil || (rs.voted.Has(h.Source) && rs.votedFor[h.Source] != digest) {
 		// No slots: below the floor the header's certificate could never
@@ -674,7 +687,7 @@ func (e *Engine) onHeader(from types.ValidatorID, h *Header, checked bool, out *
 	e.startPeriod(h.Round, out)
 }
 
-func (e *Engine) onVote(v *Vote, checked bool, nowNanos int64, out *Output) {
+func (e *Engine) onVote(v *Vote, nowNanos int64, out *Output) {
 	if v == nil || v.Origin != e.self || e.curHeader == nil {
 		return
 	}
@@ -683,11 +696,6 @@ func (e *Engine) onVote(v *Vote, checked bool, nowNanos int64, out *Output) {
 	}
 	if int(v.Voter) >= len(e.votes) {
 		// Voter outside the committee (malformed or malicious): no slot, no key.
-		e.stats.InvalidMessages++
-		return
-	}
-	if e.config.VerifySignatures && !checked &&
-		!e.keys.Scheme.Verify(e.pubKeys[v.Voter], v.HeaderDigest[:], v.Signature) {
 		e.stats.InvalidMessages++
 		return
 	}
@@ -704,9 +712,8 @@ func (e *Engine) onVote(v *Vote, checked bool, nowNanos int64, out *Output) {
 // certifyOwn assembles the certificate of the current own header from the
 // votes gathered (a quorum, and the header's record durable: the callers
 // checked both), broadcasts and ingests it.
-// Every vote in it is already checked — onVote verified the peers', and the
-// own vote is the header signature this validator made — so it is ingested
-// as checked, without a second look at its signatures.
+// Every vote in it is already checked — the stage verified the peers', and
+// the own vote is the header signature this validator made.
 func (e *Engine) certifyOwn(nowNanos int64, out *Output) {
 	cert := &Certificate{Header: *e.curHeader, Votes: make([]VoteSig, 0, e.voteStake.Count())}
 	for i, sig := range e.votes {
@@ -718,10 +725,10 @@ func (e *Engine) certifyOwn(nowNanos int64, out *Output) {
 	e.stats.CertsFormed++
 	e.observer.Certified(cert)
 	out.broadcast(&Message{Kind: KindCertificate, Cert: cert})
-	e.onCertificate(cert, true, nowNanos, out)
+	e.onCertificate(cert, nowNanos, out)
 }
 
-func (e *Engine) onCertificate(c *Certificate, checked bool, nowNanos int64, out *Output) {
+func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 	if c == nil {
 		return
 	}
@@ -738,8 +745,7 @@ func (e *Engine) onCertificate(c *Certificate, checked bool, nowNanos int64, out
 	if _, pend := e.pendingCerts[digest]; pend {
 		return
 	}
-	c, ok := e.validCertificate(c, checked)
-	if !ok {
+	if !e.validCertificate(c) {
 		e.stats.InvalidMessages++
 		return
 	}
@@ -914,31 +920,26 @@ func (e *Engine) sweepPendingIndexes() {
 	}
 }
 
-// validCertificate checks the vote-count rule, quorum voting stake and, when
-// enabled and not already checked, signatures. A certificate the pre-verify
-// stage passed, or this validator assembled, carries only verified votes. It
-// returns the certificate to keep (see verifyQuorumVotes): the kept one is
-// retained in its slot and served to syncing peers, who must not re-receive
-// forged votes.
-func (e *Engine) validCertificate(c *Certificate, checked bool) (*Certificate, bool) {
+// validCertificate checks a certificate's structure: its round, its source's
+// membership, the vote-count rule and quorum voting stake. Its signatures are
+// the stage's: a certificate the stage passed, or this validator assembled,
+// carries only verified votes, and it is retained as it is and served to
+// syncing peers.
+func (e *Engine) validCertificate(c *Certificate) bool {
 	if c.Header.Round < 1 {
-		return nil, false
+		return false
 	}
 	if _, ok := e.committee.Authority(c.Header.Source); !ok {
-		return nil, false
+		return false
 	}
-	if !e.config.VerifySignatures || checked {
-		if !oneVotePerMember(e.committee, c.Votes) {
-			return nil, false
-		}
-		acc := types.NewStakeAccumulator(e.committee)
-		for _, vs := range c.Votes {
-			acc.Add(vs.Voter)
-		}
-		return c, acc.ReachedQuorum()
+	if !oneVotePerMember(e.committee, c.Votes) {
+		return false
 	}
-	kept, _, ok := verifyQuorumVotes(e.keys.Scheme, e.committee, e.pubKeys, e.known, c)
-	return kept, ok
+	acc := types.NewStakeAccumulator(e.committee)
+	for _, vs := range c.Votes {
+		acc.Add(vs.Voter)
+	}
+	return acc.ReachedQuorum()
 }
 
 // insertCert inserts a certificate into the DAG, runs the committer on its

@@ -36,11 +36,17 @@ type testRig struct {
 
 func newTestRig(t *testing.T, n int) *testRig {
 	t.Helper()
+	return newSchemeRig(t, n, crypto.Insecure{})
+}
+
+// newSchemeRig is newTestRig over another scheme: a wrapper of Insecure that
+// counts verifications, say, which the engines' pre-verify stages then use.
+func newSchemeRig(t *testing.T, n int, scheme crypto.Scheme) *testRig {
+	t.Helper()
 	committee, err := types.NewEqualStakeCommittee(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheme := crypto.Insecure{}
 	var seed [32]byte
 	pubKeys := make([]crypto.PublicKey, n)
 	pairs := make([]crypto.KeyPair, n)
@@ -73,7 +79,6 @@ func newTestRig(t *testing.T, n int) *testRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.UseKnownSigs(NewKnownSigs(n))
 		rig.engines = append(rig.engines, eng)
 		rig.commits = append(rig.commits, collector)
 	}
@@ -321,8 +326,8 @@ func TestRejectsForgedSignatures(t *testing.T) {
 	if len(out.Unicasts) != 0 {
 		t.Fatal("forged header must not earn a vote")
 	}
-	if rig.engines[1].Stats().InvalidMessages == 0 {
-		t.Fatal("forged header must be counted invalid")
+	if rig.engines[1].PreVerifier().Stats().Dropped == 0 {
+		t.Fatal("forged header must be dropped by the pre-verify stage")
 	}
 }
 
@@ -352,8 +357,8 @@ func TestCertificateWithoutQuorumRejected(t *testing.T) {
 	if _, ok := e0.DAG().Get(1, 2); ok {
 		t.Fatal("under-voted certificate must not be inserted")
 	}
-	if e0.Stats().InvalidMessages == 0 {
-		t.Fatal("under-voted certificate must be counted invalid")
+	if e0.PreVerifier().Stats().Dropped == 0 {
+		t.Fatal("under-voted certificate must be dropped by the pre-verify stage")
 	}
 }
 

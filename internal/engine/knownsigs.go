@@ -8,14 +8,14 @@ import (
 	"hammerhead/internal/types"
 )
 
-// knownSigsPerValidator sizes a KnownSigs table: entries per committee
+// knownSigsPerValidator sizes a knownSigs table: entries per committee
 // member. A validator adds about 2(n-1) entries a round — each peer's header
 // signature and its own vote for that header — and a round's certificates
 // arrive within a round or two of its headers, so eight per member keep
 // about four rounds.
 const knownSigsPerValidator = 8
 
-// KnownSigs remembers signatures this process has already verified or made
+// knownSigs remembers signatures this process has already verified or made
 // itself: for a (signer, digest) pair, the exact signature bytes. A
 // certificate vote whose bytes match an entry counts toward the quorum
 // without a second public-key operation (see verifyQuorumVotes); any other
@@ -33,7 +33,7 @@ const knownSigsPerValidator = 8
 // One table is shared by a validator's pre-verify workers and its engine
 // goroutine; a mutex guards it. The nil table knows nothing and keeps
 // nothing.
-type KnownSigs struct {
+type knownSigs struct {
 	mu sync.Mutex
 	// index maps a (signer, digest) pair to its slot in ring; ring holds the
 	// entries in insertion order, and next is the slot the next new entry
@@ -55,15 +55,15 @@ type knownSig struct {
 	sig []byte
 }
 
-// NewKnownSigs returns an empty table sized for a committee of n.
-func NewKnownSigs(n int) *KnownSigs {
+// newKnownSigs returns an empty table sized for a committee of n.
+func newKnownSigs(n int) *knownSigs {
 	size := knownSigsPerValidator * max(n, 1)
-	return &KnownSigs{index: make(map[sigKey]int, size), ring: make([]knownSig, size)}
+	return &knownSigs{index: make(map[sigKey]int, size), ring: make([]knownSig, size)}
 }
 
 // add records sig as signer's verified (or own) signature over digest. Call
 // it only after the signature verified, or for a signature this process made.
-func (k *KnownSigs) add(signer types.ValidatorID, digest types.Digest, sig crypto.Signature) {
+func (k *knownSigs) add(signer types.ValidatorID, digest types.Digest, sig crypto.Signature) {
 	if k == nil {
 		return
 	}
@@ -87,7 +87,7 @@ func (k *KnownSigs) add(signer types.ValidatorID, digest types.Digest, sig crypt
 // markKnown adds to acc the voters of votes, which are distinct, whose
 // signature over digest is an entry, byte for byte, and reports how many it
 // added. It takes the lock once for the whole certificate.
-func (k *KnownSigs) markKnown(digest types.Digest, votes []VoteSig, acc *types.StakeAccumulator) int {
+func (k *knownSigs) markKnown(digest types.Digest, votes []VoteSig, acc *types.StakeAccumulator) int {
 	if k == nil {
 		return 0
 	}
@@ -105,8 +105,8 @@ func (k *KnownSigs) markKnown(digest types.Digest, votes []VoteSig, acc *types.S
 }
 
 // len reports the number of entries held: never more than the size
-// NewKnownSigs gave the table.
-func (k *KnownSigs) len() int {
+// newKnownSigs gave the table.
+func (k *knownSigs) len() int {
 	if k == nil {
 		return 0
 	}

@@ -9,17 +9,18 @@ import (
 	"hammerhead/internal/types"
 )
 
-// PreVerifier validates message signatures before they reach the engine, so
-// the expensive public-key work happens off the single-threaded state
-// machine. The node runtime runs Check on a pool of goroutines between the
-// transport and the engine loop; the simulator runs it synchronously at
-// delivery when signature verification is enabled. Messages that fail should
-// be dropped without ever entering the engine.
+// PreVerifier validates message signatures before they reach the engine: it
+// is the one check of header, vote and certificate signatures. New builds it
+// (Engine.PreVerifier) when Config.VerifySignatures is set. The node runtime
+// runs Check on a pool of goroutines between the transport and the engine
+// loop, so the expensive public-key work happens off the single-threaded
+// state machine; Engine.OnMessage runs it inline on the engine's goroutine.
+// Messages that fail are dropped without ever entering the engine.
 //
 // The stage's verdict travels with the message it passed, as the Checked
 // value the engine takes in OnChecked, and is never written into the message:
 // one message may be shared by every in-process recipient. The stage shares
-// its validator's KnownSigs table with the engine, adds every header
+// its validator's knownSigs table with the engine, adds every header
 // signature that verifies to it, and counts a certificate vote whose exact
 // bytes the table holds without a second public-key operation. It reads the
 // validator's DAG as well: a certificate the DAG already holds, or one below
@@ -31,7 +32,7 @@ type PreVerifier struct {
 	committee *types.Committee
 	pubKeys   []crypto.PublicKey
 	scheme    crypto.Scheme
-	known     *KnownSigs
+	known     *knownSigs
 	held      *dag.DAG
 
 	checked    atomic.Uint64
@@ -50,16 +51,16 @@ type PreVerifyStats struct {
 	// Verified counts signatures checked with a public-key operation.
 	Verified uint64
 	// Known counts certificate votes accepted without one: their exact bytes
-	// were already verified, or signed, by this validator (see KnownSigs).
+	// were already verified, or signed, by this validator (see knownSigs).
 	Known uint64
 }
 
-// NewPreVerifier builds a pre-verify stage for one validator over its
-// KnownSigs table (nil: none, every signature is verified) and its DAG (nil:
+// newPreVerifier builds a pre-verify stage for one validator over its
+// knownSigs table (nil: none, every signature is verified) and its DAG (nil:
 // every certificate is checked). Check verifies a message's signatures one
 // after another on the caller's goroutine; the node's concurrency is its pool
 // of pre-verify workers, not this stage.
-func NewPreVerifier(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, known *KnownSigs, held *dag.DAG) *PreVerifier {
+func newPreVerifier(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, known *knownSigs, held *dag.DAG) *PreVerifier {
 	return &PreVerifier{committee: committee, pubKeys: pubKeys, scheme: scheme, known: known, held: held}
 }
 
@@ -119,7 +120,7 @@ func certSigCount(certs []*Certificate) int {
 }
 
 // Checked is a message the pre-verify stage passed, for Engine.OnChecked:
-// every signature in it verified, or its bytes were known (KnownSigs), so the
+// every signature in it verified, or its bytes were known (knownSigs), so the
 // engine checks none of them again. Only Check makes one. The verdict rides
 // with the message rather than in the table, whose entries a full sync batch
 // or a queued backlog evicts before the engine reads the message.
@@ -262,14 +263,13 @@ func (pv *PreVerifier) checkCertificates(certs []*Certificate) (out []*Certifica
 }
 
 // sigCost is what checking a certificate took: votes verified with a
-// public-key operation, and votes counted as known (see KnownSigs).
+// public-key operation, and votes counted as known (see knownSigs).
 type sigCost struct {
 	verified, known int
 }
 
 // verifyQuorumVotes decides a certificate by its votes and returns the ones
-// that count. Shared by the engine's validCertificate and the pre-verify
-// stage, so the two paths cannot drift.
+// that count: the pre-verify stage's certificate check.
 //
 // A certificate that breaks the vote-count rule (oneVotePerMember) is
 // refused before any public-key work. Otherwise it is accepted when votes
@@ -280,7 +280,7 @@ type sigCost struct {
 // keep: c when every vote counts, else a new certificate of the known and
 // verified votes, without the forged ones and any the quorum did not need.
 // c itself is never changed: others may share it.
-func verifyQuorumVotes(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, known *KnownSigs, c *Certificate) (*Certificate, sigCost, bool) {
+func verifyQuorumVotes(scheme crypto.Scheme, committee *types.Committee, pubKeys []crypto.PublicKey, known *knownSigs, c *Certificate) (*Certificate, sigCost, bool) {
 	var cost sigCost
 	if !oneVotePerMember(committee, c.Votes) {
 		return nil, cost, false

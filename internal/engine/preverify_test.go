@@ -27,7 +27,7 @@ func preRig(t *testing.T) (*PreVerifier, []crypto.KeyPair, *types.Committee) {
 		pairs[i] = kp
 		pubs[i] = kp.Public
 	}
-	return NewPreVerifier(crypto.Ed25519{}, committee, pubs, NewKnownSigs(4), nil), pairs, committee
+	return newPreVerifier(crypto.Ed25519{}, committee, pubs, newKnownSigs(4), nil), pairs, committee
 }
 
 func signedHeader(t *testing.T, kp crypto.KeyPair, source types.ValidatorID, round types.Round) *Header {
@@ -191,8 +191,8 @@ func TestPreVerifiedMarksSkipEngineVerification(t *testing.T) {
 	// An engine with VerifySignatures=true must accept a header whose wire
 	// signature is garbage when it comes as a Checked verdict — the verdict
 	// asserts an upstream check already happened (only PreVerifier.Check
-	// makes one). The same header as a bare message is verified, and
-	// refused.
+	// makes one). The same header as a bare message goes through the
+	// engine's stage, and is refused.
 	rig := newTestRig(t, 4)
 	for i := range rig.engines {
 		rig.engines[i].Init(0)

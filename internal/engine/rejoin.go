@@ -190,13 +190,13 @@ func (e *Engine) onRejoinRequest(from types.ValidatorID, req *RejoinRequest, out
 // counts toward the gathering quorum, and a frontier beyond our GC horizon
 // routes us into snapshot state-sync. Responses arriving after completion
 // still contribute their certificates.
-func (e *Engine) onRejoinResponse(from types.ValidatorID, resp *RejoinResponse, checked bool, nowNanos int64, out *Output) {
+func (e *Engine) onRejoinResponse(from types.ValidatorID, resp *RejoinResponse, nowNanos int64, out *Output) {
 	if resp == nil {
 		e.stats.InvalidMessages++
 		return
 	}
 	for _, c := range resp.Certs {
-		e.onCertificate(c, checked, nowNanos, out)
+		e.onCertificate(c, nowNanos, out)
 	}
 	if resp.Offer != nil && resp.Offer.Round > e.committer.LastOrderedRound()+types.Round(e.config.GCDepth) {
 		// The responder's checkpoint sits beyond our GC horizon: certificate

@@ -42,7 +42,7 @@ func TestLoneValidatorNeverSyncsWithItself(t *testing.T) {
 
 	// A pending certificate (corrupt input) triggers the request paths.
 	out := &Output{}
-	eng.onCertificate(ghostCert(1, 20, 0, 1), false, 0, out)
+	eng.onCertificate(ghostCert(1, 20, 0, 1), 0, out)
 	assertNoSelfUnicast(t, out, 0)
 	if len(out.Unicasts) != 0 {
 		t.Fatalf("lone validator sent %d sync unicasts", len(out.Unicasts))
@@ -79,7 +79,7 @@ func TestTwoValidatorSyncTargetsPeer(t *testing.T) {
 	for salt := byte(0); salt < 8; salt++ {
 		src := types.ValidatorID(salt % 2)
 		out := &Output{}
-		eng.onCertificate(ghostCert(2, types.Round(10+salt), src, salt), false, int64(salt), out)
+		eng.onCertificate(ghostCert(2, types.Round(10+salt), src, salt), int64(salt), out)
 		assertNoSelfUnicast(t, out, 0)
 	}
 	out := eng.OnTimer(Timer{Kind: TimerResync}, 100)

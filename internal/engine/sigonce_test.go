@@ -58,10 +58,10 @@ func (s countingScheme) Verify(pub crypto.PublicKey, msg []byte, sig crypto.Sign
 	return s.Scheme.Verify(pub, msg, sig)
 }
 
-// sigNet is a committee of engines, each behind its own pre-verify stage and
-// KnownSigs table as validator.New assembles them, exchanging messages in a
-// random order. Every signature check a stage makes is compared with the
-// reference, and an adversary injects forged, padded and flooding traffic.
+// sigNet is a committee of engines, each behind the pre-verify stage and
+// signature table New builds it, exchanging messages in a random order. Every
+// signature check a stage makes is compared with the reference, and an
+// adversary injects forged, padded and flooding traffic.
 type sigNet struct {
 	t         *testing.T
 	rng       *rand.Rand
@@ -70,14 +70,17 @@ type sigNet struct {
 	keys      []crypto.KeyPair
 	pubs      []crypto.PublicKey
 	engines   []*Engine
-	prevers   []*PreVerifier
-	known     []*KnownSigs
-	// engineVerifies counts the engines' own public-key operations;
-	// probeVerifies the share of them this test caused by calling
-	// validCertificate directly.
-	engineVerifies, probeVerifies atomic.Int64
-	queue                         []sigEvent
-	now                           int64
+	// prevers[i] and known[i] are engine i's own stage and table. probes[i]
+	// checks the adversary's traffic toward validator i over that table but
+	// reads no DAG: the engine's stage passes a copy of a certificate its
+	// DAG holds unread, and the mutated copies would test nothing.
+	prevers, probes []*PreVerifier
+	known           []*knownSigs
+	// verifies counts the public-key operations made with the engines' keys:
+	// their stages', and any the engines made themselves.
+	verifies atomic.Int64
+	queue    []sigEvent
+	now      int64
 	// seen[i] holds reference copies of the certificates and headers
 	// validator i's stage accepted: the adversary's material.
 	seenCerts   [][]*Certificate
@@ -85,7 +88,7 @@ type sigNet struct {
 	floodRound  types.Round
 	// Tallies over the run.
 	certChecks, certRefusedByRule, certVotes, verified, knownVotes int
-	ownCerts                                                       int
+	ownCerts, viaOnMessage, viaOnChecked                           int
 }
 
 type sigEvent struct {
@@ -127,7 +130,7 @@ func newSigNet(t *testing.T, seed int64) *sigNet {
 	cfg.MinRoundDelay = 0
 	for i := 0; i < n; i++ {
 		kp := net.keys[i]
-		kp.Scheme = countingScheme{kp.Scheme, &net.engineVerifies}
+		kp.Scheme = countingScheme{kp.Scheme, &net.verifies}
 		eng, err := New(Params{
 			Config:     cfg,
 			Committee:  committee,
@@ -142,11 +145,10 @@ func newSigNet(t *testing.T, seed int64) *sigNet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		known := NewKnownSigs(n)
-		eng.UseKnownSigs(known)
 		net.engines = append(net.engines, eng)
-		net.known = append(net.known, known)
-		net.prevers = append(net.prevers, NewPreVerifier(crypto.Insecure{}, committee, net.pubs, known, nil))
+		net.known = append(net.known, eng.known)
+		net.prevers = append(net.prevers, eng.PreVerifier())
+		net.probes = append(net.probes, newPreVerifier(crypto.Insecure{}, committee, net.pubs, eng.known, nil))
 	}
 	for i, e := range net.engines {
 		net.route(types.ValidatorID(i), e.Init(0))
@@ -208,7 +210,7 @@ func (net *sigNet) checkSealed(m *Message) {
 		go func() {
 			defer wg.Done()
 			if NeedsCheck(m.Kind) {
-				NewPreVerifier(crypto.Insecure{}, net.committee, net.pubs, nil, nil).Check(m)
+				newPreVerifier(crypto.Insecure{}, net.committee, net.pubs, nil, nil).Check(m)
 			}
 			if _, err := EncodeMessage(m); err != nil {
 				t.Error(err)
@@ -229,7 +231,10 @@ func (net *sigNet) checkOwnCert(c *Certificate) {
 	}
 }
 
-// step delivers one queued event, chosen at random.
+// step delivers one queued event, chosen at random. A signed message reaches
+// its engine one of two ways, chosen at random: OnMessage, which runs the
+// engine's stage inline, or the stage's Check and then OnChecked, as a node's
+// workers hand it over.
 func (net *sigNet) step() {
 	i := net.rng.Intn(len(net.queue))
 	ev := net.queue[i]
@@ -243,23 +248,40 @@ func (net *sigNet) step() {
 	}
 	// One message, shared with its sender and every other recipient.
 	m := ev.msg
-	if !NeedsCheck(m.Kind) {
+	pv := net.prevers[ev.to]
+	switch {
+	case !NeedsCheck(m.Kind):
 		net.route(ev.to, e.OnMessage(ev.from, m, net.now))
-	} else if checked, ok := net.check(ev.to, m); ok {
-		net.route(ev.to, e.OnChecked(ev.from, checked, net.now))
+	case net.rng.Intn(2) == 0:
+		net.viaOnMessage++
+		// The stage's counters tell its verdict; what it passed on stays
+		// inside the engine.
+		var out *Output
+		net.check(ev.to, pv, m, func(m *Message) (Checked, bool) {
+			dropped := pv.Stats().Dropped
+			out = e.OnMessage(ev.from, m, net.now)
+			return Checked{}, pv.Stats().Dropped == dropped
+		})
+		net.route(ev.to, out)
+	default:
+		net.viaOnChecked++
+		if checked, ok := net.check(ev.to, pv, m, pv.Check); ok {
+			net.route(ev.to, e.OnChecked(ev.from, checked, net.now))
+		}
 	}
 }
 
-// check runs validator to's pre-verify stage on ref, which it must leave as
-// it is, and holds every decision to the reference. It returns the stage's
-// verdict.
-func (net *sigNet) check(to types.ValidatorID, ref *Message) (Checked, bool) {
+// check applies run to ref — pv's Check, or a delivery through validator
+// to's engine, which runs pv inline — and holds every decision pv makes to
+// the reference; ref must be left as it is. It returns run's verdict. When
+// run shows the message pv passed on, that keeps only verified votes of
+// ref's.
+func (net *sigNet) check(to types.ValidatorID, pv *PreVerifier, ref *Message, run func(*Message) (Checked, bool)) (Checked, bool) {
 	t := net.t
 	t.Helper()
-	pv := net.prevers[to]
 	frame, encErr := EncodeMessage(ref)
 	before := pv.Stats()
-	checked, got := pv.Check(ref)
+	checked, got := run(ref)
 	after := pv.Stats()
 	if encErr == nil {
 		if again, _ := EncodeMessage(ref); !bytes.Equal(again, frame) {
@@ -288,7 +310,9 @@ func (net *sigNet) check(to types.ValidatorID, ref *Message) (Checked, bool) {
 		}
 	case KindCertificate:
 		if kept := net.checkCert(to, ref.Cert, got, verified); got {
-			net.checkKept(checked.msg.Cert.Votes, ref.Cert)
+			if checked.msg != nil {
+				net.checkKept(checked.msg.Cert.Votes, ref.Cert)
+			}
 			net.seenCerts[to] = append(net.seenCerts[to], kept)
 		}
 	case KindCertResponse:
@@ -304,7 +328,7 @@ func (net *sigNet) check(to types.ValidatorID, ref *Message) (Checked, bool) {
 		if got != want {
 			t.Fatalf("cert response of %d certificates: stage accepts=%v, reference %v", len(ref.CertResponse.Certs), got, want)
 		}
-		if got {
+		if got && checked.msg != nil {
 			for i, c := range checked.msg.CertResponse.Certs {
 				if c.Digest() != ref.CertResponse.Certs[i].Digest() {
 					t.Fatal("cert response: the stage passed on a different certificate")
@@ -323,35 +347,32 @@ func (net *sigNet) check(to types.ValidatorID, ref *Message) (Checked, bool) {
 
 // checkCert holds one certificate decision to the reference: refused with
 // no public-key work when the vote-count rule refuses it, otherwise the
-// reference's decision, and the engine's own check (validCertificate, over
-// the same table) agrees and keeps a verified quorum. It returns a copy for
-// the adversary to reuse.
+// reference's decision, and verifyQuorumVotes over the engine's table agrees
+// and keeps a verified quorum. It returns a copy for the adversary to reuse.
 func (net *sigNet) checkCert(to types.ValidatorID, ref *Certificate, got bool, verified int) *Certificate {
 	t := net.t
 	t.Helper()
 	net.certChecks++
 	net.certVotes += len(ref.Votes)
-	before := net.engineVerifies.Load()
-	engineKept, engineGot := net.engines[to].validCertificate(ref, false)
-	net.probeVerifies.Add(net.engineVerifies.Load() - before)
+	tableKept, _, tableGot := verifyQuorumVotes(crypto.Insecure{}, net.committee, net.pubs, net.known[to], ref)
 	if refusedByVoteCount(net.n, ref.Votes) {
 		net.certRefusedByRule++
-		if got || engineGot || verified != 0 {
-			t.Fatalf("certificate with %d votes breaking the vote-count rule: stage accepts=%v after %d verifications, engine %v; want refused after 0",
-				len(ref.Votes), got, verified, engineGot)
+		if got || tableGot || verified != 0 {
+			t.Fatalf("certificate with %d votes breaking the vote-count rule: stage accepts=%v after %d verifications, table check %v; want refused after 0",
+				len(ref.Votes), got, verified, tableGot)
 		}
 		return nil
 	}
 	_, want := refVerifyQuorumVotes(crypto.Insecure{}, net.committee, net.pubs, ref)
-	if got != want || engineGot != want {
-		t.Fatalf("certificate %d/%d with %d votes: stage accepts=%v, engine %v, reference %v",
-			ref.Header.Round, ref.Header.Source, len(ref.Votes), got, engineGot, want)
+	if got != want || tableGot != want {
+		t.Fatalf("certificate %d/%d with %d votes: stage accepts=%v, table check %v, reference %v",
+			ref.Header.Round, ref.Header.Source, len(ref.Votes), got, tableGot, want)
 	}
 	if verified > len(ref.Votes) {
 		t.Fatalf("certificate with %d votes took %d verifications", len(ref.Votes), verified)
 	}
-	if engineGot {
-		net.checkKept(engineKept.Votes, ref)
+	if tableGot {
+		net.checkKept(tableKept.Votes, ref)
 	}
 	return copyCert(ref)
 }
@@ -403,12 +424,14 @@ func forge(sig crypto.Signature, rng *rand.Rand) crypto.Signature {
 	return out
 }
 
-// inject hands validator to's pre-verify stage one piece of adversarial
-// traffic. None of it reaches an engine: the honest run is unchanged.
+// inject hands one piece of adversarial traffic to a stage over validator
+// to's table (probes). None of it reaches an engine: the honest run is
+// unchanged.
 func (net *sigNet) inject(to types.ValidatorID) {
 	rng := net.rng
 	peer := types.ValidatorID((int(to) + 1 + rng.Intn(net.n-1)) % net.n)
-	send := func(m *Message) { net.check(to, m) }
+	pv := net.probes[to]
+	send := func(m *Message) { net.check(to, pv, m, pv.Check) }
 	switch rng.Intn(5) {
 	case 0, 1: // a mutated copy of a certificate the validator accepted
 		certs := net.seenCerts[to]
@@ -524,7 +547,8 @@ func (net *sigNet) mutateVotes(c *Certificate, self types.ValidatorID) {
 // vote-count rule apart, which refuses with no public-key work). Kept votes
 // are verified and a quorum, every table stays within its bound, own
 // certificates are accepted by the reference as they are, and the engines
-// themselves verify nothing: the stage checked it all.
+// verify nothing outside their stages. Signed messages reach the engines by
+// OnMessage and by OnChecked alike (see step), and both decide the same.
 func TestCheckOnceMatchesReference(t *testing.T) {
 	var ruleRefusals, known, verified, votes int
 	for seed := int64(1); seed <= 24; seed++ {
@@ -540,11 +564,16 @@ func TestCheckOnceMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: validator %d stalled at round %d", seed, i, e.Round())
 			}
 		}
-		if net.ownCerts == 0 || net.certChecks == 0 {
-			t.Fatalf("seed %d: %d own certificates, %d certificate checks", seed, net.ownCerts, net.certChecks)
+		if net.ownCerts == 0 || net.certChecks == 0 || net.viaOnMessage == 0 || net.viaOnChecked == 0 {
+			t.Fatalf("seed %d: %d own certificates, %d certificate checks, %d messages by OnMessage and %d by OnChecked",
+				seed, net.ownCerts, net.certChecks, net.viaOnMessage, net.viaOnChecked)
 		}
-		if n := net.engineVerifies.Load() - net.probeVerifies.Load(); n != 0 {
-			t.Fatalf("seed %d: the engines verified %d signatures the stage had already checked", seed, n)
+		var staged int64
+		for _, pv := range net.prevers {
+			staged += int64(pv.Stats().Verified)
+		}
+		if n := net.verifies.Load() - staged; n != 0 {
+			t.Fatalf("seed %d: the engines verified %d signatures outside their stages", seed, n)
 		}
 		ruleRefusals += net.certRefusedByRule
 		known += net.knownVotes
@@ -586,9 +615,7 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := NewKnownSigs(n)
-	eng.UseKnownSigs(known)
-	pv := NewPreVerifier(scheme, committee, pubs, known, nil)
+	pv := eng.PreVerifier()
 
 	edges := make([]types.Digest, 0, n)
 	for _, v := range eng.DAG().RoundVertices(0) {
@@ -634,15 +661,15 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 		check("cert response", passes(pv, resp))
 		rejoin := &Message{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{good, tc.c}}}
 		check("rejoin response", passes(pv, rejoin))
-		invalid := eng.Stats().InvalidMessages
+		dropped := pv.Stats().Dropped
 		eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: tc.c}, 0)
-		check("engine", eng.Stats().InvalidMessages == invalid)
+		check("engine", pv.Stats().Dropped == dropped)
 		if _, ok := eng.DAG().Get(1, 1); ok {
 			t.Fatalf("%s: engine inserted the certificate", tc.name)
 		}
 	}
-	if st := pv.Stats(); st.Dropped != 9 {
-		t.Fatalf("pre-verify dropped %d messages, want the 3 refused certificates and the 6 responses holding one", st.Dropped)
+	if st := pv.Stats(); st.Dropped != 12 {
+		t.Fatalf("pre-verify dropped %d messages, want the 3 refused certificates twice (checked, and through the engine) and the 6 responses holding one", st.Dropped)
 	}
 	// Without signature checks the rule still holds.
 	cfg.VerifySignatures = false
@@ -651,11 +678,7 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := func(c *Certificate) bool {
-		_, ok := plain.validCertificate(c, false)
-		return ok
-	}
-	if valid(flooded) || valid(padded) || !valid(good) {
+	if plain.validCertificate(flooded) || plain.validCertificate(padded) || !plain.validCertificate(good) {
 		t.Fatal("without signature checks the vote-count rule must still refuse flooded and padded certificates, and only those")
 	}
 }
@@ -664,10 +687,9 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 // ingested without a public-key operation, and a peer's certificate whose
 // origin and own votes the validator already holds costs one.
 func TestOwnCertificateNotReverified(t *testing.T) {
-	rig := newTestRig(t, 4)
 	var verifies atomic.Int64
+	rig := newSchemeRig(t, 4, countingScheme{crypto.Insecure{}, &verifies})
 	for _, e := range rig.engines {
-		e.keys.Scheme = countingScheme{e.keys.Scheme, &verifies}
 		e.Init(0)
 	}
 	e0 := rig.engines[0]
@@ -683,8 +705,8 @@ func TestOwnCertificateNotReverified(t *testing.T) {
 			HeaderDigest: own.Digest(), Round: own.Round, Origin: 0, Voter: voter, Signature: sig,
 		}}, 0)
 		if voter == 2 {
-			// The vote itself is checked (it was not pre-verified); the
-			// certificate it completes is not.
+			// The vote itself is checked (by the engine's stage, inline);
+			// the certificate it completes is not.
 			if n := verifies.Load(); n != 1 {
 				t.Fatalf("completing vote and own certificate took %d verifications, want 1", n)
 			}
@@ -741,8 +763,8 @@ func TestKnownSigsSharedAcrossWorkers(t *testing.T) {
 		}
 		pubs[i] = keys[i].Public
 	}
-	known := NewKnownSigs(n)
-	pv := NewPreVerifier(crypto.Insecure{}, committee, pubs, known, nil)
+	known := newKnownSigs(n)
+	pv := newPreVerifier(crypto.Insecure{}, committee, pubs, known, nil)
 	sign := func(id types.ValidatorID, d types.Digest) crypto.Signature {
 		sig, _ := keys[id].Sign(d[:])
 		return sig
@@ -819,9 +841,7 @@ func TestCheckedVerdictOutlivesTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := NewKnownSigs(n)
-	eng.UseKnownSigs(known)
-	pv := NewPreVerifier(crypto.Insecure{}, committee, pubs, known, nil)
+	pv := eng.PreVerifier()
 	eng.Init(0)
 
 	// Rounds of certificates voted by the three peers, so none of the votes
@@ -878,8 +898,8 @@ func TestCheckedVerdictOutlivesTable(t *testing.T) {
 	if len(out.Unicasts) != 1 || out.Unicasts[0].Msg.Kind != KindVote {
 		t.Fatal("no vote for the checked header")
 	}
-	// The counter sees the engine's own work: a header delivered bare is
-	// verified.
+	// The counter sees the stage's work: a header delivered bare goes
+	// through it, and is verified.
 	g := &Header{Round: rounds + 1, Source: 2, Edges: edges}
 	g.Signature = sign(2, g.Digest())
 	eng.OnMessage(2, &Message{Kind: KindHeader, Header: g}, 0)
@@ -920,9 +940,7 @@ func TestHeldCertificatesCostNoVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := NewKnownSigs(n)
-	eng.UseKnownSigs(known)
-	pv := NewPreVerifier(scheme, committee, pubs, known, eng.DAG())
+	pv := eng.PreVerifier()
 
 	// Rounds 1 to 4 of validators 1 to 3, each certified by all three.
 	var prev []types.Digest
@@ -1014,7 +1032,7 @@ func TestHeldCertificatesCostNoVerification(t *testing.T) {
 	pruned.Prune(3)
 	below := &Certificate{Header: Header{Round: 2, Source: 0}, Votes: forged.Votes}
 	verifies.Store(0)
-	pvPruned := NewPreVerifier(scheme, committee, pubs, NewKnownSigs(n), pruned)
+	pvPruned := newPreVerifier(scheme, committee, pubs, newKnownSigs(n), pruned)
 	if !passes(pvPruned, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{below, rounds[1][0]}}}) {
 		t.Fatal("certificates below the floor were dropped")
 	}

@@ -292,7 +292,7 @@ func New(cfg Config) (*Node, error) {
 	case *leader.RoundRobin:
 		n.rrSched = sched
 	}
-	if n.prever = v.PreVerifier; n.prever != nil {
+	if n.prever = v.Engine.PreVerifier(); n.prever != nil {
 		n.preq = make(chan inbound, 4096)
 	}
 	if cfg.Metrics != nil {

@@ -92,7 +92,6 @@ type Cluster struct {
 
 	msgsSent    uint64
 	msgsDropped uint64
-	preDropped  uint64
 }
 
 // process is one validator's simulated process: the faults injected into it,
@@ -435,8 +434,18 @@ func (c *Cluster) CorruptSignatures(id types.ValidatorID, from time.Duration) {
 }
 
 // PreVerifyDropped returns the total number of messages rejected by the
-// validators' pre-verify stages.
-func (c *Cluster) PreVerifyDropped() uint64 { return c.preDropped }
+// validators' pre-verify stages (0 without signature checks). It reads the
+// stages of the validators as they are now: a KillRestart builds a new
+// validator, and the count its old stage held is lost with it.
+func (c *Cluster) PreVerifyDropped() uint64 {
+	var dropped uint64
+	for _, v := range c.validators {
+		if pv := v.Engine.PreVerifier(); pv != nil {
+			dropped += pv.Stats().Dropped
+		}
+	}
+	return dropped
+}
 
 // ForgeGhostCerts makes validator id act Byzantine from the given virtual
 // time on: every interval it broadcasts a correctly-signed, quorum-voted
@@ -638,18 +647,6 @@ func (c *Cluster) send(from, to types.ValidatorID, msg *engine.Message, now int6
 		// flight toward a killed process — or sent while it was down — is
 		// gone, even if the validator is back up by the delivery instant.
 		if c.procs[to].incarnation != inc || c.crashed(to, c.Sim.Now()) {
-			return
-		}
-		// Each validator's pre-verify stage (validator.New builds it when
-		// signatures are verified) runs synchronously at delivery — same code
-		// as the node's asynchronous stage.
-		if pv := c.validators[to].PreVerifier; pv != nil && engine.NeedsCheck(msg.Kind) {
-			checked, ok := pv.Check(msg)
-			if !ok {
-				c.preDropped++
-				return
-			}
-			c.dispatch(to, c.Engine(to).OnChecked(from, checked, c.Sim.Now()))
 			return
 		}
 		c.dispatch(to, c.Engine(to).OnMessage(from, msg, c.Sim.Now()))

@@ -59,10 +59,6 @@ type Validator struct {
 	Pool   *mempool.FairPool
 	// Executor applies the commit stream and cuts the checkpoints.
 	Executor *execution.Executor
-	// PreVerifier is the validator's signature pre-verify stage, nil unless
-	// Config.Engine.VerifySignatures: the runtime runs its Check on every
-	// message engine.NeedsCheck names before the engine sees it.
-	PreVerifier *engine.PreVerifier
 
 	// log and store are the durable record (nil: none). store holds the
 	// executor's checkpoints, beside the log it compacts.
@@ -160,15 +156,6 @@ func New(cfg Config, log *Log) (*Validator, error) {
 		return nil, fmt.Errorf("validator: building engine: %w", err)
 	}
 	v.Engine = eng
-	if cfg.Engine.VerifySignatures {
-		// One table of signatures already verified or cast, shared by the
-		// pre-verify stage and the engine: a signature is checked once. The
-		// stage reads the DAG too, and checks no certificate the engine
-		// drops unread.
-		known := engine.NewKnownSigs(cfg.Committee.Size())
-		eng.UseKnownSigs(known)
-		v.PreVerifier = engine.NewPreVerifier(cfg.Keys.Scheme, cfg.Committee, cfg.PublicKeys, known, d)
-	}
 	return v, nil
 }
 
