@@ -157,11 +157,13 @@ pacing:
 # killed after its header went out and before the header's record was durable
 # never certified it, and after the restart no slot holds two certificates. A
 # LocalCluster given only a WAL directory compacts validator 0's log against
-# a checkpoint saved beside it within two checkpoint intervals.
+# a checkpoint saved beside it within two checkpoint intervals. A checkpoint
+# the recovering validator's scheduler cannot restore (a round-robin one under
+# HammerHead) fails the restart by its seq, with the executor untouched.
 crash-restart:
 	go test -race -count=3 -run '^(TestFullCommitteeKillRestartConverges|TestHammerHeadFullCommitteeKillRestartConverges|TestPartialKillRestartRejoinsLiveCommittee|TestKillRestartRestoresVotedRoundMark|TestKillRestartRecoversFromCompactedLog|TestKillRestartTrimsATornTail)$$' ./internal/simnet/
 	go test -race -count=3 -run '^(TestOpenWALSyncsDirOnCreate|TestNewSnapshotStoreSyncsCreatedDirs)$$' ./internal/storage/
-	go test -race -count=3 -run '^(TestInitOpensTheLogAndGoesLive|TestLogCompactsAtTheCheckpointFloor|TestLogReopensAfterAFailedCompaction)$$' ./internal/validator/
+	go test -race -count=3 -run '^(TestInitOpensTheLogAndGoesLive|TestLogCompactsAtTheCheckpointFloor|TestLogReopensAfterAFailedCompaction|TestRecoverRefusesACheckpointItsSchedulerCannotRestore)$$' ./internal/validator/
 	go test -race -count=3 -run '^TestNodeRecordsNothingBeforeStart$$' ./internal/node/
 	go test -race -count=3 -run '^TestKillRestartReplaysItsLogUnverified$$' ./internal/simnet/
 	go test -race -count=3 -run '^TestRestartResumesFromItsOwnCompactedRecord$$' ./internal/node/
@@ -186,9 +188,11 @@ ring-bytes:
 # full encoding, the same roots, digest and count started or not, Close's
 # inline final checkpoint); an install adopts a snapshot that hashes to its
 # digest and a rejected one leaves the live ledger and the certified reads
-# alone; and the node tests that apply on the commit goroutine.
+# alone, as does one whose scheduler state the scheduler refuses, while the
+# install restores the scheduler from the state it accepts; and the node
+# tests that apply on the commit goroutine.
 apply-path:
-	go test -race -count=3 -run '^(TestCheckpointsMatchInlineOracle|TestCheckpointMergeMatchesFullEncode|TestExecutorAsyncModeMatchesSync|TestExecutorSubmitBeforeStartIsDroppedAtClose|TestExecutorInstallVerifiesAndAdopts|TestRejectedInstallLeavesTheLedgerAlone)$$' ./internal/execution/
+	go test -race -count=3 -run '^(TestCheckpointsMatchInlineOracle|TestCheckpointMergeMatchesFullEncode|TestExecutorAsyncModeMatchesSync|TestExecutorSubmitBeforeStartIsDroppedAtClose|TestExecutorInstallVerifiesAndAdopts|TestRejectedInstallLeavesTheLedgerAlone|TestInstallFromWireRequiresSchedulerState)$$' ./internal/execution/
 	go test -race -count=3 -run '^(TestNodesExecuteAndConverge|TestCheckpointDrivenWALCompactionAndRestart|TestTraceCoversFullCommitPath)$$' ./internal/node/
 
 # checkpoint-phase is CI's "Checkpoints where the period waits (race)" step:

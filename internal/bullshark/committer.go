@@ -11,6 +11,10 @@
 // orders and assert prefix-consistent outputs, which is the paper's Total
 // Order + Schedule Agreement argument in executable form.
 //
+// Every commit carries the scheduler's export (leader.Scheduler.ExportState)
+// taken right after its anchor was ordered, under either scheduler: that is
+// what the executor's checkpoints carry and a snapshot install restores.
+//
 // That single driver runs on the engine goroutine, inside the step that
 // inserts each vertex, in every runtime. ProcessVertex is a pure function of
 // the vertex sequence it is fed, so replaying a validator's recorded
@@ -40,8 +44,8 @@ type CommittedSubDAG struct {
 	Direct bool
 	// SchedulerState is the scheduler's exported state immediately after this
 	// commit was ordered — exactly what a node restoring from a checkpoint
-	// cut at this commit must resume with. Nil when the scheduler carries no
-	// state (the round-robin baseline).
+	// cut at this commit must resume with. Under the round-robin baseline it
+	// is the baseline itself, which encodes to nothing.
 	SchedulerState leader.SchedulerState
 }
 
@@ -88,9 +92,6 @@ type Committer struct {
 	committee *types.Committee
 	dag       *dag.DAG
 	scheduler leader.Scheduler
-	// exporter is non-nil when the scheduler's state must ride in commits
-	// (HammerHead's core.Manager); the round-robin baseline exports nothing.
-	exporter leader.StateExporter
 
 	lastOrderedRound types.Round
 	// ordered is the set of delivered vertices, one ValidatorSet of sources
@@ -110,16 +111,12 @@ type Committer struct {
 // New builds a committer over the validator's DAG and scheduler. The
 // scheduler must be exclusive to this committer (it mutates on commit).
 func New(committee *types.Committee, d *dag.DAG, scheduler leader.Scheduler) *Committer {
-	c := &Committer{
+	return &Committer{
 		committee: committee,
 		dag:       d,
 		scheduler: scheduler,
 		votes:     make(map[types.Round]*anchorVotes),
 	}
-	if exp, ok := scheduler.(leader.StateExporter); ok {
-		c.exporter = exp
-	}
-	return c
 }
 
 // LastOrderedRound returns the round of the latest ordered anchor.
@@ -209,13 +206,11 @@ func (c *Committer) commitChain(tip *dag.Vertex) []CommittedSubDAG {
 			}
 			out = append(out, c.orderSubDAG(anchor, anchor == tip))
 			c.scheduler.OnAnchorOrdered(info)
-			if c.exporter != nil {
-				// Capture per anchor, AFTER the scheduler advanced: a
-				// checkpoint cut at this commit must carry the state a live
-				// node holds after processing exactly this commit — capturing
-				// once per chain would leak later anchors' effects backwards.
-				out[len(out)-1].SchedulerState = c.exporter.ExportState()
-			}
+			// Capture per anchor, AFTER the scheduler advanced: a checkpoint
+			// cut at this commit must carry the state a live node holds after
+			// processing exactly this commit — capturing once per chain would
+			// leak later anchors' effects backwards.
+			out[len(out)-1].SchedulerState = c.scheduler.ExportState()
 		}
 		if !restart {
 			return out

@@ -1,6 +1,7 @@
 package bullshark_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,7 +15,8 @@ import (
 )
 
 // fixedScheduler is a non-switching scheduler with an explicit slot cycle,
-// letting tests pin leaders without seed hunting.
+// letting tests pin leaders without seed hunting. Like the round-robin
+// baseline it is immutable, so it is its own export, and encodes to nothing.
 type fixedScheduler struct {
 	history *leader.History
 }
@@ -31,6 +33,11 @@ func newFixedScheduler(t *testing.T, slots []types.ValidatorID) *fixedScheduler 
 func (f *fixedScheduler) LeaderAt(r types.Round) types.ValidatorID { return f.history.LeaderAt(r) }
 func (f *fixedScheduler) MaybeSwitch(leader.AnchorInfo) bool       { return false }
 func (f *fixedScheduler) OnAnchorOrdered(leader.AnchorInfo)        {}
+func (f *fixedScheduler) ExportState() leader.SchedulerState       { return f }
+func (f *fixedScheduler) Encode() ([]byte, error)                  { return nil, nil }
+func (f *fixedScheduler) RestoreState([]byte) error                { return nil }
+func (f *fixedScheduler) FastForwardTo(types.Round)                {}
+func (f *fixedScheduler) MinRetainedRound() types.Round            { return math.MaxUint64 }
 
 func equalCommittee(t *testing.T, n int) *types.Committee {
 	t.Helper()

@@ -261,9 +261,9 @@ func (m *Manager) Excluded() []types.ValidatorID {
 	return append([]types.ValidatorID(nil), last.Bad...)
 }
 
-// MinRetainedRound returns the lowest round the scheduler may still read
-// from the DAG (score scans reach back to the active epoch start). DAG
-// pruning must stay strictly below this.
+// MinRetainedRound implements leader.Scheduler: the lowest round the
+// scheduler may still read from the DAG (score scans reach back to the
+// active epoch start). DAG pruning must stay strictly below this.
 func (m *Manager) MinRetainedRound() types.Round {
 	start := m.history.Active().InitialRound()
 	if start == 0 {

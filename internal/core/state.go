@@ -45,11 +45,7 @@ type ManagerState struct {
 	epochScores Scores
 }
 
-var (
-	_ leader.SchedulerState = (*ManagerState)(nil)
-	_ leader.StateExporter  = (*Manager)(nil)
-	_ leader.StateRestorer  = (*Manager)(nil)
-)
+var _ leader.SchedulerState = (*ManagerState)(nil)
 
 // scoreEntry is one validator's score in the deterministic wire form.
 type scoreEntry struct {
@@ -221,7 +217,7 @@ func (st *ManagerState) Excluded() []types.ValidatorID { return st.excluded }
 // (shared map; do not mutate). Empty before the first switch.
 func (st *ManagerState) Scores() Scores { return st.epochScores }
 
-// ExportState implements leader.StateExporter: a cheap immutable capture of
+// ExportState implements leader.Scheduler: a cheap immutable capture of
 // the Manager. Schedules are shared (they are immutable); only the score
 // maps are copied. Schedule history older than MinRetainedRound is pruned
 // from the export — a restored node's DAG never reaches below it, so those
@@ -264,7 +260,7 @@ func (m *Manager) ExportState() leader.SchedulerState {
 	return st
 }
 
-// RestoreState implements leader.StateRestorer: it re-establishes an exported
+// RestoreState implements leader.Scheduler: it re-establishes an exported
 // state in this Manager, replacing the schedule history, epoch cursor and
 // Shoal scores wholesale. On a decode error the Manager is left untouched.
 // After a successful restore the Manager resumes exactly where the exporting
@@ -288,13 +284,13 @@ func (m *Manager) RestoreState(data []byte) error {
 	return nil
 }
 
-// FastForwardTo implements the engine's snapshot fast-forward. The engine
-// calls it only after RestoreState re-established the schedule the snapshot
-// was cut under, and the restored cursor already sits at the snapshot's last
-// ordered anchor — so this is normally a no-op. Defensively, a jump past the
-// restored cursor advances it without assigning skip penalties: the gap's
-// ordering history was never observed, and guessing penalties for it would
-// break Schedule Agreement.
+// FastForwardTo implements leader.Scheduler. The engine calls it only after
+// RestoreState re-established the schedule the snapshot was cut under, and
+// the restored cursor already sits at the snapshot's last ordered anchor — so
+// this is normally a no-op. Defensively, a jump past the restored cursor
+// advances it without assigning skip penalties: the gap's ordering history
+// was never observed, and guessing penalties for it would break Schedule
+// Agreement.
 func (m *Manager) FastForwardTo(round types.Round) {
 	if m.haveLastOrderedAnchor && round <= m.lastOrderedAnchor {
 		return

@@ -191,12 +191,6 @@ type roundSlots struct {
 	certs []*Certificate
 }
 
-// minRetainer is implemented by schedulers (core.Manager) whose score scans
-// constrain DAG pruning.
-type minRetainer interface {
-	MinRetainedRound() types.Round
-}
-
 // Engine is the per-validator protocol state machine. All methods must be
 // called from a single goroutine (or the simulator's event loop); time is
 // passed in explicitly so simulated and wall-clock runs share every line of
@@ -241,16 +235,10 @@ type Engine struct {
 	proposalFloor types.Round
 	// exec is the execution layer: it serves local checkpoints to peers,
 	// installs fetched ones, reports its applied sequence for rejoin
-	// frontiers and stores checkpoint certificates.
-	// Snapshot state-sync: schedFastForward is non-nil when the scheduler
-	// tolerates jumping past ordering history (requesting is disabled
-	// otherwise); schedRestore is non-nil when the scheduler additionally
-	// needs its state restored from the snapshot before the jump
-	// (core.Manager); snapFetch is the active download.
-	exec             Execution
-	schedFastForward scheduleFastForwarder
-	schedRestore     leader.StateRestorer
-	snapFetch        snapFetch
+	// frontiers and stores checkpoint certificates. snapFetch is the active
+	// snapshot download.
+	exec      Execution
+	snapFetch snapFetch
 	// rejoin is the crash-rejoin handshake's gathering state.
 	rejoin rejoinState
 	// Checkpoint certification (nil/zero unless the execution layer
@@ -410,12 +398,6 @@ func New(p Params) (*Engine, error) {
 	}
 	if e.exec.CheckpointCerts() {
 		e.ckptAcc = checkpoint.NewAccumulator(p.Committee)
-	}
-	if ff, ok := p.Scheduler.(scheduleFastForwarder); ok {
-		e.schedFastForward = ff
-	}
-	if sr, ok := p.Scheduler.(leader.StateRestorer); ok {
-		e.schedRestore = sr
 	}
 	return e, nil
 }
@@ -1060,7 +1042,7 @@ func (e *Engine) maybeRangeSync(target types.ValidatorID, nowNanos int64, out *O
 	if e.maxPendingRound <= floor+gapThreshold {
 		return
 	}
-	if e.beyondGCHorizon() && e.snapshotSyncEnabled() {
+	if e.beyondGCHorizon() {
 		// Certificate sync cannot close this gap (peers pruned the history);
 		// fetch a checkpoint instead of crawling an unreachable range.
 		e.maybeSnapshotSync(target, nowNanos, out)
@@ -1508,12 +1490,7 @@ func (e *Engine) adoptHeader(h *Header, digest types.Digest, sig crypto.Signatur
 // engine's round window all move to the same floor here (a snapshot install
 // moves all three to its boundary).
 func (e *Engine) garbageCollect() {
-	floor := e.committer.LastOrderedRound()
-	if mr, ok := e.scheduler.(minRetainer); ok {
-		if m := mr.MinRetainedRound(); m < floor {
-			floor = m
-		}
-	}
+	floor := min(e.committer.LastOrderedRound(), e.scheduler.MinRetainedRound())
 	if floor <= types.Round(e.config.GCDepth) {
 		return
 	}

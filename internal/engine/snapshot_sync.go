@@ -40,11 +40,12 @@ type Execution interface {
 	// completes would force a restart from chunk zero every time.
 	SnapshotAt(round types.Round) (meta SnapshotMeta, data []byte, ok bool)
 	// InstallFromWire verifies and applies a fetched snapshot, returning how
-	// far the engine should fast-forward. Requesting snapshots is
-	// additionally gated on the scheduler supporting the jump
-	// (leader.RoundRobin does; core.Manager does too, restoring its
-	// reputation state from the snapshot's scheduler-state payload first).
-	InstallFromWire(meta SnapshotMeta, data []byte) (*SnapshotInstall, error)
+	// far the engine should fast-forward. restore is the scheduler's
+	// RestoreState: it is handed the snapshot's scheduler state after every
+	// check on the snapshot passed and before the ledger is adopted, and its
+	// error refuses the install, so a refusal leaves ledger, committer and
+	// schedule untouched and an accepted snapshot moves all three.
+	InstallFromWire(meta SnapshotMeta, data []byte, restore func([]byte) error) (*SnapshotInstall, error)
 	// AppliedSeq reports the applied commit sequence; the crash-rejoin
 	// handshake carries it in frontiers so restarting peers can see how far
 	// each survivor's executor reaches.
@@ -67,8 +68,8 @@ type OrderedVertex struct {
 }
 
 // SnapshotInstall is the installer's instruction back to the engine after a
-// snapshot was verified and applied to the execution layer: how far to
-// fast-forward the protocol state.
+// snapshot was verified and applied to the execution layer, and the
+// scheduler restored from it: how far to fast-forward the protocol state.
 type SnapshotInstall struct {
 	// PruneTo is the new DAG/protocol retention floor: rounds below it are
 	// covered by the snapshot and pruned; rounds at or above it are
@@ -77,22 +78,6 @@ type SnapshotInstall struct {
 	// Ordered lists the snapshot's already-ordered vertices at rounds >=
 	// PruneTo (the committer must not re-order them).
 	Ordered []OrderedVertex
-	// SchedulerState is the snapshot's encoded scheduler state (empty for
-	// stateless schedulers). When the engine's scheduler is a
-	// leader.StateRestorer, it is restored before the committer
-	// fast-forwards, so ordering resumes under the exact schedule the
-	// snapshot was cut under.
-	SchedulerState []byte
-}
-
-// scheduleFastForwarder is implemented by schedulers whose leader resolution
-// stays correct when the engine jumps past unseen ordering history.
-// leader.RoundRobin implements it (the static schedule covers every round);
-// core.Manager implements it together with leader.StateRestorer — its
-// reputation schedule rides in snapshots, is restored first, and the
-// fast-forward itself is then a cursor adjustment.
-type scheduleFastForwarder interface {
-	FastForwardTo(round types.Round)
 }
 
 // snapFetch is the requester-side state of one chunked snapshot download.
@@ -124,12 +109,6 @@ const snapshotStallRetries = 2
 // attacker-controlled); overflowing the cap aborts the fetch as corrupt.
 const maxSnapshotFetchBytes = 256 << 20
 
-// snapshotSyncEnabled reports whether this engine may REQUEST snapshot
-// state-sync: it needs a scheduler that stays correct across the jump.
-func (e *Engine) snapshotSyncEnabled() bool {
-	return e.schedFastForward != nil
-}
-
 // beyondGCHorizon reports whether the observed certificate frontier is so
 // far above our DAG that the gap can no longer be closed by certificate
 // sync: peers have pruned history deeper than GCDepth below their frontier,
@@ -142,7 +121,7 @@ func (e *Engine) beyondGCHorizon() bool {
 // maybeSnapshotSync starts a snapshot fetch when one is needed and none is
 // active. Rate-limited by resyncInterval between attempts.
 func (e *Engine) maybeSnapshotSync(hint types.ValidatorID, nowNanos int64, out *Output) {
-	if !e.snapshotSyncEnabled() || e.snapFetch.active {
+	if e.snapFetch.active {
 		return
 	}
 	if e.snapFetch.lastAttempt != 0 && nowNanos-e.snapFetch.lastAttempt < e.config.resyncInterval().Nanoseconds() {
@@ -162,10 +141,10 @@ func (e *Engine) maybeSnapshotSync(hint types.ValidatorID, nowNanos int64, out *
 // from its very first request, so the responder serves chunk zero of that
 // round directly (and keeps serving it from retention if it rotates to a
 // newer checkpoint mid-fetch) instead of the requester first discovering the
-// checkpoint identity from a blind first response. No-op when snapshot sync
-// is disabled or a fetch is already running.
+// checkpoint identity from a blind first response. No-op when a fetch is
+// already running.
 func (e *Engine) startOfferedSnapshotFetch(from types.ValidatorID, offer SnapshotMeta, nowNanos int64, out *Output) {
-	if !e.snapshotSyncEnabled() || e.snapFetch.active || offer.Round == 0 {
+	if e.snapFetch.active || offer.Round == 0 {
 		return
 	}
 	if offer.Round <= e.committer.LastOrderedRound() {
@@ -343,45 +322,32 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 
 	meta, data := f.meta, f.buf
 	*f = snapFetch{lastAttempt: nowNanos}
-	install, err := e.exec.InstallFromWire(meta, data)
+	install, err := e.exec.InstallFromWire(meta, data, e.scheduler.RestoreState)
 	if err != nil {
 		// Corrupted or forged snapshot (the installer recomputes the state
-		// digest), a snapshot missing required scheduler state, or one stale
-		// relative to the executor. Count it and retry from scratch against
-		// another peer on the next trigger.
+		// digest), one whose scheduler state the scheduler refuses, or one
+		// stale relative to the executor. Count it and retry from scratch
+		// against another peer on the next trigger.
 		e.stats.SnapshotInstallFailures++
 		return
 	}
-	if e.applySnapshotInstall(meta, install, nowNanos, out) {
-		e.stats.SnapshotInstalls++
-	}
+	e.applySnapshotInstall(meta, install, nowNanos, out)
+	e.stats.SnapshotInstalls++
 }
 
 // applySnapshotInstall fast-forwards the protocol state after the execution
-// layer accepted a snapshot: the scheduler's state is restored first (when it
-// carries one), the committer resumes at the checkpoint's commit cursor with
-// the boundary's ordered set, the scheduler jumps, the DAG and every
-// ingest-owned map prune to the boundary floor, and pending certificates that
-// became insertable (their parents are now below the floor) cascade into the
-// DAG. Returns false — leaving ordering state untouched — when the scheduler
-// needs state the install does not carry (a snapshot cut under a stateless
-// scheduler): the runtime then falls back to WAL replay, with the executor's
-// sequence dedupe absorbing re-derived commits.
-func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstall, nowNanos int64, out *Output) bool {
+// layer accepted a snapshot and restored the scheduler from it: the
+// committer resumes at the checkpoint's commit cursor with the boundary's
+// ordered set, the scheduler jumps, the DAG and every ingest-owned map prune
+// to the boundary floor, and pending certificates that became insertable
+// (their parents are now below the floor) cascade into the DAG.
+func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstall, nowNanos int64, out *Output) {
 	ordered := make(map[types.Digest]types.Round, len(install.Ordered))
 	for _, ov := range install.Ordered {
 		ordered[ov.Digest] = ov.Round
 	}
-	if e.schedRestore != nil {
-		if len(install.SchedulerState) == 0 || e.schedRestore.RestoreState(install.SchedulerState) != nil {
-			e.stats.SnapshotInstallFailures++
-			return false
-		}
-	}
 	e.committer.FastForward(meta.Round, meta.CommitSeq, install.PruneTo, ordered)
-	if e.schedFastForward != nil {
-		e.schedFastForward.FastForwardTo(meta.Round)
-	}
+	e.scheduler.FastForwardTo(meta.Round)
 	e.dagStore.Prune(install.PruneTo)
 	e.pruneProtocolState(install.PruneTo)
 	if e.round < meta.Round {
@@ -392,7 +358,6 @@ func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstal
 	}
 	e.drainPendingAfterInstall(nowNanos, out)
 	e.tryAdvance(nowNanos, out)
-	return true
 }
 
 // drainPendingAfterInstall re-attempts pending certificates the install made
@@ -422,27 +387,14 @@ func (e *Engine) drainPendingAfterInstall(nowNanos int64, out *Output) {
 	e.sweepPendingIndexes()
 }
 
-// CanFastForwardSchedule reports whether the engine's scheduler stays
-// correct when ordering jumps past unseen history (snapshot install). True
-// for the round-robin baseline AND for HammerHead's reputation scheduler
-// (which additionally restores its state from the snapshot; a snapshot
-// carrying none makes the jump itself no-op at apply time).
-func (e *Engine) CanFastForwardSchedule() bool { return e.schedFastForward != nil }
-
 // FastForwardToSnapshot fast-forwards the protocol state to a checkpoint the
 // runtime installed out of band (recovery restoring a locally persisted
-// snapshot before WAL replay). Must be called from the engine's goroutine;
-// the returned output carries any follow-up work, dispatchable like any
-// other step's. No-op (empty output) when the scheduler cannot follow the
-// jump — including a stateful scheduler handed a snapshot with no
-// scheduler state — in which case the runtime relies on WAL replay to
-// rebuild ordering state, with the executor's sequence dedupe absorbing
-// re-derived commits.
+// snapshot before WAL replay), with the engine's scheduler restored by that
+// install (see Scheduler). Must be called from the engine's goroutine; the
+// returned output carries any follow-up work, dispatchable like any other
+// step's.
 func (e *Engine) FastForwardToSnapshot(meta SnapshotMeta, install *SnapshotInstall, nowNanos int64) *Output {
 	out := &Output{}
-	if !e.CanFastForwardSchedule() {
-		return out
-	}
 	e.applySnapshotInstall(meta, install, nowNanos, out)
 	return out
 }

@@ -58,8 +58,9 @@ func (s *stubSnapshots) SnapshotAt(round types.Round) (SnapshotMeta, []byte, boo
 }
 
 // stubInstaller mimics the execution layer's verification: the blob must
-// hash to the advertised state digest (a corrupted chunk breaks it), and the
-// engine is told to fast-forward to the checkpoint.
+// hash to the advertised state digest (a corrupted chunk breaks it), the
+// scheduler is restored from the empty state a round-robin checkpoint
+// carries, and the engine is told to fast-forward to the checkpoint.
 type stubInstaller struct {
 	install  *SnapshotInstall
 	installs int
@@ -67,9 +68,12 @@ type stubInstaller struct {
 	lastData []byte
 }
 
-func (s *stubInstaller) InstallFromWire(meta SnapshotMeta, data []byte) (*SnapshotInstall, error) {
+func (s *stubInstaller) InstallFromWire(meta SnapshotMeta, data []byte, restore func([]byte) error) (*SnapshotInstall, error) {
 	if s == nil || types.HashBytes(data) != meta.StateDigest {
 		return nil, corruptErr{}
+	}
+	if err := restore(nil); err != nil {
+		return nil, err
 	}
 	s.installs++
 	s.lastMeta = meta
@@ -420,43 +424,6 @@ func TestSnapshotChunkCRCRejectedOnReceipt(t *testing.T) {
 		t.Fatalf("installer got %d bytes, want the full %d-byte blob", len(installers[3].lastData), len(blob))
 	}
 }
-
-func TestSnapshotSyncDisabledWithoutFastForwardableScheduler(t *testing.T) {
-	// Schedulers that cannot jump past unseen ordering history (no
-	// FastForwardTo) must keep the engine from requesting snapshots even
-	// when an installer is wired.
-	committee, err := types.NewEqualStakeCommittee(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kp, err := crypto.NewKeyPair(crypto.Insecure{}, [32]byte{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(Params{
-		Config:    snapshotlessConfig(),
-		Committee: committee,
-		Self:      0,
-		Keys:      kp,
-		Batches:   nilBatches{},
-		Scheduler: noFFScheduler{leader.NewRoundRobin(committee, 1)},
-		DAG:       dag.New(committee),
-		Execution: &stubExec{stubInstaller: &stubInstaller{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.snapshotSyncEnabled() {
-		t.Fatal("snapshot sync must be gated on a fast-forwardable scheduler")
-	}
-}
-
-// noFFScheduler wraps a scheduler while hiding its FastForwardTo method.
-type noFFScheduler struct{ inner *leader.RoundRobin }
-
-func (s noFFScheduler) LeaderAt(r types.Round) types.ValidatorID { return s.inner.LeaderAt(r) }
-func (s noFFScheduler) MaybeSwitch(a leader.AnchorInfo) bool     { return s.inner.MaybeSwitch(a) }
-func (s noFFScheduler) OnAnchorOrdered(a leader.AnchorInfo)      { s.inner.OnAnchorOrdered(a) }
 
 func snapshotlessConfig() Config {
 	cfg := DefaultConfig()

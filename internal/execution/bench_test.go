@@ -120,7 +120,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		fresh := NewExecutor(NewKVState(), Config{CheckpointInterval: 1 << 62})
-		if err := fresh.install(decoded); err != nil {
+		if err := fresh.install(decoded, acceptState); err != nil {
 			b.Fatal(err)
 		}
 		if fresh.StateDigest() != src.StateDigest() {

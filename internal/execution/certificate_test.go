@@ -86,7 +86,7 @@ func TestInstallFromWireRequiresCertificate(t *testing.T) {
 		t.Fatal("producer serves no snapshot")
 	}
 	installer := newInstaller()
-	if _, err := installer.InstallFromWire(meta, blob); err == nil {
+	if _, err := installer.InstallFromWire(meta, blob, acceptState); err == nil {
 		t.Fatal("uncertified snapshot must be rejected")
 	}
 	if installer.AppliedSeq() != 0 {
@@ -102,14 +102,14 @@ func TestInstallFromWireRequiresCertificate(t *testing.T) {
 		t.Fatal("attach to cached checkpoint failed")
 	}
 	meta, blob, _ = producer.LatestSnapshot()
-	if _, err := installer.InstallFromWire(meta, blob); err == nil {
+	if _, err := installer.InstallFromWire(meta, blob, acceptState); err == nil {
 		t.Fatal("certificate over a different tuple must be rejected")
 	}
 
 	// A sub-quorum certificate must be rejected by the verifier.
 	producer.AttachCertificate(snap.CommitSeq, quorumCertFor(t, snap, keys, 2))
 	meta, blob, _ = producer.LatestSnapshot()
-	if _, err := installer.InstallFromWire(meta, blob); err == nil {
+	if _, err := installer.InstallFromWire(meta, blob, acceptState); err == nil {
 		t.Fatal("sub-quorum certificate must be rejected")
 	}
 	if installer.AppliedSeq() != 0 {
@@ -120,7 +120,7 @@ func TestInstallFromWireRequiresCertificate(t *testing.T) {
 	// the state and the certificate (servable onward).
 	producer.AttachCertificate(snap.CommitSeq, quorumCertFor(t, snap, keys, 3))
 	meta, blob, _ = producer.LatestSnapshot()
-	if _, err := installer.InstallFromWire(meta, blob); err != nil {
+	if _, err := installer.InstallFromWire(meta, blob, acceptState); err != nil {
 		t.Fatalf("certified snapshot rejected: %v", err)
 	}
 	if installer.StateRoot() != producer.StateRoot() {

@@ -107,7 +107,7 @@ func TestRestartKeepsTheCheckpointGrid(t *testing.T) {
 	var got []uint64
 	restarted := NewExecutor(NewKVState(), Config{CheckpointInterval: n, Store: store,
 		OnCheckpoint: func(s Snapshot) { got = append(got, s.CommitSeq) }})
-	if _, _, err := restarted.InstallLocal(final); err != nil {
+	if _, _, err := restarted.InstallLocal(final, acceptState); err != nil {
 		t.Fatal(err)
 	}
 	for seq := 1; seq <= commits; seq++ {

@@ -186,7 +186,7 @@ func mergeMatchesFullEncode(t *testing.T, seed int64, certs, started bool) {
 				tag++
 				snap.Cert = testCert(snap.CommitSeq, tag)
 			}
-			if err := x.install(snap); err != nil {
+			if err := x.install(snap, acceptState); err != nil {
 				t.Fatalf("step %d: install at %d: %v", step, upTo, err)
 			}
 			applied = upTo

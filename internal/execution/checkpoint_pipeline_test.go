@@ -132,7 +132,7 @@ func lockstepWithOracle(t *testing.T, seed int64, certs, started bool) {
 				tag++
 				snap.Cert = testCert(snap.CommitSeq, tag)
 			}
-			if err, werr := x.install(snap), o.install(snap); err != nil || werr != nil {
+			if err, werr := x.install(snap, acceptState), o.install(snap); err != nil || werr != nil {
 				t.Fatalf("step %d: install at %d: %v, inline %v", step, snap.CommitSeq, err, werr)
 			}
 			next = upTo + 1
@@ -344,7 +344,7 @@ func TestWriteNeverReplacesNewerCheckpoint(t *testing.T) {
 		t.Fatalf("writer saving seq %d, want 5", seq)
 	}
 	within(t, "Install", func() {
-		if err := x.install(installed); err != nil {
+		if err := x.install(installed, acceptState); err != nil {
 			t.Error(err)
 		}
 	})

@@ -31,6 +31,9 @@ func makeCommit(seq uint64, round types.Round, payloads ...[][]byte) bullshark.C
 	return bullshark.CommittedSubDAG{Index: seq, Anchor: anchor, Vertices: vertices}
 }
 
+// acceptState is an install's scheduler restore that accepts any state.
+func acceptState([]byte) error { return nil }
+
 // snapshotKV is the ledger's whole encoding, as a checkpoint of it would
 // carry.
 func snapshotKV(s *KVState) []byte { return encodeKV(s.tree, s.version, s.opaque) }
@@ -179,7 +182,7 @@ func TestExecutorInstallVerifiesAndAdopts(t *testing.T) {
 	}
 
 	fresh := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
-	if err := fresh.install(snap); err != nil {
+	if err := fresh.install(snap, acceptState); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.AppliedSeq() != 6 || fresh.StateRoot() != producer.StateRoot() ||
@@ -187,7 +190,7 @@ func TestExecutorInstallVerifiesAndAdopts(t *testing.T) {
 		t.Fatal("install did not adopt the checkpoint state")
 	}
 	// Stale installs are refused.
-	if err := fresh.install(snap); err != ErrStaleSnapshot {
+	if err := fresh.install(snap, acceptState); err != ErrStaleSnapshot {
 		t.Fatalf("re-install err = %v, want ErrStaleSnapshot", err)
 	}
 
@@ -198,7 +201,7 @@ func TestExecutorInstallVerifiesAndAdopts(t *testing.T) {
 	bad.Data = append([]byte(nil), snap.Data...)
 	bad.Data[len(bad.Data)-2] ^= 0xFF // inside the encoded entry values
 	before := fresh.StateDigest()
-	if err := fresh.install(bad); err == nil {
+	if err := fresh.install(bad, acceptState); err == nil {
 		t.Fatal("corrupted snapshot must be rejected")
 	}
 	if fresh.StateDigest() != before || fresh.AppliedSeq() != 6 {
@@ -258,7 +261,7 @@ func TestRejectedInstallLeavesTheLedgerAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	forged.StateDigest = types.HashBytes([]byte("forged"))
-	if _, _, err := x.InstallLocal(forged); err == nil {
+	if _, _, err := x.InstallLocal(forged, acceptState); err == nil {
 		t.Fatal("a snapshot whose bytes miss its state digest was installed")
 	}
 
@@ -299,14 +302,14 @@ func TestExecutorInstallFromWireDetectsCorruptChunk(t *testing.T) {
 	fresh := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
 	corrupted := append([]byte(nil), blob...)
 	corrupted[len(corrupted)/2] ^= 0xFF
-	if _, err := fresh.InstallFromWire(meta, corrupted); err == nil {
+	if _, err := fresh.InstallFromWire(meta, corrupted, acceptState); err == nil {
 		t.Fatal("corrupted wire blob must be rejected")
 	}
 	if fresh.AppliedSeq() != 0 {
 		t.Fatal("rejected wire install must leave the executor untouched")
 	}
 
-	install, err := fresh.InstallFromWire(meta, blob)
+	install, err := fresh.InstallFromWire(meta, blob, acceptState)
 	if err != nil {
 		t.Fatal(err)
 	}

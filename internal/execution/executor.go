@@ -50,26 +50,18 @@ type Config struct {
 	// executor; hand off to another goroutine for real work. Cert is set when
 	// a certificate arrived before the write.
 	OnCheckpoint func(Snapshot)
-	// RequireSchedulerState, when true, makes InstallFromWire reject remote
-	// snapshots that carry no scheduler state — set (by internal/validator)
-	// for the HammerHead scheduler, whose ordering cannot follow a snapshot
-	// jump without the schedule the snapshot was cut under. The check runs
-	// before the ledger is touched, so a snapshot without one (a responder
-	// running the round-robin baseline) fails cleanly and another responder
-	// is tried.
-	RequireSchedulerState bool
 	// CheckpointCerts says the node runs checkpoint certification, which
 	// asks two things of the executor. InstallFromWire rejects remote
 	// snapshots that carry no checkpoint certificate, or whose certificate
 	// does not cover exactly the snapshot's (round, seq, roots, scheduler
-	// state) tuple; like RequireSchedulerState, the check runs before the
-	// ledger is touched: a fresh checkpoint whose certification
-	// gossip is still in flight fails cleanly and another responder (or a
-	// later retry) is tried. And every checkpoint keeps the frozen view of
-	// the KV state it was cut from for AttachCertificate to promote and
-	// ProvenRead to prove against; without certification nothing reads such
-	// a view once the checkpoint is written, so it is handed back to the live
-	// trie, which goes on writing its nodes in place.
+	// state) tuple; the check runs before the ledger is touched: a fresh
+	// checkpoint whose certification gossip is still in flight fails cleanly
+	// and another responder (or a later retry) is tried. And every
+	// checkpoint keeps the frozen view of the KV state it was cut from for
+	// AttachCertificate to promote and ProvenRead to prove against; without
+	// certification nothing reads such a view once the checkpoint is written,
+	// so it is handed back to the live trie, which goes on writing its nodes
+	// in place.
 	CheckpointCerts bool
 	// CertVerifier, when non-nil, vets the certificate's signatures and
 	// quorum (typically checkpoint.Certificate.Verify against the node's
@@ -112,11 +104,11 @@ type Executor struct {
 	ordered   map[types.Round][]OrderedRef // guarded by mu
 	ckptCount uint64                       // guarded by mu
 
-	// schedState is the scheduler state attached to the last applied commit
-	// (nil under the stateless round-robin baseline). It is embedded into
-	// checkpoints and clamps the snapshot floor: the schedule's score scans
-	// reach back to the active epoch start, which can lie below the boundary
-	// window, and a restored node pruned past it would diverge.
+	// schedState is the scheduler state attached to the last applied commit.
+	// It is embedded into checkpoints and clamps the snapshot floor: the
+	// schedule's score scans reach back to the active epoch start, which can
+	// lie below the boundary window, and a restored node pruned past it would
+	// diverge.
 	// schedStateBytes holds the still-encoded state of an installed snapshot
 	// until the first post-install commit replaces it with a live export.
 	schedState      leader.SchedulerState // guarded by mu
@@ -712,11 +704,15 @@ func (x *Executor) reseal() bool {
 // install replaces the executor's state with a verified snapshot. A fresh
 // ledger is restored from the snapshot bytes and its content digest
 // recomputed, off the lock, and adopted only when the digest matches: a
-// corrupted or forged chunk is rejected with the live ledger untouched. On
-// success the snapshot becomes the latest cached checkpoint at once and is
-// handed to the writer, which saves it to the local store, so the node can
-// serve it onward and survive restarts.
-func (x *Executor) install(snap Snapshot) error {
+// corrupted or forged chunk is rejected with the live ledger untouched. The
+// scheduler is restored from the snapshot's scheduler state last, under the
+// lock, just before the ledger is adopted: a refusal leaves the ledger and
+// the schedule as they were, and an accepted snapshot moves both. restore
+// must not call back into the executor. On success
+// the snapshot becomes the latest cached checkpoint at once and is handed to
+// the writer, which saves it to the local store, so the node can serve it
+// onward and survive restarts.
+func (x *Executor) install(snap Snapshot, restore func([]byte) error) error {
 	if snap.CommitSeq <= x.AppliedSeq() {
 		return ErrStaleSnapshot
 	}
@@ -737,6 +733,10 @@ func (x *Executor) install(snap Snapshot) error {
 	if snap.CommitSeq <= x.appliedSeq {
 		x.mu.Unlock()
 		return ErrStaleSnapshot
+	}
+	if err := restore(snap.SchedulerState); err != nil {
+		x.mu.Unlock()
+		return fmt.Errorf("execution: restoring scheduler state: %w", err)
 	}
 	x.kv = kv
 	x.appliedSeq = snap.CommitSeq

@@ -206,7 +206,7 @@ func TestFrozenViewsFollowCertification(t *testing.T) {
 	if _, err := y.ForceCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := y.InstallFromWire(blobMeta, blob); err != nil {
+	if _, err := y.InstallFromWire(blobMeta, blob, acceptState); err != nil {
 		t.Fatalf("installing the certified snapshot: %v", err)
 	}
 	if v, seq := provenValue(t, y, []byte("k")); v != "three" || seq != 3 {

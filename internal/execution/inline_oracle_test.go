@@ -163,7 +163,7 @@ func (o *inlineOracle) cache(snap Snapshot, frozen *FrozenKV) {
 }
 
 func (o *inlineOracle) install(snap Snapshot) error {
-	if err := o.x.install(snap); err != nil {
+	if err := o.x.install(snap, acceptState); err != nil {
 		return err
 	}
 	o.x.mu.Lock()

@@ -63,7 +63,7 @@ func TestInstalledSnapshotServesVerifiableProofs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
-	if err := fresh.install(snap); err != nil {
+	if err := fresh.install(snap, acceptState); err != nil {
 		t.Fatal(err)
 	}
 	fresh.mu.Lock()
@@ -171,7 +171,7 @@ func TestRootAtRetainsTheLastRingOfCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := runProducer(t, 10)
-	if err := small.install(snap); err != nil {
+	if err := small.install(snap, acceptState); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := small.RootAt(snap.CommitSeq); !ok || got != snap.StateRoot {

@@ -2,6 +2,7 @@ package execution
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"hammerhead/internal/types"
@@ -55,8 +56,8 @@ func TestCheckpointCarriesSchedulerState(t *testing.T) {
 }
 
 func TestInstallFromWireRequiresSchedulerState(t *testing.T) {
-	// A producer running the stateless baseline cuts a checkpoint with no
-	// scheduler state.
+	// A producer running the round-robin baseline cuts a checkpoint whose
+	// scheduler state is empty.
 	producer := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
 	for seq := uint64(1); seq <= 4; seq++ {
 		producer.ApplyCommit(makeCommit(seq, types.Round(seq*2), [][]byte{PutOp([]byte{byte(seq)}, []byte("v"))}))
@@ -69,19 +70,27 @@ func TestInstallFromWireRequiresSchedulerState(t *testing.T) {
 		t.Fatal("producer has no snapshot to serve")
 	}
 
-	// A HammerHead node must reject it BEFORE touching its state machine —
-	// jumping to a snapshot without the schedule it was cut under would
-	// silently degrade the scheduler.
-	strict := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000, RequireSchedulerState: true})
-	if _, err := strict.InstallFromWire(meta, blob); err == nil {
-		t.Fatal("stateless snapshot must be rejected when scheduler state is required")
+	// A HammerHead node's scheduler refuses the empty state, and the install
+	// is refused BEFORE the ledger is adopted — jumping to a snapshot without
+	// the schedule it was cut under would silently degrade the scheduler.
+	var restored [][]byte
+	restore := func(data []byte) error {
+		if len(data) == 0 {
+			return errors.New("no scheduler state")
+		}
+		restored = append(restored, data)
+		return nil
+	}
+	strict := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
+	if _, err := strict.InstallFromWire(meta, blob, restore); err == nil {
+		t.Fatal("stateless snapshot must be rejected when the scheduler refuses its state")
 	}
 	if strict.AppliedSeq() != 0 {
 		t.Fatalf("rejected install advanced the executor to seq %d", strict.AppliedSeq())
 	}
 
-	// The same snapshot from an upgraded producer installs, and the plan
-	// hands the encoded state to the engine for the scheduler restore.
+	// The same snapshot from a HammerHead producer installs, and the
+	// scheduler is restored from its encoded state.
 	state := fakeSchedState{floor: 1, blob: []byte("sched-state")}
 	upgraded := NewExecutor(NewKVState(), Config{CheckpointInterval: 1000})
 	for seq := uint64(1); seq <= 4; seq++ {
@@ -96,12 +105,11 @@ func TestInstallFromWireRequiresSchedulerState(t *testing.T) {
 	if !ok {
 		t.Fatal("upgraded producer has no snapshot to serve")
 	}
-	install, err := strict.InstallFromWire(meta2, blob2)
-	if err != nil {
+	if _, err := strict.InstallFromWire(meta2, blob2, restore); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(install.SchedulerState, state.blob) {
-		t.Fatalf("install plan scheduler state = %q, want %q", install.SchedulerState, state.blob)
+	if len(restored) != 1 || !bytes.Equal(restored[0], state.blob) {
+		t.Fatalf("scheduler restored from %q, want once from %q", restored, state.blob)
 	}
 	if strict.AppliedSeq() != 4 {
 		t.Fatalf("install did not adopt the snapshot: seq %d", strict.AppliedSeq())

@@ -61,9 +61,9 @@ type Snapshot struct {
 	Data []byte
 	// SchedulerState is the leader scheduler's encoded state right after the
 	// checkpoint's commit (core.ManagerState under HammerHead; empty under
-	// the round-robin baseline). Installers running a stateful scheduler
-	// restore it before the engine fast-forwards, so the restored schedule
-	// is bit-equal to a live node's.
+	// the round-robin baseline). Every install hands it to the installer's
+	// scheduler before the ledger is adopted, so the restored schedule is
+	// bit-equal to a live node's.
 	SchedulerState []byte
 	// Cert is the 2f+1 checkpoint certificate over this snapshot's tuple,
 	// attached once the validator quorum certified it (nil on fresh

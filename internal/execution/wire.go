@@ -48,10 +48,12 @@ func served(c *ckpt) (engine.SnapshotMeta, []byte, bool) {
 
 // InstallFromWire implements engine.Execution: decode the fetched
 // blob, cross-check it against the metadata the responder advertised, verify
-// and install it into the executor, and tell the engine how far to
-// fast-forward. A corrupted chunk fails here — either the decode, the
-// metadata cross-check, or the executor's state-digest recomputation.
-func (x *Executor) InstallFromWire(meta engine.SnapshotMeta, data []byte) (*engine.SnapshotInstall, error) {
+// and install it into the executor, restoring the scheduler through restore,
+// and tell the engine how far to fast-forward. A corrupted chunk fails here —
+// either the decode, the metadata cross-check, or the executor's state-digest
+// recomputation — and so does a snapshot whose scheduler state restore
+// refuses, with the ledger untouched.
+func (x *Executor) InstallFromWire(meta engine.SnapshotMeta, data []byte, restore func([]byte) error) (*engine.SnapshotInstall, error) {
 	snap, err := DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
@@ -60,12 +62,6 @@ func (x *Executor) InstallFromWire(meta engine.SnapshotMeta, data []byte) (*engi
 		snap.StateRoot != meta.StateRoot || snap.StateDigest != meta.StateDigest {
 		return nil, fmt.Errorf("execution: snapshot payload does not match advertised checkpoint (round %d/%d seq %d/%d)",
 			snap.Round, meta.Round, snap.CommitSeq, meta.CommitSeq)
-	}
-	if x.cfg.RequireSchedulerState && len(snap.SchedulerState) == 0 {
-		// Reject BEFORE Install mutates the state machine: a stateful
-		// scheduler cannot follow the jump without the snapshot's schedule,
-		// and a clean error here lets the engine retry another responder.
-		return nil, fmt.Errorf("execution: snapshot at seq %d carries no scheduler state", snap.CommitSeq)
 	}
 	if x.cfg.CheckpointCerts {
 		// Also before Install: an uncertified (or mis-certified) snapshot
@@ -76,7 +72,7 @@ func (x *Executor) InstallFromWire(meta engine.SnapshotMeta, data []byte) (*engi
 			return nil, err
 		}
 	}
-	if err := x.install(snap); err != nil {
+	if err := x.install(snap, restore); err != nil {
 		return nil, err
 	}
 	return snapshotInstallPlan(snap), nil
@@ -111,19 +107,16 @@ func snapshotInstallPlan(snap Snapshot) *engine.SnapshotInstall {
 	for i, ref := range snap.Ordered {
 		ordered[i] = engine.OrderedVertex{Digest: ref.Digest, Round: ref.Round}
 	}
-	return &engine.SnapshotInstall{
-		PruneTo:        snap.Floor,
-		Ordered:        ordered,
-		SchedulerState: snap.SchedulerState,
-	}
+	return &engine.SnapshotInstall{PruneTo: snap.Floor, Ordered: ordered}
 }
 
 // InstallLocal installs a locally persisted snapshot (node restart) into the
-// executor and returns the engine fast-forward plan plus the checkpoint
-// metadata. Used before WAL replay so a node that slept past the GC horizon
-// resumes from its own checkpoint instead of an unrecoverable gap.
-func (x *Executor) InstallLocal(snap Snapshot) (engine.SnapshotMeta, *engine.SnapshotInstall, error) {
-	if err := x.install(snap); err != nil {
+// executor, restoring the scheduler through restore as InstallFromWire does,
+// and returns the engine fast-forward plan plus the checkpoint metadata. Used
+// before WAL replay so a node that slept past the GC horizon resumes from its
+// own checkpoint instead of an unrecoverable gap.
+func (x *Executor) InstallLocal(snap Snapshot, restore func([]byte) error) (engine.SnapshotMeta, *engine.SnapshotInstall, error) {
+	if err := x.install(snap, restore); err != nil {
 		return engine.SnapshotMeta{}, nil, err
 	}
 	meta := engine.SnapshotMeta{

@@ -1,4 +1,5 @@
-// Package leader defines leader schedules for anchor rounds and the static
+// Package leader defines leader schedules for anchor rounds, the Scheduler
+// contract the Bullshark committer and the engine drive, and the static
 // round-robin scheduler that is the paper's Bullshark baseline.
 //
 // A Schedule maps even ("anchor") rounds to leader slots. The initial
@@ -8,10 +9,16 @@
 // permute them" — with integer stakes this is stake(u) slots per validator
 // per cycle. HammerHead's dynamic scheduler (internal/core) produces new
 // Schedules by swapping slots; the Schedule type itself stays immutable.
+//
+// Both schedulers implement the whole Scheduler contract: the schedule is a
+// function of the committed prefix, so every checkpoint carries the
+// scheduler's export and every install restores it. The baseline's export is
+// itself and encodes to nothing, so its checkpoints carry no state bytes.
 package leader
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hammerhead/internal/types"
@@ -161,9 +168,9 @@ func (h *History) LeaderAt(round types.Round) types.ValidatorID {
 func (h *History) Schedules() []*Schedule { return h.schedules }
 
 // Scheduler is the interface the Bullshark committer and the engine use to
-// resolve leaders. The baseline round-robin scheduler never switches; the
-// HammerHead scheduler (internal/core) switches deterministically on the
-// committed prefix.
+// resolve leaders and to carry the schedule across checkpoints. The baseline
+// round-robin scheduler never switches; the HammerHead scheduler
+// (internal/core) switches deterministically on the committed prefix.
 type Scheduler interface {
 	// LeaderAt resolves the leader of an anchor round under the schedule
 	// history (never only the active schedule).
@@ -177,6 +184,26 @@ type Scheduler interface {
 	// commit order. Commit-count epoch policies and incremental scoring
 	// rules hook here.
 	OnAnchorOrdered(anchor AnchorInfo)
+	// ExportState captures the state a checkpoint carries. The committer
+	// calls it right after each anchor is ordered, so the state attached to
+	// commit N is exactly the scheduler state a live node holds after
+	// processing commit N. Exports must be cheap (share immutable schedules,
+	// copy only the score map) and immutable once returned.
+	ExportState() SchedulerState
+	// RestoreState re-establishes an exported state from its encoded form.
+	// The executor calls it when it installs a snapshot, after every check
+	// on the snapshot passed and just before the ledger is adopted, so
+	// ordering resumes under the exact schedule the snapshot was cut under.
+	// It must either fully install the decoded state or leave the scheduler
+	// untouched and return an error (no partial mutation); an error refuses
+	// the whole install.
+	RestoreState(data []byte) error
+	// FastForwardTo is called when the engine jumps to a snapshot's anchor
+	// round, past ordering history it never saw, after RestoreState.
+	FastForwardTo(round types.Round)
+	// MinRetainedRound is the lowest round the scheduler may still read from
+	// the DAG; the engine never prunes at or above it.
+	MinRetainedRound() types.Round
 }
 
 // AnchorInfo is the committer's view of an anchor handed to the scheduler.
@@ -188,11 +215,15 @@ type AnchorInfo struct {
 }
 
 // RoundRobin is the static baseline scheduler: the initial schedule forever.
+// Immutable, so it is its own SchedulerState.
 type RoundRobin struct {
 	history *History
 }
 
-var _ Scheduler = (*RoundRobin)(nil)
+var (
+	_ Scheduler      = (*RoundRobin)(nil)
+	_ SchedulerState = (*RoundRobin)(nil)
+)
 
 // NewRoundRobin builds the baseline scheduler from the committee and seed.
 func NewRoundRobin(committee *types.Committee, seed uint64) *RoundRobin {
@@ -210,13 +241,30 @@ func (r *RoundRobin) MaybeSwitch(AnchorInfo) bool { return false }
 // OnAnchorOrdered implements Scheduler; the baseline ignores commits.
 func (r *RoundRobin) OnAnchorOrdered(AnchorInfo) {}
 
-// FastForwardTo implements the engine's snapshot fast-forward: the static
-// schedule already covers every round, so jumping past unseen ordering
-// history needs no state adjustment. HammerHead's core.Manager also
-// implements it, but there the jump only works together with a restored
-// SchedulerState (carried in the snapshot) — its reputation schedule is a
-// function of commit history a snapshot-synced node never saw.
+// ExportState implements Scheduler: the baseline never changes, so it is its
+// own export.
+func (r *RoundRobin) ExportState() SchedulerState { return r }
+
+// Encode implements SchedulerState: the schedule follows from the committee
+// and seed, so nothing rides in a checkpoint.
+func (r *RoundRobin) Encode() ([]byte, error) { return nil, nil }
+
+// RestoreState implements Scheduler: only the baseline's own empty state is
+// accepted. A snapshot cut under another scheduler is refused.
+func (r *RoundRobin) RestoreState(data []byte) error {
+	if len(data) != 0 {
+		return fmt.Errorf("leader: round-robin scheduler cannot restore %d bytes of scheduler state", len(data))
+	}
+	return nil
+}
+
+// FastForwardTo implements Scheduler: the static schedule already covers
+// every round, so jumping past unseen ordering history changes nothing.
 func (r *RoundRobin) FastForwardTo(types.Round) {}
+
+// MinRetainedRound implements Scheduler and SchedulerState: the baseline
+// reads nothing from the DAG, so it never holds a pruning floor down.
+func (r *RoundRobin) MinRetainedRound() types.Round { return math.MaxUint64 }
 
 // History exposes the (single-entry) schedule history.
 func (r *RoundRobin) History() *History { return r.history }

@@ -1,6 +1,8 @@
 package leader
 
 import (
+	"encoding/hex"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +189,33 @@ func TestRoundRobinSchedulerStable(t *testing.T) {
 	}
 	if rr.History().Len() != 1 {
 		t.Fatal("baseline history must hold exactly one schedule")
+	}
+
+	// Its checkpoint state is itself and encodes to nothing, so round-robin
+	// checkpoints carry no scheduler bytes.
+	enc, err := rr.ExportState().Encode()
+	if err != nil || len(enc) != 0 {
+		t.Fatalf("round-robin export encodes to %x (err %v), want nothing", enc, err)
+	}
+	if err := rr.RestoreState(enc); err != nil {
+		t.Fatalf("round robin refused its own empty state: %v", err)
+	}
+	// A HammerHead state (core's pinned ManagerState encoding) is refused.
+	hammerhead, err := hex.DecodeString("020200000000000000000400000000000000010000000200000003000000000000000c04000000000000000100000003000000030400000000000000010000000200000003040400000000060000000104000000020100000003d80400000000000000100102010000000204000000000a000000010a0000000200000000030c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rr.RestoreState(hammerhead); err == nil {
+		t.Fatal("round robin accepted a HammerHead scheduler state")
+	}
+	// It reads nothing from the DAG, so it never clamps a pruning floor.
+	for _, floor := range []types.Round{0, 1000, math.MaxUint64 - 1} {
+		if m := rr.MinRetainedRound(); m <= floor {
+			t.Fatalf("round robin clamps floor %d to %d", floor, m)
+		}
+	}
+	if m := rr.ExportState().MinRetainedRound(); m != rr.MinRetainedRound() {
+		t.Fatalf("round-robin export retains from %d, the scheduler from %d", m, rr.MinRetainedRound())
 	}
 }
 

@@ -3,10 +3,11 @@ package leader
 import "hammerhead/internal/types"
 
 // SchedulerState is an immutable, point-in-time export of a scheduler's
-// reputation state — everything a recovered validator needs to resume leader
-// resolution exactly where a live node stood: the schedule suffix still
-// covering retained rounds, the epoch cursor, and any partially accumulated
-// scores. Exports ride inside execution checkpoints (and therefore in
+// state — everything a recovered validator needs to resume leader resolution
+// exactly where a live node stood. HammerHead's is the schedule suffix still
+// covering retained rounds, the epoch cursor and any partially accumulated
+// scores; the round-robin baseline's is the baseline itself, which encodes to
+// nothing. Exports ride inside execution checkpoints (and therefore in
 // storage.SnapshotStore records), so a validator installing a beyond-horizon
 // snapshot re-establishes the exact schedule the committee computed instead
 // of being unable to follow the jump.
@@ -25,25 +26,4 @@ type SchedulerState interface {
 	// schedule history (NoValidator for odd rounds or rounds the export no
 	// longer covers).
 	LeaderAt(round types.Round) types.ValidatorID
-}
-
-// StateExporter is implemented by schedulers whose state must ride in
-// checkpoints (core.Manager). The committer captures an export immediately
-// after each anchor is ordered, so the state attached to commit N is exactly
-// the scheduler state a live node holds after processing commit N. Exports
-// must be cheap (share immutable schedules, copy only the score map) and
-// immutable once returned. The round-robin baseline does not implement this:
-// its schedule is static, so its snapshots deliberately carry no state.
-type StateExporter interface {
-	ExportState() SchedulerState
-}
-
-// StateRestorer is implemented by schedulers that can re-establish an
-// exported state from its encoded form. The engine restores the scheduler
-// from SnapshotInstall.SchedulerState before fast-forwarding the committer,
-// so ordering resumes under the exact schedule the snapshot was cut under.
-// RestoreState must either fully install the decoded state or leave the
-// scheduler untouched and return an error (no partial mutation).
-type StateRestorer interface {
-	RestoreState(data []byte) error
 }

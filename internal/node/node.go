@@ -181,13 +181,11 @@ type Node struct {
 	// lostVertices is the engine's OwnVerticesPrunedUnordered as of the last
 	// dispatch (loop goroutine only): a rise is logged.
 	lostVertices uint64
-	// schedState mirrors the scheduler's latest exported state (HammerHead
-	// only): commit delivery publishes the immutable ManagerState each commit
-	// carries, and /v1/status plus the hammerhead_schedule_* gauges read it
-	// without touching the engine-owned scheduler. rrSched is the round-robin
-	// fallback (its schedule is immutable, so concurrent reads are safe).
-	schedState atomic.Pointer[core.ManagerState]
-	rrSched    *leader.RoundRobin
+	// schedState mirrors the scheduler's latest exported state, a
+	// leader.SchedulerState: commit delivery publishes the immutable export
+	// each commit carries, and /v1/status plus the hammerhead_schedule_*
+	// gauges read it without touching the engine-owned scheduler.
+	schedState atomic.Value
 
 	tasks   chan func()
 	done    chan struct{}
@@ -284,14 +282,6 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 	n.v, n.eng, n.pool, n.exec = v, v.Engine, v.Pool, v.Executor
-	// Seed the scheduler status mirror so /v1/status reports the initial
-	// schedule before the first commit publishes an export.
-	switch sched := n.eng.Scheduler().(type) {
-	case *core.Manager:
-		n.schedState.Store(sched.ExportState().(*core.ManagerState))
-	case *leader.RoundRobin:
-		n.rrSched = sched
-	}
 	if n.prever = v.Engine.PreVerifier(); n.prever != nil {
 		n.preq = make(chan inbound, 4096)
 	}
@@ -321,10 +311,10 @@ func New(cfg Config) (*Node, error) {
 		n.wholeEarlyMetric = cfg.Metrics.Counter("hammerhead_headers_whole_early_total")
 		n.fullEarlyMetric = cfg.Metrics.Counter("hammerhead_headers_full_early_total")
 		n.lostMetric = cfg.Metrics.Counter("hammerhead_own_vertices_pruned_unordered_total")
-		if st := n.schedState.Load(); st != nil {
-			n.publishSchedulerState(st)
-		}
 	}
+	// Seed the scheduler status mirror so /v1/status reports the initial
+	// schedule before the first commit publishes an export.
+	n.publishSchedulerState(n.eng.Scheduler().ExportState())
 	if cfg.RPCAddr != "" {
 		gwCfg := rpc.Config{
 			Addr:      cfg.RPCAddr,
@@ -445,7 +435,7 @@ func (n *Node) statusSnapshot() rpcapi.StatusResponse {
 	st.SnapshotFloor = uint64(n.exec.SnapshotFloor())
 	// Leader-scheduling half.
 	st.CurrentLeader = uint32(n.leaderAhead(types.Round(st.Round)))
-	if ms := n.schedState.Load(); ms != nil {
+	if ms, ok := n.schedState.Load().(*core.ManagerState); ok {
 		st.ScheduleEpoch = uint64(ms.Epoch())
 		st.ScheduleStartRound = uint64(ms.EpochStartRound())
 		scores := ms.Scores()
@@ -460,16 +450,12 @@ func (n *Node) statusSnapshot() rpcapi.StatusResponse {
 }
 
 // leaderAhead is the leader of the next anchor round at or after round, read
-// from the thread-safe schedule mirror (HammerHead) or the immutable
-// round-robin schedule.
+// from the thread-safe schedule mirror.
 func (n *Node) leaderAhead(round types.Round) types.ValidatorID {
 	if !round.IsAnchorRound() {
 		round++
 	}
-	if ms := n.schedState.Load(); ms != nil {
-		return ms.LeaderAt(round)
-	}
-	return n.rrSched.LeaderAt(round)
+	return n.schedState.Load().(leader.SchedulerState).LeaderAt(round)
 }
 
 // Counters are the cumulative counters behind an operator's status line.
@@ -500,11 +486,12 @@ func (n *Node) Counters() Counters {
 }
 
 // publishSchedulerState stores the latest exported scheduler state for the
-// status mirror and updates the scheduling gauges. Called from commit
-// delivery (single goroutine) and once at construction.
-func (n *Node) publishSchedulerState(ms *core.ManagerState) {
-	n.schedState.Store(ms)
-	if n.cfg.Metrics == nil {
+// status mirror and, under HammerHead, updates the scheduling gauges. Called
+// from commit delivery (single goroutine) and once at construction.
+func (n *Node) publishSchedulerState(st leader.SchedulerState) {
+	n.schedState.Store(st)
+	ms, ok := st.(*core.ManagerState)
+	if n.cfg.Metrics == nil || !ok {
 		return
 	}
 	n.epochMetric.Set(int64(ms.Epoch()))
@@ -569,9 +556,7 @@ func (n *Node) deliverCommit(sub bullshark.CommittedSubDAG, replayed bool) {
 		n.txsMetric.Add(uint64(sub.TxCount()))
 	}
 	n.statusOrdered.Store(uint64(sub.Anchor.Round))
-	if ms, ok := sub.SchedulerState.(*core.ManagerState); ok {
-		n.publishSchedulerState(ms)
-	}
+	n.publishSchedulerState(sub.SchedulerState)
 	if n.gw != nil {
 		// The gateway's commit ring feeds SSE subscribers; replayed commits
 		// are included so resume history survives a restart.

@@ -39,12 +39,12 @@ type Config struct {
 	// scheduler (must match across the committee).
 	ScheduleSeed uint64
 	Mempool      mempool.FairConfig
-	// Execution configures the validator's deterministic KV executor.
-	// RequireSchedulerState and CertVerifier are filled in here: a HammerHead
-	// validator never installs a snapshot without the schedule it was cut
-	// under, and with CheckpointCerts a remote snapshot must carry a
-	// certificate that verifies against the committee. With a log, so is
-	// Store, and OnCheckpoint runs after the log's compaction (see New).
+	// Execution configures the validator's deterministic KV executor. Every
+	// install it makes restores the engine's scheduler from the snapshot, or
+	// is refused. CertVerifier is filled in here: with CheckpointCerts a
+	// remote snapshot must carry a certificate that verifies against the
+	// committee. With a log, so is Store, and OnCheckpoint runs after the
+	// log's compaction (see New).
 	Execution execution.Config
 	// Commits receives ordered sub-DAGs; Observer sees inserted certificates
 	// and own headers (see engine.Params) once the validator is live (see
@@ -125,7 +125,6 @@ func New(cfg Config, log *Log) (*Validator, error) {
 		params.Observer = liveObserver{cfg.Observer, v}
 	}
 	xc := cfg.Execution
-	xc.RequireSchedulerState = cfg.HammerHead != nil
 	if xc.CheckpointCerts {
 		if len(cfg.PublicKeys) != cfg.Committee.Size() {
 			return nil, fmt.Errorf("validator: checkpoint certification needs all %d public keys (have %d)",
@@ -234,8 +233,9 @@ func (v *Validator) Init(now int64) (*engine.Output, error) {
 // and puts it on the wire. Every runtime recovers in this one order, with
 // Replaying set until step 5:
 //
-//  1. the latest checkpoint in the store beside the log is installed and the
-//     engine fast-forwarded to it, so certificates below the checkpoint's
+//  1. the latest checkpoint in the store beside the log is installed — the
+//     ledger and the scheduler's state together — and the engine
+//     fast-forwarded to it, so certificates below the checkpoint's
 //     floor, compacted out of the log, are covered and a validator that
 //     slept past the committee's GC horizon resumes from its own state;
 //  2. Init unlocks proposing and builds a first header;
@@ -257,15 +257,18 @@ func (v *Validator) Init(now int64) (*engine.Output, error) {
 //     later reports it to the engine itself — then the crash-rejoin
 //     handshake's (StartRejoin), go to dispatch.
 //
-// now is read at every step. A replay error returns before step 4, with
-// nothing transmitted and nothing recorded.
+// now is read at every step. A checkpoint the executor or the scheduler
+// refuses returns at step 1 with the executor untouched, and a replay error
+// before step 4; either way nothing is transmitted and nothing recorded.
 func (v *Validator) Recover(now func() int64, dispatch func(*engine.Output)) error {
 	eng := v.Engine
 	if v.store != nil {
 		if snap, ok := v.store.Latest(); ok {
-			if meta, install, err := v.Executor.InstallLocal(snap); err == nil {
-				eng.FastForwardToSnapshot(meta, install, now())
+			meta, install, err := v.Executor.InstallLocal(snap, eng.Scheduler().RestoreState)
+			if err != nil {
+				return fmt.Errorf("validator: installing the checkpoint at seq %d: %w", snap.CommitSeq, err)
 			}
+			eng.FastForwardToSnapshot(meta, install, now())
 		}
 	}
 	initOut := eng.Init(now())

@@ -6,13 +6,16 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"hammerhead/internal/bullshark"
 	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/core"
 	"hammerhead/internal/crypto"
+	"hammerhead/internal/dag"
 	"hammerhead/internal/engine"
 	"hammerhead/internal/execution"
 	"hammerhead/internal/leader"
@@ -236,6 +239,57 @@ func TestRecoverStopsOnAReplayError(t *testing.T) {
 	}
 	if !v.Replaying() || len(ev.log) != 0 {
 		t.Fatalf("went live after a replay error (replaying %v, events %v)", v.Replaying(), ev.log)
+	}
+}
+
+// TestRecoverRefusesACheckpointItsSchedulerCannotRestore: a checkpoint cut
+// under the round-robin baseline carries no scheduler state, so a HammerHead
+// validator recovering over it refuses it, naming its seq. Nothing goes live,
+// and the executor stays at seq 0 instead of resuming at the checkpoint while
+// the committer starts over at round 0.
+func TestRecoverRefusesACheckpointItsSchedulerCannotRestore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	rrLog := NewLog(path, nil)
+	rr, err := New(testConfig(t, &events{}), rrLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rr.Init(0); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 5; seq++ {
+		anchor := dag.NewVertex(types.Round(2*seq), 0, nil, nil, 0)
+		rr.Executor.ApplyCommit(bullshark.CommittedSubDAG{
+			Index: seq, Anchor: anchor, Vertices: []*dag.Vertex{anchor},
+			SchedulerState: rr.Engine.Scheduler().ExportState(),
+		})
+	}
+	if snap, err := rr.Executor.ForceCheckpoint(); err != nil || snap.CommitSeq != 5 {
+		t.Fatalf("checkpoint at seq %d (err %v), want 5", snap.CommitSeq, err)
+	}
+	rr.Executor.Close()
+	if err := rrLog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ev := &events{}
+	cfg := testConfig(t, ev)
+	hh := core.DefaultConfig()
+	cfg.HammerHead = &hh
+	v, err := New(cfg, NewLog(path, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = v.Recover(func() int64 { return 0 },
+		func(*engine.Output) { t.Fatal("dispatched after a refused checkpoint") })
+	if err == nil || !strings.Contains(err.Error(), "seq 5") {
+		t.Fatalf("Recover returned %v, want the checkpoint at seq 5 refused", err)
+	}
+	if seq, round := v.Executor.AppliedSeq(), v.Engine.Committer().LastOrderedRound(); seq != 0 || round != 0 {
+		t.Fatalf("refused checkpoint left the executor at seq %d and the committer at round %d, want both at 0", seq, round)
+	}
+	if !v.Replaying() || len(ev.log) != 0 {
+		t.Fatalf("went live after a refused checkpoint (replaying %v, events %v)", v.Replaying(), ev.log)
 	}
 }
 
