@@ -56,7 +56,9 @@ var NewEqualStakeCommittee = types.NewEqualStakeCommittee
 
 // ---- scheduling ----
 
-// SchedulerConfig parameterizes HammerHead's reputation scheduler.
+// SchedulerConfig parameterizes HammerHead's reputation scheduler: how many
+// commits end a schedule epoch and the scoring rule. The swap budget is
+// always f, and the initial schedule's seed is the node's ScheduleSeed.
 type SchedulerConfig = core.Config
 
 // ScoringVotes is the paper's scoring rule: one point per committed vote for

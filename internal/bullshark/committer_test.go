@@ -1,9 +1,9 @@
 package bullshark_test
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"hammerhead/internal/bullshark"
@@ -278,10 +278,10 @@ func isPrefix(short, long []types.Digest) bool {
 }
 
 // hammerheadCommitter builds a committer driven by a HammerHead manager over
-// the given DAG.
-func hammerheadCommitter(t *testing.T, d *dag.DAG, c *types.Committee, cfg core.Config) (*bullshark.Committer, *core.Manager) {
+// the given DAG, its initial schedule permuted by seed.
+func hammerheadCommitter(t *testing.T, d *dag.DAG, c *types.Committee, cfg core.Config, seed uint64) (*bullshark.Committer, *core.Manager) {
 	t.Helper()
-	m, err := core.NewManager(c, d, cfg)
+	m, err := core.NewManager(c, d, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +319,12 @@ func TestSafetyAcrossArrivalOrdersAndViews(t *testing.T) {
 
 		cfg := core.DefaultConfig()
 		cfg.EpochCommits = 3
-		cmA, mA := hammerheadCommitter(t, b.DAG, c, cfg)
-		cmB, mB := hammerheadCommitter(t, b.DAG, c, cfg)
+		cmA, mA := hammerheadCommitter(t, b.DAG, c, cfg, 0)
+		cmB, _ := hammerheadCommitter(t, b.DAG, c, cfg, 0)
 
-		trA := traceOf(feed(cmA, b, 40, nil))
-		trB := traceOf(feed(cmB, b, 30, rand.New(rand.NewSource(seed+1000))))
+		subsA := feed(cmA, b, 40, nil)
+		subsB := feed(cmB, b, 30, rand.New(rand.NewSource(seed+1000)))
+		trA, trB := traceOf(subsA), traceOf(subsB)
 
 		if len(trA.anchors) == 0 {
 			t.Fatalf("seed %d: no commits at all", seed)
@@ -334,12 +335,22 @@ func TestSafetyAcrossArrivalOrdersAndViews(t *testing.T) {
 		if !isPrefix(trB.vertices, trA.vertices) {
 			t.Fatalf("seed %d: delivered vertex sequences not prefix-consistent", seed)
 		}
-		// Schedule agreement on the shared prefix of installed schedules.
-		sA, sB := mA.History().Schedules(), mB.History().Schedules()
-		for i := 0; i < len(sA) && i < len(sB); i++ {
-			if sA[i].InitialRound() != sB[i].InitialRound() ||
-				!reflect.DeepEqual(sA[i].Slots(), sB[i].Slots()) {
-				t.Fatalf("seed %d: schedule %d differs between validators", seed, i)
+		if mA.SwitchCount() == 0 {
+			t.Fatalf("seed %d: no schedule switch", seed)
+		}
+		// Schedule agreement: every commit of the shared prefix carries the
+		// same scheduler state, byte for byte.
+		for i := range subsB {
+			stA, err := subsA[i].SchedulerState.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stB, err := subsB[i].SchedulerState.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stA, stB) {
+				t.Fatalf("seed %d: commit %d carries a different scheduler state", seed, i)
 			}
 		}
 	}
@@ -371,7 +382,7 @@ func TestEveryVertexDeliveredExactlyOnce(t *testing.T) {
 	b.GrowRandom(rng, 1, 30, nil)
 	cfg := core.DefaultConfig()
 	cfg.EpochCommits = 2
-	cm, _ := hammerheadCommitter(t, b.DAG, c, cfg)
+	cm, _ := hammerheadCommitter(t, b.DAG, c, cfg, 0)
 	tr := traceOf(feed(cm, b, 30, nil))
 
 	seen := map[types.Digest]bool{}
@@ -418,10 +429,8 @@ func TestHammerHeadReducesSkippedAnchors(t *testing.T) {
 
 	rr := bullshark.New(c, b.DAG, leader.NewRoundRobin(c, 1))
 	cfg := core.DefaultConfig()
-	cfg.Policy = core.EpochByRounds
-	cfg.EpochRounds = 10
-	cfg.Seed = 1
-	hh, m := hammerheadCommitter(t, b.DAG, c, cfg)
+	cfg.EpochCommits = 4
+	hh, m := hammerheadCommitter(t, b.DAG, c, cfg, 1)
 
 	feed(rr, b, rounds, nil)
 	feed(hh, b, rounds, nil)
@@ -434,9 +443,10 @@ func TestHammerHeadReducesSkippedAnchors(t *testing.T) {
 	if hhSkipped >= rrSkipped {
 		t.Fatalf("HammerHead skipped %d anchors, baseline %d: want strictly fewer", hhSkipped, rrSkipped)
 	}
-	// Lemma 6 bound: O(T) rounds per crashed leader. With T=10 rounds
-	// (5 anchors) and one crashed leader holding 1/4 slots, the skips must
-	// be confined to roughly the first epoch: allow 2*T/2 anchor slots.
+	// Lemma 6 bound: O(T) rounds per crashed leader. With an epoch of 4
+	// commits (about T=10 rounds, 5 anchors) and one crashed leader holding
+	// 1/4 slots, the skips must be confined to roughly the first epoch:
+	// allow 2*T/2 anchor slots.
 	if hhSkipped > 10 {
 		t.Fatalf("HammerHead skipped %d anchors, want <= 10 (bounded by O(T)·f)", hhSkipped)
 	}

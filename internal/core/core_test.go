@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -25,11 +26,7 @@ func TestConfigValidate(t *testing.T) {
 		wantErr bool
 	}{
 		{"default ok", func(*Config) {}, false},
-		{"rounds ok", func(c *Config) { c.Policy = EpochByRounds; c.EpochRounds = 10 }, false},
-		{"odd rounds", func(c *Config) { c.Policy = EpochByRounds; c.EpochRounds = 9 }, true},
-		{"zero rounds", func(c *Config) { c.Policy = EpochByRounds; c.EpochRounds = 0 }, true},
 		{"zero commits", func(c *Config) { c.EpochCommits = 0 }, true},
-		{"bad policy", func(c *Config) { c.Policy = 0 }, true},
 		{"bad scoring", func(c *Config) { c.Scoring = 99 }, true},
 	}
 	for _, tc := range tests {
@@ -248,32 +245,11 @@ func driveManager(t *testing.T, m *Manager, b *dagtest.Builder, maxRound types.R
 	}
 }
 
-func TestManagerRoundsPolicySwitches(t *testing.T) {
-	b := buildVotingDAG(t, 4, 20, nil)
-	cfg := DefaultConfig()
-	cfg.Policy = EpochByRounds
-	cfg.EpochRounds = 8
-	m, err := NewManager(b.Committee, b.DAG, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveManager(t, m, b, 20)
-	// Anchors at rounds 2..20; switches at rounds >= 8, then >= 16: 2 switches.
-	if got := m.SwitchCount(); got != 2 {
-		t.Fatalf("SwitchCount = %d, want 2", got)
-	}
-	scheds := m.History().Schedules()
-	if scheds[1].InitialRound() != 8 || scheds[2].InitialRound() != 16 {
-		t.Fatalf("switch rounds = %d, %d; want 8, 16",
-			scheds[1].InitialRound(), scheds[2].InitialRound())
-	}
-}
-
 func TestManagerCommitsPolicySwitches(t *testing.T) {
 	b := buildVotingDAG(t, 4, 20, nil)
 	cfg := DefaultConfig()
 	cfg.EpochCommits = 3
-	m, err := NewManager(b.Committee, b.DAG, cfg)
+	m, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,9 +264,8 @@ func TestManagerExcludesCrashedValidator(t *testing.T) {
 	crashed := map[types.ValidatorID]types.Round{2: 1}
 	b := buildVotingDAG(t, 4, 30, crashed)
 	cfg := DefaultConfig()
-	cfg.Policy = EpochByRounds
-	cfg.EpochRounds = 10
-	m, err := NewManager(b.Committee, b.DAG, cfg)
+	cfg.EpochCommits = 4
+	m, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,40 +278,44 @@ func TestManagerExcludesCrashedValidator(t *testing.T) {
 		t.Fatalf("Excluded = %v, want [v2]", excluded)
 	}
 	// After the swap, v2 must hold no slots in the active schedule.
-	if got := m.ActiveSchedule().SlotsOf()[2]; got != 0 {
+	if got := m.History().Active().SlotsOf()[2]; got != 0 {
 		t.Fatalf("crashed validator still holds %d slots", got)
 	}
 }
 
 func TestManagerDeterministicAcrossInstances(t *testing.T) {
-	// Two managers over the same committed prefix must derive identical
-	// schedule histories — the heart of Schedule Agreement (Proposition 1).
+	// Two managers over the same committed prefix must hold byte-identical
+	// states after every ordered anchor — the heart of Schedule Agreement
+	// (Proposition 1), and what every commit carries to a checkpoint.
 	crashed := map[types.ValidatorID]types.Round{1: 5}
 	b := buildVotingDAG(t, 7, 40, crashed)
 	cfg := DefaultConfig()
 	cfg.EpochCommits = 4
-	m1, err := NewManager(b.Committee, b.DAG, cfg)
+	m1, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := NewManager(b.Committee, b.DAG, cfg)
+	m2, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveManager(t, m1, b, 40)
-	driveManager(t, m2, b, 40)
-
-	s1, s2 := m1.History().Schedules(), m2.History().Schedules()
-	if len(s1) != len(s2) {
-		t.Fatalf("schedule counts differ: %d vs %d", len(s1), len(s2))
+	for r := types.Round(2); r <= 40; r += 2 {
+		driveManagerRange(t, m1, b, r, r)
+		driveManagerRange(t, m2, b, r, r)
+		s1, err := m1.ExportState().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := m2.ExportState().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s1, s2) {
+			t.Fatalf("states differ after the anchor at round %d", r)
+		}
 	}
-	for i := range s1 {
-		if s1[i].InitialRound() != s2[i].InitialRound() {
-			t.Fatalf("schedule %d initial rounds differ: %d vs %d", i, s1[i].InitialRound(), s2[i].InitialRound())
-		}
-		if !reflect.DeepEqual(s1[i].Slots(), s2[i].Slots()) {
-			t.Fatalf("schedule %d slots differ", i)
-		}
+	if m1.SwitchCount() == 0 {
+		t.Fatal("prefix produced no switches; test lost its teeth")
 	}
 }
 
@@ -345,7 +324,7 @@ func TestManagerShoalScoring(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scoring = ScoringShoal
 	cfg.EpochCommits = 100 // never switch during this test
-	m, err := NewManager(b.Committee, b.DAG, cfg)
+	m, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,20 +335,19 @@ func TestManagerShoalScoring(t *testing.T) {
 	m.OnAnchorOrdered(a2)
 	m.OnAnchorOrdered(a6)
 
-	if got := m.shoalScores[a2.Source] + m.shoalScores[a6.Source]; a2.Source == a6.Source && got != 2 {
+	if got := m.st.shoalScores[a2.Source] + m.st.shoalScores[a6.Source]; a2.Source == a6.Source && got != 2 {
 		t.Fatalf("committed leader total = %d, want 2", got)
 	}
-	if m.shoalScores[skipped] >= 0 && skipped != a2.Source && skipped != a6.Source {
-		t.Fatalf("skipped leader score = %d, want negative", m.shoalScores[skipped])
+	if m.st.shoalScores[skipped] >= 0 && skipped != a2.Source && skipped != a6.Source {
+		t.Fatalf("skipped leader score = %d, want negative", m.st.shoalScores[skipped])
 	}
 }
 
 func TestManagerMinRetainedRound(t *testing.T) {
 	b := buildVotingDAG(t, 4, 30, nil)
 	cfg := DefaultConfig()
-	cfg.Policy = EpochByRounds
-	cfg.EpochRounds = 10
-	m, err := NewManager(b.Committee, b.DAG, cfg)
+	cfg.EpochCommits = 4
+	m, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +355,10 @@ func TestManagerMinRetainedRound(t *testing.T) {
 		t.Fatalf("MinRetainedRound before any switch = %d, want 0", got)
 	}
 	driveManager(t, m, b, 30)
-	active := m.ActiveSchedule().InitialRound()
+	if m.SwitchCount() == 0 {
+		t.Fatal("expected at least one switch")
+	}
+	active := m.History().Active().InitialRound()
 	if got := m.MinRetainedRound(); got != active-1 {
 		t.Fatalf("MinRetainedRound = %d, want %d", got, active-1)
 	}
@@ -400,30 +381,33 @@ func TestManagerSwapFromBaseReintegration(t *testing.T) {
 		b.AddFullRound(r, producers)
 	}
 	cfg := DefaultConfig()
-	cfg.Policy = EpochByRounds
-	cfg.EpochRounds = 10
-	m, err := NewManager(b.Committee, b.DAG, cfg)
+	cfg.EpochCommits = 4
+	m, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveManager(t, m, b, 40)
+	var first []types.ValidatorID
+	for r := types.Round(2); r <= 40; r += 2 {
+		driveManagerRange(t, m, b, r, r)
+		if first == nil && m.SwitchCount() == 1 {
+			first = m.Excluded()
+		}
+	}
 
 	if m.SwitchCount() < 3 {
 		t.Fatalf("SwitchCount = %d, want >= 3", m.SwitchCount())
 	}
-	first := m.Decisions()[0]
-	if len(first.Bad) != 1 || first.Bad[0] != 3 {
-		t.Fatalf("first epoch Bad = %v, want [v3]", first.Bad)
+	if len(first) != 1 || first[0] != 3 {
+		t.Fatalf("first epoch Bad = %v, want [v3]", first)
 	}
 	// By the last epoch v3 has been voting for a full epoch again: its
 	// base slots must be restored (it is no longer in B).
-	last := m.Decisions()[m.SwitchCount()-1]
-	for _, id := range last.Bad {
+	for _, id := range m.Excluded() {
 		if id == 3 {
-			t.Fatalf("recovered validator still excluded in last decision: %v", last.Bad)
+			t.Fatalf("recovered validator still excluded by the latest swap: %v", m.Excluded())
 		}
 	}
-	if got := m.ActiveSchedule().SlotsOf()[3]; got != 1 {
+	if got := m.History().Active().SlotsOf()[3]; got != 1 {
 		t.Fatalf("recovered validator holds %d slots, want 1", got)
 	}
 }

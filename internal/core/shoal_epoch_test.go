@@ -18,10 +18,9 @@ import (
 func TestShoalPenaltiesClampedToActiveEpoch(t *testing.T) {
 	committee := equalCommittee(t, 4)
 	cfg := DefaultConfig()
-	cfg.Policy = EpochByCommits
 	cfg.EpochCommits = 1
 	cfg.Scoring = ScoringShoal
-	m, err := NewManager(committee, dag.New(committee), cfg)
+	m, err := NewManager(committee, dag.New(committee), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func TestShoalPenaltiesClampedToActiveEpoch(t *testing.T) {
 	if !m.MaybeSwitch(leader.AnchorInfo{Round: 8, Source: m.LeaderAt(8)}) {
 		t.Fatal("epoch must end after one commit")
 	}
-	if got := m.ActiveSchedule().InitialRound(); got != 8 {
+	if got := m.History().Active().InitialRound(); got != 8 {
 		t.Fatalf("active schedule starts at %d, want 8", got)
 	}
 	anchor8 := leader.AnchorInfo{Round: 8, Source: m.LeaderAt(8)}
@@ -49,24 +48,24 @@ func TestShoalPenaltiesClampedToActiveEpoch(t *testing.T) {
 		if id == anchor8.Source {
 			continue // the +1 for ordering legitimately lands on the anchor
 		}
-		if score, ok := m.shoalScores[id]; ok && score < 0 {
+		if score, ok := m.st.shoalScores[id]; ok && score < 0 {
 			t.Fatalf("old-epoch skip penalty leaked into new epoch: score[%s] = %d", id, score)
 		}
 	}
-	if got := m.shoalScores[anchor8.Source]; got != 1 {
+	if got := m.st.shoalScores[anchor8.Source]; got != 1 {
 		t.Fatalf("anchor credit = %d, want 1", got)
 	}
-	if len(m.shoalScores) != 1 {
-		t.Fatalf("new epoch scores = %v, want only the ordered anchor's credit", m.shoalScores)
+	if len(m.st.shoalScores) != 1 {
+		t.Fatalf("new epoch scores = %v, want only the ordered anchor's credit", m.st.shoalScores)
 	}
 
 	// Within the new epoch the penalty walk still works: ordering round 14
 	// after 8 penalizes the skipped leaders of rounds 10 and 12.
-	m.commitsThisEpoch = 0 // hold the epoch open for this assertion
+	m.st.commitsThisEpoch = 0 // hold the epoch open for this assertion
 	m.OnAnchorOrdered(leader.AnchorInfo{Round: 14, Source: m.LeaderAt(14)})
 	penalized := 0
 	for _, r := range []types.Round{10, 12} {
-		if m.shoalScores[m.LeaderAt(r)] < 1 { // credit-holders would drop to 0
+		if m.st.shoalScores[m.LeaderAt(r)] < 1 { // credit-holders would drop to 0
 			penalized++
 		}
 	}

@@ -22,11 +22,12 @@ const (
 	_schedMinWire = 9 // 8-byte initial round + >=1-byte slot count
 )
 
-// ManagerState is an immutable point-in-time export of a Manager: the
-// schedule suffix still covering retained rounds, the epoch cursor and the
-// partially accumulated Shoal scores (including skipped-anchor penalties),
-// plus the last epoch-end scores and exclusions for observability. It rides
-// inside execution checkpoints so a snapshot-synced validator re-establishes
+// ManagerState is the whole state of a Manager, and an exported one is an
+// immutable point-in-time copy of it: the schedule suffix still covering
+// retained rounds, the epoch cursor and the partially accumulated Shoal
+// scores (including skipped-anchor penalties), plus the switch count and the
+// latest swap's scores and exclusions for observability. It rides inside
+// execution checkpoints so a snapshot-synced validator re-establishes
 // the exact schedule the committee computed (paper Proposition 1: the
 // schedule is a deterministic function of the committed prefix — which is
 // precisely the prefix the snapshot covers).
@@ -39,7 +40,8 @@ type ManagerState struct {
 	lastOrderedAnchor     types.Round
 	haveLastOrderedAnchor bool
 
-	// Observability carried along so /v1/status keeps working after restore.
+	// Observability: the switch count and the latest swap's outcome, carried
+	// so /v1/status keeps working after a restore.
 	switches    int
 	excluded    []types.ValidatorID
 	epochScores Scores
@@ -182,13 +184,15 @@ func DecodeManagerState(data []byte) (*ManagerState, error) {
 	return st, nil
 }
 
-// MinRetainedRound implements leader.SchedulerState, mirroring
-// Manager.MinRetainedRound at capture time.
+// MinRetainedRound implements leader.SchedulerState: the lowest round the
+// scheduler may still read from the DAG (score scans reach back to the
+// active epoch start). DAG pruning must stay strictly below this.
 func (st *ManagerState) MinRetainedRound() types.Round {
 	start := st.history.Active().InitialRound()
 	if start == 0 {
 		return 0
 	}
+	// Votes at the epoch's first round reference the previous round's leader.
 	return start - 1
 }
 
@@ -217,70 +221,29 @@ func (st *ManagerState) Excluded() []types.ValidatorID { return st.excluded }
 // (shared map; do not mutate). Empty before the first switch.
 func (st *ManagerState) Scores() Scores { return st.epochScores }
 
-// ExportState implements leader.Scheduler: a cheap immutable capture of
-// the Manager. Schedules are shared (they are immutable); only the score
-// maps are copied. Schedule history older than MinRetainedRound is pruned
-// from the export — a restored node's DAG never reaches below it, so those
-// schedules can never be consulted again.
+// ExportState implements leader.Scheduler: a copy of the Manager's state.
+// The schedule history, base slots and latest swap outcome are never written
+// in place (a switch installs fresh ones), so the export shares them; only
+// the Shoal scores, which OnAnchorOrdered updates in place, are copied.
 //
 //hammerlint:deterministic
 func (m *Manager) ExportState() leader.SchedulerState {
-	scheds := m.history.Schedules()
-	minRetained := m.MinRetainedRound()
-	first := 0
-	for i, s := range scheds {
-		if s.InitialRound() <= minRetained {
-			first = i
-		}
-	}
-	history := leader.NewHistory(scheds[first])
-	for _, s := range scheds[first+1:] {
-		if err := history.Append(s); err != nil {
-			// Unreachable: the source history is already strictly ascending.
-			panic(fmt.Sprintf("core: exporting schedule history: %v", err))
-		}
-	}
-	st := &ManagerState{
-		history:               history,
-		baseSlots:             m.baseSlots,
-		commitsThisEpoch:      m.commitsThisEpoch,
-		shoalScores:           m.shoalScores.Clone(),
-		lastOrderedAnchor:     m.lastOrderedAnchor,
-		haveLastOrderedAnchor: m.haveLastOrderedAnchor,
-		switches:              m.SwitchCount(),
-	}
-	if len(m.decisions) > 0 {
-		last := m.decisions[len(m.decisions)-1]
-		st.excluded = append([]types.ValidatorID(nil), last.Bad...)
-		st.epochScores = last.Scores.Clone()
-	} else {
-		st.excluded = append([]types.ValidatorID(nil), m.restoredExcluded...)
-		st.epochScores = m.restoredScores.Clone()
-	}
-	return st
+	st := m.st
+	st.shoalScores = m.st.shoalScores.Clone()
+	return &st
 }
 
-// RestoreState implements leader.Scheduler: it re-establishes an exported
-// state in this Manager, replacing the schedule history, epoch cursor and
-// Shoal scores wholesale. On a decode error the Manager is left untouched.
-// After a successful restore the Manager resumes exactly where the exporting
-// node stood right after the snapshot's last commit, so driving both with the
-// same subsequent anchor sequence yields bit-equal schedules (Proposition 1).
+// RestoreState implements leader.Scheduler: it adopts a decoded export as the
+// Manager's state. On a decode error the Manager is left untouched. After a
+// successful restore the Manager resumes exactly where the exporting node
+// stood right after the snapshot's last commit, so driving both with the same
+// subsequent anchor sequence yields bit-equal schedules (Proposition 1).
 func (m *Manager) RestoreState(data []byte) error {
 	st, err := DecodeManagerState(data)
 	if err != nil {
 		return err
 	}
-	m.history = st.history
-	m.baseSlots = st.baseSlots
-	m.commitsThisEpoch = st.commitsThisEpoch
-	m.shoalScores = st.shoalScores
-	m.lastOrderedAnchor = st.lastOrderedAnchor
-	m.haveLastOrderedAnchor = st.haveLastOrderedAnchor
-	m.decisions = nil
-	m.restoredSwitches = st.switches
-	m.restoredExcluded = st.excluded
-	m.restoredScores = st.epochScores
+	m.st = *st
 	return nil
 }
 
@@ -292,9 +255,9 @@ func (m *Manager) RestoreState(data []byte) error {
 // was never observed, and guessing penalties for it would break Schedule
 // Agreement.
 func (m *Manager) FastForwardTo(round types.Round) {
-	if m.haveLastOrderedAnchor && round <= m.lastOrderedAnchor {
+	if m.st.haveLastOrderedAnchor && round <= m.st.lastOrderedAnchor {
 		return
 	}
-	m.lastOrderedAnchor = round
-	m.haveLastOrderedAnchor = true
+	m.st.lastOrderedAnchor = round
+	m.st.haveLastOrderedAnchor = true
 }

@@ -5,10 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"hammerhead/internal/dag"
+	"hammerhead/internal/dag/dagtest"
 	"hammerhead/internal/leader"
 	"hammerhead/internal/types"
-
-	"hammerhead/internal/dag/dagtest"
 )
 
 // driveManagerRange is driveManager over an explicit anchor-round window, so
@@ -38,7 +38,7 @@ func TestManagerStateEncodeDecodeRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EpochCommits = 3
 	cfg.Scoring = ScoringShoal
-	m, err := NewManager(b.Committee, b.DAG, cfg)
+	m, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestManagerStateEncodingDeterministic(t *testing.T) {
 	cfg.Scoring = ScoringShoal
 	var blobs [][]byte
 	for i := 0; i < 2; i++ {
-		m, err := NewManager(b.Committee, b.DAG, cfg)
+		m, err := NewManager(b.Committee, b.DAG, cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestDecodeManagerStateRejectsGarbage(t *testing.T) {
 	}
 
 	b := buildVotingDAG(t, 4, 10, nil)
-	m, err := NewManager(b.Committee, b.DAG, DefaultConfig())
+	m, err := NewManager(b.Committee, b.DAG, DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +159,13 @@ func TestManagerRestoreResumesIdentically(t *testing.T) {
 	cfg.EpochCommits = 4
 	cfg.Scoring = ScoringShoal
 
-	full, err := NewManager(b.Committee, b.DAG, cfg)
+	full, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveManagerRange(t, full, b, 2, 60)
 
-	prefix, err := NewManager(b.Committee, b.DAG, cfg)
+	prefix, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestManagerRestoreResumesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := NewManager(b.Committee, b.DAG, cfg)
+	restored, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func TestManagerRestoreResumesIdentically(t *testing.T) {
 	if got, want := restored.SwitchCount(), full.SwitchCount(); got != want {
 		t.Fatalf("SwitchCount = %d, want %d", got, want)
 	}
-	if !reflect.DeepEqual(restored.shoalScores, full.shoalScores) {
-		t.Fatalf("shoalScores diverged: %v vs %v", restored.shoalScores, full.shoalScores)
+	if !reflect.DeepEqual(restored.st.shoalScores, full.st.shoalScores) {
+		t.Fatalf("shoalScores diverged: %v vs %v", restored.st.shoalScores, full.st.shoalScores)
 	}
 	if !reflect.DeepEqual(restored.Excluded(), full.Excluded()) {
 		t.Fatalf("Excluded diverged: %v vs %v", restored.Excluded(), full.Excluded())
@@ -211,25 +211,66 @@ func TestManagerFastForwardTo(t *testing.T) {
 	b := buildVotingDAG(t, 4, 10, nil)
 	cfg := DefaultConfig()
 	cfg.Scoring = ScoringShoal
-	m, err := NewManager(b.Committee, b.DAG, cfg)
+	m, err := NewManager(b.Committee, b.DAG, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveManagerRange(t, m, b, 2, 10)
 
 	// Jumping backwards (or to the current cursor) is a no-op.
-	before := m.shoalScores.Clone()
+	before := m.st.shoalScores.Clone()
 	m.FastForwardTo(4)
-	if !reflect.DeepEqual(m.shoalScores, before) {
+	if !reflect.DeepEqual(m.st.shoalScores, before) {
 		t.Fatal("backward fast-forward mutated scores")
 	}
 	// A forward jump advances the cursor WITHOUT skip penalties: the gap's
 	// ordering history was never observed.
 	m.FastForwardTo(20)
 	m.OnAnchorOrdered(leader.AnchorInfo{Round: 22, Source: m.LeaderAt(22)})
-	for id, score := range m.shoalScores {
+	for id, score := range m.st.shoalScores {
 		if score < before[id] {
 			t.Fatalf("fast-forward gap penalized %s: %d -> %d", id, before[id], score)
 		}
+	}
+}
+
+// TestManagerStateStaysBounded drives a manager through 1,000 epochs of one
+// commit each: its live state must stay what an export carries — the active
+// schedule and the one before it — and an export must cost as much after
+// 1,000 epochs as after 10.
+func TestManagerStateStaysBounded(t *testing.T) {
+	committee := equalCommittee(t, 4)
+	cfg := DefaultConfig()
+	cfg.EpochCommits = 1
+	m, err := NewManager(committee, dag.New(committee), cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := types.Round(0)
+	orderAnchors := func(n int) {
+		for i := 0; i < n; i++ {
+			round += 2
+			m.MaybeSwitch(leader.AnchorInfo{Round: round, Source: m.LeaderAt(round)})
+			m.OnAnchorOrdered(leader.AnchorInfo{Round: round, Source: m.LeaderAt(round)})
+		}
+	}
+	exportAllocs := func() float64 {
+		return testing.AllocsPerRun(100, func() { _ = m.ExportState() })
+	}
+
+	orderAnchors(10)
+	early := exportAllocs()
+	orderAnchors(990)
+
+	live := len(m.History().Schedules())
+	exported := len(m.ExportState().(*ManagerState).history.Schedules())
+	if live > exported || exported != 2 {
+		t.Fatalf("live history holds %d schedules, its export %d; want at most the export's 2", live, exported)
+	}
+	if got := m.SwitchCount(); got != 999 {
+		t.Fatalf("SwitchCount = %d, want 999", got)
+	}
+	if late := exportAllocs(); late != early {
+		t.Fatalf("ExportState allocates %v after 1000 epochs, %v after 10", late, early)
 	}
 }

@@ -6,15 +6,13 @@ import (
 	"hammerhead/internal/types"
 )
 
-// SwapDecision records one schedule recomputation, kept for observability
-// and tests.
+// SwapDecision is the outcome of one schedule recomputation. The Manager
+// keeps the latest one's Scores and Bad in its state for observability.
 type SwapDecision struct {
-	// EpochStart and EpochEnd bound the rounds whose behaviour fed the scores.
-	EpochStart, EpochEnd types.Round
 	// Scores are the reputation points the decision was computed from.
 	Scores Scores
 	// Bad lists the validators whose slots were taken (lowest scores,
-	// at most MaxSwapStake by stake), ascending by ID.
+	// at most the swap budget by stake), ascending by ID.
 	Bad []types.ValidatorID
 	// Good lists the validators who received those slots (highest scores,
 	// |Good| == |Bad|), ascending by ID.

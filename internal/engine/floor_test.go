@@ -149,7 +149,7 @@ func newFloorEngine(t *testing.T, committee *types.Committee) (*Engine, *floorRe
 	d := dag.New(committee)
 	hh := core.DefaultConfig()
 	hh.EpochCommits = 3
-	sched, err := core.NewManager(committee, d, hh)
+	sched, err := core.NewManager(committee, d, hh, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,7 +275,6 @@ func (s Scenario) CoreConfig() core.Config {
 	if s.Scoring != 0 {
 		cfg.Scoring = s.Scoring
 	}
-	cfg.Seed = uint64(s.Seed)
 	return cfg
 }
 

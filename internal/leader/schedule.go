@@ -8,7 +8,9 @@
 // leader of TR × stake(u)/Σ stake(u) rounds in order and then randomly
 // permute them" — with integer stakes this is stake(u) slots per validator
 // per cycle. HammerHead's dynamic scheduler (internal/core) produces new
-// Schedules by swapping slots; the Schedule type itself stays immutable.
+// Schedules by swapping slots; the Schedule type itself stays immutable, and
+// a History holds only the schedules covering the rounds at or above the
+// scheduler's MinRetainedRound.
 //
 // Both schedulers implement the whole Scheduler contract: the schedule is a
 // function of the committed prefix, so every checkpoint carries the
@@ -107,22 +109,24 @@ func NewInitialSchedule(committee *types.Committee, seed uint64) *Schedule {
 	return s
 }
 
-// History is an append-only log of schedules keyed by ascending
-// InitialRound. It answers "who led round r" for any past round — required
-// because HammerHead validators must retroactively evaluate anchors under
-// the schedule that was active at their round, even after newer schedules
-// were installed (paper §3.1).
+// History is a run of schedules keyed by ascending InitialRound. It answers
+// "who led round r" for the rounds at or above its scheduler's
+// MinRetainedRound — required because HammerHead validators must
+// retroactively evaluate anchors under the schedule that was active at their
+// round, even after a newer schedule was installed (paper §3.1). HammerHead
+// keeps the active schedule and the one before it: a switch builds a new
+// History rather than appending to one an export may share.
 type History struct {
 	schedules []*Schedule
 }
 
-// NewHistory starts a history with the initial schedule.
-func NewHistory(initial *Schedule) *History {
-	return &History{schedules: []*Schedule{initial}}
+// NewHistory starts a history with its first schedule.
+func NewHistory(first *Schedule) *History {
+	return &History{schedules: []*Schedule{first}}
 }
 
-// Append installs a new schedule. Its InitialRound must be strictly greater
-// than the current active schedule's.
+// Append adds a schedule while a history is being built. Its InitialRound
+// must be strictly greater than the current active schedule's.
 func (h *History) Append(s *Schedule) error {
 	if last := h.Active(); s.InitialRound() <= last.InitialRound() {
 		return fmt.Errorf("leader: new schedule initial round %d not after active %d",
@@ -135,7 +139,7 @@ func (h *History) Append(s *Schedule) error {
 // Active returns the most recently installed schedule.
 func (h *History) Active() *Schedule { return h.schedules[len(h.schedules)-1] }
 
-// Len returns the number of installed schedules (epochs so far).
+// Len returns the number of schedules held.
 func (h *History) Len() int { return len(h.schedules) }
 
 // At returns the schedule covering the given round: the one with the
@@ -181,7 +185,7 @@ type Scheduler interface {
 	// restarts its walk (paper Alg 2's early return from orderHistory).
 	MaybeSwitch(anchor AnchorInfo) bool
 	// OnAnchorOrdered is called after an anchor's sub-DAG is ordered, in
-	// commit order. Commit-count epoch policies and incremental scoring
+	// commit order. HammerHead's commit-count epochs and incremental scoring
 	// rules hook here.
 	OnAnchorOrdered(anchor AnchorInfo)
 	// ExportState captures the state a checkpoint carries. The committer

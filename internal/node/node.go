@@ -214,6 +214,9 @@ type Node struct {
 	wholeEarlyMetric *metrics.Counter
 	fullEarlyMetric  *metrics.Counter
 	lostMetric       *metrics.Counter
+	// scoreGauges holds each member's reputation score gauge (HammerHead
+	// only).
+	scoreGauges map[types.ValidatorID]*metrics.Gauge
 }
 
 // inbound is one transport delivery awaiting pre-verification.
@@ -311,6 +314,15 @@ func New(cfg Config) (*Node, error) {
 		n.wholeEarlyMetric = cfg.Metrics.Counter("hammerhead_headers_whole_early_total")
 		n.fullEarlyMetric = cfg.Metrics.Counter("hammerhead_headers_full_early_total")
 		n.lostMetric = cfg.Metrics.Counter("hammerhead_own_vertices_pruned_unordered_total")
+		if cfg.HammerHead != nil {
+			// Per-validator reputation scores ride in a validator label on
+			// one metric family (the registry canonicalizes label order).
+			n.scoreGauges = make(map[types.ValidatorID]*metrics.Gauge, cfg.Committee.Size())
+			for _, id := range cfg.Committee.ValidatorIDs() {
+				n.scoreGauges[id] = cfg.Metrics.LabeledGauge("hammerhead_reputation_score",
+					metrics.Label{Name: "validator", Value: strconv.FormatUint(uint64(id), 10)})
+			}
+		}
 	}
 	// Seed the scheduler status mirror so /v1/status reports the initial
 	// schedule before the first commit publishes an export.
@@ -497,11 +509,11 @@ func (n *Node) publishSchedulerState(st leader.SchedulerState) {
 	n.epochMetric.Set(int64(ms.Epoch()))
 	n.epochStartMet.Set(int64(ms.EpochStartRound()))
 	n.excludedMetric.Set(int64(len(ms.Excluded())))
-	// Per-validator reputation scores ride in a validator label on one
-	// metric family (the registry canonicalizes label order).
-	for id, score := range ms.Scores() {
-		n.cfg.Metrics.LabeledGauge("hammerhead_reputation_score",
-			metrics.Label{Name: "validator", Value: strconv.FormatUint(uint64(id), 10)}).Set(score)
+	// The scores omit a validator that scored 0: its gauge reads 0, not the
+	// last positive score it had.
+	scores := ms.Scores()
+	for id, g := range n.scoreGauges {
+		g.Set(scores[id])
 	}
 }
 

@@ -33,6 +33,9 @@ type testCluster struct {
 	mu      sync.Mutex
 	commits map[types.ValidatorID][]types.Digest
 	txSeen  map[types.ValidatorID]int
+	// states holds the encoded scheduler state each fresh commit carried
+	// (built on first use).
+	states map[types.ValidatorID][][]byte
 }
 
 func fastNodeEngineConfig() engine.Config {
@@ -76,6 +79,14 @@ func buildNode(t *testing.T, tc *testCluster, id types.ValidatorID, hh *core.Con
 			defer tc.mu.Unlock()
 			if !replayed {
 				tc.commits[id] = append(tc.commits[id], sub.Anchor.Digest())
+				data, err := sub.SchedulerState.Encode()
+				if err != nil {
+					t.Error(err)
+				}
+				if tc.states == nil {
+					tc.states = make(map[types.ValidatorID][][]byte)
+				}
+				tc.states[id] = append(tc.states[id], data)
 			}
 			tc.txSeen[id] += sub.TxCount()
 		},
@@ -274,14 +285,16 @@ func TestNodesWithHammerHeadScheduler(t *testing.T) {
 	}
 	tc.waitCommits(t, 8, 20*time.Second)
 
-	// The schedule must have switched on every node identically. The
-	// schedulers belong to the engine goroutines: stop them first.
+	// The schedule must have switched on every node identically: every
+	// commit of the shared prefix carries the same scheduler state, byte for
+	// byte. The schedulers belong to the engine goroutines: stop them first.
 	for _, nd := range tc.nodes {
 		if err := nd.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var first *core.Manager
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
 	for i, nd := range tc.nodes {
 		m, ok := nd.Engine().Scheduler().(*core.Manager)
 		if !ok {
@@ -290,18 +303,10 @@ func TestNodesWithHammerHeadScheduler(t *testing.T) {
 		if m.SwitchCount() == 0 {
 			t.Fatalf("node v%d never switched schedules", i)
 		}
-		if first == nil {
-			first = m
-			continue
-		}
-		a, b := first.History().Schedules(), m.History().Schedules()
-		k := len(a)
-		if len(b) < k {
-			k = len(b)
-		}
-		for j := 0; j < k; j++ {
-			if a[j].InitialRound() != b[j].InitialRound() {
-				t.Fatalf("schedule %d initial round differs on node v%d", j, i)
+		ref, other := tc.states[0], tc.states[types.ValidatorID(i)]
+		for j := 0; j < len(ref) && j < len(other); j++ {
+			if !bytes.Equal(ref[j], other[j]) {
+				t.Fatalf("commit %d carries a different scheduler state on node v%d", j, i)
 			}
 		}
 	}

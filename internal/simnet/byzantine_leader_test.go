@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hammerhead/internal/bullshark"
 	"hammerhead/internal/core"
 	"hammerhead/internal/types"
 )
@@ -24,6 +25,8 @@ func TestHammerHeadScoresOutFaultyLeaders(t *testing.T) {
 	cfg := fastSimEngineConfig()
 	cfg.MinRoundDelay = 30 * time.Millisecond
 	cfg.LeaderTimeout = 300 * time.Millisecond
+	// Every validator scored out by some swap, as the commits of v0 carry it.
+	everBad := map[types.ValidatorID]bool{}
 	cluster, err := NewCluster(ClusterConfig{
 		Committee:    committee,
 		Engine:       cfg,
@@ -31,6 +34,14 @@ func TestHammerHeadScoresOutFaultyLeaders(t *testing.T) {
 		HammerHead:   hhConfig(6),
 		ScheduleSeed: 1,
 		Seed:         23,
+		OnCommit: func(node types.ValidatorID, sub bullshark.CommittedSubDAG, _ int64) {
+			if node != 0 {
+				return
+			}
+			for _, id := range sub.SchedulerState.(*core.ManagerState).Excluded() {
+				everBad[id] = true
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,12 +76,6 @@ func TestHammerHeadScoresOutFaultyLeaders(t *testing.T) {
 	// schedule, and the steady-state exclusion set must pin the two
 	// permanently faulty ones (the laggard's standing can recover when its
 	// slow window ends, so it is only required in the historical record).
-	everBad := map[types.ValidatorID]bool{}
-	for _, d := range m.Decisions() {
-		for _, id := range d.Bad {
-			everBad[id] = true
-		}
-	}
 	for _, id := range []types.ValidatorID{crashed, withholder, laggard} {
 		if !everBad[id] {
 			t.Errorf("faulty validator %s was never scored out (bad sets: %v)", id, everBad)

@@ -1,9 +1,11 @@
 package simnet_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"hammerhead/internal/bullshark"
 	"hammerhead/internal/core"
 	"hammerhead/internal/simnet"
 	"hammerhead/internal/types"
@@ -127,24 +129,31 @@ func TestClusterAsynchronyThenGST(t *testing.T) {
 }
 
 func TestClusterTinyEpochStressesScheduleSwitches(t *testing.T) {
-	// EpochByRounds with the minimum T=2 forces a schedule switch at nearly
-	// every anchor, maximizing mid-chain switches and discarded tips — the
-	// trickiest retroactivity path (paper §3's second challenge).
+	// One-commit epochs switch the schedule at every ordered anchor,
+	// maximizing mid-chain switches and discarded tips — the trickiest
+	// retroactivity path (paper §3's second challenge).
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hh := core.DefaultConfig()
-	hh.Policy = core.EpochByRounds
-	hh.EpochRounds = 2
+	hh.EpochCommits = 1
 	rec := newCommitRecorder(0)
+	states := map[types.ValidatorID][][]byte{}
 	cluster := newClusterWithConfig(t, simnet.ClusterConfig{
 		Committee:  committee,
 		Engine:     fastEngineConfig(),
 		Latency:    simnet.Uniform{Base: 25 * time.Millisecond, Jitter: 0.15},
 		HammerHead: &hh,
-		OnCommit:   rec.hook,
-		Seed:       17,
+		OnCommit: func(node types.ValidatorID, sub bullshark.CommittedSubDAG, now int64) {
+			rec.hook(node, sub, now)
+			data, err := sub.SchedulerState.Encode()
+			if err != nil {
+				t.Error(err)
+			}
+			states[node] = append(states[node], data)
+		},
+		Seed: 17,
 	})
 	cluster.CrashAt(3, 5*time.Second)
 	cluster.Start()
@@ -152,7 +161,7 @@ func TestClusterTinyEpochStressesScheduleSwitches(t *testing.T) {
 
 	m := cluster.Engine(0).Scheduler().(*core.Manager)
 	if m.SwitchCount() < 10 {
-		t.Fatalf("only %d switches with T=2", m.SwitchCount())
+		t.Fatalf("only %d switches with one-commit epochs", m.SwitchCount())
 	}
 	if len(rec.anchors[0]) < 10 {
 		t.Fatalf("liveness suffered: %d commits", len(rec.anchors[0]))
@@ -162,23 +171,13 @@ func TestClusterTinyEpochStressesScheduleSwitches(t *testing.T) {
 			t.Fatalf("rapid switching broke agreement (v%d)", i)
 		}
 	}
-	// All live validators agree on the schedule history.
-	ref := m.History().Schedules()
+	// All live validators agree on the schedule: every commit of the shared
+	// prefix carries the same scheduler state, byte for byte.
 	for i := 1; i < 3; i++ {
-		other := cluster.Engine(types.ValidatorID(i)).Scheduler().(*core.Manager).History().Schedules()
-		k := len(ref)
-		if len(other) < k {
-			k = len(other)
-		}
-		for j := 0; j < k; j++ {
-			if ref[j].InitialRound() != other[j].InitialRound() {
-				t.Fatalf("schedule %d initial round differs on v%d", j, i)
-			}
-			a, b := ref[j].Slots(), other[j].Slots()
-			for idx := range a {
-				if a[idx] != b[idx] {
-					t.Fatalf("schedule %d slots differ on v%d", j, i)
-				}
+		ref, other := states[0], states[types.ValidatorID(i)]
+		for j := 0; j < len(ref) && j < len(other); j++ {
+			if !bytes.Equal(ref[j], other[j]) {
+				t.Fatalf("commit %d carries a different scheduler state on v%d", j, i)
 			}
 		}
 	}

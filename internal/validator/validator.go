@@ -91,9 +91,7 @@ func New(cfg Config, log *Log) (*Validator, error) {
 	d := dag.New(cfg.Committee)
 	var sched leader.Scheduler
 	if cfg.HammerHead != nil {
-		hh := *cfg.HammerHead
-		hh.Seed = cfg.ScheduleSeed
-		m, err := core.NewManager(cfg.Committee, d, hh)
+		m, err := core.NewManager(cfg.Committee, d, *cfg.HammerHead, cfg.ScheduleSeed)
 		if err != nil {
 			return nil, fmt.Errorf("validator: building HammerHead scheduler: %w", err)
 		}

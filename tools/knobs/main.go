@@ -41,6 +41,7 @@ import (
 // structs are the configuration structs whose exported fields count.
 var structs = []target{
 	{"hammerhead/internal/engine", "Config"},
+	{"hammerhead/internal/core", "Config"},
 	{"hammerhead/internal/node", "Config"},
 	{"hammerhead/internal/mempool", "FairConfig"},
 	{"hammerhead/internal/simnet", "ClusterConfig"},
