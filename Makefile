@@ -7,7 +7,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck knobs bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing crash-restart apply-path checkpoint-phase clean
+.PHONY: all build test race race-core fmt lint hammerlint staticcheck vulncheck knobs bench-smoke sim-mem checkpoint-bytes sig-once ring-bytes pacing crash-restart catch-up apply-path checkpoint-phase clean
 
 all: build test
 
@@ -173,6 +173,23 @@ crash-restart:
 	go test -race -count=3 -run '^TestLocalClusterRestartResumesFromItsRecords$$' .
 	go test -race -count=3 -run '^TestKillBeforeRecordCertifiesOnce$$' ./internal/simnet/
 	go test -race -count=3 -run '^TestLocalClusterCompactsItsLogs$$' .
+
+# catch-up is CI's "One catch-up pull (race)" step: a lagging or restarted
+# validator catches up through one round pull. The crash-rejoin handshake is
+# that pull broadcast from the highest DAG round and retried by the progress
+# watchdog, and completes at a write quorum of round-pull replies (a reply by
+# digest or a repeated one does not count, an empty one does); every round
+# pull is answered once, naming its round, with a checkpoint offer when the
+# pulled rounds lie below the responder's floor, and a snapshot fetch starts
+# only from an offer beyond the GC horizon, pinned to its round; a stalled
+# fetch rotates through every peer, keeping that round; retired kind bytes
+# decode as errors. In simulation, a validator partitioned past the GC
+# horizon catches up by snapshot (round-robin and HammerHead), and a
+# restarted one rejoins the live committee.
+catch-up:
+	go test -race -count=3 -run '^(TestRejoinHandshakeCompletesAtQuorum|TestRejoinBelowQuorumRetries|TestRejoinAdoptsSurvivingOwnCertificate|TestRejoinLoneValidatorCompletesImmediately|TestRejoinResponseCarriesCheckpointOffer|TestRejoinOfferNearFrontierIgnored|TestRestoreProposalRetransmitsIdenticalHeader|TestRoundRequestServesFrontier|TestRoundRequestServedFromIndex|TestProgressTimerPullsWhenStuck|TestCatchUpJumpSkipsToFrontier|TestSyncPeerSelection|TestRetiredKindsDecodeAsErrors)$$' ./internal/engine/
+	go test -race -count=3 -run '^(TestBeyondHorizonTriggersSnapshotRequest|TestSnapshotFetchAssemblesChunksAndFastForwards|TestSnapshotResponderWithoutCheckpoint|TestSnapshotOlderThanAppliedRoundRejected|TestCorruptSnapshotChunkRejectsInstall|TestSnapshotChunkCRCRejectedOnReceipt|TestStalledSnapshotFetchRotatesThroughEveryPeer)$$' ./internal/engine/
+	go test -race -count=3 -run '^(TestSnapshotCatchUpConverges|TestHammerHeadSnapshotCatchUpConverges|TestPartialKillRestartRejoinsLiveCommittee)$$' ./internal/simnet/
 
 # ring-bytes is CI's "Commit history holds what it counts (race)" step: the
 # gateway's resume ring packs each commit's payloads into one block and must

@@ -52,7 +52,7 @@ const (
 	// gcEvery is how many commits pass between two prunings.
 	gcEvery = 16
 	// maxSyncBatch caps the digests read from one CertRequest, and so the
-	// certificates per CertResponse (and per RoundResponse). The engine's own
+	// certificates per CertResponse, a round pull's included. The engine's own
 	// CertRequests are chunked to it: a server reading fewer would ignore the
 	// tail of each chunk, and resync would re-send the same chunks.
 	maxSyncBatch = 512
@@ -69,11 +69,11 @@ const (
 
 // resyncInterval paces re-requests for still-missing parent certificates,
 // header re-broadcasts and the progress watchdog: the leader wait, at most a
-// second (a second for every LeaderTimeout of 1 s and more). The
-// crash-rejoin handshake re-broadcasts its RejoinRequest every two of them
-// until it gathers a write quorum of RejoinResponses, forever — a committee
-// below quorum cannot progress anyway, so retrying until peers return is the
-// only correct behavior.
+// second (a second for every LeaderTimeout of 1 s and more). The watchdog
+// fires every two of them, and while the engine rejoins after a crash each
+// firing re-broadcasts the rejoin pull until replies from a write quorum
+// came back, forever — a committee below quorum cannot progress anyway, so
+// retrying until peers return is the only correct behavior.
 func (c Config) resyncInterval() time.Duration {
 	return min(c.LeaderTimeout, time.Second)
 }
@@ -123,17 +123,16 @@ const (
 	TimerHeaderRetry
 	// TimerProgress periodically checks for round progress; when none
 	// happened since the previous firing, the engine pulls the certificate
-	// frontier from a rotating peer (RoundRequest).
+	// frontier from a rotating peer (RoundRequest). While the engine rejoins
+	// after a crash, every firing broadcasts the rejoin pull instead, round
+	// progress or not (peers may still be restarting themselves).
 	TimerProgress
 	// TimerSnapshot paces an active snapshot state-sync fetch: when no chunk
 	// arrived since it was armed, the request is retried, eventually rotating
-	// to another responder (restarting the fetch — chunk encodings are not
-	// byte-compatible across responders).
+	// to another responder (restarting the fetch at chunk zero of the same
+	// checkpoint — chunk encodings are not byte-compatible across
+	// responders).
 	TimerSnapshot
-	// TimerRejoin paces the crash-rejoin handshake: while the restarted
-	// engine has not gathered a write quorum of RejoinResponses, the request
-	// is re-broadcast (peers may still be restarting themselves).
-	TimerRejoin
 	// TimerWaveDelay is the period timer: armed once the validator holds
 	// headers worth f+1 stake of a batch round r ≡ 1 (mod 4), it fires
 	// MinRoundDelay later, and Round is r+3, the round ≡ 0 it lets the
@@ -158,8 +157,6 @@ func (k TimerKind) String() string {
 		return "progress"
 	case TimerSnapshot:
 		return "snapshot"
-	case TimerRejoin:
-		return "rejoin"
 	default:
 		return fmt.Sprintf("timer(%d)", uint8(k))
 	}

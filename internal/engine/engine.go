@@ -147,10 +147,9 @@ type Stats struct {
 	SnapshotInstalls        uint64
 	SnapshotInstallFailures uint64
 	SnapshotChunkRejects    uint64
-	// Crash-rejoin handshake counters: requests broadcast (first attempt and
-	// retries), responses served to restarting peers, handshakes completed.
+	// Crash-rejoin handshake counters: rejoin pulls broadcast (first attempt
+	// and retries), handshakes completed.
 	RejoinRequests   uint64
-	RejoinResponses  uint64
 	RejoinsCompleted uint64
 	// Checkpoint certificate counters: signature shares received from peers,
 	// certificates this validator's accumulator assembled, certificates
@@ -234,13 +233,13 @@ type Engine struct {
 	// RestoreProposal).
 	proposalFloor types.Round
 	// exec is the execution layer: it serves local checkpoints to peers,
-	// installs fetched ones, reports its applied sequence for rejoin
-	// frontiers and stores checkpoint certificates. snapFetch is the active
-	// snapshot download.
+	// installs fetched ones and stores checkpoint certificates. snapFetch is
+	// the active snapshot download.
 	exec      Execution
 	snapFetch snapFetch
-	// rejoin is the crash-rejoin handshake's gathering state.
-	rejoin rejoinState
+	// rejoin gathers the crash-rejoin handshake's quorum of replies; nil
+	// when the engine is not rejoining.
+	rejoin *types.StakeAccumulator
 	// Checkpoint certification (nil/zero unless the execution layer
 	// certifies checkpoints): ckptAcc assembles quorum certificates from
 	// gossiped signature shares; ckptDelivered is the highest commit seq
@@ -296,7 +295,7 @@ type Engine struct {
 
 	commitsSinceGC    uint64
 	progressLastRound types.Round
-	progressTarget    uint32
+	progressTarget    types.ValidatorID
 	maxPendingRound   types.Round
 	lastRangeReqFloor types.Round
 	lastRangeReqNanos int64
@@ -521,30 +520,13 @@ func (e *Engine) onMessage(from types.ValidatorID, msg *Message, nowNanos int64)
 	case KindCertRequest:
 		e.onCertRequest(from, msg.CertRequest, out)
 	case KindCertResponse:
-		if msg.CertResponse == nil {
-			e.stats.InvalidMessages++
-			return out
-		}
-		for _, c := range msg.CertResponse.Certs {
-			e.onCertificate(c, nowNanos, out)
-		}
-		e.stats.SyncResponses++
-		// Batched catch-up: if we are still far behind after this response,
-		// immediately pull the next range from the same peer. Each
-		// round-trip advances maxSyncBatch certificates, so a recovering
-		// validator outpaces the live frontier instead of crawling one
-		// round per resync interval.
-		e.maybeRangeSync(from, nowNanos, out)
+		e.onCertResponse(from, msg.CertResponse, nowNanos, out)
 	case KindRoundRequest:
 		e.onRoundRequest(from, msg.RoundRequest, out)
 	case KindSnapshotRequest:
 		e.onSnapshotRequest(from, msg.SnapshotRequest, out)
 	case KindSnapshotResponse:
 		e.onSnapshotResponse(from, msg.SnapshotResponse, nowNanos, out)
-	case KindRejoinRequest:
-		e.onRejoinRequest(from, msg.RejoinRequest, out)
-	case KindRejoinResponse:
-		e.onRejoinResponse(from, msg.RejoinResponse, nowNanos, out)
 	case KindCheckpointSig:
 		e.onCheckpointSig(from, msg.CheckpointSig, out)
 	case KindCheckpointCert:
@@ -586,33 +568,23 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 			out.timer(Timer{Kind: TimerHeaderRetry, Round: t.Round, Delay: e.config.resyncInterval()})
 		}
 	case TimerProgress:
-		if e.round == e.progressLastRound {
+		if e.rejoin != nil {
+			// Still short of a rejoin quorum: ask everyone again.
+			e.rejoinPull(out)
+		} else if e.round == e.progressLastRound {
 			// No progress since the last check: pull the certificate
 			// frontier from a rotating peer.
-			n := uint32(e.committee.Size())
-			if n > 1 {
-				e.progressTarget++
-				target := types.ValidatorID(e.progressTarget % n)
-				if target == e.self {
-					e.progressTarget++
-					target = types.ValidatorID(e.progressTarget % n)
-				}
+			if target, ok := e.nextPeer(e.progressTarget); ok {
+				e.progressTarget = target
 				e.stats.SyncRequests++
 				from := e.committer.LastOrderedRound()
 				out.unicast(target, &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: from}})
-				if e.beyondGCHorizon() {
-					// The frontier is unreachable by certificate sync; pull
-					// a checkpoint instead of waiting on certs nobody holds.
-					e.maybeSnapshotSync(target, nowNanos, out)
-				}
 			}
 		}
 		e.progressLastRound = e.round
 		out.timer(Timer{Kind: TimerProgress, Delay: 2 * e.config.resyncInterval()})
 	case TimerSnapshot:
-		e.onSnapshotTimer(nowNanos, out)
-	case TimerRejoin:
-		e.onRejoinTimer(nowNanos, out)
+		e.onSnapshotTimer(out)
 	}
 	return out
 }
@@ -775,14 +747,26 @@ func (e *Engine) inDAG(c *Certificate) bool {
 // digest-rotation corner cases on tiny committees) must never send sync
 // requests to itself.
 func (e *Engine) syncPeer(hint types.ValidatorID) (types.ValidatorID, bool) {
+	if hint == e.self || int(hint) >= e.committee.Size() {
+		return e.nextPeer(e.self)
+	}
+	return hint, true
+}
+
+// nextPeer is the rotation of sync targets: the member after the given one,
+// mod n, skipping self. The progress pull and a stalled snapshot fetch walk
+// the committee with it, so each reaches every peer in turn. ok is false
+// when the committee has no other member.
+func (e *Engine) nextPeer(after types.ValidatorID) (types.ValidatorID, bool) {
 	n := uint32(e.committee.Size())
 	if n < 2 {
 		return 0, false
 	}
-	if hint == e.self || uint32(hint) >= n {
-		hint = types.ValidatorID((uint32(e.self) + 1) % n)
+	next := types.ValidatorID((uint32(after) + 1) % n)
+	if next == e.self {
+		next = types.ValidatorID((uint32(next) + 1) % n)
 	}
-	return hint, true
+	return next, true
 }
 
 // addPending records a certificate waiting for parents, maintaining the
@@ -1004,7 +988,7 @@ func (e *Engine) onCertRequest(from types.ValidatorID, req *CertRequest, out *Ou
 	if req == nil {
 		return
 	}
-	resp := &CertResponse{}
+	resp := &CertResponse{ByDigest: true}
 	for _, d := range req.Digests[:min(len(req.Digests), e.syncBatch)] {
 		// The DAG names the slot; the certificate is in ours.
 		if v, ok := e.dagStore.ByDigest(d); ok {
@@ -1031,8 +1015,10 @@ func (e *Engine) requestCerts(target types.ValidatorID, digests []types.Digest, 
 
 // maybeRangeSync pulls a batch of certificates by round when the pending
 // frontier is far above our DAG (one-digest-at-a-time parent chasing cannot
-// outrun a live committee). Rate-limited: re-request only after our frontier
-// moved or the resync interval elapsed.
+// outrun a live committee). A gap beyond the GC horizon is pulled the same
+// way: the responder pruned those rounds, so its reply offers a checkpoint.
+// Rate-limited: re-request only after our frontier moved or the resync
+// interval elapsed.
 func (e *Engine) maybeRangeSync(target types.ValidatorID, nowNanos int64, out *Output) {
 	const gapThreshold = 8
 	// Right after a snapshot install the DAG is empty above the new floor;
@@ -1040,12 +1026,6 @@ func (e *Engine) maybeRangeSync(target types.ValidatorID, nowNanos int64, out *O
 	// frontier.
 	floor := max(e.dagStore.HighestRound(), e.rounds.Floor())
 	if e.maxPendingRound <= floor+gapThreshold {
-		return
-	}
-	if e.beyondGCHorizon() {
-		// Certificate sync cannot close this gap (peers pruned the history);
-		// fetch a checkpoint instead of crawling an unreachable range.
-		e.maybeSnapshotSync(target, nowNanos, out)
 		return
 	}
 	if floor == e.lastRangeReqFloor &&
@@ -1062,21 +1042,63 @@ func (e *Engine) maybeRangeSync(target types.ValidatorID, nowNanos int64, out *O
 	out.unicast(target, &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: floor}})
 }
 
-// onRoundRequest serves the certificate frontier (see certRange).
+// onRoundRequest answers a round pull with the certificate frontier (see
+// certRange), even when it holds none: a rejoining requester counts the
+// reply. Every committee member answers — including one that is itself
+// mid-rejoin, since in a correlated restart the quorum can only be assembled
+// from validators in exactly that state. When the pulled rounds lie below
+// our pruning floor, our latest checkpoint rides along as an offer: the
+// requester misses history nobody retains.
 func (e *Engine) onRoundRequest(from types.ValidatorID, req *RoundRequest, out *Output) {
 	if req == nil || from == e.self {
 		return
 	}
-	if certs := e.certRange(req.FromRound); len(certs) > 0 {
-		out.unicast(from, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: certs}})
+	resp := &CertResponse{FromRound: req.FromRound, Certs: e.certRange(req.FromRound)}
+	if req.FromRound < e.rounds.Floor() {
+		if meta, _, ok := e.exec.LatestSnapshot(); ok {
+			resp.Offer = &meta
+		}
 	}
+	out.unicast(from, &Message{Kind: KindCertResponse, CertResponse: resp})
+}
+
+// onCertResponse takes the reply to any pull: its certificates go through the
+// normal ingestion path (pending/sync machinery included), an offered
+// checkpoint beyond our GC horizon starts a snapshot fetch, and a reply to a
+// round pull counts its sender toward a rejoin quorum. Replies arriving after
+// the handshake completed still contribute their certificates.
+func (e *Engine) onCertResponse(from types.ValidatorID, resp *CertResponse, nowNanos int64, out *Output) {
+	if resp == nil {
+		e.stats.InvalidMessages++
+		return
+	}
+	for _, c := range resp.Certs {
+		e.onCertificate(c, nowNanos, out)
+	}
+	e.stats.SyncResponses++
+	if resp.Offer != nil && resp.Offer.Round > e.committer.LastOrderedRound()+types.Round(e.config.GCDepth) {
+		// Certificate sync can never close a gap this wide, and the offer
+		// already names the checkpoint to fetch.
+		e.startSnapshotFetch(from, *resp.Offer, out)
+	}
+	if e.rejoin != nil && !resp.ByDigest {
+		// The accumulator counts each peer once.
+		e.rejoin.Add(from)
+		if e.rejoin.ReachedQuorum() {
+			e.completeRejoin(nowNanos, out)
+		}
+	}
+	// Batched catch-up: if we are still far behind after this response,
+	// immediately pull the next range from the same peer. Each round-trip
+	// advances maxSyncBatch certificates, so a recovering validator outpaces
+	// the live frontier instead of crawling one round per resync interval.
+	e.maybeRangeSync(from, nowNanos, out)
 }
 
 // certRange collects every retained certificate from the given round on,
 // oldest rounds first so the requester can insert parents-first, in source
 // order within a round, capped at maxSyncBatch: a walk over the slots, costing
-// the rounds scanned and the batch. Shared by round requests and rejoin
-// responses.
+// the rounds scanned and the batch.
 func (e *Engine) certRange(start types.Round) []*Certificate {
 	certs := make([]*Certificate, 0, e.syncBatch)
 	// Rounds below the floor are gone; every retained certificate is a DAG

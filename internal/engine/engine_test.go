@@ -371,7 +371,7 @@ func TestOnMessageNilPayloadIsHarmless(t *testing.T) {
 	e := rig.engines[0]
 	e.Init(0)
 	before, round, vertices := e.Stats(), e.Round(), e.DAG().VertexCount()
-	for kind := KindHeader; kind <= KindCheckpointCert; kind++ {
+	for _, kind := range wireKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			out := e.OnMessage(1, &Message{Kind: kind}, 1)
 			if len(out.Unicasts)+len(out.Broadcasts)+len(out.Timers) != 0 {

@@ -20,7 +20,8 @@ import (
 // MessageKind discriminates protocol messages.
 type MessageKind uint8
 
-// Message kinds. Start at 1 so the zero value is invalid.
+// Message kinds. Start at 1 so the zero value is invalid. A retired kind's
+// byte is never reused, so a frame carrying one decodes as an error.
 const (
 	KindHeader MessageKind = iota + 1
 	KindVote
@@ -30,8 +31,8 @@ const (
 	KindRoundRequest
 	KindSnapshotRequest
 	KindSnapshotResponse
-	KindRejoinRequest
-	KindRejoinResponse
+	_ // 9, retired: the crash-rejoin handshake's request, now a round pull
+	_ // 10, retired: its reply, now a CertResponse
 	KindCheckpointSig
 	KindCheckpointCert
 )
@@ -55,10 +56,6 @@ func (k MessageKind) String() string {
 		return "snapshot-request"
 	case KindSnapshotResponse:
 		return "snapshot-response"
-	case KindRejoinRequest:
-		return "rejoin-request"
-	case KindRejoinResponse:
-		return "rejoin-response"
 	case KindCheckpointSig:
 		return "checkpoint-sig"
 	case KindCheckpointCert:
@@ -187,11 +184,13 @@ type CertRequest struct {
 // EncodedSize approximates the wire size in bytes.
 func (r *CertRequest) EncodedSize() int { return 8 + len(r.Digests)*types.DigestSize }
 
-// RoundRequest asks a peer for every certificate it holds from FromRound on
-// — the anti-deadlock pull: when a validator observes no round progress for
-// a while (lost certificate broadcasts can stall a whole committee at one
-// round with nothing referencing the lost certs), it asks a rotating peer
-// for the frontier. Narwhal's certificate fetcher plays the same role.
+// RoundRequest asks a peer for every certificate it holds from FromRound on:
+// the one catch-up pull. A validator sends it when its pending certificates
+// sit far above its DAG (a range pull), when it observed no round progress
+// for a while (lost certificate broadcasts can stall a whole committee at one
+// round with nothing referencing the lost certs), and, broadcast from its
+// highest DAG round, to rejoin after a crash (see rejoin.go). Narwhal's
+// certificate fetcher plays the same role.
 type RoundRequest struct {
 	FromRound types.Round
 }
@@ -199,19 +198,19 @@ type RoundRequest struct {
 // EncodedSize approximates the wire size in bytes.
 func (r *RoundRequest) EncodedSize() int { return 8 }
 
-// SnapshotRequest asks a peer for a chunk of its latest execution checkpoint
-// — the state-sync pull a validator sends when the network's certificate
-// frontier sits beyond its GC horizon (the gap can never be closed by
-// certificate sync: peers pruned that history). Fetches are chunked and
-// resumable: the requester pins the checkpoint round after the first
-// response and pulls chunks in order from one responder (snapshot encodings
-// are not byte-identical across validators, so chunks never mix responders).
+// SnapshotRequest asks a peer for a chunk of an execution checkpoint — the
+// state-sync pull a validator sends once a pull's reply offered a checkpoint
+// beyond its GC horizon (the gap can never be closed by certificate sync:
+// peers pruned that history). Fetches are chunked and resumable: every
+// request pins the offered checkpoint round and chunks come in order from
+// one responder (snapshot encodings are not byte-identical across
+// validators, so chunks never mix responders).
 type SnapshotRequest struct {
 	// HaveRound is the requester's applied round; the responder only serves
 	// checkpoints strictly newer.
 	HaveRound types.Round
-	// Round pins the checkpoint being fetched (0 on the first request: the
-	// responder's latest). Chunk is the zero-based chunk index.
+	// Round pins the checkpoint being fetched; a responder that no longer
+	// holds it serves its latest. Chunk is the zero-based chunk index.
 	Round types.Round
 	Chunk uint32
 }
@@ -244,69 +243,28 @@ func (r *SnapshotResponse) EncodedSize() int {
 	return 8 + 8 + 2*types.DigestSize + 4 + 4 + 4 + 8 + len(r.Data)
 }
 
-// Frontier summarizes a validator's recovered state for the crash-rejoin
-// handshake: how far its replayed DAG, its committer and its execution layer
-// reach.
-type Frontier struct {
-	// HighestRound is the highest DAG round holding at least one certificate.
-	HighestRound types.Round
-	// LastOrdered is the committer's last ordered (committed) round.
-	LastOrdered types.Round
-	// AppliedSeq is the execution layer's applied commit sequence.
-	AppliedSeq uint64
-}
-
-// RejoinRequest opens the crash-rejoin handshake: a validator that just
-// restarted from its WAL broadcasts its replayed frontier. Replay-time
-// proposals were never on the wire, so after a correlated restart (every
-// validator SIGKILLed and recovered simultaneously) the committee would
-// otherwise wedge at its pre-crash round — nobody holds the proposals the
-// dead processes kept in memory, and nothing new ever gets transmitted.
-type RejoinRequest struct {
-	Frontier Frontier
-}
-
-// EncodedSize approximates the wire size in bytes.
-func (r *RejoinRequest) EncodedSize() int { return 8 + 8 + 8 }
-
-// RejoinResponse answers a RejoinRequest: the responder's own frontier plus
-// its retained certificates from the requester's frontier round on (capped at
-// maxSyncBatch), so the requester rebuilds the frontier rounds without extra
-// round-trips. Once a rejoining validator has gathered responses worth a
-// write quorum (counting itself), it re-proposes into a fresh round strictly
-// above every round the merged frontier can still complete.
-type RejoinResponse struct {
-	Frontier Frontier
-	Certs    []*Certificate
+// CertResponse answers a pull: a CertRequest (ByDigest) with the requested
+// certificates the responder holds, or a RoundRequest from FromRound with its
+// retained certificates from that round on. A round pull is answered even
+// with no certificates, so a rejoining validator can count the reply toward
+// its quorum.
+type CertResponse struct {
+	ByDigest  bool
+	FromRound types.Round
+	Certs     []*Certificate
 	// Offer, when non-nil, advertises the responder's latest execution
-	// checkpoint (round + digests). A far-behind rejoiner — one whose gap can
-	// only close through snapshot state-sync — uses it to start the fetch
-	// immediately, pinned to the offered checkpoint, instead of first
-	// discovering via a blind SnapshotRequest which checkpoint the responder
-	// holds: one round-trip saved exactly when the node is slowest.
+	// checkpoint. A responder attaches it when the pulled rounds lie below
+	// its pruning floor: the requester misses history nobody retains, and
+	// the offer tells it which checkpoint to fetch instead.
 	Offer *SnapshotMeta
 }
 
 // EncodedSize approximates the wire size in bytes.
-func (r *RejoinResponse) EncodedSize() int {
-	n := 8 + 8 + 8 + 8
+func (r *CertResponse) EncodedSize() int {
+	n := 1 + 8 + 8
 	if r.Offer != nil {
 		n += 8 + 8 + 2*types.DigestSize
 	}
-	for _, c := range r.Certs {
-		n += c.EncodedSize()
-	}
-	return n
-}
-
-// CertResponse returns requested certificates.
-type CertResponse struct {
-	Certs []*Certificate
-}
-
-// EncodedSize approximates the wire size in bytes.
-func (r *CertResponse) EncodedSize() int {
-	n := 8
 	for _, c := range r.Certs {
 		n += c.EncodedSize()
 	}
@@ -327,8 +285,6 @@ type Message struct {
 	RoundRequest     *RoundRequest
 	SnapshotRequest  *SnapshotRequest
 	SnapshotResponse *SnapshotResponse
-	RejoinRequest    *RejoinRequest
-	RejoinResponse   *RejoinResponse
 	// CheckpointSig is one validator's signature over a checkpoint tuple;
 	// CheckpointCert an assembled 2f+1 certificate (see internal/checkpoint).
 	CheckpointSig  *checkpoint.Share
@@ -347,15 +303,9 @@ func (m *Message) seal() {
 	case KindCertificate:
 		m.Cert.Header.Vertex()
 	case KindCertResponse:
-		sealCerts(m.CertResponse.Certs)
-	case KindRejoinResponse:
-		sealCerts(m.RejoinResponse.Certs)
-	}
-}
-
-func sealCerts(certs []*Certificate) {
-	for _, c := range certs {
-		c.Header.Vertex()
+		for _, c := range m.CertResponse.Certs {
+			c.Header.Vertex()
+		}
 	}
 }
 
@@ -379,10 +329,6 @@ func (m *Message) EncodedSize() int {
 		n += m.SnapshotRequest.EncodedSize()
 	case KindSnapshotResponse:
 		n += m.SnapshotResponse.EncodedSize()
-	case KindRejoinRequest:
-		n += m.RejoinRequest.EncodedSize()
-	case KindRejoinResponse:
-		n += m.RejoinResponse.EncodedSize()
 	case KindCheckpointSig:
 		n += 16 + 3*types.DigestSize + 4 + len(m.CheckpointSig.Signature)
 	case KindCheckpointCert:
@@ -403,7 +349,11 @@ func (m *Message) String() string {
 	case KindCertRequest:
 		return fmt.Sprintf("cert-request{%d digests}", len(m.CertRequest.Digests))
 	case KindCertResponse:
-		return fmt.Sprintf("cert-response{%d certs}", len(m.CertResponse.Certs))
+		r := m.CertResponse
+		if r.ByDigest {
+			return fmt.Sprintf("cert-response{by digest, %d certs}", len(r.Certs))
+		}
+		return fmt.Sprintf("cert-response{from=%d, %d certs, offer=%v}", r.FromRound, len(r.Certs), r.Offer != nil)
 	case KindRoundRequest:
 		return fmt.Sprintf("round-request{from=%d}", m.RoundRequest.FromRound)
 	case KindSnapshotRequest:
@@ -413,14 +363,6 @@ func (m *Message) String() string {
 		return fmt.Sprintf("snapshot-response{round=%d seq=%d chunk=%d/%d |%dB|}",
 			m.SnapshotResponse.Round, m.SnapshotResponse.CommitSeq,
 			m.SnapshotResponse.Chunk, m.SnapshotResponse.Chunks, len(m.SnapshotResponse.Data))
-	case KindRejoinRequest:
-		return fmt.Sprintf("rejoin-request{frontier=%d ordered=%d seq=%d}",
-			m.RejoinRequest.Frontier.HighestRound, m.RejoinRequest.Frontier.LastOrdered,
-			m.RejoinRequest.Frontier.AppliedSeq)
-	case KindRejoinResponse:
-		return fmt.Sprintf("rejoin-response{frontier=%d ordered=%d %d certs}",
-			m.RejoinResponse.Frontier.HighestRound, m.RejoinResponse.Frontier.LastOrdered,
-			len(m.RejoinResponse.Certs))
 	case KindCheckpointSig:
 		return fmt.Sprintf("checkpoint-sig{seq=%d r=%d v=%s}",
 			m.CheckpointSig.Meta.CommitSeq, m.CheckpointSig.Meta.Round, m.CheckpointSig.Validator)

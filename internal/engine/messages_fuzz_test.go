@@ -9,6 +9,13 @@ import (
 	"hammerhead/internal/types"
 )
 
+// wireKinds lists every message kind on the wire, in kind-byte order.
+var wireKinds = []MessageKind{
+	KindHeader, KindVote, KindCertificate, KindCertRequest, KindCertResponse,
+	KindRoundRequest, KindSnapshotRequest, KindSnapshotResponse,
+	KindCheckpointSig, KindCheckpointCert,
+}
+
 // assertWireFidelity fails the test unless got is a faithful decode of msg:
 // same kind, same content digests. Shared by the round-trip tests and fuzz
 // targets.
@@ -44,11 +51,21 @@ func assertWireFidelity(t *testing.T, msg, got *Message) {
 			t.Fatal("digest count changed across the wire")
 		}
 	case KindCertResponse:
-		if len(got.CertResponse.Certs) != len(msg.CertResponse.Certs) {
+		r, w := got.CertResponse, msg.CertResponse
+		if r.ByDigest != w.ByDigest || r.FromRound != w.FromRound {
+			t.Fatal("the pull a response answers changed across the wire")
+		}
+		if (r.Offer == nil) != (w.Offer == nil) {
+			t.Fatal("checkpoint offer presence changed across the wire")
+		}
+		if w.Offer != nil && *r.Offer != *w.Offer {
+			t.Fatal("checkpoint offer changed across the wire")
+		}
+		if len(r.Certs) != len(w.Certs) {
 			t.Fatal("certificate count changed across the wire")
 		}
-		for i := range got.CertResponse.Certs {
-			if got.CertResponse.Certs[i].Digest() != msg.CertResponse.Certs[i].Digest() {
+		for i := range r.Certs {
+			if r.Certs[i].Digest() != w.Certs[i].Digest() {
 				t.Fatalf("certificate %d digest changed across the wire", i)
 			}
 		}
@@ -62,28 +79,6 @@ func assertWireFidelity(t *testing.T, msg, got *Message) {
 			!bytes.Equal(r.Data, w.Data) {
 			t.Fatal("snapshot response fields changed across the wire")
 		}
-	case KindRejoinRequest:
-		if got.RejoinRequest.Frontier != msg.RejoinRequest.Frontier {
-			t.Fatal("rejoin frontier changed across the wire")
-		}
-	case KindRejoinResponse:
-		if got.RejoinResponse.Frontier != msg.RejoinResponse.Frontier {
-			t.Fatal("rejoin frontier changed across the wire")
-		}
-		if (got.RejoinResponse.Offer == nil) != (msg.RejoinResponse.Offer == nil) {
-			t.Fatal("checkpoint offer presence changed across the wire")
-		}
-		if msg.RejoinResponse.Offer != nil && *got.RejoinResponse.Offer != *msg.RejoinResponse.Offer {
-			t.Fatal("checkpoint offer changed across the wire")
-		}
-		if len(got.RejoinResponse.Certs) != len(msg.RejoinResponse.Certs) {
-			t.Fatal("certificate count changed across the wire")
-		}
-		for i := range got.RejoinResponse.Certs {
-			if got.RejoinResponse.Certs[i].Digest() != msg.RejoinResponse.Certs[i].Digest() {
-				t.Fatalf("certificate %d digest changed across the wire", i)
-			}
-		}
 	case KindCheckpointSig:
 		s, w := got.CheckpointSig, msg.CheckpointSig
 		if s.Meta != w.Meta || s.Validator != w.Validator || !bytes.Equal(s.Signature, w.Signature) {
@@ -96,10 +91,10 @@ func assertWireFidelity(t *testing.T, msg, got *Message) {
 	}
 }
 
-// buildMessage derives a structurally valid message of the selected kind
-// from fuzz material.
+// buildMessage derives a structurally valid message of the kind
+// wireKinds[kindSel] selects (mod its length) from fuzz material.
 func buildMessage(kindSel uint8, round uint64, source uint32, blob, sig []byte, nSub uint8) *Message {
-	kind := MessageKind(kindSel%12 + 1)
+	kind := wireKinds[int(kindSel)%len(wireKinds)]
 	mkHeader := func() *Header {
 		edges := make([]types.Digest, int(nSub)%4)
 		for i := range edges {
@@ -144,8 +139,22 @@ func buildMessage(kindSel uint8, round uint64, source uint32, blob, sig []byte, 
 		}
 		return &Message{Kind: kind, CertRequest: &CertRequest{Digests: digests}}
 	case KindCertResponse:
-		resp := &CertResponse{}
-		for i := uint8(0); i < nSub%3+1; i++ {
+		// nSub%4 picks the shape: a reply by digest, a round pull's reply,
+		// one with no certificate, one with a checkpoint offer.
+		shape := nSub % 4
+		resp := &CertResponse{ByDigest: shape == 0}
+		if !resp.ByDigest {
+			resp.FromRound = types.Round(round)
+		}
+		if shape == 3 {
+			resp.Offer = &SnapshotMeta{
+				Round:       types.Round(round >> 1),
+				CommitSeq:   round ^ 0xc0ffee,
+				StateRoot:   types.HashBytes(blob),
+				StateDigest: types.HashBytes(sig),
+			}
+		}
+		for i := uint8(0); shape != 2 && i < nSub%3+1; i++ {
 			c := &Certificate{Header: *mkHeader()}
 			c.Header.Round = types.Round(round + uint64(i))
 			resp.Certs = append(resp.Certs, c)
@@ -170,32 +179,6 @@ func buildMessage(kindSel uint8, round uint64, source uint32, blob, sig []byte, 
 			Data:        blob,
 			DataCRC:     source,
 		}}
-	case KindRejoinRequest:
-		return &Message{Kind: kind, RejoinRequest: &RejoinRequest{Frontier: Frontier{
-			HighestRound: types.Round(round),
-			LastOrdered:  types.Round(round >> 2),
-			AppliedSeq:   round ^ 0xfeed,
-		}}}
-	case KindRejoinResponse:
-		resp := &RejoinResponse{Frontier: Frontier{
-			HighestRound: types.Round(round),
-			LastOrdered:  types.Round(round >> 2),
-			AppliedSeq:   uint64(source),
-		}}
-		if nSub%2 == 1 {
-			resp.Offer = &SnapshotMeta{
-				Round:       types.Round(round >> 1),
-				CommitSeq:   round ^ 0xc0ffee,
-				StateRoot:   types.HashBytes(blob),
-				StateDigest: types.HashBytes(sig),
-			}
-		}
-		for i := uint8(0); i < nSub%3; i++ {
-			c := &Certificate{Header: *mkHeader()}
-			c.Header.Round = types.Round(round + uint64(i))
-			resp.Certs = append(resp.Certs, c)
-		}
-		return &Message{Kind: kind, RejoinResponse: resp}
 	case KindCheckpointSig:
 		return &Message{Kind: kind, CheckpointSig: &checkpoint.Share{
 			Meta:      ckptMetaFrom(round, blob, sig),

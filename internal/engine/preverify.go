@@ -75,7 +75,7 @@ func (pv *PreVerifier) Stats() PreVerifyStats {
 }
 
 // NeedsCheck reports whether messages of this kind carry signatures.
-// Requests (cert/round/rejoin) are unauthenticated pulls; serving them leaks
+// Requests (cert/round/snapshot) are unauthenticated pulls; serving them leaks
 // no state beyond what any committee member already replicates. Checkpoint
 // shares and certificates are checked by the engine: a peer's checkpoint
 // certificate is verified only when the validator has not certified that
@@ -83,7 +83,7 @@ func (pv *PreVerifier) Stats() PreVerifyStats {
 // overtake them.
 func NeedsCheck(kind MessageKind) bool {
 	switch kind {
-	case KindHeader, KindVote, KindCertificate, KindCertResponse, KindRejoinResponse:
+	case KindHeader, KindVote, KindCertificate, KindCertResponse:
 		return true
 	default:
 		return false
@@ -101,22 +101,16 @@ func (m *Message) SigCount() int {
 	case m.Kind == KindCertificate && m.Cert != nil:
 		return len(m.Cert.Votes)
 	case m.Kind == KindCertResponse && m.CertResponse != nil:
-		return certSigCount(m.CertResponse.Certs)
-	case m.Kind == KindRejoinResponse && m.RejoinResponse != nil:
-		return certSigCount(m.RejoinResponse.Certs)
+		total := 0
+		for _, c := range m.CertResponse.Certs {
+			if c != nil {
+				total += len(c.Votes)
+			}
+		}
+		return total
 	default:
 		return 0
 	}
-}
-
-func certSigCount(certs []*Certificate) int {
-	total := 0
-	for _, c := range certs {
-		if c != nil {
-			total += len(c.Votes)
-		}
-	}
-	return total
 }
 
 // Checked is a message the pre-verify stage passed, for Engine.OnChecked:
@@ -129,9 +123,9 @@ type Checked struct{ msg *Message }
 // Check verifies every signature msg carries. It returns false when the
 // message should be dropped: a forged header or vote, a certificate that
 // breaks the vote-count rule or whose valid-signature votes do not reach
-// quorum, a CertResponse with no certificate, or a CertResponse or
-// RejoinResponse holding any certificate that fails — honest responders serve
-// only certificates they validated. Invalid or surplus votes inside an
+// quorum, a CertResponse by digest with no certificate, or a CertResponse
+// holding any certificate that fails — honest responders serve only
+// certificates they validated. Invalid or surplus votes inside an
 // otherwise-quorate certificate are not fatal: the message passed on holds a
 // new certificate without them. msg itself is never changed.
 func (pv *PreVerifier) Check(msg *Message) (Checked, bool) {
@@ -164,23 +158,13 @@ func (pv *PreVerifier) check(msg *Message) (*Message, bool) {
 		}
 		certs, stripped, ok := pv.checkCertificates(msg.CertResponse.Certs)
 		if stripped {
-			msg = &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: certs}}
-		}
-		return msg, ok && len(certs) > 0
-	case KindRejoinResponse:
-		if msg.RejoinResponse == nil {
-			return nil, false
-		}
-		// Unlike a CertResponse, a rejoin response without certificates is
-		// still meaningful: its frontier counts toward the restarting
-		// validator's gathering quorum.
-		certs, stripped, ok := pv.checkCertificates(msg.RejoinResponse.Certs)
-		if stripped {
-			r := *msg.RejoinResponse
+			r := *msg.CertResponse
 			r.Certs = certs
-			msg = &Message{Kind: KindRejoinResponse, RejoinResponse: &r}
+			msg = &Message{Kind: KindCertResponse, CertResponse: &r}
 		}
-		return msg, ok
+		// A round pull's reply without certificates is still meaningful: it
+		// counts toward a rejoining validator's quorum.
+		return msg, ok && (len(certs) > 0 || !msg.CertResponse.ByDigest)
 	default:
 		return msg, true
 	}

@@ -174,16 +174,21 @@ func TestPreVerifierCertResponseFiltersBadCerts(t *testing.T) {
 	if !reflect.DeepEqual(msg.CertResponse.Certs, []*Certificate{good, bad}) || &msg.CertResponse.Certs[0] != &certs[0] {
 		t.Fatal("the stage must not filter the response's certificates in place")
 	}
-	rejoin := &Message{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{bad, good}}}
-	if passes(pv, rejoin) {
-		t.Fatal("rejoin response with a bad certificate must be dropped")
+	pulled := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: 1, Certs: []*Certificate{bad, good}}}
+	if passes(pv, pulled) {
+		t.Fatal("round pull's reply with a bad certificate must be dropped")
 	}
 
-	if !passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{good}}}) {
+	if !passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{ByDigest: true, Certs: []*Certificate{good}}}) {
 		t.Fatal("response of good certificates must pass")
 	}
-	if passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{}}) {
-		t.Fatal("response with no certificate must be dropped")
+	if passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{ByDigest: true}}) {
+		t.Fatal("response by digest with no certificate must be dropped")
+	}
+	// A round pull's reply counts toward a rejoin quorum with or without
+	// certificates.
+	if !passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: 7}}) {
+		t.Fatal("round pull's reply with no certificate must pass")
 	}
 }
 
@@ -214,7 +219,7 @@ func TestPreVerifiedMarksSkipEngineVerification(t *testing.T) {
 }
 
 func TestNeedsCheck(t *testing.T) {
-	signed := []MessageKind{KindHeader, KindVote, KindCertificate, KindCertResponse, KindRejoinResponse}
+	signed := []MessageKind{KindHeader, KindVote, KindCertificate, KindCertResponse}
 	for _, k := range signed {
 		if !NeedsCheck(k) {
 			t.Fatalf("%s must need a signature check", k)
@@ -300,26 +305,24 @@ func TestSigCountFollowsNeedsCheck(t *testing.T) {
 		{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: 1}},
 		{Kind: KindSnapshotRequest, SnapshotRequest: &SnapshotRequest{HaveRound: 1}},
 		{Kind: KindSnapshotResponse, SnapshotResponse: &SnapshotResponse{Round: 1, Data: []byte{1}}},
-		{Kind: KindRejoinRequest, RejoinRequest: &RejoinRequest{Frontier: Frontier{HighestRound: 1}}},
-		{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{cert()}}},
 		{Kind: KindCheckpointSig, CheckpointSig: &checkpoint.Share{Signature: sig}},
 		{Kind: KindCheckpointCert, CheckpointCert: &checkpoint.Certificate{Sigs: []checkpoint.Sig{{Signature: sig}}}},
 	}
 	for i, m := range msgs {
-		if m.Kind != MessageKind(i+1) {
+		if m.Kind != wireKinds[i] {
 			t.Fatalf("table out of order at %s", m.Kind)
 		}
 		if got := m.SigCount(); NeedsCheck(m.Kind) != (got > 0) {
 			t.Errorf("%s: SigCount %d, NeedsCheck %v", m.Kind, got, NeedsCheck(m.Kind))
 		}
 	}
-	if len(msgs) != int(KindCheckpointCert) {
-		t.Fatalf("%d kinds in the table, want %d", len(msgs), KindCheckpointCert)
+	if len(msgs) != len(wireKinds) {
+		t.Fatalf("%d kinds in the table, want %d", len(msgs), len(wireKinds))
 	}
 	if got := msgs[4].SigCount(); got != 4 {
 		t.Fatalf("a response of two 2-vote certificates counts %d signatures, want 4", got)
 	}
-	for _, k := range []MessageKind{KindHeader, KindVote, KindCertificate, KindCertResponse, KindRejoinResponse} {
+	for _, k := range []MessageKind{KindHeader, KindVote, KindCertificate, KindCertResponse} {
 		if got := (&Message{Kind: k}).SigCount(); got != 0 {
 			t.Errorf("%s with no payload counts %d signatures", k, got)
 		}
@@ -343,7 +346,7 @@ func TestOutputMessagesAreSealed(t *testing.T) {
 	out.broadcast(&Message{Kind: KindHeader, Header: &Header{Round: 1, Source: 1}})
 	out.broadcast(&Message{Kind: KindCertificate, Cert: fresh(1)})
 	out.unicast(2, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{fresh(2), fresh(3)}}})
-	out.unicast(2, &Message{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{fresh(4)}}})
+	out.unicast(2, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: 4, Certs: []*Certificate{fresh(4)}, Offer: &SnapshotMeta{Round: 2}}})
 	for _, m := range out.Broadcasts {
 		net.checkSealed(m)
 	}

@@ -18,14 +18,13 @@ import (
 //
 // The handshake re-establishes a live round deterministically:
 //
-//  1. After WAL replay the node broadcasts a RejoinRequest carrying its
-//     replayed frontier (highest DAG round, last ordered round, applied
-//     sequence).
-//  2. Peers — live or themselves mid-rejoin — answer with a RejoinResponse:
-//     their own frontier plus their retained certificates from the
-//     requester's frontier round on. Responses merge every survivor's
-//     replayed history into the requester's DAG.
-//  3. Once responses worth a write quorum (counting itself) are gathered,
+//  1. After WAL replay the node broadcasts a RoundRequest from its highest
+//     DAG round: the rejoin pull.
+//  2. Peers — live or themselves mid-rejoin — answer it as they answer any
+//     round pull, with a CertResponse of their retained certificates from
+//     that round on (none, if they hold none). Replies merge every
+//     survivor's replayed history into the requester's DAG.
+//  3. Once replies worth a write quorum (counting itself) are gathered,
 //     the node re-proposes into a fresh round strictly above every round the
 //     merged frontier can still complete, forfeiting its slots below it — so
 //     nobody ever waits on a proposal that only existed in a dead process's
@@ -33,21 +32,12 @@ import (
 //     WAL, the node adopts and re-broadcasts it instead of proposing a
 //     conflicting header.
 //
-// Under-quorum gathering retries forever (TimerRejoin): fewer than 2f+1
+// Under-quorum gathering retries forever: every TimerProgress firing
+// re-broadcasts the pull while the node is rejoining, since fewer than 2f+1
 // reachable validators cannot make progress no matter what, so waiting for
-// peers to come back is the only correct move. A responder whose frontier
-// sits beyond the requester's GC horizon routes the requester into snapshot
-// state-sync — certificate sync can no longer close that gap.
-
-// rejoinState is the requester-side state of one handshake. Retry counts are
-// visible through Stats.RejoinRequests; the merged frontier lives in the DAG
-// itself (responses insert their certificates), so the state here is only
-// what quorum gathering needs.
-type rejoinState struct {
-	active    bool
-	acc       *types.StakeAccumulator
-	responded map[types.ValidatorID]bool
-}
+// peers to come back is the only correct move. A responder that pruned the
+// pulled rounds attaches a checkpoint offer, which routes the requester into
+// snapshot state-sync — certificate sync can no longer close that gap.
 
 // RestoreProposal re-adopts the highest proposal header recovered from the
 // WAL — the voted-round high-water mark. Call it on the engine goroutine
@@ -101,25 +91,16 @@ func (e *Engine) RestoreProposal(h *Header) {
 // proposal was recovered).
 func (e *Engine) ProposalFloor() types.Round { return e.proposalFloor }
 
-// Frontier reports the engine's current recovery frontier — what a
-// RejoinRequest would carry right now.
-func (e *Engine) Frontier() Frontier {
-	return Frontier{
-		HighestRound: e.dagStore.HighestRound(),
-		LastOrdered:  e.committer.LastOrderedRound(),
-		AppliedSeq:   e.exec.AppliedSeq(),
-	}
-}
-
 // Rejoining reports whether a crash-rejoin handshake is still gathering
-// responses.
-func (e *Engine) Rejoining() bool { return e.rejoin.active }
+// replies.
+func (e *Engine) Rejoining() bool { return e.rejoin != nil }
 
 // StartRejoin begins the crash-rejoin handshake. Call it exactly where the
 // runtime goes live after WAL replay (replayed outputs were suppressed, so
 // every timer the engine believes it armed during recovery is phantom —
-// StartRejoin resets that bookkeeping before anything can wedge on it). The
-// returned output is dispatchable like any other step's.
+// StartRejoin resets that bookkeeping before anything can wedge on it). Its
+// retries ride the progress watchdog, so call it after Init's output was
+// dispatched. The returned output is dispatchable like any other step's.
 func (e *Engine) StartRejoin(nowNanos int64) *Output {
 	out := &Output{}
 	// Phantom-timer reset: leader-wait armed flags and the resync flag refer
@@ -133,92 +114,24 @@ func (e *Engine) StartRejoin(nowNanos int64) *Output {
 		out.timer(Timer{Kind: TimerResync, Delay: e.config.resyncInterval()})
 	}
 
-	e.rejoin = rejoinState{
-		active:    true,
-		acc:       types.NewStakeAccumulator(e.committee),
-		responded: make(map[types.ValidatorID]bool),
-	}
-	e.rejoin.responded[e.self] = true
-	e.rejoin.acc.Add(e.self)
-	e.stats.RejoinRequests++
-	if e.rejoin.acc.ReachedQuorum() {
+	e.rejoin = types.NewStakeAccumulator(e.committee)
+	e.rejoin.Add(e.self)
+	if e.rejoin.ReachedQuorum() {
 		// Lone-validator committee: our own frontier IS the quorum view.
 		e.completeRejoin(nowNanos, out)
 		return out
 	}
-	out.broadcast(&Message{Kind: KindRejoinRequest, RejoinRequest: &RejoinRequest{Frontier: e.Frontier()}})
-	out.timer(Timer{Kind: TimerRejoin, Delay: 2 * e.config.resyncInterval()})
+	e.rejoinPull(out)
 	return out
 }
 
-// onRejoinTimer retries an unfinished handshake: peers that were still
-// restarting when the first request went out answer the re-broadcast.
-func (e *Engine) onRejoinTimer(nowNanos int64, out *Output) {
-	if !e.rejoin.active {
-		return
-	}
+// rejoinPull broadcasts the handshake's round pull from the DAG's highest
+// round. StartRejoin sends the first; the progress watchdog re-sends it
+// every firing until the handshake completes, for peers that were still
+// restarting when the last one went out.
+func (e *Engine) rejoinPull(out *Output) {
 	e.stats.RejoinRequests++
-	out.broadcast(&Message{Kind: KindRejoinRequest, RejoinRequest: &RejoinRequest{Frontier: e.Frontier()}})
-	out.timer(Timer{Kind: TimerRejoin, Delay: 2 * e.config.resyncInterval()})
-}
-
-// onRejoinRequest serves a restarted peer: our frontier plus retained
-// certificates from its frontier round on. Every committee member answers —
-// including one that is itself mid-rejoin, since in a correlated restart the
-// quorum can only be assembled from validators in exactly that state. When an
-// execution checkpoint exists it rides along as an offer, so a requester too
-// far behind for certificate sync can start its snapshot fetch without first
-// probing for one.
-func (e *Engine) onRejoinRequest(from types.ValidatorID, req *RejoinRequest, out *Output) {
-	if req == nil || from == e.self {
-		e.stats.InvalidMessages++
-		return
-	}
-	e.stats.RejoinResponses++
-	resp := &RejoinResponse{
-		Frontier: e.Frontier(),
-		Certs:    e.certRange(req.Frontier.HighestRound),
-	}
-	if meta, _, ok := e.exec.LatestSnapshot(); ok {
-		resp.Offer = &meta
-	}
-	out.unicast(from, &Message{Kind: KindRejoinResponse, RejoinResponse: resp})
-}
-
-// onRejoinResponse merges one survivor's view: its certificates go through
-// the normal ingestion path (pending/sync machinery included), its frontier
-// counts toward the gathering quorum, and a frontier beyond our GC horizon
-// routes us into snapshot state-sync. Responses arriving after completion
-// still contribute their certificates.
-func (e *Engine) onRejoinResponse(from types.ValidatorID, resp *RejoinResponse, nowNanos int64, out *Output) {
-	if resp == nil {
-		e.stats.InvalidMessages++
-		return
-	}
-	for _, c := range resp.Certs {
-		e.onCertificate(c, nowNanos, out)
-	}
-	if resp.Offer != nil && resp.Offer.Round > e.committer.LastOrderedRound()+types.Round(e.config.GCDepth) {
-		// The responder's checkpoint sits beyond our GC horizon: certificate
-		// sync can never close that gap, and the offer already tells us which
-		// checkpoint to fetch. Start the download now, pinned to the offered
-		// round — the blind discovery request (and, under checkpoint rotation,
-		// a from-scratch restart) is skipped entirely.
-		e.startOfferedSnapshotFetch(from, *resp.Offer, nowNanos, out)
-	}
-	if resp.Frontier.LastOrdered > e.committer.LastOrderedRound()+types.Round(e.config.GCDepth) {
-		// The responder ordered so far past us that its certificate history
-		// is pruned; only a checkpoint can close the gap.
-		e.maybeSnapshotSync(from, nowNanos, out)
-	}
-	if !e.rejoin.active || e.rejoin.responded[from] {
-		return
-	}
-	e.rejoin.responded[from] = true
-	e.rejoin.acc.Add(from)
-	if e.rejoin.acc.ReachedQuorum() {
-		e.completeRejoin(nowNanos, out)
-	}
+	out.broadcast(&Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: e.dagStore.HighestRound()}})
 }
 
 // completeRejoin re-establishes a live round from the merged quorum view.
@@ -235,7 +148,7 @@ func (e *Engine) onRejoinResponse(from types.ValidatorID, resp *RejoinResponse, 
 // instead (proposing again would equivocate the slot and fork the DAG at
 // receivers that already hold the old certificate).
 func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
-	e.rejoin = rejoinState{}
+	e.rejoin = nil
 	e.stats.RejoinsCompleted++
 
 	q := e.dagStore.HighestRound()

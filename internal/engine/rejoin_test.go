@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"hammerhead/internal/types"
@@ -16,23 +17,26 @@ func findUnicastTo(out *Output, to types.ValidatorID, kind MessageKind) *Message
 	return nil
 }
 
-// rejoinResponseFrom routes engine `from`'s answer to a RejoinRequest back as
-// the message the requester would receive.
-func rejoinResponseFrom(t *testing.T, rig *testRig, from, requester types.ValidatorID, req *Message) *Message {
+// pullReplyFrom routes engine `from`'s answer to a round pull back as the
+// message the requester would receive.
+func pullReplyFrom(t *testing.T, rig *testRig, from, requester types.ValidatorID, req *Message) *Message {
 	t.Helper()
 	out := rig.engines[from].OnMessage(requester, req, 0)
-	resp := findUnicastTo(out, requester, KindRejoinResponse)
+	resp := findUnicastTo(out, requester, KindCertResponse)
 	if resp == nil {
-		t.Fatalf("engine %d served no rejoin response", from)
+		t.Fatalf("engine %d did not answer the round pull", from)
+	}
+	if resp.CertResponse.ByDigest || resp.CertResponse.FromRound != req.RoundRequest.FromRound {
+		t.Fatalf("engine %d answered round %d's pull as %+v", from, req.RoundRequest.FromRound, resp.CertResponse)
 	}
 	return resp
 }
 
 // TestRejoinHandshakeCompletesAtQuorum drives the handshake message by
-// message on a live rig: the request is broadcast with the engine's frontier,
-// peers answer with theirs plus frontier certificates, and the handshake
-// completes exactly when responses (counting self) reach a write quorum —
-// re-transmitting the never-sent proposal for the fresh round.
+// message on a live rig: the rejoin pull is broadcast from the engine's
+// highest DAG round, peers answer with their certificates from that round on,
+// and the handshake completes exactly when replies (counting self) reach a
+// write quorum — re-transmitting the never-sent proposal for the fresh round.
 func TestRejoinHandshakeCompletesAtQuorum(t *testing.T) {
 	rig := newTestRig(t, 4)
 	for i := range rig.engines {
@@ -45,26 +49,17 @@ func TestRejoinHandshakeCompletesAtQuorum(t *testing.T) {
 	preRound := e3.Round()
 
 	out := e3.StartRejoin(0)
-	req := findBroadcast(t, out, KindRejoinRequest)
-	if got := req.RejoinRequest.Frontier.HighestRound; got != e3.DAG().HighestRound() {
-		t.Fatalf("request frontier %d, want DAG frontier %d", got, e3.DAG().HighestRound())
+	req := findBroadcast(t, out, KindRoundRequest)
+	if got := req.RoundRequest.FromRound; got != e3.DAG().HighestRound() {
+		t.Fatalf("rejoin pull from round %d, want DAG frontier %d", got, e3.DAG().HighestRound())
 	}
 	if !e3.Rejoining() {
 		t.Fatal("engine must be gathering after StartRejoin")
 	}
-	var rejoinTimer bool
-	for _, tm := range out.Timers {
-		if tm.Kind == TimerRejoin {
-			rejoinTimer = true
-		}
-	}
-	if !rejoinTimer {
-		t.Fatal("StartRejoin must arm the retry timer")
-	}
 
 	// First response: self + one responder = 2 of 4 stake, below quorum.
-	resp0 := rejoinResponseFrom(t, rig, 0, 3, req)
-	if len(resp0.RejoinResponse.Certs) == 0 {
+	resp0 := pullReplyFrom(t, rig, 0, 3, req)
+	if len(resp0.CertResponse.Certs) == 0 {
 		t.Fatal("peer must serve its frontier certificates")
 	}
 	e3.OnMessage(0, resp0, 0)
@@ -74,7 +69,7 @@ func TestRejoinHandshakeCompletesAtQuorum(t *testing.T) {
 
 	// Second response reaches 2f+1: the handshake completes and the engine
 	// re-establishes its round — the replay-suppressed proposal goes out.
-	resp1 := rejoinResponseFrom(t, rig, 1, 3, req)
+	resp1 := pullReplyFrom(t, rig, 1, 3, req)
 	out = e3.OnMessage(1, resp1, 0)
 	if e3.Rejoining() {
 		t.Fatal("handshake must complete at quorum")
@@ -87,7 +82,7 @@ func TestRejoinHandshakeCompletesAtQuorum(t *testing.T) {
 		t.Fatalf("re-transmitted header (%d, v%d), want (%d, v3)", hdr.Header.Round, hdr.Header.Source, preRound)
 	}
 	// A third (late) response is harmless.
-	resp2 := rejoinResponseFrom(t, rig, 2, 3, req)
+	resp2 := pullReplyFrom(t, rig, 2, 3, req)
 	e3.OnMessage(2, resp2, 0)
 	if got := e3.Stats().RejoinsCompleted; got != 1 {
 		t.Fatalf("late response re-completed the handshake: %d", got)
@@ -97,9 +92,12 @@ func TestRejoinHandshakeCompletesAtQuorum(t *testing.T) {
 // TestRejoinBelowQuorumRetries is the f+1-alive partial-restart case: with
 // only f+1 validators reachable (self plus f responders — below the 2f+1
 // write quorum for n=4, f=1), the handshake must keep re-broadcasting its
-// request instead of completing: fewer than 2f+1 live validators cannot make
-// progress, so declaring the rejoin done would just re-wedge the engine. It
-// completes as soon as one more validator comes back.
+// pull at every progress-watchdog firing instead of completing: fewer than
+// 2f+1 live validators cannot make progress, so declaring the rejoin done
+// would just re-wedge the engine. Only a round pull's reply counts, each
+// peer's once — a reply by digest and a repeated reply do not — and a reply
+// with no certificates counts like any other. The handshake completes as soon
+// as one more validator answers.
 func TestRejoinBelowQuorumRetries(t *testing.T) {
 	rig := newTestRig(t, 4)
 	for i := range rig.engines {
@@ -110,10 +108,10 @@ func TestRejoinBelowQuorumRetries(t *testing.T) {
 	}
 	e3 := rig.engines[3]
 	out := e3.StartRejoin(0)
-	req := findBroadcast(t, out, KindRejoinRequest)
+	req := findBroadcast(t, out, KindRoundRequest)
 
 	// Only one peer is alive: f+1 = 2 validators total can talk.
-	resp := rejoinResponseFrom(t, rig, 0, 3, req)
+	resp := pullReplyFrom(t, rig, 0, 3, req)
 	e3.OnMessage(0, resp, 0)
 	if !e3.Rejoining() {
 		t.Fatal("f+1 alive validators are below quorum; the handshake must keep gathering")
@@ -123,35 +121,47 @@ func TestRejoinBelowQuorumRetries(t *testing.T) {
 	if !e3.Rejoining() {
 		t.Fatal("duplicate response double-counted toward the quorum")
 	}
+	// Neither does a reply by digest, though it comes from a peer not yet
+	// counted: it answers no round pull.
+	byDigest := &CertResponse{ByDigest: true, Certs: resp.CertResponse.Certs[:1]}
+	e3.OnMessage(1, &Message{Kind: KindCertResponse, CertResponse: byDigest}, 0)
+	if !e3.Rejoining() {
+		t.Fatal("a reply by digest counted toward the quorum")
+	}
 
-	// The retry timer re-broadcasts the request, forever if need be.
-	out = e3.OnTimer(Timer{Kind: TimerRejoin}, 1)
-	retry := findBroadcast(t, out, KindRejoinRequest)
-	if retry == nil {
-		t.Fatal("retry must re-broadcast the rejoin request")
-	}
-	if got := e3.Stats().RejoinRequests; got != 2 {
-		t.Fatalf("RejoinRequests = %d, want 2 (initial + retry)", got)
-	}
-	rearmed := false
-	for _, tm := range out.Timers {
-		if tm.Kind == TimerRejoin {
-			rearmed = true
+	// The progress watchdog re-broadcasts the pull, forever if need be, and
+	// whether or not the round moved since its last firing.
+	for firing := int64(1); firing <= 2; firing++ {
+		out = e3.OnTimer(Timer{Kind: TimerProgress}, firing)
+		retry := findBroadcast(t, out, KindRoundRequest)
+		if retry.RoundRequest.FromRound != e3.DAG().HighestRound() {
+			t.Fatalf("retry pulls from round %d, want the DAG frontier %d", retry.RoundRequest.FromRound, e3.DAG().HighestRound())
+		}
+		if len(out.Unicasts) != 0 {
+			t.Fatalf("a rejoining engine's watchdog also sent %d unicasts", len(out.Unicasts))
+		}
+		rearmed := slices.ContainsFunc(out.Timers, func(tm Timer) bool { return tm.Kind == TimerProgress })
+		if !rearmed {
+			t.Fatal("the watchdog must re-arm itself")
 		}
 	}
-	if !rearmed {
-		t.Fatal("retry must re-arm the rejoin timer")
+	if got := e3.Stats().RejoinRequests; got != 3 {
+		t.Fatalf("RejoinRequests = %d, want 3 (initial + two retries)", got)
 	}
 
-	// A second peer comes back: quorum reached, handshake completes.
-	e3.OnMessage(1, rejoinResponseFrom(t, rig, 1, 3, retry), 0)
+	// A second peer comes back and answers with no certificates: quorum
+	// reached, handshake completes.
+	empty := &CertResponse{FromRound: e3.DAG().HighestRound()}
+	e3.OnMessage(1, &Message{Kind: KindCertResponse, CertResponse: empty}, 0)
 	if e3.Rejoining() || e3.Stats().RejoinsCompleted != 1 {
 		t.Fatalf("handshake must complete once quorum is reachable: %+v", e3.Stats())
 	}
-	// The timer outliving the completed handshake is a no-op.
-	out = e3.OnTimer(Timer{Kind: TimerRejoin}, 2)
-	if len(out.Broadcasts) != 0 {
-		t.Fatal("stale rejoin timer must not re-broadcast after completion")
+	// After completion the watchdog pulls only when the round is stuck, and
+	// from one peer.
+	for firing := int64(3); firing <= 4; firing++ {
+		if out = e3.OnTimer(Timer{Kind: TimerProgress}, firing); len(out.Broadcasts) != 0 {
+			t.Fatal("the watchdog must not re-broadcast the rejoin pull after completion")
+		}
 	}
 }
 
@@ -197,9 +207,9 @@ func TestRejoinAdoptsSurvivingOwnCertificate(t *testing.T) {
 	// "Restart": the engine still holds its state (as after WAL replay — the
 	// cert was persisted before the kill) and runs the handshake.
 	out := e3.StartRejoin(0)
-	req := findBroadcast(t, out, KindRejoinRequest)
-	e3.OnMessage(0, rejoinResponseFrom(t, rig, 0, 3, req), 0)
-	out = e3.OnMessage(1, rejoinResponseFrom(t, rig, 1, 3, req), 0)
+	req := findBroadcast(t, out, KindRoundRequest)
+	e3.OnMessage(0, pullReplyFrom(t, rig, 0, 3, req), 0)
+	out = e3.OnMessage(1, pullReplyFrom(t, rig, 1, 3, req), 0)
 	if e3.Rejoining() {
 		t.Fatal("handshake must complete at quorum")
 	}
@@ -241,17 +251,32 @@ func TestRejoinLoneValidatorCompletesImmediately(t *testing.T) {
 		t.Fatalf("RejoinsCompleted = %d, want 1", got)
 	}
 	for _, m := range out.Broadcasts {
-		if m.Kind == KindRejoinRequest {
-			t.Fatal("lone validator must not broadcast rejoin requests")
+		if m.Kind == KindRoundRequest {
+			t.Fatal("lone validator must not broadcast a rejoin pull")
 		}
 	}
 }
 
-// TestRejoinResponseCarriesCheckpointOffer: a responder with an execution
-// checkpoint advertises it in every rejoin response, and a requester whose
-// gap exceeds the GC horizon starts its snapshot fetch directly from the
-// offer — the first SnapshotRequest is already pinned to the offered round
-// (no blind discovery round-trip) and the seeded fetch completes.
+// isolateFor certifies rounds on every engine of the rig but id, which hears
+// nothing: after about sixty, at the sync rig's GC depth, its peers have
+// pruned the rounds it holds.
+func isolateFor(t *testing.T, rig *testRig, id types.ValidatorID, rounds int) []*Certificate {
+	t.Helper()
+	var frontier []*Certificate
+	for i := 0; i < rounds; i++ {
+		frontier = certifyRound(t, rig, map[types.ValidatorID]bool{id: true})
+	}
+	if floor := rig.engines[frontier[0].Header.Source].rounds.Floor(); floor <= rig.engines[id].DAG().HighestRound() {
+		t.Fatalf("after %d rounds the peers' floor %d is not above the isolated engine's DAG", rounds, floor)
+	}
+	return frontier
+}
+
+// TestRejoinResponseCarriesCheckpointOffer: a responder that pruned the
+// rounds a rejoin pull asks for attaches its execution checkpoint to the
+// reply, and a requester whose gap exceeds the GC horizon starts its snapshot
+// fetch directly from the offer — the first SnapshotRequest is already pinned
+// to the offered round and the seeded fetch completes.
 func TestRejoinResponseCarriesCheckpointOffer(t *testing.T) {
 	blob := chunkedBlob(3)
 	serve := &stubSnapshots{meta: snapMeta(40, 20, blob), blob: blob, ok: true}
@@ -260,16 +285,22 @@ func TestRejoinResponseCarriesCheckpointOffer(t *testing.T) {
 		rig.engines[i].Init(0)
 	}
 	requester := rig.engines[3]
+	isolateFor(t, rig, 3, 64)
 
 	out := requester.StartRejoin(0)
-	req := findBroadcast(t, out, KindRejoinRequest)
+	req := findBroadcast(t, out, KindRoundRequest)
 
-	resp := rejoinResponseFrom(t, rig, 0, 3, req)
-	if resp.RejoinResponse.Offer == nil {
-		t.Fatal("responder with a checkpoint must attach an offer")
+	resp := pullReplyFrom(t, rig, 0, 3, req)
+	if resp.CertResponse.Offer == nil {
+		t.Fatal("responder that pruned the pulled rounds must attach an offer")
 	}
-	if *resp.RejoinResponse.Offer != serve.meta {
-		t.Fatalf("offer = %+v, want %+v", *resp.RejoinResponse.Offer, serve.meta)
+	if *resp.CertResponse.Offer != serve.meta {
+		t.Fatalf("offer = %+v, want %+v", *resp.CertResponse.Offer, serve.meta)
+	}
+	// A pull from within the responder's retention gets no offer.
+	within := &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: rig.engines[0].DAG().HighestRound()}}
+	if r := pullReplyFrom(t, rig, 0, 3, within); r.CertResponse.Offer != nil {
+		t.Fatal("a pull of retained rounds must not carry an offer")
 	}
 
 	// The offered round (40) sits far beyond the requester's GC horizon
@@ -306,11 +337,12 @@ func TestRejoinOfferNearFrontierIgnored(t *testing.T) {
 		rig.engines[i].Init(0)
 	}
 	requester := rig.engines[3]
+	isolateFor(t, rig, 3, 64)
 	out := requester.StartRejoin(0)
-	req := findBroadcast(t, out, KindRejoinRequest)
-	resp := rejoinResponseFrom(t, rig, 0, 3, req)
-	if resp.RejoinResponse.Offer == nil {
-		t.Fatal("responder with a checkpoint must attach an offer")
+	req := findBroadcast(t, out, KindRoundRequest)
+	resp := pullReplyFrom(t, rig, 0, 3, req)
+	if resp.CertResponse.Offer == nil {
+		t.Fatal("responder that pruned the pulled rounds must attach an offer")
 	}
 	out = requester.OnMessage(0, resp, 0)
 	if m := findUnicastTo(out, 0, KindSnapshotRequest); m != nil {
@@ -360,9 +392,9 @@ func TestRestoreProposalRetransmitsIdenticalHeader(t *testing.T) {
 	// the IDENTICAL header (retransmit), not a fresh proposal.
 	proposedBefore := e3r.Stats().HeadersProposed
 	out := e3r.StartRejoin(0)
-	req := findBroadcast(t, out, KindRejoinRequest)
+	req := findBroadcast(t, out, KindRoundRequest)
 	for _, from := range []types.ValidatorID{0, 1} {
-		resp := rejoinResponseFrom(t, rig, from, 3, req)
+		resp := pullReplyFrom(t, rig, from, 3, req)
 		out = e3r.OnMessage(from, resp, 0)
 	}
 	if e3r.Rejoining() {

@@ -94,7 +94,9 @@ func TestTwoValidatorSyncTargetsPeer(t *testing.T) {
 	}
 }
 
-// TestSyncPeerSelection pins the helper's contract.
+// TestSyncPeerSelection pins the helpers' contract: syncPeer takes a usable
+// hint, and nextPeer walks the members after the given one, mod n, skipping
+// self.
 func TestSyncPeerSelection(t *testing.T) {
 	committee4, _ := types.NewEqualStakeCommittee(4)
 	eng, _ := newTraceEngine(t, committee4, nil)
@@ -104,9 +106,17 @@ func TestSyncPeerSelection(t *testing.T) {
 	if got, ok := eng.syncPeer(0); !ok || got == 0 {
 		t.Fatalf("syncPeer(self) = (%v,%v), want a peer", got, ok)
 	}
+	for after, want := range []types.ValidatorID{1, 2, 3, 1} {
+		if got, ok := eng.nextPeer(types.ValidatorID(after)); !ok || got != want {
+			t.Fatalf("nextPeer(%d) = (%v,%v), want (%v,true)", after, got, ok, want)
+		}
+	}
 	committee1, _ := types.NewEqualStakeCommittee(1)
 	lone, _ := newTraceEngine(t, committee1, nil)
 	if _, ok := lone.syncPeer(0); ok {
 		t.Fatal("lone committee must report no sync peer")
+	}
+	if _, ok := lone.nextPeer(0); ok {
+		t.Fatal("lone committee must report no next peer")
 	}
 }

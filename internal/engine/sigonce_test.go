@@ -198,8 +198,6 @@ func (net *sigNet) checkSealed(m *Message) {
 		ok = sealed(m.Cert)
 	case KindCertResponse:
 		ok = !slices.ContainsFunc(m.CertResponse.Certs, func(c *Certificate) bool { return !sealed(c) })
-	case KindRejoinResponse:
-		ok = !slices.ContainsFunc(m.RejoinResponse.Certs, func(c *Certificate) bool { return !sealed(c) })
 	}
 	if !ok {
 		t.Fatalf("%s left the engine unsealed", m.Kind)
@@ -657,10 +655,10 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 		}
 		verifies.Store(0)
 		check("pre-verify", passes(pv, got))
-		resp := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{tc.c, good}}}
+		resp := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{ByDigest: true, Certs: []*Certificate{tc.c, good}}}
 		check("cert response", passes(pv, resp))
-		rejoin := &Message{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: []*Certificate{good, tc.c}}}
-		check("rejoin response", passes(pv, rejoin))
+		pulled := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: 1, Certs: []*Certificate{good, tc.c}}}
+		check("round pull's reply", passes(pv, pulled))
 		dropped := pv.Stats().Dropped
 		eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: tc.c}, 0)
 		check("engine", pv.Stats().Dropped == dropped)
@@ -984,8 +982,8 @@ func TestHeldCertificatesCostNoVerification(t *testing.T) {
 
 	before := eng.Stats()
 	for _, m := range []*Message{
-		{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: held}},
-		{Kind: KindRejoinResponse, RejoinResponse: &RejoinResponse{Certs: held}},
+		{Kind: KindCertResponse, CertResponse: &CertResponse{ByDigest: true, Certs: held}},
+		{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: 1, Certs: held}},
 		{Kind: KindCertificate, Cert: held[0]},
 	} {
 		checked, ok := pv.Check(m)

@@ -46,10 +46,6 @@ type Execution interface {
 	// error refuses the install, so a refusal leaves ledger, committer and
 	// schedule untouched and an accepted snapshot moves all three.
 	InstallFromWire(meta SnapshotMeta, data []byte, restore func([]byte) error) (*SnapshotInstall, error)
-	// AppliedSeq reports the applied commit sequence; the crash-rejoin
-	// handshake carries it in frontiers so restarting peers can see how far
-	// each survivor's executor reaches.
-	AppliedSeq() uint64
 	// CheckpointCerts reports whether the layer was built for checkpoint
 	// certification: only then does the engine gossip signature shares over
 	// the checkpoints the runtime reports (OnLocalCheckpoint) and assemble
@@ -80,10 +76,10 @@ type SnapshotInstall struct {
 	Ordered []OrderedVertex
 }
 
-// snapFetch is the requester-side state of one chunked snapshot download.
-// Chunks come from a single pinned responder: snapshot encodings are not
-// byte-identical across validators, so a responder switch restarts at chunk
-// zero.
+// snapFetch is the requester-side state of one chunked snapshot download,
+// pinned to the checkpoint round an offer named. Chunks come from a single
+// responder: snapshot encodings are not byte-identical across validators, so
+// a responder switch restarts at chunk zero.
 type snapFetch struct {
 	active bool
 	target types.ValidatorID
@@ -96,7 +92,6 @@ type snapFetch struct {
 	received     uint64
 	lastReceived uint64
 	retries      int
-	lastAttempt  int64
 }
 
 // snapshotStallRetries is how many pacing-timer stalls are retried against
@@ -109,52 +104,20 @@ const snapshotStallRetries = 2
 // attacker-controlled); overflowing the cap aborts the fetch as corrupt.
 const maxSnapshotFetchBytes = 256 << 20
 
-// beyondGCHorizon reports whether the observed certificate frontier is so
-// far above our DAG that the gap can no longer be closed by certificate
-// sync: peers have pruned history deeper than GCDepth below their frontier,
-// so a node missing more than that must install a snapshot.
-func (e *Engine) beyondGCHorizon() bool {
-	floor := max(e.dagStore.HighestRound(), e.rounds.Floor())
-	return e.maxPendingRound > floor+types.Round(e.config.GCDepth)
-}
-
-// maybeSnapshotSync starts a snapshot fetch when one is needed and none is
-// active. Rate-limited by resyncInterval between attempts.
-func (e *Engine) maybeSnapshotSync(hint types.ValidatorID, nowNanos int64, out *Output) {
+// startSnapshotFetch begins a snapshot download from a pull reply's
+// checkpoint offer: the fetch is pinned to the offered checkpoint from its
+// very first request, so the responder serves chunk zero of that round
+// directly (and keeps serving it from retention if it rotates to a newer
+// checkpoint mid-fetch). No-op when a fetch is already running.
+func (e *Engine) startSnapshotFetch(from types.ValidatorID, offer SnapshotMeta, out *Output) {
 	if e.snapFetch.active {
 		return
-	}
-	if e.snapFetch.lastAttempt != 0 && nowNanos-e.snapFetch.lastAttempt < e.config.resyncInterval().Nanoseconds() {
-		return
-	}
-	target, ok := e.syncPeer(hint)
-	if !ok {
-		return
-	}
-	e.snapFetch = snapFetch{active: true, target: target, lastAttempt: nowNanos}
-	e.requestSnapshotChunk(out)
-	out.timer(Timer{Kind: TimerSnapshot, Delay: 2 * e.config.resyncInterval()})
-}
-
-// startOfferedSnapshotFetch begins a snapshot download seeded by a rejoin
-// response's checkpoint offer: the fetch is pinned to the offered checkpoint
-// from its very first request, so the responder serves chunk zero of that
-// round directly (and keeps serving it from retention if it rotates to a
-// newer checkpoint mid-fetch) instead of the requester first discovering the
-// checkpoint identity from a blind first response. No-op when a fetch is
-// already running.
-func (e *Engine) startOfferedSnapshotFetch(from types.ValidatorID, offer SnapshotMeta, nowNanos int64, out *Output) {
-	if e.snapFetch.active || offer.Round == 0 {
-		return
-	}
-	if offer.Round <= e.committer.LastOrderedRound() {
-		return // offer is behind what we already applied
 	}
 	target, ok := e.syncPeer(from)
 	if !ok {
 		return
 	}
-	e.snapFetch = snapFetch{active: true, target: target, meta: offer, lastAttempt: nowNanos}
+	e.snapFetch = snapFetch{active: true, target: target, meta: offer}
 	e.requestSnapshotChunk(out)
 	out.timer(Timer{Kind: TimerSnapshot, Delay: 2 * e.config.resyncInterval()})
 }
@@ -172,8 +135,8 @@ func (e *Engine) requestSnapshotChunk(out *Output) {
 
 // onSnapshotTimer paces an active fetch: a stalled download (no chunk since
 // the last firing) is retried, rotating to the next responder after
-// snapshotStallRetries stalls.
-func (e *Engine) onSnapshotTimer(nowNanos int64, out *Output) {
+// snapshotStallRetries stalls; the fetch stays pinned to its round.
+func (e *Engine) onSnapshotTimer(out *Output) {
 	f := &e.snapFetch
 	if !f.active {
 		return
@@ -183,12 +146,12 @@ func (e *Engine) onSnapshotTimer(nowNanos int64, out *Output) {
 		if f.retries > snapshotStallRetries {
 			// Responder unresponsive (crashed, no snapshot, lost messages):
 			// restart the fetch against the next peer.
-			next, ok := e.syncPeer(f.target + 1)
+			next, ok := e.nextPeer(f.target)
 			if !ok {
 				f.active = false
 				return
 			}
-			*f = snapFetch{active: true, target: next, lastAttempt: nowNanos}
+			*f = snapFetch{active: true, target: next, meta: f.meta}
 		}
 		e.requestSnapshotChunk(out)
 	} else {
@@ -211,7 +174,7 @@ func (e *Engine) onSnapshotRequest(from types.ValidatorID, req *SnapshotRequest,
 		out.unicast(from, &Message{Kind: KindSnapshotResponse, SnapshotResponse: &SnapshotResponse{}})
 		return
 	}
-	if req.Round != 0 && req.Round != meta.Round {
+	if req.Round != meta.Round {
 		// The requester pinned an older checkpoint mid-fetch; serve it from
 		// retention if we still can, so the fetch stays resumable across our
 		// checkpoint rotation.
@@ -257,9 +220,8 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 	}
 	if resp.Round == 0 {
 		// Responder has no checkpoint newer than what we hold: give up this
-		// attempt; the next trigger rotates the hint to another peer.
+		// attempt; the next offer starts another.
 		f.active = false
-		f.lastAttempt = nowNanos
 		return
 	}
 	if resp.Round <= e.committer.LastOrderedRound() {
@@ -267,7 +229,6 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 		// (possible when we advanced while fetching): installing it would
 		// move us backwards. Abort.
 		f.active = false
-		f.lastAttempt = nowNanos
 		return
 	}
 	if crc32.Checksum(resp.Data, snapCRCTable) != resp.DataCRC {
@@ -279,11 +240,11 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 		return
 	}
 	if f.meta.Round != resp.Round || f.chunks == 0 {
-		// First chunk (blind or pinned by a rejoin checkpoint offer, which
-		// seeds the metadata but cannot know the chunk count), or the
-		// responder rotated its checkpoint mid-fetch: (re)start assembly. A
-		// non-zero first chunk cannot seed a fetch — re-request from chunk
-		// zero of the responder's current checkpoint.
+		// First chunk (the offer seeds the metadata but cannot know the
+		// chunk count), or the responder no longer holds the pinned
+		// checkpoint: (re)start assembly. A non-zero first chunk cannot seed
+		// a fetch — re-request from chunk zero of the responder's current
+		// checkpoint.
 		f.meta = SnapshotMeta{
 			Round:       resp.Round,
 			CommitSeq:   resp.CommitSeq,
@@ -309,7 +270,7 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 		// Oversized snapshot (or a responder lying about chunk counts and
 		// sizes): abort rather than buffer without bound.
 		e.stats.SnapshotInstallFailures++
-		*f = snapFetch{lastAttempt: nowNanos}
+		*f = snapFetch{}
 		return
 	}
 	f.buf = append(f.buf, resp.Data...)
@@ -321,13 +282,13 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 	}
 
 	meta, data := f.meta, f.buf
-	*f = snapFetch{lastAttempt: nowNanos}
+	*f = snapFetch{}
 	install, err := e.exec.InstallFromWire(meta, data, e.scheduler.RestoreState)
 	if err != nil {
 		// Corrupted or forged snapshot (the installer recomputes the state
 		// digest), one whose scheduler state the scheduler refuses, or one
-		// stale relative to the executor. Count it and retry from scratch
-		// against another peer on the next trigger.
+		// stale relative to the executor. Count it; the next offer starts
+		// another fetch.
 		e.stats.SnapshotInstallFailures++
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/crc32"
 	"testing"
+	"time"
 
 	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/crypto"
@@ -28,7 +29,6 @@ type stubExec struct {
 	certs   []*checkpoint.Certificate
 }
 
-func (*stubExec) AppliedSeq() uint64      { return 0 }
 func (s *stubExec) CheckpointCerts() bool { return s.certify }
 
 func (s *stubExec) AttachCertificate(_ uint64, cert *checkpoint.Certificate) bool {
@@ -193,18 +193,31 @@ func serveSnapshotLoop(t *testing.T, rig *testRig, recovering *Engine, out *Outp
 	t.Fatal("snapshot exchange did not quiesce")
 }
 
-// triggerBeyondHorizon feeds the recovering engine a pending certificate far
-// above its frontier (beyond GCDepth), which must kick off a snapshot fetch.
+// triggerBeyondHorizon isolates the recovering engine while its peers
+// certify rounds past its GC horizon and prune what it holds, then feeds it a
+// frontier certificate. The certificate pends and its range pull goes to the
+// certificate's source, engine 0, whose reply offers its checkpoint; the
+// returned output is the recovering engine's answer to that reply.
 func triggerBeyondHorizon(t *testing.T, rig *testRig, recovering *Engine, rounds int) *Output {
 	t.Helper()
-	for i := 0; i < rounds; i++ {
-		certifyRound(t, rig, map[types.ValidatorID]bool{recovering.self: true})
+	frontier := isolateFor(t, rig, recovering.self, rounds)
+	source := frontier[0].Header.Source
+	now := int64(time.Second) // past the range pull's rate limit
+	out := recovering.OnMessage(source, &Message{Kind: KindCertificate, Cert: frontier[0]}, now)
+	pull := findUnicastTo(out, source, KindRoundRequest)
+	if pull == nil {
+		t.Fatal("a certificate beyond the GC horizon must trigger a range pull")
 	}
-	frontier := certifyRound(t, rig, map[types.ValidatorID]bool{recovering.self: true})
-	return recovering.OnMessage(frontier[0].Header.Source,
-		&Message{Kind: KindCertificate, Cert: frontier[0]}, 0)
+	reply := findUnicastTo(rig.engines[source].OnMessage(recovering.self, pull, now), recovering.self, KindCertResponse)
+	if reply == nil || reply.CertResponse.Offer == nil {
+		t.Fatalf("the range pull's reply must offer the responder's checkpoint: %v", reply)
+	}
+	return recovering.OnMessage(source, reply, now)
 }
 
+// TestBeyondHorizonTriggersSnapshotRequest: a validator whose peers pruned
+// past its DAG pulls rounds as it would any gap, and the reply's checkpoint
+// offer starts exactly one SnapshotRequest, pinned to the offered round.
 func TestBeyondHorizonTriggersSnapshotRequest(t *testing.T) {
 	blob := chunkedBlob(3)
 	serve := &stubSnapshots{meta: snapMeta(12, 6, blob), blob: blob, ok: true}
@@ -213,7 +226,7 @@ func TestBeyondHorizonTriggersSnapshotRequest(t *testing.T) {
 		rig.engines[i].Init(0)
 	}
 	recovering := rig.engines[3]
-	out := triggerBeyondHorizon(t, rig, recovering, 14)
+	out := triggerBeyondHorizon(t, rig, recovering, 64)
 
 	var snapReqs int
 	for _, u := range out.Unicasts {
@@ -222,10 +235,13 @@ func TestBeyondHorizonTriggersSnapshotRequest(t *testing.T) {
 			if u.To == recovering.self {
 				t.Fatal("snapshot request sent to self")
 			}
+			if u.Msg.SnapshotRequest.Round != serve.meta.Round {
+				t.Fatalf("snapshot request pinned round %d, want the offered %d", u.Msg.SnapshotRequest.Round, serve.meta.Round)
+			}
 		}
 	}
 	if snapReqs != 1 {
-		t.Fatalf("frontier cert beyond the GC horizon must trigger exactly one snapshot request, got %d", snapReqs)
+		t.Fatalf("the offer beyond the GC horizon must trigger exactly one snapshot request, got %d", snapReqs)
 	}
 	// Within the horizon, range sync (not snapshots) handles the gap: a
 	// fresh engine one round behind must not request snapshots.
@@ -244,7 +260,7 @@ func TestSnapshotFetchAssemblesChunksAndFastForwards(t *testing.T) {
 		rig.engines[i].Init(0)
 	}
 	recovering := rig.engines[3]
-	out := triggerBeyondHorizon(t, rig, recovering, 14)
+	out := triggerBeyondHorizon(t, rig, recovering, 64)
 	serveSnapshotLoop(t, rig, recovering, out, nil)
 
 	st := recovering.Stats()
@@ -346,7 +362,7 @@ func TestCorruptSnapshotChunkRejectsInstall(t *testing.T) {
 		rig.engines[i].Init(0)
 	}
 	recovering := rig.engines[3]
-	out := triggerBeyondHorizon(t, rig, recovering, 14)
+	out := triggerBeyondHorizon(t, rig, recovering, 64)
 	serveSnapshotLoop(t, rig, recovering, out, func(resp *SnapshotResponse) {
 		if resp.Round != 0 && resp.Chunk == resp.Chunks/2 && len(resp.Data) > 0 {
 			data := append([]byte(nil), resp.Data...)
@@ -393,7 +409,7 @@ func TestSnapshotChunkCRCRejectedOnReceipt(t *testing.T) {
 			resp.Data = data // DataCRC left as served: transit corruption
 		}
 	}
-	out := triggerBeyondHorizon(t, rig, recovering, 14)
+	out := triggerBeyondHorizon(t, rig, recovering, 64)
 	serveSnapshotLoop(t, rig, recovering, out, mutate)
 
 	st := recovering.Stats()
@@ -429,4 +445,36 @@ func snapshotlessConfig() Config {
 	cfg := DefaultConfig()
 	cfg.VerifySignatures = false
 	return cfg
+}
+
+// TestStalledSnapshotFetchRotatesThroughEveryPeer: a fetch whose responder
+// stalls moves on after snapshotStallRetries retries, to the next member
+// after the stalled one, skipping self — so over enough firings it asks
+// every peer, whichever one it stalled on — and it stays pinned to the
+// offered checkpoint round throughout.
+func TestStalledSnapshotFetchRotatesThroughEveryPeer(t *testing.T) {
+	const firings = 12
+	meta := snapMeta(40, 20, []byte("blob"))
+	for _, tc := range []struct{ self, stalledOn types.ValidatorID }{{2, 3}, {1, 3}, {0, 3}, {3, 2}} {
+		rig, _ := newSyncRig(t, 4, nil)
+		e := rig.engines[tc.self]
+		e.snapFetch = snapFetch{active: true, target: tc.stalledOn, meta: meta}
+		asked := map[types.ValidatorID]bool{}
+		var order []types.ValidatorID
+		for i := int64(1); i <= firings; i++ {
+			for _, u := range e.OnTimer(Timer{Kind: TimerSnapshot}, i).Unicasts {
+				if u.Msg.Kind != KindSnapshotRequest {
+					continue
+				}
+				if got := u.Msg.SnapshotRequest.Round; got != meta.Round {
+					t.Fatalf("v%d: a retry asked v%d for round %d, want the pinned %d", tc.self, u.To, got, meta.Round)
+				}
+				asked[u.To] = true
+				order = append(order, u.To)
+			}
+		}
+		if asked[tc.self] || len(asked) != 3 {
+			t.Fatalf("v%d stalled on v%d asked %v over %d firings, want each of the other three", tc.self, tc.stalledOn, order, firings)
+		}
+	}
 }

@@ -271,6 +271,10 @@ func TestOverlongEdgeListIsRefused(t *testing.T) {
 	}
 }
 
+// TestRoundRequestServesFrontier: a round pull earns one CertResponse that
+// names the pulled round and holds the frontier from it on, parents first;
+// a pull above everything the responder holds is still answered, empty; and
+// a responder without a checkpoint offers none.
 func TestRoundRequestServesFrontier(t *testing.T) {
 	rig := newTestRig(t, 4)
 	for i := range rig.engines {
@@ -279,11 +283,19 @@ func TestRoundRequestServesFrontier(t *testing.T) {
 	certifyRound(t, rig, nil)
 	certifyRound(t, rig, nil)
 
-	out := rig.engines[0].OnMessage(2, &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: 1}}, 0)
-	if len(out.Unicasts) != 1 || out.Unicasts[0].Msg.Kind != KindCertResponse {
-		t.Fatalf("round request must earn a CertResponse, got %+v", out.Unicasts)
+	pull := func(from types.Round) *CertResponse {
+		t.Helper()
+		out := rig.engines[0].OnMessage(2, &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: from}}, 0)
+		if len(out.Unicasts) != 1 || out.Unicasts[0].To != 2 || out.Unicasts[0].Msg.Kind != KindCertResponse {
+			t.Fatalf("round request must earn one CertResponse, got %+v", out.Unicasts)
+		}
+		resp := out.Unicasts[0].Msg.CertResponse
+		if resp.ByDigest || resp.FromRound != from || resp.Offer != nil {
+			t.Fatalf("pull from round %d answered as by digest %v from %d, offer %v", from, resp.ByDigest, resp.FromRound, resp.Offer)
+		}
+		return resp
 	}
-	certs := out.Unicasts[0].Msg.CertResponse.Certs
+	certs := pull(1).Certs
 	if len(certs) < 4 {
 		t.Fatalf("frontier response has %d certs, want >= 4 (one full round)", len(certs))
 	}
@@ -291,6 +303,9 @@ func TestRoundRequestServesFrontier(t *testing.T) {
 		if certs[i-1].Header.Round > certs[i].Header.Round {
 			t.Fatal("frontier response must be ascending by round (parents first)")
 		}
+	}
+	if got := pull(rig.engines[0].DAG().HighestRound() + 1).Certs; len(got) != 0 {
+		t.Fatalf("a pull above the DAG served %d certificates", len(got))
 	}
 }
 

@@ -67,10 +67,6 @@ func checkPayload(m *Message) error {
 		ok = m.SnapshotRequest != nil
 	case KindSnapshotResponse:
 		ok = m.SnapshotResponse != nil
-	case KindRejoinRequest:
-		ok = m.RejoinRequest != nil
-	case KindRejoinResponse:
-		ok = m.RejoinResponse != nil
 	case KindCheckpointSig:
 		ok = m.CheckpointSig != nil
 	case KindCheckpointCert:
@@ -108,7 +104,15 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 		}
 		return buf, nil
 	case KindCertResponse:
-		return appendCertList(buf, m.CertResponse.Certs), nil
+		r := m.CertResponse
+		buf = wire.AppendBool(buf, r.ByDigest)
+		buf = wire.AppendU64(buf, uint64(r.FromRound))
+		buf = appendCertList(buf, r.Certs)
+		buf = wire.AppendBool(buf, r.Offer != nil)
+		if r.Offer != nil {
+			buf = appendSnapshotMeta(buf, *r.Offer)
+		}
+		return buf, nil
 	case KindRoundRequest:
 		return wire.AppendU64(buf, uint64(m.RoundRequest.FromRound)), nil
 	case KindSnapshotRequest:
@@ -127,17 +131,6 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 		buf = wire.AppendU32(buf, r.Chunk)
 		buf = wire.AppendBytes(buf, r.Data)
 		buf = wire.AppendU32(buf, r.DataCRC)
-		return buf, nil
-	case KindRejoinRequest:
-		return appendFrontier(buf, m.RejoinRequest.Frontier), nil
-	case KindRejoinResponse:
-		r := m.RejoinResponse
-		buf = appendFrontier(buf, r.Frontier)
-		buf = appendCertList(buf, r.Certs)
-		buf = wire.AppendBool(buf, r.Offer != nil)
-		if r.Offer != nil {
-			buf = appendSnapshotMeta(buf, *r.Offer)
-		}
 		return buf, nil
 	case KindCheckpointSig:
 		return checkpoint.AppendShare(buf, m.CheckpointSig), nil
@@ -181,7 +174,12 @@ func DecodeMessage(data []byte) (*Message, error) {
 		}
 		msg.CertRequest = req
 	case KindCertResponse:
-		msg.CertResponse = &CertResponse{Certs: readCertList(r)}
+		resp := &CertResponse{ByDigest: r.Bool(), FromRound: types.Round(r.U64()), Certs: readCertList(r)}
+		if r.Bool() {
+			meta := readSnapshotMeta(r)
+			resp.Offer = &meta
+		}
+		msg.CertResponse = resp
 	case KindRoundRequest:
 		msg.RoundRequest = &RoundRequest{FromRound: types.Round(r.U64())}
 	case KindSnapshotRequest:
@@ -201,15 +199,6 @@ func DecodeMessage(data []byte) (*Message, error) {
 			Data:        r.Bytes(),
 			DataCRC:     r.U32(),
 		}
-	case KindRejoinRequest:
-		msg.RejoinRequest = &RejoinRequest{Frontier: readFrontier(r)}
-	case KindRejoinResponse:
-		resp := &RejoinResponse{Frontier: readFrontier(r), Certs: readCertList(r)}
-		if r.Bool() {
-			meta := readSnapshotMeta(r)
-			resp.Offer = &meta
-		}
-		msg.RejoinResponse = resp
 	case KindCheckpointSig:
 		msg.CheckpointSig = checkpoint.ReadShare(r)
 	case KindCheckpointCert:
@@ -356,21 +345,6 @@ func readCertList(r *wire.Reader) []*Certificate {
 		certs = append(certs, ReadCertificateWire(r))
 	}
 	return certs
-}
-
-func appendFrontier(b []byte, f Frontier) []byte {
-	b = wire.AppendU64(b, uint64(f.HighestRound))
-	b = wire.AppendU64(b, uint64(f.LastOrdered))
-	b = wire.AppendU64(b, f.AppliedSeq)
-	return b
-}
-
-func readFrontier(r *wire.Reader) Frontier {
-	return Frontier{
-		HighestRound: types.Round(r.U64()),
-		LastOrdered:  types.Round(r.U64()),
-		AppliedSeq:   r.U64(),
-	}
 }
 
 func appendSnapshotMeta(b []byte, m SnapshotMeta) []byte {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -9,10 +10,17 @@ import (
 // kind through the wire codec and checks fidelity with the same oracle the
 // fuzz targets use.
 func TestWireCodecAllKindsRoundTrip(t *testing.T) {
-	for kindSel := uint8(0); kindSel < 12; kindSel++ {
-		msg := buildMessage(kindSel, 42, 2, []byte("blob-material"), []byte("signature"), 5)
+	var msgs []*Message
+	for kindSel := range wireKinds {
+		msgs = append(msgs, buildMessage(uint8(kindSel), 42, 2, []byte("blob-material"), []byte("signature"), 5))
+	}
+	// A CertResponse of every shape: by digest, by round, empty, with an offer.
+	for nSub := uint8(4); nSub < 8; nSub++ {
+		msgs = append(msgs, buildMessage(4, 42, 2, []byte("blob-material"), []byte("signature"), nSub))
+	}
+	for i, msg := range msgs {
 		if msg == nil {
-			t.Fatalf("buildMessage(%d) returned nil", kindSel)
+			t.Fatalf("message %d: buildMessage returned nil", i)
 		}
 		data, err := EncodeMessage(msg)
 		if err != nil {
@@ -29,7 +37,7 @@ func TestWireCodecAllKindsRoundTrip(t *testing.T) {
 // TestEncodeMessageRejectsNilPayload: a Message whose payload pointer for its
 // kind is nil is a caller bug, not an encodable value.
 func TestEncodeMessageRejectsNilPayload(t *testing.T) {
-	for kind := KindHeader; kind <= KindCheckpointCert; kind++ {
+	for _, kind := range wireKinds {
 		if _, err := EncodeMessage(&Message{Kind: kind}); err == nil {
 			t.Fatalf("nil %s payload encoded cleanly", kind)
 		}
@@ -59,5 +67,31 @@ func TestDecodeMessageRejectsBadFraming(t *testing.T) {
 	}
 	if _, err := DecodeMessage(append(data, 0xAB)); err == nil {
 		t.Fatal("trailing garbage decoded cleanly")
+	}
+}
+
+// TestRetiredKindsDecodeAsErrors: kind bytes 9 and 10 carried the crash-rejoin
+// handshake's own request and reply before it became a round pull. A frame
+// with either byte is an error whatever payload follows — the retired
+// request's frontier or any live kind's — never another kind's message.
+func TestRetiredKindsDecodeAsErrors(t *testing.T) {
+	payloads := [][]byte{make([]byte, 24)} // the retired request's frontier
+	for kindSel := range wireKinds {
+		frame, err := EncodeMessage(buildMessage(uint8(kindSel), 42, 2, []byte("blob"), []byte("sig"), 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, frame[3:])
+	}
+	for _, retired := range []MessageKind{9, 10} {
+		if slices.Contains(wireKinds, retired) {
+			t.Fatalf("retired kind byte %d is in use", retired)
+		}
+		for _, p := range payloads {
+			frame := append([]byte{wireMagic, wireV1, byte(retired)}, p...)
+			if msg, err := DecodeMessage(frame); err == nil {
+				t.Fatalf("a frame of retired kind byte %d decoded as %s", retired, msg.Kind)
+			}
+		}
 	}
 }
