@@ -175,21 +175,28 @@ crash-restart:
 	go test -race -count=3 -run '^TestLocalClusterCompactsItsLogs$$' .
 
 # catch-up is CI's "One catch-up pull (race)" step: a lagging or restarted
-# validator catches up through one round pull. The crash-rejoin handshake is
+# validator catches up, and fetches a missing parent, through one round pull.
+# A certificate that arrives before its parents waits in its slot of the
+# round window and pulls from the round below it, the first pull never held
+# back; a far one, or a flood of them, pends nothing and buys one pull per
+# resync interval, and pending state goes with its rounds; a committee whose
+# round does not fit in one reply is refused. The crash-rejoin handshake is
 # that pull broadcast from the highest DAG round and retried by the progress
-# watchdog, and completes at a write quorum of round-pull replies (a reply by
-# digest or a repeated one does not count, an empty one does); every round
-# pull is answered once, naming its round, with a checkpoint offer when the
-# pulled rounds lie below the responder's floor, and a snapshot fetch starts
-# only from an offer beyond the GC horizon, pinned to its round; a stalled
-# fetch rotates through every peer, keeping that round; retired kind bytes
-# decode as errors. In simulation, a validator partitioned past the GC
-# horizon catches up by snapshot (round-robin and HammerHead), and a
-# restarted one rejoins the live committee.
+# watchdog, and completes at a write quorum of replies to any pull (a
+# repeated one does not count, an empty one does); every round pull is
+# answered once, naming its round, with a checkpoint offer when the pulled
+# rounds lie below the responder's floor, and a snapshot fetch starts only
+# from an offer beyond the GC horizon, pinned to its round; a stalled fetch
+# rotates through every peer, keeping that round; retired kind bytes decode
+# as errors. In simulation, a validator partitioned past the GC horizon
+# catches up by snapshot (round-robin and HammerHead), a restarted one
+# rejoins the live committee, ghost-parent churn keeps pending state bounded,
+# and a validator whose certificates are withheld keeps up by pulling.
 catch-up:
 	go test -race -count=3 -run '^(TestRejoinHandshakeCompletesAtQuorum|TestRejoinBelowQuorumRetries|TestRejoinAdoptsSurvivingOwnCertificate|TestRejoinLoneValidatorCompletesImmediately|TestRejoinResponseCarriesCheckpointOffer|TestRejoinOfferNearFrontierIgnored|TestRestoreProposalRetransmitsIdenticalHeader|TestRoundRequestServesFrontier|TestRoundRequestServedFromIndex|TestProgressTimerPullsWhenStuck|TestCatchUpJumpSkipsToFrontier|TestSyncPeerSelection|TestRetiredKindsDecodeAsErrors)$$' ./internal/engine/
+	go test -race -count=3 -run '^(TestFirstPullIsNotHeldBack|TestNewRejectsBadParams|TestPendingCertTriggersSyncRequest|TestCertRequestWorkIsBounded|TestRejoinCountsParentPullReply|TestRejoinAdoptsPendingOwnCertificate|TestPendingStateGarbageCollected|TestCertFloorDropsStaleCertificates|TestPendingEvictionBoundsFlood)$$' ./internal/engine/
 	go test -race -count=3 -run '^(TestBeyondHorizonTriggersSnapshotRequest|TestSnapshotFetchAssemblesChunksAndFastForwards|TestSnapshotResponderWithoutCheckpoint|TestSnapshotOlderThanAppliedRoundRejected|TestCorruptSnapshotChunkRejectsInstall|TestSnapshotChunkCRCRejectedOnReceipt|TestStalledSnapshotFetchRotatesThroughEveryPeer)$$' ./internal/engine/
-	go test -race -count=3 -run '^(TestSnapshotCatchUpConverges|TestHammerHeadSnapshotCatchUpConverges|TestPartialKillRestartRejoinsLiveCommittee)$$' ./internal/simnet/
+	go test -race -count=3 -run '^(TestSnapshotCatchUpConverges|TestHammerHeadSnapshotCatchUpConverges|TestPartialKillRestartRejoinsLiveCommittee|TestGhostParentChurnKeepsPendingBounded|TestWithholdCertsDegradesToResync)$$' ./internal/simnet/
 
 # ring-bytes is CI's "Commit history holds what it counts (race)" step: the
 # gateway's resume ring packs each commit's payloads into one block and must

@@ -383,7 +383,8 @@ func TestEveryVertexDeliveredExactlyOnce(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.EpochCommits = 2
 	cm, _ := hammerheadCommitter(t, b.DAG, c, cfg, 0)
-	tr := traceOf(feed(cm, b, 30, nil))
+	subs := feed(cm, b, 30, nil)
+	tr := traceOf(subs)
 
 	seen := map[types.Digest]bool{}
 	for _, d := range tr.vertices {
@@ -397,10 +398,10 @@ func TestEveryVertexDeliveredExactlyOnce(t *testing.T) {
 	// every committed history, e.g. never referenced by a later round, are
 	// legitimately undelivered.)
 	expected := map[types.Digest]bool{}
-	for _, a := range tr.anchors {
-		av, ok := b.DAG.ByDigest(a)
-		if !ok {
-			t.Fatalf("anchor %s not in DAG", a)
+	for _, sub := range subs {
+		av, ok := b.DAG.Get(sub.Anchor.Round, sub.Anchor.Source)
+		if !ok || av.Digest() != sub.Anchor.Digest() {
+			t.Fatalf("anchor %s not in DAG", sub.Anchor.Digest())
 		}
 		for _, v := range b.DAG.CausalHistory(av, 0, nil) {
 			expected[v.Digest()] = true

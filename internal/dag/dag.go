@@ -276,7 +276,7 @@ func (d *DAG) holds(v *Vertex) bool {
 }
 
 // Insert adds a vertex. All parents must already be present (callers buffer
-// out-of-order arrivals; see engine's pending set): a vertex with absent
+// out-of-order arrivals; see the engine's pending slots): a vertex with absent
 // parents fails with a *MissingParentsError naming every one of them.
 // Inserting the same vertex twice is a no-op; inserting a *different* vertex
 // into an occupied (round, source) slot fails, which in the crash-fault model
@@ -364,14 +364,6 @@ func (d *DAG) Get(round types.Round, source types.ValidatorID) (*Vertex, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	v := d.at(round, source)
-	return v, v != nil
-}
-
-// ByDigest returns the vertex with the given digest, if present.
-func (d *DAG) ByDigest(digest types.Digest) (*Vertex, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	v := d.lookup(digest)
 	return v, v != nil
 }
 

@@ -94,7 +94,7 @@ func TestPathAgreesWithEdges(t *testing.T) {
 				continue
 			}
 			for _, e := range v.Edges {
-				parent, ok := b.DAG.ByDigest(e)
+				parent, ok := b.DAG.Lookup(e)
 				if !ok || !b.DAG.Path(v, parent) {
 					return false
 				}
@@ -138,7 +138,7 @@ func TestCausalHistoryClosure(t *testing.T) {
 			}
 			if u.Round > minRound {
 				for _, e := range u.Edges {
-					if parent, ok := b.DAG.ByDigest(e); ok && parent.Round >= minRound && !inHist[e] {
+					if parent, ok := b.DAG.Lookup(e); ok && parent.Round >= minRound && !inHist[e] {
 						return false
 					}
 				}
@@ -155,7 +155,7 @@ func TestCausalHistoryClosure(t *testing.T) {
 //
 // refPath and refCausalHistory are the traversals the store ran before it
 // moved to slots and bitsets: breadth-first over Vertex.Edges, each digest
-// resolved through ByDigest, a visited map, and a final sort. They
+// resolved through Lookup, a visited map, and a final sort. They
 // stay here as the reference the bitset sweeps must agree with.
 
 func refPath(d *dag.DAG, v, u *dag.Vertex) bool {
@@ -182,7 +182,7 @@ func refPath(d *dag.DAG, v, u *dag.Vertex) bool {
 					continue
 				}
 				visited[e] = struct{}{}
-				parent, ok := d.ByDigest(e)
+				parent, ok := d.Lookup(e)
 				if !ok || parent.Round < u.Round {
 					continue
 				}
@@ -209,7 +209,7 @@ func refCausalHistory(d *dag.DAG, v *dag.Vertex, minRound types.Round, skip func
 					continue
 				}
 				visited[e] = struct{}{}
-				parent, ok := d.ByDigest(e)
+				parent, ok := d.Lookup(e)
 				if !ok || parent.Round < minRound {
 					continue
 				}

@@ -32,9 +32,9 @@ func TestInsertAndGet(t *testing.T) {
 	if v.Round != 1 || v.Source != 2 {
 		t.Fatalf("got %v", v)
 	}
-	byDigest, ok := b.DAG.ByDigest(v.Digest())
+	byDigest, ok := b.DAG.Lookup(v.Digest())
 	if !ok || byDigest != v {
-		t.Fatal("ByDigest must return the same vertex")
+		t.Fatal("Lookup must return the same vertex")
 	}
 	if _, ok := b.DAG.Get(1, 99); ok {
 		t.Fatal("unknown source must not resolve")
@@ -235,7 +235,7 @@ func TestGrowRandomMaintainsQuorums(t *testing.T) {
 		for _, v := range b.DAG.RoundVertices(r) {
 			var acc types.Stake
 			for _, e := range v.Edges {
-				p, ok := b.DAG.ByDigest(e)
+				p, ok := b.DAG.Lookup(e)
 				if !ok {
 					t.Fatalf("dangling edge at round %d", r)
 				}

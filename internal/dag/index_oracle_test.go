@@ -13,8 +13,8 @@ import (
 
 // ---- the digest index, kept as the oracle ----
 //
-// indexModel is the store the way Insert, ByDigest, Prune and VertexCount ran
-// while the DAG kept a digest→vertex map beside its slots: every edge resolved
+// indexModel is the store the way Insert, the digest lookup, Prune and
+// VertexCount ran while the DAG kept a digest→vertex map beside its slots: every edge resolved
 // through the map, pruning deleted the map entries of the dropped rounds, the
 // count was the map's length. It has the rules the scan brought with it and
 // nothing else new: at most n edges; a misplaced edge refusing the vertex at
@@ -357,7 +357,7 @@ func (o *oracleRun) op() {
 }
 
 // check compares everything the DAG answers with the model: VertexCount,
-// PrunedTo and HighestRound; Get over the window and past both ends; ByDigest
+// PrunedTo and HighestRound; Get over the window and past both ends; Lookup
 // of vertices retained, pruned, refused and never offered, and of garbage —
 // a sample per step, all of them every full steps.
 func (o *oracleRun) check(full bool) {
@@ -380,10 +380,10 @@ func (o *oracleRun) check(full bool) {
 		}
 	}
 	probe := func(digest types.Digest) {
-		got, ok := d.ByDigest(digest)
+		got, ok := d.Lookup(digest)
 		want, wok := m.byDigest[digest]
 		if ok != wok || got != want {
-			o.t.Fatalf("%s step %d: ByDigest(%s) = %v, %v; model %v, %v", o.label, o.step, digest, got, ok, want, wok)
+			o.t.Fatalf("%s step %d: Lookup(%s) = %v, %v; model %v, %v", o.label, o.step, digest, got, ok, want, wok)
 		}
 	}
 	var garbage types.Digest
@@ -404,7 +404,7 @@ func (o *oracleRun) check(full bool) {
 	}
 }
 
-// TestDigestLookupsMatchIndexModel: with the digest index gone, ByDigest,
+// TestDigestLookupsMatchIndexModel: with the digest index gone, Lookup,
 // Insert's parent resolution and VertexCount scan the slots' digest tags.
 // Over seeded operation sequences at n ∈ {1, 4, 50}, equal and weighted
 // stake — inserts in and out of source order, children before their parents,

@@ -8,7 +8,7 @@ import (
 	"hammerhead/internal/types"
 )
 
-// BenchmarkDAGLookup times ByDigest, which scans the round slots' digest
+// BenchmarkDAGLookup times lookup, the scan of the round slots' digest
 // tags newest round first, over a DAG retaining 100 full rounds: a hit in the
 // newest round, and a miss, which compares every retained vertex's tag once.
 func BenchmarkDAGLookup(b *testing.B) {
@@ -26,14 +26,14 @@ func BenchmarkDAGLookup(b *testing.B) {
 		hit, miss := bld.Vertex(rounds, types.ValidatorID(n/2)).Digest(), types.HashBytes([]byte("absent"))
 		b.Run(fmt.Sprintf("n=%d/hit", n), func(b *testing.B) {
 			for b.Loop() {
-				if _, ok := bld.DAG.ByDigest(hit); !ok {
+				if _, ok := bld.DAG.Lookup(hit); !ok {
 					b.Fatal("a retained vertex did not resolve")
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/miss", n), func(b *testing.B) {
 			for b.Loop() {
-				if _, ok := bld.DAG.ByDigest(miss); ok {
+				if _, ok := bld.DAG.Lookup(miss); ok {
 					b.Fatal("an absent digest resolved")
 				}
 			}

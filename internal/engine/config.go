@@ -51,15 +51,14 @@ type Config struct {
 const (
 	// gcEvery is how many commits pass between two prunings.
 	gcEvery = 16
-	// maxSyncBatch caps the digests read from one CertRequest, and so the
-	// certificates per CertResponse, a round pull's included. The engine's own
-	// CertRequests are chunked to it: a server reading fewer would ignore the
-	// tail of each chunk, and resync would re-send the same chunks.
+	// maxSyncBatch caps the certificates in a round pull's reply. A round
+	// must fit in one (New refuses a larger committee): the pull is the only
+	// way to fetch a missing parent.
 	maxSyncBatch = 512
-	// maxPendingCerts bounds the causal-sync pending set; above it, the
-	// pending certificate furthest above the DAG frontier is evicted (it can
-	// be re-fetched by round sync if it was genuine).
-	maxPendingCerts = 8192
+	// gapThreshold is how far above the highest round it holds a validator
+	// keeps a certificate that arrived before its parents. One further up
+	// is not kept: it only starts a catch-up pull.
+	gapThreshold = 8
 	// snapshotChunkBytes caps the payload of one SnapshotResponse during
 	// state-sync: small enough that serving a chunk never monopolizes the
 	// engine loop, large enough that realistic snapshots move in a handful
@@ -67,10 +66,11 @@ const (
 	snapshotChunkBytes = 256 << 10
 )
 
-// resyncInterval paces re-requests for still-missing parent certificates,
-// header re-broadcasts and the progress watchdog: the leader wait, at most a
-// second (a second for every LeaderTimeout of 1 s and more). The watchdog
-// fires every two of them, and while the engine rejoins after a crash each
+// resyncInterval paces round pulls — a pull from the same round as the last
+// one waits it out — header re-broadcasts and the progress watchdog: the
+// leader wait, at most a second (a second for every LeaderTimeout of 1 s and
+// more). The watchdog fires every two of them, re-pulls for the certificates
+// still waiting for parents, and while the engine rejoins after a crash each
 // firing re-broadcasts the rejoin pull until replies from a write quorum
 // came back, forever — a committee below quorum cannot progress anyway, so
 // retrying until peers return is the only correct behavior.
@@ -116,16 +116,16 @@ const (
 	// TimerRoundDelay fires when MinRoundDelay since the last proposal has
 	// elapsed, allowing the next header.
 	TimerRoundDelay
-	// TimerResync fires periodically while parent certificates are missing.
-	TimerResync
 	// TimerHeaderRetry re-broadcasts the current header if it has not
 	// certified yet (lost broadcast, peers restarting, recovery replay).
 	TimerHeaderRetry
 	// TimerProgress periodically checks for round progress; when none
 	// happened since the previous firing, the engine pulls the certificate
-	// frontier from a rotating peer (RoundRequest). While the engine rejoins
-	// after a crash, every firing broadcasts the rejoin pull instead, round
-	// progress or not (peers may still be restarting themselves).
+	// frontier from a rotating peer (RoundRequest), and while certificates
+	// wait for parents it pulls from the round below the lowest of them: the
+	// one retry of a lost pull. While the engine rejoins after a crash, every
+	// firing broadcasts the rejoin pull instead, round progress or not (peers
+	// may still be restarting themselves).
 	TimerProgress
 	// TimerSnapshot paces an active snapshot state-sync fetch: when no chunk
 	// arrived since it was armed, the request is retried, eventually rotating
@@ -149,8 +149,6 @@ func (k TimerKind) String() string {
 		return "round-delay"
 	case TimerWaveDelay:
 		return "wave-delay"
-	case TimerResync:
-		return "resync"
 	case TimerHeaderRetry:
 		return "header-retry"
 	case TimerProgress:

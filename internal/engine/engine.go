@@ -1,10 +1,9 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"hammerhead/internal/bullshark"
@@ -188,6 +187,9 @@ type roundSlots struct {
 	// certs[source] is the certificate behind the DAG's vertex of
 	// (round, source), retained to serve syncing peers.
 	certs []*Certificate
+	// pending[source] is a certificate of (round, source) that arrived before
+	// its parents and waits for them; nil until one pends in the round.
+	pending []*Certificate
 }
 
 // Engine is the per-validator protocol state machine. All methods must be
@@ -196,18 +198,14 @@ type roundSlots struct {
 // protocol logic.
 //
 // Per-round state — the vote cast at each (round, origin), the certificate
-// retained for each (round, source) — is slot-addressed like the DAG's rounds:
+// retained for each (round, source), the certificate of (round, source)
+// waiting for its parents — is slot-addressed like the DAG's rounds:
 // one types.RoundWindow of arrays indexed by ValidatorID, whose floor is the
 // pruning floor, so a lookup is two array steps and pruning one DropBelow. It
 // pays a pointer per round it spans and a roundSlots per round voted at;
 // onHeader votes only below floor + dag.MaxRetainedRounds, the DAG's own
 // bound, so that is the most a committee member's headers can make it span.
 // The votes gathered for the current own header are a slot array as well.
-//
-// The causal-sync sets (pendingCerts, pendingByMissing, requested) stay maps:
-// their keys are digests of what this validator does NOT hold — a missing
-// parent has no known (round, source) — they are empty in steady state, and
-// maxPendingCerts and the floor bound them.
 type Engine struct {
 	config    Config
 	committee *types.Committee
@@ -283,23 +281,14 @@ type Engine struct {
 	// rounds holds each retained round's slots; its floor is the pruning floor.
 	rounds types.RoundWindow[*roundSlots]
 
-	pendingCerts     map[types.Digest]*Certificate
-	pendingByMissing map[types.Digest][]types.Digest
-	requested        map[types.Digest]bool
-	// pendingRounds counts pending certificates per round so the
-	// maxPendingRound high-water mark can be maintained without scanning
-	// pendingCerts: refreshing it on removal only walks this map's keys,
-	// and only when the highest round just emptied.
-	pendingRounds map[types.Round]int
-	resyncArmed   bool
-
 	commitsSinceGC    uint64
 	progressLastRound types.Round
 	progressTarget    types.ValidatorID
-	maxPendingRound   types.Round
-	lastRangeReqFloor types.Round
-	lastRangeReqNanos int64
-	stats             Stats
+	// lastPullFrom is the FromRound of the last round pull sent; a pull from
+	// the same round waits until nextPullNanos (see pull).
+	lastPullFrom  types.Round
+	nextPullNanos int64
+	stats         Stats
 	// syncBatch is maxSyncBatch; a field so a test can cut sync responses
 	// inside a round of a small committee.
 	syncBatch int
@@ -343,6 +332,11 @@ func New(p Params) (*Engine, error) {
 	if _, ok := p.Committee.Authority(p.Self); !ok {
 		return nil, fmt.Errorf("engine: self %s not in committee", p.Self)
 	}
+	if p.Committee.Size() > maxSyncBatch {
+		// A missing parent is fetched by round pull, whose reply holds at most
+		// maxSyncBatch certificates: a larger committee's round never fits.
+		return nil, fmt.Errorf("engine: committee of %d exceeds the %d certificates a pull's reply holds", p.Committee.Size(), maxSyncBatch)
+	}
 	// Only what verifies needs the keys: the stage, and checkpoint
 	// certification, whose shares and certificates are always verified.
 	verifies := p.Config.VerifySignatures || p.Execution.CheckpointCerts()
@@ -368,25 +362,21 @@ func New(p Params) (*Engine, error) {
 		observer = nopObserver{}
 	}
 	e := &Engine{
-		config:           p.Config,
-		committee:        p.Committee,
-		self:             p.Self,
-		keys:             p.Keys,
-		pubKeys:          p.PublicKeys,
-		batches:          p.Batches,
-		dagStore:         p.DAG,
-		committer:        bullshark.New(p.Committee, p.DAG, p.Scheduler),
-		scheduler:        p.Scheduler,
-		sink:             sink,
-		observer:         observer,
-		exec:             p.Execution,
-		votes:            make([]crypto.Signature, p.Committee.Size()),
-		voteStake:        types.NewStakeAccumulator(p.Committee),
-		pendingCerts:     make(map[types.Digest]*Certificate),
-		pendingByMissing: make(map[types.Digest][]types.Digest),
-		requested:        make(map[types.Digest]bool),
-		pendingRounds:    make(map[types.Round]int),
-		syncBatch:        maxSyncBatch,
+		config:    p.Config,
+		committee: p.Committee,
+		self:      p.Self,
+		keys:      p.Keys,
+		pubKeys:   p.PublicKeys,
+		batches:   p.Batches,
+		dagStore:  p.DAG,
+		committer: bullshark.New(p.Committee, p.DAG, p.Scheduler),
+		scheduler: p.Scheduler,
+		sink:      sink,
+		observer:  observer,
+		exec:      p.Execution,
+		votes:     make([]crypto.Signature, p.Committee.Size()),
+		voteStake: types.NewStakeAccumulator(p.Committee),
+		syncBatch: maxSyncBatch,
 	}
 	if p.Config.VerifySignatures {
 		// One table of signatures already verified or cast, shared by the
@@ -407,12 +397,21 @@ func New(p Params) (*Engine, error) {
 // OnChecked; OnMessage runs the same stage inline.
 func (e *Engine) PreVerifier() *PreVerifier { return e.prever }
 
-// SyncBacklog reports the sizes of the causal-sync pending maps: certificates
-// waiting for parents, distinct missing parent digests, and outstanding
-// requests. Byzantine headers with fabricated parent edges park entries here;
-// garbage collection bounds all three (see TestPendingStateGarbageCollected).
-func (e *Engine) SyncBacklog() (pendingCerts, missingParents, requested int) {
-	return len(e.pendingCerts), len(e.pendingByMissing), len(e.requested)
+// SyncBacklog reports how many certificates wait in the round window for
+// their parents. Byzantine headers with fabricated parent edges park entries
+// here; the window bounds them, at one per (round, source) slot, and pruning
+// drops them with their rounds (see TestPendingStateGarbageCollected).
+func (e *Engine) SyncBacklog() (pending int) {
+	for r := e.rounds.Floor(); r <= e.highestHeld()+gapThreshold; r++ {
+		if rs := e.rounds.At(r); rs != nil {
+			for _, c := range rs.pending {
+				if c != nil {
+					pending++
+				}
+			}
+		}
+	}
+	return pending
 }
 
 // Init goes live: unlocks proposing (gated until now so that recovery can
@@ -517,8 +516,6 @@ func (e *Engine) onMessage(from types.ValidatorID, msg *Message, nowNanos int64)
 		e.onVote(msg.Vote, nowNanos, out)
 	case KindCertificate:
 		e.onCertificate(msg.Cert, nowNanos, out)
-	case KindCertRequest:
-		e.onCertRequest(from, msg.CertRequest, out)
 	case KindCertResponse:
 		e.onCertResponse(from, msg.CertResponse, nowNanos, out)
 	case KindRoundRequest:
@@ -559,9 +556,6 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 				e.tryAdvance(nowNanos, out)
 			}
 		}
-	case TimerResync:
-		e.resyncArmed = false
-		e.resync(out)
 	case TimerHeaderRetry:
 		if e.round == types.Round(t.Round) && !e.ownCertFormed && e.curHeader != nil {
 			out.broadcast(&Message{Kind: KindHeader, Header: e.curHeader})
@@ -571,14 +565,11 @@ func (e *Engine) OnTimer(t Timer, nowNanos int64) *Output {
 		if e.rejoin != nil {
 			// Still short of a rejoin quorum: ask everyone again.
 			e.rejoinPull(out)
-		} else if e.round == e.progressLastRound {
-			// No progress since the last check: pull the certificate
-			// frontier from a rotating peer.
-			if target, ok := e.nextPeer(e.progressTarget); ok {
+		} else if from, ok := e.progressPull(); ok {
+			// Pull from a rotating peer, so a crashed or withholding one
+			// cannot wedge the engine.
+			if target, ok := e.nextPeer(e.progressTarget); ok && e.pull(target, from, nowNanos, out) {
 				e.progressTarget = target
-				e.stats.SyncRequests++
-				from := e.committer.LastOrderedRound()
-				out.unicast(target, &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: from}})
 			}
 		}
 		e.progressLastRound = e.round
@@ -689,14 +680,13 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 	if c.Header.Round < e.rounds.Floor() {
 		// Below the GC floor: the DAG already pruned this round, so the
 		// certificate can never insert. Dropping it here keeps stale sync
-		// responses and Byzantine backfill out of the pending maps.
+		// responses and Byzantine backfill out of the window.
 		return
 	}
-	digest := c.Digest()
 	if e.inDAG(c) {
 		return
 	}
-	if _, pend := e.pendingCerts[digest]; pend {
+	if p := e.pendingAt(c.Header.Round, c.Header.Source); p != nil && p.Digest() == c.Digest() {
 		return
 	}
 	if !e.validCertificate(c) {
@@ -704,34 +694,25 @@ func (e *Engine) onCertificate(c *Certificate, nowNanos int64, out *Output) {
 		return
 	}
 	e.stats.CertsReceived++
-
-	if missing := e.insertCert(c, nowNanos, out); len(missing) > 0 {
-		e.stats.CertsPended++
-		if len(e.pendingCerts) >= maxPendingCerts {
-			e.evictPending()
-		}
-		e.addPending(digest, c)
-		e.maybeRangeSync(c.Header.Source, nowNanos, out)
-		var toRequest []types.Digest
-		for _, m := range missing {
-			e.pendingByMissing[m] = append(e.pendingByMissing[m], digest)
-			if !e.requested[m] {
-				e.requested[m] = true
-				toRequest = append(toRequest, m)
-			}
-		}
-		if len(toRequest) > 0 {
-			if target, ok := e.syncPeer(c.Header.Source); ok {
-				e.requestCerts(target, toRequest, out)
-			}
-		}
-		if !e.resyncArmed {
-			e.resyncArmed = true
-			out.timer(Timer{Kind: TimerResync, Delay: e.config.resyncInterval()})
-		}
+	if !e.insertCert(c, nowNanos, out) {
+		e.tryAdvance(nowNanos, out)
 		return
 	}
-	e.tryAdvance(nowNanos, out)
+	// Blocked on parents. Edges point one round back, so a pull from the
+	// round below c returns every parent it misses. Far above what this
+	// validator holds, c is not kept: the catch-up the pull starts brings it
+	// back in order, and a flood of fabricated far rounds costs nothing.
+	held := e.highestHeld()
+	from := held
+	if c.Header.Round <= held+gapThreshold {
+		if e.pend(c) {
+			e.stats.CertsPended++
+		}
+		from = c.Header.Round - 1
+	}
+	if target, ok := e.syncPeer(c.Header.Source); ok {
+		e.pull(target, from, nowNanos, out)
+	}
 }
 
 // inDAG reports whether the DAG already holds the certificate's vertex: its
@@ -743,8 +724,7 @@ func (e *Engine) inDAG(c *Certificate) bool {
 
 // syncPeer picks the unicast target for sync traffic: the hint when it is a
 // usable peer, otherwise the next validator after self. ok is false when the
-// committee has no other member — a lone validator (and, before this guard,
-// digest-rotation corner cases on tiny committees) must never send sync
+// committee has no other member — a lone validator must never send sync
 // requests to itself.
 func (e *Engine) syncPeer(hint types.ValidatorID) (types.ValidatorID, bool) {
 	if hint == e.self || int(hint) >= e.committee.Size() {
@@ -769,121 +749,80 @@ func (e *Engine) nextPeer(after types.ValidatorID) (types.ValidatorID, bool) {
 	return next, true
 }
 
-// addPending records a certificate waiting for parents, maintaining the
-// per-round counts behind the maxPendingRound high-water mark.
-func (e *Engine) addPending(digest types.Digest, c *Certificate) {
-	if _, ok := e.pendingCerts[digest]; ok {
-		return
-	}
-	e.pendingCerts[digest] = c
-	e.pendingRounds[c.Header.Round]++
-	if c.Header.Round > e.maxPendingRound {
-		e.maxPendingRound = c.Header.Round
-	}
+// highestHeld is H, the highest round this validator holds: the DAG's
+// highest round, or the floor right after a snapshot install left the DAG
+// empty above it. Every round pull starts at or below it.
+func (e *Engine) highestHeld() types.Round {
+	return max(e.dagStore.HighestRound(), e.rounds.Floor())
 }
 
-// removePending forgets a pending certificate and refreshes the high-water
-// mark. A stale mark would keep maybeRangeSync requesting (and peers
-// serving maxSyncBatch-cert responses for) history the node already has —
-// for the node's lifetime, if a single ghost certificate at an absurd round
-// was evicted or pruned. The refresh only walks the per-round count keys,
-// and only when the highest round just emptied.
-func (e *Engine) removePending(digest types.Digest) {
-	c, ok := e.pendingCerts[digest]
-	if !ok {
-		return
+// pull sends a round pull from the given round, lowered to highestHeld,
+// and reports whether it went out. It goes at once unless the previous pull
+// named the same round less than a resync interval ago: one arrival of many
+// blocked certificates, or a reply that moved nothing, buys one pull, while
+// the first pull and a pull from a new round are never held back.
+func (e *Engine) pull(to types.ValidatorID, from types.Round, nowNanos int64, out *Output) bool {
+	from = min(from, e.highestHeld())
+	if from == e.lastPullFrom && nowNanos < e.nextPullNanos {
+		return false
 	}
-	delete(e.pendingCerts, digest)
-	r := c.Header.Round
-	if n := e.pendingRounds[r] - 1; n > 0 {
-		e.pendingRounds[r] = n
-		return
-	}
-	delete(e.pendingRounds, r)
-	if r == e.maxPendingRound {
-		e.maxPendingRound = 0
-		for pr := range e.pendingRounds {
-			if pr > e.maxPendingRound {
-				e.maxPendingRound = pr
-			}
-		}
-	}
+	e.lastPullFrom, e.nextPullNanos = from, nowNanos+e.config.resyncInterval().Nanoseconds()
+	e.stats.SyncRequests++
+	out.unicast(to, &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: from}})
+	return true
 }
 
-// evictPending drops one pending certificate, preferring the one furthest
-// above the DAG frontier among a bounded sample (fabricated-parent spam
-// sits at arbitrary high rounds, while genuine catch-up certificates
-// cluster near it). Sampling keeps the per-message cost of a sustained
-// flood O(sample + edges + distinct pending rounds) instead of
-// O(maxPendingCerts) — eviction runs on the ingest path, so a full scan per
-// attacker message would itself be the DoS lever this bound exists to
-// remove.
-func (e *Engine) evictPending() {
-	const sample = 32
-	var victim types.Digest
-	var victimCert *Certificate
-	seen := 0
-	for d, c := range e.pendingCerts {
-		if victimCert == nil || c.Header.Round > victimCert.Header.Round {
-			victim, victimCert = d, c
-		}
-		if seen++; seen >= sample {
-			break
-		}
+// progressPull names the round the progress watchdog pulls from, if it
+// pulls. A stuck engine — no round progress since the previous firing —
+// pulls from the last ordered round; while certificates pend, the pull
+// reaches down to the round below the lowest of them, stuck or not: the
+// retry of a pull that was lost, or sent to a peer that crashed.
+func (e *Engine) progressPull() (types.Round, bool) {
+	from, stuck := e.committer.LastOrderedRound(), e.round == e.progressLastRound
+	if r, ok := e.lowestPending(); ok && (!stuck || r-1 < from) {
+		return r - 1, true
 	}
-	if victimCert == nil {
-		return
-	}
-	e.dropPending(victim, victimCert)
+	return from, stuck
 }
 
-// dropPending removes one pending certificate and every index entry that
-// only it justifies, in O(edges + distinct pending rounds) — the victim's
-// edges are exactly the keys under which it can appear in pendingByMissing.
-func (e *Engine) dropPending(digest types.Digest, cert *Certificate) {
-	e.removePending(digest)
-	for _, m := range cert.Header.Edges {
-		waiters, ok := e.pendingByMissing[m]
-		if !ok {
-			continue
-		}
-		kept := waiters[:0]
-		for _, w := range waiters {
-			if w != digest {
-				kept = append(kept, w)
-			}
-		}
-		if len(kept) == 0 {
-			delete(e.pendingByMissing, m)
-			delete(e.requested, m)
-		} else {
-			e.pendingByMissing[m] = kept
+// lowestPending returns the lowest round holding a pending certificate. No
+// certificate pends more than gapThreshold rounds above highestHeld, which
+// only rises.
+func (e *Engine) lowestPending() (types.Round, bool) {
+	for r := e.rounds.Floor(); r <= e.highestHeld()+gapThreshold; r++ {
+		if rs := e.rounds.At(r); rs != nil && slices.ContainsFunc(rs.pending, func(c *Certificate) bool { return c != nil }) {
+			return r, true
 		}
 	}
+	return 0, false
 }
 
-// sweepPendingIndexes drops pendingByMissing/requested entries that no
-// still-pending certificate justifies. Called after bulk removals (GC
-// pruning); single-victim removals use dropPending.
-func (e *Engine) sweepPendingIndexes() {
-	for m, waiters := range e.pendingByMissing {
-		kept := waiters[:0]
-		for _, w := range waiters {
-			if _, ok := e.pendingCerts[w]; ok {
-				kept = append(kept, w)
-			}
-		}
-		if len(kept) == 0 {
-			delete(e.pendingByMissing, m)
-		} else {
-			e.pendingByMissing[m] = kept
-		}
+// pendingAt returns the certificate of (round, source) waiting for its
+// parents, nil if none.
+func (e *Engine) pendingAt(round types.Round, source types.ValidatorID) *Certificate {
+	if rs := e.rounds.At(round); rs != nil && int(source) < len(rs.pending) {
+		return rs.pending[source]
 	}
-	for m := range e.requested {
-		if _, ok := e.pendingByMissing[m]; !ok {
-			delete(e.requested, m)
-		}
+	return nil
+}
+
+// pend parks c in its (round, source) slot until its parents arrive, and
+// reports whether it did. An occupied slot is kept — only c's source could
+// have signed a second header for it — and a round outside the window has no
+// slot. Pruning drops the slot with its round.
+func (e *Engine) pend(c *Certificate) bool {
+	rs := e.slots(c.Header.Round)
+	if rs == nil {
+		return false
 	}
+	if rs.pending == nil {
+		rs.pending = make([]*Certificate, e.committee.Size())
+	}
+	if rs.pending[c.Header.Source] != nil {
+		return false
+	}
+	rs.pending[c.Header.Source] = c
+	return true
 }
 
 // validCertificate checks a certificate's structure: its round, its source's
@@ -909,35 +848,35 @@ func (e *Engine) validCertificate(c *Certificate) bool {
 }
 
 // insertCert inserts a certificate into the DAG, runs the committer on its
-// vertex, and cascades any pending certificates this unblocked. When c itself
-// is blocked it returns the parents c misses and leaves the buffering to the
-// caller; a cascaded certificate that is still blocked (it missed several
-// parents) goes back to pending on its own.
+// vertex, and retries the pending certificates this unblocked. It reports
+// whether c itself is blocked on missing parents, leaving it to the caller;
+// a retried certificate still blocked (it missed several parents) goes back
+// to its slot.
 //
 // The DAG's Insert is the only place parents are resolved: it answers
 // "all present?" and inserts in the same pass over the edges. Edges always
-// point exactly one round back, so a certificate whose parent round lies
-// below the DAG's pruned floor is vacuously satisfied there — the insertion
-// path after a snapshot install, where the first post-checkpoint round
-// re-enters the DAG without its (snapshot-covered) parents.
-func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missing []types.Digest) {
+// point exactly one round back, so a vertex at round r can unblock only the
+// pending certificates at r+1 whose edges name it, and a certificate whose
+// parent round lies below the DAG's pruned floor is vacuously satisfied there
+// — the insertion path after a snapshot install, where the first
+// post-checkpoint round re-enters the DAG without its (snapshot-covered)
+// parents.
+func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (blocked bool) {
 	queue := []*Certificate{c}
 	for len(queue) > 0 {
 		cert := queue[0]
 		queue = queue[1:]
-		digest := cert.Digest()
 		if e.inDAG(cert) {
 			continue
 		}
 		vertex := cert.Header.Vertex()
 		if err := e.dagStore.Insert(vertex); err != nil {
-			var blocked *dag.MissingParentsError
 			switch {
-			case errors.As(err, &blocked):
+			case errors.Is(err, dag.ErrMissingParents):
 				if cert == c {
-					return blocked.Missing
+					return true
 				}
-				e.addPending(digest, cert)
+				e.pend(cert)
 			case !errors.Is(err, dag.ErrPruned):
 				// Below the DAG's floor: an honest straggler is merely below
 				// retention, not protocol-invalid. onCertificate drops those on
@@ -947,11 +886,14 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 			}
 			continue
 		}
-		if rs := e.slots(cert.Header.Round); rs != nil {
-			rs.certs[cert.Header.Source] = cert
+		round, source := cert.Header.Round, cert.Header.Source
+		if rs := e.slots(round); rs != nil {
+			rs.certs[source] = cert
+			if rs.pending != nil {
+				// The slot is the DAG's now: whatever pended there is moot.
+				rs.pending[source] = nil
+			}
 		}
-		e.removePending(digest)
-		delete(e.requested, digest)
 		// Before the vertex can reach the committer (see Observer.Inserted).
 		e.observer.Inserted(cert)
 
@@ -967,79 +909,18 @@ func (e *Engine) insertCert(c *Certificate, nowNanos int64, out *Output) (missin
 			}
 		}
 
-		// Unblock children waiting on this digest.
-		for _, childDigest := range e.pendingByMissing[digest] {
-			if child, ok := e.pendingCerts[childDigest]; ok {
-				e.removePending(childDigest)
-				queue = append(queue, child)
-			}
-		}
-		delete(e.pendingByMissing, digest)
-	}
-	return nil
-}
-
-// onCertRequest serves the retained certificates among the first maxSyncBatch
-// digests of a request, in request order. The rest go unread: a digest is
-// resolved by a scan of the DAG's slots, so the cap is what bounds the work a
-// peer's request can buy, however many digests its frame carries. The
-// engine's own requests never carry more (requestCerts).
-func (e *Engine) onCertRequest(from types.ValidatorID, req *CertRequest, out *Output) {
-	if req == nil {
-		return
-	}
-	resp := &CertResponse{ByDigest: true}
-	for _, d := range req.Digests[:min(len(req.Digests), e.syncBatch)] {
-		// The DAG names the slot; the certificate is in ours.
-		if v, ok := e.dagStore.ByDigest(d); ok {
-			if c := e.certAt(v.Round, v.Source); c != nil {
-				resp.Certs = append(resp.Certs, c)
+		// Retry the children waiting on this vertex.
+		if next := e.rounds.At(round + 1); next != nil {
+			digest := cert.Digest()
+			for s, child := range next.pending {
+				if child != nil && slices.Contains(child.Header.Edges, digest) {
+					next.pending[s] = nil
+					queue = append(queue, child)
+				}
 			}
 		}
 	}
-	if len(resp.Certs) > 0 {
-		out.unicast(from, &Message{Kind: KindCertResponse, CertResponse: resp})
-	}
-}
-
-// requestCerts asks target for the certificates of digests, in requests of
-// at most maxSyncBatch digests, all of which a peer's onCertRequest reads.
-func (e *Engine) requestCerts(target types.ValidatorID, digests []types.Digest, out *Output) {
-	for len(digests) > 0 {
-		k := min(len(digests), e.syncBatch)
-		e.stats.SyncRequests++
-		out.unicast(target, &Message{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: digests[:k:k]}})
-		digests = digests[k:]
-	}
-}
-
-// maybeRangeSync pulls a batch of certificates by round when the pending
-// frontier is far above our DAG (one-digest-at-a-time parent chasing cannot
-// outrun a live committee). A gap beyond the GC horizon is pulled the same
-// way: the responder pruned those rounds, so its reply offers a checkpoint.
-// Rate-limited: re-request only after our frontier moved or the resync
-// interval elapsed.
-func (e *Engine) maybeRangeSync(target types.ValidatorID, nowNanos int64, out *Output) {
-	const gapThreshold = 8
-	// Right after a snapshot install the DAG is empty above the new floor;
-	// range sync must pull from the boundary, not the stale pre-install
-	// frontier.
-	floor := max(e.dagStore.HighestRound(), e.rounds.Floor())
-	if e.maxPendingRound <= floor+gapThreshold {
-		return
-	}
-	if floor == e.lastRangeReqFloor &&
-		nowNanos-e.lastRangeReqNanos < e.config.resyncInterval().Nanoseconds() {
-		return
-	}
-	target, ok := e.syncPeer(target)
-	if !ok {
-		return
-	}
-	e.lastRangeReqFloor = floor
-	e.lastRangeReqNanos = nowNanos
-	e.stats.SyncRequests++
-	out.unicast(target, &Message{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: floor}})
+	return false
 }
 
 // onRoundRequest answers a round pull with the certificate frontier (see
@@ -1062,11 +943,11 @@ func (e *Engine) onRoundRequest(from types.ValidatorID, req *RoundRequest, out *
 	out.unicast(from, &Message{Kind: KindCertResponse, CertResponse: resp})
 }
 
-// onCertResponse takes the reply to any pull: its certificates go through the
-// normal ingestion path (pending/sync machinery included), an offered
-// checkpoint beyond our GC horizon starts a snapshot fetch, and a reply to a
-// round pull counts its sender toward a rejoin quorum. Replies arriving after
-// the handshake completed still contribute their certificates.
+// onCertResponse takes the reply to a round pull: its certificates go through
+// the normal ingestion path (pending included), an offered checkpoint beyond
+// our GC horizon starts a snapshot fetch, and the reply counts its sender
+// toward a rejoin quorum. Replies arriving after the handshake completed
+// still contribute their certificates.
 func (e *Engine) onCertResponse(from types.ValidatorID, resp *CertResponse, nowNanos int64, out *Output) {
 	if resp == nil {
 		e.stats.InvalidMessages++
@@ -1081,18 +962,21 @@ func (e *Engine) onCertResponse(from types.ValidatorID, resp *CertResponse, nowN
 		// already names the checkpoint to fetch.
 		e.startSnapshotFetch(from, *resp.Offer, out)
 	}
-	if e.rejoin != nil && !resp.ByDigest {
+	if e.rejoin != nil {
 		// The accumulator counts each peer once.
 		e.rejoin.Add(from)
 		if e.rejoin.ReachedQuorum() {
 			e.completeRejoin(nowNanos, out)
 		}
 	}
-	// Batched catch-up: if we are still far behind after this response,
-	// immediately pull the next range from the same peer. Each round-trip
-	// advances maxSyncBatch certificates, so a recovering validator outpaces
-	// the live frontier instead of crawling one round per resync interval.
-	e.maybeRangeSync(from, nowNanos, out)
+	// Batched catch-up: a full reply was cut short of the responder's
+	// frontier, so pull the next range from the same peer at once; a short
+	// one means this validator reached it. Each round trip advances
+	// maxSyncBatch certificates, so a recovering validator outpaces the live
+	// frontier instead of crawling one round per resync interval.
+	if len(resp.Certs) >= e.syncBatch {
+		e.pull(from, e.highestHeld(), nowNanos, out)
+	}
 }
 
 // certRange collects every retained certificate from the given round on,
@@ -1139,48 +1023,10 @@ func (e *Engine) slots(round types.Round) *roundSlots {
 	rs := e.rounds.At(round)
 	if rs == nil {
 		n := e.committee.Size()
-		rs = &roundSlots{types.NewValidatorSet(n), make([]types.Digest, n), make([]*Certificate, n)}
+		rs = &roundSlots{voted: types.NewValidatorSet(n), votedFor: make([]types.Digest, n), certs: make([]*Certificate, n)}
 		e.rounds.Set(round, rs)
 	}
 	return rs
-}
-
-// resync re-requests every still-missing parent, rotating targets across the
-// committee so a crashed original source does not wedge synchronization.
-func (e *Engine) resync(out *Output) {
-	if len(e.pendingByMissing) == 0 {
-		return
-	}
-	n := uint32(e.committee.Size())
-	if n < 2 {
-		// No peer can supply the missing parents (entries here mean corrupt
-		// input); leave them to garbage collection rather than unicasting
-		// requests to ourselves.
-		return
-	}
-	digests := make([]types.Digest, 0, len(e.pendingByMissing))
-	for m := range e.pendingByMissing {
-		digests = append(digests, m)
-	}
-	// Sort for determinism (map iteration order would make simulation runs
-	// unreproducible), then spread requests over peers by digest prefix so a
-	// crashed original source cannot wedge synchronization.
-	sort.Slice(digests, func(i, j int) bool {
-		return bytes.Compare(digests[i][:], digests[j][:]) < 0
-	})
-	perTarget := make(map[types.ValidatorID][]types.Digest, n)
-	for _, d := range digests {
-		target, ok := e.syncPeer(types.ValidatorID(uint32(d[0]) % n))
-		if !ok {
-			return
-		}
-		perTarget[target] = append(perTarget[target], d)
-	}
-	for _, target := range e.committee.ValidatorIDs() {
-		e.requestCerts(target, perTarget[target], out)
-	}
-	e.resyncArmed = true
-	out.timer(Timer{Kind: TimerResync, Delay: e.config.resyncInterval()})
 }
 
 // ---- round advancement ----
@@ -1536,26 +1382,12 @@ func ownPayload(vs []*dag.Vertex, self types.ValidatorID) (vertices, txs uint64)
 	return vertices, txs
 }
 
-// pruneProtocolState drops every ingest-owned record below floor: the votes
-// cast and certificates retained there (one slide of the window) and —
-// crucially — the causal-sync pending state. Pending certificates
-// below the floor can never insert (the DAG refuses pruned rounds), so
-// without this prune a Byzantine validator certifying headers with
-// fabricated parent edges (voters never check that edges resolve) would grow
-// pendingCerts/pendingByMissing/requested without bound.
+// pruneProtocolState drops every ingest-owned record below floor — the votes
+// cast, the certificates retained and the certificates pending there — in
+// one slide of the window. Pending certificates below the floor can never
+// insert (the DAG refuses pruned rounds), so without this prune a Byzantine
+// validator certifying headers with fabricated parent edges (voters never
+// check that edges resolve) would park them without bound.
 func (e *Engine) pruneProtocolState(floor types.Round) {
-	if floor <= e.rounds.Floor() {
-		return
-	}
 	e.rounds.DropBelow(floor)
-	pruned := false
-	for d, c := range e.pendingCerts {
-		if c.Header.Round < floor {
-			e.removePending(d)
-			pruned = true
-		}
-	}
-	if pruned {
-		e.sweepPendingIndexes()
-	}
 }

@@ -143,6 +143,19 @@ func TestNewRejectsBadParams(t *testing.T) {
 	if _, err := New(base); err == nil {
 		t.Fatal("missing execution layer must be rejected")
 	}
+	// A round pull's reply holds at most maxSyncBatch certificates, and it is
+	// the only way to fetch a missing parent: every round must fit in one.
+	base.Execution = &stubExec{}
+	for _, n := range []int{maxSyncBatch, maxSyncBatch + 1} {
+		committee, err := types.NewEqualStakeCommittee(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.Committee, base.DAG, base.Scheduler = committee, dag.New(committee), leader.NewRoundRobin(committee, 1)
+		if _, err := New(base); (err == nil) != (n <= maxSyncBatch) {
+			t.Fatalf("committee of %d (a reply holds %d certificates): New returned %v", n, maxSyncBatch, err)
+		}
+	}
 }
 
 func TestInitProposesRoundOne(t *testing.T) {
@@ -395,7 +408,7 @@ func TestMessageEncodedSizeAndString(t *testing.T) {
 		{Kind: KindHeader, Header: h},
 		{Kind: KindVote, Vote: &Vote{}},
 		{Kind: KindCertificate, Cert: &Certificate{Header: *h}},
-		{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: []types.Digest{{}}}},
+		{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: 1}},
 		{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{{Header: *h}}}},
 	}
 	for _, m := range msgs {

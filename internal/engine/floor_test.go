@@ -236,15 +236,18 @@ func TestOneFloor(t *testing.T) {
 
 // TestPendingStateGarbageCollected is the regression test for the pending
 // leak: a certificate whose parent edge never resolves (a Byzantine header
-// with a fabricated edge — voters never check edges, so it certifies) must
-// not survive garbage collection once the commit floor passes its round.
+// with a fabricated edge — voters never check edges, so it certifies) waits
+// in its slot of the round window, and must not survive garbage collection
+// once the commit floor passes its round. Nor may it keep the progress
+// watchdog pulling for it.
 func TestPendingStateGarbageCollected(t *testing.T) {
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng, collector := newTraceEngine(t, committee, func(c *Config) { c.GCDepth = 4 })
-	// Ghost-parent certificate at round 2: one edge that exists nowhere.
+	// Ghost-parent certificate at round 2: one edge that exists nowhere. The
+	// honest trace leaves its slot empty, so only pruning can drop it.
 	ghost := &Certificate{Header: Header{
 		Round:  2,
 		Source: 3,
@@ -254,28 +257,36 @@ func TestPendingStateGarbageCollected(t *testing.T) {
 		ghost.Votes = append(ghost.Votes, VoteSig{Voter: types.ValidatorID(j)})
 	}
 	eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: ghost}, 0)
-	if p, m, r := eng.SyncBacklog(); p != 1 || m != 1 || r != 1 {
-		t.Fatalf("ghost cert must pend: backlog = (%d,%d,%d)", p, m, r)
+	if p := eng.SyncBacklog(); p != 1 || eng.pendingAt(2, 3) != ghost {
+		t.Fatalf("ghost cert must pend in its slot: backlog = %d", p)
+	}
+	eng.progressLastRound = eng.round + 1 // not stuck: the pull is for the ghost alone
+	if from, ok := eng.progressPull(); !ok || from != 1 {
+		t.Fatalf("watchdog pull for the pending ghost: (%d, %v), want (1, true)", from, ok)
 	}
 
 	// Drive enough honest rounds that the GC floor passes round 2.
-	feedCerts(eng, buildCertTrace(t, committee, 60))
+	feedCerts(eng, buildCertTraceSkipping(committee, 60, func(r types.Round, s types.ValidatorID) bool { return r == 2 && s == 3 }))
 
 	if len(collector.subs) == 0 {
 		t.Fatal("honest trace must commit")
 	}
-	if p, m, r := eng.SyncBacklog(); p != 0 || m != 0 || r != 0 {
-		t.Fatalf("pending state leaked past GC: backlog = (%d,%d,%d)", p, m, r)
+	if eng.rounds.Floor() <= 2 {
+		t.Fatalf("floor only reached round %d", eng.rounds.Floor())
 	}
-	if eng.maxPendingRound != 0 {
-		// A stale high-water mark would keep maybeRangeSync firing (and
-		// peers answering with full sync batches) forever.
-		t.Fatalf("maxPendingRound stuck at %d after prune", eng.maxPendingRound)
+	if p := eng.SyncBacklog(); p != 0 {
+		t.Fatalf("pending state leaked past GC: backlog = %d", p)
+	}
+	eng.progressLastRound = eng.round + 1 // not stuck
+	if from, ok := eng.progressPull(); ok {
+		// A stale pending entry would keep the watchdog pulling (and peers
+		// answering with full sync batches) forever.
+		t.Fatalf("watchdog pulls from round %d with nothing pending", from)
 	}
 }
 
 // TestCertFloorDropsStaleCertificates: certificates below the GC floor are
-// dropped on arrival instead of parked in the pending maps forever.
+// dropped on arrival instead of parked in the window forever.
 func TestCertFloorDropsStaleCertificates(t *testing.T) {
 	committee, err := types.NewEqualStakeCommittee(4)
 	if err != nil {
@@ -293,9 +304,9 @@ func TestCertFloorDropsStaleCertificates(t *testing.T) {
 	for j := 0; j < 4; j++ {
 		stale.Votes = append(stale.Votes, VoteSig{Voter: types.ValidatorID(j)})
 	}
-	eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: stale}, 0)
-	if p, m, r := eng.SyncBacklog(); p+m+r != 0 {
-		t.Fatalf("below-floor cert must be dropped, backlog = (%d,%d,%d)", p, m, r)
+	out := eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: stale}, 0)
+	if p := eng.SyncBacklog(); p != 0 || len(out.Unicasts) != 0 {
+		t.Fatalf("below-floor cert must be dropped: backlog = %d, %d pulls", p, len(out.Unicasts))
 	}
 	if eng.Stats().CertsReceived != before {
 		t.Fatal("below-floor cert must not count as received")
@@ -303,28 +314,55 @@ func TestCertFloorDropsStaleCertificates(t *testing.T) {
 }
 
 // TestPendingEvictionBoundsFlood: an attacker fabricating ghost-parent
-// certificates at arbitrary future rounds cannot grow pending state past
-// maxPendingCerts.
+// certificates at arbitrary future rounds pends nothing — a certificate more
+// than gapThreshold rounds above what the validator holds is not kept — and
+// buys at most one round pull per resync interval, the first at once. Near
+// the frontier each (round, source) slot keeps one certificate: the window
+// bounds what the flood parks there.
 func TestPendingEvictionBoundsFlood(t *testing.T) {
-	committee, err := types.NewEqualStakeCommittee(4)
+	const n = 4
+	committee, err := types.NewEqualStakeCommittee(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cap = maxPendingCerts
 	eng, _ := newTraceEngine(t, committee, nil)
-	for i := 0; i < 4*cap; i++ {
+	interval := eng.config.resyncInterval().Nanoseconds()
+	const flood, intervals = 4000, 10
+	pulls := 0
+	for i := 0; i < flood; i++ {
 		ghost := &Certificate{Header: Header{
 			Round:  types.Round(100 + i), // far future, never insertable
 			Source: 3,
 			Edges:  []types.Digest{types.HashBytes([]byte{byte(i), byte(i >> 8), 0xFF})},
 		}}
-		for j := 0; j < 4; j++ {
+		for j := 0; j < n; j++ {
 			ghost.Votes = append(ghost.Votes, VoteSig{Voter: types.ValidatorID(j)})
 		}
-		eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: ghost}, int64(i))
+		out := eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: ghost}, int64(i)*intervals*interval/flood)
+		for _, u := range out.Unicasts {
+			if u.Msg.Kind != KindRoundRequest || u.Msg.RoundRequest.FromRound != 0 {
+				t.Fatalf("ghost %d earned %s", i, u.Msg)
+			}
+			pulls++
+		}
+		if i == 0 && pulls != 1 {
+			t.Fatal("the first pull was held back")
+		}
 	}
-	if p, _, _ := eng.SyncBacklog(); p > cap {
-		t.Fatalf("pending certs = %d, want <= %d", p, cap)
+	if p := eng.SyncBacklog(); p != 0 {
+		t.Fatalf("a far-future flood pended %d certificates", p)
+	}
+	if pulls > intervals {
+		t.Fatalf("a flood over %d resync intervals bought %d pulls", intervals, pulls)
+	}
+
+	// Near the frontier: every slot of the rounds within reach holds one
+	// certificate, however many arrive for it.
+	for i := 0; i < flood; i++ {
+		eng.OnMessage(1, &Message{Kind: KindCertificate, Cert: ghostCert(n, types.Round(1+i%gapThreshold), types.ValidatorID(i/gapThreshold%n), byte(i))}, 0)
+	}
+	if p := eng.SyncBacklog(); p != gapThreshold*n {
+		t.Fatalf("a flood within %d rounds pended %d certificates, want one per slot (%d)", gapThreshold, p, gapThreshold*n)
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 	KindHeader MessageKind = iota + 1
 	KindVote
 	KindCertificate
-	KindCertRequest
+	_ // 4, retired: the pull of certificates by digest, now a round pull
 	KindCertResponse
 	KindRoundRequest
 	KindSnapshotRequest
@@ -46,8 +46,6 @@ func (k MessageKind) String() string {
 		return "vote"
 	case KindCertificate:
 		return "certificate"
-	case KindCertRequest:
-		return "cert-request"
 	case KindCertResponse:
 		return "cert-response"
 	case KindRoundRequest:
@@ -176,21 +174,19 @@ func (c *Certificate) EncodedSize() int {
 	return n
 }
 
-// CertRequest asks a peer for certificates by digest (causal-history sync).
-type CertRequest struct {
-	Digests []types.Digest
-}
-
-// EncodedSize approximates the wire size in bytes.
-func (r *CertRequest) EncodedSize() int { return 8 + len(r.Digests)*types.DigestSize }
-
 // RoundRequest asks a peer for every certificate it holds from FromRound on:
-// the one catch-up pull. A validator sends it when its pending certificates
-// sit far above its DAG (a range pull), when it observed no round progress
-// for a while (lost certificate broadcasts can stall a whole committee at one
-// round with nothing referencing the lost certs), and, broadcast from its
-// highest DAG round, to rejoin after a crash (see rejoin.go). Narwhal's
-// certificate fetcher plays the same role.
+// the one certificate pull. A validator sends it to a certificate's source
+// when the certificate arrived before its parents, from the round below it
+// (edges point one round back, so the reply holds every parent it misses);
+// from the highest round it holds when the certificate sits far above that,
+// and on again while replies come back full (catch-up); from a rotating peer
+// when it observed no round progress for a while (lost certificate
+// broadcasts can stall a whole committee at one round with nothing
+// referencing the lost certs) or certificates still wait for parents; and,
+// broadcast from its highest DAG round, to rejoin after a crash (see
+// rejoin.go). FromRound is never above the highest round the requester
+// holds. Narwhal's certificate fetcher, which fetches by round as well,
+// plays the same role.
 type RoundRequest struct {
 	FromRound types.Round
 }
@@ -243,13 +239,11 @@ func (r *SnapshotResponse) EncodedSize() int {
 	return 8 + 8 + 2*types.DigestSize + 4 + 4 + 4 + 8 + len(r.Data)
 }
 
-// CertResponse answers a pull: a CertRequest (ByDigest) with the requested
-// certificates the responder holds, or a RoundRequest from FromRound with its
-// retained certificates from that round on. A round pull is answered even
-// with no certificates, so a rejoining validator can count the reply toward
-// its quorum.
+// CertResponse answers a RoundRequest from FromRound with the responder's
+// retained certificates from that round on, at most maxSyncBatch of them. It
+// is sent even with no certificates, so a rejoining validator can count the
+// reply toward its quorum; a full one tells the requester to pull on.
 type CertResponse struct {
-	ByDigest  bool
 	FromRound types.Round
 	Certs     []*Certificate
 	// Offer, when non-nil, advertises the responder's latest execution
@@ -280,7 +274,6 @@ type Message struct {
 	Header           *Header
 	Vote             *Vote
 	Cert             *Certificate
-	CertRequest      *CertRequest
 	CertResponse     *CertResponse
 	RoundRequest     *RoundRequest
 	SnapshotRequest  *SnapshotRequest
@@ -319,8 +312,6 @@ func (m *Message) EncodedSize() int {
 		n += m.Vote.EncodedSize()
 	case KindCertificate:
 		n += m.Cert.EncodedSize()
-	case KindCertRequest:
-		n += m.CertRequest.EncodedSize()
 	case KindCertResponse:
 		n += m.CertResponse.EncodedSize()
 	case KindRoundRequest:
@@ -346,13 +337,8 @@ func (m *Message) String() string {
 		return fmt.Sprintf("vote{r=%d origin=%s voter=%s}", m.Vote.Round, m.Vote.Origin, m.Vote.Voter)
 	case KindCertificate:
 		return fmt.Sprintf("cert{r=%d src=%s}", m.Cert.Header.Round, m.Cert.Header.Source)
-	case KindCertRequest:
-		return fmt.Sprintf("cert-request{%d digests}", len(m.CertRequest.Digests))
 	case KindCertResponse:
 		r := m.CertResponse
-		if r.ByDigest {
-			return fmt.Sprintf("cert-response{by digest, %d certs}", len(r.Certs))
-		}
 		return fmt.Sprintf("cert-response{from=%d, %d certs, offer=%v}", r.FromRound, len(r.Certs), r.Offer != nil)
 	case KindRoundRequest:
 		return fmt.Sprintf("round-request{from=%d}", m.RoundRequest.FromRound)

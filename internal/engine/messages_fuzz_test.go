@@ -11,7 +11,7 @@ import (
 
 // wireKinds lists every message kind on the wire, in kind-byte order.
 var wireKinds = []MessageKind{
-	KindHeader, KindVote, KindCertificate, KindCertRequest, KindCertResponse,
+	KindHeader, KindVote, KindCertificate, KindCertResponse,
 	KindRoundRequest, KindSnapshotRequest, KindSnapshotResponse,
 	KindCheckpointSig, KindCheckpointCert,
 }
@@ -46,13 +46,9 @@ func assertWireFidelity(t *testing.T, msg, got *Message) {
 		if len(got.Cert.Votes) != len(msg.Cert.Votes) {
 			t.Fatal("vote count changed across the wire")
 		}
-	case KindCertRequest:
-		if len(got.CertRequest.Digests) != len(msg.CertRequest.Digests) {
-			t.Fatal("digest count changed across the wire")
-		}
 	case KindCertResponse:
 		r, w := got.CertResponse, msg.CertResponse
-		if r.ByDigest != w.ByDigest || r.FromRound != w.FromRound {
+		if r.FromRound != w.FromRound {
 			t.Fatal("the pull a response answers changed across the wire")
 		}
 		if (r.Offer == nil) != (w.Offer == nil) {
@@ -132,21 +128,13 @@ func buildMessage(kindSel uint8, round uint64, source uint32, blob, sig []byte, 
 			c.Votes = append(c.Votes, VoteSig{Voter: types.ValidatorID(i), Signature: crypto.Signature(sig)})
 		}
 		return &Message{Kind: kind, Cert: c}
-	case KindCertRequest:
-		digests := make([]types.Digest, int(nSub)%8)
-		for i := range digests {
-			digests[i] = types.HashBytes(append(sig, byte(i)))
-		}
-		return &Message{Kind: kind, CertRequest: &CertRequest{Digests: digests}}
 	case KindCertResponse:
-		// nSub%4 picks the shape: a reply by digest, a round pull's reply,
-		// one with no certificate, one with a checkpoint offer.
-		shape := nSub % 4
-		resp := &CertResponse{ByDigest: shape == 0}
-		if !resp.ByDigest {
-			resp.FromRound = types.Round(round)
-		}
-		if shape == 3 {
+		// nSub%3 picks the shape: a reply with certificates, one with none,
+		// one with certificates and a checkpoint offer; nSub/3 how many
+		// certificates.
+		shape := nSub % 3
+		resp := &CertResponse{FromRound: types.Round(round)}
+		if shape == 2 {
 			resp.Offer = &SnapshotMeta{
 				Round:       types.Round(round >> 1),
 				CommitSeq:   round ^ 0xc0ffee,
@@ -154,7 +142,7 @@ func buildMessage(kindSel uint8, round uint64, source uint32, blob, sig []byte, 
 				StateDigest: types.HashBytes(sig),
 			}
 		}
-		for i := uint8(0); shape != 2 && i < nSub%3+1; i++ {
+		for i := uint8(0); shape != 1 && i < nSub/3%3+1; i++ {
 			c := &Certificate{Header: *mkHeader()}
 			c.Header.Round = types.Round(round + uint64(i))
 			resp.Certs = append(resp.Certs, c)

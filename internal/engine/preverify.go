@@ -75,7 +75,7 @@ func (pv *PreVerifier) Stats() PreVerifyStats {
 }
 
 // NeedsCheck reports whether messages of this kind carry signatures.
-// Requests (cert/round/snapshot) are unauthenticated pulls; serving them leaks
+// Requests (round/snapshot) are unauthenticated pulls; serving them leaks
 // no state beyond what any committee member already replicates. Checkpoint
 // shares and certificates are checked by the engine: a peer's checkpoint
 // certificate is verified only when the validator has not certified that
@@ -123,11 +123,10 @@ type Checked struct{ msg *Message }
 // Check verifies every signature msg carries. It returns false when the
 // message should be dropped: a forged header or vote, a certificate that
 // breaks the vote-count rule or whose valid-signature votes do not reach
-// quorum, a CertResponse by digest with no certificate, or a CertResponse
-// holding any certificate that fails — honest responders serve only
-// certificates they validated. Invalid or surplus votes inside an
-// otherwise-quorate certificate are not fatal: the message passed on holds a
-// new certificate without them. msg itself is never changed.
+// quorum, or a CertResponse holding any certificate that fails — honest
+// responders serve only certificates they validated. Invalid or surplus votes
+// inside an otherwise-quorate certificate are not fatal: the message passed
+// on holds a new certificate without them. msg itself is never changed.
 func (pv *PreVerifier) Check(msg *Message) (Checked, bool) {
 	pv.checked.Add(1)
 	passed, ok := pv.check(msg)
@@ -162,9 +161,9 @@ func (pv *PreVerifier) check(msg *Message) (*Message, bool) {
 			r.Certs = certs
 			msg = &Message{Kind: KindCertResponse, CertResponse: &r}
 		}
-		// A round pull's reply without certificates is still meaningful: it
-		// counts toward a rejoining validator's quorum.
-		return msg, ok && (len(certs) > 0 || !msg.CertResponse.ByDigest)
+		// A reply without certificates passes: it counts toward a rejoining
+		// validator's quorum.
+		return msg, ok
 	default:
 		return msg, true
 	}

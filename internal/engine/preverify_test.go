@@ -179,11 +179,8 @@ func TestPreVerifierCertResponseFiltersBadCerts(t *testing.T) {
 		t.Fatal("round pull's reply with a bad certificate must be dropped")
 	}
 
-	if !passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{ByDigest: true, Certs: []*Certificate{good}}}) {
+	if !passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: 1, Certs: []*Certificate{good}}}) {
 		t.Fatal("response of good certificates must pass")
-	}
-	if passes(pv, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{ByDigest: true}}) {
-		t.Fatal("response by digest with no certificate must be dropped")
 	}
 	// A round pull's reply counts toward a rejoin quorum with or without
 	// certificates.
@@ -225,7 +222,7 @@ func TestNeedsCheck(t *testing.T) {
 			t.Fatalf("%s must need a signature check", k)
 		}
 	}
-	for _, k := range []MessageKind{KindCertRequest, KindRoundRequest} {
+	for _, k := range []MessageKind{KindRoundRequest, KindSnapshotRequest} {
 		if NeedsCheck(k) {
 			t.Fatalf("%s carries no signature", k)
 		}
@@ -300,7 +297,6 @@ func TestSigCountFollowsNeedsCheck(t *testing.T) {
 		{Kind: KindHeader, Header: &Header{Round: 1, Signature: sig}},
 		{Kind: KindVote, Vote: &Vote{Round: 1, Signature: sig}},
 		{Kind: KindCertificate, Cert: cert()},
-		{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: []types.Digest{{1}}}},
 		{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{cert(), cert()}}},
 		{Kind: KindRoundRequest, RoundRequest: &RoundRequest{FromRound: 1}},
 		{Kind: KindSnapshotRequest, SnapshotRequest: &SnapshotRequest{HaveRound: 1}},
@@ -319,7 +315,7 @@ func TestSigCountFollowsNeedsCheck(t *testing.T) {
 	if len(msgs) != len(wireKinds) {
 		t.Fatalf("%d kinds in the table, want %d", len(msgs), len(wireKinds))
 	}
-	if got := msgs[4].SigCount(); got != 4 {
+	if got := msgs[3].SigCount(); got != 4 {
 		t.Fatalf("a response of two 2-vote certificates counts %d signatures, want 4", got)
 	}
 	for _, k := range []MessageKind{KindHeader, KindVote, KindCertificate, KindCertResponse} {

@@ -23,7 +23,9 @@ import (
 //  2. Peers — live or themselves mid-rejoin — answer it as they answer any
 //     round pull, with a CertResponse of their retained certificates from
 //     that round on (none, if they hold none). Replies merge every
-//     survivor's replayed history into the requester's DAG.
+//     survivor's replayed history into the requester's DAG. A reply to any
+//     other round pull, such as the pull for a missing parent, counts too
+//     (see completeRejoin).
 //  3. Once replies worth a write quorum (counting itself) are gathered,
 //     the node re-proposes into a fresh round strictly above every round the
 //     merged frontier can still complete, forfeiting its slots below it — so
@@ -103,16 +105,12 @@ func (e *Engine) Rejoining() bool { return e.rejoin != nil }
 // dispatched. The returned output is dispatchable like any other step's.
 func (e *Engine) StartRejoin(nowNanos int64) *Output {
 	out := &Output{}
-	// Phantom-timer reset: leader-wait armed flags and the resync flag refer
-	// to timers discarded with the suppressed replay outputs. Without the
-	// reset a leader-wait "armed" during replay blocks its round forever
-	// (tryAdvance never re-arms), and pending parents are never re-requested.
+	// Phantom-timer reset: the leader-wait armed flag refers to a timer
+	// discarded with the suppressed replay outputs. Without the reset a
+	// leader-wait "armed" during replay blocks its round forever (tryAdvance
+	// never re-arms). Certificates replay left pending are pulled for by the
+	// progress watchdog, which Init armed live.
 	e.leaderTimerArmed = 0
-	e.resyncArmed = false
-	if len(e.pendingByMissing) > 0 {
-		e.resyncArmed = true
-		out.timer(Timer{Kind: TimerResync, Delay: e.config.resyncInterval()})
-	}
 
 	e.rejoin = types.NewStakeAccumulator(e.committee)
 	e.rejoin.Add(e.self)
@@ -147,6 +145,11 @@ func (e *Engine) rejoinPull(out *Output) {
 // survived in a WAL — then it adopts and re-broadcasts that certificate
 // instead (proposing again would equivocate the slot and fork the DAG at
 // receivers that already hold the old certificate).
+//
+// Every reply counts toward the quorum, whichever pull it answers: a pull
+// names a FromRound no higher than the highest round the requester held when
+// it sent it, and target is at least the DAG's highest round, so any reply
+// covers the fresh round.
 func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 	e.rejoin = nil
 	e.stats.RejoinsCompleted++
@@ -180,10 +183,10 @@ func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 		// that have not merged it yet can still complete the round.
 		e.resumeAt(target)
 		out.broadcast(&Message{Kind: KindCertificate, Cert: ownCert})
-	case e.ownPendingAt(target):
-		// Same, but the surviving certificate is still waiting on parent
-		// sync; adopting the round keeps us from proposing a conflicting
-		// header while the causal-sync machinery finishes the insert.
+	case e.pendingAt(target, e.self) != nil:
+		// Same, but the surviving certificate still waits for its parents in
+		// its slot; adopting the round keeps us from proposing a conflicting
+		// header while the pull for them finishes the insert.
 		e.resumeAt(target)
 	case e.round == target && e.curHeader != nil && e.curHeader.Round == target && !e.ownCertFormed:
 		// Our replay-time proposal already sits at the fresh round — it was
@@ -201,18 +204,4 @@ func (e *Engine) completeRejoin(nowNanos int64, out *Output) {
 		e.leaderTimedOut = q
 	}
 	e.tryAdvance(nowNanos, out)
-}
-
-// ownPendingAt reports whether a certificate of our own at the given round
-// sits in the causal-sync pending set.
-func (e *Engine) ownPendingAt(round types.Round) bool {
-	if e.pendingRounds[round] == 0 {
-		return false
-	}
-	for _, c := range e.pendingCerts {
-		if c.Header.Round == round && c.Header.Source == e.self {
-			return true
-		}
-	}
-	return false
 }

@@ -26,7 +26,7 @@ func pullReplyFrom(t *testing.T, rig *testRig, from, requester types.ValidatorID
 	if resp == nil {
 		t.Fatalf("engine %d did not answer the round pull", from)
 	}
-	if resp.CertResponse.ByDigest || resp.CertResponse.FromRound != req.RoundRequest.FromRound {
+	if resp.CertResponse.FromRound != req.RoundRequest.FromRound {
 		t.Fatalf("engine %d answered round %d's pull as %+v", from, req.RoundRequest.FromRound, resp.CertResponse)
 	}
 	return resp
@@ -94,10 +94,9 @@ func TestRejoinHandshakeCompletesAtQuorum(t *testing.T) {
 // write quorum for n=4, f=1), the handshake must keep re-broadcasting its
 // pull at every progress-watchdog firing instead of completing: fewer than
 // 2f+1 live validators cannot make progress, so declaring the rejoin done
-// would just re-wedge the engine. Only a round pull's reply counts, each
-// peer's once — a reply by digest and a repeated reply do not — and a reply
-// with no certificates counts like any other. The handshake completes as soon
-// as one more validator answers.
+// would just re-wedge the engine. Each peer's reply counts once — a repeated
+// reply does not — and a reply with no certificates counts like any other.
+// The handshake completes as soon as one more validator answers.
 func TestRejoinBelowQuorumRetries(t *testing.T) {
 	rig := newTestRig(t, 4)
 	for i := range rig.engines {
@@ -120,13 +119,6 @@ func TestRejoinBelowQuorumRetries(t *testing.T) {
 	e3.OnMessage(0, resp, 0)
 	if !e3.Rejoining() {
 		t.Fatal("duplicate response double-counted toward the quorum")
-	}
-	// Neither does a reply by digest, though it comes from a peer not yet
-	// counted: it answers no round pull.
-	byDigest := &CertResponse{ByDigest: true, Certs: resp.CertResponse.Certs[:1]}
-	e3.OnMessage(1, &Message{Kind: KindCertResponse, CertResponse: byDigest}, 0)
-	if !e3.Rejoining() {
-		t.Fatal("a reply by digest counted toward the quorum")
 	}
 
 	// The progress watchdog re-broadcasts the pull, forever if need be, and
@@ -234,6 +226,91 @@ func TestRejoinAdoptsSurvivingOwnCertificate(t *testing.T) {
 	}
 	if e3.Round() < target {
 		t.Fatalf("engine regressed to round %d, want >= %d", e3.Round(), target)
+	}
+}
+
+// TestRejoinCountsParentPullReply: the rejoin pull is one round pull among
+// others, and a reply to the pull for a missing parent counts toward the
+// quorum like a reply to the rejoin pull: it covers the rounds from one the
+// requester held on, the fresh round included.
+func TestRejoinCountsParentPullReply(t *testing.T) {
+	rig := newTestRig(t, 4)
+	for i := range rig.engines {
+		rig.engines[i].Init(0)
+	}
+	for i := 0; i < 3; i++ {
+		certifyRound(t, rig, nil)
+	}
+	// v3 misses two rounds.
+	certifyRound(t, rig, map[types.ValidatorID]bool{3: true})
+	last := certifyRound(t, rig, map[types.ValidatorID]bool{3: true})
+	e3 := rig.engines[3]
+	held := e3.DAG().HighestRound()
+
+	req := findBroadcast(t, e3.StartRejoin(0), KindRoundRequest)
+	// v1's certificate of the last round arrives before its parents: v3
+	// pulls them from v1.
+	out := e3.OnMessage(1, &Message{Kind: KindCertificate, Cert: last[1]}, 0)
+	pull := findUnicastTo(out, 1, KindRoundRequest)
+	if pull == nil || pull.RoundRequest.FromRound > held {
+		t.Fatalf("parent pull %v, want a RoundRequest to v1 from round %d at most", pull, held)
+	}
+	e3.OnMessage(0, pullReplyFrom(t, rig, 0, 3, req), 0)
+	if !e3.Rejoining() {
+		t.Fatal("self and one reply are below quorum")
+	}
+	e3.OnMessage(1, pullReplyFrom(t, rig, 1, 3, pull), 0)
+	if e3.Rejoining() || e3.Stats().RejoinsCompleted != 1 {
+		t.Fatal("the reply to the parent pull must complete the handshake")
+	}
+	if !e3.inDAG(last[1]) {
+		t.Fatal("the pending certificate must insert once its parents came")
+	}
+}
+
+// TestRejoinAdoptsPendingOwnCertificate: the restarting validator's own
+// certificate for the fresh round survived in its log but still waits in its
+// slot for a parent. The handshake adopts the round rather than proposing a
+// conflicting header there, and the certificate inserts once the parent
+// arrives.
+func TestRejoinAdoptsPendingOwnCertificate(t *testing.T) {
+	const n = 4
+	committee, err := types.NewEqualStakeCommittee(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := buildCertTrace(t, committee, 6)
+	at := func(r types.Round, s types.ValidatorID) *Certificate { return trace[int(r-1)*n+int(s)] }
+	eng, _ := newTraceEngine(t, committee, nil)
+	// Rounds 1 to 5 but (5, v3): round 5 holds a quorum, so the fresh round
+	// is 6, and the own certificate of round 6 misses (5, v3).
+	feedCerts(eng, trace[:4*n+3])
+	own := at(6, 0)
+	eng.OnRecorded(own, 0)
+	if eng.pendingAt(6, 0) != own {
+		t.Fatal("setup: the own certificate must pend")
+	}
+
+	var sent []*Message
+	sent = append(sent, eng.StartRejoin(0).Broadcasts...)
+	for _, peer := range []types.ValidatorID{1, 2} {
+		out := eng.OnMessage(peer, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: 5}}, 0)
+		sent = append(sent, out.Broadcasts...)
+	}
+	if eng.Rejoining() {
+		t.Fatal("handshake must complete at quorum")
+	}
+	if eng.Round() != 6 {
+		t.Fatalf("engine at round %d, want the fresh round 6 adopted", eng.Round())
+	}
+	for _, m := range sent {
+		if m.Kind == KindHeader && m.Header.Source == 0 && m.Header.Round <= 6 {
+			t.Fatalf("engine proposed round %d over its own pending certificate", m.Header.Round)
+		}
+	}
+	eng.OnMessage(3, &Message{Kind: KindCertificate, Cert: at(5, 3)}, 0)
+	if !eng.inDAG(own) || eng.pendingAt(6, 0) != nil {
+		t.Fatal("the own certificate must insert once its parent arrives")
 	}
 }
 

@@ -30,9 +30,10 @@ func assertNoSelfUnicast(t *testing.T, out *Output, self types.ValidatorID) {
 }
 
 // TestLoneValidatorNeverSyncsWithItself: on a 1-validator committee every
-// sync path (parent request, range sync, resync rotation, progress pull)
-// used to be able to unicast to self — a wasted message that also inflated
-// SyncRequests. Now none of them produce any unicast at all.
+// sync path (the pull for a missing parent, the catch-up pull, the progress
+// pull, pending or stuck) used to be able to unicast to self — a wasted
+// message that also inflated SyncRequests. Now none of them produce any
+// unicast at all.
 func TestLoneValidatorNeverSyncsWithItself(t *testing.T) {
 	committee, err := types.NewEqualStakeCommittee(1)
 	if err != nil {
@@ -40,32 +41,36 @@ func TestLoneValidatorNeverSyncsWithItself(t *testing.T) {
 	}
 	eng, _ := newTraceEngine(t, committee, nil)
 
-	// A pending certificate (corrupt input) triggers the request paths.
-	out := &Output{}
-	eng.onCertificate(ghostCert(1, 20, 0, 1), 0, out)
-	assertNoSelfUnicast(t, out, 0)
-	if len(out.Unicasts) != 0 {
-		t.Fatalf("lone validator sent %d sync unicasts", len(out.Unicasts))
+	// Certificates missing parents (corrupt input), one far above the DAG,
+	// one that pends, trigger the request paths.
+	for _, c := range []*Certificate{ghostCert(1, 20, 0, 1), ghostCert(1, 5, 0, 2)} {
+		out := &Output{}
+		eng.onCertificate(c, 0, out)
+		assertNoSelfUnicast(t, out, 0)
+		if len(out.Unicasts) != 0 {
+			t.Fatalf("lone validator sent %d sync unicasts", len(out.Unicasts))
+		}
+	}
+	if eng.SyncBacklog() != 1 {
+		t.Fatalf("backlog %d, want the near certificate pending", eng.SyncBacklog())
 	}
 
-	// Resync timer with pending state.
-	out = eng.OnTimer(Timer{Kind: TimerResync}, 1)
-	assertNoSelfUnicast(t, out, 0)
-	if len(out.Unicasts) != 0 {
-		t.Fatal("lone validator resync must not send requests")
+	// Progress timer, with pending state and stuck: the n>1 guard already
+	// existed; re-assert it.
+	for firing := int64(1); firing <= 2; firing++ {
+		out := eng.OnTimer(Timer{Kind: TimerProgress}, firing)
+		assertNoSelfUnicast(t, out, 0)
+		if len(out.Unicasts) != 0 {
+			t.Fatal("lone validator progress pull must not send requests")
+		}
 	}
-
-	// Progress timer: the n>1 guard already existed; re-assert it.
-	out = eng.OnTimer(Timer{Kind: TimerProgress}, 2)
-	assertNoSelfUnicast(t, out, 0)
 	if eng.Stats().SyncRequests != 0 {
 		t.Fatalf("SyncRequests = %d, want 0 (nothing was sent)", eng.Stats().SyncRequests)
 	}
 }
 
 // TestTwoValidatorSyncTargetsPeer: on a 2-validator committee, every sync
-// path must address the one peer, regardless of digest prefixes or the
-// hinted source.
+// path must address the one peer, whatever the hinted source.
 func TestTwoValidatorSyncTargetsPeer(t *testing.T) {
 	committee, err := types.NewEqualStakeCommittee(2)
 	if err != nil {
@@ -73,24 +78,34 @@ func TestTwoValidatorSyncTargetsPeer(t *testing.T) {
 	}
 	eng, _ := newTraceEngine(t, committee, nil)
 
-	// Pend ghost certs with varied digest first-bytes so the resync
-	// digest-prefix rotation exercises both residues, including one whose
-	// claimed source is ourselves (a forgery hint must not bounce back).
+	// Pend ghost certs of both sources, half claiming ourselves as the
+	// source (a forgery hint must not bounce back), and one far above.
+	var outs []*Output
 	for salt := byte(0); salt < 8; salt++ {
 		src := types.ValidatorID(salt % 2)
 		out := &Output{}
-		eng.onCertificate(ghostCert(2, types.Round(10+salt), src, salt), int64(salt), out)
+		eng.onCertificate(ghostCert(2, types.Round(1+salt), src, salt), int64(salt), out)
+		outs = append(outs, out)
+	}
+	far := &Output{}
+	eng.onCertificate(ghostCert(2, 40, 0, 9), 0, far)
+	outs = append(outs, far)
+	// The progress watchdog, stuck or not, pulls for what pends.
+	for firing := int64(1); firing <= 2; firing++ {
+		outs = append(outs, eng.OnTimer(Timer{Kind: TimerProgress}, firing))
+	}
+	pulls := 0
+	for _, out := range outs {
 		assertNoSelfUnicast(t, out, 0)
-	}
-	out := eng.OnTimer(Timer{Kind: TimerResync}, 100)
-	assertNoSelfUnicast(t, out, 0)
-	if len(out.Unicasts) == 0 {
-		t.Fatal("resync with pending parents must request from the peer")
-	}
-	for _, u := range out.Unicasts {
-		if u.To != 1 {
-			t.Fatalf("resync target = %s, want v1", u.To)
+		for _, u := range out.Unicasts {
+			if u.To != 1 {
+				t.Fatalf("sync target = %s, want v1", u.To)
+			}
+			pulls++
 		}
+	}
+	if pulls == 0 {
+		t.Fatal("pending parents must be pulled from the peer")
 	}
 }
 

@@ -655,7 +655,7 @@ func TestVoteFloodCostsAtMostN(t *testing.T) {
 		}
 		verifies.Store(0)
 		check("pre-verify", passes(pv, got))
-		resp := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{ByDigest: true, Certs: []*Certificate{tc.c, good}}}
+		resp := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: []*Certificate{tc.c, good}}}
 		check("cert response", passes(pv, resp))
 		pulled := &Message{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: 1, Certs: []*Certificate{good, tc.c}}}
 		check("round pull's reply", passes(pv, pulled))
@@ -982,7 +982,7 @@ func TestHeldCertificatesCostNoVerification(t *testing.T) {
 
 	before := eng.Stats()
 	for _, m := range []*Message{
-		{Kind: KindCertResponse, CertResponse: &CertResponse{ByDigest: true, Certs: held}},
+		{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: held}},
 		{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: 1, Certs: held}},
 		{Kind: KindCertificate, Cert: held[0]},
 	} {

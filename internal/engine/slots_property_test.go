@@ -69,18 +69,6 @@ func (m *slotModel) certAt(round types.Round, source types.ValidatorID) *Certifi
 	return nil
 }
 
-// byDigests is what a CertRequest is answered with: the retained certificates
-// among its first limit digests.
-func (m *slotModel) byDigests(digests []types.Digest, limit int) []*Certificate {
-	var out []*Certificate
-	for _, d := range digests[:min(len(digests), limit)] {
-		if c, ok := m.store[d]; ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // rangeFrom is what a RoundRequest is answered with: every
 // certificate from start on, ascending round then source, limit at most.
 func (m *slotModel) rangeFrom(start types.Round, limit int) []*Certificate {
@@ -254,6 +242,11 @@ func (h *slotHarness) check() {
 				h.t.Fatalf("step %d: slot (%d, %d) holds the certificate of (%d, %s)", h.step, r, s, c.Header.Round, c.Header.Source)
 			}
 		}
+		for s, c := range rs.pending {
+			if c != nil && (c.Header.Round != r || c.Header.Source != types.ValidatorID(s) || rs.certs[s] != nil) {
+				h.t.Fatalf("step %d: pending slot (%d, %d) holds (%d, %s), retained %v", h.step, r, s, c.Header.Round, c.Header.Source, rs.certs[s] != nil)
+			}
+		}
 	}
 	if votes != len(m.voted) || certs != len(m.store) {
 		h.t.Fatalf("step %d: window holds %d votes and %d certificates, model %d and %d (floor %d)",
@@ -390,10 +383,10 @@ func (h *slotHarness) opTick() {
 	h.absorb(h.e.OnTimer(Timer{Kind: TimerLeader, Round: uint64(h.e.Round())}, 0))
 }
 
-// opServe asks for certificates the ways a peer can — a round pull, its
-// slot walk, and by digest — and compares each answer with the model's: same
-// certificates, same order. A round pull is answered once, naming the round,
-// however few certificates there are.
+// opServe asks for certificates the way a peer can — a round pull, and its
+// slot walk — and compares each answer with the model's: same certificates,
+// same order. A round pull is answered once, naming the round, however few
+// certificates there are.
 func (h *slotHarness) opServe() {
 	limit := h.e.syncBatch
 	start := types.Round(h.rng.Intn(int(h.e.DAG().HighestRound()) + 3))
@@ -405,37 +398,12 @@ func (h *slotHarness) opServe() {
 		if len(out.Unicasts) != 1 || out.Unicasts[0].Msg.Kind != KindCertResponse {
 			h.t.Fatalf("step %d: RoundRequest{%d} earned %+v", h.step, start, out.Unicasts)
 		}
-		if r := out.Unicasts[0].Msg.CertResponse; r.ByDigest || r.FromRound != start || r.Offer != nil {
-			h.t.Fatalf("step %d: RoundRequest{%d} answered as by digest %v from %d, offer %v", h.step, start, r.ByDigest, r.FromRound, r.Offer)
+		if r := out.Unicasts[0].Msg.CertResponse; r.FromRound != start || r.Offer != nil {
+			h.t.Fatalf("step %d: RoundRequest{%d} answered from %d, offer %v", h.step, start, r.FromRound, r.Offer)
 		}
 		if err := sameCerts(certResponse(out), h.m.rangeFrom(start, limit)); err != nil {
 			h.t.Fatalf("step %d: RoundRequest{%d}: %v", h.step, start, err)
 		}
-	}
-	// By digest: retained, pruned, never delivered, genesis, nonsense — in a
-	// shuffled order, more than one response holds.
-	var digests []types.Digest
-	for _, v := range h.e.DAG().RoundVertices(0) {
-		digests = append(digests, v.Digest())
-	}
-	digests = append(digests, types.HashBytes([]byte("nobody's")))
-	for _, en := range h.wal {
-		if en.cert != nil && h.rng.Intn(4) == 0 {
-			digests = append(digests, en.cert.Digest())
-		}
-	}
-	if r := h.frontier() + 1; r < len(h.world) {
-		for _, c := range h.world[r] {
-			if c != nil {
-				digests = append(digests, c.Digest())
-			}
-		}
-	}
-	h.rng.Shuffle(len(digests), func(i, j int) { digests[i], digests[j] = digests[j], digests[i] })
-	digests = digests[:min(len(digests), 3*limit)]
-	out := h.e.OnMessage(slotSelf, &Message{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: digests}}, 0)
-	if err := sameCerts(certResponse(out), h.m.byDigests(digests, limit)); err != nil {
-		h.t.Fatalf("step %d: CertRequest of %d digests: %v", h.step, len(digests), err)
 	}
 }
 

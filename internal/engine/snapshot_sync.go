@@ -2,7 +2,6 @@ package engine
 
 import (
 	"hash/crc32"
-	"sort"
 
 	"hammerhead/internal/checkpoint"
 	"hammerhead/internal/types"
@@ -299,9 +298,9 @@ func (e *Engine) onSnapshotResponse(from types.ValidatorID, resp *SnapshotRespon
 // applySnapshotInstall fast-forwards the protocol state after the execution
 // layer accepted a snapshot and restored the scheduler from it: the
 // committer resumes at the checkpoint's commit cursor with the boundary's
-// ordered set, the scheduler jumps, the DAG and every ingest-owned map prune
-// to the boundary floor, and pending certificates that became insertable
-// (their parents are now below the floor) cascade into the DAG.
+// ordered set, the scheduler jumps, the DAG and the engine's round window
+// prune to the boundary floor, and pending certificates that became
+// insertable (their parents are now below the floor) cascade into the DAG.
 func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstall, nowNanos int64, out *Output) {
 	ordered := make(map[types.Digest]types.Round, len(install.Ordered))
 	for _, ov := range install.Ordered {
@@ -321,31 +320,26 @@ func (e *Engine) applySnapshotInstall(meta SnapshotMeta, install *SnapshotInstal
 	e.tryAdvance(nowNanos, out)
 }
 
-// drainPendingAfterInstall re-attempts pending certificates the install made
-// insertable: certificates at the boundary round whose parents are now below
+// drainPendingAfterInstall re-attempts the pending certificates the install
+// made insertable: those at the boundary round, whose parents are now below
 // the pruned floor (vacuously satisfied) — typically the bulk of what a
-// recovering node had pended while the fetch ran — plus anything their
-// insertion cascades. Every pending certificate is offered to the DAG, whose
-// Insert is what knows; one still missing parents stays pending as it was.
-// Deterministic order for reproducible simulations.
+// recovering node had pended while the fetch ran. Their insertion retries the
+// certificates above that name them, round by round; one still missing
+// parents stays pending as it was.
 func (e *Engine) drainPendingAfterInstall(nowNanos int64, out *Output) {
-	pending := make([]*Certificate, 0, len(e.pendingCerts))
-	for _, c := range e.pendingCerts {
-		pending = append(pending, c)
+	rs := e.rounds.At(e.rounds.Floor())
+	if rs == nil {
+		return
 	}
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].Header.Round != pending[j].Header.Round {
-			return pending[i].Header.Round < pending[j].Header.Round
+	for s, c := range rs.pending {
+		if c == nil {
+			continue
 		}
-		return pending[i].Header.Source < pending[j].Header.Source
-	})
-	for _, c := range pending {
-		if _, still := e.pendingCerts[c.Digest()]; !still {
-			continue // an earlier insert cascaded it already
+		rs.pending[s] = nil
+		if e.insertCert(c, nowNanos, out) {
+			e.pend(c)
 		}
-		e.insertCert(c, nowNanos, out)
 	}
-	e.sweepPendingIndexes()
 }
 
 // FastForwardToSnapshot fast-forwards the protocol state to a checkpoint the

@@ -195,22 +195,23 @@ func serveSnapshotLoop(t *testing.T, rig *testRig, recovering *Engine, out *Outp
 
 // triggerBeyondHorizon isolates the recovering engine while its peers
 // certify rounds past its GC horizon and prune what it holds, then feeds it a
-// frontier certificate. The certificate pends and its range pull goes to the
-// certificate's source, engine 0, whose reply offers its checkpoint; the
-// returned output is the recovering engine's answer to that reply.
+// frontier certificate. The certificate, far above what it holds, pulls from
+// its highest round to the certificate's source, engine 0, whose reply offers
+// its checkpoint; the returned output is the recovering engine's answer to
+// that reply.
 func triggerBeyondHorizon(t *testing.T, rig *testRig, recovering *Engine, rounds int) *Output {
 	t.Helper()
 	frontier := isolateFor(t, rig, recovering.self, rounds)
 	source := frontier[0].Header.Source
-	now := int64(time.Second) // past the range pull's rate limit
+	now := int64(time.Second)
 	out := recovering.OnMessage(source, &Message{Kind: KindCertificate, Cert: frontier[0]}, now)
 	pull := findUnicastTo(out, source, KindRoundRequest)
 	if pull == nil {
-		t.Fatal("a certificate beyond the GC horizon must trigger a range pull")
+		t.Fatal("a certificate beyond the GC horizon must trigger a round pull")
 	}
 	reply := findUnicastTo(rig.engines[source].OnMessage(recovering.self, pull, now), recovering.self, KindCertResponse)
 	if reply == nil || reply.CertResponse.Offer == nil {
-		t.Fatalf("the range pull's reply must offer the responder's checkpoint: %v", reply)
+		t.Fatalf("the round pull's reply must offer the responder's checkpoint: %v", reply)
 	}
 	return recovering.OnMessage(source, reply, now)
 }

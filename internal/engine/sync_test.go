@@ -69,34 +69,42 @@ func certifyRound(t *testing.T, rig *testRig, skipDelivery map[types.ValidatorID
 	return certs
 }
 
+// TestPendingCertTriggersSyncRequest: a certificate that arrives before its
+// parents pends in its slot and pulls them, by round, from its source at
+// once: edges point one round back, so a pull from the round below returns
+// every parent it misses. The reply inserts them, and their insertion
+// retries the pending certificate.
 func TestPendingCertTriggersSyncRequest(t *testing.T) {
 	rig := newTestRig(t, 4)
 	for i := range rig.engines {
 		rig.engines[i].Init(0)
 	}
-	// Round 1 certifies normally, but engine 3 misses every round-1 cert.
+	// Round 1 certifies normally, but engine 3 hears only engine 1's
+	// certificate of it.
 	round1 := certifyRound(t, rig, map[types.ValidatorID]bool{3: true})
+	e3 := rig.engines[3]
+	e3.OnMessage(1, &Message{Kind: KindCertificate, Cert: round1[1]}, 0)
 
 	// Engines 0..2 advance to round 2 and certify; deliver a round-2 cert
-	// to engine 3: its parents are unknown there, so it must pend and ask
-	// the source for them.
+	// to engine 3: most of its parents are unknown there, so it must pend
+	// and pull them from its source.
 	round2 := certifyRound(t, rig, map[types.ValidatorID]bool{3: true})
-	e3 := rig.engines[3]
-	out := e3.OnMessage(0, &Message{Kind: KindCertificate, Cert: round2[0]}, 0)
+	child := round2[0]
+	out := e3.OnMessage(0, &Message{Kind: KindCertificate, Cert: child}, 0)
 	var req *Message
 	for _, u := range out.Unicasts {
-		if u.Msg.Kind == KindCertRequest {
+		if u.Msg.Kind == KindRoundRequest {
 			req = u.Msg
-			if u.To != round2[0].Header.Source {
-				t.Fatalf("sync request sent to %s, want the cert source %s", u.To, round2[0].Header.Source)
+			if u.To != child.Header.Source {
+				t.Fatalf("sync request sent to %s, want the cert source %s", u.To, child.Header.Source)
 			}
 		}
 	}
-	if req == nil {
-		t.Fatal("missing parents must trigger a CertRequest")
+	if req == nil || req.RoundRequest.FromRound != 1 {
+		t.Fatalf("missing parents must trigger a RoundRequest{FromRound: 1}, got %v", req)
 	}
-	if e3.Stats().CertsPended != 1 {
-		t.Fatalf("CertsPended = %d, want 1", e3.Stats().CertsPended)
+	if e3.Stats().CertsPended != 1 || e3.pendingAt(2, child.Header.Source) != child {
+		t.Fatalf("CertsPended = %d, want 1, in its slot", e3.Stats().CertsPended)
 	}
 
 	// The source serves the request; the response unblocks the pended cert.
@@ -104,93 +112,85 @@ func TestPendingCertTriggersSyncRequest(t *testing.T) {
 	if len(resp.Unicasts) != 1 || resp.Unicasts[0].Msg.Kind != KindCertResponse {
 		t.Fatalf("source response = %+v, want one CertResponse", resp.Unicasts)
 	}
-	e3.OnMessage(0, resp.Unicasts[0].Msg, 0)
+	// Only the parents: the cascade, not the reply's copy, inserts the child.
+	reply := resp.Unicasts[0].Msg.CertResponse
+	parents := slices.DeleteFunc(slices.Clone(reply.Certs), func(c *Certificate) bool { return c.Header.Round != 1 })
+	e3.OnMessage(0, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{FromRound: reply.FromRound, Certs: parents}}, 0)
 	for _, c := range round1 {
-		if _, ok := e3.DAG().ByDigest(c.Digest()); !ok {
+		if !e3.inDAG(c) {
 			t.Fatalf("round-1 cert %s not inserted after sync", c.Digest())
 		}
 	}
-	if _, ok := e3.DAG().ByDigest(round2[0].Digest()); !ok {
+	if !e3.inDAG(child) || e3.SyncBacklog() != 0 {
 		t.Fatal("pended round-2 cert must cascade in after its parents")
 	}
 }
 
-// TestCertRequestWorkIsBounded: a CertRequest buys at most syncBatch digest
-// lookups however many digests its frame carries — the ones after the cap go
-// unread, retained or not — and the engine's own requests stay inside that
-// cap, so a node missing more parents than one request may name still
-// recovers every one of them, from the one peer it asked.
+// TestFirstPullIsNotHeldBack: the pull's rate limit holds back a pull that
+// repeats the previous one's round within a resync interval, and nothing
+// else. An engine whose floor is still 0, isolated since genesis, receives
+// a frontier certificate at time 0: its first pull goes out at once.
+func TestFirstPullIsNotHeldBack(t *testing.T) {
+	committee, err := types.NewEqualStakeCommittee(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := buildCertTrace(t, committee, 12)
+	frontier := trace[len(trace)-1]
+	eng, _ := newTraceEngine(t, committee, nil)
+	out := eng.OnMessage(frontier.Header.Source, &Message{Kind: KindCertificate, Cert: frontier}, 0)
+	for _, u := range out.Unicasts {
+		if u.Msg.Kind == KindRoundRequest && u.Msg.RoundRequest.FromRound == 0 {
+			return
+		}
+	}
+	t.Fatalf("a frontier certificate at time 0 sent no RoundRequest from round 0: %d unicasts", len(out.Unicasts))
+}
+
+// TestCertRequestWorkIsBounded (named for the digest pull the round pull
+// replaced): a reply holds at most syncBatch certificates however much the
+// responder holds from the pulled round on, and a node holding none of round
+// 1 recovers all of it, and the child that pended on it, from one capped
+// reply — then pulls on from where the reply stopped, since a full reply was
+// cut short of the responder's frontier.
 func TestCertRequestWorkIsBounded(t *testing.T) {
-	const n, batch = 10, 3
+	const n = 10
+	const batch = n + 5 // round 1 and sources 0 to 4 of round 2
 	committee, err := types.NewEqualStakeCommittee(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := buildCertTrace(t, committee, 2)
+	trace := buildCertTrace(t, committee, 3)
 	round1, child := trace[:n:n], trace[n+4]
 	peer, _ := newTraceEngine(t, committee, nil)
 	peer.syncBatch = batch
 	feedCerts(peer, trace)
 
-	serve := func(req *Message) []*Certificate {
-		return certResponse(peer.OnMessage(1, req, 0))
-	}
-	request := func(digests ...[]types.Digest) *Message {
-		return &Message{Kind: KindCertRequest, CertRequest: &CertRequest{Digests: slices.Concat(digests...)}}
-	}
-	var garbage, retained []types.Digest
-	for i := range 4 * batch {
-		garbage = append(garbage, types.HashBytes([]byte{'g', byte(i)}))
-	}
-	for _, c := range round1 {
-		retained = append(retained, c.Digest())
-	}
-	if got := serve(request(garbage, retained)); len(got) != 0 {
-		t.Fatalf("%d garbage digests, then retained ones: served %d certificates, want none", len(garbage), len(got))
-	}
-	if got := serve(request(garbage[:batch-1], retained)); len(got) != 1 || got[0].Digest() != retained[0] {
-		t.Fatalf("%d garbage digests, then retained ones: served %d certificates, want exactly the first retained one", batch-1, len(got))
-	}
-	if got := serve(request(retained)); len(got) != batch || got[0].Digest() != retained[0] || got[batch-1].Digest() != retained[batch-1] {
-		t.Fatalf("retained digests only: served %d certificates, want the first %d", len(got), batch)
-	}
-
 	// A node holding none of round 1 receives a round-2 certificate: it
-	// misses all n parents and asks the certificate's source for them.
+	// misses all n parents and pulls them from the certificate's source.
 	node, _ := newTraceEngine(t, committee, nil)
 	node.syncBatch = batch
-	checkRequests := func(what string, out *Output) []*Message {
-		t.Helper()
-		var reqs []*Message
-		asked := map[types.Digest]bool{}
-		for _, u := range out.Unicasts {
-			if u.Msg.Kind != KindCertRequest {
-				continue
-			}
-			if ds := u.Msg.CertRequest.Digests; len(ds) > batch {
-				t.Fatalf("%s: a request names %d digests, more than syncBatch = %d", what, len(ds), batch)
-			}
-			for _, d := range u.Msg.CertRequest.Digests {
-				asked[d] = true
-			}
-			reqs = append(reqs, u.Msg)
-		}
-		for _, d := range retained {
-			if !asked[d] {
-				t.Fatalf("%s: missing parent %s never requested", what, d)
-			}
-		}
-		return reqs
+	out := node.OnMessage(child.Header.Source, &Message{Kind: KindCertificate, Cert: child}, 0)
+	if len(out.Unicasts) != 1 {
+		t.Fatalf("a pending certificate sent %d pulls, want 1", len(out.Unicasts))
 	}
-	reqs := checkRequests("on arrival", node.OnMessage(child.Header.Source, &Message{Kind: KindCertificate, Cert: child}, 0))
-	checkRequests("resync", node.OnTimer(Timer{Kind: TimerResync}, 0))
-	for _, req := range reqs {
-		node.OnMessage(child.Header.Source, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: serve(req)}}, 0)
+	u := out.Unicasts[0]
+	if u.To != child.Header.Source || u.Msg.Kind != KindRoundRequest || u.Msg.RoundRequest.FromRound != 0 {
+		t.Fatalf("pull %s to %s, want a RoundRequest from round 0 to the source %s", u.Msg, u.To, child.Header.Source)
 	}
+	certs := certResponse(peer.OnMessage(1, u.Msg, 0))
+	if len(certs) != batch {
+		t.Fatalf("the reply holds %d certificates, want it capped at %d", len(certs), batch)
+	}
+	out = node.OnMessage(u.To, &Message{Kind: KindCertResponse, CertResponse: &CertResponse{Certs: certs}}, 0)
 	for _, c := range append(round1, child) {
 		if !node.inDAG(c) {
-			t.Fatalf("certificate (%d, %s) not inserted after the chunked requests were served", c.Header.Round, c.Header.Source)
+			t.Fatalf("certificate (%d, %s) not inserted from the capped reply", c.Header.Round, c.Header.Source)
 		}
+	}
+	if len(out.Unicasts) != 1 || out.Unicasts[0].To != u.To || out.Unicasts[0].Msg.RoundRequest == nil ||
+		out.Unicasts[0].Msg.RoundRequest.FromRound != 2 {
+		t.Fatalf("after a full reply the node sent %+v, want one RoundRequest from round 2 to the same peer", out.Unicasts)
 	}
 }
 
@@ -260,10 +260,8 @@ func TestOverlongEdgeListIsRefused(t *testing.T) {
 		if got := eng.Stats().InvalidMessages - invalid; got != 1 {
 			t.Fatalf("%s: InvalidMessages moved by %d, want 1", what, got)
 		}
-		for _, u := range out.Unicasts {
-			if u.Msg.Kind == KindCertRequest {
-				t.Fatalf("%s: sent a CertRequest for %d digests", what, len(u.Msg.CertRequest.Digests))
-			}
+		if len(out.Unicasts) != 0 {
+			t.Fatalf("%s: sent %d requests", what, len(out.Unicasts))
 		}
 		if d.HighestRound() != top || d.VertexCount() != vertices {
 			t.Fatalf("%s: DAG top %d with %d vertices, was %d with %d", what, d.HighestRound(), d.VertexCount(), top, vertices)
@@ -290,8 +288,8 @@ func TestRoundRequestServesFrontier(t *testing.T) {
 			t.Fatalf("round request must earn one CertResponse, got %+v", out.Unicasts)
 		}
 		resp := out.Unicasts[0].Msg.CertResponse
-		if resp.ByDigest || resp.FromRound != from || resp.Offer != nil {
-			t.Fatalf("pull from round %d answered as by digest %v from %d, offer %v", from, resp.ByDigest, resp.FromRound, resp.Offer)
+		if resp.FromRound != from || resp.Offer != nil {
+			t.Fatalf("pull from round %d answered from %d, offer %v", from, resp.FromRound, resp.Offer)
 		}
 		return resp
 	}
@@ -372,7 +370,7 @@ func TestCatchUpJumpSkipsToFrontier(t *testing.T) {
 	for len(out.Unicasts) > 0 {
 		var next []Unicast
 		for _, u := range out.Unicasts {
-			if u.Msg.Kind != KindCertRequest {
+			if u.Msg.Kind != KindRoundRequest {
 				continue
 			}
 			resp := rig.engines[u.To].OnMessage(3, u.Msg, 0)

@@ -57,8 +57,6 @@ func checkPayload(m *Message) error {
 		ok = m.Vote != nil
 	case KindCertificate:
 		ok = m.Cert != nil
-	case KindCertRequest:
-		ok = m.CertRequest != nil
 	case KindCertResponse:
 		ok = m.CertResponse != nil
 	case KindRoundRequest:
@@ -97,15 +95,8 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 		return appendVote(buf, m.Vote), nil
 	case KindCertificate:
 		return AppendCertificateWire(buf, m.Cert), nil
-	case KindCertRequest:
-		buf = wire.AppendUvarint(buf, uint64(len(m.CertRequest.Digests)))
-		for _, d := range m.CertRequest.Digests {
-			buf = wire.AppendDigest(buf, d)
-		}
-		return buf, nil
 	case KindCertResponse:
 		r := m.CertResponse
-		buf = wire.AppendBool(buf, r.ByDigest)
 		buf = wire.AppendU64(buf, uint64(r.FromRound))
 		buf = appendCertList(buf, r.Certs)
 		buf = wire.AppendBool(buf, r.Offer != nil)
@@ -163,18 +154,8 @@ func DecodeMessage(data []byte) (*Message, error) {
 		msg.Vote = readVote(r)
 	case KindCertificate:
 		msg.Cert = ReadCertificateWire(r)
-	case KindCertRequest:
-		req := &CertRequest{}
-		n := r.Count(_digestWire)
-		if n > 0 {
-			req.Digests = make([]types.Digest, 0, n)
-		}
-		for i := 0; i < n; i++ {
-			req.Digests = append(req.Digests, r.Digest())
-		}
-		msg.CertRequest = req
 	case KindCertResponse:
-		resp := &CertResponse{ByDigest: r.Bool(), FromRound: types.Round(r.U64()), Certs: readCertList(r)}
+		resp := &CertResponse{FromRound: types.Round(r.U64()), Certs: readCertList(r)}
 		if r.Bool() {
 			meta := readSnapshotMeta(r)
 			resp.Offer = &meta

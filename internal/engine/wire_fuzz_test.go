@@ -10,18 +10,18 @@ import (
 // be faithful (assertWireFidelity is the oracle) and the encoding must be
 // deterministic (equal messages encode to equal bytes). The first argument
 // indexes wireKinds; a CertResponse's shape follows the last (see
-// buildMessage), and the seeds cover all four.
+// buildMessage), and the seeds cover all three.
 func FuzzWireCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint64(1), uint32(0), []byte("edge-material"), []byte("sig"), uint8(3))
 	f.Add(uint8(2), uint64(7), uint32(3), []byte{}, []byte{}, uint8(0))
-	f.Add(uint8(3), uint64(42), uint32(2), bytes.Repeat([]byte{0xAB}, 64), bytes.Repeat([]byte{1}, 64), uint8(7))
-	f.Add(uint8(7), uint64(11), uint32(2), []byte("chunk-data"), []byte("z"), uint8(1))
-	f.Add(uint8(4), uint64(3), uint32(1), []byte("offer"), []byte("w"), uint8(7))
-	f.Add(uint8(9), uint64(19), uint32(0), []byte("ckpt"), []byte("share-sig"), uint8(4))
-	f.Add(uint8(4), uint64(5), uint32(2), []byte("by-digest"), []byte("v"), uint8(4))
-	f.Add(uint8(4), uint64(6), uint32(3), []byte("by-round"), []byte("u"), uint8(5))
-	f.Add(uint8(4), uint64(8), uint32(0), []byte{}, []byte{}, uint8(2))
-	f.Add(uint8(8), uint64(23), uint32(1), []byte("share"), []byte("share-sig"), uint8(0))
+	f.Add(uint8(4), uint64(42), uint32(2), bytes.Repeat([]byte{0xAB}, 64), bytes.Repeat([]byte{1}, 64), uint8(7))
+	f.Add(uint8(6), uint64(11), uint32(2), []byte("chunk-data"), []byte("z"), uint8(1))
+	f.Add(uint8(3), uint64(3), uint32(1), []byte("offer"), []byte("w"), uint8(2))
+	f.Add(uint8(8), uint64(19), uint32(0), []byte("ckpt"), []byte("share-sig"), uint8(4))
+	f.Add(uint8(3), uint64(5), uint32(2), []byte("full"), []byte("v"), uint8(6))
+	f.Add(uint8(3), uint64(6), uint32(3), []byte("by-round"), []byte("u"), uint8(0))
+	f.Add(uint8(3), uint64(8), uint32(0), []byte{}, []byte{}, uint8(1))
+	f.Add(uint8(7), uint64(23), uint32(1), []byte("share"), []byte("share-sig"), uint8(0))
 	f.Fuzz(func(t *testing.T, kindSel uint8, round uint64, source uint32, blob, sig []byte, nSub uint8) {
 		msg := buildMessage(kindSel, round, source, blob, sig, nSub)
 		if msg == nil {
@@ -54,17 +54,17 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 // and count is validated against the remaining input before allocation — it
 // must stay cheap on lying-length inputs.
 //
-// The valid frames are a CertRequest and a CertResponse of each shape (by
-// digest, by round, empty, with an offer); the raw input's length picks the
+// The valid frames are a RoundRequest and a CertResponse of each shape (one
+// certificate, three, none, with an offer); the raw input's length picks the
 // one a run corrupts.
 func FuzzWireCodecCorrupt(f *testing.F) {
 	var frames [][]byte
 	for _, m := range []*Message{
-		buildMessage(3, 9, 1, []byte("payload"), []byte("sig"), 4),
 		buildMessage(4, 9, 1, []byte("payload"), []byte("sig"), 4),
-		buildMessage(4, 9, 1, []byte("payload"), []byte("sig"), 5),
-		buildMessage(4, 9, 1, []byte("payload"), []byte("sig"), 6),
-		buildMessage(4, 9, 1, []byte("payload"), []byte("sig"), 7),
+		buildMessage(3, 9, 1, []byte("payload"), []byte("sig"), 0),
+		buildMessage(3, 9, 1, []byte("payload"), []byte("sig"), 6),
+		buildMessage(3, 9, 1, []byte("payload"), []byte("sig"), 1),
+		buildMessage(3, 9, 1, []byte("payload"), []byte("sig"), 2),
 	} {
 		frame, err := EncodeMessage(m)
 		if err != nil {

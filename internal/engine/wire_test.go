@@ -14,9 +14,9 @@ func TestWireCodecAllKindsRoundTrip(t *testing.T) {
 	for kindSel := range wireKinds {
 		msgs = append(msgs, buildMessage(uint8(kindSel), 42, 2, []byte("blob-material"), []byte("signature"), 5))
 	}
-	// A CertResponse of every shape: by digest, by round, empty, with an offer.
-	for nSub := uint8(4); nSub < 8; nSub++ {
-		msgs = append(msgs, buildMessage(4, 42, 2, []byte("blob-material"), []byte("signature"), nSub))
+	// A CertResponse of every shape: with certificates, empty, with an offer.
+	for nSub := uint8(0); nSub < 3; nSub++ {
+		msgs = append(msgs, buildMessage(3, 42, 2, []byte("blob-material"), []byte("signature"), nSub))
 	}
 	for i, msg := range msgs {
 		if msg == nil {
@@ -61,7 +61,7 @@ func TestDecodeMessageRejectsBadFraming(t *testing.T) {
 	}
 	// Trailing garbage after a well-formed payload must be rejected: a
 	// decoded frame accounts for every byte.
-	data, err := EncodeMessage(buildMessage(5, 1, 0, []byte("x"), []byte("y"), 1))
+	data, err := EncodeMessage(buildMessage(4, 1, 0, []byte("x"), []byte("y"), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +70,16 @@ func TestDecodeMessageRejectsBadFraming(t *testing.T) {
 	}
 }
 
-// TestRetiredKindsDecodeAsErrors: kind bytes 9 and 10 carried the crash-rejoin
-// handshake's own request and reply before it became a round pull. A frame
-// with either byte is an error whatever payload follows — the retired
-// request's frontier or any live kind's — never another kind's message.
+// TestRetiredKindsDecodeAsErrors: kind byte 4 carried the pull of
+// certificates by digest, and bytes 9 and 10 the crash-rejoin handshake's own
+// request and reply, before each became a round pull. A frame with any of
+// them is an error whatever payload follows — a retired request's digests or
+// frontier, or any live kind's — never another kind's message.
 func TestRetiredKindsDecodeAsErrors(t *testing.T) {
-	payloads := [][]byte{make([]byte, 24)} // the retired request's frontier
+	payloads := [][]byte{
+		append([]byte{1}, make([]byte, 32)...), // one digest, as the digest pull listed them
+		make([]byte, 24),                       // the retired rejoin request's frontier
+	}
 	for kindSel := range wireKinds {
 		frame, err := EncodeMessage(buildMessage(uint8(kindSel), 42, 2, []byte("blob"), []byte("sig"), 7))
 		if err != nil {
@@ -83,7 +87,7 @@ func TestRetiredKindsDecodeAsErrors(t *testing.T) {
 		}
 		payloads = append(payloads, frame[3:])
 	}
-	for _, retired := range []MessageKind{9, 10} {
+	for _, retired := range []MessageKind{4, 9, 10} {
 		if slices.Contains(wireKinds, retired) {
 			t.Fatalf("retired kind byte %d is in use", retired)
 		}

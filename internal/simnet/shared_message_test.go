@@ -73,12 +73,17 @@ func TestSharedCertificateIsNotStripped(t *testing.T) {
 	}
 	for _, id := range peers {
 		// What the validator stored is what it serves.
-		out := cluster.Engine(id).OnMessage(2, &engine.Message{Kind: engine.KindCertRequest,
-			CertRequest: &engine.CertRequest{Digests: []types.Digest{d}}}, cluster.Sim.Now())
-		if len(out.Unicasts) != 1 || out.Unicasts[0].Msg.Kind != engine.KindCertResponse {
+		out := cluster.Engine(id).OnMessage(origin, &engine.Message{Kind: engine.KindRoundRequest,
+			RoundRequest: &engine.RoundRequest{FromRound: 1}}, cluster.Sim.Now())
+		var stored *engine.Certificate
+		for _, c := range out.Unicasts[0].Msg.CertResponse.Certs {
+			if c.Digest() == d {
+				stored = c
+			}
+		}
+		if stored == nil {
 			t.Fatalf("validator %s does not hold the certificate", id)
 		}
-		stored := out.Unicasts[0].Msg.CertResponse.Certs[0]
 		if len(stored.Votes) != 3 || stored == cert {
 			t.Fatalf("validator %s stored the certificate with %d votes, want a new one with 3", id, len(stored.Votes))
 		}

@@ -444,7 +444,7 @@ func TestTCPMessageKindsSurviveFraming(t *testing.T) {
 		{Kind: engine.KindHeader, Header: &h},
 		{Kind: engine.KindVote, Vote: &engine.Vote{Round: 1, Voter: 0, Origin: 1, HeaderDigest: h.Digest()}},
 		{Kind: engine.KindCertificate, Cert: &engine.Certificate{Header: h, Votes: []engine.VoteSig{{Voter: 0, Signature: []byte("s")}}}},
-		{Kind: engine.KindCertRequest, CertRequest: &engine.CertRequest{Digests: []types.Digest{h.Digest()}}},
+		{Kind: engine.KindRoundRequest, RoundRequest: &engine.RoundRequest{FromRound: 1}},
 		{Kind: engine.KindCertResponse, CertResponse: &engine.CertResponse{Certs: []*engine.Certificate{{Header: h}}}},
 	}
 	for _, m := range msgs {
